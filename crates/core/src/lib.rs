@@ -59,11 +59,10 @@ pub use study::{Study, StudyReport};
 /// example, and test imports, re-exported explicitly (no glob-of-globs, so
 /// rustdoc attributes each item to its home crate).
 ///
-/// `grs_deploy`'s tracker-dynamics simulation (`sim::TrackerSim`) keeps its
-/// historical `Intake*` prelude aliases; `Campaign`/`CampaignConfig`/
-/// `CampaignResult` here always mean the execution engine
-/// (`grs_fleet::campaign`), and the streaming intake server is
-/// `IntakeService`.
+/// `Campaign`/`CampaignConfig`/`CampaignResult` here always mean the
+/// execution engine (`grs_fleet::campaign`); the streaming intake server is
+/// `IntakeService`, and the tracker-dynamics simulation is reached as
+/// `grs::deploy::sim::TrackerSim`.
 ///
 /// ```
 /// use grs::prelude::*;
@@ -73,12 +72,7 @@ pub use study::{Study, StudyReport};
 /// ```
 pub mod prelude {
     pub use grs_deploy::service::{IntakeError, IntakeService, IntakeSummary};
-    pub use grs_deploy::sim::{
-        SimConfig as IntakeConfig, SimResult as IntakeResult, TrackerSim as IntakeSim,
-    };
     pub use grs_deploy::store::Snapshot;
-    #[allow(deprecated)]
-    pub use grs_deploy::Pipeline;
     pub use grs_deploy::{race_fingerprint, Fingerprint, OwnerDb};
     pub use grs_detector::{DetectorArena, DetectorChoice, ExploreConfig, Explorer, RaceReport};
     pub use grs_fleet::{

@@ -1,12 +1,14 @@
-//! Batched intake: campaign-scale dedup *before* the pipeline.
+//! Batched intake: campaign-scale dedup *before* the intake service.
 //!
 //! A nightly campaign (§3.3) produces race reports from thousands of runs,
 //! the overwhelming majority duplicates of each other — the same race
 //! re-detected under different seeds, strategies, and detectors. Filing
-//! them one by one through [`Pipeline::submit`] works but touches the
-//! tracker once per raw report; a campaign instead accumulates into a
-//! [`RaceBatch`] keyed by [`race_fingerprint`] and hands the pipeline one
-//! deduplicated, deterministically ordered batch per day.
+//! them one by one through
+//! [`IntakeService::submit`](crate::service::IntakeService::submit) works
+//! but touches the tracker once per raw report; a campaign instead
+//! accumulates into a [`RaceBatch`] keyed by [`race_fingerprint`] and hands
+//! [`IntakeService::submit_race_batch`](crate::service::IntakeService::submit_race_batch)
+//! one deduplicated, deterministically ordered batch per day.
 //!
 //! Determinism matters: the batch keeps, per fingerprint, the report from
 //! the *lowest-numbered* campaign run, and iterates in fingerprint order.
@@ -24,9 +26,6 @@ use std::collections::BTreeMap;
 use grs_detector::RaceReport;
 
 use crate::fingerprint::{naive_fingerprint, race_fingerprint, Fingerprint};
-use crate::pipeline::FileOutcome;
-#[allow(deprecated)]
-use crate::pipeline::Pipeline;
 
 /// The total order choosing a fingerprint's representative: lowest
 /// `run_order` first, ties broken by a content key that is a pure function
@@ -149,35 +148,16 @@ impl RaceBatch {
     }
 }
 
-#[allow(deprecated)]
-impl Pipeline {
-    /// Files one deduplicated batch (a day's campaign output) and returns
-    /// the per-fingerprint outcomes, in fingerprint order.
-    ///
-    /// Because the batch is already deduplicated, every `Duplicate` outcome
-    /// here means the tracker has an *open task from a previous day* for
-    /// that fingerprint — cross-day dedup, not within-campaign dedup.
-    /// Deprecated alongside [`Pipeline`]; the successor is
-    /// [`IntakeService::submit_race_batch`](crate::service::IntakeService::submit_race_batch).
-    pub fn submit_batch(&mut self, batch: &RaceBatch, day: u32) -> Vec<(Fingerprint, FileOutcome)> {
-        batch
-            .iter()
-            .map(|(fp, report)| (fp, self.submit(report, day)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::assignee::OwnerDb;
+    use crate::service::{FileOutcome, IntakeService};
     use grs_clock::Lockset;
     use grs_detector::{DetectorKind, RaceAccess};
     use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
     use std::sync::Arc;
 
-    fn report(func: &str, line: u32, seed: u64) -> RaceReport {
+    pub(crate) fn report(func: &str, line: u32, seed: u64) -> RaceReport {
         let mk = |gid: u32, kind: AccessKind, line: u32| RaceAccess {
             gid: Gid(gid),
             kind,
@@ -301,12 +281,12 @@ mod tests {
         });
         let mut b = RaceBatch::new();
         b.add(r, 0);
-        let mut p = Pipeline::new(OwnerDb::new());
-        let outcomes = p.submit_batch(&b, 0);
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        let outcomes = service.submit_race_batch(&b, 0).unwrap();
         let FileOutcome::Filed { task, .. } = outcomes[0].1 else {
             panic!("must file");
         };
-        let task = p.tracker().task(task).expect("filed");
+        let task = service.with_tracker(|t| t.task(task).cloned()).expect("filed");
         assert_eq!(task.repro_seed, Some(7));
         let artifact = task.repro.as_ref().expect("artifact attached");
         assert_eq!(artifact.strategy, Strategy::RoundRobin);
@@ -319,12 +299,12 @@ mod tests {
         // Legacy path: no artifact on the report, just a repro seed.
         let mut b = RaceBatch::new();
         b.add(report("G", 5, 9), 0);
-        let mut p = Pipeline::new(OwnerDb::new());
-        let outcomes = p.submit_batch(&b, 0);
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        let outcomes = service.submit_race_batch(&b, 0).unwrap();
         let FileOutcome::Filed { task, .. } = outcomes[0].1 else {
             panic!("must file");
         };
-        let task = p.tracker().task(task).expect("filed");
+        let task = service.with_tracker(|t| t.task(task).cloned()).expect("filed");
         assert_eq!(task.repro_seed, Some(9));
         assert_eq!(
             task.repro,
@@ -334,20 +314,20 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_files_once_per_fingerprint() {
+    fn a_batch_files_once_per_fingerprint_and_is_all_duplicate_the_next_day() {
         let mut b = RaceBatch::new();
         b.add(report("F", 10, 0), 0);
         b.add(report("F", 11, 1), 1);
         b.add(report("G", 20, 2), 2);
-        let mut p = Pipeline::new(OwnerDb::new());
-        let outcomes = p.submit_batch(&b, 0);
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        let outcomes = service.submit_race_batch(&b, 0).unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes
             .iter()
             .all(|(_, o)| matches!(o, FileOutcome::Filed { .. })));
-        assert_eq!(p.tracker().total_filed(), 2);
+        assert_eq!(service.stats().total_filed, 2);
         // Next day, same batch: everything is a cross-day duplicate.
-        let again = p.submit_batch(&b, 1);
+        let again = service.submit_race_batch(&b, 1).unwrap();
         assert!(again.iter().all(|(_, o)| *o == FileOutcome::Duplicate));
     }
 }

@@ -18,8 +18,7 @@
 //! Naming note: three layers share this territory. The *execution* engine
 //! that runs real detector matrices lives in `grs_fleet::campaign`; the
 //! long-running *ingestion* server is [`service::IntakeService`]; the
-//! Figures 3–4 tracker-dynamics *simulation* is [`sim::TrackerSim`]
-//! (formerly `intake::Campaign` — [`intake`] keeps deprecated aliases).
+//! Figures 3–4 tracker-dynamics *simulation* is [`sim::TrackerSim`].
 //!
 //! # Example
 //!
@@ -35,8 +34,6 @@ pub mod assignee;
 pub mod batch;
 pub mod dedup;
 pub mod fingerprint;
-pub mod intake;
-pub mod pipeline;
 pub mod service;
 pub mod sim;
 pub mod store;
@@ -49,11 +46,9 @@ pub use dedup::BoundedDedup;
 pub use fingerprint::{
     naive_fingerprint, race_fingerprint, race_fingerprint_interned, Fingerprint,
 };
-pub use pipeline::FileOutcome;
-#[allow(deprecated)]
-pub use pipeline::Pipeline;
 pub use service::{
-    IntakeError, IntakeServer, IntakeService, IntakeStats, IntakeSummary, IntakeTicket,
+    FileOutcome, IntakeError, IntakeServer, IntakeService, IntakeStats, IntakeSummary,
+    IntakeTicket,
 };
 pub use sim::{DayStats, SimConfig, SimResult, TrackerSim};
 pub use store::{Snapshot, SnapshotError};
@@ -63,11 +58,8 @@ pub use tracker::{BugTracker, FixError, RestoreError, TaskId, TaskState};
 pub mod prelude {
     pub use crate::assignee::{determine_assignee, OwnerDb};
     pub use crate::fingerprint::{race_fingerprint, Fingerprint};
-    #[allow(deprecated)]
-    pub use crate::pipeline::Pipeline;
-    pub use crate::pipeline::FileOutcome;
     pub use crate::service::{
-        IntakeError, IntakeHandle, IntakeServer, IntakeService, IntakeSummary,
+        FileOutcome, IntakeError, IntakeHandle, IntakeServer, IntakeService, IntakeSummary,
     };
     pub use crate::sim::{SimConfig, SimResult, TrackerSim};
     pub use crate::store::Snapshot;

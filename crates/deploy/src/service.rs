@@ -6,10 +6,10 @@
 //! dedups and files tasks, and the bug database outlives any single
 //! process. [`IntakeService`] is that shape:
 //!
-//! * **One API.** The four historical entry points — `Pipeline::submit`,
-//!   `submit_all`, `BugTracker::file_with_repro`, and hand-rolled
-//!   decode-replay-file loops — are re-expressed as
-//!   [`IntakeService::submit`], [`IntakeService::submit_batch`], and
+//! * **One API.** Per-report filing, batch filing and decode-replay-file
+//!   of an uploaded trace are [`IntakeService::submit`],
+//!   [`IntakeService::submit_batch`] /
+//!   [`IntakeService::submit_race_batch`], and
 //!   [`IntakeService::submit_trace`] (raw `.grtrace` bytes in, filed tasks
 //!   out). Every failure is a typed [`IntakeError`]; nothing panics on
 //!   client input.
@@ -44,7 +44,6 @@ use grs_runtime::{DecodedTrace, ReproArtifact, StackDepot, TraceDecodeError};
 use crate::assignee::{determine_assignee, OwnerDb};
 use crate::dedup::{BoundedDedup, DedupVerdict};
 use crate::fingerprint::race_fingerprint;
-use crate::pipeline::FileOutcome;
 use crate::store::{Snapshot, SnapshotError};
 use crate::tracker::{BugTracker, FixError, TaskId};
 use crate::wire::{RequestFrame, ResponseFrame, Transport};
@@ -107,6 +106,20 @@ impl From<FixError> for IntakeError {
             FixError::AlreadyFixed(id) => IntakeError::AlreadyFixed(id),
         }
     }
+}
+
+/// What happened to one submitted race report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FileOutcome {
+    /// A new task was filed.
+    Filed {
+        /// The new task.
+        task: TaskId,
+        /// Assignee chosen by the heuristic, if any.
+        assignee: Option<String>,
+    },
+    /// Suppressed: a task with the same fingerprint is already open.
+    Duplicate,
 }
 
 /// What one accepted trace upload produced.
@@ -573,8 +586,7 @@ impl fmt::Debug for IntakeHandle {
 macro_rules! shared_intake_api {
     () => {
         /// Submits one already-detected race report on `day` —
-        /// synchronous, bypassing the trace queue (the successor of
-        /// `Pipeline::submit`).
+        /// synchronous, bypassing the trace queue.
         ///
         /// # Errors
         ///
@@ -586,8 +598,7 @@ macro_rules! shared_intake_api {
             Ok(self.inner.file_report(report, day))
         }
 
-        /// Submits a batch of reports (the successor of
-        /// `Pipeline::submit_all` / `RaceBatch` filing loops).
+        /// Submits a batch of reports.
         ///
         /// # Errors
         ///
@@ -602,9 +613,9 @@ macro_rules! shared_intake_api {
 
         /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)
         /// (a campaign day's output) and returns the per-fingerprint
-        /// outcomes in fingerprint order — the successor of
-        /// `Pipeline::submit_batch`. Every `Duplicate` here means an open
-        /// task from a previous day, not within-batch noise.
+        /// outcomes in fingerprint order. Because the batch is already
+        /// deduplicated, every `Duplicate` here means an open task from a
+        /// previous day — cross-day dedup, not within-batch noise.
         ///
         /// # Errors
         ///
@@ -917,6 +928,7 @@ fn serve_connection(handle: &IntakeHandle, mut conn: Box<dyn crate::wire::Conn>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::report;
     use grs_patterns::find;
     use grs_runtime::{record, RunConfig};
 
@@ -969,6 +981,49 @@ mod tests {
             again.races == 0 || !again.filed.is_empty(),
             "after the fix, a re-detection files fresh"
         );
+    }
+
+    #[test]
+    fn report_filing_dedups_across_line_shifts_refiles_after_fix_and_counts() {
+        let sink = Arc::new(grs_obs::MetricsRegistry::new());
+        let service = IntakeService::builder()
+            .workers(1)
+            .observed(sink.clone())
+            .start()
+            .unwrap();
+        let FileOutcome::Filed { task, .. } = service.submit(&report("F", 10, 0), 0).unwrap()
+        else {
+            panic!("first must file");
+        };
+        // Same logical race, different line numbers (unrelated edit).
+        assert_eq!(
+            service.submit(&report("F", 99, 1), 1).unwrap(),
+            FileOutcome::Duplicate
+        );
+        assert_eq!(service.stats().total_filed, 1);
+        service.fix(task, 2, "alice", 7).unwrap();
+        assert!(matches!(
+            service.submit(&report("F", 10, 2), 3).unwrap(),
+            FileOutcome::Filed { .. }
+        ));
+        let snap = sink.snapshot();
+        assert_eq!(snap.counter("intake.filed"), 2);
+        assert_eq!(snap.counter("intake.duplicate"), 1);
+        assert_eq!(snap.counter("intake.fixed"), 1);
+    }
+
+    #[test]
+    fn assignee_flows_into_the_task() {
+        let mut db = OwnerDb::new();
+        db.add_author("HandleRequest", "erin", 4, true);
+        let service = IntakeService::builder().workers(1).owners(db).start().unwrap();
+        let outcome = service.submit(&report("HandleRequest", 10, 0), 0).unwrap();
+        let FileOutcome::Filed { task, assignee } = outcome else {
+            panic!("must file");
+        };
+        assert_eq!(assignee.as_deref(), Some("erin"));
+        let filed = service.with_tracker(|t| t.task(task).cloned()).expect("filed");
+        assert_eq!(filed.assignee.as_deref(), Some("erin"));
     }
 
     #[test]

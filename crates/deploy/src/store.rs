@@ -20,7 +20,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use grs_runtime::{ReproArtifact, ScheduleTrace, Strategy, TraceDecodeError};
+use grs_runtime::{put_uvarint, Reader, ReproArtifact, ScheduleTrace, Strategy, TraceDecodeError};
 
 use crate::fingerprint::Fingerprint;
 use crate::tracker::{BugTracker, RestoreError, Task, TaskId, TaskState};
@@ -51,7 +51,7 @@ pub enum SnapshotError {
         /// How many bytes were left over.
         extra: usize,
     },
-    /// A varint ran past 10 bytes or past the end of input.
+    /// A varint ran past 10 bytes or past 64 bits.
     MalformedVarint,
     /// A string field is not valid UTF-8.
     BadUtf8,
@@ -102,18 +102,22 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
+/// The shared byte [`Reader`] speaks [`TraceDecodeError`]; its two cases
+/// are this format's too.
+impl From<TraceDecodeError> for SnapshotError {
+    fn from(e: TraceDecodeError) -> Self {
+        match e {
+            TraceDecodeError::Truncated => SnapshotError::Truncated,
+            TraceDecodeError::MalformedVarint => SnapshotError::MalformedVarint,
+            other => SnapshotError::BadSchedule(other),
+        }
+    }
+}
+
 impl From<RestoreError> for SnapshotError {
     fn from(e: RestoreError) -> Self {
         SnapshotError::Restore(e)
     }
-}
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
 }
 
 fn put_opt_string(out: &mut Vec<u8>, s: Option<&str>) {
@@ -137,81 +141,40 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn u64_le(r: &mut Reader<'_>) -> Result<u64, SnapshotError> {
+    Ok(u64::from_le_bytes(r.take(8)?.try_into().expect("took 8 bytes")))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos += n;
-        Ok(slice)
-    }
+/// A length-prefixed byte run. The length comes straight from input: one
+/// too large for `usize` is clamped and reads as truncation like any other
+/// length the file cannot satisfy.
+fn take_prefixed<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], SnapshotError> {
+    let len = usize::try_from(r.uvarint()?).unwrap_or(usize::MAX);
+    Ok(r.take(len)?)
+}
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
+/// A presence tag: `Ok(true)` when a value follows.
+fn opt_tag(r: &mut Reader<'_>) -> Result<bool, SnapshotError> {
+    match r.byte()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(SnapshotError::BadEnumTag {
+            what: "option",
+            tag,
+        }),
     }
+}
 
-    fn u32_le(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+fn opt_string(r: &mut Reader<'_>) -> Result<Option<String>, SnapshotError> {
+    if !opt_tag(r)? {
+        return Ok(None);
     }
+    let s = std::str::from_utf8(take_prefixed(r)?).map_err(|_| SnapshotError::BadUtf8)?;
+    Ok(Some(s.to_string()))
+}
 
-    fn u64_le(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn uvarint(&mut self) -> Result<u64, SnapshotError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8().map_err(|_| SnapshotError::MalformedVarint)?;
-            if shift == 63 && byte > 1 {
-                return Err(SnapshotError::MalformedVarint);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(SnapshotError::MalformedVarint);
-            }
-        }
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let len = self.uvarint()? as usize;
-                let bytes = self.take(len)?;
-                Ok(Some(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| SnapshotError::BadUtf8)?
-                        .to_string(),
-                ))
-            }
-            tag => Err(SnapshotError::BadEnumTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64_le()?)),
-            tag => Err(SnapshotError::BadEnumTag {
-                what: "option",
-                tag,
-            }),
-        }
-    }
+fn opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, SnapshotError> {
+    Ok(if opt_tag(r)? { Some(u64_le(r)?) } else { None })
 }
 
 fn encode_strategy(out: &mut Vec<u8>, strategy: Strategy) {
@@ -226,7 +189,7 @@ fn encode_strategy(out: &mut Vec<u8>, strategy: Strategy) {
 }
 
 fn decode_strategy(r: &mut Reader<'_>) -> Result<Strategy, SnapshotError> {
-    match r.u8()? {
+    match r.byte()? {
         0 => Ok(Strategy::Random),
         1 => Ok(Strategy::Pct {
             depth: r.uvarint()? as u32,
@@ -256,23 +219,14 @@ fn encode_repro(out: &mut Vec<u8>, repro: &ReproArtifact) {
 }
 
 fn decode_repro(r: &mut Reader<'_>) -> Result<ReproArtifact, SnapshotError> {
-    let seed = r.u64_le()?;
+    let seed = u64_le(r)?;
     let strategy = decode_strategy(r)?;
-    let trace_digest = r.opt_u64()?;
-    let trace_path = r.opt_string()?;
-    let schedule_prefix = match r.u8()? {
-        0 => None,
-        1 => {
-            let len = r.uvarint()? as usize;
-            let blob = r.take(len)?;
-            Some(ScheduleTrace::decode(blob).map_err(SnapshotError::BadSchedule)?)
-        }
-        tag => {
-            return Err(SnapshotError::BadEnumTag {
-                what: "option",
-                tag,
-            })
-        }
+    let trace_digest = opt_u64(r)?;
+    let trace_path = opt_string(r)?;
+    let schedule_prefix = if opt_tag(r)? {
+        Some(ScheduleTrace::decode(take_prefixed(r)?).map_err(SnapshotError::BadSchedule)?)
+    } else {
+        None
     };
     Ok(ReproArtifact {
         seed,
@@ -313,9 +267,9 @@ fn encode_task(out: &mut Vec<u8>, task: &Task) {
 
 fn decode_task(r: &mut Reader<'_>) -> Result<Task, SnapshotError> {
     let id = TaskId(r.uvarint()?);
-    let fingerprint = Fingerprint(r.u64_le()?);
+    let fingerprint = Fingerprint(u64_le(r)?);
     let filed_day = r.uvarint()? as u32;
-    let state = match r.u8()? {
+    let state = match r.byte()? {
         0 => TaskState::Open,
         1 => TaskState::Fixed,
         tag => {
@@ -325,30 +279,12 @@ fn decode_task(r: &mut Reader<'_>) -> Result<Task, SnapshotError> {
             })
         }
     };
-    let fixed_day = match r.u8()? {
-        0 => None,
-        1 => Some(r.uvarint()? as u32),
-        tag => {
-            return Err(SnapshotError::BadEnumTag {
-                what: "option",
-                tag,
-            })
-        }
-    };
-    let fixed_by = r.opt_string()?;
-    let patch = r.opt_u64()?;
-    let assignee = r.opt_string()?;
-    let repro_seed = r.opt_u64()?;
-    let repro = match r.u8()? {
-        0 => None,
-        1 => Some(decode_repro(r)?),
-        tag => {
-            return Err(SnapshotError::BadEnumTag {
-                what: "option",
-                tag,
-            })
-        }
-    };
+    let fixed_day = if opt_tag(r)? { Some(r.uvarint()? as u32) } else { None };
+    let fixed_by = opt_string(r)?;
+    let patch = opt_u64(r)?;
+    let assignee = opt_string(r)?;
+    let repro_seed = opt_u64(r)?;
+    let repro = if opt_tag(r)? { Some(decode_repro(r)?) } else { None };
     Ok(Task {
         id,
         fingerprint,
@@ -414,11 +350,11 @@ impl Snapshot {
     ///
     /// See [`SnapshotError`].
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.take(8)? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r.u32_le()?;
+        let version = u32::from_le_bytes(r.take(4)?.try_into().expect("took 4 bytes"));
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
@@ -430,9 +366,9 @@ impl Snapshot {
         for _ in 0..count {
             tasks.push(decode_task(&mut r)?);
         }
-        if r.pos != bytes.len() {
+        if r.pos() != bytes.len() {
             return Err(SnapshotError::TrailingBytes {
-                extra: bytes.len() - r.pos,
+                extra: bytes.len() - r.pos(),
             });
         }
         Ok(Snapshot { tasks })
@@ -564,6 +500,25 @@ mod tests {
             Snapshot::decode(&extended),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         );
+
+        // A string length of u64::MAX, so `pos + len` overflows: that is
+        // truncation, not a panic (debug builds check the add).
+        let mut huge = Vec::new();
+        huge.extend_from_slice(&SNAPSHOT_MAGIC);
+        huge.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        huge.push(1); // one task
+        huge.push(0); // id 0
+        huge.extend_from_slice(&[0; 8]); // fingerprint
+        huge.extend_from_slice(&[0, 0, 0]); // filed day 0, open, no fixed day
+        huge.push(1); // fixed_by = Some, with length…
+        huge.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        assert_eq!(Snapshot::decode(&huge), Err(SnapshotError::Truncated));
+
+        // A tenth varint byte that carries bits past the 64th is refused,
+        // not silently truncated.
+        let n = huge.len();
+        huge[n - 1] = 0x02;
+        assert_eq!(Snapshot::decode(&huge), Err(SnapshotError::MalformedVarint));
     }
 
     #[test]

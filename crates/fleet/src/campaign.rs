@@ -7,30 +7,36 @@
 //!
 //! * the **matrix** is `(unit × seed × strategy × detector)`, enumerated
 //!   deterministically into [`RunSpec`]s;
-//! * the **fan-out** is [`ShardQueues`]: specs dealt over shard queues,
-//!   popped by a pool of OS worker threads with work stealing;
+//! * the **fan-out** is [`IndexQueues`]: the item index space dealt over
+//!   lazy shard queues, popped by a pool of OS worker threads with work
+//!   stealing;
 //! * the **dedup stage** is [`DedupMap`]: fingerprint-sharded concurrent
 //!   aggregation with deterministic representatives;
-//! * the **filing** is [`grs_deploy::Pipeline`] via
-//!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake.
+//! * the **filing** is [`grs_deploy::IntakeService`] via
+//!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake
+//!   ([`CampaignResult::file_into_service`]).
+//!
+//! One private driver runs all three entry points — [`Campaign::run`],
+//! [`Campaign::run_replay`], [`Campaign::run_adaptive`] — which differ only
+//! in what a work item is and how it executes.
 //!
 //! Every run is a self-contained deterministic `Runtime` instance, so the
 //! campaign's deterministic output — run records and the deduped batch — is
-//! identical for any worker count, including 1 (the serial path). Only
-//! wall-clock changes.
+//! identical for any worker count, including 1 (inline on the calling
+//! thread). Only wall-clock changes.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
-#[allow(deprecated)]
-use grs_deploy::Pipeline;
-use grs_detector::{default_workers, DetectorArena, DetectorChoice, ScheduleFrontier};
+use grs_detector::{
+    default_workers, DetectorArena, DetectorChoice, RaceReport, ScheduleFrontier,
+};
 use grs_obs::{CampaignTimeline, MetricsRegistry, ObsReport, ObsSink, SpanGuard, TimelineConfig};
 use grs_runtime::{
     calibrate_steps, record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig,
-    Strategy, DEFAULT_CHUNK_EVENTS,
+    RunOutcome, Strategy, DEFAULT_CHUNK_EVENTS,
 };
 
 use crate::dedup::DedupMap;
@@ -633,15 +639,7 @@ impl CampaignResult {
         h
     }
 
-    /// Files the deduplicated batch into a deployment pipeline.
-    #[allow(deprecated)]
-    #[deprecated(note = "use file_into_service with grs_deploy::service::IntakeService")]
-    pub fn file_into(&self, pipeline: &mut Pipeline, day: u32) -> Vec<(Fingerprint, FileOutcome)> {
-        pipeline.submit_batch(&self.batch, day)
-    }
-
-    /// Files the deduplicated batch into the intake service — the
-    /// [`CampaignResult::file_into`] successor for the unified facade.
+    /// Files the deduplicated batch into the intake service.
     ///
     /// # Errors
     ///
@@ -752,20 +750,8 @@ impl Campaign {
     #[must_use]
     pub fn spec_at(&self, index: usize) -> RunSpec {
         let dets = self.config.detectors.len();
-        let strats = self.config.strategies.len();
-        let det = index % dets;
-        let rest = index / dets;
-        let strat = rest % strats;
-        let rest = rest / strats;
-        let seed = rest % self.config.seeds_per_unit;
-        let unit = rest / self.config.seeds_per_unit;
-        RunSpec {
-            index,
-            unit,
-            seed: self.config.base_seed + seed as u64,
-            strategy: self.config.strategies[strat],
-            detector: self.config.detectors[det],
-        }
+        self.exec_spec_at(index / dets)
+            .run_spec(index % dets, self.config.detectors[index % dets])
     }
 
     /// Recovers execution `exec_index` of the execute-once enumeration
@@ -803,11 +789,6 @@ impl Campaign {
         (0..self.exec_len()).map(|i| self.exec_spec_at(i)).collect()
     }
 
-    /// Unit names in matrix order (built without lowering).
-    fn unit_names(&self) -> Vec<String> {
-        (0..self.source.len()).map(|i| self.source.name(i)).collect()
-    }
-
     /// One detector arena per worker, honoring the config's shadow
     /// implementation choice. `oracle_shadow` is a differential-testing
     /// knob: it needs the legacy detectors compiled in, which only test
@@ -824,97 +805,49 @@ impl Campaign {
         DetectorArena::new()
     }
 
-    /// Executes one spec: run the program (through the worker's reusable
-    /// detector arena), fingerprint the reports, feed the dedup stage, and
-    /// emit the record.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        spec: RunSpec,
-        unit: &CampaignUnit,
-        worker: usize,
-        shard: usize,
-        dedup: &DedupMap,
-        arena: &mut DetectorArena,
-        sink: &dyn ObsSink,
-    ) -> RunRecord {
-        let started = Instant::now();
-        let (outcome, reports) = {
-            let _span = SpanGuard::enter(sink, "shard.execute");
-            arena.run_observed(
-                spec.detector,
-                &unit.program,
-                RunConfig {
-                    seed: spec.seed,
-                    strategy: spec.strategy,
-                    max_steps: self.config.max_steps,
-                    ..RunConfig::default()
-                },
-                sink,
-            )
-        };
-        let duration = started.elapsed();
-        sink.observe("campaign.run_wall", duration);
-        let racy = !reports.is_empty();
-        sink.add("campaign.runs", 1);
-        sink.add("campaign.racy_runs", u64::from(racy));
-        sink.add("campaign.reports", reports.len() as u64);
-        let mut fingerprints = Vec::with_capacity(reports.len());
-        for mut r in reports {
-            r.program = Some(std::sync::Arc::from(unit.name.as_str()));
-            r.repro_seed = Some(spec.seed);
-            r.repro = Some(ReproArtifact::seeded(spec.seed, spec.strategy));
-            let fp = race_fingerprint(&r);
-            fingerprints.push(fp);
-            dedup.insert(fp, spec.index, r);
-        }
-        fingerprints.sort_unstable();
-        fingerprints.dedup();
-        RunRecord {
-            spec,
-            unit_name: unit.name.clone(),
-            racy,
-            fingerprints,
-            steps: outcome.steps,
-            events: outcome.stats.events_dispatched,
-            depot_stacks: outcome.stats.depot.stacks,
-            peak_shadow_words: outcome.stats.peak_shadow_words,
-            worker,
-            shard,
-            duration,
+    /// The per-run configuration of this campaign for one `(seed, strategy)`.
+    fn run_config(&self, seed: u64, strategy: Strategy) -> RunConfig {
+        RunConfig {
+            seed,
+            strategy,
+            max_steps: self.config.max_steps,
+            ..RunConfig::default()
         }
     }
 
-    /// Executes one [`ExecSpec`] the execute-once way: run the program
-    /// *once* under a [`TraceRecorder`](grs_runtime::TraceRecorder)
-    /// (through the worker arena's depot), then fan the recorded trace
-    /// through every configured detector offline. Emits one [`RunRecord`]
-    /// per detector on the same spec-index space as [`Campaign::execute`],
-    /// with identical deterministic fields — the replay-fidelity guarantee.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_replay(
-        &self,
-        exec: ExecSpec,
-        unit: &CampaignUnit,
-        worker: usize,
-        shard: usize,
-        dedup: &DedupMap,
-        arena: &mut DetectorArena,
-        stats: &mut ReplayStats,
-        sink: &dyn ObsSink,
-    ) -> Vec<RunRecord> {
+    /// Live executor: run the spec's program under its detector (through
+    /// the worker's reusable arena) and fold the one run.
+    fn execute(&self, spec: RunSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
+        let sink: &dyn ObsSink = &wk.shared.registry;
+        let started = Instant::now();
+        let (outcome, reports) = {
+            let _span = SpanGuard::enter(sink, "shard.execute");
+            wk.arena.run_observed(
+                spec.detector,
+                &unit.program,
+                self.run_config(spec.seed, spec.strategy),
+                sink,
+            )
+        };
+        let repro = ReproArtifact::seeded(spec.seed, spec.strategy);
+        wk.fold(spec, unit, reports, &repro, RunSize::of(&outcome), started.elapsed());
+    }
+
+    /// Replay executor: run the program *once* under a
+    /// [`TraceRecorder`](grs_runtime::TraceRecorder) (through the worker
+    /// arena's depot), then fan the recorded trace through every configured
+    /// detector offline. Folds one run per detector on the same spec-index
+    /// space as [`Campaign::execute`], with identical deterministic fields
+    /// — the replay-fidelity guarantee.
+    fn execute_replay(&self, exec: ExecSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
+        let sink: &dyn ObsSink = &wk.shared.registry;
         let record_started = Instant::now();
         let (outcome, trace) = {
             let _span = SpanGuard::enter(sink, "shard.execute");
             record_with_depot(
                 &unit.program,
-                &RunConfig {
-                    seed: exec.seed,
-                    strategy: exec.strategy,
-                    max_steps: self.config.max_steps,
-                    ..RunConfig::default()
-                },
-                arena.depot(),
+                &self.run_config(exec.seed, exec.strategy),
+                wk.arena.depot(),
             )
         };
         // Encoding is part of the record pipeline: it is what a deployment
@@ -922,6 +855,7 @@ impl Campaign {
         let bytes = trace.encode();
         let trace_bytes = bytes.len();
         let trace_digest = trace.digest();
+        let stats = &mut wk.replay;
         stats.executions += 1;
         stats.trace_events += trace.events.len() as u64;
         stats.trace_bytes_total += trace_bytes as u64;
@@ -939,67 +873,110 @@ impl Campaign {
         stats.decode_batches += decoded.chunks;
         stats.batch_events += decoded.len() as u64;
         let analyses =
-            arena.replay_many_decoded_observed(&decoded, &self.config.detectors, sink);
+            wk.arena.replay_many_decoded_observed(&decoded, &self.config.detectors, sink);
         let replay_elapsed = replay_started.elapsed();
         stats.replays += analyses.len();
         stats.replay_wall += replay_elapsed;
         let per_replay = replay_elapsed / analyses.len().max(1) as u32;
 
-        let mut records = Vec::with_capacity(analyses.len());
+        let repro = ReproArtifact {
+            trace_digest: Some(trace_digest),
+            ..ReproArtifact::seeded(exec.seed, exec.strategy)
+        };
         for (pos, (detector, analysis)) in analyses.into_iter().enumerate() {
-            let spec = RunSpec {
-                index: exec.base_index + pos,
-                unit: exec.unit,
-                seed: exec.seed,
-                strategy: exec.strategy,
-                detector,
-            };
-            let racy = !analysis.reports.is_empty();
-            sink.observe("campaign.run_wall", per_replay);
-            sink.add("campaign.runs", 1);
-            sink.add("campaign.racy_runs", u64::from(racy));
-            sink.add("campaign.reports", analysis.reports.len() as u64);
-            let mut fingerprints = Vec::with_capacity(analysis.reports.len());
-            for mut r in analysis.reports {
-                r.program = Some(std::sync::Arc::from(unit.name.as_str()));
-                r.repro_seed = Some(spec.seed);
-                r.repro = Some(ReproArtifact {
-                    seed: spec.seed,
-                    strategy: spec.strategy,
-                    trace_digest: Some(trace_digest),
-                    trace_path: None,
-                    schedule_prefix: None,
-                });
-                let fp = race_fingerprint(&r);
-                fingerprints.push(fp);
-                dedup.insert(fp, spec.index, r);
-            }
-            fingerprints.sort_unstable();
-            fingerprints.dedup();
-            records.push(RunRecord {
-                spec,
-                unit_name: unit.name.clone(),
-                racy,
-                fingerprints,
+            let size = RunSize {
                 steps: outcome.steps,
                 events: analysis.events,
                 depot_stacks: trace.stacks.len(),
                 peak_shadow_words: analysis.peak_shadow_words,
-                worker,
-                shard,
-                duration: per_replay,
-            });
+            };
+            let spec = exec.run_spec(pos, detector);
+            wk.fold(spec, unit, analysis.reports, &repro, size, per_replay);
         }
-        records
     }
 
-    /// Runs the campaign execute-once: each `(unit, seed, strategy)` is
-    /// executed one time under a trace recorder, and the trace is fanned
-    /// through every configured detector offline. The result covers the
-    /// *same* run matrix as [`Campaign::run`] — same spec indices, same
-    /// [`CampaignResult::deterministic_digest`], same dedup batch — while
-    /// executing `detectors.len()`× fewer schedules; the measured speedup
-    /// lands in [`CampaignResult::replay`].
+    /// Executions the adaptive mode spends per unit — the same budget the
+    /// static matrix spends (`seeds × strategies` schedules per unit), so
+    /// [`Campaign::run`] and [`Campaign::run_adaptive`] are directly
+    /// comparable at equal cost.
+    #[must_use]
+    pub fn adaptive_execs_per_unit(&self) -> usize {
+        self.config.seeds_per_unit * self.config.strategies.len()
+    }
+
+    /// The base strategy adaptive exploration falls back to after a
+    /// mutated prefix is exhausted: the first configured strategy.
+    #[must_use]
+    pub fn adaptive_strategy(&self) -> Strategy {
+        self.config.strategies.first().copied().unwrap_or_default()
+    }
+
+    /// Adaptive executor: one unit's full exploration budget. A
+    /// [`ScheduleFrontier`] seeded purely from `(base_seed, unit)` drives
+    /// the propose/observe loop, and every execution is analyzed under
+    /// every configured detector (monitors never influence the schedule,
+    /// so all detectors of an execution observe the same interleaving and
+    /// coverage). Spec `(unit, exec, det)` lands on index
+    /// `(unit * execs + exec) * dets + det` — the same dense, disjoint
+    /// index space shape as the static matrix, so dedup representatives,
+    /// timeline bucketing, and the digest stay worker-count invariant.
+    fn execute_adaptive_unit(&self, unit_index: usize, unit: &CampaignUnit, wk: &mut Worker<'_>) {
+        let sink: &dyn ObsSink = &wk.shared.registry;
+        let execs = self.adaptive_execs_per_unit();
+        let dets = self.config.detectors.len();
+        let strategy = self.adaptive_strategy();
+        // PCT change points are placed against the unit's observed length,
+        // not the default hint — the adaptive mode always runs calibrated.
+        let pct_horizon = match strategy {
+            Strategy::Pct { .. } => calibrate_steps(&unit.program, self.config.max_steps),
+            _ => 1_000,
+        };
+        let mut frontier = ScheduleFrontier::new(
+            self.config
+                .base_seed
+                .wrapping_add((unit_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            (execs / 8).clamp(1, 16),
+            32,
+        );
+        for exec in 0..execs {
+            let seed = self.config.base_seed + exec as u64;
+            let prefix = frontier.propose(exec);
+            let repro = match &prefix {
+                Some(p) => ReproArtifact::guided(seed, strategy, p.clone()),
+                None => ReproArtifact::seeded(seed, strategy),
+            };
+            for (det_pos, &detector) in self.config.detectors.iter().enumerate() {
+                let started = Instant::now();
+                let mut run_cfg = self.run_config(seed, strategy).pct_horizon(pct_horizon);
+                if let Some(p) = &prefix {
+                    run_cfg = run_cfg.schedule_prefix(p.clone());
+                }
+                let (outcome, reports) = {
+                    let _span = SpanGuard::enter(sink, "shard.execute");
+                    wk.arena.run_observed(detector, &unit.program, run_cfg, sink)
+                };
+                let size = RunSize::of(&outcome);
+                if det_pos == 0 {
+                    // Deterministic exploration counters: how many runs ran
+                    // a mutated prefix, and how many produced a coverage
+                    // signature the frontier had not seen. Per-unit sums,
+                    // so worker-count invariant like every other counter.
+                    sink.add("explore.mutated_runs", u64::from(prefix.is_some()));
+                    let novel = frontier.observe(outcome.coverage, outcome.schedule);
+                    sink.add("explore.novel_signatures", u64::from(novel));
+                }
+                let spec = RunSpec {
+                    index: (unit_index * execs + exec) * dets + det_pos,
+                    unit: unit_index,
+                    seed,
+                    strategy,
+                    detector,
+                };
+                wk.fold(spec, unit, reports, &repro, size, started.elapsed());
+            }
+        }
+    }
+
     /// Builds the campaign's observability report: snapshots the registry's
     /// metrics and buckets the sorted records' fingerprints into the §3.5
     /// timeline. The timeline is a pure function of deterministic outputs
@@ -1028,340 +1005,152 @@ impl Campaign {
         ObsReport::new(label, registry.snapshot(), timeline.finish())
     }
 
-    #[must_use]
-    pub fn run_replay(&self) -> CampaignResult {
-        let started = Instant::now();
-        let total_execs = self.exec_len();
-        let workers = self.config.workers.max(1).min(total_execs.max(1));
-        let shards = self.config.shards.max(1);
-        let dets = self.config.detectors.len();
-        let dedup = DedupMap::new(shards);
-        let registry = MetricsRegistry::new();
-        let skips = Mutex::new(SkipLog::default());
-        let mut stats = ReplayStats::default();
-        let mut records: Vec<RunRecord>;
-        if workers <= 1 {
-            let mut arena = self.make_arena();
-            let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-            records = Vec::new();
-            for exec_index in 0..total_execs {
-                registry.add_volatile("sched.home_pops", 1);
-                let exec = self.exec_spec_at(exec_index);
-                match cache.get_or_build(&*self.source, exec.unit) {
-                    Ok(unit) => records.extend(self.execute_replay(
-                        exec,
-                        &unit,
-                        0,
-                        exec.exec_index % shards,
-                        &dedup,
-                        &mut arena,
-                        &mut stats,
-                        &registry,
-                    )),
-                    Err(e) => self.record_skip(&skips, &registry, e, dets as u64),
+    /// One worker's share of a campaign, written once for every mode and
+    /// worker count: take the next `(item, shard)`, build the item's unit
+    /// or log the skip, execute, and repeat until `next` runs dry. Returns
+    /// the worker's records and replay counters.
+    fn work(
+        &self,
+        shared: &Shared,
+        id: usize,
+        mut next: impl FnMut() -> Option<(usize, usize)>,
+    ) -> (Vec<RunRecord>, ReplayStats) {
+        // One depot + detector arena per worker, reused for every item the
+        // worker takes; per-run state resets on run start, so placement
+        // stays invisible in the deterministic outputs.
+        let mut wk = Worker {
+            shared,
+            id,
+            shard: 0,
+            arena: self.make_arena(),
+            records: Vec::new(),
+            replay: ReplayStats::default(),
+        };
+        let mut cache = UnitCache::new(UNIT_CACHE_CAP);
+        while let Some((item, shard)) = next() {
+            wk.shard = shard;
+            // A lone worker is at home on every shard.
+            let home = shared.workers == 1 || shard == id % shared.shards;
+            shared
+                .registry
+                .add_volatile(if home { "sched.home_pops" } else { "sched.steals" }, 1);
+            let unit_index = match shared.mode {
+                Mode::Live => self.spec_at(item).unit,
+                Mode::Replay => self.exec_spec_at(item).unit,
+                Mode::Adaptive => item,
+            };
+            match cache.get_or_build(&*self.source, unit_index) {
+                Ok(unit) => match shared.mode {
+                    Mode::Live => self.execute(self.spec_at(item), &unit, &mut wk),
+                    Mode::Replay => self.execute_replay(self.exec_spec_at(item), &unit, &mut wk),
+                    Mode::Adaptive => self.execute_adaptive_unit(item, &unit, &mut wk),
+                },
+                // Both halves of a skip are deterministic: which units fail
+                // and how many specs an item covers depend only on the
+                // source and the config, never on scheduling.
+                Err(e) => {
+                    shared.registry.add("campaign.skipped_runs", shared.specs_per_item);
+                    shared.skips.lock().unwrap_or_else(PoisonError::into_inner).record(e);
                 }
             }
+        }
+        (wk.records, wk.replay)
+    }
+
+    /// The one campaign driver. `mode` fixes what a work item is; everything
+    /// else — worker clamp, dedup stage, metrics, skip log, per-worker
+    /// arena and unit cache, collection, ordering, the obs report and the
+    /// result — is the same for every mode.
+    fn drive(&self, mode: Mode) -> CampaignResult {
+        let started = Instant::now();
+        let dets = self.config.detectors.len();
+        // How many items the mode deals, how many matrix specs one skipped
+        // item stands for, and the obs label.
+        let (items, specs_per_item, label) = match mode {
+            Mode::Live => (self.matrix_len(), 1, "campaign/live"),
+            Mode::Replay => (self.exec_len(), dets, "campaign/replay"),
+            Mode::Adaptive => (
+                self.source.len(),
+                self.adaptive_execs_per_unit() * dets,
+                "campaign/adaptive",
+            ),
+        };
+        let shards = self.config.shards.max(1);
+        let shared = Shared {
+            mode,
+            workers: self.config.workers.max(1).min(items.max(1)),
+            shards,
+            specs_per_item: specs_per_item as u64,
+            dedup: DedupMap::new(shards),
+            registry: MetricsRegistry::new(),
+            skips: Mutex::default(),
+        };
+        let (mut records, replay) = if shared.workers == 1 {
+            // Inline on the calling thread, ascending: no thread, no
+            // queues, and consecutive items share a unit, so the unit
+            // cache sees each unit once.
+            let mut ascending = (0..items).map(|i| (i, i % shards));
+            self.work(&shared, 0, || ascending.next())
         } else {
-            let queues = IndexQueues::new(shards, total_execs);
-            let collected: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
-            let merged: Mutex<ReplayStats> = Mutex::new(ReplayStats::default());
+            let queues = IndexQueues::new(shards, items);
+            let all = Mutex::new((Vec::new(), ReplayStats::default()));
             std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let dedup = &dedup;
-                    let collected = &collected;
-                    let merged = &merged;
-                    let registry = &registry;
-                    let skips = &skips;
+                for w in 0..shared.workers {
+                    let (shared, queues, all) = (&shared, &queues, &all);
                     scope.spawn(move || {
-                        let mut arena = self.make_arena();
-                        let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-                        let mut local = Vec::new();
-                        let mut local_stats = ReplayStats::default();
-                        while let Some((exec_index, shard)) = queues.pop(w) {
-                            registry.add_volatile(
-                                if shard == w % shards { "sched.home_pops" } else { "sched.steals" },
-                                1,
-                            );
-                            let exec = self.exec_spec_at(exec_index);
-                            match cache.get_or_build(&*self.source, exec.unit) {
-                                Ok(unit) => local.extend(self.execute_replay(
-                                    exec,
-                                    &unit,
-                                    w,
-                                    shard,
-                                    dedup,
-                                    &mut arena,
-                                    &mut local_stats,
-                                    registry,
-                                )),
-                                Err(e) => self.record_skip(skips, registry, e, dets as u64),
-                            }
-                        }
-                        collected
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .extend(local);
-                        merged
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .merge(&local_stats);
+                        let (records, replay) = self.work(shared, w, || queues.pop(w));
+                        let mut all = all.lock().unwrap_or_else(PoisonError::into_inner);
+                        all.0.extend(records);
+                        all.1.merge(&replay);
                     });
                 }
             });
-            records = collected
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            records.sort_by_key(|r| r.spec.index);
-            stats = merged
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+            all.into_inner().unwrap_or_else(PoisonError::into_inner)
+        };
+        let Shared { workers, dedup, registry, skips, .. } = shared;
+        records.sort_by_key(|r| r.spec.index);
         registry.observe("campaign.wall", started.elapsed());
-        let obs = self.build_obs("campaign/replay", &registry, &records);
-        let skips = skips
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let obs = self.build_obs(label, &registry, &records);
+        let skips = skips.into_inner().unwrap_or_else(PoisonError::into_inner);
         CampaignResult {
             records,
             batch: dedup.into_batch(),
-            units: self.unit_names(),
+            units: (0..self.source.len()).map(|i| self.source.name(i)).collect(),
             units_skipped: skips.units.len(),
             skip_reasons: skips.reasons,
             workers,
             shards,
             wall: started.elapsed(),
-            replay: Some(stats),
+            replay: matches!(mode, Mode::Replay).then_some(replay),
             obs,
         }
     }
 
-    /// Runs the campaign with `config.workers` threads (serial when 1).
+    /// Runs the campaign over the full `(unit × seed × strategy ×
+    /// detector)` matrix, every spec executing its own schedule, with
+    /// `config.workers` threads (inline on the calling thread when 1).
     #[must_use]
     pub fn run(&self) -> CampaignResult {
-        let started = Instant::now();
-        let total = self.matrix_len();
-        let workers = self.config.workers.max(1).min(total.max(1));
-        let shards = self.config.shards.max(1);
-        let dedup = DedupMap::new(shards);
-        let registry = MetricsRegistry::new();
-        let skips = Mutex::new(SkipLog::default());
-        let mut records: Vec<RunRecord>;
-        if workers <= 1 {
-            // Serial path: same execute + dedup machinery, no threads. One
-            // arena serves every run, so shadow state warms up once.
-            let mut arena = self.make_arena();
-            let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-            records = Vec::new();
-            for index in 0..total {
-                registry.add_volatile("sched.home_pops", 1);
-                let spec = self.spec_at(index);
-                match cache.get_or_build(&*self.source, spec.unit) {
-                    Ok(unit) => records.push(self.execute(
-                        spec,
-                        &unit,
-                        0,
-                        index % shards,
-                        &dedup,
-                        &mut arena,
-                        &registry,
-                    )),
-                    Err(e) => self.record_skip(&skips, &registry, e, 1),
-                }
-            }
-        } else {
-            let queues = IndexQueues::new(shards, total);
-            let collected: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let dedup = &dedup;
-                    let collected = &collected;
-                    let registry = &registry;
-                    let skips = &skips;
-                    scope.spawn(move || {
-                        // One depot + detector arena per worker, reused for
-                        // every spec the worker pops; per-run state resets
-                        // on run start, so placement stays invisible in the
-                        // deterministic outputs.
-                        let mut arena = self.make_arena();
-                        let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-                        let mut local = Vec::new();
-                        while let Some((index, shard)) = queues.pop(w) {
-                            registry.add_volatile(
-                                if shard == w % shards { "sched.home_pops" } else { "sched.steals" },
-                                1,
-                            );
-                            let spec = self.spec_at(index);
-                            match cache.get_or_build(&*self.source, spec.unit) {
-                                Ok(unit) => local.push(self.execute(
-                                    spec, &unit, w, shard, dedup, &mut arena, registry,
-                                )),
-                                Err(e) => self.record_skip(skips, registry, e, 1),
-                            }
-                        }
-                        collected
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .extend(local);
-                    });
-                }
-            });
-            records = collected
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            records.sort_by_key(|r| r.spec.index);
-        }
-        registry.observe("campaign.wall", started.elapsed());
-        let obs = self.build_obs("campaign/live", &registry, &records);
-        let skips = skips
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        CampaignResult {
-            records,
-            batch: dedup.into_batch(),
-            units: self.unit_names(),
-            units_skipped: skips.units.len(),
-            skip_reasons: skips.reasons,
-            workers,
-            shards,
-            wall: started.elapsed(),
-            replay: None,
-            obs,
-        }
+        self.drive(Mode::Live)
     }
 
-    /// Executions the adaptive mode spends per unit — the same budget the
-    /// static matrix spends (`seeds × strategies` schedules per unit), so
-    /// [`Campaign::run`] and [`Campaign::run_adaptive`] are directly
-    /// comparable at equal cost.
+    /// Runs the campaign execute-once: each `(unit, seed, strategy)` is
+    /// executed one time under a trace recorder, and the trace is fanned
+    /// through every configured detector offline. The result covers the
+    /// *same* run matrix as [`Campaign::run`] — same spec indices, same
+    /// [`CampaignResult::deterministic_digest`], same dedup batch — while
+    /// executing `detectors.len()`× fewer schedules; the measured speedup
+    /// lands in [`CampaignResult::replay`].
     #[must_use]
-    pub fn adaptive_execs_per_unit(&self) -> usize {
-        self.config.seeds_per_unit * self.config.strategies.len()
-    }
-
-    /// The base strategy adaptive exploration falls back to after a
-    /// mutated prefix is exhausted: the first configured strategy.
-    #[must_use]
-    pub fn adaptive_strategy(&self) -> Strategy {
-        self.config.strategies.first().copied().unwrap_or_default()
-    }
-
-    /// Runs one unit's full adaptive exploration budget: a
-    /// [`ScheduleFrontier`] seeded purely from `(base_seed, unit)` drives
-    /// the propose/observe loop, and every execution is analyzed under
-    /// every configured detector (monitors never influence the schedule,
-    /// so all detectors of an execution observe the same interleaving and
-    /// coverage). Spec `(unit, exec, det)` lands on index
-    /// `(unit * execs + exec) * dets + det` — the same dense, disjoint
-    /// index space shape as the static matrix, so dedup representatives,
-    /// timeline bucketing, and the digest stay worker-count invariant.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_adaptive_unit(
-        &self,
-        unit_index: usize,
-        unit: &CampaignUnit,
-        worker: usize,
-        shard: usize,
-        dedup: &DedupMap,
-        arena: &mut DetectorArena,
-        sink: &dyn ObsSink,
-    ) -> Vec<RunRecord> {
-        let execs = self.adaptive_execs_per_unit();
-        let dets = self.config.detectors.len();
-        let strategy = self.adaptive_strategy();
-        // PCT change points are placed against the unit's observed length,
-        // not the default hint — the adaptive mode always runs calibrated.
-        let pct_horizon = match strategy {
-            Strategy::Pct { .. } => calibrate_steps(&unit.program, self.config.max_steps),
-            _ => 1_000,
-        };
-        let mut frontier = ScheduleFrontier::new(
-            self.config
-                .base_seed
-                .wrapping_add((unit_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            (execs / 8).clamp(1, 16),
-            32,
-        );
-        let mut records = Vec::with_capacity(execs * dets);
-        for exec in 0..execs {
-            let seed = self.config.base_seed + exec as u64;
-            let prefix = frontier.propose(exec);
-            for (det_pos, &detector) in self.config.detectors.iter().enumerate() {
-                let started = Instant::now();
-                let mut run_cfg = RunConfig {
-                    seed,
-                    strategy,
-                    max_steps: self.config.max_steps,
-                    ..RunConfig::default()
-                }
-                .pct_horizon(pct_horizon);
-                if let Some(p) = &prefix {
-                    run_cfg = run_cfg.schedule_prefix(p.clone());
-                }
-                let (outcome, reports) = {
-                    let _span = SpanGuard::enter(sink, "shard.execute");
-                    arena.run_observed(detector, &unit.program, run_cfg, sink)
-                };
-                if det_pos == 0 {
-                    // Deterministic exploration counters: how many runs ran
-                    // a mutated prefix, and how many produced a coverage
-                    // signature the frontier had not seen. Per-unit sums,
-                    // so worker-count invariant like every other counter.
-                    sink.add("explore.mutated_runs", u64::from(prefix.is_some()));
-                    let novel = frontier.observe(outcome.coverage, outcome.schedule);
-                    sink.add("explore.novel_signatures", u64::from(novel));
-                }
-                let spec = RunSpec {
-                    index: (unit_index * execs + exec) * dets + det_pos,
-                    unit: unit_index,
-                    seed,
-                    strategy,
-                    detector,
-                };
-                let duration = started.elapsed();
-                sink.observe("campaign.run_wall", duration);
-                let racy = !reports.is_empty();
-                sink.add("campaign.runs", 1);
-                sink.add("campaign.racy_runs", u64::from(racy));
-                sink.add("campaign.reports", reports.len() as u64);
-                let mut fingerprints = Vec::with_capacity(reports.len());
-                for mut r in reports {
-                    r.program = Some(std::sync::Arc::from(unit.name.as_str()));
-                    r.repro_seed = Some(seed);
-                    r.repro = Some(match &prefix {
-                        Some(p) => ReproArtifact::guided(seed, strategy, p.clone()),
-                        None => ReproArtifact::seeded(seed, strategy),
-                    });
-                    let fp = race_fingerprint(&r);
-                    fingerprints.push(fp);
-                    dedup.insert(fp, spec.index, r);
-                }
-                fingerprints.sort_unstable();
-                fingerprints.dedup();
-                records.push(RunRecord {
-                    spec,
-                    unit_name: unit.name.clone(),
-                    racy,
-                    fingerprints,
-                    steps: outcome.steps,
-                    events: outcome.stats.events_dispatched,
-                    depot_stacks: outcome.stats.depot.stacks,
-                    peak_shadow_words: outcome.stats.peak_shadow_words,
-                    worker,
-                    shard,
-                    duration,
-                });
-            }
-        }
-        records
+    pub fn run_replay(&self) -> CampaignResult {
+        self.drive(Mode::Replay)
     }
 
     /// Runs the campaign in adaptive (coverage-guided) mode: instead of
     /// enumerating the static `(unit × seed × strategy × detector)`
     /// matrix, each unit spends the same execution budget on a feedback
     /// loop that mutates novel schedules toward unexplored interleavings
-    /// (see [`ScheduleFrontier`]). The work unit of the fan-out is the
+    /// (see [`ScheduleFrontier`]). The work item of the fan-out is the
     /// *unit*, not the spec — exploration is sequential within a unit by
     /// nature (run N's schedule feeds run N+1's mutation) and units are
     /// independent, so the result is identical for any worker count.
@@ -1370,118 +1159,111 @@ impl Campaign {
     /// timeline, digest) behaves exactly as in [`Campaign::run`].
     #[must_use]
     pub fn run_adaptive(&self) -> CampaignResult {
-        let started = Instant::now();
-        let units = self.source.len();
-        let workers = self.config.workers.max(1).min(units.max(1));
-        let shards = self.config.shards.max(1);
-        let specs_per_unit =
-            (self.adaptive_execs_per_unit() * self.config.detectors.len()) as u64;
-        let dedup = DedupMap::new(shards);
-        let registry = MetricsRegistry::new();
-        let skips = Mutex::new(SkipLog::default());
-        let mut records: Vec<RunRecord>;
-        if workers <= 1 {
-            let mut arena = self.make_arena();
-            let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-            records = Vec::new();
-            for unit_index in 0..units {
-                registry.add_volatile("sched.home_pops", 1);
-                match cache.get_or_build(&*self.source, unit_index) {
-                    Ok(unit) => records.extend(self.execute_adaptive_unit(
-                        unit_index,
-                        &unit,
-                        0,
-                        unit_index % shards,
-                        &dedup,
-                        &mut arena,
-                        &registry,
-                    )),
-                    Err(e) => self.record_skip(&skips, &registry, e, specs_per_unit),
-                }
-            }
-        } else {
-            let queues = IndexQueues::new(shards, units);
-            let collected: Mutex<Vec<RunRecord>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let dedup = &dedup;
-                    let collected = &collected;
-                    let registry = &registry;
-                    let skips = &skips;
-                    scope.spawn(move || {
-                        let mut arena = self.make_arena();
-                        let mut cache = UnitCache::new(UNIT_CACHE_CAP);
-                        let mut local = Vec::new();
-                        while let Some((unit_index, shard)) = queues.pop(w) {
-                            registry.add_volatile(
-                                if shard == w % shards { "sched.home_pops" } else { "sched.steals" },
-                                1,
-                            );
-                            match cache.get_or_build(&*self.source, unit_index) {
-                                Ok(unit) => local.extend(self.execute_adaptive_unit(
-                                    unit_index,
-                                    &unit,
-                                    w,
-                                    shard,
-                                    dedup,
-                                    &mut arena,
-                                    registry,
-                                )),
-                                Err(e) => {
-                                    self.record_skip(skips, registry, e, specs_per_unit);
-                                }
-                            }
-                        }
-                        collected
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .extend(local);
-                    });
-                }
-            });
-            records = collected
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            records.sort_by_key(|r| r.spec.index);
-        }
-        registry.observe("campaign.wall", started.elapsed());
-        let obs = self.build_obs("campaign/adaptive", &registry, &records);
-        let skips = skips
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        CampaignResult {
-            records,
-            batch: dedup.into_batch(),
-            units: self.unit_names(),
-            units_skipped: skips.units.len(),
-            skip_reasons: skips.reasons,
-            workers,
-            shards,
-            wall: started.elapsed(),
-            replay: None,
-            obs,
+        self.drive(Mode::Adaptive)
+    }
+}
+
+/// What a campaign's work item is. Private: callers choose through
+/// [`Campaign::run`], [`Campaign::run_replay`] and
+/// [`Campaign::run_adaptive`].
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// One item per matrix spec, each executing its own schedule.
+    Live,
+    /// One item per [`ExecSpec`]: executed once, analyzed per detector.
+    Replay,
+    /// One item per unit: the unit's whole exploration loop.
+    Adaptive,
+}
+
+/// The stages every worker of one campaign shares.
+struct Shared {
+    mode: Mode,
+    /// Worker threads, clamped to the item count.
+    workers: usize,
+    shards: usize,
+    /// Matrix specs one work item covers — what a skipped item adds to the
+    /// stable `campaign.skipped_runs` counter.
+    specs_per_item: u64,
+    dedup: DedupMap,
+    registry: MetricsRegistry,
+    skips: Mutex<SkipLog>,
+}
+
+/// What one worker owns for the length of a campaign.
+struct Worker<'a> {
+    shared: &'a Shared,
+    id: usize,
+    /// The shard the item in hand was taken from.
+    shard: usize,
+    arena: DetectorArena,
+    records: Vec<RunRecord>,
+    replay: ReplayStats,
+}
+
+/// The deterministic size figures of one run, from wherever the executor
+/// read them (a live [`RunOutcome`] or an offline analysis).
+struct RunSize {
+    steps: u64,
+    events: u64,
+    depot_stacks: usize,
+    peak_shadow_words: usize,
+}
+
+impl RunSize {
+    fn of(outcome: &RunOutcome) -> Self {
+        RunSize {
+            steps: outcome.steps,
+            events: outcome.stats.events_dispatched,
+            depot_stacks: outcome.stats.depot.stacks,
+            peak_shadow_words: outcome.stats.peak_shadow_words,
         }
     }
+}
 
-    /// Logs a unit whose lowering failed and bumps the stable
-    /// `campaign.skipped_runs` counter by the number of matrix specs the
-    /// failed work item covered. Both are deterministic: which units fail
-    /// and how many specs they cover depend only on the source and the
-    /// config, never on scheduling.
-    fn record_skip(&self, skips: &Mutex<SkipLog>, sink: &dyn ObsSink, err: UnitError, specs: u64) {
-        sink.add("campaign.skipped_runs", specs);
-        skips
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record(err);
-    }
-
-    /// Runs the campaign serially regardless of the configured worker
-    /// count — the reference output for differential tests.
-    #[must_use]
-    pub fn run_serial(&self) -> CampaignResult {
-        self.with_config(self.config.clone().workers(1)).run()
+impl Worker<'_> {
+    /// The one record fold: count the run, tag each report with its unit
+    /// and repro artifact, fingerprint it into the dedup stage, and emit
+    /// the [`RunRecord`].
+    fn fold(
+        &mut self,
+        spec: RunSpec,
+        unit: &CampaignUnit,
+        reports: Vec<RaceReport>,
+        repro: &ReproArtifact,
+        size: RunSize,
+        duration: Duration,
+    ) {
+        let sink = &self.shared.registry;
+        sink.observe("campaign.run_wall", duration);
+        let racy = !reports.is_empty();
+        sink.add("campaign.runs", 1);
+        sink.add("campaign.racy_runs", u64::from(racy));
+        sink.add("campaign.reports", reports.len() as u64);
+        let mut fingerprints = Vec::with_capacity(reports.len());
+        for mut r in reports {
+            r.program = Some(Arc::from(unit.name.as_str()));
+            r.repro_seed = Some(spec.seed);
+            r.repro = Some(repro.clone());
+            let fp = race_fingerprint(&r);
+            fingerprints.push(fp);
+            self.shared.dedup.insert(fp, spec.index, r);
+        }
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        self.records.push(RunRecord {
+            spec,
+            unit_name: unit.name.clone(),
+            racy,
+            fingerprints,
+            steps: size.steps,
+            events: size.events,
+            depot_stacks: size.depot_stacks,
+            peak_shadow_words: size.peak_shadow_words,
+            worker: self.id,
+            shard: self.shard,
+            duration,
+        });
     }
 }
 
@@ -1508,30 +1290,6 @@ mod tests {
             assert_eq!(s.index, i);
             // The arithmetic recovery is the enumeration.
             assert_eq!(*s, c.spec_at(i));
-        }
-    }
-
-    #[test]
-    fn parallel_campaign_equals_serial_campaign() {
-        let config = CampaignConfig::smoke().seeds_per_unit(4).shards(4);
-        let c = Campaign::over_units(config, tiny_units());
-        let serial = c.run_serial();
-        for workers in [2, 4] {
-            let par = c.with_config(c.config().clone().workers(workers)).run();
-            assert_eq!(par.deterministic_digest(), serial.deterministic_digest());
-            assert_eq!(par.digest64(), serial.digest64());
-            assert_eq!(par.batch.fingerprints(), serial.batch.fingerprints());
-            let pr: Vec<_> = par
-                .batch
-                .iter()
-                .map(|(fp, r)| (fp, r.repro_seed))
-                .collect();
-            let sr: Vec<_> = serial
-                .batch
-                .iter()
-                .map(|(fp, r)| (fp, r.repro_seed))
-                .collect();
-            assert_eq!(pr, sr, "dedup representatives must match");
         }
     }
 
@@ -1624,26 +1382,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn filing_the_batch_dedups_into_the_pipeline() {
-        let c = Campaign::over_units(
-            CampaignConfig::smoke().seeds_per_unit(6),
-            tiny_units(),
-        );
-        let r = c.run();
-        let mut pipeline = Pipeline::new(grs_deploy::OwnerDb::new());
-        let outcomes = r.file_into(&mut pipeline, 0);
-        assert_eq!(outcomes.len(), r.batch.len());
-        assert!(outcomes
-            .iter()
-            .all(|(_, o)| matches!(o, FileOutcome::Filed { .. })));
-        // Day two: all duplicates.
-        let again = r.file_into(&mut pipeline, 1);
-        assert!(again.iter().all(|(_, o)| *o == FileOutcome::Duplicate));
-    }
-
-    #[test]
-    fn filing_through_the_service_matches_the_pipeline_shim() {
+    fn filing_the_batch_into_the_service_dedups_across_days() {
         let c = Campaign::over_units(
             CampaignConfig::smoke().seeds_per_unit(6),
             tiny_units(),
@@ -1652,6 +1391,10 @@ mod tests {
         let service = grs_deploy::IntakeService::builder().workers(1).start().unwrap();
         let outcomes = r.file_into_service(&service, 0).unwrap();
         assert_eq!(outcomes.len(), r.batch.len());
+        assert!(outcomes
+            .iter()
+            .all(|(_, o)| matches!(o, FileOutcome::Filed { .. })));
+        // Day two: all duplicates.
         let again = r.file_into_service(&service, 1).unwrap();
         assert!(again.iter().all(|(_, o)| *o == FileOutcome::Duplicate));
     }
@@ -1695,26 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_replay_campaign_equals_serial_replay_campaign() {
-        let config = CampaignConfig::smoke()
-            .seeds_per_unit(4)
-            .detectors(DetectorChoice::all().to_vec())
-            .shards(4);
-        let c = Campaign::over_units(config, tiny_units());
-        let serial = c.with_config(c.config().clone().workers(1)).run_replay();
-        for workers in [2, 4] {
-            let par = c.with_config(c.config().clone().workers(workers)).run_replay();
-            assert_eq!(par.deterministic_digest(), serial.deterministic_digest());
-            assert_eq!(par.batch.fingerprints(), serial.batch.fingerprints());
-            let (ps, ss) = (par.replay.unwrap(), serial.replay.unwrap());
-            assert_eq!(ps.executions, ss.executions);
-            assert_eq!(ps.replays, ss.replays);
-            assert_eq!(ps.trace_events, ss.trace_events);
-            assert_eq!(ps.trace_bytes_total, ss.trace_bytes_total);
-        }
-    }
-
-    #[test]
     fn exec_specs_tile_the_run_matrix() {
         let config = CampaignConfig::smoke()
             .seeds_per_unit(3)
@@ -1750,30 +1473,20 @@ mod tests {
         assert_eq!(*conv.last().unwrap(), (r.total_runs(), r.batch.len()));
     }
 
-    /// The adaptive mode's work unit is the whole per-unit exploration
-    /// loop, so its determinism story is the same as the static matrix:
-    /// identical records, digest, and dedup batch at any worker count.
+    /// Adaptive spends exactly the static matrix's budget, densely indexed.
     #[test]
-    fn adaptive_campaign_is_worker_count_invariant() {
+    fn adaptive_campaign_spends_the_static_budget_on_a_dense_index_space() {
         let config = CampaignConfig::smoke()
             .seeds_per_unit(6)
-            .shards(4)
+            .workers(1)
             .detectors(vec![DetectorChoice::Hybrid, DetectorChoice::FastTrack]);
         let c = Campaign::over_units(config, tiny_units());
-        let serial = c.with_config(c.config().clone().workers(1)).run_adaptive();
-        // Adaptive spends exactly the static matrix's budget, densely
-        // indexed.
-        assert_eq!(serial.total_runs(), c.matrix_len());
-        for (i, r) in serial.records.iter().enumerate() {
-            assert_eq!(r.spec.index, i);
+        let r = c.run_adaptive();
+        assert_eq!(r.total_runs(), c.matrix_len());
+        for (i, rec) in r.records.iter().enumerate() {
+            assert_eq!(rec.spec.index, i);
         }
-        assert!(serial.detection_rate() > 0.0);
-        for workers in [4, 8] {
-            let par = c.with_config(c.config().clone().workers(workers)).run_adaptive();
-            assert_eq!(par.deterministic_digest(), serial.deterministic_digest());
-            assert_eq!(par.digest64(), serial.digest64(), "workers={workers}");
-            assert_eq!(par.batch.fingerprints(), serial.batch.fingerprints());
-        }
+        assert!(r.detection_rate() > 0.0);
     }
 
     /// Every prefix-carrying artifact the adaptive campaign files must
@@ -1853,7 +1566,7 @@ mod tests {
             CampaignConfig::smoke().seeds_per_unit(3).shards(3),
             source,
         );
-        let serial = c.run_serial();
+        let serial = c.with_config(c.config().clone().workers(1)).run();
         let skipped_units = units / 2;
         assert_eq!(serial.units_skipped, skipped_units);
         assert_eq!(serial.skip_reasons.len(), skipped_units.min(MAX_SKIP_REASONS));
@@ -1872,34 +1585,97 @@ mod tests {
             .records
             .iter()
             .all(|r| r.spec.unit % 2 == 0), "odd units must not produce records");
-        // Skips are deterministic: parallel live and replay campaigns see
-        // the same skip set and the same surviving records.
-        for workers in [2, 4] {
-            let par = c.with_config(c.config().clone().workers(workers)).run();
-            assert_eq!(par.units_skipped, serial.units_skipped);
-            assert_eq!(par.deterministic_digest(), serial.deterministic_digest());
-            assert_eq!(par.digest64(), serial.digest64());
+        // Replay covers the same matrix; adaptive schedules different runs
+        // but charges broken units for the same spec count.
+        let replayed = c.run_replay();
+        assert_eq!(replayed.deterministic_digest(), serial.deterministic_digest());
+        for other in [replayed, c.run_adaptive()] {
+            assert_eq!(other.units_skipped, serial.units_skipped);
+            assert_eq!(other.total_runs(), serial.total_runs());
             assert_eq!(
-                par.obs.snapshot.counter("campaign.skipped_runs"),
+                other.obs.snapshot.counter("campaign.skipped_runs"),
                 serial.obs.snapshot.counter("campaign.skipped_runs")
             );
         }
-        let replayed = c.with_config(c.config().clone().workers(2)).run_replay();
-        assert_eq!(replayed.units_skipped, serial.units_skipped);
-        assert_eq!(replayed.deterministic_digest(), serial.deterministic_digest());
-        assert_eq!(
-            replayed.obs.snapshot.counter("campaign.skipped_runs"),
-            serial.obs.snapshot.counter("campaign.skipped_runs")
-        );
-        // Adaptive mode schedules different runs but charges broken units
-        // for the same spec count, so skip accounting lines up exactly.
-        let adaptive = c.with_config(c.config().clone().workers(2)).run_adaptive();
-        assert_eq!(adaptive.units_skipped, serial.units_skipped);
-        assert_eq!(adaptive.total_runs(), serial.total_runs());
-        assert_eq!(
-            adaptive.obs.snapshot.counter("campaign.skipped_runs"),
-            serial.obs.snapshot.counter("campaign.skipped_runs")
-        );
+    }
+
+    /// The determinism contract, every cell: each mode's whole
+    /// deterministic output — records, digest, dedup batch and its
+    /// representatives, skip accounting, the stable obs section — is the
+    /// one-worker output at every worker count. Half the units refuse to
+    /// lower, so skip accounting is exercised in every cell too.
+    #[test]
+    fn every_mode_is_worker_count_invariant() {
+        let source = std::sync::Arc::new(HalfBroken {
+            inner: UnitList::new(tiny_units()),
+        });
+        let config = CampaignConfig::smoke()
+            .seeds_per_unit(4)
+            .shards(4)
+            .detectors(DetectorChoice::all().to_vec());
+        let c = Campaign::over_source(config, source);
+        type Entry = fn(&Campaign) -> CampaignResult;
+        let modes: [(&str, Entry); 3] = [
+            ("live", Campaign::run),
+            ("replay", Campaign::run_replay),
+            ("adaptive", Campaign::run_adaptive),
+        ];
+        // Everything about a record but its placement and timing.
+        let records = |r: &CampaignResult| -> Vec<_> {
+            r.records
+                .iter()
+                .map(|x| {
+                    (
+                        x.spec,
+                        x.unit_name.clone(),
+                        x.racy,
+                        x.fingerprints.clone(),
+                        (x.steps, x.events, x.depot_stacks, x.peak_shadow_words),
+                    )
+                })
+                .collect()
+        };
+        let representatives = |r: &CampaignResult| -> Vec<_> {
+            r.batch
+                .iter()
+                .map(|(fp, rep)| (fp, rep.repro.clone()))
+                .collect()
+        };
+        for (mode, run) in modes {
+            let one = run(&c.with_config(c.config().clone().workers(1)));
+            assert_eq!(one.workers, 1);
+            assert!(one.units_skipped > 0 && !one.batch.is_empty(), "{mode}");
+            for workers in [2, 4, 8] {
+                let cell = format!("{mode} × {workers} workers");
+                let par = run(&c.with_config(c.config().clone().workers(workers)));
+                assert!(par.workers > 1, "{cell}");
+                assert_eq!(records(&par), records(&one), "{cell}");
+                assert_eq!(par.digest64(), one.digest64(), "{cell}");
+                assert_eq!(par.batch.raw_reports(), one.batch.raw_reports(), "{cell}");
+                assert_eq!(representatives(&par), representatives(&one), "{cell}");
+                assert_eq!(par.units_skipped, one.units_skipped, "{cell}");
+                assert_eq!(par.skip_reasons.len(), one.skip_reasons.len(), "{cell}");
+                assert_eq!(
+                    par.obs.snapshot.counter("campaign.skipped_runs"),
+                    one.obs.snapshot.counter("campaign.skipped_runs"),
+                    "{cell}"
+                );
+                assert_eq!(par.obs.metrics_json(), one.obs.metrics_json(), "{cell}");
+                assert_eq!(par.obs.timeline_json(), one.obs.timeline_json(), "{cell}");
+                assert_eq!(
+                    par.obs.deterministic_digest(),
+                    one.obs.deterministic_digest(),
+                    "{cell}"
+                );
+                // Replay counters are per-execution sums, so they merge to
+                // the same totals whichever worker recorded what.
+                let totals = |r: &CampaignResult| {
+                    r.replay
+                        .map(|s| (s.executions, s.replays, s.trace_events, s.trace_bytes_total))
+                };
+                assert_eq!(totals(&par), totals(&one), "{cell}");
+            }
+        }
     }
 
     #[test]
@@ -1918,7 +1694,7 @@ mod tests {
             CampaignConfig::smoke().seeds_per_unit(2).shards(4),
             source.clone(),
         );
-        let serial = c.run_serial();
+        let serial = c.with_config(c.config().clone().workers(1)).run();
         assert_eq!(serial.units_skipped, 0, "{:?}", serial.skip_reasons);
         assert_eq!(serial.total_runs(), c.matrix_len());
         // Expected-racy units must be detected (the racy templates are

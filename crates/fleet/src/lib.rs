@@ -8,9 +8,10 @@
 //! * [`campaign`] — the §3.3 nightly deployment loop made executable: a
 //!   work-stealing, sharded campaign runner that fans the
 //!   `(program × seed × strategy × detector)` matrix over N OS worker
-//!   threads, funnels every race through a concurrent fingerprint-keyed
-//!   dedup stage ([`dedup::DedupMap`]), and hands the deduplicated batch to
-//!   `grs_deploy::Pipeline` for filing.
+//!   threads ([`shard::IndexQueues`]), funnels every race through a
+//!   concurrent fingerprint-keyed dedup stage ([`dedup::DedupMap`]), and
+//!   hands the deduplicated batch to `grs_deploy::IntakeService` for
+//!   filing.
 //!
 //! Each campaign run is a self-contained deterministic
 //! [`Runtime`](grs_runtime::Runtime) instance, which is what makes the
@@ -43,7 +44,7 @@ pub use campaign::{
 };
 pub use census::{census, Cdf, Census, CensusConfig, Language, LanguageSample};
 pub use dedup::DedupMap;
-pub use shard::{ExecSpec, IndexQueues, RunSpec, ShardQueues};
+pub use shard::{ExecSpec, IndexQueues, RunSpec};
 pub use source::{
     lower_source_unit, GoCorpusSource, GoSnippetSuite, UnitCache, UnitError, UnitList, UnitSource,
 };
@@ -56,6 +57,6 @@ pub mod prelude {
         RunRecord,
     };
     pub use crate::dedup::DedupMap;
-    pub use crate::shard::{ExecSpec, IndexQueues, RunSpec, ShardQueues};
+    pub use crate::shard::{ExecSpec, IndexQueues, RunSpec};
     pub use crate::source::{GoCorpusSource, GoSnippetSuite, UnitError, UnitList, UnitSource};
 }

@@ -4,10 +4,11 @@
 //! program under one `(seed, strategy, detector)` combination — or, in the
 //! execute-once replay campaign, one [`ExecSpec`] — execute one `(program,
 //! seed, strategy)` under a trace recorder and fan the trace through every
-//! configured detector. Work items are enumerated deterministically up
-//! front and dealt round-robin across `S` shard queues; each of `N`
-//! workers owns a home shard (worker `w` → shard `w % S`) and pops from it
-//! until empty, then *steals* from the other shards' tails. Stealing keeps
+//! configured detector. Work items are enumerated deterministically and
+//! never materialized: [`IndexQueues`] deals the item *index space*
+//! round-robin across `S` lazy shard queues; each of `N` workers owns a
+//! home shard (worker `w` → shard `w % S`) and pops from it until empty,
+//! then *steals* from the other shards' tails. Stealing keeps
 //! every core busy through the campaign tail — pattern programs differ in
 //! length by orders of magnitude, so static partitioning would leave
 //! workers idle behind the shard that drew the long programs (the §3.2
@@ -18,7 +19,6 @@
 //! self-contained deterministic `Runtime` instance, and the campaign
 //! aggregates by spec index, not by completion order.
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use grs_detector::DetectorChoice;
@@ -65,79 +65,27 @@ pub struct ExecSpec {
     pub strategy: Strategy,
 }
 
-/// Fixed-size set of work queues with lock-per-shard stealing, generic
-/// over the campaign's work item ([`RunSpec`] or [`ExecSpec`]).
-#[derive(Debug)]
-pub struct ShardQueues<T = RunSpec> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-}
-
-impl<T: Copy> ShardQueues<T> {
-    /// Deals `specs` round-robin over `shards` queues (spec `i` → shard
-    /// `i % shards`), preserving enumeration order within each shard.
+impl ExecSpec {
+    /// The matrix spec of this execution's `pos`-th detector run.
     #[must_use]
-    pub fn deal(shards: usize, specs: &[T]) -> Self {
-        let n = shards.max(1);
-        let mut queues: Vec<VecDeque<T>> = (0..n).map(|_| VecDeque::new()).collect();
-        for (i, spec) in specs.iter().enumerate() {
-            queues[i % n].push_back(*spec);
+    pub fn run_spec(&self, pos: usize, detector: DetectorChoice) -> RunSpec {
+        RunSpec {
+            index: self.base_index + pos,
+            unit: self.unit,
+            seed: self.seed,
+            strategy: self.strategy,
+            detector,
         }
-        ShardQueues {
-            shards: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Remaining specs across all shards (racy snapshot; exact only when
-    /// no worker is running).
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Pops the next spec for `worker`: front of its home shard, else the
-    /// *back* of the first non-empty victim shard (scanning from the home
-    /// shard upward). Returns the spec and the shard it came from, or
-    /// `None` when the campaign is drained.
-    pub fn pop(&self, worker: usize) -> Option<(T, usize)> {
-        let n = self.shards.len();
-        let home = worker % n;
-        {
-            let mut q = self.shards[home]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(spec) = q.pop_front() {
-                return Some((spec, home));
-            }
-        }
-        for off in 1..n {
-            let victim = (home + off) % n;
-            let mut q = self.shards[victim]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(spec) = q.pop_back() {
-                return Some((spec, victim));
-            }
-        }
-        None
     }
 }
 
-/// The lazy replacement for dealing a materialized spec vector: shard
-/// queues over the *index space* `0..total`, with the exact distribution
-/// and pop order of [`ShardQueues::deal`] — global index `i` lives on
-/// shard `i % shards` at within-shard position `i / shards` — but O(shards)
-/// memory instead of O(total). This is what lets a 100K-spec campaign
-/// enumerate its matrix arithmetically while keeping the work-stealing
-/// schedule (and therefore the shard/steal metrics) identical.
+/// The campaign fan-out: shard queues over the *index space* `0..total`,
+/// with the exact distribution and pop order of dealing a materialized
+/// vector round-robin — global index `i` lives on shard `i % shards` at
+/// within-shard position `i / shards` — but O(shards) memory instead of
+/// O(total). This is what lets a 100K-spec campaign enumerate its matrix
+/// arithmetically under a work-stealing schedule (the eager reference it is
+/// pinned to pop-for-pop lives in this module's tests).
 #[derive(Debug)]
 pub struct IndexQueues {
     /// Per-shard remaining positions `[front, back)`; position `p` of
@@ -182,8 +130,8 @@ impl IndexQueues {
 
     /// Pops the next global index for `worker`: front of its home shard,
     /// else the *back* of the first non-empty victim shard (scanning from
-    /// the home shard upward) — the same discipline as
-    /// [`ShardQueues::pop`]. Returns the index and the shard it came from.
+    /// the home shard upward). Returns the index and the shard it came
+    /// from, or `None` when the campaign is drained.
     pub fn pop(&self, worker: usize) -> Option<(usize, usize)> {
         let n = self.shards.len();
         let home = worker % n;
@@ -214,27 +162,45 @@ impl IndexQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
-    fn specs(n: usize) -> Vec<RunSpec> {
-        (0..n)
-            .map(|i| RunSpec {
-                index: i,
-                unit: 0,
-                seed: i as u64,
-                strategy: Strategy::Random,
-                detector: DetectorChoice::Hybrid,
-            })
-            .collect()
+    /// The eager reference [`IndexQueues`] is pinned to: the index list
+    /// `0..total` materialized and dealt round-robin into per-shard deques
+    /// (index `i` → shard `i % shards`, enumeration order kept within each).
+    struct ShardQueues(Vec<VecDeque<usize>>);
+
+    impl ShardQueues {
+        fn deal(shards: usize, total: usize) -> Self {
+            let n = shards.max(1);
+            let mut queues = vec![VecDeque::new(); n];
+            for i in 0..total {
+                queues[i % n].push_back(i);
+            }
+            ShardQueues(queues)
+        }
+
+        /// Front of the home shard, else the *back* of the first non-empty
+        /// victim shard, scanning from the home shard upward.
+        fn pop(&mut self, worker: usize) -> Option<(usize, usize)> {
+            let n = self.0.len();
+            let home = worker % n;
+            if let Some(i) = self.0[home].pop_front() {
+                return Some((i, home));
+            }
+            (1..n)
+                .map(|off| (home + off) % n)
+                .find_map(|victim| self.0[victim].pop_back().map(|i| (i, victim)))
+        }
     }
 
     #[test]
     fn deals_round_robin_and_drains_exactly_once() {
-        let q = ShardQueues::deal(3, &specs(10));
+        let q = IndexQueues::new(3, 10);
         assert_eq!(q.shard_count(), 3);
         assert_eq!(q.remaining(), 10);
         let mut seen = Vec::new();
-        while let Some((s, _)) = q.pop(0) {
-            seen.push(s.index);
+        while let Some((i, _)) = q.pop(0) {
+            seen.push(i);
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<_>>());
@@ -244,44 +210,19 @@ mod tests {
 
     #[test]
     fn home_shard_is_drained_in_order_before_stealing() {
-        let q = ShardQueues::deal(2, &specs(6));
-        // Worker 1's home shard holds specs 1, 3, 5 in order.
-        let (a, sa) = q.pop(1).unwrap();
-        let (b, sb) = q.pop(1).unwrap();
-        let (c, sc) = q.pop(1).unwrap();
-        assert_eq!((a.index, b.index, c.index), (1, 3, 5));
-        assert_eq!((sa, sb, sc), (1, 1, 1));
+        let q = IndexQueues::new(2, 6);
+        // Worker 1's home shard holds indices 1, 3, 5 in order.
+        let home: Vec<_> = (0..3).map(|_| q.pop(1).unwrap()).collect();
+        assert_eq!(home, [(1, 1), (3, 1), (5, 1)]);
         // Home empty: the next pop steals from shard 0's tail.
-        let (d, sd) = q.pop(1).unwrap();
-        assert_eq!(d.index, 4);
-        assert_eq!(sd, 0);
+        assert_eq!(q.pop(1), Some((4, 0)));
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let q = ShardQueues::deal(0, &specs(3));
+        let q = IndexQueues::new(0, 3);
         assert_eq!(q.shard_count(), 1);
         assert_eq!(q.remaining(), 3);
-    }
-
-    #[test]
-    fn generic_queues_hold_exec_specs() {
-        let execs: Vec<ExecSpec> = (0..5)
-            .map(|i| ExecSpec {
-                exec_index: i,
-                base_index: i * 3,
-                unit: 0,
-                seed: i as u64,
-                strategy: Strategy::Random,
-            })
-            .collect();
-        let q: ShardQueues<ExecSpec> = ShardQueues::deal(2, &execs);
-        let mut seen = Vec::new();
-        while let Some((e, _)) = q.pop(0) {
-            seen.push(e.exec_index);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -292,12 +233,11 @@ mod tests {
         for shards in [1, 2, 3, 5] {
             for total in [0, 1, 7, 20] {
                 for worker in 0..shards {
-                    let dealt = ShardQueues::deal(shards, &specs(total));
+                    let mut dealt = ShardQueues::deal(shards, total);
                     let lazy = IndexQueues::new(shards, total);
                     assert_eq!(lazy.remaining(), total);
                     loop {
-                        let a = dealt.pop(worker).map(|(s, sh)| (s.index, sh));
-                        let b = lazy.pop(worker);
+                        let (a, b) = (dealt.pop(worker), lazy.pop(worker));
                         assert_eq!(a, b, "shards={shards} total={total} worker={worker}");
                         if a.is_none() {
                             break;
@@ -326,24 +266,5 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (0..500).collect::<Vec<_>>());
         assert_eq!(q.remaining(), 0);
-    }
-
-    #[test]
-    fn concurrent_workers_never_duplicate_or_lose_specs() {
-        let q = ShardQueues::deal(4, &specs(200));
-        let taken = Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for w in 0..4 {
-                let (q, taken) = (&q, &taken);
-                s.spawn(move || {
-                    while let Some((spec, _)) = q.pop(w) {
-                        taken.lock().unwrap().push(spec.index);
-                    }
-                });
-            }
-        });
-        let mut got = taken.into_inner().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..200).collect::<Vec<_>>());
     }
 }

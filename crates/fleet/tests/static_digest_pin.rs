@@ -8,8 +8,15 @@
 //! objects consume the RNG differently (or the campaign enumeration
 //! changed), which would invalidate every filed `ReproArtifact`.
 
+//!
+//! The one-driver rewrite of `fleet::campaign` extended the pin to the
+//! other two modes and to what each mode files: the replay and adaptive
+//! digests and the per-mode digests over the dedup batch's representatives
+//! were captured at the last commit that had three hand-written drivers
+//! (384afab).
+
 use grs_detector::DetectorChoice;
-use grs_fleet::{pattern_suite, Campaign, CampaignConfig};
+use grs_fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult};
 use grs_runtime::Strategy;
 
 fn pinned_campaign() -> Campaign {
@@ -38,13 +45,60 @@ fn pinned_campaign() -> Campaign {
 /// `pct_steps_hint` — must reproduce it bit-for-bit.
 const PINNED_DIGEST64: u64 = 0x7e3c_5329_1993_70a5;
 
+/// The adaptive campaign's record digest at 384afab.
+const PINNED_ADAPTIVE_DIGEST64: u64 = 0x7170_5626_67a9_12cd;
+
+/// [`representatives_digest`] of each mode's batch at 384afab. Live and
+/// adaptive file the same seed-only representatives here (the lowest spec
+/// index of each fingerprint is an unmutated run); replay's differ by
+/// carrying a trace digest.
+const PINNED_LIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
+const PINNED_REPLAY_REPRESENTATIVES: u64 = 0x00ab_112b_42f6_9a0e;
+const PINNED_ADAPTIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
+
+/// FNV-1a over what each filed representative is reproduced from:
+/// `(fingerprint, repro.seed, has trace digest, has schedule prefix)` in
+/// batch (fingerprint) order. The trace digest's *value* is a
+/// `DefaultHasher` product, so only its presence is pinned.
+fn representatives_digest(r: &CampaignResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for (fp, report) in r.batch.iter() {
+        let repro = report.repro.as_ref().expect("campaign reports carry repro");
+        mix(&fp.0.to_le_bytes());
+        mix(&repro.seed.to_le_bytes());
+        mix(&[
+            u8::from(repro.trace_digest.is_some()),
+            u8::from(repro.schedule_prefix.is_some()),
+        ]);
+    }
+    h
+}
+
 #[test]
-fn static_matrix_digest_is_bit_identical_to_pre_refactor() {
-    let r = pinned_campaign().run();
-    assert_eq!(r.units_skipped, 0);
-    assert_eq!(
-        r.digest64(),
-        PINNED_DIGEST64,
-        "static-matrix campaign drifted from the pre-refactor engine"
-    );
+fn every_mode_digest_and_representative_set_is_pinned() {
+    let c = pinned_campaign();
+    for (mode, r, digest, representatives) in [
+        ("live", c.run(), PINNED_DIGEST64, PINNED_LIVE_REPRESENTATIVES),
+        // Replay covers the live matrix, so it shares the live constant.
+        ("replay", c.run_replay(), PINNED_DIGEST64, PINNED_REPLAY_REPRESENTATIVES),
+        (
+            "adaptive",
+            c.run_adaptive(),
+            PINNED_ADAPTIVE_DIGEST64,
+            PINNED_ADAPTIVE_REPRESENTATIVES,
+        ),
+    ] {
+        assert_eq!(r.units_skipped, 0, "{mode}");
+        assert_eq!(r.digest64(), digest, "{mode} campaign drifted from its pinned digest");
+        assert_eq!(
+            representatives_digest(&r),
+            representatives,
+            "{mode} files different representatives"
+        );
+    }
 }

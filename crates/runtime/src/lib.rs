@@ -92,8 +92,8 @@ pub use sched::{
 pub use slice::GoSlice;
 pub use sync::{AtomicCell, Mutex, Once, RwMutex, WaitGroup};
 pub use trace::{
-    record, record_with_depot, ReproArtifact, StackNode, Trace, TraceDecodeError, TraceMeta,
-    TraceRecorder, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    put_uvarint, record, record_with_depot, Reader, ReproArtifact, StackNode, Trace,
+    TraceDecodeError, TraceMeta, TraceRecorder, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// The types every runtime user imports, for `use grs_runtime::prelude::*`.

@@ -522,7 +522,7 @@ pub enum TraceDecodeError {
         /// How many bytes were left over.
         extra: usize,
     },
-    /// A varint ran past 10 bytes (cannot encode a `u64`).
+    /// A varint ran past 10 bytes or past 64 bits (cannot encode a `u64`).
     MalformedVarint,
     /// A string-table entry is not valid UTF-8.
     BadUtf8,
@@ -566,7 +566,7 @@ impl fmt::Display for TraceDecodeError {
             TraceDecodeError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the last event")
             }
-            TraceDecodeError::MalformedVarint => write!(f, "malformed varint (>10 bytes)"),
+            TraceDecodeError::MalformedVarint => write!(f, "malformed varint (past 64 bits)"),
             TraceDecodeError::BadUtf8 => write!(f, "string table entry is not valid UTF-8"),
             TraceDecodeError::BadStringIndex { index, table_len } => {
                 write!(f, "string index {index} out of range (table has {table_len})")
@@ -603,14 +603,36 @@ impl StringTable {
     }
 }
 
+/// A bounds-checked cursor over encoded bytes — the one byte reader of
+/// every varint-framed format in the workspace (`.grtrace`, `GRSCHED`,
+/// `GRSNAPS`). Every read past the end is [`TraceDecodeError::Truncated`];
+/// nothing indexes or adds unchecked.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     pub(crate) bytes: &'a [u8],
     pub(crate) pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
+    /// A reader at the start of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Bytes consumed so far.
+    #[must_use]
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceDecodeError::Truncated`] when fewer than `n` remain — for any
+    /// `n`, including lengths decoded from hostile input.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
         let end = self.pos.checked_add(n).ok_or(TraceDecodeError::Truncated)?;
         if end > self.bytes.len() {
             return Err(TraceDecodeError::Truncated);
@@ -620,24 +642,41 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub(crate) fn byte(&mut self) -> Result<u8, TraceDecodeError> {
+    /// The next byte.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceDecodeError::Truncated`] at end of input.
+    pub fn byte(&mut self) -> Result<u8, TraceDecodeError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn uvarint(&mut self) -> Result<u64, TraceDecodeError> {
+    /// The next LEB128 `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceDecodeError::Truncated`] when input ends mid-varint;
+    /// [`TraceDecodeError::MalformedVarint`] when a tenth byte continues
+    /// or carries bits past the 64th.
+    pub fn uvarint(&mut self) -> Result<u64, TraceDecodeError> {
         let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
+        for shift in (0..63).step_by(7) {
             let b = self.byte()?;
             value |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(value);
             }
         }
-        Err(TraceDecodeError::MalformedVarint)
+        // Nine bytes carried 63 bits; the tenth may add only the top one.
+        match self.byte()? {
+            b @ 0..=1 => Ok(value | u64::from(b) << 63),
+            _ => Err(TraceDecodeError::MalformedVarint),
+        }
     }
 }
 
-pub(crate) fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as an LEB128 varint (1–10 bytes).
+pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
@@ -861,6 +900,26 @@ impl fmt::Display for ReproArtifact {
 mod tests {
     use super::*;
     use crate::monitor::TraceHasher;
+
+    #[test]
+    fn uvarint_boundaries() {
+        for v in [0, 0x7f, 0x80, (1 << 63) - 1, 1 << 63, u64::MAX] {
+            let mut bytes = Vec::new();
+            put_uvarint(&mut bytes, v);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.uvarint(), Ok(v));
+            assert_eq!(r.pos(), bytes.len());
+        }
+        // Ten bytes hold 70 bits: a tenth byte above 1 overflows a u64 and
+        // is refused, as is an eleventh byte.
+        let tenth = |b: u8| [[0xff; 9].as_slice(), &[b]].concat();
+        assert_eq!(Reader::new(&tenth(0x01)).uvarint(), Ok(u64::MAX));
+        assert_eq!(Reader::new(&tenth(0x02)).uvarint(), Err(TraceDecodeError::MalformedVarint));
+        assert_eq!(Reader::new(&tenth(0x81)).uvarint(), Err(TraceDecodeError::MalformedVarint));
+        assert_eq!(Reader::new(&[0xff; 9]).uvarint(), Err(TraceDecodeError::Truncated));
+        // A length no input can satisfy is truncation, never an overflow.
+        assert_eq!(Reader::new(&[0; 4]).take(usize::MAX), Err(TraceDecodeError::Truncated));
+    }
 
     fn listing1() -> Program {
         Program::new("loop_capture", |ctx| {

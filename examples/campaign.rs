@@ -549,7 +549,9 @@ fn main() {
 
     let mut sections = vec![result_json(&result, "parallel")];
     if args.serial_baseline {
-        let serial = campaign.run_serial();
+        let serial = campaign
+            .with_config(campaign.config().clone().workers(1))
+            .run();
         println!(
             "serial:   {} runs in {:.1} ms ({:.0} runs/s) — speedup {:.2}×",
             serial.total_runs(),

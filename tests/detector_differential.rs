@@ -209,7 +209,7 @@ fn campaign_differential_serial_vs_parallel() {
         .detectors(vec![DetectorChoice::FastTrack, DetectorChoice::Hybrid])
         .shards(4);
     let campaign = Campaign::over_units(config.clone(), units.clone());
-    let serial = campaign.run_serial();
+    let serial = campaign.with_config(config.clone().workers(1)).run();
     for workers in [2, 4] {
         let par = Campaign::over_units(config.clone().workers(workers), units.clone()).run();
         assert_eq!(
