@@ -1,32 +1,10 @@
-//! Hot-path throughput probe shared by `bench_events`, the §3.5 overhead
-//! example, and the flat-shadow regression tests.
-//!
-//! PR 7 replaces the detectors' HashMap shadow state with flat,
-//! index-addressed arrays and routes replay through the batched `.grtrace`
-//! decoder. This module packages the event-dense workload those changes
-//! optimize, and a probe that measures both layers on it:
-//!
-//! * the **live campaign** path — schedule + instrument + detect, the
-//!   figure every earlier PR reported; and
-//! * the **batch replay** path — decode once, then drive the detector's
-//!   struct-of-arrays hot loop over the same events repeatedly. This is
-//!   the execute-once/analyze-many loop the flat rewrite targets, and the
-//!   events/sec headline the ISSUE's ≥10× acceptance bound applies to.
-//!
-//! Both paths run in `flat` mode (the shipping detectors) or `oracle`
-//! mode (the legacy HashMap cores, compiled only under the test-only
-//! `oracle` feature). The probe also folds every deterministic output —
-//! campaign run digests, trace digest, replay reports, peak shadow words
-//! — into one [`HotpathProbe::digest`] so CI can assert the two modes
-//! never diverge semantically while diverging in speed.
+//! The event-dense workload of the detector hot path: detection work,
+//! not goroutine setup, dominates it. `benchmark/` times it live and
+//! through batch replay; `tests/dense_shadow_bound.rs` holds its shadow
+//! footprint to O(variables).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::time::Instant;
-
-use grs_detector::{DetectorArena, DetectorChoice};
-use grs_fleet::{Campaign, CampaignConfig, CampaignUnit};
-use grs_runtime::{record, DecodedTrace, Program, RunConfig, Strategy};
+use grs_fleet::CampaignUnit;
+use grs_runtime::Program;
 
 /// The event-dense benchmark program: a long sequential compute phase
 /// (2 000 read-modify-writes across 8 cells under a named frame, so every
@@ -66,134 +44,5 @@ pub fn dense_unit() -> CampaignUnit {
         name: "dense".into(),
         program: dense(),
         expected_racy: Some(false),
-    }
-}
-
-/// Measurements from one [`hotpath_probe`] run.
-#[derive(Debug, Clone)]
-pub struct HotpathProbe {
-    /// `"flat"` or `"oracle"`.
-    pub mode: &'static str,
-    /// Runs completed by the timed live campaign.
-    pub campaign_runs: u64,
-    /// Events dispatched by the timed live campaign.
-    pub campaign_events: u64,
-    /// Live-campaign throughput: schedule + instrument + detect.
-    pub campaign_events_per_sec: f64,
-    /// Timed passes of the batch-replay loop.
-    pub replay_passes: u32,
-    /// Events pushed through the replay hot loop (`passes × trace len`).
-    pub replay_events: u64,
-    /// Batch-replay throughput: the decode-once/analyze-many hot loop.
-    pub replay_events_per_sec: f64,
-    /// Peak FastTrack shadow footprint across campaign and replay.
-    pub peak_shadow_words: u64,
-    /// Largest interned-stack depot across the campaign.
-    pub depot_stacks: u64,
-    /// Mean occupancy of the decoder's SoA chunks (1.0 = every chunk full).
-    pub batch_fill_rate: f64,
-    /// Order-sensitive hash of every deterministic output: campaign run
-    /// digests, trace digest, replay events/reports, shadow peaks. Flat
-    /// and oracle modes must produce the same value; speed is the only
-    /// permitted difference.
-    pub digest: u64,
-}
-
-impl HotpathProbe {
-    /// The headline ratio: this probe's batch-replay throughput over the
-    /// baseline's live-campaign throughput — "how much faster is analyzing
-    /// a recorded stream with flat shadow memory than executing under the
-    /// legacy detector".
-    #[must_use]
-    pub fn speedup_over(&self, baseline: &HotpathProbe) -> f64 {
-        self.replay_events_per_sec / baseline.campaign_events_per_sec.max(f64::MIN_POSITIVE)
-    }
-}
-
-fn arena(oracle: bool) -> DetectorArena {
-    if !oracle {
-        return DetectorArena::new();
-    }
-    #[cfg(feature = "oracle")]
-    return DetectorArena::new_oracle();
-    #[cfg(not(feature = "oracle"))]
-    panic!("oracle mode requires building with `--features oracle`")
-}
-
-/// Runs the dense workload through both hot paths and reports throughput.
-///
-/// `seeds` controls the live campaign size; `passes` controls how many
-/// times the replay loop re-analyzes the recorded trace. Both paths get
-/// one untimed warmup iteration.
-///
-/// # Panics
-///
-/// In `oracle` mode when the crate was built without the test-only
-/// `oracle` feature.
-#[must_use]
-pub fn hotpath_probe(oracle: bool, seeds: usize, passes: u32) -> HotpathProbe {
-    let config = CampaignConfig::smoke()
-        .seeds_per_unit(seeds)
-        .workers(1)
-        .detectors(vec![DetectorChoice::FastTrack])
-        .strategies(vec![Strategy::Random])
-        .oracle_shadow(oracle);
-    let campaign = Campaign::over_units(config, vec![dense_unit()]);
-    let _ = campaign.run(); // warm up allocations and branch predictors
-    let started = Instant::now();
-    let result = campaign.run();
-    let campaign_secs = started.elapsed().as_secs_f64();
-    assert_eq!(result.racy_runs(), 0, "the dense unit is race-free");
-
-    // The replay hot loop: record the dense schedule once, decode once,
-    // then re-analyze the decoded stream `passes` times.
-    let (_, trace) = record(&dense(), &RunConfig::with_seed(1));
-    let bytes = trace.encode();
-    let decoded = DecodedTrace::decode(&bytes).expect("a just-encoded trace always decodes");
-    let choices = [DetectorChoice::FastTrack];
-    let mut replay_arena = arena(oracle);
-    let mut outcomes =
-        replay_arena.replay_many_decoded_observed(&decoded, &choices, &grs_obs::NULL_SINK);
-    let started = Instant::now();
-    for _ in 0..passes {
-        outcomes =
-            replay_arena.replay_many_decoded_observed(&decoded, &choices, &grs_obs::NULL_SINK);
-    }
-    let replay_secs = started.elapsed().as_secs_f64();
-    let replay_events = decoded.len() as u64 * u64::from(passes);
-
-    let replay_peak = outcomes
-        .iter()
-        .map(|(_, out)| out.peak_shadow_words as u64)
-        .max()
-        .unwrap_or(0);
-
-    // Fold every deterministic output into one digest. `DefaultHasher`
-    // is keyed with process-independent constants, so flat and oracle
-    // builds — and separate CI processes — can compare values directly.
-    let mut h = DefaultHasher::new();
-    result.deterministic_digest().hash(&mut h);
-    trace.digest().hash(&mut h);
-    for (choice, out) in &outcomes {
-        format!("{choice}").hash(&mut h);
-        out.events.hash(&mut h);
-        (out.peak_shadow_words as u64).hash(&mut h);
-        for report in &out.reports {
-            format!("{report}").hash(&mut h);
-        }
-    }
-
-    HotpathProbe {
-        mode: if oracle { "oracle" } else { "flat" },
-        campaign_runs: result.total_runs() as u64,
-        campaign_events: result.total_events(),
-        campaign_events_per_sec: result.total_events() as f64 / campaign_secs.max(1e-9),
-        replay_passes: passes,
-        replay_events,
-        replay_events_per_sec: replay_events as f64 / replay_secs.max(1e-9),
-        peak_shadow_words: (result.peak_shadow_words() as u64).max(replay_peak),
-        depot_stacks: result.max_depot_stacks() as u64,
-        batch_fill_rate: decoded.fill_rate(),
-        digest: h.finish(),
     }
 }

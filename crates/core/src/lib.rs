@@ -47,7 +47,7 @@ pub mod hotpath;
 pub mod study;
 
 pub use classify::classify;
-pub use hotpath::{dense_unit, hotpath_probe, HotpathProbe};
+pub use hotpath::dense_unit;
 pub use experiments::{
     figure1, figure3_figure4, overhead_probe, overhead_workload, static_dynamic_agreement,
     table1, table2, table3,

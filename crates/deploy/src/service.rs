@@ -959,7 +959,23 @@ mod tests {
         let service = IntakeService::builder().workers(1).start().unwrap();
         let err = service.submit_trace(vec![0xde, 0xad], 0).unwrap_err();
         assert!(matches!(err, IntakeError::Malformed(_)));
-        assert_eq!(service.stats().malformed, 1);
+
+        // A well-formed 36-byte header claiming 2^60 stacks is malformed
+        // too: a worker that panicked reserving for the count would leave
+        // the ticket (and this call) waiting forever.
+        let mut lying = grs_runtime::TRACE_MAGIC.to_vec();
+        lying.extend_from_slice(&grs_runtime::TRACE_FORMAT_VERSION.to_le_bytes());
+        lying.extend_from_slice(&[1, 1, b'p', 0]); // one 1-byte string; program = string 0
+        lying.extend_from_slice(&1u64.to_le_bytes()); // seed
+        lying.extend_from_slice(&[0, 0, 0]); // Strategy::Random, 0 steps, 0 goroutines
+        grs_runtime::put_uvarint(&mut lying, 1 << 60); // stack count
+        let err = service.submit_trace(lying, 0).unwrap_err();
+        assert!(matches!(err, IntakeError::Malformed(_)));
+        assert_eq!(service.stats().malformed, 2);
+
+        // The one worker survived both: the next upload is served.
+        let served = service.submit_trace(racy_trace(3), 0).unwrap();
+        assert!(!served.filed.is_empty());
     }
 
     #[test]
@@ -1052,7 +1068,9 @@ mod tests {
         for t in tickets {
             t.wait().unwrap();
         }
-        assert_eq!(u64::from(busy), service.stats().busy_rejections);
+        let stats = service.stats();
+        assert_eq!(u64::from(busy), stats.busy_rejections);
+        assert!(stats.queue_peak <= 1, "the queue never outgrew its cap");
     }
 
     #[test]

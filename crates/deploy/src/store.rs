@@ -361,8 +361,10 @@ impl Snapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let count = r.uvarint()? as usize;
-        let mut tasks = Vec::with_capacity(count.min(1 << 20));
+        // A task is at least its 8-byte fingerprint plus nine one-byte
+        // fields (id, day, state, six option tags).
+        let count = r.count(17)?;
+        let mut tasks = Vec::with_capacity(count);
         for _ in 0..count {
             tasks.push(decode_task(&mut r)?);
         }

@@ -41,7 +41,7 @@ use grs_runtime::{
 
 use crate::dedup::DedupMap;
 use crate::shard::{ExecSpec, IndexQueues, RunSpec};
-use crate::source::{GoSnippetSuite, UnitCache, UnitError, UnitList, UnitSource, UNIT_CACHE_CAP};
+use crate::source::{GoSnippetSuite, UnitError, UnitList, UnitSource};
 
 /// One campaignable program.
 #[derive(Debug, Clone)]
@@ -124,8 +124,7 @@ pub struct CampaignConfig {
     /// detectors instead of the flat ones. The field always exists so
     /// configs serialize/compare uniformly, but flipping it on requires the
     /// test-only `oracle` feature — without it the campaign panics at
-    /// arena construction. Used by the flat-shadow equivalence suite and
-    /// the `bench_events --mode oracle` runs.
+    /// arena construction. Used by the flat-shadow equivalence suite.
     pub oracle_shadow: bool,
 }
 
@@ -429,7 +428,7 @@ pub struct CampaignResult {
     pub replay: Option<ReplayStats>,
     /// The campaign's observability report: stable metrics, span/latency
     /// timing, and the §3.5 campaign-dynamics timeline — ready to export
-    /// as `BENCH_obs.json` ([`ObsReport::to_json`]) or render as a text
+    /// as JSON ([`ObsReport::to_json`]) or render as a text
     /// dashboard ([`ObsReport::dashboard`]).
     pub obs: ObsReport,
 }
@@ -488,8 +487,8 @@ impl CampaignResult {
     ///
     /// The numerator is the `runtime.events` monotonic counter — the same
     /// source [`CampaignResult::detection_rate`] draws its denominator
-    /// family from — so `BENCH_replay.json` and `BENCH_overhead.json`
-    /// report rates over one consistent event count.
+    /// family from — so live and replay campaigns report rates over one
+    /// consistent event count.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -658,8 +657,8 @@ impl CampaignResult {
 /// A campaign is a configuration crossed with a [`UnitSource`]. The run
 /// matrix `(unit × seed × strategy × detector)` is never materialized:
 /// spec `i` is recovered arithmetically ([`Campaign::spec_at`]), work is
-/// dealt over lazy [`IndexQueues`], and units are lowered on demand
-/// through per-worker [`UnitCache`]s — which is what lets a 100K-unit
+/// dealt over lazy [`IndexQueues`], and each worker lowers a unit when it
+/// reaches the unit's first spec — which is what lets a 100K-unit
 /// source-level campaign run in memory proportional to its *results*, not
 /// its corpus.
 #[derive(Clone)]
@@ -725,8 +724,7 @@ impl Campaign {
         self.source.len()
     }
 
-    /// Builds unit `unit` (test/inspection helper; the run paths go
-    /// through per-worker caches).
+    /// Builds unit `unit` (test/inspection helper).
     pub fn unit(&self, unit: usize) -> Result<CampaignUnit, UnitError> {
         self.source.build(unit)
     }
@@ -1026,7 +1024,10 @@ impl Campaign {
             records: Vec::new(),
             replay: ReplayStats::default(),
         };
-        let mut cache = UnitCache::new(UNIT_CACHE_CAP);
+        // Shards are contiguous index ranges and a unit's specs are
+        // consecutive, so the unit of the previous item is the only one
+        // worth holding.
+        let mut held: Option<(usize, CampaignUnit)> = None;
         while let Some((item, shard)) = next() {
             wk.shard = shard;
             // A lone worker is at home on every shard.
@@ -1039,19 +1040,24 @@ impl Campaign {
                 Mode::Replay => self.exec_spec_at(item).unit,
                 Mode::Adaptive => item,
             };
-            match cache.get_or_build(&*self.source, unit_index) {
-                Ok(unit) => match shared.mode {
-                    Mode::Live => self.execute(self.spec_at(item), &unit, &mut wk),
-                    Mode::Replay => self.execute_replay(self.exec_spec_at(item), &unit, &mut wk),
-                    Mode::Adaptive => self.execute_adaptive_unit(item, &unit, &mut wk),
-                },
-                // Both halves of a skip are deterministic: which units fail
-                // and how many specs an item covers depend only on the
-                // source and the config, never on scheduling.
-                Err(e) => {
-                    shared.registry.add("campaign.skipped_runs", shared.specs_per_item);
-                    shared.skips.lock().unwrap_or_else(PoisonError::into_inner).record(e);
-                }
+            if held.as_ref().map(|(index, _)| *index) != Some(unit_index) {
+                held = match self.source.build(unit_index) {
+                    Ok(unit) => Some((unit_index, unit)),
+                    // Both halves of a skip are deterministic: which units
+                    // fail and how many specs an item covers depend only on
+                    // the source and the config, never on scheduling.
+                    Err(e) => {
+                        shared.registry.add("campaign.skipped_runs", shared.specs_per_item);
+                        shared.skips.lock().unwrap_or_else(PoisonError::into_inner).record(e);
+                        None
+                    }
+                };
+            }
+            let Some((_, unit)) = &held else { continue };
+            match shared.mode {
+                Mode::Live => self.execute(self.spec_at(item), unit, &mut wk),
+                Mode::Replay => self.execute_replay(self.exec_spec_at(item), unit, &mut wk),
+                Mode::Adaptive => self.execute_adaptive_unit(item, unit, &mut wk),
             }
         }
         (wk.records, wk.replay)
@@ -1059,7 +1065,7 @@ impl Campaign {
 
     /// The one campaign driver. `mode` fixes what a work item is; everything
     /// else — worker clamp, dedup stage, metrics, skip log, per-worker
-    /// arena and unit cache, collection, ordering, the obs report and the
+    /// arena and held unit, collection, ordering, the obs report and the
     /// result — is the same for every mode.
     fn drive(&self, mode: Mode) -> CampaignResult {
         let started = Instant::now();
@@ -1085,14 +1091,13 @@ impl Campaign {
             registry: MetricsRegistry::new(),
             skips: Mutex::default(),
         };
+        let queues = IndexQueues::new(shards, items);
         let (mut records, replay) = if shared.workers == 1 {
             // Inline on the calling thread, ascending: no thread, no
-            // queues, and consecutive items share a unit, so the unit
-            // cache sees each unit once.
-            let mut ascending = (0..items).map(|i| (i, i % shards));
+            // stealing from the tails.
+            let mut ascending = (0..items).map(|i| (i, queues.shard_of(i)));
             self.work(&shared, 0, || ascending.next())
         } else {
-            let queues = IndexQueues::new(shards, items);
             let all = Mutex::new((Vec::new(), ReplayStats::default()));
             std::thread::scope(|scope| {
                 for w in 0..shared.workers {

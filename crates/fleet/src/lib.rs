@@ -46,7 +46,7 @@ pub use census::{census, Cdf, Census, CensusConfig, Language, LanguageSample};
 pub use dedup::DedupMap;
 pub use shard::{ExecSpec, IndexQueues, RunSpec};
 pub use source::{
-    lower_source_unit, GoCorpusSource, GoSnippetSuite, UnitCache, UnitError, UnitList, UnitSource,
+    lower_source_unit, GoCorpusSource, GoSnippetSuite, UnitError, UnitList, UnitSource,
 };
 pub use triage::{run_triage, triage_suite, TriageConfig, TriageOutcome, TriageUnit};
 

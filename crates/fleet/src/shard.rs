@@ -5,10 +5,10 @@
 //! execute-once replay campaign, one [`ExecSpec`] — execute one `(program,
 //! seed, strategy)` under a trace recorder and fan the trace through every
 //! configured detector. Work items are enumerated deterministically and
-//! never materialized: [`IndexQueues`] deals the item *index space*
-//! round-robin across `S` lazy shard queues; each of `N` workers owns a
-//! home shard (worker `w` → shard `w % S`) and pops from it until empty,
-//! then *steals* from the other shards' tails. Stealing keeps
+//! never materialized: [`IndexQueues`] cuts the item *index space* into
+//! `S` contiguous lazy shard queues; each of `N` workers owns a home
+//! shard (worker `w` → shard `w % S`) and pops from its front until
+//! empty, then *steals* the back half of another shard. Stealing keeps
 //! every core busy through the campaign tail — pattern programs differ in
 //! length by orders of magnitude, so static partitioning would leave
 //! workers idle behind the shard that drew the long programs (the §3.2
@@ -79,33 +79,34 @@ impl ExecSpec {
     }
 }
 
-/// The campaign fan-out: shard queues over the *index space* `0..total`,
-/// with the exact distribution and pop order of dealing a materialized
-/// vector round-robin — global index `i` lives on shard `i % shards` at
-/// within-shard position `i / shards` — but O(shards) memory instead of
-/// O(total). This is what lets a 100K-spec campaign enumerate its matrix
-/// arithmetically under a work-stealing schedule (the eager reference it is
-/// pinned to pop-for-pop lives in this module's tests).
+/// The campaign fan-out: shard queues over the *index space* `0..total`.
+/// Each shard is dealt one contiguous range — shard `s` starts with
+/// `s * span .. (s + 1) * span` — so the specs of one unit, which the
+/// matrix enumerates consecutively, land on one shard and a worker builds
+/// each unit about once; dealing index `i` to shard `i % shards` would
+/// scatter every unit over every shard. Memory is O(shards), not
+/// O(total), which is what lets a 100K-spec campaign enumerate its matrix
+/// arithmetically under a work-stealing schedule (the eager reference it
+/// is pinned to pop-for-pop lives in this module's tests).
 #[derive(Debug)]
 pub struct IndexQueues {
-    /// Per-shard remaining positions `[front, back)`; position `p` of
-    /// shard `s` is global index `p * shards + s`.
+    /// Per-shard remaining global indices `[front, back)`.
     shards: Vec<Mutex<(usize, usize)>>,
+    /// Indices dealt to each shard (the last non-empty one may get fewer).
+    span: usize,
 }
 
 impl IndexQueues {
-    /// Queues over `0..total`, index `i` on shard `i % shards`.
+    /// Queues over `0..total`, index `i` on shard [`Self::shard_of`]`(i)`.
     #[must_use]
     pub fn new(shards: usize, total: usize) -> Self {
         let n = shards.max(1);
+        let span = total.div_ceil(n).max(1);
         IndexQueues {
             shards: (0..n)
-                .map(|s| {
-                    // Positions p with p * n + s < total.
-                    let len = (total + n - 1 - s) / n;
-                    Mutex::new((0, len))
-                })
+                .map(|s| Mutex::new(((s * span).min(total), ((s + 1) * span).min(total))))
                 .collect(),
+            span,
         }
     }
 
@@ -113,6 +114,12 @@ impl IndexQueues {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard global index `index` was dealt to.
+    #[must_use]
+    pub fn shard_of(&self, index: usize) -> usize {
+        index / self.span
     }
 
     /// Remaining indices across all shards (racy snapshot; exact only
@@ -128,32 +135,51 @@ impl IndexQueues {
             .sum()
     }
 
-    /// Pops the next global index for `worker`: front of its home shard,
-    /// else the *back* of the first non-empty victim shard (scanning from
-    /// the home shard upward). Returns the index and the shard it came
-    /// from, or `None` when the campaign is drained.
+    /// Pops the next global index for `worker`: the front of its home
+    /// shard; when that is empty, the worker first moves the *back half* of
+    /// the first non-empty victim shard (scanning from the home shard
+    /// upward) into its home shard. A thief therefore keeps walking
+    /// consecutive indices, and two thieves never alternate over one
+    /// victim's tail. Returns the index and the shard it was dealt to, or
+    /// `None` when the worker finds every shard empty.
     pub fn pop(&self, worker: usize) -> Option<(usize, usize)> {
         let n = self.shards.len();
         let home = worker % n;
-        {
-            let mut q = self.shards[home]
+        let lock = |s: usize| {
+            self.shards[s]
                 .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if q.0 < q.1 {
-                let p = q.0;
-                q.0 += 1;
-                return Some((p * n + home, home));
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        let take_front = |q: &mut (usize, usize)| {
+            q.0 += 1;
+            Some((q.0 - 1, self.shard_of(q.0 - 1)))
+        };
+        {
+            let mut h = lock(home);
+            if h.0 < h.1 {
+                return take_front(&mut h);
             }
         }
         for off in 1..n {
             let victim = (home + off) % n;
-            let mut q = self.shards[victim]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if q.0 < q.1 {
-                q.1 -= 1;
-                return Some((q.1 * n + victim, victim));
+            // Lower shard first, always: two workers robbing each other
+            // cannot deadlock.
+            let (mut low, mut high) = (lock(home.min(victim)), lock(home.max(victim)));
+            let (h, v) = if home < victim {
+                (&mut *low, &mut *high)
+            } else {
+                (&mut *high, &mut *low)
+            };
+            // A worker sharing this home shard may have refilled it since.
+            if h.0 == h.1 {
+                let take = (v.1 - v.0).div_ceil(2);
+                if take == 0 {
+                    continue;
+                }
+                v.1 -= take;
+                *h = (v.1, v.1 + take);
             }
+            return take_front(h);
         }
         None
     }
@@ -165,39 +191,48 @@ mod tests {
     use std::collections::VecDeque;
 
     /// The eager reference [`IndexQueues`] is pinned to: the index list
-    /// `0..total` materialized and dealt round-robin into per-shard deques
-    /// (index `i` → shard `i % shards`, enumeration order kept within each).
-    struct ShardQueues(Vec<VecDeque<usize>>);
+    /// `0..total` materialized and cut into per-shard deques of
+    /// `ceil(total / shards)` consecutive indices each, every index paired
+    /// with the shard it was dealt to.
+    struct ShardQueues(Vec<VecDeque<(usize, usize)>>);
 
     impl ShardQueues {
         fn deal(shards: usize, total: usize) -> Self {
             let n = shards.max(1);
-            let mut queues = vec![VecDeque::new(); n];
-            for i in 0..total {
-                queues[i % n].push_back(i);
-            }
+            let all: Vec<usize> = (0..total).collect();
+            let mut queues: Vec<VecDeque<(usize, usize)>> = all
+                .chunks(total.div_ceil(n).max(1))
+                .enumerate()
+                .map(|(shard, c)| c.iter().map(|&i| (i, shard)).collect())
+                .collect();
+            queues.resize(n, VecDeque::new());
             ShardQueues(queues)
         }
 
-        /// Front of the home shard, else the *back* of the first non-empty
-        /// victim shard, scanning from the home shard upward.
+        /// Front of the home shard, refilled when empty with the back half
+        /// of the first non-empty victim shard, scanning from the home
+        /// shard upward.
         fn pop(&mut self, worker: usize) -> Option<(usize, usize)> {
             let n = self.0.len();
             let home = worker % n;
-            if let Some(i) = self.0[home].pop_front() {
-                return Some((i, home));
+            if self.0[home].is_empty() {
+                let victim = (1..n)
+                    .map(|off| (home + off) % n)
+                    .find(|&v| !self.0[v].is_empty())?;
+                let keep = self.0[victim].len() / 2;
+                self.0[home] = self.0[victim].split_off(keep);
             }
-            (1..n)
-                .map(|off| (home + off) % n)
-                .find_map(|victim| self.0[victim].pop_back().map(|i| (i, victim)))
+            self.0[home].pop_front()
         }
     }
 
     #[test]
-    fn deals_round_robin_and_drains_exactly_once() {
+    fn deals_contiguous_ranges_and_drains_exactly_once() {
         let q = IndexQueues::new(3, 10);
         assert_eq!(q.shard_count(), 3);
         assert_eq!(q.remaining(), 10);
+        let dealt: Vec<_> = (0..10).map(|i| q.shard_of(i)).collect();
+        assert_eq!(dealt, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
         let mut seen = Vec::new();
         while let Some((i, _)) = q.pop(0) {
             seen.push(i);
@@ -210,12 +245,17 @@ mod tests {
 
     #[test]
     fn home_shard_is_drained_in_order_before_stealing() {
-        let q = IndexQueues::new(2, 6);
-        // Worker 1's home shard holds indices 1, 3, 5 in order.
-        let home: Vec<_> = (0..3).map(|_| q.pop(1).unwrap()).collect();
-        assert_eq!(home, [(1, 1), (3, 1), (5, 1)]);
-        // Home empty: the next pop steals from shard 0's tail.
-        assert_eq!(q.pop(1), Some((4, 0)));
+        let q = IndexQueues::new(2, 8);
+        // Worker 1's home shard holds indices 4..8 in order.
+        let home: Vec<_> = (0..4).map(|_| q.pop(1).unwrap()).collect();
+        assert_eq!(home, [(4, 1), (5, 1), (6, 1), (7, 1)]);
+        // Home empty: worker 1 moves the back half of shard 0 home and walks
+        // it in order, while worker 0 keeps the front half.
+        assert_eq!(q.pop(1), Some((2, 0)));
+        assert_eq!(q.pop(0), Some((0, 0)));
+        assert_eq!(q.pop(1), Some((3, 0)));
+        assert_eq!(q.pop(0), Some((1, 0)));
+        assert_eq!(q.pop(0), None);
     }
 
     #[test]
@@ -227,22 +267,29 @@ mod tests {
 
     #[test]
     fn index_queues_match_dealt_queues_pop_for_pop() {
-        // The lazy queues must be observationally identical to dealing a
-        // materialized vector, for any (shards, total) and any single
-        // worker's pop sequence.
+        // The lazy queues must be observationally identical to cutting a
+        // materialized vector, for any (shards, total), whether one worker
+        // drains everything or `shards + 1` workers (two of them sharing
+        // home shard 0) take turns.
         for shards in [1, 2, 3, 5] {
             for total in [0, 1, 7, 20] {
-                for worker in 0..shards {
+                for workers in (0..shards).map(|w| w..=w).chain([0..=shards]) {
                     let mut dealt = ShardQueues::deal(shards, total);
                     let lazy = IndexQueues::new(shards, total);
                     assert_eq!(lazy.remaining(), total);
-                    loop {
+                    for &(i, shard) in dealt.0.iter().flatten() {
+                        assert_eq!(lazy.shard_of(i), shard);
+                    }
+                    let mut idle = 0;
+                    for worker in workers.clone().cycle() {
                         let (a, b) = (dealt.pop(worker), lazy.pop(worker));
                         assert_eq!(a, b, "shards={shards} total={total} worker={worker}");
-                        if a.is_none() {
+                        idle = if a.is_none() { idle + 1 } else { 0 };
+                        if idle == workers.clone().count() {
                             break;
                         }
                     }
+                    assert_eq!(lazy.remaining(), 0);
                 }
             }
         }

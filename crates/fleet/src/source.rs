@@ -4,9 +4,9 @@
 //! many [`CampaignUnit`]s up front would hold every lowered program in
 //! memory at once; a [`UnitSource`] instead exposes the unit axis as
 //! `(len, build(index))`, so the campaign engine enumerates specs
-//! arithmetically and workers lower units **on demand** — each worker keeps
-//! a small [`UnitCache`] of recently built programs and the rest of the
-//! corpus exists only as generator state.
+//! arithmetically and workers lower units **on demand** — each worker holds
+//! only the unit of the spec it is running and the rest of the corpus
+//! exists only as generator state.
 //!
 //! Three sources cover the campaign modalities:
 //!
@@ -194,53 +194,6 @@ impl UnitSource for GoCorpusSource {
     }
 }
 
-/// A small per-worker MRU cache of built units.
-///
-/// The spec matrix enumerates detectors/strategies/seeds innermost, so a
-/// worker popping its home shard revisits the same unit many times in a
-/// short window; a handful of entries absorbs nearly all rebuilds while
-/// keeping per-worker memory constant (programs are `Arc`-backed, so a
-/// cached clone is cheap).
-#[derive(Debug)]
-pub struct UnitCache {
-    entries: Vec<(usize, CampaignUnit)>,
-    cap: usize,
-}
-
-/// Default per-worker cache capacity.
-pub const UNIT_CACHE_CAP: usize = 8;
-
-impl UnitCache {
-    /// An empty cache holding at most `cap` units.
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        UnitCache {
-            entries: Vec::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-        }
-    }
-
-    /// The cached unit for `unit`, building (and caching) it on a miss.
-    pub fn get_or_build(
-        &mut self,
-        source: &dyn UnitSource,
-        unit: usize,
-    ) -> Result<CampaignUnit, UnitError> {
-        if let Some(pos) = self.entries.iter().position(|(u, _)| *u == unit) {
-            let entry = self.entries.remove(pos);
-            let built = entry.1.clone();
-            self.entries.push(entry);
-            return Ok(built);
-        }
-        let built = source.build(unit)?;
-        if self.entries.len() == self.cap {
-            self.entries.remove(0);
-        }
-        self.entries.push((unit, built.clone()));
-        Ok(built)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,19 +231,5 @@ mod tests {
         assert_eq!(err.unit, 3);
         assert_eq!(err.name, "bad/unit");
         assert!(err.error.contains("parse"), "{err}");
-    }
-
-    #[test]
-    fn unit_cache_caps_and_serves_hits() {
-        let suite = GoSnippetSuite::new();
-        let mut cache = UnitCache::new(2);
-        let a = cache.get_or_build(&suite, 0).unwrap();
-        let _b = cache.get_or_build(&suite, 1).unwrap();
-        // Hit: same name back without rebuilding through a new index.
-        let a2 = cache.get_or_build(&suite, 0).unwrap();
-        assert_eq!(a.name, a2.name);
-        // Third distinct unit evicts the LRU entry; capacity stays 2.
-        let _c = cache.get_or_build(&suite, 2).unwrap();
-        assert_eq!(cache.entries.len(), 2);
     }
 }

@@ -122,34 +122,6 @@ impl TriageOutcome {
             _ => None,
         }
     }
-
-    /// The outcome as a JSON object (hand-rolled, like every serializer
-    /// in this workspace).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let opt = |v: Option<usize>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
-        let ratio = self
-            .ratio()
-            .map_or_else(|| "null".to_string(), |r| format!("{r:.4}"));
-        let unit = self.first_race_unit.as_ref().map_or_else(
-            || "null".to_string(),
-            |u| format!("\"{}\"", u.replace('"', "\\\"")),
-        );
-        format!(
-            concat!(
-                "{{\"total_specs\":{},",
-                "\"baseline_executions_to_first_race\":{},",
-                "\"triage_executions_to_first_race\":{},",
-                "\"ratio\":{},",
-                "\"first_race_unit\":{}}}"
-            ),
-            self.total_specs,
-            opt(self.baseline_executions),
-            opt(self.triage_executions),
-            ratio,
-            unit,
-        )
-    }
 }
 
 /// The triaged unit order: descending lint score, name order within a
@@ -247,7 +219,5 @@ mod tests {
             out.triage_executions.unwrap_or(0),
             out.baseline_executions.unwrap_or(0),
         );
-        let json = out.to_json();
-        assert!(json.contains("\"ratio\":"), "{json}");
     }
 }

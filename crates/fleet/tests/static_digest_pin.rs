@@ -15,8 +15,11 @@
 //! were captured at the last commit that had three hand-written drivers
 //! (384afab).
 
+use std::sync::Arc;
+
+use grs_corpus::GoTestSpec;
 use grs_detector::DetectorChoice;
-use grs_fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult};
+use grs_fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult, GoCorpusSource};
 use grs_runtime::Strategy;
 
 fn pinned_campaign() -> Campaign {
@@ -100,5 +103,30 @@ fn every_mode_digest_and_representative_set_is_pinned() {
             representatives,
             "{mode} files different representatives"
         );
+    }
+}
+
+/// The generated-corpus campaign (default template mix, 200‰ racy,
+/// generator seed 1, 2,000 tests, one FastTrack run each) at f2a35e4.
+const PINNED_CORPUS_DIGEST64: u64 = 0x55f7_7671_34c8_1f3a;
+
+#[test]
+fn generated_corpus_campaign_is_pinned_at_one_and_four_workers() {
+    let source = Arc::new(GoCorpusSource::new(
+        GoTestSpec::default_mix().racy_per_mille(200),
+        1,
+        2_000,
+    ));
+    for workers in [1, 4] {
+        let config = CampaignConfig::new()
+            .seeds_per_unit(1)
+            .detectors(vec![DetectorChoice::FastTrack])
+            .strategies(vec![Strategy::Random])
+            .workers(workers)
+            .shards(2 * workers);
+        let r = Campaign::over_source(config, source.clone()).run();
+        assert_eq!(r.units_skipped, 0, "{workers} workers: {:?}", r.skip_reasons);
+        assert_eq!(r.total_runs(), 2_000, "{workers} workers");
+        assert_eq!(r.digest64(), PINNED_CORPUS_DIGEST64, "{workers} workers");
     }
 }

@@ -18,7 +18,7 @@
 //!   "campaign days" and replays the §3.3.1 tracker discipline to
 //!   reconstruct Figure 3 (new vs. resolved races over time) and Figure 4
 //!   (dedup growth, fix-latency distribution).
-//! * [`ObsReport`] — the exported `BENCH_obs.json` document: versioned
+//! * [`ObsReport`] — the obs export, a JSON document with a versioned
 //!   schema, deterministic digest over the stable sections, and a human
 //!   `--dashboard` text view.
 //!

@@ -1,6 +1,6 @@
 //! [`ObsReport`] — the stable exported form of one observed campaign.
 //!
-//! The JSON document (`BENCH_obs.json`) has a versioned schema with a hard
+//! The JSON document (the obs export) has a versioned schema with a hard
 //! determinism split:
 //!
 //! ```json
@@ -26,8 +26,9 @@ use std::fmt::Write as _;
 use crate::registry::{Histogram, MetricsSnapshot};
 use crate::timeline::TimelineReport;
 
-/// Version of the `BENCH_obs.json` schema. Bump on any breaking change to
-/// the stable sections; CI fails when the field is missing.
+/// Version of the obs export's schema. Bump on any breaking change to
+/// the stable sections; `tests/obs_determinism.rs` fails when the field is
+/// missing.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// One observed campaign, ready for export.
@@ -204,7 +205,7 @@ impl ObsReport {
         s
     }
 
-    /// The full `BENCH_obs.json` document.
+    /// The full obs export.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(

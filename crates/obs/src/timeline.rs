@@ -22,7 +22,7 @@
 //!   like [`BugTracker`]'s suppression rule.
 //!
 //! Everything here is derived from deterministic campaign outputs — spec
-//! indices and fingerprints — so the timeline section of `BENCH_obs.json`
+//! indices and fingerprints — so the timeline section of the obs export
 //! participates in the deterministic digest.
 //!
 //! [`BugTracker`]: https://docs.rs/grs-deploy

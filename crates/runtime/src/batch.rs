@@ -27,7 +27,7 @@ use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::sched::Strategy;
 use crate::trace::{
     intern_static_file, lock_mode, unzigzag, Reader, StackNode, Trace, TraceDecodeError,
-    TraceMeta, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    TraceMeta, EVENT_MIN_BYTES, STACK_MIN_BYTES, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// Default number of events decoded per chunk by
@@ -220,7 +220,7 @@ impl<'a> BatchDecoder<'a> {
         let steps = r.uvarint()?;
         let goroutines_spawned = r.uvarint()? as usize;
 
-        let n_stacks = r.uvarint()?;
+        let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
         let mut stacks = Vec::with_capacity(n_stacks as usize);
         for i in 0..n_stacks {
             let parent = r.uvarint()?;
@@ -239,7 +239,7 @@ impl<'a> BatchDecoder<'a> {
             });
         }
 
-        let n_events = r.uvarint()?;
+        let n_events = r.count(EVENT_MIN_BYTES)? as u64;
         let files = vec![""; strings.len()];
         Ok(BatchDecoder {
             r,

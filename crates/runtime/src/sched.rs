@@ -376,8 +376,9 @@ impl ScheduleTrace {
                 supported: SCHEDULE_TRACE_VERSION,
             });
         }
-        let n = r.uvarint()?;
-        let mut decisions = Vec::with_capacity(n as usize);
+        // A decision is two varints: at least two bytes.
+        let n = r.count(2)?;
+        let mut decisions = Vec::with_capacity(n);
         for _ in 0..n {
             let chosen = r.uvarint()? as u32;
             let arity = r.uvarint()? as u32;
@@ -625,11 +626,16 @@ mod tests {
             ScheduleTrace::decode(&bytes[..bytes.len() - 1]),
             Err(TraceDecodeError::Truncated)
         );
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad.push(0);
         assert_eq!(
             ScheduleTrace::decode(&bad),
             Err(TraceDecodeError::TrailingBytes { extra: 1 })
         );
+        // A decision count the input cannot hold is truncation, not a
+        // 2^60-entry reservation.
+        let mut bad = bytes[..12].to_vec();
+        put_uvarint(&mut bad, 1 << 60);
+        assert_eq!(ScheduleTrace::decode(&bad), Err(TraceDecodeError::Truncated));
     }
 }

@@ -43,6 +43,14 @@ pub const TRACE_MAGIC: [u8; 8] = *b"GRTRACE\0";
 /// reject other versions with [`TraceDecodeError::UnsupportedVersion`].
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
+/// Fewest bytes one encoded depot entry takes (parent, function, call
+/// line: three varints), for [`Reader::count`].
+pub(crate) const STACK_MIN_BYTES: usize = 3;
+
+/// Fewest bytes one encoded event takes (step delta, goroutine, kind
+/// tag), for [`Reader::count`].
+pub(crate) const EVENT_MIN_BYTES: usize = 3;
+
 /// Metadata identifying the run a [`Trace`] was recorded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
@@ -350,7 +358,7 @@ impl Trace {
         let steps = r.uvarint()?;
         let goroutines_spawned = r.uvarint()? as usize;
 
-        let n_stacks = r.uvarint()?;
+        let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
         let mut stacks = Vec::with_capacity(n_stacks as usize);
         for i in 0..n_stacks {
             let parent = r.uvarint()?;
@@ -370,8 +378,8 @@ impl Trace {
             });
         }
 
-        let n_events = r.uvarint()?;
-        let mut events = Vec::with_capacity(n_events as usize);
+        let n_events = r.count(EVENT_MIN_BYTES)?;
+        let mut events = Vec::with_capacity(n_events);
         let mut step = 0u64;
         for _ in 0..n_events {
             step = step.wrapping_add(r.uvarint()?);
@@ -649,6 +657,25 @@ impl<'a> Reader<'a> {
     /// [`TraceDecodeError::Truncated`] at end of input.
     pub fn byte(&mut self) -> Result<u8, TraceDecodeError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// A count prefix: the next LEB128 `u64`, announcing that many
+    /// entries of at least `min_entry_bytes` encoded bytes each.
+    /// Every decoder that sizes a `Vec` from a count off the wire reads
+    /// it through here, so a hostile count reserves at most what the
+    /// input's own length could hold.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::uvarint`], plus [`TraceDecodeError::Truncated`] when
+    /// the remaining input is too short for that many entries.
+    pub fn count(&mut self, min_entry_bytes: usize) -> Result<usize, TraceDecodeError> {
+        let n = self.uvarint()?;
+        let room = (self.bytes.len() - self.pos) / min_entry_bytes.max(1);
+        if n > room as u64 {
+            return Err(TraceDecodeError::Truncated);
+        }
+        Ok(n as usize)
     }
 
     /// The next LEB128 `u64`.

@@ -18,7 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grs_runtime::{
-    record, DecodedTrace, Program, RunConfig, StackDepot, StackId, Trace, TraceDecodeError,
+    put_uvarint, record, DecodedTrace, Program, RunConfig, StackDepot, StackId, Trace,
+    TraceDecodeError, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// A random program shape exercising every event tag: goroutines, plain
@@ -235,5 +236,29 @@ fn bit_flips_at_every_offset_match_scalar_verdicts() {
             corrupt[i] ^= flip;
             assert_differential(&format!("flip {flip:#04x} at byte {i}"), &corrupt);
         }
+    }
+}
+
+/// A count off the wire never sizes a `Vec` beyond what the input could
+/// hold: a 36-byte header that claims 2^60 stacks, or 2^60 events, is
+/// `Truncated` from both decoders, not a `capacity overflow` panic.
+#[test]
+fn lying_counts_are_truncation_not_a_reservation() {
+    let mut header = TRACE_MAGIC.to_vec();
+    header.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&[1, 1, b'p', 0]); // one 1-byte string; program = string 0
+    header.extend_from_slice(&1u64.to_le_bytes()); // seed
+    header.extend_from_slice(&[0, 0, 0]); // Strategy::Random, 0 steps, 0 goroutines
+
+    let mut stacks = header.clone();
+    put_uvarint(&mut stacks, 1 << 60);
+    assert_eq!(stacks.len(), 36);
+    let mut events = header;
+    events.push(0); // no stacks
+    put_uvarint(&mut events, 1 << 60);
+
+    for (label, bytes) in [("stack count", stacks), ("event count", events)] {
+        assert_eq!(Trace::decode(&bytes), Err(TraceDecodeError::Truncated), "{label}");
+        assert_differential(label, &bytes);
     }
 }

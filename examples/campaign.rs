@@ -1,40 +1,31 @@
 //! The parallel campaign driver: run the (program × seed × strategy ×
-//! detector) matrix over the pattern + Go-source corpora, report
-//! throughput, per-shard latency, and detection-rate convergence, and emit
-//! a machine-readable `BENCH_campaign.json`.
+//! detector) matrix over the pattern + Go-source corpora in each of the
+//! engine's three modes and print what each found.
 //!
 //! ```sh
 //! cargo run --release --example campaign -- [--workers N] [--seeds N] \
-//!     [--suite pattern|corpus|all] [--serial-baseline] [--out PATH]
+//!     [--suite pattern|corpus|all] [--ablation-budget N] [--replay] \
+//!     [--obs-out PATH] [--dashboard]
 //! ```
+//!
+//! The default run is the **live** campaign (throughput, per-shard
+//! latency, detection-rate convergence, filing into the intake service)
+//! followed by the scheduler **ablation**: three arms at the same
+//! per-unit budget — the static random and PCT matrices vs the
+//! coverage-guided **adaptive** mode — printed as a convergence table.
+//! `--ablation-budget N` sets the per-unit execution budget (default 96;
+//! `0` skips the ablation).
 //!
 //! With `--replay` the campaign instead runs the execute-once engine: each
 //! `(program, seed, strategy)` executes a single time under a trace
 //! recorder and the trace fans offline through every configured detector —
-//! here the full three-detector differential set. The run emits
-//! `BENCH_replay.json` comparing it against the execute-per-detector
-//! baseline on the same matrix (same deterministic digest, measured
-//! speedup):
+//! here the full three-detector differential set — and is checked
+//! bit-for-bit against the execute-per-detector run of the same matrix.
 //!
-//! ```sh
-//! cargo run --release --example campaign -- --replay [--seeds N] \
-//!     [--workers N] [--out BENCH_replay.json]
-//! ```
-//!
-//! Either mode also exports the observability report (`BENCH_obs.json`:
-//! stable metrics + the §3.5 Figure-3/Figure-4 timeline + volatile timing;
-//! override the path with `--obs-out`), and `--dashboard` renders it as a
-//! terminal dashboard.
-//!
-//! The default mode additionally runs the scheduler **ablation** (three
-//! arms at the same per-unit budget: the static random and PCT matrices
-//! vs the coverage-guided adaptive mode) and embeds its unsampled
-//! convergence curves, the guided arm's executions-to-parity ratio, and
-//! the adaptive digests at 1/4/8 workers under `"ablation"` in
-//! `BENCH_campaign.json`. `--ablation-budget N` sets the per-unit
-//! execution budget (default 96; `0` skips the ablation).
+//! `--obs-out PATH` writes the observability report (stable metrics + the
+//! §3.5 Figure-3/Figure-4 timeline + volatile timing) as versioned JSON;
+//! `--dashboard` renders it as a terminal dashboard.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use grs::detector::default_workers;
@@ -44,12 +35,10 @@ struct Args {
     workers: usize,
     seeds: usize,
     suite: String,
-    serial_baseline: bool,
     replay: bool,
     dashboard: bool,
     ablation_budget: usize,
-    out: Option<String>,
-    obs_out: String,
+    obs_out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -57,12 +46,10 @@ fn parse_args() -> Args {
         workers: default_workers(),
         seeds: 32,
         suite: "all".to_string(),
-        serial_baseline: false,
         replay: false,
         dashboard: false,
         ablation_budget: 96,
-        out: None,
-        obs_out: "BENCH_obs.json".to_string(),
+        obs_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -74,7 +61,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = value("--workers").parse().expect("workers: integer"),
             "--seeds" => args.seeds = value("--seeds").parse().expect("seeds: integer"),
             "--suite" => args.suite = value("--suite"),
-            "--serial-baseline" => args.serial_baseline = true,
             "--replay" => args.replay = true,
             "--ablation-budget" => {
                 args.ablation_budget = value("--ablation-budget")
@@ -82,35 +68,32 @@ fn parse_args() -> Args {
                     .expect("ablation-budget: integer");
             }
             "--dashboard" => args.dashboard = true,
-            "--out" => args.out = Some(value("--out")),
-            "--obs-out" => args.obs_out = value("--obs-out"),
+            "--obs-out" => args.obs_out = Some(value("--obs-out")),
             other => panic!("unknown flag {other}"),
         }
     }
     args
 }
 
-/// Writes the observability report, optionally renders the dashboard, and
-/// prints the one-line summary either way.
+/// Writes the observability report when a path was given, optionally
+/// renders the dashboard, and prints the one-line summary either way.
 fn export_obs(args: &Args, obs: &ObsReport) {
-    std::fs::write(&args.obs_out, format!("{}\n", obs.to_json())).expect("write obs report");
+    if let Some(path) = &args.obs_out {
+        std::fs::write(path, format!("{}\n", obs.to_json())).expect("write obs report");
+        println!("wrote {path}");
+    }
     if args.dashboard {
         println!("{}", obs.dashboard());
     }
     println!(
-        "obs: {} · digest 0x{:016x} · {} observations → {} filed / {} fixed over {} days → {}",
+        "obs: {} · digest 0x{:016x} · {} observations → {} filed / {} fixed over {} days",
         obs.label,
         obs.deterministic_digest(),
         obs.timeline.observations,
         obs.timeline.total_filed,
         obs.timeline.total_fixed,
         obs.timeline.days.len(),
-        args.obs_out,
     );
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Prints the campaign's skip accounting: how many units failed to lower
@@ -129,67 +112,12 @@ fn log_skips(r: &CampaignResult) {
     }
 }
 
-fn result_json(r: &CampaignResult, label: &str) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        r#"{{"label":"{}","workers":{},"shards":{},"total_runs":{},"racy_runs":{},"unique_races":{},"detection_rate":{:.4},"wall_ms":{:.3},"throughput_rps":{:.1},"total_events":{},"events_per_sec":{:.0},"max_depot_stacks":{},"peak_shadow_words":{}"#,
-        json_escape(label),
-        r.workers,
-        r.shards,
-        r.total_runs(),
-        r.racy_runs(),
-        r.batch.len(),
-        r.detection_rate(),
-        r.wall.as_secs_f64() * 1e3,
-        r.throughput_rps(),
-        r.total_events(),
-        r.events_per_sec(),
-        r.max_depot_stacks(),
-        r.peak_shadow_words(),
-    );
-    let _ = write!(s, r#","units_skipped":{}"#, r.units_skipped);
-    s.push_str(",\"shard_latency_ms\":[");
-    for (i, st) in r.shard_stats().iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            r#"{{"shard":{},"runs":{},"total_ms":{:.3},"max_ms":{:.3}}}"#,
-            st.shard,
-            st.runs,
-            st.total.as_secs_f64() * 1e3,
-            st.max.as_secs_f64() * 1e3,
-        );
-    }
-    s.push_str("],\"convergence\":[");
-    // Subsample the curve to <= 64 points to keep the artifact small.
-    let conv = r.convergence();
-    let step = (conv.len() / 64).max(1);
-    let mut first = true;
-    for (i, (runs, unique)) in conv.iter().enumerate() {
-        if i % step != 0 && i != conv.len() - 1 {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "[{runs},{unique}]");
-    }
-    s.push_str("]}");
-    s
-}
-
 /// The suite-wide per-execution convergence curve: records are replayed
 /// in round-robin order across units (execution 0 of every unit, then
 /// execution 1, …), so point `e` is the number of distinct race
 /// fingerprints known once every unit has spent `e + 1` executions. This
 /// ordering makes arms whose in-unit schedules differ (static matrix vs
-/// adaptive exploration) comparable at equal cost, and the curve is
-/// exported unsampled — one point per execution round, not capped like
-/// the campaign summary's convergence section.
+/// adaptive exploration) comparable at equal cost.
 fn per_exec_curve(r: &CampaignResult, base_seed: u64, execs: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..r.records.len()).collect();
     order.sort_unstable_by_key(|&i| {
@@ -217,10 +145,10 @@ fn per_exec_curve(r: &CampaignResult, base_seed: u64, execs: usize) -> Vec<usize
 /// The §3.2 scheduler ablation: random and PCT static matrices vs the
 /// coverage-guided adaptive mode, each arm spending the same per-unit
 /// execution budget under the single hybrid detector. Prints a
-/// convergence panel, re-runs the guided arm at 1/4/8 workers so CI can
-/// gate digest determinism, and returns the `"ablation"` JSON object for
-/// `BENCH_campaign.json`.
-fn run_ablation(args: &Args, units: &[CampaignUnit]) -> String {
+/// convergence panel and the guided arm's executions-to-parity
+/// (`fleet/tests/guided_parity.rs` holds the parity bound and the adaptive
+/// digest at 1/4/8 workers).
+fn run_ablation(args: &Args, units: &[CampaignUnit]) {
     let budget = args.ablation_budget;
     let arm_cfg = |strategy: Strategy, workers: usize| {
         CampaignConfig::nightly()
@@ -287,76 +215,16 @@ fn run_ablation(args: &Args, units: &[CampaignUnit]) -> String {
         ),
         None => println!("   guided never reached random's {target} unique races"),
     }
-
-    // Worker placement must not leak into the adaptive mode's output:
-    // identical digests at 1, 4, and 8 workers, exported for CI to gate.
-    let digests: Vec<(usize, u64)> = [1usize, 4, 8]
-        .into_iter()
-        .map(|w| {
-            let r = Campaign::over_units(arm_cfg(Strategy::Random, w), units.to_vec())
-                .run_adaptive();
-            (w, r.digest64())
-        })
-        .collect();
-
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        r#"{{"budget_per_unit":{budget},"units":{},"target_unique":{target}"#,
-        units.len()
-    );
-    match parity {
-        Some(p) => {
-            let _ = write!(
-                s,
-                r#","guided_parity_exec":{p},"parity_ratio":{:.4}"#,
-                p as f64 / budget as f64
-            );
-        }
-        None => s.push_str(r#","guided_parity_exec":null,"parity_ratio":null"#),
-    }
-    s.push_str(r#","guided_digest_by_workers":{"#);
-    for (i, (w, d)) in digests.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, r#""{w}":"0x{d:016x}""#);
-    }
-    s.push_str(r#"},"arms":["#);
-    for (i, (label, result, curve)) in arms.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            r#"{{"label":"{label}","total_runs":{},"racy_runs":{},"unique_races":{},"novel_signatures":{},"mutated_runs":{},"convergence":["#,
-            result.total_runs(),
-            result.racy_runs(),
-            result.batch.len(),
-            result.obs.snapshot.counter("explore.novel_signatures"),
-            result.obs.snapshot.counter("explore.mutated_runs"),
-        );
-        for (j, u) in curve.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{u}");
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}");
-    s
 }
 
-/// The `--replay` benchmark: the same matrix driven twice — once
+/// The `--replay` demo: the same matrix driven twice — once
 /// executing every `(program, seed, strategy, detector)` cell live, once
 /// executing each `(program, seed, strategy)` a single time under a trace
 /// recorder and fanning the trace through all three detectors offline.
 /// Both paths must agree bit-for-bit on their deterministic output; the
 /// execute-once path wins on wall clock because scheduling dominates
-/// analysis, and this run measures by how much.
-fn run_replay_bench(args: &Args, units: Vec<CampaignUnit>) {
-    let out = args.out.clone().unwrap_or_else(|| "BENCH_replay.json".to_string());
+/// analysis.
+fn run_replay_demo(args: &Args, units: Vec<CampaignUnit>) {
     let config = CampaignConfig::nightly()
         .seeds_per_unit(args.seeds)
         .workers(args.workers)
@@ -420,32 +288,6 @@ fn run_replay_bench(args: &Args, units: Vec<CampaignUnit>) {
     println!(
         "speedup: {speedup:.2}× runs/sec over the per-detector baseline (digests agree)"
     );
-
-    let json = format!(
-        concat!(
-            r#"{{"suite":"{}","seeds_per_unit":{},"units":{},"detectors":{},"executions":{},"#,
-            r#""replays":{},"trace_events":{},"trace_bytes_total":{},"trace_bytes_max":{},"#,
-            r#""trace_bytes_avg":{},"record_wall_ms":{:.3},"replay_wall_ms":{:.3},"#,
-            r#""speedup":{:.3},"results":[{},{}]}}"#
-        ),
-        json_escape(&args.suite),
-        config.seeds_per_unit,
-        campaign.unit_count(),
-        config.detectors.len(),
-        stats.executions,
-        stats.replays,
-        stats.trace_events,
-        stats.trace_bytes_total,
-        stats.trace_bytes_max,
-        stats.avg_trace_bytes(),
-        stats.record_wall.as_secs_f64() * 1e3,
-        stats.replay_wall.as_secs_f64() * 1e3,
-        speedup,
-        result_json(&baseline, "execute-per-detector"),
-        result_json(&replayed, "execute-once-replay"),
-    );
-    std::fs::write(&out, format!("{json}\n")).expect("write JSON summary");
-    println!("wrote {out}");
 }
 
 fn main() {
@@ -461,7 +303,7 @@ fn main() {
         other => panic!("--suite must be pattern|corpus|all, got {other}"),
     };
     if args.replay {
-        run_replay_bench(&args, units);
+        run_replay_demo(&args, units);
         return;
     }
     let config = CampaignConfig::nightly()
@@ -541,47 +383,13 @@ fn main() {
         result.batch.raw_reports(),
     );
 
-    // One BENCH_obs.json for the whole turn: fold the intake stage's
+    // One obs report for the whole turn: fold the intake stage's
     // counters into the campaign's snapshot.
     let mut obs = result.obs.clone();
     obs.snapshot.merge(&intake_registry.snapshot());
     export_obs(&args, &obs);
 
-    let mut sections = vec![result_json(&result, "parallel")];
-    if args.serial_baseline {
-        let serial = campaign
-            .with_config(campaign.config().clone().workers(1))
-            .run();
-        println!(
-            "serial:   {} runs in {:.1} ms ({:.0} runs/s) — speedup {:.2}×",
-            serial.total_runs(),
-            serial.wall.as_secs_f64() * 1e3,
-            serial.throughput_rps(),
-            serial.wall.as_secs_f64() / result.wall.as_secs_f64().max(1e-9),
-        );
-        assert_eq!(
-            serial.deterministic_digest(),
-            result.deterministic_digest(),
-            "serial and parallel campaigns must agree"
-        );
-        sections.push(result_json(&serial, "serial"));
+    if args.ablation_budget > 0 {
+        run_ablation(&args, &units);
     }
-
-    let ablation = if args.ablation_budget > 0 {
-        format!(r#","ablation":{}"#, run_ablation(&args, &units))
-    } else {
-        String::new()
-    };
-
-    let json = format!(
-        r#"{{"suite":"{}","seeds_per_unit":{},"units":{},"results":[{}]{}}}"#,
-        json_escape(&args.suite),
-        config.seeds_per_unit,
-        campaign.unit_count(),
-        sections.join(","),
-        ablation,
-    );
-    let out = args.out.unwrap_or_else(|| "BENCH_campaign.json".to_string());
-    std::fs::write(&out, format!("{json}\n")).expect("write JSON summary");
-    println!("wrote {out}");
 }

@@ -9,17 +9,10 @@
 //! cargo run --release --example golint            # compiler-style lines
 //! cargo run --release --example golint -- --json  # machine-readable
 //! cargo run --release --example golint -- --sarif # SARIF 2.1.0 log
-//! cargo run --release --example golint -- --bench-out BENCH_static.json
 //! ```
-//!
-//! `--bench-out PATH` additionally runs the static-triage benchmark
-//! (rank campaign programs by lint findings, count executions to the
-//! first dynamically-confirmed race) and writes the combined scan +
-//! triage metrics to `PATH`.
 
 use grs::corpus::golint::lint_sources;
 use grs::corpus::{golint, GoCorpus, GoCorpusSpec};
-use grs::fleet::triage::{run_triage, TriageConfig};
 use grs::golite::{diag, Rule};
 use grs::patterns::gosrc;
 
@@ -27,10 +20,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
     let sarif = args.iter().any(|a| a == "--sarif");
-    let bench_out = args
-        .iter()
-        .position(|a| a == "--bench-out")
-        .and_then(|i| args.get(i + 1).cloned());
 
     // The rendition corpus: one racy file per bug shape.
     let renditions = gosrc::renditions();
@@ -99,39 +88,5 @@ fn main() {
         if n > 0 {
             println!("  {} {:<40} {n}", rule.id(), rule.to_string());
         }
-    }
-
-    if let Some(path) = bench_out {
-        println!("\n== static triage benchmark ==");
-        let outcome = run_triage(&TriageConfig::default());
-        println!(
-            "first race after {} executions triaged vs {} baseline (of {} specs)",
-            outcome
-                .triage_executions
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-            outcome
-                .baseline_executions
-                .map_or_else(|| "-".to_string(), |n| n.to_string()),
-            outcome.total_specs,
-        );
-        let rules_fired = report.per_rule.values().filter(|n| **n > 0).count();
-        let bench = format!(
-            concat!(
-                "{{\"schema_version\":1,",
-                "\"rendition_corpus\":{{\"files\":{},\"findings\":{},\"rules_fired\":{}}},",
-                "\"monorepo\":{{\"files\":{},\"lines\":{},\"findings\":{},\"per_mloc\":{:.2}}},",
-                "\"triage\":{}}}"
-            ),
-            report.files,
-            report.total(),
-            rules_fired,
-            monorepo.files,
-            lines,
-            monorepo.total(),
-            monorepo.per_mloc(lines),
-            outcome.to_json(),
-        );
-        std::fs::write(&path, bench).expect("write bench output");
-        println!("wrote {path}");
     }
 }

@@ -240,6 +240,45 @@ fn snapshot_restore_snapshot_is_byte_identical_across_cycles() {
     service.shutdown().unwrap();
 }
 
+/// Kill-and-restore through the snapshot *file*: shutdown persists the
+/// tracker, a new service started on the same path comes back with every
+/// filed task, and re-detections of the open races are suppressed as
+/// duplicates rather than filed again.
+#[test]
+fn kill_and_restore_from_disk_loses_no_task_and_refiles_nothing() {
+    let path = std::env::temp_dir().join(format!("grs_intake_restore_{}.bin", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let start = || {
+        IntakeService::builder()
+            .workers(1)
+            .snapshot_path(&path)
+            .start()
+            .unwrap()
+    };
+    let reports = corpus_reports();
+
+    let service = start();
+    service.submit_batch(&reports, 0).unwrap();
+    let first = service.with_tracker(|t| t.tasks()[0].id);
+    service.fix(first, 2, "alice", 41).unwrap();
+    let before = service.snapshot().encode();
+    let stats = service.shutdown().unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), before, "shutdown wrote the snapshot");
+
+    let restored = start();
+    assert_eq!(restored.snapshot().encode(), before);
+    assert_eq!(restored.stats().total_filed, stats.total_filed, "no task lost");
+    let fixed = restored.with_tracker(|t| t.task(first).expect("restored").fingerprint);
+    for report in &reports {
+        // The fixed task's race is legitimately filed afresh.
+        if grs::deploy::race_fingerprint(report) != fixed {
+            assert_eq!(restored.submit(report, 3).unwrap(), FileOutcome::Duplicate);
+        }
+    }
+    restored.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency property: interleaved concurrent submission from many
 // threads is equivalent to submitting the same reports serially in

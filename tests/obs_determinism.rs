@@ -1,4 +1,4 @@
-//! Observability determinism: the exported `BENCH_obs.json` is a campaign
+//! Observability determinism: the obs export is a campaign
 //! *measurement*, so it must not perturb — or be perturbed by — how the
 //! campaign executes. These tests pin the contract from three directions:
 //!
