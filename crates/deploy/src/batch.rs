@@ -20,6 +20,7 @@
 //! harness checks between serial and parallel campaigns, and that the
 //! service relies on so merge order can't change filed representatives.
 
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -30,22 +31,20 @@ use crate::fingerprint::{naive_fingerprint, race_fingerprint, Fingerprint};
 /// The total order choosing a fingerprint's representative: lowest
 /// `run_order` first, ties broken by a content key that is a pure function
 /// of the report (so which batch got there first never matters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct RepRank {
     run_order: u64,
     tie_key: u64,
 }
 
-impl RepRank {
-    fn new(run_order: u64, report: &RaceReport) -> Self {
-        // The naive fingerprint sees function names *and* line numbers in
-        // detection order, so it distinguishes the concrete manifestations
-        // that the dedup fingerprint deliberately conflates; the repro seed
-        // separates re-detections of the same lines under different runs.
-        let mut tie_key = naive_fingerprint(report).0;
-        tie_key ^= report.repro_seed.unwrap_or(0).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        RepRank { run_order, tie_key }
-    }
+/// [`RepRank::tie_key`] of `report`.
+fn content_key(report: &RaceReport) -> u64 {
+    // The naive fingerprint sees function names *and* line numbers in
+    // detection order, so it distinguishes the concrete manifestations
+    // that the dedup fingerprint deliberately conflates; the repro seed
+    // separates re-detections of the same lines under different runs.
+    let seed = report.repro_seed.unwrap_or(0);
+    naive_fingerprint(report).0 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// A deduplicated, deterministically ordered set of race reports.
@@ -70,27 +69,22 @@ impl RaceBatch {
     /// the fingerprint was new.
     pub fn add(&mut self, report: RaceReport, run_order: u64) -> bool {
         self.raw += 1;
-        let fp = race_fingerprint(&report);
-        let rank = RepRank::new(run_order, &report);
-        match self.by_fp.entry(fp) {
-            Entry::Vacant(v) => {
-                v.insert((rank, report));
-                true
-            }
-            Entry::Occupied(mut o) => {
-                if rank < o.get().0 {
-                    o.insert((rank, report));
-                }
-                false
-            }
-        }
+        let tie_key = content_key(&report);
+        self.offer(race_fingerprint(&report), run_order, Some(tie_key), report)
     }
 
-    /// Records `n` additional raw reports that were already deduplicated
-    /// upstream (e.g. by a campaign's concurrent dedup stage), so
-    /// [`RaceBatch::raw_reports`] reflects true detection volume.
-    pub fn note_raw_reports(&mut self, n: u64) {
-        self.raw += n;
+    /// [`RaceBatch::add`] for a producer that already holds the report's
+    /// [`race_fingerprint`] and whose `run_order`s are its own (a
+    /// campaign's spec indices): equal orders are then reports of one run
+    /// in detection order, and the first one offered stays.
+    pub fn add_fingerprinted(
+        &mut self,
+        fp: Fingerprint,
+        report: RaceReport,
+        run_order: u64,
+    ) -> bool {
+        self.raw += 1;
+        self.offer(fp, run_order, None, report)
     }
 
     /// Merges another batch into this one (same representative rule, so
@@ -99,15 +93,43 @@ impl RaceBatch {
     pub fn merge(&mut self, other: RaceBatch) {
         self.raw += other.raw;
         for (fp, (rank, report)) in other.by_fp {
-            match self.by_fp.entry(fp) {
-                Entry::Vacant(v) => {
-                    v.insert((rank, report));
+            self.offer(fp, rank.run_order, Some(rank.tie_key), report);
+        }
+    }
+
+    /// The representative rule, written once: `report` takes `fp`'s slot
+    /// when it is vacant or held by a higher `run_order`. Between equal
+    /// orders the lower `tie_key` holds the slot; a candidate offered
+    /// without one leaves the incumbent in place, and its content key is
+    /// computed only if it takes the slot. Returns `true` when the slot
+    /// was vacant.
+    fn offer(
+        &mut self,
+        fp: Fingerprint,
+        run_order: u64,
+        tie_key: Option<u64>,
+        report: RaceReport,
+    ) -> bool {
+        let rank = |report: &RaceReport| RepRank {
+            run_order,
+            tie_key: tie_key.unwrap_or_else(|| content_key(report)),
+        };
+        match self.by_fp.entry(fp) {
+            Entry::Vacant(v) => {
+                v.insert((rank(&report), report));
+                true
+            }
+            Entry::Occupied(mut o) => {
+                let held = o.get().0;
+                let takes = match run_order.cmp(&held.run_order) {
+                    Ordering::Less => true,
+                    Ordering::Equal => tie_key.is_some_and(|k| k < held.tie_key),
+                    Ordering::Greater => false,
+                };
+                if takes {
+                    o.insert((rank(&report), report));
                 }
-                Entry::Occupied(mut o) => {
-                    if rank < o.get().0 {
-                        o.insert((rank, report));
-                    }
-                }
+                false
             }
         }
     }

@@ -37,8 +37,8 @@ const MIN_BLOOM_BITS: usize = 1 << 10;
 #[derive(Default)]
 struct Shard {
     cached: HashSet<u64>,
-    // Insertion order, oldest first — the eviction queue. May hold stale
-    // entries for invalidated fingerprints; eviction skips those.
+    // Insertion order, oldest first — the eviction queue. Holds exactly
+    // the members of `cached`, so the word budget covers it too.
     order: VecDeque<u64>,
 }
 
@@ -161,16 +161,11 @@ impl BoundedDedup {
             return;
         }
         shard.order.push_back(h);
-        while shard.cached.len() > per_shard_cap {
-            // Oldest first; skip queue entries whose fingerprint was
-            // invalidated (already uncached) in the meantime.
-            let Some(oldest) = shard.order.pop_front() else {
-                break;
-            };
-            if shard.cached.remove(&oldest) {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.entries.fetch_sub(1, Ordering::Relaxed);
-            }
+        if shard.cached.len() > per_shard_cap {
+            let oldest = shard.order.pop_front().expect("the queue mirrors the set");
+            shard.cached.remove(&oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
         }
         let now = self.entries.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_entries.fetch_max(now, Ordering::Relaxed);
@@ -187,6 +182,9 @@ impl BoundedDedup {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if shard.cached.remove(&h) {
+            // A shard holds at most its cap of entries, so the scan is
+            // bounded by the budget, like the memory it frees.
+            shard.order.retain(|&queued| queued != h);
             self.entries.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -243,6 +241,58 @@ mod tests {
         assert!(d.evictions() > 0, "small budget must evict");
         // Evicted entries answer Unknown — the tracker takes over.
         assert_eq!(d.check(Fingerprint(0)), DedupVerdict::Unknown);
+    }
+
+    /// `n` fingerprints that all land in one shard.
+    fn same_shard(n: usize) -> Vec<Fingerprint> {
+        let shard_of = |fp| (mix(fp) >> 48) as usize % SHARDS;
+        (0..)
+            .map(Fingerprint)
+            .filter(|&fp| shard_of(fp) == shard_of(Fingerprint(0)))
+            .take(n)
+            .collect()
+    }
+
+    /// The file → fix → re-detect cycle on one fingerprint: the eviction
+    /// queue is inside the budget, not beside it.
+    #[test]
+    fn invalidated_fingerprints_leave_the_eviction_queue() {
+        let d = BoundedDedup::new(SHARDS * WORDS_PER_ENTRY * 4);
+        let per_shard_cap = d.max_entries / SHARDS;
+        let fp = Fingerprint(0xfeed);
+        for _ in 0..10_000 {
+            d.insert(fp);
+            d.invalidate(fp);
+            for shard in &d.shards {
+                let shard = shard.lock().unwrap();
+                assert!(shard.order.len() <= per_shard_cap);
+                assert_eq!(shard.order.len(), shard.cached.len());
+            }
+        }
+        assert_eq!(d.words(), 0);
+    }
+
+    /// A fingerprint fixed and re-detected is as young as its re-detection:
+    /// the eviction takes the oldest *live* entry.
+    #[test]
+    fn eviction_is_fifo_over_live_entries() {
+        let d = BoundedDedup::new(SHARDS * WORDS_PER_ENTRY * 2); // 2 entries/shard
+        let [a, b, c] = same_shard(3)[..] else {
+            unreachable!()
+        };
+        d.insert(a);
+        d.invalidate(a);
+        d.insert(b);
+        d.insert(a);
+        d.insert(c);
+        assert_eq!(d.evictions(), 1);
+        assert_eq!(
+            d.check(b),
+            DedupVerdict::Unknown,
+            "b is the oldest live entry"
+        );
+        assert_eq!(d.check(a), DedupVerdict::CachedOpen);
+        assert_eq!(d.check(c), DedupVerdict::CachedOpen);
     }
 
     #[test]

@@ -1,23 +1,56 @@
-//! Property tests for the deployment pipeline: fingerprint invariances
-//! (§3.3.1) and tracker bookkeeping under random workloads.
-
-
-// Gated behind the `props` feature: proptest is an external crate and
-// the tier-1 build must succeed without registry access (restore the
-// dev-dependency to run these).
-#![cfg(feature = "props")]
+//! Seeded property tests for the deployment pipeline: fingerprint
+//! invariances (§3.3.1) and tracker bookkeeping under random workloads.
+//!
+//! Each property is checked over a few hundred cases drawn from a
+//! fixed-seed `StdRng` (the vendored `rand` stub), so failures are
+//! perfectly reproducible: the case index pins the inputs.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use grs_clock::Lockset;
 use grs_deploy::{naive_fingerprint, race_fingerprint, BugTracker, Fingerprint};
 use grs_detector::{DetectorKind, RaceAccess, RaceReport};
 use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
 
-fn arb_chain() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec("[A-Z][a-z]{1,6}", 1..5)
+const CASES: usize = 400;
+
+/// Runs `body` over `CASES` cases from a per-property deterministic rng.
+fn check(seed: u64, mut body: impl FnMut(usize, &mut StdRng)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        body(case, &mut rng);
+    }
+}
+
+/// `len` letters starting at `first`, e.g. an object name or the tail of
+/// a function name.
+fn letters(rng: &mut StdRng, first: u8, len: usize) -> String {
+    (0..len)
+        .map(|_| char::from(first + rng.gen_range(0..26u8)))
+        .collect()
+}
+
+/// A shared object's name: 1..=8 lowercase letters.
+fn gen_object(rng: &mut StdRng) -> String {
+    let len = rng.gen_range(1..9usize);
+    letters(rng, b'a', len)
+}
+
+/// A call chain of 1..=4 capitalized function names.
+fn gen_chain(rng: &mut StdRng) -> Vec<String> {
+    (0..rng.gen_range(1..5usize))
+        .map(|_| {
+            let tail = rng.gen_range(1..7usize);
+            letters(rng, b'A', 1) + &letters(rng, b'a', tail)
+        })
+        .collect()
+}
+
+fn gen_lines(rng: &mut StdRng) -> Vec<u32> {
+    (0..8).map(|_| rng.gen_range(0..1000u32)).collect()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -69,95 +102,101 @@ fn report(
         },
         detector: DetectorKind::Tsan,
         program: None,
-            repro_seed: None,
-            repro: None,
+        repro_seed: None,
+        repro: None,
     }
 }
 
-proptest! {
-    /// The paper fingerprint ignores every line number in the report.
-    #[test]
-    fn fingerprint_ignores_all_line_numbers(
-        object in "[a-z]{1,8}",
-        chain_a in arb_chain(),
-        chain_b in arb_chain(),
-        lines1 in prop::collection::vec(0u32..1000, 8),
-        lines2 in prop::collection::vec(0u32..1000, 8),
-    ) {
-        let r1 = report(&object, &chain_a, &lines1[..4], &chain_b, &lines1[4..], lines1[0], lines1[1]);
-        let r2 = report(&object, &chain_a, &lines2[..4], &chain_b, &lines2[4..], lines2[0], lines2[1]);
-        prop_assert_eq!(race_fingerprint(&r1), race_fingerprint(&r2));
-    }
+/// The paper fingerprint ignores every line number in the report.
+#[test]
+fn fingerprint_ignores_all_line_numbers() {
+    check(0xF1, |case, rng| {
+        let (object, chain_a, chain_b) = (gen_object(rng), gen_chain(rng), gen_chain(rng));
+        let at = |lines: Vec<u32>| {
+            let (a, b) = lines.split_at(4);
+            report(&object, &chain_a, a, &chain_b, b, lines[0], lines[1])
+        };
+        let (r1, r2) = (at(gen_lines(rng)), at(gen_lines(rng)));
+        assert_eq!(race_fingerprint(&r1), race_fingerprint(&r2), "case {case}");
+    });
+}
 
-    /// Swapping the two call chains (the other detection order) does not
-    /// change the fingerprint.
-    #[test]
-    fn fingerprint_is_orientation_free(
-        object in "[a-z]{1,8}",
-        chain_a in arb_chain(),
-        chain_b in arb_chain(),
-    ) {
+/// Swapping the two call chains (the other detection order) does not
+/// change the fingerprint.
+#[test]
+fn fingerprint_is_orientation_free() {
+    check(0x0F, |case, rng| {
+        let (object, chain_a, chain_b) = (gen_object(rng), gen_chain(rng), gen_chain(rng));
         let fwd = report(&object, &chain_a, &[], &chain_b, &[], 1, 2);
         let mut rev = report(&object, &chain_b, &[], &chain_a, &[], 2, 1);
         std::mem::swap(&mut rev.prior.kind, &mut rev.current.kind);
-        prop_assert_eq!(race_fingerprint(&fwd), race_fingerprint(&rev));
-    }
+        assert_eq!(
+            race_fingerprint(&fwd),
+            race_fingerprint(&rev),
+            "case {case}"
+        );
+    });
+}
 
-    /// Distinct chains (almost) never collide — and whenever the paper
-    /// fingerprint separates two reports, so does identity of their chains.
-    #[test]
-    fn distinct_chains_get_distinct_fingerprints(
-        object in "[a-z]{1,8}",
-        chain_a in arb_chain(),
-        chain_b in arb_chain(),
-        chain_c in arb_chain(),
-    ) {
-        prop_assume!(chain_b != chain_c);
-        let r1 = report(&object, &chain_a, &[], &chain_b, &[], 1, 2);
-        let r2 = report(&object, &chain_a, &[], &chain_c, &[], 1, 2);
-        // Orientation-freedom means {a,b} vs {a,c} may still coincide when
-        // sorting reorders them into the same pair; rule that out.
-        let mut p1 = [chain_a.clone(), chain_b];
-        let mut p2 = [chain_a, chain_c];
+/// Distinct chains (almost) never collide — and whenever the paper
+/// fingerprint separates two reports, so does identity of their chains.
+#[test]
+fn distinct_chains_get_distinct_fingerprints() {
+    check(0xD1, |case, rng| {
+        let object = gen_object(rng);
+        let (chain_a, chain_b, chain_c) = (gen_chain(rng), gen_chain(rng), gen_chain(rng));
+        // Orientation-freedom means {a,b} vs {a,c} coincide when sorting
+        // reorders them into the same pair; skip those draws.
+        let mut p1 = [chain_a.clone(), chain_b.clone()];
+        let mut p2 = [chain_a.clone(), chain_c.clone()];
         p1.sort();
         p2.sort();
-        prop_assume!(p1 != p2);
-        prop_assert_ne!(race_fingerprint(&r1), race_fingerprint(&r2));
-    }
+        if p1 == p2 {
+            return;
+        }
+        let r1 = report(&object, &chain_a, &[], &chain_b, &[], 1, 2);
+        let r2 = report(&object, &chain_a, &[], &chain_c, &[], 1, 2);
+        assert_ne!(race_fingerprint(&r1), race_fingerprint(&r2), "case {case}");
+    });
+}
 
-    /// The naive fingerprint IS line-sensitive (that is exactly its flaw).
-    #[test]
-    fn naive_fingerprint_changes_with_lines(
-        object in "[a-z]{1,8}",
-        chain in arb_chain(),
-        l1 in 1u32..500,
-        delta in 1u32..500,
-    ) {
+/// The naive fingerprint IS line-sensitive (that is exactly its flaw).
+#[test]
+fn naive_fingerprint_changes_with_lines() {
+    check(0x7A, |case, rng| {
+        let (object, chain) = (gen_object(rng), gen_chain(rng));
+        let l1 = rng.gen_range(1..500u32);
+        let l2 = l1 + rng.gen_range(1..500u32);
         let r1 = report(&object, &chain, &[], &chain, &[], l1, l1);
-        let r2 = report(&object, &chain, &[], &chain, &[], l1 + delta, l1 + delta);
-        prop_assert_ne!(naive_fingerprint(&r1), naive_fingerprint(&r2));
-        prop_assert_eq!(race_fingerprint(&r1), race_fingerprint(&r2));
-    }
+        let r2 = report(&object, &chain, &[], &chain, &[], l2, l2);
+        assert_ne!(
+            naive_fingerprint(&r1),
+            naive_fingerprint(&r2),
+            "case {case}"
+        );
+        assert_eq!(race_fingerprint(&r1), race_fingerprint(&r2), "case {case}");
+    });
+}
 
-    /// Tracker bookkeeping: after any interleaving of filings and fixes,
-    /// outstanding == filed - fixed, and a fingerprint has at most one open
-    /// task.
-    #[test]
-    fn tracker_accounting_invariants(
-        ops in prop::collection::vec((0u64..10, any::<bool>()), 1..60),
-    ) {
+/// Tracker bookkeeping: after any interleaving of filings and fixes,
+/// outstanding == filed - fixed, and a fingerprint has at most one open
+/// task.
+#[test]
+fn tracker_accounting_invariants() {
+    check(0x7C, |case, rng| {
         let mut tracker = BugTracker::new();
-        for (day, (fp_raw, fix_after)) in ops.into_iter().enumerate() {
-            let fp = Fingerprint(fp_raw);
-            let id = tracker.file(fp, day as u32, None);
-            if fix_after {
+        for day in 0..rng.gen_range(1..60u32) {
+            let fp = Fingerprint(rng.gen_range(0..10u64));
+            let id = tracker.file(fp, day, None);
+            if rng.gen_bool(0.5) {
                 if let Some(id) = id {
-                    tracker.fix(id, day as u32, "eng", day as u64);
+                    tracker.fix(id, day, "eng", u64::from(day));
                 }
             }
-            prop_assert_eq!(
+            assert_eq!(
                 tracker.outstanding(),
-                tracker.total_filed() - tracker.total_fixed()
+                tracker.total_filed() - tracker.total_fixed(),
+                "case {case} day {day}"
             );
             // No fingerprint may have two open tasks.
             let mut open_fps: Vec<_> = tracker
@@ -167,7 +206,11 @@ proptest! {
             let before = open_fps.len();
             open_fps.sort_unstable();
             open_fps.dedup();
-            prop_assert_eq!(open_fps.len(), before, "duplicate open fingerprints");
+            assert_eq!(
+                open_fps.len(),
+                before,
+                "case {case}: duplicate open fingerprints"
+            );
         }
-    }
+    });
 }

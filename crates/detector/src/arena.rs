@@ -23,7 +23,7 @@ use crate::explorer::DetectorChoice;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
 #[cfg(feature = "oracle")]
 use crate::legacy::{LegacyEraser, LegacyFastTrack, LegacyFastTrackConfig, LegacyTsan};
-use crate::replay::{replay_decoded_prepared, replay_prepared, ReplayAnalyzer, ReplayOutcome};
+use crate::replay::{replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 use crate::report::RaceReport;
 use crate::tsan::Tsan;
 
@@ -53,25 +53,54 @@ use crate::tsan::Tsan;
 #[derive(Debug)]
 pub struct DetectorArena {
     depot: StackDepot,
-    fasttrack: FastTrack,
-    pure_vc: FastTrack,
-    eraser: Eraser,
-    hybrid: Tsan,
-    /// When set, every run/replay dispatches to the legacy HashMap-shadow
-    /// detectors instead of the flat ones — the differential oracle the
-    /// equivalence suite compares against (test/bench builds only).
-    #[cfg(feature = "oracle")]
-    legacy: Option<Box<LegacyDetectors>>,
+    detectors: Detectors,
 }
 
-/// The legacy detector set for oracle-mode arenas.
-#[cfg(feature = "oracle")]
+/// One detector per [`DetectorChoice`].
 #[derive(Debug)]
-struct LegacyDetectors {
-    fasttrack: LegacyFastTrack,
-    pure_vc: LegacyFastTrack,
-    eraser: LegacyEraser,
-    hybrid: LegacyTsan,
+struct Detectors {
+    fasttrack: Slot,
+    pure_vc: Slot,
+    eraser: Slot,
+    hybrid: Slot,
+}
+
+/// Where the arena keeps one detector. The runtime takes its monitor by
+/// value and hands it back, so a live run moves the detector out of its
+/// slot and back in; between calls a slot is never empty.
+type Slot = Option<Box<dyn Detector>>;
+
+/// Why taking a detector out of its [`Slot`] cannot fail.
+const IN_SLOT: &str = "a detector leaves its slot only for the length of a run";
+
+impl Detectors {
+    fn of(
+        fasttrack: impl Detector + 'static,
+        pure_vc: impl Detector + 'static,
+        eraser: impl Detector + 'static,
+        hybrid: impl Detector + 'static,
+    ) -> Self {
+        Detectors {
+            fasttrack: Some(Box::new(fasttrack)),
+            pure_vc: Some(Box::new(pure_vc)),
+            eraser: Some(Box::new(eraser)),
+            hybrid: Some(Box::new(hybrid)),
+        }
+    }
+
+    /// The one place a [`DetectorChoice`] becomes a detector.
+    fn slot(&mut self, choice: DetectorChoice) -> &mut Slot {
+        match choice {
+            DetectorChoice::FastTrack => &mut self.fasttrack,
+            DetectorChoice::PureVectorClock => &mut self.pure_vc,
+            DetectorChoice::Eraser => &mut self.eraser,
+            DetectorChoice::Hybrid => &mut self.hybrid,
+        }
+    }
+
+    fn get(&mut self, choice: DetectorChoice) -> &mut dyn Detector {
+        self.slot(choice).as_deref_mut().expect(IN_SLOT)
+    }
 }
 
 impl Default for DetectorArena {
@@ -87,38 +116,30 @@ impl DetectorArena {
     pub fn new() -> Self {
         DetectorArena {
             depot: StackDepot::new(),
-            fasttrack: FastTrack::new(),
-            pure_vc: FastTrack::with_config(FastTrackConfig::pure_vc()),
-            eraser: Eraser::new(),
-            hybrid: Tsan::new(),
-            #[cfg(feature = "oracle")]
-            legacy: None,
+            detectors: Detectors::of(
+                FastTrack::new(),
+                FastTrack::with_config(FastTrackConfig::pure_vc()),
+                Eraser::new(),
+                Tsan::new(),
+            ),
         }
     }
 
-    /// An arena whose runs and replays go through the **legacy**
-    /// HashMap-shadow detectors — the reference implementation the flat
-    /// shadow memory is pinned against. Available in test/bench builds
-    /// only (`oracle` feature).
+    /// An arena over the **legacy** HashMap-shadow detectors — the
+    /// reference implementation the flat shadow memory is pinned against.
+    /// Available in test/bench builds only (`oracle` feature).
     #[cfg(feature = "oracle")]
     #[must_use]
     pub fn new_oracle() -> Self {
         DetectorArena {
-            legacy: Some(Box::new(LegacyDetectors {
-                fasttrack: LegacyFastTrack::new(),
-                pure_vc: LegacyFastTrack::with_config(LegacyFastTrackConfig::pure_vc()),
-                eraser: LegacyEraser::new(),
-                hybrid: LegacyTsan::new(),
-            })),
-            ..DetectorArena::new()
+            depot: StackDepot::new(),
+            detectors: Detectors::of(
+                LegacyFastTrack::new(),
+                LegacyFastTrack::with_config(LegacyFastTrackConfig::pure_vc()),
+                LegacyEraser::new(),
+                LegacyTsan::new(),
+            ),
         }
-    }
-
-    /// Whether this arena dispatches to the legacy oracle detectors.
-    #[cfg(feature = "oracle")]
-    #[must_use]
-    pub fn is_oracle(&self) -> bool {
-        self.legacy.is_some()
     }
 
     /// The arena's stack depot. After a [`DetectorArena::run`], report
@@ -137,87 +158,13 @@ impl DetectorArena {
         program: &Program,
         cfg: RunConfig,
     ) -> (RunOutcome, Vec<RaceReport>) {
-        #[cfg(feature = "oracle")]
-        if self.legacy.is_some() {
-            return self.run_legacy(choice, program, cfg);
-        }
-        let runtime = Runtime::new(cfg);
-        // `run_with_depot` takes the monitor by value and hands it back; the
-        // `mem::take` placeholder is an empty detector that is immediately
-        // overwritten, so no warmed state is lost.
-        match choice {
-            DetectorChoice::FastTrack => {
-                let m = std::mem::take(&mut self.fasttrack);
-                let (o, mut m) = runtime.run_with_depot(program, m, &self.depot);
-                let reports = m.take_reports();
-                self.fasttrack = m;
-                (o, reports)
-            }
-            DetectorChoice::PureVectorClock => {
-                let m = std::mem::take(&mut self.pure_vc);
-                let (o, mut m) = runtime.run_with_depot(program, m, &self.depot);
-                let reports = m.take_reports();
-                self.pure_vc = m;
-                (o, reports)
-            }
-            DetectorChoice::Eraser => {
-                let m = std::mem::take(&mut self.eraser);
-                let (o, mut m) = runtime.run_with_depot(program, m, &self.depot);
-                let reports = m.take_reports();
-                self.eraser = m;
-                (o, reports)
-            }
-            DetectorChoice::Hybrid => {
-                let m = std::mem::take(&mut self.hybrid);
-                let (o, mut m) = runtime.run_with_depot(program, m, &self.depot);
-                let reports = m.take_reports();
-                self.hybrid = m;
-                (o, reports)
-            }
-        }
-    }
-
-    /// [`DetectorArena::run`] through the legacy oracle detectors.
-    #[cfg(feature = "oracle")]
-    fn run_legacy(
-        &mut self,
-        choice: DetectorChoice,
-        program: &Program,
-        cfg: RunConfig,
-    ) -> (RunOutcome, Vec<RaceReport>) {
-        let runtime = Runtime::new(cfg);
-        let DetectorArena { depot, legacy, .. } = self;
-        let legacy = legacy.as_mut().expect("checked by caller");
-        match choice {
-            DetectorChoice::FastTrack => {
-                let m = std::mem::take(&mut legacy.fasttrack);
-                let (o, mut m) = runtime.run_with_depot(program, m, depot);
-                let reports = m.take_reports();
-                legacy.fasttrack = m;
-                (o, reports)
-            }
-            DetectorChoice::PureVectorClock => {
-                let m = std::mem::take(&mut legacy.pure_vc);
-                let (o, mut m) = runtime.run_with_depot(program, m, depot);
-                let reports = m.take_reports();
-                legacy.pure_vc = m;
-                (o, reports)
-            }
-            DetectorChoice::Eraser => {
-                let m = std::mem::take(&mut legacy.eraser);
-                let (o, mut m) = runtime.run_with_depot(program, m, depot);
-                let reports = m.take_reports();
-                legacy.eraser = m;
-                (o, reports)
-            }
-            DetectorChoice::Hybrid => {
-                let m = std::mem::take(&mut legacy.hybrid);
-                let (o, mut m) = runtime.run_with_depot(program, m, depot);
-                let reports = m.take_reports();
-                legacy.hybrid = m;
-                (o, reports)
-            }
-        }
+        let slot = self.detectors.slot(choice);
+        let detector = slot.take().expect(IN_SLOT);
+        let (outcome, mut detector) =
+            Runtime::new(cfg).run_with_depot(program, detector, &self.depot);
+        let reports = detector.take_reports();
+        *slot = Some(detector);
+        (outcome, reports)
     }
 
     /// [`DetectorArena::run`] with observability: wraps the run in a
@@ -240,95 +187,33 @@ impl DetectorArena {
         (outcome, reports)
     }
 
-    fn analyzer_mut(&mut self, choice: DetectorChoice) -> &mut dyn ReplayAnalyzer {
-        #[cfg(feature = "oracle")]
-        if let Some(legacy) = &mut self.legacy {
-            return match choice {
-                DetectorChoice::FastTrack => &mut legacy.fasttrack,
-                DetectorChoice::PureVectorClock => &mut legacy.pure_vc,
-                DetectorChoice::Eraser => &mut legacy.eraser,
-                DetectorChoice::Hybrid => &mut legacy.hybrid,
-            };
-        }
-        match choice {
-            DetectorChoice::FastTrack => &mut self.fasttrack,
-            DetectorChoice::PureVectorClock => &mut self.pure_vc,
-            DetectorChoice::Eraser => &mut self.eraser,
-            DetectorChoice::Hybrid => &mut self.hybrid,
-        }
-    }
-
     /// Analyzes a recorded trace offline under `choice`, reusing this
     /// arena's detector instance. Rebuilds the trace's depot snapshot into
     /// the arena depot, so report `stack_id`s resolve through
     /// [`DetectorArena::depot`] afterwards. Reports are bit-identical to a
     /// live [`DetectorArena::run`] of the recorded `(seed, strategy)`.
     pub fn replay(&mut self, choice: DetectorChoice, trace: &Trace) -> ReplayOutcome {
-        trace.rebuild_depot_into(&self.depot);
-        let depot = self.depot.clone();
-        replay_prepared(self.analyzer_mut(choice), trace, &depot)
+        replay_trace(self.detectors.get(choice), trace, &self.depot)
     }
 
-    /// Fans one recorded trace through **all four** detector algorithms —
-    /// the execute-once/analyze-many core of the replay campaign. The
-    /// depot snapshot is rebuilt once and shared; each algorithm's reports
-    /// are pinned bit-identical to its live run by the replay-fidelity
-    /// tests.
+    /// Replays one recorded trace under **all four** detector algorithms.
+    /// Each algorithm's reports are pinned bit-identical to its live run by
+    /// the replay-fidelity tests.
     pub fn replay_all(&mut self, trace: &Trace) -> Vec<(DetectorChoice, ReplayOutcome)> {
-        self.replay_many(trace, &DetectorChoice::all_with_ablation())
-    }
-
-    /// Fans one recorded trace through the given detector algorithms,
-    /// rebuilding the depot snapshot once and sharing it — the campaign
-    /// engine's path for arbitrary configured detector subsets.
-    pub fn replay_many(
-        &mut self,
-        trace: &Trace,
-        choices: &[DetectorChoice],
-    ) -> Vec<(DetectorChoice, ReplayOutcome)> {
-        self.replay_many_observed(trace, choices, &grs_obs::NULL_SINK)
-    }
-
-    /// [`DetectorArena::replay_many`] with observability: the depot rebuild
-    /// is spanned as `replay.decode`, each offline analysis as
-    /// `replay.analyze`, and every analysis reports the same stable
-    /// counters a live observed run would (`detector.runs`,
-    /// `runtime.events`, depot/shadow gauges) — which is what keeps the
-    /// exported metrics identical between live and replay campaigns.
-    pub fn replay_many_observed(
-        &mut self,
-        trace: &Trace,
-        choices: &[DetectorChoice],
-        sink: &dyn ObsSink,
-    ) -> Vec<(DetectorChoice, ReplayOutcome)> {
-        {
-            let _span = SpanGuard::enter(sink, "replay.decode");
-            trace.rebuild_depot_into(&self.depot);
-        }
-        let depot = self.depot.clone();
-        choices
-            .iter()
-            .map(|&choice| {
-                let out = {
-                    let _span = SpanGuard::enter(sink, "replay.analyze");
-                    replay_prepared(self.analyzer_mut(choice), trace, &depot)
-                };
-                sink.add("detector.runs", 1);
-                sink.add("replay.analyses", 1);
-                sink.add("runtime.events", out.events);
-                sink.gauge_max("runtime.depot_stacks", trace.stacks.len() as u64);
-                sink.gauge_max("detector.peak_shadow_words", out.peak_shadow_words as u64);
-                (choice, out)
-            })
+        DetectorChoice::all_with_ablation()
+            .into_iter()
+            .map(|choice| (choice, self.replay(choice, trace)))
             .collect()
     }
 
-    /// The batch-decoded counterpart of
-    /// [`DetectorArena::replay_many_observed`]: fans one [`DecodedTrace`]
-    /// through the given algorithms via each analyzer's SoA hot loop. The
-    /// depot snapshot is rebuilt once and shared; reports, event counts,
-    /// peak-shadow samples, and every stable counter are bit-identical to
-    /// the scalar path, with two extra replay-only counters
+    /// Fans one [`DecodedTrace`] through the given algorithms via each
+    /// detector's struct-of-arrays hot loop — the execute-once/analyze-many
+    /// core of the replay campaign. The depot snapshot is rebuilt once
+    /// (spanned as `replay.decode`) and shared; each analysis is spanned as
+    /// `replay.analyze` and reports the same stable counters a live
+    /// observed run would (`detector.runs`, `runtime.events`, depot/shadow
+    /// gauges) — which is what keeps the exported metrics identical between
+    /// live and replay campaigns — plus two replay-only counters
     /// (`replay.batches`, `replay.batch_events`) capturing batching volume.
     pub fn replay_many_decoded_observed(
         &mut self,
@@ -340,13 +225,12 @@ impl DetectorArena {
             let _span = SpanGuard::enter(sink, "replay.decode");
             decoded.rebuild_depot_into(&self.depot);
         }
-        let depot = self.depot.clone();
         choices
             .iter()
             .map(|&choice| {
                 let out = {
                     let _span = SpanGuard::enter(sink, "replay.analyze");
-                    replay_decoded_prepared(self.analyzer_mut(choice), decoded, &depot)
+                    replay_decoded_prepared(self.detectors.get(choice), decoded, &self.depot)
                 };
                 sink.add("detector.runs", 1);
                 sink.add("replay.analyses", 1);
@@ -364,31 +248,8 @@ impl DetectorArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::tests::racy_program;
     use grs_runtime::Strategy;
-
-    fn racy_program() -> Program {
-        Program::new("racy_counter", |ctx| {
-            let x = ctx.cell("x", 0i64);
-            let mu = ctx.mutex("mu");
-            let done = ctx.chan::<()>("done", 2);
-            for g in 0..2 {
-                let (x, mu, done) = (x.clone(), mu.clone(), done.clone());
-                ctx.go("w", move |ctx| {
-                    if g == 0 {
-                        mu.lock(ctx);
-                        ctx.update(&x, |v| v + 1);
-                        mu.unlock(ctx);
-                    } else {
-                        ctx.update(&x, |v| v + 1);
-                    }
-                    done.send(ctx, ());
-                });
-            }
-            for _ in 0..2 {
-                let _ = done.recv(ctx);
-            }
-        })
-    }
 
     /// The arena path must be report-for-report identical to fresh
     /// detectors, for every algorithm, across interleavings — reuse is an

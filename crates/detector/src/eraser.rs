@@ -20,10 +20,12 @@ use std::sync::Arc;
 
 use grs_clock::{LockId, Lockset, LocksetId, LocksetInterner};
 use grs_runtime::event::{Event, EventKind, LockMode};
+use grs_runtime::trace::tag;
 use grs_runtime::{
     AccessKind, Addr, DecodedTrace, Gid, Monitor, SourceLoc, StackDepot, StackId,
 };
 
+use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceAccess, RaceReport};
 
 /// Eraser's per-variable state machine.
@@ -142,11 +144,6 @@ impl Eraser {
     #[must_use]
     pub fn into_reports(self) -> Vec<RaceReport> {
         self.reports
-    }
-
-    /// Takes the accumulated reports, leaving the detector reusable.
-    pub fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
     }
 
     /// Clears all per-run state, keeping container allocations warm. Called
@@ -313,7 +310,7 @@ impl Eraser {
         for i in 0..n {
             let gid = Gid(gids[i]);
             match tags[i] {
-                2 => {
+                tag::ACCESS => {
                     let loc = SourceLoc {
                         file: file_table[files[i] as usize],
                         line: lines[i],
@@ -329,8 +326,8 @@ impl Eraser {
                     // Shadow words only change on access events.
                     peak = peak.max(self.shadow_words());
                 }
-                3 => self.on_acquire(gid, prims[i], lock_modes[i]),
-                4 => self.on_release(gid, prims[i]),
+                tag::ACQUIRE => self.on_acquire(gid, prims[i], lock_modes[i]),
+                tag::RELEASE => self.on_release(gid, prims[i]),
                 _ => {}
             }
         }
@@ -365,5 +362,15 @@ impl Monitor for Eraser {
         // One candidate-set slot plus one last-access slot per tracked
         // variable — Eraser's shadow footprint is constant per variable.
         2 * self.live_vars
+    }
+}
+
+impl Detector for Eraser {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        std::mem::take(&mut self.reports)
+    }
+
+    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
+        self.replay_decoded_core(decoded)
     }
 }

@@ -9,25 +9,15 @@
 //! probability, which the deployment simulator (`grs-deploy`) uses as the
 //! flakiness parameter of daily test runs.
 //!
-//! Two execution paths produce identical aggregates:
 //!
-//! * [`Explorer::explore`] — runs every seed on the calling thread, and
-//! * [`Explorer::explore_parallel`] — fans the same seed range out over
-//!   [`ExploreConfig::workers`] OS threads. Each `(program, seed,
-//!   strategy, detector)` run is a self-contained deterministic
-//!   [`Runtime`] instance, so the per-seed race reports are byte-identical
-//!   to the serial path; only wall-clock time changes. Results are folded
-//!   back in seed order, so even the aggregate dedup order matches.
+//! The explorer runs every seed on the calling thread; the parallel driver
+//! over many programs is the campaign engine (`grs-fleet`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use grs_runtime::{Program, RunConfig, RunOutcome, Strategy, Trace};
 
-use grs_runtime::{Program, RunConfig, RunOutcome, Runtime, Strategy};
-
-use crate::eraser::Eraser;
-use crate::fasttrack::{FastTrack, FastTrackConfig};
+use crate::arena::DetectorArena;
+use crate::replay::ReplayOutcome;
 use crate::report::RaceReport;
-use crate::tsan::Tsan;
 
 /// Which detection algorithm a run is monitored with.
 ///
@@ -84,29 +74,11 @@ impl DetectorChoice {
         }
     }
 
-    /// Executes one run of `program` under this detector.
+    /// Executes one run of `program` under a fresh instance of this
+    /// detector.
     #[must_use]
     pub fn run(self, program: &Program, cfg: RunConfig) -> (RunOutcome, Vec<RaceReport>) {
-        let runtime = Runtime::new(cfg);
-        match self {
-            DetectorChoice::FastTrack => {
-                let (o, m) = runtime.run(program, FastTrack::new());
-                (o, m.into_reports())
-            }
-            DetectorChoice::PureVectorClock => {
-                let (o, m) =
-                    runtime.run(program, FastTrack::with_config(FastTrackConfig::pure_vc()));
-                (o, m.into_reports())
-            }
-            DetectorChoice::Eraser => {
-                let (o, m) = runtime.run(program, Eraser::new());
-                (o, m.into_reports())
-            }
-            DetectorChoice::Hybrid => {
-                let (o, m) = runtime.run(program, Tsan::new());
-                (o, m.into_reports())
-            }
-        }
+        DetectorArena::new().run(self, program, cfg)
     }
 
     /// Analyzes a recorded trace offline with a fresh instance of this
@@ -114,24 +86,8 @@ impl DetectorChoice {
     /// bit-identical to [`DetectorChoice::run`] under the same config —
     /// the replay-fidelity guarantee the record/replay subsystem rests on.
     #[must_use]
-    pub fn replay(self, trace: &grs_runtime::Trace) -> crate::replay::ReplayOutcome {
-        let depot = grs_runtime::StackDepot::new();
-        match self {
-            DetectorChoice::FastTrack => {
-                crate::replay::replay_trace(&mut FastTrack::new(), trace, &depot)
-            }
-            DetectorChoice::PureVectorClock => crate::replay::replay_trace(
-                &mut FastTrack::with_config(FastTrackConfig::pure_vc()),
-                trace,
-                &depot,
-            ),
-            DetectorChoice::Eraser => {
-                crate::replay::replay_trace(&mut Eraser::new(), trace, &depot)
-            }
-            DetectorChoice::Hybrid => {
-                crate::replay::replay_trace(&mut Tsan::new(), trace, &depot)
-            }
-        }
+    pub fn replay(self, trace: &Trace) -> ReplayOutcome {
+        DetectorArena::new().replay(self, trace)
     }
 }
 
@@ -154,9 +110,6 @@ pub struct ExploreConfig {
     pub max_steps: u64,
     /// Detection algorithm for every run.
     pub detector: DetectorChoice,
-    /// Worker threads for [`Explorer::explore_parallel`]. Defaults to the
-    /// host's available parallelism; `explore` ignores it.
-    pub workers: usize,
 }
 
 /// The host's available parallelism, with a safe fallback of 1.
@@ -174,7 +127,7 @@ impl ExploreConfig {
     /// use grs_detector::{DetectorChoice, ExploreConfig};
     ///
     /// let cfg = ExploreConfig::new(64)
-    ///     .workers(8)
+    ///     .base_seed(7)
     ///     .detector(DetectorChoice::FastTrack);
     /// assert_eq!(cfg.runs, 64);
     /// ```
@@ -197,7 +150,6 @@ impl ExploreConfig {
             strategy: Strategy::Random,
             max_steps: 1_000_000,
             detector: DetectorChoice::Hybrid,
-            workers: default_workers(),
         }
     }
 
@@ -235,14 +187,6 @@ impl ExploreConfig {
     #[must_use]
     pub fn detector(mut self, detector: DetectorChoice) -> Self {
         self.detector = detector;
-        self
-    }
-
-    /// Sets the worker-thread count for `explore_parallel` (builder style).
-    /// Clamped to at least 1.
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 
@@ -301,9 +245,6 @@ impl ExploreResult {
     }
 }
 
-/// One run's raw output, tagged with its index for in-order folding.
-type IndexedRun = (usize, RunOutcome, Vec<RaceReport>);
-
 /// Reruns programs under many schedules and aggregates the races.
 ///
 /// See the crate-level example.
@@ -334,13 +275,13 @@ impl Explorer {
         }
     }
 
-    /// Folds per-run results (sorted by run index) into the aggregate. This
-    /// is the single aggregation path shared by the serial and parallel
-    /// explorers, so the two produce identical results by construction.
-    fn fold(&self, program: &Program, runs: Vec<IndexedRun>) -> ExploreResult {
+    /// Explores `program`, returning aggregated races and statistics. One
+    /// detector instance monitors every run.
+    #[must_use]
+    pub fn explore(&self, program: &Program) -> ExploreResult {
         let mut result = ExploreResult {
             program: program.name().to_string(),
-            runs: runs.len(),
+            runs: self.config.runs,
             racy_runs: 0,
             unique_races: Vec::new(),
             deadlock_runs: 0,
@@ -348,9 +289,11 @@ impl Explorer {
             error_runs: 0,
             sample_outcome: None,
         };
+        let mut arena = DetectorArena::new();
         let mut seen = std::collections::HashSet::new();
-        for (i, outcome, reports) in runs {
+        for i in 0..self.config.runs {
             let seed = self.config.base_seed + i as u64;
+            let (outcome, reports) = arena.run(self.config.detector, program, self.run_config(i));
             if !reports.is_empty() {
                 result.racy_runs += 1;
             }
@@ -379,60 +322,6 @@ impl Explorer {
             }
         }
         result
-    }
-
-    /// Explores `program` serially, returning aggregated races and
-    /// statistics.
-    #[must_use]
-    pub fn explore(&self, program: &Program) -> ExploreResult {
-        let runs = (0..self.config.runs)
-            .map(|i| {
-                let (outcome, reports) = self.config.detector.run(program, self.run_config(i));
-                (i, outcome, reports)
-            })
-            .collect();
-        self.fold(program, runs)
-    }
-
-    /// Explores `program` with the seed range fanned out over
-    /// [`ExploreConfig::workers`] OS threads.
-    ///
-    /// Workers claim run indices from a shared atomic counter (cheap
-    /// work-stealing: no run is ever assigned twice and no worker idles
-    /// while work remains). Each run is an independent deterministic
-    /// [`Runtime`] instance, and results are folded in run order, so the
-    /// output — including the order of `unique_races` — is identical to
-    /// [`Explorer::explore`] for any worker count.
-    #[must_use]
-    pub fn explore_parallel(&self, program: &Program) -> ExploreResult {
-        let workers = self.config.workers.max(1).min(self.config.runs.max(1));
-        if workers <= 1 {
-            return self.explore(program);
-        }
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<IndexedRun>> =
-            Mutex::new(Vec::with_capacity(self.config.runs));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= self.config.runs {
-                        break;
-                    }
-                    let (outcome, reports) =
-                        self.config.detector.run(program, self.run_config(i));
-                    collected
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((i, outcome, reports));
-                });
-            }
-        });
-        let mut runs = collected
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        runs.sort_by_key(|(i, _, _)| *i);
-        self.fold(program, runs)
     }
 }
 
@@ -465,29 +354,6 @@ mod tests {
         assert!(r.detection_rate().is_finite());
         assert!(!r.found_race());
         assert!(r.sample_outcome.is_none());
-    }
-
-    #[test]
-    fn workers_knob_defaults_to_available_parallelism() {
-        assert_eq!(ExploreConfig::quick().workers, default_workers());
-        assert!(ExploreConfig::quick().workers(0).workers >= 1);
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let p = racy_program();
-        let cfg = ExploreConfig::quick().runs(16);
-        let serial = Explorer::new(cfg.clone()).explore(&p);
-        for workers in [1, 2, 4] {
-            let par = Explorer::new(cfg.clone().workers(workers)).explore_parallel(&p);
-            assert_eq!(par.runs, serial.runs);
-            assert_eq!(par.racy_runs, serial.racy_runs, "workers={workers}");
-            assert_eq!(par.unique_races.len(), serial.unique_races.len());
-            for (a, b) in par.unique_races.iter().zip(serial.unique_races.iter()) {
-                assert_eq!(a.site_key(), b.site_key());
-                assert_eq!(a.repro_seed, b.repro_seed);
-            }
-        }
     }
 
     #[test]

@@ -34,10 +34,12 @@ use std::sync::Arc;
 
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_runtime::event::{Event, EventKind, LockMode};
+use grs_runtime::trace::tag;
 use grs_runtime::{
     AccessKind, Addr, DecodedTrace, Gid, Monitor, SourceLoc, StackDepot, StackId,
 };
 
+use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceAccess, RaceReport};
 
 /// Configuration for [`FastTrack`].
@@ -292,12 +294,6 @@ impl FastTrack {
     #[must_use]
     pub fn into_reports(self) -> Vec<RaceReport> {
         self.reports
-    }
-
-    /// Takes the accumulated reports, leaving the detector reusable (the
-    /// arena path: take reports, `reset()`, run again).
-    pub fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
     }
 
     /// Clears all per-run state while keeping container allocations warm,
@@ -808,7 +804,7 @@ impl FastTrack {
         for i in 0..n {
             let gid = Gid(gids[i]);
             match tags[i] {
-                2 => {
+                tag::ACCESS => {
                     let loc = SourceLoc {
                         file: file_table[files[i] as usize],
                         line: lines[i],
@@ -825,19 +821,21 @@ impl FastTrack {
                     // peak needs sampling only here, not per event.
                     peak = peak.max(self.shadow_words);
                 }
-                0 => self.sync_spawn(gid, Gid(prims[i] as u32)),
-                1 => self.ensure_tid(gid),
-                3 => self.sync_acquire(gid, prims[i], lock_modes[i]),
-                4 => self.sync_release(gid, prims[i], lock_modes[i]),
-                5 => self.chan_send(gid, prims[i], args_a[i]),
-                6 => self.chan_send_complete(gid, prims[i], args_a[i], args_b[i]),
-                7 => self.chan_recv(gid, prims[i], args_a[i]),
-                8 => self.chan_recv_closed(gid, prims[i]),
-                9 => self.chan_close(gid, prims[i]),
-                10 => self.wg_add(gid, prims[i], args_a[i] as i64),
-                11 => self.wg_wait(gid, prims[i]),
-                12 => self.once_executed(gid, prims[i]),
-                13 => self.once_observed(gid, prims[i]),
+                tag::SPAWN => self.sync_spawn(gid, Gid(prims[i] as u32)),
+                tag::GOROUTINE_END => self.ensure_tid(gid),
+                tag::ACQUIRE => self.sync_acquire(gid, prims[i], lock_modes[i]),
+                tag::RELEASE => self.sync_release(gid, prims[i], lock_modes[i]),
+                tag::CHAN_SEND => self.chan_send(gid, prims[i], args_a[i]),
+                tag::CHAN_SEND_COMPLETE => {
+                    self.chan_send_complete(gid, prims[i], args_a[i], args_b[i]);
+                }
+                tag::CHAN_RECV => self.chan_recv(gid, prims[i], args_a[i]),
+                tag::CHAN_RECV_CLOSED => self.chan_recv_closed(gid, prims[i]),
+                tag::CHAN_CLOSE => self.chan_close(gid, prims[i]),
+                tag::WG_ADD => self.wg_add(gid, prims[i], args_a[i] as i64),
+                tag::WG_WAIT => self.wg_wait(gid, prims[i]),
+                tag::ONCE_EXECUTED => self.once_executed(gid, prims[i]),
+                tag::ONCE_OBSERVED => self.once_observed(gid, prims[i]),
                 tag => unreachable!("tag {tag} was validated during decode"),
             }
         }
@@ -870,5 +868,15 @@ impl Monitor for FastTrack {
 
     fn shadow_words(&self) -> usize {
         self.shadow_words
+    }
+}
+
+impl Detector for FastTrack {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        std::mem::take(&mut self.reports)
+    }
+
+    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
+        self.replay_decoded_core(decoded)
     }
 }

@@ -4,164 +4,33 @@
 //! The plain [`Explorer`](crate::Explorer) treats every run as independent
 //! — seed `i` learns nothing from seed `i - 1`. That mirrors the paper's
 //! deployment (rerun the tests daily and hope), and it converges slowly on
-//! interleavings that random walks rarely visit. The guided explorer
-//! closes the loop: every run comes back with a coverage signature and the
-//! full [`ScheduleTrace`] of decisions it took, novel runs enter a
+//! interleavings that random walks rarely visit. [`ScheduleFrontier`]
+//! closes the loop for whoever drives the runs (the fleet engine's
+//! adaptive campaign mode): every run comes back with a coverage signature
+//! and the full [`ScheduleTrace`] of decisions it took, novel runs enter a
 //! frontier, and subsequent runs *mutate* a frontier schedule — truncate
 //! it at a random decision point, flip that decision to a different
 //! runnable goroutine, and let the base strategy schedule the rest —
 //! rather than starting from scratch.
 //!
 //! Mutated runs stay fully reproducible: the interleaving is a pure
-//! function of `(seed, prefix)`, so each race report carries a
-//! [`ReproArtifact`] with the prefix attached
-//! ([`ReproArtifact::guided`]), and replaying that seed with
-//! `RunConfig::schedule_prefix` re-triggers the race deterministically.
-//!
-//! Setting [`GuidedConfig::corpus`] to the whole budget disables mutation
-//! and degenerates to fresh-seed exploration under the base strategy —
-//! which is exactly the random/PCT baseline arm of the convergence
-//! ablation, so one code path produces every curve being compared.
+//! function of `(seed, prefix)`, so the driver attaches the prefix to each
+//! race report's artifact (`ReproArtifact::guided`), and replaying that
+//! seed with `RunConfig::schedule_prefix` re-triggers the race
+//! deterministically.
 
 use std::collections::{HashSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grs_runtime::{
-    calibrate_steps, Program, ReproArtifact, RunConfig, ScheduleTrace, Strategy,
-};
-
-use crate::explorer::DetectorChoice;
-use crate::report::RaceReport;
-
-/// Parameters of one guided exploration.
-#[derive(Debug, Clone)]
-pub struct GuidedConfig {
-    /// Total executions (corpus runs + mutated runs).
-    pub budget: usize,
-    /// Fresh-seed runs executed before mutation starts; also the fallback
-    /// when the frontier is empty. Clamped to `budget`.
-    pub corpus: usize,
-    /// First seed; execution `i` uses `base_seed + i`.
-    pub base_seed: u64,
-    /// Base strategy: schedules corpus runs and the suffix of every
-    /// mutated run after its prefix is exhausted.
-    pub strategy: Strategy,
-    /// Per-run step budget.
-    pub max_steps: u64,
-    /// Detection algorithm for every run.
-    pub detector: DetectorChoice,
-    /// Most recent novel schedules kept as mutation candidates; older
-    /// entries are evicted first.
-    pub frontier_cap: usize,
-}
-
-impl GuidedConfig {
-    /// A guided exploration of `budget` executions with the default knobs.
-    #[must_use]
-    pub fn new(budget: usize) -> Self {
-        GuidedConfig {
-            budget,
-            corpus: (budget / 8).clamp(1, 16),
-            base_seed: 1,
-            strategy: Strategy::Random,
-            max_steps: 1_000_000,
-            detector: DetectorChoice::Hybrid,
-            frontier_cap: 32,
-        }
-    }
-
-    /// The ablation baseline: the same budget spent entirely on fresh
-    /// seeds under `strategy`, with mutation disabled.
-    #[must_use]
-    pub fn baseline(budget: usize, strategy: Strategy) -> Self {
-        GuidedConfig::new(budget).corpus(budget).strategy(strategy)
-    }
-
-    /// Sets the corpus size (builder style).
-    #[must_use]
-    pub fn corpus(mut self, corpus: usize) -> Self {
-        self.corpus = corpus;
-        self
-    }
-
-    /// Sets the base seed (builder style).
-    #[must_use]
-    pub fn base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Sets the base strategy (builder style).
-    #[must_use]
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the detection algorithm (builder style).
-    #[must_use]
-    pub fn detector(mut self, detector: DetectorChoice) -> Self {
-        self.detector = detector;
-        self
-    }
-
-    /// Sets the per-run step budget (builder style).
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-}
-
-/// Aggregated result of one guided exploration.
-#[derive(Debug)]
-pub struct GuidedResult {
-    /// Program name.
-    pub program: String,
-    /// Executions performed (`== budget`).
-    pub executions: usize,
-    /// Distinct races across all runs (dedup by site), each carrying a
-    /// `(seed, prefix)` [`ReproArtifact`].
-    pub unique_races: Vec<RaceReport>,
-    /// Distinct coverage signatures observed — the novelty map size.
-    pub novel_signatures: usize,
-    /// Executions that ran a mutated schedule prefix (the rest were
-    /// fresh-seed corpus runs).
-    pub mutated_runs: usize,
-    /// `convergence[i]` = unique races known after execution `i` — the
-    /// executions-to-N-races curve of the scheduler ablation, unsampled.
-    pub convergence: Vec<usize>,
-}
-
-impl GuidedResult {
-    /// True when any run exposed a race.
-    #[must_use]
-    pub fn found_race(&self) -> bool {
-        !self.unique_races.is_empty()
-    }
-
-    /// The first execution count (1-based) at which `n` unique races were
-    /// known, or `None` if the exploration never got there.
-    #[must_use]
-    pub fn executions_to(&self, n: usize) -> Option<usize> {
-        if n == 0 {
-            return Some(0);
-        }
-        self.convergence.iter().position(|&u| u >= n).map(|i| i + 1)
-    }
-}
+use grs_runtime::ScheduleTrace;
 
 /// The feedback state of one guided exploration: the novelty map of
 /// coverage signatures plus the frontier of schedules that produced them.
 ///
-/// Shared between [`GuidedExplorer`] and the fleet engine's adaptive
-/// campaign mode — both drive the same propose/observe loop, so per-unit
-/// exploration behaves identically whether it runs standalone or inside a
-/// campaign. Fully deterministic: the proposal stream is a pure function
-/// of the construction seed and the observed `(coverage, schedule)`
-/// sequence.
+/// Fully deterministic: the proposal stream is a pure function of the
+/// construction seed and the observed `(coverage, schedule)` sequence.
 #[derive(Debug, Clone)]
 pub struct ScheduleFrontier {
     rng: StdRng,
@@ -172,18 +41,20 @@ pub struct ScheduleFrontier {
 }
 
 impl ScheduleFrontier {
-    /// A frontier whose mutation choices are driven by `seed`; the first
-    /// `corpus` proposals are always fresh runs, and at most
-    /// `frontier_cap` novel schedules are kept as mutation candidates.
+    /// A frontier for an exploration of `budget` executions whose
+    /// mutation choices are driven by `seed`. The first eighth of the
+    /// budget (at least 1, at most 16 executions) is the corpus — always
+    /// fresh runs — and the 32 most recent novel schedules are kept as
+    /// mutation candidates, older ones evicted first.
     #[must_use]
-    pub fn new(seed: u64, corpus: usize, frontier_cap: usize) -> Self {
+    pub fn new(seed: u64, budget: usize) -> Self {
         ScheduleFrontier {
             // Mutation choices draw from their own stream so run seeds
             // stay the plain `base_seed + i` ladder the repro artifacts
             // quote.
             rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            corpus: corpus.max(1),
-            frontier_cap: frontier_cap.max(1),
+            corpus: (budget / 8).clamp(1, 16),
+            frontier_cap: 32,
             seen: HashSet::new(),
             frontier: VecDeque::new(),
         }
@@ -240,198 +111,70 @@ impl ScheduleFrontier {
     }
 }
 
-/// The feedback-driven explorer: novelty map + schedule frontier +
-/// prefix mutation. See the module docs.
-#[derive(Debug, Clone)]
-pub struct GuidedExplorer {
-    config: GuidedConfig,
-}
-
-impl GuidedExplorer {
-    /// An explorer with the given configuration.
-    #[must_use]
-    pub fn new(config: GuidedConfig) -> Self {
-        GuidedExplorer { config }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &GuidedConfig {
-        &self.config
-    }
-
-    /// Explores `program` under the feedback loop, returning the deduped
-    /// races and the full convergence curve. Deterministic: the whole
-    /// exploration is a pure function of the config.
-    #[must_use]
-    pub fn explore(&self, program: &Program) -> GuidedResult {
-        let cfg = &self.config;
-        // PCT change points must land inside the run to mean anything;
-        // calibrate the horizon against the program's observed length.
-        let pct_horizon = match cfg.strategy {
-            Strategy::Pct { .. } => calibrate_steps(program, cfg.max_steps),
-            _ => 1_000,
-        };
-        let mut frontier = ScheduleFrontier::new(cfg.base_seed, cfg.corpus, cfg.frontier_cap);
-        let mut seen_sites = HashSet::new();
-        let mut result = GuidedResult {
-            program: program.name().to_string(),
-            executions: 0,
-            unique_races: Vec::new(),
-            novel_signatures: 0,
-            mutated_runs: 0,
-            convergence: Vec::with_capacity(cfg.budget),
-        };
-        for exec in 0..cfg.budget {
-            let seed = cfg.base_seed + exec as u64;
-            let prefix = frontier.propose(exec);
-            let mut run_cfg = RunConfig {
-                seed,
-                strategy: cfg.strategy,
-                max_steps: cfg.max_steps,
-                ..RunConfig::default()
-            }
-            .pct_horizon(pct_horizon);
-            if let Some(p) = &prefix {
-                run_cfg = run_cfg.schedule_prefix(p.clone());
-                result.mutated_runs += 1;
-            }
-            let (outcome, reports) = cfg.detector.run(program, run_cfg);
-            frontier.observe(outcome.coverage, outcome.schedule);
-            for mut r in reports {
-                r.program = Some(std::sync::Arc::from(program.name()));
-                r.repro_seed = Some(seed);
-                r.repro = Some(match &prefix {
-                    Some(p) => ReproArtifact::guided(seed, cfg.strategy, p.clone()),
-                    None => ReproArtifact::seeded(seed, cfg.strategy),
-                });
-                if seen_sites.insert(r.site_key()) {
-                    result.unique_races.push(r);
-                }
-            }
-            result.executions += 1;
-            result.convergence.push(result.unique_races.len());
-        }
-        result.novel_signatures = frontier.novel_signatures();
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grs_runtime::Runtime;
+    use grs_runtime::ScheduleDecision;
 
-    /// A two-phase race: the second worker only races when the schedule
-    /// lets both leave the barrier-ish channel dance in the rare order.
-    fn racy_program() -> Program {
-        Program::new("guided_racy", |ctx| {
-            let x = ctx.cell("x", 0i64);
-            let done = ctx.chan::<()>("done", 2);
-            for _ in 0..2 {
-                let (x, done) = (x.clone(), done.clone());
-                ctx.go("w", move |ctx| {
-                    ctx.update(&x, |v| v + 1);
-                    done.send(ctx, ());
-                });
-            }
-            for _ in 0..2 {
-                let _ = done.recv(ctx);
-            }
-        })
-    }
-
-    #[test]
-    fn guided_exploration_finds_races_and_tracks_convergence() {
-        let r = GuidedExplorer::new(GuidedConfig::new(24).base_seed(3)).explore(&racy_program());
-        assert_eq!(r.executions, 24);
-        assert_eq!(r.convergence.len(), 24);
-        assert!(r.found_race());
-        assert!(r.novel_signatures >= 1);
-        assert!(r.mutated_runs > 0, "mutation loop never engaged");
-        // Convergence is monotone and ends at the dedup total.
-        assert!(r.convergence.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*r.convergence.last().unwrap(), r.unique_races.len());
-        assert_eq!(r.executions_to(1), Some(r.convergence.iter().position(|&u| u >= 1).unwrap() + 1));
-        assert_eq!(r.executions_to(0), Some(0));
-        assert_eq!(r.executions_to(usize::MAX), None);
-    }
-
-    #[test]
-    fn guided_exploration_is_deterministic() {
-        let run = || {
-            let r = GuidedExplorer::new(GuidedConfig::new(16).base_seed(7)).explore(&racy_program());
-            (
-                r.convergence.clone(),
-                r.novel_signatures,
-                r.unique_races.iter().map(RaceReport::site_key).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn baseline_config_never_mutates() {
-        let r = GuidedExplorer::new(GuidedConfig::baseline(12, Strategy::Random))
-            .explore(&racy_program());
-        assert_eq!(r.mutated_runs, 0);
-        assert_eq!(r.executions, 12);
-    }
-
-    /// A schedule-dependent race: main only writes `x` when it observes
-    /// the worker's `y` flag, so the `x` race is exposed only under
-    /// interleavings that run the worker ahead of main's check.
-    fn rare_racy_program() -> Program {
-        Program::new("guided_rare", |ctx| {
-            let x = ctx.cell("x", 0i64);
-            let y = ctx.cell("y", 0i64);
-            let done = ctx.chan::<()>("done", 1);
-            let (x2, y2, done2) = (x.clone(), y.clone(), done.clone());
-            ctx.go("w", move |ctx| {
-                ctx.write(&y2, 1);
-                ctx.write(&x2, 1);
-                done2.send(ctx, ());
-            });
-            if ctx.read(&y) == 1 {
-                ctx.write(&x, 2);
-            }
-            let _ = done.recv(ctx);
-        })
-    }
-
-    /// The acceptance property of the whole exploration layer: a guided
-    /// race is reproducible from its `(seed, prefix)` artifact alone.
-    #[test]
-    fn guided_races_reproduce_from_their_artifact() {
-        let program = rare_racy_program();
-        let r = GuidedExplorer::new(GuidedConfig::new(32).base_seed(1).corpus(1))
-            .explore(&program);
-        let guided_race = r
-            .unique_races
-            .iter()
-            .find(|r| {
-                r.repro
-                    .as_ref()
-                    .is_some_and(|a| a.schedule_prefix.is_some())
+    /// A synthetic finished run: `exec` picks its coverage signature (so
+    /// some repeat) and the shape of its schedule.
+    fn run(exec: usize) -> (u64, ScheduleTrace) {
+        let decisions = (0..3 + exec % 5)
+            .map(|i| ScheduleDecision {
+                chosen: ((exec + i) % 3) as u32,
+                arity: 3,
             })
-            .expect("no race was found on a mutated schedule");
-        let artifact = guided_race.repro.clone().unwrap();
-        let cfg = RunConfig {
-            seed: artifact.seed,
-            strategy: artifact.strategy,
-            ..RunConfig::default()
-        }
-        .schedule_prefix(artifact.schedule_prefix.clone().unwrap());
-        let (_, reports) = DetectorChoice::Hybrid.run(&program, cfg.clone());
-        assert!(
-            reports.iter().any(|rep| rep.site_key() == guided_race.site_key()),
-            "replaying {artifact} did not re-trigger the race"
+            .collect();
+        ((exec % 7) as u64, ScheduleTrace { decisions })
+    }
+
+    /// Drives the propose/observe loop over `budget` synthetic runs.
+    fn proposals(mut frontier: ScheduleFrontier, budget: usize) -> Vec<Option<ScheduleTrace>> {
+        (0..budget)
+            .map(|exec| {
+                let prefix = frontier.propose(exec);
+                let (coverage, schedule) = run(exec);
+                frontier.observe(coverage, schedule);
+                prefix
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frontier_is_deterministic_and_mutates_after_the_corpus() {
+        let a = proposals(ScheduleFrontier::new(7, 24), 24);
+        assert_eq!(a, proposals(ScheduleFrontier::new(7, 24), 24));
+        assert_ne!(
+            a,
+            proposals(ScheduleFrontier::new(8, 24), 24),
+            "seed-sensitive"
         );
-        // And the replay is schedule-deterministic: same prefix, same trace.
-        let (o1, _) = Runtime::new(cfg.clone()).run(&program, grs_runtime::TraceHasher::new());
-        let (o2, _) = Runtime::new(cfg).run(&program, grs_runtime::TraceHasher::new());
-        assert_eq!(o1.schedule, o2.schedule);
-        assert_eq!(o1.coverage, o2.coverage);
+        // 24 / 8 = 3 corpus runs, then every proposal is a mutation.
+        assert!(a[..3].iter().all(Option::is_none));
+        assert!(
+            a[3..].iter().all(Option::is_some),
+            "mutation loop never engaged"
+        );
+    }
+
+    #[test]
+    fn a_corpus_equal_to_the_budget_never_mutates() {
+        let all_corpus = ScheduleFrontier {
+            corpus: 12,
+            ..ScheduleFrontier::new(3, 12)
+        };
+        assert!(proposals(all_corpus, 12).iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn novelty_is_counted_once_per_signature_and_the_frontier_is_capped() {
+        let mut frontier = ScheduleFrontier::new(1, 64);
+        for exec in 0..64 {
+            let (_, schedule) = run(exec);
+            assert!(frontier.observe(exec as u64, schedule.clone()));
+            assert!(!frontier.observe(exec as u64, schedule), "second sighting");
+        }
+        assert_eq!(frontier.novel_signatures(), 64);
+        assert_eq!(frontier.frontier.len(), 32);
     }
 }
-

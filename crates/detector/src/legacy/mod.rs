@@ -23,40 +23,26 @@ pub use eraser::Eraser as LegacyEraser;
 pub use fasttrack::{FastTrack as LegacyFastTrack, FastTrackConfig as LegacyFastTrackConfig};
 pub use tsan::Tsan as LegacyTsan;
 
-use grs_runtime::{Event, Monitor, StackDepot};
-
-use crate::replay::ReplayAnalyzer;
+use crate::replay::Detector;
 use crate::report::RaceReport;
 
-/// The oracle types satisfy the same replay contract as the flat
-/// detectors, through the same Monitor delegation the flat macro uses —
-/// so the replay drivers (and the batch default path, which materializes
-/// events one at a time) can drive them interchangeably.
-macro_rules! impl_legacy_replay_analyzer {
-    ($($ty:ty),+) => {$(
-        impl ReplayAnalyzer for $ty {
-            fn begin_replay(&mut self, depot: &StackDepot) {
-                Monitor::on_run_start(self, depot);
-            }
+// The reference set joins the detector seam with the trait's defaults:
+// batch input is materialized one event at a time through `on_event`.
 
-            fn replay_event(&mut self, event: &Event) {
-                Monitor::on_event(self, event);
-            }
-
-            fn finish_replay(&mut self) -> Vec<RaceReport> {
-                Monitor::on_run_end(self);
-                self.take_reports()
-            }
-
-            fn replay_shadow_words(&self) -> usize {
-                Monitor::shadow_words(self)
-            }
-        }
-    )+};
+impl Detector for fasttrack::FastTrack {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        fasttrack::FastTrack::take_reports(self)
+    }
 }
 
-impl_legacy_replay_analyzer!(
-    fasttrack::FastTrack,
-    eraser::Eraser,
-    tsan::Tsan
-);
+impl Detector for eraser::Eraser {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        eraser::Eraser::take_reports(self)
+    }
+}
+
+impl Detector for tsan::Tsan {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        tsan::Tsan::take_reports(self)
+    }
+}

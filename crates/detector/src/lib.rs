@@ -58,10 +58,8 @@ pub use arena::DetectorArena;
 pub use eraser::Eraser;
 pub use explorer::{default_workers, DetectorChoice, ExploreConfig, ExploreResult, Explorer};
 pub use fasttrack::{FastTrack, FastTrackConfig};
-pub use guided::{GuidedConfig, GuidedExplorer, GuidedResult, ScheduleFrontier};
-pub use replay::{
-    replay_decoded, replay_decoded_prepared, replay_trace, ReplayAnalyzer, ReplayOutcome,
-};
+pub use guided::ScheduleFrontier;
+pub use replay::{replay_decoded, replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};
 pub use tsan::Tsan;
 
@@ -71,8 +69,8 @@ pub mod prelude {
     pub use crate::eraser::Eraser;
     pub use crate::explorer::{default_workers, DetectorChoice, ExploreConfig, Explorer};
     pub use crate::fasttrack::FastTrack;
-    pub use crate::guided::{GuidedConfig, GuidedExplorer, GuidedResult, ScheduleFrontier};
-    pub use crate::replay::{replay_trace, ReplayAnalyzer, ReplayOutcome};
+    pub use crate::guided::ScheduleFrontier;
+    pub use crate::replay::{replay_trace, Detector, ReplayOutcome};
     pub use crate::report::{DetectorKind, RaceReport};
     pub use crate::tsan::Tsan;
 }

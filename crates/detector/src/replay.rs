@@ -1,121 +1,67 @@
-//! Offline trace replay: feed a recorded [`Trace`] through any detector.
+//! The detector seam: the [`Detector`] trait, and offline replay of a
+//! recorded trace through any implementation of it.
 //!
 //! Every detector in this crate is *schedule-independent*: its entire
 //! analysis is a fold over the totally ordered event stream delivered to
-//! `Monitor::on_event`, and the runtime's scheduler never consults the
+//! [`Monitor::on_event`], and the runtime's scheduler never consults the
 //! monitor. FastTrack is literally defined over a trace (Flanagan &
-//! Freund), and Eraser/TSan likewise only see events. That makes the
-//! live-monitoring path and this offline path two drivers of the same
-//! core — which is exactly what [`ReplayAnalyzer`] captures:
+//! Freund), and Eraser/TSan likewise only see events. The live path and
+//! the offline path are therefore two drivers of the same [`Monitor`]
+//! methods: `on_run_start` resets per-run shadow state and attaches the
+//! depot, `on_event` consumes one event, `on_run_end` flushes. A
+//! [`Detector`] adds only what a monitor lacks — a way to take the reports
+//! out, and a whole-trace entry point the flat detectors override with
+//! their struct-of-arrays hot loop.
 //!
-//! * [`ReplayAnalyzer::begin_replay`] resets per-run shadow state and
-//!   attaches the trace's rebuilt depot (the live path's `on_run_start`);
-//! * [`ReplayAnalyzer::replay_event`] is the schedule-independent
-//!   `on_event` core, unchanged;
-//! * [`ReplayAnalyzer::finish_replay`] flushes and yields the reports.
-//!
-//! The replay driver ([`replay_trace`]) also mirrors the runtime kernel's
-//! bookkeeping — events dispatched, peak shadow words sampled after every
-//! event *and* once after the end-of-run flush — so a replayed run's
-//! statistics are bit-identical to the live run's [`MonitorStats`], not
-//! just its reports.
+//! The replay drivers also mirror the runtime kernel's bookkeeping —
+//! events dispatched, peak shadow words sampled after every event *and*
+//! once after the end-of-run flush — so a replayed run's statistics are
+//! bit-identical to the live run's [`MonitorStats`], not just its reports.
 //!
 //! [`MonitorStats`]: grs_runtime::MonitorStats
 
-use grs_runtime::{DecodedTrace, Event, Monitor, StackDepot, Trace};
+use grs_runtime::{DecodedTrace, Monitor, StackDepot, Trace};
 
-use crate::eraser::Eraser;
-use crate::fasttrack::FastTrack;
 use crate::report::RaceReport;
-use crate::tsan::Tsan;
 
-/// A detector core that can analyze a recorded trace offline.
+/// A race detector: a [`Monitor`] whose findings can be taken out.
 ///
-/// Implemented by every algorithm in this crate (FastTrack, its
-/// pure-vector-clock ablation, Eraser, and the TSan hybrid). The contract:
-/// for a trace recorded from a live run, `begin_replay` + one
-/// `replay_event` per recorded event + `finish_replay` must produce
-/// reports bit-identical to what the same detector would have produced
-/// monitoring that run live.
-pub trait ReplayAnalyzer: Send {
-    /// Starts a fresh analysis: clears per-run shadow state (allocations
-    /// stay warm) and attaches the depot the trace's [`StackId`]s resolve
-    /// through.
-    ///
-    /// [`StackId`]: grs_runtime::StackId
-    fn begin_replay(&mut self, depot: &StackDepot);
-
-    /// Consumes one recorded event — the same schedule-independent core
-    /// the live `Monitor::on_event` path dispatches to.
-    fn replay_event(&mut self, event: &Event);
-
-    /// Finishes the analysis and takes the accumulated race reports,
-    /// leaving the analyzer reusable for the next trace.
-    fn finish_replay(&mut self) -> Vec<RaceReport>;
-
-    /// Current shadow-word footprint (mirrors `Monitor::shadow_words`, so
-    /// replayed peak-shadow statistics match live runs).
-    fn replay_shadow_words(&self) -> usize;
+/// Implemented by every algorithm in this crate (FastTrack and its
+/// pure-vector-clock ablation, Eraser, the TSan hybrid) and by the
+/// `legacy` reference set. The contract: for a trace recorded from a live
+/// run, `on_run_start` + one `on_event` per recorded event + `on_run_end`
+/// must leave reports bit-identical to what the same detector would have
+/// produced monitoring that run live.
+pub trait Detector: Monitor + std::fmt::Debug {
+    /// Takes the accumulated race reports, leaving the detector reusable
+    /// for the next run or trace.
+    fn take_reports(&mut self) -> Vec<RaceReport>;
 
     /// Consumes an entire batch-decoded event stream, returning the peak
     /// shadow-word count sampled after each event.
     ///
-    /// The default implementation materializes each event from the SoA
-    /// lanes and feeds it through [`ReplayAnalyzer::replay_event`] — i.e.
-    /// it routes batch input through the scalar core, which is exactly what
-    /// the legacy oracle detectors use, so flat-vs-oracle equivalence tests
-    /// compare the batch hot loop against unchanged reference semantics.
-    /// The flat detectors override this with a branch-light loop over the
-    /// plain arrays (no `Event` materialization, no `Arc` clones).
+    /// The default materializes each event from the lanes and feeds it
+    /// through [`Monitor::on_event`] — which is what the `legacy` reference
+    /// set uses, so the flat-vs-legacy equivalence tests compare the batch
+    /// hot loop against unchanged reference semantics. The flat detectors
+    /// override this with a branch-light loop over the plain arrays (no
+    /// `Event` materialization, no `Arc` clones).
     fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
         let mut peak = 0usize;
         for i in 0..decoded.len() {
-            let event = decoded.event(i);
-            self.replay_event(&event);
-            peak = peak.max(self.replay_shadow_words());
+            self.on_event(&decoded.event(i));
+            peak = peak.max(self.shadow_words());
         }
         peak
     }
 }
 
-/// The three concrete monitor types share one blanket bridge: their
-/// `Monitor` impls are already pure event folds, so the replay hooks
-/// delegate straight to them.
-macro_rules! impl_replay_analyzer {
-    ($($ty:ty),+) => {$(
-        impl ReplayAnalyzer for $ty {
-            fn begin_replay(&mut self, depot: &StackDepot) {
-                Monitor::on_run_start(self, depot);
-            }
-
-            fn replay_event(&mut self, event: &Event) {
-                Monitor::on_event(self, event);
-            }
-
-            fn finish_replay(&mut self) -> Vec<RaceReport> {
-                Monitor::on_run_end(self);
-                self.take_reports()
-            }
-
-            fn replay_shadow_words(&self) -> usize {
-                Monitor::shadow_words(self)
-            }
-
-            fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
-                self.replay_decoded_core(decoded)
-            }
-        }
-    )+};
-}
-
-impl_replay_analyzer!(FastTrack, Eraser, Tsan);
-
 /// What one offline analysis of a trace produced.
 #[derive(Debug)]
 pub struct ReplayOutcome {
-    /// The races the analyzer reported, in detection order.
+    /// The races the detector reported, in detection order.
     pub reports: Vec<RaceReport>,
-    /// Events fed to the analyzer — equals the live run's
+    /// Events fed to the detector — equals the live run's
     /// `events_dispatched` (the recorder saw every dispatched event).
     pub events: u64,
     /// Peak shadow words, sampled exactly like the live kernel does (after
@@ -123,89 +69,76 @@ pub struct ReplayOutcome {
     pub peak_shadow_words: usize,
 }
 
-/// Replays `trace` through `analyzer`, rebuilding the trace's depot
-/// snapshot into `depot` first.
+/// Ends a replay whose events have all been fed: the end-of-run flush, the
+/// reports, and the kernel's final shadow sample.
+fn finish(detector: &mut (impl Detector + ?Sized), events: usize, peak: usize) -> ReplayOutcome {
+    detector.on_run_end();
+    ReplayOutcome {
+        reports: detector.take_reports(),
+        events: events as u64,
+        peak_shadow_words: peak.max(detector.shadow_words()),
+    }
+}
+
+/// Replays `trace` through `detector` one [`Event`](grs_runtime::Event) at
+/// a time, rebuilding the trace's depot snapshot into `depot` first.
 ///
 /// The rebuilt depot reproduces the recorded id assignment exactly
 /// (first-intern order), so the `StackId`s carried by replayed access
 /// events resolve to the same stacks the live run saw.
 pub fn replay_trace(
-    analyzer: &mut (impl ReplayAnalyzer + ?Sized),
+    detector: &mut (impl Detector + ?Sized),
     trace: &Trace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
     trace.rebuild_depot_into(depot);
-    replay_prepared(analyzer, trace, depot)
-}
-
-/// Replays `trace` through `analyzer` against a depot that *already* holds
-/// the trace's stacks (e.g. rebuilt once and shared across several
-/// analyzers by [`DetectorArena::replay_all`]).
-///
-/// [`DetectorArena::replay_all`]: crate::DetectorArena::replay_all
-pub fn replay_prepared(
-    analyzer: &mut (impl ReplayAnalyzer + ?Sized),
-    trace: &Trace,
-    depot: &StackDepot,
-) -> ReplayOutcome {
-    analyzer.begin_replay(depot);
+    detector.on_run_start(depot);
     let mut peak = 0usize;
     for event in &trace.events {
-        analyzer.replay_event(event);
-        peak = peak.max(analyzer.replay_shadow_words());
+        detector.on_event(event);
+        peak = peak.max(detector.shadow_words());
     }
-    let reports = analyzer.finish_replay();
-    peak = peak.max(analyzer.replay_shadow_words());
-    ReplayOutcome {
-        reports,
-        events: trace.events.len() as u64,
-        peak_shadow_words: peak,
-    }
+    finish(detector, trace.events.len(), peak)
 }
 
-/// Replays a batch-decoded trace through `analyzer` — the fast path.
+/// Replays a batch-decoded trace through `detector` — the fast path.
 ///
 /// Rebuilds the decoded depot snapshot into `depot`, then drives the
-/// analyzer's batch loop over the SoA event lanes. Produces a
-/// [`ReplayOutcome`] bit-identical to [`replay_trace`] on the equivalent
-/// scalar-decoded [`Trace`] (same reports in the same order, same event
-/// count, same peak-shadow sampling), while skipping per-event enum
-/// materialization entirely.
+/// detector's batch loop over the event lanes. Produces a
+/// [`ReplayOutcome`] bit-identical to [`replay_trace`] on the same trace
+/// (same reports in the same order, same event count, same peak-shadow
+/// sampling), while skipping per-event enum materialization entirely.
 pub fn replay_decoded(
-    analyzer: &mut (impl ReplayAnalyzer + ?Sized),
+    detector: &mut (impl Detector + ?Sized),
     decoded: &DecodedTrace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
     decoded.rebuild_depot_into(depot);
-    replay_decoded_prepared(analyzer, decoded, depot)
+    replay_decoded_prepared(detector, decoded, depot)
 }
 
 /// [`replay_decoded`] against a depot that already holds the decoded
-/// trace's stacks (rebuilt once and shared across several analyzers by the
-/// arena's batch fan-out).
+/// trace's stacks (rebuilt once and shared across several detectors by the
+/// arena's fan-out).
 pub fn replay_decoded_prepared(
-    analyzer: &mut (impl ReplayAnalyzer + ?Sized),
+    detector: &mut (impl Detector + ?Sized),
     decoded: &DecodedTrace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
-    analyzer.begin_replay(depot);
-    let mut peak = analyzer.replay_decoded_events(decoded);
-    let reports = analyzer.finish_replay();
-    peak = peak.max(analyzer.replay_shadow_words());
-    ReplayOutcome {
-        reports,
-        events: decoded.len() as u64,
-        peak_shadow_words: peak,
-    }
+    detector.on_run_start(depot);
+    let peak = detector.replay_decoded_events(decoded);
+    finish(detector, decoded.len(), peak)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::explorer::DetectorChoice;
+    use crate::fasttrack::FastTrack;
     use grs_runtime::{record, Program, RunConfig};
 
-    fn racy_program() -> Program {
+    /// One locked and one unlocked increment of a shared counter.
+    pub(crate) fn racy_program() -> Program {
         Program::new("racy_counter", |ctx| {
             let x = ctx.cell("x", 0i64);
             let mu = ctx.mutex("mu");
@@ -253,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn analyzer_is_reusable_across_traces() {
+    fn detector_is_reusable_across_traces() {
         let p = racy_program();
         let depot = StackDepot::new();
         let mut ft = FastTrack::new();

@@ -9,9 +9,10 @@
 //! (Observation 10).
 
 use grs_runtime::event::Event;
-use grs_runtime::{Monitor, StackDepot};
+use grs_runtime::{DecodedTrace, Monitor, StackDepot};
 
 use crate::fasttrack::{FastTrack, FastTrackConfig};
+use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceReport};
 
 /// The combined detector — the default monitor for all experiments.
@@ -86,23 +87,9 @@ impl Tsan {
         self.inner.accesses_processed()
     }
 
-    /// Takes the accumulated reports, leaving the detector reusable.
-    pub fn take_reports(&mut self) -> Vec<RaceReport> {
-        self.inner.take_reports()
-    }
-
     /// Clears all per-run state, keeping allocations warm.
     pub fn reset(&mut self) {
         self.inner.reset();
-    }
-
-    /// Batch replay loop: the hybrid is FastTrack with locksets enabled, so
-    /// it reuses FastTrack's SoA dispatch verbatim.
-    pub(crate) fn replay_decoded_core(
-        &mut self,
-        decoded: &grs_runtime::DecodedTrace,
-    ) -> usize {
-        self.inner.replay_decoded_core(decoded)
     }
 }
 
@@ -117,5 +104,17 @@ impl Monitor for Tsan {
 
     fn shadow_words(&self) -> usize {
         self.inner.shadow_words()
+    }
+}
+
+/// The hybrid is FastTrack with locksets enabled, so both methods are
+/// FastTrack's.
+impl Detector for Tsan {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        self.inner.take_reports()
+    }
+
+    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
+        self.inner.replay_decoded_events(decoded)
     }
 }

@@ -136,7 +136,8 @@ fn assert_same_reports(
 fn live_runs_match_oracle() {
     let mut flat = DetectorArena::new();
     let mut oracle = DetectorArena::new_oracle();
-    assert!(oracle.is_oracle() && !flat.is_oracle());
+    // Two arenas over the same implementation would agree vacuously.
+    assert_ne!(format!("{flat:?}"), format!("{oracle:?}"));
     let mut total_reports = 0usize;
     for p in corpus() {
         for seed in 0..SEEDS {
@@ -231,7 +232,7 @@ fn batch_replay_matches_oracle_at_every_chunk_size() {
 
 /// The standalone `replay_decoded` driver agrees with the scalar
 /// `replay_trace` driver on the flat detectors themselves (no oracle in
-/// the loop): one analyzer, both drivers, same everything.
+/// the loop): one detector, both drivers, same everything.
 #[test]
 fn replay_decoded_driver_matches_scalar_driver() {
     use grs_detector::{replay_trace, FastTrack, Tsan};

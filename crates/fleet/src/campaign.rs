@@ -933,8 +933,7 @@ impl Campaign {
             self.config
                 .base_seed
                 .wrapping_add((unit_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            (execs / 8).clamp(1, 16),
-            32,
+            execs,
         );
         for exec in 0..execs {
             let seed = self.config.base_seed + exec as u64;

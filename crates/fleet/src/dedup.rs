@@ -9,17 +9,16 @@
 //! regardless of which worker got there first — so a parallel campaign's
 //! dedup output is byte-identical to the serial one.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use grs_deploy::{Fingerprint, RaceBatch};
 use grs_detector::RaceReport;
 
-/// A fingerprint-sharded concurrent dedup map.
+/// A fingerprint-sharded concurrent dedup map: each shard is a
+/// [`RaceBatch`] — which owns the representative rule — behind its lock.
 #[derive(Debug)]
 pub struct DedupMap {
-    shards: Vec<Mutex<HashMap<Fingerprint, (usize, RaceReport)>>>,
-    raw: std::sync::atomic::AtomicU64,
+    shards: Vec<Mutex<RaceBatch>>,
 }
 
 impl DedupMap {
@@ -27,52 +26,23 @@ impl DedupMap {
     #[must_use]
     pub fn new(shards: usize) -> Self {
         DedupMap {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
-            raw: std::sync::atomic::AtomicU64::new(0),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
         }
-    }
-
-    /// Total raw reports inserted (before dedup).
-    #[must_use]
-    pub fn raw_reports(&self) -> u64 {
-        self.raw.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    fn shard(&self, fp: Fingerprint) -> &Mutex<HashMap<Fingerprint, (usize, RaceReport)>> {
-        let i = (fp.0 % self.shards.len() as u64) as usize;
-        &self.shards[i]
     }
 
     /// Records `report` (found by spec `spec_index`) under `fp`. Returns
     /// `true` when the fingerprint was new. On a collision the lower spec
-    /// index keeps (or takes) the representative slot.
+    /// index keeps (or takes) the representative slot; between two reports
+    /// of one spec the first inserted keeps it.
     pub fn insert(&self, fp: Fingerprint, spec_index: usize, report: RaceReport) -> bool {
-        self.raw.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut shard = self
-            .shard(fp)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match shard.entry(fp) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((spec_index, report));
-                true
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                if spec_index < o.get().0 {
-                    o.insert((spec_index, report));
-                }
-                false
-            }
-        }
+        let i = (fp.0 % self.shards.len() as u64) as usize;
+        lock(&self.shards[i]).add_fingerprinted(fp, report, spec_index as u64)
     }
 
     /// Number of distinct fingerprints recorded.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing has been recorded.
@@ -81,25 +51,30 @@ impl DedupMap {
         self.len() == 0
     }
 
-    /// Drains the map into a deterministically ordered [`RaceBatch`]
-    /// (fingerprint-ascending, lowest-spec-index representatives).
+    /// Drains the map into one deterministically ordered [`RaceBatch`]
+    /// (fingerprint-ascending, lowest-spec-index representatives): the
+    /// shards hold disjoint fingerprints, so merging them only moves
+    /// entries and sums the raw counts.
     #[must_use]
     pub fn into_batch(self) -> RaceBatch {
-        let raw = self.raw_reports();
         let mut batch = RaceBatch::new();
         for shard in self.shards {
-            let map = shard
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (_, (spec_index, report)) in map {
-                batch.add(report, spec_index as u64);
-            }
+            batch.merge(
+                shard
+                    .into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            );
         }
-        // `add` counted one raw report per representative; top up to the
-        // true pre-dedup volume seen by the concurrent stage.
-        batch.note_raw_reports(raw.saturating_sub(batch.raw_reports()));
         batch
     }
+}
+
+/// A worker that panicked mid-insert left its shard a valid batch (an
+/// insert is one map operation), so a poisoned lock is recovered.
+fn lock(shard: &Mutex<RaceBatch>) -> MutexGuard<'_, RaceBatch> {
+    shard
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -144,6 +119,20 @@ mod tests {
         let reports = m.into_batch().into_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].repro_seed, Some(2));
+    }
+
+    #[test]
+    fn two_reports_of_one_spec_keep_the_first_inserted() {
+        let fp = Fingerprint(42);
+        for (first, second) in [("F", "G"), ("G", "F")] {
+            let m = DedupMap::new(4);
+            m.insert(fp, 3, report(first, 3));
+            m.insert(fp, 3, report(second, 3));
+            let batch = m.into_batch();
+            assert_eq!(batch.raw_reports(), 2);
+            let kept = batch.into_reports();
+            assert_eq!(kept[0].prior.stack.func_names(), [first]);
+        }
     }
 
     #[test]

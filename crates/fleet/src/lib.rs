@@ -2,7 +2,7 @@
 //!
 //! Two halves of the paper's "at scale" story live here:
 //!
-//! * [`census`] — the datacenter fleet concurrency census behind Figure 1
+//! * [`mod@census`] — the datacenter fleet concurrency census behind Figure 1
 //!   (Observation 2): per-language thread/goroutine distributions and their
 //!   CDFs, sampled from bucket models calibrated to the paper's reading.
 //! * [`campaign`] — the §3.3 nightly deployment loop made executable: a

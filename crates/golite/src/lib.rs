@@ -16,7 +16,7 @@
 //! * [`scan`] — the construct scanner producing Table 1's feature counts,
 //! * [`resolve`] — lexical scope resolution (Go's `:=` redeclaration rule,
 //!   shadowing, closure capture sets),
-//! * [`cfg`] — per-function control-flow graphs with goroutine-spawn edges
+//! * [`mod@cfg`] — per-function control-flow graphs with goroutine-spawn edges
 //!   and lock/access events,
 //! * [`lockset`] — an Eraser-style static lockset dataflow over the CFG,
 //! * [`callgraph`] — the file-level call graph over resolved functions,

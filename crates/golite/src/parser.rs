@@ -39,6 +39,15 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     Ok(e)
 }
 
+/// Deepest nesting of statements, expressions, types and composite
+/// literals the parser accepts. The parser and every pass behind it
+/// (resolve, cfg, lint, the interpreter, `Drop`) recurse once per level,
+/// so without a bound a source file chooses how much stack the process
+/// needs. The parser is the hungriest of them: an unoptimized build on a
+/// 2 MiB thread overflows near 180 levels, and everything this workspace
+/// generates or embeds stays under 10.
+pub const MAX_NESTING: usize = 128;
+
 /// One `name [, name...] [Type] [= exprs]` specification of a var/const
 /// declaration: `(names, type, initializers)`.
 type VarSpec = (Vec<String>, Option<Type>, Vec<Expr>);
@@ -49,6 +58,8 @@ struct Parser {
     /// Composite literals with bare type names are disallowed while > 0
     /// (inside if/for/switch headers).
     no_composite: u32,
+    /// Recursive rules entered and not yet left; see [`Parser::nested`].
+    depth: usize,
 }
 
 impl Parser {
@@ -57,7 +68,39 @@ impl Parser {
             tokens,
             pos: 0,
             no_composite: 0,
+            depth: 0,
         }
+    }
+
+    /// Runs one level of a recursive grammar rule: every cycle in the
+    /// grammar passes through here (statements, expressions, types,
+    /// composite-literal bodies). On the way out the depth returns to what
+    /// it was on the way in, whatever the rule [`Parser::deepen`]ed by.
+    fn nested<T>(
+        &mut self,
+        rule: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let entered = self.depth;
+        self.deepen()?;
+        let out = rule(self);
+        self.depth = entered;
+        out
+    }
+
+    /// Counts one more level of the tree above whatever is parsed next —
+    /// a rule entered, or a loop wrapping what it has so far as the child
+    /// of a new node (`a + b + …`, `a.b().c()…`). Together the two bound
+    /// the parser's stack and the depth of the tree it returns by
+    /// [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                self.here(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -437,6 +480,10 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> Result<Type, ParseError> {
+        self.nested(Self::parse_type_rule)
+    }
+
+    fn parse_type_rule(&mut self) -> Result<Type, ParseError> {
         match self.peek().clone() {
             Tok::Ident(name) => {
                 self.bump();
@@ -581,6 +628,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_rule)
+    }
+
+    fn stmt_rule(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
         match self.peek().clone() {
             Tok::Kw(K::Var) => Ok(Stmt::Decl(self.var_decl(false)?)),
@@ -807,7 +858,9 @@ impl Parser {
         let then = self.block()?;
         let els = if self.eat(&Tok::Kw(K::Else)) {
             if self.peek() == &Tok::Kw(K::If) {
-                Some(Box::new(self.if_stmt()?))
+                // Through `stmt`, so an `else if` chain counts as nesting:
+                // it is one in the tree.
+                Some(Box::new(self.stmt()?))
             } else {
                 Some(Box::new(Stmt::Block(self.block()?)))
             }
@@ -1029,6 +1082,7 @@ impl Parser {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let entered = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let (op, prec): (&'static str, u8) = match self.peek() {
@@ -1057,6 +1111,7 @@ impl Parser {
                 break;
             }
             self.bump();
+            self.deepen()?;
             let rhs = self.binary_expr(prec + 1)?;
             lhs = Expr::Binary {
                 op,
@@ -1064,10 +1119,15 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = entered;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_expr_rule)
+    }
+
+    fn unary_expr_rule(&mut self) -> Result<Expr, ParseError> {
         let op: Option<&'static str> = match self.peek() {
             Tok::Minus => Some("-"),
             Tok::Plus => Some("+"),
@@ -1089,12 +1149,15 @@ impl Parser {
         self.primary_expr()
     }
 
+    /// An operand and its postfix chain. Called under
+    /// [`Parser::unary_expr`], whose level absorbs the chain's.
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.operand()?;
         loop {
             match self.peek().clone() {
                 Tok::Dot => {
                     self.bump();
+                    self.deepen()?;
                     // Type assertion `x.(T)` — elide to the base expression.
                     if self.eat(&Tok::LParen) {
                         if !self.eat(&Tok::Kw(K::Type)) {
@@ -1108,6 +1171,7 @@ impl Parser {
                 }
                 Tok::LParen => {
                     self.bump();
+                    self.deepen()?;
                     let mut args = Vec::new();
                     let mut spread = false;
                     // Composite literals are allowed inside call arguments
@@ -1138,6 +1202,7 @@ impl Parser {
                 }
                 Tok::LBracket => {
                     self.bump();
+                    self.deepen()?;
                     let saved = self.no_composite;
                     self.no_composite = 0;
                     if self.eat(&Tok::Colon) {
@@ -1282,6 +1347,10 @@ impl Parser {
     }
 
     fn composite_body(&mut self) -> Result<Vec<(Option<Expr>, Expr)>, ParseError> {
+        self.nested(Self::composite_body_rule)
+    }
+
+    fn composite_body_rule(&mut self) -> Result<Vec<(Option<Expr>, Expr)>, ParseError> {
         self.expect(&Tok::LBrace)?;
         let saved = self.no_composite;
         self.no_composite = 0;

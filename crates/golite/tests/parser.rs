@@ -434,3 +434,66 @@ type Entity struct {
     assert_eq!(fields.len(), 3);
     assert!(fields[0].name.is_empty(), "embedded field");
 }
+
+// ---- nesting cap: a source file cannot choose the parser's stack ----
+
+fn nested_parens(n: usize) -> String {
+    format!("{}1{}", "(".repeat(n), ")".repeat(n))
+}
+
+fn in_func(body: &str) -> String {
+    format!("package p\nfunc f(x bool) {{\n{body}\n}}\n")
+}
+
+fn nested_ifs(n: usize) -> String {
+    in_func(&format!("{}{}", "if x {\n".repeat(n), "}\n".repeat(n)))
+}
+
+/// Every way the grammar recurses, or builds a tree deeper than it
+/// recursed, `n` levels deep.
+fn deep_sources(n: usize) -> Vec<String> {
+    vec![
+        in_func(&format!("y := {}", nested_parens(n))),
+        nested_ifs(n),
+        in_func(&format!("if x {{\n}}{}", " else if x {\n}".repeat(n))),
+        in_func(&format!(
+            "{}{}",
+            "switch {\ncase x:\n".repeat(n),
+            "}\n".repeat(n)
+        )),
+        in_func(&format!(
+            "{}{}",
+            "func() {\n".repeat(n / 2),
+            "}()\n".repeat(n / 2)
+        )),
+        in_func(&format!("y := {}x", "!".repeat(n))),
+        in_func(&format!("y := 1{}", " + 1".repeat(n))),
+        in_func(&format!("y := a{}", ".b".repeat(n))),
+        in_func(&format!("y := f{}", "()".repeat(n))),
+        format!("package p\nvar v {}int\n", "*".repeat(n)),
+        format!("package p\nvar v = T{}{}\n", "{".repeat(n), "}".repeat(n)),
+    ]
+}
+
+#[test]
+fn nesting_past_the_cap_is_a_parse_error_not_a_stack_overflow() {
+    use grs_golite::parser::MAX_NESTING;
+    for src in deep_sources(10_000) {
+        let err = parse_file(&src).expect_err("10,000 levels must be refused");
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+    }
+    // The boundary is exact: the innermost operand sits at depth n + 1.
+    assert!(parse_expr(&nested_parens(MAX_NESTING - 1)).is_ok());
+    assert!(parse_expr(&nested_parens(MAX_NESTING)).is_err());
+}
+
+#[test]
+fn nesting_just_under_the_cap_parses_and_survives_the_passes_behind_the_parser() {
+    use grs_golite::parser::MAX_NESTING;
+    for src in deep_sources(MAX_NESTING - 8) {
+        let file = parse_ok(&src);
+        // resolve, cfg, callgraph, summaries and every lint rule recurse
+        // over the tree the cap bounded; so does dropping it.
+        let _ = grs_golite::lint_file(&file);
+    }
+}

@@ -1,17 +1,69 @@
-//! Property tests for the Go-lite frontend: the lexer/parser never panic,
-//! generated programs round-trip through the scanner, and ASI behaves.
+//! Seeded property tests for the Go-lite frontend: the lexer and parser
+//! never panic, generated programs round-trip through the scanner, and ASI
+//! behaves.
+//!
+//! Each property is checked over a few hundred cases drawn from a
+//! fixed-seed `StdRng` (the vendored `rand` stub), so failures are
+//! perfectly reproducible: the case index pins the inputs.
 
-
-// Gated behind the `props` feature: proptest is an external crate and
-// the tier-1 build must succeed without registry access (restore the
-// dev-dependency to run these).
-#![cfg(feature = "props")]
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use grs_golite::lexer::tokenize;
 use grs_golite::parser::parse_file;
 use grs_golite::scan::scan_source;
-use grs_golite::token::Tok;
-use proptest::prelude::*;
+use grs_golite::token::{Keyword, Tok};
+
+const CASES: usize = 400;
+
+/// Runs `body` over `CASES` cases from a per-property deterministic rng.
+fn check(seed: u64, mut body: impl FnMut(usize, &mut StdRng)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..CASES {
+        body(case, &mut rng);
+    }
+}
+
+/// Up to `max_len` characters drawn from printable ASCII and `extra`.
+fn byte_soup(rng: &mut StdRng, max_len: usize, extra: &[char]) -> String {
+    let printable = (b' '..=b'~').map(char::from);
+    let alphabet: Vec<char> = printable.chain(extra.iter().copied()).collect();
+    (0..rng.gen_range(0..max_len + 1))
+        .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+        .collect()
+}
+
+/// Up to 60 Go-shaped fragments in random order: unlike byte soup, this
+/// gets past the package clause and deep into the statement grammar.
+fn token_soup(rng: &mut StdRng) -> String {
+    const FRAGMENTS: &[&str] = &[
+        "func", "go", "if", "else", "for", "range", "switch", "case", "default", "select",
+        "return", "defer", "var", "type", "struct", "map", "chan", "x", "f", "T", "mu", "1",
+        "\"s\"", "(", ")", "{", "}", "[", "]", ":=", "=", "<-", ".", ",", ";", ":", "+", "*", "&",
+        "!", "==", "\n",
+    ];
+    let mut src = String::from("package p\nfunc f() {\n");
+    for _ in 0..rng.gen_range(0..61usize) {
+        src.push_str(FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]);
+        src.push(' ');
+    }
+    src
+}
+
+/// A lowercase identifier of 1..=7 characters that is not a Go keyword
+/// (`go := 5` is rightly rejected by the parser).
+fn ident(rng: &mut StdRng) -> String {
+    loop {
+        let mut name = String::from(char::from(rng.gen_range(b'a'..b'z' + 1)));
+        for _ in 0..rng.gen_range(0..7usize) {
+            let alnum = b"abcdefghijklmnopqrstuvwxyz0123456789";
+            name.push(char::from(alnum[rng.gen_range(0..alnum.len())]));
+        }
+        if Keyword::lookup(&name).is_none() {
+            return name;
+        }
+    }
+}
 
 /// Replaces every `Pos { line: _, col: _ }` in a debug rendering so two
 /// ASTs can be compared structurally.
@@ -33,98 +85,101 @@ fn scrub_positions(file: &grs_golite::ast::File) -> String {
     out
 }
 
-proptest! {
-    /// The lexer is total: any byte soup either tokenizes or errors — it
-    /// never panics, and positions stay in range.
-    #[test]
-    fn lexer_never_panics(src in "[ -~\n\t]{0,200}") {
+/// The lexer is total: any byte soup either tokenizes or errors — it never
+/// panics, positions stay in range, and the stream ends in `Eof`.
+#[test]
+fn lexer_never_panics() {
+    check(0x1E, |case, rng| {
+        let src = byte_soup(rng, 200, &['\n', '\t']);
         if let Ok(tokens) = tokenize(&src) {
             let max_line = src.lines().count() as u32 + 1;
             for t in &tokens {
-                prop_assert!(t.pos.line <= max_line + 1);
+                assert!(t.pos.line <= max_line + 1, "case {case}: {src:?}");
             }
-            prop_assert_eq!(tokens.last().map(|t| t.tok.clone()), Some(Tok::Eof));
+            assert_eq!(
+                tokens.last().map(|t| t.tok.clone()),
+                Some(Tok::Eof),
+                "case {case}: {src:?}"
+            );
         }
-    }
+    });
+}
 
-    /// The parser is total over arbitrary token soup.
-    #[test]
-    fn parser_never_panics(src in "[ -~\n]{0,300}") {
-        let _ = parse_file(&src);
-    }
+/// The parser is total over arbitrary character and token soup.
+#[test]
+fn parser_never_panics() {
+    check(0x9A, |_, rng| {
+        let _ = parse_file(&byte_soup(rng, 300, &['\n']));
+        let _ = parse_file(&token_soup(rng));
+    });
+}
 
-    /// Identifier-shaped programs built from fragments parse and scan
-    /// without panicking.
-    #[test]
-    fn assembled_functions_parse(
-        names in prop::collection::vec(
-            // Any lowercase identifier that is not a Go keyword (proptest
-            // found `go := 5`, which the parser rightly rejects).
-            "[a-z][a-z0-9]{0,6}".prop_filter("not a keyword", |n| {
-                grs_golite::token::Keyword::lookup(n).is_none()
-            }),
-            1..5,
-        ),
-        ints in prop::collection::vec(0i64..1000, 1..5),
-    ) {
+/// Identifier-shaped programs built from fragments parse and scan.
+#[test]
+fn assembled_functions_parse() {
+    check(0xA5, |case, rng| {
         let mut body = String::from("package p\n\nfunc f(x int) int {\n");
-        for (n, v) in names.iter().zip(ints.iter()) {
+        for _ in 0..rng.gen_range(1..5usize) {
+            let (n, v) = (ident(rng), rng.gen_range(0..1000i64));
             body.push_str(&format!("    {n} := {v}\n    x = x + {n}\n"));
         }
         body.push_str("    return x\n}\n");
-        let file = parse_file(&body).expect("assembled program parses");
+        let file = parse_file(&body).unwrap_or_else(|e| panic!("case {case}: {e}\n{body}"));
         let counts = scan_source(&body).expect("scans");
-        prop_assert_eq!(counts.func_decls, 1);
-        prop_assert_eq!(file.decls.len(), 1);
-    }
+        assert_eq!(counts.func_decls, 1, "case {case}");
+        assert_eq!(file.decls.len(), 1, "case {case}");
+    });
+}
 
-    /// ASI: a newline after a complete expression statement terminates it;
-    /// the same statements joined by explicit semicolons parse identically.
-    #[test]
-    fn asi_matches_explicit_semicolons(
-        vals in prop::collection::vec(0i64..100, 1..6),
-    ) {
+/// ASI: a newline after a complete expression statement terminates it; the
+/// same statements joined by explicit semicolons parse identically.
+#[test]
+fn asi_matches_explicit_semicolons() {
+    let property = |label: &str, vals: &[i64]| {
         let stmts: Vec<String> = vals
             .iter()
             .enumerate()
             .map(|(i, v)| format!("x{i} := {v}"))
             .collect();
-        let with_newlines = format!(
-            "package p\nfunc f() {{\n{}\n}}\n",
-            stmts.join("\n")
-        );
-        let with_semis = format!(
-            "package p\nfunc f() {{ {} }}\n",
-            stmts.join("; ")
-        );
+        let with_newlines = format!("package p\nfunc f() {{\n{}\n}}\n", stmts.join("\n"));
+        let with_semis = format!("package p\nfunc f() {{ {} }}\n", stmts.join("; "));
         let a = parse_file(&with_newlines).expect("newline form parses");
         let b = parse_file(&with_semis).expect("semicolon form parses");
         // Positions legitimately differ between the layouts; compare the
         // position-scrubbed structure.
-        prop_assert_eq!(scrub_positions(&a), scrub_positions(&b));
-    }
+        assert_eq!(scrub_positions(&a), scrub_positions(&b), "{label}");
+    };
+    property("a single `x0 := 0`, which once failed", &[0]);
+    check(0x51, |case, rng| {
+        let vals: Vec<i64> = (0..rng.gen_range(1..6usize))
+            .map(|_| rng.gen_range(0..100i64))
+            .collect();
+        property(&format!("case {case}"), &vals);
+    });
+}
 
-    /// Scanner counts are additive: scanning two files separately and
-    /// merging equals scanning their concatenation (minus the second
-    /// package clause, which we rename into a comment).
-    #[test]
-    fn scanner_counts_are_additive(goers in 0u8..5, senders in 0u8..5) {
-        let mk = |goers: u8, senders: u8| {
-            let mut s = String::from("package p\nfunc f(ch chan int) {\n");
-            for _ in 0..goers {
-                s.push_str("    go g()\n");
-            }
-            for _ in 0..senders {
-                s.push_str("    ch <- 1\n");
-            }
-            s.push_str("}\nfunc g() {}\n");
-            s
-        };
-        let a = scan_source(&mk(goers, senders)).expect("a");
-        let b = scan_source(&mk(senders, goers)).expect("b");
-        let mut merged = a;
-        merged.merge(&b);
-        prop_assert_eq!(merged.go_statements, u64::from(goers) + u64::from(senders));
-        prop_assert_eq!(merged.chan_sends, u64::from(goers) + u64::from(senders));
+/// Scanner counts are additive: scanning two files separately and merging
+/// the counts equals the sum of what each file holds. The space is small
+/// enough to cover whole.
+#[test]
+fn scanner_counts_are_additive() {
+    let mk = |goers: u64, senders: u64| {
+        let mut s = String::from("package p\nfunc f(ch chan int) {\n");
+        for _ in 0..goers {
+            s.push_str("    go g()\n");
+        }
+        for _ in 0..senders {
+            s.push_str("    ch <- 1\n");
+        }
+        s.push_str("}\nfunc g() {}\n");
+        s
+    };
+    for goers in 0..5 {
+        for senders in 0..5 {
+            let mut merged = scan_source(&mk(goers, senders)).expect("a");
+            merged.merge(&scan_source(&mk(senders, goers)).expect("b"));
+            assert_eq!(merged.go_statements, goers + senders);
+            assert_eq!(merged.chan_sends, goers + senders);
+        }
     }
 }

@@ -91,8 +91,8 @@ impl Interp {
     }
 
     /// Compiles Go-lite source with structured errors — the campaign-scale
-    /// entry point: a failure is a [`CompileError`] naming its phase and
-    /// position, never a panic.
+    /// entry point: a failure is a [`CompileError`](crate::CompileError)
+    /// naming its phase and position, never a panic.
     ///
     /// # Errors
     ///

@@ -492,3 +492,26 @@ fn range_over_int_go_1_22() {
     "#,
     ));
 }
+
+/// The parser's nesting cap is what bounds the interpreter's recursion: a
+/// program nested right up to it still evaluates on a goroutine's stack.
+#[test]
+fn programs_nested_up_to_the_parser_cap_run() {
+    let n = grs_golite::parser::MAX_NESTING - 16;
+    let parens = format!("{}20{}", "(".repeat(n), ")".repeat(n));
+    let (ifs, closes) = ("if sum > 0 {\n".repeat(n), "}\n".repeat(n));
+    let (funcs, calls) = ("func() {\n".repeat(n / 2), "}()\n".repeat(n / 2));
+    run_ok(&check(&format!(
+        r#"
+    sum := {parens} + 1{}
+    assert(sum == 41, "deep expression")
+    {ifs}sum = 0
+    {closes}
+    assert(sum == 0, "deep blocks")
+    {funcs}sum = 7
+    {calls}
+    assert(sum == 7, "deep closures")
+    "#,
+        " + 1".repeat(20)
+    )));
+}

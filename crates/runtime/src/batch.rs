@@ -1,23 +1,22 @@
-//! Batched `.grtrace` decoding into a struct-of-arrays event buffer.
+//! The `.grtrace` reader: batched decoding into a struct-of-arrays event
+//! buffer.
 //!
-//! The scalar [`Trace::decode`] path materializes every event as an
-//! [`Event`] enum — a tagged union whose payloads (`Arc<str>` clones,
-//! nested structs) cost an allocation-adjacent touch per event and force
-//! replay analyzers through a match-per-event dispatch on a 48-byte
-//! value. For the execute-once/analyze-many pipeline that dominates
-//! campaign replay, this module decodes the same byte stream in chunks
-//! straight into an [`EventBatch`]: one flat lane per field (tags, gids,
-//! object ids, clock payloads), with string-table and source-file
+//! [`BatchDecoder`] is the only code that parses the format
+//! ([`Trace::encode`] is the only code that writes it). It decodes in
+//! chunks straight into an [`EventBatch`]: one flat lane per field (tags,
+//! gids, object ids, clock payloads), with string-table and source-file
 //! references left as `u32` indices resolved once per table entry instead
 //! of once per event. Detectors then drive a tight loop over plain arrays
-//! (see `grs-detector`'s batch replay path) instead of walking an enum
-//! stream.
+//! (see `grs-detector`'s batch replay path) instead of walking a stream of
+//! [`Event`] enums — a 48-byte tagged union whose payloads cost an `Arc`
+//! clone per event. Consumers that do want events ([`Trace::decode`], the
+//! scalar replay driver) materialize them from the lanes with
+//! [`DecodedTrace::event`].
 //!
-//! The decoder is validation-identical to the scalar path: every header,
-//! table, and event field is checked in the same order with the same
-//! typed [`TraceDecodeError`]s, so a corrupt trace fails the same way no
-//! matter which decoder reads it — pinned by differential tests over
-//! truncations, trailing bytes, and index corruption.
+//! Every header, table and event field is bounds- and range-checked as it
+//! is read, so a corrupt trace yields a typed [`TraceDecodeError`] and
+//! never a panic, whatever the chunk size — pinned over truncations, bit
+//! flips and trailing bytes by `tests/batch_decode.rs`.
 
 use std::sync::Arc;
 
@@ -26,9 +25,17 @@ use crate::event::{AccessKind, Event, EventKind, LockMode, SourceLoc};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::sched::Strategy;
 use crate::trace::{
-    intern_static_file, lock_mode, unzigzag, Reader, StackNode, Trace, TraceDecodeError,
-    TraceMeta, EVENT_MIN_BYTES, STACK_MIN_BYTES, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    intern_static_file, lock_mode, rebuild_depot, tag, unzigzag, Reader, StackNode, Trace,
+    TraceDecodeError, TraceMeta, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
+
+/// Fewest bytes one encoded depot entry takes (parent, function, call
+/// line: three varints), for [`Reader::count`].
+const STACK_MIN_BYTES: usize = 3;
+
+/// Fewest bytes one encoded event takes (step delta, goroutine, kind
+/// tag), for [`Reader::count`].
+const EVENT_MIN_BYTES: usize = 3;
 
 /// Default number of events decoded per chunk by
 /// [`DecodedTrace::decode`]. Large enough that the per-chunk bookkeeping
@@ -45,7 +52,7 @@ pub struct EventBatch {
     pub steps: Vec<u64>,
     /// Acting goroutine of each event.
     pub gids: Vec<u32>,
-    /// The `.grtrace` event tag byte (0 = Spawn … 13 = OnceObserved),
+    /// The `.grtrace` event tag byte (one of the [`tag`] constants),
     /// validated during decode — consumers may treat it as exhaustive.
     pub tags: Vec<u8>,
     /// Primary object id: address, lock, channel, wait-group or once id —
@@ -141,8 +148,8 @@ impl EventBatch {
 /// [`BatchDecoder::new`] consumes and validates the header (magic,
 /// version, string table, run metadata, depot snapshot); successive
 /// [`BatchDecoder::next_chunk`] calls then decode up to `max` events each
-/// into an [`EventBatch`]. When the final event has been decoded the
-/// trailing-bytes check runs exactly like the scalar decoder's.
+/// into an [`EventBatch`]. When the final event has been decoded, bytes
+/// left over are an error.
 #[derive(Debug)]
 pub struct BatchDecoder<'a> {
     r: Reader<'a>,
@@ -158,9 +165,7 @@ pub struct BatchDecoder<'a> {
     pub files: Vec<&'static str>,
     n_stacks: u64,
     remaining: u64,
-    total_events: u64,
     prev_step: u64,
-    trailing_checked: bool,
 }
 
 impl<'a> BatchDecoder<'a> {
@@ -168,8 +173,10 @@ impl<'a> BatchDecoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns the same typed [`TraceDecodeError`]s, for the same byte
-    /// streams, as [`Trace::decode`].
+    /// A typed [`TraceDecodeError`] for the first structural problem:
+    /// wrong magic, unsupported version, truncation, a malformed varint or
+    /// string, an out-of-range table index, or a count the input is too
+    /// short to hold.
     pub fn new(bytes: &'a [u8]) -> Result<Self, TraceDecodeError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(8)? != TRACE_MAGIC {
@@ -255,22 +262,8 @@ impl<'a> BatchDecoder<'a> {
             files,
             n_stacks,
             remaining: n_events,
-            total_events: n_events,
             prev_step: 0,
-            trailing_checked: false,
         })
-    }
-
-    /// Events not yet decoded.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Total events declared by the trace header.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.total_events
     }
 
     /// Decodes up to `max` events, appending them to `batch`. Returns the
@@ -279,42 +272,26 @@ impl<'a> BatchDecoder<'a> {
     ///
     /// # Errors
     ///
-    /// The same typed [`TraceDecodeError`]s as [`Trace::decode`]:
-    /// truncation mid-event, malformed varints, out-of-range string or
-    /// stack indices, unknown tags, and trailing bytes after the final
-    /// event.
+    /// A typed [`TraceDecodeError`]: truncation mid-event, malformed
+    /// varints, out-of-range string or stack indices, unknown tags, and
+    /// trailing bytes after the final event.
     pub fn next_chunk(
         &mut self,
         batch: &mut EventBatch,
         max: usize,
     ) -> Result<usize, TraceDecodeError> {
-        if self.remaining == 0 {
-            self.check_trailing()?;
-            return Ok(0);
-        }
         let take = (self.remaining.min(max as u64)) as usize;
         batch.reserve(take);
         for _ in 0..take {
             self.decode_event(batch)?;
         }
         self.remaining -= take as u64;
-        if self.remaining == 0 {
-            self.check_trailing()?;
-        }
-        Ok(take)
-    }
-
-    fn check_trailing(&mut self) -> Result<(), TraceDecodeError> {
-        if self.trailing_checked {
-            return Ok(());
-        }
-        if self.r.pos != self.r.bytes.len() {
+        if self.remaining == 0 && self.r.pos != self.r.bytes.len() {
             return Err(TraceDecodeError::TrailingBytes {
                 extra: self.r.bytes.len() - self.r.pos,
             });
         }
-        self.trailing_checked = true;
-        Ok(())
+        Ok(take)
     }
 
     fn string_idx(&self, idx: u64) -> Result<u32, TraceDecodeError> {
@@ -328,21 +305,21 @@ impl<'a> BatchDecoder<'a> {
         }
     }
 
-    /// Decodes one event into the batch — field order and validation are
-    /// byte-for-byte the scalar decoder's.
+    /// Decodes one event into the batch, fields in [`Trace::encode`]'s
+    /// order.
     fn decode_event(&mut self, batch: &mut EventBatch) -> Result<(), TraceDecodeError> {
         self.prev_step = self.prev_step.wrapping_add(self.r.uvarint()?);
         let gid = self.r.uvarint()? as u32;
         let tag = self.r.byte()?;
         let i = batch.push_filler(self.prev_step, gid, tag);
         match tag {
-            0 => {
+            tag::SPAWN => {
                 batch.prims[i] = self.r.uvarint()?;
                 let name = self.r.uvarint()?;
                 batch.objects[i] = self.string_idx(name)?;
             }
-            1 => {}
-            2 => {
+            tag::GOROUTINE_END => {}
+            tag::ACCESS => {
                 batch.prims[i] = self.r.uvarint()?;
                 let object = self.r.uvarint()?;
                 batch.objects[i] = self.string_idx(object)?;
@@ -368,31 +345,35 @@ impl<'a> BatchDecoder<'a> {
                 batch.stacks[i] = stack as u32;
                 let file = self.r.uvarint()?;
                 let fi = self.string_idx(file)? as usize;
-                // Resolve the &'static file name once per table entry — the
-                // scalar path probes the global interner once per event.
+                // Resolve the &'static file name once per table entry, not
+                // once per event: the interner is behind a global lock.
                 if self.files[fi].is_empty() {
                     self.files[fi] = intern_static_file(&self.strings[fi]);
                 }
                 batch.files[i] = fi as u32;
                 batch.lines[i] = self.r.uvarint()? as u32;
             }
-            3 | 4 => {
+            tag::ACQUIRE | tag::RELEASE => {
                 batch.prims[i] = self.r.uvarint()?;
                 batch.lock_modes[i] = lock_mode(self.r.byte()?)?;
             }
-            5 | 7 => {
+            tag::CHAN_SEND | tag::CHAN_RECV => {
                 batch.prims[i] = self.r.uvarint()?;
                 batch.args_a[i] = self.r.uvarint()?;
             }
-            6 => {
+            tag::CHAN_SEND_COMPLETE => {
                 batch.prims[i] = self.r.uvarint()?;
                 batch.args_a[i] = self.r.uvarint()?;
                 batch.args_b[i] = self.r.uvarint()?;
             }
-            8 | 9 | 11 | 12 | 13 => {
+            tag::CHAN_RECV_CLOSED
+            | tag::CHAN_CLOSE
+            | tag::WG_WAIT
+            | tag::ONCE_EXECUTED
+            | tag::ONCE_OBSERVED => {
                 batch.prims[i] = self.r.uvarint()?;
             }
-            10 => {
+            tag::WG_ADD => {
                 batch.prims[i] = self.r.uvarint()?;
                 batch.args_a[i] = unzigzag(self.r.uvarint()?) as u64;
                 batch.args_b[i] = unzigzag(self.r.uvarint()?) as u64;
@@ -403,15 +384,13 @@ impl<'a> BatchDecoder<'a> {
     }
 }
 
-/// A fully decoded trace in struct-of-arrays form: the batch-replay
-/// counterpart of [`Trace`].
-///
-/// Holds the same metadata and depot snapshot as a scalar-decoded trace
-/// plus the [`EventBatch`] lanes and the resolved per-table-entry source
-/// files, along with chunk-fill statistics for the observability layer.
+/// A fully decoded trace in struct-of-arrays form: what a [`Trace`] holds
+/// (metadata, depot snapshot, events) with the events as [`EventBatch`]
+/// lanes over the string table and the resolved per-table-entry source
+/// files, plus chunk-fill statistics for the observability layer.
 #[derive(Debug)]
 pub struct DecodedTrace {
-    /// Run metadata (identical to the scalar decoder's).
+    /// Run metadata.
     pub meta: TraceMeta,
     /// Depot snapshot in first-intern order.
     pub stacks: Vec<StackNode>,
@@ -433,7 +412,7 @@ impl DecodedTrace {
     ///
     /// # Errors
     ///
-    /// The same typed [`TraceDecodeError`]s as [`Trace::decode`].
+    /// As [`BatchDecoder::new`] and [`BatchDecoder::next_chunk`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, TraceDecodeError> {
         Self::decode_with_chunk(bytes, DEFAULT_CHUNK_EVENTS)
     }
@@ -442,7 +421,7 @@ impl DecodedTrace {
     ///
     /// # Errors
     ///
-    /// The same typed [`TraceDecodeError`]s as [`Trace::decode`].
+    /// As [`DecodedTrace::decode`]; the verdict does not depend on `chunk`.
     pub fn decode_with_chunk(bytes: &[u8], chunk: usize) -> Result<DecodedTrace, TraceDecodeError> {
         let chunk = chunk.max(1);
         let mut d = BatchDecoder::new(bytes)?;
@@ -489,33 +468,24 @@ impl DecodedTrace {
         self.len() as f64 / (self.chunks as f64 * self.chunk_capacity as f64)
     }
 
-    /// Rebuilds the recorded depot snapshot into `depot` — identical to
-    /// [`Trace::rebuild_depot_into`].
+    /// Rebuilds the recorded depot snapshot into `depot` (reset first), so
+    /// every re-interned node gets the [`StackId`] the events refer to.
     pub fn rebuild_depot_into(&self, depot: &StackDepot) {
-        depot.reset();
-        for (i, node) in self.stacks.iter().enumerate() {
-            let id = depot.push(node.parent, &node.func, node.call_line);
-            assert_eq!(
-                id.raw() as usize,
-                i + 1,
-                "trace stack table not in first-intern order"
-            );
-        }
+        rebuild_depot(&self.stacks, depot);
     }
 
-    /// Materializes event `i` as a scalar [`Event`] — the bridge for
-    /// consumers without a lane-aware fast path (and the equivalence
-    /// tests' ground truth).
+    /// Materializes event `i` as an [`Event`] — the bridge for consumers
+    /// without a lane-aware fast path.
     #[must_use]
     pub fn event(&self, i: usize) -> Event {
         let b = &self.batch;
         let kind = match b.tags[i] {
-            0 => EventKind::Spawn {
+            tag::SPAWN => EventKind::Spawn {
                 child: Gid(b.prims[i] as u32),
                 name: self.strings[b.objects[i] as usize].clone(),
             },
-            1 => EventKind::GoroutineEnd,
-            2 => EventKind::Access {
+            tag::GOROUTINE_END => EventKind::GoroutineEnd,
+            tag::ACCESS => EventKind::Access {
                 addr: Addr(b.prims[i]),
                 object: self.strings[b.objects[i] as usize].clone(),
                 kind: b.access_kinds[i],
@@ -525,45 +495,45 @@ impl DecodedTrace {
                     line: b.lines[i],
                 },
             },
-            3 => EventKind::Acquire {
+            tag::ACQUIRE => EventKind::Acquire {
                 lock: LockUid(b.prims[i]),
                 mode: b.lock_modes[i],
             },
-            4 => EventKind::Release {
+            tag::RELEASE => EventKind::Release {
                 lock: LockUid(b.prims[i]),
                 mode: b.lock_modes[i],
             },
-            5 => EventKind::ChanSend {
+            tag::CHAN_SEND => EventKind::ChanSend {
                 chan: ChanId(b.prims[i]),
                 seq: b.args_a[i],
             },
-            6 => EventKind::ChanSendComplete {
+            tag::CHAN_SEND_COMPLETE => EventKind::ChanSendComplete {
                 chan: ChanId(b.prims[i]),
                 seq: b.args_a[i],
                 cap: b.args_b[i] as usize,
             },
-            7 => EventKind::ChanRecv {
+            tag::CHAN_RECV => EventKind::ChanRecv {
                 chan: ChanId(b.prims[i]),
                 seq: b.args_a[i],
             },
-            8 => EventKind::ChanRecvClosed {
+            tag::CHAN_RECV_CLOSED => EventKind::ChanRecvClosed {
                 chan: ChanId(b.prims[i]),
             },
-            9 => EventKind::ChanClose {
+            tag::CHAN_CLOSE => EventKind::ChanClose {
                 chan: ChanId(b.prims[i]),
             },
-            10 => EventKind::WgAdd {
+            tag::WG_ADD => EventKind::WgAdd {
                 wg: WgId(b.prims[i]),
                 delta: b.args_a[i] as i64,
                 counter: b.args_b[i] as i64,
             },
-            11 => EventKind::WgWait {
+            tag::WG_WAIT => EventKind::WgWait {
                 wg: WgId(b.prims[i]),
             },
-            12 => EventKind::OnceExecuted {
+            tag::ONCE_EXECUTED => EventKind::OnceExecuted {
                 once: OnceId(b.prims[i]),
             },
-            13 => EventKind::OnceObserved {
+            tag::ONCE_OBSERVED => EventKind::OnceObserved {
                 once: OnceId(b.prims[i]),
             },
             tag => unreachable!("tag {tag} was validated during decode"),
@@ -575,8 +545,7 @@ impl DecodedTrace {
         }
     }
 
-    /// Converts into a scalar [`Trace`] by materializing every event —
-    /// used by the decode-equivalence property tests.
+    /// Converts into a [`Trace`] by materializing every event.
     #[must_use]
     pub fn into_trace(self) -> Trace {
         let events = (0..self.len()).map(|i| self.event(i)).collect();
@@ -585,18 +554,5 @@ impl DecodedTrace {
             stacks: self.stacks,
             events,
         }
-    }
-}
-
-impl Trace {
-    /// Decodes via the batch path and materializes a scalar [`Trace`] —
-    /// must agree with [`Trace::decode`] on every input, success or error
-    /// (differentially tested).
-    ///
-    /// # Errors
-    ///
-    /// The same typed [`TraceDecodeError`]s as [`Trace::decode`].
-    pub fn decode_batched(bytes: &[u8], chunk: usize) -> Result<Trace, TraceDecodeError> {
-        Ok(DecodedTrace::decode_with_chunk(bytes, chunk)?.into_trace())
     }
 }

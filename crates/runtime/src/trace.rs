@@ -29,9 +29,9 @@ use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::batch::DecodedTrace;
 use crate::depot::{StackDepot, StackId};
-use crate::event::{AccessKind, Event, EventKind, LockMode, SourceLoc};
-use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
+use crate::event::{AccessKind, Event, EventKind, LockMode};
 use crate::monitor::Monitor;
 use crate::runtime::{Program, RunConfig, RunOutcome, Runtime};
 use crate::sched::Strategy;
@@ -43,13 +43,26 @@ pub const TRACE_MAGIC: [u8; 8] = *b"GRTRACE\0";
 /// reject other versions with [`TraceDecodeError::UnsupportedVersion`].
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
-/// Fewest bytes one encoded depot entry takes (parent, function, call
-/// line: three varints), for [`Reader::count`].
-pub(crate) const STACK_MIN_BYTES: usize = 3;
-
-/// Fewest bytes one encoded event takes (step delta, goroutine, kind
-/// tag), for [`Reader::count`].
-pub(crate) const EVENT_MIN_BYTES: usize = 3;
+/// The event-kind tag bytes of the `.grtrace` format, named once: the
+/// encoder writes them, the decoder validates them, and every consumer of
+/// an [`EventBatch`](crate::EventBatch)'s `tags` lane matches on them.
+/// One constant per [`EventKind`] variant.
+pub mod tag {
+    pub const SPAWN: u8 = 0;
+    pub const GOROUTINE_END: u8 = 1;
+    pub const ACCESS: u8 = 2;
+    pub const ACQUIRE: u8 = 3;
+    pub const RELEASE: u8 = 4;
+    pub const CHAN_SEND: u8 = 5;
+    pub const CHAN_SEND_COMPLETE: u8 = 6;
+    pub const CHAN_RECV: u8 = 7;
+    pub const CHAN_RECV_CLOSED: u8 = 8;
+    pub const CHAN_CLOSE: u8 = 9;
+    pub const WG_ADD: u8 = 10;
+    pub const WG_WAIT: u8 = 11;
+    pub const ONCE_EXECUTED: u8 = 12;
+    pub const ONCE_OBSERVED: u8 = 13;
+}
 
 /// Metadata identifying the run a [`Trace`] was recorded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,15 +129,7 @@ impl Trace {
     /// Panics if the stack table is not in first-intern order (a corrupt
     /// trace constructed by hand; the codec always stores it in order).
     pub fn rebuild_depot_into(&self, depot: &StackDepot) {
-        depot.reset();
-        for (i, node) in self.stacks.iter().enumerate() {
-            let id = depot.push(node.parent, &node.func, node.call_line);
-            assert_eq!(
-                id.raw() as usize,
-                i + 1,
-                "trace stack table not in first-intern order"
-            );
-        }
+        rebuild_depot(&self.stacks, depot);
     }
 
     /// The FNV-1a fold of the event stream — bit-identical to the digest a
@@ -219,11 +224,11 @@ impl Trace {
             put_uvarint(&mut out, u64::from(ev.gid.0));
             match &ev.kind {
                 EventKind::Spawn { child, name } => {
-                    out.push(0);
+                    out.push(tag::SPAWN);
                     put_uvarint(&mut out, u64::from(child.0));
                     put_uvarint(&mut out, strings.intern(name));
                 }
-                EventKind::GoroutineEnd => out.push(1),
+                EventKind::GoroutineEnd => out.push(tag::GOROUTINE_END),
                 EventKind::Access {
                     addr,
                     object,
@@ -231,7 +236,7 @@ impl Trace {
                     stack,
                     loc,
                 } => {
-                    out.push(2);
+                    out.push(tag::ACCESS);
                     put_uvarint(&mut out, addr.0);
                     put_uvarint(&mut out, strings.intern(object));
                     out.push(match kind {
@@ -245,55 +250,55 @@ impl Trace {
                     put_uvarint(&mut out, u64::from(loc.line));
                 }
                 EventKind::Acquire { lock, mode } => {
-                    out.push(3);
+                    out.push(tag::ACQUIRE);
                     put_uvarint(&mut out, lock.0);
                     out.push(lock_mode_tag(*mode));
                 }
                 EventKind::Release { lock, mode } => {
-                    out.push(4);
+                    out.push(tag::RELEASE);
                     put_uvarint(&mut out, lock.0);
                     out.push(lock_mode_tag(*mode));
                 }
                 EventKind::ChanSend { chan, seq } => {
-                    out.push(5);
+                    out.push(tag::CHAN_SEND);
                     put_uvarint(&mut out, chan.0);
                     put_uvarint(&mut out, *seq);
                 }
                 EventKind::ChanSendComplete { chan, seq, cap } => {
-                    out.push(6);
+                    out.push(tag::CHAN_SEND_COMPLETE);
                     put_uvarint(&mut out, chan.0);
                     put_uvarint(&mut out, *seq);
                     put_uvarint(&mut out, *cap as u64);
                 }
                 EventKind::ChanRecv { chan, seq } => {
-                    out.push(7);
+                    out.push(tag::CHAN_RECV);
                     put_uvarint(&mut out, chan.0);
                     put_uvarint(&mut out, *seq);
                 }
                 EventKind::ChanRecvClosed { chan } => {
-                    out.push(8);
+                    out.push(tag::CHAN_RECV_CLOSED);
                     put_uvarint(&mut out, chan.0);
                 }
                 EventKind::ChanClose { chan } => {
-                    out.push(9);
+                    out.push(tag::CHAN_CLOSE);
                     put_uvarint(&mut out, chan.0);
                 }
                 EventKind::WgAdd { wg, delta, counter } => {
-                    out.push(10);
+                    out.push(tag::WG_ADD);
                     put_uvarint(&mut out, wg.0);
                     put_uvarint(&mut out, zigzag(*delta));
                     put_uvarint(&mut out, zigzag(*counter));
                 }
                 EventKind::WgWait { wg } => {
-                    out.push(11);
+                    out.push(tag::WG_WAIT);
                     put_uvarint(&mut out, wg.0);
                 }
                 EventKind::OnceExecuted { once } => {
-                    out.push(12);
+                    out.push(tag::ONCE_EXECUTED);
                     put_uvarint(&mut out, once.0);
                 }
                 EventKind::OnceObserved { once } => {
-                    out.push(13);
+                    out.push(tag::ONCE_OBSERVED);
                     put_uvarint(&mut out, once.0);
                 }
             }
@@ -301,7 +306,8 @@ impl Trace {
         out
     }
 
-    /// Decodes a `.grtrace` byte stream.
+    /// Decodes a `.grtrace` byte stream: [`DecodedTrace::decode`], the one
+    /// reader of the format, with every event materialized.
     ///
     /// # Errors
     ///
@@ -310,183 +316,7 @@ impl Trace {
     /// malformed varints/UTF-8, out-of-range table indices, unknown tags,
     /// or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(8)? != TRACE_MAGIC {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        let version = u32::from_le_bytes(r.take(4)?.try_into().unwrap());
-        if version != TRACE_FORMAT_VERSION {
-            return Err(TraceDecodeError::UnsupportedVersion {
-                found: version,
-                supported: TRACE_FORMAT_VERSION,
-            });
-        }
-
-        let n_strings = r.uvarint()?;
-        let mut strings: Vec<Arc<str>> = Vec::new();
-        for _ in 0..n_strings {
-            let len = r.uvarint()? as usize;
-            let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| TraceDecodeError::BadUtf8)?;
-            strings.push(Arc::from(s));
-        }
-        let string = |idx: u64| -> Result<Arc<str>, TraceDecodeError> {
-            strings
-                .get(idx as usize)
-                .cloned()
-                .ok_or(TraceDecodeError::BadStringIndex {
-                    index: idx,
-                    table_len: strings.len(),
-                })
-        };
-
-        let program = string(r.uvarint()?)?.to_string();
-        let seed = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-        let strategy = match r.byte()? {
-            0 => Strategy::Random,
-            1 => Strategy::Pct {
-                depth: r.uvarint()? as u32,
-            },
-            2 => Strategy::RoundRobin,
-            tag => {
-                return Err(TraceDecodeError::BadEnumTag {
-                    what: "strategy",
-                    tag,
-                })
-            }
-        };
-        let steps = r.uvarint()?;
-        let goroutines_spawned = r.uvarint()? as usize;
-
-        let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
-        let mut stacks = Vec::with_capacity(n_stacks as usize);
-        for i in 0..n_stacks {
-            let parent = r.uvarint()?;
-            if parent > i {
-                // Parents always precede children in first-intern order.
-                return Err(TraceDecodeError::BadStackId {
-                    id: parent,
-                    table_len: n_stacks as usize,
-                });
-            }
-            let func = string(r.uvarint()?)?;
-            let call_line = r.uvarint()? as u32;
-            stacks.push(StackNode {
-                parent: StackId(parent as u32),
-                func,
-                call_line,
-            });
-        }
-
-        let n_events = r.count(EVENT_MIN_BYTES)?;
-        let mut events = Vec::with_capacity(n_events);
-        let mut step = 0u64;
-        for _ in 0..n_events {
-            step = step.wrapping_add(r.uvarint()?);
-            let gid = Gid(r.uvarint()? as u32);
-            let kind = match r.byte()? {
-                0 => EventKind::Spawn {
-                    child: Gid(r.uvarint()? as u32),
-                    name: string(r.uvarint()?)?,
-                },
-                1 => EventKind::GoroutineEnd,
-                2 => {
-                    let addr = Addr(r.uvarint()?);
-                    let object = string(r.uvarint()?)?;
-                    let kind = match r.byte()? {
-                        0 => AccessKind::Read,
-                        1 => AccessKind::Write,
-                        2 => AccessKind::AtomicRead,
-                        3 => AccessKind::AtomicWrite,
-                        tag => {
-                            return Err(TraceDecodeError::BadEnumTag {
-                                what: "access kind",
-                                tag,
-                            })
-                        }
-                    };
-                    let stack = r.uvarint()?;
-                    if stack > n_stacks {
-                        return Err(TraceDecodeError::BadStackId {
-                            id: stack,
-                            table_len: n_stacks as usize,
-                        });
-                    }
-                    let file = string(r.uvarint()?)?;
-                    let line = r.uvarint()? as u32;
-                    EventKind::Access {
-                        addr,
-                        object,
-                        kind,
-                        stack: StackId(stack as u32),
-                        loc: SourceLoc {
-                            file: intern_static_file(&file),
-                            line,
-                        },
-                    }
-                }
-                3 => EventKind::Acquire {
-                    lock: LockUid(r.uvarint()?),
-                    mode: lock_mode(r.byte()?)?,
-                },
-                4 => EventKind::Release {
-                    lock: LockUid(r.uvarint()?),
-                    mode: lock_mode(r.byte()?)?,
-                },
-                5 => EventKind::ChanSend {
-                    chan: ChanId(r.uvarint()?),
-                    seq: r.uvarint()?,
-                },
-                6 => EventKind::ChanSendComplete {
-                    chan: ChanId(r.uvarint()?),
-                    seq: r.uvarint()?,
-                    cap: r.uvarint()? as usize,
-                },
-                7 => EventKind::ChanRecv {
-                    chan: ChanId(r.uvarint()?),
-                    seq: r.uvarint()?,
-                },
-                8 => EventKind::ChanRecvClosed {
-                    chan: ChanId(r.uvarint()?),
-                },
-                9 => EventKind::ChanClose {
-                    chan: ChanId(r.uvarint()?),
-                },
-                10 => EventKind::WgAdd {
-                    wg: WgId(r.uvarint()?),
-                    delta: unzigzag(r.uvarint()?),
-                    counter: unzigzag(r.uvarint()?),
-                },
-                11 => EventKind::WgWait {
-                    wg: WgId(r.uvarint()?),
-                },
-                12 => EventKind::OnceExecuted {
-                    once: OnceId(r.uvarint()?),
-                },
-                13 => EventKind::OnceObserved {
-                    once: OnceId(r.uvarint()?),
-                },
-                tag => return Err(TraceDecodeError::BadEventTag(tag)),
-            };
-            events.push(Event { step, gid, kind });
-        }
-
-        if r.pos != bytes.len() {
-            return Err(TraceDecodeError::TrailingBytes {
-                extra: bytes.len() - r.pos,
-            });
-        }
-        Ok(Trace {
-            meta: TraceMeta {
-                program,
-                seed,
-                strategy,
-                steps,
-                goroutines_spawned,
-            },
-            stacks,
-            events,
-        })
+        Ok(DecodedTrace::decode(bytes)?.into_trace())
     }
 
     /// Encodes and writes the trace to a `.grtrace` file.
@@ -508,6 +338,20 @@ impl Trace {
         let bytes = std::fs::read(path)?;
         Trace::decode(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+/// Resets `depot` and re-interns `stacks` (a depot snapshot in
+/// first-intern order) so entry `i` is `StackId(i + 1)` again.
+pub(crate) fn rebuild_depot(stacks: &[StackNode], depot: &StackDepot) {
+    depot.reset();
+    for (i, node) in stacks.iter().enumerate() {
+        let id = depot.push(node.parent, &node.func, node.call_line);
+        assert_eq!(
+            id.raw() as usize,
+            i + 1,
+            "trace stack table not in first-intern order"
+        );
     }
 }
 
@@ -1003,38 +847,6 @@ mod tests {
             let id = StackId(i as u32 + 1);
             assert_eq!(depot.parent(id), node.parent);
         }
-    }
-
-    #[test]
-    fn decode_rejects_bad_magic_and_version() {
-        let p = listing1();
-        let (_, trace) = record(&p, &RunConfig::with_seed(1));
-        let mut bytes = trace.encode();
-        bytes[0] = b'X';
-        assert_eq!(Trace::decode(&bytes), Err(TraceDecodeError::BadMagic));
-        let mut bytes = trace.encode();
-        bytes[8] = 99; // version low byte
-        assert!(matches!(
-            Trace::decode(&bytes),
-            Err(TraceDecodeError::UnsupportedVersion { found: 99, .. })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_and_trailing_bytes() {
-        let p = listing1();
-        let (_, trace) = record(&p, &RunConfig::with_seed(2));
-        let bytes = trace.encode();
-        assert_eq!(
-            Trace::decode(&bytes[..bytes.len() - 1]),
-            Err(TraceDecodeError::Truncated)
-        );
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert_eq!(
-            Trace::decode(&extended),
-            Err(TraceDecodeError::TrailingBytes { extra: 1 })
-        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Batched `.grtrace` decoding: differential tests against the scalar
-//! decoder.
+//! The `.grtrace` reader against the recorder, and against corruption.
 //!
-//! The batch decoder ([`DecodedTrace`]) is a second reader of the same
-//! wire format, so every guarantee it offers is phrased as equivalence
-//! with [`Trace::decode`]:
+//! [`BatchDecoder`](grs_runtime::BatchDecoder) is the only parser of the
+//! format, so its ground truth is the trace the recorder built in memory:
 //!
 //! * **property test** (randlite-seeded): on randomly generated programs,
-//!   batch decoding at chunk sizes 1, 2, prime strides, and the default
-//!   reproduces the exact event sequence, stack table, metadata, depot
-//!   snapshot, and FNV digest of the scalar decoder;
-//! * **corruption differential**: on truncated, bit-flipped, and
-//!   trailing-garbage inputs, the batch decoder returns the *same typed
-//!   error* as the scalar decoder (or the same successful decode), and
-//!   never panics — including truncations that land mid-chunk.
+//!   record → encode → decode at chunk sizes 1, 2, prime strides, and the
+//!   default reproduces the recorded event sequence, stack table,
+//!   metadata, depot snapshot, and FNV digest, and [`Trace::decode`]
+//!   returns the recorded [`Trace`];
+//! * **corruption**: truncated, bit-flipped, and trailing-garbage inputs
+//!   yield a typed [`TraceDecodeError`] (or, for a flip that lands on a
+//!   free field, a still-valid trace), never a panic, and the same verdict
+//!   at every chunk size — including truncations that land mid-chunk.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,12 +103,12 @@ fn check(seed: u64, cases: usize, mut body: impl FnMut(usize, Shape, u64)) {
 }
 
 /// Depot snapshots agree: every recorded stack id resolves to the same
-/// frames through a depot rebuilt from either decoder's stack table.
-fn assert_same_depot(label: &str, scalar: &Trace, decoded: &DecodedTrace) {
+/// frames through a depot rebuilt from the recorded or the decoded table.
+fn assert_same_depot(label: &str, recorded: &Trace, decoded: &DecodedTrace) {
     let (a, b) = (StackDepot::new(), StackDepot::new());
-    scalar.rebuild_depot_into(&a);
+    recorded.rebuild_depot_into(&a);
     decoded.rebuild_depot_into(&b);
-    for i in 1..=scalar.stacks.len() as u32 {
+    for i in 1..=recorded.stacks.len() as u32 {
         assert_eq!(
             a.resolve(StackId(i)),
             b.resolve(StackId(i)),
@@ -118,23 +117,27 @@ fn assert_same_depot(label: &str, scalar: &Trace, decoded: &DecodedTrace) {
     }
 }
 
-/// Chunk sizes the ISSUE pins: 1, 2, prime strides, and the default.
+/// Chunk sizes: 1, 2, prime strides, and the default.
 const CHUNKS: &[usize] = &[1, 2, 7, 61, 4096];
 
 #[test]
-fn batch_decode_equals_scalar_decode_on_random_traces() {
+fn decode_reproduces_the_recorded_trace_at_every_chunk_size() {
     check(0xBA7C, 24, |case, shape, run_seed| {
         let p = program(&shape);
         let (_, trace) = record(&p, &RunConfig::with_seed(run_seed));
         let bytes = trace.encode();
-        let reference = Trace::decode(&bytes).expect("scalar decode");
+        assert_eq!(
+            Trace::decode(&bytes).as_ref(),
+            Ok(&trace),
+            "case {case} shape {shape:?}: Trace::decode"
+        );
         for &chunk in CHUNKS {
             let label = format!("case {case} shape {shape:?} chunk {chunk}");
             let decoded =
-                DecodedTrace::decode_with_chunk(&bytes, chunk).expect("batch decode");
-            assert_eq!(decoded.len(), reference.events.len(), "{label}: event count");
-            assert_eq!(decoded.meta, reference.meta, "{label}: meta");
-            assert_eq!(decoded.stacks, reference.stacks, "{label}: stack table");
+                DecodedTrace::decode_with_chunk(&bytes, chunk).expect("recorded trace decodes");
+            assert_eq!(decoded.len(), trace.events.len(), "{label}: event count");
+            assert_eq!(decoded.meta, trace.meta, "{label}: meta");
+            assert_eq!(decoded.stacks, trace.stacks, "{label}: stack table");
             if !decoded.is_empty() {
                 assert_eq!(
                     decoded.chunks,
@@ -144,10 +147,10 @@ fn batch_decode_equals_scalar_decode_on_random_traces() {
                 let fill = decoded.fill_rate();
                 assert!(fill > 0.0 && fill <= 1.0, "{label}: fill rate {fill}");
             }
-            for (i, ev) in reference.events.iter().enumerate() {
+            for (i, ev) in trace.events.iter().enumerate() {
                 assert_eq!(&decoded.event(i), ev, "{label}: event {i}");
             }
-            assert_same_depot(&label, &reference, &decoded);
+            assert_same_depot(&label, &trace, &decoded);
             // Same FNV digest: the decoded trace *is* the recorded trace.
             assert_eq!(
                 decoded.into_trace().digest(),
@@ -158,28 +161,15 @@ fn batch_decode_equals_scalar_decode_on_random_traces() {
     });
 }
 
-/// Both decoders applied to the same (possibly corrupt) bytes must agree
-/// exactly: same decoded trace on success, same typed error on failure.
-/// Chunk size 4 forces corruption to surface mid-chunk in the batch path.
-fn assert_differential(label: &str, bytes: &[u8]) {
-    let scalar = Trace::decode(bytes);
-    let batched = DecodedTrace::decode_with_chunk(bytes, 4);
-    match (&scalar, &batched) {
-        (Err(se), Err(be)) => assert_eq!(se, be, "{label}: errors must match"),
-        (Ok(st), Ok(bt)) => {
-            assert_eq!(st.meta, bt.meta, "{label}: meta");
-            assert_eq!(st.stacks, bt.stacks, "{label}: stacks");
-            assert_eq!(st.events.len(), bt.len(), "{label}: event count");
-            for (i, ev) in st.events.iter().enumerate() {
-                assert_eq!(&bt.event(i), ev, "{label}: event {i}");
-            }
-        }
-        (s, b) => panic!(
-            "{label}: decoders disagree on validity: scalar {:?} vs batch {:?}",
-            s.as_ref().map(|t| t.events.len()),
-            b.as_ref().map(DecodedTrace::len),
-        ),
-    }
+/// Decodes the same (possibly corrupt) bytes at the default chunk size and
+/// at 4, which makes corruption surface mid-chunk: the verdict — the typed
+/// error, or the decoded trace — must not depend on the chunking. Returns
+/// it.
+fn assert_chunk_invariant(label: &str, bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
+    let whole = Trace::decode(bytes);
+    let chunked = DecodedTrace::decode_with_chunk(bytes, 4).map(DecodedTrace::into_trace);
+    assert_eq!(whole, chunked, "{label}: verdict depends on the chunk size");
+    whole
 }
 
 fn small_trace_bytes() -> Vec<u8> {
@@ -196,52 +186,60 @@ fn small_trace_bytes() -> Vec<u8> {
 }
 
 #[test]
-fn truncation_at_every_length_matches_scalar_errors() {
+fn truncation_at_every_length_is_a_typed_error() {
     let bytes = small_trace_bytes();
     for len in 0..bytes.len() {
-        assert_differential(&format!("truncate to {len}"), &bytes[..len]);
         // Every proper prefix must fail: the format has no trailing slack.
+        let verdict = assert_chunk_invariant(&format!("truncate to {len}"), &bytes[..len]);
         assert!(
-            Trace::decode(&bytes[..len]).is_err(),
+            verdict.is_err(),
             "prefix of {len} bytes decoded successfully"
         );
     }
 }
 
 #[test]
-fn trailing_bytes_are_rejected_identically() {
+fn trailing_bytes_are_rejected() {
     let mut bytes = small_trace_bytes();
     for extra in [1usize, 7] {
         bytes.extend(vec![0xABu8; extra]);
-        let err = DecodedTrace::decode(&bytes).expect_err("trailing bytes");
-        assert!(
-            matches!(err, TraceDecodeError::TrailingBytes { .. }),
-            "expected TrailingBytes, got {err:?}"
+        assert_eq!(
+            assert_chunk_invariant(&format!("{extra} trailing bytes"), &bytes),
+            Err(TraceDecodeError::TrailingBytes { extra })
         );
-        assert_differential(&format!("{extra} trailing bytes"), &bytes);
         bytes.truncate(bytes.len() - extra);
     }
 }
 
-/// Exhaustive single-byte corruption: flip bits at every offset. Whatever
-/// the scalar decoder makes of the damage — a typed error (bad magic, bad
-/// string index, bad stack id, bad event tag, malformed varint...) or an
-/// accidental still-valid stream — the batch decoder must make of it too.
+/// Exhaustive single-byte corruption: flip bits at every offset. The
+/// decoder makes of the damage a typed error (bad magic, bad string index,
+/// bad stack id, bad event tag, malformed varint...) or an accidental
+/// still-valid stream — never a panic — and a flip in the header is the
+/// error that names the header field.
 #[test]
-fn bit_flips_at_every_offset_match_scalar_verdicts() {
+fn bit_flips_at_every_offset_never_panic() {
     let bytes = small_trace_bytes();
     for i in 0..bytes.len() {
         for flip in [0x01u8, 0x80] {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= flip;
-            assert_differential(&format!("flip {flip:#04x} at byte {i}"), &corrupt);
+            let verdict =
+                assert_chunk_invariant(&format!("flip {flip:#04x} at byte {i}"), &corrupt);
+            match i {
+                0..=7 => assert_eq!(verdict, Err(TraceDecodeError::BadMagic), "byte {i}"),
+                8..=11 => assert!(
+                    matches!(verdict, Err(TraceDecodeError::UnsupportedVersion { .. })),
+                    "byte {i}: {verdict:?}"
+                ),
+                _ => {}
+            }
         }
     }
 }
 
 /// A count off the wire never sizes a `Vec` beyond what the input could
 /// hold: a 36-byte header that claims 2^60 stacks, or 2^60 events, is
-/// `Truncated` from both decoders, not a `capacity overflow` panic.
+/// `Truncated`, not a `capacity overflow` panic.
 #[test]
 fn lying_counts_are_truncation_not_a_reservation() {
     let mut header = TRACE_MAGIC.to_vec();
@@ -258,7 +256,10 @@ fn lying_counts_are_truncation_not_a_reservation() {
     put_uvarint(&mut events, 1 << 60);
 
     for (label, bytes) in [("stack count", stacks), ("event count", events)] {
-        assert_eq!(Trace::decode(&bytes), Err(TraceDecodeError::Truncated), "{label}");
-        assert_differential(label, &bytes);
+        assert_eq!(
+            assert_chunk_invariant(label, &bytes),
+            Err(TraceDecodeError::Truncated),
+            "{label}"
+        );
     }
 }

@@ -5,10 +5,10 @@
 //! three directions — repeated runs in one process, event-trace digests
 //! (which would expose any `HashMap`-iteration-order leak in the runtime's
 //! scheduling path), and parallel campaigns at worker counts {1, 4, 8}
-//! (which would expose any cross-thread nondeterminism in the explorer,
-//! the shard scheduler, or the dedup stage).
+//! (which would expose any cross-thread nondeterminism in the shard
+//! scheduler or the dedup stage).
 
-use grs::detector::{DetectorChoice, ExploreConfig, Explorer};
+use grs::detector::DetectorChoice;
 use grs::fleet::{Campaign, CampaignConfig};
 use grs::patterns;
 use grs::runtime::{RunConfig, Runtime, Strategy, TraceHasher};
@@ -83,29 +83,6 @@ fn detector_reports_are_deterministic_including_order() {
                 assert_eq!(a, b, "{} seed {seed} {detector}", p.id);
                 assert_eq!(b, c, "{} seed {seed} {detector}", p.id);
             }
-        }
-    }
-}
-
-/// Explorer output is identical at worker counts {1, 4, 8}.
-#[test]
-fn explorer_is_worker_count_invariant() {
-    let p = patterns::find("missing_lock").expect("in corpus");
-    let program = p.racy_program();
-    let reference = Explorer::new(ExploreConfig::quick().runs(24).workers(1))
-        .explore_parallel(&program);
-    for workers in [4, 8] {
-        let r = Explorer::new(ExploreConfig::quick().runs(24).workers(workers))
-            .explore_parallel(&program);
-        assert_eq!(r.racy_runs, reference.racy_runs, "workers={workers}");
-        assert_eq!(
-            r.unique_races.len(),
-            reference.unique_races.len(),
-            "workers={workers}"
-        );
-        for (a, b) in r.unique_races.iter().zip(reference.unique_races.iter()) {
-            assert_eq!(a.site_key(), b.site_key(), "workers={workers}");
-            assert_eq!(a.repro_seed, b.repro_seed, "workers={workers}");
         }
     }
 }
