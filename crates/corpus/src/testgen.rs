@@ -85,6 +85,8 @@ pub struct GoTest {
     pub expected_racy: bool,
 }
 
+// The shared copy is `grs_obs::splitmix64`; this crate has no `grs-obs`
+// edge, and five lines do not justify adding one.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -23,6 +23,8 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use grs_obs::splitmix64;
+
 use crate::fingerprint::Fingerprint;
 
 /// 8-byte words one cached fingerprint is accounted as: the fingerprint
@@ -76,10 +78,7 @@ impl std::fmt::Debug for BoundedDedup {
 fn mix(fp: Fingerprint) -> u64 {
     // splitmix64 finalizer: the raw fingerprint is already FNV-mixed, but
     // shard/bloom indices use disjoint bit ranges and must not correlate.
-    let mut h = fp.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    splitmix64(fp.0)
 }
 
 impl BoundedDedup {

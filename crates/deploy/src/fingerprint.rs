@@ -19,6 +19,7 @@
 use std::fmt;
 
 use grs_detector::RaceReport;
+use grs_obs::Fnv1a;
 use grs_runtime::{Stack, StackDepot};
 
 /// A stable 64-bit race identity.
@@ -31,21 +32,10 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
-    let mut h = seed;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn hash_str(s: &str, seed: u64) -> u64 {
+fn hash_str(h: &mut Fnv1a, s: &str) {
+    h.write(s.as_bytes());
     // Terminate with a sentinel so ["ab","c"] != ["a","bc"].
-    fnv1a(s.bytes().chain(std::iter::once(0u8)), seed)
+    h.write(&[0]);
 }
 
 /// The line-number-free projection of a stack: its function names only.
@@ -53,11 +43,10 @@ fn chain(stack: &Stack) -> Vec<&str> {
     stack.func_names()
 }
 
-fn hash_chain(funcs: &[&str], mut seed: u64) -> u64 {
+fn hash_chain(h: &mut Fnv1a, funcs: &[&str]) {
     for f in funcs {
-        seed = hash_str(f, seed);
+        hash_str(h, f);
     }
-    seed
 }
 
 /// The paper's fingerprint: line-insensitive, orientation-insensitive.
@@ -87,11 +76,12 @@ pub fn race_fingerprint(report: &RaceReport) -> Fingerprint {
     let (ca, cb) = (chain(a), chain(b));
     // Lexicographic ordering of the chains makes the pair orientation-free.
     let (first, second) = if ca <= cb { (&ca, &cb) } else { (&cb, &ca) };
-    let mut h = hash_str(&report.object, FNV_OFFSET);
-    h = hash_chain(first, h);
-    h = hash_str("||", h);
-    h = hash_chain(second, h);
-    Fingerprint(h)
+    let mut h = Fnv1a::new();
+    hash_str(&mut h, &report.object);
+    hash_chain(&mut h, first);
+    hash_str(&mut h, "||");
+    hash_chain(&mut h, second);
+    Fingerprint(h.finish())
 }
 
 /// [`race_fingerprint`] computed from the report's interned [`StackId`]s,
@@ -113,31 +103,33 @@ pub fn race_fingerprint_interned(report: &RaceReport, depot: &StackDepot) -> Fin
     let ca: Vec<&str> = na.iter().map(|f| &**f).collect();
     let cb: Vec<&str> = nb.iter().map(|f| &**f).collect();
     let (first, second) = if ca <= cb { (&ca, &cb) } else { (&cb, &ca) };
-    let mut h = hash_str(&report.object, FNV_OFFSET);
-    h = hash_chain(first, h);
-    h = hash_str("||", h);
-    h = hash_chain(second, h);
-    Fingerprint(h)
+    let mut h = Fnv1a::new();
+    hash_str(&mut h, &report.object);
+    hash_chain(&mut h, first);
+    hash_str(&mut h, "||");
+    hash_chain(&mut h, second);
+    Fingerprint(h.finish())
 }
 
 /// The strawman fingerprint §3.3.1 argues against: includes line numbers
 /// and preserves the detection order of the two chains.
 #[must_use]
 pub fn naive_fingerprint(report: &RaceReport) -> Fingerprint {
-    let mut h = hash_str(&report.object, FNV_OFFSET);
+    let mut h = Fnv1a::new();
+    hash_str(&mut h, &report.object);
     for (stack, loc) in [
         (&report.prior.stack, report.prior.loc),
         (&report.current.stack, report.current.loc),
     ] {
         for f in stack.frames() {
-            h = hash_str(&f.func, h);
-            h = fnv1a(f.call_line.to_le_bytes(), h);
+            hash_str(&mut h, &f.func);
+            h.write(&f.call_line.to_le_bytes());
         }
-        h = hash_str(loc.file, h);
-        h = fnv1a(loc.line.to_le_bytes(), h);
-        h = hash_str("||", h);
+        hash_str(&mut h, loc.file);
+        h.write(&loc.line.to_le_bytes());
+        hash_str(&mut h, "||");
     }
-    Fingerprint(h)
+    Fingerprint(h.finish())
 }
 
 #[cfg(test)]

@@ -48,6 +48,9 @@ use crate::store::{Snapshot, SnapshotError};
 use crate::tracker::{BugTracker, FixError, TaskId};
 use crate::wire::{RequestFrame, ResponseFrame, Transport};
 
+/// Backoff hint carried in every [`IntakeError::Busy`], milliseconds.
+const RETRY_AFTER_MS: u32 = 25;
+
 /// Everything that can go wrong at the intake boundary. The service's
 /// single error surface: bad input, overload, and persistence failures are
 /// all values here — none of them panic.
@@ -242,7 +245,6 @@ struct ServiceInner {
     queue: Mutex<QueueState>,
     queue_nonempty: Condvar,
     queue_depth: usize,
-    retry_after_ms: u32,
     sink: Option<Arc<dyn ObsSink>>,
     snapshot_path: Option<PathBuf>,
     shut_down: AtomicBool,
@@ -342,7 +344,7 @@ impl ServiceInner {
                 self.busy_rejections.fetch_add(1, Ordering::Relaxed);
                 self.obs(|s| s.add("intake.busy", 1));
                 return Err(IntakeError::Busy {
-                    retry_after_ms: self.retry_after_ms,
+                    retry_after_ms: RETRY_AFTER_MS,
                 });
             }
             queue.jobs.push_back(Job {
@@ -405,7 +407,6 @@ pub struct IntakeServiceBuilder {
     workers: usize,
     queue_depth: usize,
     dedup_budget_words: usize,
-    retry_after_ms: u32,
     snapshot_path: Option<PathBuf>,
     sink: Option<Arc<dyn ObsSink>>,
     owners: OwnerDb,
@@ -428,7 +429,6 @@ impl Default for IntakeServiceBuilder {
             workers: 2,
             queue_depth: 256,
             dedup_budget_words: 1 << 20,
-            retry_after_ms: 25,
             snapshot_path: None,
             sink: None,
             owners: OwnerDb::new(),
@@ -452,12 +452,6 @@ impl IntakeServiceBuilder {
     /// Hard dedup-cache budget, 8-byte words.
     pub fn dedup_budget(mut self, words: usize) -> Self {
         self.dedup_budget_words = words;
-        self
-    }
-
-    /// Backoff hint carried in [`IntakeError::Busy`].
-    pub fn retry_after_ms(mut self, ms: u32) -> Self {
-        self.retry_after_ms = ms;
         self
     }
 
@@ -514,7 +508,6 @@ impl IntakeServiceBuilder {
             }),
             queue_nonempty: Condvar::new(),
             queue_depth: self.queue_depth,
-            retry_after_ms: self.retry_after_ms,
             sink: self.sink,
             snapshot_path: self.snapshot_path,
             shut_down: AtomicBool::new(false),

@@ -21,7 +21,6 @@ use grs_runtime::{DecodedTrace, Program, RunConfig, RunOutcome, Runtime, StackDe
 use crate::eraser::Eraser;
 use crate::explorer::DetectorChoice;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
-#[cfg(feature = "oracle")]
 use crate::legacy::{LegacyEraser, LegacyFastTrack, LegacyFastTrackConfig, LegacyTsan};
 use crate::replay::{replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 use crate::report::RaceReport;
@@ -127,8 +126,6 @@ impl DetectorArena {
 
     /// An arena over the **legacy** HashMap-shadow detectors — the
     /// reference implementation the flat shadow memory is pinned against.
-    /// Available in test/bench builds only (`oracle` feature).
-    #[cfg(feature = "oracle")]
     #[must_use]
     pub fn new_oracle() -> Self {
         DetectorArena {

@@ -13,8 +13,8 @@
 //!
 //! Shadow state is a flat `Vec<Option<EraserVar>>` indexed by the kernel's
 //! dense address ids (see the module docs of [`crate::fasttrack`]); the
-//! legacy `HashMap` implementation remains available under the test-only
-//! `oracle` feature as the differential oracle.
+//! legacy `HashMap` implementation stays compiled (`crate::legacy`) as the
+//! differential oracle.
 
 use std::sync::Arc;
 

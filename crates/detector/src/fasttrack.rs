@@ -27,8 +27,8 @@
 //! index, not a hash probe. The concurrent-read history is a tid-sorted
 //! small vector (iteration order matches the old sorted-HashMap walk, so
 //! report order is bit-identical), and the legacy HashMap implementation
-//! survives under the test-only `oracle` feature (`crate::legacy`) as the
-//! differential oracle pinning this rewrite.
+//! stays compiled (`crate::legacy`) as the differential oracle pinning this
+//! rewrite.
 
 use std::sync::Arc;
 

@@ -4,16 +4,16 @@
 //! These modules are byte-for-byte copies of the detector cores as they
 //! stood before the flat shadow-memory refactor (`fasttrack.rs`,
 //! `eraser.rs`, `tsan.rs` with `HashMap<u64, _>` variable/lock/channel
-//! tables and a `HashMap` shared-read history). They are compiled only
-//! under the test-only `oracle` cargo feature and exist for exactly one
+//! tables and a `HashMap` shared-read history). They exist for exactly one
 //! purpose: differential testing. The equivalence suite runs the same
 //! programs and traces through both implementations and pins the flat
 //! path's reports, fingerprints, shadow-word accounting, and campaign
 //! digests bit-identical to this oracle.
 //!
-//! Nothing here is reachable from a release build: the `oracle` feature
-//! is enabled through dev-dependencies only, so `cargo build --release`
-//! never compiles this module.
+//! The module is always compiled, but nothing outside the equivalence
+//! suites runs it: the only ways in are
+//! [`DetectorArena::new_oracle`](crate::DetectorArena::new_oracle) and the
+//! campaign switch `oracle_shadow` built on it.
 
 pub mod eraser;
 pub mod fasttrack;

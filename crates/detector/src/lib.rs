@@ -48,7 +48,6 @@ pub mod eraser;
 pub mod explorer;
 pub mod fasttrack;
 pub mod guided;
-#[cfg(feature = "oracle")]
 pub mod legacy;
 pub mod replay;
 pub mod report;

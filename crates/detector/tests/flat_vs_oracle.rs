@@ -2,13 +2,11 @@
 //!
 //! The flat, index-addressed shadow tables (PR 7) replace the original
 //! HashMap-backed ones in FastTrack, its pure-VC ablation, Eraser, and the
-//! TSan hybrid. The legacy implementation stays compiled under the
-//! test-only `oracle` feature, and this suite pins the rewrite to it
+//! TSan hybrid. The legacy implementation stays compiled as
+//! `grs_detector::legacy`, and this suite pins the rewrite to it
 //! **bit-identically**: same report text in the same order, same site
 //! keys, same step counts, same peak shadow words — live, scalar replay,
 //! and batch replay at several chunk sizes.
-
-#![cfg(feature = "oracle")]
 
 use grs_detector::{replay_decoded, DetectorArena, DetectorChoice, ReplayOutcome};
 use grs_runtime::{record, DecodedTrace, Program, RunConfig, StackDepot};

@@ -33,7 +33,7 @@ use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
 use grs_detector::{
     default_workers, DetectorArena, DetectorChoice, RaceReport, ScheduleFrontier,
 };
-use grs_obs::{CampaignTimeline, MetricsRegistry, ObsReport, ObsSink, SpanGuard, TimelineConfig};
+use grs_obs::{CampaignTimeline, Fnv1a, MetricsRegistry, ObsReport, ObsSink, SpanGuard, TimelineConfig};
 use grs_runtime::{
     calibrate_steps, record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig,
     RunOutcome, Strategy, DEFAULT_CHUNK_EVENTS,
@@ -117,14 +117,9 @@ pub struct CampaignConfig {
     pub shards: usize,
     /// Per-run step budget.
     pub max_steps: u64,
-    /// Virtual campaign days the timeline section buckets the spec axis
-    /// into (see [`grs_obs::CampaignTimeline`]).
-    pub timeline_days: u32,
     /// Route every run/replay through the **legacy** HashMap-shadow
-    /// detectors instead of the flat ones. The field always exists so
-    /// configs serialize/compare uniformly, but flipping it on requires the
-    /// test-only `oracle` feature — without it the campaign panics at
-    /// arena construction. Used by the flat-shadow equivalence suite.
+    /// detectors instead of the flat ones. Used by the flat-shadow
+    /// equivalence suite; production configs leave it `false`.
     pub oracle_shadow: bool,
 }
 
@@ -158,7 +153,6 @@ impl CampaignConfig {
             workers: default_workers(),
             shards: 2 * default_workers(),
             max_steps: 1_000_000,
-            timeline_days: 30,
             oracle_shadow: false,
         }
     }
@@ -223,16 +217,8 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the timeline day count, clamped to at least 1 (builder style).
-    #[must_use]
-    pub fn timeline_days(mut self, days: u32) -> Self {
-        self.timeline_days = days.max(1);
-        self
-    }
-
     /// Routes the campaign through the legacy HashMap-shadow oracle
-    /// detectors (builder style). Requires the `oracle` feature at
-    /// execution time; see [`CampaignConfig::oracle_shadow`].
+    /// detectors (builder style); see [`CampaignConfig::oracle_shadow`].
     #[must_use]
     pub fn oracle_shadow(mut self, oracle: bool) -> Self {
         self.oracle_shadow = oracle;
@@ -618,24 +604,19 @@ impl CampaignResult {
     /// mean holding two multi-megabyte vectors.
     #[must_use]
     pub fn digest64(&self) -> u64 {
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         for r in &self.records {
-            mix(&mut h, &r.spec.index.to_le_bytes());
-            mix(&mut h, r.unit_name.as_bytes());
-            mix(&mut h, &r.spec.seed.to_le_bytes());
-            mix(&mut h, &[u8::from(r.racy)]);
+            h.write(&r.spec.index.to_le_bytes());
+            h.write(r.unit_name.as_bytes());
+            h.write(&r.spec.seed.to_le_bytes());
+            h.write(&[u8::from(r.racy)]);
             for fp in &r.fingerprints {
-                mix(&mut h, &fp.0.to_le_bytes());
+                h.write(&fp.0.to_le_bytes());
             }
-            mix(&mut h, &r.steps.to_le_bytes());
+            h.write(&r.steps.to_le_bytes());
         }
-        mix(&mut h, &(self.units_skipped as u64).to_le_bytes());
-        h
+        h.write(&(self.units_skipped as u64).to_le_bytes());
+        h.finish()
     }
 
     /// Files the deduplicated batch into the intake service.
@@ -788,19 +769,14 @@ impl Campaign {
     }
 
     /// One detector arena per worker, honoring the config's shadow
-    /// implementation choice. `oracle_shadow` is a differential-testing
-    /// knob: it needs the legacy detectors compiled in, which only test
-    /// and bench builds do (the `oracle` feature).
+    /// implementation choice (`oracle_shadow` is the differential-testing
+    /// switch onto the reference detectors).
     fn make_arena(&self) -> DetectorArena {
         if self.config.oracle_shadow {
-            #[cfg(feature = "oracle")]
-            return DetectorArena::new_oracle();
-            #[cfg(not(feature = "oracle"))]
-            panic!(
-                "CampaignConfig::oracle_shadow(true) requires the test-only `oracle` feature"
-            );
+            DetectorArena::new_oracle()
+        } else {
+            DetectorArena::new()
         }
-        DetectorArena::new()
     }
 
     /// The per-run configuration of this campaign for one `(seed, strategy)`.
@@ -985,9 +961,7 @@ impl Campaign {
         registry: &MetricsRegistry,
         records: &[RunRecord],
     ) -> ObsReport {
-        let mut timeline = CampaignTimeline::new(
-            TimelineConfig::default_days().days(self.config.timeline_days),
-        );
+        let mut timeline = CampaignTimeline::new(TimelineConfig::default_days());
         // The day axis spans the full matrix (skipped specs included), so
         // the bucketing — and with it the whole timeline — is unchanged by
         // whether a unit lowered. Skip-free campaigns get exactly the old

@@ -64,22 +64,17 @@ const PINNED_ADAPTIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
 /// batch (fingerprint) order. The trace digest's *value* is a
 /// `DefaultHasher` product, so only its presence is pinned.
 fn representatives_digest(r: &CampaignResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = grs_obs::Fnv1a::new();
     for (fp, report) in r.batch.iter() {
         let repro = report.repro.as_ref().expect("campaign reports carry repro");
-        mix(&fp.0.to_le_bytes());
-        mix(&repro.seed.to_le_bytes());
-        mix(&[
+        h.write(&fp.0.to_le_bytes());
+        h.write(&repro.seed.to_le_bytes());
+        h.write(&[
             u8::from(repro.trace_digest.is_some()),
             u8::from(repro.schedule_prefix.is_some()),
         ]);
     }
-    h
+    h.finish()
 }
 
 #[test]

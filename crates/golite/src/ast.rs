@@ -2,6 +2,12 @@
 //!
 //! Nodes carry the [`Pos`] of their first token so scanners and lints can
 //! report source locations.
+//!
+//! [`walk`] is the crate's one enumeration of statement and expression
+//! children. A pass that only *looks* at nodes (the construct counter, the
+//! lint collectors, the kill-point collector) is a visitor over it; a pass
+//! that does different work per variant (parser, resolver, CFG builder)
+//! keeps its own recursion.
 
 use crate::token::Pos;
 
@@ -418,5 +424,139 @@ impl Expr {
             Expr::Selector(base, sel) => Some(format!("{}.{}", base.dotted()?, sel)),
             _ => None,
         }
+    }
+}
+
+/// A node [`walk`] hands its visitor, before any of the node's children.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// A statement list: the body of a function, closure, block, `if` arm,
+    /// loop, or `switch`/`select` case.
+    List(&'a [Stmt]),
+    /// A statement.
+    Stmt(&'a Stmt),
+    /// An expression.
+    Expr(&'a Expr),
+}
+
+/// The visitor's verdict on the node it was just handed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Visit the node's children next.
+    Descend,
+    /// Visit nothing beneath this node.
+    Skip,
+}
+
+/// Pre-order traversal of everything beneath `root`, closure bodies
+/// included: `visit` sees each statement list, statement and expression
+/// once, parents first and siblings in source order, and prunes a subtree
+/// by answering [`Walk::Skip`].
+///
+/// Both `match`es are exhaustive on purpose — a new [`Stmt`] or [`Expr`]
+/// variant fails to compile here instead of being silently skipped.
+pub fn walk<'a, F: FnMut(Node<'a>) -> Walk>(root: Node<'a>, visit: &mut F) {
+    if visit(root) == Walk::Skip {
+        return;
+    }
+    match root {
+        Node::List(stmts) => walk_stmts(stmts, visit),
+        Node::Stmt(s) => match s {
+            Stmt::Decl(v) => walk_exprs(&v.values, visit),
+            Stmt::Define { values, .. } | Stmt::Return { values, .. } => walk_exprs(values, visit),
+            Stmt::Assign { lhs, rhs, .. } => walk_exprs(lhs.iter().chain(rhs), visit),
+            Stmt::IncDec { expr, .. } | Stmt::Expr(expr) => walk_exprs([expr], visit),
+            Stmt::Send { chan, value, .. } => walk_exprs([chan, value], visit),
+            Stmt::Go { call, .. } | Stmt::Defer { call, .. } => walk_exprs([call], visit),
+            Stmt::If {
+                init,
+                cond,
+                then,
+                els,
+                ..
+            } => {
+                walk_stmts(init.as_deref(), visit);
+                walk_exprs([cond], visit);
+                walk(Node::List(&then.stmts), visit);
+                walk_stmts(els.as_deref(), visit);
+            }
+            Stmt::Block(b) => walk(Node::List(&b.stmts), visit),
+            Stmt::For {
+                init,
+                cond,
+                post,
+                range,
+                body,
+                ..
+            } => {
+                walk_stmts(init.as_deref(), visit);
+                walk_exprs(cond, visit);
+                walk_stmts(post.as_deref(), visit);
+                walk_exprs(range.as_ref().map(|r| &r.expr), visit);
+                walk(Node::List(&body.stmts), visit);
+            }
+            Stmt::Switch { tag, cases, .. } => {
+                walk_exprs(tag, visit);
+                for c in cases {
+                    walk_exprs(&c.exprs, visit);
+                    walk(Node::List(&c.body), visit);
+                }
+            }
+            Stmt::Select { cases, .. } => {
+                for c in cases {
+                    walk_stmts(c.comm.as_deref(), visit);
+                    walk(Node::List(&c.body), visit);
+                }
+            }
+            Stmt::Branch { .. } | Stmt::Empty => {}
+        },
+        Node::Expr(e) => match e {
+            Expr::Ident(..)
+            | Expr::Int(..)
+            | Expr::Float(..)
+            | Expr::Str(..)
+            | Expr::Rune(..)
+            | Expr::TypeExpr(_) => {}
+            Expr::Selector(inner, _) | Expr::Paren(inner) | Expr::Unary { expr: inner, .. } => {
+                walk_exprs([inner.as_ref()], visit);
+            }
+            Expr::Call { func, args, .. } => {
+                walk_exprs([func.as_ref()], visit);
+                walk_exprs(args, visit);
+            }
+            Expr::Index(a, b) | Expr::Binary { lhs: a, rhs: b, .. } => {
+                walk_exprs([a.as_ref(), b.as_ref()], visit);
+            }
+            Expr::SliceExpr { expr, low, high } => {
+                walk_exprs([expr.as_ref()], visit);
+                walk_exprs(low.as_deref(), visit);
+                walk_exprs(high.as_deref(), visit);
+            }
+            Expr::FuncLit { body, .. } => walk(Node::List(&body.stmts), visit),
+            Expr::CompositeLit { elems, .. } => {
+                for (k, v) in elems {
+                    walk_exprs(k, visit);
+                    walk_exprs([v], visit);
+                }
+            }
+        },
+    }
+}
+
+fn walk_stmts<'a, F: FnMut(Node<'a>) -> Walk>(
+    stmts: impl IntoIterator<Item = &'a Stmt>,
+    visit: &mut F,
+) {
+    for s in stmts {
+        walk(Node::Stmt(s), visit);
+    }
+}
+
+fn walk_exprs<'a, F: FnMut(Node<'a>) -> Walk>(
+    exprs: impl IntoIterator<Item = &'a Expr>,
+    visit: &mut F,
+) {
+    for e in exprs {
+        walk(Node::Expr(e), visit);
     }
 }

@@ -12,7 +12,8 @@
 //! * [`parser::parse_file`] — a recursive-descent parser building a typed
 //!   [`ast`] for packages, declarations, statements (including `go`,
 //!   `defer`, `select`, `range`), and expressions (including closures and
-//!   composite literals),
+//!   composite literals); [`ast::walk`] is the one pre-order traversal the
+//!   scanner, the lint collectors and [`mhp`] are visitors over,
 //! * [`scan`] — the construct scanner producing Table 1's feature counts,
 //! * [`resolve`] — lexical scope resolution (Go's `:=` redeclaration rule,
 //!   shadowing, closure capture sets),

@@ -11,15 +11,15 @@
 //! ([`lockset`](crate::lockset)). Each rule fires on its paper listing and
 //! stays quiet on the fixed variant (see the crate's listing tests).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
-use crate::ast::{Block, Decl, Expr, File, FuncDecl, Stmt};
+use crate::ast::{walk, Block, Decl, Expr, File, FuncDecl, Node, Stmt, Walk};
 use crate::callgraph::CallGraph;
 use crate::cfg;
-use crate::lockset::{self, LockRule};
+use crate::lockset;
 use crate::mhp::Mhp;
 use crate::resolve::{resolve_file, Resolution, SymbolId, SymbolKind};
-use crate::summary::{self, InterRule, Summaries};
+use crate::summary::{self, Summaries};
 use crate::token::Pos;
 
 /// Which lint fired. Ordered the way Tables 2 and 3 present the classes:
@@ -235,43 +235,14 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
     let cfgs = cfg::build_file(file, &res);
     let cg = CallGraph::build(&cfgs);
     let called = cg.called();
-    let lock_findings = lockset::analyze_cfgs_scoped(&cfgs, &called);
-    let mut seen_vars: BTreeSet<cfg::VarKey> = BTreeSet::new();
-    for lf in lock_findings {
-        seen_vars.insert(lf.var.clone());
-        findings.push(Finding {
-            rule: match lf.rule {
-                LockRule::MissingLock => Rule::MissingLock,
-                LockRule::InconsistentLock => Rule::InconsistentLock,
-                LockRule::AtomicMixedWithPlain => Rule::AtomicMixedWithPlain,
-                LockRule::DoubleCheckedLocking => Rule::DoubleCheckedLocking,
-                LockRule::WriteUnderRlock => Rule::WriteUnderRLock,
-            },
-            pos: lf.pos,
-            func: lf.func,
-            message: lf.message,
-            chain: Vec::new(),
-        });
-    }
+    let (lock_findings, seen_vars) = lockset::analyze_cfgs_scoped(&cfgs, &called);
+    findings.extend(lock_findings);
 
     let sums = Summaries::compute(file, &res, &cfgs, &cg);
     let mhp = Mhp::build(file);
-    for inf in summary::interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &seen_vars) {
-        findings.push(Finding {
-            rule: match inf.rule {
-                InterRule::MissingLockInterproc => Rule::InterprocMissingLock,
-                InterRule::InconsistentLockInterproc => Rule::InterprocInconsistentLock,
-                InterRule::EscapingCapture => Rule::EscapingCaptureToSpawner,
-                InterRule::LockDroppedBeforeCall => Rule::LockDroppedBeforeCall,
-                InterRule::SpawnInCalleeMapWrite => Rule::SpawnInCalleeMapWrite,
-                InterRule::UnsyncedSpawnedCall => Rule::UnsyncedSpawnedCall,
-            },
-            pos: inf.pos,
-            func: inf.func,
-            message: inf.message,
-            chain: inf.chain.into_iter().map(|h| (h.func, h.pos)).collect(),
-        });
-    }
+    findings.extend(summary::interproc_findings(
+        &res, &cfgs, &cg, &sums, &mhp, &seen_vars,
+    ));
 
     // Deterministic, path-independent order: position first, then the
     // stable rule ID; drop exact duplicates a rule pair may have produced.
@@ -282,8 +253,13 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
 
 /// A goroutine launched with an inline closure: `go func(...) {...}(args)`.
 struct GoClosure<'a> {
+    /// Position of the `go` keyword.
+    go_pos: Pos,
+    /// Position of the closure's `func` keyword.
     pos: Pos,
     body: &'a Block,
+    /// The statements after the `go` in its own statement list.
+    later: &'a [Stmt],
 }
 
 fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
@@ -307,11 +283,9 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
         }
     }
 
-    let mut closures: Vec<GoClosure<'_>> = Vec::new();
-    collect_go_closures(body, &mut closures);
     let has_wait_call = calls_method(body, "Wait");
 
-    for gc in &closures {
+    for gc in &go_closures(body) {
         // Real capture sets from resolution: a closure parameter or an
         // earlier same-name `:=` inside the closure means the name is NOT
         // captured — the old free-variable scan could not tell.
@@ -393,64 +367,31 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
                 });
             }
         }
-    }
 
-    lint_goroutine_before_init(body, f, res, findings);
-}
-
-/// Scans each block for `go func(){ ... x ... }()` followed (later in the
-/// same block) by an assignment to the same resolved symbol — the launch
-/// raced ahead of the initialization it depends on.
-fn lint_goroutine_before_init(
-    block: &Block,
-    f: &FuncDecl,
-    res: &Resolution,
-    findings: &mut Vec<Finding>,
-) {
-    for (i, stmt) in block.stmts.iter().enumerate() {
-        if let Stmt::Go {
-            pos,
-            call: Expr::Call { func: callee, .. },
-        } = stmt
-        {
-            if let Expr::FuncLit { pos: lit_pos, .. } = callee.as_ref() {
-                let mut later: HashSet<SymbolId> = HashSet::new();
-                for s in &block.stmts[i + 1..] {
-                    collect_assign_symbols(s, res, &mut later);
-                }
-                for &sym_id in res.captures_at(*lit_pos) {
-                    let sym = res.symbol(sym_id);
-                    // ErrCapture owns the err idiom.
-                    if sym.name == "err" || !later.contains(&sym_id) {
-                        continue;
-                    }
-                    findings.push(Finding {
-                        rule: Rule::GoroutineBeforeInit,
-                        pos: *pos,
-                        func: f.name.clone(),
-                        message: format!(
-                            "goroutine reads `{}`, which is assigned only \
-                             after the `go` statement",
-                            sym.name
-                        ),
-                        chain: Vec::new(),
-                    });
-                }
-            }
+        // Rule: GoroutineBeforeInit — a captured symbol assigned later in
+        // the statement list that launched the goroutine: the launch raced
+        // ahead of the initialization it depends on.
+        let mut later: HashSet<SymbolId> = HashSet::new();
+        for s in gc.later {
+            collect_assign_symbols(s, res, &mut later);
         }
-        // Recurse into nested blocks.
-        match stmt {
-            Stmt::If { then, els, .. } => {
-                lint_goroutine_before_init(then, f, res, findings);
-                if let Some(e) = els {
-                    if let Stmt::Block(b) = e.as_ref() {
-                        lint_goroutine_before_init(b, f, res, findings);
-                    }
-                }
+        for &sym_id in captured {
+            let sym = res.symbol(sym_id);
+            // ErrCapture owns the err idiom.
+            if sym.name == "err" || !later.contains(&sym_id) {
+                continue;
             }
-            Stmt::Block(b) => lint_goroutine_before_init(b, f, res, findings),
-            Stmt::For { body, .. } => lint_goroutine_before_init(body, f, res, findings),
-            _ => {}
+            findings.push(Finding {
+                rule: Rule::GoroutineBeforeInit,
+                pos: gc.go_pos,
+                func: f.name.clone(),
+                message: format!(
+                    "goroutine reads `{}`, which is assigned only \
+                     after the `go` statement",
+                    sym.name
+                ),
+                chain: Vec::new(),
+            });
         }
     }
 }
@@ -488,263 +429,67 @@ fn collect_assign_symbols(stmt: &Stmt, res: &Resolution, out: &mut HashSet<Symbo
     }
 }
 
-fn collect_go_closures<'a>(block: &'a Block, out: &mut Vec<GoClosure<'a>>) {
-    for stmt in &block.stmts {
-        collect_go_in_stmt(stmt, out);
-    }
-}
-
-fn collect_go_in_stmt<'a>(stmt: &'a Stmt, out: &mut Vec<GoClosure<'a>>) {
-    match stmt {
-        Stmt::Go {
-            call: Expr::Call { func, .. },
-            ..
-        } => {
-            if let Expr::FuncLit { pos, body, .. } = func.as_ref() {
-                out.push(GoClosure { pos: *pos, body });
-                // Nested goroutines inside this closure still matter.
-                collect_go_closures(body, out);
-            }
-        }
-        Stmt::For { body, .. } => collect_go_closures(body, out),
-        Stmt::If { then, els, .. } => {
-            collect_go_closures(then, out);
-            if let Some(e) = els {
-                collect_go_in_stmt(e, out);
-            }
-        }
-        Stmt::Block(b) => collect_go_closures(b, out),
-        Stmt::Switch { cases, .. } => {
-            for c in cases {
-                for s in &c.body {
-                    collect_go_in_stmt(s, out);
-                }
-            }
-        }
-        Stmt::Select { cases, .. } => {
-            for c in cases {
-                for s in &c.body {
-                    collect_go_in_stmt(s, out);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Does the block (at any depth) call a method with this name?
-fn calls_method(block: &Block, method: &str) -> bool {
-    let mut found = false;
-    let mut check = |e: &Expr| {
-        if let Expr::Call { func, .. } = e {
-            if let Expr::Selector(_, m) = func.as_ref() {
-                if m == method {
-                    found = true;
-                }
-            }
-        }
-    };
-    walk_exprs(block, &mut check);
-    found
-}
-
-/// Base identifiers of indexed assignments `base[...] = ...` at any depth:
-/// `(position of the base identifier, its name, statement position)`.
-fn indexed_assign_bases(block: &Block) -> Vec<(Pos, String, Pos)> {
+/// Every inline-closure `go` statement beneath `body`, at any depth
+/// (closure bodies included), each with the rest of its statement list.
+fn go_closures(body: &Block) -> Vec<GoClosure<'_>> {
     let mut out = Vec::new();
-    fn walk(b: &Block, out: &mut Vec<(Pos, String, Pos)>) {
-        for s in &b.stmts {
-            walk_stmt(s, out);
+    walk(Node::List(&body.stmts), &mut |n| {
+        if let Node::List(stmts) = n {
+            for (i, stmt) in stmts.iter().enumerate() {
+                if let Stmt::Go {
+                    pos: go_pos,
+                    call: Expr::Call { func, .. },
+                } = stmt
+                {
+                    if let Expr::FuncLit { pos, body, .. } = func.as_ref() {
+                        out.push(GoClosure {
+                            go_pos: *go_pos,
+                            pos: *pos,
+                            body,
+                            later: &stmts[i + 1..],
+                        });
+                    }
+                }
+            }
         }
-    }
-    fn walk_stmt(s: &Stmt, out: &mut Vec<(Pos, String, Pos)>) {
-        match s {
-            Stmt::Assign { pos, lhs, .. } => {
-                for e in lhs {
-                    if let Expr::Index(base, _) = e {
-                        if let Expr::Ident(bp, n) = base.as_ref() {
-                            out.push((*bp, n.clone(), *pos));
-                        }
-                    }
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                walk(then, out);
-                if let Some(e) = els {
-                    walk_stmt(e, out);
-                }
-            }
-            Stmt::Block(b) => walk(b, out),
-            Stmt::For { body, .. } => walk(body, out),
-            Stmt::Switch { cases, .. } => {
-                for c in cases {
-                    for s in &c.body {
-                        walk_stmt(s, out);
-                    }
-                }
-            }
-            Stmt::Select { cases, .. } => {
-                for c in cases {
-                    for s in &c.body {
-                        walk_stmt(s, out);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(block, &mut out);
+        Walk::Descend
+    });
     out
 }
 
-/// Applies `f` to every expression in the block, at any depth (closures
-/// included).
-fn walk_exprs(block: &Block, f: &mut (dyn FnMut(&Expr) + '_)) {
-    for s in &block.stmts {
-        walk_exprs_stmt(s, f);
-    }
+/// Does the block (at any depth, closures included) call a method with
+/// this name?
+fn calls_method(block: &Block, method: &str) -> bool {
+    let mut found = false;
+    walk(Node::List(&block.stmts), &mut |n| {
+        if let Node::Expr(Expr::Call { func, .. }) = n {
+            if let Expr::Selector(_, m) = func.as_ref() {
+                found |= m == method;
+            }
+        }
+        Walk::Descend
+    });
+    found
 }
 
-fn walk_exprs_stmt(s: &Stmt, f: &mut (dyn FnMut(&Expr) + '_)) {
-    let on_expr = |e: &Expr, f: &mut dyn FnMut(&Expr)| walk_exprs_expr(e, f);
-    match s {
-        Stmt::Decl(v) => {
-            for e in &v.values {
-                on_expr(e, f);
-            }
-        }
-        Stmt::Define { values, .. } => {
-            for e in values {
-                on_expr(e, f);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs.iter()) {
-                on_expr(e, f);
-            }
-        }
-        Stmt::IncDec { expr, .. } => on_expr(expr, f),
-        Stmt::Expr(e) => on_expr(e, f),
-        Stmt::Send { chan, value, .. } => {
-            on_expr(chan, f);
-            on_expr(value, f);
-        }
-        Stmt::Go { call, .. } | Stmt::Defer { call, .. } => on_expr(call, f),
-        Stmt::Return { values, .. } => {
-            for e in values {
-                on_expr(e, f);
-            }
-        }
-        Stmt::If {
-            init,
-            cond,
-            then,
-            els,
-            ..
-        } => {
-            if let Some(i) = init {
-                walk_exprs_stmt(i, f);
-            }
-            on_expr(cond, f);
-            walk_exprs(then, f);
-            if let Some(e) = els {
-                walk_exprs_stmt(e, f);
-            }
-        }
-        Stmt::Block(b) => walk_exprs(b, f),
-        Stmt::For {
-            init,
-            cond,
-            post,
-            range,
-            body,
-            ..
-        } => {
-            if let Some(i) = init {
-                walk_exprs_stmt(i, f);
-            }
-            if let Some(c) = cond {
-                on_expr(c, f);
-            }
-            if let Some(p) = post {
-                walk_exprs_stmt(p, f);
-            }
-            if let Some(r) = range {
-                on_expr(&r.expr, f);
-            }
-            walk_exprs(body, f);
-        }
-        Stmt::Switch { tag, cases, .. } => {
-            if let Some(t) = tag {
-                on_expr(t, f);
-            }
-            for c in cases {
-                for e in &c.exprs {
-                    on_expr(e, f);
-                }
-                for s in &c.body {
-                    walk_exprs_stmt(s, f);
+/// Base identifiers of indexed assignments `base[...] = ...` at any depth
+/// (closures included): `(position of the base identifier, its name,
+/// statement position)`.
+fn indexed_assign_bases(block: &Block) -> Vec<(Pos, String, Pos)> {
+    let mut out = Vec::new();
+    walk(Node::List(&block.stmts), &mut |n| {
+        if let Node::Stmt(Stmt::Assign { pos, lhs, .. }) = n {
+            for e in lhs {
+                if let Expr::Index(base, _) = e {
+                    if let Expr::Ident(bp, name) = base.as_ref() {
+                        out.push((*bp, name.clone(), *pos));
+                    }
                 }
             }
         }
-        Stmt::Select { cases, .. } => {
-            for c in cases {
-                if let Some(comm) = &c.comm {
-                    walk_exprs_stmt(comm, f);
-                }
-                for s in &c.body {
-                    walk_exprs_stmt(s, f);
-                }
-            }
-        }
-        Stmt::Branch { .. } | Stmt::Empty => {}
-    }
-}
-
-fn walk_exprs_expr(e: &Expr, f: &mut (dyn FnMut(&Expr) + '_)) {
-    f(e);
-    match e {
-        Expr::Selector(base, _) => walk_exprs_expr(base, f),
-        Expr::Call { func, args, .. } => {
-            walk_exprs_expr(func, f);
-            for a in args {
-                walk_exprs_expr(a, f);
-            }
-        }
-        Expr::Index(b, i) => {
-            walk_exprs_expr(b, f);
-            walk_exprs_expr(i, f);
-        }
-        Expr::SliceExpr { expr, low, high } => {
-            walk_exprs_expr(expr, f);
-            if let Some(l) = low {
-                walk_exprs_expr(l, f);
-            }
-            if let Some(h) = high {
-                walk_exprs_expr(h, f);
-            }
-        }
-        Expr::Unary { expr, .. } => walk_exprs_expr(expr, f),
-        Expr::Binary { lhs, rhs, .. } => {
-            walk_exprs_expr(lhs, f);
-            walk_exprs_expr(rhs, f);
-        }
-        Expr::FuncLit { body, .. } => {
-            for st in &body.stmts {
-                walk_exprs_stmt(st, f);
-            }
-        }
-        Expr::CompositeLit { elems, .. } => {
-            for (k, v) in elems {
-                if let Some(k) = k {
-                    walk_exprs_expr(k, f);
-                }
-                walk_exprs_expr(v, f);
-            }
-        }
-        Expr::Paren(inner) => walk_exprs_expr(inner, f),
-        _ => {}
-    }
+        Walk::Descend
+    });
+    out
 }
 
 #[cfg(test)]

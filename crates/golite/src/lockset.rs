@@ -15,7 +15,7 @@
 //!    under `RLock` has an empty effective set even though a lock is held.
 //! 3. Accesses are grouped by variable identity — file-wide for globals
 //!    and receiver fields, per-function for locals — and each group is
-//!    tested against the rules in [`LockRule`].
+//!    tested against the locking rules (GR007–GR011) of [`Rule`].
 //!
 //! Sharedness is approximated the way Eraser does at warm-up: a variable
 //! counts as shared once it is touched from two execution contexts, from a
@@ -28,6 +28,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crate::ast::File;
 use crate::cfg::{build_file, BlockId, Event, FuncCfg, LockMode, VarKey};
+use crate::lint::{Finding, Rule};
 use crate::resolve::Resolution;
 use crate::token::Pos;
 
@@ -68,53 +69,20 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
-    /// Locks that actually protect this access: a `Read`-mode lock excludes
-    /// writers only, so it protects reads but not writes.
-    #[must_use]
-    pub fn effective(&self) -> BTreeSet<VarKey> {
-        self.raw
-            .iter()
-            .filter(|(_, m)| **m == LockMode::Write || !self.write)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// True when at least one lock protects the access.
     #[must_use]
     pub fn guarded(&self) -> bool {
-        !self.effective().is_empty()
+        !effective(&self.raw, self.write).is_empty()
     }
 }
 
-/// The lockset-derived race rules (Table 3's shared-memory classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LockRule {
-    /// Guarded at some sites, bare at others.
-    MissingLock,
-    /// Every site locks, but no common lock exists.
-    InconsistentLock,
-    /// `sync/atomic` operations mixed with plain accesses.
-    AtomicMixedWithPlain,
-    /// Unsynchronized fast-path check before a locked re-check.
-    DoubleCheckedLocking,
-    /// A write while holding only a `Read`-mode lock.
-    WriteUnderRlock,
-}
-
-/// One finding from the lockset pass.
-#[derive(Debug, Clone)]
-pub struct LockFinding {
-    /// Which rule fired.
-    pub rule: LockRule,
-    /// The variable the finding is about (lets the interprocedural layer
-    /// avoid double-reporting a variable already flagged here).
-    pub var: VarKey,
-    /// Source position of the offending access.
-    pub pos: Pos,
-    /// Enclosing function.
-    pub func: String,
-    /// Human-readable explanation.
-    pub message: String,
+/// Locks of `held` that actually protect an access: a `Read`-mode lock
+/// excludes writers only, so it protects reads but not writes.
+pub(crate) fn effective(held: &Lockset, write: bool) -> BTreeSet<VarKey> {
+    held.iter()
+        .filter(|(_, m)| **m == LockMode::Write || !write)
+        .map(|(k, _)| k.clone())
+        .collect()
 }
 
 /// Computes the lockset at each block entry of `cfg` by forward fixpoint.
@@ -229,31 +197,36 @@ struct GroupKey {
 /// Runs the lockset analysis over `file` and returns all findings, sorted
 /// by source position.
 #[must_use]
-pub fn analyze_file(file: &File, res: &Resolution) -> Vec<LockFinding> {
+pub fn analyze_file(file: &File, res: &Resolution) -> Vec<Finding> {
     analyze_cfgs(&build_file(file, res))
 }
 
 /// Runs the rules over already-built CFGs.
 #[must_use]
-pub fn analyze_cfgs(cfgs: &[FuncCfg]) -> Vec<LockFinding> {
-    analyze_cfgs_scoped(cfgs, &BTreeSet::new())
+pub fn analyze_cfgs(cfgs: &[FuncCfg]) -> Vec<Finding> {
+    analyze_cfgs_scoped(cfgs, &BTreeSet::new()).0
 }
 
 /// Runs the rules over already-built CFGs, excluding the *file-wide* group
 /// evidence contributed by the functions in `called` (by index into
-/// `cfgs`).
+/// `cfgs`). Returns the findings sorted by position, and the variables
+/// they are about (so the interprocedural layer does not report a variable
+/// already flagged here).
 ///
 /// When the interprocedural layer is active, a function reachable through
 /// in-file calls is judged along its call chains — with the caller's locks
 /// in effect — by `summary::interproc_findings`, so counting its raw
 /// accesses here would produce exactly the false positives the summaries
 /// exist to avoid (a write that looks bare but is always made under a
-/// caller's lock). Per-access rules (`WriteUnderRlock`), atomic mixing,
+/// caller's lock). Per-access rules (`WriteUnderRLock`), atomic mixing,
 /// and double-checked locking stay file-wide: those shapes are wrong
 /// regardless of what locks a caller adds. Local-variable groups are
 /// never excluded — a caller's lock cannot protect a callee's locals.
 #[must_use]
-pub fn analyze_cfgs_scoped(cfgs: &[FuncCfg], called: &BTreeSet<usize>) -> Vec<LockFinding> {
+pub fn analyze_cfgs_scoped(
+    cfgs: &[FuncCfg],
+    called: &BTreeSet<usize>,
+) -> (Vec<Finding>, BTreeSet<VarKey>) {
     let accesses = collect_accesses(cfgs);
     let mut groups: HashMap<GroupKey, Vec<&AccessRecord>> = HashMap::new();
     for a in &accesses {
@@ -272,11 +245,16 @@ pub fn analyze_cfgs_scoped(cfgs: &[FuncCfg], called: &BTreeSet<usize>) -> Vec<Lo
     }
 
     let mut findings = Vec::new();
+    let mut flagged = BTreeSet::new();
     for (key, accs) in &groups {
+        let before = findings.len();
         check_group(&key.var, accs, called, &mut findings);
+        if findings.len() > before {
+            flagged.insert(key.var.clone());
+        }
     }
     findings.sort_by_key(|f| f.pos);
-    findings
+    (findings, flagged)
 }
 
 pub(crate) fn lock_names(set: &BTreeSet<VarKey>) -> String {
@@ -298,7 +276,7 @@ fn check_group(
     var: &VarKey,
     accs: &[&AccessRecord],
     called: &BTreeSet<usize>,
-    findings: &mut Vec<LockFinding>,
+    findings: &mut Vec<Finding>,
 ) {
     let non_init: Vec<&&AccessRecord> = accs.iter().filter(|a| !a.init).collect();
     if non_init.is_empty() {
@@ -324,9 +302,8 @@ fn check_group(
             && a.raw.values().all(|m| *m == LockMode::Read)
         {
             rlock_write_positions.insert(a.pos);
-            findings.push(LockFinding {
-                rule: LockRule::WriteUnderRlock,
-                var: var.clone(),
+            findings.push(Finding {
+                rule: Rule::WriteUnderRLock,
                 pos: a.pos,
                 func: a.func.clone(),
                 message: format!(
@@ -335,6 +312,7 @@ fn check_group(
                     a.display,
                     lock_names(&a.raw.keys().cloned().collect()),
                 ),
+                chain: Vec::new(),
             });
         }
     }
@@ -358,9 +336,8 @@ fn check_group(
     let plains: Vec<_> = non_init.iter().filter(|a| !a.atomic).collect();
     if !atomics.is_empty() && !plains.is_empty() {
         let a = plains[0];
-        findings.push(LockFinding {
-            rule: LockRule::AtomicMixedWithPlain,
-            var: var.clone(),
+        findings.push(Finding {
+            rule: Rule::AtomicMixedWithPlain,
             pos: a.pos,
             func: a.func.clone(),
             message: format!(
@@ -369,6 +346,7 @@ fn check_group(
                 display,
                 if a.write { "written" } else { "read" },
             ),
+            chain: Vec::new(),
         });
         return;
     }
@@ -384,9 +362,8 @@ fn check_group(
             w.write && w.guarded() && w.func_idx == r.func_idx && w.branch_tags.contains(&tag)
         });
         if dcl_write {
-            findings.push(LockFinding {
-                rule: LockRule::DoubleCheckedLocking,
-                var: var.clone(),
+            findings.push(Finding {
+                rule: Rule::DoubleCheckedLocking,
                 pos: r.pos,
                 func: r.func.clone(),
                 message: format!(
@@ -394,6 +371,7 @@ fn check_group(
                      unsynchronized while the write inside the branch holds a lock; \
                      the unlocked read can observe a partially-initialized value",
                 ),
+                chain: Vec::new(),
             });
             return;
         }
@@ -414,11 +392,10 @@ fn check_group(
         let a = unguarded[0];
         let locks: BTreeSet<VarKey> = guarded
             .iter()
-            .flat_map(|g| g.effective().into_iter())
+            .flat_map(|g| effective(&g.raw, g.write).into_iter())
             .collect();
-        findings.push(LockFinding {
-            rule: LockRule::MissingLock,
-            var: var.clone(),
+        findings.push(Finding {
+            rule: Rule::MissingLock,
             pos: a.pos,
             func: a.func.clone(),
             message: format!(
@@ -427,6 +404,7 @@ fn check_group(
                 if a.write { "written" } else { "read" },
                 lock_names(&locks),
             ),
+            chain: Vec::new(),
         });
         return;
     }
@@ -435,7 +413,7 @@ fn check_group(
         // Rule: every site locks, but no lock is common to all of them.
         let mut common: Option<BTreeSet<VarKey>> = None;
         for g in &guarded {
-            let eff = g.effective();
+            let eff = effective(&g.raw, g.write);
             common = Some(match common {
                 None => eff,
                 Some(c) => c.intersection(&eff).cloned().collect(),
@@ -443,15 +421,15 @@ fn check_group(
         }
         if common.as_ref().is_some_and(BTreeSet::is_empty) {
             let a = guarded[0];
-            findings.push(LockFinding {
-                rule: LockRule::InconsistentLock,
-                var: var.clone(),
+            findings.push(Finding {
+                rule: Rule::InconsistentLock,
                 pos: a.pos,
                 func: a.func.clone(),
                 message: format!(
                     "every access to '{display}' holds a lock, but no single lock is \
                      common to all of them — two sites can still run concurrently",
                 ),
+                chain: Vec::new(),
             });
         }
     }
@@ -463,13 +441,13 @@ mod tests {
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
-    fn analyze(src: &str) -> Vec<LockFinding> {
+    fn analyze(src: &str) -> Vec<Finding> {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         analyze_file(&file, &res)
     }
 
-    fn rules(src: &str) -> Vec<LockRule> {
+    fn rules(src: &str) -> Vec<Rule> {
         analyze(src).into_iter().map(|f| f.rule).collect()
     }
 
@@ -487,7 +465,7 @@ func Get() int {
     return version
 }
 ";
-        assert!(rules(racy).contains(&LockRule::MissingLock), "racy variant");
+        assert!(rules(racy).contains(&Rule::MissingLock), "racy variant");
         let fixed = r"
 package p
 var version int
@@ -522,7 +500,7 @@ func Reset() {
     other.Unlock()
 }
 ";
-        assert!(rules(racy).contains(&LockRule::InconsistentLock));
+        assert!(rules(racy).contains(&Rule::InconsistentLock));
         let fixed = r"
 package p
 var total int
@@ -554,7 +532,7 @@ func f() {
     }
 }
 ";
-        assert!(rules(racy).contains(&LockRule::AtomicMixedWithPlain));
+        assert!(rules(racy).contains(&Rule::AtomicMixedWithPlain));
         let fixed = r"
 package p
 var ops int
@@ -587,9 +565,9 @@ func Get() int {
 }
 ";
         let rs = rules(racy);
-        assert!(rs.contains(&LockRule::DoubleCheckedLocking), "{rs:?}");
+        assert!(rs.contains(&Rule::DoubleCheckedLocking), "{rs:?}");
         assert!(
-            !rs.contains(&LockRule::MissingLock),
+            !rs.contains(&Rule::MissingLock),
             "DCL must subsume MissingLock: {rs:?}"
         );
         let fixed = r"
@@ -617,7 +595,7 @@ func (s *Store) bump() {
     s.mu.RUnlock()
 }
 ";
-        assert!(rules(racy).contains(&LockRule::WriteUnderRlock));
+        assert!(rules(racy).contains(&Rule::WriteUnderRLock));
         // Write after the RUnlock: not under the read lock any more.
         let sequential = r"
 package p
@@ -628,7 +606,7 @@ func (s *Store) bump() {
     s.count = v + 1
 }
 ";
-        assert!(!rules(sequential).contains(&LockRule::WriteUnderRlock));
+        assert!(!rules(sequential).contains(&Rule::WriteUnderRLock));
     }
 
     #[test]
@@ -700,7 +678,7 @@ func f() {
     use(count)
 }
 ";
-        assert!(rules(src).contains(&LockRule::MissingLock));
+        assert!(rules(src).contains(&Rule::MissingLock));
     }
 
     #[test]
@@ -723,6 +701,6 @@ func g() {
     mu.Unlock()
 }
 ";
-        assert!(rules(src).contains(&LockRule::MissingLock), "{:?}", rules(src));
+        assert!(rules(src).contains(&Rule::MissingLock), "{:?}", rules(src));
     }
 }

@@ -14,7 +14,7 @@
 //! interprocedural GR018 rule, where a false "parallel" verdict would file
 //! a spurious race report.
 
-use crate::ast::{Decl, Expr, File, Stmt};
+use crate::ast::{walk, Decl, Expr, File, Node, Stmt, Walk};
 use crate::token::Pos;
 
 /// Per-function kill points, aligned with the CFG list of
@@ -33,14 +33,7 @@ impl Mhp {
             .decls
             .iter()
             .filter_map(|d| match d {
-                Decl::Func(f) => f.body.as_ref().map(|b| {
-                    let mut ks = Vec::new();
-                    for s in &b.stmts {
-                        kill_points(s, &mut ks);
-                    }
-                    ks.sort_unstable();
-                    ks
-                }),
+                Decl::Func(f) => f.body.as_ref().map(|b| kill_points(&b.stmts)),
                 _ => None,
             })
             .collect();
@@ -70,166 +63,35 @@ impl Mhp {
     }
 }
 
-/// Walks `s` collecting join positions, skipping closure bodies and the
-/// calls of `go`/`defer` statements (they do not block here).
-fn kill_points(s: &Stmt, out: &mut Vec<Pos>) {
-    match s {
-        Stmt::Decl(v) => {
-            for e in &v.values {
-                expr_kills(e, out);
-            }
+/// Join positions of one function body. Three subtrees are pruned because
+/// nothing in them blocks the parent here: the calls of `go`/`defer`
+/// statements, closure bodies (they run at an unknown time — an
+/// immediately-invoked one blocking is rare enough to ignore), and callee
+/// expressions (only a call's arguments are scanned).
+fn kill_points(body: &[Stmt]) -> Vec<Pos> {
+    let mut out = Vec::new();
+    let mut callee: Option<&Expr> = None;
+    walk(Node::List(body), &mut |n| match n {
+        Node::Stmt(Stmt::Go { .. } | Stmt::Defer { .. }) | Node::Expr(Expr::FuncLit { .. }) => {
+            Walk::Skip
         }
-        Stmt::Define { values, .. } => {
-            for e in values {
-                expr_kills(e, out);
+        Node::Expr(e) if callee.is_some_and(|c| std::ptr::eq(e, c)) => Walk::Skip,
+        Node::Expr(Expr::Call { func, .. }) => {
+            // `x.Wait()` joins.
+            if matches!(func.as_ref(), Expr::Selector(_, m) if m == "Wait") {
+                out.extend(func.pos());
             }
+            callee = Some(func);
+            Walk::Descend
         }
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs) {
-                expr_kills(e, out);
-            }
+        Node::Expr(Expr::Unary { op: "<-", expr }) => {
+            out.extend(expr.pos());
+            Walk::Descend
         }
-        Stmt::IncDec { expr, .. } => expr_kills(expr, out),
-        Stmt::Expr(e) => expr_kills(e, out),
-        Stmt::Send { chan, value, .. } => {
-            expr_kills(chan, out);
-            expr_kills(value, out);
-        }
-        Stmt::Go { .. } | Stmt::Defer { .. } => {}
-        Stmt::Return { values, .. } => {
-            for e in values {
-                expr_kills(e, out);
-            }
-        }
-        Stmt::If {
-            init,
-            cond,
-            then,
-            els,
-            ..
-        } => {
-            if let Some(i) = init {
-                kill_points(i, out);
-            }
-            expr_kills(cond, out);
-            for s in &then.stmts {
-                kill_points(s, out);
-            }
-            if let Some(e) = els {
-                kill_points(e, out);
-            }
-        }
-        Stmt::Block(b) => {
-            for s in &b.stmts {
-                kill_points(s, out);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            post,
-            range,
-            body,
-            ..
-        } => {
-            if let Some(i) = init {
-                kill_points(i, out);
-            }
-            if let Some(c) = cond {
-                expr_kills(c, out);
-            }
-            if let Some(p) = post {
-                kill_points(p, out);
-            }
-            if let Some(r) = range {
-                expr_kills(&r.expr, out);
-            }
-            for s in &body.stmts {
-                kill_points(s, out);
-            }
-        }
-        Stmt::Switch { tag, cases, .. } => {
-            if let Some(t) = tag {
-                expr_kills(t, out);
-            }
-            for c in cases {
-                for e in &c.exprs {
-                    expr_kills(e, out);
-                }
-                for s in &c.body {
-                    kill_points(s, out);
-                }
-            }
-        }
-        Stmt::Select { cases, .. } => {
-            for c in cases {
-                if let Some(comm) = &c.comm {
-                    kill_points(comm, out);
-                }
-                for s in &c.body {
-                    kill_points(s, out);
-                }
-            }
-        }
-        Stmt::Branch { .. } | Stmt::Empty => {}
-    }
-}
-
-fn expr_kills(e: &Expr, out: &mut Vec<Pos>) {
-    match e {
-        Expr::Call { func, args, .. } => {
-            // `x.Wait()` joins; FuncLit callees (IIFEs) run here, so
-            // their bodies are NOT skipped by recursing into `func`
-            // would be wrong — but an IIFE body blocking is rare enough
-            // to ignore; only the arguments are scanned.
-            if let Expr::Selector(_, m) = func.as_ref() {
-                if m == "Wait" {
-                    if let Some(p) = func.pos() {
-                        out.push(p);
-                    }
-                }
-            }
-            for a in args {
-                expr_kills(a, out);
-            }
-        }
-        Expr::Unary { op: "<-", expr } => {
-            if let Some(p) = expr.pos() {
-                out.push(p);
-            }
-            expr_kills(expr, out);
-        }
-        Expr::Unary { expr, .. } => expr_kills(expr, out),
-        Expr::Binary { lhs, rhs, .. } => {
-            expr_kills(lhs, out);
-            expr_kills(rhs, out);
-        }
-        Expr::Paren(inner) | Expr::Selector(inner, _) => expr_kills(inner, out),
-        Expr::Index(b, i) => {
-            expr_kills(b, out);
-            expr_kills(i, out);
-        }
-        Expr::SliceExpr { expr, low, high } => {
-            expr_kills(expr, out);
-            if let Some(l) = low {
-                expr_kills(l, out);
-            }
-            if let Some(h) = high {
-                expr_kills(h, out);
-            }
-        }
-        Expr::CompositeLit { elems, .. } => {
-            for (k, v) in elems {
-                if let Some(k) = k {
-                    expr_kills(k, out);
-                }
-                expr_kills(v, out);
-            }
-        }
-        // Closure bodies run at an unknown time — never a join here.
-        Expr::FuncLit { .. } => {}
-        _ => {}
-    }
+        _ => Walk::Descend,
+    });
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]

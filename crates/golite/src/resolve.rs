@@ -544,79 +544,18 @@ mod tests {
         (file, res)
     }
 
-    /// Finds the position of the `idx`-th func literal in the file.
+    /// Positions of the func literals in the file's function bodies, in
+    /// source order.
     fn funclit_positions(file: &File) -> Vec<Pos> {
         let mut out = Vec::new();
-        fn walk_expr(e: &Expr, out: &mut Vec<Pos>) {
-            if let Expr::FuncLit { pos, body, .. } = e {
-                out.push(*pos);
-                for s in &body.stmts {
-                    walk_stmt(s, out);
-                }
-                return;
-            }
-            match e {
-                Expr::Selector(b, _) | Expr::Paren(b) => walk_expr(b, out),
-                Expr::Call { func, args, .. } => {
-                    walk_expr(func, out);
-                    for a in args {
-                        walk_expr(a, out);
-                    }
-                }
-                Expr::Index(b, i) => {
-                    walk_expr(b, out);
-                    walk_expr(i, out);
-                }
-                Expr::Unary { expr, .. } => walk_expr(expr, out),
-                Expr::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs, out);
-                    walk_expr(rhs, out);
-                }
-                _ => {}
-            }
-        }
-        fn walk_stmt(s: &Stmt, out: &mut Vec<Pos>) {
-            match s {
-                Stmt::Expr(e) => walk_expr(e, out),
-                Stmt::Go { call, .. } | Stmt::Defer { call, .. } => walk_expr(call, out),
-                Stmt::Define { values, .. } => {
-                    for e in values {
-                        walk_expr(e, out);
-                    }
-                }
-                Stmt::Assign { lhs, rhs, .. } => {
-                    for e in lhs.iter().chain(rhs.iter()) {
-                        walk_expr(e, out);
-                    }
-                }
-                Stmt::If { then, els, .. } => {
-                    for s in &then.stmts {
-                        walk_stmt(s, out);
-                    }
-                    if let Some(e) = els {
-                        walk_stmt(e, out);
-                    }
-                }
-                Stmt::Block(b) => {
-                    for s in &b.stmts {
-                        walk_stmt(s, out);
-                    }
-                }
-                Stmt::For { body, .. } => {
-                    for s in &body.stmts {
-                        walk_stmt(s, out);
-                    }
-                }
-                _ => {}
-            }
-        }
         for d in &file.decls {
-            if let Decl::Func(f) = d {
-                if let Some(b) = &f.body {
-                    for s in &b.stmts {
-                        walk_stmt(s, &mut out);
+            if let Decl::Func(FuncDecl { body: Some(b), .. }) = d {
+                walk(Node::List(&b.stmts), &mut |n| {
+                    if let Node::Expr(Expr::FuncLit { pos, .. }) = n {
+                        out.push(*pos);
                     }
-                }
+                    Walk::Descend
+                });
             }
         }
         out

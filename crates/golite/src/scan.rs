@@ -128,35 +128,68 @@ pub fn scan_source(src: &str) -> Result<ConstructCounts, ParseError> {
 pub fn scan_file(file: &File) -> ConstructCounts {
     let mut c = ConstructCounts::default();
     for decl in &file.decls {
-        scan_decl(decl, &mut c);
+        match decl {
+            Decl::Func(f) => {
+                c.func_decls += 1;
+                if let Some(r) = &f.receiver {
+                    scan_type(&r.ty, &mut c);
+                }
+                scan_signature(&f.sig, &mut c);
+                if let Some(b) = &f.body {
+                    walk(Node::List(&b.stmts), &mut |n| count_node(n, &mut c));
+                }
+            }
+            Decl::Var(v) | Decl::Const(v) => {
+                scan_var_type(v, &mut c);
+                for e in &v.values {
+                    walk(Node::Expr(e), &mut |n| count_node(n, &mut c));
+                }
+            }
+            Decl::Type(t) => scan_type(&t.ty, &mut c),
+        }
     }
     c
 }
 
-fn scan_decl(decl: &Decl, c: &mut ConstructCounts) {
-    match decl {
-        Decl::Func(f) => {
-            c.func_decls += 1;
-            if let Some(r) = &f.receiver {
-                scan_type(&r.ty, c);
-            }
-            scan_signature(&f.sig, c);
-            if let Some(b) = &f.body {
-                scan_block(b, c);
+/// The [`walk`] visitor: counts what the node itself is, reading `sig`/`ty`
+/// off it where it carries types, and always descends.
+fn count_node(n: Node<'_>, c: &mut ConstructCounts) -> Walk {
+    use Stmt::{Defer, Go, Select, Send};
+    match n {
+        Node::Stmt(Stmt::Decl(v)) => scan_var_type(v, c),
+        Node::Stmt(Send { .. }) => c.chan_sends += 1,
+        Node::Stmt(Go { .. }) => c.go_statements += 1,
+        Node::Stmt(Defer { .. }) => c.defer_stmts += 1,
+        Node::Stmt(Select { .. }) => c.select_stmts += 1,
+        Node::Expr(Expr::Call { func, .. }) => {
+            if let Expr::Selector(_, method) = func.as_ref() {
+                match method.as_str() {
+                    "Lock" => c.lock_calls += 1,
+                    "Unlock" => c.unlock_calls += 1,
+                    "RLock" => c.rlock_calls += 1,
+                    "RUnlock" => c.runlock_calls += 1,
+                    "Add" | "Done" | "Wait" => c.waitgroup_calls += 1,
+                    _ => {}
+                }
             }
         }
-        Decl::Var(v) | Decl::Const(v) => scan_var(v, c),
-        Decl::Type(t) => scan_type(&t.ty, c),
+        Node::Expr(Expr::Unary { op: "<-", .. }) => c.chan_recvs += 1,
+        Node::Expr(Expr::FuncLit { sig, .. }) => {
+            c.func_lits += 1;
+            scan_signature(sig, c);
+        }
+        Node::Expr(Expr::CompositeLit { ty: Some(ty), .. } | Expr::TypeExpr(ty)) => {
+            scan_type(ty, c);
+        }
+        _ => {}
     }
+    Walk::Descend
 }
 
-fn scan_var(v: &VarDecl, c: &mut ConstructCounts) {
+fn scan_var_type(v: &VarDecl, c: &mut ConstructCounts) {
     if let Some(ty) = &v.ty {
         scan_type(ty, c);
         count_sync_decl(ty, v.names.len() as u64, c);
-    }
-    for e in &v.values {
-        scan_expr(e, c);
     }
 }
 
@@ -201,180 +234,6 @@ fn scan_type(ty: &Type, c: &mut ConstructCounts) {
                 count_sync_decl(&f.ty, 1, c);
             }
         }
-    }
-}
-
-fn scan_block(b: &Block, c: &mut ConstructCounts) {
-    for s in &b.stmts {
-        scan_stmt(s, c);
-    }
-}
-
-fn scan_stmt(s: &Stmt, c: &mut ConstructCounts) {
-    match s {
-        Stmt::Decl(v) => scan_var(v, c),
-        Stmt::Define { values, .. } => {
-            for e in values {
-                scan_expr(e, c);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            for e in lhs.iter().chain(rhs.iter()) {
-                scan_expr(e, c);
-            }
-        }
-        Stmt::IncDec { expr, .. } => scan_expr(expr, c),
-        Stmt::Expr(e) => scan_expr(e, c),
-        Stmt::Send { chan, value, .. } => {
-            c.chan_sends += 1;
-            scan_expr(chan, c);
-            scan_expr(value, c);
-        }
-        Stmt::Go { call, .. } => {
-            c.go_statements += 1;
-            scan_expr(call, c);
-        }
-        Stmt::Defer { call, .. } => {
-            c.defer_stmts += 1;
-            scan_expr(call, c);
-        }
-        Stmt::Return { values, .. } => {
-            for e in values {
-                scan_expr(e, c);
-            }
-        }
-        Stmt::If {
-            init,
-            cond,
-            then,
-            els,
-            ..
-        } => {
-            if let Some(i) = init {
-                scan_stmt(i, c);
-            }
-            scan_expr(cond, c);
-            scan_block(then, c);
-            if let Some(e) = els {
-                scan_stmt(e, c);
-            }
-        }
-        Stmt::Block(b) => scan_block(b, c),
-        Stmt::For {
-            init,
-            cond,
-            post,
-            range,
-            body,
-            ..
-        } => {
-            if let Some(i) = init {
-                scan_stmt(i, c);
-            }
-            if let Some(e) = cond {
-                scan_expr(e, c);
-            }
-            if let Some(p) = post {
-                scan_stmt(p, c);
-            }
-            if let Some(r) = range {
-                scan_expr(&r.expr, c);
-            }
-            scan_block(body, c);
-        }
-        Stmt::Switch { tag, cases, .. } => {
-            if let Some(t) = tag {
-                scan_expr(t, c);
-            }
-            for cl in cases {
-                for e in &cl.exprs {
-                    scan_expr(e, c);
-                }
-                for st in &cl.body {
-                    scan_stmt(st, c);
-                }
-            }
-        }
-        Stmt::Select { cases, .. } => {
-            c.select_stmts += 1;
-            for cl in cases {
-                if let Some(comm) = &cl.comm {
-                    scan_stmt(comm, c);
-                }
-                for st in &cl.body {
-                    scan_stmt(st, c);
-                }
-            }
-        }
-        Stmt::Branch { .. } | Stmt::Empty => {}
-    }
-}
-
-fn scan_expr(e: &Expr, c: &mut ConstructCounts) {
-    match e {
-        Expr::Ident(..)
-        | Expr::Int(..)
-        | Expr::Float(..)
-        | Expr::Str(..)
-        | Expr::Rune(..) => {}
-        Expr::Selector(base, _) => scan_expr(base, c),
-        Expr::Call { func, args, .. } => {
-            if let Expr::Selector(_, method) = func.as_ref() {
-                match method.as_str() {
-                    "Lock" => c.lock_calls += 1,
-                    "Unlock" => c.unlock_calls += 1,
-                    "RLock" => c.rlock_calls += 1,
-                    "RUnlock" => c.runlock_calls += 1,
-                    "Add" | "Done" | "Wait" => c.waitgroup_calls += 1,
-                    _ => {}
-                }
-            }
-            scan_expr(func, c);
-            for a in args {
-                scan_expr(a, c);
-            }
-        }
-        Expr::Index(b, i) => {
-            scan_expr(b, c);
-            scan_expr(i, c);
-        }
-        Expr::SliceExpr { expr, low, high } => {
-            scan_expr(expr, c);
-            if let Some(l) = low {
-                scan_expr(l, c);
-            }
-            if let Some(h) = high {
-                scan_expr(h, c);
-            }
-        }
-        Expr::Unary { op, expr } => {
-            if *op == "<-" {
-                c.chan_recvs += 1;
-            }
-            scan_expr(expr, c);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            scan_expr(lhs, c);
-            scan_expr(rhs, c);
-        }
-        Expr::FuncLit { sig, body, .. } => {
-            c.func_lits += 1;
-            scan_signature(sig, c);
-            scan_block(body, c);
-        }
-        Expr::CompositeLit { ty, elems } => {
-            if let Some(t) = ty {
-                scan_type(t, c);
-            }
-            for (k, v) in elems {
-                if let Some(k) = k {
-                    scan_expr(k, c);
-                }
-                scan_expr(v, c);
-            }
-        }
-        Expr::Paren(inner) => scan_expr(inner, c),
-        Expr::TypeExpr(ty) => scan_type(ty, c),
     }
 }
 

@@ -29,8 +29,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Decl, File};
 use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::{FuncCfg, LockMode, VarKey, VarRoot};
-use crate::lockset::{self, Lockset};
+use crate::cfg::{FuncCfg, VarKey, VarRoot};
+use crate::lint::{Finding, Rule};
+use crate::lockset::{self, effective, Lockset};
 use crate::mhp::Mhp;
 use crate::resolve::{Resolution, SymbolId, SymbolKind};
 use crate::token::Pos;
@@ -40,16 +41,6 @@ use crate::token::Pos;
 const MAX_CHAIN: usize = 8;
 /// Per-function access cap, bounding summary growth on generated code.
 const MAX_ACCESSES: usize = 200;
-
-/// One hop of a call chain: the callee entered, at the caller-side
-/// position of the call.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ChainHop {
-    /// Name of the function called.
-    pub func: String,
-    /// Position of the call site.
-    pub pos: Pos,
-}
 
 /// A file-wide variable access as seen from a function's entry, with
 /// every caller-side fact folded in.
@@ -74,26 +65,13 @@ pub struct SummaryAccess {
     pub spawn_pos: Option<Pos>,
     /// Locks held earlier on the chain but released before it was entered.
     pub dropped: BTreeSet<VarKey>,
-    /// Call chain from the summarized function to the access (empty for
-    /// the function's own accesses).
-    pub chain: Vec<ChainHop>,
+    /// Call chain from the summarized function to the access, as `(callee,
+    /// call position)` hops (empty for the function's own accesses).
+    pub chain: Vec<(String, Pos)>,
     /// Position of the access itself.
     pub pos: Pos,
     /// Name of the function that lexically contains the access.
     pub func: String,
-}
-
-impl SummaryAccess {
-    /// Locks that actually protect this access (`Read`-mode locks do not
-    /// protect writes).
-    #[must_use]
-    pub fn effective(&self) -> BTreeSet<VarKey> {
-        self.locks
-            .iter()
-            .filter(|(_, m)| **m == LockMode::Write || !self.write)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
 }
 
 /// The bottom-up summary of one function.
@@ -275,10 +253,7 @@ fn incorporate(
         };
         let mut dropped = site.dropped.clone();
         dropped.extend(a.dropped.iter().cloned());
-        let mut chain = vec![ChainHop {
-            func: cfgs[site.callee].func.clone(),
-            pos: site.pos,
-        }];
+        let mut chain = vec![(cfgs[site.callee].func.clone(), site.pos)];
         chain.extend(a.chain.iter().cloned());
         next.accesses.push(SummaryAccess {
             var: a.var.clone(),
@@ -347,44 +322,6 @@ fn dedup_accesses(accesses: &mut Vec<SummaryAccess>) {
     accesses.truncate(MAX_ACCESSES);
 }
 
-/// The interprocedural rules, mirroring `LockRule` one layer up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InterRule {
-    /// Bare on some call paths, guarded on others (GR013).
-    MissingLockInterproc,
-    /// Every chain locks, but no lock is common (GR014).
-    InconsistentLockInterproc,
-    /// A closure capturing a loop variable or `err` handed to a helper
-    /// that spawns it (GR015).
-    EscapingCapture,
-    /// A lock released before a call whose chain touches the protected
-    /// variable (GR016).
-    LockDroppedBeforeCall,
-    /// A map passed to a callee that writes it from spawned goroutines
-    /// (GR017).
-    SpawnInCalleeMapWrite,
-    /// A spawned call chain's access unsynchronized with — and parallel
-    /// to — the parent's own access (GR018).
-    UnsyncedSpawnedCall,
-}
-
-/// One interprocedural finding.
-#[derive(Debug, Clone)]
-pub struct InterFinding {
-    /// Which rule fired.
-    pub rule: InterRule,
-    /// The variable involved, when the rule is about one.
-    pub var: Option<VarKey>,
-    /// Position of the report.
-    pub pos: Pos,
-    /// Enclosing function of the report position.
-    pub func: String,
-    /// Human-readable explanation.
-    pub message: String,
-    /// Shortest call chain evidencing the finding (may be empty).
-    pub chain: Vec<ChainHop>,
-}
-
 /// Evaluates GR013–GR018 over the summaries.
 ///
 /// `skip_vars` holds the variables already reported by the intraprocedural
@@ -398,8 +335,10 @@ pub fn interproc_findings(
     sums: &Summaries,
     mhp: &Mhp,
     skip_vars: &BTreeSet<VarKey>,
-) -> Vec<InterFinding> {
-    let mut findings = Vec::new();
+) -> Vec<Finding> {
+    // Each finding rides with the variable it is about (when it is about
+    // one) until `dedup_findings` has keyed on it.
+    let mut findings: Vec<(Option<VarKey>, Finding)> = Vec::new();
 
     // GR015: a closure capturing a loop variable (or `err`) passed to a
     // helper that launches it on a goroutine — the capture escapes the
@@ -416,22 +355,21 @@ pub fn interproc_findings(
                     continue;
                 }
                 let callee_name = cfgs[site.callee].func.clone();
-                findings.push(InterFinding {
-                    rule: InterRule::EscapingCapture,
-                    var: None,
-                    pos: *lit_pos,
-                    func: cfgs[site.caller].func.clone(),
-                    message: format!(
-                        "closure captures '{}' by reference and escapes into \
+                findings.push((
+                    None,
+                    Finding {
+                        rule: Rule::EscapingCaptureToSpawner,
+                        pos: *lit_pos,
+                        func: cfgs[site.caller].func.clone(),
+                        message: format!(
+                            "closure captures '{}' by reference and escapes into \
                          '{}', which launches it as a goroutine; every spawn \
                          shares the same variable",
-                        s.name, callee_name,
-                    ),
-                    chain: vec![ChainHop {
-                        func: callee_name.clone(),
-                        pos: site.pos,
-                    }],
-                });
+                            s.name, callee_name,
+                        ),
+                        chain: vec![(callee_name.clone(), site.pos)],
+                    },
+                ));
             }
         }
     }
@@ -456,21 +394,20 @@ pub fn interproc_findings(
                 continue;
             }
             let callee_name = cfgs[site.callee].func.clone();
-            findings.push(InterFinding {
-                rule: InterRule::SpawnInCalleeMapWrite,
-                var: Some(key.clone()),
-                pos: site.pos,
-                func: cfgs[site.caller].func.clone(),
-                message: format!(
-                    "map '{disp}' is passed to '{callee_name}', which writes it \
+            findings.push((
+                Some(key.clone()),
+                Finding {
+                    rule: Rule::SpawnInCalleeMapWrite,
+                    pos: site.pos,
+                    func: cfgs[site.caller].func.clone(),
+                    message: format!(
+                        "map '{disp}' is passed to '{callee_name}', which writes it \
                      from goroutines spawned there; concurrent map writes are a \
                      runtime fault in Go",
-                ),
-                chain: vec![ChainHop {
-                    func: callee_name.clone(),
-                    pos: site.pos,
-                }],
-            });
+                    ),
+                    chain: vec![(callee_name.clone(), site.pos)],
+                },
+            ));
         }
     }
 
@@ -510,17 +447,19 @@ pub fn interproc_findings(
 
         let guarded: Vec<&(usize, &SummaryAccess)> = accs
             .iter()
-            .filter(|(_, a)| !a.effective().is_empty())
+            .filter(|(_, a)| !effective(&a.locks, a.write).is_empty())
             .collect();
         let mut unguarded: Vec<&(usize, &SummaryAccess)> = accs
             .iter()
-            .filter(|(_, a)| a.effective().is_empty())
+            .filter(|(_, a)| effective(&a.locks, a.write).is_empty())
             .collect();
         unguarded.sort_by_key(|(_, a)| (a.pos, a.chain.len()));
 
         if !guarded.is_empty() && !unguarded.is_empty() {
-            let guard_locks: BTreeSet<VarKey> =
-                guarded.iter().flat_map(|(_, a)| a.effective()).collect();
+            let guard_locks: BTreeSet<VarKey> = guarded
+                .iter()
+                .flat_map(|(_, a)| effective(&a.locks, a.write))
+                .collect();
             // GR016: the bare chain had one of the guarding locks, but it
             // was released before the call was made.
             if let Some((_, a)) = unguarded.iter().find(|(_, a)| {
@@ -532,22 +471,24 @@ pub fn interproc_findings(
                     .next()
                     .cloned()
                     .expect("nonempty intersection");
-                findings.push(InterFinding {
-                    rule: InterRule::LockDroppedBeforeCall,
-                    var: Some(var.clone()),
-                    pos: a.chain[0].pos,
-                    func: chain_root_func(cfgs, accs, a),
-                    message: format!(
-                        "'{}' is accessed in '{}' after {} was released — the \
+                findings.push((
+                    Some(var.clone()),
+                    Finding {
+                        rule: Rule::LockDroppedBeforeCall,
+                        pos: a.chain[0].1,
+                        func: chain_root_func(cfgs, accs, a),
+                        message: format!(
+                            "'{}' is accessed in '{}' after {} was released — the \
                          call runs outside the critical section that guards \
                          '{}' elsewhere",
-                        display,
-                        a.func,
-                        lockset::key_display(&lock),
-                        display,
-                    ),
-                    chain: a.chain.clone(),
-                });
+                            display,
+                            a.func,
+                            lockset::key_display(&lock),
+                            display,
+                        ),
+                        chain: a.chain.clone(),
+                    },
+                ));
             } else {
                 // GR013: bare here, guarded along other chains.
                 let (_, bare) = unguarded[0];
@@ -561,26 +502,28 @@ pub fn interproc_findings(
                 } else {
                     bare.chain.clone()
                 };
-                findings.push(InterFinding {
-                    rule: InterRule::MissingLockInterproc,
-                    var: Some(var.clone()),
-                    pos: bare.pos,
-                    func: bare.func.clone(),
-                    message: format!(
-                        "'{}' is {} without a lock here but guarded by {} on \
+                findings.push((
+                    Some(var.clone()),
+                    Finding {
+                        rule: Rule::InterprocMissingLock,
+                        pos: bare.pos,
+                        func: bare.func.clone(),
+                        message: format!(
+                            "'{}' is {} without a lock here but guarded by {} on \
                          other call paths",
-                        display,
-                        if bare.write { "written" } else { "read" },
-                        lockset::lock_names(&guard_locks),
-                    ),
-                    chain: note_chain,
-                });
+                            display,
+                            if bare.write { "written" } else { "read" },
+                            lockset::lock_names(&guard_locks),
+                        ),
+                        chain: note_chain,
+                    },
+                ));
             }
         } else if unguarded.is_empty() && guarded.len() >= 2 {
             // GR014: every chain locks, but no lock is common to all.
             let mut common: Option<BTreeSet<VarKey>> = None;
             for (_, g) in &guarded {
-                let eff = g.effective();
+                let eff = effective(&g.locks, g.write);
                 common = Some(match common {
                     None => eff,
                     Some(c) => c.intersection(&eff).cloned().collect(),
@@ -591,18 +534,20 @@ pub fn interproc_findings(
                     .iter()
                     .min_by_key(|(_, a)| (a.pos, a.chain.len(), a.chain.clone()))
                     .expect("nonempty guarded");
-                findings.push(InterFinding {
-                    rule: InterRule::InconsistentLockInterproc,
-                    var: Some(var.clone()),
-                    pos: a.pos,
-                    func: a.func.clone(),
-                    message: format!(
-                        "every call path to '{display}' holds a lock, but no \
+                findings.push((
+                    Some(var.clone()),
+                    Finding {
+                        rule: Rule::InterprocInconsistentLock,
+                        pos: a.pos,
+                        func: a.func.clone(),
+                        message: format!(
+                            "every call path to '{display}' holds a lock, but no \
                          single lock is common to all of them — two chains can \
                          still run concurrently",
-                    ),
-                    chain: a.chain.clone(),
-                });
+                        ),
+                        chain: a.chain.clone(),
+                    },
+                ));
             }
         } else if guarded.is_empty() && !lock_signal {
             // GR018: a spawned chain writes, the parent touches the same
@@ -613,19 +558,21 @@ pub fn interproc_findings(
                 let sp = w.spawn_pos.expect("filtered on spawn_pos");
                 for (_, b) in accs.iter().filter(|(r2, b)| r2 == r && !b.spawned) {
                     if mhp.may_parallel(*r, sp, b.pos) {
-                        findings.push(InterFinding {
-                            rule: InterRule::UnsyncedSpawnedCall,
-                            var: Some(var.clone()),
-                            pos: sp,
-                            func: cfgs[*r].func.clone(),
-                            message: format!(
-                                "goroutine spawned here writes '{}' through \
+                        findings.push((
+                            Some(var.clone()),
+                            Finding {
+                                rule: Rule::UnsyncedSpawnedCall,
+                                pos: sp,
+                                func: cfgs[*r].func.clone(),
+                                message: format!(
+                                    "goroutine spawned here writes '{}' through \
                                  '{}' while '{}' also accesses it at line {} \
                                  with no synchronization in between",
-                                display, w.chain[0].func, cfgs[*r].func, b.pos.line,
-                            ),
-                            chain: w.chain.clone(),
-                        });
+                                    display, w.chain[0].0, cfgs[*r].func, b.pos.line,
+                                ),
+                                chain: w.chain.clone(),
+                            },
+                        ));
                         break 'pairs;
                     }
                 }
@@ -649,10 +596,10 @@ fn chain_root_func(
 
 /// One finding per `(rule, var, line)`, keeping the shortest chain, in
 /// deterministic (path-independent) order.
-fn dedup_findings(findings: Vec<InterFinding>) -> Vec<InterFinding> {
-    let mut best: BTreeMap<(u8, Option<VarKey>, u32), InterFinding> = BTreeMap::new();
-    for f in findings {
-        let key = (rule_rank(f.rule), f.var.clone(), f.pos.line);
+fn dedup_findings(findings: Vec<(Option<VarKey>, Finding)>) -> Vec<Finding> {
+    let mut best: BTreeMap<(&'static str, Option<VarKey>, u32), Finding> = BTreeMap::new();
+    for (var, f) in findings {
+        let key = (f.rule.id(), var, f.pos.line);
         match best.get(&key) {
             Some(old) if old.chain.len() <= f.chain.len() => {}
             _ => {
@@ -660,20 +607,9 @@ fn dedup_findings(findings: Vec<InterFinding>) -> Vec<InterFinding> {
             }
         }
     }
-    let mut out: Vec<InterFinding> = best.into_values().collect();
-    out.sort_by_key(|f| (f.pos, rule_rank(f.rule)));
+    let mut out: Vec<Finding> = best.into_values().collect();
+    out.sort_by_key(|f| (f.pos, f.rule.id()));
     out
-}
-
-fn rule_rank(r: InterRule) -> u8 {
-    match r {
-        InterRule::MissingLockInterproc => 0,
-        InterRule::InconsistentLockInterproc => 1,
-        InterRule::EscapingCapture => 2,
-        InterRule::LockDroppedBeforeCall => 3,
-        InterRule::SpawnInCalleeMapWrite => 4,
-        InterRule::UnsyncedSpawnedCall => 5,
-    }
 }
 
 #[cfg(test)]
@@ -683,7 +619,7 @@ mod tests {
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
-    fn inter_rules(src: &str) -> Vec<InterRule> {
+    fn inter_rules(src: &str) -> Vec<Rule> {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfgs = build_file(&file, &res);
@@ -715,7 +651,7 @@ func Read() int {
 }
 ";
         assert!(
-            inter_rules(racy).contains(&InterRule::MissingLockInterproc),
+            inter_rules(racy).contains(&Rule::InterprocMissingLock),
             "{:?}",
             inter_rules(racy)
         );
@@ -764,17 +700,13 @@ func Run() {
         let sums = Summaries::compute(&file, &res, &cfgs, &cg);
         // sum's summary holds its own write plus the one-hop recursive
         // copy, never an unbounded chain.
-        assert!(sums.funcs[0]
-            .accesses
-            .iter()
-            .all(|a| a.chain.len() <= 2));
+        assert!(sums.funcs[0].accesses.iter().all(|a| a.chain.len() <= 2));
         let mhp = Mhp::build(&file);
-        let rules: Vec<InterRule> =
-            interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new())
-                .into_iter()
-                .map(|f| f.rule)
-                .collect();
-        assert!(rules.contains(&InterRule::UnsyncedSpawnedCall), "{rules:?}");
+        let rules: Vec<Rule> = interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new())
+            .into_iter()
+            .map(|f| f.rule)
+            .collect();
+        assert!(rules.contains(&Rule::UnsyncedSpawnedCall), "{rules:?}");
     }
 
     #[test]

@@ -632,3 +632,72 @@ func NewPoller() {
 "#;
     assert!(!rules(fixed).contains(&Rule::GoroutineBeforeInit));
 }
+
+/// `rule@line` for every finding, in report order.
+fn flagged(src: &str) -> Vec<String> {
+    let file = parse_file(src).unwrap_or_else(|e| panic!("parse error: {e}\n{src}"));
+    lint_file(&file)
+        .iter()
+        .map(|f| format!("{}@{}", f.rule.id(), f.pos.line))
+        .collect()
+}
+
+/// "At any depth" means the same thing to every rule: a shape flagged in a
+/// function body is flagged wherever a statement list can hold it. Each
+/// nested program sits next to its top-level twin.
+#[test]
+fn rules_see_every_statement_list_at_any_depth() {
+    let cases: [(&str, &str, &str); 9] = [
+        (
+            "GR001 in a function body",
+            "package p\nfunc f(jobs []int) {\n    for i := range jobs {\n        go func() { use(i) }()\n    }\n}\n",
+            "GR001@4",
+        ),
+        (
+            "GR001 inside a deferred closure",
+            "package p\nfunc f(jobs []int) {\n    defer func() {\n        for i := range jobs {\n            go func() { use(i) }()\n        }\n    }()\n}\n",
+            "GR001@5",
+        ),
+        (
+            "GR001 inside a closure bound to a variable",
+            "package p\nfunc f(jobs []int) {\n    run := func() {\n        for i := range jobs {\n            go func() { use(i) }()\n        }\n    }\n    run()\n}\n",
+            "GR001@5",
+        ),
+        (
+            "GR012 in a function body",
+            "package p\nfunc f() {\n    cfg := 0\n    go func() { use(cfg) }()\n    cfg = 1\n}\n",
+            "GR012@4",
+        ),
+        (
+            "GR012 in an else-if arm",
+            "package p\nfunc f(a bool, b bool) {\n    cfg := 0\n    if a {\n        use(a)\n    } else if b {\n        go func() { use(cfg) }()\n        cfg = 1\n    }\n}\n",
+            "GR012@7",
+        ),
+        (
+            "GR012 in a switch case",
+            "package p\nfunc f(k int) {\n    cfg := 0\n    switch k {\n    case 1:\n        go func() { use(cfg) }()\n        cfg = 1\n    }\n}\n",
+            "GR012@6",
+        ),
+        (
+            "GR012 in a select case",
+            "package p\nfunc f(ch chan int) {\n    cfg := 0\n    select {\n    case <-ch:\n        go func() { use(cfg) }()\n        cfg = 1\n    }\n}\n",
+            "GR012@6",
+        ),
+        (
+            "GR004 in the goroutine body",
+            "package p\nfunc f() {\n    m := make(map[string]int)\n    go func() {\n        m[\"a\"] = 1\n    }()\n}\n",
+            "GR004@5",
+        ),
+        (
+            "GR004 inside an immediately-invoked closure inside the goroutine",
+            "package p\nfunc f() {\n    m := make(map[string]int)\n    go func() {\n        func() {\n            m[\"b\"] = 2\n        }()\n    }()\n}\n",
+            "GR004@6",
+        ),
+    ];
+    let missed: Vec<String> = cases
+        .iter()
+        .filter(|(_, src, want)| !flagged(src).iter().any(|g| g == want))
+        .map(|(what, _, want)| format!("{what}: no {want}"))
+        .collect();
+    assert!(missed.is_empty(), "{missed:#?}");
+}

@@ -42,11 +42,13 @@
 //! assert!(report.to_json().contains("\"schema_version\":1"));
 //! ```
 
+pub mod hash;
 pub mod registry;
 pub mod report;
 pub mod sink;
 pub mod timeline;
 
+pub use hash::{splitmix64, Fnv1a};
 pub use registry::{
     Histogram, MetricsRegistry, MetricsSnapshot, SpanRecord, SpanSnapshot, SpanStats,
     HISTOGRAM_BUCKETS, SPAN_RING_CAPACITY,

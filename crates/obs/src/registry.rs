@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::hash::Fnv1a;
 use crate::sink::ObsSink;
 
 /// Number of log-2 latency buckets: bucket `i` counts durations in
@@ -184,15 +185,6 @@ impl Default for MetricsRegistry {
     }
 }
 
-fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl MetricsRegistry {
     /// A registry with the default shard count (8).
     #[must_use]
@@ -210,7 +202,9 @@ impl MetricsRegistry {
     }
 
     fn shard(&self, name: &str) -> std::sync::MutexGuard<'_, Shard> {
-        let i = (fnv1a(name) % self.shards.len() as u64) as usize;
+        let mut h = Fnv1a::new();
+        h.write(name.as_bytes());
+        let i = (h.finish() % self.shards.len() as u64) as usize;
         self.shards[i]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -395,24 +389,18 @@ impl MetricsSnapshot {
     /// one FNV-1a digest, for worker-count invariance checks.
     #[must_use]
     pub fn deterministic_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for (k, v) in &self.counters {
-            eat(b"c:");
-            eat(k.as_bytes());
-            eat(&v.to_le_bytes());
+            h.write(b"c:");
+            h.write(k.as_bytes());
+            h.write(&v.to_le_bytes());
         }
         for (k, v) in &self.gauges {
-            eat(b"g:");
-            eat(k.as_bytes());
-            eat(&v.to_le_bytes());
+            h.write(b"g:");
+            h.write(k.as_bytes());
+            h.write(&v.to_le_bytes());
         }
-        h
+        h.finish()
     }
 }
 

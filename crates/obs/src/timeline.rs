@@ -29,6 +29,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::hash::splitmix64;
+
 /// Timeline bucketing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineConfig {
@@ -147,13 +149,6 @@ impl TimelineReport {
             weighted as f64 / fixes as f64
         }
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Buckets per-spec race observations into virtual campaign days and

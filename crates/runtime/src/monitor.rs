@@ -7,6 +7,8 @@
 //! increase with the detector on; our overhead bench compares
 //! [`NullMonitor`] against a real detector).
 
+use grs_obs::Fnv1a;
+
 use crate::depot::{DepotStats, StackDepot};
 use crate::event::Event;
 
@@ -211,15 +213,14 @@ impl Monitor for CountingMonitor {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TraceHasher {
-    digest: u64,
+    digest: Fnv1a,
     events: u64,
 }
 
 impl Default for TraceHasher {
     fn default() -> Self {
-        // FNV-1a offset basis.
         TraceHasher {
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Fnv1a::new(),
             events: 0,
         }
     }
@@ -235,7 +236,7 @@ impl TraceHasher {
     /// The digest of all events observed so far.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.finish()
     }
 
     /// Number of events folded in.
@@ -250,12 +251,8 @@ impl Monitor for TraceHasher {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         event.hash(&mut h);
-        let ev = h.finish();
         // FNV-1a combine step over the per-event hashes.
-        for byte in ev.to_le_bytes() {
-            self.digest ^= u64::from(byte);
-            self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.digest.write(&h.finish().to_le_bytes());
         self.events += 1;
     }
 }

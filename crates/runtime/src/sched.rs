@@ -26,6 +26,7 @@
 //!   across seeds, useful as a "friendly" schedule that often *misses* races
 //!   (the baseline for the scheduler ablation).
 
+use grs_obs::Fnv1a;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -329,18 +330,13 @@ impl ScheduleTrace {
     /// FNV-1a digest of the decision stream.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.decisions.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write(&(self.decisions.len() as u64).to_le_bytes());
         for d in &self.decisions {
-            mix(u64::from(d.chosen));
-            mix(u64::from(d.arity));
+            h.write(&u64::from(d.chosen).to_le_bytes());
+            h.write(&u64::from(d.arity).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Serializes the trace to the versioned byte format: magic, version,

@@ -29,6 +29,8 @@ use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use grs_obs::Fnv1a;
+
 use crate::batch::DecodedTrace;
 use crate::depot::{StackDepot, StackId};
 use crate::event::{AccessKind, Event, EventKind, LockMode};
@@ -137,16 +139,13 @@ impl Trace {
     /// decoded trace can be authenticated against a re-execution.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut digest = Fnv1a::new();
         for event in &self.events {
             let mut h = DefaultHasher::new();
             event.hash(&mut h);
-            for byte in h.finish().to_le_bytes() {
-                digest ^= u64::from(byte);
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            digest.write(&h.finish().to_le_bytes());
         }
-        digest
+        digest.finish()
     }
 
     /// A [`ReproArtifact`] pointing back at this trace.

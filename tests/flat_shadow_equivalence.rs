@@ -11,9 +11,8 @@
 //! batches, peak shadow accounting, and the stable observability counters
 //! — in both live (`run`) and execute-once replay (`run_replay`) modes.
 //!
-//! The legacy detectors only exist under the test-only `oracle` feature;
-//! the root crate's self-dev-dependency turns it on for every tier-1 test
-//! build while release builds stay flat-only.
+//! The legacy detectors are always compiled (`grs::detector::legacy`), so
+//! the suite runs under plain `cargo test`.
 
 use grs::detector::DetectorChoice;
 use grs::fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult};

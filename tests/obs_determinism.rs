@@ -28,7 +28,6 @@ fn config() -> CampaignConfig {
         .shards(4)
         .detectors(DetectorChoice::all().to_vec())
         .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }])
-        .timeline_days(10)
 }
 
 #[test]
@@ -90,7 +89,7 @@ fn obs_json_schema_has_version_and_nonempty_timeline() {
         "schema_version must lead the document: {}",
         &json[..80.min(json.len())]
     );
-    assert_eq!(result.obs.timeline.days.len(), 10, "one row per virtual day");
+    assert_eq!(result.obs.timeline.days.len(), 30, "one row per virtual day");
     assert!(result.obs.timeline.observations > 0, "racy patterns must observe races");
     assert!(result.obs.timeline.total_filed > 0);
 
