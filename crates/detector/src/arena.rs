@@ -21,7 +21,6 @@ use grs_runtime::{DecodedTrace, Program, RunConfig, RunOutcome, Runtime, StackDe
 use crate::eraser::Eraser;
 use crate::explorer::DetectorChoice;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
-use crate::legacy::{LegacyEraser, LegacyFastTrack, LegacyFastTrackConfig, LegacyTsan};
 use crate::replay::{replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 use crate::report::RaceReport;
 use crate::tsan::Tsan;
@@ -73,20 +72,6 @@ type Slot = Option<Box<dyn Detector>>;
 const IN_SLOT: &str = "a detector leaves its slot only for the length of a run";
 
 impl Detectors {
-    fn of(
-        fasttrack: impl Detector + 'static,
-        pure_vc: impl Detector + 'static,
-        eraser: impl Detector + 'static,
-        hybrid: impl Detector + 'static,
-    ) -> Self {
-        Detectors {
-            fasttrack: Some(Box::new(fasttrack)),
-            pure_vc: Some(Box::new(pure_vc)),
-            eraser: Some(Box::new(eraser)),
-            hybrid: Some(Box::new(hybrid)),
-        }
-    }
-
     /// The one place a [`DetectorChoice`] becomes a detector.
     fn slot(&mut self, choice: DetectorChoice) -> &mut Slot {
         match choice {
@@ -115,27 +100,12 @@ impl DetectorArena {
     pub fn new() -> Self {
         DetectorArena {
             depot: StackDepot::new(),
-            detectors: Detectors::of(
-                FastTrack::new(),
-                FastTrack::with_config(FastTrackConfig::pure_vc()),
-                Eraser::new(),
-                Tsan::new(),
-            ),
-        }
-    }
-
-    /// An arena over the **legacy** HashMap-shadow detectors — the
-    /// reference implementation the flat shadow memory is pinned against.
-    #[must_use]
-    pub fn new_oracle() -> Self {
-        DetectorArena {
-            depot: StackDepot::new(),
-            detectors: Detectors::of(
-                LegacyFastTrack::new(),
-                LegacyFastTrack::with_config(LegacyFastTrackConfig::pure_vc()),
-                LegacyEraser::new(),
-                LegacyTsan::new(),
-            ),
+            detectors: Detectors {
+                fasttrack: Some(Box::new(FastTrack::new())),
+                pure_vc: Some(Box::new(FastTrack::with_config(FastTrackConfig::pure_vc()))),
+                eraser: Some(Box::new(Eraser::new())),
+                hybrid: Some(Box::new(Tsan::new())),
+            },
         }
     }
 

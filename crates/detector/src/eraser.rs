@@ -12,9 +12,10 @@
 //! why ThreadSanitizer anchors its verdicts on vector clocks (§3.1).
 //!
 //! Shadow state is a flat `Vec<Option<EraserVar>>` indexed by the kernel's
-//! dense address ids (see the module docs of [`crate::fasttrack`]); the
-//! legacy `HashMap` implementation stays compiled (`crate::legacy`) as the
-//! differential oracle.
+//! dense address ids (see the module docs of [`crate::fasttrack`]). A
+//! lockset verdict is not a happens-before verdict, so the one fact
+//! [`crate::reference`] holds this detector to is lock discipline: an
+//! address some lock covers at every access is never reported.
 
 use std::sync::Arc;
 

@@ -102,7 +102,7 @@ impl std::fmt::Display for DetectorChoice {
 pub struct ExploreConfig {
     /// Number of runs.
     pub runs: usize,
-    /// First seed; run `i` uses `base_seed + i`.
+    /// First seed; run `i` uses `base_seed + i`, wrapping past `u64::MAX`.
     pub base_seed: u64,
     /// Scheduling strategy for every run.
     pub strategy: Strategy,
@@ -268,7 +268,7 @@ impl Explorer {
 
     fn run_config(&self, run: usize) -> RunConfig {
         RunConfig {
-            seed: self.config.base_seed + run as u64,
+            seed: self.config.base_seed.wrapping_add(run as u64),
             strategy: self.config.strategy,
             max_steps: self.config.max_steps,
             ..RunConfig::default()
@@ -292,8 +292,9 @@ impl Explorer {
         let mut arena = DetectorArena::new();
         let mut seen = std::collections::HashSet::new();
         for i in 0..self.config.runs {
-            let seed = self.config.base_seed + i as u64;
-            let (outcome, reports) = arena.run(self.config.detector, program, self.run_config(i));
+            let run_cfg = self.run_config(i);
+            let seed = run_cfg.seed;
+            let (outcome, reports) = arena.run(self.config.detector, program, run_cfg);
             if !reports.is_empty() {
                 result.racy_runs += 1;
             }

@@ -25,10 +25,9 @@
 //! all shadow tables here are flat `Vec`s indexed by the id itself instead
 //! of `HashMap<u64, _>`s: a variable access costs one bounds-checked array
 //! index, not a hash probe. The concurrent-read history is a tid-sorted
-//! small vector (iteration order matches the old sorted-HashMap walk, so
-//! report order is bit-identical), and the legacy HashMap implementation
-//! stays compiled (`crate::legacy`) as the differential oracle pinning this
-//! rewrite.
+//! small vector, so iteration — and therefore report order — is ascending
+//! by goroutine. Verdicts are held to [`crate::reference`], which shares
+//! nothing with this module.
 
 use std::sync::Arc;
 
@@ -415,7 +414,7 @@ impl FastTrack {
         // Atomic acquire side: an atomic read (or RMW) joins the address's
         // sync clock *before* race checks, so atomic-synchronized plain
         // accesses are correctly ordered. (An untouched slot's sync clock
-        // is empty — joining it is a no-op, matching the old map miss.)
+        // is empty — joining it is a no-op.)
         if kind.is_atomic() {
             let (clocks, vars) = (&mut self.clocks, &self.vars);
             clocks[gi].join(&vars[vi].sync_clock);
@@ -425,8 +424,8 @@ impl FastTrack {
         let mut words_delta: isize = 0;
         {
             // Split field borrows: the goroutine's clock is read-only for
-            // the whole check/update sequence (the legacy path cloned it
-            // per access), while the variable slot is mutated in place.
+            // the whole check/update sequence, so it is never cloned, while
+            // the variable slot is mutated in place.
             let (clocks, vars, found) = (&self.clocks, &mut self.vars, &mut self.found);
             let c = &clocks[gi];
             let var = &mut vars[vi];
@@ -465,10 +464,9 @@ impl FastTrack {
                     }
                     ReadState::Shared(reads) => {
                         fast = false;
-                        // The vector is tid-sorted, so this walk reproduces
-                        // the legacy sorted-HashMap iteration: report order
-                        // feeds dedup representatives and `max_reports`
-                        // truncation.
+                        // The vector is tid-sorted, and the walk must stay
+                        // ascending: report order feeds dedup
+                        // representatives and `max_reports` truncation.
                         for e in reads {
                             if e.clk > c.get(Tid::new(e.tid))
                                 && !(kind.is_atomic() && e.info.kind.is_atomic())
@@ -634,7 +632,7 @@ impl FastTrack {
             let (clocks, locks) = (&mut self.clocks, &self.locks);
             let shadow = &locks[li];
             // join(a); join(b) ≡ join(a ⊔ b): pointwise max is associative,
-            // so this matches the legacy clone-then-join without the clone.
+            // so two joins in place need no temporary clock.
             clocks[gi].join(&shadow.write_release);
             if mode == LockMode::Write {
                 clocks[gi].join(&shadow.read_release);

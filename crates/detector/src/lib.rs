@@ -48,7 +48,7 @@ pub mod eraser;
 pub mod explorer;
 pub mod fasttrack;
 pub mod guided;
-pub mod legacy;
+pub mod reference;
 pub mod replay;
 pub mod report;
 pub mod tsan;

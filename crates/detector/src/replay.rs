@@ -10,8 +10,7 @@
 //! methods: `on_run_start` resets per-run shadow state and attaches the
 //! depot, `on_event` consumes one event, `on_run_end` flushes. A
 //! [`Detector`] adds only what a monitor lacks — a way to take the reports
-//! out, and a whole-trace entry point the flat detectors override with
-//! their struct-of-arrays hot loop.
+//! out, and a whole-trace entry point for the struct-of-arrays hot loop.
 //!
 //! The replay drivers also mirror the runtime kernel's bookkeeping —
 //! events dispatched, peak shadow words sampled after every event *and*
@@ -27,33 +26,21 @@ use crate::report::RaceReport;
 /// A race detector: a [`Monitor`] whose findings can be taken out.
 ///
 /// Implemented by every algorithm in this crate (FastTrack and its
-/// pure-vector-clock ablation, Eraser, the TSan hybrid) and by the
-/// `legacy` reference set. The contract: for a trace recorded from a live
-/// run, `on_run_start` + one `on_event` per recorded event + `on_run_end`
-/// must leave reports bit-identical to what the same detector would have
-/// produced monitoring that run live.
+/// pure-vector-clock ablation, Eraser, the TSan hybrid). The contract: for
+/// a trace recorded from a live run, `on_run_start` + one `on_event` per
+/// recorded event + `on_run_end` must leave reports bit-identical to what
+/// the same detector would have produced monitoring that run live.
 pub trait Detector: Monitor + std::fmt::Debug {
     /// Takes the accumulated race reports, leaving the detector reusable
     /// for the next run or trace.
     fn take_reports(&mut self) -> Vec<RaceReport>;
 
-    /// Consumes an entire batch-decoded event stream, returning the peak
-    /// shadow-word count sampled after each event.
-    ///
-    /// The default materializes each event from the lanes and feeds it
-    /// through [`Monitor::on_event`] — which is what the `legacy` reference
-    /// set uses, so the flat-vs-legacy equivalence tests compare the batch
-    /// hot loop against unchanged reference semantics. The flat detectors
-    /// override this with a branch-light loop over the plain arrays (no
-    /// `Event` materialization, no `Arc` clones).
-    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
-        let mut peak = 0usize;
-        for i in 0..decoded.len() {
-            self.on_event(&decoded.event(i));
-            peak = peak.max(self.shadow_words());
-        }
-        peak
-    }
+    /// Consumes an entire batch-decoded event stream — a branch-light loop
+    /// over the plain lanes, no `Event` materialization, no `Arc` clones —
+    /// returning the peak shadow-word count sampled after each event. Must
+    /// leave the detector exactly where one [`Monitor::on_event`] per
+    /// decoded event would.
+    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize;
 }
 
 /// What one offline analysis of a trace produced.

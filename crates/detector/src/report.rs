@@ -111,13 +111,17 @@ impl RaceReport {
     /// line-insensitive fingerprint of §3.3.1 lives in `grs-deploy`.)
     #[must_use]
     pub fn site_key(&self) -> String {
-        let mut locs = [
-            format!("{}", self.prior.loc),
-            format!("{}", self.current.loc),
-        ];
-        locs.sort();
-        format!("{}|{}|{}", self.object, locs[0], locs[1])
+        site_key_of(&self.object, self.prior.loc, self.current.loc)
     }
+}
+
+/// [`RaceReport::site_key`] of a race on `object` between accesses at `a`
+/// and `b`, for callers that hold the two accesses but no report.
+#[must_use]
+pub fn site_key_of(object: &str, a: SourceLoc, b: SourceLoc) -> String {
+    let mut locs = [a.to_string(), b.to_string()];
+    locs.sort();
+    format!("{object}|{}|{}", locs[0], locs[1])
 }
 
 impl fmt::Display for RaceReport {

@@ -1,249 +1,206 @@
-//! Seeded property tests for the detectors.
+//! The seeded random differential: generated programs over every primitive
+//! the runtime models, each trace through the happens-before reference and
+//! all four detectors.
 //!
-//! The strongest guarantee a happens-before detector offers is *no false
-//! positives under the observed schedule*: a program whose accesses are all
-//! ordered by synchronization must never be flagged, for any shape, seed,
-//! or strategy. Conversely, removing the synchronization from the same
-//! shape must eventually be caught.
-//!
-//! These ran under `proptest` when the registry was reachable; they now run
-//! in tier-1 on the vendored `rand` stub: shapes and seeds are drawn from a
-//! fixed-seed `StdRng`, so failures are perfectly reproducible (the case
-//! index pins the inputs).
+//! It replaces four properties this file checked over four fixed program
+//! shapes — no report on synchronized shapes, some report on unsynchronized
+//! ones, epoch and pure-VC verdicts equal, Eraser silent on locked shapes —
+//! each a consequence of what is asserted here per trace: the happens-before
+//! detectors report exactly what the reference leaves unordered, and Eraser
+//! never reports a lock-disciplined address. Programs come from a fixed-seed
+//! `StdRng`, so the case index reproduces a failure.
+
+use std::collections::HashSet;
+use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grs_detector::{Eraser, FastTrack, FastTrackConfig, Tsan};
-use grs_runtime::{Program, RunConfig, Runtime, Strategy as Sched};
+use grs_detector::{reference, DetectorArena, DetectorChoice, FastTrackConfig};
+use grs_runtime::{record, Ctx, Program, RunConfig, Strategy};
+
+const CELLS: usize = 2;
+const CHANS: usize = 2;
+
+/// One statement of a generated goroutine. Lock-taking statements release
+/// before the next statement, so no goroutine blocks while holding a lock.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Read(usize),
+    Write(usize),
+    MutexWrite(usize),
+    RLockRead(usize),
+    /// The Listing 11 bug: a write under the read lock.
+    RLockWrite(usize),
+    WLockWrite(usize),
+    AtomicLoad,
+    AtomicStore,
+    /// A plain write of the atomic's address (mixed-mode access). A plain
+    /// *read* of it is left out: a later atomic load replaces it in
+    /// FastTrack's read history — the disagreement this differential found,
+    /// pinned by `atomic_read_masks_plain_read` in `reference.rs`.
+    PlainStore,
+    Send(usize),
+    Recv(usize),
+    TrySend(usize),
+    TryRecv(usize),
+    Close(usize),
+    OnceWrite(usize),
+    WgDone,
+    WgWait,
+}
 
 #[derive(Debug, Clone)]
 struct Shape {
-    workers: u8,
-    ops: u8,
-    sync: SyncKind,
+    caps: [usize; CHANS],
+    /// `goroutines[0]` is main: it runs its first `spawn_at` statements,
+    /// spawns the others, then runs the rest.
+    goroutines: Vec<Vec<Op>>,
+    spawn_at: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SyncKind {
-    Mutex,
-    Channel,
-    WaitGroupPublish,
-    Atomic,
+fn gen_local_op(rng: &mut StdRng) -> Op {
+    let cell = rng.gen_range(0..CELLS);
+    let chan = rng.gen_range(0..CHANS);
+    match rng.gen_range(0..22u32) {
+        0..=1 => Op::Read(cell),
+        2..=3 => Op::Write(cell),
+        4..=7 => Op::MutexWrite(cell),
+        8 => Op::RLockRead(cell),
+        9 => Op::RLockWrite(cell),
+        10 => Op::WLockWrite(cell),
+        11 => Op::AtomicLoad,
+        12..=13 => Op::AtomicStore,
+        14..=15 => Op::PlainStore,
+        16..=17 => Op::TrySend(chan),
+        18..=19 => Op::TryRecv(chan),
+        20 => Op::Close(chan),
+        _ => Op::OnceWrite(cell),
+    }
 }
 
-const SYNC_KINDS: [SyncKind; 4] = [
-    SyncKind::Mutex,
-    SyncKind::Channel,
-    SyncKind::WaitGroupPublish,
-    SyncKind::Atomic,
-];
-
+/// Statements are appended round by round. A blocking send and its receive
+/// are appended together, to two different goroutines, so each blocking
+/// operation has a partner that is not behind it; a `close`, or a receiver
+/// taking another sender's value, can still strand one, and the runtime
+/// then ends the run as a deadlock or a leak — traces worth checking too.
 fn gen_shape(rng: &mut StdRng) -> Shape {
+    let n = rng.gen_range(2..5usize);
+    let mut goroutines = vec![Vec::new(); n];
+    for _ in 0..rng.gen_range(2..5usize) {
+        for ops in &mut goroutines {
+            ops.extend((0..rng.gen_range(1..3u32)).map(|_| gen_local_op(rng)));
+        }
+        if rng.gen_bool(0.7) {
+            let (chan, from) = (rng.gen_range(0..CHANS), rng.gen_range(0..n));
+            goroutines[from].push(Op::Send(chan));
+            goroutines[(from + rng.gen_range(1..n)) % n].push(Op::Recv(chan));
+        }
+    }
+    // Each worker calls `Done` once, main `Wait`s once, anywhere.
+    for (g, ops) in goroutines.iter_mut().enumerate() {
+        let at = rng.gen_range(0..ops.len() + 1);
+        ops.insert(at, if g == 0 { Op::WgWait } else { Op::WgDone });
+    }
+    // Main must not block before anyone exists to unblock it.
+    let blocking = |op: &Op| matches!(op, Op::Send(_) | Op::Recv(_) | Op::WgWait);
+    let first_blocking = goroutines[0].iter().position(blocking).expect("main waits");
     Shape {
-        workers: rng.gen_range(1..4u8),
-        ops: rng.gen_range(1..4u8),
-        sync: SYNC_KINDS[rng.gen_range(0..SYNC_KINDS.len())],
+        caps: [rng.gen_range(0..3usize), rng.gen_range(0..3usize)],
+        spawn_at: rng.gen_range(0..first_blocking + 1),
+        goroutines,
     }
 }
 
-/// A fully synchronized program of the given shape.
-fn synced(shape: &Shape) -> Program {
-    let shape = shape.clone();
-    Program::new("prop_synced", move |ctx| match shape.sync {
-        SyncKind::Mutex => {
-            let mu = ctx.mutex("mu");
-            let x = ctx.cell("x", 0i64);
-            let wg = ctx.waitgroup("wg");
-            for _ in 0..shape.workers {
-                wg.add(ctx, 1);
-                let (mu, x, wg) = (mu.clone(), x.clone(), wg.clone());
-                let ops = shape.ops;
-                ctx.go("w", move |ctx| {
-                    for _ in 0..ops {
-                        mu.lock(ctx);
-                        ctx.update(&x, |v| v + 1);
-                        mu.unlock(ctx);
-                    }
-                    wg.done(ctx);
-                });
-            }
-            wg.wait(ctx);
-            mu.lock(ctx);
-            let _ = ctx.read(&x);
-            mu.unlock(ctx);
-        }
-        SyncKind::Channel => {
-            // Ownership transfer: each worker writes a private cell, then
-            // sends it; main reads after receiving.
-            let ch = ctx.chan::<grs_runtime::Cell<i64>>("ch", 0);
-            for w in 0..shape.workers {
-                let ch = ch.clone();
-                let ops = shape.ops;
-                ctx.go("w", move |ctx| {
-                    let mine = ctx.cell("mine", 0i64);
-                    for _ in 0..ops {
-                        ctx.update(&mine, |v| v + i64::from(w));
-                    }
-                    ch.send(ctx, mine);
-                });
-            }
-            for _ in 0..shape.workers {
-                if let Some(cell) = ch.recv(ctx).value() {
-                    let _ = ctx.read(&cell);
+fn program(name: &str, shape: Shape) -> Program {
+    Program::new(name, move |ctx| {
+        let cell = |i: usize| ctx.cell(&format!("c{i}"), 0i64);
+        let chan = |i: usize| ctx.chan::<i64>(&format!("ch{i}"), shape.caps[i]);
+        let cells: Vec<_> = (0..CELLS).map(cell).collect();
+        let chans: Vec<_> = (0..CHANS).map(chan).collect();
+        let (mu, rw) = (ctx.mutex("mu"), ctx.rwmutex("rw"));
+        let (atomic, once, wg) = (ctx.atomic("flag", 0), ctx.once("once"), ctx.waitgroup("wg"));
+        wg.add(ctx, shape.goroutines.len() as i64 - 1);
+        let run = move |ctx: &Ctx, ops: &[Op]| {
+            for op in ops {
+                match *op {
+                    Op::Read(c) => _ = ctx.read(&cells[c]),
+                    Op::Write(c) => ctx.write(&cells[c], 1),
+                    Op::MutexWrite(c) => mu.with(ctx, |ctx| ctx.write(&cells[c], 2)),
+                    Op::RLockRead(c) => rw.with_read(ctx, |ctx| _ = ctx.read(&cells[c])),
+                    Op::RLockWrite(c) => rw.with_read(ctx, |ctx| ctx.write(&cells[c], 3)),
+                    Op::WLockWrite(c) => rw.with_write(ctx, |ctx| ctx.write(&cells[c], 4)),
+                    Op::AtomicLoad => _ = atomic.load(ctx),
+                    Op::AtomicStore => atomic.store(ctx, 1),
+                    Op::PlainStore => atomic.store_plain(ctx, 2),
+                    Op::Send(ch) => chans[ch].send(ctx, 1),
+                    Op::Recv(ch) => _ = chans[ch].recv(ctx),
+                    Op::TrySend(ch) => _ = chans[ch].try_send(ctx, 2),
+                    Op::TryRecv(ch) => _ = chans[ch].try_recv(ctx),
+                    Op::Close(ch) => chans[ch].close(ctx),
+                    Op::OnceWrite(c) => once.do_once(ctx, |ctx| ctx.write(&cells[c], 5)),
+                    Op::WgDone => wg.done(ctx),
+                    Op::WgWait => wg.wait(ctx),
                 }
             }
+        };
+        let (before_spawn, after_spawn) = shape.goroutines[0].split_at(shape.spawn_at);
+        run(ctx, before_spawn);
+        for ops in &shape.goroutines[1..] {
+            let (run, ops) = (run.clone(), ops.clone());
+            ctx.go("worker", move |ctx| run(ctx, &ops));
         }
-        SyncKind::WaitGroupPublish => {
-            let wg = ctx.waitgroup("wg");
-            let mut cells = Vec::new();
-            for w in 0..shape.workers {
-                wg.add(ctx, 1);
-                let cell = ctx.cell("slot", 0i64);
-                cells.push(cell.clone());
-                let wg = wg.clone();
-                let ops = shape.ops;
-                ctx.go("w", move |ctx| {
-                    for _ in 0..ops {
-                        ctx.update(&cell, |v| v + i64::from(w));
-                    }
-                    wg.done(ctx);
-                });
-            }
-            wg.wait(ctx);
-            for c in &cells {
-                let _ = ctx.read(c);
-            }
-        }
-        SyncKind::Atomic => {
-            let a = ctx.atomic("a", 0);
-            let done = ctx.chan::<()>("done", usize::from(shape.workers));
-            for _ in 0..shape.workers {
-                let (a, done) = (a.clone(), done.clone());
-                let ops = shape.ops;
-                ctx.go("w", move |ctx| {
-                    for _ in 0..ops {
-                        a.add(ctx, 1);
-                    }
-                    done.send(ctx, ());
-                });
-            }
-            for _ in 0..shape.workers {
-                let _ = done.recv(ctx);
-            }
-            let _ = a.load(ctx);
-        }
+        run(ctx, after_spawn);
     })
 }
 
-/// The same shape with its synchronization removed.
-fn unsynced(shape: &Shape) -> Program {
-    let shape = shape.clone();
-    Program::new("prop_unsynced", move |ctx| {
-        let x = ctx.cell("x", 0i64);
-        let done = ctx.chan::<()>("done", usize::from(shape.workers));
-        for _ in 0..shape.workers {
-            let (x, done) = (x.clone(), done.clone());
-            let ops = shape.ops;
-            ctx.go("w", move |ctx| {
-                for _ in 0..ops {
-                    ctx.update(&x, |v| v + 1); // no lock
-                }
-                done.send(ctx, ());
-            });
-        }
-        for _ in 0..shape.workers {
-            let _ = done.recv(ctx);
-        }
-        let _ = ctx.read(&x);
-    })
-}
-
-/// HB detectors never flag synchronized programs — any shape, seed, or
-/// strategy, epochs or pure vector clocks.
+/// 320 generated programs × 4 seeds (odd seeds under PCT). A disagreement
+/// is written to `target/disagreements/` as a `.grtrace` before the test
+/// fails, so it can be replayed and minimised (CI uploads the directory).
 #[test]
-fn no_false_positives_on_synced_shapes() {
-    let mut rng = StdRng::seed_from_u64(0xD1);
-    for case in 0..20 {
-        let shape = gen_shape(&mut rng);
-        let seed = rng.gen_range(0..500u64);
-        let p = synced(&shape);
-        for strategy in [Sched::Random, Sched::Pct { depth: 3 }] {
-            let cfg = RunConfig::with_seed(seed).strategy(strategy);
-            let (_, tsan) = Runtime::new(cfg.clone()).run(&p, Tsan::new());
-            assert!(
-                tsan.reports().is_empty(),
-                "case {case}: tsan false positive on {shape:?}: {}",
-                tsan.reports()[0]
-            );
-            let (_, vc) =
-                Runtime::new(cfg).run(&p, FastTrack::with_config(FastTrackConfig::pure_vc()));
-            assert!(vc.reports().is_empty(), "case {case}: pure-vc false positive");
-        }
-    }
-}
-
-/// Multi-worker unsynchronized shapes are caught within a seed budget.
-#[test]
-fn unsynced_shapes_are_caught() {
-    let mut rng = StdRng::seed_from_u64(0xD2);
-    let mut checked = 0;
-    while checked < 10 {
-        let shape = gen_shape(&mut rng);
-        if shape.workers < 2 {
-            continue;
-        }
-        checked += 1;
-        let p = unsynced(&shape);
-        let mut found = false;
-        for seed in 0..40 {
-            let (_, tsan) = Runtime::new(RunConfig::with_seed(seed)).run(&p, Tsan::new());
-            if !tsan.reports().is_empty() {
-                found = true;
-                break;
+fn random_programs_agree_with_the_reference() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/disagreements");
+    let cap = FastTrackConfig::default().max_reports;
+    let mut rng = StdRng::seed_from_u64(0x16_7e5);
+    let mut arena = DetectorArena::new();
+    let mut disagreements = Vec::new();
+    let (mut traces, mut racy, mut disciplined) = (0, 0, 0);
+    let mut kinds_seen = HashSet::new();
+    for case in 0..320 {
+        let name = format!("random_{case:03}");
+        let p = program(&name, gen_shape(&mut rng));
+        for seed in 0..4u64 {
+            let strategy = [Strategy::Random, Strategy::Pct { depth: 3 }][seed as usize % 2];
+            let (_, trace) = record(&p, &RunConfig::with_seed(seed).strategy(strategy));
+            let verdict = reference::analyze(&trace);
+            traces += 1;
+            racy += u32::from(!verdict.pairs.is_empty());
+            disciplined += verdict.lock_disciplined.len();
+            kinds_seen.extend(trace.events.iter().map(|e| std::mem::discriminant(&e.kind)));
+            let mut split = Vec::new();
+            for (choice, out) in arena.replay_all(&trace) {
+                let complete = out.reports.len() < cap;
+                let held = match choice {
+                    DetectorChoice::Eraser => verdict.check_lockset(&out.reports),
+                    _ => verdict.check_happens_before(&trace, &out.reports, complete),
+                };
+                split.extend(held.err().map(|e| format!("{choice}: {e}")));
+            }
+            if !split.is_empty() {
+                let path = dir.join(format!("{name}-{seed}.grtrace"));
+                std::fs::create_dir_all(&dir).expect("create target/disagreements");
+                trace.write_to(&path).expect("write disagreeing trace");
+                disagreements.push(format!("{}: {}", path.display(), split.join("; ")));
             }
         }
-        assert!(found, "no seed caught {shape:?}");
     }
-}
-
-/// Epoch and pure-VC FastTrack agree on every run.
-#[test]
-fn epoch_and_pure_vc_verdicts_agree() {
-    let mut rng = StdRng::seed_from_u64(0xD3);
-    for case in 0..15 {
-        let shape = gen_shape(&mut rng);
-        let seed = rng.gen_range(0..200u64);
-        for p in [synced(&shape), unsynced(&shape)] {
-            let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&p, FastTrack::new());
-            let (_, vc) = Runtime::new(RunConfig::with_seed(seed))
-                .run(&p, FastTrack::with_config(FastTrackConfig::pure_vc()));
-            assert_eq!(
-                ft.reports().is_empty(),
-                vc.reports().is_empty(),
-                "case {case}: verdict mismatch on {} {:?} seed {}",
-                p.name(),
-                shape,
-                seed
-            );
-        }
-    }
-}
-
-/// Eraser accepts consistently locked shapes (its soundness case).
-#[test]
-fn eraser_accepts_locked_shapes() {
-    let mut rng = StdRng::seed_from_u64(0xD4);
-    let mut checked = 0;
-    while checked < 15 {
-        let shape = gen_shape(&mut rng);
-        let seed = rng.gen_range(0..200u64);
-        if shape.sync != SyncKind::Mutex {
-            continue;
-        }
-        checked += 1;
-        let p = synced(&shape);
-        let (_, er) = Runtime::new(RunConfig::with_seed(seed)).run(&p, Eraser::new());
-        assert!(er.reports().is_empty(), "eraser flagged a locked shape");
-    }
+    let found = disagreements.join("\n");
+    assert!(disagreements.is_empty(), "disagreements:\n{found}");
+    // Both verdicts, the lockset fact and all fourteen event kinds must have
+    // been exercised, or agreement was cheap.
+    let ordered = traces - racy;
+    println!("{racy} racy traces, {ordered} ordered, {disciplined} lock-disciplined addresses");
+    assert!(racy >= 200 && ordered >= 100, "{racy} racy, {ordered} not");
+    assert!(disciplined >= 100, "{disciplined} lock-disciplined");
+    assert_eq!(kinds_seen.len(), 14, "event kinds reached");
 }

@@ -103,7 +103,7 @@ pub fn corpus_suite() -> Vec<CampaignUnit> {
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Seeds per `(unit, strategy, detector)` combination; seed `s` of a
-    /// unit is `base_seed + s`.
+    /// unit is `base_seed + s`, wrapping past `u64::MAX`.
     pub seeds_per_unit: usize,
     /// First seed.
     pub base_seed: u64,
@@ -117,10 +117,6 @@ pub struct CampaignConfig {
     pub shards: usize,
     /// Per-run step budget.
     pub max_steps: u64,
-    /// Route every run/replay through the **legacy** HashMap-shadow
-    /// detectors instead of the flat ones. Used by the flat-shadow
-    /// equivalence suite; production configs leave it `false`.
-    pub oracle_shadow: bool,
 }
 
 impl CampaignConfig {
@@ -153,7 +149,6 @@ impl CampaignConfig {
             workers: default_workers(),
             shards: 2 * default_workers(),
             max_steps: 1_000_000,
-            oracle_shadow: false,
         }
     }
 
@@ -214,14 +209,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Routes the campaign through the legacy HashMap-shadow oracle
-    /// detectors (builder style); see [`CampaignConfig::oracle_shadow`].
-    #[must_use]
-    pub fn oracle_shadow(mut self, oracle: bool) -> Self {
-        self.oracle_shadow = oracle;
         self
     }
 
@@ -747,7 +734,7 @@ impl Campaign {
             exec_index,
             base_index: exec_index * self.config.detectors.len(),
             unit,
-            seed: self.config.base_seed + seed as u64,
+            seed: self.config.base_seed.wrapping_add(seed as u64),
             strategy: self.config.strategies[strat],
         }
     }
@@ -766,17 +753,6 @@ impl Campaign {
     #[must_use]
     pub fn exec_specs(&self) -> Vec<ExecSpec> {
         (0..self.exec_len()).map(|i| self.exec_spec_at(i)).collect()
-    }
-
-    /// One detector arena per worker, honoring the config's shadow
-    /// implementation choice (`oracle_shadow` is the differential-testing
-    /// switch onto the reference detectors).
-    fn make_arena(&self) -> DetectorArena {
-        if self.config.oracle_shadow {
-            DetectorArena::new_oracle()
-        } else {
-            DetectorArena::new()
-        }
     }
 
     /// The per-run configuration of this campaign for one `(seed, strategy)`.
@@ -912,7 +888,7 @@ impl Campaign {
             execs,
         );
         for exec in 0..execs {
-            let seed = self.config.base_seed + exec as u64;
+            let seed = self.config.base_seed.wrapping_add(exec as u64);
             let prefix = frontier.propose(exec);
             let repro = match &prefix {
                 Some(p) => ReproArtifact::guided(seed, strategy, p.clone()),
@@ -993,7 +969,7 @@ impl Campaign {
             shared,
             id,
             shard: 0,
-            arena: self.make_arena(),
+            arena: DetectorArena::new(),
             records: Vec::new(),
             replay: ReplayStats::default(),
         };

@@ -154,7 +154,7 @@ pub fn run_triage(cfg: &TriageConfig) -> TriageOutcome {
         for &u in order {
             for k in 0..cfg.seeds_per_unit {
                 executed += 1;
-                let rc = RunConfig::with_seed(cfg.base_seed + k);
+                let rc = RunConfig::with_seed(cfg.base_seed.wrapping_add(k));
                 let (_, reports) = DetectorChoice::Hybrid.run(&units[u].program, rc);
                 if !reports.is_empty() {
                     return Some((executed, u));
