@@ -4,16 +4,11 @@
 //! task with that fingerprint is open. But the tracker sits behind the
 //! service's core mutex, and a six-month deployment re-detects the same hot
 //! races millions of times. [`BoundedDedup`] is the front line: a sharded
-//! exact cache of open fingerprints behind an approximate FNV pre-filter,
-//! with a **hard word budget**. When the cache is full, the oldest cached
-//! representative is evicted (FIFO per shard); the next re-detection of an
-//! evicted fingerprint falls through to the tracker and merely re-warms the
-//! cache. Both approximation layers fail *safe*:
-//!
-//! * the bloom pre-filter only answers "definitely never cached" (skip the
-//!   exact probe entirely) — a false maybe costs one shard lock, never a
-//!   wrong verdict;
-//! * eviction only loses the short-circuit — the tracker still suppresses.
+//! exact cache of open fingerprints with a **hard word budget**. When the
+//! cache is full, the oldest cached representative is evicted (FIFO per
+//! shard); the next re-detection of an evicted fingerprint falls through to
+//! the tracker and merely re-warms the cache. Eviction fails *safe*: it
+//! only loses the short-circuit — the tracker still suppresses.
 //!
 //! Correctness therefore never depends on the cache; memory use never
 //! depends on the workload. `peak_words()` against `budget_words()` is the
@@ -33,9 +28,6 @@ pub const WORDS_PER_ENTRY: usize = 4;
 
 const SHARDS: usize = 16;
 
-/// Smallest bloom filter the cache will build, bits.
-const MIN_BLOOM_BITS: usize = 1 << 10;
-
 #[derive(Default)]
 struct Shard {
     cached: HashSet<u64>,
@@ -49,16 +41,14 @@ struct Shard {
 pub enum DedupVerdict {
     /// Cached as open: suppress without consulting the tracker.
     CachedOpen,
-    /// Not in the cache (never seen, evicted, or bloom-missed): the caller
-    /// must consult the tracker.
+    /// Not in the cache (never seen, or evicted): the caller must consult
+    /// the tracker.
     Unknown,
 }
 
 /// Sharded, budgeted duplicate cache. See the module docs for semantics.
 pub struct BoundedDedup {
     shards: Vec<Mutex<Shard>>,
-    bloom: Vec<AtomicU64>,
-    bloom_mask: u64,
     max_entries: usize,
     entries: AtomicUsize,
     peak_entries: AtomicUsize,
@@ -77,7 +67,8 @@ impl std::fmt::Debug for BoundedDedup {
 
 fn mix(fp: Fingerprint) -> u64 {
     // splitmix64 finalizer: the raw fingerprint is already FNV-mixed, but
-    // shard/bloom indices use disjoint bit ranges and must not correlate.
+    // FNV-1a's last input bytes barely reach the top bits, and those pick
+    // the shard.
     splitmix64(fp.0)
 }
 
@@ -88,38 +79,12 @@ impl BoundedDedup {
     #[must_use]
     pub fn new(budget_words: usize) -> BoundedDedup {
         let max_entries = (budget_words / WORDS_PER_ENTRY).max(SHARDS);
-        // ~8 bits per possible entry keeps the false-maybe rate low; the
-        // bloom's own memory is a rounding error next to the entry budget.
-        let bloom_bits = (max_entries * 8).next_power_of_two().max(MIN_BLOOM_BITS);
         BoundedDedup {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            bloom: (0..bloom_bits / 64).map(|_| AtomicU64::new(0)).collect(),
-            bloom_mask: (bloom_bits as u64) - 1,
             max_entries,
             entries: AtomicUsize::new(0),
             peak_entries: AtomicUsize::new(0),
             evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn bloom_positions(&self, h: u64) -> [(usize, u64); 2] {
-        let a = h & self.bloom_mask;
-        let b = (h >> 32 ^ h << 17) & self.bloom_mask;
-        [
-            ((a / 64) as usize, 1u64 << (a % 64)),
-            ((b / 64) as usize, 1u64 << (b % 64)),
-        ]
-    }
-
-    fn bloom_maybe(&self, h: u64) -> bool {
-        self.bloom_positions(h)
-            .iter()
-            .all(|&(word, bit)| self.bloom[word].load(Ordering::Relaxed) & bit != 0)
-    }
-
-    fn bloom_set(&self, h: u64) {
-        for (word, bit) in self.bloom_positions(h) {
-            self.bloom[word].fetch_or(bit, Ordering::Relaxed);
         }
     }
 
@@ -131,10 +96,6 @@ impl BoundedDedup {
     #[must_use]
     pub fn check(&self, fp: Fingerprint) -> DedupVerdict {
         let h = mix(fp);
-        if !self.bloom_maybe(h) {
-            // Never inserted since startup — skip the shard lock entirely.
-            return DedupVerdict::Unknown;
-        }
         let shard = self
             .shard(h)
             .lock()
@@ -150,7 +111,6 @@ impl BoundedDedup {
     /// the budget is exhausted.
     pub fn insert(&self, fp: Fingerprint) {
         let h = mix(fp);
-        self.bloom_set(h);
         let per_shard_cap = (self.max_entries / SHARDS).max(1);
         let mut shard = self
             .shard(h)
@@ -172,8 +132,6 @@ impl BoundedDedup {
 
     /// Uncaches `fp` — called when its task is fixed, so the next detection
     /// files a fresh task instead of being suppressed by a stale cache hit.
-    /// (The bloom filter is additive-only; a stale bloom bit only costs the
-    /// next check a shard probe.)
     pub fn invalidate(&self, fp: Fingerprint) {
         let h = mix(fp);
         let mut shard = self

@@ -53,16 +53,3 @@ pub use service::{
 pub use sim::{DayStats, SimConfig, SimResult, TrackerSim};
 pub use store::{Snapshot, SnapshotError};
 pub use tracker::{BugTracker, FixError, RestoreError, TaskId, TaskState};
-
-/// The types every deploy user imports, for `use grs_deploy::prelude::*`.
-pub mod prelude {
-    pub use crate::assignee::{determine_assignee, OwnerDb};
-    pub use crate::fingerprint::{race_fingerprint, Fingerprint};
-    pub use crate::service::{
-        FileOutcome, IntakeError, IntakeHandle, IntakeServer, IntakeService, IntakeSummary,
-    };
-    pub use crate::sim::{SimConfig, SimResult, TrackerSim};
-    pub use crate::store::Snapshot;
-    pub use crate::tracker::{BugTracker, TaskId, TaskState};
-    pub use crate::wire::{InProcTransport, TcpTransport, Transport};
-}

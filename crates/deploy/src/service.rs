@@ -964,9 +964,24 @@ mod tests {
         grs_runtime::put_uvarint(&mut lying, 1 << 60); // stack count
         let err = service.submit_trace(lying, 0).unwrap_err();
         assert!(matches!(err, IntakeError::Malformed(_)));
-        assert_eq!(service.stats().malformed, 2);
 
-        // The one worker survived both: the next upload is served.
+        // So are a 78-byte trace whose one access names address 2^36 and an
+        // 81-byte one whose goroutine is u32::MAX - 1: replayed, either
+        // would have the detector's flat tables reserve for the id and
+        // abort the whole process, not one worker.
+        for oversized in [
+            include_bytes!("../../../tests/data/oversized_addr.grtrace").to_vec(),
+            include_bytes!("../../../tests/data/oversized_gid.grtrace").to_vec(),
+        ] {
+            let err = service.submit_trace(oversized, 0).unwrap_err();
+            assert!(matches!(
+                err,
+                IntakeError::Malformed(TraceDecodeError::IdOutOfRange { .. })
+            ));
+        }
+        assert_eq!(service.stats().malformed, 4);
+
+        // The one worker survived them all: the next upload is served.
         let served = service.submit_trace(racy_trace(3), 0).unwrap();
         assert!(!served.filed.is_empty());
     }

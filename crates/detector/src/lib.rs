@@ -61,15 +61,3 @@ pub use guided::ScheduleFrontier;
 pub use replay::{replay_decoded, replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};
 pub use tsan::Tsan;
-
-/// The types every detector user imports, for `use grs_detector::prelude::*`.
-pub mod prelude {
-    pub use crate::arena::DetectorArena;
-    pub use crate::eraser::Eraser;
-    pub use crate::explorer::{default_workers, DetectorChoice, ExploreConfig, Explorer};
-    pub use crate::fasttrack::FastTrack;
-    pub use crate::guided::ScheduleFrontier;
-    pub use crate::replay::{replay_trace, Detector, ReplayOutcome};
-    pub use crate::report::{DetectorKind, RaceReport};
-    pub use crate::tsan::Tsan;
-}

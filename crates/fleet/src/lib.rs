@@ -49,14 +49,3 @@ pub use source::{
     lower_source_unit, GoCorpusSource, GoSnippetSuite, UnitError, UnitList, UnitSource,
 };
 pub use triage::{run_triage, triage_suite, TriageConfig, TriageOutcome, TriageUnit};
-
-/// The types every fleet user imports, for `use grs_fleet::prelude::*`.
-pub mod prelude {
-    pub use crate::campaign::{
-        corpus_suite, pattern_suite, Campaign, CampaignConfig, CampaignResult, CampaignUnit,
-        RunRecord,
-    };
-    pub use crate::dedup::DedupMap;
-    pub use crate::shard::{ExecSpec, IndexQueues, RunSpec};
-    pub use crate::source::{GoCorpusSource, GoSnippetSuite, UnitError, UnitList, UnitSource};
-}

@@ -56,11 +56,3 @@ pub use registry::{
 pub use report::{ObsReport, SCHEMA_VERSION};
 pub use sink::{NullSink, ObsSink, SpanGuard, NULL_SINK};
 pub use timeline::{CampaignTimeline, DayRow, TimelineConfig, TimelineReport};
-
-/// The types most observability users need, for `use grs_obs::prelude::*`.
-pub mod prelude {
-    pub use crate::registry::{MetricsRegistry, MetricsSnapshot};
-    pub use crate::report::{ObsReport, SCHEMA_VERSION};
-    pub use crate::sink::{NullSink, ObsSink, SpanGuard};
-    pub use crate::timeline::{CampaignTimeline, TimelineConfig, TimelineReport};
-}

@@ -14,9 +14,11 @@
 //! [`DecodedTrace::event`].
 //!
 //! Every header, table and event field is bounds- and range-checked as it
-//! is read, so a corrupt trace yields a typed [`TraceDecodeError`] and
-//! never a panic, whatever the chunk size — pinned over truncations, bit
-//! flips and trailing bytes by `tests/batch_decode.rs`.
+//! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
+//! detectors index flat tables by them — so a corrupt trace yields a typed
+//! [`TraceDecodeError`] and never a panic, whatever the chunk size — pinned
+//! over truncations, bit flips, trailing bytes and oversized ids by
+//! `tests/batch_decode.rs`.
 
 use std::sync::Arc;
 
@@ -26,7 +28,7 @@ use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::sched::Strategy;
 use crate::trace::{
     intern_static_file, lock_mode, rebuild_depot, tag, unzigzag, Reader, StackNode, Trace,
-    TraceDecodeError, TraceMeta, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    TraceDecodeError, TraceMeta, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// Fewest bytes one encoded depot entry takes (parent, function, call
@@ -273,8 +275,9 @@ impl<'a> BatchDecoder<'a> {
     /// # Errors
     ///
     /// A typed [`TraceDecodeError`]: truncation mid-event, malformed
-    /// varints, out-of-range string or stack indices, unknown tags, and
-    /// trailing bytes after the final event.
+    /// varints, out-of-range string or stack indices, ids past
+    /// [`MAX_TRACE_ID`], unknown tags, and trailing bytes after the final
+    /// event.
     pub fn next_chunk(
         &mut self,
         batch: &mut EventBatch,
@@ -305,22 +308,34 @@ impl<'a> BatchDecoder<'a> {
         }
     }
 
+    /// The next varint as a goroutine or object id: one of the lanes
+    /// (`gids`, `prims`) a detector uses as a table index.
+    fn id(&mut self) -> Result<u64, TraceDecodeError> {
+        match self.r.uvarint()? {
+            id if id <= MAX_TRACE_ID => Ok(id),
+            id => Err(TraceDecodeError::IdOutOfRange {
+                id,
+                max: MAX_TRACE_ID,
+            }),
+        }
+    }
+
     /// Decodes one event into the batch, fields in [`Trace::encode`]'s
     /// order.
     fn decode_event(&mut self, batch: &mut EventBatch) -> Result<(), TraceDecodeError> {
         self.prev_step = self.prev_step.wrapping_add(self.r.uvarint()?);
-        let gid = self.r.uvarint()? as u32;
+        let gid = self.id()? as u32;
         let tag = self.r.byte()?;
         let i = batch.push_filler(self.prev_step, gid, tag);
         match tag {
             tag::SPAWN => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 let name = self.r.uvarint()?;
                 batch.objects[i] = self.string_idx(name)?;
             }
             tag::GOROUTINE_END => {}
             tag::ACCESS => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 let object = self.r.uvarint()?;
                 batch.objects[i] = self.string_idx(object)?;
                 batch.access_kinds[i] = match self.r.byte()? {
@@ -354,15 +369,15 @@ impl<'a> BatchDecoder<'a> {
                 batch.lines[i] = self.r.uvarint()? as u32;
             }
             tag::ACQUIRE | tag::RELEASE => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 batch.lock_modes[i] = lock_mode(self.r.byte()?)?;
             }
             tag::CHAN_SEND | tag::CHAN_RECV => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 batch.args_a[i] = self.r.uvarint()?;
             }
             tag::CHAN_SEND_COMPLETE => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 batch.args_a[i] = self.r.uvarint()?;
                 batch.args_b[i] = self.r.uvarint()?;
             }
@@ -371,10 +386,10 @@ impl<'a> BatchDecoder<'a> {
             | tag::WG_WAIT
             | tag::ONCE_EXECUTED
             | tag::ONCE_OBSERVED => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
             }
             tag::WG_ADD => {
-                batch.prims[i] = self.r.uvarint()?;
+                batch.prims[i] = self.id()?;
                 batch.args_a[i] = unzigzag(self.r.uvarint()?) as u64;
                 batch.args_b[i] = unzigzag(self.r.uvarint()?) as u64;
             }

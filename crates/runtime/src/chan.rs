@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use crate::ctx::Ctx;
 use crate::event::EventKind;
 use crate::ids::ChanId;
-use crate::kernel::{BlockReason, ChanState, KState, Kernel};
+use crate::kernel::{Attempt, BlockReason, ChanState, KState, Kernel};
 use crate::runtime::RuntimeError;
 
 /// Result of a (blocking) receive.
@@ -114,23 +114,31 @@ impl Ctx {
     }
 }
 
+fn state(k: &mut KState, id: u64) -> &mut ChanState {
+    k.chans.get_mut(&id).expect("channel exists")
+}
+
 fn wake_senders(k: &mut KState, id: u64) {
-    let list = std::mem::take(&mut k.chans.get_mut(&id).expect("channel exists").send_waiters);
-    for g in list {
+    for g in std::mem::take(&mut state(k, id).send_waiters) {
         Kernel::wake(k, g);
     }
 }
 
 fn wake_receivers(k: &mut KState, id: u64) {
-    let list = std::mem::take(&mut k.chans.get_mut(&id).expect("channel exists").recv_waiters);
-    for g in list {
+    for g in std::mem::take(&mut state(k, id).recv_waiters) {
         Kernel::wake(k, g);
     }
 }
 
-fn wake_all(k: &mut KState, id: u64) {
-    wake_senders(k, id);
-    wake_receivers(k, id);
+/// What [`Chan::offer`] made of a send.
+enum Offer {
+    /// The channel is closed: the error is recorded, the value dropped.
+    Closed,
+    /// The value is in the buffer under this sequence number.
+    Sent(u64),
+    /// No room — or, unbuffered, no parked receiver; the value stays with
+    /// the sender.
+    Refused,
 }
 
 impl<T: Send + 'static> Chan<T> {
@@ -153,91 +161,21 @@ impl<T: Send + 'static> Chan<T> {
     /// [`RuntimeError::SendOnClosedChannel`] (Go panics) and drops the
     /// value.
     pub fn send(&self, ctx: &Ctx, value: T) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut pending = Some(value);
-        let mut k = kernel.lock();
-        loop {
-            let cs = k.chans.get(&self.id.0).expect("channel exists");
-            if cs.closed {
-                let name = self.name.to_string();
-                k.errors.push(RuntimeError::SendOnClosedChannel { channel: name });
-                return;
-            }
-            let can_proceed = if cs.cap == 0 {
-                cs.qlen == 0 && !cs.recv_waiters.is_empty()
-            } else {
-                cs.qlen < cs.cap
-            };
-            if can_proceed {
-                let (cap, seq) = {
-                    let cs = k.chans.get_mut(&self.id.0).expect("channel exists");
-                    cs.qlen += 1;
-                    let seq = cs.send_seq;
-                    cs.send_seq += 1;
-                    (cs.cap, seq)
-                };
-                self.buf
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push_back(pending.take().expect("value still pending"));
-                kernel.emit_locked(&mut k, gid, EventKind::ChanSend { chan: self.id, seq });
-                wake_receivers(&mut k, self.id.0);
-                if cap == 0 {
-                    // Rendezvous: block until the value is consumed.
-                    loop {
-                        let cs = k.chans.get(&self.id.0).expect("channel exists");
-                        if cs.recv_seq > seq || cs.closed {
-                            break;
-                        }
-                        k.chans
-                            .get_mut(&self.id.0)
-                            .expect("channel exists")
-                            .send_waiters
-                            .push(gid);
-                        k = kernel.park(k, gid, BlockReason::ChanSend(self.id));
-                    }
-                }
-                kernel.emit_locked(
-                    &mut k,
-                    gid,
-                    EventKind::ChanSendComplete {
-                        chan: self.id,
-                        seq,
-                        cap,
-                    },
-                );
-                return;
-            }
-            k.chans
-                .get_mut(&self.id.0)
-                .expect("channel exists")
-                .send_waiters
-                .push(gid);
-            k = kernel.park(k, gid, BlockReason::ChanSend(self.id));
+        if self.transmit(ctx, value, true).is_err() {
+            unreachable!("a blocking send waits out a refused offer");
         }
     }
 
     /// Receives a value, blocking while the channel is empty and open.
     pub fn recv(&self, ctx: &Ctx) -> RecvResult<T> {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        loop {
-            match self.try_take_locked(ctx, &mut k) {
-                Some(r) => return r,
-                None => {
-                    k.chans
-                        .get_mut(&self.id.0)
-                        .expect("channel exists")
-                        .recv_waiters
-                        .push(gid);
-                    k = kernel.park(k, gid, BlockReason::ChanRecv(self.id));
-                }
+        let (kernel, gid) = (ctx.kernel(), ctx.gid());
+        kernel.block_on(gid, |k| match self.try_take_locked(ctx, k) {
+            Some(r) => Attempt::Done(r),
+            None => {
+                state(k, self.id.0).recv_waiters.push(gid);
+                Attempt::Wait(BlockReason::ChanRecv(self.id))
             }
-        }
+        })
     }
 
     /// Non-blocking send attempt: returns the value back when the channel
@@ -249,15 +187,45 @@ impl<T: Send + 'static> Chan<T> {
     /// as in Go — the send then completes the rendezvous (briefly
     /// blocking until the value is consumed).
     pub fn try_send(&self, ctx: &Ctx, value: T) -> Result<(), T> {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        let cs = k.chans.get(&self.id.0).expect("channel exists");
+        self.transmit(ctx, value, false)
+    }
+
+    /// One send: [`offer`](Self::offer) the value, then
+    /// [`complete`](Self::complete). A refused offer is all that tells
+    /// `send` from `try_send`: with `wait_for_room` the sender queues and
+    /// offers again when woken, without it the value goes back to the caller.
+    fn transmit(&self, ctx: &Ctx, value: T, wait_for_room: bool) -> Result<(), T> {
+        let (kernel, gid) = (ctx.kernel(), ctx.gid());
+        let mut pending = Some(value);
+        let mut sent = None;
+        kernel.block_on(gid, |k| {
+            if sent.is_none() {
+                sent = match self.offer(ctx, k, &mut pending) {
+                    Offer::Closed => return Attempt::Done(Ok(())),
+                    Offer::Sent(seq) => Some(seq),
+                    Offer::Refused if wait_for_room => {
+                        state(k, self.id.0).send_waiters.push(gid);
+                        return Attempt::Wait(BlockReason::ChanSend(self.id));
+                    }
+                    Offer::Refused => {
+                        return Attempt::Done(Err(pending.take().expect("value still pending")))
+                    }
+                };
+            }
+            self.complete(ctx, k, sent.expect("offer was taken"))
+        })
+    }
+
+    /// The first half of a send: with room in the buffer — on an unbuffered
+    /// channel, with a receiver parked and no value in flight — the value
+    /// goes in, `ChanSend` is emitted and the receivers are woken.
+    fn offer(&self, ctx: &Ctx, k: &mut KState, pending: &mut Option<T>) -> Offer {
+        let (kernel, gid, chan) = (ctx.kernel(), ctx.gid(), self.id);
+        let cs = state(k, chan.0);
         if cs.closed {
-            let name = self.name.to_string();
-            k.errors.push(RuntimeError::SendOnClosedChannel { channel: name });
-            return Ok(());
+            let channel = self.name.to_string();
+            k.errors.push(RuntimeError::SendOnClosedChannel { channel });
+            return Offer::Closed;
         }
         let can_proceed = if cs.cap == 0 {
             cs.qlen == 0 && !cs.recv_waiters.is_empty()
@@ -265,88 +233,69 @@ impl<T: Send + 'static> Chan<T> {
             cs.qlen < cs.cap
         };
         if !can_proceed {
-            return Err(value);
+            return Offer::Refused;
         }
-        let (cap, seq) = {
-            let cs = k.chans.get_mut(&self.id.0).expect("channel exists");
-            cs.qlen += 1;
-            let seq = cs.send_seq;
-            cs.send_seq += 1;
-            (cs.cap, seq)
-        };
+        cs.qlen += 1;
+        let seq = cs.send_seq;
+        cs.send_seq += 1;
         self.buf
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push_back(value);
-        kernel.emit_locked(&mut k, gid, EventKind::ChanSend { chan: self.id, seq });
-        wake_receivers(&mut k, self.id.0);
-        if cap == 0 {
-            loop {
-                let cs = k.chans.get(&self.id.0).expect("channel exists");
-                if cs.recv_seq > seq || cs.closed {
-                    break;
-                }
-                k.chans
-                    .get_mut(&self.id.0)
-                    .expect("channel exists")
-                    .send_waiters
-                    .push(gid);
-                k = kernel.park(k, gid, BlockReason::ChanSend(self.id));
-            }
+            .push_back(pending.take().expect("value still pending"));
+        kernel.emit_locked(k, gid, EventKind::ChanSend { chan, seq });
+        wake_receivers(k, chan.0);
+        Offer::Sent(seq)
+    }
+
+    /// The second half: on an unbuffered channel the sender stays until its
+    /// value is consumed or the channel closed (rendezvous); then
+    /// `ChanSendComplete`.
+    fn complete(&self, ctx: &Ctx, k: &mut KState, seq: u64) -> Attempt<Result<(), T>> {
+        let (kernel, gid, chan) = (ctx.kernel(), ctx.gid(), self.id);
+        let cs = state(k, chan.0);
+        let cap = cs.cap;
+        if cap == 0 && cs.recv_seq <= seq && !cs.closed {
+            cs.send_waiters.push(gid);
+            return Attempt::Wait(BlockReason::ChanSend(chan));
         }
-        kernel.emit_locked(
-            &mut k,
-            gid,
-            EventKind::ChanSendComplete {
-                chan: self.id,
-                seq,
-                cap,
-            },
-        );
-        Ok(())
+        kernel.emit_locked(k, gid, EventKind::ChanSendComplete { chan, seq, cap });
+        Attempt::Done(Ok(()))
     }
 
     /// Non-blocking receive: `None` when nothing is immediately available
     /// and the channel is open (the `default` arm of a Go `select`).
     pub fn try_recv(&self, ctx: &Ctx) -> Option<RecvResult<T>> {
-        let kernel = ctx.kernel().clone();
-        kernel.yield_point(ctx.gid());
-        let mut k = kernel.lock();
-        self.try_take_locked(ctx, &mut k)
+        ctx.kernel().yield_point(ctx.gid());
+        self.try_take_locked(ctx, &mut ctx.kernel().lock())
     }
 
     /// Attempts to take a value (or observe closure) under the kernel lock.
     /// Also prods rendezvous senders on an unbuffered channel.
     fn try_take_locked(&self, ctx: &Ctx, k: &mut KState) -> Option<RecvResult<T>> {
-        let kernel = ctx.kernel();
-        let gid = ctx.gid();
-        let cs = k.chans.get(&self.id.0).expect("channel exists");
+        let (kernel, gid, chan) = (ctx.kernel(), ctx.gid(), self.id);
+        let cs = state(k, chan.0);
         if cs.qlen > 0 {
-            let seq = {
-                let cs = k.chans.get_mut(&self.id.0).expect("channel exists");
-                cs.qlen -= 1;
-                let seq = cs.recv_seq;
-                cs.recv_seq += 1;
-                seq
-            };
+            cs.qlen -= 1;
+            let seq = cs.recv_seq;
+            cs.recv_seq += 1;
             let v = self
                 .buf
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .pop_front()
                 .expect("buffer tracks qlen");
-            kernel.emit_locked(k, gid, EventKind::ChanRecv { chan: self.id, seq });
-            wake_senders(k, self.id.0);
+            kernel.emit_locked(k, gid, EventKind::ChanRecv { chan, seq });
+            wake_senders(k, chan.0);
             return Some(RecvResult::Value(v));
         }
         if cs.closed {
-            kernel.emit_locked(k, gid, EventKind::ChanRecvClosed { chan: self.id });
+            kernel.emit_locked(k, gid, EventKind::ChanRecvClosed { chan });
             return Some(RecvResult::Closed);
         }
         // Unbuffered and empty: prod parked senders so they can rendezvous
         // with us once we register as a receiver.
         if cs.cap == 0 && !cs.send_waiters.is_empty() {
-            wake_senders(k, self.id.0);
+            wake_senders(k, chan.0);
         }
         None
     }
@@ -355,20 +304,20 @@ impl<T: Send + 'static> Chan<T> {
     /// closure. Double-close records [`RuntimeError::CloseOfClosedChannel`]
     /// (Go panics).
     pub fn close(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
+        let (kernel, gid) = (ctx.kernel(), ctx.gid());
         kernel.yield_point(gid);
         let mut k = kernel.lock();
-        let cs = k.chans.get_mut(&self.id.0).expect("channel exists");
+        let cs = state(&mut k, self.id.0);
         if cs.closed {
-            let name = self.name.to_string();
+            let channel = self.name.to_string();
             k.errors
-                .push(RuntimeError::CloseOfClosedChannel { channel: name });
+                .push(RuntimeError::CloseOfClosedChannel { channel });
             return;
         }
         cs.closed = true;
         kernel.emit_locked(&mut k, gid, EventKind::ChanClose { chan: self.id });
-        wake_all(&mut k, self.id.0);
+        wake_senders(&mut k, self.id.0);
+        wake_receivers(&mut k, self.id.0);
     }
 
     /// Whether the channel has been closed (instrumentation-free peek used
@@ -390,14 +339,9 @@ pub fn select2_recv<A: Send + 'static, B: Send + 'static>(
     a: &Chan<A>,
     b: &Chan<B>,
 ) -> Selected2<A, B> {
-    let kernel = ctx.kernel().clone();
     let gid = ctx.gid();
-    kernel.yield_point(gid);
-    let mut k = kernel.lock();
-    loop {
-        let a_ready = chan_ready(&k, a.id.0);
-        let b_ready = chan_ready(&k, b.id.0);
-        let take_first = match (a_ready, b_ready) {
+    ctx.kernel().block_on(gid, |k| {
+        let take_first = match (chan_ready(k, a.id.0), chan_ready(k, b.id.0)) {
             (true, true) => {
                 use rand::Rng;
                 k.rng.gen_bool(0.5)
@@ -406,30 +350,23 @@ pub fn select2_recv<A: Send + 'static, B: Send + 'static>(
             (false, true) => false,
             (false, false) => {
                 for id in [a.id.0, b.id.0] {
-                    let cs = k.chans.get(&id).expect("channel exists");
+                    let cs = state(k, id);
                     if cs.cap == 0 && !cs.send_waiters.is_empty() {
-                        wake_senders(&mut k, id);
+                        wake_senders(k, id);
                     }
-                    k.chans
-                        .get_mut(&id)
-                        .expect("channel exists")
-                        .recv_waiters
-                        .push(gid);
+                    state(k, id).recv_waiters.push(gid);
                 }
-                k = kernel.park(k, gid, BlockReason::Select);
-                continue;
+                return Attempt::Wait(BlockReason::Select);
             }
         };
-        if take_first {
-            if let Some(r) = a.try_take_locked(ctx, &mut k) {
-                return Selected2::First(r);
-            }
-        } else if let Some(r) = b.try_take_locked(ctx, &mut k) {
-            return Selected2::Second(r);
-        }
-        // Raced with another consumer between the readiness check and the
-        // take; go around again.
-    }
+        // The check and the take are one step under the kernel lock, so a
+        // ready arm is still ready.
+        Attempt::Done(if take_first {
+            Selected2::First(a.try_take_locked(ctx, k).expect("arm is ready"))
+        } else {
+            Selected2::Second(b.try_take_locked(ctx, k).expect("arm is ready"))
+        })
+    })
 }
 
 fn chan_ready(k: &KState, id: u64) -> bool {

@@ -7,11 +7,10 @@
 //! and therefore which races fire — is a deterministic function of the seed.
 //!
 //! Blocking operations (channel send/receive, mutex lock, `WaitGroup.Wait`)
-//! are implemented as *retry loops*: the goroutine registers itself as a
-//! waiter, parks, and re-checks its condition when woken. Wakers mark
-//! waiters runnable but never transfer control directly; the scheduler hands
-//! the token out at its own pace, which is what lets adversarial schedules
-//! expose races.
+//! all block in `Kernel::block_on` (the crate docs describe the seam).
+//! Wakers mark waiters runnable but never transfer control directly; the
+//! scheduler hands the token out at its own pace, which is what lets
+//! adversarial schedules expose races.
 //!
 //! When no goroutine is runnable the kernel declares either a **deadlock**
 //! (the main goroutine is among the blocked — Go would crash with
@@ -63,6 +62,17 @@ impl std::fmt::Display for BlockReason {
             BlockReason::Once(o) => write!(f, "wait on {o}"),
         }
     }
+}
+
+/// What one attempt at a blocking operation came to (see
+/// [`Kernel::block_on`]).
+pub(crate) enum Attempt<T> {
+    /// The operation took effect: state mutated, event emitted, whoever it
+    /// unblocks woken.
+    Done(T),
+    /// It cannot take effect yet; the goroutine is queued on what will
+    /// [`wake`](Kernel::wake) it.
+    Wait(BlockReason),
 }
 
 /// Scheduling state of one goroutine.
@@ -387,8 +397,7 @@ impl Kernel {
     }
 
     /// Marks a blocked goroutine runnable (no-op otherwise). Spurious wakes
-    /// are safe: every parked goroutine re-checks its condition in a retry
-    /// loop.
+    /// are safe: a woken goroutine runs its attempt again.
     pub(crate) fn wake(k: &mut KState, gid: Gid) {
         let g = &mut k.goroutines[gid.index()];
         if matches!(g.state, GState::Blocked(_)) {
@@ -416,40 +425,45 @@ impl Kernel {
             drop(k);
             panic::panic_any(PoisonExit);
         }
-        let mut candidates = Self::runnable(&k);
-        candidates.push(gid);
-        candidates.sort_unstable();
-        let next = {
-            let KState {
-                ref mut sched,
-                ref mut rng,
-                ..
-            } = *k;
-            sched.pick(&candidates, Some(gid), rng)
-        };
-        if next == gid {
-            return;
-        }
         k.goroutines[gid.index()].state = GState::Runnable;
-        k.goroutines[next.index()].state = GState::Running;
-        let next_gate = k.gates[next.index()].clone();
-        let my_gate = k.gates[gid.index()].clone();
-        drop(k);
-        next_gate.hand();
-        my_gate.wait();
-        let k = self.lock();
-        self.check_abort(&k);
+        drop(self.hand_off(k, gid));
     }
 
-    /// Parks `gid` (already registered as a waiter by the caller) and
-    /// returns with the lock re-held once the token comes back.
-    pub(crate) fn park<'a>(
+    /// Runs one blocking operation for `gid`: a preemption point, then
+    /// `attempt` under the kernel lock until it is [`Attempt::Done`],
+    /// parking after every [`Attempt::Wait`].
+    pub(crate) fn block_on<T>(
+        &self,
+        gid: Gid,
+        mut attempt: impl FnMut(&mut KState) -> Attempt<T>,
+    ) -> T {
+        self.yield_point(gid);
+        let mut k = self.lock();
+        loop {
+            match attempt(&mut k) {
+                Attempt::Done(v) => return v,
+                Attempt::Wait(reason) => k = self.park(k, gid, reason),
+            }
+        }
+    }
+
+    /// Parks `gid` (already queued on what will wake it) and returns with
+    /// the lock re-held once the token comes back.
+    fn park<'a>(
         &'a self,
         mut k: MutexGuard<'a, KState>,
         gid: Gid,
         reason: BlockReason,
     ) -> MutexGuard<'a, KState> {
         k.goroutines[gid.index()].state = GState::Blocked(reason);
+        self.hand_off(k, gid)
+    }
+
+    /// Passes the token from `gid`, whose state the caller has just set, to
+    /// the strategy's pick among the runnable goroutines, and returns with
+    /// the lock re-held once the token is back (at once when the pick is
+    /// `gid` itself).
+    fn hand_off<'a>(&'a self, mut k: MutexGuard<'a, KState>, gid: Gid) -> MutexGuard<'a, KState> {
         let candidates = Self::runnable(&k);
         if candidates.is_empty() {
             // Nothing can run: deadlock (main blocked too) or leak.
@@ -466,6 +480,9 @@ impl Kernel {
             sched.pick(&candidates, Some(gid), rng)
         };
         k.goroutines[next.index()].state = GState::Running;
+        if next == gid {
+            return k;
+        }
         let next_gate = k.gates[next.index()].clone();
         let my_gate = k.gates[gid.index()].clone();
         drop(k);

@@ -33,6 +33,20 @@
 //!   FastTrack / Eraser / hybrid monitors) together with a Go-style call
 //!   stack and source location.
 //!
+//! # How a primitive blocks
+//!
+//! Every blocking operation in [`chan`] and [`sync`] is written as a
+//! non-blocking *attempt*: a closure over the kernel's state, run under its
+//! lock, that either takes effect — mutates the state, emits its event,
+//! wakes whom it unblocks — or queues the goroutine on what will wake it
+//! and says why it waits. Only the kernel's `block_on` blocks: one
+//! preemption point, then the attempt, parking the goroutine between
+//! attempts until one is done. A wake-up promises nothing (wakers wake
+//! every waiter), so a woken goroutine makes its attempt again. An
+//! executor that steps goroutine frames instead of parking OS threads
+//! replaces `block_on` and the gate hand-off beneath it; the attempts, which
+//! are the Go semantics, stay as they are.
+//!
 //! # Example
 //!
 //! The loop-index-variable capture race of Listing 1:
@@ -93,18 +107,5 @@ pub use slice::GoSlice;
 pub use sync::{AtomicCell, Mutex, Once, RwMutex, WaitGroup};
 pub use trace::{
     put_uvarint, record, record_with_depot, Reader, ReproArtifact, StackNode, Trace,
-    TraceDecodeError, TraceMeta, TraceRecorder, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    TraceDecodeError, TraceMeta, TraceRecorder, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
-
-/// The types every runtime user imports, for `use grs_runtime::prelude::*`.
-pub mod prelude {
-    pub use crate::batch::{BatchDecoder, DecodedTrace, EventBatch};
-    pub use crate::depot::{StackDepot, StackId};
-    pub use crate::event::{AccessKind, Event};
-    pub use crate::monitor::{
-        Monitor, MonitorStats, NullMonitor, ObsMonitor, RecordingMonitor, TraceHasher,
-    };
-    pub use crate::runtime::{calibrate_steps, Program, RunConfig, RunOutcome, Runtime};
-    pub use crate::sched::{ScheduleTrace, Strategy};
-    pub use crate::trace::{record, record_with_depot, ReproArtifact, Trace, TraceRecorder};
-}

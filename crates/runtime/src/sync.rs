@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::ctx::Ctx;
 use crate::event::{AccessKind, EventKind, LockMode, SourceLoc};
 use crate::ids::{Addr, LockUid, OnceId, WgId};
-use crate::kernel::{BlockReason, LockState, OnceState, WgState};
+use crate::kernel::{Attempt, BlockReason, Kernel, LockState, OnceState, WgState};
 use crate::runtime::RuntimeError;
 
 /// A Go `sync.Mutex`.
@@ -136,58 +136,14 @@ impl Mutex {
     /// calling goroutine: Go mutexes are not reentrant, so a self-relock
     /// deadlocks, which the runtime reports as such).
     pub fn lock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        loop {
-            let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-            if ls.writer.is_none() && ls.readers == 0 {
-                ls.writer = Some(gid);
-                kernel.emit_locked(
-                    &mut k,
-                    gid,
-                    EventKind::Acquire {
-                        lock: self.uid,
-                        mode: LockMode::Write,
-                    },
-                );
-                return;
-            }
-            ls.waiters.push(gid);
-            k = kernel.park(k, gid, BlockReason::Lock(self.uid));
-        }
+        acquire(ctx, self.uid, LockMode::Write);
     }
 
     /// Releases the lock. Unlocking an unlocked mutex records
     /// [`RuntimeError::UnlockOfUnlockedMutex`] (Go panics). Like Go, the
     /// unlocker need not be the locker.
     pub fn unlock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        let mut k = kernel.lock();
-        let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-        if ls.writer.is_none() {
-            let name = self.name.to_string();
-            k.errors
-                .push(RuntimeError::UnlockOfUnlockedMutex { mutex: name });
-            return;
-        }
-        ls.writer = None;
-        let waiters = std::mem::take(&mut ls.waiters);
-        kernel.emit_locked(
-            &mut k,
-            gid,
-            EventKind::Release {
-                lock: self.uid,
-                mode: LockMode::Write,
-            },
-        );
-        for g in waiters {
-            crate::kernel::Kernel::wake(&mut k, g);
-        }
-        drop(k);
-        kernel.yield_point(gid);
+        release(ctx, self.uid, &self.name, LockMode::Write);
     }
 
     /// Runs `f` with the lock held (lock/unlock convenience).
@@ -222,118 +178,22 @@ impl RwMutex {
 
     /// Acquires in shared (read) mode.
     pub fn rlock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        loop {
-            let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-            if ls.writer.is_none() && ls.write_waiters.is_empty() {
-                ls.readers += 1;
-                kernel.emit_locked(
-                    &mut k,
-                    gid,
-                    EventKind::Acquire {
-                        lock: self.uid,
-                        mode: LockMode::Read,
-                    },
-                );
-                return;
-            }
-            ls.waiters.push(gid);
-            k = kernel.park(k, gid, BlockReason::Lock(self.uid));
-        }
+        acquire(ctx, self.uid, LockMode::Read);
     }
 
     /// Releases shared mode.
     pub fn runlock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        let mut k = kernel.lock();
-        let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-        if ls.readers == 0 {
-            let name = self.name.to_string();
-            k.errors
-                .push(RuntimeError::UnlockOfUnlockedMutex { mutex: name });
-            return;
-        }
-        ls.readers -= 1;
-        let waiters = std::mem::take(&mut ls.waiters);
-        kernel.emit_locked(
-            &mut k,
-            gid,
-            EventKind::Release {
-                lock: self.uid,
-                mode: LockMode::Read,
-            },
-        );
-        for g in waiters {
-            crate::kernel::Kernel::wake(&mut k, g);
-        }
-        drop(k);
-        kernel.yield_point(gid);
+        release(ctx, self.uid, &self.name, LockMode::Read);
     }
 
     /// Acquires in exclusive (write) mode.
     pub fn lock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        let mut registered = false;
-        loop {
-            let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-            if ls.writer.is_none() && ls.readers == 0 {
-                ls.writer = Some(gid);
-                if registered {
-                    ls.write_waiters.retain(|&g| g != gid);
-                }
-                kernel.emit_locked(
-                    &mut k,
-                    gid,
-                    EventKind::Acquire {
-                        lock: self.uid,
-                        mode: LockMode::Write,
-                    },
-                );
-                return;
-            }
-            if !registered {
-                ls.write_waiters.push(gid);
-                registered = true;
-            }
-            ls.waiters.push(gid);
-            k = kernel.park(k, gid, BlockReason::Lock(self.uid));
-        }
+        acquire(ctx, self.uid, LockMode::Write);
     }
 
     /// Releases exclusive mode.
     pub fn unlock(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        let mut k = kernel.lock();
-        let ls = k.locks.get_mut(&self.uid.0).expect("lock exists");
-        if ls.writer.is_none() {
-            let name = self.name.to_string();
-            k.errors
-                .push(RuntimeError::UnlockOfUnlockedMutex { mutex: name });
-            return;
-        }
-        ls.writer = None;
-        let waiters = std::mem::take(&mut ls.waiters);
-        kernel.emit_locked(
-            &mut k,
-            gid,
-            EventKind::Release {
-                lock: self.uid,
-                mode: LockMode::Write,
-            },
-        );
-        for g in waiters {
-            crate::kernel::Kernel::wake(&mut k, g);
-        }
-        drop(k);
-        kernel.yield_point(gid);
+        release(ctx, self.uid, &self.name, LockMode::Write);
     }
 
     /// Runs `f` holding the read lock.
@@ -351,6 +211,64 @@ impl RwMutex {
         self.unlock(ctx);
         r
     }
+}
+
+/// Lock acquisition for both lock types. A writer needs the lock free of
+/// holders; a reader needs no writer holding *or waiting* (Go's writer
+/// preference), so a writer stays in `write_waiters` from its first refused
+/// attempt until it acquires.
+fn acquire(ctx: &Ctx, uid: LockUid, mode: LockMode) {
+    let (kernel, gid) = (ctx.kernel(), ctx.gid());
+    let mut registered = false;
+    kernel.block_on(gid, |k| {
+        let ls = k.locks.get_mut(&uid.0).expect("lock exists");
+        let free = match mode {
+            LockMode::Write => ls.writer.is_none() && ls.readers == 0,
+            LockMode::Read => ls.writer.is_none() && ls.write_waiters.is_empty(),
+        };
+        if !free {
+            if mode == LockMode::Write && !registered {
+                ls.write_waiters.push(gid);
+                registered = true;
+            }
+            ls.waiters.push(gid);
+            return Attempt::Wait(BlockReason::Lock(uid));
+        }
+        match mode {
+            LockMode::Write => ls.writer = Some(gid),
+            LockMode::Read => ls.readers += 1,
+        }
+        if registered {
+            ls.write_waiters.retain(|&g| g != gid);
+        }
+        kernel.emit_locked(k, gid, EventKind::Acquire { lock: uid, mode });
+        Attempt::Done(())
+    });
+}
+
+/// Lock release for both lock types: wakes every waiter, then offers the
+/// token. Releasing a lock not held in `mode` records
+/// [`RuntimeError::UnlockOfUnlockedMutex`] and changes nothing.
+fn release(ctx: &Ctx, uid: LockUid, name: &str, mode: LockMode) {
+    let (kernel, gid) = (ctx.kernel(), ctx.gid());
+    let mut k = kernel.lock();
+    let ls = k.locks.get_mut(&uid.0).expect("lock exists");
+    match mode {
+        LockMode::Write if ls.writer.is_some() => ls.writer = None,
+        LockMode::Read if ls.readers > 0 => ls.readers -= 1,
+        _ => {
+            let mutex = name.to_string();
+            k.errors.push(RuntimeError::UnlockOfUnlockedMutex { mutex });
+            return;
+        }
+    }
+    let waiters = std::mem::take(&mut ls.waiters);
+    kernel.emit_locked(&mut k, gid, EventKind::Release { lock: uid, mode });
+    for g in waiters {
+        Kernel::wake(&mut k, g);
+    }
+    drop(k);
+    kernel.yield_point(gid);
 }
 
 /// A Go `sync.WaitGroup`: dynamic group synchronization.
@@ -403,7 +321,7 @@ impl WaitGroup {
             let ws = k.wgs.get_mut(&self.id.0).expect("waitgroup exists");
             let waiters = std::mem::take(&mut ws.waiters);
             for g in waiters {
-                crate::kernel::Kernel::wake(&mut k, g);
+                Kernel::wake(&mut k, g);
             }
         }
     }
@@ -420,19 +338,16 @@ impl WaitGroup {
     /// bodies as in Listing 10 — `Wait` can observe a transient zero and
     /// return before the workers were ever registered.
     pub fn wait(&self, ctx: &Ctx) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        loop {
+        let (kernel, gid) = (ctx.kernel(), ctx.gid());
+        kernel.block_on(gid, |k| {
             let ws = k.wgs.get_mut(&self.id.0).expect("waitgroup exists");
-            if ws.counter == 0 {
-                kernel.emit_locked(&mut k, gid, EventKind::WgWait { wg: self.id });
-                return;
+            if ws.counter != 0 {
+                ws.waiters.push(gid);
+                return Attempt::Wait(BlockReason::WgWait(self.id));
             }
-            ws.waiters.push(gid);
-            k = kernel.park(k, gid, BlockReason::WgWait(self.id));
-        }
+            kernel.emit_locked(k, gid, EventKind::WgWait { wg: self.id });
+            Attempt::Done(())
+        });
     }
 }
 
@@ -459,36 +374,35 @@ impl Once {
     /// Runs `f` exactly once across all callers; every `do_once` return
     /// happens-after the single execution, as in Go.
     pub fn do_once(&self, ctx: &Ctx, f: impl FnOnce(&Ctx)) {
-        let kernel = ctx.kernel().clone();
-        let gid = ctx.gid();
-        kernel.yield_point(gid);
-        let mut k = kernel.lock();
-        loop {
+        let (kernel, gid) = (ctx.kernel(), ctx.gid());
+        let first = kernel.block_on(gid, |k| {
             let slot = k.onces.get_mut(&self.id.0).expect("once exists");
             match slot.state {
                 OnceState::NotRun => {
                     slot.state = OnceState::Running;
-                    drop(k);
-                    f(ctx);
-                    let mut k = kernel.lock();
-                    let slot = k.onces.get_mut(&self.id.0).expect("once exists");
-                    slot.state = OnceState::Done;
-                    let waiters = std::mem::take(&mut slot.waiters);
-                    kernel.emit_locked(&mut k, gid, EventKind::OnceExecuted { once: self.id });
-                    for g in waiters {
-                        crate::kernel::Kernel::wake(&mut k, g);
-                    }
-                    return;
+                    Attempt::Done(true)
                 }
                 OnceState::Running => {
                     slot.waiters.push(gid);
-                    k = kernel.park(k, gid, BlockReason::Once(self.id));
+                    Attempt::Wait(BlockReason::Once(self.id))
                 }
                 OnceState::Done => {
-                    kernel.emit_locked(&mut k, gid, EventKind::OnceObserved { once: self.id });
-                    return;
+                    kernel.emit_locked(k, gid, EventKind::OnceObserved { once: self.id });
+                    Attempt::Done(false)
                 }
             }
+        });
+        if !first {
+            return;
+        }
+        f(ctx);
+        let mut k = kernel.lock();
+        let slot = k.onces.get_mut(&self.id.0).expect("once exists");
+        slot.state = OnceState::Done;
+        let waiters = std::mem::take(&mut slot.waiters);
+        kernel.emit_locked(&mut k, gid, EventKind::OnceExecuted { once: self.id });
+        for g in waiters {
+            Kernel::wake(&mut k, g);
         }
     }
 }

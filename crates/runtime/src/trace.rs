@@ -45,6 +45,21 @@ pub const TRACE_MAGIC: [u8; 8] = *b"GRTRACE\0";
 /// reject other versions with [`TraceDecodeError::UnsupportedVersion`].
 pub const TRACE_FORMAT_VERSION: u32 = 1;
 
+/// Largest goroutine or object id (address, lock, channel, wait group,
+/// once, spawned child) a decoded event may carry; a larger one is
+/// [`TraceDecodeError::IdOutOfRange`]. The detectors keep flat tables
+/// indexed by these ids and grow them to the largest id seen, so without a
+/// bound an 80-byte upload naming id 2^36 makes the intake server reserve
+/// terabytes and abort. With it the worst a trace can make one `FastTrack`
+/// reserve is about 2 MB of tables (some 500 bytes per id across
+/// variables, locks, channels, wait groups and onces) plus about 34 MB of
+/// vector clocks: it keeps one clock of `g + 1` components for every
+/// goroutine up to the largest gid seen, so that term is quadratic in this
+/// bound — weigh it before raising the bound. The runtime numbers
+/// goroutines and objects densely from 0 and 1 within a run; no program in
+/// the tree comes within a factor of ten of the bound.
+pub const MAX_TRACE_ID: u64 = (1 << 12) - 1;
+
 /// The event-kind tag bytes of the `.grtrace` format, named once: the
 /// encoder writes them, the decoder validates them, and every consumer of
 /// an [`EventBatch`](crate::EventBatch)'s `tags` lane matches on them.
@@ -391,6 +406,13 @@ pub enum TraceDecodeError {
         /// Number of stack nodes in the trace.
         table_len: usize,
     },
+    /// A goroutine or object id is larger than [`MAX_TRACE_ID`].
+    IdOutOfRange {
+        /// The offending id.
+        id: u64,
+        /// The largest id the decoder admits.
+        max: u64,
+    },
     /// An unknown event tag byte.
     BadEventTag(u8),
     /// An unknown tag for a named enum field.
@@ -424,6 +446,9 @@ impl fmt::Display for TraceDecodeError {
             }
             TraceDecodeError::BadStackId { id, table_len } => {
                 write!(f, "stack id {id} out of range (trace has {table_len} stacks)")
+            }
+            TraceDecodeError::IdOutOfRange { id, max } => {
+                write!(f, "goroutine or object id {id} out of range (largest admitted is {max})")
             }
             TraceDecodeError::BadEventTag(tag) => write!(f, "unknown event tag {tag}"),
             TraceDecodeError::BadEnumTag { what, tag } => {

@@ -11,14 +11,16 @@
 //! * **corruption**: truncated, bit-flipped, and trailing-garbage inputs
 //!   yield a typed [`TraceDecodeError`] (or, for a flip that lands on a
 //!   free field, a still-valid trace), never a panic, and the same verdict
-//!   at every chunk size — including truncations that land mid-chunk.
+//!   at every chunk size — including truncations that land mid-chunk;
+//! * **hostile sizes**: a count or an id off the wire never sizes a table
+//!   beyond what the input's length, or [`MAX_TRACE_ID`], allows.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grs_runtime::{
     put_uvarint, record, DecodedTrace, Program, RunConfig, StackDepot, StackId, Trace,
-    TraceDecodeError, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    TraceDecodeError, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// A random program shape exercising every event tag: goroutines, plain
@@ -239,9 +241,14 @@ fn bit_flips_at_every_offset_never_panic() {
 
 /// A count off the wire never sizes a `Vec` beyond what the input could
 /// hold: a 36-byte header that claims 2^60 stacks, or 2^60 events, is
-/// `Truncated`, not a `capacity overflow` panic.
+/// `Truncated`, not a `capacity overflow` panic. Nor does an id size a
+/// detector's flat table beyond [`MAX_TRACE_ID`]: the two committed uploads
+/// are a recorded one-write program re-encoded with its access at address
+/// 2^36 (78 bytes), and with both its events on goroutine `u32::MAX - 1`
+/// (81 bytes); before the bound they decoded cleanly and aborted whoever
+/// replayed them.
 #[test]
-fn lying_counts_are_truncation_not_a_reservation() {
+fn lying_counts_and_ids_are_typed_errors_not_reservations() {
     let mut header = TRACE_MAGIC.to_vec();
     header.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
     header.extend_from_slice(&[1, 1, b'p', 0]); // one 1-byte string; program = string 0
@@ -254,11 +261,22 @@ fn lying_counts_are_truncation_not_a_reservation() {
     let mut events = header;
     events.push(0); // no stacks
     put_uvarint(&mut events, 1 << 60);
+    let addr = include_bytes!("../../../tests/data/oversized_addr.grtrace").to_vec();
+    let gid = include_bytes!("../../../tests/data/oversized_gid.grtrace").to_vec();
+    let out_of_range = |id| TraceDecodeError::IdOutOfRange {
+        id,
+        max: MAX_TRACE_ID,
+    };
 
-    for (label, bytes) in [("stack count", stacks), ("event count", events)] {
+    for (label, bytes, expected) in [
+        ("stack count", stacks, TraceDecodeError::Truncated),
+        ("event count", events, TraceDecodeError::Truncated),
+        ("address", addr, out_of_range(1 << 36)),
+        ("goroutine", gid, out_of_range(u64::from(u32::MAX - 1))),
+    ] {
         assert_eq!(
             assert_chunk_invariant(label, &bytes),
-            Err(TraceDecodeError::Truncated),
+            Err(expected),
             "{label}"
         );
     }

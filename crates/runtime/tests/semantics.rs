@@ -2,18 +2,30 @@
 //! like its Go counterpart, runs are deterministic per seed, and the event
 //! stream carries what a detector needs.
 
+use grs_obs::Fnv1a;
 use grs_runtime::chan::select2_recv;
 use grs_runtime::event::EventKind;
 use grs_runtime::{
-    GoMap, GoSlice, NullMonitor, Program, RecordingMonitor, RunConfig, Runtime, Selected2,
-    Strategy,
+    GoMap, GoSlice, Monitor, NullMonitor, Program, RecordingMonitor, RunConfig, Runtime,
+    Selected2, Strategy, TraceHasher,
 };
 
+mod contention;
+
 fn run_clean(p: &Program, seed: u64) -> grs_runtime::RunOutcome {
-    let (outcome, _) = Runtime::new(RunConfig::with_seed(seed)).run(p, NullMonitor);
+    run_clean_with(p, RunConfig::with_seed(seed), NullMonitor)
+}
+
+fn run_clean_with(
+    p: &Program,
+    cfg: RunConfig,
+    monitor: impl Monitor + 'static,
+) -> grs_runtime::RunOutcome {
+    let label = format!("{:?} seed {}", cfg.strategy, cfg.seed);
+    let (outcome, _) = Runtime::new(cfg).run(p, monitor);
     assert!(
         outcome.is_clean(),
-        "expected clean run, got errors={:?} deadlock={:?} leaked={:?}",
+        "{label}: expected clean run, got errors={:?} deadlock={:?} leaked={:?}",
         outcome.errors,
         outcome.deadlock,
         outcome.leaked
@@ -652,4 +664,39 @@ fn context_cancellation_closes_done() {
     for seed in 0..10 {
         run_clean(&p, seed);
     }
+}
+
+/// One FNV-1a over `steps`, the schedule digest and the coverage fold of
+/// every run of [`contention::program`]: 64 seeds under each strategy.
+const PINNED_DECISION_POINTS: u64 = 0xc872_2941_91cc_1841;
+
+/// The kernel's decision points, pinned where they are made: a preemption
+/// point, waiter-queue push, wake-up, RNG draw or event that moves in
+/// `kernel.rs`, `chan.rs` or `sync.rs` changes some run's step count,
+/// schedule or coverage here, not only a campaign digest two crates up.
+#[test]
+fn blocking_paths_keep_their_decision_points() {
+    let p = contention::program();
+    let mut pin = Fnv1a::new();
+    for strategy in [
+        Strategy::Random,
+        Strategy::Pct { depth: 2 },
+        Strategy::RoundRobin,
+    ] {
+        for seed in 0..64 {
+            // Any non-noop monitor will do: it makes the kernel dispatch
+            // the access events, so they reach the coverage fold.
+            let cfg = RunConfig::with_seed(seed).strategy(strategy);
+            let outcome = run_clean_with(&p, cfg, TraceHasher::new());
+            for word in [outcome.steps, outcome.schedule.digest(), outcome.coverage] {
+                pin.write(&word.to_le_bytes());
+            }
+        }
+    }
+    assert_eq!(
+        pin.finish(),
+        PINNED_DECISION_POINTS,
+        "decision points moved: got {:#018x}",
+        pin.finish()
+    );
 }

@@ -89,28 +89,49 @@ fn served_stack_rejects_garbage_and_malformed_traces() {
     let (transport, connector) = InProcTransport::new();
     let server = IntakeServer::spawn(service.handle(), transport);
 
-    // A syntactically valid wire frame whose payload is not a `.grtrace`:
-    // the server answers Malformed and keeps the connection usable is NOT
-    // promised (framing stays intact here, so it answers and continues).
+    // A syntactically valid wire frame whose payload is not a `.grtrace`,
+    // or is one naming an id (address 2^36; goroutine u32::MAX - 1) that
+    // would have the detector reserve memory for it until the process
+    // aborts: the server answers Malformed and keeps the connection usable
+    // is NOT promised (framing stays intact here, so it answers and
+    // continues).
     let mut conn = connector.connect().unwrap();
-    RequestFrame::TraceUpload {
-        day: 0,
-        trace: b"not a trace".to_vec(),
-    }
-    .write_to(&mut conn)
-    .unwrap();
-    match ResponseFrame::read_from(&mut conn).unwrap().unwrap() {
-        ResponseFrame::Malformed { message } => {
-            assert!(!message.is_empty(), "decode error is reported");
+    let payloads: [&[u8]; 3] = [
+        b"not a trace",
+        include_bytes!("data/oversized_addr.grtrace"),
+        include_bytes!("data/oversized_gid.grtrace"),
+    ];
+    for payload in payloads {
+        RequestFrame::TraceUpload {
+            day: 0,
+            trace: payload.to_vec(),
         }
-        other => panic!("expected Malformed, got {other:?}"),
+        .write_to(&mut conn)
+        .unwrap();
+        match ResponseFrame::read_from(&mut conn).unwrap().unwrap() {
+            ResponseFrame::Malformed { message } => {
+                assert!(!message.is_empty(), "decode error is reported");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
-    // Same connection still serves well-formed requests afterwards.
+    // Same connection still serves well-formed requests afterwards, and
+    // the one worker a good upload.
     RequestFrame::Ping.write_to(&mut conn).unwrap();
     assert_eq!(
         ResponseFrame::read_from(&mut conn).unwrap().unwrap(),
         ResponseFrame::Pong
     );
+    RequestFrame::TraceUpload {
+        day: 0,
+        trace: include_bytes!("data/listing1_seed3.grtrace").to_vec(),
+    }
+    .write_to(&mut conn)
+    .unwrap();
+    match ResponseFrame::read_from(&mut conn).unwrap().unwrap() {
+        ResponseFrame::Accepted { races, .. } => assert_eq!(races, 1),
+        other => panic!("expected Accepted, got {other:?}"),
+    }
     drop(conn);
 
     // Corrupt framing (bad magic): one Malformed reply, then the server
@@ -151,7 +172,7 @@ fn served_stack_rejects_garbage_and_malformed_traces() {
     );
     drop(conn);
 
-    assert!(service.stats().malformed >= 1);
+    assert!(service.stats().malformed >= 3);
     server.shutdown();
     service.shutdown().unwrap();
 }
