@@ -222,7 +222,6 @@ mod tests {
         let mk = |root: &str, leaf: &str, gid: u32, kind: AccessKind| RaceAccess {
             gid: Gid(gid),
             kind,
-            stack_id: grs_runtime::StackId::EMPTY,
             stack: Stack::from_frames(vec![
                 Frame {
                     func: Arc::from(root),

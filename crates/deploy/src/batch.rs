@@ -183,7 +183,6 @@ pub(crate) mod tests {
         let mk = |gid: u32, kind: AccessKind, line: u32| RaceAccess {
             gid: Gid(gid),
             kind,
-            stack_id: grs_runtime::StackId::EMPTY,
             stack: Stack::from_frames(vec![Frame {
                 func: Arc::from(func),
                 call_line: line,

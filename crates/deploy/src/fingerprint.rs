@@ -20,7 +20,7 @@ use std::fmt;
 
 use grs_detector::RaceReport;
 use grs_obs::Fnv1a;
-use grs_runtime::{Stack, StackDepot};
+use grs_runtime::Stack;
 
 /// A stable 64-bit race identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -84,33 +84,6 @@ pub fn race_fingerprint(report: &RaceReport) -> Fingerprint {
     Fingerprint(h.finish())
 }
 
-/// [`race_fingerprint`] computed from the report's interned [`StackId`]s,
-/// resolved through the depot of the run that produced it — no materialized
-/// [`Stack`] needed.
-///
-/// Bit-identical to [`race_fingerprint`] for any report whose `stack_id`s
-/// are live in `depot`: both hash the same root-first, line-number-free
-/// function-name chains in the same lexicographic orientation. The
-/// fingerprint-stability property test pins this equality across seeds.
-///
-/// [`StackId`]: grs_runtime::StackId
-#[must_use]
-pub fn race_fingerprint_interned(report: &RaceReport, depot: &StackDepot) -> Fingerprint {
-    let (na, nb) = (
-        depot.func_names(report.prior.stack_id),
-        depot.func_names(report.current.stack_id),
-    );
-    let ca: Vec<&str> = na.iter().map(|f| &**f).collect();
-    let cb: Vec<&str> = nb.iter().map(|f| &**f).collect();
-    let (first, second) = if ca <= cb { (&ca, &cb) } else { (&cb, &ca) };
-    let mut h = Fnv1a::new();
-    hash_str(&mut h, &report.object);
-    hash_chain(&mut h, first);
-    hash_str(&mut h, "||");
-    hash_chain(&mut h, second);
-    Fingerprint(h.finish())
-}
-
 /// The strawman fingerprint §3.3.1 argues against: includes line numbers
 /// and preserves the detection order of the two chains.
 #[must_use]
@@ -159,7 +132,6 @@ mod tests {
             prior: RaceAccess {
                 gid: Gid(0),
                 kind: AccessKind::Write,
-                stack_id: grs_runtime::StackId::EMPTY,
                 stack: s1,
                 loc: SourceLoc {
                     file: "svc/handler.go",
@@ -170,7 +142,6 @@ mod tests {
             current: RaceAccess {
                 gid: Gid(1),
                 kind: AccessKind::Read,
-                stack_id: grs_runtime::StackId::EMPTY,
                 stack: s2,
                 loc: SourceLoc {
                     file: "svc/handler.go",

@@ -43,9 +43,7 @@ pub mod wire;
 pub use assignee::{determine_assignee, AssigneeDecision, OwnerDb};
 pub use batch::RaceBatch;
 pub use dedup::BoundedDedup;
-pub use fingerprint::{
-    naive_fingerprint, race_fingerprint, race_fingerprint_interned, Fingerprint,
-};
+pub use fingerprint::{naive_fingerprint, race_fingerprint, Fingerprint};
 pub use service::{
     FileOutcome, IntakeError, IntakeServer, IntakeService, IntakeStats, IntakeSummary,
     IntakeTicket,

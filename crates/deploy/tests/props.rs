@@ -81,7 +81,6 @@ fn report(
         prior: RaceAccess {
             gid: Gid(0),
             kind: AccessKind::Write,
-            stack_id: grs_runtime::StackId::EMPTY,
             stack: stack(chain_a, lines_a),
             loc: SourceLoc {
                 file: "a.go",
@@ -92,7 +91,6 @@ fn report(
         current: RaceAccess {
             gid: Gid(1),
             kind: AccessKind::Read,
-            stack_id: grs_runtime::StackId::EMPTY,
             stack: stack(chain_b, lines_b),
             loc: SourceLoc {
                 file: "a.go",

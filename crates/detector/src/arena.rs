@@ -109,8 +109,8 @@ impl DetectorArena {
         }
     }
 
-    /// The arena's stack depot. After a [`DetectorArena::run`], report
-    /// `stack_id`s resolve through this depot until the next run resets it.
+    /// The arena's stack depot: the stacks of the latest run, until the next
+    /// run resets it.
     #[must_use]
     pub fn depot(&self) -> &StackDepot {
         &self.depot
@@ -155,10 +155,9 @@ impl DetectorArena {
     }
 
     /// Analyzes a recorded trace offline under `choice`, reusing this
-    /// arena's detector instance. Rebuilds the trace's depot snapshot into
-    /// the arena depot, so report `stack_id`s resolve through
-    /// [`DetectorArena::depot`] afterwards. Reports are bit-identical to a
-    /// live [`DetectorArena::run`] of the recorded `(seed, strategy)`.
+    /// arena's detector instance and rebuilding the trace's depot snapshot
+    /// into the arena depot. Reports are bit-identical to a live
+    /// [`DetectorArena::run`] of the recorded `(seed, strategy)`.
     pub fn replay(&mut self, choice: DetectorChoice, trace: &Trace) -> ReplayOutcome {
         replay_trace(self.detectors.get(choice), trace, &self.depot)
     }

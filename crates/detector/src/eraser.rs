@@ -58,7 +58,6 @@ impl LastAccess {
             gid: self.gid,
             kind: self.kind,
             stack: depot.resolve(self.stack),
-            stack_id: self.stack,
             loc: self.loc,
             locks_held: locksets.get(self.locks).clone(),
         }

@@ -99,7 +99,6 @@ impl AccessInfo {
             gid: self.gid,
             kind: self.kind,
             stack: depot.resolve(self.stack),
-            stack_id: self.stack,
             loc: self.loc,
             locks_held: locksets.get(self.locks).clone(),
         }

@@ -7,7 +7,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use grs_clock::Lockset;
-use grs_runtime::{AccessKind, Addr, Gid, ReproArtifact, SourceLoc, Stack, StackId};
+use grs_runtime::{AccessKind, Addr, Gid, ReproArtifact, SourceLoc, Stack};
 
 /// Which algorithm produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,11 +44,6 @@ pub struct RaceAccess {
     /// Go-style calling context, materialized at record time (reports are
     /// rare, so the clone cost is paid off the hot path).
     pub stack: Stack,
-    /// The depot id the stack was resolved from. Only meaningful together
-    /// with the depot of the run that produced the report, and only until
-    /// that depot is reset; `StackId::EMPTY` for reports built without a
-    /// depot.
-    pub stack_id: StackId,
     /// Source location of the access.
     pub loc: SourceLoc,
     /// Locks held at the access (filled by lockset-aware detectors; empty
@@ -150,7 +145,6 @@ mod tests {
                 func: Arc::from(func),
                 call_line: 0,
             }]),
-            stack_id: StackId::EMPTY,
             loc: SourceLoc { file: "x.rs", line },
             locks_held: Lockset::new(),
         }

@@ -89,7 +89,6 @@ mod tests {
         let mk = |gid: u32, kind: AccessKind| RaceAccess {
             gid: Gid(gid),
             kind,
-            stack_id: grs_runtime::StackId::EMPTY,
             stack: Stack::from_frames(vec![Frame {
                 func: Arc::from(func),
                 call_line: 1,

@@ -2,24 +2,27 @@
 //!
 //! Nodes are indices into the `Vec<FuncCfg>` produced by
 //! [`build_file`](crate::cfg::build_file) (bodied functions only, in
-//! declaration order). Edges come from the [`Event::Call`] events the CFG
-//! builder records for callees that resolve within the file: named
-//! package-level functions, methods on the enclosing receiver type, and
-//! function-typed parameters (kept separately as [`ParamCall`]s, since
+//! declaration order). Edges are the [`CallSite`]s that
+//! [`flow`](crate::lockset::flow) resolves from the CFG's
+//! [`Event::Call`](crate::cfg::Event::Call)s: named package-level
+//! functions and methods on the enclosing receiver type. Calls through
+//! function-typed parameters are kept separately as [`ParamCall`]s, since
 //! their concrete target is only known at each call site passing a
-//! closure).
+//! closure.
 //!
 //! Each [`CallSite`] carries the facts the summary layer needs to
 //! propagate effects bottom-up: the lockset in force at the call, the
 //! locks that were held earlier in the same context but released before
 //! the call (the `lock-dropped-before-call` evidence), whether the call is
 //! spawned (`go f(x)` or made from inside a goroutine body), and which
-//! arguments are closures or trackable places.
+//! arguments are closures or trackable places. [`CallGraph`] is the graph
+//! algorithms over those edges.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
-use crate::cfg::{CallTarget, Event, FuncCfg, VarKey};
-use crate::lockset::{block_entry_locksets, Lockset};
+use crate::cfg::VarKey;
+use crate::lockset::Lockset;
 use crate::token::Pos;
 
 /// One resolved call edge, with the caller-side facts at the site.
@@ -31,6 +34,8 @@ pub struct CallSite {
     pub callee: usize,
     /// Source position of the call (the `go` keyword for spawned calls).
     pub pos: Pos,
+    /// Execution context of the caller the call is made from (0 = body).
+    pub ctx: u32,
     /// The callee runs on a goroutine: `go f(x)`, or the call is made
     /// from inside a goroutine body of the caller.
     pub spawned: bool,
@@ -65,138 +70,38 @@ pub struct ParamCall {
     pub pos: Pos,
 }
 
-/// The call graph of one file.
+/// The call graph of one file, over the sites of its
+/// [`Flow`](crate::lockset::Flow) table.
 #[derive(Debug)]
-pub struct CallGraph {
-    /// All resolved call sites, in CFG walk order.
-    pub sites: Vec<CallSite>,
-    /// Calls through function-typed parameters.
-    pub param_calls: Vec<ParamCall>,
+pub struct CallGraph<'a> {
+    /// All resolved call sites, grouped by caller.
+    pub sites: &'a [CallSite],
+    /// Where each caller's sites sit in `sites`.
+    from: Vec<Range<usize>>,
     callees: Vec<BTreeSet<usize>>,
 }
 
-impl CallGraph {
-    /// Builds the call graph for the CFGs of one file.
+impl<'a> CallGraph<'a> {
+    /// Builds the graph of a file with `funcs` bodied functions from its
+    /// call sites, which arrive grouped by caller (as
+    /// [`flow`](crate::lockset::flow) emits them).
     #[must_use]
-    pub fn build(cfgs: &[FuncCfg]) -> CallGraph {
-        let mut by_name: HashMap<&str, usize> = HashMap::new();
-        let mut by_method: HashMap<(&str, &str), usize> = HashMap::new();
-        for (i, c) in cfgs.iter().enumerate() {
-            match &c.recv_type {
-                None => {
-                    by_name.entry(c.func.as_str()).or_insert(i);
-                }
-                Some(r) => {
-                    by_method.entry((r.as_str(), c.func.as_str())).or_insert(i);
-                }
+    pub fn build(funcs: usize, sites: &'a [CallSite]) -> CallGraph<'a> {
+        let mut from = vec![0..0; funcs];
+        let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); funcs];
+        for (i, site) in sites.iter().enumerate() {
+            if i == 0 || sites[i - 1].caller != site.caller {
+                debug_assert_eq!(from[site.caller], 0..0, "sites are grouped by caller");
+                from[site.caller].start = i;
             }
+            from[site.caller].end = i + 1;
+            callees[site.caller].insert(site.callee);
         }
-
-        let mut sites = Vec::new();
-        let mut param_calls = Vec::new();
-        let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); cfgs.len()];
-
-        for (caller, cfg) in cfgs.iter().enumerate() {
-            let insets = block_entry_locksets(cfg);
-            for ctx in &cfg.contexts {
-                // Locks acquired so far in this context, in block-creation
-                // order (which tracks execution order for straight-line
-                // code — the shape the dropped-lock rule targets).
-                let mut ever: BTreeSet<VarKey> = BTreeSet::new();
-                for (bid, block) in cfg.blocks_of(ctx.id) {
-                    let Some(entry) = &insets[bid.0] else { continue };
-                    let mut cur = entry.clone();
-                    for e in &block.events {
-                        match e {
-                            Event::Acquire { lock, mode, .. } => {
-                                ever.insert(lock.clone());
-                                let slot = cur.entry(lock.clone()).or_insert(*mode);
-                                if *mode > *slot {
-                                    *slot = *mode;
-                                }
-                            }
-                            Event::Release { lock, .. } => {
-                                cur.remove(lock);
-                            }
-                            Event::Access { .. } => {}
-                            Event::Call {
-                                target,
-                                spawned,
-                                in_loop,
-                                closure_args,
-                                var_args,
-                                pos,
-                            } => {
-                                let site_spawned = *spawned || ctx.id != 0;
-                                let spawn_pos = if *spawned {
-                                    Some(*pos)
-                                } else {
-                                    ctx.spawn_pos
-                                };
-                                let site_in_loop = *in_loop || ctx.in_loop;
-                                match target {
-                                    CallTarget::Param(idx) => param_calls.push(ParamCall {
-                                        caller,
-                                        param: *idx,
-                                        spawned: site_spawned,
-                                        pos: *pos,
-                                    }),
-                                    _ => {
-                                        let callee = match target {
-                                            CallTarget::Named(n) => {
-                                                by_name.get(n.as_str()).copied()
-                                            }
-                                            CallTarget::Method { recv, name } => by_method
-                                                .get(&(recv.as_str(), name.as_str()))
-                                                .copied(),
-                                            CallTarget::Param(_) => None,
-                                        };
-                                        if let Some(callee) = callee {
-                                            let dropped: BTreeSet<VarKey> = ever
-                                                .iter()
-                                                .filter(|l| !cur.contains_key(*l))
-                                                .cloned()
-                                                .collect();
-                                            callees[caller].insert(callee);
-                                            sites.push(CallSite {
-                                                caller,
-                                                callee,
-                                                pos: *pos,
-                                                spawned: site_spawned,
-                                                spawn_pos,
-                                                in_loop: site_in_loop,
-                                                locks: cur.clone(),
-                                                dropped,
-                                                closure_args: closure_args.clone(),
-                                                var_args: var_args.clone(),
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
         CallGraph {
             sites,
-            param_calls,
+            from,
             callees,
         }
-    }
-
-    /// Number of functions (nodes).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.callees.len()
-    }
-
-    /// True when the file has no bodied functions.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.callees.is_empty()
     }
 
     /// Direct callees of `caller`.
@@ -206,8 +111,9 @@ impl CallGraph {
     }
 
     /// Call sites originating in `caller`.
-    pub fn sites_from(&self, caller: usize) -> impl Iterator<Item = &CallSite> {
-        self.sites.iter().filter(move |s| s.caller == caller)
+    #[must_use]
+    pub fn sites_from(&self, caller: usize) -> &'a [CallSite] {
+        &self.sites[self.from[caller].clone()]
     }
 
     /// Functions that have at least one in-file caller other than
@@ -323,21 +229,23 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::build_file;
+    use crate::cfg::{build_file, FuncCfg};
+    use crate::lockset::{flow, Flow};
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
-    fn graph_of(src: &str) -> (Vec<FuncCfg>, CallGraph) {
+    /// The CFGs and flow table of `src`; the graph borrows the table.
+    fn flow_of(src: &str) -> (Vec<FuncCfg>, Flow) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfgs = build_file(&file, &res);
-        let cg = CallGraph::build(&cfgs);
-        (cfgs, cg)
+        let flow = flow(&cfgs);
+        (cfgs, flow)
     }
 
     #[test]
     fn resolves_named_and_method_calls() {
-        let (cfgs, cg) = graph_of(
+        let (cfgs, flow) = flow_of(
             r"
 package p
 func a() { b() }
@@ -346,6 +254,7 @@ func (s *S) m() { s.n() }
 func (s *S) n() {}
 ",
         );
+        let cg = CallGraph::build(cfgs.len(), &flow.sites);
         assert_eq!(cfgs.len(), 4);
         assert_eq!(cg.sites.len(), 2);
         assert!(cg.callees_of(0).contains(&1));
@@ -356,7 +265,7 @@ func (s *S) n() {}
 
     #[test]
     fn call_sites_carry_locks_and_dropped_locks() {
-        let (_, cg) = graph_of(
+        let (_, flow) = flow_of(
             r"
 package p
 func f() {
@@ -369,17 +278,17 @@ func inside() {}
 func outside() {}
 ",
         );
-        let inside = cg.sites.iter().find(|s| s.callee == 1).expect("inside");
+        let inside = flow.sites.iter().find(|s| s.callee == 1).expect("inside");
         assert_eq!(inside.locks.len(), 1);
         assert!(inside.dropped.is_empty());
-        let outside = cg.sites.iter().find(|s| s.callee == 2).expect("outside");
+        let outside = flow.sites.iter().find(|s| s.callee == 2).expect("outside");
         assert!(outside.locks.is_empty());
         assert_eq!(outside.dropped.len(), 1, "mu released before the call");
     }
 
     #[test]
     fn spawned_calls_and_param_calls() {
-        let (_, cg) = graph_of(
+        let (_, flow) = flow_of(
             r"
 package p
 func spawn(fn func()) { go fn() }
@@ -391,10 +300,10 @@ func f(keys []int) {
 func work(k int) {}
 ",
         );
-        assert_eq!(cg.param_calls.len(), 1);
-        assert!(cg.param_calls[0].spawned);
-        assert_eq!(cg.param_calls[0].param, 0);
-        let work = cg.sites.iter().find(|s| s.callee == 2).expect("work");
+        assert_eq!(flow.param_calls.len(), 1);
+        assert!(flow.param_calls[0].spawned);
+        assert_eq!(flow.param_calls[0].param, 0);
+        let work = flow.sites.iter().find(|s| s.callee == 2).expect("work");
         assert!(work.spawned);
         assert!(work.in_loop);
         assert!(work.spawn_pos.is_some());
@@ -402,7 +311,7 @@ func work(k int) {}
 
     #[test]
     fn sccs_are_callee_first_and_group_cycles() {
-        let (_, cg) = graph_of(
+        let (cfgs, flow) = flow_of(
             r"
 package p
 func top() { even(4) }
@@ -411,6 +320,7 @@ func odd(n int) { even(n) }
 func leaf() {}
 ",
         );
+        let cg = CallGraph::build(cfgs.len(), &flow.sites);
         let sccs = cg.sccs();
         let cycle = sccs
             .iter()
@@ -419,7 +329,7 @@ func leaf() {}
         let top = sccs.iter().position(|c| c == &vec![0]).expect("top");
         assert!(cycle < top, "callees come before callers: {sccs:?}");
         // Self-recursion alone does not count as being called.
-        let (_, cg2) = graph_of("package p\nfunc r(n int) { r(n) }\n");
-        assert_eq!(cg2.roots(), vec![0]);
+        let (cfgs, flow) = flow_of("package p\nfunc r(n int) { r(n) }\n");
+        assert_eq!(CallGraph::build(cfgs.len(), &flow.sites).roots(), vec![0]);
     }
 }

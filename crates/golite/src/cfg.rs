@@ -199,16 +199,17 @@ pub struct FuncCfg {
     pub blocks: Vec<BasicBlock>,
     /// All contexts; index 0 is the function body.
     pub contexts: Vec<Context>,
+    /// Parameter symbols in signature order (`None` for unnamed or
+    /// unresolved parameters), so effects on a parameter can be named by
+    /// index at every call site.
+    pub params: Vec<Option<SymbolId>>,
 }
 
 impl FuncCfg {
-    /// Blocks belonging to context `ctx`, in creation order.
-    pub fn blocks_of(&self, ctx: u32) -> impl Iterator<Item = (BlockId, &BasicBlock)> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(move |(_, b)| b.ctx == ctx)
-            .map(|(i, b)| (BlockId(i), b))
+    /// The parameter index of `sym`, if it is one of this function's.
+    #[must_use]
+    pub fn param_index(&self, sym: SymbolId) -> Option<usize> {
+        self.params.iter().position(|p| *p == Some(sym))
     }
 }
 
@@ -229,18 +230,13 @@ pub fn build_file(file: &File, res: &Resolution) -> Vec<FuncCfg> {
 pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
     let body = f.body.as_ref()?;
     let recv_type = f.receiver.as_ref().map(|r| type_root_name(&r.ty));
-    // Parameter symbols in declaration order, so calls through
-    // function-typed parameters can name the parameter by index.
     let params: Vec<Option<SymbolId>> = f
         .sig
         .params
         .iter()
         .map(|p| {
-            res.symbols()
-                .iter()
-                .find(|s| {
-                    s.kind == SymbolKind::Param && s.decl_pos == Some(f.pos) && s.name == p.name
-                })
+            res.declared_at(f.pos, &p.name)
+                .find(|s| s.kind == SymbolKind::Param)
                 .map(|s| s.id)
         })
         .collect();
@@ -269,6 +265,7 @@ pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
         recv_type,
         blocks: b.blocks,
         contexts: b.contexts,
+        params: b.params,
     })
 }
 
@@ -296,8 +293,7 @@ struct LoopFrame {
 struct Builder<'a> {
     res: &'a Resolution,
     recv_type: Option<String>,
-    /// Parameter symbols of the enclosing function, in signature order
-    /// (`None` for unnamed/unresolved parameters).
+    /// Becomes [`FuncCfg::params`].
     params: Vec<Option<SymbolId>>,
     blocks: Vec<BasicBlock>,
     contexts: Vec<Context>,
@@ -498,9 +494,8 @@ impl Builder<'_> {
     /// The symbol declared by a `var`/`:=` at `pos` under `name`.
     fn declared_symbol(&self, pos: Pos, name: &str) -> Option<SymbolId> {
         self.res
-            .symbols()
-            .iter()
-            .find(|s| s.decl_pos == Some(pos) && s.name == name && s.kind.capturable())
+            .declared_at(pos, name)
+            .find(|s| s.kind.capturable())
             .map(|s| s.id)
     }
 

@@ -20,10 +20,13 @@
 //! * [`mod@cfg`] — per-function control-flow graphs with goroutine-spawn edges
 //!   and lock/access events,
 //! * [`lockset`] — an Eraser-style static lockset dataflow over the CFG,
-//! * [`callgraph`] — the file-level call graph over resolved functions,
-//!   with per-site lock context, spawn facts, and Tarjan SCCs,
-//! * [`summary`] — bottom-up per-function summaries (lock effects, shared
-//!   accesses with call chains, escaping-parameter effects) feeding the
+//!   run once per file into the [`lockset::Flow`] table (every access and
+//!   in-file call with the locks held there) that all the locking rules
+//!   read, plus the single-function rules GR007–GR011,
+//! * [`callgraph`] — the file-level call graph over the table's call
+//!   sites: callers, roots, and Tarjan SCCs,
+//! * [`summary`] — bottom-up per-function summaries (the table's accesses
+//!   propagated along call chains, escaping-parameter effects) feeding the
 //!   interprocedural rules GR013–GR018,
 //! * [`mhp`] — may-happen-in-parallel facts from spawn points and
 //!   `Wait`/channel-receive join points,

@@ -227,18 +227,18 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
         }
     }
 
-    // One CFG build feeds the lockset pass, the call graph, and the
-    // summaries. The lockset group rules are scoped to analysis roots:
-    // accesses inside called functions are judged through their call
-    // chains by the interprocedural rules instead of being double-counted
-    // intraprocedurally.
+    // One CFG build and one flow table feed the lockset rules, the call
+    // graph, and the summaries. The lockset group rules are scoped to
+    // analysis roots: accesses inside called functions are judged through
+    // their call chains by the interprocedural rules instead of being
+    // double-counted intraprocedurally.
     let cfgs = cfg::build_file(file, &res);
-    let cg = CallGraph::build(&cfgs);
-    let called = cg.called();
-    let (lock_findings, seen_vars) = lockset::analyze_cfgs_scoped(&cfgs, &called);
+    let flow = lockset::flow(&cfgs);
+    let cg = CallGraph::build(cfgs.len(), &flow.sites);
+    let (lock_findings, seen_vars) = lockset::intraproc_findings(&flow.accesses, &cg.called());
     findings.extend(lock_findings);
 
-    let sums = Summaries::compute(file, &res, &cfgs, &cg);
+    let sums = Summaries::compute(&cfgs, &flow, &cg);
     let mhp = Mhp::build(file);
     findings.extend(summary::interproc_findings(
         &res, &cfgs, &cg, &sums, &mhp, &seen_vars,

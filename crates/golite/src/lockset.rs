@@ -10,9 +10,12 @@
 //!    locks held at every block entry (meet = intersection, keeping the
 //!    weaker mode at a join; `defer Unlock` was already folded in by CFG
 //!    construction, so a deferred release simply never leaves the set).
-//! 2. Every variable access is annotated with its *effective* lockset: a
+//! 2. One walk of each block's events against the running lockset fills
+//!    the [`Flow`] table: every variable access and every in-file call with
+//!    the locks held there. The call graph and the summaries read the same
+//!    table, so "which locks are held here" is derived once per file. A
 //!    `Read`-mode lock (`RLock`) protects reads but not writes, so a write
-//!    under `RLock` has an empty effective set even though a lock is held.
+//!    under `RLock` has an empty *effective* set even though a lock is held.
 //! 3. Accesses are grouped by variable identity — file-wide for globals
 //!    and receiver fields, per-function for locals — and each group is
 //!    tested against the locking rules (GR007–GR011) of [`Rule`].
@@ -26,18 +29,20 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-use crate::ast::File;
-use crate::cfg::{build_file, BlockId, Event, FuncCfg, LockMode, VarKey};
+use crate::callgraph::{CallSite, ParamCall};
+use crate::cfg::{BlockId, CallTarget, Event, FuncCfg, LockMode, VarKey};
 use crate::lint::{Finding, Rule};
-use crate::resolve::Resolution;
 use crate::token::Pos;
 
 /// Locks held at a program point, with the strongest mode held per lock.
 pub type Lockset = BTreeMap<VarKey, LockMode>;
 
-/// One annotated variable access, the unit the rules consume.
-#[derive(Debug, Clone)]
-pub struct AccessRecord {
+/// One variable access with every fact the locking rules read. [`flow`]
+/// emits one per [`Event::Access`]; the summary layer propagates copies up
+/// the call graph, folding each call site's facts into the fields marked
+/// *(chain)* and leaving the rest describing the access where it stands.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Access {
     /// The accessed variable.
     pub var: VarKey,
     /// Source spelling, for messages.
@@ -56,23 +61,37 @@ pub struct AccessRecord {
     pub branch_tags: Vec<u32>,
     /// Source position.
     pub pos: Pos,
-    /// Enclosing function name.
+    /// Name of the function that lexically contains the access.
     pub func: String,
-    /// Index of the function in the file (context disambiguator).
+    /// Index of that function in the file (context disambiguator).
     pub func_idx: usize,
-    /// Execution context within the function (0 = body, else goroutine).
+    /// Execution context within that function (0 = body, else goroutine).
     pub ctx: u32,
-    /// The context is a goroutine spawned inside a loop.
-    pub ctx_in_loop: bool,
     /// Locks held at the access, with modes, before mode filtering.
-    pub raw: Lockset,
+    /// *(chain)*: plus the locks held at each call site on the chain — none
+    /// survive a spawned hop.
+    pub locks: Lockset,
+    /// The access runs on a goroutine: `ctx != 0`. *(chain)*: or a hop of
+    /// the chain is spawned.
+    pub spawned: bool,
+    /// That goroutine is spawned inside a loop (self-concurrent).
+    pub in_loop_spawn: bool,
+    /// The spawn point when `spawned`. *(chain)*: in the source of the
+    /// function the chain starts from.
+    pub spawn_pos: Option<Pos>,
+    /// *(chain)*: locks held earlier on the chain but released before it
+    /// was entered. Empty for an access where it stands.
+    pub dropped: BTreeSet<VarKey>,
+    /// *(chain)*: the `(callee, call position)` hops the access was reached
+    /// through. Empty for an access where it stands.
+    pub chain: Vec<(String, Pos)>,
 }
 
-impl AccessRecord {
+impl Access {
     /// True when at least one lock protects the access.
     #[must_use]
     pub fn guarded(&self) -> bool {
-        !effective(&self.raw, self.write).is_empty()
+        !effective(&self.locks, self.write).is_empty()
     }
 }
 
@@ -90,8 +109,7 @@ pub(crate) fn effective(held: &Lockset, write: bool) -> BTreeSet<VarKey> {
 /// `None` marks an unreachable block. Each context starts empty at its
 /// entry (a goroutine inherits no locks — Go locks are not reentrant and
 /// the spawner's critical section does not extend into the child).
-#[must_use]
-pub fn block_entry_locksets(cfg: &FuncCfg) -> Vec<Option<Lockset>> {
+fn block_entry_locksets(cfg: &FuncCfg) -> Vec<Option<Lockset>> {
     let mut insets: Vec<Option<Lockset>> = vec![None; cfg.blocks.len()];
     let mut work: VecDeque<BlockId> = VecDeque::new();
     for ctx in &cfg.contexts {
@@ -100,7 +118,9 @@ pub fn block_entry_locksets(cfg: &FuncCfg) -> Vec<Option<Lockset>> {
     }
     while let Some(b) = work.pop_front() {
         let mut out = insets[b.0].clone().unwrap_or_default();
-        apply_events(&mut out, &cfg.blocks[b.0].events);
+        for e in &cfg.blocks[b.0].events {
+            apply(&mut out, e);
+        }
         for &s in &cfg.blocks[b.0].succs {
             let merged = match &insets[s.0] {
                 None => out.clone(),
@@ -115,20 +135,22 @@ pub fn block_entry_locksets(cfg: &FuncCfg) -> Vec<Option<Lockset>> {
     insets
 }
 
-fn apply_events(set: &mut Lockset, events: &[Event]) {
-    for e in events {
-        match e {
-            Event::Acquire { lock, mode, .. } => {
-                let entry = set.entry(lock.clone()).or_insert(*mode);
-                if *mode > *entry {
-                    *entry = *mode;
-                }
-            }
-            Event::Release { lock, .. } => {
-                set.remove(lock);
-            }
-            Event::Access { .. } | Event::Call { .. } => {}
+/// The transfer function: what one event does to the set of locks held.
+fn apply(set: &mut Lockset, e: &Event) {
+    match e {
+        Event::Acquire { lock, mode, .. } => hold(set, lock, *mode),
+        Event::Release { lock, .. } => {
+            set.remove(lock);
         }
+        Event::Access { .. } | Event::Call { .. } => {}
+    }
+}
+
+/// Adds `lock` to `set`, keeping the stronger mode when already held.
+pub(crate) fn hold(set: &mut Lockset, lock: &VarKey, mode: LockMode) {
+    let entry = set.entry(lock.clone()).or_insert(mode);
+    if mode > *entry {
+        *entry = mode;
     }
 }
 
@@ -140,19 +162,57 @@ fn meet(a: &Lockset, b: &Lockset) -> Lockset {
         .collect()
 }
 
-/// Annotates every access in `cfgs` with its lockset.
+/// The flow table of one file: every access and every in-file call with
+/// the locks held there. All the locking rules, intra- and
+/// interprocedural, read this one table.
+#[derive(Debug, Default)]
+pub struct Flow {
+    /// Every access of every reachable block, in function → block → event
+    /// order.
+    pub accesses: Vec<Access>,
+    /// Every call that resolves to a bodied function of the file, in
+    /// caller → context → block → event order.
+    pub sites: Vec<CallSite>,
+    /// Calls through function-typed parameters.
+    pub param_calls: Vec<ParamCall>,
+}
+
+/// Builds the [`Flow`] table: one lockset fixpoint per function, then one
+/// walk of each block's events against the running lockset.
+///
+/// The two orders are load-bearing: the interprocedural layer dedups
+/// accesses and findings keeping the first seen, and caps a summary's size,
+/// so a different order would report a different (equally valid) witness.
 #[must_use]
-pub fn collect_accesses(cfgs: &[FuncCfg]) -> Vec<AccessRecord> {
-    let mut out = Vec::new();
+pub fn flow(cfgs: &[FuncCfg]) -> Flow {
+    // `(receiver type, name)` → function; the first declaration wins.
+    let mut by_name: HashMap<(Option<&str>, &str), usize> = HashMap::new();
+    for (i, c) in cfgs.iter().enumerate() {
+        by_name
+            .entry((c.recv_type.as_deref(), c.func.as_str()))
+            .or_insert(i);
+    }
+
+    let mut out = Flow::default();
     for (func_idx, cfg) in cfgs.iter().enumerate() {
         let insets = block_entry_locksets(cfg);
+        let first_site = out.sites.len();
+        // Locks acquired so far in each context, in block-creation order
+        // (which tracks execution order for straight-line code — the shape
+        // the dropped-lock rule targets).
+        let mut ever: Vec<BTreeSet<VarKey>> = vec![BTreeSet::new(); cfg.contexts.len()];
         for (bid, block) in cfg.blocks.iter().enumerate() {
             // Unreachable blocks (code after return/break) carry no races.
             let Some(entry) = &insets[bid] else { continue };
             let mut cur = entry.clone();
-            let in_loop = cfg.contexts[block.ctx as usize].in_loop;
+            let ctx = &cfg.contexts[block.ctx as usize];
             for e in &block.events {
+                apply(&mut cur, e);
                 match e {
+                    Event::Acquire { lock, .. } => {
+                        ever[block.ctx as usize].insert(lock.clone());
+                    }
+                    Event::Release { .. } => {}
                     Event::Access {
                         var,
                         display,
@@ -162,7 +222,7 @@ pub fn collect_accesses(cfgs: &[FuncCfg]) -> Vec<AccessRecord> {
                         cond_of,
                         indexed,
                         pos,
-                    } => out.push(AccessRecord {
+                    } => out.accesses.push(Access {
                         var: var.clone(),
                         display: display.clone(),
                         write: *write,
@@ -175,82 +235,99 @@ pub fn collect_accesses(cfgs: &[FuncCfg]) -> Vec<AccessRecord> {
                         func: cfg.func.clone(),
                         func_idx,
                         ctx: block.ctx,
-                        ctx_in_loop: in_loop,
-                        raw: cur.clone(),
+                        locks: cur.clone(),
+                        spawned: block.ctx != 0,
+                        in_loop_spawn: ctx.in_loop,
+                        spawn_pos: ctx.spawn_pos,
+                        dropped: BTreeSet::new(),
+                        chain: Vec::new(),
                     }),
-                    _ => apply_events(&mut cur, std::slice::from_ref(e)),
+                    Event::Call {
+                        target,
+                        spawned,
+                        in_loop,
+                        closure_args,
+                        var_args,
+                        pos,
+                    } => {
+                        let site_spawned = *spawned || block.ctx != 0;
+                        let callee = match target {
+                            CallTarget::Param(idx) => {
+                                out.param_calls.push(ParamCall {
+                                    caller: func_idx,
+                                    param: *idx,
+                                    spawned: site_spawned,
+                                    pos: *pos,
+                                });
+                                continue;
+                            }
+                            CallTarget::Named(n) => by_name.get(&(None, n.as_str())),
+                            CallTarget::Method { recv, name } => {
+                                by_name.get(&(Some(recv.as_str()), name.as_str()))
+                            }
+                        };
+                        let Some(&callee) = callee else { continue };
+                        out.sites.push(CallSite {
+                            caller: func_idx,
+                            callee,
+                            pos: *pos,
+                            ctx: block.ctx,
+                            spawned: site_spawned,
+                            spawn_pos: if *spawned { Some(*pos) } else { ctx.spawn_pos },
+                            in_loop: *in_loop || ctx.in_loop,
+                            locks: cur.clone(),
+                            dropped: ever[block.ctx as usize]
+                                .iter()
+                                .filter(|l| !cur.contains_key(*l))
+                                .cloned()
+                                .collect(),
+                            closure_args: closure_args.clone(),
+                            var_args: var_args.clone(),
+                        });
+                    }
                 }
             }
         }
+        // A goroutine body's blocks are created between its spawner's.
+        out.sites[first_site..].sort_by_key(|s| s.ctx);
     }
     out
 }
 
-/// Grouping key: globals and receiver fields have file-wide identity,
-/// locals are per-function.
-#[derive(PartialEq, Eq, Hash)]
-struct GroupKey {
-    func_scope: Option<usize>,
-    var: VarKey,
-}
-
-/// Runs the lockset analysis over `file` and returns all findings, sorted
-/// by source position.
-#[must_use]
-pub fn analyze_file(file: &File, res: &Resolution) -> Vec<Finding> {
-    analyze_cfgs(&build_file(file, res))
-}
-
-/// Runs the rules over already-built CFGs.
-#[must_use]
-pub fn analyze_cfgs(cfgs: &[FuncCfg]) -> Vec<Finding> {
-    analyze_cfgs_scoped(cfgs, &BTreeSet::new()).0
-}
-
-/// Runs the rules over already-built CFGs, excluding the *file-wide* group
-/// evidence contributed by the functions in `called` (by index into
-/// `cfgs`). Returns the findings sorted by position, and the variables
-/// they are about (so the interprocedural layer does not report a variable
-/// already flagged here).
+/// Runs the intraprocedural rules (GR007–GR011) over the flow table's
+/// accesses, excluding the *file-wide* group evidence contributed by the
+/// functions in `called` (by index into the CFG list). Returns the findings
+/// sorted by position, and the variables they are about (so the
+/// interprocedural layer does not report a variable already flagged here).
 ///
-/// When the interprocedural layer is active, a function reachable through
-/// in-file calls is judged along its call chains — with the caller's locks
-/// in effect — by `summary::interproc_findings`, so counting its raw
-/// accesses here would produce exactly the false positives the summaries
-/// exist to avoid (a write that looks bare but is always made under a
-/// caller's lock). Per-access rules (`WriteUnderRLock`), atomic mixing,
-/// and double-checked locking stay file-wide: those shapes are wrong
-/// regardless of what locks a caller adds. Local-variable groups are
-/// never excluded — a caller's lock cannot protect a callee's locals.
+/// A function reachable through in-file calls is judged along its call
+/// chains — with the caller's locks in effect — by
+/// `summary::interproc_findings`, so counting its raw accesses here would
+/// produce exactly the false positives the summaries exist to avoid (a
+/// write that looks bare but is always made under a caller's lock).
+/// Per-access rules (`WriteUnderRLock`), atomic mixing, and double-checked
+/// locking stay file-wide: those shapes are wrong regardless of what locks
+/// a caller adds. Local-variable groups are never excluded — a caller's
+/// lock cannot protect a callee's locals.
 #[must_use]
-pub fn analyze_cfgs_scoped(
-    cfgs: &[FuncCfg],
+pub fn intraproc_findings(
+    accesses: &[Access],
     called: &BTreeSet<usize>,
 ) -> (Vec<Finding>, BTreeSet<VarKey>) {
-    let accesses = collect_accesses(cfgs);
-    let mut groups: HashMap<GroupKey, Vec<&AccessRecord>> = HashMap::new();
-    for a in &accesses {
-        let func_scope = if a.var.is_file_wide() {
-            None
-        } else {
-            Some(a.func_idx)
-        };
-        groups
-            .entry(GroupKey {
-                func_scope,
-                var: a.var.clone(),
-            })
-            .or_default()
-            .push(a);
+    // A local's key names its resolved symbol, so grouping by key alone is
+    // file-wide for globals and receiver fields and per-function for locals.
+    let mut groups: HashMap<&VarKey, Vec<&Access>> = HashMap::new();
+    for a in accesses {
+        groups.entry(&a.var).or_default().push(a);
     }
 
     let mut findings = Vec::new();
     let mut flagged = BTreeSet::new();
-    for (key, accs) in &groups {
+    for (&var, accs) in &groups {
         let before = findings.len();
-        check_group(&key.var, accs, called, &mut findings);
+        check_group(var, accs, called, &mut findings);
         if findings.len() > before {
-            flagged.insert(key.var.clone());
+            flagged.insert(var.clone());
         }
     }
     findings.sort_by_key(|f| f.pos);
@@ -274,11 +351,11 @@ pub(crate) fn key_display(k: &VarKey) -> String {
 #[allow(clippy::too_many_lines)]
 fn check_group(
     var: &VarKey,
-    accs: &[&AccessRecord],
+    accs: &[&Access],
     called: &BTreeSet<usize>,
     findings: &mut Vec<Finding>,
 ) {
-    let non_init: Vec<&&AccessRecord> = accs.iter().filter(|a| !a.init).collect();
+    let non_init: Vec<&&Access> = accs.iter().filter(|a| !a.init).collect();
     if non_init.is_empty() {
         return;
     }
@@ -286,7 +363,7 @@ fn check_group(
     // Evidence for the group rules: for a file-wide variable, accesses made
     // by functions that have in-file callers are judged interprocedurally
     // (along their call chains) instead of here.
-    let scoped: Vec<&&AccessRecord> = non_init
+    let scoped: Vec<&&Access> = non_init
         .iter()
         .filter(|a| !(var.is_file_wide() && called.contains(&a.func_idx)))
         .copied()
@@ -298,8 +375,8 @@ fn check_group(
     for a in &non_init {
         if a.write
             && !a.atomic
-            && !a.raw.is_empty()
-            && a.raw.values().all(|m| *m == LockMode::Read)
+            && !a.locks.is_empty()
+            && a.locks.values().all(|m| *m == LockMode::Read)
         {
             rlock_write_positions.insert(a.pos);
             findings.push(Finding {
@@ -310,7 +387,7 @@ fn check_group(
                     "write to '{}' while holding {} in read (RLock) mode; \
                      RLock excludes writers but admits other readers — use Lock",
                     a.display,
-                    lock_names(&a.raw.keys().cloned().collect()),
+                    lock_names(&a.locks.keys().cloned().collect()),
                 ),
                 chain: Vec::new(),
             });
@@ -326,8 +403,8 @@ fn check_group(
     // (for file-wide variables) any access that takes a lock. Judged over
     // the scoped evidence — called functions argue through their chains.
     let ctxs: BTreeSet<(usize, u32)> = scoped.iter().map(|a| (a.func_idx, a.ctx)).collect();
-    let self_concurrent = scoped.iter().any(|a| a.ctx != 0 && a.ctx_in_loop);
-    let lock_signal = var.is_file_wide() && scoped.iter().any(|a| !a.raw.is_empty());
+    let self_concurrent = scoped.iter().any(|a| a.in_loop_spawn);
+    let lock_signal = var.is_file_wide() && scoped.iter().any(|a| !a.locks.is_empty());
     let shared = ctxs.len() >= 2 || self_concurrent || lock_signal;
 
     // Rule: sync/atomic mixed with plain accesses. The atomic call itself
@@ -392,7 +469,7 @@ fn check_group(
         let a = unguarded[0];
         let locks: BTreeSet<VarKey> = guarded
             .iter()
-            .flat_map(|g| effective(&g.raw, g.write).into_iter())
+            .flat_map(|g| effective(&g.locks, g.write).into_iter())
             .collect();
         findings.push(Finding {
             rule: Rule::MissingLock,
@@ -413,7 +490,7 @@ fn check_group(
         // Rule: every site locks, but no lock is common to all of them.
         let mut common: Option<BTreeSet<VarKey>> = None;
         for g in &guarded {
-            let eff = effective(&g.raw, g.write);
+            let eff = effective(&g.locks, g.write);
             common = Some(match common {
                 None => eff,
                 Some(c) => c.intersection(&eff).cloned().collect(),
@@ -438,13 +515,15 @@ fn check_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::build_file;
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
     fn analyze(src: &str) -> Vec<Finding> {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        analyze_file(&file, &res)
+        let flow = flow(&build_file(&file, &res));
+        intraproc_findings(&flow.accesses, &BTreeSet::new()).0
     }
 
     fn rules(src: &str) -> Vec<Rule> {

@@ -99,6 +99,8 @@ pub struct Resolution {
     uses: HashMap<Pos, SymbolId>,
     /// `func` literal position → symbols captured from enclosing functions.
     captures: HashMap<Pos, Vec<SymbolId>>,
+    /// Declaration site → the symbols declared there, in declaration order.
+    decls: HashMap<Pos, Vec<SymbolId>>,
 }
 
 impl Resolution {
@@ -112,6 +114,16 @@ impl Resolution {
     #[must_use]
     pub fn symbols(&self) -> &[Symbol] {
         &self.symbols
+    }
+
+    /// The symbols declared at `pos` under `name`, in declaration order
+    /// (a function's receiver, parameters and named results all declare at
+    /// the function's position; a `var`/`:=` declares every name at its own).
+    pub fn declared_at<'a>(&'a self, pos: Pos, name: &'a str) -> impl Iterator<Item = &'a Symbol> {
+        let ids = self.decls.get(&pos).map_or(&[][..], Vec::as_slice);
+        ids.iter()
+            .map(|id| self.symbol(*id))
+            .filter(move |s| s.name == name)
     }
 
     /// Resolves the identifier whose token starts at `pos`.
@@ -231,6 +243,9 @@ impl Resolver {
             decl_pos: pos,
             func_depth: self.func_depth,
         });
+        if let Some(pos) = pos {
+            self.out.decls.entry(pos).or_default().push(id);
+        }
         if name != "_" && !name.is_empty() {
             self.scopes
                 .last_mut()

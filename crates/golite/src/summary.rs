@@ -1,13 +1,13 @@
 //! Bottom-up per-function summaries and the interprocedural race rules.
 //!
-//! Each function gets a [`FuncSummary`]: its file-wide variable accesses
-//! annotated with the locks held (its own *plus* the caller's at each call
-//! site — a spawned call inherits nothing), whether the access runs on a
-//! spawned goroutine, and the call chain it was reached through. Summaries
-//! are computed bottom-up over the call graph's SCCs, iterating each
-//! component to a fixpoint so recursion and mutual calls converge (the
-//! per-access dedup keeps the *shortest* chain, which is what makes the
-//! fixpoint finite).
+//! Each function gets a [`FuncSummary`]: the file-wide rows of the
+//! [`Flow`] table reachable from it, each the same [`Access`] record with
+//! the caller's locks at each call site on the way added to its own (a
+//! spawned call inherits nothing), whether it runs on a spawned goroutine,
+//! and the call chain it was reached through. Summaries are computed
+//! bottom-up over the call graph's SCCs, iterating each component to a
+//! fixpoint so recursion and mutual calls converge (the per-access dedup
+//! keeps the *shortest* chain, which is what makes the fixpoint finite).
 //!
 //! Three effect sets ride along for the escape rules:
 //!
@@ -27,14 +27,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{Decl, File};
 use crate::callgraph::{CallGraph, CallSite};
 use crate::cfg::{FuncCfg, VarKey, VarRoot};
 use crate::lint::{Finding, Rule};
-use crate::lockset::{self, effective, Lockset};
+use crate::lockset::{self, effective, Access, Flow};
 use crate::mhp::Mhp;
-use crate::resolve::{Resolution, SymbolId, SymbolKind};
-use crate::token::Pos;
+use crate::resolve::{Resolution, SymbolKind};
 
 /// Chains deeper than this stop propagating (they add no new evidence the
 /// shorter prefixes have not already contributed).
@@ -42,43 +40,13 @@ const MAX_CHAIN: usize = 8;
 /// Per-function access cap, bounding summary growth on generated code.
 const MAX_ACCESSES: usize = 200;
 
-/// A file-wide variable access as seen from a function's entry, with
-/// every caller-side fact folded in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SummaryAccess {
-    /// The accessed variable (always file-wide).
-    pub var: VarKey,
-    /// Source spelling.
-    pub display: String,
-    /// Write vs read.
-    pub write: bool,
-    /// Performed through `sync/atomic`.
-    pub atomic: bool,
-    /// Locks in force at the access, including locks the call chain's
-    /// sites held (none survive a spawned hop).
-    pub locks: Lockset,
-    /// The access runs on a goroutine relative to the summarized function.
-    pub spawned: bool,
-    /// The spawn happened inside a loop (self-concurrent).
-    pub in_loop_spawn: bool,
-    /// The spawn point, in the summarized function's source, when spawned.
-    pub spawn_pos: Option<Pos>,
-    /// Locks held earlier on the chain but released before it was entered.
-    pub dropped: BTreeSet<VarKey>,
-    /// Call chain from the summarized function to the access, as `(callee,
-    /// call position)` hops (empty for the function's own accesses).
-    pub chain: Vec<(String, Pos)>,
-    /// Position of the access itself.
-    pub pos: Pos,
-    /// Name of the function that lexically contains the access.
-    pub func: String,
-}
-
 /// The bottom-up summary of one function.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuncSummary {
-    /// File-wide accesses reachable from this function, own and inherited.
-    pub accesses: Vec<SummaryAccess>,
+    /// File-wide accesses reachable from this function as seen from its
+    /// entry: its own, and its callees' with every call site's facts on
+    /// the way folded in.
+    pub accesses: Vec<Access>,
     /// Parameter indices launched as goroutines (transitively).
     pub spawns_params: BTreeSet<usize>,
     /// Parameter indices written through `m[k] = v`, serially.
@@ -93,20 +61,13 @@ pub struct FuncSummary {
 pub struct Summaries {
     /// One summary per CFG, aligned with the CFG list.
     pub funcs: Vec<FuncSummary>,
-    param_syms: Vec<Vec<Option<SymbolId>>>,
 }
 
 impl Summaries {
     /// Computes all summaries bottom-up over `cg`'s SCCs.
     #[must_use]
-    pub fn compute(file: &File, res: &Resolution, cfgs: &[FuncCfg], cg: &CallGraph) -> Summaries {
-        let param_syms = param_symbols(file, res);
-        let mut own = own_summaries(cfgs, &param_syms);
-        for pc in &cg.param_calls {
-            if pc.spawned {
-                own[pc.caller].spawns_params.insert(pc.param);
-            }
-        }
+    pub fn compute(cfgs: &[FuncCfg], flow: &Flow, cg: &CallGraph) -> Summaries {
+        let own = own_summaries(cfgs, flow);
         let mut funcs = own.clone();
 
         for scc in cg.sccs() {
@@ -117,7 +78,7 @@ impl Summaries {
                 for &f in &scc {
                     let mut next = own[f].clone();
                     for site in cg.sites_from(f) {
-                        incorporate(&mut next, site, &funcs[site.callee], cfgs, &param_syms);
+                        incorporate(&mut next, site, &funcs[site.callee], cfgs);
                     }
                     dedup_accesses(&mut next.accesses);
                     if next != funcs[f] {
@@ -131,75 +92,23 @@ impl Summaries {
             }
         }
 
-        Summaries { funcs, param_syms }
-    }
-
-    /// The parameter index of `sym` in function `func`, if it is one.
-    #[must_use]
-    pub fn param_index(&self, func: usize, sym: SymbolId) -> Option<usize> {
-        self.param_syms
-            .get(func)?
-            .iter()
-            .position(|p| *p == Some(sym))
+        Summaries { funcs }
     }
 }
 
-/// Parameter symbols per bodied function, in signature order.
-fn param_symbols(file: &File, res: &Resolution) -> Vec<Vec<Option<SymbolId>>> {
-    file.decls
-        .iter()
-        .filter_map(|d| match d {
-            Decl::Func(f) if f.body.is_some() => Some(
-                f.sig
-                    .params
-                    .iter()
-                    .map(|p| {
-                        res.symbols()
-                            .iter()
-                            .find(|s| {
-                                s.kind == SymbolKind::Param
-                                    && s.decl_pos == Some(f.pos)
-                                    && s.name == p.name
-                            })
-                            .map(|s| s.id)
-                    })
-                    .collect(),
-            ),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The call-free part of every summary: each function's own accesses and
-/// direct parameter effects.
-fn own_summaries(cfgs: &[FuncCfg], param_syms: &[Vec<Option<SymbolId>>]) -> Vec<FuncSummary> {
+/// The call-free part of every summary: each function's own file-wide
+/// accesses and direct parameter effects.
+fn own_summaries(cfgs: &[FuncCfg], flow: &Flow) -> Vec<FuncSummary> {
     let mut out = vec![FuncSummary::default(); cfgs.len()];
-    for a in lockset::collect_accesses(cfgs) {
-        if a.init {
-            continue;
-        }
+    for a in flow.accesses.iter().filter(|a| !a.init) {
         let s = &mut out[a.func_idx];
         if a.var.is_file_wide() {
-            let spawn_pos = cfgs[a.func_idx].contexts[a.ctx as usize].spawn_pos;
-            s.accesses.push(SummaryAccess {
-                var: a.var.clone(),
-                display: a.display.clone(),
-                write: a.write,
-                atomic: a.atomic,
-                locks: a.raw.clone(),
-                spawned: a.ctx != 0,
-                in_loop_spawn: a.ctx != 0 && a.ctx_in_loop,
-                spawn_pos,
-                dropped: BTreeSet::new(),
-                chain: Vec::new(),
-                pos: a.pos,
-                func: a.func.clone(),
-            });
+            s.accesses.push(a.clone());
         } else if a.write && a.indexed {
             // `m[k] = v` where m is a parameter: a map-write effect.
             if let VarRoot::Local(sym) = a.var.root {
-                if let Some(j) = param_syms[a.func_idx].iter().position(|p| *p == Some(sym)) {
-                    if a.ctx != 0 {
+                if let Some(j) = cfgs[a.func_idx].param_index(sym) {
+                    if a.spawned {
                         s.spawned_map_write_params.insert(j);
                     } else {
                         s.map_write_params.insert(j);
@@ -208,67 +117,39 @@ fn own_summaries(cfgs: &[FuncCfg], param_syms: &[Vec<Option<SymbolId>>]) -> Vec<
             }
         }
     }
-    out
-}
-
-fn union(a: &Lockset, b: &Lockset) -> Lockset {
-    let mut out = a.clone();
-    for (k, m) in b {
-        let e = out.entry(k.clone()).or_insert(*m);
-        if *m > *e {
-            *e = *m;
-        }
+    for pc in flow.param_calls.iter().filter(|pc| pc.spawned) {
+        out[pc.caller].spawns_params.insert(pc.param);
     }
     out
 }
 
 /// Folds one call site's view of the callee summary into `next`.
-fn incorporate(
-    next: &mut FuncSummary,
-    site: &CallSite,
-    callee: &FuncSummary,
-    cfgs: &[FuncCfg],
-    param_syms: &[Vec<Option<SymbolId>>],
-) {
+fn incorporate(next: &mut FuncSummary, site: &CallSite, callee: &FuncSummary, cfgs: &[FuncCfg]) {
     for a in &callee.accesses {
         if a.chain.len() >= MAX_CHAIN || next.accesses.len() >= MAX_ACCESSES * 2 {
             continue;
         }
-        // A spawned callee starts on a fresh goroutine: none of the
-        // caller's locks extend into it.
-        let locks = if site.spawned {
-            a.locks.clone()
+        let mut a = a.clone();
+        if site.spawned {
+            // A spawned callee starts on a fresh goroutine: none of the
+            // caller's locks extend into it.
+            a.spawn_pos = site.spawn_pos;
         } else {
-            union(&a.locks, &site.locks)
-        };
-        let spawned = a.spawned || site.spawned;
-        let spawn_pos = if site.spawned {
-            site.spawn_pos
-        } else if a.spawned {
-            // The callee spawns internally; from here, the spawn happens
-            // at the call site.
-            Some(site.pos)
-        } else {
-            None
-        };
-        let mut dropped = site.dropped.clone();
-        dropped.extend(a.dropped.iter().cloned());
-        let mut chain = vec![(cfgs[site.callee].func.clone(), site.pos)];
-        chain.extend(a.chain.iter().cloned());
-        next.accesses.push(SummaryAccess {
-            var: a.var.clone(),
-            display: a.display.clone(),
-            write: a.write,
-            atomic: a.atomic,
-            locks,
-            spawned,
-            in_loop_spawn: a.in_loop_spawn || (site.spawned && site.in_loop),
-            spawn_pos,
-            dropped,
-            chain,
-            pos: a.pos,
-            func: a.func.clone(),
-        });
+            for (lock, mode) in &site.locks {
+                lockset::hold(&mut a.locks, lock, *mode);
+            }
+            if a.spawned {
+                // The callee spawns internally; from here, the spawn
+                // happens at the call site.
+                a.spawn_pos = Some(site.pos);
+            }
+        }
+        a.spawned |= site.spawned;
+        a.in_loop_spawn |= site.spawned && site.in_loop;
+        a.dropped.extend(site.dropped.iter().cloned());
+        a.chain
+            .insert(0, (cfgs[site.callee].func.clone(), site.pos));
+        next.accesses.push(a);
     }
 
     // Parameter-to-parameter effect propagation: passing our own
@@ -277,7 +158,7 @@ fn incorporate(
         let VarRoot::Local(sym) = &key.root else {
             continue;
         };
-        let Some(j) = param_syms[site.caller].iter().position(|p| *p == Some(*sym)) else {
+        let Some(j) = cfgs[site.caller].param_index(*sym) else {
             continue;
         };
         if callee.spawns_params.contains(idx) {
@@ -298,7 +179,7 @@ fn incorporate(
 
 /// Keeps one access per `(var, pos, write, atomic, locks, spawned)` — the
 /// one with the shortest chain — in a deterministic order.
-fn dedup_accesses(accesses: &mut Vec<SummaryAccess>) {
+fn dedup_accesses(accesses: &mut Vec<Access>) {
     accesses.sort_by(|x, y| {
         (&x.var, x.pos, x.write, x.atomic, &x.locks, x.spawned, x.chain.len(), &x.chain).cmp(&(
             &y.var,
@@ -343,7 +224,7 @@ pub fn interproc_findings(
     // GR015: a closure capturing a loop variable (or `err`) passed to a
     // helper that launches it on a goroutine — the capture escapes the
     // iteration exactly like a direct `go func(){...}()` would.
-    for site in &cg.sites {
+    for site in cg.sites {
         for (idx, lit_pos) in &site.closure_args {
             if !sums.funcs[site.callee].spawns_params.contains(idx) {
                 continue;
@@ -377,7 +258,7 @@ pub fn interproc_findings(
     // GR017: handing a map we own to a callee that fills it from spawned
     // goroutines. Reported at the owner only — a callee passing its own
     // parameter along propagates the effect instead.
-    for site in &cg.sites {
+    for site in cg.sites {
         for (idx, key, disp) in &site.var_args {
             if !sums.funcs[site.callee]
                 .spawned_map_write_params
@@ -386,7 +267,7 @@ pub fn interproc_findings(
                 continue;
             }
             if let VarRoot::Local(sym) = &key.root {
-                if sums.param_index(site.caller, *sym).is_some() {
+                if cfgs[site.caller].param_index(*sym).is_some() {
                     continue;
                 }
             }
@@ -413,7 +294,7 @@ pub fn interproc_findings(
 
     // Group rules over root-expanded accesses: every analysis root
     // contributes the accesses reachable from it, with chain context.
-    let mut groups: BTreeMap<VarKey, Vec<(usize, &SummaryAccess)>> = BTreeMap::new();
+    let mut groups: BTreeMap<VarKey, Vec<(usize, &Access)>> = BTreeMap::new();
     for &r in &cg.roots() {
         for a in &sums.funcs[r].accesses {
             groups.entry(a.var.clone()).or_default().push((r, a));
@@ -445,11 +326,11 @@ pub fn interproc_findings(
             continue;
         }
 
-        let guarded: Vec<&(usize, &SummaryAccess)> = accs
+        let guarded: Vec<&(usize, &Access)> = accs
             .iter()
             .filter(|(_, a)| !effective(&a.locks, a.write).is_empty())
             .collect();
-        let mut unguarded: Vec<&(usize, &SummaryAccess)> = accs
+        let mut unguarded: Vec<&(usize, &Access)> = accs
             .iter()
             .filter(|(_, a)| effective(&a.locks, a.write).is_empty())
             .collect();
@@ -584,11 +465,7 @@ pub fn interproc_findings(
 }
 
 /// The root function a chained access was expanded from, for reporting.
-fn chain_root_func(
-    cfgs: &[FuncCfg],
-    accs: &[(usize, &SummaryAccess)],
-    target: &SummaryAccess,
-) -> String {
+fn chain_root_func(cfgs: &[FuncCfg], accs: &[(usize, &Access)], target: &Access) -> String {
     accs.iter()
         .find(|(_, a)| std::ptr::eq(*a, target))
         .map_or_else(|| target.func.clone(), |(r, _)| cfgs[*r].func.clone())
@@ -623,8 +500,9 @@ mod tests {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfgs = build_file(&file, &res);
-        let cg = CallGraph::build(&cfgs);
-        let sums = Summaries::compute(&file, &res, &cfgs, &cg);
+        let flow = lockset::flow(&cfgs);
+        let cg = CallGraph::build(cfgs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfgs, &flow, &cg);
         let mhp = Mhp::build(&file);
         interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new())
             .into_iter()
@@ -696,8 +574,9 @@ func Run() {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfgs = build_file(&file, &res);
-        let cg = CallGraph::build(&cfgs);
-        let sums = Summaries::compute(&file, &res, &cfgs, &cg);
+        let flow = lockset::flow(&cfgs);
+        let cg = CallGraph::build(cfgs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfgs, &flow, &cg);
         // sum's summary holds its own write plus the one-hop recursive
         // copy, never an unbounded chain.
         assert!(sums.funcs[0].accesses.iter().all(|a| a.chain.len() <= 2));
@@ -756,8 +635,9 @@ func put(m map[string]int, k string) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfgs = build_file(&file, &res);
-        let cg = CallGraph::build(&cfgs);
-        let sums = Summaries::compute(&file, &res, &cfgs, &cg);
+        let flow = lockset::flow(&cfgs);
+        let cg = CallGraph::build(cfgs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfgs, &flow, &cg);
         assert!(sums.funcs[0].spawns_params.contains(&0), "direct spawn");
         assert!(sums.funcs[1].spawns_params.contains(&0), "transitive spawn");
         assert!(sums.funcs[3].map_write_params.contains(&0), "put writes m");

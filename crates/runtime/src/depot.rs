@@ -200,22 +200,6 @@ impl StackDepot {
         Stack::from_frames(frames)
     }
 
-    /// The function names of stack `id`, root first — the line-number-free
-    /// projection the dedup fingerprint hashes (§3.3.1).
-    #[must_use]
-    pub fn func_names(&self, id: StackId) -> Vec<Arc<str>> {
-        let d = self.lock();
-        let mut names = Vec::with_capacity(parent_depth(&d, id));
-        let mut cur = id;
-        while !cur.is_empty() {
-            let node = &d.nodes[cur.0 as usize - 1];
-            names.push(node.func.clone());
-            cur = node.parent;
-        }
-        names.reverse();
-        names
-    }
-
     /// Distinct stacks currently interned.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -305,10 +289,6 @@ mod tests {
         let s = depot.resolve(b);
         assert_eq!(s.func_names(), vec!["main", "ProcessAll"]);
         assert_eq!(s.frames()[1].call_line, 7);
-        assert_eq!(
-            depot.func_names(b).iter().map(AsRef::as_ref).collect::<Vec<_>>(),
-            vec!["main", "ProcessAll"]
-        );
         assert!(depot.resolve(StackId::EMPTY).is_empty());
     }
 

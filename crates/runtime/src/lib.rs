@@ -97,7 +97,7 @@ pub use depot::{DepotStats, StackDepot, StackId};
 pub use event::{AccessKind, Event, Frame, SourceLoc, Stack};
 pub use gomap::GoMap;
 pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
-pub use monitor::{Monitor, MonitorStats, NullMonitor, ObsMonitor, RecordingMonitor, TraceHasher};
+pub use monitor::{Monitor, MonitorStats, NullMonitor, RecordingMonitor, TraceHasher};
 pub use runtime::{calibrate_steps, Program, RunConfig, RunOutcome, Runtime, RuntimeError};
 pub use sched::{
     GuidedPolicy, PctPolicy, RandomPolicy, RoundRobinPolicy, ScheduleDecision, SchedulePolicy,

@@ -2,10 +2,10 @@
 //!
 //! The runtime emits a totally ordered [`Event`] stream while the program
 //! executes; a monitor consumes it. Race detectors (`grs-detector`) are
-//! monitors, but so are simple recorders and counters used in tests and in
-//! the instrumentation-overhead experiment (§3.5 reports a 4× test-time
-//! increase with the detector on; our overhead bench compares
-//! [`NullMonitor`] against a real detector).
+//! monitors, but so are the recorder and the stream hasher used in tests and
+//! the no-op baseline of the instrumentation-overhead experiment (§3.5
+//! reports a 4× test-time increase with the detector on; the benchmark
+//! compares [`NullMonitor`] against a real detector).
 
 use grs_obs::Fnv1a;
 
@@ -161,33 +161,6 @@ impl Monitor for RecordingMonitor {
     }
 }
 
-/// A monitor that only counts events — cheap enough for overhead baselines
-/// that still exercise the dispatch path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingMonitor {
-    count: u64,
-}
-
-impl CountingMonitor {
-    /// Creates a zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events observed.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl Monitor for CountingMonitor {
-    fn on_event(&mut self, _event: &Event) {
-        self.count += 1;
-    }
-}
-
 /// A monitor that folds the event stream into a single `u64` digest.
 ///
 /// Two runs produce the same digest iff they emitted the same event
@@ -254,93 +227,6 @@ impl Monitor for TraceHasher {
         // FNV-1a combine step over the per-event hashes.
         self.digest.write(&h.finish().to_le_bytes());
         self.events += 1;
-    }
-}
-
-/// A monitor adapter that reports its inner monitor's activity into an
-/// [`ObsSink`](grs_obs::ObsSink) at the end of every run — the literal
-/// "monitors report into the observability layer" hookup. The inner
-/// monitor's behavior (event handling, noop-ness, shadow accounting) is
-/// forwarded unchanged, so wrapping never perturbs detection results.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use grs_obs::MetricsRegistry;
-/// use grs_runtime::{ObsMonitor, Program, RunConfig, Runtime, TraceHasher};
-///
-/// let registry = Arc::new(MetricsRegistry::new());
-/// let p = Program::new("one_write", |ctx| {
-///     let x = ctx.cell("x", 0i64);
-///     ctx.write(&x, 1);
-/// });
-/// let monitor = ObsMonitor::new(TraceHasher::new(), registry.clone());
-/// let (_, m) = Runtime::new(RunConfig::with_seed(1)).run(&p, monitor);
-/// assert!(m.into_inner().events() > 0);
-/// assert!(registry.snapshot().counter("monitor.events") > 0);
-/// ```
-pub struct ObsMonitor<M> {
-    inner: M,
-    sink: std::sync::Arc<dyn grs_obs::ObsSink>,
-    events: u64,
-}
-
-impl<M: std::fmt::Debug> std::fmt::Debug for ObsMonitor<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObsMonitor")
-            .field("inner", &self.inner)
-            .field("events", &self.events)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M: Monitor> ObsMonitor<M> {
-    /// Wraps `inner`, reporting into `sink` on every run end.
-    pub fn new(inner: M, sink: std::sync::Arc<dyn grs_obs::ObsSink>) -> Self {
-        ObsMonitor {
-            inner,
-            sink,
-            events: 0,
-        }
-    }
-
-    /// The wrapped monitor, by reference.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Unwraps the inner monitor.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-}
-
-impl<M: Monitor> Monitor for ObsMonitor<M> {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        self.events = 0;
-        self.inner.on_run_start(depot);
-    }
-
-    fn on_event(&mut self, event: &Event) {
-        self.events += 1;
-        self.inner.on_event(event);
-    }
-
-    fn on_run_end(&mut self) {
-        self.inner.on_run_end();
-        self.sink.add("monitor.runs", 1);
-        self.sink.add("monitor.events", self.events);
-        self.sink
-            .gauge_max("monitor.shadow_words", self.inner.shadow_words() as u64);
-    }
-
-    fn is_noop(&self) -> bool {
-        self.inner.is_noop()
-    }
-
-    fn shadow_words(&self) -> usize {
-        self.inner.shadow_words()
     }
 }
 

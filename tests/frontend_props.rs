@@ -2,9 +2,9 @@
 //!
 //! The generator in `grs::corpus::gogen` emits arbitrary-but-valid Go-lite
 //! monorepos; every stage of the frontend pipeline — parse, resolve, CFG
-//! construction, call-graph + SCCs, interprocedural lint — must accept that
-//! output without panicking, and the corpus-level lint report must be
-//! byte-deterministic so the CI benchmark artifact is stable.
+//! construction, flow table, call-graph + SCCs, interprocedural lint — must
+//! accept that output without panicking, and the corpus-level lint report
+//! must be byte-deterministic so the CI benchmark artifact is stable.
 //!
 //! These use the vendored `rand` stub (`crates/randlite`), so they run in
 //! tier-1 without registry access — unlike the `props`-gated proptest
@@ -19,7 +19,7 @@ use grs::golite::callgraph::CallGraph;
 use grs::golite::lexer::tokenize;
 use grs::golite::token::{Keyword, Tok};
 use grs::golite::{
-    cfg, lint_file, mhp::Mhp, parse_file, resolve_file, scan_file, summary::Summaries,
+    cfg, lint_file, lockset, mhp::Mhp, parse_file, resolve_file, scan_file, summary::Summaries,
 };
 use grs::patterns::gosrc::renditions;
 
@@ -38,7 +38,8 @@ fn drawn_corpora(meta_seed: u64, n: usize) -> Vec<(GoCorpusSpec, u64)> {
 }
 
 /// Every frontend stage accepts every generated file without panicking:
-/// parse → resolve → CFG → call graph (+ SCCs, summaries, MHP) → lint.
+/// parse → resolve → CFG → flow table → call graph (+ SCCs, summaries, MHP)
+/// → lint.
 #[test]
 fn frontend_pipeline_never_panics_on_generated_sources() {
     for (spec, seed) in drawn_corpora(0xC0FFEE, 6) {
@@ -49,7 +50,8 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
                 .unwrap_or_else(|e| panic!("seed {seed} {path}: parse error {e}"));
             let res = resolve_file(&file);
             let cfgs = cfg::build_file(&file, &res);
-            let cg = CallGraph::build(&cfgs);
+            let flow = lockset::flow(&cfgs);
+            let cg = CallGraph::build(cfgs.len(), &flow.sites);
             let sccs = cg.sccs();
             let reachable: usize = sccs.iter().map(Vec::len).sum();
             assert_eq!(
@@ -57,7 +59,7 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
                 cfgs.len(),
                 "seed {seed} {path}: SCCs must partition the functions"
             );
-            let _sums = Summaries::compute(&file, &res, &cfgs, &cg);
+            let _sums = Summaries::compute(&cfgs, &flow, &cg);
             let _mhp = Mhp::build(&file);
             let _findings = lint_file(&file);
         }
