@@ -34,6 +34,8 @@
 //! assert!(ca.happens_before(&cb));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod epoch;
 pub mod lockset;
 pub mod vc;

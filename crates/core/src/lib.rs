@@ -30,6 +30,8 @@
 //! println!("{}", result.unique_races[0]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use grs_clock as clock;
 pub use grs_corpus as corpus;
 pub use grs_deploy as deploy;

@@ -27,6 +27,8 @@
 //! assert!(table.p2p_ratio() > 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gogen;
 pub mod golint;
 pub mod javagen;

@@ -30,6 +30,8 @@
 //! assert!(result.total_fixed >= 700, "paper: 1011 fixed");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assignee;
 pub mod batch;
 pub mod dedup;

@@ -43,6 +43,8 @@
 //! assert!(result.found_race(), "the capture race must be detected");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod eraser;
 pub mod explorer;

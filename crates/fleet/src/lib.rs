@@ -31,6 +31,8 @@
 //! assert!(result.detection_rate() > 0.0, "the racy patterns must fire");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod census;
 pub mod dedup;

@@ -61,6 +61,8 @@
 //! assert!(findings.iter().any(|f| f.rule == lint::Rule::LoopVarCapture));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod callgraph;
 pub mod cfg;

@@ -222,6 +222,13 @@ enum Flow {
 
 type EResult<T> = Result<T, InterpError>;
 
+/// Machine stack a Go call must find free (see [`Ctx::stack_headroom`]):
+/// room for one call's worth of evaluator frames — several times larger in
+/// a debug build — plus the kernel, a monitor and the panic that reports
+/// the error. The Go depth this allows therefore depends on the build
+/// profile; within one binary it is the same on every goroutine.
+const STACK_RED_ZONE: usize = 256 << 10;
+
 /// A call whose callee and arguments were evaluated eagerly (the `go` /
 /// `defer` rule) but whose invocation is postponed.
 enum PreparedCall {
@@ -356,6 +363,15 @@ impl<'c> Rt<'c> {
     // ---- function calls ----
 
     fn call_function(&self, fv: &FuncValue, args: Vec<Value>) -> EResult<Vec<Value>> {
+        // The evaluator recurses on the machine stack once per Go call, and
+        // running off a goroutine's stack kills the process: runaway
+        // recursion fails the goroutine instead.
+        if self.ctx.stack_headroom() < STACK_RED_ZONE {
+            return Err(InterpError::plain(format!(
+                "stack overflow: goroutine stack exhausted calling {}",
+                fv.name
+            )));
+        }
         let _frame = self.ctx.frame(&fv.name);
         let fenv = fv.env.child();
         if let Some((name, _is_ptr, value)) = &fv.receiver {

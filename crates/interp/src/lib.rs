@@ -58,6 +58,8 @@
 //! let _maybe_race = tsan.reports();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod interp;
 pub mod value;

@@ -42,6 +42,8 @@
 //! assert!(report.to_json().contains("\"schema_version\":1"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hash;
 pub mod registry;
 pub mod report;

@@ -32,6 +32,8 @@
 //! assert!(result.found_race());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod byvalue;
 pub mod capture;
 pub mod extra;

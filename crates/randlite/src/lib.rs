@@ -10,6 +10,8 @@
 //! differ from the real crate, but every consumer in this repository only
 //! relies on determinism-per-seed, not on a specific stream.
 
+#![forbid(unsafe_code)]
+
 /// Uniform sampling from a half-open range, implemented per primitive type.
 pub trait SampleUniform: Sized {
     /// Draws a value in `[lo, hi)` from `rng`.

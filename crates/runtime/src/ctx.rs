@@ -20,11 +20,17 @@ use crate::kernel::Kernel;
 pub struct Ctx {
     gid: Gid,
     kernel: Arc<Kernel>,
+    /// Lowest usable address of this goroutine's machine stack.
+    stack_floor: usize,
 }
 
 impl Ctx {
-    pub(crate) fn new(gid: Gid, kernel: Arc<Kernel>) -> Self {
-        Ctx { gid, kernel }
+    pub(crate) fn new(gid: Gid, kernel: Arc<Kernel>, stack_floor: usize) -> Self {
+        Ctx {
+            gid,
+            kernel,
+            stack_floor,
+        }
     }
 
     /// The goroutine this context belongs to.
@@ -35,6 +41,22 @@ impl Ctx {
 
     pub(crate) fn kernel(&self) -> &Arc<Kernel> {
         &self.kernel
+    }
+
+    /// Bytes of machine stack left at the point of the call before this
+    /// goroutine's guard page (no lock, no scheduling step).
+    ///
+    /// Every goroutine, main included, runs on a 2 MiB stack of its own,
+    /// and running off it kills the process. An evaluator that recurses on
+    /// behalf of the simulated program (`grs-interp` does, once per Go
+    /// call) checks this before going deeper and fails the goroutine
+    /// instead. How many of its frames fit is a property of the build
+    /// profile — debug frames are several times larger — not of the
+    /// program or the caller's thread.
+    #[must_use]
+    pub fn stack_headroom(&self) -> usize {
+        let here = 0u8;
+        (std::ptr::addr_of!(here) as usize).saturating_sub(self.stack_floor)
     }
 
     /// Launches `body` as a new goroutine (Go's `go` statement) and returns

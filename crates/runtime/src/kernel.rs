@@ -6,6 +6,14 @@
 //! scheduling randomness flows through one seeded RNG, so the interleaving —
 //! and therefore which races fire — is a deterministic function of the seed.
 //!
+//! Every goroutine of a run, main included, is a machine stack of its own
+//! (`coro.rs`) on the OS thread that called [`Runtime::run`](crate::Runtime::run);
+//! passing the token is a user-space stack switch at the end of
+//! `Kernel::hand_off` and `Kernel::finish`. `Kernel::drive` switches from
+//! the caller's stack to main's, gets control back when the run is over, and
+//! unwinds whatever an aborted run left suspended. DESIGN.md §4 decision 1
+//! holds the invariants.
+//!
 //! Blocking operations (channel send/receive, mutex lock, `WaitGroup.Wait`)
 //! all block in `Kernel::block_on` (the crate docs describe the seam).
 //! Wakers mark waiters runnable but never transfer control directly; the
@@ -21,11 +29,12 @@
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::coro::{self, Coro, SavedSp};
 use crate::ctx::Ctx;
 use crate::depot::{StackDepot, StackId};
 use crate::event::{AccessKind, Event, EventKind, LockMode};
@@ -88,7 +97,9 @@ enum GState {
     Finished,
 }
 
-#[derive(Debug)]
+/// A goroutine body as the kernel keeps it until the goroutine's first step.
+pub(crate) type Body = Box<dyn FnOnce(&Ctx) + Send>;
+
 struct Goroutine {
     name: Arc<str>,
     state: GState,
@@ -96,29 +107,13 @@ struct Goroutine {
     /// frame push interns one child node, frame pop walks one parent edge,
     /// and the per-access "snapshot" is a `u32` copy.
     stack: StackId,
-}
-
-/// The per-goroutine token gate: a binary semaphore.
-#[derive(Debug, Default)]
-pub(crate) struct Gate {
-    token: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn hand(&self) {
-        let mut t = self.token.lock().unwrap_or_else(|e| e.into_inner());
-        *t = true;
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) {
-        let mut t = self.token.lock().unwrap_or_else(|e| e.into_inner());
-        while !*t {
-            t = self.cv.wait(t).unwrap_or_else(|e| e.into_inner());
-        }
-        *t = false;
-    }
+    /// The body, until [`goroutine_entry`] takes it on the goroutine's
+    /// first step. An aborted run can end with it still here (the goroutine
+    /// was never scheduled); it then drops with the kernel.
+    body: Option<Body>,
+    /// The machine stack, from spawn until the goroutine exits (when it
+    /// moves to `KState::exited`).
+    coro: Option<Coro>,
 }
 
 /// Panic payload used to unwind goroutine bodies when the run aborts
@@ -220,7 +215,18 @@ pub(crate) struct KState {
     pub rng: StdRng,
     sched: Scheduler,
     goroutines: Vec<Goroutine>,
-    gates: Vec<Arc<Gate>>,
+    /// The goroutines in state `Runnable`, in gid order — the candidate
+    /// slice every pick sees, kept up to date at each state transition.
+    runnable: Vec<Gid>,
+    /// The goroutine holding the token.
+    current: Gid,
+    /// The suspended caller of [`Kernel::drive`]: where control goes when
+    /// the run is over (and after each goroutine `drive` unwinds).
+    driver: SavedSp,
+    /// Stack of the goroutine that exited last. It made its final switch
+    /// *on* that stack, so the stack is given back one exit later (or with
+    /// the kernel).
+    exited: Option<Coro>,
     pub step: u64,
     max_steps: u64,
     next_id: u64,
@@ -229,7 +235,6 @@ pub(crate) struct KState {
     pub wgs: HashMap<u64, WgState>,
     pub onces: HashMap<u64, OnceSlot>,
     aborting: bool,
-    run_finished: bool,
     live: usize,
     /// Events actually handed to the monitor (excludes scheduler-only steps).
     events_dispatched: u64,
@@ -243,13 +248,13 @@ pub(crate) struct KState {
     pub deadlock: Option<DeadlockInfo>,
     pub leaked: Vec<(Gid, String)>,
     pub spawned_total: usize,
-    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// The shared kernel: one per run.
 pub struct Kernel {
     state: Mutex<KState>,
-    run_done: Condvar,
+    /// The OS thread the run lives on (see [`thread_token`]).
+    thread: usize,
     /// Fast-path flag mirrored from `KState::aborting` so hot paths can
     /// bail without the lock.
     poisoned: AtomicBool,
@@ -280,7 +285,10 @@ impl Kernel {
             rng,
             sched,
             goroutines: Vec::new(),
-            gates: Vec::new(),
+            runnable: Vec::new(),
+            current: Gid::MAIN,
+            driver: SavedSp::EMPTY,
+            exited: None,
             step: 0,
             max_steps: config.max_steps,
             next_id: 1,
@@ -289,7 +297,6 @@ impl Kernel {
             wgs: HashMap::new(),
             onces: HashMap::new(),
             aborting: false,
-            run_finished: false,
             live: 0,
             events_dispatched: 0,
             coverage: 0xcbf2_9ce4_8422_2325,
@@ -298,16 +305,16 @@ impl Kernel {
             deadlock: None,
             leaked: Vec::new(),
             spawned_total: 0,
-            threads: Vec::new(),
         };
-        // Register the main goroutine (runs inline on the caller thread and
-        // implicitly holds the token).
+        // Register the main goroutine: it holds the token from the start
+        // and gets its body and stack in `drive`.
         state.goroutines.push(Goroutine {
             name: Arc::from("main"),
             state: GState::Running,
             stack: depot.push(StackId::EMPTY, "main", 0),
+            body: None,
+            coro: None,
         });
-        state.gates.push(Arc::new(Gate::default()));
         state.live = 1;
         state.spawned_total = 1;
         {
@@ -324,14 +331,24 @@ impl Kernel {
             .is_some_and(|m| m.is_noop());
         Arc::new(Kernel {
             state: Mutex::new(state),
-            run_done: Condvar::new(),
+            thread: thread_token(),
             poisoned: AtomicBool::new(false),
             noop_monitor,
             depot,
         })
     }
 
+    /// The kernel state, for the run's own OS thread only: `Ctx` is `Sync`,
+    /// but a `&Ctx` lent to another thread must not move the token (the
+    /// stacks it would switch may hold values that cannot change threads)
+    /// nor touch the state while a switch on the run's thread is saving
+    /// into it.
     pub(crate) fn lock(&self) -> MutexGuard<'_, KState> {
+        assert_eq!(
+            thread_token(),
+            self.thread,
+            "a goroutine's Ctx was used on an OS thread other than the one running it"
+        );
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -387,21 +404,36 @@ impl Kernel {
         }
     }
 
-    fn runnable(k: &KState) -> Vec<Gid> {
-        k.goroutines
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.state == GState::Runnable)
-            .map(|(i, _)| Gid(i as u32))
-            .collect()
+    /// Moves `gid` (running or blocked) to `Runnable`, keeping the
+    /// candidate slice in gid order.
+    fn make_runnable(k: &mut KState, gid: Gid) {
+        k.goroutines[gid.index()].state = GState::Runnable;
+        let at = k.runnable.partition_point(|&g| g < gid);
+        k.runnable.insert(at, gid);
+    }
+
+    /// Lets the strategy pick among the runnable goroutines (there is one)
+    /// and gives the pick the token.
+    fn pick_next(k: &mut KState, current: Option<Gid>) -> Gid {
+        let KState {
+            ref mut sched,
+            ref mut rng,
+            ref mut runnable,
+            ..
+        } = *k;
+        let next = sched.pick(runnable, current, rng);
+        let at = runnable.partition_point(|&g| g < next);
+        runnable.remove(at);
+        k.goroutines[next.index()].state = GState::Running;
+        k.current = next;
+        next
     }
 
     /// Marks a blocked goroutine runnable (no-op otherwise). Spurious wakes
     /// are safe: a woken goroutine runs its attempt again.
     pub(crate) fn wake(k: &mut KState, gid: Gid) {
-        let g = &mut k.goroutines[gid.index()];
-        if matches!(g.state, GState::Blocked(_)) {
-            g.state = GState::Runnable;
+        if matches!(k.goroutines[gid.index()].state, GState::Blocked(_)) {
+            Self::make_runnable(k, gid);
         }
     }
 
@@ -425,7 +457,7 @@ impl Kernel {
             drop(k);
             panic::panic_any(PoisonExit);
         }
-        k.goroutines[gid.index()].state = GState::Runnable;
+        Self::make_runnable(&mut k, gid);
         drop(self.hand_off(k, gid));
     }
 
@@ -463,34 +495,42 @@ impl Kernel {
     /// the strategy's pick among the runnable goroutines, and returns with
     /// the lock re-held once the token is back (at once when the pick is
     /// `gid` itself).
+    #[allow(unsafe_code)]
     fn hand_off<'a>(&'a self, mut k: MutexGuard<'a, KState>, gid: Gid) -> MutexGuard<'a, KState> {
-        let candidates = Self::runnable(&k);
-        if candidates.is_empty() {
+        if k.runnable.is_empty() {
             // Nothing can run: deadlock (main blocked too) or leak.
             self.stall(&mut k);
             drop(k);
             panic::panic_any(PoisonExit);
         }
-        let next = {
-            let KState {
-                ref mut sched,
-                ref mut rng,
-                ..
-            } = *k;
-            sched.pick(&candidates, Some(gid), rng)
-        };
-        k.goroutines[next.index()].state = GState::Running;
+        let next = Self::pick_next(&mut k, Some(gid));
         if next == gid {
             return k;
         }
-        let next_gate = k.gates[next.index()].clone();
-        let my_gate = k.gates[gid.index()].clone();
+        let to = Self::coro(&mut k, next).saved();
+        let from = Self::coro(&mut k, gid).save_slot();
+        // Every goroutine shares this OS thread: a guard held across the
+        // switch would deadlock the next goroutine's `lock()`.
         drop(k);
-        next_gate.hand();
-        my_gate.wait();
+        // SAFETY: `from` is `gid`'s own slot, written inside the call before
+        // anything else can touch the kernel state: `lock` admits only the
+        // run's own thread, which is this one and is busy here. For the
+        // same reason `to` stays on the thread it was suspended on. `to` is
+        // live and suspended: `next` was runnable, so it is not running, and
+        // its stack is mapped because a `Coro` leaves `Goroutine::coro` only
+        // when its goroutine exits, after which it is never runnable again.
+        unsafe { coro::switch(from, to) };
         let k = self.lock();
         self.check_abort(&k);
         k
+    }
+
+    /// The machine context of a goroutine that has not exited.
+    fn coro(k: &mut KState, gid: Gid) -> &mut Coro {
+        k.goroutines[gid.index()]
+            .coro
+            .as_mut()
+            .expect("a goroutine keeps its stack until it exits")
     }
 
     fn check_abort(&self, k: &KState) {
@@ -528,24 +568,20 @@ impl Kernel {
         self.abort_run(k);
     }
 
-    /// Sets the abort flag, wakes every gate so parked threads can unwind,
-    /// and signals run completion.
+    /// Sets the abort flag: from here on every goroutine that gets control
+    /// unwinds (`check_abort`, `yield_point`) — the running one now, the
+    /// suspended ones when [`Kernel::drive`] resumes them.
     fn abort_run(&self, k: &mut KState) {
         k.aborting = true;
-        k.run_finished = true;
         self.poisoned.store(true, Ordering::Relaxed);
-        for gate in &k.gates {
-            gate.hand();
-        }
-        self.run_done.notify_all();
     }
 
-    /// Registers a new goroutine and spawns its OS thread.
+    /// Registers a new goroutine on a stack of its own.
     pub(crate) fn spawn_goroutine(
         self: &Arc<Self>,
         parent: Gid,
         name: Arc<str>,
-        body: Box<dyn FnOnce(&Ctx) + Send>,
+        body: Body,
     ) -> Gid {
         let child;
         {
@@ -555,8 +591,10 @@ impl Kernel {
                 name: name.clone(),
                 state: GState::Runnable,
                 stack: self.depot.push(StackId::EMPTY, &name, 0),
+                body: Some(body),
+                coro: Some(self.new_coro()),
             });
-            k.gates.push(Arc::new(Gate::default()));
+            Self::make_runnable(&mut k, child);
             k.live += 1;
             k.spawned_total += 1;
             {
@@ -575,99 +613,109 @@ impl Kernel {
                     name: name.clone(),
                 },
             );
-            let kernel = Arc::clone(self);
-            let gate = k.gates[child.index()].clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("{name}-{child}"))
-                .spawn(move || {
-                    gate.wait();
-                    if kernel.poisoned.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let ctx = Ctx::new(child, Arc::clone(&kernel));
-                    let result =
-                        panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                    match result {
-                        Ok(()) => kernel.finish(child, None),
-                        Err(payload) => {
-                            if payload.downcast_ref::<PoisonExit>().is_some() {
-                                // Run is aborting; exit silently.
-                            } else {
-                                let msg = panic_message(&*payload);
-                                kernel.finish(child, Some(msg));
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn goroutine thread");
-            k.threads.push(handle);
         }
         // Give the child a chance to run immediately, per the strategy.
         self.yield_point(parent);
         child
     }
 
-    /// Marks `gid` finished and passes the token onward (or ends the run).
-    pub(crate) fn finish(&self, gid: Gid, panic_msg: Option<String>) {
-        let mut k = self.lock();
-        if k.aborting {
-            return;
-        }
-        if let Some(msg) = panic_msg {
-            let name = k.goroutines[gid.index()].name.to_string();
-            k.errors.push(RuntimeError::GoroutinePanic {
-                goroutine: name,
-                message: msg,
-            });
-        }
-        k.goroutines[gid.index()].state = GState::Finished;
-        k.live -= 1;
-        self.emit_locked(&mut k, gid, EventKind::GoroutineEnd);
-        if k.live == 0 {
-            k.run_finished = true;
-            self.run_done.notify_all();
-            return;
-        }
-        let candidates = Self::runnable(&k);
-        if candidates.is_empty() {
-            // Everyone left is blocked.
-            self.stall(&mut k);
-            return;
-        }
-        let next = {
-            let KState {
-                ref mut sched,
-                ref mut rng,
-                ..
-            } = *k;
-            sched.pick(&candidates, None, rng)
-        };
-        k.goroutines[next.index()].state = GState::Running;
-        let gate = k.gates[next.index()].clone();
-        drop(k);
-        gate.hand();
+    /// A fresh machine context that will run [`goroutine_entry`] for
+    /// whichever goroutine holds the token when it is first switched to.
+    fn new_coro(self: &Arc<Self>) -> Coro {
+        Coro::new(goroutine_entry, Arc::as_ptr(self).cast())
     }
 
-    /// Called by the run driver after the main body returned: finishes main
-    /// and blocks until every other goroutine finishes (or the run aborts).
-    pub(crate) fn main_finished_and_wait(&self, panicked: Option<String>) {
-        self.finish(Gid::MAIN, panicked);
+    /// Marks `gid` finished and passes the token onward, or — the run is
+    /// over, stalled or aborting — gives control back to [`Kernel::drive`].
+    /// Called on `gid`'s own stack with nothing left on it to drop: that
+    /// stack is never resumed.
+    #[allow(unsafe_code)]
+    fn finish(&self, gid: Gid, panic_msg: Option<String>) -> ! {
         let mut k = self.lock();
-        while !k.run_finished {
-            k = self
-                .run_done
-                .wait(k)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(k);
-        // Join all goroutine threads so no detached thread outlives the run.
-        let handles = {
-            let mut k = self.lock();
-            std::mem::take(&mut k.threads)
+        let next = 'next: {
+            if k.aborting {
+                drop(panic_msg);
+                break 'next None;
+            }
+            if let Some(msg) = panic_msg {
+                let name = k.goroutines[gid.index()].name.to_string();
+                k.errors.push(RuntimeError::GoroutinePanic {
+                    goroutine: name,
+                    message: msg,
+                });
+            }
+            k.goroutines[gid.index()].state = GState::Finished;
+            k.live -= 1;
+            self.emit_locked(&mut k, gid, EventKind::GoroutineEnd);
+            if k.live == 0 {
+                break 'next None;
+            }
+            if k.runnable.is_empty() {
+                // Everyone left is blocked.
+                self.stall(&mut k);
+                break 'next None;
+            }
+            Some(Self::pick_next(&mut k, None))
         };
-        for h in handles {
-            let _ = h.join();
+        let to = match next {
+            Some(next) => Self::coro(&mut k, next).saved(),
+            None => k.driver,
+        };
+        // This stack is still in use until the switch below; park it where
+        // the next exit (or the kernel's drop) gives it back.
+        k.exited = k.goroutines[gid.index()].coro.take();
+        drop(k);
+        let mut never_resumed = SavedSp::EMPTY;
+        // SAFETY: `from` is a live local. `to` is suspended and its stack
+        // mapped: a picked goroutine for the reason given in `hand_off`; the
+        // driver because `drive` is suspended in its own `switch` for as
+        // long as any goroutine runs.
+        unsafe { coro::switch(&mut never_resumed, to) };
+        unreachable!("an exited goroutine was resumed");
+    }
+
+    /// Runs the program: switches to main (goroutine 0, on a stack of its
+    /// own like every other) and returns when the run is over — cleanly,
+    /// or aborted by a deadlock, a leak or the step budget. An aborted run
+    /// leaves goroutines suspended mid-body; each is resumed once so that
+    /// `check_abort` unwinds it and what it captured is dropped. Bodies
+    /// that never started, and all stacks, drop with the kernel.
+    pub(crate) fn drive(self: &Arc<Self>, main_body: Body) {
+        {
+            let mut k = self.lock();
+            let main = &mut k.goroutines[Gid::MAIN.index()];
+            main.body = Some(main_body);
+            main.coro = Some(self.new_coro());
         }
+        self.resume(Gid::MAIN);
+        // Started (the body is taken) and not exited (the stack is kept).
+        let suspended: Vec<Gid> = (0..)
+            .map(Gid)
+            .zip(&self.lock().goroutines)
+            .filter(|(_, g)| g.body.is_none() && g.coro.is_some())
+            .map(|(gid, _)| gid)
+            .collect();
+        for gid in suspended {
+            self.resume(gid);
+        }
+    }
+
+    /// Switches from the driver's stack to `gid` and returns when
+    /// [`Kernel::finish`] switches back.
+    #[allow(unsafe_code)]
+    fn resume(&self, gid: Gid) {
+        let mut k = self.lock();
+        k.current = gid;
+        let to = Self::coro(&mut k, gid).saved();
+        let from: *mut SavedSp = &mut k.driver;
+        drop(k);
+        // SAFETY: `from` points into the kernel state, which outlives the
+        // call and which nothing touches between the unlock and the write
+        // (`lock` admits this thread only). `to` is main's fresh context or
+        // a goroutine the run left suspended — on this thread, for the same
+        // reason — its stack mapped (`hand_off` says why), and no goroutine
+        // is running: control is here.
+        unsafe { coro::switch(from, to) };
     }
 
     /// Extracts the monitor and final statistics after the run completed.
@@ -809,6 +857,48 @@ fn fold_event_coverage(cov: &mut u64, gid: Gid, kind: &EventKind) {
             mix_coverage(cov, once.0);
         }
     }
+}
+
+/// An address that identifies the calling OS thread for as long as it
+/// lives: that of a thread-local.
+fn thread_token() -> usize {
+    thread_local!(static MARK: u8 = const { 0 });
+    MARK.with(|mark| std::ptr::from_ref(mark) as usize)
+}
+
+/// What every goroutine stack starts in (see `coro::trampoline`): runs the
+/// body of the goroutine holding the token, then finishes it. `kernel` is
+/// the address [`Kernel::new_coro`] took from the run's `Arc`.
+#[allow(unsafe_code)]
+extern "C" fn goroutine_entry(kernel: *const ()) -> ! {
+    let kernel = kernel.cast::<Kernel>();
+    // SAFETY: `kernel` is `Arc::as_ptr` of the `Arc` that `Kernel::drive`
+    // borrows for the whole run, and `drive` is suspended underneath every
+    // goroutine: the kernel is alive from here to this goroutine's last
+    // switch, and the strong count is at least one when it is incremented
+    // to back the new handle.
+    let (kernel, handle) = unsafe {
+        Arc::increment_strong_count(kernel);
+        (&*kernel, Arc::from_raw(kernel))
+    };
+    let (gid, body, floor) = {
+        let mut k = kernel.lock();
+        let gid = k.current;
+        let body = k.goroutines[gid.index()].body.take();
+        (gid, body, Kernel::coro(&mut k, gid).floor())
+    };
+    let body = body.expect("a goroutine starts once");
+    let ctx = Ctx::new(gid, handle, floor);
+    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+    // `finish` never returns, so nothing may be left on this stack to drop.
+    drop(ctx);
+    let panic_msg = match result {
+        Ok(()) => None,
+        // The run is aborting (deadlock, leak, step budget): already recorded.
+        Err(payload) if payload.is::<PoisonExit>() => None,
+        Err(payload) => Some(panic_message(&*payload)),
+    };
+    kernel.finish(gid, panic_msg)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

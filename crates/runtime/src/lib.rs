@@ -42,10 +42,7 @@
 //! and says why it waits. Only the kernel's `block_on` blocks: one
 //! preemption point, then the attempt, parking the goroutine between
 //! attempts until one is done. A wake-up promises nothing (wakers wake
-//! every waiter), so a woken goroutine makes its attempt again. An
-//! executor that steps goroutine frames instead of parking OS threads
-//! replaces `block_on` and the gate hand-off beneath it; the attempts, which
-//! are the Go semantics, stay as they are.
+//! every waiter), so a woken goroutine makes its attempt again.
 //!
 //! # Example
 //!
@@ -71,10 +68,15 @@
 //! assert!(!monitor.events().is_empty());
 //! ```
 
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod batch;
 pub mod cell;
 pub mod chan;
 pub mod context;
+#[allow(unsafe_code)]
+mod coro;
 pub mod ctx;
 pub mod depot;
 pub mod event;

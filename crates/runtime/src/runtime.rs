@@ -1,13 +1,12 @@
 //! The run driver: [`Program`], [`RunConfig`], [`Runtime`], [`RunOutcome`].
 
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::ctx::Ctx;
 use crate::depot::StackDepot;
 use crate::ids::Gid;
-use crate::kernel::{Kernel, PoisonExit};
+use crate::kernel::Kernel;
 use crate::monitor::{Monitor, MonitorStats, NullMonitor};
 use crate::sched::{ScheduleTrace, Strategy};
 
@@ -306,23 +305,8 @@ impl Runtime {
         depot.reset();
         monitor.on_run_start(depot);
         let kernel = Kernel::new(&self.config, Box::new(monitor), depot.clone());
-        let ctx = Ctx::new(Gid::MAIN, Arc::clone(&kernel));
-        let result = panic::catch_unwind(AssertUnwindSafe(|| (program.body)(&ctx)));
-        let panicked = match result {
-            Ok(()) => None,
-            Err(payload) => {
-                if payload.downcast_ref::<PoisonExit>().is_some() {
-                    None // run aborted (deadlock/step budget); already recorded
-                } else if let Some(s) = payload.downcast_ref::<&str>() {
-                    Some((*s).to_string())
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    Some(s.clone())
-                } else {
-                    Some("<non-string panic payload>".to_string())
-                }
-            }
-        };
-        kernel.main_finished_and_wait(panicked);
+        let main = Arc::clone(&program.body);
+        kernel.drive(Box::new(move |ctx| main(ctx)));
         let (raw, monitor) = kernel.take_outcome();
         let outcome = RunOutcome {
             program: program.name().to_string(),

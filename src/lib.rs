@@ -1,2 +1,5 @@
 //! Root package: hosts the workspace examples and integration tests.
+
+#![forbid(unsafe_code)]
+
 pub use grs;
