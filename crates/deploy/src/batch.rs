@@ -298,7 +298,6 @@ pub(crate) mod tests {
             strategy: Strategy::RoundRobin,
             trace_digest: Some(0x1234),
             trace_path: Some("traces/f.grtrace".into()),
-            schedule_prefix: None,
         });
         let mut b = RaceBatch::new();
         b.add(r, 0);

@@ -20,7 +20,7 @@ use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use grs_runtime::{put_uvarint, Reader, ReproArtifact, ScheduleTrace, Strategy, TraceDecodeError};
+use grs_runtime::{put_uvarint, Reader, ReproArtifact, Strategy, TraceDecodeError};
 
 use crate::fingerprint::Fingerprint;
 use crate::tracker::{BugTracker, RestoreError, Task, TaskId, TaskState};
@@ -30,7 +30,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GRSNAPS\0";
 
 /// Current snapshot format version. Bump on any layout change; loaders
 /// reject other versions with [`SnapshotError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// (Version 1 carried an optional schedule blob at the end of each repro
+/// record.)
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why snapshot bytes failed to decode or restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +64,6 @@ pub enum SnapshotError {
         /// The offending tag byte.
         tag: u8,
     },
-    /// An embedded schedule prefix failed to decode.
-    BadSchedule(TraceDecodeError),
     /// The decoded task list violates tracker invariants.
     Restore(RestoreError),
     /// Reading or writing the file failed.
@@ -87,7 +87,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadEnumTag { what, tag } => {
                 write!(f, "unknown {what} tag {tag}")
             }
-            SnapshotError::BadSchedule(e) => write!(f, "embedded schedule prefix: {e}"),
             SnapshotError::Restore(e) => write!(f, "restored task list invalid: {e}"),
             SnapshotError::Io(kind) => write!(f, "snapshot i/o failed: {kind}"),
         }
@@ -102,14 +101,14 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// The shared byte [`Reader`] speaks [`TraceDecodeError`]; its two cases
-/// are this format's too.
+/// The shared byte [`Reader`] speaks [`TraceDecodeError`] and fails in two
+/// ways, both this format's too. It raises no other variant; one it grew
+/// would read as truncation here, never as a panic on a decode path.
 impl From<TraceDecodeError> for SnapshotError {
     fn from(e: TraceDecodeError) -> Self {
         match e {
-            TraceDecodeError::Truncated => SnapshotError::Truncated,
             TraceDecodeError::MalformedVarint => SnapshotError::MalformedVarint,
-            other => SnapshotError::BadSchedule(other),
+            _ => SnapshotError::Truncated,
         }
     }
 }
@@ -207,15 +206,6 @@ fn encode_repro(out: &mut Vec<u8>, repro: &ReproArtifact) {
     encode_strategy(out, repro.strategy);
     put_opt_u64(out, repro.trace_digest);
     put_opt_string(out, repro.trace_path.as_deref());
-    match &repro.schedule_prefix {
-        None => out.push(0),
-        Some(prefix) => {
-            out.push(1);
-            let blob = prefix.encode();
-            put_uvarint(out, blob.len() as u64);
-            out.extend_from_slice(&blob);
-        }
-    }
 }
 
 fn decode_repro(r: &mut Reader<'_>) -> Result<ReproArtifact, SnapshotError> {
@@ -223,17 +213,11 @@ fn decode_repro(r: &mut Reader<'_>) -> Result<ReproArtifact, SnapshotError> {
     let strategy = decode_strategy(r)?;
     let trace_digest = opt_u64(r)?;
     let trace_path = opt_string(r)?;
-    let schedule_prefix = if opt_tag(r)? {
-        Some(ScheduleTrace::decode(take_prefixed(r)?).map_err(SnapshotError::BadSchedule)?)
-    } else {
-        None
-    };
     Ok(ReproArtifact {
         seed,
         strategy,
         trace_digest,
         trace_path,
-        schedule_prefix,
     })
 }
 
@@ -420,7 +404,6 @@ mod tests {
                 strategy: Strategy::Pct { depth: 3 },
                 trace_digest: Some(0xfeed),
                 trace_path: Some("traces/a.grtrace".into()),
-                schedule_prefix: None,
             }),
         )
         .unwrap();
@@ -476,15 +459,16 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(Snapshot::decode(&bad), Err(SnapshotError::BadMagic));
 
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&9u32.to_le_bytes());
-        assert_eq!(
-            Snapshot::decode(&bad),
-            Err(SnapshotError::UnsupportedVersion {
-                found: 9,
-                supported: SNAPSHOT_VERSION
-            })
-        );
+        // Version 1 (a schedule blob per repro record) is as foreign as a
+        // future one: refused by its header, never misread.
+        for found in [1u32, 9] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                Snapshot::decode(&bad),
+                Err(SnapshotError::UnsupportedVersion { found, supported: 2 })
+            );
+        }
 
         for cut in [5, 13, good.len() - 1] {
             assert!(

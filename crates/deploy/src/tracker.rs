@@ -360,7 +360,6 @@ mod tests {
             strategy: Strategy::Pct { depth: 3 },
             trace_digest: Some(0xdead_beef),
             trace_path: Some("traces/loop_capture.grtrace".into()),
-            schedule_prefix: None,
         };
         let id = t
             .file_with_repro(Fingerprint(9), 0, None, Some(artifact.clone()))

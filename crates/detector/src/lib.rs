@@ -49,7 +49,6 @@ pub mod arena;
 pub mod eraser;
 pub mod explorer;
 pub mod fasttrack;
-pub mod guided;
 pub mod reference;
 pub mod replay;
 pub mod report;
@@ -59,7 +58,6 @@ pub use arena::DetectorArena;
 pub use eraser::Eraser;
 pub use explorer::{default_workers, DetectorChoice, ExploreConfig, ExploreResult, Explorer};
 pub use fasttrack::{FastTrack, FastTrackConfig};
-pub use guided::ScheduleFrontier;
 pub use replay::{replay_decoded, replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};
 pub use tsan::Tsan;

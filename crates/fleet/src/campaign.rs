@@ -16,9 +16,9 @@
 //!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake
 //!   ([`CampaignResult::file_into_service`]).
 //!
-//! One private driver runs all three entry points — [`Campaign::run`],
-//! [`Campaign::run_replay`], [`Campaign::run_adaptive`] — which differ only
-//! in what a work item is and how it executes.
+//! One private driver runs both entry points — [`Campaign::run`] and
+//! [`Campaign::run_replay`] — which differ only in what a work item is and
+//! how it executes.
 //!
 //! Every run is a self-contained deterministic `Runtime` instance, so the
 //! campaign's deterministic output — run records and the deduped batch — is
@@ -30,13 +30,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
-use grs_detector::{
-    default_workers, DetectorArena, DetectorChoice, RaceReport, ScheduleFrontier,
-};
+use grs_detector::{default_workers, DetectorArena, DetectorChoice, RaceReport};
 use grs_obs::{CampaignTimeline, Fnv1a, MetricsRegistry, ObsReport, ObsSink, SpanGuard, TimelineConfig};
 use grs_runtime::{
-    calibrate_steps, record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig,
-    RunOutcome, Strategy, DEFAULT_CHUNK_EVENTS,
+    record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig, RunOutcome, Strategy,
+    DEFAULT_CHUNK_EVENTS,
 };
 
 use crate::dedup::DedupMap;
@@ -845,87 +843,6 @@ impl Campaign {
         }
     }
 
-    /// Executions the adaptive mode spends per unit — the same budget the
-    /// static matrix spends (`seeds × strategies` schedules per unit), so
-    /// [`Campaign::run`] and [`Campaign::run_adaptive`] are directly
-    /// comparable at equal cost.
-    #[must_use]
-    pub fn adaptive_execs_per_unit(&self) -> usize {
-        self.config.seeds_per_unit * self.config.strategies.len()
-    }
-
-    /// The base strategy adaptive exploration falls back to after a
-    /// mutated prefix is exhausted: the first configured strategy.
-    #[must_use]
-    pub fn adaptive_strategy(&self) -> Strategy {
-        self.config.strategies.first().copied().unwrap_or_default()
-    }
-
-    /// Adaptive executor: one unit's full exploration budget. A
-    /// [`ScheduleFrontier`] seeded purely from `(base_seed, unit)` drives
-    /// the propose/observe loop, and every execution is analyzed under
-    /// every configured detector (monitors never influence the schedule,
-    /// so all detectors of an execution observe the same interleaving and
-    /// coverage). Spec `(unit, exec, det)` lands on index
-    /// `(unit * execs + exec) * dets + det` — the same dense, disjoint
-    /// index space shape as the static matrix, so dedup representatives,
-    /// timeline bucketing, and the digest stay worker-count invariant.
-    fn execute_adaptive_unit(&self, unit_index: usize, unit: &CampaignUnit, wk: &mut Worker<'_>) {
-        let sink: &dyn ObsSink = &wk.shared.registry;
-        let execs = self.adaptive_execs_per_unit();
-        let dets = self.config.detectors.len();
-        let strategy = self.adaptive_strategy();
-        // PCT change points are placed against the unit's observed length,
-        // not the default hint — the adaptive mode always runs calibrated.
-        let pct_horizon = match strategy {
-            Strategy::Pct { .. } => calibrate_steps(&unit.program, self.config.max_steps),
-            _ => 1_000,
-        };
-        let mut frontier = ScheduleFrontier::new(
-            self.config
-                .base_seed
-                .wrapping_add((unit_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            execs,
-        );
-        for exec in 0..execs {
-            let seed = self.config.base_seed.wrapping_add(exec as u64);
-            let prefix = frontier.propose(exec);
-            let repro = match &prefix {
-                Some(p) => ReproArtifact::guided(seed, strategy, p.clone()),
-                None => ReproArtifact::seeded(seed, strategy),
-            };
-            for (det_pos, &detector) in self.config.detectors.iter().enumerate() {
-                let started = Instant::now();
-                let mut run_cfg = self.run_config(seed, strategy).pct_horizon(pct_horizon);
-                if let Some(p) = &prefix {
-                    run_cfg = run_cfg.schedule_prefix(p.clone());
-                }
-                let (outcome, reports) = {
-                    let _span = SpanGuard::enter(sink, "shard.execute");
-                    wk.arena.run_observed(detector, &unit.program, run_cfg, sink)
-                };
-                let size = RunSize::of(&outcome);
-                if det_pos == 0 {
-                    // Deterministic exploration counters: how many runs ran
-                    // a mutated prefix, and how many produced a coverage
-                    // signature the frontier had not seen. Per-unit sums,
-                    // so worker-count invariant like every other counter.
-                    sink.add("explore.mutated_runs", u64::from(prefix.is_some()));
-                    let novel = frontier.observe(outcome.coverage, outcome.schedule);
-                    sink.add("explore.novel_signatures", u64::from(novel));
-                }
-                let spec = RunSpec {
-                    index: (unit_index * execs + exec) * dets + det_pos,
-                    unit: unit_index,
-                    seed,
-                    strategy,
-                    detector,
-                };
-                wk.fold(spec, unit, reports, &repro, size, started.elapsed());
-            }
-        }
-    }
-
     /// Builds the campaign's observability report: snapshots the registry's
     /// metrics and buckets the sorted records' fingerprints into the §3.5
     /// timeline. The timeline is a pure function of deterministic outputs
@@ -952,8 +869,8 @@ impl Campaign {
         ObsReport::new(label, registry.snapshot(), timeline.finish())
     }
 
-    /// One worker's share of a campaign, written once for every mode and
-    /// worker count: take the next `(item, shard)`, build the item's unit
+    /// One worker's share of a campaign, written once for both modes and
+    /// every worker count: take the next `(item, shard)`, build the item's unit
     /// or log the skip, execute, and repeat until `next` runs dry. Returns
     /// the worker's records and replay counters.
     fn work(
@@ -987,7 +904,6 @@ impl Campaign {
             let unit_index = match shared.mode {
                 Mode::Live => self.spec_at(item).unit,
                 Mode::Replay => self.exec_spec_at(item).unit,
-                Mode::Adaptive => item,
             };
             if held.as_ref().map(|(index, _)| *index) != Some(unit_index) {
                 held = match self.source.build(unit_index) {
@@ -1006,7 +922,6 @@ impl Campaign {
             match shared.mode {
                 Mode::Live => self.execute(self.spec_at(item), unit, &mut wk),
                 Mode::Replay => self.execute_replay(self.exec_spec_at(item), unit, &mut wk),
-                Mode::Adaptive => self.execute_adaptive_unit(item, unit, &mut wk),
             }
         }
         (wk.records, wk.replay)
@@ -1024,11 +939,6 @@ impl Campaign {
         let (items, specs_per_item, label) = match mode {
             Mode::Live => (self.matrix_len(), 1, "campaign/live"),
             Mode::Replay => (self.exec_len(), dets, "campaign/replay"),
-            Mode::Adaptive => (
-                self.source.len(),
-                self.adaptive_execs_per_unit() * dets,
-                "campaign/adaptive",
-            ),
         };
         let shards = self.config.shards.max(1);
         let shared = Shared {
@@ -1099,35 +1009,16 @@ impl Campaign {
     pub fn run_replay(&self) -> CampaignResult {
         self.drive(Mode::Replay)
     }
-
-    /// Runs the campaign in adaptive (coverage-guided) mode: instead of
-    /// enumerating the static `(unit × seed × strategy × detector)`
-    /// matrix, each unit spends the same execution budget on a feedback
-    /// loop that mutates novel schedules toward unexplored interleavings
-    /// (see [`ScheduleFrontier`]). The work item of the fan-out is the
-    /// *unit*, not the spec — exploration is sequential within a unit by
-    /// nature (run N's schedule feeds run N+1's mutation) and units are
-    /// independent, so the result is identical for any worker count.
-    /// Races found on a mutated schedule carry their `(seed, prefix)`
-    /// [`ReproArtifact`]; everything else (dedup, skip accounting,
-    /// timeline, digest) behaves exactly as in [`Campaign::run`].
-    #[must_use]
-    pub fn run_adaptive(&self) -> CampaignResult {
-        self.drive(Mode::Adaptive)
-    }
 }
 
 /// What a campaign's work item is. Private: callers choose through
-/// [`Campaign::run`], [`Campaign::run_replay`] and
-/// [`Campaign::run_adaptive`].
+/// [`Campaign::run`] and [`Campaign::run_replay`].
 #[derive(Debug, Clone, Copy)]
 enum Mode {
     /// One item per matrix spec, each executing its own schedule.
     Live,
     /// One item per [`ExecSpec`]: executed once, analyzed per detector.
     Replay,
-    /// One item per unit: the unit's whole exploration loop.
-    Adaptive,
 }
 
 /// The stages every worker of one campaign shares.
@@ -1427,57 +1318,34 @@ mod tests {
         assert_eq!(*conv.last().unwrap(), (r.total_runs(), r.batch.len()));
     }
 
-    /// Adaptive spends exactly the static matrix's budget, densely indexed.
+    /// §3.2–3.3: a filed task must be reproducible. Every report in the
+    /// batch carries a repro artifact, and re-running its unit under that
+    /// artifact's seed and strategy re-triggers the race — for both modes.
     #[test]
-    fn adaptive_campaign_spends_the_static_budget_on_a_dense_index_space() {
-        let config = CampaignConfig::smoke()
-            .seeds_per_unit(6)
-            .workers(1)
-            .detectors(vec![DetectorChoice::Hybrid, DetectorChoice::FastTrack]);
-        let c = Campaign::over_units(config, tiny_units());
-        let r = c.run_adaptive();
-        assert_eq!(r.total_runs(), c.matrix_len());
-        for (i, rec) in r.records.iter().enumerate() {
-            assert_eq!(rec.spec.index, i);
-        }
-        assert!(r.detection_rate() > 0.0);
-    }
-
-    /// Every prefix-carrying artifact the adaptive campaign files must
-    /// re-trigger its race when replayed, and corpus-run artifacts must
-    /// carry no prefix.
-    #[test]
-    fn adaptive_batch_artifacts_reproduce() {
+    fn batch_artifacts_reproduce() {
         let c = Campaign::over_units(
             CampaignConfig::smoke().seeds_per_unit(16),
             tiny_units(),
         );
-        let r = c.run_adaptive();
-        assert!(!r.batch.is_empty());
         let unit_by_name = |name: &str| {
             (0..c.unit_count())
                 .map(|i| c.unit(i).unwrap())
                 .find(|u| u.name == name)
                 .expect("batch report names a campaign unit")
         };
-        for (_, rep) in r.batch.iter() {
-            let artifact = rep.repro.as_ref().expect("campaign reports carry repro");
-            let unit = unit_by_name(rep.program.as_deref().expect("program set"));
-            let mut cfg = RunConfig {
-                seed: artifact.seed,
-                strategy: artifact.strategy,
-                max_steps: c.config().max_steps,
-                ..RunConfig::default()
-            };
-            if let Some(prefix) = &artifact.schedule_prefix {
-                cfg = cfg.schedule_prefix(prefix.clone());
+        for (mode, r) in [("live", c.run()), ("replay", c.run_replay())] {
+            assert!(!r.batch.is_empty(), "{mode}");
+            for (_, rep) in r.batch.iter() {
+                let artifact = rep.repro.as_ref().expect("campaign reports carry repro");
+                let unit = unit_by_name(rep.program.as_deref().expect("program set"));
+                let cfg = c.run_config(artifact.seed, artifact.strategy);
+                let (_, reports) = DetectorChoice::Hybrid.run(&unit.program, cfg);
+                assert!(
+                    reports.iter().any(|rr| rr.site_key() == rep.site_key()),
+                    "{mode}: replaying {artifact} of {} did not re-trigger the race",
+                    unit.name
+                );
             }
-            let (_, reports) = DetectorChoice::Hybrid.run(&unit.program, cfg);
-            assert!(
-                reports.iter().any(|rr| rr.site_key() == rep.site_key()),
-                "replaying {artifact} of {} did not re-trigger the race",
-                unit.name
-            );
         }
     }
 
@@ -1539,18 +1407,16 @@ mod tests {
             .records
             .iter()
             .all(|r| r.spec.unit % 2 == 0), "odd units must not produce records");
-        // Replay covers the same matrix; adaptive schedules different runs
-        // but charges broken units for the same spec count.
+        // Replay covers the same matrix and charges broken units for the
+        // same spec count.
         let replayed = c.run_replay();
         assert_eq!(replayed.deterministic_digest(), serial.deterministic_digest());
-        for other in [replayed, c.run_adaptive()] {
-            assert_eq!(other.units_skipped, serial.units_skipped);
-            assert_eq!(other.total_runs(), serial.total_runs());
-            assert_eq!(
-                other.obs.snapshot.counter("campaign.skipped_runs"),
-                serial.obs.snapshot.counter("campaign.skipped_runs")
-            );
-        }
+        assert_eq!(replayed.units_skipped, serial.units_skipped);
+        assert_eq!(replayed.total_runs(), serial.total_runs());
+        assert_eq!(
+            replayed.obs.snapshot.counter("campaign.skipped_runs"),
+            serial.obs.snapshot.counter("campaign.skipped_runs")
+        );
     }
 
     /// The determinism contract, every cell: each mode's whole
@@ -1569,11 +1435,8 @@ mod tests {
             .detectors(DetectorChoice::all().to_vec());
         let c = Campaign::over_source(config, source);
         type Entry = fn(&Campaign) -> CampaignResult;
-        let modes: [(&str, Entry); 3] = [
-            ("live", Campaign::run),
-            ("replay", Campaign::run_replay),
-            ("adaptive", Campaign::run_adaptive),
-        ];
+        let modes: [(&str, Entry); 2] =
+            [("live", Campaign::run), ("replay", Campaign::run_replay)];
         // Everything about a record but its placement and timing.
         let records = |r: &CampaignResult| -> Vec<_> {
             r.records

@@ -1,19 +1,17 @@
 //! Pins the static-matrix campaign digest across refactors.
 //!
-//! The coverage-guided exploration layer refactored the scheduler from a
-//! stateless `Strategy` dispatch into policy objects plus decision
-//! recording. The static `(unit × seed × strategy × detector)` matrix must
-//! stay bit-identical through that refactor: these digests were captured
-//! from the pre-refactor engine and any drift here means the policy
-//! objects consume the RNG differently (or the campaign enumeration
-//! changed), which would invalidate every filed `ReproArtifact`.
-
+//! The scheduler was refactored from a stateless `Strategy` dispatch into
+//! policy objects plus decision recording. The static `(unit × seed ×
+//! strategy × detector)` matrix must stay bit-identical through that
+//! refactor: these digests were captured from the pre-refactor engine and
+//! any drift here means the policy objects consume the RNG differently (or
+//! the campaign enumeration changed), which would invalidate every filed
+//! `ReproArtifact`.
 //!
-//! The one-driver rewrite of `fleet::campaign` extended the pin to the
-//! other two modes and to what each mode files: the replay and adaptive
-//! digests and the per-mode digests over the dedup batch's representatives
-//! were captured at the last commit that had three hand-written drivers
-//! (384afab).
+//! The one-driver rewrite of `fleet::campaign` extended the pin to replay
+//! mode and to what each mode files: the per-mode digests over the dedup
+//! batch's representatives were captured at the last commit that had
+//! hand-written drivers per mode (384afab).
 
 use std::sync::Arc;
 
@@ -48,31 +46,23 @@ fn pinned_campaign() -> Campaign {
 /// `pct_steps_hint` — must reproduce it bit-for-bit.
 const PINNED_DIGEST64: u64 = 0x7e3c_5329_1993_70a5;
 
-/// The adaptive campaign's record digest at 384afab.
-const PINNED_ADAPTIVE_DIGEST64: u64 = 0x7170_5626_67a9_12cd;
-
-/// [`representatives_digest`] of each mode's batch at 384afab. Live and
-/// adaptive file the same seed-only representatives here (the lowest spec
-/// index of each fingerprint is an unmutated run); replay's differ by
-/// carrying a trace digest.
+/// [`representatives_digest`] of each mode's batch at 384afab. Live files
+/// seed-only representatives; replay's differ by carrying a trace digest.
 const PINNED_LIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
 const PINNED_REPLAY_REPRESENTATIVES: u64 = 0x00ab_112b_42f6_9a0e;
-const PINNED_ADAPTIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
 
 /// FNV-1a over what each filed representative is reproduced from:
-/// `(fingerprint, repro.seed, has trace digest, has schedule prefix)` in
-/// batch (fingerprint) order. The trace digest's *value* is a
-/// `DefaultHasher` product, so only its presence is pinned.
+/// `(fingerprint, repro.seed, has trace digest, 0)` in batch (fingerprint)
+/// order. The trace digest's *value* is a `DefaultHasher` product, so only
+/// its presence is pinned; the constant zero byte is where a since-removed
+/// repro field was folded, kept so the constants above still stand.
 fn representatives_digest(r: &CampaignResult) -> u64 {
     let mut h = grs_obs::Fnv1a::new();
     for (fp, report) in r.batch.iter() {
         let repro = report.repro.as_ref().expect("campaign reports carry repro");
         h.write(&fp.0.to_le_bytes());
         h.write(&repro.seed.to_le_bytes());
-        h.write(&[
-            u8::from(repro.trace_digest.is_some()),
-            u8::from(repro.schedule_prefix.is_some()),
-        ]);
+        h.write(&[u8::from(repro.trace_digest.is_some()), 0]);
     }
     h.finish()
 }
@@ -84,12 +74,6 @@ fn every_mode_digest_and_representative_set_is_pinned() {
         ("live", c.run(), PINNED_DIGEST64, PINNED_LIVE_REPRESENTATIVES),
         // Replay covers the live matrix, so it shares the live constant.
         ("replay", c.run_replay(), PINNED_DIGEST64, PINNED_REPLAY_REPRESENTATIVES),
-        (
-            "adaptive",
-            c.run_adaptive(),
-            PINNED_ADAPTIVE_DIGEST64,
-            PINNED_ADAPTIVE_REPRESENTATIVES,
-        ),
     ] {
         assert_eq!(r.units_skipped, 0, "{mode}");
         assert_eq!(r.digest64(), digest, "{mode} campaign drifted from its pinned digest");

@@ -37,11 +37,11 @@ use rand::SeedableRng;
 use crate::coro::{self, Coro, SavedSp};
 use crate::ctx::Ctx;
 use crate::depot::{StackDepot, StackId};
-use crate::event::{AccessKind, Event, EventKind, LockMode};
+use crate::event::{Event, EventKind};
 use crate::ids::{ChanId, Gid, LockUid, OnceId, WgId};
 use crate::monitor::{AnyMonitor, MonitorStats};
 use crate::runtime::{DeadlockInfo, RunConfig, RuntimeError};
-use crate::sched::{GuidedPolicy, SchedulePolicy, Scheduler, ScheduleTrace};
+use crate::sched::{Scheduler, ScheduleTrace};
 
 /// Why a goroutine is blocked (for deadlock/leak diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,10 +238,6 @@ pub(crate) struct KState {
     live: usize,
     /// Events actually handed to the monitor (excludes scheduler-only steps).
     events_dispatched: u64,
-    /// Running FNV fold over the dispatched event stream — the cheap half
-    /// of the run's coverage signature (the depot interns are folded in at
-    /// [`Kernel::take_outcome`]).
-    coverage: u64,
     /// High-water mark of `monitor.shadow_words()` across the run.
     peak_shadow_words: usize,
     pub errors: Vec<RuntimeError>,
@@ -274,12 +270,7 @@ impl Kernel {
     ) -> Arc<Kernel> {
         install_quiet_poison_hook();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let base = config.strategy.policy(&mut rng, config.pct_steps_hint);
-        let policy: Box<dyn SchedulePolicy> = match &config.schedule_prefix {
-            Some(prefix) => Box::new(GuidedPolicy::new(prefix.clone(), base)),
-            None => base,
-        };
-        let sched = Scheduler::with_policy(policy);
+        let sched = Scheduler::with_policy(config.strategy.policy(&mut rng, config.pct_steps_hint));
         let mut state = KState {
             monitor: Some(monitor),
             rng,
@@ -299,7 +290,6 @@ impl Kernel {
             aborting: false,
             live: 0,
             events_dispatched: 0,
-            coverage: 0xcbf2_9ce4_8422_2325,
             peak_shadow_words: 0,
             errors: Vec::new(),
             deadlock: None,
@@ -368,7 +358,6 @@ impl Kernel {
     /// Emits an event under the already-held kernel lock.
     pub(crate) fn emit_locked(&self, k: &mut KState, gid: Gid, kind: EventKind) {
         k.step += 1;
-        fold_event_coverage(&mut k.coverage, gid, &kind);
         let ev = Event {
             step: k.step,
             gid,
@@ -727,18 +716,6 @@ impl Kernel {
         if words > k.peak_shadow_words {
             k.peak_shadow_words = words;
         }
-        // Complete the coverage signature: the event-stream fold plus the
-        // run's depot interns — two runs that took different schedules
-        // through the same code, or the same schedule through different
-        // code, land in different novelty buckets.
-        let mut coverage = k.coverage;
-        for (parent, func, call_line) in self.depot.snapshot() {
-            mix_coverage(&mut coverage, u64::from(parent.raw()));
-            for b in func.bytes() {
-                mix_coverage(&mut coverage, u64::from(b));
-            }
-            mix_coverage(&mut coverage, u64::from(call_line));
-        }
         let outcome = KernelOutcome {
             steps: k.step,
             goroutines_spawned: k.spawned_total,
@@ -746,7 +723,6 @@ impl Kernel {
             deadlock: k.deadlock.take(),
             leaked: std::mem::take(&mut k.leaked),
             schedule: k.sched.take_trace(),
-            coverage,
             stats: MonitorStats {
                 events_dispatched: k.events_dispatched,
                 depot: self.depot.stats(),
@@ -766,97 +742,7 @@ pub(crate) struct KernelOutcome {
     pub deadlock: Option<DeadlockInfo>,
     pub leaked: Vec<(Gid, String)>,
     pub schedule: ScheduleTrace,
-    pub coverage: u64,
     pub stats: MonitorStats,
-}
-
-/// Word-level FNV-1a fold — one xor-multiply per field, cheap enough for
-/// the event dispatch path.
-fn mix_coverage(cov: &mut u64, v: u64) {
-    *cov = (*cov ^ v).wrapping_mul(0x100_0000_01b3);
-}
-
-/// Folds the salient identity of one event into the run's coverage
-/// signature: the goroutine, the event-kind tag, and the object/stack ids
-/// that distinguish *which code* the schedule exercised. Names and source
-/// locations are deliberately skipped — they are functions of the ids —
-/// so the fold costs a handful of arithmetic ops per event.
-fn fold_event_coverage(cov: &mut u64, gid: Gid, kind: &EventKind) {
-    mix_coverage(cov, u64::from(gid.0));
-    match kind {
-        EventKind::Spawn { child, .. } => {
-            mix_coverage(cov, 0);
-            mix_coverage(cov, u64::from(child.0));
-        }
-        EventKind::GoroutineEnd => mix_coverage(cov, 1),
-        EventKind::Access {
-            addr, kind, stack, ..
-        } => {
-            mix_coverage(cov, 2);
-            mix_coverage(cov, addr.0);
-            mix_coverage(
-                cov,
-                match kind {
-                    AccessKind::Read => 0,
-                    AccessKind::Write => 1,
-                    AccessKind::AtomicRead => 2,
-                    AccessKind::AtomicWrite => 3,
-                },
-            );
-            mix_coverage(cov, u64::from(stack.raw()));
-        }
-        EventKind::Acquire { lock, mode } => {
-            mix_coverage(cov, 3);
-            mix_coverage(cov, lock.0);
-            mix_coverage(cov, u64::from(*mode == LockMode::Read));
-        }
-        EventKind::Release { lock, mode } => {
-            mix_coverage(cov, 4);
-            mix_coverage(cov, lock.0);
-            mix_coverage(cov, u64::from(*mode == LockMode::Read));
-        }
-        EventKind::ChanSend { chan, seq } => {
-            mix_coverage(cov, 5);
-            mix_coverage(cov, chan.0);
-            mix_coverage(cov, *seq);
-        }
-        EventKind::ChanSendComplete { chan, seq, .. } => {
-            mix_coverage(cov, 6);
-            mix_coverage(cov, chan.0);
-            mix_coverage(cov, *seq);
-        }
-        EventKind::ChanRecv { chan, seq } => {
-            mix_coverage(cov, 7);
-            mix_coverage(cov, chan.0);
-            mix_coverage(cov, *seq);
-        }
-        EventKind::ChanRecvClosed { chan } => {
-            mix_coverage(cov, 8);
-            mix_coverage(cov, chan.0);
-        }
-        EventKind::ChanClose { chan } => {
-            mix_coverage(cov, 9);
-            mix_coverage(cov, chan.0);
-        }
-        EventKind::WgAdd { wg, delta, counter } => {
-            mix_coverage(cov, 10);
-            mix_coverage(cov, wg.0);
-            mix_coverage(cov, *delta as u64);
-            mix_coverage(cov, *counter as u64);
-        }
-        EventKind::WgWait { wg } => {
-            mix_coverage(cov, 11);
-            mix_coverage(cov, wg.0);
-        }
-        EventKind::OnceExecuted { once } => {
-            mix_coverage(cov, 12);
-            mix_coverage(cov, once.0);
-        }
-        EventKind::OnceObserved { once } => {
-            mix_coverage(cov, 13);
-            mix_coverage(cov, once.0);
-        }
-    }
 }
 
 /// An address that identifies the calling OS thread for as long as it

@@ -102,8 +102,8 @@ pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 pub use monitor::{Monitor, MonitorStats, NullMonitor, RecordingMonitor, TraceHasher};
 pub use runtime::{calibrate_steps, Program, RunConfig, RunOutcome, Runtime, RuntimeError};
 pub use sched::{
-    GuidedPolicy, PctPolicy, RandomPolicy, RoundRobinPolicy, ScheduleDecision, SchedulePolicy,
-    ScheduleTrace, Strategy, SCHEDULE_TRACE_MAGIC, SCHEDULE_TRACE_VERSION,
+    PctPolicy, RandomPolicy, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, ScheduleTrace,
+    Strategy,
 };
 pub use slice::GoSlice;
 pub use sync::{AtomicCell, Mutex, Once, RwMutex, WaitGroup};

@@ -65,10 +65,6 @@ pub struct RunConfig {
     /// far exceeds the actual run length, the change points land beyond
     /// the run and PCT degenerates to strict-priority scheduling.
     pub pct_steps_hint: u64,
-    /// Recorded schedule prefix to replay before the strategy takes over
-    /// — the guided-exploration hook. `None` (the default) leaves the
-    /// schedule entirely to `(seed, strategy)`.
-    pub schedule_prefix: Option<ScheduleTrace>,
 }
 
 impl RunConfig {
@@ -103,14 +99,6 @@ impl RunConfig {
         self.pct_steps_hint = horizon.max(1);
         self
     }
-
-    /// Sets a recorded schedule prefix to replay before the strategy
-    /// takes over (builder style).
-    #[must_use]
-    pub fn schedule_prefix(mut self, prefix: ScheduleTrace) -> Self {
-        self.schedule_prefix = Some(prefix);
-        self
-    }
 }
 
 impl Default for RunConfig {
@@ -120,7 +108,6 @@ impl Default for RunConfig {
             strategy: Strategy::Random,
             max_steps: 1_000_000,
             pct_steps_hint: 1_000,
-            schedule_prefix: None,
         }
     }
 }
@@ -241,15 +228,8 @@ pub struct RunOutcome {
     /// Goroutines still blocked when main finished — Go would leak them
     /// silently (Listing 9's forever-blocked Future sender).
     pub leaked: Vec<(Gid, String)>,
-    /// Every scheduling decision the run took, in order — the replayable
-    /// artifact guided exploration mutates. Together with the seed it
-    /// fully determines the interleaving.
+    /// Every scheduling decision the run took, in order.
     pub schedule: ScheduleTrace,
-    /// Coverage signature of the run: an FNV fold over the dispatched
-    /// event stream plus the depot's interned stacks. A novelty signal
-    /// for exploration (two runs with equal signatures almost certainly
-    /// exercised the same behavior), not an authentication digest.
-    pub coverage: u64,
     /// Instrumentation counters: events dispatched, depot contents, peak
     /// shadow words (the §3.5 overhead statistics).
     pub stats: MonitorStats,
@@ -317,7 +297,6 @@ impl Runtime {
             deadlock: raw.deadlock,
             leaked: raw.leaked,
             schedule: raw.schedule,
-            coverage: raw.coverage,
             stats: raw.stats,
         };
         let monitor = *monitor

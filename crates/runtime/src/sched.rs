@@ -3,13 +3,11 @@
 //! The kernel asks the active [`SchedulePolicy`] which runnable goroutine
 //! runs next at every preemption point. Because only one goroutine runs at
 //! a time and all randomness flows through the seeded RNG held by the
-//! kernel, a `(seed, strategy)` pair fully determines the interleaving —
-//! and, since the coverage-guided exploration layer, so does a `(seed,
-//! schedule prefix)` pair: the [`Scheduler`] records every decision it
-//! makes as a compact [`ScheduleTrace`], and a [`GuidedPolicy`] can replay
-//! a recorded prefix before handing control back to a base policy.
+//! kernel, a `(seed, strategy)` pair fully determines the interleaving. The
+//! [`Scheduler`] records every decision it makes as an in-memory
+//! [`ScheduleTrace`], whose digest is what tests pin a schedule by.
 //!
-//! Three base strategies are provided:
+//! Three strategies are provided:
 //!
 //! * [`Strategy::Random`] — a uniform random walk over runnable goroutines;
 //!   the workhorse for race exposure, analogous to the stress of running Go
@@ -31,7 +29,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::ids::Gid;
-use crate::trace::{put_uvarint, Reader, TraceDecodeError};
 
 /// Which scheduling policy drives the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,11 +66,9 @@ impl Strategy {
 /// registration.
 ///
 /// Every policy draws (and the non-PCT ones discard) exactly one value per
-/// registered goroutine, so the RNG stream consumed by a run is identical
-/// across policies at each registration point. That invariance is what
-/// keeps `(seed, strategy)` digests stable across the policy-object
-/// refactor, and what lets a [`GuidedPolicy`] fall back to its base policy
-/// mid-run without perturbing the base policy's randomness.
+/// registered goroutine, so registering a goroutine advances the run's RNG
+/// by the same amount under every policy. The `(seed, strategy)` digests
+/// pinned across the workspace depend on it.
 fn draw_priority(rng: &mut StdRng) -> i64 {
     rng.gen_range(0..1_000_000)
 }
@@ -224,62 +219,10 @@ impl SchedulePolicy for PctPolicy {
     }
 }
 
-/// Replays a recorded decision prefix, then falls back to a base policy.
-///
-/// Replay consumes no randomness: each recorded decision is an index into
-/// the pick's candidate slice, clamped by modulo against the live
-/// candidate count so a mutated prefix stays well-formed even where the
-/// run has diverged from the recording. Registration still delegates to
-/// the base policy (which draws its usual per-goroutine value), so the
-/// RNG stream at the hand-over point is exactly what the base policy
-/// would have consumed on its own — which is what makes a guided run a
-/// pure function of `(seed, prefix)`.
-#[derive(Debug)]
-pub struct GuidedPolicy {
-    prefix: Vec<ScheduleDecision>,
-    pos: usize,
-    base: Box<dyn SchedulePolicy>,
-}
-
-impl GuidedPolicy {
-    /// A guided policy replaying `prefix` before handing over to `base`.
-    #[must_use]
-    pub fn new(prefix: ScheduleTrace, base: Box<dyn SchedulePolicy>) -> Self {
-        GuidedPolicy {
-            prefix: prefix.decisions,
-            pos: 0,
-            base,
-        }
-    }
-}
-
-impl SchedulePolicy for GuidedPolicy {
-    fn register(&mut self, gid: Gid, rng: &mut StdRng) {
-        self.base.register(gid, rng);
-    }
-
-    fn pick(&mut self, runnable: &[Gid], current: Option<Gid>, rng: &mut StdRng) -> Gid {
-        if let Some(d) = self.prefix.get(self.pos) {
-            self.pos += 1;
-            return runnable[d.chosen as usize % runnable.len()];
-        }
-        self.base.pick(runnable, current, rng)
-    }
-}
-
-/// First 8 bytes of every encoded [`ScheduleTrace`].
-pub const SCHEDULE_TRACE_MAGIC: [u8; 8] = *b"GRSCHED\0";
-
-/// Current schedule-trace format version.
-pub const SCHEDULE_TRACE_VERSION: u32 = 1;
-
 /// One scheduling decision: which candidate was chosen out of how many.
 ///
 /// `chosen` indexes the sorted candidate slice the kernel passed to the
-/// pick, and `arity` records how many candidates there were — which is
-/// what lets exploration mutate a decision to a principled alternative
-/// (any other index below the recorded arity) and lets replay clamp
-/// divergent prefixes by modulo.
+/// pick, and `arity` records how many candidates there were.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScheduleDecision {
     /// Index of the chosen goroutine within the candidate slice.
@@ -288,11 +231,8 @@ pub struct ScheduleDecision {
     pub arity: u32,
 }
 
-/// The compact per-run schedule artifact: every decision the scheduler
-/// made, in order. Round-trippable through a uvarint byte codec like
-/// `.grtrace` ([`ScheduleTrace::encode`]/[`ScheduleTrace::decode`]), and
-/// the substrate of guided exploration: truncate it at a decision point,
-/// flip the decision, and replay via [`GuidedPolicy`].
+/// The per-run schedule record: every decision the scheduler made, in
+/// order. In memory only; [`ScheduleTrace::digest`] is what gets compared.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct ScheduleTrace {
     /// The decisions, in pick order.
@@ -318,15 +258,6 @@ impl ScheduleTrace {
         self.decisions.is_empty()
     }
 
-    /// The first `n` decisions as a new trace (all of them if `n` is
-    /// larger than the recording).
-    #[must_use]
-    pub fn prefix(&self, n: usize) -> ScheduleTrace {
-        ScheduleTrace {
-            decisions: self.decisions[..n.min(self.decisions.len())].to_vec(),
-        }
-    }
-
     /// FNV-1a digest of the decision stream.
     #[must_use]
     pub fn digest(&self) -> u64 {
@@ -337,55 +268,6 @@ impl ScheduleTrace {
             h.write(&u64::from(d.arity).to_le_bytes());
         }
         h.finish()
-    }
-
-    /// Serializes the trace to the versioned byte format: magic, version,
-    /// decision count, then per decision uvarint `chosen` and `arity`.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.decisions.len() * 2);
-        out.extend_from_slice(&SCHEDULE_TRACE_MAGIC);
-        out.extend_from_slice(&SCHEDULE_TRACE_VERSION.to_le_bytes());
-        put_uvarint(&mut out, self.decisions.len() as u64);
-        for d in &self.decisions {
-            put_uvarint(&mut out, u64::from(d.chosen));
-            put_uvarint(&mut out, u64::from(d.arity));
-        }
-        out
-    }
-
-    /// Decodes an encoded schedule trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceDecodeError`] on bad magic, unsupported version,
-    /// truncation, malformed varints, or trailing bytes.
-    pub fn decode(bytes: &[u8]) -> Result<ScheduleTrace, TraceDecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
-        if r.take(8)? != SCHEDULE_TRACE_MAGIC {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        let version = u32::from_le_bytes(r.take(4)?.try_into().unwrap());
-        if version != SCHEDULE_TRACE_VERSION {
-            return Err(TraceDecodeError::UnsupportedVersion {
-                found: version,
-                supported: SCHEDULE_TRACE_VERSION,
-            });
-        }
-        // A decision is two varints: at least two bytes.
-        let n = r.count(2)?;
-        let mut decisions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let chosen = r.uvarint()? as u32;
-            let arity = r.uvarint()? as u32;
-            decisions.push(ScheduleDecision { chosen, arity });
-        }
-        if r.pos != bytes.len() {
-            return Err(TraceDecodeError::TrailingBytes {
-                extra: bytes.len() - r.pos,
-            });
-        }
-        Ok(ScheduleTrace { decisions })
     }
 }
 
@@ -399,8 +281,7 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// A scheduler driving an explicit policy object; the kernel builds
-    /// the policy from [`Strategy::policy`], optionally wrapped in a
-    /// [`GuidedPolicy`] when a schedule prefix is configured.
+    /// the policy from [`Strategy::policy`].
     pub(crate) fn with_policy(policy: Box<dyn SchedulePolicy>) -> Self {
         Scheduler {
             policy,
@@ -542,96 +423,5 @@ mod tests {
         let trace = s.take_trace();
         assert_eq!(trace.len(), 10);
         assert!(trace.decisions.iter().all(|d| d.arity == 3 && d.chosen < 3));
-    }
-
-    #[test]
-    fn guided_policy_replays_prefix_then_falls_back() {
-        let runnable = vec![g(0), g(1), g(2)];
-        // Record a random schedule...
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut s = Scheduler::with_policy(Strategy::Random.policy(&mut rng, 100));
-        let recorded: Vec<Gid> =
-            (0..8).map(|_| s.pick(&runnable, Some(g(0)), &mut rng)).collect();
-        let trace = s.take_trace();
-        // ...then replay its first 5 decisions under the same seed.
-        let mut rng = StdRng::seed_from_u64(9);
-        let base = Strategy::Random.policy(&mut rng, 100);
-        let mut guided =
-            Scheduler::with_policy(Box::new(GuidedPolicy::new(trace.prefix(5), base)));
-        let replayed: Vec<Gid> = (0..8)
-            .map(|_| guided.pick(&runnable, Some(g(0)), &mut rng))
-            .collect();
-        assert_eq!(&replayed[..5], &recorded[..5], "prefix must replay exactly");
-        // Replay consumed no RNG, so the fallback tail diverges from the
-        // recording's RNG position — but is itself deterministic.
-        let mut rng = StdRng::seed_from_u64(9);
-        let base = Strategy::Random.policy(&mut rng, 100);
-        let mut guided2 =
-            Scheduler::with_policy(Box::new(GuidedPolicy::new(trace.prefix(5), base)));
-        let replayed2: Vec<Gid> = (0..8)
-            .map(|_| guided2.pick(&runnable, Some(g(0)), &mut rng))
-            .collect();
-        assert_eq!(replayed, replayed2, "(seed, prefix) fully determines the schedule");
-    }
-
-    #[test]
-    fn guided_policy_clamps_out_of_range_decisions() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let prefix = ScheduleTrace {
-            decisions: vec![ScheduleDecision { chosen: 7, arity: 9 }],
-        };
-        let base = Strategy::Random.policy(&mut rng, 100);
-        let mut s = Scheduler::with_policy(Box::new(GuidedPolicy::new(prefix, base)));
-        let runnable = vec![g(0), g(1)];
-        let picked = s.pick(&runnable, None, &mut rng);
-        assert_eq!(picked, g(1), "7 % 2 == 1");
-    }
-
-    #[test]
-    fn schedule_trace_round_trips() {
-        let trace = ScheduleTrace {
-            decisions: vec![
-                ScheduleDecision { chosen: 0, arity: 1 },
-                ScheduleDecision { chosen: 2, arity: 3 },
-                ScheduleDecision { chosen: 130, arity: 200 },
-            ],
-        };
-        let bytes = trace.encode();
-        assert_eq!(&bytes[..8], &SCHEDULE_TRACE_MAGIC);
-        let back = ScheduleTrace::decode(&bytes).expect("decode");
-        assert_eq!(back, trace);
-        assert_eq!(back.digest(), trace.digest());
-    }
-
-    #[test]
-    fn schedule_trace_decode_rejects_corruption() {
-        let trace = ScheduleTrace {
-            decisions: vec![ScheduleDecision { chosen: 1, arity: 2 }],
-        };
-        let bytes = trace.encode();
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(ScheduleTrace::decode(&bad), Err(TraceDecodeError::BadMagic));
-        let mut bad = bytes.clone();
-        bad[8] = 99;
-        assert!(matches!(
-            ScheduleTrace::decode(&bad),
-            Err(TraceDecodeError::UnsupportedVersion { found: 99, .. })
-        ));
-        assert_eq!(
-            ScheduleTrace::decode(&bytes[..bytes.len() - 1]),
-            Err(TraceDecodeError::Truncated)
-        );
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert_eq!(
-            ScheduleTrace::decode(&bad),
-            Err(TraceDecodeError::TrailingBytes { extra: 1 })
-        );
-        // A decision count the input cannot hold is truncation, not a
-        // 2^60-entry reservation.
-        let mut bad = bytes[..12].to_vec();
-        put_uvarint(&mut bad, 1 << 60);
-        assert_eq!(ScheduleTrace::decode(&bad), Err(TraceDecodeError::Truncated));
     }
 }

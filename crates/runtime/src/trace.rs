@@ -171,7 +171,6 @@ impl Trace {
             strategy: self.meta.strategy,
             trace_digest: Some(self.digest()),
             trace_path: None,
-            schedule_prefix: None,
         }
     }
 
@@ -480,9 +479,9 @@ impl StringTable {
 }
 
 /// A bounds-checked cursor over encoded bytes — the one byte reader of
-/// every varint-framed format in the workspace (`.grtrace`, `GRSCHED`,
-/// `GRSNAPS`). Every read past the end is [`TraceDecodeError::Truncated`];
-/// nothing indexes or adds unchecked.
+/// every varint-framed format in the workspace (`.grtrace`, `GRSNAPS`).
+/// Every read past the end is [`TraceDecodeError::Truncated`]; nothing
+/// indexes or adds unchecked.
 #[derive(Debug)]
 pub struct Reader<'a> {
     pub(crate) bytes: &'a [u8],
@@ -735,11 +734,6 @@ pub struct ReproArtifact {
     pub trace_digest: Option<u64>,
     /// Path of a serialized `.grtrace` file, when one was written.
     pub trace_path: Option<String>,
-    /// Schedule prefix the run replayed before the strategy took over —
-    /// present for guided-exploration runs, whose interleaving is a
-    /// function of `(seed, prefix)`, not of `(seed, strategy)` alone.
-    /// Reproduce with [`RunConfig::schedule_prefix`].
-    pub schedule_prefix: Option<crate::sched::ScheduleTrace>,
 }
 
 impl ReproArtifact {
@@ -761,26 +755,11 @@ impl ReproArtifact {
             ..ReproArtifact::default()
         }
     }
-
-    /// A guided-exploration artifact: replay `prefix` under `seed`, then
-    /// let `strategy` schedule the rest of the run.
-    #[must_use]
-    pub fn guided(seed: u64, strategy: Strategy, prefix: crate::sched::ScheduleTrace) -> Self {
-        ReproArtifact {
-            seed,
-            strategy,
-            schedule_prefix: Some(prefix),
-            ..ReproArtifact::default()
-        }
-    }
 }
 
 impl fmt::Display for ReproArtifact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "seed {} under {:?}", self.seed, self.strategy)?;
-        if let Some(p) = &self.schedule_prefix {
-            write!(f, " after a {}-decision prefix", p.len())?;
-        }
         if let Some(d) = self.trace_digest {
             write!(f, ", trace {d:#018x}")?;
         }
@@ -887,7 +866,6 @@ mod tests {
             strategy: Strategy::Random,
             trace_digest: Some(0xabcd),
             trace_path: Some("x.grtrace".into()),
-            schedule_prefix: None,
         };
         let s = r.to_string();
         assert!(s.contains("seed 9"));

@@ -1,5 +1,4 @@
-//! Seeded property tests for the scheduling policies and the schedule
-//! trace codec.
+//! Seeded property tests for the scheduling policies.
 //!
 //! These run in tier-1 on the vendored `rand` stub: shapes, gid sets, and
 //! seeds are drawn from a fixed-seed `StdRng`, so failures are perfectly
@@ -10,8 +9,8 @@ use rand::{Rng, SeedableRng};
 
 use grs_runtime::ids::Gid;
 use grs_runtime::{
-    NullMonitor, PctPolicy, Program, RoundRobinPolicy, RunConfig, Runtime, ScheduleDecision,
-    SchedulePolicy, ScheduleTrace, Strategy,
+    PctPolicy, Program, RoundRobinPolicy, RunConfig, Runtime, SchedulePolicy, Strategy,
+    TraceHasher,
 };
 
 /// Draws a sorted set of distinct — and usually non-contiguous — gids.
@@ -61,8 +60,8 @@ fn round_robin_schedule_is_seed_invariant() {
         let p = pool_program(workers, ops);
         let run = |seed: u64| {
             let cfg = RunConfig::with_seed(seed).strategy(Strategy::RoundRobin);
-            let (o, NullMonitor) = Runtime::new(cfg).run(&p, NullMonitor);
-            (o.schedule, o.steps, o.coverage)
+            let (o, events) = Runtime::new(cfg).run(&p, TraceHasher::new());
+            (o.schedule, o.steps, events.digest())
         };
         let (a_seed, b_seed) = (rng.gen_range(0..1000u64), rng.gen_range(1000..2000u64));
         assert_eq!(run(a_seed), run(b_seed), "case {case}");
@@ -178,56 +177,5 @@ fn round_robin_never_starves_with_full_runnable_set() {
             assert_ne!(Some(picked), current);
             current = Some(picked);
         }
-    }
-}
-
-/// Random schedule traces survive the uvarint codec byte-identically, and
-/// the digest is a function of the decisions alone.
-#[test]
-fn schedule_trace_round_trips() {
-    let mut rng = StdRng::seed_from_u64(0x7ace);
-    for case in 0..48 {
-        let n = rng.gen_range(0..200usize);
-        let decisions = (0..n)
-            .map(|_| {
-                let arity = rng.gen_range(1..20u32);
-                ScheduleDecision {
-                    chosen: rng.gen_range(0..arity),
-                    arity,
-                }
-            })
-            .collect();
-        let trace = ScheduleTrace { decisions };
-        let bytes = trace.encode();
-        let back = ScheduleTrace::decode(&bytes).expect("round trip");
-        assert_eq!(back, trace, "case {case}");
-        assert_eq!(back.digest(), trace.digest());
-        // Truncation anywhere strictly inside the stream must error, never
-        // mis-decode.
-        if bytes.len() > 1 {
-            let cut = rng.gen_range(1..bytes.len());
-            assert!(
-                ScheduleTrace::decode(&bytes[..cut]).is_err(),
-                "case {case}: truncation at {cut} decoded"
-            );
-        }
-    }
-}
-
-/// A recorded run's schedule replays to the same interleaving: feeding the
-/// full recorded trace back as a prefix reproduces schedule and coverage.
-#[test]
-fn recorded_schedules_replay_to_the_same_run() {
-    let mut rng = StdRng::seed_from_u64(0xfeed);
-    for case in 0..12 {
-        let p = pool_program(rng.gen_range(1..4u8), rng.gen_range(1..3u8));
-        let seed = rng.gen_range(0..1000u64);
-        let (first, NullMonitor) =
-            Runtime::new(RunConfig::with_seed(seed)).run(&p, NullMonitor);
-        let replay_cfg = RunConfig::with_seed(seed).schedule_prefix(first.schedule.clone());
-        let (second, NullMonitor) = Runtime::new(replay_cfg).run(&p, NullMonitor);
-        assert_eq!(first.schedule, second.schedule, "case {case}");
-        assert_eq!(first.coverage, second.coverage, "case {case}");
-        assert_eq!(first.steps, second.steps, "case {case}");
     }
 }

@@ -13,16 +13,16 @@ use grs_runtime::{
 mod contention;
 
 fn run_clean(p: &Program, seed: u64) -> grs_runtime::RunOutcome {
-    run_clean_with(p, RunConfig::with_seed(seed), NullMonitor)
+    run_clean_with(p, RunConfig::with_seed(seed), NullMonitor).0
 }
 
-fn run_clean_with(
+fn run_clean_with<M: Monitor + 'static>(
     p: &Program,
     cfg: RunConfig,
-    monitor: impl Monitor + 'static,
-) -> grs_runtime::RunOutcome {
+    monitor: M,
+) -> (grs_runtime::RunOutcome, M) {
     let label = format!("{:?} seed {}", cfg.strategy, cfg.seed);
-    let (outcome, _) = Runtime::new(cfg).run(p, monitor);
+    let (outcome, monitor) = Runtime::new(cfg).run(p, monitor);
     assert!(
         outcome.is_clean(),
         "{label}: expected clean run, got errors={:?} deadlock={:?} leaked={:?}",
@@ -30,7 +30,7 @@ fn run_clean_with(
         outcome.deadlock,
         outcome.leaked
     );
-    outcome
+    (outcome, monitor)
 }
 
 #[test]
@@ -666,14 +666,14 @@ fn context_cancellation_closes_done() {
     }
 }
 
-/// One FNV-1a over `steps`, the schedule digest and the coverage fold of
-/// every run of [`contention::program`]: 64 seeds under each strategy.
-const PINNED_DECISION_POINTS: u64 = 0xc872_2941_91cc_1841;
+/// One FNV-1a over `steps`, the schedule digest and the event-stream digest
+/// of every run of [`contention::program`]: 64 seeds under each strategy.
+const PINNED_DECISION_POINTS: u64 = 0x5a14_4e44_7ab5_fdfc;
 
 /// The kernel's decision points, pinned where they are made: a preemption
 /// point, waiter-queue push, wake-up, RNG draw or event that moves in
 /// `kernel.rs`, `chan.rs` or `sync.rs` changes some run's step count,
-/// schedule or coverage here, not only a campaign digest two crates up.
+/// schedule or event stream here, not only a campaign digest two crates up.
 #[test]
 fn blocking_paths_keep_their_decision_points() {
     let p = contention::program();
@@ -684,11 +684,9 @@ fn blocking_paths_keep_their_decision_points() {
         Strategy::RoundRobin,
     ] {
         for seed in 0..64 {
-            // Any non-noop monitor will do: it makes the kernel dispatch
-            // the access events, so they reach the coverage fold.
             let cfg = RunConfig::with_seed(seed).strategy(strategy);
-            let outcome = run_clean_with(&p, cfg, TraceHasher::new());
-            for word in [outcome.steps, outcome.schedule.digest(), outcome.coverage] {
+            let (outcome, events) = run_clean_with(&p, cfg, TraceHasher::new());
+            for word in [outcome.steps, outcome.schedule.digest(), events.digest()] {
                 pin.write(&word.to_le_bytes());
             }
         }

@@ -1,6 +1,6 @@
 //! The parallel campaign driver: run the (program × seed × strategy ×
 //! detector) matrix over the pattern + Go-source corpora in each of the
-//! engine's three modes and print what each found.
+//! engine's two modes and print what each found.
 //!
 //! ```sh
 //! cargo run --release --example campaign -- [--workers N] [--seeds N] \
@@ -10,9 +10,8 @@
 //!
 //! The default run is the **live** campaign (throughput, per-shard
 //! latency, detection-rate convergence, filing into the intake service)
-//! followed by the scheduler **ablation**: three arms at the same
-//! per-unit budget — the static random and PCT matrices vs the
-//! coverage-guided **adaptive** mode — printed as a convergence table.
+//! followed by the scheduler **ablation**: the random and PCT matrices at
+//! the same per-unit budget, printed as a convergence table.
 //! `--ablation-budget N` sets the per-unit execution budget (default 96;
 //! `0` skips the ablation).
 //!
@@ -115,14 +114,13 @@ fn log_skips(r: &CampaignResult) {
 /// The suite-wide per-execution convergence curve: records are replayed
 /// in round-robin order across units (execution 0 of every unit, then
 /// execution 1, …), so point `e` is the number of distinct race
-/// fingerprints known once every unit has spent `e + 1` executions. This
-/// ordering makes arms whose in-unit schedules differ (static matrix vs
-/// adaptive exploration) comparable at equal cost.
+/// fingerprints known once every unit has spent `e + 1` executions, which
+/// makes arms comparable at equal cost.
 fn per_exec_curve(r: &CampaignResult, base_seed: u64, execs: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..r.records.len()).collect();
     order.sort_unstable_by_key(|&i| {
         let rec = &r.records[i];
-        ((rec.spec.seed - base_seed) as usize, rec.spec.unit, rec.spec.index)
+        (rec.spec.seed.wrapping_sub(base_seed), rec.spec.unit, rec.spec.index)
     });
     let mut seen = std::collections::HashSet::new();
     let mut curve = vec![0usize; execs];
@@ -131,7 +129,7 @@ fn per_exec_curve(r: &CampaignResult, base_seed: u64, execs: usize) -> Vec<usize
         for &fp in &rec.fingerprints {
             seen.insert(fp);
         }
-        let exec = (rec.spec.seed - base_seed) as usize;
+        let exec = rec.spec.seed.wrapping_sub(base_seed) as usize;
         if exec < execs {
             curve[exec] = seen.len();
         }
@@ -142,43 +140,16 @@ fn per_exec_curve(r: &CampaignResult, base_seed: u64, execs: usize) -> Vec<usize
     curve
 }
 
-/// The §3.2 scheduler ablation: random and PCT static matrices vs the
-/// coverage-guided adaptive mode, each arm spending the same per-unit
-/// execution budget under the single hybrid detector. Prints a
-/// convergence panel and the guided arm's executions-to-parity
-/// (`fleet/tests/guided_parity.rs` holds the parity bound and the adaptive
-/// digest at 1/4/8 workers).
+/// The §3.2 scheduler ablation: the random and PCT matrices, each arm
+/// spending the same per-unit execution budget under the single hybrid
+/// detector. Prints a convergence panel and, per arm, the execution at
+/// which it first held its own final yield.
 fn run_ablation(args: &Args, units: &[CampaignUnit]) {
     let budget = args.ablation_budget;
-    let arm_cfg = |strategy: Strategy, workers: usize| {
-        CampaignConfig::nightly()
-            .seeds_per_unit(budget)
-            .workers(workers)
-            .shards(4)
-            .detectors(vec![DetectorChoice::Hybrid])
-            .strategies(vec![strategy])
-    };
-    let base_seed = arm_cfg(Strategy::Random, 1).base_seed;
     println!(
         "== scheduler ablation: {} units × {budget} executions per arm ==",
         units.len()
     );
-
-    let mut arms: Vec<(&str, CampaignResult, Vec<usize>)> = Vec::new();
-    for (label, strategy, adaptive) in [
-        ("random", Strategy::Random, false),
-        ("pct", Strategy::Pct { depth: 3 }, false),
-        ("guided", Strategy::Random, true),
-    ] {
-        let campaign = Campaign::over_units(arm_cfg(strategy, args.workers), units.to_vec());
-        let result = if adaptive {
-            campaign.run_adaptive()
-        } else {
-            campaign.run()
-        };
-        let curve = per_exec_curve(&result, base_seed, budget);
-        arms.push((label, result, curve));
-    }
 
     // Convergence panel: unique races known after each arm has spent the
     // checkpoint's executions in every unit.
@@ -190,30 +161,24 @@ fn run_ablation(args: &Args, units: &[CampaignUnit]) {
     for &e in &checkpoints {
         print!(" {e:>7}");
     }
-    println!("   unique · novel sigs · mutated runs");
-    for (label, result, curve) in &arms {
+    println!("   unique · first held at");
+    for (label, strategy) in [("random", Strategy::Random), ("pct", Strategy::Pct { depth: 3 })] {
+        let config = CampaignConfig::nightly()
+            .seeds_per_unit(budget)
+            .workers(args.workers)
+            .shards(4)
+            .detectors(vec![DetectorChoice::Hybrid])
+            .strategies(vec![strategy]);
+        let base_seed = config.base_seed;
+        let result = Campaign::over_units(config, units.to_vec()).run();
+        let curve = per_exec_curve(&result, base_seed, budget);
         print!("   {label:<8}");
         for &e in &checkpoints {
             print!(" {:>7}", curve[e - 1]);
         }
-        println!(
-            "   {:>6} · {:>10} · {:>12}",
-            result.batch.len(),
-            result.obs.snapshot.counter("explore.novel_signatures"),
-            result.obs.snapshot.counter("explore.mutated_runs"),
-        );
-    }
-
-    // Executions-to-parity: how early the guided arm matches the random
-    // baseline's final unique-race yield.
-    let target = arms[0].2.last().copied().unwrap_or(0);
-    let parity = arms[2].2.iter().position(|&u| u >= target).map(|e| e + 1);
-    match parity {
-        Some(p) => println!(
-            "   guided matched random's {target} unique races after {p}/{budget} executions per unit (ratio {:.3})",
-            p as f64 / budget as f64
-        ),
-        None => println!("   guided never reached random's {target} unique races"),
+        let unique = result.batch.len();
+        let held = curve.iter().position(|&u| u >= unique).map_or(0, |e| e + 1);
+        println!("   {unique:>6} · execution {held}/{budget}");
     }
 }
 
