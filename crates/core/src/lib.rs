@@ -16,7 +16,7 @@
 //! | [`corpus`] | `grs-corpus` | synthetic monorepos (Table 1) |
 //! | [`interp`] | `grs-interp` | Go-lite interpreter on the runtime |
 //! | [`fleet`] | `grs-fleet` | concurrency census (Figure 1) + parallel campaign engine |
-//! | [`obs`] | `grs-obs` | metrics registry, span tracing, §3.5 campaign timelines |
+//! | [`obs`] | `grs-obs` | `ObsSink`, metrics registry, span tracing, the versioned obs export |
 //!
 //! # Example: detect Listing 1's race end to end
 //!
@@ -80,6 +80,6 @@ pub mod prelude {
     pub use grs_fleet::{
         corpus_suite, pattern_suite, Campaign, CampaignConfig, CampaignResult, CampaignUnit,
     };
-    pub use grs_obs::{MetricsRegistry, ObsReport, ObsSink, CampaignTimeline, TimelineConfig};
+    pub use grs_obs::{MetricsRegistry, ObsReport, ObsSink};
     pub use grs_runtime::{Program, RunConfig, Runtime, Strategy, Trace};
 }

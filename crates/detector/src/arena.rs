@@ -134,26 +134,6 @@ impl DetectorArena {
         (outcome, reports)
     }
 
-    /// [`DetectorArena::run`] with observability: wraps the run in a
-    /// `detector.analyze` span and reports the run's
-    /// [`MonitorStats`](grs_runtime::MonitorStats) into `sink`. Detection
-    /// results are identical to the unobserved path.
-    pub fn run_observed(
-        &mut self,
-        choice: DetectorChoice,
-        program: &Program,
-        cfg: RunConfig,
-        sink: &dyn ObsSink,
-    ) -> (RunOutcome, Vec<RaceReport>) {
-        let (outcome, reports) = {
-            let _span = SpanGuard::enter(sink, "detector.analyze");
-            self.run(choice, program, cfg)
-        };
-        sink.add("detector.runs", 1);
-        outcome.stats.record_into(sink);
-        (outcome, reports)
-    }
-
     /// Analyzes a recorded trace offline under `choice`, reusing this
     /// arena's detector instance and rebuilding the trace's depot snapshot
     /// into the arena depot. Reports are bit-identical to a live
@@ -176,11 +156,12 @@ impl DetectorArena {
     /// detector's struct-of-arrays hot loop — the execute-once/analyze-many
     /// core of the replay campaign. The depot snapshot is rebuilt once
     /// (spanned as `replay.decode`) and shared; each analysis is spanned as
-    /// `replay.analyze` and reports the same stable counters a live
-    /// observed run would (`detector.runs`, `runtime.events`, depot/shadow
-    /// gauges) — which is what keeps the exported metrics identical between
-    /// live and replay campaigns — plus two replay-only counters
-    /// (`replay.batches`, `replay.batch_events`) capturing batching volume.
+    /// `replay.analyze` and reports its counters (`detector.runs`,
+    /// `runtime.events`, `replay.batches`, `replay.batch_events`, depot and
+    /// shadow gauges) into `sink`. Every caller in the workspace passes
+    /// [`NULL_SINK`](grs_obs::NULL_SINK) — a campaign folds those figures
+    /// from its records; the parameter stays because `benchmark/` calls
+    /// this signature.
     pub fn replay_many_decoded_observed(
         &mut self,
         decoded: &DecodedTrace,

@@ -24,6 +24,11 @@
 //! campaign's deterministic output — run records and the deduped batch — is
 //! identical for any worker count, including 1 (inline on the calling
 //! thread). Only wall-clock changes.
+//!
+//! A campaign keeps its books once: the sorted [`RunRecord`]s (with
+//! [`ReplayStats`] and the batch's raw-report count) are the result, and
+//! the obs export is folded from them after the workers have joined
+//! (`fold_obs`). No worker touches a shared metrics sink.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -31,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
 use grs_detector::{default_workers, DetectorArena, DetectorChoice, RaceReport};
-use grs_obs::{CampaignTimeline, Fnv1a, MetricsRegistry, ObsReport, ObsSink, SpanGuard, TimelineConfig};
+use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport, NULL_SINK};
 use grs_runtime::{
     record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig, RunOutcome, Strategy,
     DEFAULT_CHUNK_EVENTS,
@@ -397,9 +402,10 @@ pub struct CampaignResult {
     /// Record/replay counters when the campaign ran execute-once
     /// ([`Campaign::run_replay`]); `None` for execute-per-detector runs.
     pub replay: Option<ReplayStats>,
-    /// The campaign's observability report: stable metrics, span/latency
-    /// timing, and the §3.5 campaign-dynamics timeline — ready to export
-    /// as JSON ([`ObsReport::to_json`]) or render as a text
+    /// The campaign's observability report, folded from the fields above
+    /// once the workers had joined: stable counters and gauges, plus the
+    /// wall-clock and placement figures in the segregated timing section —
+    /// ready to export as JSON ([`ObsReport::to_json`]) or render as a text
     /// dashboard ([`ObsReport::dashboard`]).
     pub obs: ObsReport,
 }
@@ -418,21 +424,12 @@ impl CampaignResult {
     }
 
     /// Fraction of runs that reported a race (0 when no runs executed).
-    ///
-    /// Derived from the campaign's monotonic counters (`campaign.runs`,
-    /// `campaign.racy_runs`) rather than re-counting records, so this rate
-    /// and [`CampaignResult::events_per_sec`] share one counter source and
-    /// every exported benchmark agrees on the denominator. The counters
-    /// are stable (identical across worker counts and live/replay); the
-    /// record-derived figures equal them by construction, which
-    /// `counters_agree_with_records` pins.
     #[must_use]
     pub fn detection_rate(&self) -> f64 {
-        let runs = self.obs.snapshot.counter("campaign.runs");
-        if runs == 0 {
+        if self.records.is_empty() {
             0.0
         } else {
-            self.obs.snapshot.counter("campaign.racy_runs") as f64 / runs as f64
+            self.racy_runs() as f64 / self.records.len() as f64
         }
     }
 
@@ -455,18 +452,13 @@ impl CampaignResult {
 
     /// Monitor events per second of wall-clock time — the hot-path
     /// throughput figure the interned-stack event model optimizes.
-    ///
-    /// The numerator is the `runtime.events` monotonic counter — the same
-    /// source [`CampaignResult::detection_rate`] draws its denominator
-    /// family from — so live and replay campaigns report rates over one
-    /// consistent event count.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs <= 0.0 {
             0.0
         } else {
-            self.obs.snapshot.counter("runtime.events") as f64 / secs
+            self.total_events() as f64 / secs
         }
     }
 
@@ -766,17 +758,12 @@ impl Campaign {
     /// Live executor: run the spec's program under its detector (through
     /// the worker's reusable arena) and fold the one run.
     fn execute(&self, spec: RunSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
-        let sink: &dyn ObsSink = &wk.shared.registry;
         let started = Instant::now();
-        let (outcome, reports) = {
-            let _span = SpanGuard::enter(sink, "shard.execute");
-            wk.arena.run_observed(
-                spec.detector,
-                &unit.program,
-                self.run_config(spec.seed, spec.strategy),
-                sink,
-            )
-        };
+        let (outcome, reports) = wk.arena.run(
+            spec.detector,
+            &unit.program,
+            self.run_config(spec.seed, spec.strategy),
+        );
         let repro = ReproArtifact::seeded(spec.seed, spec.strategy);
         wk.fold(spec, unit, reports, &repro, RunSize::of(&outcome), started.elapsed());
     }
@@ -788,16 +775,12 @@ impl Campaign {
     /// space as [`Campaign::execute`], with identical deterministic fields
     /// — the replay-fidelity guarantee.
     fn execute_replay(&self, exec: ExecSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
-        let sink: &dyn ObsSink = &wk.shared.registry;
         let record_started = Instant::now();
-        let (outcome, trace) = {
-            let _span = SpanGuard::enter(sink, "shard.execute");
-            record_with_depot(
-                &unit.program,
-                &self.run_config(exec.seed, exec.strategy),
-                wk.arena.depot(),
-            )
-        };
+        let (outcome, trace) = record_with_depot(
+            &unit.program,
+            &self.run_config(exec.seed, exec.strategy),
+            wk.arena.depot(),
+        );
         // Encoding is part of the record pipeline: it is what a deployment
         // would persist as the `.grtrace` artifact.
         let bytes = trace.encode();
@@ -809,8 +792,6 @@ impl Campaign {
         stats.trace_bytes_total += trace_bytes as u64;
         stats.trace_bytes_max = stats.trace_bytes_max.max(trace_bytes);
         stats.record_wall += record_started.elapsed();
-        sink.add("replay.trace_bytes", trace_bytes as u64);
-        sink.observe("replay.record_wall", record_started.elapsed());
 
         // Replay side: decode the persisted bytes back in SoA chunks (the
         // deployment consumer's path — decode is replay cost, not record
@@ -821,7 +802,7 @@ impl Campaign {
         stats.decode_batches += decoded.chunks;
         stats.batch_events += decoded.len() as u64;
         let analyses =
-            wk.arena.replay_many_decoded_observed(&decoded, &self.config.detectors, sink);
+            wk.arena.replay_many_decoded_observed(&decoded, &self.config.detectors, &NULL_SINK);
         let replay_elapsed = replay_started.elapsed();
         stats.replays += analyses.len();
         stats.replay_wall += replay_elapsed;
@@ -841,32 +822,6 @@ impl Campaign {
             let spec = exec.run_spec(pos, detector);
             wk.fold(spec, unit, analysis.reports, &repro, size, per_replay);
         }
-    }
-
-    /// Builds the campaign's observability report: snapshots the registry's
-    /// metrics and buckets the sorted records' fingerprints into the §3.5
-    /// timeline. The timeline is a pure function of deterministic outputs
-    /// (spec indices and fingerprints), so it is byte-identical across
-    /// worker counts *and* between live and replay execution.
-    fn build_obs(
-        &self,
-        label: &str,
-        registry: &MetricsRegistry,
-        records: &[RunRecord],
-    ) -> ObsReport {
-        let mut timeline = CampaignTimeline::new(TimelineConfig::default_days());
-        // The day axis spans the full matrix (skipped specs included), so
-        // the bucketing — and with it the whole timeline — is unchanged by
-        // whether a unit lowered. Skip-free campaigns get exactly the old
-        // records.len() denominator.
-        let total = self.matrix_len();
-        for r in records {
-            let day = timeline.day_of(r.spec.index, total);
-            for fp in &r.fingerprints {
-                timeline.observe(day, fp.0);
-            }
-        }
-        ObsReport::new(label, registry.snapshot(), timeline.finish())
     }
 
     /// One worker's share of a campaign, written once for both modes and
@@ -896,11 +851,6 @@ impl Campaign {
         let mut held: Option<(usize, CampaignUnit)> = None;
         while let Some((item, shard)) = next() {
             wk.shard = shard;
-            // A lone worker is at home on every shard.
-            let home = shared.workers == 1 || shard == id % shared.shards;
-            shared
-                .registry
-                .add_volatile(if home { "sched.home_pops" } else { "sched.steals" }, 1);
             let unit_index = match shared.mode {
                 Mode::Live => self.spec_at(item).unit,
                 Mode::Replay => self.exec_spec_at(item).unit,
@@ -908,11 +858,9 @@ impl Campaign {
             if held.as_ref().map(|(index, _)| *index) != Some(unit_index) {
                 held = match self.source.build(unit_index) {
                     Ok(unit) => Some((unit_index, unit)),
-                    // Both halves of a skip are deterministic: which units
-                    // fail and how many specs an item covers depend only on
-                    // the source and the config, never on scheduling.
+                    // Which units fail depends only on the source, never on
+                    // scheduling; a skipped item leaves no record.
                     Err(e) => {
-                        shared.registry.add("campaign.skipped_runs", shared.specs_per_item);
                         shared.skips.lock().unwrap_or_else(PoisonError::into_inner).record(e);
                         None
                     }
@@ -928,30 +876,24 @@ impl Campaign {
     }
 
     /// The one campaign driver. `mode` fixes what a work item is; everything
-    /// else — worker clamp, dedup stage, metrics, skip log, per-worker
-    /// arena and held unit, collection, ordering, the obs report and the
-    /// result — is the same for every mode.
+    /// else — worker clamp, dedup stage, skip log, per-worker arena and held
+    /// unit, collection, ordering, the result and the obs report folded
+    /// from it — is the same for every mode.
     fn drive(&self, mode: Mode) -> CampaignResult {
         let started = Instant::now();
-        let dets = self.config.detectors.len();
-        // How many items the mode deals, how many matrix specs one skipped
-        // item stands for, and the obs label.
-        let (items, specs_per_item, label) = match mode {
-            Mode::Live => (self.matrix_len(), 1, "campaign/live"),
-            Mode::Replay => (self.exec_len(), dets, "campaign/replay"),
+        let items = match mode {
+            Mode::Live => self.matrix_len(),
+            Mode::Replay => self.exec_len(),
         };
         let shards = self.config.shards.max(1);
+        let workers = self.config.workers.max(1).min(items.max(1));
         let shared = Shared {
             mode,
-            workers: self.config.workers.max(1).min(items.max(1)),
-            shards,
-            specs_per_item: specs_per_item as u64,
             dedup: DedupMap::new(shards),
-            registry: MetricsRegistry::new(),
             skips: Mutex::default(),
         };
         let queues = IndexQueues::new(shards, items);
-        let (mut records, replay) = if shared.workers == 1 {
+        let (mut records, replay) = if workers == 1 {
             // Inline on the calling thread, ascending: no thread, no
             // stealing from the tails.
             let mut ascending = (0..items).map(|i| (i, queues.shard_of(i)));
@@ -959,7 +901,7 @@ impl Campaign {
         } else {
             let all = Mutex::new((Vec::new(), ReplayStats::default()));
             std::thread::scope(|scope| {
-                for w in 0..shared.workers {
+                for w in 0..workers {
                     let (shared, queues, all) = (&shared, &queues, &all);
                     scope.spawn(move || {
                         let (records, replay) = self.work(shared, w, || queues.pop(w));
@@ -971,14 +913,11 @@ impl Campaign {
             });
             all.into_inner().unwrap_or_else(PoisonError::into_inner)
         };
-        let Shared { workers, dedup, registry, skips, .. } = shared;
         records.sort_by_key(|r| r.spec.index);
-        registry.observe("campaign.wall", started.elapsed());
-        let obs = self.build_obs(label, &registry, &records);
-        let skips = skips.into_inner().unwrap_or_else(PoisonError::into_inner);
-        CampaignResult {
+        let skips = shared.skips.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let mut result = CampaignResult {
             records,
-            batch: dedup.into_batch(),
+            batch: shared.dedup.into_batch(),
             units: (0..self.source.len()).map(|i| self.source.name(i)).collect(),
             units_skipped: skips.units.len(),
             skip_reasons: skips.reasons,
@@ -986,8 +925,89 @@ impl Campaign {
             shards,
             wall: started.elapsed(),
             replay: matches!(mode, Mode::Replay).then_some(replay),
-            obs,
+            obs: ObsReport::default(),
+        };
+        result.obs = self.fold_obs(&result);
+        result
+    }
+
+    /// The obs export of a finished campaign: a pure function of the
+    /// result's other fields and the matrix shape
+    /// (`tests/obs_determinism.rs` pins both modes' stable section). A
+    /// stable name appears once something was counted under it:
+    /// the per-run figures when a run executed, `campaign.skipped_runs`
+    /// when a unit failed to lower, `replay.*` in replay mode.
+    fn fold_obs(&self, result: &CampaignResult) -> ObsReport {
+        let records = &result.records;
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        let mut histograms = Vec::new();
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+
+        if !records.is_empty() {
+            let runs = records.len() as u64;
+            counters.extend([
+                ("campaign.runs", runs),
+                ("campaign.racy_runs", result.racy_runs() as u64),
+                ("campaign.reports", result.batch.raw_reports()),
+                ("detector.runs", runs),
+                ("runtime.events", result.total_events()),
+            ]);
+            gauges.extend([
+                ("detector.peak_shadow_words", result.peak_shadow_words() as u64),
+                ("runtime.depot_stacks", result.max_depot_stacks() as u64),
+            ]);
+            let mut run_wall = Histogram::default();
+            records.iter().for_each(|r| run_wall.observe_ns(nanos(r.duration)));
+            histograms.push(("campaign.run_wall", run_wall));
         }
+        if result.units_skipped > 0 {
+            let skipped = self.matrix_len() - records.len();
+            counters.push(("campaign.skipped_runs", skipped as u64));
+        }
+        let dets = self.config.detectors.len();
+        if let Some(stats) = &result.replay {
+            if stats.executions > 0 {
+                counters.push(("replay.trace_bytes", stats.trace_bytes_total));
+            }
+            if stats.replays > 0 {
+                // Each analysis walks every chunk of its execution's decode.
+                counters.extend([
+                    ("replay.analyses", stats.replays as u64),
+                    ("replay.batches", stats.decode_batches * dets as u64),
+                    ("replay.batch_events", stats.batch_events * dets as u64),
+                ]);
+            }
+        }
+
+        // Where each executed work item was popped: one record per item
+        // live, `dets` consecutive records per item in replay mode. A lone
+        // worker is at home on every shard.
+        let (label, per_item) = match result.replay {
+            Some(_) => ("campaign/replay", dets.max(1)),
+            None => ("campaign/live", 1),
+        };
+        let (mut home, mut stolen) = (0u64, 0u64);
+        for r in records.iter().step_by(per_item) {
+            if result.workers == 1 || r.shard == r.worker % result.shards {
+                home += 1;
+            } else {
+                stolen += 1;
+            }
+        }
+        let volatile_counters = vec![("sched.home_pops", home), ("sched.steals", stolen)];
+        let mut wall = Histogram::default();
+        wall.observe_ns(nanos(result.wall));
+        histograms.push(("campaign.wall", wall));
+
+        let snapshot = MetricsSnapshot {
+            counters: named(counters),
+            volatile_counters: named(volatile_counters),
+            gauges: named(gauges),
+            histograms: named(histograms),
+            ..MetricsSnapshot::default()
+        };
+        ObsReport::new(label, snapshot)
     }
 
     /// Runs the campaign over the full `(unit × seed × strategy ×
@@ -1011,6 +1031,12 @@ impl Campaign {
     }
 }
 
+/// A [`MetricsSnapshot`] section: `(name, value)` pairs sorted by name.
+fn named<T>(mut pairs: Vec<(&str, T)>) -> Vec<(String, T)> {
+    pairs.sort_unstable_by_key(|&(name, _)| name);
+    pairs.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
+}
+
 /// What a campaign's work item is. Private: callers choose through
 /// [`Campaign::run`] and [`Campaign::run_replay`].
 #[derive(Debug, Clone, Copy)]
@@ -1024,14 +1050,7 @@ enum Mode {
 /// The stages every worker of one campaign shares.
 struct Shared {
     mode: Mode,
-    /// Worker threads, clamped to the item count.
-    workers: usize,
-    shards: usize,
-    /// Matrix specs one work item covers — what a skipped item adds to the
-    /// stable `campaign.skipped_runs` counter.
-    specs_per_item: u64,
     dedup: DedupMap,
-    registry: MetricsRegistry,
     skips: Mutex<SkipLog>,
 }
 
@@ -1067,9 +1086,9 @@ impl RunSize {
 }
 
 impl Worker<'_> {
-    /// The one record fold: count the run, tag each report with its unit
-    /// and repro artifact, fingerprint it into the dedup stage, and emit
-    /// the [`RunRecord`].
+    /// The one record fold: tag each report with its unit and repro
+    /// artifact, fingerprint it into the dedup stage, and emit the
+    /// [`RunRecord`].
     fn fold(
         &mut self,
         spec: RunSpec,
@@ -1079,12 +1098,7 @@ impl Worker<'_> {
         size: RunSize,
         duration: Duration,
     ) {
-        let sink = &self.shared.registry;
-        sink.observe("campaign.run_wall", duration);
         let racy = !reports.is_empty();
-        sink.add("campaign.runs", 1);
-        sink.add("campaign.racy_runs", u64::from(racy));
-        sink.add("campaign.reports", reports.len() as u64);
         let mut fingerprints = Vec::with_capacity(reports.len());
         for mut r in reports {
             r.program = Some(Arc::from(unit.name.as_str()));
@@ -1161,43 +1175,6 @@ mod tests {
         }
         assert!(r.detection_rate() > 0.0);
         assert!(!r.batch.is_empty());
-    }
-
-    /// `detection_rate` and `events_per_sec` draw from the monotonic
-    /// counters; the run records are the ground truth. This pins the two
-    /// sources equal — in live and execute-once replay mode — so every
-    /// exported benchmark rate shares one consistent numerator.
-    #[test]
-    fn counters_agree_with_records() {
-        let c = Campaign::over_units(
-            CampaignConfig::smoke().seeds_per_unit(6).shards(2),
-            tiny_units(),
-        );
-        for (mode, r) in [("live", c.run()), ("replay", c.run_replay())] {
-            let counter = |name: &str| r.obs.snapshot.counter(name);
-            assert_eq!(
-                counter("campaign.runs"),
-                r.records.len() as u64,
-                "{mode}: campaign.runs"
-            );
-            assert_eq!(
-                counter("campaign.racy_runs"),
-                r.racy_runs() as u64,
-                "{mode}: campaign.racy_runs"
-            );
-            assert_eq!(
-                counter("runtime.events"),
-                r.total_events(),
-                "{mode}: runtime.events"
-            );
-            let record_rate = r.racy_runs() as f64 / r.records.len() as f64;
-            assert!(
-                (r.detection_rate() - record_rate).abs() < f64::EPSILON,
-                "{mode}: detection_rate {} != record-derived {record_rate}",
-                r.detection_rate()
-            );
-            assert!(r.detection_rate() > 0.0, "{mode}: corpus must detect");
-        }
     }
 
     #[test]
@@ -1478,7 +1455,6 @@ mod tests {
                     "{cell}"
                 );
                 assert_eq!(par.obs.metrics_json(), one.obs.metrics_json(), "{cell}");
-                assert_eq!(par.obs.timeline_json(), one.obs.timeline_json(), "{cell}");
                 assert_eq!(
                     par.obs.deterministic_digest(),
                     one.obs.deterministic_digest(),

@@ -8,7 +8,11 @@
 //! first, warning-only programs next, clean programs last. The benchmark
 //! metric is **executions to first race** — how many `(program × seed)`
 //! runs the campaign burns before the dynamic detector confirms its first
-//! race — compared between plain spec-index order and the triaged order.
+//! race — compared between the triaged order and an order that knows
+//! nothing: the mean over [`BASELINE_SHUFFLES`] seeded shuffles of the
+//! units. (Name order is not a neutral baseline: `"<id>/fixed"` sorts
+//! before `"<id>/racy"`, so it always spends a unit's worth of executions
+//! on a fixed twin first.)
 //!
 //! The unit corpus is the Go-rendition corpus (`grs_patterns::gosrc`):
 //! every rendition contributes its racy and its fixed twin, so the ranking
@@ -18,6 +22,12 @@
 use grs_detector::DetectorChoice;
 use grs_golite::{lint_file, parse_file, Severity};
 use grs_runtime::{Program, RunConfig};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// Unit-order shuffles the uninformed baseline is averaged over.
+pub const BASELINE_SHUFFLES: usize = 32;
 
 /// Per-finding priors: an error-severity finding signals a documented
 /// production race shape, a warning a heuristic one.
@@ -53,8 +63,8 @@ pub fn lint_score(src: &str) -> f64 {
 }
 
 /// The rendition corpus as triage units: racy and fixed twins of every
-/// `GR001`–`GR018` rendition, sorted by name (the deterministic baseline
-/// order), each scored by linting its Go source.
+/// `GR001`–`GR018` rendition, sorted by name, each scored by linting its
+/// Go source.
 #[must_use]
 pub fn triage_suite() -> Vec<TriageUnit> {
     let mut units = Vec::new();
@@ -83,7 +93,8 @@ pub fn triage_suite() -> Vec<TriageUnit> {
 pub struct TriageConfig {
     /// Schedule seeds per unit (seeds enumerate innermost).
     pub seeds_per_unit: u64,
-    /// First seed of every unit's block.
+    /// First seed of every unit's block, and the seed of the baseline's
+    /// shuffles.
     pub base_seed: u64,
 }
 
@@ -96,15 +107,17 @@ impl Default for TriageConfig {
     }
 }
 
-/// Result of one triage benchmark: the same spec matrix executed in two
-/// orders, counting executions until the first dynamically-confirmed race.
+/// Result of one triage benchmark: the same spec matrix walked in triaged
+/// order and in shuffled orders, counting executions until the first
+/// dynamically-confirmed race.
 #[derive(Debug, Clone)]
 pub struct TriageOutcome {
     /// Total `(unit × seed)` specs in the matrix.
     pub total_specs: usize,
-    /// 1-based execution count to the first race in name/spec-index order
-    /// (`None`: no race in the whole matrix).
-    pub baseline_executions: Option<usize>,
+    /// Mean 1-based execution count to the first race over
+    /// [`BASELINE_SHUFFLES`] shuffled unit orders (`None`: no race in the
+    /// whole matrix).
+    pub baseline_executions: Option<f64>,
     /// 1-based execution count to the first race in triaged order.
     pub triage_executions: Option<usize>,
     /// Name of the unit whose run produced the triaged first race.
@@ -118,7 +131,7 @@ impl TriageOutcome {
     pub fn ratio(&self) -> Option<f64> {
         match (self.triage_executions, self.baseline_executions) {
             #[allow(clippy::cast_precision_loss)]
-            (Some(t), Some(b)) if b > 0 => Some(t as f64 / b as f64),
+            (Some(t), Some(b)) if b > 0.0 => Some(t as f64 / b),
             _ => None,
         }
     }
@@ -140,35 +153,47 @@ pub fn triage_order(units: &[TriageUnit]) -> Vec<usize> {
 }
 
 /// Runs the triage benchmark over [`triage_suite`]: executes the
-/// `(unit × seed)` matrix serially under the hybrid detector, in baseline
-/// order and in triaged order, and reports executions-to-first-race for
-/// both.
+/// `(unit × seed)` matrix once under the hybrid detector, noting the seed
+/// at which each unit first races, and from that reads off
+/// executions-to-first-race for the triaged order and for each shuffled
+/// one — seeds enumerate innermost, so an order's count is a whole unit's
+/// seeds for every silent unit ahead of the first racing one, plus that
+/// unit's seeds up to its hit.
 #[must_use]
 pub fn run_triage(cfg: &TriageConfig) -> TriageOutcome {
     let units = triage_suite();
-    let baseline: Vec<usize> = (0..units.len()).collect();
-    let triaged = triage_order(&units);
-
-    let first_race = |order: &[usize]| -> Option<(usize, usize)> {
-        let mut executed = 0;
-        for &u in order {
-            for k in 0..cfg.seeds_per_unit {
-                executed += 1;
+    let per_unit = usize::try_from(cfg.seeds_per_unit).unwrap_or(usize::MAX);
+    // 1-based position, within the unit's seed block, of its first racy run.
+    let first_hit: Vec<Option<usize>> = units
+        .iter()
+        .map(|u| {
+            let racy = |k| {
                 let rc = RunConfig::with_seed(cfg.base_seed.wrapping_add(k));
-                let (_, reports) = DetectorChoice::Hybrid.run(&units[u].program, rc);
-                if !reports.is_empty() {
-                    return Some((executed, u));
-                }
-            }
-        }
-        None
+                !DetectorChoice::Hybrid.run(&u.program, rc).1.is_empty()
+            };
+            (0..cfg.seeds_per_unit).position(racy).map(|k| k + 1)
+        })
+        .collect();
+    let first_race = |order: &[usize]| -> Option<(usize, usize)> {
+        order
+            .iter()
+            .enumerate()
+            .find_map(|(at, &u)| first_hit[u].map(|hit| (at * per_unit + hit, u)))
     };
 
-    let base = first_race(&baseline);
-    let tri = first_race(&triaged);
+    let tri = first_race(&triage_order(&units));
+    let mut rng = StdRng::seed_from_u64(cfg.base_seed);
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    let shuffled: Option<usize> = (0..BASELINE_SHUFFLES)
+        .map(|_| {
+            order.shuffle(&mut rng);
+            first_race(&order).map(|(n, _)| n)
+        })
+        .sum();
     TriageOutcome {
-        total_specs: units.len() * usize::try_from(cfg.seeds_per_unit).unwrap_or(usize::MAX),
-        baseline_executions: base.map(|(n, _)| n),
+        total_specs: units.len() * per_unit,
+        #[allow(clippy::cast_precision_loss)]
+        baseline_executions: shuffled.map(|n| n as f64 / BASELINE_SHUFFLES as f64),
         triage_executions: tri.map(|(n, _)| n),
         first_race_unit: tri.map(|(_, u)| units[u].name.clone()),
     }
@@ -217,7 +242,7 @@ mod tests {
             ratio <= 0.5,
             "triage must reach the first race in half the executions: {} vs {} ({ratio})",
             out.triage_executions.unwrap_or(0),
-            out.baseline_executions.unwrap_or(0),
+            out.baseline_executions.unwrap_or(0.0),
         );
     }
 }

@@ -1,45 +1,40 @@
-//! `grs-obs` — campaign observability for the race-study stack.
+//! `grs-obs` — the observability vocabulary of the race-study stack.
 //!
-//! The paper's deployment story is longitudinal: §3.5 and Figures 3–4
-//! report six months of filing/fixing dynamics, dedup growth, and
-//! throughput. Reproducing that requires *continuous* telemetry from every
-//! layer of the campaign engine, not just end-of-run aggregates. This crate
-//! is the one observability surface the whole workspace reports into:
+//! Two kinds of producer report here, and they do it differently:
 //!
-//! * [`ObsSink`] — the reporting trait. Runtime monitors, replay analyzers,
-//!   shard workers, and the intake pipeline all speak it; ad-hoc stats
-//!   structs (`MonitorStats`, `ReplayStats`, campaign field grab-bags)
-//!   remain as typed views, but the composable surface is the sink.
-//! * [`MetricsRegistry`] — the standard sink: lock-sharded counters,
-//!   max-gauges, and log-scaled latency histograms, with a span ring
-//!   buffer. Stable metrics are deterministic (order-independent sums and
-//!   maxima); wall-clock and placement-dependent data are segregated.
-//! * [`CampaignTimeline`] — buckets per-spec campaign results into virtual
-//!   "campaign days" and replays the §3.3.1 tracker discipline to
-//!   reconstruct Figure 3 (new vs. resolved races over time) and Figure 4
-//!   (dedup growth, fix-latency distribution).
-//! * [`ObsReport`] — the obs export, a JSON document with a versioned
-//!   schema, deterministic digest over the stable sections, and a human
-//!   `--dashboard` text view.
+//! * something **long-running that is asked questions while it runs** — the
+//!   intake service (`IntakeService::observed`) — reports into a live
+//!   [`ObsSink`], usually a [`MetricsRegistry`];
+//! * a **batch job** — a campaign — keeps one set of books, its sorted run
+//!   records, and folds a [`MetricsSnapshot`] from them once the workers
+//!   have joined. No sink is touched while it runs.
+//!
+//! Either way the result is a [`MetricsSnapshot`] wrapped in an
+//! [`ObsReport`]: a versioned JSON export with a hard split between the
+//! stable section (counters and max-gauges, byte-identical across worker
+//! counts, covered by the digest) and the wall-clock / placement-dependent
+//! `timing` section, plus a text dashboard.
+//!
+//! * [`ObsSink`] — the live reporting trait; [`SpanGuard`] is its RAII span.
+//! * [`MetricsRegistry`] — the standard sink: name-sharded counters,
+//!   max-gauges and log-scaled latency histograms, with a span ring buffer.
+//! * [`hash`] — the FNV-1a and splitmix64 mixers every digest in the
+//!   workspace is built from.
 //!
 //! This crate is dependency-free and sits below the runtime in the crate
-//! graph, so every layer can report into it.
+//! graph, so every layer can use it.
 //!
 //! # Example
 //!
 //! ```
-//! use grs_obs::{CampaignTimeline, MetricsRegistry, ObsReport, ObsSink, TimelineConfig};
+//! use grs_obs::{MetricsRegistry, ObsReport, ObsSink};
 //!
 //! let registry = MetricsRegistry::new();
-//! registry.add("campaign.runs", 100);
-//! registry.add("campaign.racy_runs", 37);
+//! registry.add("intake.frames", 100);
+//! registry.add("intake.filed", 37);
 //!
-//! let mut timeline = CampaignTimeline::new(TimelineConfig::default_days());
-//! timeline.observe(0, 0xdead_beef);
-//! timeline.observe(12, 0xfeed_face);
-//!
-//! let report = ObsReport::new("demo", registry.snapshot(), timeline.finish());
-//! assert!(report.to_json().contains("\"schema_version\":1"));
+//! let report = ObsReport::new("demo", registry.snapshot());
+//! assert!(report.to_json().contains("\"schema_version\":2"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +43,6 @@ pub mod hash;
 pub mod registry;
 pub mod report;
 pub mod sink;
-pub mod timeline;
 
 pub use hash::{splitmix64, Fnv1a};
 pub use registry::{
@@ -57,4 +51,3 @@ pub use registry::{
 };
 pub use report::{ObsReport, SCHEMA_VERSION};
 pub use sink::{NullSink, ObsSink, SpanGuard, NULL_SINK};
-pub use timeline::{CampaignTimeline, DayRow, TimelineConfig, TimelineReport};

@@ -1,10 +1,13 @@
-//! The lock-sharded [`MetricsRegistry`] and its [`MetricsSnapshot`].
+//! The name-sharded [`MetricsRegistry`] and its [`MetricsSnapshot`].
 //!
-//! Metric cells are distributed over `S` mutex-guarded shards by an FNV
-//! hash of the metric name, so concurrent campaign workers rarely contend:
-//! two workers only serialize when they touch metrics that hash to the same
-//! shard. Spans live in one dedicated ring (they are rare — per run, not
-//! per event).
+//! Metric cells are distributed over eight mutex-guarded shards by an FNV
+//! hash of the metric *name*. That buys one thing: two different names
+//! rarely share a lock. It does not spread one name — two
+//! threads adding to the same counter serialize on that counter's shard —
+//! and every span goes through one dedicated ring lock. So the registry
+//! suits a producer whose threads mostly report different things at a
+//! modest rate (the intake service's stages); a job whose workers would all
+//! bump the same few names per item should count locally and report once.
 //!
 //! Snapshots merge the shards into name-sorted vectors, which is what makes
 //! the exported metrics deterministic: stable counters are sums and stable
@@ -22,6 +25,9 @@ use crate::sink::ObsSink;
 /// `[2^i, 2^(i+1))` nanoseconds, bucket 0 includes 0, the last bucket is
 /// open-ended (≥ ~9.2 s).
 pub const HISTOGRAM_BUCKETS: usize = 34;
+
+/// Lock shards of a [`MetricsRegistry`].
+const REGISTRY_SHARDS: usize = 8;
 
 /// Span ring-buffer capacity: the exporter keeps the most recent completed
 /// spans for the timing section and drops older ones.
@@ -157,7 +163,8 @@ struct SpanRing {
     dropped: u64,
 }
 
-/// The lock-sharded metrics registry — the standard [`ObsSink`].
+/// The metrics registry — the standard live [`ObsSink`]. Sharded by metric
+/// name: two names do not contend, two threads on one name do.
 ///
 /// # Example
 ///
@@ -186,18 +193,12 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry with the default shard count (8).
+    /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_shards(8)
-    }
-
-    /// A registry with `shards` lock shards (clamped to at least 1).
-    #[must_use]
-    pub fn with_shards(shards: usize) -> Self {
         MetricsRegistry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(Shard::default())).collect(),
-            spans: Mutex::new(SpanRing::default()),
+            shards: (0..REGISTRY_SHARDS).map(|_| Mutex::default()).collect(),
+            spans: Mutex::default(),
         }
     }
 
@@ -311,10 +312,17 @@ impl ObsSink for MetricsRegistry {
             name: name.to_string(),
             dur_ns: ns,
         });
-        let agg = s.aggregates.entry(name.to_string()).or_default();
-        agg.count += 1;
-        agg.total_ns = agg.total_ns.saturating_add(ns);
-        agg.max_ns = agg.max_ns.max(ns);
+        match s.aggregates.get_mut(name) {
+            Some(agg) => {
+                agg.count += 1;
+                agg.total_ns = agg.total_ns.saturating_add(ns);
+                agg.max_ns = agg.max_ns.max(ns);
+            }
+            None => {
+                let first = SpanStats { count: 1, total_ns: ns, max_ns: ns };
+                s.aggregates.insert(name.to_string(), first);
+            }
+        }
     }
 }
 
@@ -433,7 +441,7 @@ mod tests {
 
     #[test]
     fn counters_sum_and_gauges_max() {
-        let r = MetricsRegistry::with_shards(4);
+        let r = MetricsRegistry::new();
         for i in 0..10 {
             r.add("runs", 1);
             r.gauge_max("peak", i);
@@ -448,7 +456,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_name_sorted_regardless_of_insertion_order() {
-        let r = MetricsRegistry::with_shards(3);
+        let r = MetricsRegistry::new();
         for name in ["z", "a", "m", "b"] {
             r.add(name, 1);
         }

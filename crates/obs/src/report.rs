@@ -5,31 +5,32 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "label": "...",
-//!   "deterministic_digest": "0x...",       // over metrics + timeline
+//!   "deterministic_digest": "0x...",       // over metrics
 //!   "metrics":  { "counters": {..}, "gauges": {..} },        // stable
-//!   "timeline": { "days": [..], "fix_latency": [..], .. },   // stable
 //!   "timing":   { "volatile_counters": {..}, "histograms": {..},
 //!                 "spans": {..} }          // wall-clock / placement
 //! }
 //! ```
 //!
-//! Everything under `metrics` and `timeline` is byte-identical across
-//! worker counts and between live and replay execution; everything
-//! wall-clock- or placement-derived is segregated under `timing` and
-//! excluded from `deterministic_digest`. CI consumes the stable sections;
-//! humans get the same data through [`ObsReport::dashboard`].
+//! Everything under `metrics` is byte-identical across worker counts;
+//! everything wall-clock- or placement-derived is segregated under
+//! `timing` and excluded from `deterministic_digest`. CI consumes the
+//! stable section; humans get the same data through
+//! [`ObsReport::dashboard`].
+//!
+//! Version 1 also carried a `timeline` section; DESIGN §4e records why it
+//! was deleted.
 
 use std::fmt::Write as _;
 
 use crate::registry::{Histogram, MetricsSnapshot};
-use crate::timeline::TimelineReport;
 
 /// Version of the obs export's schema. Bump on any breaking change to
-/// the stable sections; `tests/obs_determinism.rs` fails when the field is
+/// the stable section; `tests/obs_determinism.rs` fails when the field is
 /// missing.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One observed campaign, ready for export.
 #[derive(Debug, Clone, Default)]
@@ -38,8 +39,6 @@ pub struct ObsReport {
     pub label: String,
     /// The merged metrics snapshot.
     pub snapshot: MetricsSnapshot,
-    /// The campaign-dynamics timeline.
-    pub timeline: TimelineReport,
 }
 
 fn json_escape(s: &str) -> String {
@@ -84,25 +83,19 @@ fn histogram_json(out: &mut String, h: &Histogram) {
 impl ObsReport {
     /// A report from its parts.
     #[must_use]
-    pub fn new(label: &str, snapshot: MetricsSnapshot, timeline: TimelineReport) -> Self {
+    pub fn new(label: &str, snapshot: MetricsSnapshot) -> Self {
         ObsReport {
             label: label.to_string(),
             snapshot,
-            timeline,
         }
     }
 
-    /// FNV-1a digest over the stable sections (metrics + timeline). Equal
-    /// across worker counts; the timeline part is also equal between live
-    /// and replay execution.
+    /// The snapshot's digest over the stable section
+    /// ([`MetricsSnapshot::deterministic_digest`]). Equal across worker
+    /// counts.
     #[must_use]
     pub fn deterministic_digest(&self) -> u64 {
-        let mut h = self.snapshot.deterministic_digest();
-        for b in self.timeline_json().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        self.snapshot.deterministic_digest()
     }
 
     /// The `metrics` section (stable counters + gauges) as JSON.
@@ -113,45 +106,6 @@ impl ObsReport {
         s.push_str(r#","gauges":"#);
         kv_object(&mut s, &self.snapshot.gauges);
         s.push('}');
-        s
-    }
-
-    /// The `timeline` section as JSON — all integers, byte-identical across
-    /// worker counts and between live and replay execution.
-    #[must_use]
-    pub fn timeline_json(&self) -> String {
-        let t = &self.timeline;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            r#"{{"observations":{},"total_filed":{},"total_fixed":{},"unique_races":{},"days":["#,
-            t.observations, t.total_filed, t.total_fixed, t.unique_races
-        );
-        for (i, d) in t.days.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                r#"{{"day":{},"filed":{},"rediscovered":{},"fixed":{},"outstanding":{},"filed_cum":{},"fixed_cum":{},"unique_cum":{}}}"#,
-                d.day,
-                d.filed,
-                d.rediscovered,
-                d.fixed,
-                d.outstanding,
-                d.filed_cum,
-                d.fixed_cum,
-                d.unique_cum
-            );
-        }
-        s.push_str(r#"],"fix_latency":["#);
-        for (i, &(lat, n)) in t.fix_latency.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{lat},{n}]");
-        }
-        s.push_str("]}");
         s
     }
 
@@ -209,18 +163,17 @@ impl ObsReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"schema_version":{},"label":"{}","deterministic_digest":"0x{:016x}","metrics":{},"timeline":{},"timing":{}}}"#,
+            r#"{{"schema_version":{},"label":"{}","deterministic_digest":"0x{:016x}","metrics":{},"timing":{}}}"#,
             SCHEMA_VERSION,
             json_escape(&self.label),
             self.deterministic_digest(),
             self.metrics_json(),
-            self.timeline_json(),
             self.timing_json(),
         )
     }
 
-    /// The human `--dashboard` text view: metrics table, Figure-3/4
-    /// timeline bars, span aggregates.
+    /// The human `--dashboard` text view: metrics table, span aggregates,
+    /// latency histograms.
     #[must_use]
     pub fn dashboard(&self) -> String {
         let mut s = String::new();
@@ -239,34 +192,6 @@ impl ObsReport {
             for (k, v) in &self.snapshot.volatile_counters {
                 let _ = writeln!(s, "│   {k:<32} {v:>12}");
             }
-        }
-        let t = &self.timeline;
-        let _ = writeln!(s, "│");
-        let _ = writeln!(
-            s,
-            "│ timeline · {} days · {} observations → {} filed, {} fixed, {} unique",
-            t.days.len(),
-            t.observations,
-            t.total_filed,
-            t.total_fixed,
-            t.unique_races
-        );
-        let peak = t.days.iter().map(|d| d.outstanding).max().unwrap_or(0).max(1);
-        for d in &t.days {
-            let bar = "#".repeat((u64::from(d.outstanding) * 40 / u64::from(peak)) as usize);
-            let _ = writeln!(
-                s,
-                "│   day {:>3} │ new {:>4} redisc {:>4} fixed {:>4} open {:>4} │ {bar}",
-                d.day, d.filed, d.rediscovered, d.fixed, d.outstanding
-            );
-        }
-        if !t.fix_latency.is_empty() {
-            let _ = writeln!(
-                s,
-                "│ fix latency: mean {:.1} days, distribution {:?}",
-                t.mean_fix_latency(),
-                t.fix_latency
-            );
         }
         if !self.snapshot.spans.aggregates.is_empty() {
             let _ = writeln!(s, "│");
@@ -304,7 +229,6 @@ mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
     use crate::sink::ObsSink;
-    use crate::timeline::{CampaignTimeline, TimelineConfig};
 
     fn sample() -> ObsReport {
         let r = MetricsRegistry::new();
@@ -313,11 +237,7 @@ mod tests {
         r.add_volatile("sched.steals", 4);
         r.observe("run.wall", std::time::Duration::from_micros(250));
         r.span_end("shard.execute", std::time::Duration::from_micros(80));
-        let mut t = CampaignTimeline::new(TimelineConfig::default_days().days(6));
-        t.observe(0, 0xaa);
-        t.observe(2, 0xbb);
-        t.observe(3, 0xaa);
-        ObsReport::new("test", r.snapshot(), t.finish())
+        ObsReport::new("test", r.snapshot())
     }
 
     #[test]
@@ -326,30 +246,13 @@ mod tests {
         assert!(json.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
         for key in [
             "\"metrics\":",
-            "\"timeline\":",
             "\"timing\":",
             "\"deterministic_digest\":",
-            "\"days\":[",
-            "\"fix_latency\":[",
             "\"campaign.runs\":12",
             "\"sched.steals\":4",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn digest_covers_timeline_but_not_timing() {
-        let a = sample();
-        let mut b = sample();
-        assert_eq!(a.deterministic_digest(), b.deterministic_digest());
-        // Timing-only difference: digest unchanged.
-        b.snapshot.volatile_counters[0].1 += 1;
-        assert_eq!(a.deterministic_digest(), b.deterministic_digest());
-        // Timeline difference: digest changes.
-        let mut c = sample();
-        c.timeline.days[0].filed += 1;
-        assert_ne!(a.deterministic_digest(), c.deterministic_digest());
     }
 
     #[test]
@@ -359,18 +262,11 @@ mod tests {
             "obs dashboard",
             "metrics (deterministic)",
             "campaign.runs",
-            "timeline",
-            "day   0",
             "spans (wall-clock)",
             "shard.execute",
+            "latency histograms",
         ] {
             assert!(d.contains(needle), "dashboard missing {needle:?}:\n{d}");
         }
-    }
-
-    #[test]
-    fn timeline_json_is_all_integers() {
-        let tj = sample().timeline_json();
-        assert!(!tj.contains('.'), "timeline must not carry floats: {tj}");
     }
 }

@@ -1,12 +1,11 @@
-//! The [`ObsSink`] trait — the one reporting surface every layer speaks.
+//! The [`ObsSink`] trait — how a running producer reports.
 //!
-//! Before this crate, each layer of the campaign stack grew its own stats
-//! grab-bag: the runtime returned `MonitorStats`, the replay engine summed
-//! `ReplayStats`, the campaign engine hand-rolled counters on
-//! `CampaignResult`. `ObsSink` replaces those ad-hoc surfaces with one
-//! composable API: a producer (runtime monitor, replay analyzer, shard
-//! worker, intake pipeline) reports named observations; a sink (usually a
-//! [`MetricsRegistry`](crate::MetricsRegistry)) aggregates them.
+//! A producer that is long-running and asked questions while it runs (the
+//! intake pipeline) reports named observations; a sink (usually a
+//! [`MetricsRegistry`](crate::MetricsRegistry)) aggregates them. A batch
+//! job does not use a sink: it folds its
+//! [`MetricsSnapshot`](crate::MetricsSnapshot) from its result when it is
+//! done.
 //!
 //! The API enforces the determinism split at the type level:
 //!
@@ -26,8 +25,8 @@ use std::time::{Duration, Instant};
 
 /// A consumer of named observations from any layer of the stack.
 ///
-/// Implementations must be cheap and lock-sharded (or lock-free): sinks are
-/// called from every campaign worker thread on the run hot path.
+/// Implementations must be cheap and safe to share: sinks are called from
+/// every thread of the producer they are attached to.
 pub trait ObsSink: Send + Sync {
     /// Adds `delta` to the stable counter `name`. Stable counters must be
     /// derived only from deterministic run outputs; they are included in

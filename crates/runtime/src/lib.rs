@@ -49,8 +49,7 @@
 //! The loop-index-variable capture race of Listing 1:
 //!
 //! ```
-//! use grs_runtime::{Program, RunConfig, Runtime};
-//! use grs_runtime::monitor::RecordingMonitor;
+//! use grs_runtime::{record, Program, RunConfig};
 //!
 //! let program = Program::new("loop_capture", |ctx| {
 //!     let job = ctx.cell("job", 0i64); // the captured loop variable
@@ -62,10 +61,9 @@
 //!         });
 //!     }
 //! });
-//! let (outcome, monitor) =
-//!     Runtime::new(RunConfig::with_seed(7)).run(&program, RecordingMonitor::new());
+//! let (outcome, trace) = record(&program, &RunConfig::with_seed(7));
 //! assert!(outcome.is_clean());
-//! assert!(!monitor.events().is_empty());
+//! assert!(!trace.events.is_empty());
 //! ```
 
 #![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
@@ -99,7 +97,7 @@ pub use depot::{DepotStats, StackDepot, StackId};
 pub use event::{AccessKind, Event, Frame, SourceLoc, Stack};
 pub use gomap::GoMap;
 pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
-pub use monitor::{Monitor, MonitorStats, NullMonitor, RecordingMonitor, TraceHasher};
+pub use monitor::{Monitor, MonitorStats, NullMonitor, TraceHasher};
 pub use runtime::{calibrate_steps, Program, RunConfig, RunOutcome, Runtime, RuntimeError};
 pub use sched::{
     PctPolicy, RandomPolicy, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, ScheduleTrace,

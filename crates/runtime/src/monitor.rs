@@ -70,18 +70,6 @@ pub struct MonitorStats {
     pub peak_shadow_words: usize,
 }
 
-impl MonitorStats {
-    /// Reports this run's counters into an [`ObsSink`](grs_obs::ObsSink) —
-    /// the composable form of the stats block. Event counts are sums and
-    /// the depot/shadow figures are per-run maxima, so the aggregate is
-    /// deterministic for any worker placement.
-    pub fn record_into(&self, sink: &dyn grs_obs::ObsSink) {
-        sink.add("runtime.events", self.events_dispatched);
-        sink.gauge_max("runtime.depot_stacks", self.depot.stacks as u64);
-        sink.gauge_max("detector.peak_shadow_words", self.peak_shadow_words as u64);
-    }
-}
-
 /// A monitor that ignores everything — the "race detector off" baseline.
 ///
 /// # Example
@@ -101,63 +89,6 @@ impl Monitor for NullMonitor {
 
     fn is_noop(&self) -> bool {
         true
-    }
-}
-
-/// A monitor that records every event; useful for tests and trace debugging.
-#[derive(Debug, Default)]
-pub struct RecordingMonitor {
-    events: Vec<Event>,
-    depot: Option<StackDepot>,
-}
-
-impl RecordingMonitor {
-    /// Creates an empty recorder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded events, in execution order.
-    #[must_use]
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The depot of the recorded run (present after the run started), for
-    /// resolving the `StackId`s carried by access events.
-    #[must_use]
-    pub fn depot(&self) -> Option<&StackDepot> {
-        self.depot.as_ref()
-    }
-
-    /// Materializes an access event's interned stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before a run attached a depot.
-    #[must_use]
-    pub fn resolve_stack(&self, id: crate::StackId) -> crate::Stack {
-        self.depot
-            .as_ref()
-            .expect("no run recorded yet")
-            .resolve(id)
-    }
-
-    /// Consumes the recorder, returning the events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-}
-
-impl Monitor for RecordingMonitor {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        self.depot = Some(depot.clone());
-    }
-
-    fn on_event(&mut self, event: &Event) {
-        self.events.push(event.clone());
     }
 }
 

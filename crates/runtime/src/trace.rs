@@ -809,18 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_matches_recording_monitor() {
-        let p = listing1();
-        let cfg = RunConfig::with_seed(7);
-        let (outcome, trace) = record(&p, &cfg);
-        let (_, rec) = Runtime::new(cfg).run(&p, crate::monitor::RecordingMonitor::new());
-        assert_eq!(trace.events, rec.events());
-        assert_eq!(trace.meta.steps, outcome.steps);
-        assert_eq!(trace.meta.goroutines_spawned, outcome.goroutines_spawned);
-        assert!(!trace.stacks.is_empty());
-    }
-
-    #[test]
     fn digest_matches_live_trace_hasher() {
         let p = listing1();
         let cfg = RunConfig::with_seed(11);

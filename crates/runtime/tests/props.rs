@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grs_runtime::event::EventKind;
-use grs_runtime::{Program, RecordingMonitor, RunConfig, Runtime, Strategy as Sched};
+use grs_runtime::{record, Program, RunConfig, Runtime, Strategy as Sched, Trace};
 
 /// A small random program shape: `workers` goroutines each performing `ops`
 /// operations of a given kind, all correctly synchronized.
@@ -100,10 +100,7 @@ fn synchronized_programs_run_clean() {
 fn traces_replay_and_steps_increase() {
     check(0xB2, 24, |case, shape, seed| {
         let p = synchronized_program(&shape);
-        let run = |s| {
-            let (_, mon) = Runtime::new(RunConfig::with_seed(s)).run(&p, RecordingMonitor::new());
-            mon.into_events()
-        };
+        let run = |s| record(&p, &RunConfig::with_seed(s)).1.events;
         let a = run(seed);
         let b = run(seed);
         assert_eq!(a.len(), b.len(), "case {case}");
@@ -123,11 +120,11 @@ fn traces_replay_and_steps_increase() {
 fn channel_fifo_invariant() {
     check(0xB3, 24, |case, shape, seed| {
         let p = synchronized_program(&shape);
-        let (_, mon) = Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
+        let (_, trace) = record(&p, &RunConfig::with_seed(seed));
         let mut sends = Vec::new();
         let mut recvs = Vec::new();
         let mut sent_at = std::collections::HashMap::new();
-        for e in mon.events() {
+        for e in &trace.events {
             match &e.kind {
                 EventKind::ChanSend { seq, .. } => {
                     sends.push(*seq);
@@ -156,9 +153,9 @@ fn channel_fifo_invariant() {
 fn lock_and_wg_event_invariants() {
     check(0xB4, 24, |case, shape, seed| {
         let p = synchronized_program(&shape);
-        let (_, mon) = Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
+        let (_, trace) = record(&p, &RunConfig::with_seed(seed));
         let mut held: std::collections::HashMap<u64, bool> = std::collections::HashMap::new();
-        for e in mon.events() {
+        for e in &trace.events {
             match &e.kind {
                 EventKind::Acquire { lock, .. } => {
                     let h = held.entry(lock.0).or_insert(false);
@@ -186,7 +183,6 @@ fn lock_and_wg_event_invariants() {
 /// trace replays to the same campaign digest as the live run it recorded.
 #[test]
 fn trace_encode_decode_round_trips_identically() {
-    use grs_runtime::{record, Trace};
     check(0xB6, 24, |case, shape, seed| {
         let p = synchronized_program(&shape);
         for strategy in [Sched::Random, Sched::RoundRobin, Sched::Pct { depth: 2 }] {
@@ -218,10 +214,10 @@ fn trace_encode_decode_round_trips_identically() {
 fn spawn_precedes_child_events() {
     check(0xB5, 24, |case, shape, seed| {
         let p = synchronized_program(&shape);
-        let (_, mon) = Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
+        let (_, trace) = record(&p, &RunConfig::with_seed(seed));
         let mut spawned_at = std::collections::HashMap::new();
         spawned_at.insert(grs_runtime::Gid(0), 0u64);
-        for e in mon.events() {
+        for e in &trace.events {
             if let EventKind::Spawn { child, .. } = &e.kind {
                 spawned_at.insert(*child, e.step);
             }

@@ -6,8 +6,8 @@ use grs_obs::Fnv1a;
 use grs_runtime::chan::select2_recv;
 use grs_runtime::event::EventKind;
 use grs_runtime::{
-    GoMap, GoSlice, Monitor, NullMonitor, Program, RecordingMonitor, RunConfig, Runtime,
-    Selected2, Strategy, TraceHasher,
+    record, GoMap, GoSlice, Monitor, NullMonitor, Program, RunConfig, Runtime, Selected2,
+    StackDepot, Strategy, TraceHasher,
 };
 
 mod contention;
@@ -226,14 +226,13 @@ fn unprotected_rmw_can_lose_updates() {
             }
             wg.wait(ctx);
         });
-        let (outcome, mon) =
-            Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
+        let (outcome, trace) = record(&p, &RunConfig::with_seed(seed));
         assert!(outcome.is_clean());
         // Reconstruct the final value from the trace? Simpler: rerun and
         // inspect the cell via a channel; instead, check interleaving of
         // accesses in the event stream.
-        let accesses: Vec<_> = mon
-            .events()
+        let accesses: Vec<_> = trace
+            .events
             .iter()
             .filter_map(|e| e.as_access().map(|(a, k, _, _)| (e.gid, *a, k)))
             .collect();
@@ -309,12 +308,11 @@ fn waitgroup_add_inside_goroutine_can_unblock_early() {
             let marker = ctx.cell("marker", seen);
             let _ = ctx.read(&marker);
         });
-        let (outcome, mon) =
-            Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
+        let (outcome, trace) = record(&p, &RunConfig::with_seed(seed));
         assert!(outcome.is_clean(), "errors: {:?}", outcome.errors);
         // Find the WgWait event and count WgAdd(+1) events before it.
         let mut adds_before_wait = 0;
-        for ev in mon.events() {
+        for ev in &trace.events {
             match &ev.kind {
                 EventKind::WgAdd { delta: 1, .. } => adds_before_wait += 1,
                 EventKind::WgWait { .. } => break,
@@ -535,8 +533,9 @@ fn same_seed_same_trace() {
         }
     });
     let trace = |seed| {
-        let (_, mon) = Runtime::new(RunConfig::with_seed(seed)).run(&p, RecordingMonitor::new());
-        mon.into_events()
+        let (_, trace) = record(&p, &RunConfig::with_seed(seed));
+        trace
+            .events
             .iter()
             .map(|e| (e.step, e.gid))
             .collect::<Vec<_>>()
@@ -614,14 +613,16 @@ fn frames_appear_in_access_stacks() {
             });
         });
     });
-    let (outcome, mon) = Runtime::new(RunConfig::with_seed(0)).run(&p, RecordingMonitor::new());
+    let (outcome, trace) = record(&p, &RunConfig::with_seed(0));
     assert!(outcome.is_clean());
-    let access = mon
-        .events()
+    let access = trace
+        .events
         .iter()
         .find_map(|e| e.as_access().map(|(_, _, s, _)| s))
         .expect("one access event");
-    let stack = mon.resolve_stack(access);
+    let depot = StackDepot::new();
+    trace.rebuild_depot_into(&depot);
+    let stack = depot.resolve(access);
     assert_eq!(stack.func_names(), vec!["main", "ProcessAll", "SafeAppend"]);
 }
 
@@ -634,10 +635,10 @@ fn chan_events_carry_matching_seqs() {
         assert_eq!(ch.recv(ctx).value(), Some(1));
         assert_eq!(ch.recv(ctx).value(), Some(2));
     });
-    let (_, mon) = Runtime::new(RunConfig::with_seed(0)).run(&p, RecordingMonitor::new());
+    let (_, trace) = record(&p, &RunConfig::with_seed(0));
     let mut sends = Vec::new();
     let mut recvs = Vec::new();
-    for e in mon.events() {
+    for e in &trace.events {
         match &e.kind {
             EventKind::ChanSend { seq, .. } => sends.push(*seq),
             EventKind::ChanRecv { seq, .. } => recvs.push(*seq),

@@ -21,9 +21,9 @@
 //! here the full three-detector differential set — and is checked
 //! bit-for-bit against the execute-per-detector run of the same matrix.
 //!
-//! `--obs-out PATH` writes the observability report (stable metrics + the
-//! §3.5 Figure-3/Figure-4 timeline + volatile timing) as versioned JSON;
-//! `--dashboard` renders it as a terminal dashboard.
+//! `--obs-out PATH` writes the observability report (stable metrics +
+//! volatile timing) as versioned JSON; `--dashboard` renders it as a
+//! terminal dashboard.
 
 use std::sync::Arc;
 
@@ -84,15 +84,7 @@ fn export_obs(args: &Args, obs: &ObsReport) {
     if args.dashboard {
         println!("{}", obs.dashboard());
     }
-    println!(
-        "obs: {} · digest 0x{:016x} · {} observations → {} filed / {} fixed over {} days",
-        obs.label,
-        obs.deterministic_digest(),
-        obs.timeline.observations,
-        obs.timeline.total_filed,
-        obs.timeline.total_fixed,
-        obs.timeline.days.len(),
-    );
+    println!("obs: {} · digest 0x{:016x}", obs.label, obs.deterministic_digest());
 }
 
 /// Prints the campaign's skip accounting: how many units failed to lower
@@ -242,11 +234,6 @@ fn run_replay_demo(args: &Args, units: Vec<CampaignUnit>) {
         "replay campaign must reproduce the live campaign bit-for-bit"
     );
     assert_eq!(replayed.batch.fingerprints(), baseline.batch.fingerprints());
-    assert_eq!(
-        replayed.obs.timeline_json(),
-        baseline.obs.timeline_json(),
-        "the exported timeline must be byte-identical live vs replay"
-    );
     export_obs(args, &replayed.obs);
 
     let speedup = baseline.wall.as_secs_f64() / replayed.wall.as_secs_f64().max(1e-9);

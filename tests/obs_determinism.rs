@@ -1,17 +1,28 @@
-//! Observability determinism: the obs export is a campaign
-//! *measurement*, so it must not perturb — or be perturbed by — how the
-//! campaign executes. These tests pin the contract from three directions:
+//! Observability determinism: the obs export is folded from a campaign's
+//! records after the run, so it cannot perturb — or be perturbed by — how
+//! the campaign executes. These tests pin the contract from three
+//! directions:
 //!
-//! * the stable metrics section and its digest are byte-identical across
-//!   worker counts {1, 4, 8} (placement-dependent counters are segregated
-//!   into the volatile `timing` section);
-//! * the timeline section is byte-identical between live execution and the
+//! * the stable metrics section is the pinned string, byte for byte, at
+//!   worker counts {1, 2, 4} in both modes (placement-dependent counters
+//!   are segregated into the volatile `timing` section);
+//! * the campaign counters agree between live execution and the
 //!   execute-once replay engine on the same matrix;
-//! * the schema carries its version field and a non-empty timeline, which
-//!   is what CI greps for in the uploaded artifact.
+//! * the schema carries its version field, which is what CI greps for in
+//!   the uploaded artifact.
 
 use grs::prelude::*;
 use grs::runtime::Strategy;
+
+/// `metrics_json()` of [`Campaign::run`] over `units()` under `config()`,
+/// captured at d87dca0 — when every worker still entered each run into a
+/// shared `MetricsRegistry` — before the export became a fold over the
+/// records.
+const PINNED_LIVE_METRICS: &str = r#"{"counters":{"campaign.racy_runs":36,"campaign.reports":36,"campaign.runs":72,"detector.runs":72,"runtime.events":1116},"gauges":{"detector.peak_shadow_words":9,"runtime.depot_stacks":4}}"#;
+
+/// The same for [`Campaign::run_replay`]; the four `replay.*` counters are
+/// folded from `ReplayStats`.
+const PINNED_REPLAY_METRICS: &str = r#"{"counters":{"campaign.racy_runs":36,"campaign.reports":36,"campaign.runs":72,"detector.runs":72,"replay.analyses":72,"replay.batch_events":1116,"replay.batches":72,"replay.trace_bytes":5490,"runtime.events":1116},"gauges":{"detector.peak_shadow_words":9,"runtime.depot_stacks":4}}"#;
 
 fn units() -> Vec<CampaignUnit> {
     pattern_suite(true)
@@ -32,39 +43,28 @@ fn config() -> CampaignConfig {
 
 #[test]
 fn obs_export_is_identical_across_worker_counts() {
-    let baseline = Campaign::over_units(config().workers(1), units()).run();
-    for workers in [4, 8] {
-        let par = Campaign::over_units(config().workers(workers), units()).run();
+    let mut digests = Vec::new();
+    for workers in [1, 2, 4] {
+        let campaign = Campaign::over_units(config().workers(workers), units());
+        let live = campaign.run();
+        assert_eq!(live.obs.metrics_json(), PINNED_LIVE_METRICS, "live at {workers} workers");
         assert_eq!(
-            par.obs.timeline_json(),
-            baseline.obs.timeline_json(),
-            "timeline section diverged at {workers} workers"
+            campaign.run_replay().obs.metrics_json(),
+            PINNED_REPLAY_METRICS,
+            "replay at {workers} workers"
         );
-        assert_eq!(
-            par.obs.metrics_json(),
-            baseline.obs.metrics_json(),
-            "stable metrics diverged at {workers} workers"
-        );
-        assert_eq!(
-            par.obs.deterministic_digest(),
-            baseline.obs.deterministic_digest(),
-            "obs digest diverged at {workers} workers"
-        );
+        digests.push(live.obs.deterministic_digest());
     }
+    assert!(digests.windows(2).all(|w| w[0] == w[1]), "obs digest diverged: {digests:x?}");
 }
 
 #[test]
-fn obs_timeline_is_identical_live_vs_replay() {
+fn campaign_counters_are_identical_live_vs_replay() {
     let campaign = Campaign::over_units(config().workers(2), units());
     let live = campaign.run();
     let replayed = campaign.run_replay();
-    assert_eq!(
-        replayed.obs.timeline_json(),
-        live.obs.timeline_json(),
-        "timeline must not depend on execute-per-detector vs execute-once"
-    );
-    // The stable *campaign* counters agree too: replay fidelity makes the
-    // offline analyses report the same events/runs/reports sums.
+    // Replay fidelity makes the offline analyses report the same
+    // events/runs/reports sums.
     for name in [
         "campaign.runs",
         "campaign.racy_runs",
@@ -81,7 +81,7 @@ fn obs_timeline_is_identical_live_vs_replay() {
 }
 
 #[test]
-fn obs_json_schema_has_version_and_nonempty_timeline() {
+fn obs_json_schema_has_version_and_segregated_timing() {
     let result = Campaign::over_units(config().workers(2), units()).run();
     let json = result.obs.to_json();
     assert!(
@@ -89,9 +89,6 @@ fn obs_json_schema_has_version_and_nonempty_timeline() {
         "schema_version must lead the document: {}",
         &json[..80.min(json.len())]
     );
-    assert_eq!(result.obs.timeline.days.len(), 30, "one row per virtual day");
-    assert!(result.obs.timeline.observations > 0, "racy patterns must observe races");
-    assert!(result.obs.timeline.total_filed > 0);
 
     // Placement-dependent counters live in timing, not in the digest-bearing
     // metrics section.
