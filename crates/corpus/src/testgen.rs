@@ -137,11 +137,11 @@ impl GoTestGen {
         &self.spec
     }
 
-    /// Emits test `index`. Deterministic: depends only on
-    /// `(spec, seed, index)` — never on emission order — which is what
-    /// keeps campaign digests invariant across worker counts.
-    #[must_use]
-    pub fn emit(&self, index: u64) -> GoTest {
+    /// The head of test `index`'s draw: whether it is racy and which
+    /// template it uses, with the RNG positioned where the body's draws
+    /// begin. [`GoTestGen::emit`] and [`GoTestGen::name`] both start here,
+    /// so they cannot disagree.
+    fn header(&self, index: u64) -> (StdRng, bool, &'static str) {
         let mut rng = StdRng::seed_from_u64(splitmix64(
             self.seed ^ splitmix64(index.wrapping_add(0xc0_4b0c)),
         ));
@@ -151,6 +151,24 @@ impl GoTestGen {
         } else {
             CLEAN_TEMPLATES[rng.gen_range(0..CLEAN_TEMPLATES.len())]
         };
+        (rng, racy, template)
+    }
+
+    /// The name [`GoTestGen::emit`]`(index)` carries —
+    /// `gotest/<index>/<template>/<racy|clean>` — without building the
+    /// source: a campaign names every unit after the run.
+    #[must_use]
+    pub fn name(&self, index: u64) -> String {
+        let (_, racy, template) = self.header(index);
+        test_name(index, template, racy)
+    }
+
+    /// Emits test `index`. Deterministic: depends only on
+    /// `(spec, seed, index)` — never on emission order — which is what
+    /// keeps campaign digests invariant across worker counts.
+    #[must_use]
+    pub fn emit(&self, index: u64) -> GoTest {
+        let (mut rng, racy, template) = self.header(index);
         let mut body = String::new();
         let fillers = if self.spec.fillers_max == 0 {
             0
@@ -166,10 +184,7 @@ impl GoTestGen {
         );
         GoTest {
             index,
-            name: format!(
-                "gotest/{index:06}/{template}/{}",
-                if racy { "racy" } else { "clean" }
-            ),
+            name: test_name(index, template, racy),
             source,
             expected_racy: racy,
         }
@@ -179,6 +194,13 @@ impl GoTestGen {
     pub fn iter(&self, count: u64) -> impl Iterator<Item = GoTest> + '_ {
         (0..count).map(|i| self.emit(i))
     }
+}
+
+fn test_name(index: u64, template: &str, racy: bool) -> String {
+    format!(
+        "gotest/{index:06}/{template}/{}",
+        if racy { "racy" } else { "clean" }
+    )
 }
 
 /// One self-contained sequential snippet — construct-density noise that

@@ -185,7 +185,7 @@ impl UnitSource for GoCorpusSource {
     }
 
     fn name(&self, unit: usize) -> String {
-        self.gen.emit(unit as u64).name
+        self.gen.name(unit as u64)
     }
 
     fn build(&self, unit: usize) -> Result<CampaignUnit, UnitError> {

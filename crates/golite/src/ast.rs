@@ -3,23 +3,44 @@
 //! Nodes carry the [`Pos`] of their first token so scanners and lints can
 //! report source locations.
 //!
+//! Every spelling in the tree — identifiers, selectors, type names, labels,
+//! literal text — is a [`Sym`] into the file's own [`File::names`] table,
+//! and every operator is a `Copy` enum, so a node compares and copies as
+//! integers and holds no `String`. Text comes back through
+//! [`File::text`] (or [`Names::text`]) and the operators' `as_str`. Closure
+//! signatures and bodies sit behind `Arc`s: evaluating a `func` literal
+//! shares them instead of copying the subtree.
+//!
 //! [`walk`] is the crate's one enumeration of statement and expression
 //! children. A pass that only *looks* at nodes (the construct counter, the
 //! lint collectors, the kill-point collector) is a visitor over it; a pass
 //! that does different work per variant (parser, resolver, CFG builder)
 //! keeps its own recursion.
 
+use std::sync::Arc;
+
+pub use crate::names::{sym, Names, Sym};
 use crate::token::Pos;
 
 /// A parsed source file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct File {
     /// `package <name>`.
-    pub package: String,
-    /// Import paths.
-    pub imports: Vec<String>,
+    pub package: Sym,
+    /// Import paths (the text between the quotes).
+    pub imports: Vec<Sym>,
     /// Top-level declarations.
     pub decls: Vec<Decl>,
+    /// The spelling of every [`Sym`] in this file.
+    pub names: Names,
+}
+
+impl File {
+    /// The spelling of `sym` (shorthand for `self.names.text(sym)`).
+    #[must_use]
+    pub fn text(&self, sym: Sym) -> &str {
+        self.names.text(sym)
+    }
 }
 
 /// A top-level declaration.
@@ -43,7 +64,7 @@ pub struct FuncDecl {
     /// Method receiver, when present.
     pub receiver: Option<Param>,
     /// Function name.
-    pub name: String,
+    pub name: Sym,
     /// The signature.
     pub sig: Signature,
     /// The body (absent for external declarations).
@@ -71,8 +92,8 @@ impl Signature {
 /// A parameter / result / receiver: `name Type` (name may be empty).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
-    /// Parameter name (may be empty or `_`).
-    pub name: String,
+    /// Parameter name (may be [`sym::EMPTY`] or `_`).
+    pub name: Sym,
     /// The type.
     pub ty: Type,
 }
@@ -83,7 +104,7 @@ pub struct VarDecl {
     /// Position of the keyword.
     pub pos: Pos,
     /// Declared names.
-    pub names: Vec<String>,
+    pub names: Vec<Sym>,
     /// Declared type, when explicit.
     pub ty: Option<Type>,
     /// Initializer expressions.
@@ -96,7 +117,7 @@ pub struct TypeDecl {
     /// Position of the keyword.
     pub pos: Pos,
     /// Type name.
-    pub name: String,
+    pub name: Sym,
     /// Underlying type.
     pub ty: Type,
 }
@@ -104,14 +125,15 @@ pub struct TypeDecl {
 /// A Go-lite type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Type {
-    /// `int`, `MyStruct`, `pkg.Type`.
-    Name(String),
+    /// `int`, `MyStruct`, `pkg.Type` (a qualified name is one [`Sym`]
+    /// spelled with its dot).
+    Name(Sym),
     /// `*T`.
     Pointer(Box<Type>),
     /// `[]T`.
     Slice(Box<Type>),
-    /// `[N]T` (size kept as text).
-    Array(String, Box<Type>),
+    /// `[N]T` (size kept as spelled).
+    Array(Sym, Box<Type>),
     /// `map[K]V`.
     Map(Box<Type>, Box<Type>),
     /// `chan T` / `<-chan T` / `chan<- T`.
@@ -127,9 +149,9 @@ pub enum Type {
 impl Type {
     /// The dotted name when this is a (possibly qualified) named type.
     #[must_use]
-    pub fn name(&self) -> Option<&str> {
+    pub fn name(&self) -> Option<Sym> {
         match self {
-            Type::Name(n) => Some(n),
+            Type::Name(n) => Some(*n),
             _ => None,
         }
     }
@@ -163,7 +185,7 @@ pub enum Stmt {
         /// Position.
         pos: Pos,
         /// Left-hand names.
-        names: Vec<String>,
+        names: Vec<Sym>,
         /// Right-hand expressions.
         values: Vec<Expr>,
     },
@@ -173,8 +195,8 @@ pub enum Stmt {
         pos: Pos,
         /// Targets.
         lhs: Vec<Expr>,
-        /// Operator spelling (`"="`, `"+="`, ...).
-        op: &'static str,
+        /// `=`, `+=`, ...
+        op: AssignOp,
         /// Sources.
         rhs: Vec<Expr>,
     },
@@ -270,10 +292,10 @@ pub enum Stmt {
     Branch {
         /// Position.
         pos: Pos,
-        /// The keyword spelling.
-        kind: &'static str,
+        /// Which keyword.
+        kind: BranchKind,
         /// Optional label.
-        label: Option<String>,
+        label: Option<Sym>,
     },
     /// An empty statement (stray semicolon).
     Empty,
@@ -282,10 +304,10 @@ pub enum Stmt {
 /// The `k, v := range x` clause of a range-for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeClause {
-    /// Key variable (may be `_` or empty).
-    pub key: String,
-    /// Value variable (may be empty).
-    pub value: String,
+    /// Key variable (may be `_` or [`sym::EMPTY`]).
+    pub key: Sym,
+    /// Value variable (may be [`sym::EMPTY`]).
+    pub value: Sym,
     /// Whether `:=` (define) or `=` (assign) was used.
     pub define: bool,
     /// The ranged expression.
@@ -315,17 +337,18 @@ pub struct CommClause {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Identifier.
-    Ident(Pos, String),
-    /// Integer literal.
-    Int(Pos, String),
-    /// Float literal.
-    Float(Pos, String),
-    /// String literal.
-    Str(Pos, String),
-    /// Rune literal.
-    Rune(Pos, String),
+    Ident(Pos, Sym),
+    /// Integer literal: its spelling, and its value when it fits an `i64`
+    /// (decimal with `_` separators, or `0x` hex).
+    Int(Pos, Sym, Option<i64>),
+    /// Float literal, as spelled.
+    Float(Pos, Sym),
+    /// String literal (the text between the quotes, escapes unprocessed).
+    Str(Pos, Sym),
+    /// Rune literal (the text between the quotes, escapes unprocessed).
+    Rune(Pos, Sym),
     /// `x.sel`.
-    Selector(Box<Expr>, String),
+    Selector(Box<Expr>, Sym),
     /// `f(args...)`; `spread` marks a trailing `...`.
     Call {
         /// Callee.
@@ -348,15 +371,15 @@ pub enum Expr {
     },
     /// Unary operation (`-x`, `!x`, `*p`, `&v`, `<-ch`).
     Unary {
-        /// Operator spelling.
-        op: &'static str,
+        /// The operator.
+        op: UnaryOp,
         /// Operand.
         expr: Box<Expr>,
     },
     /// Binary operation.
     Binary {
-        /// Operator spelling.
-        op: &'static str,
+        /// The operator.
+        op: BinaryOp,
         /// Left operand.
         lhs: Box<Expr>,
         /// Right operand.
@@ -366,10 +389,10 @@ pub enum Expr {
     FuncLit {
         /// Position of `func`.
         pos: Pos,
-        /// Signature.
-        sig: Box<Signature>,
-        /// Body.
-        body: Block,
+        /// Signature (shared with every closure value made from it).
+        sig: Arc<Signature>,
+        /// Body (likewise shared).
+        body: Arc<Block>,
     },
     /// `T{elems...}` composite literal (keyed elements keep their keys).
     CompositeLit {
@@ -390,7 +413,7 @@ impl Expr {
     pub fn pos(&self) -> Option<Pos> {
         match self {
             Expr::Ident(p, _)
-            | Expr::Int(p, _)
+            | Expr::Int(p, _, _)
             | Expr::Float(p, _)
             | Expr::Str(p, _)
             | Expr::Rune(p, _)
@@ -408,21 +431,220 @@ impl Expr {
 
     /// The identifier name when this is a bare identifier.
     #[must_use]
-    pub fn as_ident(&self) -> Option<&str> {
+    pub fn as_ident(&self) -> Option<Sym> {
         match self {
-            Expr::Ident(_, n) => Some(n),
+            Expr::Ident(_, n) => Some(*n),
             _ => None,
         }
     }
+}
 
-    /// Renders a selector chain like `wg.Add` as dotted text, when the
-    /// expression is exactly an identifier or selector chain.
+/// A unary operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum UnaryOp {
+    /// `-x`
+    Neg,
+    /// `+x`
+    Plus,
+    /// `!x`
+    Not,
+    /// `^x`
+    BitNot,
+    /// `*p`
+    Deref,
+    /// `&v`
+    Addr,
+    /// `<-ch`
+    Recv,
+}
+
+impl UnaryOp {
+    /// The operator's spelling.
     #[must_use]
-    pub fn dotted(&self) -> Option<String> {
+    pub fn as_str(self) -> &'static str {
         match self {
-            Expr::Ident(_, n) => Some(n.clone()),
-            Expr::Selector(base, sel) => Some(format!("{}.{}", base.dotted()?, sel)),
-            _ => None,
+            UnaryOp::Neg => "-",
+            UnaryOp::Plus => "+",
+            UnaryOp::Not => "!",
+            UnaryOp::BitNot => "^",
+            UnaryOp::Deref => "*",
+            UnaryOp::Addr => "&",
+            UnaryOp::Recv => "<-",
+        }
+    }
+}
+
+/// A binary operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BinaryOp {
+    /// `||`
+    OrOr,
+    /// `&&`
+    AndAnd,
+    /// `==`
+    Eq,
+    /// `!=`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+    /// `+`
+    Add,
+    /// `-`
+    Sub,
+    /// `|`
+    Or,
+    /// `^`
+    Xor,
+    /// `*`
+    Mul,
+    /// `/`
+    Div,
+    /// `%`
+    Rem,
+    /// `<<`
+    Shl,
+    /// `>>`
+    Shr,
+    /// `&`
+    And,
+    /// `&^`
+    AndNot,
+}
+
+impl BinaryOp {
+    /// The operator's spelling.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BinaryOp::OrOr => "||",
+            BinaryOp::AndAnd => "&&",
+            BinaryOp::Eq => "==",
+            BinaryOp::Ne => "!=",
+            BinaryOp::Lt => "<",
+            BinaryOp::Le => "<=",
+            BinaryOp::Gt => ">",
+            BinaryOp::Ge => ">=",
+            BinaryOp::Add => "+",
+            BinaryOp::Sub => "-",
+            BinaryOp::Or => "|",
+            BinaryOp::Xor => "^",
+            BinaryOp::Mul => "*",
+            BinaryOp::Div => "/",
+            BinaryOp::Rem => "%",
+            BinaryOp::Shl => "<<",
+            BinaryOp::Shr => ">>",
+            BinaryOp::And => "&",
+            BinaryOp::AndNot => "&^",
+        }
+    }
+
+    /// Go's binding strength, 1 (`||`) to 5 (`*` and friends).
+    #[must_use]
+    pub fn precedence(self) -> u8 {
+        use BinaryOp::*;
+        match self {
+            OrOr => 1,
+            AndAnd => 2,
+            Eq | Ne | Lt | Le | Gt | Ge => 3,
+            Add | Sub | Or | Xor => 4,
+            Mul | Div | Rem | Shl | Shr | And | AndNot => 5,
+        }
+    }
+}
+
+/// An assignment operator: plain `=` or a compound `op=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AssignOp {
+    /// `=`
+    Set,
+    /// `+=`
+    Add,
+    /// `-=`
+    Sub,
+    /// `*=`
+    Mul,
+    /// `/=`
+    Div,
+    /// `%=`
+    Rem,
+    /// `&=`
+    And,
+    /// `|=`
+    Or,
+    /// `^=`
+    Xor,
+    /// `<<=`
+    Shl,
+    /// `>>=`
+    Shr,
+}
+
+impl AssignOp {
+    /// The operator's spelling.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AssignOp::Set => "=",
+            AssignOp::Add => "+=",
+            AssignOp::Sub => "-=",
+            AssignOp::Mul => "*=",
+            AssignOp::Div => "/=",
+            AssignOp::Rem => "%=",
+            AssignOp::And => "&=",
+            AssignOp::Or => "|=",
+            AssignOp::Xor => "^=",
+            AssignOp::Shl => "<<=",
+            AssignOp::Shr => ">>=",
+        }
+    }
+
+    /// The binary operator a compound assignment applies (`None` for `=`).
+    #[must_use]
+    pub fn binary(self) -> Option<BinaryOp> {
+        Some(match self {
+            AssignOp::Set => return None,
+            AssignOp::Add => BinaryOp::Add,
+            AssignOp::Sub => BinaryOp::Sub,
+            AssignOp::Mul => BinaryOp::Mul,
+            AssignOp::Div => BinaryOp::Div,
+            AssignOp::Rem => BinaryOp::Rem,
+            AssignOp::And => BinaryOp::And,
+            AssignOp::Or => BinaryOp::Or,
+            AssignOp::Xor => BinaryOp::Xor,
+            AssignOp::Shl => BinaryOp::Shl,
+            AssignOp::Shr => BinaryOp::Shr,
+        })
+    }
+}
+
+/// The keyword of a [`Stmt::Branch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BranchKind {
+    /// `break`
+    Break,
+    /// `continue`
+    Continue,
+    /// `fallthrough`
+    Fallthrough,
+    /// `goto`
+    Goto,
+}
+
+impl BranchKind {
+    /// The keyword's spelling.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            BranchKind::Break => "break",
+            BranchKind::Continue => "continue",
+            BranchKind::Fallthrough => "fallthrough",
+            BranchKind::Goto => "goto",
         }
     }
 }

@@ -22,8 +22,15 @@
 //! keys by *receiver type* (so `(g *Gate) get` and `(g *Gate) set` meet),
 //! and locals key by their resolved symbol — two locals that shadow each
 //! other never collide.
+//!
+//! A [`VarKey`] is an *ordered* key — locksets and the summary layer keep
+//! them in `BTreeMap`s and sort by them, and that order reaches the
+//! findings — so it carries its root's text, not a [`Sym`] (which orders by
+//! first occurrence). Everything that is only compared — call targets,
+//! function and receiver-type names, the method spellings tested for —
+//! stays a `Sym`.
 
-use crate::ast::{Block, Decl, Expr, File, FuncDecl, Stmt, Type};
+use crate::ast::{sym, Block, BranchKind, Decl, Expr, File, FuncDecl, Names, Stmt, Sym, Type, UnaryOp};
 use crate::resolve::{Resolution, SymbolId, SymbolKind};
 use crate::token::Pos;
 
@@ -75,14 +82,14 @@ impl VarKey {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CallTarget {
     /// A package-level function declared in this file.
-    Named(String),
+    Named(Sym),
     /// A method call through the enclosing method's receiver: the callee
     /// is the method `name` on the receiver type `recv`.
     Method {
         /// Receiver type name.
-        recv: String,
+        recv: Sym,
         /// Method name.
-        name: String,
+        name: Sym,
     },
     /// A call through a function-typed parameter of the enclosing
     /// function, identified by parameter index.
@@ -192,9 +199,10 @@ pub struct Context {
 #[derive(Debug)]
 pub struct FuncCfg {
     /// Function name.
-    pub func: String,
-    /// Receiver type name for methods (pointer stripped).
-    pub recv_type: Option<String>,
+    pub func: Sym,
+    /// Receiver type name for methods (pointer stripped; [`sym::EMPTY`]
+    /// when the receiver's type is not a name).
+    pub recv_type: Option<Sym>,
     /// All blocks, across all contexts.
     pub blocks: Vec<BasicBlock>,
     /// All contexts; index 0 is the function body.
@@ -219,7 +227,7 @@ pub fn build_file(file: &File, res: &Resolution) -> Vec<FuncCfg> {
     file.decls
         .iter()
         .filter_map(|d| match d {
-            Decl::Func(f) => build_func(f, res),
+            Decl::Func(f) => build_func(f, res, &file.names),
             _ => None,
         })
         .collect()
@@ -227,7 +235,7 @@ pub fn build_file(file: &File, res: &Resolution) -> Vec<FuncCfg> {
 
 /// Builds the CFG for `f` (returns `None` for bodyless declarations).
 #[must_use]
-pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
+pub fn build_func(f: &FuncDecl, res: &Resolution, names: &Names) -> Option<FuncCfg> {
     let body = f.body.as_ref()?;
     let recv_type = f.receiver.as_ref().map(|r| type_root_name(&r.ty));
     let params: Vec<Option<SymbolId>> = f
@@ -235,14 +243,15 @@ pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
         .params
         .iter()
         .map(|p| {
-            res.declared_at(f.pos, &p.name)
+            res.declared_at(f.pos, p.name)
                 .find(|s| s.kind == SymbolKind::Param)
                 .map(|s| s.id)
         })
         .collect();
     let mut b = Builder {
         res,
-        recv_type: recv_type.clone(),
+        names,
+        recv_type,
         params,
         blocks: vec![BasicBlock::default()],
         contexts: vec![Context {
@@ -261,7 +270,7 @@ pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
     };
     b.stmts(&body.stmts);
     Some(FuncCfg {
-        func: f.name.clone(),
+        func: f.name,
         recv_type,
         blocks: b.blocks,
         contexts: b.contexts,
@@ -269,11 +278,11 @@ pub fn build_func(f: &FuncDecl, res: &Resolution) -> Option<FuncCfg> {
     })
 }
 
-fn type_root_name(ty: &Type) -> String {
+fn type_root_name(ty: &Type) -> Sym {
     match ty {
         Type::Pointer(inner) => type_root_name(inner),
-        Type::Name(n) => n.clone(),
-        _ => String::from("?"),
+        Type::Name(n) => *n,
+        _ => sym::EMPTY,
     }
 }
 
@@ -292,7 +301,8 @@ struct LoopFrame {
 
 struct Builder<'a> {
     res: &'a Resolution,
-    recv_type: Option<String>,
+    names: &'a Names,
+    recv_type: Option<Sym>,
     /// Becomes [`FuncCfg::params`].
     params: Vec<Option<SymbolId>>,
     blocks: Vec<BasicBlock>,
@@ -331,18 +341,19 @@ impl Builder<'_> {
     fn place(&self, e: &Expr) -> Option<Place> {
         match e {
             Expr::Ident(pos, name) => {
-                let sym = self.res.symbol_at(*pos)?;
-                let root = match sym.kind {
-                    SymbolKind::GlobalVar => VarRoot::Global(name.clone()),
+                let symbol = self.res.symbol_at(*pos)?;
+                let text = self.names.text(*name);
+                let root = match symbol.kind {
+                    SymbolKind::GlobalVar => VarRoot::Global(text.to_string()),
                     // An unresolved name in single-file analysis is almost
                     // always a package-level symbol from a sibling file —
                     // treat it as a global (builtin literals excepted).
                     SymbolKind::Universe
-                        if !matches!(name.as_str(), "true" | "false" | "nil" | "iota") =>
+                        if !matches!(*name, sym::TRUE | sym::FALSE | sym::NIL | sym::IOTA) =>
                     {
-                        VarRoot::Global(name.clone())
+                        VarRoot::Global(text.to_string())
                     }
-                    k if k.capturable() => VarRoot::Local(sym.id),
+                    k if k.capturable() => VarRoot::Local(symbol.id),
                     _ => return None,
                 };
                 Some(Place {
@@ -350,22 +361,24 @@ impl Builder<'_> {
                         root,
                         path: String::new(),
                     },
-                    display: name.clone(),
+                    display: text.to_string(),
                     pos: *pos,
                     indexed: false,
                 })
             }
             Expr::Selector(base, sel) => {
                 let b = self.place(base)?;
+                let sel = self.names.text(*sel);
                 // A selector directly on the method receiver keys by the
                 // receiver TYPE so all methods of the type agree.
-                let key = match (&b.key.root, self.recv_type.as_ref()) {
+                let key = match (&b.key.root, self.recv_type) {
                     (VarRoot::Local(id), Some(ty))
                         if b.key.path.is_empty()
                             && self.res.symbol(*id).kind == SymbolKind::Receiver =>
                     {
+                        let ty = if ty.is_empty() { "?" } else { self.names.text(ty) };
                         VarKey {
-                            root: VarRoot::Field(ty.clone()),
+                            root: VarRoot::Field(ty.to_string()),
                             path: format!(".{sel}"),
                         }
                     }
@@ -389,7 +402,10 @@ impl Builder<'_> {
             }
             Expr::Paren(inner) => self.place(inner),
             // `*p` accesses what `p` points at; approximate by `p` itself.
-            Expr::Unary { op: "*", expr } => self.place(expr),
+            Expr::Unary {
+                op: UnaryOp::Deref,
+                expr,
+            } => self.place(expr),
             _ => None,
         }
     }
@@ -407,13 +423,13 @@ impl Builder<'_> {
         });
     }
 
-    fn init_write(&mut self, id: SymbolId, name: &str, pos: Pos) {
+    fn init_write(&mut self, id: SymbolId, name: Sym, pos: Pos) {
         self.emit(Event::Access {
             var: VarKey {
                 root: VarRoot::Local(id),
                 path: String::new(),
             },
-            display: name.to_string(),
+            display: self.names.text(name).to_string(),
             write: true,
             atomic: false,
             init: true,
@@ -431,7 +447,7 @@ impl Builder<'_> {
             Expr::Ident(pos, name) => {
                 let sym = self.res.symbol_at(*pos)?;
                 match sym.kind {
-                    SymbolKind::Func => Some((CallTarget::Named(name.clone()), *pos)),
+                    SymbolKind::Func => Some((CallTarget::Named(*name), *pos)),
                     SymbolKind::Param => {
                         let idx = self.params.iter().position(|p| *p == Some(sym.id))?;
                         Some((CallTarget::Param(idx), *pos))
@@ -440,14 +456,14 @@ impl Builder<'_> {
                 }
             }
             Expr::Selector(base, method) => {
-                let recv = self.recv_type.clone()?;
+                let recv = self.recv_type?;
                 if let Expr::Ident(pos, _) = base.as_ref() {
                     let sym = self.res.symbol_at(*pos)?;
                     if sym.kind == SymbolKind::Receiver {
                         return Some((
                             CallTarget::Method {
                                 recv,
-                                name: method.clone(),
+                                name: *method,
                             },
                             *pos,
                         ));
@@ -492,7 +508,7 @@ impl Builder<'_> {
     }
 
     /// The symbol declared by a `var`/`:=` at `pos` under `name`.
-    fn declared_symbol(&self, pos: Pos, name: &str) -> Option<SymbolId> {
+    fn declared_symbol(&self, pos: Pos, name: Sym) -> Option<SymbolId> {
         self.res
             .declared_at(pos, name)
             .find(|s| s.kind.capturable())
@@ -565,11 +581,11 @@ impl Builder<'_> {
     /// `func(){...}()` literals, and plain calls.
     fn call(&mut self, callee: &Expr, args: &[Expr], cond_of: Option<u32>) {
         if let Expr::Selector(base, method) = callee {
-            let lock_op = match method.as_str() {
-                "Lock" => Some((LockMode::Write, true)),
-                "Unlock" => Some((LockMode::Write, false)),
-                "RLock" => Some((LockMode::Read, true)),
-                "RUnlock" => Some((LockMode::Read, false)),
+            let lock_op = match *method {
+                sym::LOCK => Some((LockMode::Write, true)),
+                sym::UNLOCK => Some((LockMode::Write, false)),
+                sym::RLOCK => Some((LockMode::Read, true)),
+                sym::RUNLOCK => Some((LockMode::Read, false)),
                 _ => None,
             };
             if let Some((mode, acquire)) = lock_op {
@@ -595,9 +611,13 @@ impl Builder<'_> {
             // `atomic.AddInt64(&v, 1)` family: the first argument is the
             // atomically-accessed place; `Load*` reads, everything else
             // (Add/Store/Swap/CompareAndSwap) writes.
-            if base.as_ident() == Some("atomic") {
-                let write = !method.starts_with("Load");
-                if let Some(Expr::Unary { op: "&", expr }) = args.first() {
+            if base.as_ident() == Some(sym::ATOMIC) {
+                let write = !self.names.text(*method).starts_with("Load");
+                if let Some(Expr::Unary {
+                    op: UnaryOp::Addr,
+                    expr,
+                }) = args.first()
+                {
                     if let Some(p) = self.place(expr) {
                         self.access(p, write, true, cond_of);
                     }
@@ -652,7 +672,7 @@ impl Builder<'_> {
                     self.reads(e, None);
                 }
                 if !v.values.is_empty() {
-                    for name in &v.names {
+                    for &name in &v.names {
                         if let Some(id) = self.declared_symbol(v.pos, name) {
                             self.init_write(id, name, v.pos);
                         }
@@ -663,8 +683,8 @@ impl Builder<'_> {
                 for e in values {
                     self.reads(e, None);
                 }
-                for name in names {
-                    if name == "_" {
+                for &name in names {
+                    if name == sym::BLANK {
                         continue;
                     }
                     // A define that reuses an existing same-scope symbol is
@@ -672,13 +692,13 @@ impl Builder<'_> {
                     if let Some(id) = self.declared_symbol(*pos, name) {
                         self.init_write(id, name, *pos);
                     } else if let Some(id) = self.res.use_at(*pos) {
-                        if self.res.symbol(id).name == *name {
+                        if self.res.symbol(id).name == name {
                             self.emit(Event::Access {
                                 var: VarKey {
                                     root: VarRoot::Local(id),
                                     path: String::new(),
                                 },
-                                display: name.clone(),
+                                display: self.names.text(name).to_string(),
                                 write: true,
                                 atomic: false,
                                 init: false,
@@ -695,7 +715,7 @@ impl Builder<'_> {
                     self.reads(e, None);
                 }
                 for e in lhs {
-                    if *op != "=" {
+                    if op.binary().is_some() {
                         // Compound assignment reads the target too.
                         self.reads(e, None);
                     }
@@ -740,7 +760,7 @@ impl Builder<'_> {
                 if let Expr::Call { func, args, .. } = call {
                     let is_unlock = matches!(
                         func.as_ref(),
-                        Expr::Selector(_, m) if m == "Unlock" || m == "RUnlock"
+                        Expr::Selector(_, m) if matches!(*m, sym::UNLOCK | sym::RUNLOCK)
                     );
                     if !is_unlock && !matches!(func.as_ref(), Expr::FuncLit { .. }) {
                         for a in args {
@@ -873,8 +893,8 @@ impl Builder<'_> {
                 }
                 self.current = join;
             }
-            Stmt::Branch { kind, .. } => match *kind {
-                "break" => {
+            Stmt::Branch { kind, .. } => match kind {
+                BranchKind::Break => {
                     if let Some(f) = self.loop_stack.last() {
                         let after = f.after;
                         let cur = self.current;
@@ -882,7 +902,7 @@ impl Builder<'_> {
                         self.current = self.new_block();
                     }
                 }
-                "continue" => {
+                BranchKind::Continue => {
                     if let Some(f) = self.loop_stack.last() {
                         let head = f.head;
                         let cur = self.current;
@@ -890,7 +910,7 @@ impl Builder<'_> {
                         self.current = self.new_block();
                     }
                 }
-                _ => {}
+                BranchKind::Fallthrough | BranchKind::Goto => {}
             },
             Stmt::Empty => {}
         }

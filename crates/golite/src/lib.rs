@@ -8,12 +8,20 @@
 //! This crate supplies both pieces for the reproduction:
 //!
 //! * [`lexer::Lexer`] — a full tokenizer with Go's automatic semicolon
-//!   insertion,
+//!   insertion; its [`token::Tok`]s are `Copy` and borrow their spelling
+//!   from the source,
 //! * [`parser::parse_file`] — a recursive-descent parser building a typed
 //!   [`ast`] for packages, declarations, statements (including `go`,
 //!   `defer`, `select`, `range`), and expressions (including closures and
 //!   composite literals); [`ast::walk`] is the one pre-order traversal the
 //!   scanner, the lint collectors and [`mhp`] are visitors over,
+//! * [`names`] — every spelling is read once: the parser interns it into
+//!   the file's own [`names::Names`] table and the tree, the resolver, the
+//!   rules and the interpreter carry the `Copy` [`names::Sym`] from there
+//!   on, with the spellings they test for ([`names::sym`]) at fixed ids.
+//!   Text is looked up again only where a finding, a diagnostic or a debug
+//!   name is rendered; anything whose *order* reaches the output sorts by
+//!   that text, never by `Sym`,
 //! * [`scan`] — the construct scanner producing Table 1's feature counts,
 //! * [`resolve`] — lexical scope resolution (Go's `:=` redeclaration rule,
 //!   shadowing, closure capture sets),
@@ -72,6 +80,7 @@ pub mod lexer;
 pub mod lint;
 pub mod lockset;
 pub mod mhp;
+pub mod names;
 pub mod parser;
 pub mod resolve;
 pub mod scan;

@@ -13,7 +13,9 @@
 
 use std::collections::HashSet;
 
-use crate::ast::{walk, Block, Decl, Expr, File, FuncDecl, Node, Stmt, Walk};
+use crate::ast::{
+    sym, walk, Block, Decl, Expr, File, FuncDecl, Names, Node, Stmt, Sym, UnaryOp, Walk,
+};
 use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::lockset;
@@ -223,7 +225,7 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
     let mut findings = Vec::new();
     for decl in &file.decls {
         if let Decl::Func(f) = decl {
-            lint_func(f, &res, &mut findings);
+            lint_func(f, &res, &file.names, &mut findings);
         }
     }
 
@@ -235,13 +237,20 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
     let cfgs = cfg::build_file(file, &res);
     let flow = lockset::flow(&cfgs);
     let cg = CallGraph::build(cfgs.len(), &flow.sites);
-    let (lock_findings, seen_vars) = lockset::intraproc_findings(&flow.accesses, &cg.called());
+    let (lock_findings, seen_vars) =
+        lockset::intraproc_findings(&flow.accesses, &cg.called(), &file.names);
     findings.extend(lock_findings);
 
-    let sums = Summaries::compute(&cfgs, &flow, &cg);
+    let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
     let mhp = Mhp::build(file);
     findings.extend(summary::interproc_findings(
-        &res, &cfgs, &cg, &sums, &mhp, &seen_vars,
+        &res,
+        &cfgs,
+        &cg,
+        &sums,
+        &mhp,
+        &seen_vars,
+        &file.names,
     ));
 
     // Deterministic, path-independent order: position first, then the
@@ -262,28 +271,29 @@ struct GoClosure<'a> {
     later: &'a [Stmt],
 }
 
-fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
+fn lint_func(f: &FuncDecl, res: &Resolution, names: &Names, findings: &mut Vec<Finding>) {
     let Some(body) = &f.body else { return };
+    let func = || names.text(f.name).to_string();
 
     // Rule: MutexByValue — any by-value sync.Mutex/RWMutex parameter.
     for p in &f.sig.params {
-        if matches!(p.ty.name(), Some("sync.Mutex" | "sync.RWMutex")) {
+        if let Some(ty @ (sym::SYNC_MUTEX | sym::SYNC_RWMUTEX)) = p.ty.name() {
             findings.push(Finding {
                 rule: Rule::MutexByValue,
                 pos: f.pos,
-                func: f.name.clone(),
+                func: func(),
                 message: format!(
                     "parameter `{}` copies the mutex; critical sections using the \
                      copy exclude nothing (use *{})",
-                    p.name,
-                    p.ty.name().unwrap_or("sync.Mutex")
+                    names.text(p.name),
+                    names.text(ty)
                 ),
                 chain: Vec::new(),
             });
         }
     }
 
-    let has_wait_call = calls_method(body, "Wait");
+    let has_wait_call = calls_method(body, sym::WAIT);
 
     for gc in &go_closures(body) {
         // Real capture sets from resolution: a closure parameter or an
@@ -292,18 +302,18 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
         let captured = res.captures_at(gc.pos);
 
         for &sym_id in captured {
-            let sym = res.symbol(sym_id);
-            match sym.kind {
+            let symbol = res.symbol(sym_id);
+            match symbol.kind {
                 // Rule: LoopVarCapture — the goroutine reads a variable the
                 // loop advances concurrently.
                 SymbolKind::LoopVar => findings.push(Finding {
                     rule: Rule::LoopVarCapture,
                     pos: gc.pos,
-                    func: f.name.clone(),
+                    func: func(),
                     message: format!(
                         "goroutine captures loop variable `{}` by reference; the \
                          loop advances it concurrently",
-                        sym.name
+                        names.text(symbol.name)
                     ),
                     chain: Vec::new(),
                 }),
@@ -312,20 +322,20 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
                 SymbolKind::NamedResult => findings.push(Finding {
                     rule: Rule::NamedReturnCapture,
                     pos: gc.pos,
-                    func: f.name.clone(),
+                    func: func(),
                     message: format!(
                         "goroutine captures named return `{}`; every return \
                          statement writes it",
-                        sym.name
+                        names.text(symbol.name)
                     ),
                     chain: Vec::new(),
                 }),
                 // Rule: ErrCapture — the enclosing function keeps assigning
                 // the same `err` binding (`y, err := Baz()` reuses it).
-                _ if sym.name == "err" => findings.push(Finding {
+                _ if symbol.name == sym::ERR => findings.push(Finding {
                     rule: Rule::ErrCapture,
                     pos: gc.pos,
-                    func: f.name.clone(),
+                    func: func(),
                     message: "goroutine captures `err` by reference while the \
                               enclosing function keeps assigning it"
                         .to_string(),
@@ -336,11 +346,11 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
         }
 
         // Rule: WaitGroupAddInGoroutine.
-        if has_wait_call && calls_method(gc.body, "Add") {
+        if has_wait_call && calls_method(gc.body, sym::ADD) {
             findings.push(Finding {
                 rule: Rule::WaitGroupAddInGoroutine,
                 pos: gc.pos,
-                func: f.name.clone(),
+                func: func(),
                 message: "wg.Add inside the goroutine may run after Wait() — move \
                           it before the `go` statement"
                     .to_string(),
@@ -358,10 +368,11 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
                 findings.push(Finding {
                     rule: Rule::MapWriteInGoroutine,
                     pos,
-                    func: f.name.clone(),
+                    func: func(),
                     message: format!(
-                        "`{base_name}[...]` is written inside a goroutine while \
-                         declared outside; Go maps are not thread-safe"
+                        "`{}[...]` is written inside a goroutine while \
+                         declared outside; Go maps are not thread-safe",
+                        names.text(base_name)
                     ),
                     chain: Vec::new(),
                 });
@@ -376,19 +387,19 @@ fn lint_func(f: &FuncDecl, res: &Resolution, findings: &mut Vec<Finding>) {
             collect_assign_symbols(s, res, &mut later);
         }
         for &sym_id in captured {
-            let sym = res.symbol(sym_id);
+            let symbol = res.symbol(sym_id);
             // ErrCapture owns the err idiom.
-            if sym.name == "err" || !later.contains(&sym_id) {
+            if symbol.name == sym::ERR || !later.contains(&sym_id) {
                 continue;
             }
             findings.push(Finding {
                 rule: Rule::GoroutineBeforeInit,
                 pos: gc.go_pos,
-                func: f.name.clone(),
+                func: func(),
                 message: format!(
                     "goroutine reads `{}`, which is assigned only \
                      after the `go` statement",
-                    sym.name
+                    names.text(symbol.name)
                 ),
                 chain: Vec::new(),
             });
@@ -407,7 +418,10 @@ fn collect_assign_symbols(stmt: &Stmt, res: &Resolution, out: &mut HashSet<Symbo
                 }
             }
             Expr::Selector(b, _) | Expr::Index(b, _) | Expr::Paren(b) => base_symbol(b, res, out),
-            Expr::Unary { op: "*", expr } => base_symbol(expr, res, out),
+            Expr::Unary {
+                op: UnaryOp::Deref,
+                expr,
+            } => base_symbol(expr, res, out),
             _ => {}
         }
     }
@@ -459,12 +473,12 @@ fn go_closures(body: &Block) -> Vec<GoClosure<'_>> {
 
 /// Does the block (at any depth, closures included) call a method with
 /// this name?
-fn calls_method(block: &Block, method: &str) -> bool {
+fn calls_method(block: &Block, method: Sym) -> bool {
     let mut found = false;
     walk(Node::List(&block.stmts), &mut |n| {
         if let Node::Expr(Expr::Call { func, .. }) = n {
             if let Expr::Selector(_, m) = func.as_ref() {
-                found |= m == method;
+                found |= *m == method;
             }
         }
         Walk::Descend
@@ -475,14 +489,14 @@ fn calls_method(block: &Block, method: &str) -> bool {
 /// Base identifiers of indexed assignments `base[...] = ...` at any depth
 /// (closures included): `(position of the base identifier, its name,
 /// statement position)`.
-fn indexed_assign_bases(block: &Block) -> Vec<(Pos, String, Pos)> {
+fn indexed_assign_bases(block: &Block) -> Vec<(Pos, Sym, Pos)> {
     let mut out = Vec::new();
     walk(Node::List(&block.stmts), &mut |n| {
         if let Node::Stmt(Stmt::Assign { pos, lhs, .. }) = n {
             for e in lhs {
                 if let Expr::Index(base, _) = e {
                     if let Expr::Ident(bp, name) = base.as_ref() {
-                        out.push((*bp, name.clone(), *pos));
+                        out.push((*bp, *name, *pos));
                     }
                 }
             }

@@ -29,9 +29,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
+use crate::ast::{Names, Sym};
 use crate::callgraph::{CallSite, ParamCall};
 use crate::cfg::{BlockId, CallTarget, Event, FuncCfg, LockMode, VarKey};
 use crate::lint::{Finding, Rule};
+use crate::names::FnvMap;
 use crate::token::Pos;
 
 /// Locks held at a program point, with the strongest mode held per lock.
@@ -62,7 +64,7 @@ pub struct Access {
     /// Source position.
     pub pos: Pos,
     /// Name of the function that lexically contains the access.
-    pub func: String,
+    pub func: Sym,
     /// Index of that function in the file (context disambiguator).
     pub func_idx: usize,
     /// Execution context within that function (0 = body, else goroutine).
@@ -84,7 +86,7 @@ pub struct Access {
     pub dropped: BTreeSet<VarKey>,
     /// *(chain)*: the `(callee, call position)` hops the access was reached
     /// through. Empty for an access where it stands.
-    pub chain: Vec<(String, Pos)>,
+    pub chain: Vec<(Sym, Pos)>,
 }
 
 impl Access {
@@ -186,11 +188,9 @@ pub struct Flow {
 #[must_use]
 pub fn flow(cfgs: &[FuncCfg]) -> Flow {
     // `(receiver type, name)` → function; the first declaration wins.
-    let mut by_name: HashMap<(Option<&str>, &str), usize> = HashMap::new();
+    let mut by_name: FnvMap<(Option<Sym>, Sym), usize> = FnvMap::default();
     for (i, c) in cfgs.iter().enumerate() {
-        by_name
-            .entry((c.recv_type.as_deref(), c.func.as_str()))
-            .or_insert(i);
+        by_name.entry((c.recv_type, c.func)).or_insert(i);
     }
 
     let mut out = Flow::default();
@@ -232,7 +232,7 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
                         indexed: *indexed,
                         branch_tags: block.branch_tags.clone(),
                         pos: *pos,
-                        func: cfg.func.clone(),
+                        func: cfg.func,
                         func_idx,
                         ctx: block.ctx,
                         locks: cur.clone(),
@@ -261,9 +261,9 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
                                 });
                                 continue;
                             }
-                            CallTarget::Named(n) => by_name.get(&(None, n.as_str())),
+                            CallTarget::Named(n) => by_name.get(&(None, *n)),
                             CallTarget::Method { recv, name } => {
-                                by_name.get(&(Some(recv.as_str()), name.as_str()))
+                                by_name.get(&(Some(*recv), *name))
                             }
                         };
                         let Some(&callee) = callee else { continue };
@@ -313,6 +313,7 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
 pub fn intraproc_findings(
     accesses: &[Access],
     called: &BTreeSet<usize>,
+    names: &Names,
 ) -> (Vec<Finding>, BTreeSet<VarKey>) {
     // A local's key names its resolved symbol, so grouping by key alone is
     // file-wide for globals and receiver fields and per-function for locals.
@@ -325,7 +326,7 @@ pub fn intraproc_findings(
     let mut flagged = BTreeSet::new();
     for (&var, accs) in &groups {
         let before = findings.len();
-        check_group(var, accs, called, &mut findings);
+        check_group(var, accs, called, names, &mut findings);
         if findings.len() > before {
             flagged.insert(var.clone());
         }
@@ -353,6 +354,7 @@ fn check_group(
     var: &VarKey,
     accs: &[&Access],
     called: &BTreeSet<usize>,
+    names: &Names,
     findings: &mut Vec<Finding>,
 ) {
     let non_init: Vec<&&Access> = accs.iter().filter(|a| !a.init).collect();
@@ -382,7 +384,7 @@ fn check_group(
             findings.push(Finding {
                 rule: Rule::WriteUnderRLock,
                 pos: a.pos,
-                func: a.func.clone(),
+                func: names.text(a.func).to_string(),
                 message: format!(
                     "write to '{}' while holding {} in read (RLock) mode; \
                      RLock excludes writers but admits other readers — use Lock",
@@ -416,7 +418,7 @@ fn check_group(
         findings.push(Finding {
             rule: Rule::AtomicMixedWithPlain,
             pos: a.pos,
-            func: a.func.clone(),
+            func: names.text(a.func).to_string(),
             message: format!(
                 "'{}' is accessed with sync/atomic elsewhere but {} plainly here; \
                  atomic operations only synchronize with other atomic operations",
@@ -442,7 +444,7 @@ fn check_group(
             findings.push(Finding {
                 rule: Rule::DoubleCheckedLocking,
                 pos: r.pos,
-                func: r.func.clone(),
+                func: names.text(r.func).to_string(),
                 message: format!(
                     "double-checked locking on '{display}': the fast-path read is \
                      unsynchronized while the write inside the branch holds a lock; \
@@ -474,7 +476,7 @@ fn check_group(
         findings.push(Finding {
             rule: Rule::MissingLock,
             pos: a.pos,
-            func: a.func.clone(),
+            func: names.text(a.func).to_string(),
             message: format!(
                 "'{}' is {} without a lock here but guarded by {} elsewhere",
                 display,
@@ -501,7 +503,7 @@ fn check_group(
             findings.push(Finding {
                 rule: Rule::InconsistentLock,
                 pos: a.pos,
-                func: a.func.clone(),
+                func: names.text(a.func).to_string(),
                 message: format!(
                     "every access to '{display}' holds a lock, but no single lock is \
                      common to all of them — two sites can still run concurrently",
@@ -523,7 +525,7 @@ mod tests {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let flow = flow(&build_file(&file, &res));
-        intraproc_findings(&flow.accesses, &BTreeSet::new()).0
+        intraproc_findings(&flow.accesses, &BTreeSet::new(), &file.names).0
     }
 
     fn rules(src: &str) -> Vec<Rule> {

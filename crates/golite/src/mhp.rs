@@ -14,7 +14,7 @@
 //! interprocedural GR018 rule, where a false "parallel" verdict would file
 //! a spurious race report.
 
-use crate::ast::{walk, Decl, Expr, File, Node, Stmt, Walk};
+use crate::ast::{sym, walk, Decl, Expr, File, Node, Stmt, UnaryOp, Walk};
 use crate::token::Pos;
 
 /// Per-function kill points, aligned with the CFG list of
@@ -78,13 +78,16 @@ fn kill_points(body: &[Stmt]) -> Vec<Pos> {
         Node::Expr(e) if callee.is_some_and(|c| std::ptr::eq(e, c)) => Walk::Skip,
         Node::Expr(Expr::Call { func, .. }) => {
             // `x.Wait()` joins.
-            if matches!(func.as_ref(), Expr::Selector(_, m) if m == "Wait") {
+            if matches!(func.as_ref(), Expr::Selector(_, m) if *m == sym::WAIT) {
                 out.extend(func.pos());
             }
             callee = Some(func);
             Walk::Descend
         }
-        Node::Expr(Expr::Unary { op: "<-", expr }) => {
+        Node::Expr(Expr::Unary {
+            op: UnaryOp::Recv,
+            expr,
+        }) => {
             out.extend(expr.pos());
             Walk::Descend
         }

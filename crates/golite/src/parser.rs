@@ -11,6 +11,16 @@
 //!   clause headers;
 //! * **type arguments in call position** — `make(map[string]error)`,
 //!   `make(chan int, 8)` — parsed as type expressions.
+//!
+//! The parser is a cursor over the lexer's `Copy` tokens: it dispatches on
+//! the current token, interns each spelling into the file's [`Names`] as it
+//! consumes it, and allocates only the tree. Everything that looks past the
+//! current token — every `peek_at`, the one cursor restore, the two forward
+//! scans — carries a `// LOOKAHEAD: <why>` line, and
+//! `tests/lookahead_lint.rs` fails on one without: the accepted subset can
+//! grow without growing accidental backtracking.
+
+use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::ParseError;
@@ -23,20 +33,19 @@ use crate::token::{Keyword as K, Pos, Tok, Token};
 ///
 /// Returns the first lexical or syntax error with its position.
 pub fn parse_file(src: &str) -> Result<File, ParseError> {
-    let tokens = tokenize(src)?;
-    Parser::new(tokens).file()
+    Parser::new(tokenize(src)?, src.len()).file()
 }
 
-/// Parses a single expression (used by tests and tools).
+/// Parses a single expression (used by tests and tools); its [`Sym`]s are
+/// spelled in the returned table.
 ///
 /// # Errors
 ///
 /// Returns the first error.
-pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser::new(tokens);
+pub fn parse_expr(src: &str) -> Result<(Expr, Names), ParseError> {
+    let mut p = Parser::new(tokenize(src)?, src.len());
     let e = p.expr()?;
-    Ok(e)
+    Ok((e, p.names))
 }
 
 /// Deepest nesting of statements, expressions, types and composite
@@ -50,11 +59,45 @@ pub const MAX_NESTING: usize = 128;
 
 /// One `name [, name...] [Type] [= exprs]` specification of a var/const
 /// declaration: `(names, type, initializers)`.
-type VarSpec = (Vec<String>, Option<Type>, Vec<Expr>);
+type VarSpec = (Vec<Sym>, Option<Type>, Vec<Expr>);
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The value of an integer literal, when it has one the interpreter
+/// accepts: decimal (with `_` separators), else the digits after `0x` as
+/// hexadecimal.
+fn int_value(text: &str) -> Option<i64> {
+    let decimal = if text.contains('_') {
+        text.replace('_', "").parse::<i64>()
+    } else {
+        text.parse::<i64>()
+    };
+    decimal
+        .or_else(|_| i64::from_str_radix(text.trim_start_matches("0x"), 16))
+        .ok()
+}
+
+/// Can a type start with this token?
+fn starts_type(t: Tok<'_>) -> bool {
+    matches!(
+        t,
+        Tok::Ident(_)
+            | Tok::Star
+            | Tok::LBracket
+            | Tok::Kw(K::Map)
+            | Tok::Kw(K::Chan)
+            | Tok::Kw(K::Func)
+            | Tok::Kw(K::Struct)
+            | Tok::Kw(K::Interface)
+            | Tok::Arrow
+    )
+}
+
+struct Parser<'src> {
+    /// The whole token stream; the last token is `Eof`.
+    tokens: Vec<Token<'src>>,
+    /// The cursor: index of the current token.
     pos: usize,
+    /// Every spelling consumed so far; becomes [`File::names`].
+    names: Names,
     /// Composite literals with bare type names are disallowed while > 0
     /// (inside if/for/switch headers).
     no_composite: u32,
@@ -62,11 +105,12 @@ struct Parser {
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
+impl<'src> Parser<'src> {
+    fn new(tokens: Vec<Token<'src>>, src_len: usize) -> Self {
         Parser {
             tokens,
             pos: 0,
+            names: Names::for_source(src_len),
             no_composite: 0,
             depth: 0,
         }
@@ -103,27 +147,29 @@ impl Parser {
         Ok(())
     }
 
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].tok
+    /// The current token. The cursor never passes the final `Eof`.
+    fn peek(&self) -> Tok<'src> {
+        self.tokens[self.pos].tok
     }
 
-    fn peek_at(&self, n: usize) -> &Tok {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].tok
+    /// The token `n` past the current one (`Eof` past the end).
+    fn peek_at(&self, n: usize) -> Tok<'src> {
+        self.tokens[(self.pos + n).min(self.tokens.len() - 1)].tok
     }
 
     fn here(&self) -> Pos {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].pos
+        self.tokens[self.pos].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].tok.clone();
+    fn bump(&mut self) -> Tok<'src> {
+        let t = self.tokens[self.pos].tok;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -132,7 +178,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Tok<'_>) -> Result<(), ParseError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -143,11 +189,11 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn expect_ident(&mut self) -> Result<Sym, ParseError> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(self.names.intern(s))
             }
             other => Err(ParseError::new(
                 self.here(),
@@ -157,53 +203,39 @@ impl Parser {
     }
 
     fn skip_semis(&mut self) {
-        while self.eat(&Tok::Semi) {}
+        while self.eat(Tok::Semi) {}
     }
 
     // ---- file & declarations ----
 
-    fn file(&mut self) -> Result<File, ParseError> {
+    fn file(mut self) -> Result<File, ParseError> {
         self.skip_semis();
-        self.expect(&Tok::Kw(K::Package))?;
+        self.expect(Tok::Kw(K::Package))?;
         let package = self.expect_ident()?;
         self.skip_semis();
         let mut imports = Vec::new();
-        while self.peek() == &Tok::Kw(K::Import) {
+        while self.peek() == Tok::Kw(K::Import) {
             self.bump();
-            if self.eat(&Tok::LParen) {
+            if self.eat(Tok::LParen) {
                 self.skip_semis();
-                while self.peek() != &Tok::RParen {
+                while self.peek() != Tok::RParen {
                     // Optional alias.
                     if matches!(self.peek(), Tok::Ident(_)) {
                         self.bump();
                     }
-                    match self.bump() {
-                        Tok::Str(s) => imports.push(s),
-                        other => {
-                            return Err(ParseError::new(
-                                self.here(),
-                                format!("expected import path string, found `{other}`"),
-                            ))
-                        }
-                    }
+                    imports.push(self.import_path()?);
                     self.skip_semis();
                 }
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
             } else {
                 if matches!(self.peek(), Tok::Ident(_))
+                    // LOOKAHEAD: `import alias "path"` — an identifier is an
+                    // alias only when the path string follows it.
                     && matches!(self.peek_at(1), Tok::Str(_))
                 {
                     self.bump(); // alias
                 }
-                match self.bump() {
-                    Tok::Str(s) => imports.push(s),
-                    other => {
-                        return Err(ParseError::new(
-                            self.here(),
-                            format!("expected import path string, found `{other}`"),
-                        ))
-                    }
-                }
+                imports.push(self.import_path()?);
             }
             self.skip_semis();
         }
@@ -228,22 +260,38 @@ impl Parser {
             package,
             imports,
             decls,
+            names: self.names,
         })
+    }
+
+    fn import_path(&mut self) -> Result<Sym, ParseError> {
+        match self.bump() {
+            Tok::Str(s) => Ok(self.names.intern(s)),
+            other => Err(ParseError::new(
+                self.here(),
+                format!("expected import path string, found `{other}`"),
+            )),
+        }
     }
 
     fn func_decl(&mut self) -> Result<FuncDecl, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::Func))?;
-        let receiver = if self.peek() == &Tok::LParen {
+        self.expect(Tok::Kw(K::Func))?;
+        let receiver = if self.peek() == Tok::LParen {
             // Could be a method receiver: `func (m *T) Name(...)`.
             let save = self.pos;
             self.bump();
             let recv = self.param_list_single();
             match recv {
-                Ok(p) if self.eat(&Tok::RParen) && matches!(self.peek(), Tok::Ident(_)) => {
+                Ok(p) if self.eat(Tok::RParen) && matches!(self.peek(), Tok::Ident(_)) => {
                     Some(p)
                 }
                 _ => {
+                    // LOOKAHEAD: the parser's one backtrack. `func (` opens a
+                    // receiver or, with the name missing, a parameter list;
+                    // only the `) Name` after a whole `name Type` tells, and
+                    // a type is unbounded. The rewind lets `expect_ident`
+                    // below report the missing name at the `(`.
                     self.pos = save;
                     None
                 }
@@ -253,7 +301,7 @@ impl Parser {
         };
         let name = self.expect_ident()?;
         let sig = self.signature()?;
-        let body = if self.peek() == &Tok::LBrace {
+        let body = if self.peek() == Tok::LBrace {
             Some(self.block()?)
         } else {
             None
@@ -275,18 +323,18 @@ impl Parser {
     }
 
     fn signature(&mut self) -> Result<Signature, ParseError> {
-        self.expect(&Tok::LParen)?;
+        self.expect(Tok::LParen)?;
         let params = self.param_list()?;
-        self.expect(&Tok::RParen)?;
+        self.expect(Tok::RParen)?;
         let mut results = Vec::new();
-        if self.peek() == &Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.bump();
             results = self.param_list()?;
-            self.expect(&Tok::RParen)?;
-        } else if self.type_starts_here() {
+            self.expect(Tok::RParen)?;
+        } else if starts_type(self.peek()) {
             let ty = self.parse_type()?;
             results.push(Param {
-                name: String::new(),
+                name: sym::EMPTY,
                 ty,
             });
         }
@@ -297,31 +345,36 @@ impl Parser {
     /// grouping (`a, b int`) and unnamed lists (`int, error`).
     fn param_list(&mut self) -> Result<Vec<Param>, ParseError> {
         let mut out: Vec<Param> = Vec::new();
-        let mut pending: Vec<String> = Vec::new();
+        let mut pending: Vec<Sym> = Vec::new();
         loop {
-            if self.peek() == &Tok::RParen {
+            if self.peek() == Tok::RParen {
                 break;
             }
             // Variadic `...T`.
-            if self.eat(&Tok::Ellipsis) {
+            if self.eat(Tok::Ellipsis) {
                 let ty = self.parse_type()?;
-                let name = pending.pop().unwrap_or_default();
-                for n in pending.drain(..) {
-                    out.push(Param {
-                        name: n,
-                        ty: Type::Name("<grouped>".into()),
-                    });
+                let name = pending.pop().unwrap_or(sym::EMPTY);
+                if !pending.is_empty() {
+                    let grouped = Type::Name(self.names.intern("<grouped>"));
+                    for n in pending.drain(..) {
+                        out.push(Param {
+                            name: n,
+                            ty: grouped.clone(),
+                        });
+                    }
                 }
                 out.push(Param {
                     name,
                     ty: Type::Slice(Box::new(ty)),
                 });
             } else if matches!(self.peek(), Tok::Ident(_))
-                && self.peek_at(1) == &Tok::Ellipsis
+                // LOOKAHEAD: `v ...T` — the identifier names the variadic
+                // parameter only when `...` follows it.
+                && self.peek_at(1) == Tok::Ellipsis
             {
                 // Named variadic: `v ...T`.
                 let name = self.expect_ident()?;
-                self.expect(&Tok::Ellipsis)?;
+                self.expect(Tok::Ellipsis)?;
                 let ty = self.parse_type()?;
                 for n in pending.drain(..) {
                     out.push(Param {
@@ -334,14 +387,19 @@ impl Parser {
                     ty: Type::Slice(Box::new(ty)),
                 });
             } else if matches!(self.peek(), Tok::Ident(_))
+                // LOOKAHEAD: `a, b int` vs `int, error` — an identifier
+                // before `,` or `)` is a name or a type, settled only when
+                // the group's type (or the list's end) arrives.
                 && matches!(self.peek_at(1), Tok::Comma | Tok::RParen)
             {
                 // Ambiguous: either an unnamed type or a name sharing a
                 // later type.
-                if let Tok::Ident(s) = self.bump() {
-                    pending.push(s);
-                }
-            } else if matches!(self.peek(), Tok::Ident(_)) && self.type_starts_at(1) {
+                pending.push(self.expect_ident()?);
+            } else if matches!(self.peek(), Tok::Ident(_))
+                // LOOKAHEAD: `name Type` vs a bare type name — a second
+                // type-starting token makes the first a parameter name.
+                && starts_type(self.peek_at(1))
+            {
                 // `name Type`.
                 let name = self.expect_ident()?;
                 let ty = self.parse_type()?;
@@ -357,23 +415,23 @@ impl Parser {
                 let ty = self.parse_type()?;
                 for n in pending.drain(..) {
                     out.push(Param {
-                        name: String::new(),
+                        name: sym::EMPTY,
                         ty: Type::Name(n),
                     });
                 }
                 out.push(Param {
-                    name: String::new(),
+                    name: sym::EMPTY,
                     ty,
                 });
             }
-            if !self.eat(&Tok::Comma) {
+            if !self.eat(Tok::Comma) {
                 break;
             }
         }
         // Leftover pending names are unnamed type parameters.
         for n in pending {
             out.push(Param {
-                name: String::new(),
+                name: sym::EMPTY,
                 ty: Type::Name(n),
             });
         }
@@ -386,12 +444,12 @@ impl Parser {
         let _ = constant;
         // Parenthesized groups: keep only the first spec's shape by
         // flattening all specs into one decl (fine for scanning/linting).
-        if self.eat(&Tok::LParen) {
+        if self.eat(Tok::LParen) {
             let mut names = Vec::new();
             let mut values = Vec::new();
             let mut ty = None;
             self.skip_semis();
-            while self.peek() != &Tok::RParen {
+            while self.peek() != Tok::RParen {
                 let (mut n, t, mut v) = self.var_spec()?;
                 names.append(&mut n);
                 values.append(&mut v);
@@ -400,7 +458,7 @@ impl Parser {
                 }
                 self.skip_semis();
             }
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             return Ok(VarDecl {
                 pos,
                 names,
@@ -419,17 +477,17 @@ impl Parser {
 
     fn var_spec(&mut self) -> Result<VarSpec, ParseError> {
         let mut names = vec![self.expect_ident()?];
-        while self.eat(&Tok::Comma) {
+        while self.eat(Tok::Comma) {
             names.push(self.expect_ident()?);
         }
         let mut ty = None;
-        if self.peek() != &Tok::Assign && self.peek() != &Tok::Semi && self.type_starts_here() {
+        if self.peek() != Tok::Assign && self.peek() != Tok::Semi && starts_type(self.peek()) {
             ty = Some(self.parse_type()?);
         }
         let mut values = Vec::new();
-        if self.eat(&Tok::Assign) {
+        if self.eat(Tok::Assign) {
             values.push(self.expr()?);
-            while self.eat(&Tok::Comma) {
+            while self.eat(Tok::Comma) {
                 values.push(self.expr()?);
             }
         }
@@ -438,19 +496,19 @@ impl Parser {
 
     fn type_decl(&mut self) -> Result<TypeDecl, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::Type))?;
-        if self.eat(&Tok::LParen) {
+        self.expect(Tok::Kw(K::Type))?;
+        if self.eat(Tok::LParen) {
             // Grouped type declarations: keep the first, parse the rest.
             self.skip_semis();
             let name = self.expect_ident()?;
             let ty = self.parse_type()?;
             self.skip_semis();
-            while self.peek() != &Tok::RParen {
+            while self.peek() != Tok::RParen {
                 let _ = self.expect_ident()?;
                 let _ = self.parse_type()?;
                 self.skip_semis();
             }
-            self.expect(&Tok::RParen)?;
+            self.expect(Tok::RParen)?;
             return Ok(TypeDecl { pos, name, ty });
         }
         let name = self.expect_ident()?;
@@ -460,37 +518,23 @@ impl Parser {
 
     // ---- types ----
 
-    fn type_starts_here(&self) -> bool {
-        self.type_starts_at(0)
-    }
-
-    fn type_starts_at(&self, n: usize) -> bool {
-        matches!(
-            self.peek_at(n),
-            Tok::Ident(_)
-                | Tok::Star
-                | Tok::LBracket
-                | Tok::Kw(K::Map)
-                | Tok::Kw(K::Chan)
-                | Tok::Kw(K::Func)
-                | Tok::Kw(K::Struct)
-                | Tok::Kw(K::Interface)
-                | Tok::Arrow
-        )
-    }
-
     fn parse_type(&mut self) -> Result<Type, ParseError> {
         self.nested(Self::parse_type_rule)
     }
 
     fn parse_type_rule(&mut self) -> Result<Type, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                self.bump();
-                if self.peek() == &Tok::Dot && matches!(self.peek_at(1), Tok::Ident(_)) {
+        match self.peek() {
+            Tok::Ident(_) => {
+                let name = self.expect_ident()?;
+                if self.peek() == Tok::Dot
+                    // LOOKAHEAD: `pkg.Type` — the dot belongs to the type
+                    // only when a name follows (`x.(T)` reaches here with a
+                    // dot that does not).
+                    && matches!(self.peek_at(1), Tok::Ident(_))
+                {
                     self.bump();
                     let sel = self.expect_ident()?;
-                    Ok(Type::Name(format!("{name}.{sel}")))
+                    Ok(Type::Name(self.names.intern_dotted(name, sel)))
                 } else {
                     Ok(Type::Name(name))
                 }
@@ -501,12 +545,12 @@ impl Parser {
             }
             Tok::LBracket => {
                 self.bump();
-                if self.eat(&Tok::RBracket) {
+                if self.eat(Tok::RBracket) {
                     Ok(Type::Slice(Box::new(self.parse_type()?)))
                 } else {
                     let size = match self.bump() {
-                        Tok::Int(s) => s,
-                        Tok::Ident(s) => s, // named constant size
+                        // A literal, or a named constant.
+                        Tok::Int(s) | Tok::Ident(s) => self.names.intern(s),
                         other => {
                             return Err(ParseError::new(
                                 self.here(),
@@ -514,21 +558,21 @@ impl Parser {
                             ))
                         }
                     };
-                    self.expect(&Tok::RBracket)?;
+                    self.expect(Tok::RBracket)?;
                     Ok(Type::Array(size, Box::new(self.parse_type()?)))
                 }
             }
             Tok::Kw(K::Map) => {
                 self.bump();
-                self.expect(&Tok::LBracket)?;
+                self.expect(Tok::LBracket)?;
                 let k = self.parse_type()?;
-                self.expect(&Tok::RBracket)?;
+                self.expect(Tok::RBracket)?;
                 let v = self.parse_type()?;
                 Ok(Type::Map(Box::new(k), Box::new(v)))
             }
             Tok::Kw(K::Chan) => {
                 self.bump();
-                let dir = if self.eat(&Tok::Arrow) {
+                let dir = if self.eat(Tok::Arrow) {
                     ChanDir::Send
                 } else {
                     ChanDir::Both
@@ -537,7 +581,7 @@ impl Parser {
             }
             Tok::Arrow => {
                 self.bump();
-                self.expect(&Tok::Kw(K::Chan))?;
+                self.expect(Tok::Kw(K::Chan))?;
                 Ok(Type::Chan(ChanDir::Recv, Box::new(self.parse_type()?)))
             }
             Tok::Kw(K::Func) => {
@@ -547,16 +591,18 @@ impl Parser {
             }
             Tok::Kw(K::Struct) => {
                 self.bump();
-                self.expect(&Tok::LBrace)?;
+                self.expect(Tok::LBrace)?;
                 let mut fields = Vec::new();
                 self.skip_semis();
-                while self.peek() != &Tok::RBrace {
+                while self.peek() != Tok::RBrace {
                     // `a, b T` field groups; embedded fields are a bare type.
                     if matches!(self.peek(), Tok::Ident(_))
-                        && (self.type_starts_at(1) || self.peek_at(1) == &Tok::Comma)
+                        // LOOKAHEAD: a field (`a, b T`, `a T`) vs an
+                        // embedded type name standing alone on its line.
+                        && (starts_type(self.peek_at(1)) || self.peek_at(1) == Tok::Comma)
                     {
                         let mut names = vec![self.expect_ident()?];
-                        while self.eat(&Tok::Comma) {
+                        while self.eat(Tok::Comma) {
                             names.push(self.expect_ident()?);
                         }
                         let ty = self.parse_type()?;
@@ -569,7 +615,7 @@ impl Parser {
                     } else {
                         let ty = self.parse_type()?;
                         fields.push(Param {
-                            name: String::new(),
+                            name: sym::EMPTY,
                             ty,
                         });
                     }
@@ -579,12 +625,12 @@ impl Parser {
                     }
                     self.skip_semis();
                 }
-                self.expect(&Tok::RBrace)?;
+                self.expect(Tok::RBrace)?;
                 Ok(Type::Struct(fields))
             }
             Tok::Kw(K::Interface) => {
                 self.bump();
-                self.expect(&Tok::LBrace)?;
+                self.expect(Tok::LBrace)?;
                 // Elide interface bodies: skip to the matching brace.
                 let mut depth = 1;
                 while depth > 0 {
@@ -612,17 +658,17 @@ impl Parser {
     // ---- statements ----
 
     fn block(&mut self) -> Result<Block, ParseError> {
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         // Composite literals are legal again inside the braces.
         let saved = self.no_composite;
         self.no_composite = 0;
         let mut stmts = Vec::new();
         self.skip_semis();
-        while self.peek() != &Tok::RBrace && self.peek() != &Tok::Eof {
+        while self.peek() != Tok::RBrace && self.peek() != Tok::Eof {
             stmts.push(self.stmt()?);
             self.skip_semis();
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         self.no_composite = saved;
         Ok(Block { stmts })
     }
@@ -633,7 +679,7 @@ impl Parser {
 
     fn stmt_rule(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(K::Var) => Ok(Stmt::Decl(self.var_decl(false)?)),
             Tok::Kw(K::Const) => Ok(Stmt::Decl(self.var_decl(true)?)),
             Tok::Kw(K::Go) => {
@@ -651,7 +697,7 @@ impl Parser {
                 let mut values = Vec::new();
                 if !matches!(self.peek(), Tok::Semi | Tok::RBrace | Tok::Eof) {
                     values.push(self.expr()?);
-                    while self.eat(&Tok::Comma) {
+                    while self.eat(Tok::Comma) {
                         values.push(self.expr()?);
                     }
                 }
@@ -666,7 +712,7 @@ impl Parser {
                 let label = self.opt_label();
                 Ok(Stmt::Branch {
                     pos,
-                    kind: "break",
+                    kind: BranchKind::Break,
                     label,
                 })
             }
@@ -675,7 +721,7 @@ impl Parser {
                 let label = self.opt_label();
                 Ok(Stmt::Branch {
                     pos,
-                    kind: "continue",
+                    kind: BranchKind::Continue,
                     label,
                 })
             }
@@ -683,7 +729,7 @@ impl Parser {
                 self.bump();
                 Ok(Stmt::Branch {
                     pos,
-                    kind: "fallthrough",
+                    kind: BranchKind::Fallthrough,
                     label: None,
                 })
             }
@@ -692,7 +738,7 @@ impl Parser {
                 let label = Some(self.expect_ident()?);
                 Ok(Stmt::Branch {
                     pos,
-                    kind: "goto",
+                    kind: BranchKind::Goto,
                     label,
                 })
             }
@@ -705,12 +751,10 @@ impl Parser {
         }
     }
 
-    fn opt_label(&mut self) -> Option<String> {
-        if let Tok::Ident(s) = self.peek().clone() {
-            self.bump();
-            Some(s)
-        } else {
-            None
+    fn opt_label(&mut self) -> Option<Sym> {
+        match self.peek() {
+            Tok::Ident(_) => self.expect_ident().ok(),
+            _ => None,
         }
     }
 
@@ -718,36 +762,35 @@ impl Parser {
     fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
         let first = self.expr()?;
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Define | Tok::Comma if self.defines_ahead() => {
                 let mut exprs = vec![first];
-                while self.eat(&Tok::Comma) {
+                while self.eat(Tok::Comma) {
                     exprs.push(self.expr()?);
                 }
-                if self.eat(&Tok::Define) {
+                if self.eat(Tok::Define) {
                     let names = exprs
                         .iter()
                         .map(|e| {
-                            e.as_ident().map(String::from).ok_or_else(|| {
-                                ParseError::new(pos, "non-identifier on left of :=")
-                            })
+                            e.as_ident()
+                                .ok_or_else(|| ParseError::new(pos, "non-identifier on left of :="))
                         })
                         .collect::<Result<Vec<_>, _>>()?;
                     let mut values = vec![self.expr()?];
-                    while self.eat(&Tok::Comma) {
+                    while self.eat(Tok::Comma) {
                         values.push(self.expr()?);
                     }
                     Ok(Stmt::Define { pos, names, values })
                 } else {
-                    self.expect(&Tok::Assign)?;
+                    self.expect(Tok::Assign)?;
                     let mut values = vec![self.expr()?];
-                    while self.eat(&Tok::Comma) {
+                    while self.eat(Tok::Comma) {
                         values.push(self.expr()?);
                     }
                     Ok(Stmt::Assign {
                         pos,
                         lhs: exprs,
-                        op: "=",
+                        op: AssignOp::Set,
                         rhs: values,
                     })
                 }
@@ -755,13 +798,13 @@ impl Parser {
             Tok::Assign => {
                 self.bump();
                 let mut values = vec![self.expr()?];
-                while self.eat(&Tok::Comma) {
+                while self.eat(Tok::Comma) {
                     values.push(self.expr()?);
                 }
                 Ok(Stmt::Assign {
                     pos,
                     lhs: vec![first],
-                    op: "=",
+                    op: AssignOp::Set,
                     rhs: values,
                 })
             }
@@ -808,12 +851,16 @@ impl Parser {
     /// multi-target define/assign (vs an expression list elsewhere)? Scan
     /// ahead at depth 0 for `:=`/`=` before a terminator.
     fn defines_ahead(&self) -> bool {
-        if self.peek() == &Tok::Define {
+        if self.peek() == Tok::Define {
             return true;
         }
         let mut i = 0;
         let mut depth = 0u32;
         loop {
+            // LOOKAHEAD: an unbounded scan. After `a, ` the list is the left
+            // side of `:=`/`=` or an expression list (`case a, b:`), and the
+            // operator sits past any number of targets; the scan stops at
+            // the statement's end and answers "no" past 4,096 tokens.
             match self.peek_at(i) {
                 Tok::LParen | Tok::LBracket | Tok::LBrace => depth += 1,
                 Tok::RParen | Tok::RBracket | Tok::RBrace => {
@@ -835,10 +882,10 @@ impl Parser {
 
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::If))?;
+        self.expect(Tok::Kw(K::If))?;
         self.no_composite += 1;
         let first = self.simple_stmt()?;
-        let (init, cond) = if self.eat(&Tok::Semi) {
+        let (init, cond) = if self.eat(Tok::Semi) {
             let cond_expr = self.expr()?;
             (Some(Box::new(first)), cond_expr)
         } else {
@@ -856,8 +903,8 @@ impl Parser {
         };
         self.no_composite -= 1;
         let then = self.block()?;
-        let els = if self.eat(&Tok::Kw(K::Else)) {
-            if self.peek() == &Tok::Kw(K::If) {
+        let els = if self.eat(Tok::Kw(K::Else)) {
+            if self.peek() == Tok::Kw(K::If) {
                 // Through `stmt`, so an `else if` chain counts as nesting:
                 // it is one in the tree.
                 Some(Box::new(self.stmt()?))
@@ -878,10 +925,10 @@ impl Parser {
 
     fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::For))?;
+        self.expect(Tok::Kw(K::For))?;
         self.no_composite += 1;
         // `for {`
-        if self.peek() == &Tok::LBrace {
+        if self.peek() == Tok::LBrace {
             self.no_composite -= 1;
             let body = self.block()?;
             return Ok(Stmt::For {
@@ -908,15 +955,15 @@ impl Parser {
             });
         }
         let first = self.simple_stmt()?;
-        if self.eat(&Tok::Semi) {
+        if self.eat(Tok::Semi) {
             // for init; cond; post
-            let cond = if self.peek() == &Tok::Semi {
+            let cond = if self.peek() == Tok::Semi {
                 None
             } else {
                 Some(self.expr()?)
             };
-            self.expect(&Tok::Semi)?;
-            let post = if self.peek() == &Tok::LBrace {
+            self.expect(Tok::Semi)?;
+            let post = if self.peek() == Tok::LBrace {
                 None
             } else {
                 Some(Box::new(self.simple_stmt()?))
@@ -959,6 +1006,9 @@ impl Parser {
         let mut i = 0;
         let mut depth = 0u32;
         loop {
+            // LOOKAHEAD: an unbounded scan. `for k, v := range x` and
+            // `for i := 0; …` start alike; `range` before the `{` or `;`
+            // decides which clause to parse. Answers "no" past 4,096 tokens.
             match self.peek_at(i) {
                 Tok::Kw(K::Range) if depth == 0 => return true,
                 Tok::LParen | Tok::LBracket => depth += 1,
@@ -975,28 +1025,28 @@ impl Parser {
 
     fn range_clause(&mut self) -> Result<RangeClause, ParseError> {
         // `for range x` (no variables).
-        if self.eat(&Tok::Kw(K::Range)) {
+        if self.eat(Tok::Kw(K::Range)) {
             let expr = self.expr()?;
             return Ok(RangeClause {
-                key: String::new(),
-                value: String::new(),
+                key: sym::EMPTY,
+                value: sym::EMPTY,
                 define: false,
                 expr,
             });
         }
         let key = self.expect_ident()?;
-        let value = if self.eat(&Tok::Comma) {
+        let value = if self.eat(Tok::Comma) {
             self.expect_ident()?
         } else {
-            String::new()
+            sym::EMPTY
         };
-        let define = if self.eat(&Tok::Define) {
+        let define = if self.eat(Tok::Define) {
             true
         } else {
-            self.expect(&Tok::Assign)?;
+            self.expect(Tok::Assign)?;
             false
         };
-        self.expect(&Tok::Kw(K::Range))?;
+        self.expect(Tok::Kw(K::Range))?;
         let expr = self.expr()?;
         Ok(RangeClause {
             key,
@@ -1008,29 +1058,29 @@ impl Parser {
 
     fn switch_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::Switch))?;
+        self.expect(Tok::Kw(K::Switch))?;
         self.no_composite += 1;
-        let tag = if self.peek() == &Tok::LBrace {
+        let tag = if self.peek() == Tok::LBrace {
             None
         } else {
             Some(self.expr()?)
         };
         self.no_composite -= 1;
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let mut cases = Vec::new();
         self.skip_semis();
-        while self.peek() != &Tok::RBrace {
-            let exprs = if self.eat(&Tok::Kw(K::Case)) {
+        while self.peek() != Tok::RBrace {
+            let exprs = if self.eat(Tok::Kw(K::Case)) {
                 let mut es = vec![self.expr()?];
-                while self.eat(&Tok::Comma) {
+                while self.eat(Tok::Comma) {
                     es.push(self.expr()?);
                 }
                 es
             } else {
-                self.expect(&Tok::Kw(K::Default))?;
+                self.expect(Tok::Kw(K::Default))?;
                 Vec::new()
             };
-            self.expect(&Tok::Colon)?;
+            self.expect(Tok::Colon)?;
             let mut body = Vec::new();
             self.skip_semis();
             while !matches!(
@@ -1042,24 +1092,24 @@ impl Parser {
             }
             cases.push(CaseClause { exprs, body });
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(Stmt::Switch { pos, tag, cases })
     }
 
     fn select_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.here();
-        self.expect(&Tok::Kw(K::Select))?;
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::Kw(K::Select))?;
+        self.expect(Tok::LBrace)?;
         let mut cases = Vec::new();
         self.skip_semis();
-        while self.peek() != &Tok::RBrace {
-            let comm = if self.eat(&Tok::Kw(K::Case)) {
+        while self.peek() != Tok::RBrace {
+            let comm = if self.eat(Tok::Kw(K::Case)) {
                 Some(Box::new(self.simple_stmt()?))
             } else {
-                self.expect(&Tok::Kw(K::Default))?;
+                self.expect(Tok::Kw(K::Default))?;
                 None
             };
-            self.expect(&Tok::Colon)?;
+            self.expect(Tok::Colon)?;
             let mut body = Vec::new();
             self.skip_semis();
             while !matches!(
@@ -1071,7 +1121,7 @@ impl Parser {
             }
             cases.push(CommClause { comm, body });
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         Ok(Stmt::Select { pos, cases })
     }
 
@@ -1085,28 +1135,29 @@ impl Parser {
         let entered = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
-            let (op, prec): (&'static str, u8) = match self.peek() {
-                Tok::OrOr => ("||", 1),
-                Tok::AndAnd => ("&&", 2),
-                Tok::EqEq => ("==", 3),
-                Tok::NotEq => ("!=", 3),
-                Tok::Lt => ("<", 3),
-                Tok::Le => ("<=", 3),
-                Tok::Gt => (">", 3),
-                Tok::Ge => (">=", 3),
-                Tok::Plus => ("+", 4),
-                Tok::Minus => ("-", 4),
-                Tok::Pipe => ("|", 4),
-                Tok::Caret => ("^", 4),
-                Tok::Star => ("*", 5),
-                Tok::Slash => ("/", 5),
-                Tok::Percent => ("%", 5),
-                Tok::Shl => ("<<", 5),
-                Tok::Shr => (">>", 5),
-                Tok::Amp => ("&", 5),
-                Tok::AmpCaret => ("&^", 5),
+            let op = match self.peek() {
+                Tok::OrOr => BinaryOp::OrOr,
+                Tok::AndAnd => BinaryOp::AndAnd,
+                Tok::EqEq => BinaryOp::Eq,
+                Tok::NotEq => BinaryOp::Ne,
+                Tok::Lt => BinaryOp::Lt,
+                Tok::Le => BinaryOp::Le,
+                Tok::Gt => BinaryOp::Gt,
+                Tok::Ge => BinaryOp::Ge,
+                Tok::Plus => BinaryOp::Add,
+                Tok::Minus => BinaryOp::Sub,
+                Tok::Pipe => BinaryOp::Or,
+                Tok::Caret => BinaryOp::Xor,
+                Tok::Star => BinaryOp::Mul,
+                Tok::Slash => BinaryOp::Div,
+                Tok::Percent => BinaryOp::Rem,
+                Tok::Shl => BinaryOp::Shl,
+                Tok::Shr => BinaryOp::Shr,
+                Tok::Amp => BinaryOp::And,
+                Tok::AmpCaret => BinaryOp::AndNot,
                 _ => break,
             };
+            let prec = op.precedence();
             if prec < min_prec {
                 break;
             }
@@ -1128,14 +1179,14 @@ impl Parser {
     }
 
     fn unary_expr_rule(&mut self) -> Result<Expr, ParseError> {
-        let op: Option<&'static str> = match self.peek() {
-            Tok::Minus => Some("-"),
-            Tok::Plus => Some("+"),
-            Tok::Not => Some("!"),
-            Tok::Caret => Some("^"),
-            Tok::Star => Some("*"),
-            Tok::Amp => Some("&"),
-            Tok::Arrow => Some("<-"),
+        let op = match self.peek() {
+            Tok::Minus => Some(UnaryOp::Neg),
+            Tok::Plus => Some(UnaryOp::Plus),
+            Tok::Not => Some(UnaryOp::Not),
+            Tok::Caret => Some(UnaryOp::BitNot),
+            Tok::Star => Some(UnaryOp::Deref),
+            Tok::Amp => Some(UnaryOp::Addr),
+            Tok::Arrow => Some(UnaryOp::Recv),
             _ => None,
         };
         if let Some(op) = op {
@@ -1154,16 +1205,16 @@ impl Parser {
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.operand()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Dot => {
                     self.bump();
                     self.deepen()?;
                     // Type assertion `x.(T)` — elide to the base expression.
-                    if self.eat(&Tok::LParen) {
-                        if !self.eat(&Tok::Kw(K::Type)) {
+                    if self.eat(Tok::LParen) {
+                        if !self.eat(Tok::Kw(K::Type)) {
                             let _ = self.parse_type()?;
                         }
-                        self.expect(&Tok::RParen)?;
+                        self.expect(Tok::RParen)?;
                         continue;
                     }
                     let sel = self.expect_ident()?;
@@ -1178,22 +1229,22 @@ impl Parser {
                     // even within control headers.
                     let saved = self.no_composite;
                     self.no_composite = 0;
-                    while self.peek() != &Tok::RParen {
+                    while self.peek() != Tok::RParen {
                         if self.arg_is_type() {
                             let ty = self.parse_type()?;
                             args.push(Expr::TypeExpr(Box::new(ty)));
                         } else {
                             args.push(self.expr()?);
                         }
-                        if self.eat(&Tok::Ellipsis) {
+                        if self.eat(Tok::Ellipsis) {
                             spread = true;
                         }
-                        if !self.eat(&Tok::Comma) {
+                        if !self.eat(Tok::Comma) {
                             break;
                         }
                     }
                     self.no_composite = saved;
-                    self.expect(&Tok::RParen)?;
+                    self.expect(Tok::RParen)?;
                     e = Expr::Call {
                         func: Box::new(e),
                         args,
@@ -1205,14 +1256,14 @@ impl Parser {
                     self.deepen()?;
                     let saved = self.no_composite;
                     self.no_composite = 0;
-                    if self.eat(&Tok::Colon) {
-                        let high = if self.peek() == &Tok::RBracket {
+                    if self.eat(Tok::Colon) {
+                        let high = if self.peek() == Tok::RBracket {
                             None
                         } else {
                             Some(Box::new(self.expr()?))
                         };
                         self.no_composite = saved;
-                        self.expect(&Tok::RBracket)?;
+                        self.expect(Tok::RBracket)?;
                         e = Expr::SliceExpr {
                             expr: Box::new(e),
                             low: None,
@@ -1220,14 +1271,14 @@ impl Parser {
                         };
                     } else {
                         let idx = self.expr()?;
-                        if self.eat(&Tok::Colon) {
-                            let high = if self.peek() == &Tok::RBracket {
+                        if self.eat(Tok::Colon) {
+                            let high = if self.peek() == Tok::RBracket {
                                 None
                             } else {
                                 Some(Box::new(self.expr()?))
                             };
                             self.no_composite = saved;
-                            self.expect(&Tok::RBracket)?;
+                            self.expect(Tok::RBracket)?;
                             e = Expr::SliceExpr {
                                 expr: Box::new(e),
                                 low: Some(Box::new(idx)),
@@ -1235,14 +1286,14 @@ impl Parser {
                             };
                         } else {
                             self.no_composite = saved;
-                            self.expect(&Tok::RBracket)?;
+                            self.expect(Tok::RBracket)?;
                             e = Expr::Index(Box::new(e), Box::new(idx));
                         }
                     }
                 }
                 Tok::LBrace if self.no_composite == 0 && composable(&e) => {
                     let elems = self.composite_body()?;
-                    let ty = expr_to_type(&e);
+                    let ty = self.expr_to_type(&e);
                     e = Expr::CompositeLit {
                         ty: ty.map(Box::new),
                         elems,
@@ -1260,9 +1311,11 @@ impl Parser {
         matches!(
             self.peek(),
             Tok::Kw(K::Map) | Tok::Kw(K::Chan) | Tok::Kw(K::Struct) | Tok::Kw(K::Interface)
-        ) || (self.peek() == &Tok::LBracket
+        ) || (self.peek() == Tok::LBracket
+            // LOOKAHEAD: `make([]T, n)`, `new([4]T)` — a `[` opening a call
+            // argument starts a bare type when `]` or a size follows it.
             && matches!(self.peek_at(1), Tok::RBracket | Tok::Int(_)))
-            || (self.peek() == &Tok::Kw(K::Func) && {
+            || (self.peek() == Tok::Kw(K::Func) && {
                 // func type (no body) vs func literal: look for `{` after
                 // the signature — too costly; assume literal.
                 false
@@ -1271,26 +1324,26 @@ impl Parser {
 
     fn operand(&mut self) -> Result<Expr, ParseError> {
         let pos = self.here();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(name) => {
                 self.bump();
-                Ok(Expr::Ident(pos, name))
+                Ok(Expr::Ident(pos, self.names.intern(name)))
             }
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(pos, v))
+                Ok(Expr::Int(pos, self.names.intern(v), int_value(v)))
             }
             Tok::Float(v) => {
                 self.bump();
-                Ok(Expr::Float(pos, v))
+                Ok(Expr::Float(pos, self.names.intern(v)))
             }
             Tok::Str(v) => {
                 self.bump();
-                Ok(Expr::Str(pos, v))
+                Ok(Expr::Str(pos, self.names.intern(v)))
             }
             Tok::Rune(v) => {
                 self.bump();
-                Ok(Expr::Rune(pos, v))
+                Ok(Expr::Rune(pos, self.names.intern(v)))
             }
             Tok::LParen => {
                 self.bump();
@@ -1298,7 +1351,7 @@ impl Parser {
                 self.no_composite = 0;
                 let inner = self.expr()?;
                 self.no_composite = saved;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(Expr::Paren(Box::new(inner)))
             }
             Tok::Kw(K::Func) => {
@@ -1307,8 +1360,8 @@ impl Parser {
                 let body = self.block()?;
                 Ok(Expr::FuncLit {
                     pos,
-                    sig: Box::new(sig),
-                    body,
+                    sig: Arc::new(sig),
+                    body: Arc::new(body),
                 })
             }
             Tok::LBracket | Tok::Kw(K::Map) | Tok::Kw(K::Chan) | Tok::Kw(K::Struct) => {
@@ -1326,7 +1379,7 @@ impl Parser {
                     Tok::LParen => {
                         self.bump();
                         let inner = self.expr()?;
-                        self.expect(&Tok::RParen)?;
+                        self.expect(Tok::RParen)?;
                         Ok(Expr::Call {
                             func: Box::new(Expr::TypeExpr(Box::new(ty))),
                             args: vec![inner],
@@ -1351,14 +1404,14 @@ impl Parser {
     }
 
     fn composite_body_rule(&mut self) -> Result<Vec<(Option<Expr>, Expr)>, ParseError> {
-        self.expect(&Tok::LBrace)?;
+        self.expect(Tok::LBrace)?;
         let saved = self.no_composite;
         self.no_composite = 0;
         let mut elems = Vec::new();
         self.skip_semis();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             // Nested bare `{...}` elements (inner composite with elided type).
-            let first = if self.peek() == &Tok::LBrace {
+            let first = if self.peek() == Tok::LBrace {
                 let inner = self.composite_body()?;
                 Expr::CompositeLit {
                     ty: None,
@@ -1367,8 +1420,8 @@ impl Parser {
             } else {
                 self.expr()?
             };
-            if self.eat(&Tok::Colon) {
-                let value = if self.peek() == &Tok::LBrace {
+            if self.eat(Tok::Colon) {
+                let value = if self.peek() == Tok::LBrace {
                     let inner = self.composite_body()?;
                     Expr::CompositeLit {
                         ty: None,
@@ -1381,15 +1434,29 @@ impl Parser {
             } else {
                 elems.push((None, first));
             }
-            if !self.eat(&Tok::Comma) {
+            if !self.eat(Tok::Comma) {
                 self.skip_semis();
                 break;
             }
             self.skip_semis();
         }
-        self.expect(&Tok::RBrace)?;
+        self.expect(Tok::RBrace)?;
         self.no_composite = saved;
         Ok(elems)
+    }
+
+    /// The type a composite literal's head (`T`, `pkg.T`) names.
+    fn expr_to_type(&mut self, e: &Expr) -> Option<Type> {
+        match e {
+            Expr::Ident(_, n) => Some(Type::Name(*n)),
+            Expr::Selector(base, sel) => {
+                let Type::Name(base) = self.expr_to_type(base)? else {
+                    return None;
+                };
+                Some(Type::Name(self.names.intern_dotted(base, *sel)))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -1401,8 +1468,4 @@ fn composable(e: &Expr) -> bool {
         Expr::Selector(base, _) => composable(base),
         _ => false,
     }
-}
-
-fn expr_to_type(e: &Expr) -> Option<Type> {
-    e.dotted().map(Type::Name)
 }

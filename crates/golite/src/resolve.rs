@@ -19,10 +19,14 @@
 //! Names that resolve to nothing in the file (imported packages, builtins,
 //! helper functions from other files) become [`SymbolKind::Universe`]
 //! symbols so that downstream passes always get an answer.
-
-use std::collections::HashMap;
+//!
+//! Names arrive interned ([`Sym`]), so the scope chain is not a stack of
+//! hash maps: one array indexed by `Sym` holds each name's innermost
+//! visible binding, and closing a scope restores what it shadowed from an
+//! undo log. A lookup is an index, whatever the nesting depth.
 
 use crate::ast::*;
+use crate::names::FnvMap;
 use crate::token::Pos;
 
 /// Index into [`Resolution::symbols`].
@@ -80,8 +84,8 @@ impl SymbolKind {
 pub struct Symbol {
     /// Its id (index into [`Resolution::symbols`]).
     pub id: SymbolId,
-    /// Source name.
-    pub name: String,
+    /// Source name, in the resolved file's [`Names`].
+    pub name: Sym,
     /// Binding kind.
     pub kind: SymbolKind,
     /// Declaration site, when the declaration is in this file.
@@ -96,11 +100,14 @@ pub struct Symbol {
 pub struct Resolution {
     symbols: Vec<Symbol>,
     /// Identifier use site → symbol.
-    uses: HashMap<Pos, SymbolId>,
+    uses: FnvMap<Pos, SymbolId>,
     /// `func` literal position → symbols captured from enclosing functions.
-    captures: HashMap<Pos, Vec<SymbolId>>,
-    /// Declaration site → the symbols declared there, in declaration order.
-    decls: HashMap<Pos, Vec<SymbolId>>,
+    captures: FnvMap<Pos, Vec<SymbolId>>,
+    /// Declaration site → the first and the last symbol declared there;
+    /// `site_next` chains the ones between, in declaration order.
+    decls: FnvMap<Pos, (SymbolId, SymbolId)>,
+    /// Per symbol: the next one declared at the same site, if any.
+    site_next: Vec<Option<SymbolId>>,
 }
 
 impl Resolution {
@@ -119,11 +126,14 @@ impl Resolution {
     /// The symbols declared at `pos` under `name`, in declaration order
     /// (a function's receiver, parameters and named results all declare at
     /// the function's position; a `var`/`:=` declares every name at its own).
-    pub fn declared_at<'a>(&'a self, pos: Pos, name: &'a str) -> impl Iterator<Item = &'a Symbol> {
-        let ids = self.decls.get(&pos).map_or(&[][..], Vec::as_slice);
-        ids.iter()
-            .map(|id| self.symbol(*id))
-            .filter(move |s| s.name == name)
+    pub fn declared_at(&self, pos: Pos, name: Sym) -> impl Iterator<Item = &Symbol> {
+        let mut next = self.decls.get(&pos).map(|&(first, _)| first);
+        std::iter::from_fn(move || {
+            let id = next?;
+            next = self.site_next[id.0 as usize];
+            Some(self.symbol(id))
+        })
+        .filter(move |s| s.name == name)
     }
 
     /// Resolves the identifier whose token starts at `pos`.
@@ -157,27 +167,27 @@ impl Resolution {
 /// Resolves every identifier in `file`.
 #[must_use]
 pub fn resolve_file(file: &File) -> Resolution {
-    let mut r = Resolver::new();
+    let mut r = Resolver::new(&file.names);
     // Package scope is order-independent: pre-declare all top-level names.
     for decl in &file.decls {
         match decl {
             Decl::Func(f) => {
                 if f.receiver.is_none() {
-                    r.declare(&f.name, SymbolKind::Func, Some(f.pos));
+                    r.declare(f.name, SymbolKind::Func, Some(f.pos));
                 }
             }
             Decl::Var(v) => {
-                for n in &v.names {
+                for &n in &v.names {
                     r.declare(n, SymbolKind::GlobalVar, Some(v.pos));
                 }
             }
             Decl::Const(v) => {
-                for n in &v.names {
+                for &n in &v.names {
                     r.declare(n, SymbolKind::GlobalConst, Some(v.pos));
                 }
             }
             Decl::Type(t) => {
-                r.declare(&t.name, SymbolKind::TypeName, Some(t.pos));
+                r.declare(t.name, SymbolKind::TypeName, Some(t.pos));
             }
         }
     }
@@ -197,104 +207,132 @@ pub fn resolve_file(file: &File) -> Resolution {
     r.out
 }
 
-/// One lexical scope. `boundary` is set on the scope a `func` literal
-/// pushes: resolving through it records a capture.
-struct Scope {
-    bindings: HashMap<String, SymbolId>,
-    /// `Some(pos of the func literal)` when this scope is a closure body.
-    boundary: Option<Pos>,
-}
+/// A name's visible binding: the symbol, and the depth of the scope that
+/// declared it (0 = package scope).
+type Binding = (SymbolId, u32);
 
 struct Resolver {
     out: Resolution,
-    scopes: Vec<Scope>,
+    /// The innermost visible binding of each name, indexed by [`Sym`].
+    visible: Vec<Option<Binding>>,
+    /// What each declaration in a still-open scope hid, oldest first:
+    /// closing a scope puts these back.
+    shadowed: Vec<(Sym, Option<Binding>)>,
+    /// `shadowed.len()` when each open scope was entered; its length is
+    /// the current scope depth.
+    scope_starts: Vec<usize>,
+    /// The open `func` literals, outermost first: the depth of the scope
+    /// each pushed, and its position. Resolving a name declared below that
+    /// depth crosses the closure and records a capture.
+    boundaries: Vec<(u32, Pos)>,
     func_depth: u32,
 }
 
 impl Resolver {
-    fn new() -> Self {
+    fn new(names: &Names) -> Self {
+        let mut out = Resolution::default();
+        // About one use per spelling and a half: spares the use table its
+        // first few doublings.
+        out.uses.reserve(names.len());
         Resolver {
-            out: Resolution::default(),
-            scopes: vec![Scope {
-                bindings: HashMap::new(),
-                boundary: None,
-            }],
+            out,
+            visible: vec![None; names.len()],
+            shadowed: Vec::new(),
+            scope_starts: Vec::new(),
+            boundaries: Vec::new(),
             func_depth: 0,
         }
     }
 
+    fn depth(&self) -> u32 {
+        self.scope_starts.len() as u32
+    }
+
     fn push(&mut self, boundary: Option<Pos>) {
-        self.scopes.push(Scope {
-            bindings: HashMap::new(),
-            boundary,
-        });
+        self.scope_starts.push(self.shadowed.len());
+        if let Some(pos) = boundary {
+            self.boundaries.push((self.depth(), pos));
+        }
     }
 
     fn pop(&mut self) {
-        self.scopes.pop();
+        if self.boundaries.last().is_some_and(|&(d, _)| d == self.depth()) {
+            self.boundaries.pop();
+        }
+        let start = self.scope_starts.pop().expect("a scope to close");
+        for (name, hidden) in self.shadowed.drain(start..).rev() {
+            self.visible[name.index()] = hidden;
+        }
     }
 
-    fn declare(&mut self, name: &str, kind: SymbolKind, pos: Option<Pos>) -> SymbolId {
+    fn new_symbol(&mut self, name: Sym, kind: SymbolKind, pos: Option<Pos>, func_depth: u32) -> SymbolId {
         let id = SymbolId(self.out.symbols.len() as u32);
         self.out.symbols.push(Symbol {
             id,
-            name: name.to_string(),
+            name,
             kind,
             decl_pos: pos,
-            func_depth: self.func_depth,
+            func_depth,
         });
+        self.out.site_next.push(None);
+        id
+    }
+
+    fn declare(&mut self, name: Sym, kind: SymbolKind, pos: Option<Pos>) -> SymbolId {
+        let id = self.new_symbol(name, kind, pos, self.func_depth);
         if let Some(pos) = pos {
-            self.out.decls.entry(pos).or_default().push(id);
+            match self.out.decls.get_mut(&pos) {
+                Some((_, last)) => {
+                    self.out.site_next[last.0 as usize] = Some(id);
+                    *last = id;
+                }
+                None => {
+                    self.out.decls.insert(pos, (id, id));
+                }
+            }
         }
-        if name != "_" && !name.is_empty() {
-            self.scopes
-                .last_mut()
-                .expect("scope stack never empty")
-                .bindings
-                .insert(name.to_string(), id);
+        if !name.is_blank() {
+            let depth = self.depth();
+            let hidden = self.visible[name.index()].replace((id, depth));
+            // The package scope never closes: nothing to put back.
+            if depth > 0 {
+                self.shadowed.push((name, hidden));
+            }
         }
         id
     }
 
+    /// The symbol `name` is bound to in the CURRENT scope, if it is.
+    fn declared_here(&self, name: Sym) -> Option<SymbolId> {
+        match self.visible[name.index()] {
+            Some((id, depth)) if depth == self.depth() => Some(id),
+            _ => None,
+        }
+    }
+
     /// Resolves `name` used at `pos`, recording captures for every closure
     /// boundary between the use and the declaration.
-    fn resolve_name(&mut self, name: &str, pos: Pos) {
-        if name == "_" || name.is_empty() {
+    fn resolve_name(&mut self, name: Sym, pos: Pos) {
+        if name.is_blank() {
             return;
         }
-        let mut crossed: Vec<Pos> = Vec::new();
-        let mut found: Option<SymbolId> = None;
-        for scope in self.scopes.iter().rev() {
-            if let Some(&id) = scope.bindings.get(name) {
-                found = Some(id);
-                break;
-            }
-            if let Some(b) = scope.boundary {
-                crossed.push(b);
-            }
-        }
-        let id = match found {
-            Some(id) => id,
+        let (id, declared_at) = match self.visible[name.index()] {
+            Some(binding) => binding,
             None => {
                 // Unknown: builtin / imported package / other file. Declare
                 // once at package scope so repeated uses share a symbol.
-                let id = SymbolId(self.out.symbols.len() as u32);
-                self.out.symbols.push(Symbol {
-                    id,
-                    name: name.to_string(),
-                    kind: SymbolKind::Universe,
-                    decl_pos: None,
-                    func_depth: 0,
-                });
-                self.scopes[0].bindings.insert(name.to_string(), id);
-                id
+                let id = self.new_symbol(name, SymbolKind::Universe, None, 0);
+                self.visible[name.index()] = Some((id, 0));
+                (id, 0)
             }
         };
         self.out.uses.insert(pos, id);
-        let sym = &self.out.symbols[id.0 as usize];
-        if sym.kind.capturable() {
-            for b in crossed {
-                let set = self.out.captures.entry(b).or_default();
+        if self.out.symbols[id.0 as usize].kind.capturable() {
+            for &(depth, lit) in self.boundaries.iter().rev() {
+                if depth <= declared_at {
+                    break;
+                }
+                let set = self.out.captures.entry(lit).or_default();
                 if !set.contains(&id) {
                     set.push(id);
                 }
@@ -307,14 +345,14 @@ impl Resolver {
         self.func_depth += 1;
         self.push(None);
         if let Some(recv) = &f.receiver {
-            self.declare(&recv.name, SymbolKind::Receiver, Some(f.pos));
+            self.declare(recv.name, SymbolKind::Receiver, Some(f.pos));
         }
         for p in &f.sig.params {
-            self.declare(&p.name, SymbolKind::Param, Some(f.pos));
+            self.declare(p.name, SymbolKind::Param, Some(f.pos));
         }
         for rp in &f.sig.results {
             if !rp.name.is_empty() {
-                self.declare(&rp.name, SymbolKind::NamedResult, Some(f.pos));
+                self.declare(rp.name, SymbolKind::NamedResult, Some(f.pos));
             }
         }
         self.resolve_block_scoped(body);
@@ -339,7 +377,7 @@ impl Resolver {
                 for e in &v.values {
                     self.resolve_expr(e);
                 }
-                for n in &v.names {
+                for &n in &v.names {
                     self.declare(n, SymbolKind::Local, Some(v.pos));
                 }
             }
@@ -347,17 +385,10 @@ impl Resolver {
                 for e in values {
                     self.resolve_expr(e);
                 }
-                for n in names {
+                for &n in names {
                     // Go redeclaration rule: reuse a binding already in the
                     // CURRENT scope; shadow anything further out.
-                    let current = self
-                        .scopes
-                        .last()
-                        .expect("scope stack never empty")
-                        .bindings
-                        .get(n)
-                        .copied();
-                    match current {
+                    match self.declared_here(n) {
                         Some(existing) => {
                             // `x, err := ...` with err already here: this is
                             // an assignment to the existing symbol. Record
@@ -422,7 +453,7 @@ impl Resolver {
                         for e in values {
                             self.resolve_expr(e);
                         }
-                        for n in names {
+                        for &n in names {
                             self.declare(n, SymbolKind::LoopVar, Some(*pos));
                         }
                     } else {
@@ -435,8 +466,8 @@ impl Resolver {
                 if let Some(r) = range {
                     self.resolve_expr(&r.expr);
                     if r.define {
-                        for v in [&r.key, &r.value] {
-                            if !v.is_empty() && v != "_" {
+                        for v in [r.key, r.value] {
+                            if !v.is_blank() {
                                 self.declare(v, SymbolKind::LoopVar, None);
                             }
                         }
@@ -487,7 +518,7 @@ impl Resolver {
 
     fn resolve_expr(&mut self, e: &Expr) {
         match e {
-            Expr::Ident(pos, name) => self.resolve_name(name, *pos),
+            Expr::Ident(pos, name) => self.resolve_name(*name, *pos),
             Expr::Int(..) | Expr::Float(..) | Expr::Str(..) | Expr::Rune(..) => {}
             Expr::Selector(base, _) => self.resolve_expr(base),
             Expr::Call { func, args, .. } => {
@@ -521,11 +552,11 @@ impl Resolver {
                 // it captures nothing.
                 self.out.captures.entry(*pos).or_default();
                 for p in &sig.params {
-                    self.declare(&p.name, SymbolKind::Param, Some(*pos));
+                    self.declare(p.name, SymbolKind::Param, Some(*pos));
                 }
                 for rp in &sig.results {
                     if !rp.name.is_empty() {
-                        self.declare(&rp.name, SymbolKind::NamedResult, Some(*pos));
+                        self.declare(rp.name, SymbolKind::NamedResult, Some(*pos));
                     }
                 }
                 for s in &body.stmts {
@@ -576,11 +607,11 @@ mod tests {
         out
     }
 
-    fn captured_names(res: &Resolution, pos: Pos) -> Vec<String> {
+    fn captured_names(file: &File, res: &Resolution, pos: Pos) -> Vec<String> {
         let mut names: Vec<String> = res
             .captures_at(pos)
             .iter()
-            .map(|&id| res.symbol(id).name.clone())
+            .map(|&id| file.text(res.symbol(id).name).to_string())
             .collect();
         names.sort();
         names
@@ -600,7 +631,7 @@ func f(jobs []int) {
         );
         let lits = funclit_positions(&file);
         assert_eq!(lits.len(), 1);
-        assert_eq!(captured_names(&res, lits[0]), vec!["job"]);
+        assert_eq!(captured_names(&file, &res, lits[0]), vec!["job"]);
         let cap = res.captures_at(lits[0])[0];
         assert_eq!(res.symbol(cap).kind, SymbolKind::LoopVar);
     }
@@ -618,7 +649,7 @@ func f(jobs []int) {
 "#,
         );
         let lits = funclit_positions(&file);
-        assert!(captured_names(&res, lits[0]).is_empty());
+        assert!(captured_names(&file, &res, lits[0]).is_empty());
     }
 
     #[test]
@@ -639,7 +670,7 @@ func f(jobs []int) {
 "#,
         );
         let lits = funclit_positions(&file);
-        assert!(captured_names(&res, lits[0]).is_empty());
+        assert!(captured_names(&file, &res, lits[0]).is_empty());
 
         // Use BEFORE the inner define: the use resolves to the loop
         // variable — captured despite the later shadow.
@@ -658,7 +689,7 @@ func f(jobs []int) {
 "#,
         );
         let lits = funclit_positions(&file);
-        assert_eq!(captured_names(&res, lits[0]), vec!["job"]);
+        assert_eq!(captured_names(&file, &res, lits[0]), vec!["job"]);
     }
 
     #[test]
@@ -682,14 +713,14 @@ func f(jobs []int) {
 "#,
         );
         let lits = funclit_positions(&file);
-        assert_eq!(captured_names(&res, lits[0]), vec!["job"]);
+        assert_eq!(captured_names(&file, &res, lits[0]), vec!["job"]);
     }
 
     #[test]
     fn define_reuses_same_scope_symbol() {
         // `y, err := Baz()` reuses the err declared by `x, err := Foo()` in
         // the same scope — one symbol, not two.
-        let (_file, res) = resolve(
+        let (file, res) = resolve(
             r#"
 package p
 func f() {
@@ -702,9 +733,10 @@ func f() {
         let errs: Vec<_> = res
             .symbols()
             .iter()
-            .filter(|s| s.name == "err" && s.kind != SymbolKind::Universe)
+            .filter(|s| s.name == sym::ERR && s.kind != SymbolKind::Universe)
             .collect();
         assert_eq!(errs.len(), 1, "err must resolve to a single symbol");
+        assert!(file.names.get("err") == Some(sym::ERR));
     }
 
     #[test]
@@ -719,7 +751,7 @@ func (s *Server) Get() (result int) {
 "#,
         );
         let lits = funclit_positions(&file);
-        let caps = captured_names(&res, lits[0]);
+        let caps = captured_names(&file, &res, lits[0]);
         assert_eq!(caps, vec!["result", "s"]);
         let kinds: Vec<_> = res
             .captures_at(lits[0])
@@ -742,12 +774,12 @@ func f() {
 "#,
         );
         let lits = funclit_positions(&file);
-        assert!(captured_names(&res, lits[0]).is_empty());
+        assert!(captured_names(&file, &res, lits[0]).is_empty());
         // But uses of `counter` resolve to the global symbol.
         let global = res
             .symbols()
             .iter()
-            .find(|s| s.name == "counter")
+            .find(|s| file.text(s.name) == "counter")
             .expect("counter resolved");
         assert_eq!(global.kind, SymbolKind::GlobalVar);
     }
@@ -768,13 +800,13 @@ func f() {
         let lits = funclit_positions(&file);
         assert_eq!(lits.len(), 2);
         // Both the outer and the inner closure capture x.
-        assert_eq!(captured_names(&res, lits[0]), vec!["x"]);
-        assert_eq!(captured_names(&res, lits[1]), vec!["x"]);
+        assert_eq!(captured_names(&file, &res, lits[0]), vec!["x"]);
+        assert_eq!(captured_names(&file, &res, lits[1]), vec!["x"]);
     }
 
     #[test]
     fn local_shadow_of_global_is_a_distinct_symbol() {
-        let (_file, res) = resolve(
+        let (file, res) = resolve(
             r#"
 package p
 var version int
@@ -787,7 +819,7 @@ func f() {
         let versions: Vec<_> = res
             .symbols()
             .iter()
-            .filter(|s| s.name == "version")
+            .filter(|s| file.text(s.name) == "version")
             .collect();
         assert_eq!(versions.len(), 2);
         assert!(versions.iter().any(|s| s.kind == SymbolKind::GlobalVar));

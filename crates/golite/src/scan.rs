@@ -163,17 +163,19 @@ fn count_node(n: Node<'_>, c: &mut ConstructCounts) -> Walk {
         Node::Stmt(Select { .. }) => c.select_stmts += 1,
         Node::Expr(Expr::Call { func, .. }) => {
             if let Expr::Selector(_, method) = func.as_ref() {
-                match method.as_str() {
-                    "Lock" => c.lock_calls += 1,
-                    "Unlock" => c.unlock_calls += 1,
-                    "RLock" => c.rlock_calls += 1,
-                    "RUnlock" => c.runlock_calls += 1,
-                    "Add" | "Done" | "Wait" => c.waitgroup_calls += 1,
+                match *method {
+                    sym::LOCK => c.lock_calls += 1,
+                    sym::UNLOCK => c.unlock_calls += 1,
+                    sym::RLOCK => c.rlock_calls += 1,
+                    sym::RUNLOCK => c.runlock_calls += 1,
+                    sym::ADD | sym::DONE | sym::WAIT => c.waitgroup_calls += 1,
                     _ => {}
                 }
             }
         }
-        Node::Expr(Expr::Unary { op: "<-", .. }) => c.chan_recvs += 1,
+        Node::Expr(Expr::Unary {
+            op: UnaryOp::Recv, ..
+        }) => c.chan_recvs += 1,
         Node::Expr(Expr::FuncLit { sig, .. }) => {
             c.func_lits += 1;
             scan_signature(sig, c);
@@ -195,10 +197,10 @@ fn scan_var_type(v: &VarDecl, c: &mut ConstructCounts) {
 
 fn count_sync_decl(ty: &Type, n: u64, c: &mut ConstructCounts) {
     match ty {
-        Type::Name(name) => match name.as_str() {
-            "sync.WaitGroup" => c.waitgroup_decls += n,
-            "sync.Mutex" => c.mutex_decls += n,
-            "sync.RWMutex" => c.rwmutex_decls += n,
+        Type::Name(name) => match *name {
+            sym::SYNC_WAITGROUP => c.waitgroup_decls += n,
+            sym::SYNC_MUTEX => c.mutex_decls += n,
+            sym::SYNC_RWMUTEX => c.rwmutex_decls += n,
             _ => {}
         },
         Type::Pointer(inner) | Type::Slice(inner) | Type::Array(_, inner) => {

@@ -27,12 +27,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::ast::{sym, Names, Sym};
 use crate::callgraph::{CallGraph, CallSite};
 use crate::cfg::{FuncCfg, VarKey, VarRoot};
 use crate::lint::{Finding, Rule};
 use crate::lockset::{self, effective, Access, Flow};
 use crate::mhp::Mhp;
 use crate::resolve::{Resolution, SymbolKind};
+use crate::token::Pos;
 
 /// Chains deeper than this stop propagating (they add no new evidence the
 /// shorter prefixes have not already contributed).
@@ -66,7 +68,7 @@ pub struct Summaries {
 impl Summaries {
     /// Computes all summaries bottom-up over `cg`'s SCCs.
     #[must_use]
-    pub fn compute(cfgs: &[FuncCfg], flow: &Flow, cg: &CallGraph) -> Summaries {
+    pub fn compute(cfgs: &[FuncCfg], flow: &Flow, cg: &CallGraph, names: &Names) -> Summaries {
         let own = own_summaries(cfgs, flow);
         let mut funcs = own.clone();
 
@@ -80,7 +82,7 @@ impl Summaries {
                     for site in cg.sites_from(f) {
                         incorporate(&mut next, site, &funcs[site.callee], cfgs);
                     }
-                    dedup_accesses(&mut next.accesses);
+                    dedup_accesses(&mut next.accesses, names);
                     if next != funcs[f] {
                         funcs[f] = next;
                         changed = true;
@@ -147,8 +149,7 @@ fn incorporate(next: &mut FuncSummary, site: &CallSite, callee: &FuncSummary, cf
         a.spawned |= site.spawned;
         a.in_loop_spawn |= site.spawned && site.in_loop;
         a.dropped.extend(site.dropped.iter().cloned());
-        a.chain
-            .insert(0, (cfgs[site.callee].func.clone(), site.pos));
+        a.chain.insert(0, (cfgs[site.callee].func, site.pos));
         next.accesses.push(a);
     }
 
@@ -177,20 +178,22 @@ fn incorporate(next: &mut FuncSummary, site: &CallSite, callee: &FuncSummary, cf
     }
 }
 
+/// A call chain as it sorts: callee names compare as text (a [`Sym`]
+/// orders by first occurrence, and this order picks the reported witness).
+fn chain_key<'a>(
+    chain: &'a [(Sym, Pos)],
+    names: &'a Names,
+) -> impl Iterator<Item = (&'a str, Pos)> + 'a {
+    chain.iter().map(|&(callee, pos)| (names.text(callee), pos))
+}
+
 /// Keeps one access per `(var, pos, write, atomic, locks, spawned)` — the
 /// one with the shortest chain — in a deterministic order.
-fn dedup_accesses(accesses: &mut Vec<Access>) {
+fn dedup_accesses(accesses: &mut Vec<Access>, names: &Names) {
     accesses.sort_by(|x, y| {
-        (&x.var, x.pos, x.write, x.atomic, &x.locks, x.spawned, x.chain.len(), &x.chain).cmp(&(
-            &y.var,
-            y.pos,
-            y.write,
-            y.atomic,
-            &y.locks,
-            y.spawned,
-            y.chain.len(),
-            &y.chain,
-        ))
+        (&x.var, x.pos, x.write, x.atomic, &x.locks, x.spawned, x.chain.len())
+            .cmp(&(&y.var, y.pos, y.write, y.atomic, &y.locks, y.spawned, y.chain.len()))
+            .then_with(|| chain_key(&x.chain, names).cmp(chain_key(&y.chain, names)))
     });
     accesses.dedup_by(|b, a| {
         a.var == b.var
@@ -216,7 +219,12 @@ pub fn interproc_findings(
     sums: &Summaries,
     mhp: &Mhp,
     skip_vars: &BTreeSet<VarKey>,
+    names: &Names,
 ) -> Vec<Finding> {
+    let text = |name: Sym| names.text(name).to_string();
+    let render = |chain: &[(Sym, Pos)]| -> Vec<(String, Pos)> {
+        chain.iter().map(|&(callee, pos)| (text(callee), pos)).collect()
+    };
     // Each finding rides with the variable it is about (when it is about
     // one) until `dedup_findings` has keyed on it.
     let mut findings: Vec<(Option<VarKey>, Finding)> = Vec::new();
@@ -231,22 +239,23 @@ pub fn interproc_findings(
             }
             for &sym in res.captures_at(*lit_pos) {
                 let s = res.symbol(sym);
-                let risky = s.kind == SymbolKind::LoopVar || s.name == "err";
+                let risky = s.kind == SymbolKind::LoopVar || s.name == sym::ERR;
                 if !risky {
                     continue;
                 }
-                let callee_name = cfgs[site.callee].func.clone();
+                let callee_name = text(cfgs[site.callee].func);
                 findings.push((
                     None,
                     Finding {
                         rule: Rule::EscapingCaptureToSpawner,
                         pos: *lit_pos,
-                        func: cfgs[site.caller].func.clone(),
+                        func: text(cfgs[site.caller].func),
                         message: format!(
                             "closure captures '{}' by reference and escapes into \
                          '{}', which launches it as a goroutine; every spawn \
                          shares the same variable",
-                            s.name, callee_name,
+                            names.text(s.name),
+                            callee_name,
                         ),
                         chain: vec![(callee_name.clone(), site.pos)],
                     },
@@ -274,13 +283,13 @@ pub fn interproc_findings(
             if skip_vars.contains(key) {
                 continue;
             }
-            let callee_name = cfgs[site.callee].func.clone();
+            let callee_name = text(cfgs[site.callee].func);
             findings.push((
                 Some(key.clone()),
                 Finding {
                     rule: Rule::SpawnInCalleeMapWrite,
                     pos: site.pos,
-                    func: cfgs[site.caller].func.clone(),
+                    func: text(cfgs[site.caller].func),
                     message: format!(
                         "map '{disp}' is passed to '{callee_name}', which writes it \
                      from goroutines spawned there; concurrent map writes are a \
@@ -357,17 +366,17 @@ pub fn interproc_findings(
                     Finding {
                         rule: Rule::LockDroppedBeforeCall,
                         pos: a.chain[0].1,
-                        func: chain_root_func(cfgs, accs, a),
+                        func: text(chain_root_func(cfgs, accs, a)),
                         message: format!(
                             "'{}' is accessed in '{}' after {} was released — the \
                          call runs outside the critical section that guards \
                          '{}' elsewhere",
                             display,
-                            a.func,
+                            names.text(a.func),
                             lockset::key_display(&lock),
                             display,
                         ),
-                        chain: a.chain.clone(),
+                        chain: render(&a.chain),
                     },
                 ));
             } else {
@@ -378,17 +387,17 @@ pub fn interproc_findings(
                         .iter()
                         .filter(|(_, g)| !g.chain.is_empty())
                         .min_by_key(|(_, g)| g.chain.len())
-                        .map(|(_, g)| g.chain.clone())
+                        .map(|(_, g)| render(&g.chain))
                         .unwrap_or_default()
                 } else {
-                    bare.chain.clone()
+                    render(&bare.chain)
                 };
                 findings.push((
                     Some(var.clone()),
                     Finding {
                         rule: Rule::InterprocMissingLock,
                         pos: bare.pos,
-                        func: bare.func.clone(),
+                        func: text(bare.func),
                         message: format!(
                             "'{}' is {} without a lock here but guarded by {} on \
                          other call paths",
@@ -413,20 +422,24 @@ pub fn interproc_findings(
             if common.as_ref().is_some_and(BTreeSet::is_empty) {
                 let (_, a) = guarded
                     .iter()
-                    .min_by_key(|(_, a)| (a.pos, a.chain.len(), a.chain.clone()))
+                    .min_by(|(_, x), (_, y)| {
+                        (x.pos, x.chain.len())
+                            .cmp(&(y.pos, y.chain.len()))
+                            .then_with(|| chain_key(&x.chain, names).cmp(chain_key(&y.chain, names)))
+                    })
                     .expect("nonempty guarded");
                 findings.push((
                     Some(var.clone()),
                     Finding {
                         rule: Rule::InterprocInconsistentLock,
                         pos: a.pos,
-                        func: a.func.clone(),
+                        func: text(a.func),
                         message: format!(
                             "every call path to '{display}' holds a lock, but no \
                          single lock is common to all of them — two chains can \
                          still run concurrently",
                         ),
-                        chain: a.chain.clone(),
+                        chain: render(&a.chain),
                     },
                 ));
             }
@@ -444,14 +457,17 @@ pub fn interproc_findings(
                             Finding {
                                 rule: Rule::UnsyncedSpawnedCall,
                                 pos: sp,
-                                func: cfgs[*r].func.clone(),
+                                func: text(cfgs[*r].func),
                                 message: format!(
                                     "goroutine spawned here writes '{}' through \
                                  '{}' while '{}' also accesses it at line {} \
                                  with no synchronization in between",
-                                    display, w.chain[0].0, cfgs[*r].func, b.pos.line,
+                                    display,
+                                    names.text(w.chain[0].0),
+                                    names.text(cfgs[*r].func),
+                                    b.pos.line,
                                 ),
-                                chain: w.chain.clone(),
+                                chain: render(&w.chain),
                             },
                         ));
                         break 'pairs;
@@ -465,10 +481,10 @@ pub fn interproc_findings(
 }
 
 /// The root function a chained access was expanded from, for reporting.
-fn chain_root_func(cfgs: &[FuncCfg], accs: &[(usize, &Access)], target: &Access) -> String {
+fn chain_root_func(cfgs: &[FuncCfg], accs: &[(usize, &Access)], target: &Access) -> Sym {
     accs.iter()
         .find(|(_, a)| std::ptr::eq(*a, target))
-        .map_or_else(|| target.func.clone(), |(r, _)| cfgs[*r].func.clone())
+        .map_or(target.func, |(r, _)| cfgs[*r].func)
 }
 
 /// One finding per `(rule, var, line)`, keeping the shortest chain, in
@@ -502,9 +518,9 @@ mod tests {
         let cfgs = build_file(&file, &res);
         let flow = lockset::flow(&cfgs);
         let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg);
+        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
         let mhp = Mhp::build(&file);
-        interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new())
+        interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new(), &file.names)
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -576,12 +592,12 @@ func Run() {
         let cfgs = build_file(&file, &res);
         let flow = lockset::flow(&cfgs);
         let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg);
+        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
         // sum's summary holds its own write plus the one-hop recursive
         // copy, never an unbounded chain.
         assert!(sums.funcs[0].accesses.iter().all(|a| a.chain.len() <= 2));
         let mhp = Mhp::build(&file);
-        let rules: Vec<Rule> = interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new())
+        let rules: Vec<Rule> = interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new(), &file.names)
             .into_iter()
             .map(|f| f.rule)
             .collect();
@@ -637,7 +653,7 @@ func put(m map[string]int, k string) {
         let cfgs = build_file(&file, &res);
         let flow = lockset::flow(&cfgs);
         let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg);
+        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
         assert!(sums.funcs[0].spawns_params.contains(&0), "direct spawn");
         assert!(sums.funcs[1].spawns_params.contains(&0), "transitive spawn");
         assert!(sums.funcs[3].map_write_params.contains(&0), "put writes m");

@@ -1,6 +1,15 @@
 //! Tokens and source positions for Go-lite.
+//!
+//! A [`Tok`] is `Copy` and borrows its spelling from the source text: the
+//! lexer slices, it never builds a `String`, so identifier and literal
+//! payloads are exactly the bytes between the token's first and last
+//! character (quotes excluded) — non-ASCII text included. The parser turns
+//! each spelling into a [`Sym`](crate::names::Sym) as it consumes the
+//! token; nothing behind the parser sees a `Tok`.
 
 use std::fmt;
+
+use crate::ast::AssignOp;
 
 /// A 1-based line/column source position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,32 +66,34 @@ impl Keyword {
     #[must_use]
     pub fn lookup(ident: &str) -> Option<Keyword> {
         use Keyword::*;
-        Some(match ident {
-            "break" => Break,
-            "case" => Case,
-            "chan" => Chan,
-            "const" => Const,
-            "continue" => Continue,
-            "default" => Default,
-            "defer" => Defer,
-            "else" => Else,
-            "fallthrough" => Fallthrough,
-            "for" => For,
-            "func" => Func,
-            "go" => Go,
-            "goto" => Goto,
-            "if" => If,
-            "import" => Import,
-            "interface" => Interface,
-            "map" => Map,
-            "package" => Package,
-            "range" => Range,
-            "return" => Return,
-            "select" => Select,
-            "struct" => Struct,
-            "switch" => Switch,
-            "type" => Type,
-            "var" => Var,
+        // Byte-slice patterns compile to a length test and a decision tree
+        // over the bytes; the lexer asks this of every identifier.
+        Some(match ident.as_bytes() {
+            b"break" => Break,
+            b"case" => Case,
+            b"chan" => Chan,
+            b"const" => Const,
+            b"continue" => Continue,
+            b"default" => Default,
+            b"defer" => Defer,
+            b"else" => Else,
+            b"fallthrough" => Fallthrough,
+            b"for" => For,
+            b"func" => Func,
+            b"go" => Go,
+            b"goto" => Goto,
+            b"if" => If,
+            b"import" => Import,
+            b"interface" => Interface,
+            b"map" => Map,
+            b"package" => Package,
+            b"range" => Range,
+            b"return" => Return,
+            b"select" => Select,
+            b"struct" => Struct,
+            b"switch" => Switch,
+            b"type" => Type,
+            b"var" => Var,
             _ => return None,
         })
     }
@@ -121,21 +132,22 @@ impl Keyword {
     }
 }
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A lexical token; `'src` is the source text its spelling is sliced from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'src> {
     /// Identifier.
-    Ident(String),
+    Ident(&'src str),
     /// Keyword.
     Kw(Keyword),
-    /// Integer literal (value kept as text; Table 1 does not need values).
-    Int(String),
-    /// Float literal.
-    Float(String),
-    /// Interpreted or raw string literal (unquoted content).
-    Str(String),
-    /// Rune literal (unquoted content).
-    Rune(String),
+    /// Integer literal, as spelled.
+    Int(&'src str),
+    /// Float literal, as spelled.
+    Float(&'src str),
+    /// Interpreted or raw string literal (the text between the quotes,
+    /// escapes unprocessed).
+    Str(&'src str),
+    /// Rune literal (the text between the quotes, escapes unprocessed).
+    Rune(&'src str),
 
     // Operators and delimiters.
     /// `+`
@@ -210,18 +222,18 @@ pub enum Tok {
     Semi,
     /// `:`
     Colon,
-    /// Compound assignment, e.g. `+=` (operator spelled out).
-    OpAssign(&'static str),
+    /// Compound assignment, e.g. `+=` (never [`AssignOp::Set`]).
+    OpAssign(AssignOp),
     /// End of file.
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// True when automatic semicolon insertion applies after this token
     /// (Go spec: identifiers, literals, `break`/`continue`/`fallthrough`/
     /// `return`, `++`/`--`, and closing delimiters).
     #[must_use]
-    pub fn triggers_asi(&self) -> bool {
+    pub fn triggers_asi(self) -> bool {
         matches!(
             self,
             Tok::Ident(_)
@@ -242,7 +254,7 @@ impl Tok {
     }
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
@@ -286,17 +298,17 @@ impl fmt::Display for Tok {
             Tok::Dot => f.write_str("."),
             Tok::Semi => f.write_str(";"),
             Tok::Colon => f.write_str(":"),
-            Tok::OpAssign(op) => write!(f, "{op}"),
+            Tok::OpAssign(op) => f.write_str(op.as_str()),
             Tok::Eof => f.write_str("<eof>"),
         }
     }
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'src>,
     /// Start position.
     pub pos: Pos,
 }
@@ -315,8 +327,8 @@ mod tests {
 
     #[test]
     fn asi_trigger_set() {
-        assert!(Tok::Ident("x".into()).triggers_asi());
-        assert!(Tok::Int("5".into()).triggers_asi());
+        assert!(Tok::Ident("x").triggers_asi());
+        assert!(Tok::Int("5").triggers_asi());
         assert!(Tok::RParen.triggers_asi());
         assert!(Tok::Kw(Keyword::Return).triggers_asi());
         assert!(!Tok::Kw(Keyword::If).triggers_asi());
@@ -328,6 +340,8 @@ mod tests {
     fn display_is_spelling() {
         assert_eq!(Tok::Arrow.to_string(), "<-");
         assert_eq!(Tok::Define.to_string(), ":=");
+        assert_eq!(Tok::OpAssign(AssignOp::Shl).to_string(), "<<=");
+        assert_eq!(Tok::Str("hé").to_string(), "\"hé\"");
         assert_eq!(Tok::Kw(Keyword::Func).to_string(), "func");
         assert_eq!(Pos { line: 3, col: 7 }.to_string(), "3:7");
     }

@@ -33,8 +33,9 @@ import (
 )
 "#,
     );
-    assert_eq!(f.package, "server");
-    assert_eq!(f.imports, vec!["sync", "context", "fmt", "strings"]);
+    assert_eq!(f.text(f.package), "server");
+    let imports: Vec<&str> = f.imports.iter().map(|&i| f.text(i)).collect();
+    assert_eq!(imports, vec!["sync", "context", "fmt", "strings"]);
 }
 
 #[test]
@@ -67,7 +68,7 @@ type reader interface {
         .decls
         .iter()
         .find_map(|d| match d {
-            Decl::Type(t) if t.name == "pair" => Some(t),
+            Decl::Type(t) if f.text(t.name) == "pair" => Some(t),
             _ => None,
         })
         .expect("pair");
@@ -141,14 +142,15 @@ var j sync.Mutex
         .collect();
     assert!(matches!(tys[0], Type::Pointer(_)));
     assert!(matches!(tys[1], Type::Slice(_)));
-    assert!(matches!(tys[2], Type::Array(s, _) if s == "4"));
-    assert!(matches!(tys[3], Type::Array(s, _) if s == "N"));
+    assert!(matches!(tys[2], Type::Array(s, _) if f.text(*s) == "4"));
+    assert!(matches!(tys[3], Type::Array(s, _) if f.text(*s) == "N"));
     assert!(matches!(tys[4], Type::Map(_, _)));
     assert!(matches!(tys[5], Type::Chan(ChanDir::Both, _)));
     assert!(matches!(tys[6], Type::Chan(ChanDir::Send, _)));
     assert!(matches!(tys[7], Type::Chan(ChanDir::Recv, _)));
     assert!(matches!(tys[8], Type::Func(_)));
-    assert!(matches!(tys[9], Type::Name(n) if n == "sync.Mutex"));
+    assert!(matches!(tys[9], Type::Name(n) if *n == sym::SYNC_MUTEX));
+    assert_eq!(f.text(sym::SYNC_MUTEX), "sync.Mutex");
 }
 
 #[test]
@@ -225,23 +227,43 @@ func f(ch chan int, m map[string]int) {
 
 #[test]
 fn expressions_and_precedence() {
-    let e = parse_expr("1 + 2*3 - 4%3").expect("parses");
+    let (e, _) = parse_expr("1 + 2*3 - 4%3").expect("parses");
     // (1 + (2*3)) - (4%3)
-    let Expr::Binary { op: "-", lhs, .. } = &e else {
+    let Expr::Binary {
+        op: BinaryOp::Sub,
+        lhs,
+        ..
+    } = &e
+    else {
         panic!("top is -: {e:?}");
     };
-    assert!(matches!(**lhs, Expr::Binary { op: "+", .. }));
+    assert!(matches!(
+        **lhs,
+        Expr::Binary {
+            op: BinaryOp::Add,
+            ..
+        }
+    ));
 
-    let e = parse_expr("a && b || c == d").expect("parses");
-    let Expr::Binary { op: "||", .. } = &e else {
+    let (e, _) = parse_expr("a && b || c == d").expect("parses");
+    let Expr::Binary {
+        op: BinaryOp::OrOr, ..
+    } = &e
+    else {
         panic!("|| binds loosest: {e:?}");
     };
 
-    let e = parse_expr("!ok && -x < 3").expect("parses");
-    assert!(matches!(e, Expr::Binary { op: "&&", .. }));
+    let (e, _) = parse_expr("!ok && -x < 3").expect("parses");
+    assert!(matches!(
+        e,
+        Expr::Binary {
+            op: BinaryOp::AndAnd,
+            ..
+        }
+    ));
 
-    let e = parse_expr("f(a)(b)[c].d").expect("parses");
-    assert!(matches!(e, Expr::Selector(..)));
+    let (e, names) = parse_expr("f(a)(b)[c].d").expect("parses");
+    assert!(matches!(e, Expr::Selector(_, d) if names.text(d) == "d"));
 }
 
 #[test]
@@ -294,7 +316,7 @@ func f(x Point) bool {
 }
 "#,
     );
-    assert_eq!(first_func(&f).name, "f");
+    assert_eq!(f.text(first_func(&f).name), "f");
     // A bare `T{}` in a header parses as `(x == Point) {block}` — the `{}`
     // becomes the then-block, exactly gc's tokenization of the ambiguity.
     let g = parse_ok("package p\nfunc f(x Point) bool { if x == Point { } \nreturn false }");
@@ -303,7 +325,7 @@ func f(x Point) bool {
         panic!("if statement");
     };
     assert!(
-        matches!(cond, Expr::Binary { op: "==", rhs, .. }
+        matches!(cond, Expr::Binary { op: BinaryOp::Eq, rhs, .. }
             if matches!(**rhs, Expr::Ident(..))),
         "Point stays a bare identifier in the header: {cond:?}"
     );
@@ -375,7 +397,7 @@ func f(grid [][]int) []int {
 }
 "#,
     );
-    assert_eq!(first_func(&f).name, "f");
+    assert_eq!(f.text(first_func(&f).name), "f");
 }
 
 #[test]
@@ -409,7 +431,7 @@ type (
 "#,
     );
     // The group parses (first member kept, rest validated).
-    assert!(matches!(&f.decls[0], Decl::Type(t) if t.name == "A"));
+    assert!(matches!(&f.decls[0], Decl::Type(t) if f.text(t.name) == "A"));
 }
 
 #[test]
@@ -433,6 +455,91 @@ type Entity struct {
     };
     assert_eq!(fields.len(), 3);
     assert!(fields[0].name.is_empty(), "embedded field");
+}
+
+// ---- spellings are the source's own: literals are sliced, not rebuilt ----
+
+/// The initializer of the file's only `var`.
+fn only_value(f: &File) -> &Expr {
+    f.decls
+        .iter()
+        .find_map(|d| match d {
+            Decl::Var(v) => v.values.first(),
+            _ => None,
+        })
+        .expect("a var with a value")
+}
+
+#[test]
+fn non_ascii_literals_keep_their_text() {
+    // The lexer once pushed every byte of a literal as a `char`, so "héllo"
+    // parsed to "hÃ©llo" (7 bytes of UTF-8 where the source has 6).
+    let src = "package p\nvar s = \"héllo, 世界\"\n";
+    let f = parse_ok(src);
+    let Expr::Str(_, s) = only_value(&f) else {
+        panic!("string literal");
+    };
+    assert_eq!(f.text(*s), "héllo, 世界");
+    let open = src.find('"').expect("opening quote");
+    let close = src.rfind('"').expect("closing quote");
+    assert_eq!(f.text(*s), &src[open + 1..close], "content is the source slice");
+
+    let src = "package p\nvar s = `naïve\n\traw ✓`\n";
+    let f = parse_ok(src);
+    let Expr::Str(_, s) = only_value(&f) else {
+        panic!("raw string literal");
+    };
+    assert_eq!(f.text(*s), "naïve\n\traw ✓");
+    assert_eq!(
+        f.text(*s),
+        &src[src.find('`').expect("open") + 1..src.rfind('`').expect("close")]
+    );
+
+    let f = parse_ok("package p\nvar r = 'é'\n");
+    let Expr::Rune(_, r) = only_value(&f) else {
+        panic!("rune literal");
+    };
+    assert_eq!(f.text(*r), "é");
+    assert_eq!(f.text(*r).chars().count(), 1);
+
+    // An escape shields one byte; a multi-byte character after a backslash
+    // still ends on a boundary.
+    let f = parse_ok("package p\nvar s = \"a\\\"é\\é\"\n");
+    let Expr::Str(_, s) = only_value(&f) else {
+        panic!("string literal");
+    };
+    assert_eq!(f.text(*s), "a\\\"é\\é");
+}
+
+#[test]
+fn a_non_ascii_identifier_is_named_in_the_diagnostic() {
+    // Identifiers are ASCII in Go-lite; the error names the character the
+    // source holds (it once named its first byte, 'Ã').
+    let err = parse_file("package p\nvar é = 1\n").expect_err("non-ASCII identifier");
+    assert_eq!(err.message, "unexpected character 'é'");
+    assert_eq!((err.pos.line, err.pos.col), (2, 5));
+    let err = parse_file("package p\nvar x = 1 § 2\n").expect_err("stray character");
+    assert_eq!(err.message, "unexpected character '§'");
+}
+
+#[test]
+fn integer_literals_carry_their_value_beside_their_text() {
+    let value = |lit: &str| {
+        let f = parse_ok(&format!("package p\nvar n = {lit}\n"));
+        match only_value(&f) {
+            Expr::Int(_, text, v) => {
+                assert_eq!(f.text(*text), lit);
+                *v
+            }
+            other => panic!("{lit}: {other:?}"),
+        }
+    };
+    assert_eq!(value("42"), Some(42));
+    assert_eq!(value("1_000_000"), Some(1_000_000));
+    assert_eq!(value("0xFF"), Some(255));
+    // Does not fit an i64: the run-time "bad integer literal" stays where
+    // it was, at evaluation.
+    assert_eq!(value("99999999999999999999"), None);
 }
 
 // ---- nesting cap: a source file cannot choose the parser's stack ----

@@ -97,7 +97,7 @@ fn lexer_never_panics() {
                 assert!(t.pos.line <= max_line + 1, "case {case}: {src:?}");
             }
             assert_eq!(
-                tokens.last().map(|t| t.tok.clone()),
+                tokens.last().map(|t| t.tok),
                 Some(Tok::Eof),
                 "case {case}: {src:?}"
             );

@@ -15,12 +15,13 @@
 //! * `defer` evaluates its arguments immediately and runs the call at
 //!   function exit, LIFO, after named results are written.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use grs_golite::ast::{
-    Block, CommClause, Decl, Expr, File, FuncDecl, Param, RangeClause, Signature, Stmt, Type,
+    sym, BinaryOp, Block, BranchKind, CommClause, Decl, Expr, File, FuncDecl, Names, Param,
+    RangeClause, Signature, Stmt, Sym, Type, UnaryOp,
 };
+use grs_golite::names::FnvMap;
 use grs_golite::parser::parse_file;
 use grs_golite::token::Pos;
 use grs_runtime::chan::RecvResult;
@@ -32,18 +33,31 @@ use crate::InterpError;
 
 /// A method's compiled form.
 struct Method {
-    recv_name: String,
+    recv_name: Sym,
     recv_is_ptr: bool,
     sig: Arc<Signature>,
     body: Arc<Block>,
 }
 
-/// Immutable compiled program state shared across goroutines.
+/// A top-level function's compiled form.
+struct Func {
+    /// Its name as every [`FuncValue`] made from it displays it.
+    name: Arc<str>,
+    sig: Arc<Signature>,
+    body: Arc<Block>,
+}
+
+/// Immutable compiled program state shared across goroutines. Every
+/// [`Sym`] in it — table keys and the AST's — is spelled in `names`.
 struct Shared {
-    funcs: HashMap<String, (Arc<Signature>, Arc<Block>)>,
-    methods: HashMap<(String, String), Method>,
-    struct_types: HashMap<String, Vec<Param>>,
+    names: Names,
+    funcs: FnvMap<Sym, Func>,
+    /// Keyed by `(receiver type, method name)`.
+    methods: FnvMap<(Sym, Sym), Method>,
+    struct_types: FnvMap<Sym, Vec<Param>>,
     global_vars: Vec<grs_golite::ast::VarDecl>,
+    /// The display name of every closure value.
+    func_literal: Arc<str>,
 }
 
 /// A compiled Go-lite program, ready to instantiate as runtime
@@ -106,11 +120,12 @@ impl Interp {
     /// Compiles a parsed file.
     #[must_use]
     pub fn from_file(file: File) -> Interp {
-        let mut funcs = HashMap::new();
-        let mut methods = HashMap::new();
-        let mut struct_types = HashMap::new();
+        let File { decls, names, .. } = file;
+        let mut funcs = FnvMap::default();
+        let mut methods = FnvMap::default();
+        let mut struct_types = FnvMap::default();
         let mut global_vars = Vec::new();
-        for decl in file.decls {
+        for decl in decls {
             match decl {
                 Decl::Func(FuncDecl {
                     receiver: Some(recv),
@@ -119,21 +134,24 @@ impl Interp {
                     body: Some(body),
                     ..
                 }) => {
-                    let (type_name, is_ptr) = match &recv.ty {
-                        Type::Pointer(inner) => {
-                            (inner.name().unwrap_or("?").to_string(), true)
-                        }
-                        other => (other.name().unwrap_or("?").to_string(), false),
+                    let (receiver_type, is_ptr) = match &recv.ty {
+                        Type::Pointer(inner) => (inner.name(), true),
+                        other => (other.name(), false),
                     };
-                    methods.insert(
-                        (type_name, name.clone()),
-                        Method {
-                            recv_name: recv.name.clone(),
-                            recv_is_ptr: is_ptr,
-                            sig: Arc::new(sig),
-                            body: Arc::new(body),
-                        },
-                    );
+                    // A receiver whose type is not a name declares a method
+                    // no value can be asked for: methods are found through
+                    // a struct value's type name.
+                    if let Some(type_name) = receiver_type {
+                        methods.insert(
+                            (type_name, name),
+                            Method {
+                                recv_name: recv.name,
+                                recv_is_ptr: is_ptr,
+                                sig: Arc::new(sig),
+                                body: Arc::new(body),
+                            },
+                        );
+                    }
                 }
                 Decl::Func(FuncDecl {
                     receiver: None,
@@ -142,7 +160,14 @@ impl Interp {
                     body: Some(body),
                     ..
                 }) => {
-                    funcs.insert(name, (Arc::new(sig), Arc::new(body)));
+                    funcs.insert(
+                        name,
+                        Func {
+                            name: Arc::from(names.text(name)),
+                            sig: Arc::new(sig),
+                            body: Arc::new(body),
+                        },
+                    );
                 }
                 Decl::Func(_) => {}
                 Decl::Type(t) => {
@@ -155,10 +180,12 @@ impl Interp {
         }
         Interp {
             shared: Arc::new(Shared {
+                names,
                 funcs,
                 methods,
                 struct_types,
                 global_vars,
+                func_literal: Arc::from("func literal"),
             }),
         }
     }
@@ -197,14 +224,15 @@ impl Interp {
         name: &str,
         entry: &str,
     ) -> Result<Program, crate::CompileError> {
-        match self.shared.funcs.get(entry) {
+        let shared = &self.shared;
+        match shared.names.get(entry).and_then(|e| shared.funcs.get(&e)) {
             None => Err(crate::CompileError::lower(format!(
                 "entry function `{entry}` is not declared"
             ))),
-            Some((sig, _)) if !sig.params.is_empty() => {
+            Some(f) if !f.sig.params.is_empty() => {
                 Err(crate::CompileError::lower(format!(
                     "entry function `{entry}` must take no parameters, has {}",
-                    sig.params.len()
+                    f.sig.params.len()
                 )))
             }
             Some(_) => Ok(self.program(name, entry)),
@@ -233,8 +261,8 @@ const STACK_RED_ZONE: usize = 256 << 10;
 /// `defer` rule) but whose invocation is postponed.
 enum PreparedCall {
     Func(FuncValue, Vec<Value>),
-    Sync(Value, String, Vec<Value>),
-    Builtin(String, Vec<Value>),
+    Sync(Value, Sym, Vec<Value>),
+    Builtin(Sym, Vec<Value>),
 }
 
 /// Per-function-call state: defers and named result cells.
@@ -251,16 +279,27 @@ struct Rt<'c> {
 }
 
 impl<'c> Rt<'c> {
+    /// The spelling of `name`.
+    fn text(&self, name: Sym) -> &str {
+        self.shared.names.text(name)
+    }
+
+    /// Declares `name` in `env`; its spelling is the cell's debug name.
+    fn declare(&self, env: &Env, name: Sym, value: Value) -> Cell<Value> {
+        env.declare(self.ctx, name, self.text(name), value)
+    }
+
     fn bootstrap_and_run(&self, entry: &str) -> EResult<()> {
         // Package-level variables, in order. Top-level functions are NOT
         // pre-declared into the global scope: a stored `FuncValue` whose
         // `env` is the very scope holding its cell is an `Arc` cycle that
         // outlives the run and leaks the whole program graph. Identifier
         // resolution falls back to [`Rt::top_level_func`] instead.
-        for v in &self.shared.global_vars.clone() {
+        for v in &self.shared.global_vars {
             self.exec_var_decl(&self.globals, v)?;
         }
-        let fv = match self.top_level_func(entry) {
+        let entry_sym = self.shared.names.get(entry);
+        let fv = match entry_sym.and_then(|e| self.top_level_func(e)) {
             Some(Value::Func(f)) => f,
             _ => return Err(InterpError::plain(format!("entry function {entry} not found"))),
         };
@@ -271,12 +310,12 @@ impl<'c> Rt<'c> {
     /// Lazily materializes the top-level function `name` as a value. The
     /// `FuncValue` is synthesized per resolution (never stored in the
     /// global scope) so the global Env owns no reference to itself.
-    fn top_level_func(&self, name: &str) -> Option<Value> {
-        let (sig, body) = self.shared.funcs.get(name)?;
+    fn top_level_func(&self, name: Sym) -> Option<Value> {
+        let f = self.shared.funcs.get(&name)?;
         Some(Value::Func(FuncValue {
-            name: Arc::from(name),
-            sig: Arc::clone(sig),
-            body: Arc::clone(body),
+            name: Arc::clone(&f.name),
+            sig: Arc::clone(&f.sig),
+            body: Arc::clone(&f.body),
             env: self.globals.clone(),
             receiver: None,
         }))
@@ -290,18 +329,18 @@ impl<'c> Rt<'c> {
                 .ty
                 .as_ref()
                 .ok_or_else(|| InterpError::at(v.pos, "var needs a type or initializer"))?;
-            for name in &v.names {
+            for &name in &v.names {
                 let zero = self.zero_value(ty);
-                if name != "_" {
-                    env.declare(self.ctx, name, zero);
+                if name != sym::BLANK {
+                    self.declare(env, name, zero);
                 }
             }
             return Ok(());
         }
         let values = self.eval_rhs_list(env, &v.values, v.names.len())?;
-        for (name, value) in v.names.iter().zip(values) {
-            if name != "_" {
-                env.declare(self.ctx, name, value);
+        for (&name, value) in v.names.iter().zip(values) {
+            if name != sym::BLANK {
+                self.declare(env, name, value);
             }
         }
         Ok(())
@@ -309,40 +348,53 @@ impl<'c> Rt<'c> {
 
     fn zero_value(&self, ty: &Type) -> Value {
         match ty {
-            Type::Name(n) => match n.as_str() {
-                "int" | "int8" | "int16" | "int32" | "int64" | "uint" | "uint8" | "uint16"
-                | "uint32" | "uint64" | "byte" | "rune" | "float32" | "float64" => Value::Int(0),
-                "string" => Value::Str(Arc::from("")),
-                "bool" => Value::Bool(false),
-                "sync.Mutex" => Value::Mutex(self.ctx.mutex("mutex")),
-                "sync.RWMutex" => Value::RwMutex(self.ctx.rwmutex("rwmutex")),
-                "sync.WaitGroup" => Value::WaitGroup(self.ctx.waitgroup("wg")),
-                "sync.Once" => Value::Once(self.ctx.once("once")),
-                name => {
-                    if let Some(fields) = self.shared.struct_types.get(name) {
-                        Value::Struct(self.new_struct(name, fields.clone()))
-                    } else {
-                        Value::Nil
-                    }
-                }
+            Type::Name(n) => match *n {
+                sym::INT
+                | sym::INT8
+                | sym::INT16
+                | sym::INT32
+                | sym::INT64
+                | sym::UINT
+                | sym::UINT8
+                | sym::UINT16
+                | sym::UINT32
+                | sym::UINT64
+                | sym::BYTE
+                | sym::RUNE
+                | sym::FLOAT32
+                | sym::FLOAT64 => Value::Int(0),
+                sym::STRING => Value::Str(Arc::from("")),
+                sym::BOOL => Value::Bool(false),
+                sym::SYNC_MUTEX => Value::Mutex(self.ctx.mutex("mutex")),
+                sym::SYNC_RWMUTEX => Value::RwMutex(self.ctx.rwmutex("rwmutex")),
+                sym::SYNC_WAITGROUP => Value::WaitGroup(self.ctx.waitgroup("wg")),
+                sym::SYNC_ONCE => Value::Once(self.ctx.once("once")),
+                name => match self.shared.struct_types.get(&name) {
+                    Some(fields) => Value::Struct(self.new_struct(name, fields)),
+                    None => Value::Nil,
+                },
             },
             Type::Slice(_) => Value::Slice(GoSlice::empty(self.ctx, "slice")),
             Type::Map(_, _) => Value::Map(GoMap::make(self.ctx, "map")),
-            Type::Struct(fields) => Value::Struct(self.new_struct("struct", fields.clone())),
+            Type::Struct(fields) => Value::Struct(self.new_struct(sym::EMPTY, fields)),
             _ => Value::Nil,
         }
     }
 
-    fn new_struct(&self, name: &str, fields: Vec<Param>) -> StructRef {
-        let mut map = HashMap::new();
-        for f in &fields {
+    /// A zeroed instance of the struct type `name` ([`sym::EMPTY`] for an
+    /// anonymous struct type, displayed as `struct`).
+    fn new_struct(&self, name: Sym, fields: &[Param]) -> StructRef {
+        let type_name = if name.is_empty() { "struct" } else { self.text(name) };
+        let mut map = FnvMap::default();
+        for f in fields {
             let zero = self.zero_value(&f.ty);
             map.insert(
-                f.name.clone(),
-                self.ctx.cell(&format!("{name}.{}", f.name), zero),
+                f.name,
+                self.ctx
+                    .cell(&format!("{type_name}.{}", self.text(f.name)), zero),
             );
         }
-        StructRef::new(name, map)
+        StructRef::new(type_name, name, map)
     }
 
     /// Should an argument bound to a parameter of this type be deep-copied
@@ -351,9 +403,9 @@ impl<'c> Rt<'c> {
         match ty {
             Type::Name(n) => {
                 matches!(
-                    n.as_str(),
-                    "sync.Mutex" | "sync.RWMutex" | "sync.WaitGroup" | "sync.Once"
-                ) || self.shared.struct_types.contains_key(n.as_str())
+                    *n,
+                    sym::SYNC_MUTEX | sym::SYNC_RWMUTEX | sym::SYNC_WAITGROUP | sym::SYNC_ONCE
+                ) || self.shared.struct_types.contains_key(n)
             }
             Type::Struct(_) | Type::Array(_, _) => true,
             _ => false,
@@ -375,8 +427,8 @@ impl<'c> Rt<'c> {
         let _frame = self.ctx.frame(&fv.name);
         let fenv = fv.env.child();
         if let Some((name, _is_ptr, value)) = &fv.receiver {
-            if name != "_" && !name.is_empty() {
-                fenv.declare(self.ctx, name, (**value).clone());
+            if !name.is_blank() {
+                self.declare(&fenv, *name, (**value).clone());
             }
         }
         if args.len() != fv.sig.params.len() {
@@ -394,11 +446,13 @@ impl<'c> Rt<'c> {
                 // header reads with whatever locks the caller holds, which
                 // is exactly Listing 5's subtle race.
                 (Type::Slice(_), Value::Slice(s)) => Value::Slice(s.copy_value(self.ctx)),
-                (_, arg) if self.is_value_type(&param.ty) => arg.deep_copy(self.ctx),
+                (_, arg) if self.is_value_type(&param.ty) => {
+                    arg.deep_copy(self.ctx, &self.shared.names)
+                }
                 (_, arg) => arg,
             };
-            if !param.name.is_empty() && param.name != "_" {
-                fenv.declare(self.ctx, &param.name, bound);
+            if !param.name.is_blank() {
+                self.declare(&fenv, param.name, bound);
             }
         }
         // Named results become cells that outlive the body (Listing 3).
@@ -410,10 +464,10 @@ impl<'c> Rt<'c> {
             .sig
             .results
             .iter()
-            .filter(|r| !r.name.is_empty() && r.name != "_")
+            .filter(|r| !r.name.is_blank())
             .collect();
         for r in &named {
-            let cell = fenv.declare(self.ctx, &r.name, self.zero_value(&r.ty));
+            let cell = self.declare(&fenv, r.name, self.zero_value(&r.ty));
             fs.named_results.push(cell);
         }
         let flow = self.exec_block(&fenv, &fv.body, &mut fs)?;
@@ -464,15 +518,19 @@ impl<'c> Rt<'c> {
     #[allow(clippy::too_many_lines)]
     fn exec_stmt(&self, env: &Env, stmt: &Stmt, fs: &mut FrameState) -> EResult<Flow> {
         match stmt {
-            Stmt::Empty | Stmt::Branch { kind: "fallthrough", .. } => Ok(Flow::Normal),
+            Stmt::Empty
+            | Stmt::Branch {
+                kind: BranchKind::Fallthrough,
+                ..
+            } => Ok(Flow::Normal),
             Stmt::Decl(v) => {
                 self.exec_var_decl(env, v)?;
                 Ok(Flow::Normal)
             }
             Stmt::Define { names, values, .. } => {
                 let vals = self.eval_rhs_list(env, values, names.len())?;
-                for (name, value) in names.iter().zip(vals) {
-                    if name == "_" {
+                for (&name, value) in names.iter().zip(vals) {
+                    if name == sym::BLANK {
                         continue;
                     }
                     // Go's := redeclaration rule: reuse a cell declared in
@@ -480,27 +538,26 @@ impl<'c> Rt<'c> {
                     match env.lookup_local(name) {
                         Some(cell) => self.ctx.write(&cell, value),
                         None => {
-                            env.declare(self.ctx, name, value);
+                            self.declare(env, name, value);
                         }
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::Assign { lhs, op, rhs, pos } => {
-                if *op == "=" {
-                    let vals = self.eval_rhs_list(env, rhs, lhs.len())?;
-                    for (l, v) in lhs.iter().zip(vals) {
-                        self.assign(env, l, v)?;
-                    }
-                } else {
+                if let Some(binop) = op.binary() {
                     // Compound assignment: read, combine, write.
                     let r = self.eval_expr(env, &rhs[0])?;
                     let current = self.eval_expr(env, &lhs[0])?;
-                    let binop = &op[..op.len() - 1];
                     let combined = self
                         .binary(binop, current, r)
                         .map_err(|e| e.with_pos(*pos))?;
                     self.assign(env, &lhs[0], combined)?;
+                } else {
+                    let vals = self.eval_rhs_list(env, rhs, lhs.len())?;
+                    for (l, v) in lhs.iter().zip(vals) {
+                        self.assign(env, l, v)?;
+                    }
                 }
                 Ok(Flow::Normal)
             }
@@ -531,12 +588,15 @@ impl<'c> Rt<'c> {
                 let prepared = self.prepare_call(env, call, *pos)?;
                 let shared = Arc::clone(&self.shared);
                 let globals = self.globals.clone();
+                let func_name;
                 let name = match &prepared {
-                    PreparedCall::Func(fv, _) => fv.name.to_string(),
-                    PreparedCall::Sync(_, m, _) => m.clone(),
-                    PreparedCall::Builtin(b, _) => b.clone(),
+                    PreparedCall::Func(fv, _) => {
+                        func_name = Arc::clone(&fv.name);
+                        &*func_name
+                    }
+                    PreparedCall::Sync(_, m, _) | PreparedCall::Builtin(m, _) => self.text(*m),
                 };
-                self.ctx.go(&name, move |ctx| {
+                self.ctx.go(name, move |ctx| {
                     let rt = Rt {
                         ctx,
                         shared,
@@ -652,11 +712,18 @@ impl<'c> Rt<'c> {
                 Ok(Flow::Normal)
             }
             Stmt::Select { cases, .. } => self.exec_select(env, cases, fs),
-            Stmt::Branch { kind: "break", .. } => Ok(Flow::Break),
-            Stmt::Branch { kind: "continue", .. } => Ok(Flow::Continue),
-            Stmt::Branch { kind, pos, .. } => {
-                Err(InterpError::at(*pos, format!("unsupported branch `{kind}`")))
-            }
+            Stmt::Branch {
+                kind: BranchKind::Break,
+                ..
+            } => Ok(Flow::Break),
+            Stmt::Branch {
+                kind: BranchKind::Continue,
+                ..
+            } => Ok(Flow::Continue),
+            Stmt::Branch { kind, pos, .. } => Err(InterpError::at(
+                *pos,
+                format!("unsupported branch `{}`", kind.as_str()),
+            )),
         }
     }
 
@@ -671,10 +738,9 @@ impl<'c> Rt<'c> {
     ) -> EResult<Flow> {
         let subject = self.eval_expr(env, &r.expr)?;
         let scope = env.child();
-        let key_cell = (!r.key.is_empty() && r.key != "_")
-            .then(|| scope.declare(self.ctx, &r.key, Value::Nil));
-        let value_cell = (!r.value.is_empty() && r.value != "_")
-            .then(|| scope.declare(self.ctx, &r.value, Value::Nil));
+        let key_cell = (!r.key.is_blank()).then(|| self.declare(&scope, r.key, Value::Nil));
+        let value_cell =
+            (!r.value.is_blank()).then(|| self.declare(&scope, r.value, Value::Nil));
         match subject {
             Value::Slice(s) => {
                 let mut i = 0usize;
@@ -801,13 +867,19 @@ impl<'c> Rt<'c> {
         let scope = env.child();
         let fired = match comm {
             // `case <-ch:`
-            Stmt::Expr(Expr::Unary { op: "<-", expr }) => {
+            Stmt::Expr(Expr::Unary {
+                op: UnaryOp::Recv,
+                expr,
+            }) => {
                 let ch = self.expect_chan(&scope, expr)?;
                 ch.try_recv(self.ctx).is_some()
             }
             // `case v := <-ch:` / `case v, ok := <-ch:`
             Stmt::Define { names, values, .. } => match values.first() {
-                Some(Expr::Unary { op: "<-", expr }) => {
+                Some(Expr::Unary {
+                    op: UnaryOp::Recv,
+                    expr,
+                }) => {
                     let ch = self.expect_chan(&scope, expr)?;
                     match ch.try_recv(self.ctx) {
                         None => false,
@@ -817,9 +889,9 @@ impl<'c> Rt<'c> {
                                 RecvResult::Closed => (Value::Nil, false),
                             };
                             let bind = [Some(v), Some(Value::Bool(ok))];
-                            for (name, val) in names.iter().zip(bind.into_iter().flatten()) {
-                                if name != "_" {
-                                    scope.declare(self.ctx, name, val);
+                            for (&name, val) in names.iter().zip(bind.into_iter().flatten()) {
+                                if name != sym::BLANK {
+                                    self.declare(&scope, name, val);
                                 }
                             }
                             true
@@ -863,10 +935,13 @@ impl<'c> Rt<'c> {
 
     fn assign(&self, env: &Env, lhs: &Expr, value: Value) -> EResult<()> {
         match lhs {
-            Expr::Ident(_, name) if name == "_" => Ok(()),
+            Expr::Ident(_, sym::BLANK) => Ok(()),
             Expr::Ident(pos, name) => {
-                let cell = env.lookup(name).ok_or_else(|| {
-                    InterpError::at(*pos, format!("assignment to undeclared `{name}`"))
+                let cell = env.lookup(*name).ok_or_else(|| {
+                    InterpError::at(
+                        *pos,
+                        format!("assignment to undeclared `{}`", self.text(*name)),
+                    )
                 })?;
                 self.ctx.write(&cell, value);
                 Ok(())
@@ -874,7 +949,7 @@ impl<'c> Rt<'c> {
             Expr::Selector(base, field) => {
                 let base_v = self.eval_expr(env, base)?;
                 let sref = self.as_struct(base_v)?;
-                let cell = sref.field(self.ctx, field);
+                let cell = sref.field(self.ctx, *field, &self.shared.names);
                 self.ctx.write(&cell, value);
                 Ok(())
             }
@@ -897,7 +972,10 @@ impl<'c> Rt<'c> {
                     ))),
                 }
             }
-            Expr::Unary { op: "*", expr } => match self.eval_expr(env, expr)? {
+            Expr::Unary {
+                op: UnaryOp::Deref,
+                expr,
+            } => match self.eval_expr(env, expr)? {
                 Value::Pointer(cell) => {
                     self.ctx.write(&cell, value);
                     Ok(())
@@ -957,7 +1035,10 @@ impl<'c> Rt<'c> {
     fn eval_multi(&self, env: &Env, e: &Expr) -> EResult<Vec<Value>> {
         match e {
             Expr::Call { .. } => self.eval_call(env, e),
-            Expr::Unary { op: "<-", expr } => {
+            Expr::Unary {
+                op: UnaryOp::Recv,
+                expr,
+            } => {
                 let ch = self.expect_chan(env, expr)?;
                 match ch.recv(self.ctx) {
                     RecvResult::Value(v) => Ok(vec![v, Value::Bool(true)]),
@@ -970,32 +1051,35 @@ impl<'c> Rt<'c> {
 
     fn eval_expr(&self, env: &Env, e: &Expr) -> EResult<Value> {
         match e {
-            Expr::Ident(pos, name) => match name.as_str() {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                "nil" => Ok(Value::Nil),
-                _ => {
+            Expr::Ident(pos, name) => match *name {
+                sym::TRUE => Ok(Value::Bool(true)),
+                sym::FALSE => Ok(Value::Bool(false)),
+                sym::NIL => Ok(Value::Nil),
+                name => {
                     if let Some(cell) = env.lookup(name) {
                         return Ok(self.ctx.read(&cell));
                     }
-                    self.top_level_func(name)
-                        .ok_or_else(|| InterpError::at(*pos, format!("undefined: {name}")))
+                    self.top_level_func(name).ok_or_else(|| {
+                        InterpError::at(*pos, format!("undefined: {}", self.text(name)))
+                    })
                 }
             },
-            Expr::Int(pos, text) => text
-                .replace('_', "")
-                .parse::<i64>()
-                .or_else(|_| i64::from_str_radix(text.trim_start_matches("0x"), 16))
-                .map(Value::Int)
-                .map_err(|_| InterpError::at(*pos, format!("bad integer literal {text}"))),
+            Expr::Int(pos, text, value) => value.map(Value::Int).ok_or_else(|| {
+                InterpError::at(
+                    *pos,
+                    format!("bad integer literal {}", self.text(*text)),
+                )
+            }),
             Expr::Float(pos, _) => Err(InterpError::at(*pos, "floats are not supported")),
-            Expr::Str(_, s) => Ok(Value::Str(Arc::from(s.as_str()))),
-            Expr::Rune(_, s) => Ok(Value::Int(s.chars().next().map_or(0, |c| c as i64))),
+            Expr::Str(_, s) => Ok(Value::Str(Arc::from(self.text(*s)))),
+            Expr::Rune(_, s) => Ok(Value::Int(
+                self.text(*s).chars().next().map_or(0, |c| c as i64),
+            )),
             Expr::Paren(inner) => self.eval_expr(env, inner),
             Expr::Selector(base, field) => {
                 let base_v = self.eval_expr(env, base)?;
                 let sref = self.as_struct(base_v)?;
-                let cell = sref.field(self.ctx, field);
+                let cell = sref.field(self.ctx, *field, &self.shared.names);
                 Ok(self.ctx.read(&cell))
             }
             Expr::Index(base, idx) => {
@@ -1026,36 +1110,39 @@ impl<'c> Rt<'c> {
                 self.eval_expr(env, expr)
             }
             Expr::Unary { op, expr } => match *op {
-                "-" => Ok(Value::Int(-self.eval_expr(env, expr)?.as_int()?)),
-                "+" => self.eval_expr(env, expr),
-                "!" => Ok(Value::Bool(!self.eval_expr(env, expr)?.as_bool()?)),
-                "<-" => {
+                UnaryOp::Neg => Ok(Value::Int(-self.eval_expr(env, expr)?.as_int()?)),
+                UnaryOp::Plus => self.eval_expr(env, expr),
+                UnaryOp::Not => Ok(Value::Bool(!self.eval_expr(env, expr)?.as_bool()?)),
+                UnaryOp::Recv => {
                     let ch = self.expect_chan(env, expr)?;
                     match ch.recv(self.ctx) {
                         RecvResult::Value(v) => Ok(v),
                         RecvResult::Closed => Ok(Value::Nil),
                     }
                 }
-                "&" => self.address_of(env, expr),
-                "*" => match self.eval_expr(env, expr)? {
+                UnaryOp::Addr => self.address_of(env, expr),
+                UnaryOp::Deref => match self.eval_expr(env, expr)? {
                     Value::Pointer(cell) => Ok(self.ctx.read(&cell)),
                     other => Err(InterpError::plain(format!(
                         "cannot dereference {}",
                         other.type_name()
                     ))),
                 },
-                other => Err(InterpError::plain(format!("unsupported unary `{other}`"))),
+                UnaryOp::BitNot => Err(InterpError::plain(format!(
+                    "unsupported unary `{}`",
+                    op.as_str()
+                ))),
             },
             Expr::Binary { op, lhs, rhs } => {
                 // Short-circuit logic first.
                 match *op {
-                    "&&" => {
+                    BinaryOp::AndAnd => {
                         return Ok(Value::Bool(
                             self.eval_expr(env, lhs)?.as_bool()?
                                 && self.eval_expr(env, rhs)?.as_bool()?,
                         ))
                     }
-                    "||" => {
+                    BinaryOp::OrOr => {
                         return Ok(Value::Bool(
                             self.eval_expr(env, lhs)?.as_bool()?
                                 || self.eval_expr(env, rhs)?.as_bool()?,
@@ -1065,7 +1152,7 @@ impl<'c> Rt<'c> {
                 }
                 let l = self.eval_expr(env, lhs)?;
                 let r = self.eval_expr(env, rhs)?;
-                self.binary(op, l, r)
+                self.binary(*op, l, r)
             }
             Expr::Call { .. } => {
                 let mut vals = self.eval_call(env, e)?;
@@ -1080,9 +1167,9 @@ impl<'c> Rt<'c> {
                 }
             }
             Expr::FuncLit { sig, body, .. } => Ok(Value::Func(FuncValue {
-                name: Arc::from("func literal"),
-                sig: Arc::new((**sig).clone()),
-                body: Arc::new(body.clone()),
+                name: Arc::clone(&self.shared.func_literal),
+                sig: Arc::clone(sig),
+                body: Arc::clone(body),
                 env: env.clone(), // capture by reference
                 receiver: None,
             })),
@@ -1094,15 +1181,19 @@ impl<'c> Rt<'c> {
     fn address_of(&self, env: &Env, expr: &Expr) -> EResult<Value> {
         match expr {
             Expr::Ident(pos, name) => {
-                let cell = env
-                    .lookup(name)
-                    .ok_or_else(|| InterpError::at(*pos, format!("undefined: {name}")))?;
+                let cell = env.lookup(*name).ok_or_else(|| {
+                    InterpError::at(*pos, format!("undefined: {}", self.text(*name)))
+                })?;
                 Ok(Value::Pointer(cell))
             }
             Expr::Selector(base, field) => {
                 let base_v = self.eval_expr(env, base)?;
                 let sref = self.as_struct(base_v)?;
-                Ok(Value::Pointer(sref.field(self.ctx, field)))
+                Ok(Value::Pointer(sref.field(
+                    self.ctx,
+                    *field,
+                    &self.shared.names,
+                )))
             }
             Expr::CompositeLit { .. } => {
                 let v = self.eval_expr(env, expr)?;
@@ -1114,43 +1205,49 @@ impl<'c> Rt<'c> {
         }
     }
 
-    fn binary(&self, op: &str, l: Value, r: Value) -> EResult<Value> {
+    fn binary(&self, op: BinaryOp, l: Value, r: Value) -> EResult<Value> {
         Ok(match op {
-            "+" => match (&l, &r) {
+            BinaryOp::Add => match (&l, &r) {
                 (Value::Str(a), Value::Str(b)) => {
                     Value::Str(Arc::from(format!("{a}{b}").as_str()))
                 }
                 _ => Value::Int(l.as_int()? + r.as_int()?),
             },
-            "-" => Value::Int(l.as_int()? - r.as_int()?),
-            "*" => Value::Int(l.as_int()? * r.as_int()?),
-            "/" => {
+            BinaryOp::Sub => Value::Int(l.as_int()? - r.as_int()?),
+            BinaryOp::Mul => Value::Int(l.as_int()? * r.as_int()?),
+            BinaryOp::Div => {
                 let d = r.as_int()?;
                 if d == 0 {
                     return Err(InterpError::plain("integer divide by zero"));
                 }
                 Value::Int(l.as_int()? / d)
             }
-            "%" => {
+            BinaryOp::Rem => {
                 let d = r.as_int()?;
                 if d == 0 {
                     return Err(InterpError::plain("integer divide by zero"));
                 }
                 Value::Int(l.as_int()? % d)
             }
-            "&" => Value::Int(l.as_int()? & r.as_int()?),
-            "|" => Value::Int(l.as_int()? | r.as_int()?),
-            "^" => Value::Int(l.as_int()? ^ r.as_int()?),
-            "<<" => Value::Int(l.as_int()? << r.as_int()?),
-            ">>" => Value::Int(l.as_int()? >> r.as_int()?),
-            "&^" => Value::Int(l.as_int()? & !r.as_int()?),
-            "==" => Value::Bool(l.go_eq(&r)?),
-            "!=" => Value::Bool(!l.go_eq(&r)?),
-            "<" => self.compare(&l, &r, |o| o.is_lt())?,
-            "<=" => self.compare(&l, &r, |o| o.is_le())?,
-            ">" => self.compare(&l, &r, |o| o.is_gt())?,
-            ">=" => self.compare(&l, &r, |o| o.is_ge())?,
-            other => return Err(InterpError::plain(format!("unsupported operator `{other}`"))),
+            BinaryOp::And => Value::Int(l.as_int()? & r.as_int()?),
+            BinaryOp::Or => Value::Int(l.as_int()? | r.as_int()?),
+            BinaryOp::Xor => Value::Int(l.as_int()? ^ r.as_int()?),
+            BinaryOp::Shl => Value::Int(l.as_int()? << r.as_int()?),
+            BinaryOp::Shr => Value::Int(l.as_int()? >> r.as_int()?),
+            BinaryOp::AndNot => Value::Int(l.as_int()? & !r.as_int()?),
+            BinaryOp::Eq => Value::Bool(l.go_eq(&r)?),
+            BinaryOp::Ne => Value::Bool(!l.go_eq(&r)?),
+            BinaryOp::Lt => self.compare(&l, &r, |o| o.is_lt())?,
+            BinaryOp::Le => self.compare(&l, &r, |o| o.is_le())?,
+            BinaryOp::Gt => self.compare(&l, &r, |o| o.is_gt())?,
+            BinaryOp::Ge => self.compare(&l, &r, |o| o.is_ge())?,
+            // `eval_expr` short-circuits these before evaluating `r`.
+            BinaryOp::AndAnd | BinaryOp::OrOr => {
+                return Err(InterpError::plain(format!(
+                    "unsupported operator `{}`",
+                    op.as_str()
+                )))
+            }
         })
     }
 
@@ -1182,13 +1279,8 @@ impl<'c> Rt<'c> {
     ) -> EResult<Value> {
         match ty {
             Some(Type::Name(name)) => {
-                let fields = self
-                    .shared
-                    .struct_types
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_default();
-                let sref = self.new_struct(name, fields);
+                let fields = self.shared.struct_types.get(name).map_or(&[][..], Vec::as_slice);
+                let sref = self.new_struct(*name, fields);
                 for (key, value_expr) in elems {
                     let field = key
                         .as_ref()
@@ -1197,7 +1289,7 @@ impl<'c> Rt<'c> {
                             InterpError::plain("struct literals need keyed fields")
                         })?;
                     let v = self.eval_expr(env, value_expr)?;
-                    let cell = sref.field(self.ctx, field);
+                    let cell = sref.field(self.ctx, field, &self.shared.names);
                     self.ctx.write(&cell, v);
                 }
                 Ok(Value::Struct(sref))
@@ -1245,13 +1337,13 @@ impl<'c> Rt<'c> {
             Callee::Func(f) => Ok(PreparedCall::Func(f, arg_values)),
             Callee::SyncMethod(recv, method) => Ok(PreparedCall::Sync(recv, method, arg_values)),
             Callee::Builtin(name)
-                if matches!(name.as_str(), "close" | "panic" | "println" | "print") =>
+                if matches!(name, sym::CLOSE | sym::PANIC | sym::PRINTLN | sym::PRINT) =>
             {
                 Ok(PreparedCall::Builtin(name, arg_values))
             }
             Callee::Builtin(name) => Err(InterpError::at(
                 pos,
-                format!("builtin {name} cannot be used with go/defer"),
+                format!("builtin {} cannot be used with go/defer", self.text(name)),
             )),
         }
     }
@@ -1263,23 +1355,24 @@ impl<'c> Rt<'c> {
                 self.call_function(&fv, args)?;
             }
             PreparedCall::Sync(recv, method, args) => {
-                self.call_sync_method(&recv, &method, args)?;
+                self.call_sync_method(&recv, method, args)?;
             }
-            PreparedCall::Builtin(name, args) => match name.as_str() {
-                "close" => match args.first() {
+            PreparedCall::Builtin(name, args) => match name {
+                sym::CLOSE => match args.first() {
                     Some(Value::Chan(c)) => c.close(self.ctx),
                     _ => return Err(InterpError::plain("close needs a channel")),
                 },
-                "panic" => {
+                sym::PANIC => {
                     return Err(InterpError::plain(format!(
                         "panic: {:?}",
                         args.first().cloned().unwrap_or(Value::Nil)
                     )))
                 }
-                "println" | "print" => {}
+                sym::PRINTLN | sym::PRINT => {}
                 other => {
                     return Err(InterpError::plain(format!(
-                        "builtin {other} cannot be deferred"
+                        "builtin {} cannot be deferred",
+                        self.text(other)
                     )))
                 }
             },
@@ -1292,13 +1385,13 @@ impl<'c> Rt<'c> {
             return Err(InterpError::plain("not a call"));
         };
         match self.eval_callee(env, func)? {
-            Callee::Builtin(name) => self.call_builtin(env, &name, args),
+            Callee::Builtin(name) => self.call_builtin(env, name, args),
             Callee::SyncMethod(recv, method) => {
                 let mut argv = Vec::new();
                 for a in args {
                     argv.push(self.eval_expr(env, a)?);
                 }
-                self.call_sync_method(&recv, &method, argv)?;
+                self.call_sync_method(&recv, method, argv)?;
                 Ok(Vec::new())
             }
             Callee::Func(fv) => {
@@ -1315,59 +1408,66 @@ impl<'c> Rt<'c> {
         match func {
             Expr::Ident(_, name)
                 if matches!(
-                    name.as_str(),
-                    "make"
-                        | "new"
-                        | "len"
-                        | "cap"
-                        | "append"
-                        | "close"
-                        | "delete"
-                        | "panic"
-                        | "println"
-                        | "print"
-                        | "sleep"
-                        | "gosched"
-                ) && env.lookup(name).is_none()
-                    && !self.shared.funcs.contains_key(name.as_str()) =>
+                    *name,
+                    sym::MAKE
+                        | sym::NEW
+                        | sym::LEN
+                        | sym::CAP
+                        | sym::APPEND
+                        | sym::CLOSE
+                        | sym::DELETE
+                        | sym::PANIC
+                        | sym::PRINTLN
+                        | sym::PRINT
+                        | sym::SLEEP
+                        | sym::GOSCHED
+                ) && env.lookup(*name).is_none()
+                    && !self.shared.funcs.contains_key(name) =>
             {
-                Ok(Callee::Builtin(name.clone()))
+                Ok(Callee::Builtin(*name))
             }
             Expr::Selector(base, method) => {
+                let method = *method;
                 let base_v = self.eval_expr(env, base)?;
                 match &base_v {
                     Value::Mutex(_) | Value::RwMutex(_) | Value::WaitGroup(_) | Value::Once(_)
                         if matches!(
-                            method.as_str(),
-                            "Lock" | "Unlock" | "RLock" | "RUnlock" | "Add" | "Done" | "Wait"
-                                | "Do"
+                            method,
+                            sym::LOCK
+                                | sym::UNLOCK
+                                | sym::RLOCK
+                                | sym::RUNLOCK
+                                | sym::ADD
+                                | sym::DONE
+                                | sym::WAIT
+                                | sym::DO
                         ) =>
                     {
-                        Ok(Callee::SyncMethod(base_v, method.clone()))
+                        Ok(Callee::SyncMethod(base_v, method))
                     }
-                    Value::Struct(s) => self.method_value(&base_v, &s.type_name, method, false),
+                    Value::Struct(s) => self.method_value(&base_v, s, method, false),
                     Value::Pointer(cell) => {
                         let inner = self.ctx.read(cell);
                         match &inner {
-                            Value::Struct(s) => {
-                                let tn = s.type_name.clone();
-                                self.method_value(&inner, &tn, method, true)
-                            }
+                            Value::Struct(s) => self.method_value(&inner, s, method, true),
                             Value::Mutex(_)
                             | Value::RwMutex(_)
                             | Value::WaitGroup(_)
-                            | Value::Once(_) => Ok(Callee::SyncMethod(inner, method.clone())),
+                            | Value::Once(_) => Ok(Callee::SyncMethod(inner, method)),
                             other => Err(InterpError::plain(format!(
-                                "no method {method} on pointer to {}",
+                                "no method {} on pointer to {}",
+                                self.text(method),
                                 other.type_name()
                             ))),
                         }
                     }
                     Value::Func(_) => Err(InterpError::plain(format!(
-                        "cannot call method {method} on a func"
+                        "cannot call method {} on a func",
+                        self.text(method)
                     ))),
                     other => Err(InterpError::plain(format!(
-                        "no method {method} on {}",
+                        "no method {} on {}",
+                        self.text(method),
                         other.type_name()
                     ))),
                 }
@@ -1387,18 +1487,22 @@ impl<'c> Rt<'c> {
     fn method_value(
         &self,
         base: &Value,
-        type_name: &str,
-        method: &str,
+        of: &StructRef,
+        method: Sym,
         via_pointer: bool,
     ) -> EResult<Callee> {
+        let type_name = &of.type_name;
         // sync.Mutex-like fields accessed through a struct use the sync
         // dispatch, so only declared methods reach here.
         let m = self
             .shared
             .methods
-            .get(&(type_name.to_string(), method.to_string()))
+            .get(&(of.type_sym, method))
             .ok_or_else(|| {
-                InterpError::plain(format!("undefined method {type_name}.{method}"))
+                InterpError::plain(format!(
+                    "undefined method {type_name}.{}",
+                    self.text(method)
+                ))
             })?;
         // Value receiver: the method operates on a COPY of the struct
         // (pointer receivers share). `via_pointer` callers always share the
@@ -1407,35 +1511,35 @@ impl<'c> Rt<'c> {
             base.clone()
         } else {
             let _ = via_pointer;
-            base.deep_copy(self.ctx)
+            base.deep_copy(self.ctx, &self.shared.names)
         };
         Ok(Callee::Func(FuncValue {
-            name: Arc::from(format!("{type_name}.{method}").as_str()),
+            name: Arc::from(format!("{type_name}.{}", self.text(method)).as_str()),
             sig: Arc::clone(&m.sig),
             body: Arc::clone(&m.body),
             env: self.globals.clone(),
-            receiver: Some((m.recv_name.clone(), m.recv_is_ptr, Box::new(receiver_value))),
+            receiver: Some((m.recv_name, m.recv_is_ptr, Box::new(receiver_value))),
         }))
     }
 
-    fn call_sync_method(&self, recv: &Value, method: &str, args: Vec<Value>) -> EResult<()> {
+    fn call_sync_method(&self, recv: &Value, method: Sym, args: Vec<Value>) -> EResult<()> {
         match (recv, method) {
-            (Value::Mutex(m), "Lock") => m.lock(self.ctx),
-            (Value::Mutex(m), "Unlock") => m.unlock(self.ctx),
-            (Value::RwMutex(m), "Lock") => m.lock(self.ctx),
-            (Value::RwMutex(m), "Unlock") => m.unlock(self.ctx),
-            (Value::RwMutex(m), "RLock") => m.rlock(self.ctx),
-            (Value::RwMutex(m), "RUnlock") => m.runlock(self.ctx),
-            (Value::WaitGroup(w), "Add") => {
+            (Value::Mutex(m), sym::LOCK) => m.lock(self.ctx),
+            (Value::Mutex(m), sym::UNLOCK) => m.unlock(self.ctx),
+            (Value::RwMutex(m), sym::LOCK) => m.lock(self.ctx),
+            (Value::RwMutex(m), sym::UNLOCK) => m.unlock(self.ctx),
+            (Value::RwMutex(m), sym::RLOCK) => m.rlock(self.ctx),
+            (Value::RwMutex(m), sym::RUNLOCK) => m.runlock(self.ctx),
+            (Value::WaitGroup(w), sym::ADD) => {
                 let delta = args
                     .first()
                     .ok_or_else(|| InterpError::plain("Add needs a delta"))?
                     .as_int()?;
                 w.add(self.ctx, delta);
             }
-            (Value::WaitGroup(w), "Done") => w.done(self.ctx),
-            (Value::WaitGroup(w), "Wait") => w.wait(self.ctx),
-            (Value::Once(o), "Do") => {
+            (Value::WaitGroup(w), sym::DONE) => w.done(self.ctx),
+            (Value::WaitGroup(w), sym::WAIT) => w.wait(self.ctx),
+            (Value::Once(o), sym::DO) => {
                 let Some(Value::Func(fv)) = args.into_iter().next() else {
                     return Err(InterpError::plain("Once.Do needs a func argument"));
                 };
@@ -1447,7 +1551,8 @@ impl<'c> Rt<'c> {
             }
             (v, m) => {
                 return Err(InterpError::plain(format!(
-                    "no sync method {m} on {}",
+                    "no sync method {} on {}",
+                    self.text(m),
                     v.type_name()
                 )))
             }
@@ -1455,9 +1560,9 @@ impl<'c> Rt<'c> {
         Ok(())
     }
 
-    fn call_builtin(&self, env: &Env, name: &str, args: &[Expr]) -> EResult<Vec<Value>> {
+    fn call_builtin(&self, env: &Env, name: Sym, args: &[Expr]) -> EResult<Vec<Value>> {
         match name {
-            "make" => {
+            sym::MAKE => {
                 let Some(Expr::TypeExpr(ty)) = args.first() else {
                     return Err(InterpError::plain("make needs a type argument"));
                 };
@@ -1485,12 +1590,12 @@ impl<'c> Rt<'c> {
                     ))),
                 }
             }
-            "new" => {
+            sym::NEW => {
                 let Some(Expr::TypeExpr(ty)) = args.first() else {
                     // `new(T)` with a named type parses as a normal ident
                     // argument; resolve it as a type name.
                     if let Some(Expr::Ident(_, tn)) = args.first() {
-                        let zero = self.zero_value(&Type::Name(tn.clone()));
+                        let zero = self.zero_value(&Type::Name(*tn));
                         return Ok(vec![Value::Pointer(self.ctx.cell("new", zero))]);
                     }
                     return Err(InterpError::plain("new needs a type argument"));
@@ -1498,7 +1603,7 @@ impl<'c> Rt<'c> {
                 let zero = self.zero_value(ty);
                 Ok(vec![Value::Pointer(self.ctx.cell("new", zero))])
             }
-            "len" | "cap" => {
+            sym::LEN | sym::CAP => {
                 let v = self.eval_expr(env, &args[0])?;
                 let n = match v {
                     Value::Slice(s) => s.len(self.ctx) as i64,
@@ -1513,7 +1618,7 @@ impl<'c> Rt<'c> {
                 };
                 Ok(vec![Value::Int(n)])
             }
-            "append" => {
+            sym::APPEND => {
                 let base = self.eval_expr(env, &args[0])?;
                 let Value::Slice(s) = base else {
                     return Err(InterpError::plain("append needs a slice"));
@@ -1524,14 +1629,14 @@ impl<'c> Rt<'c> {
                 }
                 Ok(vec![Value::Slice(s)])
             }
-            "close" => {
+            sym::CLOSE => {
                 let Value::Chan(c) = self.eval_expr(env, &args[0])? else {
                     return Err(InterpError::plain("close needs a channel"));
                 };
                 c.close(self.ctx);
                 Ok(Vec::new())
             }
-            "delete" => {
+            sym::DELETE => {
                 let Value::Map(m) = self.eval_expr(env, &args[0])? else {
                     return Err(InterpError::plain("delete needs a map"));
                 };
@@ -1539,11 +1644,11 @@ impl<'c> Rt<'c> {
                 m.delete(self.ctx, &Key::from_value(&k)?);
                 Ok(Vec::new())
             }
-            "panic" => {
+            sym::PANIC => {
                 let v = self.eval_expr(env, &args[0])?;
                 Err(InterpError::plain(format!("panic: {v:?}")))
             }
-            "println" | "print" => {
+            sym::PRINTLN | sym::PRINT => {
                 // Evaluate for effect; output is suppressed to keep
                 // explorer runs quiet.
                 for a in args {
@@ -1551,22 +1656,25 @@ impl<'c> Rt<'c> {
                 }
                 Ok(Vec::new())
             }
-            "sleep" => {
+            sym::SLEEP => {
                 let n = self.eval_expr(env, &args[0])?.as_int()?;
                 self.ctx.sleep(n.clamp(0, 1000) as u32);
                 Ok(Vec::new())
             }
-            "gosched" => {
+            sym::GOSCHED => {
                 self.ctx.gosched();
                 Ok(Vec::new())
             }
-            other => Err(InterpError::plain(format!("unknown builtin {other}"))),
+            other => Err(InterpError::plain(format!(
+                "unknown builtin {}",
+                self.text(other)
+            ))),
         }
     }
 }
 
 enum Callee {
     Func(FuncValue),
-    Builtin(String),
-    SyncMethod(Value, String),
+    Builtin(Sym),
+    SyncMethod(Value, Sym),
 }

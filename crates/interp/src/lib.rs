@@ -19,6 +19,18 @@
 //! * maps and slices are the runtime's thread-unsafe [`GoMap`]/[`GoSlice`]
 //!   (Observations 4–5).
 //!
+//! The program is executed as parsed: scopes ([`Env`]), the function,
+//! method and struct-type tables and struct fields are keyed by the file's
+//! interned [`Sym`](grs_golite::names::Sym)s, builtins and `sync` methods
+//! are recognized by comparing against [`grs_golite::names::sym`], and an
+//! operator is an enum the evaluator matches. What the parser worked out
+//! once is not worked out again per evaluation: an integer literal carries
+//! its value, a `func` literal shares its signature and body with every
+//! closure value made from it. Names turn back into text for error
+//! messages and for the debug names of the runtime's cells. (Scopes are
+//! still a chain of maps looked up per use; frames of slots resolved from
+//! `golite::resolve` are the next step, not this one.)
+//!
 //! Known simplifications (documented divergences): slicing `s[a:b]`
 //! returns the whole slice (header sharing preserved), zero-value maps are
 //! empty rather than nil, floats are unsupported, `select` polls arms in

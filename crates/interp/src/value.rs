@@ -5,11 +5,11 @@
 //! is a preemption point and a detector event — closures that capture
 //! variables share the cells, exactly like Go's capture-by-reference.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex as StdMutex};
 
-use grs_golite::ast::{Block, Signature};
+use grs_golite::ast::{Block, Names, Signature, Sym};
+use grs_golite::names::FnvMap;
 use grs_runtime::{Cell, Chan, Ctx, GoMap, GoSlice, Mutex, Once, RwMutex, WaitGroup};
 
 use crate::env::Env;
@@ -116,9 +116,10 @@ impl Value {
     /// cells, and a contained `sync.Mutex` becomes an *independent* lock
     /// ([`Mutex::copy_value`]) — reproducing Listing 7's bug when structs
     /// or mutexes are passed by value. Reference types (slices, maps,
-    /// channels, pointers) share as in Go.
+    /// channels, pointers) share as in Go. `names` spells the copied fields
+    /// for their cells' debug names.
     #[must_use]
-    pub fn deep_copy(&self, ctx: &Ctx) -> Value {
+    pub fn deep_copy(&self, ctx: &Ctx, names: &Names) -> Value {
         match self {
             Value::Mutex(m) => Value::Mutex(m.copy_value(ctx)),
             Value::RwMutex(_) => {
@@ -127,7 +128,7 @@ impl Value {
             }
             Value::WaitGroup(_) => Value::WaitGroup(ctx.waitgroup("waitgroup (copy)")),
             Value::Once(_) => Value::Once(ctx.once("once (copy)")),
-            Value::Struct(s) => Value::Struct(s.copy_value(ctx)),
+            Value::Struct(s) => Value::Struct(s.copy_value(ctx, names)),
             // Reference types and scalars: plain clone.
             other => other.clone(),
         }
@@ -200,45 +201,61 @@ impl Key {
 /// A shared struct instance: each field is an instrumented cell.
 #[derive(Clone)]
 pub struct StructRef {
-    /// The declared type name.
+    /// The declared type name, for display (`"struct"` for an anonymous
+    /// struct type).
     pub type_name: Arc<str>,
-    fields: Arc<StdMutex<HashMap<String, Cell<Value>>>>,
+    /// The declared type name as the program's [`Sym`], keying its methods
+    /// ([`sym::EMPTY`](grs_golite::ast::sym::EMPTY) for an anonymous
+    /// struct type).
+    pub type_sym: Sym,
+    fields: Arc<StdMutex<FnvMap<Sym, Cell<Value>>>>,
 }
 
 impl StructRef {
     /// Creates an instance with the given field cells.
     #[must_use]
-    pub fn new(type_name: &str, fields: HashMap<String, Cell<Value>>) -> Self {
+    pub fn new(type_name: &str, type_sym: Sym, fields: FnvMap<Sym, Cell<Value>>) -> Self {
         StructRef {
             type_name: Arc::from(type_name),
+            type_sym,
             fields: Arc::new(StdMutex::new(fields)),
         }
     }
 
     /// The cell behind `name`, creating a nil field on first touch of an
-    /// undeclared name (Go-lite is dynamically checked).
-    pub fn field(&self, ctx: &Ctx, name: &str) -> Cell<Value> {
+    /// undeclared name (Go-lite is dynamically checked); `names` spells it
+    /// for the new cell's debug name.
+    pub fn field(&self, ctx: &Ctx, name: Sym, names: &Names) -> Cell<Value> {
         let mut f = self.fields.lock().unwrap_or_else(|e| e.into_inner());
-        f.entry(name.to_string())
-            .or_insert_with(|| ctx.cell(&format!("{}.{name}", self.type_name), Value::Nil))
+        f.entry(name)
+            .or_insert_with(|| {
+                ctx.cell(
+                    &format!("{}.{}", self.type_name, names.text(name)),
+                    Value::Nil,
+                )
+            })
             .clone()
     }
 
     /// Go value semantics: copying a struct copies every field into fresh
     /// cells (deep-copying mutex values along the way).
     #[must_use]
-    pub fn copy_value(&self, ctx: &Ctx) -> StructRef {
+    pub fn copy_value(&self, ctx: &Ctx, names: &Names) -> StructRef {
         let src = self.fields.lock().unwrap_or_else(|e| e.into_inner());
-        let mut fields = HashMap::new();
+        let mut fields = FnvMap::default();
         for (name, cell) in src.iter() {
-            let v = cell.load().deep_copy(ctx);
+            let v = cell.load().deep_copy(ctx, names);
             fields.insert(
-                name.clone(),
-                ctx.cell(&format!("{}.{name} (copy)", self.type_name), v),
+                *name,
+                ctx.cell(
+                    &format!("{}.{} (copy)", self.type_name, names.text(*name)),
+                    v,
+                ),
             );
         }
         StructRef {
             type_name: self.type_name.clone(),
+            type_sym: self.type_sym,
             fields: Arc::new(StdMutex::new(fields)),
         }
     }
@@ -256,5 +273,5 @@ pub struct FuncValue {
     /// The captured lexical environment (closures capture by reference).
     pub env: Env,
     /// Bound receiver for method values: `(param name, is_pointer, value)`.
-    pub receiver: Option<(String, bool, Box<Value>)>,
+    pub receiver: Option<(Sym, bool, Box<Value>)>,
 }

@@ -47,6 +47,23 @@ fn every_emitted_test_parses_lowers_and_runs() {
     }
 }
 
+/// A campaign names its units without building them: the name drawn from
+/// the head of the RNG stream is the name the built test carries.
+#[test]
+fn name_matches_the_emitted_test_without_building_it() {
+    let specs = [
+        GoTestSpec::default_mix(),
+        GoTestSpec::default_mix().racy_per_mille(1000).fillers_max(0),
+        GoTestSpec::default_mix().racy_per_mille(0).fillers_max(3),
+    ];
+    for (s, spec) in specs.into_iter().enumerate() {
+        let gen = GoTestGen::new(spec, 11 + s as u64);
+        for i in 0..1000 {
+            assert_eq!(gen.name(i), gen.emit(i).name, "spec {s}, index {i}");
+        }
+    }
+}
+
 #[test]
 fn compile_errors_are_structured_not_panics() {
     let err = match Interp::compile("package main\n\nfunc main() {") {

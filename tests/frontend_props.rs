@@ -59,7 +59,7 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
                 cfgs.len(),
                 "seed {seed} {path}: SCCs must partition the functions"
             );
-            let _sums = Summaries::compute(&cfgs, &flow, &cg);
+            let _sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
             let _mhp = Mhp::build(&file);
             let _findings = lint_file(&file);
         }
