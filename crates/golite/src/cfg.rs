@@ -31,7 +31,7 @@
 //! stays a `Sym`.
 
 use crate::ast::{sym, Block, BranchKind, Decl, Expr, File, FuncDecl, Names, Stmt, Sym, Type, UnaryOp};
-use crate::resolve::{Resolution, SymbolId, SymbolKind};
+use crate::resolve::{Binding, Resolution, SymbolId, SymbolKind};
 use crate::token::Pos;
 
 /// Index into [`FuncCfg::blocks`].
@@ -242,10 +242,9 @@ pub fn build_func(f: &FuncDecl, res: &Resolution, names: &Names) -> Option<FuncC
         .sig
         .params
         .iter()
-        .map(|p| {
-            res.declared_at(f.pos, p.name)
-                .find(|s| s.kind == SymbolKind::Param)
-                .map(|s| s.id)
+        .map(|p| match res.binding(f.pos, p.name) {
+            Some(Binding::New(id)) => Some(id),
+            _ => None,
         })
         .collect();
     let mut b = Builder {
@@ -507,14 +506,6 @@ impl Builder<'_> {
         }
     }
 
-    /// The symbol declared by a `var`/`:=` at `pos` under `name`.
-    fn declared_symbol(&self, pos: Pos, name: Sym) -> Option<SymbolId> {
-        self.res
-            .declared_at(pos, name)
-            .find(|s| s.kind.capturable())
-            .map(|s| s.id)
-    }
-
     /// Emits read accesses for every trackable place in `e`, handling lock
     /// and atomic calls specially.
     fn reads(&mut self, e: &Expr, cond_of: Option<u32>) {
@@ -673,7 +664,7 @@ impl Builder<'_> {
                 }
                 if !v.values.is_empty() {
                     for &name in &v.names {
-                        if let Some(id) = self.declared_symbol(v.pos, name) {
+                        if let Some(Binding::New(id)) = self.res.binding(v.pos, name) {
                             self.init_write(id, name, v.pos);
                         }
                     }
@@ -689,24 +680,22 @@ impl Builder<'_> {
                     }
                     // A define that reuses an existing same-scope symbol is
                     // a real write; a fresh declaration is an init write.
-                    if let Some(id) = self.declared_symbol(*pos, name) {
-                        self.init_write(id, name, *pos);
-                    } else if let Some(id) = self.res.use_at(*pos) {
-                        if self.res.symbol(id).name == name {
-                            self.emit(Event::Access {
-                                var: VarKey {
-                                    root: VarRoot::Local(id),
-                                    path: String::new(),
-                                },
-                                display: self.names.text(name).to_string(),
-                                write: true,
-                                atomic: false,
-                                init: false,
-                                cond_of: None,
-                                indexed: false,
-                                pos: *pos,
-                            });
-                        }
+                    match self.res.binding(*pos, name) {
+                        Some(Binding::New(id)) => self.init_write(id, name, *pos),
+                        Some(Binding::Existing(id)) => self.emit(Event::Access {
+                            var: VarKey {
+                                root: VarRoot::Local(id),
+                                path: String::new(),
+                            },
+                            display: self.names.text(name).to_string(),
+                            write: true,
+                            atomic: false,
+                            init: false,
+                            cond_of: None,
+                            indexed: false,
+                            pos: *pos,
+                        }),
+                        None => {}
                     }
                 }
             }

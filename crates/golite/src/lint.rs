@@ -20,7 +20,7 @@ use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::lockset;
 use crate::mhp::Mhp;
-use crate::resolve::{resolve_file, Resolution, SymbolId, SymbolKind};
+use crate::resolve::{resolve_file, Binding, Resolution, SymbolId, SymbolKind};
 use crate::summary::{self, Summaries};
 use crate::token::Pos;
 
@@ -431,11 +431,12 @@ fn collect_assign_symbols(stmt: &Stmt, res: &Resolution, out: &mut HashSet<Symbo
                 base_symbol(e, res, out);
             }
         }
-        // `y, x := ...` assigns x when it reuses an existing binding; the
-        // resolver records that reuse as a use at the statement position.
-        Stmt::Define { pos, .. } => {
-            if let Some(id) = res.use_at(*pos) {
-                out.insert(id);
+        // `y, x := ...` assigns x when it reuses an existing binding.
+        Stmt::Define { pos, names, .. } => {
+            for &name in names {
+                if let Some(Binding::Existing(id)) = res.binding(*pos, name) {
+                    out.insert(id);
+                }
             }
         }
         Stmt::IncDec { expr, .. } => base_symbol(expr, res, out),

@@ -1,14 +1,14 @@
-//! Symbol and scope resolution for Go-lite.
-//!
-//! The original lints approximated "what does this closure capture?" with a
-//! free-variable scan that ignored block scoping and declaration order.
-//! This module replaces that with real lexical resolution:
+//! Symbol and scope resolution for Go-lite: the workspace's one statement of
+//! Go's scoping rules. The lints read it, and the interpreter executes it.
 //!
 //! * every identifier *use* is mapped to a [`Symbol`] (side table keyed by
 //!   the identifier's source [`Pos`], which is unique per token),
-//! * `:=` follows Go's redeclaration rule — a name already declared **in
-//!   the same scope** is assigned, anything else is a fresh (shadowing)
-//!   declaration,
+//! * every name a declaration binds is mapped to a [`Binding`]
+//!   ([`Resolution::binding`]): `:=` follows Go's redeclaration rule — a
+//!   name already declared **in the same scope** is assigned, anything else
+//!   is a fresh (shadowing) declaration,
+//! * a function's receiver, parameters, named results and body statements
+//!   share one scope, as in Go (`v, err := g()` assigns a parameter `err`),
 //! * declaration order matters: a use *before* a `:=`/`var` in the same
 //!   block resolves to the outer symbol (so a late shadow does not protect
 //!   earlier uses),
@@ -88,11 +88,16 @@ pub struct Symbol {
     pub name: Sym,
     /// Binding kind.
     pub kind: SymbolKind,
-    /// Declaration site, when the declaration is in this file.
-    pub decl_pos: Option<Pos>,
-    /// Closure nesting depth at the declaration: 0 for package scope, 1
-    /// inside a top-level function, +1 per enclosing `func` literal.
-    pub func_depth: u32,
+}
+
+/// What a name bound by a declaration denotes ([`Resolution::binding`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Binding {
+    /// A new variable, declared there.
+    New(SymbolId),
+    /// A variable declared before, which the statement assigns: a `:=` name
+    /// already declared in the same scope, or a `for k, v = range` variable.
+    Existing(SymbolId),
 }
 
 /// The result of resolving one file.
@@ -101,13 +106,10 @@ pub struct Resolution {
     symbols: Vec<Symbol>,
     /// Identifier use site → symbol.
     uses: FnvMap<Pos, SymbolId>,
+    /// `(declaration site, name)` → what the name binds there.
+    bindings: FnvMap<(Pos, Sym), Binding>,
     /// `func` literal position → symbols captured from enclosing functions.
     captures: FnvMap<Pos, Vec<SymbolId>>,
-    /// Declaration site → the first and the last symbol declared there;
-    /// `site_next` chains the ones between, in declaration order.
-    decls: FnvMap<Pos, (SymbolId, SymbolId)>,
-    /// Per symbol: the next one declared at the same site, if any.
-    site_next: Vec<Option<SymbolId>>,
 }
 
 impl Resolution {
@@ -123,17 +125,13 @@ impl Resolution {
         &self.symbols
     }
 
-    /// The symbols declared at `pos` under `name`, in declaration order
-    /// (a function's receiver, parameters and named results all declare at
-    /// the function's position; a `var`/`:=` declares every name at its own).
-    pub fn declared_at(&self, pos: Pos, name: Sym) -> impl Iterator<Item = &Symbol> {
-        let mut next = self.decls.get(&pos).map(|&(first, _)| first);
-        std::iter::from_fn(move || {
-            let id = next?;
-            next = self.site_next[id.0 as usize];
-            Some(self.symbol(id))
-        })
-        .filter(move |s| s.name == name)
+    /// What `name` denotes where the declaration at `pos` binds it: a
+    /// `var` or `:=` (the statement's position, a `for` init's included), a
+    /// `range` clause (the `for`'s), or a function's receiver, parameters
+    /// and named results (the `func`'s).
+    #[must_use]
+    pub fn binding(&self, pos: Pos, name: Sym) -> Option<Binding> {
+        self.bindings.get(&(pos, name)).copied()
     }
 
     /// Resolves the identifier whose token starts at `pos`.
@@ -173,21 +171,21 @@ pub fn resolve_file(file: &File) -> Resolution {
         match decl {
             Decl::Func(f) => {
                 if f.receiver.is_none() {
-                    r.declare(f.name, SymbolKind::Func, Some(f.pos));
+                    r.declare(f.name, SymbolKind::Func, f.pos);
                 }
             }
             Decl::Var(v) => {
                 for &n in &v.names {
-                    r.declare(n, SymbolKind::GlobalVar, Some(v.pos));
+                    r.declare(n, SymbolKind::GlobalVar, v.pos);
                 }
             }
             Decl::Const(v) => {
                 for &n in &v.names {
-                    r.declare(n, SymbolKind::GlobalConst, Some(v.pos));
+                    r.declare(n, SymbolKind::GlobalConst, v.pos);
                 }
             }
             Decl::Type(t) => {
-                r.declare(t.name, SymbolKind::TypeName, Some(t.pos));
+                r.declare(t.name, SymbolKind::TypeName, t.pos);
             }
         }
     }
@@ -200,8 +198,8 @@ pub fn resolve_file(file: &File) -> Resolution {
         }
     }
     for decl in &file.decls {
-        if let Decl::Func(f) = decl {
-            r.resolve_func(f);
+        if let Decl::Func(f @ FuncDecl { body: Some(body), .. }) = decl {
+            r.resolve_func(f.pos, f.receiver.as_ref(), &f.sig, body, false);
         }
     }
     r.out
@@ -209,15 +207,15 @@ pub fn resolve_file(file: &File) -> Resolution {
 
 /// A name's visible binding: the symbol, and the depth of the scope that
 /// declared it (0 = package scope).
-type Binding = (SymbolId, u32);
+type Visible = (SymbolId, u32);
 
 struct Resolver {
     out: Resolution,
     /// The innermost visible binding of each name, indexed by [`Sym`].
-    visible: Vec<Option<Binding>>,
+    visible: Vec<Option<Visible>>,
     /// What each declaration in a still-open scope hid, oldest first:
     /// closing a scope puts these back.
-    shadowed: Vec<(Sym, Option<Binding>)>,
+    shadowed: Vec<(Sym, Option<Visible>)>,
     /// `shadowed.len()` when each open scope was entered; its length is
     /// the current scope depth.
     scope_starts: Vec<usize>,
@@ -225,7 +223,6 @@ struct Resolver {
     /// each pushed, and its position. Resolving a name declared below that
     /// depth crosses the closure and records a capture.
     boundaries: Vec<(u32, Pos)>,
-    func_depth: u32,
 }
 
 impl Resolver {
@@ -240,7 +237,6 @@ impl Resolver {
             shadowed: Vec::new(),
             scope_starts: Vec::new(),
             boundaries: Vec::new(),
-            func_depth: 0,
         }
     }
 
@@ -265,32 +261,20 @@ impl Resolver {
         }
     }
 
-    fn new_symbol(&mut self, name: Sym, kind: SymbolKind, pos: Option<Pos>, func_depth: u32) -> SymbolId {
+    fn new_symbol(&mut self, name: Sym, kind: SymbolKind) -> SymbolId {
         let id = SymbolId(self.out.symbols.len() as u32);
-        self.out.symbols.push(Symbol {
-            id,
-            name,
-            kind,
-            decl_pos: pos,
-            func_depth,
-        });
-        self.out.site_next.push(None);
+        self.out.symbols.push(Symbol { id, name, kind });
         id
     }
 
-    fn declare(&mut self, name: Sym, kind: SymbolKind, pos: Option<Pos>) -> SymbolId {
-        let id = self.new_symbol(name, kind, pos, self.func_depth);
-        if let Some(pos) = pos {
-            match self.out.decls.get_mut(&pos) {
-                Some((_, last)) => {
-                    self.out.site_next[last.0 as usize] = Some(id);
-                    *last = id;
-                }
-                None => {
-                    self.out.decls.insert(pos, (id, id));
-                }
-            }
-        }
+    /// Declares `name` in the current scope, bound by the declaration at
+    /// `pos`.
+    fn declare(&mut self, name: Sym, kind: SymbolKind, pos: Pos) -> SymbolId {
+        let id = self.new_symbol(name, kind);
+        // The last declaration at a site wins: a function shares its
+        // position with its parameters, and `func f(f int)` binds the
+        // parameter.
+        self.out.bindings.insert((pos, name), Binding::New(id));
         if !name.is_blank() {
             let depth = self.depth();
             let hidden = self.visible[name.index()].replace((id, depth));
@@ -310,23 +294,27 @@ impl Resolver {
         }
     }
 
-    /// Resolves `name` used at `pos`, recording captures for every closure
-    /// boundary between the use and the declaration.
+    /// Resolves `name` used at `pos`.
     fn resolve_name(&mut self, name: Sym, pos: Pos) {
-        if name.is_blank() {
-            return;
+        if !name.is_blank() {
+            let id = self.lookup(name);
+            self.out.uses.insert(pos, id);
         }
+    }
+
+    /// The symbol `name` denotes here, recording a capture for every closure
+    /// boundary between here and its declaration.
+    fn lookup(&mut self, name: Sym) -> SymbolId {
         let (id, declared_at) = match self.visible[name.index()] {
             Some(binding) => binding,
             None => {
                 // Unknown: builtin / imported package / other file. Declare
                 // once at package scope so repeated uses share a symbol.
-                let id = self.new_symbol(name, SymbolKind::Universe, None, 0);
+                let id = self.new_symbol(name, SymbolKind::Universe);
                 self.visible[name.index()] = Some((id, 0));
                 (id, 0)
             }
         };
-        self.out.uses.insert(pos, id);
         if self.out.symbols[id.0 as usize].kind.capturable() {
             for &(depth, lit) in self.boundaries.iter().rev() {
                 if depth <= declared_at {
@@ -338,26 +326,41 @@ impl Resolver {
                 }
             }
         }
+        id
     }
 
-    fn resolve_func(&mut self, f: &FuncDecl) {
-        let Some(body) = &f.body else { return };
-        self.func_depth += 1;
-        self.push(None);
-        if let Some(recv) = &f.receiver {
-            self.declare(recv.name, SymbolKind::Receiver, Some(f.pos));
+    /// Resolves a function declared at `pos` — a `func` literal when
+    /// `literal`, whose scope is a capture boundary. Its receiver,
+    /// parameters, named results and body statements share one scope.
+    fn resolve_func(
+        &mut self,
+        pos: Pos,
+        receiver: Option<&Param>,
+        sig: &Signature,
+        body: &Block,
+        literal: bool,
+    ) {
+        self.push(literal.then_some(pos));
+        if literal {
+            // The closure is in the capture table even when it captures
+            // nothing.
+            self.out.captures.entry(pos).or_default();
         }
-        for p in &f.sig.params {
-            self.declare(p.name, SymbolKind::Param, Some(f.pos));
+        if let Some(recv) = receiver {
+            self.declare(recv.name, SymbolKind::Receiver, pos);
         }
-        for rp in &f.sig.results {
+        for p in &sig.params {
+            self.declare(p.name, SymbolKind::Param, pos);
+        }
+        for rp in &sig.results {
             if !rp.name.is_empty() {
-                self.declare(rp.name, SymbolKind::NamedResult, Some(f.pos));
+                self.declare(rp.name, SymbolKind::NamedResult, pos);
             }
         }
-        self.resolve_block_scoped(body);
+        for s in &body.stmts {
+            self.resolve_stmt(s);
+        }
         self.pop();
-        self.func_depth -= 1;
     }
 
     /// Resolves a block in its own fresh scope.
@@ -378,7 +381,7 @@ impl Resolver {
                     self.resolve_expr(e);
                 }
                 for &n in &v.names {
-                    self.declare(n, SymbolKind::Local, Some(v.pos));
+                    self.declare(n, SymbolKind::Local, v.pos);
                 }
             }
             Stmt::Define { pos, names, values } => {
@@ -390,13 +393,10 @@ impl Resolver {
                     // CURRENT scope; shadow anything further out.
                     match self.declared_here(n) {
                         Some(existing) => {
-                            // `x, err := ...` with err already here: this is
-                            // an assignment to the existing symbol. Record
-                            // the name token as a use of it.
-                            self.out.uses.insert(*pos, existing);
+                            self.out.bindings.insert((*pos, n), Binding::Existing(existing));
                         }
                         None => {
-                            self.declare(n, SymbolKind::Local, Some(*pos));
+                            self.declare(n, SymbolKind::Local, *pos);
                         }
                     }
                 }
@@ -439,12 +439,12 @@ impl Resolver {
             }
             Stmt::Block(b) => self.resolve_block_scoped(b),
             Stmt::For {
+                pos,
                 init,
                 cond,
                 post,
                 range,
                 body,
-                ..
             } => {
                 self.push(None);
                 if let Some(i) = init {
@@ -454,7 +454,7 @@ impl Resolver {
                             self.resolve_expr(e);
                         }
                         for &n in names {
-                            self.declare(n, SymbolKind::LoopVar, Some(*pos));
+                            self.declare(n, SymbolKind::LoopVar, *pos);
                         }
                     } else {
                         self.resolve_stmt(i);
@@ -465,16 +465,14 @@ impl Resolver {
                 }
                 if let Some(r) = range {
                     self.resolve_expr(&r.expr);
-                    if r.define {
-                        for v in [r.key, r.value] {
-                            if !v.is_blank() {
-                                self.declare(v, SymbolKind::LoopVar, None);
-                            }
+                    // The clause binds its names at the `for`'s position.
+                    for v in [r.key, r.value].into_iter().filter(|v| !v.is_blank()) {
+                        if r.define {
+                            self.declare(v, SymbolKind::LoopVar, *pos);
+                        } else {
+                            let id = self.lookup(v);
+                            self.out.bindings.insert((*pos, v), Binding::Existing(id));
                         }
-                    } else {
-                        // `for k, v = range x` assigns existing names; the
-                        // AST keeps only the names, with no token position,
-                        // so there is no use site to record.
                     }
                 }
                 self.resolve_block_scoped(body);
@@ -545,26 +543,7 @@ impl Resolver {
                 self.resolve_expr(lhs);
                 self.resolve_expr(rhs);
             }
-            Expr::FuncLit { pos, sig, body } => {
-                self.func_depth += 1;
-                self.push(Some(*pos));
-                // Ensure the closure appears in the capture table even when
-                // it captures nothing.
-                self.out.captures.entry(*pos).or_default();
-                for p in &sig.params {
-                    self.declare(p.name, SymbolKind::Param, Some(*pos));
-                }
-                for rp in &sig.results {
-                    if !rp.name.is_empty() {
-                        self.declare(rp.name, SymbolKind::NamedResult, Some(*pos));
-                    }
-                }
-                for s in &body.stmts {
-                    self.resolve_stmt(s);
-                }
-                self.pop();
-                self.func_depth -= 1;
-            }
+            Expr::FuncLit { pos, sig, body } => self.resolve_func(*pos, None, sig, body, true),
             Expr::CompositeLit { elems, .. } => {
                 for (k, v) in elems {
                     if let Some(k) = k {
@@ -737,6 +716,109 @@ func f() {
             .collect();
         assert_eq!(errs.len(), 1, "err must resolve to a single symbol");
         assert!(file.names.get("err") == Some(sym::ERR));
+    }
+
+    /// The `:=` statements of the file's function bodies (closures
+    /// included), in source order.
+    fn defines(file: &File) -> Vec<(Pos, Vec<Sym>)> {
+        let mut out = Vec::new();
+        for d in &file.decls {
+            if let Decl::Func(FuncDecl { body: Some(b), .. }) = d {
+                walk(Node::List(&b.stmts), &mut |n| {
+                    if let Node::Stmt(Stmt::Define { pos, names, .. }) = n {
+                        out.push((*pos, names.clone()));
+                    }
+                    Walk::Descend
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_define_binds_each_reused_name_to_its_symbol() {
+        let (file, res) = resolve(
+            r#"
+package p
+func f() {
+    a, b := one()
+    a, b, c := three()
+    use(a, b, c)
+}
+"#,
+        );
+        let d = defines(&file);
+        let [(first, _), (second, names)] = &d[..] else {
+            panic!("two defines")
+        };
+        for &name in &names[..2] {
+            let Some(Binding::New(declared)) = res.binding(*first, name) else {
+                panic!("declared by the first define")
+            };
+            assert_eq!(res.binding(*second, name), Some(Binding::Existing(declared)));
+        }
+        assert!(matches!(res.binding(*second, names[2]), Some(Binding::New(_))));
+    }
+
+    #[test]
+    fn a_define_in_a_function_body_reuses_a_parameter() {
+        // `func f(err error) { err := g() }` does not compile: params and
+        // body are one block, so `v, err :=` assigns the parameter — in a
+        // declared function and in a literal alike.
+        for src in [
+            "package p\nfunc f(err error) {\n    v, err := g()\n    use(v, err)\n}\n",
+            "package p\nfunc f() {\n    go func(err error) {\n        v, err := g()\n        \
+             use(v, err)\n    }(nil)\n}\n",
+        ] {
+            let (file, res) = resolve(src);
+            let (pos, _) = defines(&file)[0];
+            let Some(Binding::Existing(id)) = res.binding(pos, sym::ERR) else {
+                panic!("err is reused: {src}")
+            };
+            assert_eq!(res.symbol(id).kind, SymbolKind::Param);
+            assert!(matches!(
+                res.binding(pos, file.names.get("v").expect("v")),
+                Some(Binding::New(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_range_clause_binds_at_the_for() {
+        let (file, res) = resolve(
+            r#"
+package p
+func f(xs []int) {
+    k := 0
+    for i, x := range xs {
+        use(i, x)
+    }
+    for k = range xs {
+    }
+    use(k)
+}
+"#,
+        );
+        let Decl::Func(FuncDecl { body: Some(b), .. }) = &file.decls[0] else {
+            panic!("a function")
+        };
+        let fors: Vec<Pos> = b
+            .stmts
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::For { pos, .. } => Some(*pos),
+                _ => None,
+            })
+            .collect();
+        let name = |s| file.names.get(s).expect("spelled");
+        let Some(Binding::New(i)) = res.binding(fors[0], name("i")) else {
+            panic!("i is declared by the clause")
+        };
+        assert_eq!(res.symbol(i).kind, SymbolKind::LoopVar);
+        let Some(Binding::New(k)) = res.binding(defines(&file)[0].0, name("k")) else {
+            panic!("k := 0")
+        };
+        assert_eq!(res.binding(fors[1], name("k")), Some(Binding::Existing(k)));
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! The tree-walking evaluator.
 //!
+//! Scoping is decided by `golite::resolve`, once per program, and the
+//! evaluator only executes it: which symbol an identifier use denotes,
+//! whether a name a `:=`, `var`, `for` init or `range` clause binds is new
+//! or reused ([`Resolution::binding`]), whether `len` at this use is the
+//! builtin. A Go call owns a frame of cells keyed by symbol id, a `func`
+//! literal's value carries the cells of [`Resolution::captures_at`], and
+//! package-level variables live in one table per run.
+//!
 //! Faithfulness notes (each is load-bearing for a §4 pattern):
 //!
-//! * `:=` in a scope that already declares the name **reuses the cell**
-//!   (Go's redeclaration rule) — so `x, err := f(); y, err := g()` keeps
-//!   one `err` variable, the substrate of Listing 2.
-//! * `for … range` declares its loop variables **once**; iterations write
-//!   the same cells — Listing 1's captured loop variable.
+//! * `:=` **reuses the cell** of a name the resolver finds declared in the
+//!   same scope (Go's redeclaration rule) — so `x, err := f(); y, err :=
+//!   g()` keeps one `err` variable, the substrate of Listing 2.
+//! * A variable is a fresh cell each time its declaration executes: a loop
+//!   body's variable is one cell per iteration, while `for i :=` and
+//!   `for … range` declare theirs **once** and iterations write the same
+//!   cells — Listing 1's captured loop variable.
 //! * Named results are cells declared at function entry; `return expr`
 //!   **writes** them before deferred functions run — Listings 3–4.
 //! * Call-site argument passing consults the declared parameter type:
@@ -15,7 +25,7 @@
 //! * `defer` evaluates its arguments immediately and runs the call at
 //!   function exit, LIFO, after named results are written.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use grs_golite::ast::{
     sym, BinaryOp, Block, BranchKind, CommClause, Decl, Expr, File, FuncDecl, Names, Param,
@@ -23,11 +33,11 @@ use grs_golite::ast::{
 };
 use grs_golite::names::FnvMap;
 use grs_golite::parser::parse_file;
+use grs_golite::resolve::{resolve_file, Binding, Resolution, SymbolId, SymbolKind};
 use grs_golite::token::Pos;
 use grs_runtime::chan::RecvResult;
 use grs_runtime::{Cell, Ctx, GoMap, GoSlice, Program};
 
-use crate::env::Env;
 use crate::value::{FuncValue, Key, StructRef, Value};
 use crate::InterpError;
 
@@ -35,6 +45,7 @@ use crate::InterpError;
 struct Method {
     recv_name: Sym,
     recv_is_ptr: bool,
+    pos: Pos,
     sig: Arc<Signature>,
     body: Arc<Block>,
 }
@@ -43,6 +54,7 @@ struct Method {
 struct Func {
     /// Its name as every [`FuncValue`] made from it displays it.
     name: Arc<str>,
+    pos: Pos,
     sig: Arc<Signature>,
     body: Arc<Block>,
 }
@@ -51,13 +63,20 @@ struct Func {
 /// [`Sym`] in it — table keys and the AST's — is spelled in `names`.
 struct Shared {
     names: Names,
+    /// What every name in the program denotes.
+    res: Resolution,
     funcs: FnvMap<Sym, Func>,
     /// Keyed by `(receiver type, method name)`.
     methods: FnvMap<(Sym, Sym), Method>,
     struct_types: FnvMap<Sym, Vec<Param>>,
     global_vars: Vec<grs_golite::ast::VarDecl>,
+    /// The size of a run's global table: package-level symbols come first
+    /// in `res`, so this is one past the last package-level variable's id.
+    globals: usize,
     /// The display name of every closure value.
     func_literal: Arc<str>,
+    /// What a function that captures nothing carries.
+    no_captures: Arc<[Cell<Value>]>,
 }
 
 /// A compiled Go-lite program, ready to instantiate as runtime
@@ -117,9 +136,15 @@ impl Interp {
             .map_err(|e| crate::CompileError::parse(Some(e.pos), e.message))
     }
 
-    /// Compiles a parsed file.
+    /// Compiles a parsed file, resolving every name in it once.
     #[must_use]
     pub fn from_file(file: File) -> Interp {
+        let res = resolve_file(&file);
+        let globals = res
+            .symbols()
+            .iter()
+            .rposition(|s| matches!(s.kind, SymbolKind::GlobalVar | SymbolKind::GlobalConst))
+            .map_or(0, |last| last + 1);
         let File { decls, names, .. } = file;
         let mut funcs = FnvMap::default();
         let mut methods = FnvMap::default();
@@ -128,11 +153,11 @@ impl Interp {
         for decl in decls {
             match decl {
                 Decl::Func(FuncDecl {
+                    pos,
                     receiver: Some(recv),
                     name,
                     sig,
                     body: Some(body),
-                    ..
                 }) => {
                     let (receiver_type, is_ptr) = match &recv.ty {
                         Type::Pointer(inner) => (inner.name(), true),
@@ -147,6 +172,7 @@ impl Interp {
                             Method {
                                 recv_name: recv.name,
                                 recv_is_ptr: is_ptr,
+                                pos,
                                 sig: Arc::new(sig),
                                 body: Arc::new(body),
                             },
@@ -154,16 +180,17 @@ impl Interp {
                     }
                 }
                 Decl::Func(FuncDecl {
+                    pos,
                     receiver: None,
                     name,
                     sig,
                     body: Some(body),
-                    ..
                 }) => {
                     funcs.insert(
                         name,
                         Func {
                             name: Arc::from(names.text(name)),
+                            pos,
                             sig: Arc::new(sig),
                             body: Arc::new(body),
                         },
@@ -181,11 +208,14 @@ impl Interp {
         Interp {
             shared: Arc::new(Shared {
                 names,
+                res,
                 funcs,
                 methods,
                 struct_types,
                 global_vars,
+                globals,
                 func_literal: Arc::from("func literal"),
+                no_captures: Arc::from([]),
             }),
         }
     }
@@ -197,11 +227,10 @@ impl Interp {
         let shared = Arc::clone(&self.shared);
         let entry = entry.to_string();
         Program::new(name, move |ctx| {
-            let globals = Env::root();
             let rt = Rt {
                 ctx,
                 shared: Arc::clone(&shared),
-                globals: globals.clone(),
+                globals: (0..shared.globals).map(|_| OnceLock::new()).collect(),
             };
             if let Err(e) = rt.bootstrap_and_run(&entry) {
                 panic!("go-lite: {e}");
@@ -265,8 +294,12 @@ enum PreparedCall {
     Builtin(Sym, Vec<Value>),
 }
 
-/// Per-function-call state: defers and named result cells.
-struct FrameState {
+/// One Go call's state: a cell per variable, keyed by the resolver's
+/// symbol id (the function's captures first), its defers, and its named
+/// result cells.
+#[derive(Default)]
+struct Frame {
+    vars: Vec<(SymbolId, Cell<Value>)>,
     defers: Vec<PreparedCall>,
     named_results: Vec<Cell<Value>>,
 }
@@ -275,7 +308,9 @@ struct FrameState {
 struct Rt<'c> {
     ctx: &'c Ctx,
     shared: Arc<Shared>,
-    globals: Env,
+    /// The run's package-level variables, indexed by symbol id and shared by
+    /// its goroutines; a slot is set when its declaration executes.
+    globals: Arc<[OnceLock<Cell<Value>>]>,
 }
 
 impl<'c> Rt<'c> {
@@ -284,19 +319,68 @@ impl<'c> Rt<'c> {
         self.shared.names.text(name)
     }
 
-    /// Declares `name` in `env`; its spelling is the cell's debug name.
-    fn declare(&self, env: &Env, name: Sym, value: Value) -> Cell<Value> {
-        env.declare(self.ctx, name, self.text(name), value)
+    /// The cell of variable `id`, once its declaration has executed.
+    fn var<'a>(&'a self, fr: &'a Frame, id: SymbolId) -> Option<&'a Cell<Value>> {
+        match self.shared.res.symbol(id).kind {
+            SymbolKind::GlobalVar | SymbolKind::GlobalConst => self.globals[id.0 as usize].get(),
+            _ => fr.vars.iter().rev().find(|(v, _)| *v == id).map(|(_, c)| c),
+        }
+    }
+
+    /// The variable the identifier at `pos` denotes.
+    fn var_at<'a>(&'a self, fr: &'a Frame, pos: Pos) -> Option<&'a Cell<Value>> {
+        self.var(fr, self.shared.res.use_at(pos)?)
+    }
+
+    /// Declares variable `id` as a fresh cell named by its spelling. A
+    /// declaration that executes again (a loop body's) replaces the frame's
+    /// cell; closures made before keep the old one.
+    fn declare(&self, fr: &mut Frame, id: SymbolId, value: Value) -> Cell<Value> {
+        let symbol = self.shared.res.symbol(id);
+        let cell = self.ctx.cell(self.text(symbol.name), value);
+        if matches!(symbol.kind, SymbolKind::GlobalVar | SymbolKind::GlobalConst) {
+            // A package-level declaration executes once per run.
+            let _ = self.globals[id.0 as usize].set(cell.clone());
+        } else if let Some(slot) = fr.vars.iter_mut().find(|(v, _)| *v == id) {
+            slot.1 = cell.clone();
+        } else {
+            fr.vars.push((id, cell.clone()));
+        }
+        cell
+    }
+
+    /// What `name` denotes where the declaration at `pos` binds it.
+    fn binding(&self, pos: Pos, name: Sym) -> Binding {
+        let res = &self.shared.res;
+        res.binding(pos, name).expect("the resolver binds every name a declaration binds")
+    }
+
+    /// The cell of the earlier variable a declaration reuses.
+    fn existing(&self, fr: &Frame, pos: Pos, id: SymbolId) -> EResult<Cell<Value>> {
+        self.var(fr, id).cloned().ok_or_else(|| {
+            let name = self.text(self.shared.res.symbol(id).name);
+            InterpError::at(pos, format!("assignment to undeclared `{name}`"))
+        })
+    }
+
+    /// Binds `name` to `value` where the declaration at `pos` binds it: a new
+    /// variable, or the earlier one a `:=` reuses, written.
+    fn define(&self, fr: &mut Frame, pos: Pos, name: Sym, value: Value) -> EResult<Cell<Value>> {
+        Ok(match self.binding(pos, name) {
+            Binding::New(id) => self.declare(fr, id, value),
+            Binding::Existing(id) => {
+                let cell = self.existing(fr, pos, id)?;
+                self.ctx.write(&cell, value);
+                cell
+            }
+        })
     }
 
     fn bootstrap_and_run(&self, entry: &str) -> EResult<()> {
-        // Package-level variables, in order. Top-level functions are NOT
-        // pre-declared into the global scope: a stored `FuncValue` whose
-        // `env` is the very scope holding its cell is an `Arc` cycle that
-        // outlives the run and leaks the whole program graph. Identifier
-        // resolution falls back to [`Rt::top_level_func`] instead.
+        // Package-level variables, in order, into the run's global table.
+        let mut package = Frame::default();
         for v in &self.shared.global_vars {
-            self.exec_var_decl(&self.globals, v)?;
+            self.exec_var_decl(&mut package, v)?;
         }
         let entry_sym = self.shared.names.get(entry);
         let fv = match entry_sym.and_then(|e| self.top_level_func(e)) {
@@ -307,23 +391,22 @@ impl<'c> Rt<'c> {
         Ok(())
     }
 
-    /// Lazily materializes the top-level function `name` as a value. The
-    /// `FuncValue` is synthesized per resolution (never stored in the
-    /// global scope) so the global Env owns no reference to itself.
+    /// The top-level function `name` as a value.
     fn top_level_func(&self, name: Sym) -> Option<Value> {
         let f = self.shared.funcs.get(&name)?;
         Some(Value::Func(FuncValue {
             name: Arc::clone(&f.name),
+            pos: f.pos,
             sig: Arc::clone(&f.sig),
             body: Arc::clone(&f.body),
-            env: self.globals.clone(),
+            captures: Arc::clone(&self.shared.no_captures),
             receiver: None,
         }))
     }
 
     // ---- declarations & zero values ----
 
-    fn exec_var_decl(&self, env: &Env, v: &grs_golite::ast::VarDecl) -> EResult<()> {
+    fn exec_var_decl(&self, fr: &mut Frame, v: &grs_golite::ast::VarDecl) -> EResult<()> {
         if v.values.is_empty() {
             let ty = v
                 .ty
@@ -332,15 +415,15 @@ impl<'c> Rt<'c> {
             for &name in &v.names {
                 let zero = self.zero_value(ty);
                 if name != sym::BLANK {
-                    self.declare(env, name, zero);
+                    self.define(fr, v.pos, name, zero)?;
                 }
             }
             return Ok(());
         }
-        let values = self.eval_rhs_list(env, &v.values, v.names.len())?;
+        let values = self.eval_rhs_list(fr, &v.values, v.names.len())?;
         for (&name, value) in v.names.iter().zip(values) {
             if name != sym::BLANK {
-                self.declare(env, name, value);
+                self.define(fr, v.pos, name, value)?;
             }
         }
         Ok(())
@@ -425,10 +508,12 @@ impl<'c> Rt<'c> {
             )));
         }
         let _frame = self.ctx.frame(&fv.name);
-        let fenv = fv.env.child();
+        let mut fr = Frame::default();
+        let captured = self.shared.res.captures_at(fv.pos).iter().copied();
+        fr.vars.extend(captured.zip(fv.captures.iter().cloned()));
         if let Some((name, _is_ptr, value)) = &fv.receiver {
             if !name.is_blank() {
-                self.declare(&fenv, *name, (**value).clone());
+                self.define(&mut fr, fv.pos, *name, (**value).clone())?;
             }
         }
         if args.len() != fv.sig.params.len() {
@@ -452,25 +537,15 @@ impl<'c> Rt<'c> {
                 (_, arg) => arg,
             };
             if !param.name.is_blank() {
-                self.declare(&fenv, param.name, bound);
+                self.define(&mut fr, fv.pos, param.name, bound)?;
             }
         }
         // Named results become cells that outlive the body (Listing 3).
-        let mut fs = FrameState {
-            defers: Vec::new(),
-            named_results: Vec::new(),
-        };
-        let named: Vec<&Param> = fv
-            .sig
-            .results
-            .iter()
-            .filter(|r| !r.name.is_blank())
-            .collect();
-        for r in &named {
-            let cell = self.declare(&fenv, r.name, self.zero_value(&r.ty));
-            fs.named_results.push(cell);
+        for r in fv.sig.results.iter().filter(|r| !r.name.is_blank()) {
+            let cell = self.define(&mut fr, fv.pos, r.name, self.zero_value(&r.ty))?;
+            fr.named_results.push(cell);
         }
-        let flow = self.exec_block(&fenv, &fv.body, &mut fs)?;
+        let flow = self.exec_block(&mut fr, &fv.body)?;
         let explicit = match flow {
             Flow::Return(vals) => vals,
             Flow::Normal => Vec::new(),
@@ -480,21 +555,21 @@ impl<'c> Rt<'c> {
         };
         // `return expr...` in a named-result function writes the named
         // cells — the compiler-inserted write the paper highlights.
-        if !fs.named_results.is_empty() && !explicit.is_empty() {
-            for (cell, v) in fs.named_results.iter().zip(explicit.iter()) {
+        if !fr.named_results.is_empty() && !explicit.is_empty() {
+            for (cell, v) in fr.named_results.iter().zip(explicit.iter()) {
                 self.ctx.write(cell, v.clone());
             }
         }
         // Deferred calls run after the results are determined (and may
         // mutate named results — Listing 4).
-        let defers = std::mem::take(&mut fs.defers);
+        let defers = std::mem::take(&mut fr.defers);
         for prepared in defers.into_iter().rev() {
             self.run_prepared(prepared)?;
         }
-        if fs.named_results.is_empty() {
+        if fr.named_results.is_empty() {
             Ok(explicit)
         } else {
-            Ok(fs
+            Ok(fr
                 .named_results
                 .iter()
                 .map(|c| self.ctx.read(c))
@@ -504,10 +579,9 @@ impl<'c> Rt<'c> {
 
     // ---- statements ----
 
-    fn exec_block(&self, env: &Env, block: &Block, fs: &mut FrameState) -> EResult<Flow> {
-        let scope = env.child();
+    fn exec_block(&self, fr: &mut Frame, block: &Block) -> EResult<Flow> {
         for stmt in &block.stmts {
-            match self.exec_stmt(&scope, stmt, fs)? {
+            match self.exec_stmt(fr, stmt)? {
                 Flow::Normal => {}
                 other => return Ok(other),
             }
@@ -516,7 +590,7 @@ impl<'c> Rt<'c> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn exec_stmt(&self, env: &Env, stmt: &Stmt, fs: &mut FrameState) -> EResult<Flow> {
+    fn exec_stmt(&self, fr: &mut Frame, stmt: &Stmt) -> EResult<Flow> {
         match stmt {
             Stmt::Empty
             | Stmt::Branch {
@@ -524,22 +598,14 @@ impl<'c> Rt<'c> {
                 ..
             } => Ok(Flow::Normal),
             Stmt::Decl(v) => {
-                self.exec_var_decl(env, v)?;
+                self.exec_var_decl(fr, v)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Define { names, values, .. } => {
-                let vals = self.eval_rhs_list(env, values, names.len())?;
+            Stmt::Define { pos, names, values } => {
+                let vals = self.eval_rhs_list(fr, values, names.len())?;
                 for (&name, value) in names.iter().zip(vals) {
-                    if name == sym::BLANK {
-                        continue;
-                    }
-                    // Go's := redeclaration rule: reuse a cell declared in
-                    // THIS scope (the `err` idiom), else declare fresh.
-                    match env.lookup_local(name) {
-                        Some(cell) => self.ctx.write(&cell, value),
-                        None => {
-                            self.declare(env, name, value);
-                        }
+                    if name != sym::BLANK {
+                        self.define(fr, *pos, name, value)?;
                     }
                 }
                 Ok(Flow::Normal)
@@ -547,32 +613,32 @@ impl<'c> Rt<'c> {
             Stmt::Assign { lhs, op, rhs, pos } => {
                 if let Some(binop) = op.binary() {
                     // Compound assignment: read, combine, write.
-                    let r = self.eval_expr(env, &rhs[0])?;
-                    let current = self.eval_expr(env, &lhs[0])?;
+                    let r = self.eval_expr(fr, &rhs[0])?;
+                    let current = self.eval_expr(fr, &lhs[0])?;
                     let combined = self
                         .binary(binop, current, r)
                         .map_err(|e| e.with_pos(*pos))?;
-                    self.assign(env, &lhs[0], combined)?;
+                    self.assign(fr, &lhs[0], combined)?;
                 } else {
-                    let vals = self.eval_rhs_list(env, rhs, lhs.len())?;
+                    let vals = self.eval_rhs_list(fr, rhs, lhs.len())?;
                     for (l, v) in lhs.iter().zip(vals) {
-                        self.assign(env, l, v)?;
+                        self.assign(fr, l, v)?;
                     }
                 }
                 Ok(Flow::Normal)
             }
             Stmt::IncDec { expr, inc, pos } => {
-                let v = self.eval_expr(env, expr)?.as_int().map_err(|e| e.with_pos(*pos))?;
-                self.assign(env, expr, Value::Int(if *inc { v + 1 } else { v - 1 }))?;
+                let v = self.eval_expr(fr, expr)?.as_int().map_err(|e| e.with_pos(*pos))?;
+                self.assign(fr, expr, Value::Int(if *inc { v + 1 } else { v - 1 }))?;
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
-                let _ = self.eval_multi(env, e)?;
+                let _ = self.eval_multi(fr, e)?;
                 Ok(Flow::Normal)
             }
             Stmt::Send { chan, value, pos } => {
-                let ch = self.eval_expr(env, chan)?;
-                let v = self.eval_expr(env, value)?;
+                let ch = self.eval_expr(fr, chan)?;
+                let v = self.eval_expr(fr, value)?;
                 match ch {
                     Value::Chan(c) => {
                         c.send(self.ctx, v);
@@ -585,9 +651,9 @@ impl<'c> Rt<'c> {
                 }
             }
             Stmt::Go { call, pos } => {
-                let prepared = self.prepare_call(env, call, *pos)?;
+                let prepared = self.prepare_call(fr, call, *pos)?;
                 let shared = Arc::clone(&self.shared);
-                let globals = self.globals.clone();
+                let globals = Arc::clone(&self.globals);
                 let func_name;
                 let name = match &prepared {
                     PreparedCall::Func(fv, _) => {
@@ -610,12 +676,12 @@ impl<'c> Rt<'c> {
             }
             Stmt::Defer { call, pos } => {
                 // Go evaluates the callee and arguments at defer time.
-                let prepared = self.prepare_call(env, call, *pos)?;
-                fs.defers.push(prepared);
+                let prepared = self.prepare_call(fr, call, *pos)?;
+                fr.defers.push(prepared);
                 Ok(Flow::Normal)
             }
             Stmt::Return { values, .. } => {
-                let vals = self.eval_rhs_list(env, values, usize::MAX)?;
+                let vals = self.eval_rhs_list(fr, values, usize::MAX)?;
                 Ok(Flow::Return(vals))
             }
             Stmt::If {
@@ -625,48 +691,46 @@ impl<'c> Rt<'c> {
                 els,
                 ..
             } => {
-                let scope = env.child();
                 if let Some(i) = init {
-                    self.exec_stmt(&scope, i, fs)?;
+                    self.exec_stmt(fr, i)?;
                 }
-                if self.eval_expr(&scope, cond)?.as_bool()? {
-                    self.exec_block(&scope, then, fs)
+                if self.eval_expr(fr, cond)?.as_bool()? {
+                    self.exec_block(fr, then)
                 } else if let Some(e) = els {
-                    self.exec_stmt(&scope, e, fs)
+                    self.exec_stmt(fr, e)
                 } else {
                     Ok(Flow::Normal)
                 }
             }
-            Stmt::Block(b) => self.exec_block(env, b, fs),
+            Stmt::Block(b) => self.exec_block(fr, b),
             Stmt::For {
+                pos,
                 init,
                 cond,
                 post,
                 range,
                 body,
-                ..
             } => {
                 if let Some(r) = range {
-                    return self.exec_range(env, r, body, fs);
+                    return self.exec_range(fr, *pos, r, body);
                 }
-                let scope = env.child();
                 if let Some(i) = init {
-                    self.exec_stmt(&scope, i, fs)?;
+                    self.exec_stmt(fr, i)?;
                 }
                 let mut iterations = 0u64;
                 loop {
                     if let Some(c) = cond {
-                        if !self.eval_expr(&scope, c)?.as_bool()? {
+                        if !self.eval_expr(fr, c)?.as_bool()? {
                             break;
                         }
                     }
-                    match self.exec_block(&scope, body, fs)? {
+                    match self.exec_block(fr, body)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
                     }
                     if let Some(p) = post {
-                        self.exec_stmt(&scope, p, fs)?;
+                        self.exec_stmt(fr, p)?;
                     }
                     iterations += 1;
                     if iterations > 1_000_000 {
@@ -677,7 +741,7 @@ impl<'c> Rt<'c> {
             }
             Stmt::Switch { tag, cases, .. } => {
                 let tag_value = match tag {
-                    Some(t) => Some(self.eval_expr(env, t)?),
+                    Some(t) => Some(self.eval_expr(fr, t)?),
                     None => None,
                 };
                 for case in cases {
@@ -686,7 +750,7 @@ impl<'c> Rt<'c> {
                     } else {
                         let mut m = false;
                         for e in &case.exprs {
-                            let v = self.eval_expr(env, e)?;
+                            let v = self.eval_expr(fr, e)?;
                             m = match &tag_value {
                                 Some(t) => t.go_eq(&v)?,
                                 None => v.as_bool()?,
@@ -698,20 +762,12 @@ impl<'c> Rt<'c> {
                         m
                     };
                     if matched {
-                        let scope = env.child();
-                        for s in &case.body {
-                            match self.exec_stmt(&scope, s, fs)? {
-                                Flow::Normal => {}
-                                Flow::Break => return Ok(Flow::Normal),
-                                other => return Ok(other),
-                            }
-                        }
-                        return Ok(Flow::Normal);
+                        return self.exec_clause(fr, &case.body);
                     }
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Select { cases, .. } => self.exec_select(env, cases, fs),
+            Stmt::Select { cases, .. } => self.exec_select(fr, cases),
             Stmt::Branch {
                 kind: BranchKind::Break,
                 ..
@@ -727,20 +783,18 @@ impl<'c> Rt<'c> {
         }
     }
 
-    /// `for k, v := range x { ... }` — loop variables are declared ONCE and
-    /// rewritten per iteration (the Listing 1 substrate).
+    /// `for k, v := range x { ... }` at `pos` — loop variables are declared
+    /// ONCE and rewritten per iteration (the Listing 1 substrate).
     fn exec_range(
         &self,
-        env: &Env,
+        fr: &mut Frame,
+        pos: Pos,
         r: &RangeClause,
         body: &Block,
-        fs: &mut FrameState,
     ) -> EResult<Flow> {
-        let subject = self.eval_expr(env, &r.expr)?;
-        let scope = env.child();
-        let key_cell = (!r.key.is_blank()).then(|| self.declare(&scope, r.key, Value::Nil));
-        let value_cell =
-            (!r.value.is_blank()).then(|| self.declare(&scope, r.value, Value::Nil));
+        let subject = self.eval_expr(fr, &r.expr)?;
+        let key_cell = self.loop_var(fr, pos, r.key)?;
+        let value_cell = self.loop_var(fr, pos, r.value)?;
         match subject {
             Value::Slice(s) => {
                 let mut i = 0usize;
@@ -755,7 +809,7 @@ impl<'c> Rt<'c> {
                         let elem = s.get(self.ctx, i);
                         self.ctx.write(vc, elem);
                     }
-                    match self.exec_block(&scope, body, fs)? {
+                    match self.exec_block(fr, body)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
@@ -772,7 +826,7 @@ impl<'c> Rt<'c> {
                     if let Some(vc) = &value_cell {
                         self.ctx.write(vc, v);
                     }
-                    match self.exec_block(&scope, body, fs)? {
+                    match self.exec_block(fr, body)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
@@ -786,7 +840,7 @@ impl<'c> Rt<'c> {
                     if let Some(kc) = &key_cell {
                         self.ctx.write(kc, Value::Int(i));
                     }
-                    match self.exec_block(&scope, body, fs)? {
+                    match self.exec_block(fr, body)? {
                         Flow::Break => break,
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Normal | Flow::Continue => {}
@@ -803,7 +857,7 @@ impl<'c> Rt<'c> {
                             if let Some(kc) = &key_cell {
                                 self.ctx.write(kc, v);
                             }
-                            match self.exec_block(&scope, body, fs)? {
+                            match self.exec_block(fr, body)? {
                                 Flow::Break => break,
                                 Flow::Return(v) => return Ok(Flow::Return(v)),
                                 Flow::Normal | Flow::Continue => {}
@@ -820,16 +874,23 @@ impl<'c> Rt<'c> {
         }
     }
 
+    /// The cell a `range` clause at `pos` writes `name` through: declared
+    /// for the whole loop, or the earlier variable `for k, v = range` assigns.
+    fn loop_var(&self, fr: &mut Frame, pos: Pos, name: Sym) -> EResult<Option<Cell<Value>>> {
+        if name.is_blank() {
+            return Ok(None);
+        }
+        Ok(Some(match self.binding(pos, name) {
+            Binding::New(id) => self.declare(fr, id, Value::Nil),
+            Binding::Existing(id) => self.existing(fr, pos, id)?,
+        }))
+    }
+
     /// `select`: poll every arm; run `default` if none is ready; otherwise
     /// yield and retry. (Arms are polled in source order rather than Go's
     /// uniform choice; the scheduler's nondeterminism still varies which
     /// arm becomes ready first.)
-    fn exec_select(
-        &self,
-        env: &Env,
-        cases: &[CommClause],
-        fs: &mut FrameState,
-    ) -> EResult<Flow> {
+    fn exec_select(&self, fr: &mut Frame, cases: &[CommClause]) -> EResult<Flow> {
         loop {
             let mut default_case: Option<&CommClause> = None;
             for case in cases {
@@ -837,50 +898,35 @@ impl<'c> Rt<'c> {
                     default_case = Some(case);
                     continue;
                 };
-                if let Some(flow) = self.try_comm(env, comm, &case.body, fs)? {
+                if let Some(flow) = self.try_comm(fr, comm, &case.body)? {
                     return Ok(flow);
                 }
             }
             if let Some(case) = default_case {
-                let scope = env.child();
-                for s in &case.body {
-                    match self.exec_stmt(&scope, s, fs)? {
-                        Flow::Normal => {}
-                        Flow::Break => return Ok(Flow::Normal),
-                        other => return Ok(other),
-                    }
-                }
-                return Ok(Flow::Normal);
+                return self.exec_clause(fr, &case.body);
             }
             self.ctx.gosched();
         }
     }
 
     /// Attempts one communication arm; returns `Some(flow)` if it fired.
-    fn try_comm(
-        &self,
-        env: &Env,
-        comm: &Stmt,
-        body: &[Stmt],
-        fs: &mut FrameState,
-    ) -> EResult<Option<Flow>> {
-        let scope = env.child();
+    fn try_comm(&self, fr: &mut Frame, comm: &Stmt, body: &[Stmt]) -> EResult<Option<Flow>> {
         let fired = match comm {
             // `case <-ch:`
             Stmt::Expr(Expr::Unary {
                 op: UnaryOp::Recv,
                 expr,
             }) => {
-                let ch = self.expect_chan(&scope, expr)?;
+                let ch = self.expect_chan(fr, expr)?;
                 ch.try_recv(self.ctx).is_some()
             }
             // `case v := <-ch:` / `case v, ok := <-ch:`
-            Stmt::Define { names, values, .. } => match values.first() {
+            Stmt::Define { pos, names, values } => match values.first() {
                 Some(Expr::Unary {
                     op: UnaryOp::Recv,
                     expr,
                 }) => {
-                    let ch = self.expect_chan(&scope, expr)?;
+                    let ch = self.expect_chan(fr, expr)?;
                     match ch.try_recv(self.ctx) {
                         None => false,
                         Some(res) => {
@@ -891,7 +937,7 @@ impl<'c> Rt<'c> {
                             let bind = [Some(v), Some(Value::Bool(ok))];
                             for (&name, val) in names.iter().zip(bind.into_iter().flatten()) {
                                 if name != sym::BLANK {
-                                    self.declare(&scope, name, val);
+                                    self.define(fr, *pos, name, val)?;
                                 }
                             }
                             true
@@ -902,8 +948,8 @@ impl<'c> Rt<'c> {
             },
             // `case ch <- v:`
             Stmt::Send { chan, value, .. } => {
-                let ch = self.expect_chan(&scope, chan)?;
-                let v = self.eval_expr(&scope, value)?;
+                let ch = self.expect_chan(fr, chan)?;
+                let v = self.eval_expr(fr, value)?;
                 ch.try_send(self.ctx, v).is_ok()
             }
             _ => return Err(InterpError::plain("unsupported select communication")),
@@ -911,18 +957,24 @@ impl<'c> Rt<'c> {
         if !fired {
             return Ok(None);
         }
-        for s in body {
-            match self.exec_stmt(&scope, s, fs)? {
-                Flow::Normal => {}
-                Flow::Break => return Ok(Some(Flow::Normal)),
-                other => return Ok(Some(other)),
-            }
-        }
-        Ok(Some(Flow::Normal))
+        self.exec_clause(fr, body).map(Some)
     }
 
-    fn expect_chan(&self, env: &Env, e: &Expr) -> EResult<grs_runtime::Chan<Value>> {
-        match self.eval_expr(env, e)? {
+    /// A `switch` or `select` clause's statements: `break` leaves the
+    /// clause.
+    fn exec_clause(&self, fr: &mut Frame, body: &[Stmt]) -> EResult<Flow> {
+        for s in body {
+            match self.exec_stmt(fr, s)? {
+                Flow::Normal => {}
+                Flow::Break => return Ok(Flow::Normal),
+                other => return Ok(other),
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn expect_chan(&self, fr: &Frame, e: &Expr) -> EResult<grs_runtime::Chan<Value>> {
+        match self.eval_expr(fr, e)? {
             Value::Chan(c) => Ok(c),
             other => Err(InterpError::plain(format!(
                 "expected channel, found {}",
@@ -933,29 +985,29 @@ impl<'c> Rt<'c> {
 
     // ---- assignment ----
 
-    fn assign(&self, env: &Env, lhs: &Expr, value: Value) -> EResult<()> {
+    fn assign(&self, fr: &Frame, lhs: &Expr, value: Value) -> EResult<()> {
         match lhs {
             Expr::Ident(_, sym::BLANK) => Ok(()),
             Expr::Ident(pos, name) => {
-                let cell = env.lookup(*name).ok_or_else(|| {
+                let cell = self.var_at(fr, *pos).ok_or_else(|| {
                     InterpError::at(
                         *pos,
                         format!("assignment to undeclared `{}`", self.text(*name)),
                     )
                 })?;
-                self.ctx.write(&cell, value);
+                self.ctx.write(cell, value);
                 Ok(())
             }
             Expr::Selector(base, field) => {
-                let base_v = self.eval_expr(env, base)?;
+                let base_v = self.eval_expr(fr, base)?;
                 let sref = self.as_struct(base_v)?;
                 let cell = sref.field(self.ctx, *field, &self.shared.names);
                 self.ctx.write(&cell, value);
                 Ok(())
             }
             Expr::Index(base, idx) => {
-                let base_v = self.eval_expr(env, base)?;
-                let idx_v = self.eval_expr(env, idx)?;
+                let base_v = self.eval_expr(fr, base)?;
+                let idx_v = self.eval_expr(fr, idx)?;
                 match base_v {
                     Value::Slice(s) => {
                         let i = idx_v.as_int()? as usize;
@@ -975,7 +1027,7 @@ impl<'c> Rt<'c> {
             Expr::Unary {
                 op: UnaryOp::Deref,
                 expr,
-            } => match self.eval_expr(env, expr)? {
+            } => match self.eval_expr(fr, expr)? {
                 Value::Pointer(cell) => {
                     self.ctx.write(&cell, value);
                     Ok(())
@@ -985,7 +1037,7 @@ impl<'c> Rt<'c> {
                     other.type_name()
                 ))),
             },
-            Expr::Paren(inner) => self.assign(env, inner, value),
+            Expr::Paren(inner) => self.assign(fr, inner, value),
             other => Err(InterpError::plain(format!(
                 "unsupported assignment target {other:?}"
             ))),
@@ -1016,9 +1068,9 @@ impl<'c> Rt<'c> {
 
     /// Evaluates `exprs` as the RHS of an assignment expecting `want`
     /// targets (spreading one multi-value call; `usize::MAX` = take all).
-    fn eval_rhs_list(&self, env: &Env, exprs: &[Expr], want: usize) -> EResult<Vec<Value>> {
+    fn eval_rhs_list(&self, fr: &Frame, exprs: &[Expr], want: usize) -> EResult<Vec<Value>> {
         if exprs.len() == 1 {
-            let vals = self.eval_multi(env, &exprs[0])?;
+            let vals = self.eval_multi(fr, &exprs[0])?;
             if want != usize::MAX && vals.len() < want {
                 return Err(InterpError::plain(format!(
                     "assignment mismatch: {want} target(s), {} value(s)",
@@ -1027,43 +1079,42 @@ impl<'c> Rt<'c> {
             }
             return Ok(vals);
         }
-        exprs.iter().map(|e| self.eval_expr(env, e)).collect()
+        exprs.iter().map(|e| self.eval_expr(fr, e)).collect()
     }
 
     /// Evaluates an expression that may produce multiple values (calls,
     /// channel receives with ok).
-    fn eval_multi(&self, env: &Env, e: &Expr) -> EResult<Vec<Value>> {
+    fn eval_multi(&self, fr: &Frame, e: &Expr) -> EResult<Vec<Value>> {
         match e {
-            Expr::Call { .. } => self.eval_call(env, e),
+            Expr::Call { .. } => self.eval_call(fr, e),
             Expr::Unary {
                 op: UnaryOp::Recv,
                 expr,
             } => {
-                let ch = self.expect_chan(env, expr)?;
+                let ch = self.expect_chan(fr, expr)?;
                 match ch.recv(self.ctx) {
                     RecvResult::Value(v) => Ok(vec![v, Value::Bool(true)]),
                     RecvResult::Closed => Ok(vec![Value::Nil, Value::Bool(false)]),
                 }
             }
-            other => Ok(vec![self.eval_expr(env, other)?]),
+            other => Ok(vec![self.eval_expr(fr, other)?]),
         }
     }
 
-    fn eval_expr(&self, env: &Env, e: &Expr) -> EResult<Value> {
+    fn eval_expr(&self, fr: &Frame, e: &Expr) -> EResult<Value> {
         match e {
-            Expr::Ident(pos, name) => match *name {
-                sym::TRUE => Ok(Value::Bool(true)),
-                sym::FALSE => Ok(Value::Bool(false)),
-                sym::NIL => Ok(Value::Nil),
-                name => {
-                    if let Some(cell) = env.lookup(name) {
-                        return Ok(self.ctx.read(&cell));
-                    }
-                    self.top_level_func(name).ok_or_else(|| {
-                        InterpError::at(*pos, format!("undefined: {}", self.text(name)))
-                    })
-                }
-            },
+            Expr::Ident(pos, name) => {
+                let value = self.shared.res.symbol_at(*pos).and_then(|s| match (s.kind, *name) {
+                    (SymbolKind::Universe, sym::TRUE) => Some(Value::Bool(true)),
+                    (SymbolKind::Universe, sym::FALSE) => Some(Value::Bool(false)),
+                    (SymbolKind::Universe, sym::NIL) => Some(Value::Nil),
+                    (SymbolKind::Func, name) => self.top_level_func(name),
+                    _ => self.var(fr, s.id).map(|cell| self.ctx.read(cell)),
+                });
+                value.ok_or_else(|| {
+                    InterpError::at(*pos, format!("undefined: {}", self.text(*name)))
+                })
+            }
             Expr::Int(pos, text, value) => value.map(Value::Int).ok_or_else(|| {
                 InterpError::at(
                     *pos,
@@ -1075,16 +1126,16 @@ impl<'c> Rt<'c> {
             Expr::Rune(_, s) => Ok(Value::Int(
                 self.text(*s).chars().next().map_or(0, |c| c as i64),
             )),
-            Expr::Paren(inner) => self.eval_expr(env, inner),
+            Expr::Paren(inner) => self.eval_expr(fr, inner),
             Expr::Selector(base, field) => {
-                let base_v = self.eval_expr(env, base)?;
+                let base_v = self.eval_expr(fr, base)?;
                 let sref = self.as_struct(base_v)?;
                 let cell = sref.field(self.ctx, *field, &self.shared.names);
                 Ok(self.ctx.read(&cell))
             }
             Expr::Index(base, idx) => {
-                let base_v = self.eval_expr(env, base)?;
-                let idx_v = self.eval_expr(env, idx)?;
+                let base_v = self.eval_expr(fr, base)?;
+                let idx_v = self.eval_expr(fr, idx)?;
                 match base_v {
                     Value::Slice(s) => {
                         let i = idx_v.as_int()? as usize;
@@ -1107,21 +1158,21 @@ impl<'c> Rt<'c> {
             Expr::SliceExpr { expr, .. } => {
                 // `s[a:b]` shares the backing array; Go-lite approximates
                 // with the full slice (header sharing preserved).
-                self.eval_expr(env, expr)
+                self.eval_expr(fr, expr)
             }
             Expr::Unary { op, expr } => match *op {
-                UnaryOp::Neg => Ok(Value::Int(-self.eval_expr(env, expr)?.as_int()?)),
-                UnaryOp::Plus => self.eval_expr(env, expr),
-                UnaryOp::Not => Ok(Value::Bool(!self.eval_expr(env, expr)?.as_bool()?)),
+                UnaryOp::Neg => Ok(Value::Int(-self.eval_expr(fr, expr)?.as_int()?)),
+                UnaryOp::Plus => self.eval_expr(fr, expr),
+                UnaryOp::Not => Ok(Value::Bool(!self.eval_expr(fr, expr)?.as_bool()?)),
                 UnaryOp::Recv => {
-                    let ch = self.expect_chan(env, expr)?;
+                    let ch = self.expect_chan(fr, expr)?;
                     match ch.recv(self.ctx) {
                         RecvResult::Value(v) => Ok(v),
                         RecvResult::Closed => Ok(Value::Nil),
                     }
                 }
-                UnaryOp::Addr => self.address_of(env, expr),
-                UnaryOp::Deref => match self.eval_expr(env, expr)? {
+                UnaryOp::Addr => self.address_of(fr, expr),
+                UnaryOp::Deref => match self.eval_expr(fr, expr)? {
                     Value::Pointer(cell) => Ok(self.ctx.read(&cell)),
                     other => Err(InterpError::plain(format!(
                         "cannot dereference {}",
@@ -1138,24 +1189,24 @@ impl<'c> Rt<'c> {
                 match *op {
                     BinaryOp::AndAnd => {
                         return Ok(Value::Bool(
-                            self.eval_expr(env, lhs)?.as_bool()?
-                                && self.eval_expr(env, rhs)?.as_bool()?,
+                            self.eval_expr(fr, lhs)?.as_bool()?
+                                && self.eval_expr(fr, rhs)?.as_bool()?,
                         ))
                     }
                     BinaryOp::OrOr => {
                         return Ok(Value::Bool(
-                            self.eval_expr(env, lhs)?.as_bool()?
-                                || self.eval_expr(env, rhs)?.as_bool()?,
+                            self.eval_expr(fr, lhs)?.as_bool()?
+                                || self.eval_expr(fr, rhs)?.as_bool()?,
                         ))
                     }
                     _ => {}
                 }
-                let l = self.eval_expr(env, lhs)?;
-                let r = self.eval_expr(env, rhs)?;
+                let l = self.eval_expr(fr, lhs)?;
+                let r = self.eval_expr(fr, rhs)?;
                 self.binary(*op, l, r)
             }
             Expr::Call { .. } => {
-                let mut vals = self.eval_call(env, e)?;
+                let mut vals = self.eval_call(fr, e)?;
                 if vals.len() == 1 {
                     Ok(vals.remove(0))
                 } else if vals.is_empty() {
@@ -1166,28 +1217,40 @@ impl<'c> Rt<'c> {
                     ))
                 }
             }
-            Expr::FuncLit { sig, body, .. } => Ok(Value::Func(FuncValue {
-                name: Arc::clone(&self.shared.func_literal),
-                sig: Arc::clone(sig),
-                body: Arc::clone(body),
-                env: env.clone(), // capture by reference
-                receiver: None,
-            })),
-            Expr::CompositeLit { ty, elems } => self.composite(env, ty.as_deref(), elems),
+            Expr::FuncLit { pos, sig, body } => {
+                // Capture by reference: the closure shares its enclosing
+                // function's cells, each declared before the literal.
+                let ids = self.shared.res.captures_at(*pos);
+                let captures = if ids.is_empty() {
+                    Arc::clone(&self.shared.no_captures)
+                } else {
+                    let cell = |&id| self.var(fr, id).expect("a capture is declared").clone();
+                    ids.iter().map(cell).collect()
+                };
+                Ok(Value::Func(FuncValue {
+                    name: Arc::clone(&self.shared.func_literal),
+                    pos: *pos,
+                    sig: Arc::clone(sig),
+                    body: Arc::clone(body),
+                    captures,
+                    receiver: None,
+                }))
+            }
+            Expr::CompositeLit { ty, elems } => self.composite(fr, ty.as_deref(), elems),
             Expr::TypeExpr(_) => Err(InterpError::plain("type used as value")),
         }
     }
 
-    fn address_of(&self, env: &Env, expr: &Expr) -> EResult<Value> {
+    fn address_of(&self, fr: &Frame, expr: &Expr) -> EResult<Value> {
         match expr {
             Expr::Ident(pos, name) => {
-                let cell = env.lookup(*name).ok_or_else(|| {
+                let cell = self.var_at(fr, *pos).ok_or_else(|| {
                     InterpError::at(*pos, format!("undefined: {}", self.text(*name)))
                 })?;
-                Ok(Value::Pointer(cell))
+                Ok(Value::Pointer(cell.clone()))
             }
             Expr::Selector(base, field) => {
-                let base_v = self.eval_expr(env, base)?;
+                let base_v = self.eval_expr(fr, base)?;
                 let sref = self.as_struct(base_v)?;
                 Ok(Value::Pointer(sref.field(
                     self.ctx,
@@ -1196,7 +1259,7 @@ impl<'c> Rt<'c> {
                 )))
             }
             Expr::CompositeLit { .. } => {
-                let v = self.eval_expr(env, expr)?;
+                let v = self.eval_expr(fr, expr)?;
                 Ok(Value::Pointer(self.ctx.cell("&composite", v)))
             }
             other => Err(InterpError::plain(format!(
@@ -1273,7 +1336,7 @@ impl<'c> Rt<'c> {
 
     fn composite(
         &self,
-        env: &Env,
+        fr: &Frame,
         ty: Option<&Type>,
         elems: &[(Option<Expr>, Expr)],
     ) -> EResult<Value> {
@@ -1288,7 +1351,7 @@ impl<'c> Rt<'c> {
                         .ok_or_else(|| {
                             InterpError::plain("struct literals need keyed fields")
                         })?;
-                    let v = self.eval_expr(env, value_expr)?;
+                    let v = self.eval_expr(fr, value_expr)?;
                     let cell = sref.field(self.ctx, field, &self.shared.names);
                     self.ctx.write(&cell, v);
                 }
@@ -1297,7 +1360,7 @@ impl<'c> Rt<'c> {
             Some(Type::Slice(_)) | None => {
                 let s = GoSlice::empty(self.ctx, "slice literal");
                 for (_, value_expr) in elems {
-                    let v = self.eval_expr(env, value_expr)?;
+                    let v = self.eval_expr(fr, value_expr)?;
                     s.append(self.ctx, v);
                 }
                 Ok(Value::Slice(s))
@@ -1308,8 +1371,8 @@ impl<'c> Rt<'c> {
                     let k = key
                         .as_ref()
                         .ok_or_else(|| InterpError::plain("map literals need keys"))?;
-                    let kv = self.eval_expr(env, k)?;
-                    let v = self.eval_expr(env, value_expr)?;
+                    let kv = self.eval_expr(fr, k)?;
+                    let v = self.eval_expr(fr, value_expr)?;
                     m.insert(self.ctx, Key::from_value(&kv)?, v);
                 }
                 Ok(Value::Map(m))
@@ -1324,14 +1387,14 @@ impl<'c> Rt<'c> {
 
     /// Evaluates the callee and arguments of a call for `go`/`defer`
     /// without invoking it (Go evaluates both eagerly at those sites).
-    fn prepare_call(&self, env: &Env, call: &Expr, pos: Pos) -> EResult<PreparedCall> {
+    fn prepare_call(&self, fr: &Frame, call: &Expr, pos: Pos) -> EResult<PreparedCall> {
         let Expr::Call { func, args, .. } = call else {
             return Err(InterpError::at(pos, "expected a function call"));
         };
-        let callee = self.eval_callee(env, func)?;
+        let callee = self.eval_callee(fr, func)?;
         let mut arg_values = Vec::with_capacity(args.len());
         for a in args {
-            arg_values.push(self.eval_expr(env, a)?);
+            arg_values.push(self.eval_expr(fr, a)?);
         }
         match callee {
             Callee::Func(f) => Ok(PreparedCall::Func(f, arg_values)),
@@ -1380,16 +1443,16 @@ impl<'c> Rt<'c> {
         Ok(())
     }
 
-    fn eval_call(&self, env: &Env, e: &Expr) -> EResult<Vec<Value>> {
+    fn eval_call(&self, fr: &Frame, e: &Expr) -> EResult<Vec<Value>> {
         let Expr::Call { func, args, .. } = e else {
             return Err(InterpError::plain("not a call"));
         };
-        match self.eval_callee(env, func)? {
-            Callee::Builtin(name) => self.call_builtin(env, name, args),
+        match self.eval_callee(fr, func)? {
+            Callee::Builtin(name) => self.call_builtin(fr, name, args),
             Callee::SyncMethod(recv, method) => {
                 let mut argv = Vec::new();
                 for a in args {
-                    argv.push(self.eval_expr(env, a)?);
+                    argv.push(self.eval_expr(fr, a)?);
                 }
                 self.call_sync_method(&recv, method, argv)?;
                 Ok(Vec::new())
@@ -1397,16 +1460,16 @@ impl<'c> Rt<'c> {
             Callee::Func(fv) => {
                 let mut argv = Vec::new();
                 for a in args {
-                    argv.push(self.eval_expr(env, a)?);
+                    argv.push(self.eval_expr(fr, a)?);
                 }
                 self.call_function(&fv, argv)
             }
         }
     }
 
-    fn eval_callee(&self, env: &Env, func: &Expr) -> EResult<Callee> {
+    fn eval_callee(&self, fr: &Frame, func: &Expr) -> EResult<Callee> {
         match func {
-            Expr::Ident(_, name)
+            Expr::Ident(pos, name)
                 if matches!(
                     *name,
                     sym::MAKE
@@ -1421,14 +1484,17 @@ impl<'c> Rt<'c> {
                         | sym::PRINT
                         | sym::SLEEP
                         | sym::GOSCHED
-                ) && env.lookup(*name).is_none()
-                    && !self.shared.funcs.contains_key(name) =>
+                ) && self
+                    .shared
+                    .res
+                    .symbol_at(*pos)
+                    .is_some_and(|s| s.kind == SymbolKind::Universe) =>
             {
                 Ok(Callee::Builtin(*name))
             }
             Expr::Selector(base, method) => {
                 let method = *method;
-                let base_v = self.eval_expr(env, base)?;
+                let base_v = self.eval_expr(fr, base)?;
                 match &base_v {
                     Value::Mutex(_) | Value::RwMutex(_) | Value::WaitGroup(_) | Value::Once(_)
                         if matches!(
@@ -1472,7 +1538,7 @@ impl<'c> Rt<'c> {
                     ))),
                 }
             }
-            other => match self.eval_expr(env, other)? {
+            other => match self.eval_expr(fr, other)? {
                 Value::Func(f) => Ok(Callee::Func(f)),
                 v => Err(InterpError::plain(format!(
                     "cannot call {}",
@@ -1515,9 +1581,10 @@ impl<'c> Rt<'c> {
         };
         Ok(Callee::Func(FuncValue {
             name: Arc::from(format!("{type_name}.{}", self.text(method)).as_str()),
+            pos: m.pos,
             sig: Arc::clone(&m.sig),
             body: Arc::clone(&m.body),
-            env: self.globals.clone(),
+            captures: Arc::clone(&self.shared.no_captures),
             receiver: Some((m.recv_name, m.recv_is_ptr, Box::new(receiver_value))),
         }))
     }
@@ -1560,7 +1627,7 @@ impl<'c> Rt<'c> {
         Ok(())
     }
 
-    fn call_builtin(&self, env: &Env, name: Sym, args: &[Expr]) -> EResult<Vec<Value>> {
+    fn call_builtin(&self, fr: &Frame, name: Sym, args: &[Expr]) -> EResult<Vec<Value>> {
         match name {
             sym::MAKE => {
                 let Some(Expr::TypeExpr(ty)) = args.first() else {
@@ -1570,7 +1637,7 @@ impl<'c> Rt<'c> {
                     Type::Slice(_) => {
                         let s = GoSlice::empty(self.ctx, "slice");
                         if let Some(n) = args.get(1) {
-                            let n = self.eval_expr(env, n)?.as_int()?;
+                            let n = self.eval_expr(fr, n)?.as_int()?;
                             for _ in 0..n {
                                 s.append(self.ctx, Value::Int(0));
                             }
@@ -1580,7 +1647,7 @@ impl<'c> Rt<'c> {
                     Type::Map(_, _) => Ok(vec![Value::Map(GoMap::make(self.ctx, "map"))]),
                     Type::Chan(_, _) => {
                         let cap = match args.get(1) {
-                            Some(c) => self.eval_expr(env, c)?.as_int()? as usize,
+                            Some(c) => self.eval_expr(fr, c)?.as_int()? as usize,
                             None => 0,
                         };
                         Ok(vec![Value::Chan(self.ctx.chan("chan", cap))])
@@ -1604,7 +1671,7 @@ impl<'c> Rt<'c> {
                 Ok(vec![Value::Pointer(self.ctx.cell("new", zero))])
             }
             sym::LEN | sym::CAP => {
-                let v = self.eval_expr(env, &args[0])?;
+                let v = self.eval_expr(fr, &args[0])?;
                 let n = match v {
                     Value::Slice(s) => s.len(self.ctx) as i64,
                     Value::Map(m) => m.len(self.ctx) as i64,
@@ -1619,45 +1686,45 @@ impl<'c> Rt<'c> {
                 Ok(vec![Value::Int(n)])
             }
             sym::APPEND => {
-                let base = self.eval_expr(env, &args[0])?;
+                let base = self.eval_expr(fr, &args[0])?;
                 let Value::Slice(s) = base else {
                     return Err(InterpError::plain("append needs a slice"));
                 };
                 for a in &args[1..] {
-                    let v = self.eval_expr(env, a)?;
+                    let v = self.eval_expr(fr, a)?;
                     s.append(self.ctx, v);
                 }
                 Ok(vec![Value::Slice(s)])
             }
             sym::CLOSE => {
-                let Value::Chan(c) = self.eval_expr(env, &args[0])? else {
+                let Value::Chan(c) = self.eval_expr(fr, &args[0])? else {
                     return Err(InterpError::plain("close needs a channel"));
                 };
                 c.close(self.ctx);
                 Ok(Vec::new())
             }
             sym::DELETE => {
-                let Value::Map(m) = self.eval_expr(env, &args[0])? else {
+                let Value::Map(m) = self.eval_expr(fr, &args[0])? else {
                     return Err(InterpError::plain("delete needs a map"));
                 };
-                let k = self.eval_expr(env, &args[1])?;
+                let k = self.eval_expr(fr, &args[1])?;
                 m.delete(self.ctx, &Key::from_value(&k)?);
                 Ok(Vec::new())
             }
             sym::PANIC => {
-                let v = self.eval_expr(env, &args[0])?;
+                let v = self.eval_expr(fr, &args[0])?;
                 Err(InterpError::plain(format!("panic: {v:?}")))
             }
             sym::PRINTLN | sym::PRINT => {
                 // Evaluate for effect; output is suppressed to keep
                 // explorer runs quiet.
                 for a in args {
-                    let _ = self.eval_expr(env, a)?;
+                    let _ = self.eval_expr(fr, a)?;
                 }
                 Ok(Vec::new())
             }
             sym::SLEEP => {
-                let n = self.eval_expr(env, &args[0])?.as_int()?;
+                let n = self.eval_expr(fr, &args[0])?.as_int()?;
                 self.ctx.sleep(n.clamp(0, 1000) as u32);
                 Ok(Vec::new())
             }

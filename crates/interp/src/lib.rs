@@ -11,6 +11,8 @@
 //!
 //! * closures capture free variables **by reference** (shared cells),
 //! * `:=` reuses a same-scope variable (the `err` idiom, Listing 2),
+//! * a variable is a fresh cell each time its declaration executes (a loop
+//!   body's, once per iteration),
 //! * `range` loop variables are one cell per loop (Listing 1),
 //! * named results are written by `return expr` and visible to `defer`
 //!   (Listings 3–4),
@@ -19,17 +21,20 @@
 //! * maps and slices are the runtime's thread-unsafe [`GoMap`]/[`GoSlice`]
 //!   (Observations 4–5).
 //!
-//! The program is executed as parsed: scopes ([`Env`]), the function,
-//! method and struct-type tables and struct fields are keyed by the file's
-//! interned [`Sym`](grs_golite::names::Sym)s, builtins and `sync` methods
-//! are recognized by comparing against [`grs_golite::names::sym`], and an
-//! operator is an enum the evaluator matches. What the parser worked out
-//! once is not worked out again per evaluation: an integer literal carries
-//! its value, a `func` literal shares its signature and body with every
-//! closure value made from it. Names turn back into text for error
-//! messages and for the debug names of the runtime's cells. (Scopes are
-//! still a chain of maps looked up per use; frames of slots resolved from
-//! `golite::resolve` are the next step, not this one.)
+//! Scoping is [`grs_golite::resolve`]'s: the file is resolved once, and
+//! what each identifier use denotes, whether a `:=` declares or reuses,
+//! which cells a closure captures and whether `len` here is the builtin
+//! are read from that [`Resolution`](grs_golite::resolve::Resolution) — the
+//! lints' scoping and the executed scoping are one. A Go call's variables
+//! are a frame of cells keyed by symbol id, package-level ones one table
+//! per run. The function, method and struct-type tables and struct fields
+//! are keyed by the file's interned [`Sym`](grs_golite::names::Sym)s, `sync`
+//! methods are recognized by comparing against [`grs_golite::names::sym`],
+//! and an operator is an enum the evaluator matches. What the parser worked
+//! out once is not worked out again per evaluation: an integer literal
+//! carries its value, a `func` literal shares its signature and body with
+//! every closure value made from it. Names turn back into text for error
+//! messages and for the debug names of the runtime's cells.
 //!
 //! Known simplifications (documented divergences): slicing `s[a:b]`
 //! returns the whole slice (header sharing preserved), zero-value maps are
@@ -72,11 +77,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod env;
 pub mod interp;
 pub mod value;
 
-pub use env::Env;
 pub use interp::Interp;
 pub use value::{FuncValue, Key, StructRef, Value};
 

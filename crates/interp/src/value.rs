@@ -10,9 +10,9 @@ use std::sync::{Arc, Mutex as StdMutex};
 
 use grs_golite::ast::{Block, Names, Signature, Sym};
 use grs_golite::names::FnvMap;
+use grs_golite::token::Pos;
 use grs_runtime::{Cell, Chan, Ctx, GoMap, GoSlice, Mutex, Once, RwMutex, WaitGroup};
 
-use crate::env::Env;
 use crate::InterpError;
 
 /// A Go-lite runtime value.
@@ -45,7 +45,7 @@ pub enum Value {
     Struct(StructRef),
     /// A pointer to a variable or field.
     Pointer(Cell<Value>),
-    /// A function or closure (with its captured environment).
+    /// A function or closure (with the cells it captures).
     Func(FuncValue),
 }
 
@@ -266,12 +266,17 @@ impl StructRef {
 pub struct FuncValue {
     /// Display name (declared name or `"func literal"`).
     pub name: Arc<str>,
+    /// Where it is declared (the `func` keyword): the resolver binds its
+    /// parameters and keys its captures there.
+    pub pos: Pos,
     /// The signature.
     pub sig: Arc<Signature>,
     /// The body.
     pub body: Arc<Block>,
-    /// The captured lexical environment (closures capture by reference).
-    pub env: Env,
+    /// The cells of the variables it captures, in
+    /// [`captures_at`](grs_golite::resolve::Resolution::captures_at) order:
+    /// the enclosing function's own cells (capture by reference).
+    pub captures: Arc<[Cell<Value>]>,
     /// Bound receiver for method values: `(param name, is_pointer, value)`.
     pub receiver: Option<(Sym, bool, Box<Value>)>,
 }

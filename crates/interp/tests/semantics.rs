@@ -3,6 +3,7 @@
 //! channel read by `main`, and a final `panic` marks failures (which the
 //! runtime surfaces as goroutine panics).
 
+use grs_detector::FastTrack;
 use grs_interp::Interp;
 use grs_runtime::{NullMonitor, RunConfig, Runtime};
 
@@ -491,6 +492,258 @@ fn range_over_int_go_1_22() {
     assert(sum == 10, "range over int")
     "#,
     ));
+}
+
+// ---- scoping: a name denotes what `golite::resolve` says it does ----
+
+/// FastTrack reports on one run of `main` at `seed`.
+fn fasttrack_reports(src: &str, seed: u64) -> usize {
+    let interp = Interp::from_source(src).unwrap_or_else(|e| panic!("parse error: {e}"));
+    let program = interp.program("semantics", "main");
+    let (outcome, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&program, FastTrack::new());
+    assert!(outcome.is_clean(), "seed {seed}: {:?}", outcome.errors);
+    ft.reports().len()
+}
+
+#[test]
+fn a_closure_keeps_the_variable_visible_where_it_is_written() {
+    run_ok(&check(
+        r#"
+    x := 1
+    {
+        h := func() int { return x }
+        x := 2
+        assert(h() == 1, "h reads the outer x, not the later shadow")
+        assert(x == 2, "the shadow")
+    }
+    "#,
+    ));
+}
+
+#[test]
+fn a_goroutine_before_a_late_shadow_does_not_race_with_it() {
+    let src = r#"
+package main
+
+func main() {
+    n := 0
+    done := make(chan bool, 1)
+    {
+        go func() {
+            n = n + 1
+            done <- true
+        }()
+        n := 0
+        n = n + 1
+    }
+    <-done
+}
+"#;
+    for seed in 0..64 {
+        assert_eq!(fasttrack_reports(src, seed), 0, "seed {seed}");
+    }
+}
+
+#[test]
+fn a_loop_body_variable_is_fresh_per_iteration_and_a_for_variable_is_not() {
+    run_ok(&check(
+        r#"
+    var a, b func() int
+    for i := 0; i < 2; i++ {
+        v := i
+        if i == 0 {
+            a = func() int { return v }
+        } else {
+            b = func() int { return v }
+        }
+    }
+    assert(a() == 0 && b() == 1, "one v per iteration")
+    var c, d func() int
+    for i := 0; i < 2; i++ {
+        if i == 0 {
+            c = func() int { return i }
+        } else {
+            d = func() int { return i }
+        }
+    }
+    assert(c() == 2 && d() == 2, "one i for the loop")
+    "#,
+    ));
+}
+
+#[test]
+fn if_init_switch_case_and_select_clause_shadow_for_their_extent() {
+    run_ok(&check(
+        r#"
+    x := 1
+    h := func() int { return x }
+    if x := 2; x == 2 {
+        assert(x == 2, "if init shadows")
+        assert(h() == 1, "h still reads the outer x")
+    }
+    assert(x == 1, "the if's x is gone")
+    switch {
+    case x == 1:
+        x := 3
+        assert(x == 3, "case body shadows")
+        assert(h() == 1, "h still reads the outer x")
+    }
+    assert(x == 1, "the case's x is gone")
+    ch := make(chan int, 1)
+    ch <- 4
+    select {
+    case x := <-ch:
+        assert(x == 4, "select clause shadows")
+        assert(h() == 1, "h still reads the outer x")
+    }
+    assert(x == 1, "the clause's x is gone")
+    "#,
+    ));
+}
+
+#[test]
+fn each_activation_of_a_recursive_function_has_its_own_locals() {
+    run_ok(
+        r#"
+package main
+
+func assert(cond bool, msg string) {
+    if !cond {
+        panic(msg)
+    }
+}
+
+func depth(n int) int {
+    local := n
+    if n > 0 {
+        depth(n - 1)
+    }
+    return local
+}
+
+func counter(start int) func() int {
+    c := start
+    return func() int {
+        c = c + 1
+        return c
+    }
+}
+
+func main() {
+    assert(depth(3) == 3, "the inner calls had their own local")
+    a := counter(0)
+    b := counter(10)
+    a()
+    assert(a() == 2, "a's c")
+    assert(b() == 11, "b's c")
+}
+"#,
+    );
+}
+
+#[test]
+fn a_closure_two_literals_deep_captures_from_the_outermost_function() {
+    run_ok(&check(
+        r#"
+    x := 1
+    outer := func() func() int {
+        return func() int { return x }
+    }
+    inner := outer()
+    x = 5
+    assert(inner() == 5, "reads the outer x")
+    func() {
+        func() {
+            x = 7
+        }()
+    }()
+    assert(x == 7, "writes the outer x")
+    "#,
+    ));
+}
+
+#[test]
+fn a_redeclaring_define_writes_every_name_it_reuses() {
+    run_ok(&check(
+        r#"
+    a, b := 1, 2
+    h := func() int { return a + b }
+    a, b, c := 10, 20, 30
+    assert(h() == 30, "a and b were written, not shadowed")
+    assert(c == 30, "c is new")
+    "#,
+    ));
+}
+
+#[test]
+fn a_local_named_len_shadows_the_builtin() {
+    run_ok(&check(
+        r#"
+    {
+        len := func(s string) int { return 42 }
+        assert(len("abc") == 42, "the local len")
+    }
+    assert(len("abc") == 3, "the builtin again")
+    "#,
+    ));
+}
+
+#[test]
+fn a_local_shadows_a_global() {
+    run_ok(
+        r#"
+package main
+
+var g = 1
+
+func assert(cond bool, msg string) {
+    if !cond {
+        panic(msg)
+    }
+}
+
+func global() int { return g }
+
+func inc(inc int) int { return inc + 1 }
+
+func main() {
+    h := func() int { return g }
+    g := 2
+    g = g + 1
+    assert(g == 3, "the local g")
+    assert(h() == 1, "h reads the global, written before the shadow")
+    assert(global() == 1, "the global is untouched")
+    assert(inc(1) == 2, "a parameter shadows its own function")
+}
+"#,
+    );
+}
+
+#[test]
+fn a_define_in_a_function_body_reuses_its_parameter() {
+    run_ok(
+        r#"
+package main
+
+func assert(cond bool, msg string) {
+    if !cond {
+        panic(msg)
+    }
+}
+
+func decl(x int) int {
+    h := func() int { return x }
+    y, x := 1, 2
+    _ = y
+    _ = x
+    return h()
+}
+
+func main() {
+    assert(decl(0) == 2, "y, x := assigned the parameter x")
+}
+"#,
+    );
 }
 
 /// The parser's nesting cap is what bounds the interpreter's recursion: a

@@ -1,19 +1,20 @@
-//! Static and dynamic agree on what a name denotes.
+//! Execution shares only what `golite::resolve` says is shared.
 //!
-//! Go's scoping rules are written twice in this workspace: `golite::resolve`
-//! (symbols, `:=` redeclaration, closure capture sets — what the lints
-//! read) and `interp::Env` (what executes). This differential holds them
-//! to each other on every program we can run: record one execution, take
-//! every *variable* cell the trace shows touched by more than one
-//! goroutine, and require that `Resolution` knows a way for a variable of
-//! that name to be shared — it is package-level, or some `func` literal
-//! captures it. A cell shared through a *value* (a struct field, a slice
-//! or map element, a `new`/`&composite` cell, a variable whose address was
-//! taken) is shared whatever the resolver says, and is left out.
+//! Go's scoping is written once: `golite::resolve` (symbols, `:=`
+//! redeclaration, closure capture sets) is what the lints read and what
+//! the interpreter executes — a closure value carries the cells of
+//! `Resolution::captures_at`, package-level variables are one table per
+//! run. This check holds the executed program to it on every program we
+//! can run: record one execution, take every *variable* cell the trace
+//! shows touched by more than one goroutine, and require that `Resolution`
+//! knows a way for a variable of that name to be shared — it is
+//! package-level, or some `func` literal captures it. A cell shared through
+//! a *value* (a struct field, a slice or map element, a `new`/`&composite`
+//! cell, a variable whose address was taken) is shared whatever the
+//! resolver says, and is left out.
 //!
-//! A disagreement is a bug in `resolve` or in `Env`, and decides whether
-//! the interpreter may be lowered from `Resolution::captures_at`: it is
-//! reported with the program, not filtered away.
+//! A failure means the interpreter shares a cell the resolver did not hand
+//! it: it is reported with the program, not filtered away.
 
 use std::collections::{BTreeMap, BTreeSet};
 
