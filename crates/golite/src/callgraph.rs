@@ -21,12 +21,12 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use crate::cfg::VarKey;
-use crate::lockset::Lockset;
+use crate::cfg::{CallArgs, FileCfg};
+use crate::lockset::{KeySet, Lockset};
 use crate::token::Pos;
 
 /// One resolved call edge, with the caller-side facts at the site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct CallSite {
     /// Calling function (index into the CFG list).
     pub caller: usize,
@@ -49,16 +49,22 @@ pub struct CallSite {
     pub locks: Lockset,
     /// Locks acquired earlier in the same context but no longer held at
     /// the call.
-    pub dropped: BTreeSet<VarKey>,
-    /// Function-literal arguments: `(argument index, literal position)`.
-    pub closure_args: Vec<(usize, Pos)>,
-    /// Trackable places passed as arguments:
-    /// `(argument index, key, source spelling)`.
-    pub var_args: Vec<(usize, VarKey, String)>,
+    pub dropped: KeySet,
+    /// Its arguments: an index into the caller's
+    /// [`FuncCfg::calls`](crate::cfg::FuncCfg::calls) ([`CallSite::args`]).
+    pub args: u32,
+}
+
+impl CallSite {
+    /// Which arguments are closures and which are trackable places.
+    #[must_use]
+    pub fn args<'c>(&self, cfg: &'c FileCfg) -> &'c CallArgs {
+        &cfg.funcs[self.caller].calls[self.args as usize]
+    }
 }
 
 /// A call through a function-typed parameter of the caller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ParamCall {
     /// Calling function (index into the CFG list).
     pub caller: usize,
@@ -178,13 +184,14 @@ impl<'a> CallGraph<'a> {
         let mut stack: Vec<usize> = Vec::new();
         let mut next = 0usize;
         let mut out = Vec::new();
+        // Iterative DFS: (node, next-child cursor).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
 
         for start in 0..n {
             if index[start] != UNSEEN {
                 continue;
             }
-            // Iterative DFS: (node, next-child cursor).
-            let mut frames: Vec<(usize, usize)> = vec![(start, 0)];
+            frames.push((start, 0));
             while let Some(&(v, ci)) = frames.last() {
                 if ci == 0 {
                     index[v] = next;
@@ -229,23 +236,23 @@ impl<'a> CallGraph<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::{build_file, FuncCfg};
+    use crate::cfg::{build_file, FileCfg};
     use crate::lockset::{flow, Flow};
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
     /// The CFGs and flow table of `src`; the graph borrows the table.
-    fn flow_of(src: &str) -> (Vec<FuncCfg>, Flow) {
+    fn flow_of(src: &str) -> (FileCfg, Flow) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        let cfgs = build_file(&file, &res);
-        let flow = flow(&cfgs);
-        (cfgs, flow)
+        let cfg = build_file(&file, &res);
+        let flow = flow(&cfg);
+        (cfg, flow)
     }
 
     #[test]
     fn resolves_named_and_method_calls() {
-        let (cfgs, flow) = flow_of(
+        let (cfg, flow) = flow_of(
             r"
 package p
 func a() { b() }
@@ -254,8 +261,8 @@ func (s *S) m() { s.n() }
 func (s *S) n() {}
 ",
         );
-        let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        assert_eq!(cfgs.len(), 4);
+        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+        assert_eq!(cfg.funcs.len(), 4);
         assert_eq!(cg.sites.len(), 2);
         assert!(cg.callees_of(0).contains(&1));
         assert!(cg.callees_of(2).contains(&3));
@@ -279,11 +286,15 @@ func outside() {}
 ",
         );
         let inside = flow.sites.iter().find(|s| s.callee == 1).expect("inside");
-        assert_eq!(inside.locks.len(), 1);
-        assert!(inside.dropped.is_empty());
+        assert_eq!(flow.locksets.get(inside.locks).len(), 1);
+        assert_eq!(inside.dropped, KeySet::EMPTY);
         let outside = flow.sites.iter().find(|s| s.callee == 2).expect("outside");
-        assert!(outside.locks.is_empty());
-        assert_eq!(outside.dropped.len(), 1, "mu released before the call");
+        assert_eq!(outside.locks, Lockset::EMPTY);
+        assert_eq!(
+            flow.dropped.get(outside.dropped).len(),
+            1,
+            "mu released before the call"
+        );
     }
 
     #[test]
@@ -311,7 +322,7 @@ func work(k int) {}
 
     #[test]
     fn sccs_are_callee_first_and_group_cycles() {
-        let (cfgs, flow) = flow_of(
+        let (cfg, flow) = flow_of(
             r"
 package p
 func top() { even(4) }
@@ -320,7 +331,7 @@ func odd(n int) { even(n) }
 func leaf() {}
 ",
         );
-        let cg = CallGraph::build(cfgs.len(), &flow.sites);
+        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
         let sccs = cg.sccs();
         let cycle = sccs
             .iter()
@@ -329,7 +340,10 @@ func leaf() {}
         let top = sccs.iter().position(|c| c == &vec![0]).expect("top");
         assert!(cycle < top, "callees come before callers: {sccs:?}");
         // Self-recursion alone does not count as being called.
-        let (cfgs, flow) = flow_of("package p\nfunc r(n int) { r(n) }\n");
-        assert_eq!(CallGraph::build(cfgs.len(), &flow.sites).roots(), vec![0]);
+        let (cfg, flow) = flow_of("package p\nfunc r(n int) { r(n) }\n");
+        assert_eq!(
+            CallGraph::build(cfg.funcs.len(), &flow.sites).roots(),
+            vec![0]
+        );
     }
 }

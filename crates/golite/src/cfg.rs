@@ -23,14 +23,26 @@
 //! and locals key by their resolved symbol — two locals that shadow each
 //! other never collide.
 //!
-//! A [`VarKey`] is an *ordered* key — locksets and the summary layer keep
-//! them in `BTreeMap`s and sort by them, and that order reaches the
-//! findings — so it carries its root's text, not a [`Sym`] (which orders by
-//! first occurrence). Everything that is only compared — call targets,
-//! function and receiver-type names, the method spellings tested for —
-//! stays a `Sym`.
+//! A [`VarKey`] is a `u32` id into the file's [`Keys`] table, which holds
+//! each place once: its root (a global's or receiver type's [`Sym`], a
+//! local's [`SymbolId`]) plus its selectors, as a (parent key, selector)
+//! trie — so turning an expression into a key interns and formats nothing.
+//! Keys are an *ordered* key: locksets are sorted slices of them and the
+//! summary layer sorts by them, and that order reaches the findings, while
+//! a `Sym` orders by first occurrence. So [`build_file`] ranks a file's keys
+//! once, after every function is built — by variant (global < field <
+//! local), then root text or symbol id, then path text — and renumbers
+//! every event: from then on, id order *is* text order. An access's source
+//! spelling needs no table of its own: it is the identifier the place is
+//! spelled from plus the key's path. Everything that is only compared —
+//! call targets, function and receiver-type names, the method spellings
+//! tested for — stays a `Sym`.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::ast::{sym, Block, BranchKind, Decl, Expr, File, FuncDecl, Names, Stmt, Sym, Type, UnaryOp};
+use crate::names::FnvMap;
 use crate::resolve::{Binding, Resolution, SymbolId, SymbolKind};
 use crate::token::Pos;
 
@@ -48,38 +60,251 @@ pub enum LockMode {
 }
 
 /// The root of a place expression.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarRoot {
     /// A package-level variable, keyed by name (file-wide identity).
-    Global(String),
+    Global(Sym),
     /// A field chain on a method receiver, keyed by the receiver's type
-    /// name (so all methods of one type agree).
-    Field(String),
+    /// name (so all methods of one type agree); [`sym::EMPTY`] when the
+    /// receiver's type is not a name.
+    Field(Sym),
     /// A function-local symbol (param, `:=`, `var`, loop var, named
     /// result) — identity is the resolved symbol.
     Local(SymbolId),
 }
 
-/// A trackable place: root plus selector path (`".mu"`, `".stats.n"`, `""`).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct VarKey {
-    /// The root binding.
-    pub root: VarRoot,
-    /// Dotted selector path below the root (empty for the root itself).
-    pub path: String,
+impl VarRoot {
+    /// Where the variant sorts: global < field < local.
+    fn rank(self) -> u8 {
+        match self {
+            VarRoot::Global(_) => 0,
+            VarRoot::Field(_) => 1,
+            VarRoot::Local(_) => 2,
+        }
+    }
+
+    /// The root's text: a global's name, a receiver type's name (`?` when
+    /// it has none); `None` for a local, which is known by its symbol.
+    #[must_use]
+    pub fn text(self, names: &Names) -> Option<&str> {
+        match self {
+            VarRoot::Global(n) => Some(names.text(n)),
+            VarRoot::Field(t) if t.is_empty() => Some("?"),
+            VarRoot::Field(t) => Some(names.text(t)),
+            VarRoot::Local(_) => None,
+        }
+    }
 }
 
+/// A trackable place — a root plus a selector path (`g.mu`, `s.stats.n`,
+/// `x`) — as an id into its file's [`Keys`]. After [`build_file`], ids
+/// order as the places' text does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct VarKey(u32);
+
 impl VarKey {
+    /// The table index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One place: its root, and the place it selects `sel` from (`None` for
+/// the root itself), `depth` selectors below the root.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    root: VarRoot,
+    parent: Option<VarKey>,
+    sel: Sym,
+    depth: u32,
+}
+
+/// The places of one file, each once.
+#[derive(Debug, Default)]
+pub struct Keys {
+    places: Vec<Node>,
+}
+
+impl Keys {
+    /// How many places the file has.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.places.len()
+    }
+
+    /// True for a file without trackable places.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.places.is_empty()
+    }
+
+    /// Every key, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = VarKey> {
+        (0..self.places.len() as u32).map(VarKey)
+    }
+
+    /// The root `key` selects from.
+    #[must_use]
+    pub fn root(&self, key: VarKey) -> VarRoot {
+        self.places[key.index()].root
+    }
+
     /// True when the key has file-wide identity (global or receiver field)
     /// rather than per-function identity.
     #[must_use]
-    pub fn is_file_wide(&self) -> bool {
-        matches!(self.root, VarRoot::Global(_) | VarRoot::Field(_))
+    pub fn is_file_wide(&self, key: VarKey) -> bool {
+        matches!(self.root(key), VarRoot::Global(_) | VarRoot::Field(_))
+    }
+
+    /// The selector path below the root: `".mu"`, `".stats.n"`, `""`.
+    #[must_use]
+    pub fn path_text(&self, key: VarKey, names: &Names) -> String {
+        let mut out = String::new();
+        self.push_path(key, names, &mut out);
+        out
+    }
+
+    fn push_path(&self, key: VarKey, names: &Names, out: &mut String) {
+        let p = self.places[key.index()];
+        if let Some(parent) = p.parent {
+            self.push_path(parent, names, out);
+            out.push('.');
+            out.push_str(names.text(p.sel));
+        }
+    }
+
+    /// How a lock is named in a message: `mu`, `Gate.mu` for a receiver
+    /// field, a local's path without its root (`""` for the local itself).
+    #[must_use]
+    pub fn text(&self, key: VarKey, names: &Names) -> String {
+        let path = self.path_text(key, names);
+        match self.root(key).text(names) {
+            Some(root) => format!("{root}{path}"),
+            None => path.trim_start_matches('.').to_string(),
+        }
+    }
+
+    /// The source spelling of an access to `key` spelled from the
+    /// identifier `spelled`: `g.mu` where [`Keys::text`] says `Gate.mu`.
+    #[must_use]
+    pub fn spelling(&self, spelled: Sym, key: VarKey, names: &Names) -> String {
+        let mut out = names.text(spelled).to_string();
+        self.push_path(key, names, &mut out);
+        out
+    }
+
+    /// Renumbers the keys so id order is `(variant, root text or symbol id,
+    /// path text)` order; returns each old id's new id.
+    fn rank(&mut self, names: &Names) -> Vec<VarKey> {
+        let mut order: Vec<VarKey> = self.iter().collect();
+        order.sort_unstable_by(|&a, &b| self.cmp_text(a, b, names));
+        let mut new_id = vec![VarKey(0); order.len()];
+        for (new, old) in order.iter().enumerate() {
+            new_id[old.index()] = VarKey(new as u32);
+        }
+        self.places = order
+            .iter()
+            .map(|old| {
+                let p = self.places[old.index()];
+                Node {
+                    parent: p.parent.map(|k| new_id[k.index()]),
+                    ..p
+                }
+            })
+            .collect();
+        new_id
+    }
+
+    /// The order of two places' text.
+    fn cmp_text(&self, a: VarKey, b: VarKey, names: &Names) -> Ordering {
+        let roots = match (self.root(a), self.root(b)) {
+            (VarRoot::Local(x), VarRoot::Local(y)) => x.cmp(&y),
+            (ra, rb) => (ra.rank(), ra.text(names)).cmp(&(rb.rank(), rb.text(names))),
+        };
+        roots.then_with(|| self.cmp_path(a, b, names))
+    }
+
+    /// The order of two places' selector paths, one selector at a time —
+    /// which is the order of their dotted text, since `.` sorts before
+    /// every identifier character.
+    fn cmp_path(&self, a: VarKey, b: VarKey, names: &Names) -> Ordering {
+        let (na, nb) = (self.places[a.index()], self.places[b.index()]);
+        match (na.depth.cmp(&nb.depth), na.parent, nb.parent) {
+            // The deeper path against the other: its prefix of the same
+            // depth first, then longer is greater.
+            (Ordering::Greater, Some(pa), _) => self.cmp_path(pa, b, names).then(Ordering::Greater),
+            (Ordering::Less, _, Some(pb)) => self.cmp_path(a, pb, names).then(Ordering::Less),
+            (Ordering::Equal, Some(pa), Some(pb)) if a != b => self
+                .cmp_path(pa, pb, names)
+                .then_with(|| names.text(na.sel).cmp(names.text(nb.sel))),
+            // Two roots, or one place.
+            _ => Ordering::Equal,
+        }
+    }
+}
+
+/// Hands out [`Keys`] while a file is built: one lookup per selector level.
+struct KeyInterner {
+    keys: Keys,
+    /// `(parent, selector)` for a selector, `(ROOT - variant, payload)`
+    /// for a root → its key.
+    index: FnvMap<(u32, u32), VarKey>,
+}
+
+/// Above every key id: the first word of a root's [`KeyInterner`] slot.
+const ROOT: u32 = u32::MAX;
+
+impl Default for KeyInterner {
+    fn default() -> Self {
+        // Room for a small file's places without growing.
+        KeyInterner {
+            keys: Keys {
+                places: Vec::with_capacity(16),
+            },
+            index: FnvMap::with_capacity_and_hasher(16, Default::default()),
+        }
+    }
+}
+
+impl KeyInterner {
+    fn intern(&mut self, slot: (u32, u32), node: Node) -> VarKey {
+        let places = &mut self.keys.places;
+        *self.index.entry(slot).or_insert_with(|| {
+            places.push(node);
+            VarKey(places.len() as u32 - 1)
+        })
+    }
+
+    fn root(&mut self, root: VarRoot) -> VarKey {
+        let slot = match root {
+            VarRoot::Global(s) => (ROOT, s.index() as u32),
+            VarRoot::Field(s) => (ROOT - 1, s.index() as u32),
+            VarRoot::Local(id) => (ROOT - 2, id.0),
+        };
+        let node = Node {
+            root,
+            parent: None,
+            sel: sym::EMPTY,
+            depth: 0,
+        };
+        self.intern(slot, node)
+    }
+
+    fn child(&mut self, parent: VarKey, sel: Sym) -> VarKey {
+        let p = self.keys.places[parent.index()];
+        let node = Node {
+            root: p.root,
+            parent: Some(parent),
+            sel,
+            depth: p.depth + 1,
+        };
+        self.intern((parent.0, sel.index() as u32), node)
     }
 }
 
 /// What a call expression resolves to, when it stays inside the file.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CallTarget {
     /// A package-level function declared in this file.
     Named(Sym),
@@ -97,7 +322,7 @@ pub enum CallTarget {
 }
 
 /// One analysis-relevant fact inside a block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Event {
     /// `x.Lock()` / `x.RLock()`.
     Acquire {
@@ -105,8 +330,6 @@ pub enum Event {
         lock: VarKey,
         /// Exclusive or shared.
         mode: LockMode,
-        /// Source spelling, for messages (`"g.mu"`).
-        display: String,
         /// Call position.
         pos: Pos,
     },
@@ -124,8 +347,9 @@ pub enum Event {
     Access {
         /// The variable.
         var: VarKey,
-        /// Source spelling, for messages.
-        display: String,
+        /// The identifier the place is spelled from: with `var`'s path,
+        /// the source spelling ([`Keys::spelling`]), for messages.
+        spelled: Sym,
         /// Write (or read-modify-write) vs read.
         write: bool,
         /// Performed through `sync/atomic`.
@@ -153,31 +377,40 @@ pub enum Event {
         spawned: bool,
         /// The call site sits inside a loop of the current context.
         in_loop: bool,
-        /// Function-literal arguments: `(argument index, literal position)`
-        /// — the position keys `Resolution::captures_at`.
-        closure_args: Vec<(usize, Pos)>,
-        /// Trackable places passed as arguments:
-        /// `(argument index, key, source spelling)`.
-        var_args: Vec<(usize, VarKey, String)>,
+        /// Its arguments: an index into [`FuncCfg::calls`].
+        args: u32,
         /// Call position.
         pos: Pos,
     },
 }
 
+/// The arguments of one [`Event::Call`] that the interprocedural rules
+/// read.
+#[derive(Debug, Default)]
+pub struct CallArgs {
+    /// Function-literal arguments: `(argument index, literal position)` —
+    /// the position keys `Resolution::captures_at`.
+    pub closures: Vec<(usize, Pos)>,
+    /// Trackable places passed as arguments: `(argument index, key,
+    /// identifier spelled from)`.
+    pub vars: Vec<(usize, VarKey, Sym)>,
+}
+
 /// One basic block.
 #[derive(Debug, Default)]
 pub struct BasicBlock {
-    /// Events in execution order.
-    pub events: Vec<Event>,
-    /// Successor blocks (same context).
-    pub succs: Vec<BlockId>,
+    /// Where its events sit in [`FuncCfg::events`] ([`FuncCfg::events_of`]).
+    pub events: Range<u32>,
+    /// Where its successors (same context) sit in [`FuncCfg::succs`]
+    /// ([`FuncCfg::succs_of`]).
+    pub succs: Range<u32>,
     /// Contexts spawned from this block (`go` statements).
     pub spawns: Vec<u32>,
     /// The context this block belongs to.
     pub ctx: u32,
-    /// Branch tags of every enclosing `if` then/else region, innermost
-    /// last.
-    pub branch_tags: Vec<u32>,
+    /// Branch tag of the innermost enclosing `if` then/else region; the
+    /// outer ones are in [`FuncCfg::branch_parent`].
+    pub branch: Option<u32>,
 }
 
 /// One execution context: the function body (id 0) or a spawned goroutine.
@@ -205,12 +438,21 @@ pub struct FuncCfg {
     pub recv_type: Option<Sym>,
     /// All blocks, across all contexts.
     pub blocks: Vec<BasicBlock>,
+    /// Every block's events in execution order, block after block.
+    pub events: Vec<Event>,
+    /// Every block's successors, block after block.
+    pub succs: Vec<BlockId>,
+    /// The arguments of every [`Event::Call`], in emission order.
+    pub calls: Vec<CallArgs>,
     /// All contexts; index 0 is the function body.
     pub contexts: Vec<Context>,
     /// Parameter symbols in signature order (`None` for unnamed or
     /// unresolved parameters), so effects on a parameter can be named by
     /// index at every call site.
     pub params: Vec<Option<SymbolId>>,
+    /// Per branch tag, the tag of the `if` region enclosing that `if` in
+    /// the same context.
+    pub branch_parent: Vec<Option<u32>>,
 }
 
 impl FuncCfg {
@@ -219,62 +461,91 @@ impl FuncCfg {
     pub fn param_index(&self, sym: SymbolId) -> Option<usize> {
         self.params.iter().position(|p| *p == Some(sym))
     }
+
+    /// The events of `block`, in execution order.
+    #[must_use]
+    pub fn events_of(&self, block: BlockId) -> &[Event] {
+        let r = &self.blocks[block.0].events;
+        &self.events[r.start as usize..r.end as usize]
+    }
+
+    /// The successors of `block`.
+    #[must_use]
+    pub fn succs_of(&self, block: BlockId) -> &[BlockId] {
+        let r = &self.blocks[block.0].succs;
+        &self.succs[r.start as usize..r.end as usize]
+    }
+
+    /// Branch tags of every `if` then/else region enclosing `block`,
+    /// innermost first.
+    pub fn branch_tags(&self, block: BlockId) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(self.blocks[block.0].branch, |&t| {
+            self.branch_parent[t as usize]
+        })
+    }
 }
 
-/// Builds a CFG for every function in `file` that has a body.
-#[must_use]
-pub fn build_file(file: &File, res: &Resolution) -> Vec<FuncCfg> {
-    file.decls
-        .iter()
-        .filter_map(|d| match d {
-            Decl::Func(f) => build_func(f, res, &file.names),
-            _ => None,
-        })
-        .collect()
+/// The CFGs of one file and the one key table their events share.
+#[derive(Debug)]
+pub struct FileCfg {
+    /// One CFG per function with a body, in declaration order.
+    pub funcs: Vec<FuncCfg>,
+    /// Every place the events name, ids in text order.
+    pub keys: Keys,
 }
 
-/// Builds the CFG for `f` (returns `None` for bodyless declarations).
+/// Builds a CFG for every function in `file` that has a body, then ranks
+/// the file's keys.
 #[must_use]
-pub fn build_func(f: &FuncDecl, res: &Resolution, names: &Names) -> Option<FuncCfg> {
-    let body = f.body.as_ref()?;
-    let recv_type = f.receiver.as_ref().map(|r| type_root_name(&r.ty));
-    let params: Vec<Option<SymbolId>> = f
-        .sig
-        .params
-        .iter()
-        .map(|p| match res.binding(f.pos, p.name) {
-            Some(Binding::New(id)) => Some(id),
-            _ => None,
-        })
-        .collect();
-    let mut b = Builder {
-        res,
-        names,
-        recv_type,
-        params,
-        blocks: vec![BasicBlock::default()],
-        contexts: vec![Context {
-            id: 0,
-            entry: BlockId(0),
-            parent: None,
-            spawn_pos: None,
-            in_loop: false,
-        }],
-        current: BlockId(0),
-        ctx: 0,
-        loop_stack: Vec::new(),
-        loop_depth: 0,
-        branch_stack: Vec::new(),
-        next_branch: 0,
+pub fn build_file(file: &File, res: &Resolution) -> FileCfg {
+    let mut b = Builder::new(res, &file.names);
+    let mut funcs: Vec<FuncCfg> = Vec::with_capacity(file.decls.len());
+    funcs.extend(file.decls.iter().filter_map(|d| match d {
+        Decl::Func(f) => b.func(f),
+        _ => None,
+    }));
+    let mut keys = b.keys.keys;
+    let new_id = keys.rank(&file.names);
+    let renumber = |k: &mut VarKey| *k = new_id[k.index()];
+    for f in &mut funcs {
+        for e in &mut f.events {
+            match e {
+                Event::Acquire { lock, .. } | Event::Release { lock, .. } => renumber(lock),
+                Event::Access { var, .. } => renumber(var),
+                Event::Call { .. } => {}
+            }
+        }
+        for (_, k, _) in f.calls.iter_mut().flat_map(|c| &mut c.vars) {
+            renumber(k);
+        }
+    }
+    FileCfg { funcs, keys }
+}
+
+/// `tagged`, each item with its block, laid out block after block — each
+/// block's own order kept — into `out`; block `b`'s run is
+/// `starts[b]..starts[b + 1]`.
+fn by_block<T: Copy>(tagged: &[(u32, T)], blocks: usize, starts: &mut Vec<u32>, out: &mut Vec<T>) {
+    starts.clear();
+    starts.resize(blocks + 1, 0);
+    for &(b, _) in tagged {
+        starts[b as usize + 1] += 1;
+    }
+    for b in 0..blocks {
+        starts[b + 1] += starts[b];
+    }
+    out.clear();
+    let Some(&(_, any)) = tagged.first() else {
+        return;
     };
-    b.stmts(&body.stmts);
-    Some(FuncCfg {
-        func: f.name,
-        recv_type,
-        blocks: b.blocks,
-        contexts: b.contexts,
-        params: b.params,
-    })
+    out.resize(tagged.len(), any);
+    // Each block's start serves as its cursor, then moves back.
+    for &(b, item) in tagged {
+        out[starts[b as usize] as usize] = item;
+        starts[b as usize] += 1;
+    }
+    starts.copy_within(0..blocks, 1);
+    starts[0] = 0;
 }
 
 fn type_root_name(ty: &Type) -> Sym {
@@ -288,7 +559,8 @@ fn type_root_name(ty: &Type) -> Sym {
 /// A resolved place expression.
 struct Place {
     key: VarKey,
-    display: String,
+    /// The identifier the expression starts from.
+    spelled: Sym,
     pos: Pos,
     indexed: bool,
 }
@@ -298,99 +570,186 @@ struct LoopFrame {
     after: BlockId,
 }
 
+/// Builds the CFGs of one file, one function at a time, reusing its
+/// buffers from one function to the next.
 struct Builder<'a> {
     res: &'a Resolution,
     names: &'a Names,
+    keys: KeyInterner,
     recv_type: Option<Sym>,
     /// Becomes [`FuncCfg::params`].
     params: Vec<Option<SymbolId>>,
     blocks: Vec<BasicBlock>,
+    /// Every event with its block, in emission order.
+    events: Vec<(u32, Event)>,
+    /// Every edge with its source block, in link order.
+    edges: Vec<(u32, BlockId)>,
+    /// Becomes [`FuncCfg::calls`].
+    calls: Vec<CallArgs>,
     contexts: Vec<Context>,
     current: BlockId,
     ctx: u32,
     loop_stack: Vec<LoopFrame>,
     loop_depth: u32,
     branch_stack: Vec<u32>,
-    next_branch: u32,
+    /// Becomes [`FuncCfg::branch_parent`]; its length is the next tag.
+    branch_parent: Vec<Option<u32>>,
+    /// [`by_block`]'s run starts, and the edge targets it lays out.
+    starts: Vec<u32>,
+    targets: Vec<BlockId>,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(res: &'a Resolution, names: &'a Names) -> Self {
+        // The scratch buffers start with room for a typical function.
+        Builder {
+            res,
+            names,
+            keys: KeyInterner::default(),
+            recv_type: None,
+            params: Vec::new(),
+            blocks: Vec::with_capacity(32),
+            events: Vec::with_capacity(64),
+            edges: Vec::with_capacity(32),
+            calls: Vec::new(),
+            contexts: Vec::new(),
+            current: BlockId(0),
+            ctx: 0,
+            loop_stack: Vec::new(),
+            loop_depth: 0,
+            branch_stack: Vec::new(),
+            branch_parent: Vec::new(),
+            starts: Vec::new(),
+            targets: Vec::new(),
+        }
+    }
+
+    /// Builds the CFG for `f` (returns `None` for bodyless declarations).
+    fn func(&mut self, f: &FuncDecl) -> Option<FuncCfg> {
+        let body = f.body.as_ref()?;
+        self.recv_type = f.receiver.as_ref().map(|r| type_root_name(&r.ty));
+        self.params = f
+            .sig
+            .params
+            .iter()
+            .map(|p| match self.res.binding(f.pos, p.name) {
+                Some(Binding::New(id)) => Some(id),
+                _ => None,
+            })
+            .collect();
+        self.blocks.clear();
+        self.blocks.push(BasicBlock::default());
+        self.contexts.clear();
+        self.contexts.push(Context {
+            id: 0,
+            entry: BlockId(0),
+            parent: None,
+            spawn_pos: None,
+            in_loop: false,
+        });
+        self.events.clear();
+        self.edges.clear();
+        self.branch_parent.clear();
+        (self.current, self.ctx, self.loop_depth) = (BlockId(0), 0, 0);
+        self.stmts(&body.stmts);
+
+        // Lay the events and edges out block after block.
+        let mut blocks: Vec<BasicBlock> = self.blocks.drain(..).collect();
+        let mut events = Vec::new();
+        by_block(&self.events, blocks.len(), &mut self.starts, &mut events);
+        for (b, block) in blocks.iter_mut().enumerate() {
+            block.events = self.starts[b]..self.starts[b + 1];
+        }
+        by_block(
+            &self.edges,
+            blocks.len(),
+            &mut self.starts,
+            &mut self.targets,
+        );
+        let mut succs: Vec<BlockId> = Vec::with_capacity(self.targets.len());
+        for (b, block) in blocks.iter_mut().enumerate() {
+            let start = succs.len();
+            let run = &self.targets[self.starts[b] as usize..self.starts[b + 1] as usize];
+            for &to in run {
+                if !succs[start..].contains(&to) {
+                    succs.push(to);
+                }
+            }
+            block.succs = start as u32..succs.len() as u32;
+        }
+        Some(FuncCfg {
+            func: f.name,
+            recv_type: self.recv_type,
+            blocks,
+            events,
+            succs,
+            calls: std::mem::take(&mut self.calls),
+            contexts: self.contexts.drain(..).collect(),
+            params: std::mem::take(&mut self.params),
+            branch_parent: self.branch_parent.drain(..).collect(),
+        })
+    }
+
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len());
         self.blocks.push(BasicBlock {
             ctx: self.ctx,
-            branch_tags: self.branch_stack.clone(),
+            branch: self.branch_stack.last().copied(),
             ..BasicBlock::default()
         });
         id
     }
 
     fn link(&mut self, from: BlockId, to: BlockId) {
-        if !self.blocks[from.0].succs.contains(&to) {
-            self.blocks[from.0].succs.push(to);
-        }
+        self.edges.push((from.0 as u32, to));
     }
 
     fn emit(&mut self, e: Event) {
-        self.blocks[self.current.0].events.push(e);
+        self.events.push((self.current.0 as u32, e));
     }
 
     /// Resolves `e` as a trackable place (identifier / selector chain /
     /// index expression rooted in a local, global, or receiver).
-    fn place(&self, e: &Expr) -> Option<Place> {
+    fn place(&mut self, e: &Expr) -> Option<Place> {
         match e {
             Expr::Ident(pos, name) => {
                 let symbol = self.res.symbol_at(*pos)?;
-                let text = self.names.text(*name);
                 let root = match symbol.kind {
-                    SymbolKind::GlobalVar => VarRoot::Global(text.to_string()),
+                    SymbolKind::GlobalVar => VarRoot::Global(*name),
                     // An unresolved name in single-file analysis is almost
                     // always a package-level symbol from a sibling file —
                     // treat it as a global (builtin literals excepted).
                     SymbolKind::Universe
                         if !matches!(*name, sym::TRUE | sym::FALSE | sym::NIL | sym::IOTA) =>
                     {
-                        VarRoot::Global(text.to_string())
+                        VarRoot::Global(*name)
                     }
                     k if k.capturable() => VarRoot::Local(symbol.id),
                     _ => return None,
                 };
                 Some(Place {
-                    key: VarKey {
-                        root,
-                        path: String::new(),
-                    },
-                    display: text.to_string(),
+                    key: self.keys.root(root),
+                    spelled: *name,
                     pos: *pos,
                     indexed: false,
                 })
             }
             Expr::Selector(base, sel) => {
                 let b = self.place(base)?;
-                let sel = self.names.text(*sel);
                 // A selector directly on the method receiver keys by the
                 // receiver TYPE so all methods of the type agree.
-                let key = match (&b.key.root, self.recv_type) {
+                let parent = match (self.keys.keys.root(b.key), self.recv_type) {
                     (VarRoot::Local(id), Some(ty))
-                        if b.key.path.is_empty()
-                            && self.res.symbol(*id).kind == SymbolKind::Receiver =>
+                        if self.keys.keys.places[b.key.index()].parent.is_none()
+                            && self.res.symbol(id).kind == SymbolKind::Receiver =>
                     {
-                        let ty = if ty.is_empty() { "?" } else { self.names.text(ty) };
-                        VarKey {
-                            root: VarRoot::Field(ty.to_string()),
-                            path: format!(".{sel}"),
-                        }
+                        self.keys.root(VarRoot::Field(ty))
                     }
-                    _ => VarKey {
-                        root: b.key.root.clone(),
-                        path: format!("{}.{sel}", b.key.path),
-                    },
+                    _ => b.key,
                 };
                 Some(Place {
-                    key,
-                    display: format!("{}.{sel}", b.display),
-                    pos: b.pos,
-                    indexed: b.indexed,
+                    key: self.keys.child(parent, *sel),
+                    ..b
                 })
             }
             // `m[k]` accesses the container `m`.
@@ -412,7 +771,7 @@ impl Builder<'_> {
     fn access(&mut self, p: Place, write: bool, atomic: bool, cond_of: Option<u32>) {
         self.emit(Event::Access {
             var: p.key,
-            display: p.display,
+            spelled: p.spelled,
             write,
             atomic,
             init: false,
@@ -423,12 +782,10 @@ impl Builder<'_> {
     }
 
     fn init_write(&mut self, id: SymbolId, name: Sym, pos: Pos) {
+        let var = self.keys.root(VarRoot::Local(id));
         self.emit(Event::Access {
-            var: VarKey {
-                root: VarRoot::Local(id),
-                path: String::new(),
-            },
-            display: self.names.text(name).to_string(),
+            var,
+            spelled: name,
             write: true,
             atomic: false,
             init: true,
@@ -477,30 +834,28 @@ impl Builder<'_> {
 
     /// Argument facts for a [`Event::Call`]: which arguments are function
     /// literals and which are trackable places.
-    #[allow(clippy::type_complexity)]
-    fn call_args_meta(&self, args: &[Expr]) -> (Vec<(usize, Pos)>, Vec<(usize, VarKey, String)>) {
-        let mut closures = Vec::new();
-        let mut vars = Vec::new();
+    fn call_args(&mut self, args: &[Expr]) -> CallArgs {
+        let mut out = CallArgs::default();
         for (i, a) in args.iter().enumerate() {
             if let Expr::FuncLit { pos, .. } = a {
-                closures.push((i, *pos));
+                out.closures.push((i, *pos));
             } else if let Some(p) = self.place(a) {
-                vars.push((i, p.key, p.display));
+                out.vars.push((i, p.key, p.spelled));
             }
         }
-        (closures, vars)
+        out
     }
 
     /// Emits the [`Event::Call`] for a resolvable callee, if any.
     fn call_event(&mut self, callee: &Expr, args: &[Expr], spawned: bool, go_pos: Option<Pos>) {
         if let Some((target, pos)) = self.resolve_call_target(callee) {
-            let (closure_args, var_args) = self.call_args_meta(args);
+            let call_args = self.call_args(args);
+            self.calls.push(call_args);
             self.emit(Event::Call {
                 target,
                 spawned,
                 in_loop: self.loop_depth > 0,
-                closure_args,
-                var_args,
+                args: self.calls.len() as u32 - 1,
                 pos: go_pos.unwrap_or(pos),
             });
         }
@@ -585,7 +940,6 @@ impl Builder<'_> {
                         Event::Acquire {
                             lock: p.key,
                             mode,
-                            display: p.display,
                             pos: p.pos,
                         }
                     } else {
@@ -682,19 +1036,19 @@ impl Builder<'_> {
                     // a real write; a fresh declaration is an init write.
                     match self.res.binding(*pos, name) {
                         Some(Binding::New(id)) => self.init_write(id, name, *pos),
-                        Some(Binding::Existing(id)) => self.emit(Event::Access {
-                            var: VarKey {
-                                root: VarRoot::Local(id),
-                                path: String::new(),
-                            },
-                            display: self.names.text(name).to_string(),
-                            write: true,
-                            atomic: false,
-                            init: false,
-                            cond_of: None,
-                            indexed: false,
-                            pos: *pos,
-                        }),
+                        Some(Binding::Existing(id)) => {
+                            let var = self.keys.root(VarRoot::Local(id));
+                            self.emit(Event::Access {
+                                var,
+                                spelled: name,
+                                write: true,
+                                atomic: false,
+                                init: false,
+                                cond_of: None,
+                                indexed: false,
+                                pos: *pos,
+                            });
+                        }
                         None => {}
                     }
                 }
@@ -776,8 +1130,8 @@ impl Builder<'_> {
                 if let Some(i) = init {
                     self.stmt(i);
                 }
-                let tag = self.next_branch;
-                self.next_branch += 1;
+                let tag = self.branch_parent.len() as u32;
+                self.branch_parent.push(self.branch_stack.last().copied());
                 self.reads(cond, Some(tag));
                 let head = self.current;
                 let join = self.new_block();
@@ -942,17 +1296,21 @@ mod tests {
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
-    fn cfg_of(src: &str) -> FuncCfg {
+    /// The first function's CFG, the file's keys and its names.
+    fn file_of(src: &str) -> (FuncCfg, Keys, Names) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        build_file(&file, &res)
-            .into_iter()
-            .next()
-            .expect("a function with a body")
+        let FileCfg { funcs, keys } = build_file(&file, &res);
+        let first = funcs.into_iter().next().expect("a function with a body");
+        (first, keys, file.names)
+    }
+
+    fn cfg_of(src: &str) -> FuncCfg {
+        file_of(src).0
     }
 
     fn all_events(cfg: &FuncCfg) -> Vec<&Event> {
-        cfg.blocks.iter().flat_map(|b| b.events.iter()).collect()
+        cfg.events.iter().collect()
     }
 
     #[test]
@@ -975,7 +1333,7 @@ func f(jobs []int) {
 
     #[test]
     fn lock_events_and_defer_unlock() {
-        let cfg = cfg_of(
+        let (cfg, keys, names) = file_of(
             r"
 package p
 func (g *Gate) update() {
@@ -997,7 +1355,8 @@ func (g *Gate) update() {
         assert!(evs.iter().any(|e| matches!(
             e,
             Event::Access { var, write: true, .. }
-                if var.root == VarRoot::Field("Gate".to_string()) && var.path == ".ready"
+                if keys.text(*var, &names) == "Gate.ready"
+                    && matches!(keys.root(*var), VarRoot::Field(_))
         )));
     }
 
@@ -1046,9 +1405,10 @@ func f() {
             })
             .expect("condition read tagged");
         // The guarded write lives in a block tagged with the same branch.
-        let write_in_branch = cfg.blocks.iter().any(|b| {
-            b.branch_tags.contains(&tag)
-                && b.events
+        let write_in_branch = (0..cfg.blocks.len()).map(BlockId).any(|b| {
+            cfg.branch_tags(b).any(|t| t == tag)
+                && cfg
+                    .events_of(b)
                     .iter()
                     .any(|e| matches!(e, Event::Access { write: true, .. }))
         });
@@ -1067,17 +1427,14 @@ func f(n int) {
 }
 ",
         );
-        let back_edge = cfg
-            .blocks
-            .iter()
-            .enumerate()
-            .any(|(i, b)| b.succs.iter().any(|s| s.0 <= i));
+        let back_edge =
+            (0..cfg.blocks.len()).any(|i| cfg.succs_of(BlockId(i)).iter().any(|s| s.0 <= i));
         assert!(back_edge);
     }
 
     #[test]
     fn shadowed_locals_key_differently() {
-        let cfg = cfg_of(
+        let (cfg, keys, _) = file_of(
             r"
 package p
 var version int
@@ -1090,8 +1447,9 @@ func f() {
         for e in all_events(&cfg) {
             if let Event::Access { var, .. } = e {
                 assert!(
-                    matches!(var.root, VarRoot::Local(_)),
-                    "shadowed name resolved to {var:?}"
+                    matches!(keys.root(*var), VarRoot::Local(_)),
+                    "shadowed name resolved to {:?}",
+                    keys.root(*var)
                 );
             }
         }
@@ -1099,7 +1457,7 @@ func f() {
 
     #[test]
     fn explicit_runlock_releases() {
-        let cfg = cfg_of(
+        let (cfg, keys, names) = file_of(
             r"
 package p
 func (s *Store) bump() {
@@ -1118,8 +1476,49 @@ func (s *Store) bump() {
         // count is read once and written once (v's init write aside).
         let count_accesses = evs
             .iter()
-            .filter(|e| matches!(e, Event::Access { var, .. } if var.path == ".count"))
+            .filter(|e| {
+                matches!(e, Event::Access { var, .. } if keys.path_text(*var, &names) == ".count")
+            })
             .count();
         assert_eq!(count_accesses, 2);
+    }
+
+    #[test]
+    fn key_ids_follow_text_not_first_occurrence() {
+        let (cfg, keys, names) = file_of(
+            r"
+package p
+var zeta int
+var alpha int
+func (s *S) f() {
+    zeta = 1
+    s.b.c = 1
+    s.ab = 2
+    s.b = 3
+    alpha = 4
+    x := s
+    x.q = 5
+}
+",
+        );
+        let texts: Vec<String> = keys.iter().map(|k| keys.text(k, &names)).collect();
+        assert_eq!(
+            texts,
+            ["alpha", "zeta", "S", "S.ab", "S.b", "S.b.c", "", "", "q"],
+            "globals by name, then receiver fields by path, then locals by symbol"
+        );
+        // Every event's key was renumbered with the table.
+        let spelled: Vec<String> = cfg
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Access { var, spelled, .. } => Some(keys.spelling(*spelled, *var, &names)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            spelled,
+            ["zeta", "s.b.c", "s.ab", "s.b", "alpha", "s", "x", "x.q"]
+        );
     }
 }

@@ -26,7 +26,8 @@
 //! * [`resolve`] — lexical scope resolution (Go's `:=` redeclaration rule,
 //!   shadowing, closure capture sets),
 //! * [`mod@cfg`] — per-function control-flow graphs with goroutine-spawn edges
-//!   and lock/access events,
+//!   and lock/access events, naming places by ids into one per-file key
+//!   table ([`cfg::Keys`]) ranked in text order,
 //! * [`lockset`] — an Eraser-style static lockset dataflow over the CFG,
 //!   run once per file into the [`lockset::Flow`] table (every access and
 //!   in-file call with the locks held there) that all the locking rules

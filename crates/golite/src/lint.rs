@@ -234,18 +234,18 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
     // analysis roots: accesses inside called functions are judged through
     // their call chains by the interprocedural rules instead of being
     // double-counted intraprocedurally.
-    let cfgs = cfg::build_file(file, &res);
-    let flow = lockset::flow(&cfgs);
-    let cg = CallGraph::build(cfgs.len(), &flow.sites);
+    let cfg = cfg::build_file(file, &res);
+    let flow = lockset::flow(&cfg);
+    let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
     let (lock_findings, seen_vars) =
-        lockset::intraproc_findings(&flow.accesses, &cg.called(), &file.names);
+        lockset::intraproc_findings(&cfg, &flow, &cg.called(), &file.names);
     findings.extend(lock_findings);
 
-    let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
+    let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
     let mhp = Mhp::build(file);
     findings.extend(summary::interproc_findings(
         &res,
-        &cfgs,
+        &cfg,
         &cg,
         &sums,
         &mhp,

@@ -20,6 +20,12 @@
 //!    and receiver fields, per-function for locals — and each group is
 //!    tested against the locking rules (GR007–GR011) of [`Rule`].
 //!
+//! A lockset is a sorted `(lock, mode)` slice interned in the file's
+//! [`Locksets`]: the few distinct sets a file holds are stored once, every
+//! access between two lock events shares one id, and equal ids are equal
+//! sets. Keys are ranked in text order ([`cfg`](crate::cfg)), so a sorted
+//! slice compares exactly as the text-keyed map it stands for would.
+//!
 //! Sharedness is approximated the way Eraser does at warm-up: a variable
 //! counts as shared once it is touched from two execution contexts, from a
 //! goroutine spawned in a loop (concurrent with itself), or — for globals
@@ -27,28 +33,219 @@
 //! somebody believed this needs protection). Declaration-initializer
 //! writes are exempt from race evidence, mirroring Eraser's init phase.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 
 use crate::ast::{Names, Sym};
 use crate::callgraph::{CallSite, ParamCall};
-use crate::cfg::{BlockId, CallTarget, Event, FuncCfg, LockMode, VarKey};
+use crate::cfg::{BlockId, CallTarget, Event, FileCfg, FuncCfg, Keys, LockMode, VarKey};
 use crate::lint::{Finding, Rule};
-use crate::names::FnvMap;
+use crate::names::{FnvHasher, FnvMap};
+use crate::summary::Chain;
 use crate::token::Pos;
 
-/// Locks held at a program point, with the strongest mode held per lock.
-pub type Lockset = BTreeMap<VarKey, LockMode>;
+/// An interned slice: an id into its file's [`SliceTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SliceId<T>(u32, PhantomData<fn() -> T>);
+
+impl<T> SliceId<T> {
+    /// The empty slice, id 0 in every table.
+    pub const EMPTY: SliceId<T> = SliceId(0, PhantomData);
+}
+
+/// The slices of one file — locksets, released-lock sets, call chains —
+/// each stored once: equal slices share an id, so comparing ids compares
+/// contents.
+#[derive(Debug, Clone)]
+pub struct SliceTable<T> {
+    /// Every slice's elements, back to back.
+    items: Vec<T>,
+    /// Where each slice ends in `items` (it starts where the previous ends).
+    ends: Vec<u32>,
+    /// Content hash → the first slice with that hash.
+    by_hash: FnvMap<u64, u32>,
+    /// Reused by [`SliceTable::make`].
+    scratch: Vec<T>,
+}
+
+impl<T: Copy + Eq + Hash> Default for SliceTable<T> {
+    fn default() -> Self {
+        let mut table = SliceTable {
+            items: Vec::new(),
+            ends: Vec::new(),
+            by_hash: FnvMap::default(),
+            scratch: Vec::new(),
+        };
+        table.intern(&[]);
+        table
+    }
+}
+
+impl<T: Copy + Eq + Hash> SliceTable<T> {
+    /// How many distinct slices the table holds, the empty one included.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Never true: every table holds the empty slice.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every slice, in the order first interned.
+    pub fn iter(&self) -> impl Iterator<Item = SliceId<T>> {
+        (0..self.ends.len() as u32).map(|i| SliceId(i, PhantomData))
+    }
+
+    /// The elements of `id`.
+    #[must_use]
+    pub fn get(&self, id: SliceId<T>) -> &[T] {
+        let i = id.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.items[start..self.ends[i] as usize]
+    }
+
+    /// The id of `slice`, adding it on first sight.
+    pub fn intern(&mut self, slice: &[T]) -> SliceId<T> {
+        let mut h = FnvHasher::default();
+        slice.hash(&mut h);
+        let hash = h.finish();
+        if let Some(&first) = self.by_hash.get(&hash) {
+            // Another slice with this hash is all but impossible; when
+            // there is one, the table is searched whole.
+            let found = std::iter::once(first)
+                .chain(0..self.ends.len() as u32)
+                .map(|i| SliceId(i, PhantomData))
+                .find(|&id| self.get(id) == slice);
+            if let Some(id) = found {
+                return id;
+            }
+        }
+        let id = self.ends.len() as u32;
+        self.items.extend_from_slice(slice);
+        self.ends.push(self.items.len() as u32);
+        self.by_hash.entry(hash).or_insert(id);
+        SliceId(id, PhantomData)
+    }
+
+    /// Interns the slice `fill` writes into an empty buffer.
+    pub(crate) fn make(&mut self, fill: impl FnOnce(&Self, &mut Vec<T>)) -> SliceId<T> {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        fill(self, &mut buf);
+        let id = self.intern(&buf);
+        self.scratch = buf;
+        id
+    }
+}
+
+/// Locks held at a program point, with the strongest mode held per lock,
+/// sorted by lock: an id into the file's [`Locksets`].
+pub type Lockset = SliceId<(VarKey, LockMode)>;
+/// The locksets of one file.
+pub type Locksets = SliceTable<(VarKey, LockMode)>;
+/// A set of locks (those released before a call), sorted: an id into
+/// [`KeySets`].
+pub type KeySet = SliceId<VarKey>;
+/// The lock sets of one file.
+pub type KeySets = SliceTable<VarKey>;
+
+impl Locksets {
+    /// `set` with `lock` held, keeping the stronger mode when already held.
+    fn hold(&mut self, set: Lockset, lock: VarKey, mode: LockMode) -> Lockset {
+        let held = self.get(set);
+        match held.binary_search_by_key(&lock, |&(k, _)| k) {
+            Ok(i) if held[i].1 >= mode => set,
+            found => self.make(|t, buf| {
+                buf.extend_from_slice(t.get(set));
+                match found {
+                    Ok(i) => buf[i].1 = mode,
+                    Err(i) => buf.insert(i, (lock, mode)),
+                }
+            }),
+        }
+    }
+
+    /// `set` without `lock`.
+    fn release(&mut self, set: Lockset, lock: VarKey) -> Lockset {
+        match self.get(set).binary_search_by_key(&lock, |&(k, _)| k) {
+            Ok(i) => self.make(|t, buf| {
+                buf.extend_from_slice(t.get(set));
+                buf.remove(i);
+            }),
+            Err(_) => set,
+        }
+    }
+
+    /// Join operator: a lock survives a merge only if held on both paths,
+    /// at the weaker of the two modes.
+    fn meet(&mut self, a: Lockset, b: Lockset) -> Lockset {
+        if a == b {
+            return a;
+        }
+        self.make(|t, buf| {
+            let other = t.get(b);
+            buf.extend(t.get(a).iter().filter_map(|&(k, ma)| {
+                let i = other.binary_search_by_key(&k, |&(k, _)| k).ok()?;
+                Some((k, ma.min(other[i].1)))
+            }));
+        })
+    }
+
+    /// `a` with every lock of `b` held too (the stronger mode where both
+    /// hold one).
+    pub(crate) fn join(&mut self, a: Lockset, b: Lockset) -> Lockset {
+        if a == b || b == Lockset::EMPTY {
+            return a;
+        }
+        if a == Lockset::EMPTY {
+            return b;
+        }
+        self.make(|t, buf| {
+            buf.extend_from_slice(t.get(a));
+            buf.extend_from_slice(t.get(b));
+            // Each lock's strongest mode first; the dedup keeps it.
+            buf.sort_unstable_by_key(|&(k, m)| (k, Reverse(m)));
+            buf.dedup_by_key(|(k, _)| *k);
+        })
+    }
+}
+
+impl KeySets {
+    /// The union of two sets.
+    pub(crate) fn union(&mut self, a: KeySet, b: KeySet) -> KeySet {
+        if a == b || b == KeySet::EMPTY {
+            return a;
+        }
+        if a == KeySet::EMPTY {
+            return b;
+        }
+        self.make(|t, buf| {
+            buf.extend_from_slice(t.get(a));
+            buf.extend_from_slice(t.get(b));
+            buf.sort_unstable();
+            buf.dedup();
+        })
+    }
+}
 
 /// One variable access with every fact the locking rules read. [`flow`]
 /// emits one per [`Event::Access`]; the summary layer propagates copies up
 /// the call graph, folding each call site's facts into the fields marked
 /// *(chain)* and leaving the rest describing the access where it stands.
-#[derive(Debug, Clone, PartialEq)]
+/// Every field is a value or an id into a per-file table, so copying one
+/// copies no heap data.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Access {
     /// The accessed variable.
     pub var: VarKey,
-    /// Source spelling, for messages.
-    pub display: String,
+    /// The identifier the place is spelled from: with `var`'s path, the
+    /// source spelling ([`Keys::spelling`]), for messages.
+    pub spelled: Sym,
     /// Write vs read.
     pub write: bool,
     /// Performed through `sync/atomic`.
@@ -59,8 +256,10 @@ pub struct Access {
     pub cond_of: Option<u32>,
     /// The place was reached through an index expression (`m[k]`).
     pub indexed: bool,
-    /// Branch tags of the enclosing `if` regions.
-    pub branch_tags: Vec<u32>,
+    /// The block of its own function's CFG the access sits in, which
+    /// holds the branch tags of the enclosing `if` regions
+    /// ([`FuncCfg::branch_tags`]).
+    pub block: BlockId,
     /// Source position.
     pub pos: Pos,
     /// Name of the function that lexically contains the access.
@@ -83,85 +282,77 @@ pub struct Access {
     pub spawn_pos: Option<Pos>,
     /// *(chain)*: locks held earlier on the chain but released before it
     /// was entered. Empty for an access where it stands.
-    pub dropped: BTreeSet<VarKey>,
+    pub dropped: KeySet,
     /// *(chain)*: the `(callee, call position)` hops the access was reached
     /// through. Empty for an access where it stands.
-    pub chain: Vec<(Sym, Pos)>,
+    pub chain: Chain,
 }
 
 impl Access {
     /// True when at least one lock protects the access.
     #[must_use]
-    pub fn guarded(&self) -> bool {
-        !effective(&self.locks, self.write).is_empty()
+    pub fn guarded(&self, locksets: &Locksets) -> bool {
+        effective(locksets.get(self.locks), self.write)
+            .next()
+            .is_some()
     }
 }
 
 /// Locks of `held` that actually protect an access: a `Read`-mode lock
 /// excludes writers only, so it protects reads but not writes.
-pub(crate) fn effective(held: &Lockset, write: bool) -> BTreeSet<VarKey> {
+pub(crate) fn effective(
+    held: &[(VarKey, LockMode)],
+    write: bool,
+) -> impl Iterator<Item = VarKey> + '_ {
     held.iter()
-        .filter(|(_, m)| **m == LockMode::Write || !write)
-        .map(|(k, _)| k.clone())
-        .collect()
+        .filter(move |&&(_, m)| m == LockMode::Write || !write)
+        .map(|&(k, _)| k)
 }
 
-/// Computes the lockset at each block entry of `cfg` by forward fixpoint.
+/// Computes the lockset at each block entry of `cfg` by forward fixpoint
+/// into `insets`, with `work` as the worklist.
 ///
 /// `None` marks an unreachable block. Each context starts empty at its
 /// entry (a goroutine inherits no locks — Go locks are not reentrant and
 /// the spawner's critical section does not extend into the child).
-fn block_entry_locksets(cfg: &FuncCfg) -> Vec<Option<Lockset>> {
-    let mut insets: Vec<Option<Lockset>> = vec![None; cfg.blocks.len()];
-    let mut work: VecDeque<BlockId> = VecDeque::new();
+fn block_entry_locksets(
+    cfg: &FuncCfg,
+    locksets: &mut Locksets,
+    insets: &mut Vec<Option<Lockset>>,
+    work: &mut VecDeque<BlockId>,
+) {
+    insets.clear();
+    insets.resize(cfg.blocks.len(), None);
+    work.clear();
     for ctx in &cfg.contexts {
-        insets[ctx.entry.0] = Some(Lockset::new());
+        insets[ctx.entry.0] = Some(Lockset::EMPTY);
         work.push_back(ctx.entry);
     }
     while let Some(b) = work.pop_front() {
-        let mut out = insets[b.0].clone().unwrap_or_default();
-        for e in &cfg.blocks[b.0].events {
-            apply(&mut out, e);
+        let mut out = insets[b.0].unwrap_or(Lockset::EMPTY);
+        for e in cfg.events_of(b) {
+            out = apply(locksets, out, e);
         }
-        for &s in &cfg.blocks[b.0].succs {
-            let merged = match &insets[s.0] {
-                None => out.clone(),
-                Some(prev) => meet(prev, &out),
+        for &s in cfg.succs_of(b) {
+            let merged = match insets[s.0] {
+                None => out,
+                Some(prev) => locksets.meet(prev, out),
             };
-            if insets[s.0].as_ref() != Some(&merged) {
+            if insets[s.0] != Some(merged) {
                 insets[s.0] = Some(merged);
                 work.push_back(s);
             }
         }
     }
-    insets
 }
 
 /// The transfer function: what one event does to the set of locks held.
-fn apply(set: &mut Lockset, e: &Event) {
-    match e {
-        Event::Acquire { lock, mode, .. } => hold(set, lock, *mode),
-        Event::Release { lock, .. } => {
-            set.remove(lock);
-        }
-        Event::Access { .. } | Event::Call { .. } => {}
+fn apply(locksets: &mut Locksets, set: Lockset, e: &Event) -> Lockset {
+    match *e {
+        Event::Acquire { lock, mode, .. } => locksets.hold(set, lock, mode),
+        Event::Release { lock, .. } => locksets.release(set, lock),
+        Event::Access { .. } | Event::Call { .. } => set,
     }
-}
-
-/// Adds `lock` to `set`, keeping the stronger mode when already held.
-pub(crate) fn hold(set: &mut Lockset, lock: &VarKey, mode: LockMode) {
-    let entry = set.entry(lock.clone()).or_insert(mode);
-    if mode > *entry {
-        *entry = mode;
-    }
-}
-
-/// Join operator: a lock survives a merge only if held on both paths, at
-/// the weaker of the two modes.
-fn meet(a: &Lockset, b: &Lockset) -> Lockset {
-    a.iter()
-        .filter_map(|(k, ma)| b.get(k).map(|mb| (k.clone(), (*ma).min(*mb))))
-        .collect()
 }
 
 /// The flow table of one file: every access and every in-file call with
@@ -177,6 +368,10 @@ pub struct Flow {
     pub sites: Vec<CallSite>,
     /// Calls through function-typed parameters.
     pub param_calls: Vec<ParamCall>,
+    /// The locksets `accesses` and `sites` hold.
+    pub locksets: Locksets,
+    /// The released-lock sets `sites` hold.
+    pub dropped: KeySets,
 }
 
 /// Builds the [`Flow`] table: one lockset fixpoint per function, then one
@@ -186,36 +381,51 @@ pub struct Flow {
 /// accesses and findings keeping the first seen, and caps a summary's size,
 /// so a different order would report a different (equally valid) witness.
 #[must_use]
-pub fn flow(cfgs: &[FuncCfg]) -> Flow {
+pub fn flow(cfg: &FileCfg) -> Flow {
     // `(receiver type, name)` → function; the first declaration wins.
-    let mut by_name: FnvMap<(Option<Sym>, Sym), usize> = FnvMap::default();
-    for (i, c) in cfgs.iter().enumerate() {
+    let mut by_name: FnvMap<(Option<Sym>, Sym), usize> =
+        FnvMap::with_capacity_and_hasher(cfg.funcs.len(), Default::default());
+    for (i, c) in cfg.funcs.iter().enumerate() {
         by_name.entry((c.recv_type, c.func)).or_insert(i);
     }
 
-    let mut out = Flow::default();
-    for (func_idx, cfg) in cfgs.iter().enumerate() {
-        let insets = block_entry_locksets(cfg);
+    let accesses = cfg
+        .funcs
+        .iter()
+        .flat_map(|f| &f.events)
+        .filter(|e| matches!(e, Event::Access { .. }))
+        .count();
+    let mut out = Flow {
+        accesses: Vec::with_capacity(accesses),
+        ..Flow::default()
+    };
+    let (mut insets, mut work) = (Vec::new(), VecDeque::new());
+    // Locks acquired so far in each context, in block-creation order
+    // (which tracks execution order for straight-line code — the shape
+    // the dropped-lock rule targets), sorted.
+    let mut ever: Vec<Vec<VarKey>> = Vec::new();
+    for (func_idx, f) in cfg.funcs.iter().enumerate() {
+        block_entry_locksets(f, &mut out.locksets, &mut insets, &mut work);
         let first_site = out.sites.len();
-        // Locks acquired so far in each context, in block-creation order
-        // (which tracks execution order for straight-line code — the shape
-        // the dropped-lock rule targets).
-        let mut ever: Vec<BTreeSet<VarKey>> = vec![BTreeSet::new(); cfg.contexts.len()];
-        for (bid, block) in cfg.blocks.iter().enumerate() {
+        ever.iter_mut().for_each(Vec::clear);
+        ever.resize_with(f.contexts.len(), Vec::new);
+        for (bid, block) in f.blocks.iter().enumerate() {
             // Unreachable blocks (code after return/break) carry no races.
-            let Some(entry) = &insets[bid] else { continue };
-            let mut cur = entry.clone();
-            let ctx = &cfg.contexts[block.ctx as usize];
-            for e in &block.events {
-                apply(&mut cur, e);
+            let Some(mut cur) = insets[bid] else { continue };
+            let ctx = &f.contexts[block.ctx as usize];
+            let acquired = &mut ever[block.ctx as usize];
+            for e in f.events_of(BlockId(bid)) {
+                cur = apply(&mut out.locksets, cur, e);
                 match e {
                     Event::Acquire { lock, .. } => {
-                        ever[block.ctx as usize].insert(lock.clone());
+                        if let Err(i) = acquired.binary_search(lock) {
+                            acquired.insert(i, *lock);
+                        }
                     }
                     Event::Release { .. } => {}
-                    Event::Access {
+                    &Event::Access {
                         var,
-                        display,
+                        spelled,
                         write,
                         atomic,
                         init,
@@ -223,31 +433,30 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
                         indexed,
                         pos,
                     } => out.accesses.push(Access {
-                        var: var.clone(),
-                        display: display.clone(),
-                        write: *write,
-                        atomic: *atomic,
-                        init: *init,
-                        cond_of: *cond_of,
-                        indexed: *indexed,
-                        branch_tags: block.branch_tags.clone(),
-                        pos: *pos,
-                        func: cfg.func,
+                        var,
+                        spelled,
+                        write,
+                        atomic,
+                        init,
+                        cond_of,
+                        indexed,
+                        block: BlockId(bid),
+                        pos,
+                        func: f.func,
                         func_idx,
                         ctx: block.ctx,
-                        locks: cur.clone(),
+                        locks: cur,
                         spawned: block.ctx != 0,
                         in_loop_spawn: ctx.in_loop,
                         spawn_pos: ctx.spawn_pos,
-                        dropped: BTreeSet::new(),
-                        chain: Vec::new(),
+                        dropped: KeySet::EMPTY,
+                        chain: Chain::EMPTY,
                     }),
                     Event::Call {
                         target,
                         spawned,
                         in_loop,
-                        closure_args,
-                        var_args,
+                        args,
                         pos,
                     } => {
                         let site_spawned = *spawned || block.ctx != 0;
@@ -267,6 +476,13 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
                             }
                         };
                         let Some(&callee) = callee else { continue };
+                        let held = out.locksets.get(cur);
+                        let dropped =
+                            out.dropped.make(|_, buf| {
+                                buf.extend(acquired.iter().copied().filter(|&l| {
+                                    held.binary_search_by_key(&l, |&(k, _)| k).is_err()
+                                }));
+                            });
                         out.sites.push(CallSite {
                             caller: func_idx,
                             callee,
@@ -275,14 +491,9 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
                             spawned: site_spawned,
                             spawn_pos: if *spawned { Some(*pos) } else { ctx.spawn_pos },
                             in_loop: *in_loop || ctx.in_loop,
-                            locks: cur.clone(),
-                            dropped: ever[block.ctx as usize]
-                                .iter()
-                                .filter(|l| !cur.contains_key(*l))
-                                .cloned()
-                                .collect(),
-                            closure_args: closure_args.clone(),
-                            var_args: var_args.clone(),
+                            locks: cur,
+                            dropped,
+                            args: *args,
                         });
                     }
                 }
@@ -297,8 +508,9 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
 /// Runs the intraprocedural rules (GR007–GR011) over the flow table's
 /// accesses, excluding the *file-wide* group evidence contributed by the
 /// functions in `called` (by index into the CFG list). Returns the findings
-/// sorted by position, and the variables they are about (so the
-/// interprocedural layer does not report a variable already flagged here).
+/// sorted by position, and the variables they are about in key order (so
+/// the interprocedural layer does not report a variable already flagged
+/// here).
 ///
 /// A function reachable through in-file calls is judged along its call
 /// chains — with the caller's locks in effect — by
@@ -311,202 +523,231 @@ pub fn flow(cfgs: &[FuncCfg]) -> Flow {
 /// lock cannot protect a callee's locals.
 #[must_use]
 pub fn intraproc_findings(
-    accesses: &[Access],
+    cfg: &FileCfg,
+    flow: &Flow,
     called: &BTreeSet<usize>,
     names: &Names,
-) -> (Vec<Finding>, BTreeSet<VarKey>) {
+) -> (Vec<Finding>, Vec<VarKey>) {
     // A local's key names its resolved symbol, so grouping by key alone is
-    // file-wide for globals and receiver fields and per-function for locals.
-    let mut groups: HashMap<&VarKey, Vec<&Access>> = HashMap::new();
-    for a in accesses {
-        groups.entry(&a.var).or_default().push(a);
-    }
+    // file-wide for globals and receiver fields and per-function for
+    // locals. The sort is stable: each group keeps flow order, and the
+    // groups come in key order.
+    let mut by_var: Vec<&Access> = flow.accesses.iter().collect();
+    by_var.sort_by_key(|a| a.var);
 
+    let mut rules = GroupRules {
+        cfg,
+        locksets: &flow.locksets,
+        called,
+        names,
+        rlock_writes: Vec::new(),
+        locks: Vec::new(),
+    };
     let mut findings = Vec::new();
-    let mut flagged = BTreeSet::new();
-    for (&var, accs) in &groups {
+    let mut flagged = Vec::new();
+    for group in by_var.chunk_by(|a, b| a.var == b.var) {
         let before = findings.len();
-        check_group(var, accs, called, names, &mut findings);
+        rules.check(group, &mut findings);
         if findings.len() > before {
-            flagged.insert(var.clone());
+            flagged.push(group[0].var);
         }
     }
     findings.sort_by_key(|f| f.pos);
     (findings, flagged)
 }
 
-pub(crate) fn lock_names(set: &BTreeSet<VarKey>) -> String {
-    let mut names: Vec<String> = set.iter().map(key_display).collect();
-    names.sort();
-    names.join(", ")
-}
-
-pub(crate) fn key_display(k: &VarKey) -> String {
-    match &k.root {
-        crate::cfg::VarRoot::Global(n) => format!("{n}{}", k.path),
-        crate::cfg::VarRoot::Field(t) => format!("{t}{}", k.path),
-        crate::cfg::VarRoot::Local(_) => k.path.trim_start_matches('.').to_string(),
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn check_group(
-    var: &VarKey,
-    accs: &[&Access],
-    called: &BTreeSet<usize>,
+/// The locks a message names: their texts, sorted and comma-separated.
+pub(crate) fn lock_names(
+    locks: impl Iterator<Item = VarKey>,
+    keys: &Keys,
     names: &Names,
-    findings: &mut Vec<Finding>,
-) {
-    let non_init: Vec<&&Access> = accs.iter().filter(|a| !a.init).collect();
-    if non_init.is_empty() {
-        return;
-    }
-    let display = non_init[0].display.clone();
-    // Evidence for the group rules: for a file-wide variable, accesses made
-    // by functions that have in-file callers are judged interprocedurally
-    // (along their call chains) instead of here.
-    let scoped: Vec<&&Access> = non_init
-        .iter()
-        .filter(|a| !(var.is_file_wide() && called.contains(&a.func_idx)))
-        .copied()
-        .collect();
+) -> String {
+    let mut texts: Vec<String> = locks.map(|k| keys.text(k, names)).collect();
+    texts.sort();
+    texts.join(", ")
+}
 
-    // Rule: a write while holding only Read-mode locks. Independent of
-    // sharedness — holding RLock around a write is wrong on its face.
-    let mut rlock_write_positions = BTreeSet::new();
-    for a in &non_init {
-        if a.write
-            && !a.atomic
-            && !a.locks.is_empty()
-            && a.locks.values().all(|m| *m == LockMode::Read)
-        {
-            rlock_write_positions.insert(a.pos);
+/// What the group rules read, and the buffers they reuse from one group to
+/// the next.
+struct GroupRules<'a> {
+    cfg: &'a FileCfg,
+    locksets: &'a Locksets,
+    called: &'a BTreeSet<usize>,
+    names: &'a Names,
+    /// Positions of the group's writes under `RLock` alone.
+    rlock_writes: Vec<Pos>,
+    /// A union or intersection of effective locks.
+    locks: Vec<VarKey>,
+}
+
+impl GroupRules<'_> {
+    /// Tests one variable's accesses (in flow order) against GR007–GR011.
+    #[allow(clippy::too_many_lines)]
+    fn check(&mut self, accs: &[&Access], findings: &mut Vec<Finding>) {
+        let GroupRules {
+            cfg,
+            locksets,
+            called,
+            names,
+            ref mut rlock_writes,
+            ref mut locks,
+        } = *self;
+        let keys = &cfg.keys;
+        let non_init = || accs.iter().copied().filter(|a| !a.init);
+        let Some(first) = non_init().next() else {
+            return;
+        };
+        let var = first.var;
+        let display = || keys.spelling(first.spelled, var, names);
+        let file_wide = keys.is_file_wide(var);
+        // Evidence for the group rules: for a file-wide variable, accesses
+        // made by functions that have in-file callers are judged
+        // interprocedurally (along their call chains) instead of here.
+        let scoped = || non_init().filter(move |a| !(file_wide && called.contains(&a.func_idx)));
+
+        // Rule: a write while holding only Read-mode locks. Independent of
+        // sharedness — holding RLock around a write is wrong on its face.
+        rlock_writes.clear();
+        for a in non_init() {
+            let held = locksets.get(a.locks);
+            if a.write
+                && !a.atomic
+                && !held.is_empty()
+                && held.iter().all(|&(_, m)| m == LockMode::Read)
+            {
+                rlock_writes.push(a.pos);
+                findings.push(Finding {
+                    rule: Rule::WriteUnderRLock,
+                    pos: a.pos,
+                    func: names.text(a.func).to_string(),
+                    message: format!(
+                        "write to '{}' while holding {} in read (RLock) mode; \
+                         RLock excludes writers but admits other readers — use Lock",
+                        keys.spelling(a.spelled, a.var, names),
+                        lock_names(held.iter().map(|&(k, _)| k), keys, names),
+                    ),
+                    chain: Vec::new(),
+                });
+            }
+        }
+
+        if !non_init().any(|a| a.write) {
+            // Read-only data cannot race.
+            return;
+        }
+
+        // Sharedness: two execution contexts, a self-concurrent goroutine,
+        // or (for file-wide variables) any access that takes a lock. Judged
+        // over the scoped evidence — called functions argue through their
+        // chains.
+        let mut ctxs = scoped().map(|a| (a.func_idx, a.ctx));
+        let two_ctxs = ctxs.next().is_some_and(|c| ctxs.any(|d| d != c));
+        let self_concurrent = scoped().any(|a| a.in_loop_spawn);
+        let lock_signal = file_wide && scoped().any(|a| a.locks != Lockset::EMPTY);
+        let shared = two_ctxs || self_concurrent || lock_signal;
+
+        // Rule: sync/atomic mixed with plain accesses. The atomic call
+        // itself is the sharedness signal.
+        if non_init().any(|a| a.atomic) {
+            if let Some(a) = non_init().find(|a| !a.atomic) {
+                findings.push(Finding {
+                    rule: Rule::AtomicMixedWithPlain,
+                    pos: a.pos,
+                    func: names.text(a.func).to_string(),
+                    message: format!(
+                        "'{}' is accessed with sync/atomic elsewhere but {} plainly here; \
+                         atomic operations only synchronize with other atomic operations",
+                        display(),
+                        if a.write { "written" } else { "read" },
+                    ),
+                    chain: Vec::new(),
+                });
+                return;
+            }
+        }
+
+        // Rule: double-checked locking — an unguarded if-condition read of
+        // the variable whose guarded write sits inside that very branch.
+        for r in non_init() {
+            if r.write || r.guarded(locksets) {
+                continue;
+            }
+            let Some(tag) = r.cond_of else { continue };
+            let func = &cfg.funcs[r.func_idx];
+            let dcl_write = non_init().any(|w| {
+                w.write
+                    && w.guarded(locksets)
+                    && w.func_idx == r.func_idx
+                    && func.branch_tags(w.block).any(|t| t == tag)
+            });
+            if dcl_write {
+                findings.push(Finding {
+                    rule: Rule::DoubleCheckedLocking,
+                    pos: r.pos,
+                    func: names.text(r.func).to_string(),
+                    message: format!(
+                        "double-checked locking on '{}': the fast-path read is \
+                         unsynchronized while the write inside the branch holds a lock; \
+                         the unlocked read can observe a partially-initialized value",
+                        display(),
+                    ),
+                    chain: Vec::new(),
+                });
+                return;
+            }
+        }
+
+        if !shared {
+            return;
+        }
+
+        let guarded = || scoped().filter(|a| a.guarded(locksets));
+        let Some(first_guarded) = guarded().next() else {
+            return;
+        };
+        let effective_of = |a: &Access| effective(locksets.get(a.locks), a.write);
+
+        let unguarded = scoped().find(|a| !a.guarded(locksets) && !rlock_writes.contains(&a.pos));
+        if let Some(a) = unguarded {
+            // Rule: guarded at some sites, bare at others.
+            locks.clear();
+            locks.extend(guarded().flat_map(effective_of));
+            locks.sort_unstable();
+            locks.dedup();
             findings.push(Finding {
-                rule: Rule::WriteUnderRLock,
+                rule: Rule::MissingLock,
                 pos: a.pos,
                 func: names.text(a.func).to_string(),
                 message: format!(
-                    "write to '{}' while holding {} in read (RLock) mode; \
-                     RLock excludes writers but admits other readers — use Lock",
-                    a.display,
-                    lock_names(&a.locks.keys().cloned().collect()),
-                ),
-                chain: Vec::new(),
-            });
-        }
-    }
-
-    if !non_init.iter().any(|a| a.write) {
-        // Read-only data cannot race.
-        return;
-    }
-
-    // Sharedness: two execution contexts, a self-concurrent goroutine, or
-    // (for file-wide variables) any access that takes a lock. Judged over
-    // the scoped evidence — called functions argue through their chains.
-    let ctxs: BTreeSet<(usize, u32)> = scoped.iter().map(|a| (a.func_idx, a.ctx)).collect();
-    let self_concurrent = scoped.iter().any(|a| a.in_loop_spawn);
-    let lock_signal = var.is_file_wide() && scoped.iter().any(|a| !a.locks.is_empty());
-    let shared = ctxs.len() >= 2 || self_concurrent || lock_signal;
-
-    // Rule: sync/atomic mixed with plain accesses. The atomic call itself
-    // is the sharedness signal.
-    let atomics: Vec<_> = non_init.iter().filter(|a| a.atomic).collect();
-    let plains: Vec<_> = non_init.iter().filter(|a| !a.atomic).collect();
-    if !atomics.is_empty() && !plains.is_empty() {
-        let a = plains[0];
-        findings.push(Finding {
-            rule: Rule::AtomicMixedWithPlain,
-            pos: a.pos,
-            func: names.text(a.func).to_string(),
-            message: format!(
-                "'{}' is accessed with sync/atomic elsewhere but {} plainly here; \
-                 atomic operations only synchronize with other atomic operations",
-                display,
-                if a.write { "written" } else { "read" },
-            ),
-            chain: Vec::new(),
-        });
-        return;
-    }
-
-    // Rule: double-checked locking — an unguarded if-condition read of the
-    // variable whose guarded write sits inside that very branch.
-    for r in &non_init {
-        if r.write || r.guarded() {
-            continue;
-        }
-        let Some(tag) = r.cond_of else { continue };
-        let dcl_write = non_init.iter().any(|w| {
-            w.write && w.guarded() && w.func_idx == r.func_idx && w.branch_tags.contains(&tag)
-        });
-        if dcl_write {
-            findings.push(Finding {
-                rule: Rule::DoubleCheckedLocking,
-                pos: r.pos,
-                func: names.text(r.func).to_string(),
-                message: format!(
-                    "double-checked locking on '{display}': the fast-path read is \
-                     unsynchronized while the write inside the branch holds a lock; \
-                     the unlocked read can observe a partially-initialized value",
+                    "'{}' is {} without a lock here but guarded by {} elsewhere",
+                    display(),
+                    if a.write { "written" } else { "read" },
+                    lock_names(locks.iter().copied(), keys, names),
                 ),
                 chain: Vec::new(),
             });
             return;
         }
-    }
 
-    if !shared {
-        return;
-    }
-
-    let guarded: Vec<_> = scoped.iter().filter(|a| a.guarded()).collect();
-    let unguarded: Vec<_> = scoped
-        .iter()
-        .filter(|a| !a.guarded() && !rlock_write_positions.contains(&a.pos))
-        .collect();
-
-    if !guarded.is_empty() && !unguarded.is_empty() {
-        // Rule: guarded at some sites, bare at others.
-        let a = unguarded[0];
-        let locks: BTreeSet<VarKey> = guarded
-            .iter()
-            .flat_map(|g| effective(&g.locks, g.write).into_iter())
-            .collect();
-        findings.push(Finding {
-            rule: Rule::MissingLock,
-            pos: a.pos,
-            func: names.text(a.func).to_string(),
-            message: format!(
-                "'{}' is {} without a lock here but guarded by {} elsewhere",
-                display,
-                if a.write { "written" } else { "read" },
-                lock_names(&locks),
-            ),
-            chain: Vec::new(),
-        });
-        return;
-    }
-
-    if unguarded.is_empty() && guarded.len() >= 2 {
         // Rule: every site locks, but no lock is common to all of them.
-        let mut common: Option<BTreeSet<VarKey>> = None;
-        for g in &guarded {
-            let eff = effective(&g.locks, g.write);
-            common = Some(match common {
-                None => eff,
-                Some(c) => c.intersection(&eff).cloned().collect(),
-            });
+        let mut others = guarded().skip(1).peekable();
+        if others.peek().is_none() {
+            return;
         }
-        if common.as_ref().is_some_and(BTreeSet::is_empty) {
-            let a = guarded[0];
+        locks.clear();
+        locks.extend(effective_of(first_guarded));
+        for g in others {
+            locks.retain(|&k| effective_of(g).any(|e| e == k));
+        }
+        if locks.is_empty() {
             findings.push(Finding {
                 rule: Rule::InconsistentLock,
-                pos: a.pos,
-                func: names.text(a.func).to_string(),
+                pos: first_guarded.pos,
+                func: names.text(first_guarded.func).to_string(),
                 message: format!(
-                    "every access to '{display}' holds a lock, but no single lock is \
+                    "every access to '{}' holds a lock, but no single lock is \
                      common to all of them — two sites can still run concurrently",
+                    display(),
                 ),
                 chain: Vec::new(),
             });
@@ -524,8 +765,9 @@ mod tests {
     fn analyze(src: &str) -> Vec<Finding> {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        let flow = flow(&build_file(&file, &res));
-        intraproc_findings(&flow.accesses, &BTreeSet::new(), &file.names).0
+        let cfg = build_file(&file, &res);
+        let flow = flow(&cfg);
+        intraproc_findings(&cfg, &flow, &BTreeSet::new(), &file.names).0
     }
 
     fn rules(src: &str) -> Vec<Rule> {

@@ -8,6 +8,8 @@
 //! bottom-up over the call graph's SCCs, iterating each component to a
 //! fixpoint so recursion and mutual calls converge (the per-access dedup
 //! keeps the *shortest* chain, which is what makes the fixpoint finite).
+//! A chain is an id into the file's [`Chains`], interned like the
+//! locksets, so copying an access copies no chain.
 //!
 //! Three effect sets ride along for the escape rules:
 //!
@@ -25,13 +27,16 @@
 //! (gated by [`Mhp`] so a `Wait`/receive between spawn and access
 //! suppresses the report).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{sym, Names, Sym};
 use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::{FuncCfg, VarKey, VarRoot};
+use crate::cfg::{FileCfg, VarKey, VarRoot};
 use crate::lint::{Finding, Rule};
-use crate::lockset::{self, effective, Access, Flow};
+use crate::lockset::{
+    effective, lock_names, Access, Flow, KeySets, Lockset, Locksets, SliceId, SliceTable,
+};
 use crate::mhp::Mhp;
 use crate::resolve::{Resolution, SymbolKind};
 use crate::token::Pos;
@@ -41,6 +46,42 @@ use crate::token::Pos;
 const MAX_CHAIN: usize = 8;
 /// Per-function access cap, bounding summary growth on generated code.
 const MAX_ACCESSES: usize = 200;
+
+/// The `(callee, call position)` hops an access was reached through, first
+/// hop first: an id into its file's [`Chains`].
+pub type Chain = SliceId<(Sym, Pos)>;
+/// The call chains of one file.
+pub type Chains = SliceTable<(Sym, Pos)>;
+
+impl Chains {
+    /// `rest` entered through a call of `callee` at `pos`.
+    fn push_front(&mut self, callee: Sym, pos: Pos, rest: Chain) -> Chain {
+        self.make(|t, buf| {
+            buf.push((callee, pos));
+            buf.extend_from_slice(t.get(rest));
+        })
+    }
+
+    /// Two chains as they sort: callee names compare as text (a [`Sym`]
+    /// orders by first occurrence, and this order picks the reported
+    /// witness).
+    fn cmp(&self, a: Chain, b: Chain, names: &Names) -> Ordering {
+        let key = |c| {
+            self.get(c)
+                .iter()
+                .map(|&(callee, pos)| (names.text(callee), pos))
+        };
+        key(a).cmp(key(b))
+    }
+
+    /// `chain` as a finding carries it.
+    fn render(&self, chain: Chain, names: &Names) -> Vec<(String, Pos)> {
+        self.get(chain)
+            .iter()
+            .map(|&(callee, pos)| (names.text(callee).to_string(), pos))
+            .collect()
+    }
+}
 
 /// The bottom-up summary of one function.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -58,58 +99,79 @@ pub struct FuncSummary {
     pub spawned_map_write_params: BTreeSet<usize>,
 }
 
+/// The tables the summaries' accesses point into.
+#[derive(Debug)]
+pub struct SummaryTables {
+    /// The flow table's locksets, plus those the call sites' locks add.
+    pub locksets: Locksets,
+    /// The flow table's released-lock sets, plus their unions along chains.
+    pub dropped: KeySets,
+    /// Every chain an access was reached through.
+    pub chains: Chains,
+}
+
 /// Summaries for every bodied function of a file.
 #[derive(Debug)]
 pub struct Summaries {
     /// One summary per CFG, aligned with the CFG list.
     pub funcs: Vec<FuncSummary>,
+    /// What their accesses' ids mean.
+    pub tables: SummaryTables,
 }
 
 impl Summaries {
     /// Computes all summaries bottom-up over `cg`'s SCCs.
     #[must_use]
-    pub fn compute(cfgs: &[FuncCfg], flow: &Flow, cg: &CallGraph, names: &Names) -> Summaries {
-        let own = own_summaries(cfgs, flow);
-        let mut funcs = own.clone();
+    pub fn compute(cfg: &FileCfg, flow: &Flow, cg: &CallGraph, names: &Names) -> Summaries {
+        let own = own_summaries(cfg, flow);
+        let mut sums = Summaries {
+            funcs: own.clone(),
+            tables: SummaryTables {
+                locksets: flow.locksets.clone(),
+                dropped: flow.dropped.clone(),
+                chains: Chains::default(),
+            },
+        };
 
         for scc in cg.sccs() {
             // Non-trivial components iterate to a fixpoint; singletons
             // without a self-loop converge in one pass.
+            let cyclic = scc.len() > 1 || cg.callees_of(scc[0]).contains(&scc[0]);
             for _ in 0..10 {
                 let mut changed = false;
                 for &f in &scc {
                     let mut next = own[f].clone();
                     for site in cg.sites_from(f) {
-                        incorporate(&mut next, site, &funcs[site.callee], cfgs);
+                        let callee = &sums.funcs[site.callee];
+                        incorporate(&mut next, site, callee, cfg, &mut sums.tables);
                     }
-                    dedup_accesses(&mut next.accesses, names);
-                    if next != funcs[f] {
-                        funcs[f] = next;
+                    dedup_accesses(&mut next.accesses, &sums.tables, names);
+                    if next != sums.funcs[f] {
+                        sums.funcs[f] = next;
                         changed = true;
                     }
                 }
-                if !changed {
+                if !changed || !cyclic {
                     break;
                 }
             }
         }
-
-        Summaries { funcs }
+        sums
     }
 }
 
 /// The call-free part of every summary: each function's own file-wide
 /// accesses and direct parameter effects.
-fn own_summaries(cfgs: &[FuncCfg], flow: &Flow) -> Vec<FuncSummary> {
-    let mut out = vec![FuncSummary::default(); cfgs.len()];
+fn own_summaries(cfg: &FileCfg, flow: &Flow) -> Vec<FuncSummary> {
+    let mut out = vec![FuncSummary::default(); cfg.funcs.len()];
     for a in flow.accesses.iter().filter(|a| !a.init) {
         let s = &mut out[a.func_idx];
-        if a.var.is_file_wide() {
-            s.accesses.push(a.clone());
+        if cfg.keys.is_file_wide(a.var) {
+            s.accesses.push(*a);
         } else if a.write && a.indexed {
             // `m[k] = v` where m is a parameter: a map-write effect.
-            if let VarRoot::Local(sym) = a.var.root {
-                if let Some(j) = cfgs[a.func_idx].param_index(sym) {
+            if let VarRoot::Local(sym) = cfg.keys.root(a.var) {
+                if let Some(j) = cfg.funcs[a.func_idx].param_index(sym) {
                     if a.spawned {
                         s.spawned_map_write_params.insert(j);
                     } else {
@@ -126,20 +188,24 @@ fn own_summaries(cfgs: &[FuncCfg], flow: &Flow) -> Vec<FuncSummary> {
 }
 
 /// Folds one call site's view of the callee summary into `next`.
-fn incorporate(next: &mut FuncSummary, site: &CallSite, callee: &FuncSummary, cfgs: &[FuncCfg]) {
-    for a in &callee.accesses {
-        if a.chain.len() >= MAX_CHAIN || next.accesses.len() >= MAX_ACCESSES * 2 {
+fn incorporate(
+    next: &mut FuncSummary,
+    site: &CallSite,
+    callee: &FuncSummary,
+    cfg: &FileCfg,
+    t: &mut SummaryTables,
+) {
+    let callee_name = cfg.funcs[site.callee].func;
+    for mut a in callee.accesses.iter().copied() {
+        if t.chains.get(a.chain).len() >= MAX_CHAIN || next.accesses.len() >= MAX_ACCESSES * 2 {
             continue;
         }
-        let mut a = a.clone();
         if site.spawned {
             // A spawned callee starts on a fresh goroutine: none of the
             // caller's locks extend into it.
             a.spawn_pos = site.spawn_pos;
         } else {
-            for (lock, mode) in &site.locks {
-                lockset::hold(&mut a.locks, lock, *mode);
-            }
+            a.locks = t.locksets.join(a.locks, site.locks);
             if a.spawned {
                 // The callee spawns internally; from here, the spawn
                 // happens at the call site.
@@ -148,52 +214,48 @@ fn incorporate(next: &mut FuncSummary, site: &CallSite, callee: &FuncSummary, cf
         }
         a.spawned |= site.spawned;
         a.in_loop_spawn |= site.spawned && site.in_loop;
-        a.dropped.extend(site.dropped.iter().cloned());
-        a.chain.insert(0, (cfgs[site.callee].func, site.pos));
+        a.dropped = t.dropped.union(a.dropped, site.dropped);
+        a.chain = t.chains.push_front(callee_name, site.pos, a.chain);
         next.accesses.push(a);
     }
 
     // Parameter-to-parameter effect propagation: passing our own
     // parameter into an effectful slot of the callee gives us the effect.
-    for (idx, key, _) in &site.var_args {
-        let VarRoot::Local(sym) = &key.root else {
+    for &(idx, key, _) in &site.args(cfg).vars {
+        let VarRoot::Local(sym) = cfg.keys.root(key) else {
             continue;
         };
-        let Some(j) = cfgs[site.caller].param_index(*sym) else {
+        let Some(j) = cfg.funcs[site.caller].param_index(sym) else {
             continue;
         };
-        if callee.spawns_params.contains(idx) {
+        if callee.spawns_params.contains(&idx) {
             next.spawns_params.insert(j);
         }
-        if callee.map_write_params.contains(idx) {
+        if callee.map_write_params.contains(&idx) {
             if site.spawned {
                 next.spawned_map_write_params.insert(j);
             } else {
                 next.map_write_params.insert(j);
             }
         }
-        if callee.spawned_map_write_params.contains(idx) {
+        if callee.spawned_map_write_params.contains(&idx) {
             next.spawned_map_write_params.insert(j);
         }
     }
 }
 
-/// A call chain as it sorts: callee names compare as text (a [`Sym`]
-/// orders by first occurrence, and this order picks the reported witness).
-fn chain_key<'a>(
-    chain: &'a [(Sym, Pos)],
-    names: &'a Names,
-) -> impl Iterator<Item = (&'a str, Pos)> + 'a {
-    chain.iter().map(|&(callee, pos)| (names.text(callee), pos))
-}
-
 /// Keeps one access per `(var, pos, write, atomic, locks, spawned)` — the
 /// one with the shortest chain — in a deterministic order.
-fn dedup_accesses(accesses: &mut Vec<Access>, names: &Names) {
+fn dedup_accesses(accesses: &mut Vec<Access>, t: &SummaryTables, names: &Names) {
     accesses.sort_by(|x, y| {
-        (&x.var, x.pos, x.write, x.atomic, &x.locks, x.spawned, x.chain.len())
-            .cmp(&(&y.var, y.pos, y.write, y.atomic, &y.locks, y.spawned, y.chain.len()))
-            .then_with(|| chain_key(&x.chain, names).cmp(chain_key(&y.chain, names)))
+        (x.var, x.pos, x.write, x.atomic)
+            .cmp(&(y.var, y.pos, y.write, y.atomic))
+            .then_with(|| t.locksets.get(x.locks).cmp(t.locksets.get(y.locks)))
+            .then_with(|| {
+                (x.spawned, t.chains.get(x.chain).len())
+                    .cmp(&(y.spawned, t.chains.get(y.chain).len()))
+            })
+            .then_with(|| t.chains.cmp(x.chain, y.chain, names))
     });
     accesses.dedup_by(|b, a| {
         a.var == b.var
@@ -209,22 +271,23 @@ fn dedup_accesses(accesses: &mut Vec<Access>, names: &Names) {
 /// Evaluates GR013–GR018 over the summaries.
 ///
 /// `skip_vars` holds the variables already reported by the intraprocedural
-/// lockset pass — one diagnostic per variable, the sharper one wins.
+/// lockset pass, sorted — one diagnostic per variable, the sharper one
+/// wins.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn interproc_findings(
     res: &Resolution,
-    cfgs: &[FuncCfg],
+    cfg: &FileCfg,
     cg: &CallGraph,
     sums: &Summaries,
     mhp: &Mhp,
-    skip_vars: &BTreeSet<VarKey>,
+    skip_vars: &[VarKey],
     names: &Names,
 ) -> Vec<Finding> {
+    let t = &sums.tables;
     let text = |name: Sym| names.text(name).to_string();
-    let render = |chain: &[(Sym, Pos)]| -> Vec<(String, Pos)> {
-        chain.iter().map(|&(callee, pos)| (text(callee), pos)).collect()
-    };
+    let render = |chain: Chain| t.chains.render(chain, names);
+    let skipped = |var: &VarKey| skip_vars.binary_search(var).is_ok();
     // Each finding rides with the variable it is about (when it is about
     // one) until `dedup_findings` has keyed on it.
     let mut findings: Vec<(Option<VarKey>, Finding)> = Vec::new();
@@ -233,7 +296,7 @@ pub fn interproc_findings(
     // helper that launches it on a goroutine — the capture escapes the
     // iteration exactly like a direct `go func(){...}()` would.
     for site in cg.sites {
-        for (idx, lit_pos) in &site.closure_args {
+        for (idx, lit_pos) in &site.args(cfg).closures {
             if !sums.funcs[site.callee].spawns_params.contains(idx) {
                 continue;
             }
@@ -243,13 +306,13 @@ pub fn interproc_findings(
                 if !risky {
                     continue;
                 }
-                let callee_name = text(cfgs[site.callee].func);
+                let callee_name = text(cfg.funcs[site.callee].func);
                 findings.push((
                     None,
                     Finding {
                         rule: Rule::EscapingCaptureToSpawner,
                         pos: *lit_pos,
-                        func: text(cfgs[site.caller].func),
+                        func: text(cfg.funcs[site.caller].func),
                         message: format!(
                             "closure captures '{}' by reference and escapes into \
                          '{}', which launches it as a goroutine; every spawn \
@@ -268,32 +331,33 @@ pub fn interproc_findings(
     // goroutines. Reported at the owner only — a callee passing its own
     // parameter along propagates the effect instead.
     for site in cg.sites {
-        for (idx, key, disp) in &site.var_args {
+        for &(idx, key, spelled) in &site.args(cfg).vars {
             if !sums.funcs[site.callee]
                 .spawned_map_write_params
-                .contains(idx)
+                .contains(&idx)
             {
                 continue;
             }
-            if let VarRoot::Local(sym) = &key.root {
-                if cfgs[site.caller].param_index(*sym).is_some() {
+            if let VarRoot::Local(sym) = cfg.keys.root(key) {
+                if cfg.funcs[site.caller].param_index(sym).is_some() {
                     continue;
                 }
             }
-            if skip_vars.contains(key) {
+            if skipped(&key) {
                 continue;
             }
-            let callee_name = text(cfgs[site.callee].func);
+            let callee_name = text(cfg.funcs[site.callee].func);
             findings.push((
-                Some(key.clone()),
+                Some(key),
                 Finding {
                     rule: Rule::SpawnInCalleeMapWrite,
                     pos: site.pos,
-                    func: text(cfgs[site.caller].func),
+                    func: text(cfg.funcs[site.caller].func),
                     message: format!(
-                        "map '{disp}' is passed to '{callee_name}', which writes it \
+                        "map '{}' is passed to '{callee_name}', which writes it \
                      from goroutines spawned there; concurrent map writes are a \
                      runtime fault in Go",
+                        cfg.keys.spelling(spelled, key, names),
                     ),
                     chain: vec![(callee_name.clone(), site.pos)],
                 },
@@ -302,21 +366,24 @@ pub fn interproc_findings(
     }
 
     // Group rules over root-expanded accesses: every analysis root
-    // contributes the accesses reachable from it, with chain context.
-    let mut groups: BTreeMap<VarKey, Vec<(usize, &Access)>> = BTreeMap::new();
+    // contributes the accesses reachable from it, with chain context. The
+    // sort is stable: a group keeps root order, groups come in key order.
+    let mut rows: Vec<(usize, &Access)> = Vec::new();
     for &r in &cg.roots() {
-        for a in &sums.funcs[r].accesses {
-            groups.entry(a.var.clone()).or_default().push((r, a));
-        }
+        rows.extend(sums.funcs[r].accesses.iter().map(|a| (r, a)));
     }
+    rows.sort_by_key(|(_, a)| a.var);
+    let mut unguarded: Vec<(usize, &Access)> = Vec::new();
+    let mut guard_locks: Vec<VarKey> = Vec::new();
 
-    for (var, accs) in &groups {
-        if skip_vars.contains(var) {
+    for accs in rows.chunk_by(|(_, x), (_, y)| x.var == y.var) {
+        let var = accs[0].1.var;
+        if skipped(&var) {
             continue;
         }
         // Purely intraprocedural evidence was already judged by the
         // lockset pass; atomics belong to its atomic-mixing rule.
-        if accs.iter().all(|(_, a)| a.chain.is_empty()) {
+        if accs.iter().all(|(_, a)| a.chain == Chain::EMPTY) {
             continue;
         }
         if accs.iter().any(|(_, a)| a.atomic) {
@@ -325,75 +392,74 @@ pub fn interproc_findings(
         if !accs.iter().any(|(_, a)| a.write) {
             continue;
         }
-        let display = accs[0].1.display.clone();
+        let display = cfg.keys.spelling(accs[0].1.spelled, var, names);
 
-        let roots_set: BTreeSet<usize> = accs.iter().map(|(r, _)| *r).collect();
+        let two_roots = accs.iter().any(|&(r, _)| r != accs[0].0);
         let spawned_any = accs.iter().any(|(_, a)| a.spawned);
         let loop_spawn = accs.iter().any(|(_, a)| a.in_loop_spawn);
-        let lock_signal = accs.iter().any(|(_, a)| !a.locks.is_empty());
-        if roots_set.len() < 2 && !spawned_any && !loop_spawn && !lock_signal {
+        let lock_signal = accs.iter().any(|(_, a)| a.locks != Lockset::EMPTY);
+        if !two_roots && !spawned_any && !loop_spawn && !lock_signal {
             continue;
         }
 
-        let guarded: Vec<&(usize, &Access)> = accs
-            .iter()
-            .filter(|(_, a)| !effective(&a.locks, a.write).is_empty())
-            .collect();
-        let mut unguarded: Vec<&(usize, &Access)> = accs
-            .iter()
-            .filter(|(_, a)| effective(&a.locks, a.write).is_empty())
-            .collect();
-        unguarded.sort_by_key(|(_, a)| (a.pos, a.chain.len()));
+        let effective_of = |a: &Access| effective(t.locksets.get(a.locks), a.write);
+        let guarded = || accs.iter().filter(|(_, a)| a.guarded(&t.locksets));
+        unguarded.clear();
+        unguarded.extend(accs.iter().filter(|(_, a)| !a.guarded(&t.locksets)));
+        unguarded.sort_by_key(|(_, a)| (a.pos, t.chains.get(a.chain).len()));
+        let any_guarded = guarded().next().is_some();
 
-        if !guarded.is_empty() && !unguarded.is_empty() {
-            let guard_locks: BTreeSet<VarKey> = guarded
-                .iter()
-                .flat_map(|(_, a)| effective(&a.locks, a.write))
-                .collect();
+        if any_guarded && !unguarded.is_empty() {
+            guard_locks.clear();
+            guard_locks.extend(guarded().flat_map(|(_, a)| effective_of(a)));
+            guard_locks.sort_unstable();
+            guard_locks.dedup();
             // GR016: the bare chain had one of the guarding locks, but it
             // was released before the call was made.
-            if let Some((_, a)) = unguarded.iter().find(|(_, a)| {
-                !a.chain.is_empty() && a.dropped.intersection(&guard_locks).next().is_some()
-            }) {
-                let lock = a
-                    .dropped
-                    .intersection(&guard_locks)
-                    .next()
-                    .cloned()
-                    .expect("nonempty intersection");
+            let dropped_guard = unguarded.iter().find_map(|&(root, a)| {
+                if a.chain == Chain::EMPTY {
+                    return None;
+                }
+                let held_before = t.dropped.get(a.dropped).iter();
+                let lock = held_before
+                    .copied()
+                    .find(|k| guard_locks.binary_search(k).is_ok())?;
+                Some((root, a, lock))
+            });
+            if let Some((root, a, lock)) = dropped_guard {
+                let (_, first_call) = t.chains.get(a.chain)[0];
                 findings.push((
-                    Some(var.clone()),
+                    Some(var),
                     Finding {
                         rule: Rule::LockDroppedBeforeCall,
-                        pos: a.chain[0].1,
-                        func: text(chain_root_func(cfgs, accs, a)),
+                        pos: first_call,
+                        func: text(cfg.funcs[root].func),
                         message: format!(
                             "'{}' is accessed in '{}' after {} was released — the \
                          call runs outside the critical section that guards \
                          '{}' elsewhere",
                             display,
                             names.text(a.func),
-                            lockset::key_display(&lock),
+                            cfg.keys.text(lock, names),
                             display,
                         ),
-                        chain: render(&a.chain),
+                        chain: render(a.chain),
                     },
                 ));
             } else {
                 // GR013: bare here, guarded along other chains.
                 let (_, bare) = unguarded[0];
-                let note_chain = if bare.chain.is_empty() {
-                    guarded
-                        .iter()
-                        .filter(|(_, g)| !g.chain.is_empty())
-                        .min_by_key(|(_, g)| g.chain.len())
-                        .map(|(_, g)| render(&g.chain))
+                let note_chain = if bare.chain == Chain::EMPTY {
+                    guarded()
+                        .filter(|(_, g)| g.chain != Chain::EMPTY)
+                        .min_by_key(|(_, g)| t.chains.get(g.chain).len())
+                        .map(|(_, g)| render(g.chain))
                         .unwrap_or_default()
                 } else {
-                    render(&bare.chain)
+                    render(bare.chain)
                 };
                 findings.push((
-                    Some(var.clone()),
+                    Some(var),
                     Finding {
                         rule: Rule::InterprocMissingLock,
                         pos: bare.pos,
@@ -403,33 +469,31 @@ pub fn interproc_findings(
                          other call paths",
                             display,
                             if bare.write { "written" } else { "read" },
-                            lockset::lock_names(&guard_locks),
+                            lock_names(guard_locks.iter().copied(), &cfg.keys, names),
                         ),
                         chain: note_chain,
                     },
                 ));
             }
-        } else if unguarded.is_empty() && guarded.len() >= 2 {
+        } else if unguarded.is_empty() && guarded().nth(1).is_some() {
             // GR014: every chain locks, but no lock is common to all.
-            let mut common: Option<BTreeSet<VarKey>> = None;
-            for (_, g) in &guarded {
-                let eff = effective(&g.locks, g.write);
-                common = Some(match common {
-                    None => eff,
-                    Some(c) => c.intersection(&eff).cloned().collect(),
-                });
+            let mut all = guarded();
+            let (_, first) = all.next().expect("two guarded accesses");
+            guard_locks.clear();
+            guard_locks.extend(effective_of(first));
+            for (_, g) in all {
+                guard_locks.retain(|&k| effective_of(g).any(|e| e == k));
             }
-            if common.as_ref().is_some_and(BTreeSet::is_empty) {
-                let (_, a) = guarded
-                    .iter()
+            if guard_locks.is_empty() {
+                let (_, a) = guarded()
                     .min_by(|(_, x), (_, y)| {
-                        (x.pos, x.chain.len())
-                            .cmp(&(y.pos, y.chain.len()))
-                            .then_with(|| chain_key(&x.chain, names).cmp(chain_key(&y.chain, names)))
+                        (x.pos, t.chains.get(x.chain).len())
+                            .cmp(&(y.pos, t.chains.get(y.chain).len()))
+                            .then_with(|| t.chains.cmp(x.chain, y.chain, names))
                     })
                     .expect("nonempty guarded");
                 findings.push((
-                    Some(var.clone()),
+                    Some(var),
                     Finding {
                         rule: Rule::InterprocInconsistentLock,
                         pos: a.pos,
@@ -439,35 +503,36 @@ pub fn interproc_findings(
                          single lock is common to all of them — two chains can \
                          still run concurrently",
                         ),
-                        chain: render(&a.chain),
+                        chain: render(a.chain),
                     },
                 ));
             }
-        } else if guarded.is_empty() && !lock_signal {
+        } else if !any_guarded && !lock_signal {
             // GR018: a spawned chain writes, the parent touches the same
             // variable afterward, and no join orders the two.
             'pairs: for (r, w) in accs.iter().filter(|(_, a)| {
-                a.spawned && a.write && !a.chain.is_empty() && a.spawn_pos.is_some()
+                a.spawned && a.write && a.chain != Chain::EMPTY && a.spawn_pos.is_some()
             }) {
                 let sp = w.spawn_pos.expect("filtered on spawn_pos");
                 for (_, b) in accs.iter().filter(|(r2, b)| r2 == r && !b.spawned) {
                     if mhp.may_parallel(*r, sp, b.pos) {
+                        let (through, _) = t.chains.get(w.chain)[0];
                         findings.push((
-                            Some(var.clone()),
+                            Some(var),
                             Finding {
                                 rule: Rule::UnsyncedSpawnedCall,
                                 pos: sp,
-                                func: text(cfgs[*r].func),
+                                func: text(cfg.funcs[*r].func),
                                 message: format!(
                                     "goroutine spawned here writes '{}' through \
                                  '{}' while '{}' also accesses it at line {} \
                                  with no synchronization in between",
                                     display,
-                                    names.text(w.chain[0].0),
-                                    names.text(cfgs[*r].func),
+                                    names.text(through),
+                                    names.text(cfg.funcs[*r].func),
                                     b.pos.line,
                                 ),
-                                chain: render(&w.chain),
+                                chain: render(w.chain),
                             },
                         ));
                         break 'pairs;
@@ -478,13 +543,6 @@ pub fn interproc_findings(
     }
 
     dedup_findings(findings)
-}
-
-/// The root function a chained access was expanded from, for reporting.
-fn chain_root_func(cfgs: &[FuncCfg], accs: &[(usize, &Access)], target: &Access) -> Sym {
-    accs.iter()
-        .find(|(_, a)| std::ptr::eq(*a, target))
-        .map_or(target.func, |(r, _)| cfgs[*r].func)
 }
 
 /// One finding per `(rule, var, line)`, keeping the shortest chain, in
@@ -509,18 +567,19 @@ fn dedup_findings(findings: Vec<(Option<VarKey>, Finding)>) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::cfg::build_file;
+    use crate::lockset;
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
     fn inter_rules(src: &str) -> Vec<Rule> {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        let cfgs = build_file(&file, &res);
-        let flow = lockset::flow(&cfgs);
-        let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
+        let cfg = build_file(&file, &res);
+        let flow = lockset::flow(&cfg);
+        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
         let mhp = Mhp::build(&file);
-        interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new(), &file.names)
+        interproc_findings(&res, &cfg, &cg, &sums, &mhp, &[], &file.names)
             .into_iter()
             .map(|f| f.rule)
             .collect()
@@ -589,15 +648,18 @@ func Run() {
 ";
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        let cfgs = build_file(&file, &res);
-        let flow = lockset::flow(&cfgs);
-        let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
+        let cfg = build_file(&file, &res);
+        let flow = lockset::flow(&cfg);
+        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
         // sum's summary holds its own write plus the one-hop recursive
         // copy, never an unbounded chain.
-        assert!(sums.funcs[0].accesses.iter().all(|a| a.chain.len() <= 2));
+        assert!(sums.funcs[0]
+            .accesses
+            .iter()
+            .all(|a| sums.tables.chains.get(a.chain).len() <= 2));
         let mhp = Mhp::build(&file);
-        let rules: Vec<Rule> = interproc_findings(&res, &cfgs, &cg, &sums, &mhp, &BTreeSet::new(), &file.names)
+        let rules: Vec<Rule> = interproc_findings(&res, &cfg, &cg, &sums, &mhp, &[], &file.names)
             .into_iter()
             .map(|f| f.rule)
             .collect();
@@ -650,10 +712,10 @@ func put(m map[string]int, k string) {
 ";
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
-        let cfgs = build_file(&file, &res);
-        let flow = lockset::flow(&cfgs);
-        let cg = CallGraph::build(cfgs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
+        let cfg = build_file(&file, &res);
+        let flow = lockset::flow(&cfg);
+        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
         assert!(sums.funcs[0].spawns_params.contains(&0), "direct spawn");
         assert!(sums.funcs[1].spawns_params.contains(&0), "transitive spawn");
         assert!(sums.funcs[3].map_write_params.contains(&0), "put writes m");

@@ -1,17 +1,26 @@
 //! Seeded property tests for the Go-lite frontend: the lexer and parser
-//! never panic, generated programs round-trip through the scanner, and ASI
-//! behaves.
+//! never panic, generated programs round-trip through the scanner, ASI
+//! behaves, and the lint's flow-table ids order as the text they stand for.
 //!
 //! Each property is checked over a few hundred cases drawn from a
 //! fixed-seed `StdRng` (the vendored `rand` stub), so failures are
 //! perfectly reproducible: the case index pins the inputs.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use grs_corpus::{GoCorpus, GoCorpusSpec, GoTestGen, GoTestSpec};
+use grs_golite::callgraph::CallGraph;
+use grs_golite::cfg::{build_file, Keys, LockMode, VarKey, VarRoot};
 use grs_golite::lexer::tokenize;
+use grs_golite::lockset::flow;
+use grs_golite::names::Names;
 use grs_golite::parser::parse_file;
+use grs_golite::resolve::resolve_file;
 use grs_golite::scan::scan_source;
+use grs_golite::summary::Summaries;
 use grs_golite::token::{Keyword, Tok};
 
 const CASES: usize = 400;
@@ -181,5 +190,94 @@ fn scanner_counts_are_additive() {
             assert_eq!(merged.go_statements, goers + senders);
             assert_eq!(merged.chan_sends, goers + senders);
         }
+    }
+}
+
+/// A key as it sorted when it held its text: variant (global < field <
+/// local), root text or symbol id, path text.
+fn text_key(keys: &Keys, k: VarKey, names: &Names) -> (u8, Option<String>, u32, String) {
+    let root = keys.root(k);
+    let (variant, symbol) = match root {
+        VarRoot::Global(_) => (0, 0),
+        VarRoot::Field(_) => (1, 0),
+        VarRoot::Local(s) => (2, s.0),
+    };
+    let text = root.text(names).map(str::to_string);
+    (variant, text, symbol, keys.path_text(k, names))
+}
+
+/// What keeps the findings fixed while ids replace text: over generated
+/// monorepo files and tests at three seeds, every pair of a file's keys
+/// orders by id as it does by text, and every pair of its interned
+/// locksets — the flow table's and the ones summaries add — orders as
+/// sorted slices the way the equivalent text-keyed maps do.
+#[test]
+fn flow_table_ids_order_as_their_text() {
+    for seed in 1..=3 {
+        let mut sources: Vec<String> =
+            GoCorpus::generate(&GoCorpusSpec::paper_scaled(0.0004), seed)
+                .files
+                .into_iter()
+                .map(|(_, src)| src)
+                .collect();
+        sources.extend(
+            GoTestGen::new(GoTestSpec::default_mix(), seed)
+                .iter(120)
+                .map(|t| t.source),
+        );
+        let (mut keys_seen, mut sets_seen) = (0, 0);
+        for src in &sources {
+            let file = parse_file(src).expect("generated sources parse");
+            let cfg = build_file(&file, &resolve_file(&file));
+            let keys = &cfg.keys;
+            let texts: Vec<_> = keys
+                .iter()
+                .map(|k| text_key(keys, k, &file.names))
+                .collect();
+            for a in keys.iter() {
+                for b in keys.iter() {
+                    assert_eq!(
+                        a.cmp(&b),
+                        texts[a.index()].cmp(&texts[b.index()]),
+                        "seed {seed}: keys {:?} and {:?}",
+                        texts[a.index()],
+                        texts[b.index()]
+                    );
+                }
+            }
+            keys_seen += keys.len();
+
+            let flow = flow(&cfg);
+            let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+            let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+            let locksets = &sums.tables.locksets;
+            let maps: Vec<BTreeMap<_, LockMode>> = locksets
+                .iter()
+                .map(|l| {
+                    locksets
+                        .get(l)
+                        .iter()
+                        .map(|&(k, mode)| (texts[k.index()].clone(), mode))
+                        .collect()
+                })
+                .collect();
+            let ids: Vec<_> = locksets.iter().collect();
+            for (i, &a) in ids.iter().enumerate() {
+                for (j, &b) in ids.iter().enumerate() {
+                    assert_eq!(
+                        locksets.get(a).cmp(locksets.get(b)),
+                        maps[i].cmp(&maps[j]),
+                        "seed {seed}: locksets {:?} and {:?}",
+                        maps[i],
+                        maps[j]
+                    );
+                }
+            }
+            sets_seen += ids.len();
+        }
+        assert!(
+            keys_seen > 1000 && sets_seen > sources.len(),
+            "seed {seed}: too little to test"
+        );
     }
 }

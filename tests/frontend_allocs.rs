@@ -2,13 +2,17 @@
 //!
 //! A timing cannot gate CI on a shared runner; a heap-allocation count
 //! repeats exactly, so it can. Mean allocations per file or run over
-//! generated tests of seed 1 (the `corpus_live` input):
+//! generated tests of seed 1 (the `corpus_live` input), and per linted line
+//! over those tests and a 0.001-scale generated monorepo of seed 1 (the
+//! `static_scan` inputs):
 //!
-//! | stage                       | `9278d5f` | `2fed7a2` | this tree | ceiling |
-//! |-----------------------------|----------:|----------:|----------:|--------:|
-//! | `tokenize`                  |     114.5 |       1.0 |       1.0 |  2 each |
-//! | `parse_file`                |     306.5 |      74.6 |      74.6 |      90 |
-//! | one run under `NullMonitor` |     209.4 |     129.6 |     113.1 |     127 |
+//! | stage                             | `9278d5f` | `2fed7a2` | `6496418` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|--------:|
+//! | `tokenize`                        |     114.5 |       1.0 |       1.0 |       1.0 |  2 each |
+//! | `parse_file`                      |     306.5 |      74.6 |      74.6 |      74.6 |      90 |
+//! | one run under `NullMonitor`       |     209.4 |     129.6 |     113.1 |     113.1 |     127 |
+//! | `lint_file`, a line of tests      |           |           |      6.89 |      2.83 |    3.15 |
+//! | `lint_file`, a line of monorepo   |           |           |      6.98 |      0.51 |    0.57 |
 //!
 //! (The `9278d5f` column is over the first 2,000 tests, from a scratch
 //! probe with the same counter; the others are what the tests below measure
@@ -16,12 +20,17 @@
 //! spelling and the parser cloned a token at each of its 51 `bump()` call
 //! sites; the interpreter deep-copied a closure's signature and body per
 //! evaluation. `2fed7a2` made tokens borrow from the source, names `Sym`s
-//! into one per-file buffer and closure bodies shared. This tree executes
+//! into one per-file buffer and closure bodies shared. `6496418` executes
 //! `golite::resolve`'s bindings: no scope node and map per block entered,
-//! one frame per Go call and one capture array per capturing closure. The
-//! ceilings sit about 12 % above what was reached — tight enough that a
-//! `String` creeping back into a token, or a per-evaluation copy or scope
-//! into the interpreter, fails here.
+//! one frame per Go call and one capture array per capturing closure. At
+//! `6496418` every flow-table access owned one or two `String`s, a cloned
+//! `BTreeMap` lockset and a cloned tag list; this tree lints from per-file
+//! key ids, interned locksets and chains, and CFG events laid out once per
+//! function (what is left per test file is mostly fixed per-file and
+//! per-function cost, hence the two rows). The ceilings sit about 12 %
+//! above what was reached — tight enough that a `String` creeping back into
+//! a token or a flow-table record, or a per-evaluation copy or scope into
+//! the interpreter, fails here.
 //!
 //! The counting allocator is this binary's own (`tests/*.rs` are separate
 //! crates), delegates to `System`, and counts per thread, so the harness's
@@ -30,9 +39,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use grs::corpus::{GoTest, GoTestGen, GoTestSpec};
+use grs::corpus::{GoCorpus, GoCorpusSpec, GoTest, GoTestGen, GoTestSpec};
 use grs::golite::lexer::tokenize;
-use grs::golite::parse_file;
+use grs::golite::{lint_file, parse_file};
 use grs::interp::Interp;
 use grs::runtime::{NullMonitor, RunConfig, Runtime};
 
@@ -157,5 +166,36 @@ fn an_interpreted_run_stays_under_its_allocation_ceiling() {
         "interpreted run: {:.1} allocations (ceiling 127; 113.1 when this was written, \
          129.6 at the parent)",
         mean(total)
+    );
+}
+
+/// Allocations per line `lint_file` makes over `sources`.
+fn lint_allocations_per_line(sources: impl Iterator<Item = String>) -> f64 {
+    let (mut total, mut lines) = (0, 0);
+    for src in sources {
+        let file = parse_file(&src).expect("parses");
+        let (n, findings) = allocations_in(|| lint_file(&file));
+        total += n;
+        lines += src.lines().count() as u64;
+        drop(findings);
+    }
+    total as f64 / lines as f64
+}
+
+#[test]
+fn lint_file_stays_under_its_allocation_ceiling() {
+    let tests = lint_allocations_per_line(corpus().into_iter().map(|t| t.source));
+    let monorepo = lint_allocations_per_line(
+        GoCorpus::generate(&GoCorpusSpec::paper_scaled(0.001), 1)
+            .files
+            .into_iter()
+            .map(|(_, src)| src),
+    );
+    println!("lint_file: {tests:.2} allocations a line of tests, {monorepo:.2} of monorepo");
+    assert!(
+        tests <= 3.15 && monorepo <= 0.57,
+        "lint_file: {tests:.2} allocations a line of tests, {monorepo:.2} of monorepo \
+         (ceilings 3.15 and 0.57; 2.83 and 0.51 when this was written, 6.89 and 6.98 at \
+         the parent)"
     );
 }

@@ -49,17 +49,17 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
             let file = parse_file(src)
                 .unwrap_or_else(|e| panic!("seed {seed} {path}: parse error {e}"));
             let res = resolve_file(&file);
-            let cfgs = cfg::build_file(&file, &res);
-            let flow = lockset::flow(&cfgs);
-            let cg = CallGraph::build(cfgs.len(), &flow.sites);
+            let cfg = cfg::build_file(&file, &res);
+            let flow = lockset::flow(&cfg);
+            let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
             let sccs = cg.sccs();
             let reachable: usize = sccs.iter().map(Vec::len).sum();
             assert_eq!(
                 reachable,
-                cfgs.len(),
+                cfg.funcs.len(),
                 "seed {seed} {path}: SCCs must partition the functions"
             );
-            let _sums = Summaries::compute(&cfgs, &flow, &cg, &file.names);
+            let _sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
             let _mhp = Mhp::build(&file);
             let _findings = lint_file(&file);
         }
