@@ -115,20 +115,20 @@ pub fn classify(report: &RaceReport) -> Category {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grs_detector::{ExploreConfig, Explorer};
+    use grs_fleet::{pattern_suite, Campaign, CampaignConfig};
     use grs_patterns::registry;
 
     /// The classifier must recover the ground-truth category for most of
     /// the corpus (the experiments report the exact accuracy).
     #[test]
     fn classifier_recovers_most_pattern_categories() {
-        let explorer = Explorer::new(ExploreConfig::quick().runs(60));
+        let config = CampaignConfig::new().seeds_per_unit(60);
+        let result = Campaign::over_units(config, pattern_suite(false)).run();
         let mut total = 0;
         let mut correct = 0;
         let mut misses = Vec::new();
-        for pattern in registry() {
-            let result = explorer.explore(&pattern.racy_program());
-            let Some(first) = result.unique_races.first() else {
+        for (unit, pattern) in registry().into_iter().enumerate() {
+            let Some(first) = result.first_race(unit) else {
                 continue;
             };
             total += 1;

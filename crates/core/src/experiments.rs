@@ -10,14 +10,15 @@
 //! | [`overhead_probe`] | §3.5 — detector runtime overhead |
 //! | [`static_dynamic_agreement`] | §5 — static lint rules vs the dynamic detector |
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use grs_corpus::table1::{self as t1, Table1, Table1Config};
 use grs_deploy::sim::{SimConfig, SimResult, TrackerSim};
-use grs_detector::{ExploreConfig, Explorer, Tsan};
-use grs_fleet::{census, Census, CensusConfig};
+use grs_detector::Tsan;
+use grs_fleet::{census, Campaign, CampaignConfig, CampaignResult, CampaignUnit, Census, CensusConfig};
 use grs_golite::{lint_file, parse_file, Rule};
-use grs_patterns::{gosrc, registry, Category, Pattern, Table};
+use grs_patterns::{gosrc, registry, Category, Table};
 use grs_runtime::{NullMonitor, Program, RunConfig, Runtime};
 
 use crate::classify::classify;
@@ -70,7 +71,7 @@ pub struct TallyConfig {
     /// injected population (e.g. `10.0` → ~100 program instances for
     /// Table 2).
     pub scale_divisor: f64,
-    /// Explorer runs per program instance.
+    /// Schedule seeds per program instance.
     pub runs_per_instance: usize,
     /// Base seed.
     pub seed: u64,
@@ -107,7 +108,7 @@ pub struct CategoryTally {
     pub paper_count: Option<u32>,
     /// Instances injected into the synthetic population.
     pub injected: u32,
-    /// Instances where the explorer detected at least one race.
+    /// Instances where some seed exposed at least one race.
     pub detected: u32,
     /// Detected instances the classifier assigned to this category.
     pub classified_here: u32,
@@ -161,75 +162,64 @@ pub fn table3(config: &TallyConfig) -> TallyResult {
     tally(config, Table::LanguageAgnostic)
 }
 
-fn patterns_for(category: Category) -> Vec<Pattern> {
-    registry()
-        .into_iter()
-        .filter(|p| p.category == category)
-        .collect()
+/// Runs `units` across `runs` seeds from `seed` as one hybrid-detector
+/// campaign.
+fn campaign(units: Vec<CampaignUnit>, runs: usize, seed: u64) -> CampaignResult {
+    let config = CampaignConfig::new().seeds_per_unit(runs).base_seed(seed);
+    Campaign::over_units(config, units).run()
 }
 
 fn tally(config: &TallyConfig, table: Table) -> TallyResult {
-    let explorer = Explorer::new(
-        ExploreConfig::quick()
-            .runs(config.runs_per_instance)
-            .base_seed(config.seed),
-    );
-    let mut rows = Vec::new();
-    let mut total_detected = 0u32;
-    let mut total_correct = 0u32;
-    // First pass: count per-category classifications across the whole
-    // population (a report can be classified into any category, so tallies
-    // must be accumulated globally).
-    let mut classified: std::collections::HashMap<Category, u32> =
-        std::collections::HashMap::new();
-    let mut detected_per_cat: std::collections::HashMap<Category, u32> =
-        std::collections::HashMap::new();
-    let mut injected_per_cat: std::collections::HashMap<Category, u32> =
-        std::collections::HashMap::new();
+    // Every instance of a pattern is the same program under the same seeds,
+    // so each of the table's patterns runs once and its verdict — the
+    // category its first race classifies as, if it raced — counts once per
+    // instance.
+    let patterns: Vec<_> = registry()
+        .into_iter()
+        .filter(|p| p.category.table() == table)
+        .collect();
+    let units = patterns.iter().map(|p| CampaignUnit::pattern(p, true)).collect();
+    let result = campaign(units, config.runs_per_instance, config.seed);
+    let verdicts: Vec<Option<Category>> =
+        (0..patterns.len()).map(|u| result.first_race(u).map(classify)).collect();
 
+    let mut rows = Vec::new();
+    let (mut total_detected, mut total_correct) = (0u32, 0u32);
+    // A report can be classified into any category, so the per-row
+    // classified counts are filled in once every row has been tallied.
+    let mut classified: HashMap<Category, u32> = HashMap::new();
     for &category in Category::all() {
-        if category.table() != table {
-            continue;
-        }
-        let pats = patterns_for(category);
-        if pats.is_empty() {
+        let of_category: Vec<Option<Category>> = (0..patterns.len())
+            .filter(|&u| patterns[u].category == category)
+            .map(|u| verdicts[u])
+            .collect();
+        if of_category.is_empty() {
             continue;
         }
         // Population size: paper count / divisor (min 1). The err-capture
         // row has no paper count; inject one instance and report it as n/a.
-        let n = category
+        let injected = category
             .paper_count()
             .map_or(1, |c| ((f64::from(c) / config.scale_divisor).round() as u32).max(1));
-        injected_per_cat.insert(category, n);
-        for i in 0..n {
-            let pattern = &pats[i as usize % pats.len()];
-            let result = explorer.explore(&pattern.racy_program());
-            if let Some(first) = result.unique_races.first() {
-                *detected_per_cat.entry(category).or_insert(0) += 1;
-                total_detected += 1;
-                let predicted = classify(first);
+        let mut detected = 0;
+        for i in 0..injected as usize {
+            if let Some(predicted) = of_category[i % of_category.len()] {
+                detected += 1;
                 *classified.entry(predicted).or_insert(0) += 1;
-                if predicted == category {
-                    total_correct += 1;
-                }
+                total_correct += u32::from(predicted == category);
             }
         }
-    }
-
-    for &category in Category::all() {
-        if category.table() != table {
-            continue;
-        }
-        if patterns_for(category).is_empty() {
-            continue;
-        }
+        total_detected += detected;
         rows.push(CategoryTally {
             category,
             paper_count: category.paper_count(),
-            injected: injected_per_cat.get(&category).copied().unwrap_or(0),
-            detected: detected_per_cat.get(&category).copied().unwrap_or(0),
-            classified_here: classified.get(&category).copied().unwrap_or(0),
+            injected,
+            detected,
+            classified_here: 0,
         });
+    }
+    for row in &mut rows {
+        row.classified_here = classified.get(&row.category).copied().unwrap_or(0);
     }
 
     TallyResult {
@@ -244,7 +234,7 @@ fn tally(config: &TallyConfig, table: Table) -> TallyResult {
 
 /// One row of the static-vs-dynamic agreement matrix: the same bug, once
 /// as Go-lite source in front of the lint engine and once as an
-/// executable program in front of the dynamic explorer.
+/// executable program in front of the dynamic detector's campaign.
 #[derive(Debug, Clone)]
 pub struct AgreementRow {
     /// The executable pattern's registry ID.
@@ -255,15 +245,15 @@ pub struct AgreementRow {
     pub static_racy: bool,
     /// The lint fired `rule` on the fixed source (want `false`).
     pub static_fixed: bool,
-    /// The explorer detected a race in the racy program (want `true`).
+    /// Some seed raced the racy program (want `true`).
     pub dynamic_racy: bool,
-    /// The explorer detected a race in the fixed program (want `false`).
+    /// Some seed raced the fixed program (want `false`).
     pub dynamic_fixed: bool,
 }
 
 impl AgreementRow {
-    /// Both verdict pairs match: lint fires exactly where the explorer
-    /// observes a race.
+    /// Both verdict pairs match: lint fires exactly where some schedule
+    /// exposes a race.
     #[must_use]
     pub fn agrees(&self) -> bool {
         self.static_racy == self.dynamic_racy && self.static_fixed == self.dynamic_fixed
@@ -315,13 +305,13 @@ impl AgreementResult {
     }
 }
 
-/// Scores the static lint engine against the dynamic explorer over the
+/// Scores the static lint engine against the dynamic detector over the
 /// Go-rendition corpus: for each rule's racy/fixed source pair, does the
-/// lint fire exactly where the explorer observes a race in the executable
-/// twin?
+/// lint fire exactly where a campaign over the executable twins observes a
+/// race?
 ///
-/// `runs` is the explorer's schedule budget per program; 60 suffices for
-/// every pattern in the corpus.
+/// `runs` is the schedule budget per program; 60 suffices for every
+/// pattern in the corpus.
 ///
 /// # Panics
 /// Panics if a rendition references an unknown pattern, an unknown rule
@@ -329,23 +319,31 @@ impl AgreementResult {
 /// data-dependent conditions.
 #[must_use]
 pub fn static_dynamic_agreement(runs: usize, seed: u64) -> AgreementResult {
-    let explorer = Explorer::new(ExploreConfig::quick().runs(runs).base_seed(seed));
+    let renditions = gosrc::renditions();
+    // Unit `2i` is rendition `i`'s racy twin, `2i + 1` its fixed one.
+    let units = renditions
+        .iter()
+        .flat_map(|r| {
+            let pattern =
+                grs_patterns::find(r.pattern_id).expect("rendition has an executable twin");
+            [true, false].map(|racy| CampaignUnit::pattern(&pattern, racy))
+        })
+        .collect();
+    let dynamic = campaign(units, runs, seed);
     let fires = |src: &str, rule: Rule| -> bool {
         let file = parse_file(src).expect("rendition source parses");
         lint_file(&file).iter().any(|f| f.rule == rule)
     };
     let mut rows = Vec::new();
-    for r in gosrc::renditions() {
+    for (i, r) in renditions.iter().enumerate() {
         let rule = Rule::from_id(r.rule).expect("rendition names a known rule");
-        let pattern =
-            grs_patterns::find(r.pattern_id).expect("rendition has an executable twin");
         rows.push(AgreementRow {
             pattern_id: r.pattern_id,
             rule,
             static_racy: fires(r.racy, rule),
             static_fixed: fires(r.fixed, rule),
-            dynamic_racy: explorer.explore(&pattern.racy_program()).found_race(),
-            dynamic_fixed: explorer.explore(&pattern.fixed_program()).found_race(),
+            dynamic_racy: dynamic.first_race(2 * i).is_some(),
+            dynamic_fixed: dynamic.first_race(2 * i + 1).is_some(),
         });
     }
     let pairs = rows.len() * 2;

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`runtime`] | `grs-runtime` | deterministic Go-semantics runtime |
 //! | [`clock`] | `grs-clock` | vector clocks, epochs, locksets |
-//! | [`detector`] | `grs-detector` | FastTrack / Eraser / TSan + explorer |
+//! | [`detector`] | `grs-detector` | FastTrack / Eraser / TSan, `DetectorChoice` |
 //! | [`patterns`] | `grs-patterns` | executable §4 pattern corpus |
 //! | [`deploy`] | `grs-deploy` | §3.3 pipeline + campaign simulation |
 //! | [`golite`] | `grs-golite` | Go subset frontend, scanner, lints |
@@ -21,13 +21,14 @@
 //! # Example: detect Listing 1's race end to end
 //!
 //! ```
-//! use grs::detector::{ExploreConfig, Explorer};
+//! use grs::fleet::{Campaign, CampaignConfig, CampaignUnit};
 //! use grs::patterns;
 //!
 //! let listing1 = patterns::find("loop_index_capture").expect("in corpus");
-//! let result = Explorer::new(ExploreConfig::quick()).explore(&listing1.racy_program());
-//! assert!(result.found_race());
-//! println!("{}", result.unique_races[0]);
+//! let unit = CampaignUnit::pattern(&listing1, true);
+//! let result = Campaign::over_units(CampaignConfig::new().seeds_per_unit(30), vec![unit]).run();
+//! let race = result.first_race(0).expect("the capture race is detected");
+//! println!("{race}");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use grs_deploy::service::{IntakeError, IntakeService, IntakeSummary};
     pub use grs_deploy::store::Snapshot;
     pub use grs_deploy::{race_fingerprint, Fingerprint, OwnerDb};
-    pub use grs_detector::{DetectorArena, DetectorChoice, ExploreConfig, Explorer, RaceReport};
+    pub use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
     pub use grs_fleet::{
         corpus_suite, pattern_suite, Campaign, CampaignConfig, CampaignResult, CampaignUnit,
     };

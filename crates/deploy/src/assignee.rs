@@ -96,15 +96,17 @@ pub struct AssigneeDecision {
 ///
 /// ```
 /// use grs_deploy::{determine_assignee, OwnerDb};
-/// # use grs_detector::{ExploreConfig, Explorer};
+/// # use grs_detector::DetectorChoice;
 /// # use grs_patterns::find;
+/// # use grs_runtime::RunConfig;
 /// let mut db = OwnerDb::new();
 /// // The racy accesses sit under the "handler" goroutine's root frame.
 /// db.add_author("handler", "alice", 12, true);
 /// db.add_author("handler", "bob", 40, false); // departed
-/// # let races = Explorer::new(ExploreConfig::quick().runs(40))
-/// #     .explore(&find("missing_lock").unwrap().racy_program()).unique_races;
-/// # let report = &races[0];
+/// # let program = find("missing_lock").unwrap().racy_program();
+/// # let report = &(1..=40)
+/// #     .find_map(|seed| DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(seed)).1.pop())
+/// #     .expect("missing_lock races");
 /// let decision = determine_assignee(report, &db);
 /// assert_eq!(decision.assignee.as_deref(), Some("alice"));
 /// assert!(!decision.rationale.is_empty());

@@ -57,17 +57,19 @@ fn hash_chain(h: &mut Fnv1a, funcs: &[&str]) {
 /// the two accesses in opposite orders, fingerprint identically:
 ///
 /// ```
-/// use grs_detector::{ExploreConfig, Explorer};
+/// use grs_detector::DetectorChoice;
 /// use grs_deploy::race_fingerprint;
 /// use grs_patterns::find;
+/// use grs_runtime::RunConfig;
 ///
-/// let pattern = find("missing_lock").expect("in corpus");
-/// let races = Explorer::new(ExploreConfig::quick().runs(40))
-///     .explore(&pattern.racy_program())
-///     .unique_races;
+/// let program = find("missing_lock").expect("in corpus").racy_program();
+/// let races: Vec<_> = (1..=40)
+///     .flat_map(|seed| DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(seed)).1)
+///     .collect();
+/// assert!(!races.is_empty());
 /// let fps: std::collections::HashSet<_> =
 ///     races.iter().map(race_fingerprint).collect();
-/// // Orientation variants collapse to one logical bug.
+/// // Every schedule's report — either orientation — is one logical bug.
 /// assert_eq!(fps.len(), 1);
 /// ```
 #[must_use]

@@ -19,11 +19,88 @@ use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{DecodedTrace, Program, RunConfig, RunOutcome, Runtime, StackDepot, Trace};
 
 use crate::eraser::Eraser;
-use crate::explorer::DetectorChoice;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
 use crate::replay::{replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 use crate::report::RaceReport;
 use crate::tsan::Tsan;
+
+/// Which detection algorithm a run is monitored with.
+///
+/// The paper's deployment always runs ThreadSanitizer (the hybrid), but the
+/// campaign engine (`grs-fleet`) and the differential test harness rerun
+/// the same seeds under each algorithm to compare verdicts: FastTrack is
+/// precise under the observed schedule, Eraser over-approximates by
+/// ignoring happens-before, and the hybrid pairs FastTrack verdicts with
+/// lockset context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum DetectorChoice {
+    /// FastTrack happens-before (epoch-optimized), no lockset context.
+    FastTrack,
+    /// FastTrack with the epoch fast path disabled (pure vector clocks).
+    PureVectorClock,
+    /// Eraser locksets only (may report false positives).
+    Eraser,
+    /// The TSan-style hybrid — FastTrack verdicts + lockset context.
+    #[default]
+    Hybrid,
+}
+
+impl DetectorChoice {
+    /// The three production-relevant algorithms, in comparison order.
+    #[must_use]
+    pub fn all() -> [DetectorChoice; 3] {
+        [
+            DetectorChoice::FastTrack,
+            DetectorChoice::Eraser,
+            DetectorChoice::Hybrid,
+        ]
+    }
+
+    /// All four algorithms, including the pure-vector-clock ablation — the
+    /// set the replay harness fans every trace through.
+    #[must_use]
+    pub fn all_with_ablation() -> [DetectorChoice; 4] {
+        [
+            DetectorChoice::FastTrack,
+            DetectorChoice::PureVectorClock,
+            DetectorChoice::Eraser,
+            DetectorChoice::Hybrid,
+        ]
+    }
+
+    /// Short stable label (used in campaign summaries and JSON output).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            DetectorChoice::FastTrack => "fasttrack",
+            DetectorChoice::PureVectorClock => "pure-vc",
+            DetectorChoice::Eraser => "eraser",
+            DetectorChoice::Hybrid => "hybrid",
+        }
+    }
+
+    /// Executes one run of `program` under a fresh instance of this
+    /// detector.
+    #[must_use]
+    pub fn run(self, program: &Program, cfg: RunConfig) -> (RunOutcome, Vec<RaceReport>) {
+        DetectorArena::new().run(self, program, cfg)
+    }
+
+    /// Analyzes a recorded trace offline with a fresh instance of this
+    /// detector. For a trace recorded from a live run, the reports are
+    /// bit-identical to [`DetectorChoice::run`] under the same config —
+    /// the replay-fidelity guarantee the record/replay subsystem rests on.
+    #[must_use]
+    pub fn replay(self, trace: &Trace) -> ReplayOutcome {
+        DetectorArena::new().replay(self, trace)
+    }
+}
+
+impl std::fmt::Display for DetectorChoice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// One long-lived instance of each detection algorithm plus a shared stack
 /// depot, reused across runs.
@@ -243,5 +320,14 @@ mod tests {
         assert!(o.stats.events_dispatched > 0);
         assert!(o.stats.depot.stacks > 0);
         assert!(!arena.depot().is_empty());
+    }
+
+    #[test]
+    fn detector_choice_runs_each_algorithm() {
+        let p = racy_program();
+        for choice in DetectorChoice::all_with_ablation() {
+            let found = (0..20).any(|seed| !choice.run(&p, RunConfig::with_seed(seed)).1.is_empty());
+            assert!(found, "{choice} never detected the race");
+        }
     }
 }

@@ -16,17 +16,19 @@
 //! the paper's deployment files as bugs (§3.3: two stacks, access types,
 //! conflicting address).
 //!
-//! [`Explorer`] reruns a [`Program`](grs_runtime::Program) across many seeds
-//! and strategies, deduplicates the races found, and measures per-run
-//! detection probability — the "flakiness" that drives the paper's entire
-//! deployment design (§3.2: a dynamic detector cannot gate a pull request
-//! because detection is schedule-dependent).
+//! [`DetectorChoice`] names one of the four algorithms and runs a
+//! [`Program`](grs_runtime::Program) under it. Detection is
+//! schedule-dependent — the "flakiness" that drives the paper's entire
+//! deployment design (§3.2: a dynamic detector cannot gate a pull request)
+//! — so a race is looked for across seeds; the driver that reruns whole
+//! corpora across seeds and strategies and deduplicates what they find is
+//! the campaign engine in `grs-fleet`.
 //!
 //! # Example
 //!
 //! ```
-//! use grs_detector::{ExploreConfig, Explorer};
-//! use grs_runtime::Program;
+//! use grs_detector::DetectorChoice;
+//! use grs_runtime::{Program, RunConfig};
 //!
 //! // Listing 1: loop index variable captured by reference.
 //! let program = Program::new("loop_capture", |ctx| {
@@ -39,24 +41,22 @@
 //!         });
 //!     }
 //! });
-//! let result = Explorer::new(ExploreConfig::quick()).explore(&program);
-//! assert!(result.found_race(), "the capture race must be detected");
+//! let run = |seed| DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(seed));
+//! assert!((1..=30).any(|seed| !run(seed).1.is_empty()), "the capture race must be detected");
 //! ```
 
 #![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod eraser;
-pub mod explorer;
 pub mod fasttrack;
 pub mod reference;
 pub mod replay;
 pub mod report;
 pub mod tsan;
 
-pub use arena::DetectorArena;
+pub use arena::{DetectorArena, DetectorChoice};
 pub use eraser::Eraser;
-pub use explorer::{default_workers, DetectorChoice, ExploreConfig, ExploreResult, Explorer};
 pub use fasttrack::{FastTrack, FastTrackConfig};
 pub use replay::{replay_decoded, replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};

@@ -120,7 +120,7 @@ pub fn replay_decoded_prepared(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::explorer::DetectorChoice;
+    use crate::arena::DetectorChoice;
     use crate::fasttrack::FastTrack;
     use grs_runtime::{record, Program, RunConfig};
 

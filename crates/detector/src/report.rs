@@ -74,11 +74,12 @@ pub struct RaceReport {
     pub current: RaceAccess,
     /// Which detector produced the report.
     pub detector: DetectorKind,
-    /// Name of the program under test (filled by the explorer).
+    /// Name of the program under test (filled by the campaign driver).
     pub program: Option<Arc<str>>,
     /// The seed of the first run that exposed this race — the §3.4 "necessary
     /// instructions to reproduce": rerunning the program under this seed
-    /// replays the interleaving deterministically (filled by the explorer).
+    /// replays the interleaving deterministically (filled by the campaign
+    /// driver).
     pub repro_seed: Option<u64>,
     /// The full reproduction artifact (seed + strategy + trace digest +
     /// optional `.grtrace` path) when the producing run was recorded or the

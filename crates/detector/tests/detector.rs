@@ -3,16 +3,21 @@
 //! properly synchronized programs (the happens-before detector's precision
 //! guarantee under an observed schedule).
 
-use grs_detector::{Eraser, ExploreConfig, Explorer, FastTrack, FastTrackConfig, Tsan};
-use grs_runtime::{Program, RunConfig, Runtime, Strategy};
+use grs_detector::{Eraser, FastTrack, FastTrackConfig, RaceReport, Tsan};
+use grs_runtime::{Program, RunConfig, Runtime};
 
-/// Runs `p` under many seeds with the TSan monitor; returns true when any
-/// run reports a race.
-fn tsan_finds_race(p: &Program, seeds: u64) -> bool {
-    (0..seeds).any(|seed| {
+/// Runs `p` under many seeds with the TSan monitor; returns the first
+/// report of the first run that reports a race.
+fn tsan_first_race(p: &Program, seeds: u64) -> Option<RaceReport> {
+    (0..seeds).find_map(|seed| {
         let (_, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, Tsan::new());
-        !t.reports().is_empty()
+        t.reports().first().cloned()
     })
+}
+
+/// True when any of `seeds` runs of `p` reports a race.
+fn tsan_finds_race(p: &Program, seeds: u64) -> bool {
+    tsan_first_race(p, seeds).is_some()
 }
 
 /// Asserts that no seed produces a race report (precision check).
@@ -420,54 +425,6 @@ fn eraser_accepts_consistent_locking() {
 }
 
 #[test]
-fn explorer_aggregates_and_dedups() {
-    let p = Program::new("flaky_race", |ctx| {
-        let x = ctx.cell("x", 0i64);
-        let x2 = x.clone();
-        ctx.go("w", move |ctx| ctx.write(&x2, 1));
-        let _ = ctx.read(&x);
-    });
-    let result = Explorer::new(ExploreConfig::quick().runs(50)).explore(&p);
-    assert!(result.found_race());
-    assert!(result.detection_rate() > 0.0 && result.detection_rate() <= 1.0);
-    // One racy pair of source locations => at most 2 unique races
-    // (read-vs-write orientations share a site key, write orderings may
-    // produce a distinct pair).
-    assert!(result.unique_races.len() <= 2, "{:#?}", result.unique_races);
-    for r in &result.unique_races {
-        assert_eq!(r.program.as_deref(), Some("flaky_race"));
-    }
-}
-
-#[test]
-fn explorer_is_deterministic() {
-    let p = Program::new("det", |ctx| {
-        let x = ctx.cell("x", 0i64);
-        let x2 = x.clone();
-        ctx.go("w", move |ctx| ctx.write(&x2, 1));
-        let _ = ctx.read(&x);
-    });
-    let r1 = Explorer::new(ExploreConfig::quick()).explore(&p);
-    let r2 = Explorer::new(ExploreConfig::quick()).explore(&p);
-    assert_eq!(r1.racy_runs, r2.racy_runs);
-    assert_eq!(r1.unique_races.len(), r2.unique_races.len());
-}
-
-#[test]
-fn explorer_strategies_expose_races() {
-    let p = Program::new("strat", |ctx| {
-        let x = ctx.cell("x", 0i64);
-        let x2 = x.clone();
-        ctx.go("w", move |ctx| ctx.write(&x2, 1));
-        let _ = ctx.read(&x);
-    });
-    for strategy in [Strategy::Random, Strategy::Pct { depth: 3 }] {
-        let r = Explorer::new(ExploreConfig::quick().runs(40).strategy(strategy)).explore(&p);
-        assert!(r.found_race(), "{strategy:?} found nothing");
-    }
-}
-
-#[test]
 fn race_report_carries_both_stacks() {
     let p = Program::new("stacked", |ctx| {
         let x = ctx.cell("x", 0i64);
@@ -479,11 +436,7 @@ fn race_report_carries_both_stacks() {
             let _ = ctx.read(&x);
         });
     });
-    let result = Explorer::new(ExploreConfig::quick().runs(60)).explore(&p);
-    let race = result
-        .unique_races
-        .first()
-        .expect("race must be detected");
+    let race = tsan_first_race(&p, 60).expect("race must be detected");
     let (s1, s2) = race.stacks();
     let all: Vec<String> = s1
         .func_names()

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
-use grs_detector::{default_workers, DetectorArena, DetectorChoice, RaceReport};
+use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
 use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport, NULL_SINK};
 use grs_runtime::{
     record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig, RunOutcome, Strategy,
@@ -57,6 +57,24 @@ pub struct CampaignUnit {
     pub expected_racy: Option<bool>,
 }
 
+impl CampaignUnit {
+    /// Pattern `p`'s racy (`<id>/racy`) or fixed (`<id>/fixed`) variant,
+    /// with that variant's ground truth.
+    #[must_use]
+    pub fn pattern(p: &grs_patterns::Pattern, racy: bool) -> Self {
+        let (variant, program) = if racy {
+            ("racy", p.racy_program())
+        } else {
+            ("fixed", p.fixed_program())
+        };
+        CampaignUnit {
+            name: format!("{}/{variant}", p.id),
+            program,
+            expected_racy: Some(racy),
+        }
+    }
+}
+
 /// The full §4 pattern corpus as campaign units.
 ///
 /// Racy variants always; fixed variants too when `include_fixed` — the
@@ -65,17 +83,9 @@ pub struct CampaignUnit {
 pub fn pattern_suite(include_fixed: bool) -> Vec<CampaignUnit> {
     let mut units = Vec::new();
     for p in grs_patterns::registry() {
-        units.push(CampaignUnit {
-            name: format!("{}/racy", p.id),
-            program: p.racy_program(),
-            expected_racy: Some(true),
-        });
+        units.push(CampaignUnit::pattern(&p, true));
         if include_fixed {
-            units.push(CampaignUnit {
-                name: format!("{}/fixed", p.id),
-                program: p.fixed_program(),
-                expected_racy: Some(false),
-            });
+            units.push(CampaignUnit::pattern(&p, false));
         }
     }
     units
@@ -100,6 +110,12 @@ pub fn corpus_suite() -> Vec<CampaignUnit> {
                 .unwrap_or_else(|e| panic!("embedded snippet must lower: {e}"))
         })
         .collect()
+}
+
+/// The host's available parallelism, with a safe fallback of 1.
+#[must_use]
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Campaign parameters.
@@ -249,6 +265,10 @@ pub struct RunRecord {
     pub depot_stacks: usize,
     /// Peak shadow-word footprint of the run's detector (deterministic).
     pub peak_shadow_words: usize,
+    /// How the run ended (deterministic). Not part of [`RunRecord::key`]:
+    /// the pinned digests predate it, and it is a function of the fields
+    /// they do cover.
+    pub end: RunEnd,
     /// Which worker executed the run (placement metadata; not
     /// deterministic).
     pub worker: usize,
@@ -271,6 +291,29 @@ impl RunRecord {
             &self.fingerprints,
             self.steps,
         )
+    }
+}
+
+/// How one run ended, read from its [`RunOutcome`]: the non-race failures
+/// a race campaign also observes (Listing 9's leaked Future sender, a
+/// program that deadlocks, a Go-level panic).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunEnd {
+    /// The run deadlocked (main blocked, nothing runnable).
+    pub deadlock: bool,
+    /// Goroutines still blocked when main finished.
+    pub leaked: usize,
+    /// Go-level runtime errors (panics/throws) the program committed.
+    pub errors: usize,
+}
+
+impl RunEnd {
+    fn of(outcome: &RunOutcome) -> Self {
+        RunEnd {
+            deadlock: outcome.deadlock.is_some(),
+            leaked: outcome.leaked.len(),
+            errors: outcome.errors.len(),
+        }
     }
 }
 
@@ -433,6 +476,19 @@ impl CampaignResult {
         }
     }
 
+    /// The race unit `unit` is first seen with: the batch representative of
+    /// the lowest fingerprint its lowest-index racy run reported. `None`
+    /// when no run of the unit raced — so `is_some()` is the unit's
+    /// "did any schedule race" verdict.
+    #[must_use]
+    pub fn first_race(&self, unit: usize) -> Option<&RaceReport> {
+        let run = self.records.iter().find(|r| r.racy && r.spec.unit == unit)?;
+        self.batch
+            .iter()
+            .find(|(fp, _)| run.fingerprints.binary_search(fp).is_ok())
+            .map(|(_, report)| report)
+    }
+
     /// Runs per second of wall-clock time.
     #[must_use]
     pub fn throughput_rps(&self) -> f64 {
@@ -563,14 +619,8 @@ impl CampaignResult {
         self.records
             .iter()
             .map(|r| {
-                (
-                    r.spec.index,
-                    r.unit_name.clone(),
-                    r.spec.seed,
-                    r.racy,
-                    r.fingerprints.clone(),
-                    r.steps,
-                )
+                let (index, unit, seed, racy, fingerprints, steps) = r.key();
+                (index, unit.to_string(), seed, racy, fingerprints.to_vec(), steps)
             })
             .collect()
     }
@@ -818,6 +868,7 @@ impl Campaign {
                 events: analysis.events,
                 depot_stacks: trace.stacks.len(),
                 peak_shadow_words: analysis.peak_shadow_words,
+                end: RunEnd::of(&outcome),
             };
             let spec = exec.run_spec(pos, detector);
             wk.fold(spec, unit, analysis.reports, &repro, size, per_replay);
@@ -1065,13 +1116,14 @@ struct Worker<'a> {
     replay: ReplayStats,
 }
 
-/// The deterministic size figures of one run, from wherever the executor
-/// read them (a live [`RunOutcome`] or an offline analysis).
+/// The deterministic size and end-state figures of one run, from wherever
+/// the executor read them (a live [`RunOutcome`] or an offline analysis).
 struct RunSize {
     steps: u64,
     events: u64,
     depot_stacks: usize,
     peak_shadow_words: usize,
+    end: RunEnd,
 }
 
 impl RunSize {
@@ -1081,6 +1133,7 @@ impl RunSize {
             events: outcome.stats.events_dispatched,
             depot_stacks: outcome.stats.depot.stacks,
             peak_shadow_words: outcome.stats.peak_shadow_words,
+            end: RunEnd::of(outcome),
         }
     }
 }
@@ -1119,6 +1172,7 @@ impl Worker<'_> {
             events: size.events,
             depot_stacks: size.depot_stacks,
             peak_shadow_words: size.peak_shadow_words,
+            end: size.end,
             worker: self.id,
             shard: self.shard,
             duration,
@@ -1249,6 +1303,7 @@ mod tests {
             assert_eq!(a.peak_shadow_words, b.peak_shadow_words, "{:?}", a.spec);
             assert_eq!(a.events, b.events, "{:?}", a.spec);
             assert_eq!(a.depot_stacks, b.depot_stacks, "{:?}", a.spec);
+            assert_eq!(a.end, b.end, "{:?}", a.spec);
         }
         // Replay-path representatives carry the full repro artifact,
         // trace digest included.
@@ -1424,7 +1479,7 @@ mod tests {
                         x.unit_name.clone(),
                         x.racy,
                         x.fingerprints.clone(),
-                        (x.steps, x.events, x.depot_stacks, x.peak_shadow_words),
+                        (x.steps, x.events, x.depot_stacks, x.peak_shadow_words, x.end),
                     )
                 })
                 .collect()

@@ -41,8 +41,9 @@ pub mod source;
 pub mod triage;
 
 pub use campaign::{
-    corpus_suite, pattern_suite, Campaign, CampaignConfig, CampaignResult, CampaignUnit,
-    ReplayStats, RunRecord, ShardStats, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS,
+    corpus_suite, default_workers, pattern_suite, Campaign, CampaignConfig, CampaignResult,
+    CampaignUnit, ReplayStats, RunEnd, RunRecord, ShardStats, MAX_CONVERGENCE_POINTS,
+    MAX_SKIP_REASONS,
 };
 pub use census::{census, Cdf, Census, CensusConfig, Language, LanguageSample};
 pub use dedup::DedupMap;

@@ -19,12 +19,12 @@
 //! has something real to separate — the fixed sources lint clean and sink
 //! to the back of the queue.
 
-use grs_detector::DetectorChoice;
 use grs_golite::{lint_file, parse_file, Severity};
-use grs_runtime::{Program, RunConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+use crate::campaign::{Campaign, CampaignConfig, CampaignUnit};
 
 /// Unit-order shuffles the uninformed baseline is averaged over.
 pub const BASELINE_SHUFFLES: usize = 32;
@@ -34,18 +34,15 @@ pub const BASELINE_SHUFFLES: usize = 32;
 const ERROR_PRIOR: f64 = 3.0;
 const WARNING_PRIOR: f64 = 1.0;
 
-/// One triageable program: an executable unit plus the lint score of its
-/// Go source.
+/// One triageable program: a campaign unit plus the lint score of its Go
+/// source. The unit's ground truth is for reporting only — the ranking
+/// never sees it.
 #[derive(Debug, Clone)]
 pub struct TriageUnit {
-    /// Display name (`<pattern_id>/racy` or `/fixed`).
-    pub name: String,
-    /// The executable program.
-    pub program: Program,
+    /// The executable unit, named `<pattern_id>/racy` or `/fixed`.
+    pub unit: CampaignUnit,
     /// Summed static prior of the unit's Go source.
     pub score: f64,
-    /// Ground truth, for reporting only — the ranking never sees it.
-    pub expected_racy: bool,
 }
 
 /// The summed prior of every lint finding on `src` (0.0 when the source
@@ -71,20 +68,14 @@ pub fn triage_suite() -> Vec<TriageUnit> {
     for r in grs_patterns::gosrc::renditions() {
         let p = grs_patterns::find(r.pattern_id)
             .unwrap_or_else(|| panic!("rendition {} has no executable twin", r.pattern_id));
-        units.push(TriageUnit {
-            name: format!("{}/racy", r.pattern_id),
-            program: p.racy_program(),
-            score: lint_score(r.racy),
-            expected_racy: true,
-        });
-        units.push(TriageUnit {
-            name: format!("{}/fixed", r.pattern_id),
-            program: p.fixed_program(),
-            score: lint_score(r.fixed),
-            expected_racy: false,
-        });
+        for (src, racy) in [(r.racy, true), (r.fixed, false)] {
+            units.push(TriageUnit {
+                unit: CampaignUnit::pattern(&p, racy),
+                score: lint_score(src),
+            });
+        }
     }
-    units.sort_by(|a, b| a.name.cmp(&b.name));
+    units.sort_by(|a, b| a.unit.name.cmp(&b.unit.name));
     units
 }
 
@@ -92,7 +83,7 @@ pub fn triage_suite() -> Vec<TriageUnit> {
 #[derive(Debug, Clone, Copy)]
 pub struct TriageConfig {
     /// Schedule seeds per unit (seeds enumerate innermost).
-    pub seeds_per_unit: u64,
+    pub seeds_per_unit: usize,
     /// First seed of every unit's block, and the seed of the baseline's
     /// shuffles.
     pub base_seed: u64,
@@ -152,9 +143,9 @@ pub fn triage_order(units: &[TriageUnit]) -> Vec<usize> {
     order
 }
 
-/// Runs the triage benchmark over [`triage_suite`]: executes the
-/// `(unit × seed)` matrix once under the hybrid detector, noting the seed
-/// at which each unit first races, and from that reads off
+/// Runs the triage benchmark over [`triage_suite`]: runs the `(unit ×
+/// seed)` matrix once as a hybrid-detector [`Campaign`], reads from its
+/// records the seed at which each unit first races, and from that reads off
 /// executions-to-first-race for the triaged order and for each shuffled
 /// one — seeds enumerate innermost, so an order's count is a whole unit's
 /// seeds for every silent unit ahead of the first racing one, plus that
@@ -162,18 +153,16 @@ pub fn triage_order(units: &[TriageUnit]) -> Vec<usize> {
 #[must_use]
 pub fn run_triage(cfg: &TriageConfig) -> TriageOutcome {
     let units = triage_suite();
-    let per_unit = usize::try_from(cfg.seeds_per_unit).unwrap_or(usize::MAX);
+    let per_unit = cfg.seeds_per_unit;
+    let config = CampaignConfig::new()
+        .seeds_per_unit(per_unit)
+        .base_seed(cfg.base_seed);
+    let campaign = Campaign::over_units(config, units.iter().map(|t| t.unit.clone()).collect());
     // 1-based position, within the unit's seed block, of its first racy run.
-    let first_hit: Vec<Option<usize>> = units
-        .iter()
-        .map(|u| {
-            let racy = |k| {
-                let rc = RunConfig::with_seed(cfg.base_seed.wrapping_add(k));
-                !DetectorChoice::Hybrid.run(&u.program, rc).1.is_empty()
-            };
-            (0..cfg.seeds_per_unit).position(racy).map(|k| k + 1)
-        })
-        .collect();
+    let mut first_hit = vec![None; units.len()];
+    for r in campaign.run().records.iter().filter(|r| r.racy) {
+        first_hit[r.spec.unit].get_or_insert(r.spec.index % per_unit + 1);
+    }
     let first_race = |order: &[usize]| -> Option<(usize, usize)> {
         order
             .iter()
@@ -195,7 +184,7 @@ pub fn run_triage(cfg: &TriageConfig) -> TriageOutcome {
         #[allow(clippy::cast_precision_loss)]
         baseline_executions: shuffled.map(|n| n as f64 / BASELINE_SHUFFLES as f64),
         triage_executions: tri.map(|(n, _)| n),
-        first_race_unit: tri.map(|(_, u)| units[u].name.clone()),
+        first_race_unit: tri.map(|(_, u)| units[u].unit.name.clone()),
     }
 }
 
@@ -209,11 +198,11 @@ mod tests {
         assert_eq!(units.len(), 36, "18 renditions, two variants each");
         for pair in units.chunks(2) {
             let (fixed, racy) = (&pair[0], &pair[1]);
-            assert!(fixed.name.ends_with("/fixed") && racy.name.ends_with("/racy"));
+            assert!(fixed.unit.name.ends_with("/fixed") && racy.unit.name.ends_with("/racy"));
             assert!(
                 racy.score > fixed.score,
                 "{}: racy {} !> fixed {}",
-                racy.name,
+                racy.unit.name,
                 racy.score,
                 fixed.score
             );
@@ -224,12 +213,12 @@ mod tests {
     fn triage_order_puts_racy_units_first() {
         let units = triage_suite();
         let order = triage_order(&units);
-        let n_racy = units.iter().filter(|u| u.expected_racy).count();
+        let n_racy = units.iter().filter(|u| u.unit.expected_racy == Some(true)).count();
         for &u in &order[..n_racy] {
             assert!(
                 units[u].score > 0.0,
                 "{} ranked in the top band with score 0",
-                units[u].name
+                units[u].unit.name
             );
         }
     }

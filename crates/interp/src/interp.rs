@@ -85,7 +85,7 @@ struct Shared {
 /// # Example
 ///
 /// ```
-/// use grs_detector::{ExploreConfig, Explorer};
+/// use grs_detector::DetectorChoice;
 /// use grs_interp::Interp;
 ///
 /// let src = r#"
@@ -106,8 +106,8 @@ struct Shared {
 /// "#;
 /// let interp = Interp::from_source(src).expect("compiles");
 /// let program = interp.program("racy_counter", "main");
-/// let result = Explorer::new(ExploreConfig::quick()).explore(&program);
-/// assert!(result.found_race());
+/// let run = |seed| DetectorChoice::Hybrid.run(&program, grs_runtime::RunConfig::with_seed(seed));
+/// assert!((1..=30).any(|seed| !run(seed).1.is_empty()));
 /// ```
 pub struct Interp {
     shared: Arc<Shared>,
@@ -1717,7 +1717,7 @@ impl<'c> Rt<'c> {
             }
             sym::PRINTLN | sym::PRINT => {
                 // Evaluate for effect; output is suppressed to keep
-                // explorer runs quiet.
+                // campaign runs quiet.
                 for a in args {
                     let _ = self.eval_expr(fr, a)?;
                 }

@@ -3,7 +3,7 @@
 //! The executable patterns in this crate exercise the *dynamic* detector;
 //! these are the same bugs written as Go-lite source, so the *static*
 //! engine (`grs-golite`'s `GR001`–`GR018`) can be scored against the
-//! dynamic explorer on identical material. Each rendition carries the
+//! dynamic detector on identical material. Each rendition carries the
 //! pattern ID of its executable twin — the agreement experiment in
 //! `grs::experiments` joins the two corpora on that key.
 //!

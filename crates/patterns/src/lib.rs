@@ -12,13 +12,14 @@
 //! * metadata tying it to the paper's observation number, listing number,
 //!   and Table 2 / Table 3 category.
 //!
-//! The integration suite asserts, for every pattern, that the explorer
-//! detects the racy variant and never flags the fixed one.
+//! The integration suite (`tests/pattern_corpus.rs` at the workspace root)
+//! asserts, for every pattern, that a campaign detects the racy variant and
+//! never flags the fixed one.
 //!
 //! # Example
 //!
 //! ```
-//! use grs_detector::{ExploreConfig, Explorer};
+//! use grs_detector::DetectorChoice;
 //! use grs_patterns::{registry, Category};
 //!
 //! let patterns = registry();
@@ -28,8 +29,9 @@
 //!     .find(|p| p.listing == Some(1))
 //!     .expect("Listing 1 is in the corpus");
 //! assert_eq!(listing1.category, Category::LoopIndexCapture);
-//! let result = Explorer::new(ExploreConfig::quick()).explore(&listing1.racy_program());
-//! assert!(result.found_race());
+//! let program = listing1.racy_program();
+//! let run = |seed| DetectorChoice::Hybrid.run(&program, grs_runtime::RunConfig::with_seed(seed));
+//! assert!((1..=30).any(|seed| !run(seed).1.is_empty()));
 //! ```
 
 #![forbid(unsafe_code)]

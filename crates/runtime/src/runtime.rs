@@ -13,9 +13,9 @@ use crate::sched::{ScheduleTrace, Strategy};
 /// A re-runnable simulated Go program: a name plus the main goroutine body.
 ///
 /// Programs are `Fn` (not `FnOnce`) so the same program can be executed
-/// under many seeds and strategies — the explorer in `grs-detector` relies
-/// on this to hunt interleavings, mirroring how the paper's deployment
-/// reruns unit tests daily.
+/// under many seeds and strategies — the campaign engine in `grs-fleet`
+/// relies on this to hunt interleavings, mirroring how the paper's
+/// deployment reruns unit tests daily.
 #[derive(Clone)]
 pub struct Program {
     name: Arc<str>,

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use grs::detector::default_workers;
+use grs::fleet::default_workers;
 use grs::prelude::*;
 
 struct Args {

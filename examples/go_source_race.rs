@@ -55,18 +55,22 @@ fn main() {
         println!("  {f}");
     }
 
-    // 2. Dynamic analysis: interpret on the instrumented runtime, explore
-    //    schedules, detect.
+    // 2. Dynamic analysis: interpret on the instrumented runtime, run a
+    //    campaign over 60 schedules, detect.
     let interp = Interp::from_source(LISTING_6).expect("compiles");
-    let program = interp.program("listing6_from_source", "main");
-    let result = Explorer::new(ExploreConfig::quick().runs(60)).explore(&program);
-    println!("\n== dynamic detection ({} runs) ==", result.runs);
+    let unit = CampaignUnit {
+        name: "listing6_from_source".to_string(),
+        program: interp.program("listing6_from_source", "main"),
+        expected_racy: Some(true),
+    };
+    let result = Campaign::over_units(CampaignConfig::new().seeds_per_unit(60), vec![unit]).run();
+    println!("\n== dynamic detection ({} runs) ==", result.total_runs());
     println!(
         "  detection rate: {:.0}%  unique races: {}",
         result.detection_rate() * 100.0,
-        result.unique_races.len()
+        result.batch.len()
     );
-    for race in result.unique_races.iter().take(2) {
+    for (_, race) in result.batch.iter().take(2) {
         println!("\n{race}");
     }
 }

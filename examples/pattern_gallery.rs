@@ -1,5 +1,5 @@
 //! The full §4 pattern gallery: every listing and Table 2/3 shape, run
-//! under the explorer, with detection rates for the racy variant and a
+//! as one campaign, with detection rates for the racy variant and a
 //! cleanliness check for the fixed one.
 //!
 //! ```sh
@@ -11,18 +11,21 @@ use grs::patterns::registry;
 use grs::prelude::*;
 
 fn main() {
-    let explorer = Explorer::new(ExploreConfig::quick().runs(60));
+    // Unit `2i` is pattern `i`'s racy variant, `2i + 1` its fixed twin.
+    let seeds = 60;
+    let config = CampaignConfig::new().seeds_per_unit(seeds);
+    let result = Campaign::over_units(config, pattern_suite(true)).run();
+    let racy_runs = |unit: usize| {
+        result.records.iter().filter(|r| r.spec.unit == unit && r.racy).count()
+    };
     println!(
         "{:<34} {:<8} {:>6} {:>9} {:>7} {:<30}",
         "pattern", "listing", "racy%", "fixed-ok", "class", "category"
     );
     println!("{}", "-".repeat(100));
-    for pattern in registry() {
-        let racy = explorer.explore(&pattern.racy_program());
-        let fixed = explorer.explore(&pattern.fixed_program());
-        let classified = racy
-            .unique_races
-            .first()
+    for (i, pattern) in registry().into_iter().enumerate() {
+        let classified = result
+            .first_race(2 * i)
             .map(|r| {
                 if classify(r) == pattern.category {
                     "ok"
@@ -37,8 +40,8 @@ fn main() {
             pattern
                 .listing
                 .map_or_else(|| "-".to_string(), |l| format!("L{l}")),
-            racy.detection_rate() * 100.0,
-            if fixed.found_race() { "FLAGGED" } else { "clean" },
+            racy_runs(2 * i) as f64 * 100.0 / seeds as f64,
+            if racy_runs(2 * i + 1) > 0 { "FLAGGED" } else { "clean" },
             classified,
             pattern.category.description(),
         );
@@ -46,11 +49,10 @@ fn main() {
 
     println!("\nSample report (Listing 5 — the slice-header race):");
     let listing5 = registry()
-        .into_iter()
-        .find(|p| p.listing == Some(5))
+        .iter()
+        .position(|p| p.listing == Some(5))
         .expect("listing 5 in corpus");
-    let result = explorer.explore(&listing5.racy_program());
-    if let Some(race) = result.unique_races.first() {
+    if let Some(race) = result.first_race(2 * listing5) {
         println!("{race}");
     }
 }

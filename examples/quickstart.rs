@@ -41,15 +41,21 @@ fn main() {
         );
     }
 
-    // The explorer reruns across many seeds and aggregates unique races.
-    let result = Explorer::new(ExploreConfig::quick().runs(50)).explore(&program);
-    println!("\n== explorer: {} runs ==", result.runs);
+    // A campaign reruns across many seeds and deduplicates the races by
+    // fingerprint.
+    let unit = CampaignUnit {
+        name: program.name().to_string(),
+        program,
+        expected_racy: Some(true),
+    };
+    let result = Campaign::over_units(CampaignConfig::new().seeds_per_unit(50), vec![unit]).run();
+    println!("\n== campaign: {} runs ==", result.total_runs());
     println!(
         "  detection rate: {:.0}% of runs",
         result.detection_rate() * 100.0
     );
-    println!("  unique races: {}", result.unique_races.len());
-    for race in &result.unique_races {
+    println!("  unique races: {}", result.batch.len());
+    for (_, race) in result.batch.iter() {
         println!("\n{race}");
     }
 }

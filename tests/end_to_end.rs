@@ -3,24 +3,33 @@
 //! detect, deduplicate, assign, file, fix, re-detect.
 
 use grs::deploy::{FileOutcome, IntakeService, OwnerDb};
-use grs::detector::{ExploreConfig, Explorer};
-use grs::patterns::{self, registry};
+use grs::detector::RaceReport;
+use grs::fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult, CampaignUnit};
+use grs::patterns;
+
+/// A campaign of `seeds` seeds from `base_seed` over `units`.
+fn campaign(units: Vec<CampaignUnit>, seeds: usize, base_seed: u64) -> CampaignResult {
+    let config = CampaignConfig::new().seeds_per_unit(seeds).base_seed(base_seed);
+    Campaign::over_units(config, units).run()
+}
+
+/// The first race a campaign over pattern `id`'s racy variant finds.
+fn first_race(id: &str, seeds: usize) -> RaceReport {
+    let pattern = patterns::find(id).expect("in corpus");
+    let result = campaign(vec![CampaignUnit::pattern(&pattern, true)], seeds, 1);
+    result.first_race(0).expect("detected").clone()
+}
 
 #[test]
 fn daily_run_files_unique_tasks_for_the_whole_corpus() {
     // "Day 1": run the whole simulated test suite (every racy pattern),
     // submit all detected races.
-    let explorer = Explorer::new(ExploreConfig::quick().runs(50));
     let mut owners = OwnerDb::new();
     owners.add_author("ProcessJobs", "alice", 20, true);
     owners.add_author("processOrders", "bob", 15, true);
     let service = IntakeService::builder().owners(owners).workers(1).start().unwrap();
 
-    let mut all_races = Vec::new();
-    for pattern in registry() {
-        let result = explorer.explore(&pattern.racy_program());
-        all_races.extend(result.unique_races);
-    }
+    let all_races = campaign(pattern_suite(false), 50, 1).batch.into_reports();
     assert!(all_races.len() >= 20, "corpus produces many races");
 
     let outcomes = service.submit_batch(&all_races, 0).unwrap();
@@ -52,12 +61,10 @@ fn daily_run_files_unique_tasks_for_the_whole_corpus() {
 
 #[test]
 fn fixed_corpus_files_nothing() {
-    let explorer = Explorer::new(ExploreConfig::quick().runs(30));
+    let fixed = pattern_suite(true).into_iter().filter(|u| u.expected_racy == Some(false));
+    let races = campaign(fixed.collect(), 30, 1).batch.into_reports();
     let service = IntakeService::builder().workers(1).start().unwrap();
-    for pattern in registry() {
-        let result = explorer.explore(&pattern.fixed_program());
-        service.submit_batch(&result.unique_races, 0).unwrap();
-    }
+    service.submit_batch(&races, 0).unwrap();
     assert_eq!(service.with_tracker(|t| t.total_filed()), 0);
 }
 
@@ -70,9 +77,9 @@ fn report_orientation_does_not_duplicate_tasks() {
     let service = IntakeService::builder().workers(1).start().unwrap();
     let mut filed = 0;
     for base in [1_u64, 1000, 2000, 3000] {
-        let explorer = Explorer::new(ExploreConfig::quick().runs(40).base_seed(base));
-        let result = explorer.explore(&pattern.racy_program());
-        for o in service.submit_batch(&result.unique_races, 0).unwrap() {
+        let unit = CampaignUnit::pattern(&pattern, true);
+        let races = campaign(vec![unit], 40, base).batch.into_reports();
+        for o in service.submit_batch(&races, 0).unwrap() {
             if matches!(o, FileOutcome::Filed { .. }) {
                 filed += 1;
             }
@@ -86,9 +93,7 @@ fn report_orientation_does_not_duplicate_tasks() {
 
 #[test]
 fn assignee_rationale_reaches_the_task() {
-    let pattern = patterns::find("loop_index_capture").expect("in corpus");
-    let result = Explorer::new(ExploreConfig::quick().runs(60)).explore(&pattern.racy_program());
-    let race = result.unique_races.first().expect("detected");
+    let race = &first_race("loop_index_capture", 60);
 
     let mut owners = OwnerDb::new();
     // The racy accesses' stacks are rooted at the main goroutine and the
@@ -113,9 +118,8 @@ fn filed_tasks_carry_working_repro_instructions() {
 
     let pattern = patterns::find("waitgroup_add_inside").expect("in corpus");
     let program = pattern.racy_program();
-    let result = Explorer::new(ExploreConfig::quick().runs(120)).explore(&program);
-    let race = result.unique_races.first().expect("detected");
-    let seed = race.repro_seed.expect("explorer records the seed");
+    let race = &first_race("waitgroup_add_inside", 120);
+    let seed = race.repro_seed.expect("the campaign records the seed");
 
     // File it; the task records the repro instructions.
     let service = IntakeService::builder().workers(1).start().unwrap();

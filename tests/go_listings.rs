@@ -3,34 +3,38 @@
 //! dynamic detector. This is the closest the reproduction gets to
 //! "run `go test -race` on the Zenodo artifact".
 
-use grs_detector::{ExploreConfig, Explorer};
+use grs::fleet::{Campaign, CampaignConfig, CampaignResult, CampaignUnit};
 use grs_interp::Interp;
 
-fn explore(src: &str, name: &str) -> grs_detector::ExploreResult {
+/// A one-unit campaign over `src`'s `main` across `seeds` seeds.
+fn explore(src: &str, name: &str, seeds: usize) -> CampaignResult {
     let interp = Interp::from_source(src).unwrap_or_else(|e| panic!("{name}: parse error {e}"));
-    let program = interp.program(name, "main");
-    Explorer::new(ExploreConfig::quick().runs(60)).explore(&program)
+    let unit = CampaignUnit {
+        name: name.to_string(),
+        program: interp.program(name, "main"),
+        expected_racy: None,
+    };
+    Campaign::over_units(CampaignConfig::new().seeds_per_unit(seeds), vec![unit]).run()
+}
+
+/// Runs that ended with a Go-level error and runs that deadlocked.
+fn failed_runs(r: &CampaignResult) -> (usize, usize) {
+    let errors = r.records.iter().filter(|x| x.end.errors > 0).count();
+    let deadlocks = r.records.iter().filter(|x| x.end.deadlock).count();
+    (errors, deadlocks)
 }
 
 fn assert_racy(src: &str, name: &str) {
-    let r = explore(src, name);
-    assert!(
-        r.error_runs == 0 || r.found_race(),
-        "{name}: interpreter errors without a race: {:?}",
-        r.sample_outcome
-    );
-    assert!(r.found_race(), "{name}: no race detected");
+    let r = explore(src, name, 60);
+    assert!(r.first_race(0).is_some(), "{name}: no race detected (failed runs {:?})", failed_runs(&r));
 }
 
 fn assert_clean(src: &str, name: &str) {
-    let r = explore(src, name);
-    assert!(
-        !r.found_race(),
-        "{name}: false positive {}",
-        r.unique_races[0]
-    );
-    assert_eq!(r.error_runs, 0, "{name}: runtime errors: {:?}", r.sample_outcome);
-    assert_eq!(r.deadlock_runs, 0, "{name}: deadlocks");
+    let r = explore(src, name, 60);
+    if let Some(race) = r.first_race(0) {
+        panic!("{name}: false positive {race}");
+    }
+    assert_eq!(failed_runs(&r), (0, 0), "{name}: (error, deadlocked) runs");
 }
 
 #[test]
@@ -290,12 +294,10 @@ func main() {
     }
 }
 "#;
-    let interp = Interp::from_source(src).expect("compiles");
-    let program = interp.program("listing9_go", "main");
-    let r = Explorer::new(ExploreConfig::quick().runs(80)).explore(&program);
-    assert!(r.found_race(), "cancellation write must race the completion");
+    let r = explore(src, "listing9_go", 80);
+    assert!(r.first_race(0).is_some(), "cancellation write must race the completion");
     assert!(
-        r.leaked_runs > 0,
+        r.records.iter().any(|x| x.end.leaked > 0),
         "the sender must leak when cancellation wins"
     );
 }

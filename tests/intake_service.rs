@@ -11,20 +11,18 @@ use grs::deploy::service::{IntakeServer, IntakeService};
 use grs::deploy::store::Snapshot;
 use grs::deploy::wire::{InProcTransport, RequestFrame, ResponseFrame, WireError, REQUEST_MAGIC};
 use grs::deploy::FileOutcome;
-use grs::detector::{ExploreConfig, Explorer, RaceReport};
-use grs::patterns::registry;
+use grs::detector::RaceReport;
+use grs::fleet::{pattern_suite, Campaign, CampaignConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::io::Write as _;
 
-/// A pool of genuine detector reports spanning many distinct races.
+/// A pool of genuine detector reports spanning many distinct races: the
+/// deduplicated batch of a campaign over every racy pattern.
 fn corpus_reports() -> Vec<RaceReport> {
-    let explorer = Explorer::new(ExploreConfig::quick().runs(30));
-    let mut reports = Vec::new();
-    for pattern in registry() {
-        reports.extend(explorer.explore(&pattern.racy_program()).unique_races);
-    }
+    let config = CampaignConfig::new().seeds_per_unit(30);
+    let reports = Campaign::over_units(config, pattern_suite(false)).run().batch.into_reports();
     assert!(reports.len() >= 20, "corpus produces many races");
     reports
 }

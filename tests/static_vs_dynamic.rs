@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use grs::detector::{ExploreConfig, Explorer};
+use grs::fleet::{Campaign, CampaignConfig, CampaignUnit};
 use grs::golite::{lint_file, parse_file, Rule};
 use grs::patterns::{self, gosrc};
 
@@ -33,12 +33,21 @@ fn renditions_cover_every_rule() {
 }
 
 /// For all 18 rules: the lint fires on the racy Go source and stays silent
-/// on the fixed one, and the dynamic explorer detects a race in the
-/// executable racy twin and none in the fixed twin.
+/// on the fixed one, and a campaign detects a race in the executable racy
+/// twin and none in the fixed twin.
 #[test]
 fn lints_and_dynamic_detection_agree_on_all_rules() {
-    let explorer = Explorer::new(ExploreConfig::quick().runs(60));
-    for case in gosrc::renditions() {
+    // Unit `2i` is rendition `i`'s racy twin, `2i + 1` its fixed one.
+    let units = gosrc::renditions()
+        .iter()
+        .flat_map(|case| {
+            let pattern = patterns::find(case.pattern_id)
+                .unwrap_or_else(|| panic!("pattern {} missing", case.pattern_id));
+            [true, false].map(|racy| CampaignUnit::pattern(&pattern, racy))
+        })
+        .collect();
+    let dynamic = Campaign::over_units(CampaignConfig::new().seeds_per_unit(60), units).run();
+    for (i, case) in gosrc::renditions().iter().enumerate() {
         let rule = Rule::from_id(case.rule).expect("known rule");
 
         // Static route.
@@ -56,15 +65,13 @@ fn lints_and_dynamic_detection_agree_on_all_rules() {
         );
 
         // Dynamic route.
-        let pattern = patterns::find(case.pattern_id)
-            .unwrap_or_else(|| panic!("pattern {} missing", case.pattern_id));
         assert!(
-            explorer.explore(&pattern.racy_program()).found_race(),
+            dynamic.first_race(2 * i).is_some(),
             "{}: dynamic detection missed the racy program",
             case.pattern_id
         );
         assert!(
-            !explorer.explore(&pattern.fixed_program()).found_race(),
+            dynamic.first_race(2 * i + 1).is_none(),
             "{}: dynamic detector flagged the fixed program",
             case.pattern_id
         );
