@@ -20,7 +20,7 @@ use grs_runtime::{DecodedTrace, Program, RunConfig, RunOutcome, Runtime, StackDe
 
 use crate::eraser::Eraser;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
-use crate::replay::{replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
+use crate::replay::{replay_prepared, replay_trace, Detector, ReplayOutcome};
 use crate::report::RaceReport;
 use crate::tsan::Tsan;
 
@@ -229,9 +229,9 @@ impl DetectorArena {
             .collect()
     }
 
-    /// Fans one [`DecodedTrace`] through the given algorithms via each
-    /// detector's struct-of-arrays hot loop — the execute-once/analyze-many
-    /// core of the replay campaign. The depot snapshot is rebuilt once
+    /// Fans one [`DecodedTrace`] through the given algorithms — the
+    /// execute-once/analyze-many core of the replay campaign. The depot
+    /// snapshot is rebuilt once
     /// (spanned as `replay.decode`) and shared; each analysis is spanned as
     /// `replay.analyze` and reports its counters (`detector.runs`,
     /// `runtime.events`, `replay.batches`, `replay.batch_events`, depot and
@@ -254,7 +254,7 @@ impl DetectorArena {
             .map(|&choice| {
                 let out = {
                     let _span = SpanGuard::enter(sink, "replay.analyze");
-                    replay_decoded_prepared(self.detectors.get(choice), decoded, &self.depot)
+                    replay_prepared(self.detectors.get(choice), decoded, &self.depot)
                 };
                 sink.add("detector.runs", 1);
                 sink.add("replay.analyses", 1);

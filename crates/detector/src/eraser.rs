@@ -17,14 +17,9 @@
 //! [`crate::reference`] holds this detector to is lock discipline: an
 //! address some lock covers at every access is never reported.
 
-use std::sync::Arc;
-
 use grs_clock::{LockId, Lockset, LocksetId, LocksetInterner};
 use grs_runtime::event::{Event, EventKind, LockMode};
-use grs_runtime::trace::tag;
-use grs_runtime::{
-    AccessKind, Addr, DecodedTrace, Gid, Monitor, SourceLoc, StackDepot, StackId,
-};
+use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
 
 use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceAccess, RaceReport};
@@ -66,7 +61,7 @@ impl LastAccess {
 
 #[derive(Debug)]
 struct EraserVar {
-    object: Arc<str>,
+    object: NameId,
     state: VarState,
     /// Candidate protecting set, refined through the interner's memoized
     /// intersection (a hash probe per access in steady state).
@@ -102,7 +97,7 @@ struct EraserVar {
 #[derive(Debug, Default)]
 pub struct Eraser {
     /// Depot of the current run (attached by [`Monitor::on_run_start`]);
-    /// used only to materialize reports.
+    /// used only to materialize reports' stacks and object names.
     depot: StackDepot,
     /// Interned locksets; candidates and last-access records are ids.
     locksets: LocksetInterner,
@@ -173,7 +168,7 @@ impl Eraser {
         &mut self,
         gid: Gid,
         addr: Addr,
-        object: &Arc<str>,
+        object: NameId,
         kind: AccessKind,
         stack: StackId,
         loc: SourceLoc,
@@ -201,7 +196,7 @@ impl Eraser {
         match &mut self.vars[vi] {
             slot @ None => {
                 *slot = Some(EraserVar {
-                    object: object.clone(),
+                    object,
                     state: VarState::Exclusive(gid),
                     candidate: effective,
                     last: current,
@@ -248,10 +243,9 @@ impl Eraser {
                     // Suppress pairs where both sides used sync/atomic.
                     if !(kind.is_atomic() && prior.kind.is_atomic()) {
                         var.reported = true;
-                        let object = var.object.clone();
                         let report = RaceReport {
                             addr,
-                            object,
+                            object: self.depot.name(var.object),
                             prior: prior.to_race_access(&self.depot, &self.locksets),
                             current: current.to_race_access(&self.depot, &self.locksets),
                             detector: DetectorKind::Eraser,
@@ -286,53 +280,6 @@ impl Eraser {
             self.write_held_ids[i] = self.locksets.intern(&self.write_held[i]);
         }
     }
-
-    /// Batch replay loop over the decoded SoA lanes. Only access, acquire
-    /// and release events reach Eraser's state machine — every other tag is
-    /// skipped without materializing an [`Event`].
-    pub(crate) fn replay_decoded_core(&mut self, decoded: &DecodedTrace) -> usize {
-        let b = &decoded.batch;
-        let n = b.len();
-        // Local lane slices: keeps pointers/lengths in registers across
-        // the opaque `on_access` calls (same trick as FastTrack's core).
-        let tags = &b.tags[..n];
-        let gids = &b.gids[..n];
-        let prims = &b.prims[..n];
-        let access_kinds = &b.access_kinds[..n];
-        let lock_modes = &b.lock_modes[..n];
-        let stacks = &b.stacks[..n];
-        let objects = &b.objects[..n];
-        let files = &b.files[..n];
-        let lines = &b.lines[..n];
-        let file_table = decoded.files.as_slice();
-        let string_table = decoded.strings.as_slice();
-        let mut peak = 0usize;
-        for i in 0..n {
-            let gid = Gid(gids[i]);
-            match tags[i] {
-                tag::ACCESS => {
-                    let loc = SourceLoc {
-                        file: file_table[files[i] as usize],
-                        line: lines[i],
-                    };
-                    self.on_access(
-                        gid,
-                        Addr(prims[i]),
-                        &string_table[objects[i] as usize],
-                        access_kinds[i],
-                        StackId(stacks[i]),
-                        loc,
-                    );
-                    // Shadow words only change on access events.
-                    peak = peak.max(self.shadow_words());
-                }
-                tag::ACQUIRE => self.on_acquire(gid, prims[i], lock_modes[i]),
-                tag::RELEASE => self.on_release(gid, prims[i]),
-                _ => {}
-            }
-        }
-        peak
-    }
 }
 
 impl Monitor for Eraser {
@@ -341,18 +288,18 @@ impl Monitor for Eraser {
         self.depot = depot.clone();
     }
 
+    /// Only access, acquire and release events reach Eraser's state
+    /// machine.
     fn on_event(&mut self, event: &Event) {
-        match &event.kind {
+        match event.kind {
             EventKind::Access {
                 addr,
                 object,
                 kind,
                 stack,
                 loc,
-            } => {
-                self.on_access(event.gid, *addr, object, *kind, *stack, *loc);
-            }
-            EventKind::Acquire { lock, mode } => self.on_acquire(event.gid, lock.0, *mode),
+            } => self.on_access(event.gid, addr, object, kind, stack, loc),
+            EventKind::Acquire { lock, mode } => self.on_acquire(event.gid, lock.0, mode),
             EventKind::Release { lock, .. } => self.on_release(event.gid, lock.0),
             _ => {}
         }
@@ -368,9 +315,5 @@ impl Monitor for Eraser {
 impl Detector for Eraser {
     fn take_reports(&mut self) -> Vec<RaceReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
-        self.replay_decoded_core(decoded)
     }
 }

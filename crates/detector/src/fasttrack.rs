@@ -29,14 +29,9 @@
 //! by goroutine. Verdicts are held to [`crate::reference`], which shares
 //! nothing with this module.
 
-use std::sync::Arc;
-
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_runtime::event::{Event, EventKind, LockMode};
-use grs_runtime::trace::tag;
-use grs_runtime::{
-    AccessKind, Addr, DecodedTrace, Gid, Monitor, SourceLoc, StackDepot, StackId,
-};
+use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
 
 use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceAccess, RaceReport};
@@ -217,7 +212,7 @@ fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
 pub struct FastTrack {
     cfg: FastTrackConfig,
     /// Depot of the current run (attached by [`Monitor::on_run_start`]);
-    /// used only to materialize reports.
+    /// used only to materialize reports' stacks and object names.
     depot: StackDepot,
     /// Interned locksets; shadow history stores [`LocksetId`]s.
     locksets: LocksetInterner,
@@ -354,20 +349,14 @@ impl FastTrack {
     }
 
     #[cold]
-    fn record(
-        &mut self,
-        addr: Addr,
-        object: &Arc<str>,
-        prior: AccessInfo,
-        current: AccessInfo,
-    ) {
+    fn record(&mut self, addr: Addr, object: NameId, prior: AccessInfo, current: AccessInfo) {
         if self.reports.len() >= self.cfg.max_reports {
             return;
         }
-        // Materialize stacks/locksets only now — reports are rare.
+        // Materialize names/stacks/locksets only now — reports are rare.
         let report = RaceReport {
             addr,
-            object: object.clone(),
+            object: self.depot.name(object),
             prior: prior.to_race_access(&self.depot, &self.locksets),
             current: current.to_race_access(&self.depot, &self.locksets),
             detector: self.cfg.kind,
@@ -385,7 +374,7 @@ impl FastTrack {
         &mut self,
         gid: Gid,
         addr: Addr,
-        object: &Arc<str>,
+        object: NameId,
         kind: AccessKind,
         stack: StackId,
         loc: SourceLoc,
@@ -609,10 +598,7 @@ impl FastTrack {
         }
     }
 
-    // --- per-kind synchronization primitives -----------------------------
-    //
-    // `on_sync` (the scalar path) and the batch replay loop both dispatch
-    // to these, so the happens-before semantics live in exactly one place.
+    // --- per-kind synchronization primitives, dispatched by `on_event` ---
 
     fn sync_spawn(&mut self, gid: Gid, child: Gid) {
         self.ensure_tid(gid);
@@ -749,95 +735,6 @@ impl FastTrack {
             clocks[gid.index()].join(&once_done[oi]);
         }
     }
-
-    fn on_sync(&mut self, ev: &Event) {
-        let gid = ev.gid;
-        match &ev.kind {
-            EventKind::Spawn { child, .. } => self.sync_spawn(gid, *child),
-            EventKind::Acquire { lock, mode } => self.sync_acquire(gid, lock.0, *mode),
-            EventKind::Release { lock, mode } => self.sync_release(gid, lock.0, *mode),
-            EventKind::ChanSend { chan, seq } => self.chan_send(gid, chan.0, *seq),
-            EventKind::ChanRecv { chan, seq } => self.chan_recv(gid, chan.0, *seq),
-            EventKind::ChanSendComplete { chan, seq, cap } => {
-                self.chan_send_complete(gid, chan.0, *seq, *cap as u64);
-            }
-            EventKind::ChanClose { chan } => self.chan_close(gid, chan.0),
-            EventKind::ChanRecvClosed { chan } => self.chan_recv_closed(gid, chan.0),
-            EventKind::WgAdd { wg, delta, .. } => self.wg_add(gid, wg.0, *delta),
-            EventKind::WgWait { wg } => self.wg_wait(gid, wg.0),
-            EventKind::OnceExecuted { once } => self.once_executed(gid, once.0),
-            EventKind::OnceObserved { once } => self.once_observed(gid, once.0),
-            EventKind::GoroutineEnd | EventKind::Access { .. } => {
-                self.ensure_tid(gid);
-            }
-        }
-    }
-
-    /// The batch replay hot loop: drives the whole decoded event stream
-    /// through the detector, dispatching on raw tag bytes over the SoA
-    /// lanes — no `Event` materialization, no `Arc` clones. Returns the
-    /// peak shadow-word count observed after each event (the same sampling
-    /// the scalar replay driver performs).
-    pub(crate) fn replay_decoded_core(&mut self, decoded: &DecodedTrace) -> usize {
-        let b = &decoded.batch;
-        let n = b.len();
-        // Hoist every lane into a local slice: `on_access` is an opaque
-        // call, so indexing through `b` directly would reload each Vec's
-        // pointer and length from memory on every iteration.
-        let tags = &b.tags[..n];
-        let gids = &b.gids[..n];
-        let prims = &b.prims[..n];
-        let args_a = &b.args_a[..n];
-        let args_b = &b.args_b[..n];
-        let access_kinds = &b.access_kinds[..n];
-        let lock_modes = &b.lock_modes[..n];
-        let stacks = &b.stacks[..n];
-        let objects = &b.objects[..n];
-        let files = &b.files[..n];
-        let lines = &b.lines[..n];
-        let file_table = decoded.files.as_slice();
-        let string_table = decoded.strings.as_slice();
-        let mut peak = 0usize;
-        for i in 0..n {
-            let gid = Gid(gids[i]);
-            match tags[i] {
-                tag::ACCESS => {
-                    let loc = SourceLoc {
-                        file: file_table[files[i] as usize],
-                        line: lines[i],
-                    };
-                    self.on_access(
-                        gid,
-                        Addr(prims[i]),
-                        &string_table[objects[i] as usize],
-                        access_kinds[i],
-                        StackId(stacks[i]),
-                        loc,
-                    );
-                    // Shadow words only change on access events, so the
-                    // peak needs sampling only here, not per event.
-                    peak = peak.max(self.shadow_words);
-                }
-                tag::SPAWN => self.sync_spawn(gid, Gid(prims[i] as u32)),
-                tag::GOROUTINE_END => self.ensure_tid(gid),
-                tag::ACQUIRE => self.sync_acquire(gid, prims[i], lock_modes[i]),
-                tag::RELEASE => self.sync_release(gid, prims[i], lock_modes[i]),
-                tag::CHAN_SEND => self.chan_send(gid, prims[i], args_a[i]),
-                tag::CHAN_SEND_COMPLETE => {
-                    self.chan_send_complete(gid, prims[i], args_a[i], args_b[i]);
-                }
-                tag::CHAN_RECV => self.chan_recv(gid, prims[i], args_a[i]),
-                tag::CHAN_RECV_CLOSED => self.chan_recv_closed(gid, prims[i]),
-                tag::CHAN_CLOSE => self.chan_close(gid, prims[i]),
-                tag::WG_ADD => self.wg_add(gid, prims[i], args_a[i] as i64),
-                tag::WG_WAIT => self.wg_wait(gid, prims[i]),
-                tag::ONCE_EXECUTED => self.once_executed(gid, prims[i]),
-                tag::ONCE_OBSERVED => self.once_observed(gid, prims[i]),
-                tag => unreachable!("tag {tag} was validated during decode"),
-            }
-        }
-        peak
-    }
 }
 
 impl Monitor for FastTrack {
@@ -849,17 +746,30 @@ impl Monitor for FastTrack {
     }
 
     fn on_event(&mut self, event: &Event) {
-        if let EventKind::Access {
-            addr,
-            object,
-            kind,
-            stack,
-            loc,
-        } = &event.kind
-        {
-            self.on_access(event.gid, *addr, object, *kind, *stack, *loc);
-        } else {
-            self.on_sync(event);
+        let gid = event.gid;
+        match event.kind {
+            EventKind::Access {
+                addr,
+                object,
+                kind,
+                stack,
+                loc,
+            } => self.on_access(gid, addr, object, kind, stack, loc),
+            EventKind::Spawn { child, .. } => self.sync_spawn(gid, child),
+            EventKind::Acquire { lock, mode } => self.sync_acquire(gid, lock.0, mode),
+            EventKind::Release { lock, mode } => self.sync_release(gid, lock.0, mode),
+            EventKind::ChanSend { chan, seq } => self.chan_send(gid, chan.0, seq),
+            EventKind::ChanRecv { chan, seq } => self.chan_recv(gid, chan.0, seq),
+            EventKind::ChanSendComplete { chan, seq, cap } => {
+                self.chan_send_complete(gid, chan.0, seq, cap as u64);
+            }
+            EventKind::ChanClose { chan } => self.chan_close(gid, chan.0),
+            EventKind::ChanRecvClosed { chan } => self.chan_recv_closed(gid, chan.0),
+            EventKind::WgAdd { wg, delta, .. } => self.wg_add(gid, wg.0, delta),
+            EventKind::WgWait { wg } => self.wg_wait(gid, wg.0),
+            EventKind::OnceExecuted { once } => self.once_executed(gid, once.0),
+            EventKind::OnceObserved { once } => self.once_observed(gid, once.0),
+            EventKind::GoroutineEnd => self.ensure_tid(gid),
         }
     }
 
@@ -871,9 +781,5 @@ impl Monitor for FastTrack {
 impl Detector for FastTrack {
     fn take_reports(&mut self) -> Vec<RaceReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
-        self.replay_decoded_core(decoded)
     }
 }

@@ -58,6 +58,6 @@ pub mod tsan;
 pub use arena::{DetectorArena, DetectorChoice};
 pub use eraser::Eraser;
 pub use fasttrack::{FastTrack, FastTrackConfig};
-pub use replay::{replay_decoded, replay_decoded_prepared, replay_trace, Detector, ReplayOutcome};
+pub use replay::{replay_decoded, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};
 pub use tsan::Tsan;

@@ -45,8 +45,8 @@ impl UnorderedPair {
     /// under. Panics if `trace` is not the trace the pair came from.
     #[must_use]
     pub fn site_key(&self, trace: &Trace) -> String {
-        let access = |i: usize| match &trace.events[i].kind {
-            EventKind::Access { object, loc, .. } => (object, *loc),
+        let access = |i: usize| match trace.events[i].kind {
+            EventKind::Access { object, loc, .. } => (trace.name(object), loc),
             other => panic!("event {i} of a pair is an access, found {other:?}"),
         };
         let ((_, earlier), (object, later)) = (access(self.earlier), access(self.later));

@@ -7,10 +7,11 @@
 //! monitor. FastTrack is literally defined over a trace (Flanagan &
 //! Freund), and Eraser/TSan likewise only see events. The live path and
 //! the offline path are therefore two drivers of the same [`Monitor`]
-//! methods: `on_run_start` resets per-run shadow state and attaches the
-//! depot, `on_event` consumes one event, `on_run_end` flushes. A
-//! [`Detector`] adds only what a monitor lacks — a way to take the reports
-//! out, and a whole-trace entry point for the struct-of-arrays hot loop.
+//! methods over the same `Copy` [`Event`] record: `on_run_start` resets
+//! per-run shadow state and attaches the depot, `on_event` consumes one
+//! event, `on_run_end` flushes. A [`Detector`] adds only what a monitor
+//! lacks — a way to take the reports out — and the one replay loop,
+//! [`Detector::replay_events`].
 //!
 //! The replay drivers also mirror the runtime kernel's bookkeeping —
 //! events dispatched, peak shadow words sampled after every event *and*
@@ -19,7 +20,7 @@
 //!
 //! [`MonitorStats`]: grs_runtime::MonitorStats
 
-use grs_runtime::{DecodedTrace, Monitor, StackDepot, Trace};
+use grs_runtime::{DecodedTrace, Event, Monitor, StackDepot, Trace};
 
 use crate::report::RaceReport;
 
@@ -35,12 +36,20 @@ pub trait Detector: Monitor + std::fmt::Debug {
     /// for the next run or trace.
     fn take_reports(&mut self) -> Vec<RaceReport>;
 
-    /// Consumes an entire batch-decoded event stream — a branch-light loop
-    /// over the plain lanes, no `Event` materialization, no `Arc` clones —
-    /// returning the peak shadow-word count sampled after each event. Must
-    /// leave the detector exactly where one [`Monitor::on_event`] per
-    /// decoded event would.
-    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize;
+    /// Feeds `events` through [`Monitor::on_event`] in order, returning the
+    /// peak shadow-word count sampled after each, as the kernel samples it
+    /// live. Every replay runs this one loop. It is a provided method, so
+    /// each detector's copy is compiled against its own `on_event`: the
+    /// per-event call is static and inlinable, and a whole trace costs one
+    /// virtual call through `dyn Detector`.
+    fn replay_events(&mut self, events: &[Event]) -> usize {
+        let mut peak = 0;
+        for event in events {
+            self.on_event(event);
+            peak = peak.max(self.shadow_words());
+        }
+        peak
+    }
 }
 
 /// What one offline analysis of a trace produced.
@@ -56,65 +65,46 @@ pub struct ReplayOutcome {
     pub peak_shadow_words: usize,
 }
 
-/// Ends a replay whose events have all been fed: the end-of-run flush, the
-/// reports, and the kernel's final shadow sample.
-fn finish(detector: &mut (impl Detector + ?Sized), events: usize, peak: usize) -> ReplayOutcome {
-    detector.on_run_end();
-    ReplayOutcome {
-        reports: detector.take_reports(),
-        events: events as u64,
-        peak_shadow_words: peak.max(detector.shadow_words()),
-    }
-}
-
-/// Replays `trace` through `detector` one [`Event`](grs_runtime::Event) at
-/// a time, rebuilding the trace's depot snapshot into `depot` first.
+/// Replays `trace` through `detector`, rebuilding the trace's depot
+/// snapshot into `depot` first.
 ///
 /// The rebuilt depot reproduces the recorded id assignment exactly
-/// (first-intern order), so the `StackId`s carried by replayed access
-/// events resolve to the same stacks the live run saw.
+/// (first-intern order), so the `StackId`s and `NameId`s carried by
+/// replayed events resolve to the stacks and names the live run saw.
 pub fn replay_trace(
     detector: &mut (impl Detector + ?Sized),
     trace: &Trace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
     trace.rebuild_depot_into(depot);
-    detector.on_run_start(depot);
-    let mut peak = 0usize;
-    for event in &trace.events {
-        detector.on_event(event);
-        peak = peak.max(detector.shadow_words());
-    }
-    finish(detector, trace.events.len(), peak)
+    replay_prepared(detector, trace, depot)
 }
 
-/// Replays a batch-decoded trace through `detector` — the fast path.
-///
-/// Rebuilds the decoded depot snapshot into `depot`, then drives the
-/// detector's batch loop over the event lanes. Produces a
-/// [`ReplayOutcome`] bit-identical to [`replay_trace`] on the same trace
-/// (same reports in the same order, same event count, same peak-shadow
-/// sampling), while skipping per-event enum materialization entirely.
+/// [`replay_trace`] of a freshly decoded trace.
 pub fn replay_decoded(
     detector: &mut (impl Detector + ?Sized),
     decoded: &DecodedTrace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
-    decoded.rebuild_depot_into(depot);
-    replay_decoded_prepared(detector, decoded, depot)
+    replay_trace(detector, decoded, depot)
 }
 
-/// [`replay_decoded`] against a depot that already holds the decoded
-/// trace's stacks (rebuilt once and shared across several detectors by the
+/// [`replay_trace`] against a depot that already holds the trace's stacks
+/// and names (rebuilt once and shared across several detectors by the
 /// arena's fan-out).
-pub fn replay_decoded_prepared(
+pub(crate) fn replay_prepared(
     detector: &mut (impl Detector + ?Sized),
-    decoded: &DecodedTrace,
+    trace: &Trace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
     detector.on_run_start(depot);
-    let peak = detector.replay_decoded_events(decoded);
-    finish(detector, decoded.len(), peak)
+    let peak = detector.replay_events(&trace.events);
+    detector.on_run_end();
+    ReplayOutcome {
+        reports: detector.take_reports(),
+        events: trace.events.len() as u64,
+        peak_shadow_words: peak.max(detector.shadow_words()),
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! (Observation 10).
 
 use grs_runtime::event::Event;
-use grs_runtime::{DecodedTrace, Monitor, StackDepot};
+use grs_runtime::{Monitor, StackDepot};
 
 use crate::fasttrack::{FastTrack, FastTrackConfig};
 use crate::replay::Detector;
@@ -107,14 +107,9 @@ impl Monitor for Tsan {
     }
 }
 
-/// The hybrid is FastTrack with locksets enabled, so both methods are
-/// FastTrack's.
+/// The hybrid is FastTrack with locksets enabled.
 impl Detector for Tsan {
     fn take_reports(&mut self) -> Vec<RaceReport> {
         self.inner.take_reports()
-    }
-
-    fn replay_decoded_events(&mut self, decoded: &DecodedTrace) -> usize {
-        self.inner.replay_decoded_events(decoded)
     }
 }

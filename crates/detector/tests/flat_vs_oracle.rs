@@ -7,8 +7,9 @@
 //! are split. *Nothing moved*: one digest per algorithm folds, for every
 //! program × seed cell, everything the old suite compared — steps, events,
 //! peak shadow words, each report's text in detection order — captured
-//! while the copy still agreed; live runs, scalar replay and batch replay
-//! at chunk sizes 1/2/61/4096 must each reproduce it. *It is right*: every
+//! while the copy still agreed; live runs, replay of the recorded trace and
+//! replay of its encoding decoded at chunk sizes 1/2/61/4096 must each
+//! reproduce it. *It is right*: every
 //! verdict is held to `grs_detector::reference`.
 
 mod corpus;
@@ -82,8 +83,8 @@ fn scalar_replay_reproduces_the_pinned_cells() {
     assert_pinned("scalar replay", &digests);
 }
 
-/// The struct-of-arrays hot loop at chunk sizes 1, 2, a prime, and the
-/// default: the chunking must be invisible in every output.
+/// Encoded, decoded at chunk sizes 1, 2, a prime, and the default, and fanned
+/// out by the arena: the chunking must be invisible in every output.
 #[test]
 fn batch_replay_reproduces_the_pinned_cells_at_every_chunk_size() {
     let mut arena = DetectorArena::new();

@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use grs_detector::{reference, DetectorArena, DetectorChoice, RaceReport};
 use grs_runtime::event::{Event, EventKind};
-use grs_runtime::{AccessKind, Addr, ChanId, Gid, SourceLoc, StackId, Strategy, Trace, TraceMeta};
+use grs_runtime::{
+    AccessKind, Addr, ChanId, Gid, NameId, SourceLoc, StackId, Strategy, Trace, TraceMeta,
+};
 
 /// Every happens-before detector's reports on `trace`.
 fn hb_reports(trace: &Trace) -> Vec<(DetectorChoice, Vec<RaceReport>)> {
@@ -17,7 +19,12 @@ fn hb_reports(trace: &Trace) -> Vec<(DetectorChoice, Vec<RaceReport>)> {
     hb.map(|(choice, out)| (choice, out.reports)).collect()
 }
 
-/// A trace from `(goroutine, event)` pairs in schedule order.
+/// The hand-built traces' objects: entry `i` of their name table.
+const X: NameId = NameId(0);
+const Y: NameId = NameId(1);
+
+/// A trace from `(goroutine, event)` pairs in schedule order, over the
+/// objects `x` ([`X`]) and `y` ([`Y`]).
 fn trace_of(program: &str, events: Vec<(u32, EventKind)>) -> Trace {
     let gids = events.iter().map(|(g, _)| *g as usize + 1);
     let meta = TraceMeta {
@@ -36,12 +43,13 @@ fn trace_of(program: &str, events: Vec<(u32, EventKind)>) -> Trace {
     Trace {
         meta,
         stacks: Vec::new(),
+        names: vec![Arc::from("x"), Arc::from("y")],
         events: events.collect(),
     }
 }
 
-fn write(addr: Addr, object: &str, line: u32) -> EventKind {
-    let (file, object) = ("handbuilt.go", Arc::from(object));
+fn write(addr: Addr, object: NameId, line: u32) -> EventKind {
+    let file = "handbuilt.go";
     let (kind, stack, loc) = (AccessKind::Write, StackId::EMPTY, SourceLoc { file, line });
     EventKind::Access {
         addr,
@@ -82,13 +90,13 @@ fn capacity_rule_trace(cap: usize) -> Trace {
     } else {
         [recv(k - 1), send(late)]
     });
-    t.extend([(RECEIVER, write(x, "x", 10)), (RECEIVER, write(y, "y", 11))]);
+    t.extend([(RECEIVER, write(x, X, 10)), (RECEIVER, write(y, Y, 11))]);
     // Unbuffered, send `k+C` is what receive `k` takes; buffered, it waits
     // for the room receive `k` makes.
     t.extend((cap == 0).then(|| send(last)));
-    t.extend([recv(k), complete(late), (sender(late), write(y, "y", 20))]);
+    t.extend([recv(k), complete(late), (sender(late), write(y, Y, 20))]);
     t.extend((cap != 0).then(|| send(last)));
-    t.extend([complete(last), (sender(last), write(x, "x", 21))]);
+    t.extend([complete(last), (sender(last), write(x, X, 21))]);
     trace_of(&format!("capacity_rule_c{cap}"), t)
 }
 

@@ -66,8 +66,8 @@ fn shared_read_maps_stay_bounded_across_rounds() {
     assert!(leak_scale > 2 * bound);
 }
 
-/// The same O(readers) bound through the **batch replay** hot loop: the
-/// flat shadow arrays (PR 7) must reproduce the live path's peak exactly.
+/// The same O(readers) bound through replay of the decoded trace: the flat
+/// shadow arrays (PR 7) must reproduce the live path's peak exactly.
 /// A flat table that forgot the prune — or that counted never-touched
 /// index holes as shadow words — would blow past the bound here even when
 /// the live path stays tight.

@@ -351,7 +351,7 @@ pub struct ReplayStats {
     pub record_wall: Duration,
     /// Time spent in offline detector replays, summed across workers.
     pub replay_wall: Duration,
-    /// SoA chunks the batch decoder produced across all traces (one decode
+    /// Chunks the batch decoder produced across all traces (one decode
     /// per execution, shared by every analysis fanned from it).
     pub decode_batches: u64,
     /// Events decoded through the batch path (equals `trace_events` — the
@@ -843,9 +843,9 @@ impl Campaign {
         stats.trace_bytes_max = stats.trace_bytes_max.max(trace_bytes);
         stats.record_wall += record_started.elapsed();
 
-        // Replay side: decode the persisted bytes back in SoA chunks (the
+        // Replay side: decode the persisted bytes back in chunks (the
         // deployment consumer's path — decode is replay cost, not record
-        // cost) and fan the decoded lanes through every detector.
+        // cost) and fan the decoded events through every detector.
         let replay_started = Instant::now();
         let decoded = DecodedTrace::decode_with_chunk(&bytes, DEFAULT_CHUNK_EVENTS)
             .expect("a just-encoded trace always decodes");

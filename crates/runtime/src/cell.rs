@@ -58,10 +58,6 @@ impl<T: Clone + Send + 'static> Cell<T> {
         &self.name
     }
 
-    pub(crate) fn name_arc(&self) -> Arc<str> {
-        self.name.clone()
-    }
-
     /// Uninstrumented load (used by `Ctx` after emitting the access event;
     /// also handy for assertions in tests, where the "access" is the test
     /// harness's, not the program's).

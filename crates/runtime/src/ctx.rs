@@ -83,7 +83,7 @@ impl Ctx {
     #[track_caller]
     pub fn read<T: Clone + Send + 'static>(&self, cell: &Cell<T>) -> T {
         let loc = SourceLoc::here();
-        self.access(cell.addr(), || cell.name_arc(), AccessKind::Read, loc);
+        self.access(cell.addr(), || cell.name(), AccessKind::Read, loc);
         cell.load()
     }
 
@@ -91,7 +91,7 @@ impl Ctx {
     #[track_caller]
     pub fn write<T: Clone + Send + 'static>(&self, cell: &Cell<T>, value: T) {
         let loc = SourceLoc::here();
-        self.access(cell.addr(), || cell.name_arc(), AccessKind::Write, loc);
+        self.access(cell.addr(), || cell.name(), AccessKind::Write, loc);
         cell.store(value);
     }
 
@@ -101,20 +101,21 @@ impl Ctx {
     #[track_caller]
     pub fn update<T: Clone + Send + 'static>(&self, cell: &Cell<T>, f: impl FnOnce(T) -> T) {
         let loc = SourceLoc::here();
-        self.access(cell.addr(), || cell.name_arc(), AccessKind::Read, loc);
+        self.access(cell.addr(), || cell.name(), AccessKind::Read, loc);
         let v = cell.load();
         let new = f(v);
-        self.access(cell.addr(), || cell.name_arc(), AccessKind::Write, loc);
+        self.access(cell.addr(), || cell.name(), AccessKind::Write, loc);
         cell.store(new);
     }
 
     /// Emits one memory-access event at an explicit address (used by the
     /// compound objects: slices, maps, atomics). `object` names the
-    /// accessed object; it is called only when a monitor sees the event.
-    pub(crate) fn access(
+    /// accessed object; it is called only at the address's first access a
+    /// monitor sees (see `Kernel::object_name`).
+    pub(crate) fn access<S: AsRef<str>>(
         &self,
         addr: Addr,
-        object: impl FnOnce() -> Arc<str>,
+        object: impl FnOnce() -> S,
         kind: AccessKind,
         loc: SourceLoc,
     ) {
@@ -122,7 +123,7 @@ impl Ctx {
         if self.kernel.instrumentation_disabled() {
             return;
         }
-        let object = object();
+        let object = self.kernel.object_name(&mut k, addr, object);
         let stack = Kernel::current_stack(&k, self.gid);
         self.kernel.emit_locked(
             &mut k,

@@ -15,17 +15,25 @@
 //! the same [`StackId`], which is also what makes shadow-state comparisons
 //! and dedup fingerprints cheap in `grs-detector`/`grs-deploy`.
 //!
+//! Beside the stacks the depot interns the run's *names* — the objects and
+//! goroutines events mention — as [`NameId`]s, so an [`Event`] carries a
+//! `u32` where it would otherwise clone an `Arc<str>`. The kernel interns a
+//! name when it first emits it, so name ids follow the event stream.
+//!
 //! Ids are assigned in first-intern order, so for a deterministic schedule
 //! the id assignment is itself deterministic. Ids are only meaningful for
 //! the depot *generation* that produced them: [`StackDepot::reset`] (used
 //! by campaign workers to recycle the arena between runs) invalidates
 //! outstanding ids while keeping the allocations warm.
+//!
+//! [`Event`]: crate::Event
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::{Frame, Stack};
+use crate::trace::StackNode;
 
 /// A compact reference to an interned call stack.
 ///
@@ -58,6 +66,19 @@ impl fmt::Display for StackId {
     }
 }
 
+/// A compact reference to an interned object or goroutine name: entry `i`
+/// of the run's name table (see [`StackDepot::name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NameId(pub u32);
+
+impl NameId {
+    /// The id as a table index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One node of the depot tree: the leaf frame of an interned stack plus the
 /// id of the stack below it.
 #[derive(Debug, Clone)]
@@ -79,9 +100,22 @@ struct DepotInner {
     index: HashMap<(u32, u32, u32), StackId>,
     /// Lifetime intern attempts (hits + misses), for the stats block.
     interned_total: u64,
+    /// `names[i]` is the text of `NameId(i)`.
+    names: Vec<Arc<str>>,
+    /// Name interner, queried by `&str` like `funcs`.
+    name_ids: HashMap<Arc<str>, NameId>,
 }
 
 impl DepotInner {
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.funcs.clear();
+        self.index.clear();
+        self.interned_total = 0;
+        self.names.clear();
+        self.name_ids.clear();
+    }
+
     fn func_id(&mut self, func: &str) -> (u32, Arc<str>) {
         if let Some((name, &id)) = self.funcs.get_key_value(func) {
             return (id, name.clone());
@@ -223,35 +257,82 @@ impl StackDepot {
         }
     }
 
-    /// Snapshots every interned node in id order as
-    /// `(parent, func, call_line)` triples, where entry `i` describes
-    /// `StackId(i + 1)`.
+    /// Snapshots the contents in id order: the stack nodes, where entry `i`
+    /// describes `StackId(i + 1)`, and the names, where entry `i` is the
+    /// text of `NameId(i)`. A recording keeps this beside its events, and a
+    /// replay puts it back ([`Trace::rebuild_depot_into`]).
     ///
-    /// Because ids are assigned in first-intern order, replaying the
-    /// snapshot through [`StackDepot::push`] on a freshly [`reset`] depot
-    /// reproduces the exact same id assignment — the invariant the trace
-    /// record/replay subsystem is built on.
-    ///
-    /// [`reset`]: StackDepot::reset
+    /// [`Trace::rebuild_depot_into`]: crate::Trace::rebuild_depot_into
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(StackId, Arc<str>, u32)> {
+    pub fn snapshot(&self) -> (Vec<StackNode>, Vec<Arc<str>>) {
         let d = self.lock();
-        d.nodes
-            .iter()
-            .map(|n| (n.parent, n.func.clone(), n.call_line))
-            .collect()
+        let stacks = d.nodes.iter().map(|n| StackNode {
+            parent: n.parent,
+            func: n.func.clone(),
+            call_line: n.call_line,
+        });
+        (stacks.collect(), d.names.clone())
+    }
+
+    /// Interns an object or goroutine name, returning the id it already had
+    /// or the next one.
+    #[must_use]
+    pub(crate) fn intern_name(&self, name: &str) -> NameId {
+        let mut d = self.lock();
+        if let Some(&id) = d.name_ids.get(name) {
+            return id;
+        }
+        let name: Arc<str> = Arc::from(name);
+        let id = NameId(d.names.len() as u32);
+        d.names.push(name.clone());
+        d.name_ids.insert(name, id);
+        id
+    }
+
+    /// The text of name `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this depot generation.
+    #[must_use]
+    pub fn name(&self, id: NameId) -> Arc<str> {
+        self.lock().names[id.index()].clone()
+    }
+
+    /// Replaces the contents with a [`StackDepot::snapshot`], ids as recorded:
+    /// entry `i` of `stacks` becomes `StackId(i + 1)`, entry `i` of `names`
+    /// `NameId(i)`. Replay restores one per trace and resolves ids only, so
+    /// nothing is hashed and the interners' indexes stay empty. That is
+    /// sound because a generation is interned by a live run or restored by
+    /// a replay, never both: the kernel interns only into a depot its run
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node's parent is not an earlier node (the decoder
+    /// rejects such a table).
+    pub(crate) fn restore(&self, stacks: &[StackNode], names: &[Arc<str>]) {
+        let mut d = self.lock();
+        d.clear();
+        for node in stacks {
+            let depth = parent_depth(&d, node.parent) as u32 + 1;
+            d.nodes.push(Node {
+                parent: node.parent,
+                func: node.func.clone(),
+                call_line: node.call_line,
+                depth,
+            });
+        }
+        d.names.extend_from_slice(names);
     }
 
     /// Starts a new generation: drops every interned stack while keeping
     /// the node table and index allocations warm. All outstanding
-    /// [`StackId`]s become invalid. Campaign workers call this between runs
-    /// so id assignment stays a deterministic function of the single run.
+    /// [`StackId`]s and [`NameId`]s become invalid. Campaign workers call
+    /// this between runs so id assignment stays a deterministic function of
+    /// the single run.
     pub fn reset(&self) {
-        let mut d = self.lock();
-        d.nodes.clear();
-        d.funcs.clear();
-        d.index.clear();
-        d.interned_total = 0;
+        self.lock().clear();
     }
 }
 
@@ -315,6 +396,23 @@ mod tests {
         // Same pushes produce the same ids again — per-run determinism.
         let a2 = depot.push(StackId::EMPTY, "main", 0);
         assert_eq!(a, a2);
+    }
+
+    #[test]
+    fn names_intern_in_first_intern_order() {
+        let depot = StackDepot::new();
+        let _ = depot.push(StackId::EMPTY, "main", 0);
+        let x = depot.intern_name("x");
+        let w = depot.intern_name("worker");
+        assert_eq!(
+            (x, w, depot.intern_name("x")),
+            (NameId(0), NameId(1), NameId(0))
+        );
+        assert_eq!(&*depot.name(w), "worker");
+        assert_eq!(depot.snapshot().1.len(), 2);
+        depot.reset();
+        assert!(depot.snapshot().1.is_empty());
+        assert_eq!(depot.intern_name("worker"), NameId(0));
     }
 
     #[test]

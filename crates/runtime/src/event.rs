@@ -5,12 +5,22 @@
 //! operation that establishes a happens-before edge under the Go memory
 //! model.
 //!
+//! An [`Event`] is one plain `Copy` record, the same live and replayed: the
+//! kernel emits it, the recorder copies it into a [`Trace`], the decoder
+//! rebuilds it, and every detector consumes it through one
+//! [`Monitor::on_event`]. Nothing in it is owned: calling contexts are
+//! [`StackId`]s and object and goroutine names are [`NameId`]s, both
+//! interned per run in the [`StackDepot`](crate::StackDepot).
+//!
 //! [`Monitor`]: crate::monitor::Monitor
+//! [`Monitor::on_event`]: crate::monitor::Monitor::on_event
+//! [`Trace`]: crate::Trace
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::depot::StackId;
+use crate::depot::{NameId, StackId};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 
 /// Whether a memory access reads or writes, and whether it used `sync/atomic`.
@@ -191,7 +201,10 @@ pub enum LockMode {
 /// `step` is a global, strictly increasing sequence number: because the
 /// scheduler runs exactly one goroutine at a time, the event stream is a
 /// *total order* consistent with the interleaving that was executed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Not `Hash`: a name id means nothing outside its run, so the stream
+/// digests hash events with [`Event::hash_named`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Global sequence number of the event.
     pub step: u64,
@@ -202,14 +215,14 @@ pub struct Event {
 }
 
 /// The operation an [`Event`] describes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// `gid` spawned `child` (spawn happens-before the child's first step).
     Spawn {
         /// The newly created goroutine.
         child: Gid,
         /// Logical name of the goroutine body.
-        name: Arc<str>,
+        name: NameId,
     },
     /// The goroutine's body returned (normally or by panic).
     GoroutineEnd,
@@ -224,7 +237,7 @@ pub enum EventKind {
         addr: Addr,
         /// Human-readable name of the object (e.g. `"results"`,
         /// `"errMap[structure]"`).
-        object: Arc<str>,
+        object: NameId,
         /// Read/write, atomic or plain.
         kind: AccessKind,
         /// Interned call stack at the access.
@@ -319,7 +332,52 @@ impl Event {
             _ => None,
         }
     }
+
+    /// The name this event mentions: a spawned goroutine's, or an accessed
+    /// object's.
+    #[must_use]
+    pub fn name(&self) -> Option<NameId> {
+        match self.kind {
+            EventKind::Spawn { name, .. } | EventKind::Access { object: name, .. } => Some(name),
+            _ => None,
+        }
+    }
+
+    /// Feeds the event to `state` with each name as its text from `names`
+    /// (the run's name table): the bytes a derived `Hash` writes, since an
+    /// `Arc<str>` field hashes as its `str`. Every variant without a name
+    /// hashes through the derive.
+    pub fn hash_named<H: Hasher>(&self, names: &[Arc<str>], state: &mut H) {
+        self.step.hash(state);
+        self.gid.hash(state);
+        let name = |id: NameId| &*names[id.index()];
+        match self.kind {
+            EventKind::Spawn { child, name: id } => {
+                std::mem::discriminant(&self.kind).hash(state);
+                child.hash(state);
+                name(id).hash(state);
+            }
+            EventKind::Access {
+                addr,
+                object,
+                kind,
+                stack,
+                loc,
+            } => {
+                std::mem::discriminant(&self.kind).hash(state);
+                addr.hash(state);
+                name(object).hash(state);
+                kind.hash(state);
+                stack.hash(state);
+                loc.hash(state);
+            }
+            kind => kind.hash(state),
+        }
+    }
 }
+
+// Copied per event into every recording and replay buffer: keep it small.
+const _: () = assert!(std::mem::size_of::<Event>() <= 64);
 
 #[cfg(test)]
 mod tests {

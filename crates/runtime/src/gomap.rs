@@ -96,12 +96,12 @@ where
     }
 
     fn touch_struct(&self, ctx: &Ctx, kind: AccessKind, loc: SourceLoc) {
-        ctx.access(self.addr_struct, || self.struct_object.clone(), kind, loc);
+        ctx.access(self.addr_struct, || &*self.struct_object, kind, loc);
     }
 
     /// The object `key`'s slot is reported as.
-    fn slot_object(&self, key: &K) -> Arc<str> {
-        Arc::from(format!("{}[{key:?}]", self.name))
+    fn slot_object(&self, key: &K) -> String {
+        format!("{}[{key:?}]", self.name)
     }
 
     /// Accesses `key`'s slot at `addr`.
@@ -114,20 +114,20 @@ where
     pub fn insert(&self, ctx: &Ctx, key: K, value: V) {
         let loc = SourceLoc::here();
         self.touch_struct(ctx, AccessKind::Write, loc);
-        // Named before `key` moves into the map, and only when a monitor
-        // will see the name.
-        let object = (!ctx.kernel().instrumentation_disabled()).then(|| self.slot_object(&key));
         let slot_addr = {
             let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let addr = match m.entries.get(&key) {
-                Some((a, _)) => *a,
-                None => Addr(ctx.kernel().alloc_id()),
-            };
-            m.entries.insert(key, (addr, value));
-            addr
+            if let Some(slot) = m.entries.get_mut(&key) {
+                slot.1 = value;
+                slot.0
+            } else {
+                let addr = Addr(ctx.kernel().alloc_id());
+                m.entries.insert(key.clone(), (addr, value));
+                addr
+            }
         };
-        let name = || object.expect("named when instrumented");
-        ctx.access(slot_addr, name, AccessKind::Write, loc);
+        // Named lazily on every path: another goroutine may have created
+        // the slot and been preempted before its own access was emitted.
+        self.touch_slot(ctx, slot_addr, &key, AccessKind::Write, loc);
     }
 
     /// `v, ok := m[k]` — reads the structure word and, when present, the

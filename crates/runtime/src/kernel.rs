@@ -37,9 +37,9 @@ use rand::SeedableRng;
 
 use crate::coro::{self, Coro, SavedSp};
 use crate::ctx::Ctx;
-use crate::depot::{StackDepot, StackId};
+use crate::depot::{NameId, StackDepot, StackId};
 use crate::event::{Event, EventKind};
-use crate::ids::{ChanId, Gid, LockUid, OnceId, WgId};
+use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::monitor::{AnyMonitor, MonitorStats};
 use crate::runtime::{DeadlockInfo, RunConfig, RuntimeError};
 use crate::sched::{Scheduler, ScheduleTrace};
@@ -235,6 +235,10 @@ pub(crate) struct KState {
     pub locks: FnvMap<u64, LockState>,
     pub wgs: FnvMap<u64, WgState>,
     pub onces: FnvMap<u64, OnceSlot>,
+    /// The address table: the name each address's events carry, indexed by
+    /// address (object ids are dense), filled at the address's first
+    /// emitted access.
+    object_names: Vec<Option<NameId>>,
     /// Set when the run is over early (deadlock, leak, step budget): from
     /// then on every goroutine that gets control unwinds (`check_abort`) —
     /// the running one at once, the suspended ones when [`Kernel::drive`]
@@ -336,6 +340,7 @@ impl Kernel {
             locks: FnvMap::default(),
             wgs: FnvMap::default(),
             onces: FnvMap::default(),
+            object_names: Vec::new(),
             aborting: false,
             live: 0,
             events_dispatched: 0,
@@ -424,6 +429,28 @@ impl Kernel {
                 k.peak_shadow_words = words;
             }
         }
+    }
+
+    /// The name `addr`'s accesses are reported under: the address table's
+    /// entry, or — at the address's first emitted access — `object()`
+    /// interned into the depot. So naming an object (a `format!` for slice
+    /// and map elements) costs once per address per run, not per access.
+    pub(crate) fn object_name<S: AsRef<str>>(
+        &self,
+        k: &mut KState,
+        addr: Addr,
+        object: impl FnOnce() -> S,
+    ) -> NameId {
+        let i = addr.0 as usize;
+        if let Some(Some(id)) = k.object_names.get(i) {
+            return *id;
+        }
+        if k.object_names.len() <= i {
+            k.object_names.resize(i + 1, None);
+        }
+        let id = self.depot.intern_name(object().as_ref());
+        k.object_names[i] = Some(id);
+        id
     }
 
     /// `gid`'s current logical call stack — a `u32` copy, no materialization.
@@ -639,6 +666,12 @@ impl Kernel {
                 body: Some(body),
                 coro: Some(self.new_coro()),
             });
+            // A no-op monitor never reads the id, so skip the interning.
+            let name = if self.instrumentation_disabled() {
+                NameId(u32::MAX)
+            } else {
+                self.depot.intern_name(&name)
+            };
             Self::make_runnable(&mut k, child);
             k.live += 1;
             k.spawned_total += 1;
@@ -650,14 +683,7 @@ impl Kernel {
                 } = *k;
                 sched.register(child, rng);
             }
-            self.emit_locked(
-                &mut k,
-                parent,
-                EventKind::Spawn {
-                    child,
-                    name: name.clone(),
-                },
-            );
+            self.emit_locked(&mut k, parent, EventKind::Spawn { child, name });
         }
         // Give the child a chance to run immediately, per the strategy.
         self.yield_point(parent);

@@ -89,12 +89,12 @@ pub mod slice;
 pub mod sync;
 pub mod trace;
 
-pub use batch::{BatchDecoder, DecodedTrace, EventBatch, DEFAULT_CHUNK_EVENTS};
+pub use batch::{BatchDecoder, DecodedTrace, DEFAULT_CHUNK_EVENTS};
 pub use cell::Cell;
 pub use chan::{Chan, RecvResult, Selected2};
 pub use context::GoContext;
 pub use ctx::Ctx;
-pub use depot::{DepotStats, StackDepot, StackId};
+pub use depot::{DepotStats, NameId, StackDepot, StackId};
 pub use event::{AccessKind, Event, Frame, SourceLoc, Stack};
 pub use gomap::GoMap;
 pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};

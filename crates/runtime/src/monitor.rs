@@ -7,9 +7,11 @@
 //! reports a 4× test-time increase with the detector on; the benchmark
 //! compares [`NullMonitor`] against a real detector).
 
+use std::sync::Arc;
+
 use grs_obs::Fnv1a;
 
-use crate::depot::{DepotStats, StackDepot};
+use crate::depot::{DepotStats, NameId, StackDepot};
 use crate::event::Event;
 
 /// Consumes the instrumentation event stream of one program run.
@@ -19,9 +21,9 @@ use crate::event::Event;
 /// consistent with the executed interleaving.
 pub trait Monitor: Send {
     /// Called once before the run's first event with the run's stack
-    /// depot. Monitors that need to resolve the [`StackId`]s carried by
-    /// access events (race detectors building reports) clone the handle
-    /// here; the default implementation ignores it.
+    /// depot. Monitors that need to resolve the [`StackId`]s and
+    /// [`NameId`]s carried by events (race detectors building reports)
+    /// clone the handle here; the default implementation ignores it.
     ///
     /// [`StackId`]: crate::StackId
     fn on_run_start(&mut self, depot: &StackDepot) {
@@ -97,9 +99,10 @@ impl Monitor for NullMonitor {
 /// Two runs produce the same digest iff they emitted the same event
 /// sequence, which makes this the cheapest possible witness of schedule
 /// determinism: same seed ⇒ same digest, across repeated runs, processes,
-/// and worker-thread counts. The fold is FNV-1a over the events'
-/// `Hash` impl via a deterministic per-event hasher — `DefaultHasher::new()`
-/// is documented to use a fixed (unkeyed) state, unlike `RandomState`, so
+/// and worker-thread counts. The fold is FNV-1a over each event's
+/// [`Event::hash_named`] (names hashed as their text, from the run's depot)
+/// via a deterministic per-event hasher — `DefaultHasher::new()` is
+/// documented to use a fixed (unkeyed) state, unlike `RandomState`, so
 /// digests are stable within a compiler release.
 ///
 /// # Example
@@ -115,10 +118,15 @@ impl Monitor for NullMonitor {
 /// let (_, h2) = Runtime::new(RunConfig::with_seed(7)).run(&p, TraceHasher::new());
 /// assert_eq!(h1.digest(), h2.digest());
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct TraceHasher {
     digest: Fnv1a,
     events: u64,
+    /// The run's depot, where the names events mention are interned.
+    depot: StackDepot,
+    /// The names seen so far this run, copied out of the depot on first
+    /// sight so an event costs no lock.
+    names: Vec<Arc<str>>,
 }
 
 impl Default for TraceHasher {
@@ -126,6 +134,8 @@ impl Default for TraceHasher {
         TraceHasher {
             digest: Fnv1a::new(),
             events: 0,
+            depot: StackDepot::new(),
+            names: Vec::new(),
         }
     }
 }
@@ -151,10 +161,21 @@ impl TraceHasher {
 }
 
 impl Monitor for TraceHasher {
+    fn on_run_start(&mut self, depot: &StackDepot) {
+        self.depot = depot.clone();
+        self.names.clear();
+    }
+
     fn on_event(&mut self, event: &Event) {
-        use std::hash::{Hash, Hasher};
+        use std::hash::Hasher;
+        if let Some(id) = event.name() {
+            while self.names.len() <= id.index() {
+                let next = NameId(self.names.len() as u32);
+                self.names.push(self.depot.name(next));
+            }
+        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        event.hash(&mut h);
+        event.hash_named(&self.names, &mut h);
         // FNV-1a combine step over the per-event hashes.
         self.digest.write(&h.finish().to_le_bytes());
         self.events += 1;

@@ -145,21 +145,20 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     fn touch_header(&self, ctx: &Ctx, kind: AccessKind, loc: SourceLoc) {
         let header = &self.header;
         for addr in [header.addr_ptr, header.addr_len, header.addr_cap] {
-            ctx.access(addr, || header.object.clone(), kind, loc);
+            ctx.access(addr, || &*header.object, kind, loc);
         }
     }
 
     /// Reads the length word (a bounds check or `len(s)`).
     fn read_len(&self, ctx: &Ctx, loc: SourceLoc) -> usize {
         let header = &self.header;
-        let object = || header.object.clone();
-        ctx.access(header.addr_len, object, AccessKind::Read, loc);
+        ctx.access(header.addr_len, || &*header.object, AccessKind::Read, loc);
         header.dims.lock().unwrap_or_else(|e| e.into_inner()).0
     }
 
     /// Accesses element `i` at `addr`.
     fn touch_elem(&self, ctx: &Ctx, addr: Addr, i: usize, kind: AccessKind, loc: SourceLoc) {
-        ctx.access(addr, || Arc::from(format!("{}[{i}]", self.name)), kind, loc);
+        ctx.access(addr, || format!("{}[{i}]", self.name), kind, loc);
     }
 
     /// `s = append(s, value)`.

@@ -427,7 +427,7 @@ impl AtomicCell {
     #[track_caller]
     pub fn load(&self, ctx: &Ctx) -> i64 {
         let loc = SourceLoc::here();
-        ctx.access(self.addr, || self.name.clone(), AccessKind::AtomicRead, loc);
+        ctx.access(self.addr, || &*self.name, AccessKind::AtomicRead, loc);
         self.value.load(Ordering::SeqCst)
     }
 
@@ -437,7 +437,7 @@ impl AtomicCell {
         let loc = SourceLoc::here();
         ctx.access(
             self.addr,
-            || self.name.clone(),
+            || &*self.name,
             AccessKind::AtomicWrite,
             loc,
         );
@@ -450,7 +450,7 @@ impl AtomicCell {
         let loc = SourceLoc::here();
         ctx.access(
             self.addr,
-            || self.name.clone(),
+            || &*self.name,
             AccessKind::AtomicWrite,
             loc,
         );
@@ -463,7 +463,7 @@ impl AtomicCell {
         let loc = SourceLoc::here();
         ctx.access(
             self.addr,
-            || self.name.clone(),
+            || &*self.name,
             AccessKind::AtomicWrite,
             loc,
         );
@@ -476,7 +476,7 @@ impl AtomicCell {
     #[track_caller]
     pub fn load_plain(&self, ctx: &Ctx) -> i64 {
         let loc = SourceLoc::here();
-        ctx.access(self.addr, || self.name.clone(), AccessKind::Read, loc);
+        ctx.access(self.addr, || &*self.name, AccessKind::Read, loc);
         self.value.load(Ordering::SeqCst)
     }
 
@@ -484,7 +484,7 @@ impl AtomicCell {
     #[track_caller]
     pub fn store_plain(&self, ctx: &Ctx, v: i64) {
         let loc = SourceLoc::here();
-        ctx.access(self.addr, || self.name.clone(), AccessKind::Write, loc);
+        ctx.access(self.addr, || &*self.name, AccessKind::Write, loc);
         self.value.store(v, Ordering::SeqCst);
     }
 }

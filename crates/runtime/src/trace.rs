@@ -5,8 +5,8 @@
 //! to reproduce. Our answer is the [`Trace`] artifact: a self-contained
 //! recording of one scheduled execution — the totally ordered [`Event`]
 //! stream, a snapshot of the [`StackDepot`] that interned its calling
-//! contexts, and the run metadata (program, seed, strategy) needed to
-//! re-execute it live.
+//! contexts and names, and the run metadata (program, seed, strategy)
+//! needed to re-execute it live.
 //!
 //! Because monitors never influence the schedule (the interleaving is a
 //! pure function of `(seed, Strategy)`), the event stream recorded by
@@ -20,7 +20,9 @@
 //! hand-rolled binary codec ([`Trace::encode`]/[`Trace::decode`] — the
 //! build is offline, so no serde): an 8-byte magic, a format version, a
 //! string table, the depot snapshot, and LEB128/zigzag-packed events with
-//! delta-encoded steps.
+//! delta-encoded steps. Names travel as string-table references; the
+//! decoder renumbers them in first-appearance order, which is the order the
+//! kernel interned them in, so a decoded trace equals its recording.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -32,7 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use grs_obs::Fnv1a;
 
 use crate::batch::DecodedTrace;
-use crate::depot::{StackDepot, StackId};
+use crate::depot::{NameId, StackDepot, StackId};
 use crate::event::{AccessKind, Event, EventKind, LockMode};
 use crate::monitor::Monitor;
 use crate::runtime::{Program, RunConfig, RunOutcome, Runtime};
@@ -61,10 +63,9 @@ pub const TRACE_FORMAT_VERSION: u32 = 1;
 pub const MAX_TRACE_ID: u64 = (1 << 12) - 1;
 
 /// The event-kind tag bytes of the `.grtrace` format, named once: the
-/// encoder writes them, the decoder validates them, and every consumer of
-/// an [`EventBatch`](crate::EventBatch)'s `tags` lane matches on them.
-/// One constant per [`EventKind`] variant.
-pub mod tag {
+/// encoder writes them and the decoder matches on them. One constant per
+/// [`EventKind`] variant.
+pub(crate) mod tag {
     pub const SPAWN: u8 = 0;
     pub const GOROUTINE_END: u8 = 1;
     pub const ACCESS: u8 = 2;
@@ -131,22 +132,30 @@ pub struct Trace {
     pub meta: TraceMeta,
     /// Depot snapshot in first-intern (id) order.
     pub stacks: Vec<StackNode>,
+    /// The depot's name table in first-intern order: entry `i` is the text
+    /// of `NameId(i)`.
+    pub names: Vec<Arc<str>>,
     /// The totally ordered event stream.
     pub events: Vec<Event>,
 }
 
 impl Trace {
-    /// Rebuilds the recorded depot contents into `depot` (which is reset
-    /// first). Because depot ids are assigned in first-intern order and
-    /// [`Trace::stacks`] is stored in that order, every re-interned node
-    /// receives exactly the [`StackId`] the recorded events refer to.
+    /// The text of name `id`.
+    #[must_use]
+    pub fn name(&self, id: NameId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// Replaces `depot`'s contents with the recorded stack and name tables,
+    /// so every [`StackId`] and [`NameId`] the recorded events carry
+    /// resolves to what the live run interned under it.
     ///
     /// # Panics
     ///
-    /// Panics if the stack table is not in first-intern order (a corrupt
-    /// trace constructed by hand; the codec always stores it in order).
+    /// Panics if a stack node's parent is not an earlier node (a corrupt
+    /// trace constructed by hand; the decoder rejects such a table).
     pub fn rebuild_depot_into(&self, depot: &StackDepot) {
-        rebuild_depot(&self.stacks, depot);
+        depot.restore(&self.stacks, &self.names);
     }
 
     /// The FNV-1a fold of the event stream — bit-identical to the digest a
@@ -157,7 +166,7 @@ impl Trace {
         let mut digest = Fnv1a::new();
         for event in &self.events {
             let mut h = DefaultHasher::new();
-            event.hash(&mut h);
+            event.hash_named(&self.names, &mut h);
             digest.write(&h.finish().to_le_bytes());
         }
         digest.finish()
@@ -187,15 +196,11 @@ impl Trace {
         // Pre-intern event strings in stream order so the table layout is a
         // deterministic function of the trace alone.
         for ev in &self.events {
-            match &ev.kind {
-                EventKind::Spawn { name, .. } => {
-                    strings.intern(name);
-                }
-                EventKind::Access { object, loc, .. } => {
-                    strings.intern(object);
-                    strings.intern(loc.file);
-                }
-                _ => {}
+            if let Some(name) = ev.name() {
+                strings.intern(self.name(name));
+            }
+            if let EventKind::Access { loc, .. } = ev.kind {
+                strings.intern(loc.file);
             }
         }
 
@@ -239,7 +244,7 @@ impl Trace {
                 EventKind::Spawn { child, name } => {
                     out.push(tag::SPAWN);
                     put_uvarint(&mut out, u64::from(child.0));
-                    put_uvarint(&mut out, strings.intern(name));
+                    put_uvarint(&mut out, strings.intern(self.name(*name)));
                 }
                 EventKind::GoroutineEnd => out.push(tag::GOROUTINE_END),
                 EventKind::Access {
@@ -251,7 +256,7 @@ impl Trace {
                 } => {
                     out.push(tag::ACCESS);
                     put_uvarint(&mut out, addr.0);
-                    put_uvarint(&mut out, strings.intern(object));
+                    put_uvarint(&mut out, strings.intern(self.name(*object)));
                     out.push(match kind {
                         AccessKind::Read => 0,
                         AccessKind::Write => 1,
@@ -329,7 +334,7 @@ impl Trace {
     /// malformed varints/UTF-8, out-of-range table indices, unknown tags,
     /// or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        Ok(DecodedTrace::decode(bytes)?.into_trace())
+        Ok(DecodedTrace::decode(bytes)?.trace)
     }
 
     /// Encodes and writes the trace to a `.grtrace` file.
@@ -351,20 +356,6 @@ impl Trace {
         let bytes = std::fs::read(path)?;
         Trace::decode(&bytes)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Resets `depot` and re-interns `stacks` (a depot snapshot in
-/// first-intern order) so entry `i` is `StackId(i + 1)` again.
-pub(crate) fn rebuild_depot(stacks: &[StackNode], depot: &StackDepot) {
-    depot.reset();
-    for (i, node) in stacks.iter().enumerate() {
-        let id = depot.push(node.parent, &node.func, node.call_line);
-        assert_eq!(
-            id.raw() as usize,
-            i + 1,
-            "trace stack table not in first-intern order"
-        );
     }
 }
 
@@ -404,6 +395,13 @@ pub enum TraceDecodeError {
         id: u64,
         /// Number of stack nodes in the trace.
         table_len: usize,
+    },
+    /// A stack-table node repeats an earlier one (same parent, function
+    /// and call line): a depot interns each node once, so no recording has
+    /// one.
+    RepeatedStack {
+        /// The raw id of the repeat.
+        id: u64,
     },
     /// A goroutine or object id is larger than [`MAX_TRACE_ID`].
     IdOutOfRange {
@@ -445,6 +443,9 @@ impl fmt::Display for TraceDecodeError {
             }
             TraceDecodeError::BadStackId { id, table_len } => {
                 write!(f, "stack id {id} out of range (trace has {table_len} stacks)")
+            }
+            TraceDecodeError::RepeatedStack { id } => {
+                write!(f, "stack {id} repeats an earlier stack-table node")
             }
             TraceDecodeError::IdOutOfRange { id, max } => {
                 write!(f, "goroutine or object id {id} out of range (largest admitted is {max})")
@@ -654,8 +655,9 @@ impl TraceRecorder {
         }
     }
 
-    /// Finalizes the recording into a [`Trace`], snapshotting the depot and
-    /// taking the step/goroutine totals from the run's outcome.
+    /// Finalizes the recording into a [`Trace`], snapshotting the depot's
+    /// stacks and names and taking the step/goroutine totals from the run's
+    /// outcome.
     ///
     /// # Panics
     ///
@@ -664,15 +666,7 @@ impl TraceRecorder {
     #[must_use]
     pub fn into_trace(self, outcome: &RunOutcome) -> Trace {
         let depot = self.depot.expect("TraceRecorder finished without a run");
-        let stacks = depot
-            .snapshot()
-            .into_iter()
-            .map(|(parent, func, call_line)| StackNode {
-                parent,
-                func,
-                call_line,
-            })
-            .collect();
+        let (stacks, names) = depot.snapshot();
         Trace {
             meta: TraceMeta {
                 program: self.program,
@@ -682,6 +676,7 @@ impl TraceRecorder {
                 goroutines_spawned: outcome.goroutines_spawned,
             },
             stacks,
+            names,
             events: self.events,
         }
     }
@@ -694,7 +689,7 @@ impl Monitor for TraceRecorder {
     }
 
     fn on_event(&mut self, event: &Event) {
-        self.events.push(event.clone());
+        self.events.push(*event);
     }
 }
 
@@ -838,6 +833,7 @@ mod tests {
             let id = StackId(i as u32 + 1);
             assert_eq!(depot.parent(id), node.parent);
         }
+        assert_eq!(depot.snapshot(), (trace.stacks, trace.names));
     }
 
     #[test]

@@ -501,6 +501,53 @@ fn gomap_insert_get_delete_iterate() {
 }
 
 #[test]
+fn gomap_same_key_inserts_name_the_slot_whichever_emits_first() {
+    // The writer that creates `k`'s slot can be preempted before its slot
+    // access is emitted; the other writer's access must then name the slot.
+    let p = Program::new("map_same_key", |ctx| {
+        let m: GoMap<String, i64> = GoMap::make(ctx, "m");
+        let done = ctx.chan::<()>("done", 2);
+        for v in 0..2 {
+            let (m, done) = (m.clone(), done.clone());
+            ctx.go("writer", move |ctx| {
+                m.insert(ctx, "k".into(), v);
+                done.send(ctx, ());
+            });
+        }
+        for _ in 0..2 {
+            let _ = done.recv(ctx);
+        }
+    });
+    let mut creator_emitted_second = 0;
+    for seed in 0..64 {
+        let (outcome, trace) = record(&p, &RunConfig::with_seed(seed));
+        assert!(outcome.is_clean(), "seed {seed}: {:?}", outcome.errors);
+        let writers = |object: &str| {
+            trace
+                .events
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::Access { object: o, .. } if trace.name(o) == object => Some(e.gid),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // No yield separates the structure write from creating the slot,
+        // so the first structure writer is the slot's creator.
+        let structure = writers("m[structure]");
+        let slot = writers("m[\"k\"]");
+        assert_eq!((structure.len(), slot.len()), (2, 2), "seed {seed}");
+        if slot[0] != structure[0] {
+            creator_emitted_second += 1;
+        }
+    }
+    assert!(
+        creator_emitted_second > 0,
+        "no seed preempted the slot's creator before its access"
+    );
+}
+
+#[test]
 fn atomic_cell_ops() {
     let p = Program::new("atomics", |ctx| {
         let a = ctx.atomic("a", 0);

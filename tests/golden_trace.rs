@@ -10,8 +10,14 @@
 //! this test breaks every trace a past campaign filed, and must instead
 //! bump `TRACE_FORMAT_VERSION` and keep a decoder for version 1.
 
+use grs::corpus::GoTestSpec;
 use grs::detector::DetectorArena;
-use grs::runtime::{Trace, TraceDecodeError, TRACE_FORMAT_VERSION, TRACE_MAGIC};
+use grs::fleet::{pattern_suite, GoCorpusSource, UnitSource};
+use grs::obs::Fnv1a;
+use grs::runtime::{
+    record, Program, RunConfig, Runtime, Trace, TraceDecodeError, TraceHasher,
+    TRACE_FORMAT_VERSION, TRACE_MAGIC,
+};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/listing1_seed3.grtrace");
 
@@ -19,6 +25,68 @@ const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/listing1_
 /// digest is a pure FNV-1a fold over the event stream, so this constant
 /// also pins event content (not just event count) against drift.
 const FIXTURE_DIGEST: u64 = 0xb781_816a_7b78_a083;
+
+/// FNV-1a over the `encode()` bytes of every trace [`pinned_runs`] records.
+const PINNED_ENCODED_BYTES: u64 = 0x863a_8fec_7a80_d0a0;
+
+/// FNV-1a over the live [`TraceHasher`] digest of every run in
+/// [`pinned_runs`].
+const PINNED_LIVE_DIGESTS: u64 = 0x5ab7_543d_54f4_129d;
+
+/// The live recorder writes the committed fixture: recording Listing 1
+/// under seed 3 today yields the very bytes a past campaign filed.
+#[test]
+fn live_recording_reproduces_the_fixture_bytes() {
+    let listing1 = grs::patterns::find("loop_index_capture")
+        .expect("Listing 1 is in the pattern corpus")
+        .racy_program();
+    let (_, trace) = record(&listing1, &RunConfig::with_seed(3));
+    let bytes = std::fs::read(FIXTURE).expect("read fixture");
+    assert!(
+        trace.encode() == bytes,
+        "the recorder drifted from the committed artifact"
+    );
+}
+
+/// Every pattern unit (racy and fixed) under seeds 0..8, and the first 64
+/// generated Go tests of corpus seed 1 under run seed 1: slice and map
+/// element names, goroutine names, channels, wait groups, onces and locks.
+fn pinned_runs() -> Vec<(Program, RunConfig)> {
+    let mut runs = Vec::new();
+    for unit in pattern_suite(true) {
+        for seed in 0..8 {
+            runs.push((unit.program.clone(), RunConfig::with_seed(seed)));
+        }
+    }
+    let corpus = GoCorpusSource::new(GoTestSpec::default_mix(), 1, 64);
+    for i in 0..corpus.len() {
+        let unit = corpus.build(i).expect("generated tests lower");
+        runs.push((unit.program, RunConfig::with_seed(1)));
+    }
+    runs
+}
+
+/// What the recorder writes and what the live hasher folds, over many
+/// programs: a name the emitter attaches to the wrong event, or interns in
+/// a different order, moves one of these.
+#[test]
+fn recorded_bytes_and_live_digests_are_pinned() {
+    let (mut bytes, mut digests) = (Fnv1a::new(), Fnv1a::new());
+    for (program, cfg) in pinned_runs() {
+        let (_, trace) = record(&program, &cfg);
+        bytes.write(&trace.encode());
+        let (_, hasher) = Runtime::new(cfg).run(&program, TraceHasher::new());
+        assert_eq!(hasher.digest(), trace.digest(), "{}", program.name());
+        digests.write(&hasher.digest().to_le_bytes());
+    }
+    assert_eq!(
+        (bytes.finish(), digests.finish()),
+        (PINNED_ENCODED_BYTES, PINNED_LIVE_DIGESTS),
+        "{:#x} {:#x}",
+        bytes.finish(),
+        digests.finish()
+    );
+}
 
 #[test]
 fn golden_trace_decodes_with_pinned_contents() {

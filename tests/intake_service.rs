@@ -175,6 +175,25 @@ fn served_stack_rejects_garbage_and_malformed_traces() {
     service.shutdown().unwrap();
 }
 
+/// An upload whose stack table repeats a node is refused as malformed, and
+/// the service's one worker goes on to file the next upload.
+#[test]
+fn a_repeated_stack_node_is_malformed_and_the_worker_serves_on() {
+    use grs::deploy::service::IntakeError;
+    use grs::runtime::TraceDecodeError;
+
+    let service = IntakeService::builder().workers(1).start().unwrap();
+    let repeated = include_bytes!("data/duplicate_stack.grtrace").to_vec();
+    assert!(matches!(
+        service.submit_trace(repeated, 0),
+        Err(IntakeError::Malformed(TraceDecodeError::RepeatedStack { .. }))
+    ));
+    let golden = include_bytes!("data/listing1_seed3.grtrace").to_vec();
+    let summary = service.submit_trace(golden, 0).expect("a valid trace is served");
+    assert_eq!((summary.races, summary.filed.len()), (1, 1));
+    service.shutdown().unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Real sockets: the same protocol served over loopback TCP.
 // ---------------------------------------------------------------------------

@@ -119,10 +119,10 @@ fn shared_variable_cells(file: File, name: &str, entry: &str, seed: u64) -> Opti
     }
     let mut touched: BTreeMap<u64, (String, BTreeSet<u32>)> = BTreeMap::new();
     for ev in &trace.events {
-        if let EventKind::Access { addr, object, .. } = &ev.kind {
+        if let EventKind::Access { addr, object, .. } = ev.kind {
             touched
                 .entry(addr.0)
-                .or_insert_with(|| (object.to_string(), BTreeSet::new()))
+                .or_insert_with(|| (trace.name(object).to_string(), BTreeSet::new()))
                 .1
                 .insert(ev.gid.0);
         }
