@@ -10,6 +10,9 @@
 //! with vector clocks.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+use grs_obs::hash::{FnvHasher, FnvMap};
 
 /// Identity of a lock object (mutex, rwlock) as seen by the detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,9 +58,23 @@ impl fmt::Display for LockId {
 /// assert!(!common.is_empty());
 /// assert!(common.contains(b));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lockset {
     locks: Vec<LockId>,
+}
+
+/// `clone_from` copies into the existing allocation, which the derived
+/// impl would drop.
+impl Clone for Lockset {
+    fn clone(&self) -> Self {
+        Lockset {
+            locks: self.locks.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.locks.clone_from(&source.locks);
+    }
 }
 
 impl Lockset {
@@ -76,6 +93,11 @@ impl Lockset {
                 true
             }
         }
+    }
+
+    /// Removes every lock, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.locks.clear();
     }
 
     /// Removes a lock; returns `true` if it was present.
@@ -252,24 +274,35 @@ impl fmt::Display for LocksetId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocksetInterner {
-    /// `sets[i]` is the set with id `i`; `sets[0]` is always the empty set.
+    /// `sets[i]` is the set with id `i` for `i < live`; `sets[0]` is always
+    /// the empty set. Entries from `live` on are sets of an earlier run,
+    /// kept for their allocations and overwritten by the next interns.
     sets: Vec<Lockset>,
-    index: std::collections::HashMap<Lockset, LocksetId>,
+    live: usize,
+    /// Content hash → the first live set with that hash. The empty set is
+    /// never looked up here.
+    by_hash: FnvMap<u64, LocksetId>,
     /// `(smaller id, larger id) → intersection id`, so the per-access
     /// refinement path is a single hash probe with no allocation.
-    intersect_memo: std::collections::HashMap<(u32, u32), LocksetId>,
+    intersect_memo: FnvMap<(u32, u32), LocksetId>,
 }
 
 impl Default for LocksetInterner {
     fn default() -> Self {
-        let mut index = std::collections::HashMap::new();
-        index.insert(Lockset::new(), LocksetId::EMPTY);
         LocksetInterner {
             sets: vec![Lockset::new()],
-            index,
-            intersect_memo: std::collections::HashMap::new(),
+            live: 1,
+            by_hash: FnvMap::default(),
+            intersect_memo: FnvMap::default(),
         }
     }
+}
+
+/// The hash [`LocksetInterner`] indexes a set's contents by.
+fn content_hash(set: &Lockset) -> u64 {
+    let mut h = FnvHasher::default();
+    set.hash(&mut h);
+    h.finish()
 }
 
 impl LocksetInterner {
@@ -280,17 +313,30 @@ impl LocksetInterner {
     }
 
     /// Interns `set`, returning the existing id when this exact set was
-    /// seen before (clones only on a miss).
+    /// seen before (copies only on a miss, into a kept set when there is
+    /// one).
     pub fn intern(&mut self, set: &Lockset) -> LocksetId {
         if set.is_empty() {
             return LocksetId::EMPTY;
         }
-        if let Some(&id) = self.index.get(set) {
-            return id;
+        let hash = content_hash(set);
+        if let Some(&first) = self.by_hash.get(&hash) {
+            // Another set with this hash is all but impossible; when there
+            // is one, the live sets are searched whole.
+            let found = std::iter::once(first.0 as usize)
+                .chain(1..self.live)
+                .find(|&i| self.sets[i] == *set);
+            if let Some(i) = found {
+                return LocksetId(i as u32);
+            }
         }
-        let id = LocksetId(self.sets.len() as u32);
-        self.sets.push(set.clone());
-        self.index.insert(set.clone(), id);
+        let id = LocksetId(self.live as u32);
+        match self.sets.get_mut(self.live) {
+            Some(kept) => kept.clone_from(set),
+            None => self.sets.push(set.clone()),
+        }
+        self.live += 1;
+        self.by_hash.entry(hash).or_insert(id);
         id
     }
 
@@ -302,7 +348,7 @@ impl LocksetInterner {
     /// [`LocksetInterner::reset`]).
     #[must_use]
     pub fn get(&self, id: LocksetId) -> &Lockset {
-        &self.sets[id.0 as usize]
+        &self.sets[..self.live][id.0 as usize]
     }
 
     /// The id of `a ∩ b`, memoized: the first intersection of a given pair
@@ -333,7 +379,7 @@ impl LocksetInterner {
     /// Number of distinct interned sets (≥ 1: the empty set is always in).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.live
     }
 
     /// True only for a hypothetical empty interner; always `false` (the
@@ -344,12 +390,14 @@ impl LocksetInterner {
         false
     }
 
-    /// Forgets every interned set except the empty set, keeping container
-    /// allocations warm. All previously issued non-empty ids become
-    /// invalid; detectors call this from their `reset()` between runs.
+    /// Forgets every interned set except the empty set, keeping every
+    /// allocation: both maps' tables and each forgotten set's storage,
+    /// which the next run's interns overwrite. All previously issued
+    /// non-empty ids become invalid; detectors call this from their
+    /// `reset()` between runs.
     pub fn reset(&mut self) {
-        self.sets.truncate(1);
-        self.index.retain(|set, _| set.is_empty());
+        self.live = 1;
+        self.by_hash.clear();
         self.intersect_memo.clear();
     }
 }

@@ -297,16 +297,21 @@ impl ServiceInner {
         outcome
     }
 
-    /// Decode + replay + file — the whole per-trace pipeline a worker runs.
-    fn process_trace(&self, bytes: &[u8], day: u32) -> Result<IntakeSummary, IntakeError> {
+    /// Decode + replay + file — the whole per-trace pipeline a worker runs,
+    /// on the worker's own detector and depot (a replay resets both).
+    fn process_trace(
+        &self,
+        bytes: &[u8],
+        day: u32,
+        detector: &mut FastTrack,
+        depot: &StackDepot,
+    ) -> Result<IntakeSummary, IntakeError> {
         let decoded = DecodedTrace::decode(bytes).map_err(|e| {
             self.malformed.fetch_add(1, Ordering::Relaxed);
             self.obs(|s| s.add("intake.malformed", 1));
             IntakeError::Malformed(e)
         })?;
-        let depot = StackDepot::new();
-        let mut detector = FastTrack::new();
-        let outcome = replay_decoded(&mut detector, &decoded, &depot);
+        let outcome = replay_decoded(detector, &decoded, depot);
         let program: Arc<str> = Arc::from(decoded.meta.program.as_str());
         let mut summary = IntakeSummary {
             races: outcome.reports.len() as u32,
@@ -362,6 +367,8 @@ impl ServiceInner {
     }
 
     fn worker_loop(&self) {
+        let depot = StackDepot::new();
+        let mut detector = FastTrack::new();
         loop {
             let job = {
                 let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -378,7 +385,7 @@ impl ServiceInner {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let result = self.process_trace(&job.trace, job.day);
+            let result = self.process_trace(&job.trace, job.day, &mut detector, &depot);
             self.obs(|s| s.observe("intake.latency", job.enqueued_at.elapsed()));
             job.ticket.complete(result);
         }

@@ -141,11 +141,13 @@ impl Eraser {
         self.reports
     }
 
-    /// Clears all per-run state, keeping container allocations warm. Called
-    /// automatically at the start of every run.
+    /// Clears all per-run state, keeping container allocations warm: the
+    /// flat tables keep their capacity, and each goroutine's held-lock sets
+    /// and the interned locksets are emptied in place rather than dropped.
+    /// Called automatically at the start of every run.
     pub fn reset(&mut self) {
-        self.held.clear();
-        self.write_held.clear();
+        self.held.iter_mut().for_each(Lockset::clear);
+        self.write_held.iter_mut().for_each(Lockset::clear);
         self.held_ids.clear();
         self.write_held_ids.clear();
         self.vars.clear();
@@ -156,9 +158,13 @@ impl Eraser {
 
     fn ensure_gid(&mut self, gid: Gid) {
         let i = gid.index();
-        while self.held.len() <= i {
-            self.held.push(Lockset::new());
-            self.write_held.push(Lockset::new());
+        while self.held_ids.len() <= i {
+            // The sets outlive a reset (emptied in place), so they may
+            // already cover this goroutine.
+            if self.held.len() <= self.held_ids.len() {
+                self.held.push(Lockset::new());
+                self.write_held.push(Lockset::new());
+            }
             self.held_ids.push(LocksetId::EMPTY);
             self.write_held_ids.push(LocksetId::EMPTY);
         }

@@ -29,7 +29,11 @@
 //! by goroutine. Verdicts are held to [`crate::reference`], which shares
 //! nothing with this module.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
+use grs_obs::hash::{FnvHasher, FnvMap};
 use grs_runtime::event::{Event, EventKind, LockMode};
 use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
 
@@ -119,6 +123,7 @@ enum ReadState {
     /// Concurrent reads: per-goroutine last-read clock (FastTrack's
     /// "read-shared" inflation), kept sorted by tid so iteration — and
     /// therefore report order — is deterministic without a sort per write.
+    /// Empty only under pure-VC, which keeps the `Vec` a write emptied.
     Shared(Vec<SharedRead>),
 }
 
@@ -171,9 +176,57 @@ struct LockShadow {
 struct ChanShadow {
     /// In-flight send clocks by send sequence number. Entries are removed
     /// when matched, so these maps stay as small as the channel's buffer.
-    send_clocks: std::collections::HashMap<u64, VectorClock>,
-    recv_clocks: std::collections::HashMap<u64, VectorClock>,
+    send_clocks: FnvMap<u64, VectorClock>,
+    recv_clocks: FnvMap<u64, VectorClock>,
     close_clock: Option<VectorClock>,
+}
+
+impl ChanShadow {
+    /// Forgets the run's clocks, keeping both maps' tables.
+    fn clear(&mut self) {
+        self.send_clocks.clear();
+        self.recv_clocks.clear();
+        self.close_clock = None;
+    }
+}
+
+/// A race site with no text in it: the object's name id and the two
+/// accesses' locations, lower first, so either orientation is one key —
+/// the key [`crate::report::site_key_of`] formats, for names interned by
+/// text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SiteKey {
+    object: NameId,
+    lo: SourceLoc,
+    hi: SourceLoc,
+}
+
+impl SiteKey {
+    fn new(object: NameId, a: SourceLoc, b: SourceLoc) -> Self {
+        let (lo, hi) = if (a.line, a.file) <= (b.line, b.file) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        SiteKey { object, lo, hi }
+    }
+
+    /// Whether `report` is a race on this site's locations, either way
+    /// round.
+    fn same_locs(&self, report: &RaceReport) -> bool {
+        let (p, c) = (report.prior.loc, report.current.loc);
+        (p, c) == (self.lo, self.hi) || (c, p) == (self.lo, self.hi)
+    }
+}
+
+/// Hashes the id and the two lines only: equal keys still hash equally,
+/// and a file's text would cost more to hash than it tells sites apart.
+impl Hash for SiteKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u32(self.object.0);
+        h.write_u32(self.lo.line);
+        h.write_u32(self.hi.line);
+    }
 }
 
 /// Grows `v` with defaults so index `i` exists, then returns the slot.
@@ -228,7 +281,9 @@ pub struct FastTrack {
     once_done: Vec<VectorClock>,
     vars: Vec<VarShadow>,
     reports: Vec<RaceReport>,
-    seen_sites: std::collections::HashSet<String>,
+    /// The site of every report kept this run: a repeat is rejected on
+    /// this probe before any report is built.
+    sites: HashSet<SiteKey, BuildHasherDefault<FnvHasher>>,
     /// Scratch buffer for the race pairs one access uncovers; a field so
     /// the hot path never constructs (or drops) a fresh `Vec` per event.
     /// Always left empty between accesses.
@@ -269,7 +324,7 @@ impl FastTrack {
             once_done: Vec::new(),
             vars: Vec::new(),
             reports: Vec::new(),
-            seen_sites: std::collections::HashSet::new(),
+            sites: HashSet::default(),
             found: Vec::new(),
             accesses_processed: 0,
             epoch_fast_hits: 0,
@@ -291,19 +346,22 @@ impl FastTrack {
 
     /// Clears all per-run state while keeping container allocations warm,
     /// so one detector can monitor thousands of campaign runs without
-    /// reallocating its shadow tables. Called automatically at the start of
-    /// every run (see [`Monitor::on_run_start`]).
+    /// reallocating: the flat tables keep their capacity, and the inner
+    /// containers a run filled — each channel's clock maps, each
+    /// goroutine's held-lock set, the site set and the interned locksets —
+    /// are emptied in place rather than dropped. Called automatically at
+    /// the start of every run (see [`Monitor::on_run_start`]).
     pub fn reset(&mut self) {
         self.clocks.clear();
-        self.held.clear();
+        self.held.iter_mut().for_each(Lockset::clear);
         self.held_ids.clear();
         self.locks.clear();
-        self.chans.clear();
+        self.chans.iter_mut().for_each(ChanShadow::clear);
         self.wg_done.clear();
         self.once_done.clear();
         self.vars.clear();
         self.reports.clear();
-        self.seen_sites.clear();
+        self.sites.clear();
         self.accesses_processed = 0;
         self.epoch_fast_hits = 0;
         self.shadow_words = 0;
@@ -330,7 +388,11 @@ impl FastTrack {
             let mut c = VectorClock::new();
             c.set(Tid::new(t), 1);
             self.clocks.push(c);
-            self.held.push(Lockset::new());
+            // `held` outlives a reset (its sets are emptied in place), so
+            // it may already cover this goroutine.
+            if self.held.len() < self.clocks.len() {
+                self.held.push(Lockset::new());
+            }
             self.held_ids.push(LocksetId::EMPTY);
         }
         &mut self.clocks[i]
@@ -348,25 +410,44 @@ impl FastTrack {
         self.clock_mut(gid).tick(t);
     }
 
+    /// Keeps the first report of each race site: a repeat costs one probe
+    /// of `sites`, and only a new site resolves a name, two stacks and two
+    /// locksets.
     #[cold]
     fn record(&mut self, addr: Addr, object: NameId, prior: AccessInfo, current: AccessInfo) {
         if self.reports.len() >= self.cfg.max_reports {
             return;
         }
-        // Materialize names/stacks/locksets only now — reports are rare.
-        let report = RaceReport {
+        let site = SiteKey::new(object, prior.loc, current.loc);
+        if self.sites.contains(&site) {
+            return;
+        }
+        let name = self.depot.name(object);
+        // Names are interned by text, so a new key is a new site — except
+        // in a hand-built trace that names one text through two string
+        // table entries; such a site is matched by text against the (at
+        // most `max_reports`) reports kept. Its key is not added, so
+        // `sites` holds one key per report: even keys an uploaded trace
+        // crafts to collide under FNV cost at most `max_reports`
+        // comparisons a probe.
+        if self
+            .reports
+            .iter()
+            .any(|r| site.same_locs(r) && r.object == name)
+        {
+            return;
+        }
+        self.sites.insert(site);
+        self.reports.push(RaceReport {
             addr,
-            object: self.depot.name(object),
+            object: name,
             prior: prior.to_race_access(&self.depot, &self.locksets),
             current: current.to_race_access(&self.depot, &self.locksets),
             detector: self.cfg.kind,
             program: None,
             repro_seed: None,
             repro: None,
-        };
-        if self.seen_sites.insert(report.site_key()) {
-            self.reports.push(report);
-        }
+        });
     }
 
     #[inline]
@@ -489,11 +570,15 @@ impl FastTrack {
                 // still fires against `write_info`. Without this prune the
                 // shared history retains one entry per goroutine that ever
                 // read the variable, forever: the unbounded-shadow leak.
+                //
+                // Pure-VC keeps an emptied history's `Vec` (its reads all
+                // take the `Shared` arm, empty or not); the epoch path
+                // returns to `None`, so its next read is exclusive again.
                 if let ReadState::Shared(reads) = &mut var.read {
                     let before = reads.len();
                     reads.retain(|e| e.clk > c.get(Tid::new(e.tid)));
                     words_delta += reads.len() as isize - before as isize;
-                    if reads.is_empty() {
+                    if reads.is_empty() && !pure_vc {
                         var.read = ReadState::None;
                     }
                 }

@@ -475,3 +475,68 @@ fn report_cap_bounds_memory_on_extremely_racy_programs() {
     }
     assert!(max_seen > 0, "some race must still be reported");
 }
+
+/// A hand-built trace can name one text through two string-table entries,
+/// which no encoder writes. Two goroutines race on two addresses named
+/// `"x"` that way, at the same pair of source lines (the second race in
+/// the other orientation): one race site by text, so each happens-before
+/// detector keeps one report — the first race's.
+#[test]
+fn one_text_under_two_names_is_one_race_site() {
+    use grs_detector::{DetectorArena, DetectorChoice};
+    use grs_runtime::event::{Event, EventKind};
+    use grs_runtime::{
+        AccessKind, Addr, Gid, NameId, SourceLoc, StackId, Strategy, Trace, TraceMeta,
+    };
+    use std::sync::Arc;
+
+    let write = |g: u32, addr: u64, object: u32, line: u32| {
+        let loc = SourceLoc {
+            file: "handbuilt.go",
+            line,
+        };
+        let kind = EventKind::Access {
+            addr: Addr(addr),
+            object: NameId(object),
+            kind: AccessKind::Write,
+            stack: StackId::EMPTY,
+            loc,
+        };
+        (g, kind)
+    };
+    let events = [
+        write(0, 1, 0, 10),
+        write(1, 1, 0, 11),
+        write(1, 2, 1, 11),
+        write(0, 2, 1, 10),
+    ];
+    let trace = Trace {
+        meta: TraceMeta {
+            program: "one_text_twice".to_string(),
+            seed: 0,
+            strategy: Strategy::Random,
+            steps: events.len() as u64,
+            goroutines_spawned: 2,
+        },
+        stacks: Vec::new(),
+        names: vec![Arc::from("x"), Arc::from("x")],
+        events: (0..)
+            .zip(events)
+            .map(|(step, (g, kind))| Event {
+                step,
+                gid: Gid(g),
+                kind,
+            })
+            .collect(),
+    };
+    let mut arena = DetectorArena::new();
+    for choice in [
+        DetectorChoice::FastTrack,
+        DetectorChoice::PureVectorClock,
+        DetectorChoice::Hybrid,
+    ] {
+        let reports = arena.replay(choice, &trace).reports;
+        assert_eq!(reports.len(), 1, "{choice}: {reports:#?}");
+        assert_eq!(reports[0].addr, Addr(1), "{choice}: the first race is kept");
+    }
+}

@@ -1,0 +1,235 @@
+//! Allocation ceilings for the detectors, as counts.
+//!
+//! A timing cannot gate CI on a shared runner; a heap-allocation count
+//! repeats exactly, so it can. Live rows are mean allocations per run of
+//! `pattern_suite(true)` × seeds `0..8` × {Random, PCT(2)} through a warm
+//! [`DetectorArena`] (under `NullMonitor` with a reused depot, for the
+//! runtime's own share). Replay rows count the detector alone — run start,
+//! every event, run end, taking the reports; not decoding or the depot
+//! rebuild — per trace of three families: the short pattern traces above,
+//! the first 256 generated Go tests (corpus seed 1, run seed 1), and
+//! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
+//! pass, so it is the cost of a run in a warm process:
+//!
+//! | row                               | `4487427` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |    28.0 |
+//! | live run, FastTrack               |      48.7 |      33.6 |    37.5 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |    38.0 |
+//! | live run, Eraser                  |      36.0 |      33.6 |    36.0 |
+//! | live run, hybrid                  |      50.7 |      33.8 |    38.0 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |    1.12 |
+//!
+//! At `4487427` FastTrack built a whole report — name, two resolved stacks,
+//! two cloned locksets, a formatted site-key `String` — for every race it
+//! met and then dropped the repeats; `reset` dropped each channel's clock
+//! maps, each goroutine's held-lock sets and the interned locksets; and
+//! pure-VC freed a read history's `Vec` whenever a write emptied it, so
+//! the next read allocated one again. What is left is mostly the reports
+//! kept: their `Vec`, and two resolved stacks each.
+//!
+//! The ceilings sit about 12 % above what was reached — tight enough that a
+//! report built for a repeated race, or a per-run container dropped by
+//! `reset`, fails here.
+//!
+//! The counting allocator is this binary's own (`tests/*.rs` are separate
+//! crates), delegates to `System`, and counts per thread, so the harness's
+//! other threads cannot disturb a measurement. Goroutines run on the
+//! thread that calls `Runtime::run`, so a live run is counted whole.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use grs::corpus::GoTestSpec;
+use grs::detector::{
+    Detector, DetectorArena, DetectorChoice, Eraser, FastTrack, FastTrackConfig, Tsan,
+};
+use grs::fleet::{pattern_suite, GoCorpusSource, UnitSource};
+use grs::runtime::{record, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace};
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the counter is gone and nobody is measuring.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; the only addition is a thread-local
+// counter bump that neither allocates (the cell is const-initialized and
+// has no destructor) nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The short family: every pattern, racy and fixed, under 16 schedules.
+fn pattern_runs() -> Vec<(Program, RunConfig)> {
+    let mut runs = Vec::new();
+    for unit in pattern_suite(true) {
+        for seed in 0..8 {
+            for strategy in [Strategy::Random, Strategy::Pct { depth: 2 }] {
+                let cfg = RunConfig::with_seed(seed).strategy(strategy);
+                runs.push((unit.program.clone(), cfg));
+            }
+        }
+    }
+    runs
+}
+
+fn corpus_runs() -> Vec<(Program, RunConfig)> {
+    let corpus = GoCorpusSource::new(GoTestSpec::default_mix(), 1, 256);
+    (0..corpus.len())
+        .map(|i| {
+            let unit = corpus.build(i).expect("generated tests lower");
+            (unit.program, RunConfig::with_seed(1))
+        })
+        .collect()
+}
+
+fn dense_runs() -> Vec<(Program, RunConfig)> {
+    let dense = grs::dense_unit().program;
+    (0..8)
+        .map(|seed| (dense.clone(), RunConfig::with_seed(seed)))
+        .collect()
+}
+
+/// Mean allocations per run of `runs` on a second, warm pass of `run`.
+fn mean_warm<T>(runs: &[T], mut run: impl FnMut(&T) -> u64) -> f64 {
+    let _warm_up: u64 = runs.iter().map(&mut run).sum();
+    let total: u64 = runs.iter().map(run).sum();
+    total as f64 / runs.len() as f64
+}
+
+/// Asserts each `(row, measured, ceiling)`, after printing them all.
+fn assert_ceilings(rows: &[(String, f64, f64)]) {
+    for (row, n, ceiling) in rows {
+        println!("{row}: {n:.2} allocations (ceiling {ceiling})");
+    }
+    for (row, n, ceiling) in rows {
+        assert!(
+            n <= ceiling,
+            "{row}: {n:.2} allocations over its ceiling of {ceiling} (see the table atop \
+             tests/detector_allocs.rs)"
+        );
+    }
+}
+
+#[test]
+fn live_runs_stay_under_their_allocation_ceilings() {
+    let runs = pattern_runs();
+    let depot = StackDepot::new();
+    let null = mean_warm(&runs, |(p, cfg)| {
+        allocations_in(|| Runtime::new(cfg.clone()).run_with_depot(p, NullMonitor, &depot)).0
+    });
+    let mut rows = vec![("live NullMonitor".to_string(), null, 28.0)];
+    let ceilings = [37.5, 38.0, 36.0, 38.0];
+    let mut arena = DetectorArena::new();
+    for (choice, ceiling) in DetectorChoice::all_with_ablation()
+        .into_iter()
+        .zip(ceilings)
+    {
+        let n = mean_warm(&runs, |(p, cfg)| {
+            allocations_in(|| arena.run(choice, p, cfg.clone())).0
+        });
+        rows.push((format!("live {choice}"), n, ceiling));
+    }
+    assert_ceilings(&rows);
+}
+
+/// The detector alone over one recorded trace whose depot is already
+/// rebuilt: what `replay_many_decoded_observed` spends past decoding.
+fn replay(detector: &mut dyn Detector, trace: &Trace, depot: &StackDepot) -> u64 {
+    allocations_in(|| {
+        detector.on_run_start(depot);
+        let peak = detector.replay_events(&trace.events);
+        detector.on_run_end();
+        (peak, detector.take_reports())
+    })
+    .0
+}
+
+/// Mean replay allocations per trace of `runs`, per detector, in
+/// [`DetectorChoice::all_with_ablation`] order.
+fn replay_means(runs: &[(Program, RunConfig)]) -> [f64; 4] {
+    let traces: Vec<Trace> = runs.iter().map(|(p, cfg)| record(p, cfg).1).collect();
+    let depots: Vec<StackDepot> = traces
+        .iter()
+        .map(|t| {
+            let depot = StackDepot::new();
+            t.rebuild_depot_into(&depot);
+            depot
+        })
+        .collect();
+    let mut detectors: [Box<dyn Detector>; 4] = [
+        Box::new(FastTrack::new()),
+        Box::new(FastTrack::with_config(FastTrackConfig::pure_vc())),
+        Box::new(Eraser::new()),
+        Box::new(Tsan::new()),
+    ];
+    let pairs: Vec<_> = traces.iter().zip(&depots).collect();
+    detectors
+        .each_mut()
+        .map(|d| mean_warm(&pairs, |(t, depot)| replay(d.as_mut(), t, depot)))
+}
+
+#[test]
+fn replays_stay_under_their_allocation_ceilings() {
+    let families = [
+        ("short", pattern_runs(), [2.6, 3.7, 2.6, 2.8]),
+        ("corpus", corpus_runs(), [4.0, 15.5, 1.12, 4.0]),
+        ("dense", dense_runs(), [1.12, 10.0, 3.36, 1.12]),
+    ];
+    let mut rows = Vec::new();
+    for (family, runs, ceilings) in &families {
+        let means = replay_means(runs);
+        let choices = DetectorChoice::all_with_ablation();
+        for ((choice, n), ceiling) in choices.into_iter().zip(means).zip(ceilings) {
+            rows.push((format!("replay {family} {choice}"), n, *ceiling));
+        }
+    }
+    assert_ceilings(&rows);
+}

@@ -420,3 +420,34 @@ fn concurrent_duplicate_submissions_file_each_race_once() {
     assert_eq!(service.with_tracker(|t| t.total_filed()), distinct.len());
     service.shutdown().unwrap();
 }
+
+// ---------------------------------------------------------------------------
+// Worker reuse: each worker replays every upload on one detector and depot.
+// ---------------------------------------------------------------------------
+
+/// A racy trace reports the same races whether its worker's detector is
+/// fresh or has just replayed a different racy trace.
+#[test]
+fn a_reused_worker_detector_reports_what_a_fresh_one_does() {
+    use grs::runtime::{record, RunConfig};
+
+    let trace_of = |name: &str| {
+        let pattern = grs::patterns::find(name).expect("in corpus");
+        let (_, trace) = record(&pattern.racy_program(), &RunConfig::with_seed(3));
+        trace.encode()
+    };
+    let (first, second) = (trace_of("missing_lock"), trace_of("loop_index_capture"));
+
+    let fresh = IntakeService::builder().workers(1).start().unwrap();
+    let alone = fresh.submit_trace(second.clone(), 0).unwrap();
+    fresh.shutdown().unwrap();
+
+    let reused = IntakeService::builder().workers(1).start().unwrap();
+    let before = reused.submit_trace(first, 0).unwrap();
+    let after = reused.submit_trace(second, 0).unwrap();
+    reused.shutdown().unwrap();
+
+    assert!(before.races >= 1 && alone.races >= 1, "both traces carry a race");
+    assert_eq!(after.races, alone.races);
+    assert_eq!(after.filed.len(), alone.filed.len());
+}
