@@ -5,18 +5,26 @@
 //! throws away warmed-up shadow maps, vector-clock buffers, and the stack
 //! depot's trie on every iteration. [`DetectorArena`] keeps one long-lived
 //! instance of each detector plus one [`StackDepot`], and reuses them for
-//! every run: [`Monitor::on_run_start`](grs_runtime::Monitor::on_run_start)
-//! clears the *contents* at the start of each run but keeps the container
-//! allocations, so steady-state campaign runs allocate close to nothing.
+//! every run: [`Monitor::on_run_start`] clears the *contents* at the start
+//! of each run but keeps the container allocations, so steady-state
+//! campaign runs allocate close to nothing.
 //!
 //! Determinism is unaffected: `reset()` restores every detector (and the
 //! depot, via [`Runtime::run_with_depot`]) to its initial logical state, so
 //! a run through an arena produces byte-identical reports to a run through a
 //! fresh detector — [`DetectorChoice::run`] and [`DetectorArena::run`] are
 //! interchangeable, and the tests below pin that equivalence.
+//!
+//! A live run has one path, [`DetectorArena::run_many`]: the run executes
+//! once and every requested detector watches it. A run's interleaving is a
+//! function of its seed and strategy alone (the scheduler never consults
+//! the monitor), so each detector sees exactly the events it would have
+//! seen watching the run alone.
 
 use grs_obs::{ObsSink, SpanGuard};
-use grs_runtime::{DecodedTrace, Program, RunConfig, RunOutcome, Runtime, StackDepot, Trace};
+use grs_runtime::{
+    DecodedTrace, Event, Monitor, Program, RunConfig, RunOutcome, Runtime, StackDepot, Trace,
+};
 
 use crate::eraser::Eraser;
 use crate::fasttrack::{FastTrack, FastTrackConfig};
@@ -79,6 +87,19 @@ impl DetectorChoice {
         }
     }
 
+    /// A fresh instance of this algorithm: the one place a choice becomes
+    /// a detector.
+    fn detector(self) -> Box<dyn Detector> {
+        match self {
+            DetectorChoice::FastTrack => Box::new(FastTrack::new()),
+            DetectorChoice::PureVectorClock => {
+                Box::new(FastTrack::with_config(FastTrackConfig::pure_vc()))
+            }
+            DetectorChoice::Eraser => Box::new(Eraser::new()),
+            DetectorChoice::Hybrid => Box::new(Tsan::new()),
+        }
+    }
+
     /// Executes one run of `program` under a fresh instance of this
     /// detector.
     #[must_use]
@@ -128,39 +149,88 @@ impl std::fmt::Display for DetectorChoice {
 #[derive(Debug)]
 pub struct DetectorArena {
     depot: StackDepot,
-    detectors: Detectors,
+    /// Every detector: the monitor during a live run, at home between runs.
+    watchers: Watchers,
 }
 
-/// One detector per [`DetectorChoice`].
+/// What taking a detector out of the arena cannot fail for.
+const AT_HOME: &str = "the detectors leave the arena only for the length of a run";
+
+/// One detector, and the peak of its shadow words over the current run.
 #[derive(Debug)]
-struct Detectors {
-    fasttrack: Slot,
-    pure_vc: Slot,
-    eraser: Slot,
-    hybrid: Slot,
+struct Member {
+    choice: DetectorChoice,
+    detector: Box<dyn Detector>,
+    peak_shadow_words: usize,
 }
 
-/// Where the arena keeps one detector. The runtime takes its monitor by
-/// value and hands it back, so a live run moves the detector out of its
-/// slot and back in; between calls a slot is never empty.
-type Slot = Option<Box<dyn Detector>>;
+/// The arena's detectors, one per [`DetectorChoice`], and the monitor of
+/// every live run: the first `active` members watch it, each seeing every
+/// event in order.
+///
+/// The kernel samples a lone monitor's shadow words after every event and
+/// once after `on_run_end`; `Watchers` samples each active member at exactly
+/// those points and reports the largest member peak so far as its own. So a
+/// lone member costs what a lone detector did: one `on_event` and one
+/// `shadow_words` call per event.
+#[derive(Debug, Default)]
+struct Watchers {
+    members: Vec<Member>,
+    active: usize,
+    peak_shadow_words: usize,
+}
 
-/// Why taking a detector out of its [`Slot`] cannot fail.
-const IN_SLOT: &str = "a detector leaves its slot only for the length of a run";
-
-impl Detectors {
-    /// The one place a [`DetectorChoice`] becomes a detector.
-    fn slot(&mut self, choice: DetectorChoice) -> &mut Slot {
-        match choice {
-            DetectorChoice::FastTrack => &mut self.fasttrack,
-            DetectorChoice::PureVectorClock => &mut self.pure_vc,
-            DetectorChoice::Eraser => &mut self.eraser,
-            DetectorChoice::Hybrid => &mut self.hybrid,
+impl Watchers {
+    /// Moves the member of each distinct choice to the front, in order of
+    /// first appearance, as the next run's watchers.
+    fn select(&mut self, choices: &[DetectorChoice]) {
+        self.active = 0;
+        self.peak_shadow_words = 0;
+        for &choice in choices {
+            let idle = &self.members[self.active..];
+            if let Some(i) = idle.iter().position(|m| m.choice == choice) {
+                self.members.swap(self.active, self.active + i);
+                self.members[self.active].peak_shadow_words = 0;
+                self.active += 1;
+            }
         }
     }
 
-    fn get(&mut self, choice: DetectorChoice) -> &mut dyn Detector {
-        self.slot(choice).as_deref_mut().expect(IN_SLOT)
+    fn member(&mut self, choice: DetectorChoice) -> &mut Member {
+        self.members
+            .iter_mut()
+            .find(|m| m.choice == choice)
+            .expect(AT_HOME)
+    }
+
+    /// Applies `f` to each active member, sampling its shadow words right
+    /// after.
+    fn each(&mut self, mut f: impl FnMut(&mut dyn Detector)) {
+        for m in &mut self.members[..self.active] {
+            f(m.detector.as_mut());
+            m.peak_shadow_words = m.peak_shadow_words.max(m.detector.shadow_words());
+            self.peak_shadow_words = self.peak_shadow_words.max(m.peak_shadow_words);
+        }
+    }
+}
+
+impl Monitor for Watchers {
+    fn on_run_start(&mut self, depot: &StackDepot) {
+        for m in &mut self.members[..self.active] {
+            m.detector.on_run_start(depot);
+        }
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        self.each(|d| d.on_event(event));
+    }
+
+    fn on_run_end(&mut self) {
+        self.each(|d| d.on_run_end());
+    }
+
+    fn shadow_words(&self) -> usize {
+        self.peak_shadow_words
     }
 }
 
@@ -175,13 +245,19 @@ impl DetectorArena {
     /// they warm up over the first few runs.
     #[must_use]
     pub fn new() -> Self {
+        let members = DetectorChoice::all_with_ablation()
+            .into_iter()
+            .map(|choice| Member {
+                choice,
+                detector: choice.detector(),
+                peak_shadow_words: 0,
+            })
+            .collect();
         DetectorArena {
             depot: StackDepot::new(),
-            detectors: Detectors {
-                fasttrack: Some(Box::new(FastTrack::new())),
-                pure_vc: Some(Box::new(FastTrack::with_config(FastTrackConfig::pure_vc()))),
-                eraser: Some(Box::new(Eraser::new())),
-                hybrid: Some(Box::new(Tsan::new())),
+            watchers: Watchers {
+                members,
+                ..Watchers::default()
             },
         }
     }
@@ -202,13 +278,42 @@ impl DetectorArena {
         program: &Program,
         cfg: RunConfig,
     ) -> (RunOutcome, Vec<RaceReport>) {
-        let slot = self.detectors.slot(choice);
-        let detector = slot.take().expect(IN_SLOT);
-        let (outcome, mut detector) =
-            Runtime::new(cfg).run_with_depot(program, detector, &self.depot);
-        let reports = detector.take_reports();
-        *slot = Some(detector);
+        let (outcome, mut watched) = self.run_many(&[choice], program, cfg);
+        let reports = watched.pop().expect("one outcome per choice").reports;
         (outcome, reports)
+    }
+
+    /// Executes one run of `program`, watched by every detector in
+    /// `choices` at once, and returns one outcome per position in
+    /// `choices`. Each outcome's reports, events and peak shadow words are
+    /// what that detector would have produced watching the run alone; a
+    /// choice named twice is run once and its outcome repeated. The
+    /// [`RunOutcome`]'s `peak_shadow_words` is the largest detector's.
+    pub fn run_many(
+        &mut self,
+        choices: &[DetectorChoice],
+        program: &Program,
+        cfg: RunConfig,
+    ) -> (RunOutcome, Vec<ReplayOutcome>) {
+        let mut watchers = std::mem::take(&mut self.watchers);
+        watchers.select(choices);
+        let (outcome, mut watchers) =
+            Runtime::new(cfg).run_with_depot(program, watchers, &self.depot);
+        let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
+        for (pos, &choice) in choices.iter().enumerate() {
+            let member = watchers.member(choice);
+            let reports = match choices[..pos].iter().position(|&c| c == choice) {
+                Some(first) => watched[first].reports.clone(),
+                None => member.detector.take_reports(),
+            };
+            watched.push(ReplayOutcome {
+                reports,
+                events: outcome.stats.events_dispatched,
+                peak_shadow_words: member.peak_shadow_words,
+            });
+        }
+        self.watchers = watchers;
+        (outcome, watched)
     }
 
     /// Analyzes a recorded trace offline under `choice`, reusing this
@@ -216,7 +321,8 @@ impl DetectorArena {
     /// into the arena depot. Reports are bit-identical to a live
     /// [`DetectorArena::run`] of the recorded `(seed, strategy)`.
     pub fn replay(&mut self, choice: DetectorChoice, trace: &Trace) -> ReplayOutcome {
-        replay_trace(self.detectors.get(choice), trace, &self.depot)
+        let detector = self.watchers.member(choice).detector.as_mut();
+        replay_trace(detector, trace, &self.depot)
     }
 
     /// Replays one recorded trace under **all four** detector algorithms.
@@ -230,7 +336,7 @@ impl DetectorArena {
     }
 
     /// Fans one [`DecodedTrace`] through the given algorithms — the
-    /// execute-once/analyze-many core of the replay campaign. The depot
+    /// offline counterpart of [`DetectorArena::run_many`]. The depot
     /// snapshot is rebuilt once
     /// (spanned as `replay.decode`) and shared; each analysis is spanned as
     /// `replay.analyze` and reports its counters (`detector.runs`,
@@ -254,7 +360,8 @@ impl DetectorArena {
             .map(|&choice| {
                 let out = {
                     let _span = SpanGuard::enter(sink, "replay.analyze");
-                    replay_prepared(self.detectors.get(choice), decoded, &self.depot)
+                    let detector = self.watchers.member(choice).detector.as_mut();
+                    replay_prepared(detector, decoded, &self.depot)
                 };
                 sink.add("detector.runs", 1);
                 sink.add("replay.analyses", 1);

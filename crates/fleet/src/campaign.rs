@@ -6,7 +6,11 @@
 //! files tasks. Here:
 //!
 //! * the **matrix** is `(unit × seed × strategy × detector)`, enumerated
-//!   deterministically into [`RunSpec`]s;
+//!   deterministically; a [`RunSpec`] names one cell and its record;
+//! * the **work item** is an [`ExecSpec`], one `(unit, seed, strategy)`:
+//!   it executes once, watched by every configured detector at once
+//!   ([`DetectorArena::run_many`]), and folds one record per detector onto
+//!   the matrix's spec indices;
 //! * the **fan-out** is [`IndexQueues`]: the item index space dealt over
 //!   lazy shard queues, popped by a pool of OS worker threads with work
 //!   stealing;
@@ -16,17 +20,13 @@
 //!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake
 //!   ([`CampaignResult::file_into_service`]).
 //!
-//! One private driver runs both entry points — [`Campaign::run`] and
-//! [`Campaign::run_replay`] — which differ only in what a work item is and
-//! how it executes.
-//!
 //! Every run is a self-contained deterministic `Runtime` instance, so the
 //! campaign's deterministic output — run records and the deduped batch — is
 //! identical for any worker count, including 1 (inline on the calling
 //! thread). Only wall-clock changes.
 //!
-//! A campaign keeps its books once: the sorted [`RunRecord`]s (with
-//! [`ReplayStats`] and the batch's raw-report count) are the result, and
+//! A campaign keeps its books once: the sorted [`RunRecord`]s (with the
+//! batch's raw-report count) are the result, and
 //! the obs export is folded from them after the workers have joined
 //! (`fold_obs`). No worker touches a shared metrics sink.
 
@@ -36,11 +36,8 @@ use std::time::{Duration, Instant};
 
 use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
 use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
-use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport, NULL_SINK};
-use grs_runtime::{
-    record_with_depot, DecodedTrace, Program, ReproArtifact, RunConfig, RunOutcome, Strategy,
-    DEFAULT_CHUNK_EVENTS,
-};
+use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport};
+use grs_runtime::{Program, ReproArtifact, RunConfig, RunOutcome, Strategy};
 
 use crate::dedup::DedupMap;
 use crate::shard::{ExecSpec, IndexQueues, RunSpec};
@@ -274,7 +271,9 @@ pub struct RunRecord {
     pub worker: usize,
     /// Which shard queue the spec was popped from (not deterministic).
     pub shard: usize,
-    /// Run duration (not deterministic).
+    /// Wall time of the execution this record was watched in, divided
+    /// evenly over the execution's detectors, so the records' durations sum
+    /// to busy time (not deterministic).
     pub duration: Duration,
 }
 
@@ -322,76 +321,12 @@ impl RunEnd {
 pub struct ShardStats {
     /// Shard id.
     pub shard: usize,
-    /// Runs popped from this shard.
+    /// Records whose execution was popped from this shard.
     pub runs: usize,
     /// Total time spent executing them.
     pub total: Duration,
-    /// The slowest single run.
+    /// The longest single record [`RunRecord::duration`].
     pub max: Duration,
-}
-
-/// Aggregate counters of an execute-once replay campaign
-/// ([`Campaign::run_replay`]): how many schedule executions were recorded,
-/// how many offline detector analyses they fanned into, and how big the
-/// trace artifacts were. Wall figures are summed across workers (CPU-time
-/// style), so they compare record cost against replay cost directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Schedule executions recorded (one per `(unit, seed, strategy)`).
-    pub executions: usize,
-    /// Offline detector analyses fanned out from those traces.
-    pub replays: usize,
-    /// Total events across all recorded traces.
-    pub trace_events: u64,
-    /// Total encoded `.grtrace` bytes across all traces.
-    pub trace_bytes_total: u64,
-    /// Largest single encoded trace, in bytes.
-    pub trace_bytes_max: usize,
-    /// Time spent executing + recording + encoding, summed across workers.
-    pub record_wall: Duration,
-    /// Time spent in offline detector replays, summed across workers.
-    pub replay_wall: Duration,
-    /// Chunks the batch decoder produced across all traces (one decode
-    /// per execution, shared by every analysis fanned from it).
-    pub decode_batches: u64,
-    /// Events decoded through the batch path (equals `trace_events` — the
-    /// whole stream goes through chunks; kept separate so the invariant is
-    /// checkable in exports).
-    pub batch_events: u64,
-}
-
-impl ReplayStats {
-    fn merge(&mut self, other: &ReplayStats) {
-        self.executions += other.executions;
-        self.replays += other.replays;
-        self.trace_events += other.trace_events;
-        self.trace_bytes_total += other.trace_bytes_total;
-        self.trace_bytes_max = self.trace_bytes_max.max(other.trace_bytes_max);
-        self.record_wall += other.record_wall;
-        self.replay_wall += other.replay_wall;
-        self.decode_batches += other.decode_batches;
-        self.batch_events += other.batch_events;
-    }
-
-    /// Mean batch fill rate: events per produced chunk, as a fraction of
-    /// the chunk capacity used for decoding (1.0 = every chunk full).
-    #[must_use]
-    pub fn batch_fill_rate(&self, chunk_capacity: usize) -> f64 {
-        if self.decode_batches == 0 || chunk_capacity == 0 {
-            return 0.0;
-        }
-        self.batch_events as f64 / (self.decode_batches * chunk_capacity as u64) as f64
-    }
-
-    /// Mean encoded trace size in bytes (0 when nothing was recorded).
-    #[must_use]
-    pub fn avg_trace_bytes(&self) -> u64 {
-        if self.executions == 0 {
-            0
-        } else {
-            self.trace_bytes_total / self.executions as u64
-        }
-    }
 }
 
 /// Upper bound on [`CampaignResult::convergence`] sample points.
@@ -442,9 +377,6 @@ pub struct CampaignResult {
     pub shards: usize,
     /// End-to-end wall-clock time.
     pub wall: Duration,
-    /// Record/replay counters when the campaign ran execute-once
-    /// ([`Campaign::run_replay`]); `None` for execute-per-detector runs.
-    pub replay: Option<ReplayStats>,
     /// The campaign's observability report, folded from the fields above
     /// once the workers had joined: stable counters and gauges, plus the
     /// wall-clock and placement figures in the segregated timing section —
@@ -664,9 +596,10 @@ impl CampaignResult {
 ///
 /// A campaign is a configuration crossed with a [`UnitSource`]. The run
 /// matrix `(unit × seed × strategy × detector)` is never materialized:
-/// spec `i` is recovered arithmetically ([`Campaign::spec_at`]), work is
+/// execution `i` and spec `i` are recovered arithmetically
+/// ([`Campaign::exec_spec_at`], [`Campaign::spec_at`]), executions are
 /// dealt over lazy [`IndexQueues`], and each worker lowers a unit when it
-/// reaches the unit's first spec — which is what lets a 100K-unit
+/// reaches the unit's first execution — which is what lets a 100K-unit
 /// source-level campaign run in memory proportional to its *results*, not
 /// its corpus.
 #[derive(Clone)]
@@ -743,7 +676,7 @@ impl Campaign {
         self.config.matrix_size(self.source.len())
     }
 
-    /// Total executions in the execute-once work list.
+    /// Total executions in the work list: one per `(unit, seed, strategy)`.
     #[must_use]
     pub fn exec_len(&self) -> usize {
         self.source.len() * self.config.seeds_per_unit * self.config.strategies.len()
@@ -760,7 +693,7 @@ impl Campaign {
             .run_spec(index % dets, self.config.detectors[index % dets])
     }
 
-    /// Recovers execution `exec_index` of the execute-once enumeration
+    /// Recovers execution `exec_index` of the execution enumeration
     /// (units → seeds → strategies), the lazy equivalent of indexing
     /// [`Campaign::exec_specs`].
     #[must_use]
@@ -787,7 +720,7 @@ impl Campaign {
         (0..self.matrix_len()).map(|i| self.spec_at(i)).collect()
     }
 
-    /// Materializes the execute-once work list — an inspection/test
+    /// Materializes the execution work list — an inspection/test
     /// helper; the run paths enumerate lazily via
     /// [`Campaign::exec_spec_at`].
     #[must_use]
@@ -805,86 +738,51 @@ impl Campaign {
         }
     }
 
-    /// Live executor: run the spec's program under its detector (through
-    /// the worker's reusable arena) and fold the one run.
-    fn execute(&self, spec: RunSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
+    /// Executes `exec` once, watched by every configured detector through
+    /// the worker's reusable arena, and folds one record per detector at
+    /// its matrix spec.
+    fn execute(&self, exec: ExecSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
         let started = Instant::now();
-        let (outcome, reports) = wk.arena.run(
-            spec.detector,
+        let detectors = &self.config.detectors;
+        let (outcome, watched) = wk.arena.run_many(
+            detectors,
             &unit.program,
-            self.run_config(spec.seed, spec.strategy),
+            self.run_config(exec.seed, exec.strategy),
         );
-        let repro = ReproArtifact::seeded(spec.seed, spec.strategy);
-        wk.fold(spec, unit, reports, &repro, RunSize::of(&outcome), started.elapsed());
-    }
-
-    /// Replay executor: run the program *once* under a
-    /// [`TraceRecorder`](grs_runtime::TraceRecorder) (through the worker
-    /// arena's depot), then fan the recorded trace through every configured
-    /// detector offline. Folds one run per detector on the same spec-index
-    /// space as [`Campaign::execute`], with identical deterministic fields
-    /// — the replay-fidelity guarantee.
-    fn execute_replay(&self, exec: ExecSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
-        let record_started = Instant::now();
-        let (outcome, trace) = record_with_depot(
-            &unit.program,
-            &self.run_config(exec.seed, exec.strategy),
-            wk.arena.depot(),
-        );
-        // Encoding is part of the record pipeline: it is what a deployment
-        // would persist as the `.grtrace` artifact.
-        let bytes = trace.encode();
-        let trace_bytes = bytes.len();
-        let trace_digest = trace.digest();
-        let stats = &mut wk.replay;
-        stats.executions += 1;
-        stats.trace_events += trace.events.len() as u64;
-        stats.trace_bytes_total += trace_bytes as u64;
-        stats.trace_bytes_max = stats.trace_bytes_max.max(trace_bytes);
-        stats.record_wall += record_started.elapsed();
-
-        // Replay side: decode the persisted bytes back in chunks (the
-        // deployment consumer's path — decode is replay cost, not record
-        // cost) and fan the decoded events through every detector.
-        let replay_started = Instant::now();
-        let decoded = DecodedTrace::decode_with_chunk(&bytes, DEFAULT_CHUNK_EVENTS)
-            .expect("a just-encoded trace always decodes");
-        stats.decode_batches += decoded.chunks;
-        stats.batch_events += decoded.len() as u64;
-        let analyses =
-            wk.arena.replay_many_decoded_observed(&decoded, &self.config.detectors, &NULL_SINK);
-        let replay_elapsed = replay_started.elapsed();
-        stats.replays += analyses.len();
-        stats.replay_wall += replay_elapsed;
-        let per_replay = replay_elapsed / analyses.len().max(1) as u32;
-
-        let repro = ReproArtifact {
-            trace_digest: Some(trace_digest),
-            ..ReproArtifact::seeded(exec.seed, exec.strategy)
-        };
-        for (pos, (detector, analysis)) in analyses.into_iter().enumerate() {
-            let size = RunSize {
-                steps: outcome.steps,
-                events: analysis.events,
-                depot_stacks: trace.stacks.len(),
-                peak_shadow_words: analysis.peak_shadow_words,
-                end: RunEnd::of(&outcome),
-            };
+        let duration = started.elapsed() / detectors.len() as u32;
+        let repro = ReproArtifact::seeded(exec.seed, exec.strategy);
+        let end = RunEnd::of(&outcome);
+        for (pos, (&detector, out)) in detectors.iter().zip(watched).enumerate() {
             let spec = exec.run_spec(pos, detector);
-            wk.fold(spec, unit, analysis.reports, &repro, size, per_replay);
+            let racy = !out.reports.is_empty();
+            let fingerprints = wk.dedup(spec, unit, out.reports, &repro);
+            wk.records.push(RunRecord {
+                spec,
+                unit_name: unit.name.clone(),
+                racy,
+                fingerprints,
+                steps: outcome.steps,
+                events: outcome.stats.events_dispatched,
+                depot_stacks: outcome.stats.depot.stacks,
+                peak_shadow_words: out.peak_shadow_words,
+                end,
+                worker: wk.id,
+                shard: wk.shard,
+                duration,
+            });
         }
     }
 
-    /// One worker's share of a campaign, written once for both modes and
-    /// every worker count: take the next `(item, shard)`, build the item's unit
+    /// One worker's share of a campaign, written once for every worker
+    /// count: take the next `(execution, shard)`, build the execution's unit
     /// or log the skip, execute, and repeat until `next` runs dry. Returns
-    /// the worker's records and replay counters.
+    /// the worker's records.
     fn work(
         &self,
         shared: &Shared,
         id: usize,
         mut next: impl FnMut() -> Option<(usize, usize)>,
-    ) -> (Vec<RunRecord>, ReplayStats) {
+    ) -> Vec<RunRecord> {
         // One depot + detector arena per worker, reused for every item the
         // worker takes; per-run state resets on run start, so placement
         // stays invisible in the deterministic outputs.
@@ -894,21 +792,17 @@ impl Campaign {
             shard: 0,
             arena: DetectorArena::new(),
             records: Vec::new(),
-            replay: ReplayStats::default(),
         };
-        // Shards are contiguous index ranges and a unit's specs are
+        // Shards are contiguous index ranges and a unit's executions are
         // consecutive, so the unit of the previous item is the only one
         // worth holding.
         let mut held: Option<(usize, CampaignUnit)> = None;
         while let Some((item, shard)) = next() {
             wk.shard = shard;
-            let unit_index = match shared.mode {
-                Mode::Live => self.spec_at(item).unit,
-                Mode::Replay => self.exec_spec_at(item).unit,
-            };
-            if held.as_ref().map(|(index, _)| *index) != Some(unit_index) {
-                held = match self.source.build(unit_index) {
-                    Ok(unit) => Some((unit_index, unit)),
+            let exec = self.exec_spec_at(item);
+            if held.as_ref().map(|(index, _)| *index) != Some(exec.unit) {
+                held = match self.source.build(exec.unit) {
+                    Ok(unit) => Some((exec.unit, unit)),
                     // Which units fail depends only on the source, never on
                     // scheduling; a skipped item leaves no record.
                     Err(e) => {
@@ -918,47 +812,44 @@ impl Campaign {
                 };
             }
             let Some((_, unit)) = &held else { continue };
-            match shared.mode {
-                Mode::Live => self.execute(self.spec_at(item), unit, &mut wk),
-                Mode::Replay => self.execute_replay(self.exec_spec_at(item), unit, &mut wk),
-            }
+            self.execute(exec, unit, &mut wk);
         }
-        (wk.records, wk.replay)
+        wk.records
     }
 
-    /// The one campaign driver. `mode` fixes what a work item is; everything
-    /// else — worker clamp, dedup stage, skip log, per-worker arena and held
-    /// unit, collection, ordering, the result and the obs report folded
-    /// from it — is the same for every mode.
-    fn drive(&self, mode: Mode) -> CampaignResult {
+    /// Runs the campaign over the full `(unit × seed × strategy ×
+    /// detector)` matrix with `config.workers` threads (inline on the
+    /// calling thread when 1). Each `(unit, seed, strategy)` executes once,
+    /// watched by every configured detector, and yields one record per
+    /// detector; with no detector configured nothing executes.
+    #[must_use]
+    pub fn run(&self) -> CampaignResult {
         let started = Instant::now();
-        let items = match mode {
-            Mode::Live => self.matrix_len(),
-            Mode::Replay => self.exec_len(),
+        let items = if self.config.detectors.is_empty() {
+            0
+        } else {
+            self.exec_len()
         };
         let shards = self.config.shards.max(1);
         let workers = self.config.workers.max(1).min(items.max(1));
         let shared = Shared {
-            mode,
             dedup: DedupMap::new(shards),
             skips: Mutex::default(),
         };
         let queues = IndexQueues::new(shards, items);
-        let (mut records, replay) = if workers == 1 {
+        let mut records = if workers == 1 {
             // Inline on the calling thread, ascending: no thread, no
             // stealing from the tails.
             let mut ascending = (0..items).map(|i| (i, queues.shard_of(i)));
             self.work(&shared, 0, || ascending.next())
         } else {
-            let all = Mutex::new((Vec::new(), ReplayStats::default()));
+            let all = Mutex::new(Vec::new());
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let (shared, queues, all) = (&shared, &queues, &all);
                     scope.spawn(move || {
-                        let (records, replay) = self.work(shared, w, || queues.pop(w));
-                        let mut all = all.lock().unwrap_or_else(PoisonError::into_inner);
-                        all.0.extend(records);
-                        all.1.merge(&replay);
+                        let records = self.work(shared, w, || queues.pop(w));
+                        all.lock().unwrap_or_else(PoisonError::into_inner).extend(records);
                     });
                 }
             });
@@ -975,7 +866,6 @@ impl Campaign {
             workers,
             shards,
             wall: started.elapsed(),
-            replay: matches!(mode, Mode::Replay).then_some(replay),
             obs: ObsReport::default(),
         };
         result.obs = self.fold_obs(&result);
@@ -984,10 +874,10 @@ impl Campaign {
 
     /// The obs export of a finished campaign: a pure function of the
     /// result's other fields and the matrix shape
-    /// (`tests/obs_determinism.rs` pins both modes' stable section). A
-    /// stable name appears once something was counted under it:
-    /// the per-run figures when a run executed, `campaign.skipped_runs`
-    /// when a unit failed to lower, `replay.*` in replay mode.
+    /// (`tests/obs_determinism.rs` pins its stable section). A stable name
+    /// appears once something was counted under it: the per-run figures
+    /// when a run executed, `campaign.skipped_runs` when a unit failed to
+    /// lower.
     fn fold_obs(&self, result: &CampaignResult) -> ObsReport {
         let records = &result.records;
         let mut counters = Vec::new();
@@ -1016,28 +906,10 @@ impl Campaign {
             let skipped = self.matrix_len() - records.len();
             counters.push(("campaign.skipped_runs", skipped as u64));
         }
-        let dets = self.config.detectors.len();
-        if let Some(stats) = &result.replay {
-            if stats.executions > 0 {
-                counters.push(("replay.trace_bytes", stats.trace_bytes_total));
-            }
-            if stats.replays > 0 {
-                // Each analysis walks every chunk of its execution's decode.
-                counters.extend([
-                    ("replay.analyses", stats.replays as u64),
-                    ("replay.batches", stats.decode_batches * dets as u64),
-                    ("replay.batch_events", stats.batch_events * dets as u64),
-                ]);
-            }
-        }
-
-        // Where each executed work item was popped: one record per item
-        // live, `dets` consecutive records per item in replay mode. A lone
-        // worker is at home on every shard.
-        let (label, per_item) = match result.replay {
-            Some(_) => ("campaign/replay", dets.max(1)),
-            None => ("campaign/live", 1),
-        };
+        // Where each executed work item was popped: an execution folds one
+        // record per detector, consecutively. A lone worker is at home on
+        // every shard.
+        let per_item = self.config.detectors.len().max(1);
         let (mut home, mut stolen) = (0u64, 0u64);
         for r in records.iter().step_by(per_item) {
             if result.workers == 1 || r.shard == r.worker % result.shards {
@@ -1058,27 +930,7 @@ impl Campaign {
             histograms: named(histograms),
             ..MetricsSnapshot::default()
         };
-        ObsReport::new(label, snapshot)
-    }
-
-    /// Runs the campaign over the full `(unit × seed × strategy ×
-    /// detector)` matrix, every spec executing its own schedule, with
-    /// `config.workers` threads (inline on the calling thread when 1).
-    #[must_use]
-    pub fn run(&self) -> CampaignResult {
-        self.drive(Mode::Live)
-    }
-
-    /// Runs the campaign execute-once: each `(unit, seed, strategy)` is
-    /// executed one time under a trace recorder, and the trace is fanned
-    /// through every configured detector offline. The result covers the
-    /// *same* run matrix as [`Campaign::run`] — same spec indices, same
-    /// [`CampaignResult::deterministic_digest`], same dedup batch — while
-    /// executing `detectors.len()`× fewer schedules; the measured speedup
-    /// lands in [`CampaignResult::replay`].
-    #[must_use]
-    pub fn run_replay(&self) -> CampaignResult {
-        self.drive(Mode::Replay)
+        ObsReport::new("campaign/live", snapshot)
     }
 }
 
@@ -1088,19 +940,8 @@ fn named<T>(mut pairs: Vec<(&str, T)>) -> Vec<(String, T)> {
     pairs.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
 }
 
-/// What a campaign's work item is. Private: callers choose through
-/// [`Campaign::run`] and [`Campaign::run_replay`].
-#[derive(Debug, Clone, Copy)]
-enum Mode {
-    /// One item per matrix spec, each executing its own schedule.
-    Live,
-    /// One item per [`ExecSpec`]: executed once, analyzed per detector.
-    Replay,
-}
-
 /// The stages every worker of one campaign shares.
 struct Shared {
-    mode: Mode,
     dedup: DedupMap,
     skips: Mutex<SkipLog>,
 }
@@ -1113,45 +954,19 @@ struct Worker<'a> {
     shard: usize,
     arena: DetectorArena,
     records: Vec<RunRecord>,
-    replay: ReplayStats,
-}
-
-/// The deterministic size and end-state figures of one run, from wherever
-/// the executor read them (a live [`RunOutcome`] or an offline analysis).
-struct RunSize {
-    steps: u64,
-    events: u64,
-    depot_stacks: usize,
-    peak_shadow_words: usize,
-    end: RunEnd,
-}
-
-impl RunSize {
-    fn of(outcome: &RunOutcome) -> Self {
-        RunSize {
-            steps: outcome.steps,
-            events: outcome.stats.events_dispatched,
-            depot_stacks: outcome.stats.depot.stacks,
-            peak_shadow_words: outcome.stats.peak_shadow_words,
-            end: RunEnd::of(outcome),
-        }
-    }
 }
 
 impl Worker<'_> {
-    /// The one record fold: tag each report with its unit and repro
-    /// artifact, fingerprint it into the dedup stage, and emit the
-    /// [`RunRecord`].
-    fn fold(
-        &mut self,
+    /// Tags each report with its unit and repro artifact and fingerprints
+    /// it into the dedup stage; returns the run's sorted, distinct
+    /// fingerprints.
+    fn dedup(
+        &self,
         spec: RunSpec,
         unit: &CampaignUnit,
         reports: Vec<RaceReport>,
         repro: &ReproArtifact,
-        size: RunSize,
-        duration: Duration,
-    ) {
-        let racy = !reports.is_empty();
+    ) -> Vec<Fingerprint> {
         let mut fingerprints = Vec::with_capacity(reports.len());
         for mut r in reports {
             r.program = Some(Arc::from(unit.name.as_str()));
@@ -1163,20 +978,7 @@ impl Worker<'_> {
         }
         fingerprints.sort_unstable();
         fingerprints.dedup();
-        self.records.push(RunRecord {
-            spec,
-            unit_name: unit.name.clone(),
-            racy,
-            fingerprints,
-            steps: size.steps,
-            events: size.events,
-            depot_stacks: size.depot_stacks,
-            peak_shadow_words: size.peak_shadow_words,
-            end: size.end,
-            worker: self.id,
-            shard: self.shard,
-            duration,
-        });
+        fingerprints
     }
 }
 
@@ -1275,42 +1077,59 @@ mod tests {
         assert!(again.iter().all(|(_, o)| *o == FileOutcome::Duplicate));
     }
 
+    /// A detector named twice is run once per execution and its record
+    /// repeated. Captured at 50aa005, where each position ran its own
+    /// execution.
+    const PINNED_REPEATED_DIGEST64: u64 = 0xe9eb_5f24_415c_ab79;
+    const PINNED_REPEATED_BATCH: [u64; 2] = [0x209f_fa74_4cf9_754b, 0xa7e3_3c98_7318_bb65];
+
     #[test]
-    fn replay_campaign_equals_live_campaign() {
-        // The execute-once path must cover the same matrix with the same
-        // deterministic outputs as the execute-per-detector path, for a
-        // multi-detector, multi-strategy configuration.
-        let config = CampaignConfig::smoke()
-            .seeds_per_unit(4)
-            .detectors(DetectorChoice::all().to_vec())
-            .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }])
-            .workers(1);
+    fn a_repeated_detector_reproduces_its_separate_runs() {
+        let config = CampaignConfig::smoke().seeds_per_unit(4).workers(1).detectors(vec![
+            DetectorChoice::Hybrid,
+            DetectorChoice::FastTrack,
+            DetectorChoice::Hybrid,
+        ]);
         let c = Campaign::over_units(config, tiny_units());
-        let live = c.run();
-        let replayed = c.run_replay();
-        assert_eq!(replayed.deterministic_digest(), live.deterministic_digest());
-        assert_eq!(replayed.batch.fingerprints(), live.batch.fingerprints());
-        let stats = replayed.replay.expect("replay stats present");
-        assert_eq!(stats.executions * 3, stats.replays);
-        assert_eq!(stats.executions, c.exec_specs().len());
-        assert!(stats.trace_bytes_total > 0);
-        assert!(stats.trace_bytes_max > 0);
-        assert!(live.replay.is_none());
-        // Peak shadow words are per-detector and must survive the replay
-        // path bit-identically.
-        for (a, b) in replayed.records.iter().zip(live.records.iter()) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.peak_shadow_words, b.peak_shadow_words, "{:?}", a.spec);
-            assert_eq!(a.events, b.events, "{:?}", a.spec);
-            assert_eq!(a.depot_stacks, b.depot_stacks, "{:?}", a.spec);
-            assert_eq!(a.end, b.end, "{:?}", a.spec);
+        let r = c.run();
+        assert_eq!(r.total_runs(), c.matrix_len());
+        assert_eq!(r.digest64(), PINNED_REPEATED_DIGEST64);
+        let batch: Vec<u64> = r.batch.fingerprints().iter().map(|fp| fp.0).collect();
+        assert_eq!(batch, PINNED_REPEATED_BATCH);
+        let view = |x: &RunRecord| (x.fingerprints.clone(), x.events, x.peak_shadow_words);
+        for triple in r.records.chunks(3) {
+            assert_eq!(view(&triple[0]), view(&triple[2]), "{:?}", triple[0].spec);
         }
-        // Replay-path representatives carry the full repro artifact,
-        // trace digest included.
-        for (_, r) in replayed.batch.iter() {
-            let repro = r.repro.as_ref().expect("replay reports carry repro");
-            assert_eq!(Some(repro.seed), r.repro_seed);
-            assert!(repro.trace_digest.is_some());
+    }
+
+    /// A source no campaign may build from.
+    #[derive(Debug)]
+    struct Unbuildable;
+
+    impl UnitSource for Unbuildable {
+        fn len(&self) -> usize {
+            4
+        }
+
+        fn name(&self, unit: usize) -> String {
+            format!("unbuildable/{unit}")
+        }
+
+        fn build(&self, unit: usize) -> Result<CampaignUnit, UnitError> {
+            panic!("unit {unit} built by a campaign with no detector")
+        }
+    }
+
+    #[test]
+    fn no_detector_means_no_execution() {
+        for workers in [1, 2] {
+            let config = CampaignConfig::smoke()
+                .workers(workers)
+                .detectors(Vec::new());
+            let r = Campaign::over_source(config, Arc::new(Unbuildable)).run();
+            assert_eq!(r.total_runs(), 0, "{workers} workers");
+            assert_eq!(r.units_skipped, 0, "{workers} workers");
+            assert!(r.batch.is_empty(), "{workers} workers");
         }
     }
 
@@ -1352,7 +1171,7 @@ mod tests {
 
     /// §3.2–3.3: a filed task must be reproducible. Every report in the
     /// batch carries a repro artifact, and re-running its unit under that
-    /// artifact's seed and strategy re-triggers the race — for both modes.
+    /// artifact's seed and strategy re-triggers the race.
     #[test]
     fn batch_artifacts_reproduce() {
         let c = Campaign::over_units(
@@ -1365,19 +1184,18 @@ mod tests {
                 .find(|u| u.name == name)
                 .expect("batch report names a campaign unit")
         };
-        for (mode, r) in [("live", c.run()), ("replay", c.run_replay())] {
-            assert!(!r.batch.is_empty(), "{mode}");
-            for (_, rep) in r.batch.iter() {
-                let artifact = rep.repro.as_ref().expect("campaign reports carry repro");
-                let unit = unit_by_name(rep.program.as_deref().expect("program set"));
-                let cfg = c.run_config(artifact.seed, artifact.strategy);
-                let (_, reports) = DetectorChoice::Hybrid.run(&unit.program, cfg);
-                assert!(
-                    reports.iter().any(|rr| rr.site_key() == rep.site_key()),
-                    "{mode}: replaying {artifact} of {} did not re-trigger the race",
-                    unit.name
-                );
-            }
+        let r = c.run();
+        assert!(!r.batch.is_empty());
+        for (_, rep) in r.batch.iter() {
+            let artifact = rep.repro.as_ref().expect("campaign reports carry repro");
+            let unit = unit_by_name(rep.program.as_deref().expect("program set"));
+            let cfg = c.run_config(artifact.seed, artifact.strategy);
+            let (_, reports) = DetectorChoice::Hybrid.run(&unit.program, cfg);
+            assert!(
+                reports.iter().any(|rr| rr.site_key() == rep.site_key()),
+                "replaying {artifact} of {} did not re-trigger the race",
+                unit.name
+            );
         }
     }
 
@@ -1439,25 +1257,15 @@ mod tests {
             .records
             .iter()
             .all(|r| r.spec.unit % 2 == 0), "odd units must not produce records");
-        // Replay covers the same matrix and charges broken units for the
-        // same spec count.
-        let replayed = c.run_replay();
-        assert_eq!(replayed.deterministic_digest(), serial.deterministic_digest());
-        assert_eq!(replayed.units_skipped, serial.units_skipped);
-        assert_eq!(replayed.total_runs(), serial.total_runs());
-        assert_eq!(
-            replayed.obs.snapshot.counter("campaign.skipped_runs"),
-            serial.obs.snapshot.counter("campaign.skipped_runs")
-        );
     }
 
-    /// The determinism contract, every cell: each mode's whole
+    /// The determinism contract, every cell: the campaign's whole
     /// deterministic output — records, digest, dedup batch and its
     /// representatives, skip accounting, the stable obs section — is the
     /// one-worker output at every worker count. Half the units refuse to
     /// lower, so skip accounting is exercised in every cell too.
     #[test]
-    fn every_mode_is_worker_count_invariant() {
+    fn campaign_is_worker_count_invariant() {
         let source = std::sync::Arc::new(HalfBroken {
             inner: UnitList::new(tiny_units()),
         });
@@ -1466,9 +1274,6 @@ mod tests {
             .shards(4)
             .detectors(DetectorChoice::all().to_vec());
         let c = Campaign::over_source(config, source);
-        type Entry = fn(&Campaign) -> CampaignResult;
-        let modes: [(&str, Entry); 2] =
-            [("live", Campaign::run), ("replay", Campaign::run_replay)];
         // Everything about a record but its placement and timing.
         let records = |r: &CampaignResult| -> Vec<_> {
             r.records
@@ -1490,39 +1295,30 @@ mod tests {
                 .map(|(fp, rep)| (fp, rep.repro.clone()))
                 .collect()
         };
-        for (mode, run) in modes {
-            let one = run(&c.with_config(c.config().clone().workers(1)));
-            assert_eq!(one.workers, 1);
-            assert!(one.units_skipped > 0 && !one.batch.is_empty(), "{mode}");
-            for workers in [2, 4, 8] {
-                let cell = format!("{mode} × {workers} workers");
-                let par = run(&c.with_config(c.config().clone().workers(workers)));
-                assert!(par.workers > 1, "{cell}");
-                assert_eq!(records(&par), records(&one), "{cell}");
-                assert_eq!(par.digest64(), one.digest64(), "{cell}");
-                assert_eq!(par.batch.raw_reports(), one.batch.raw_reports(), "{cell}");
-                assert_eq!(representatives(&par), representatives(&one), "{cell}");
-                assert_eq!(par.units_skipped, one.units_skipped, "{cell}");
-                assert_eq!(par.skip_reasons.len(), one.skip_reasons.len(), "{cell}");
-                assert_eq!(
-                    par.obs.snapshot.counter("campaign.skipped_runs"),
-                    one.obs.snapshot.counter("campaign.skipped_runs"),
-                    "{cell}"
-                );
-                assert_eq!(par.obs.metrics_json(), one.obs.metrics_json(), "{cell}");
-                assert_eq!(
-                    par.obs.deterministic_digest(),
-                    one.obs.deterministic_digest(),
-                    "{cell}"
-                );
-                // Replay counters are per-execution sums, so they merge to
-                // the same totals whichever worker recorded what.
-                let totals = |r: &CampaignResult| {
-                    r.replay
-                        .map(|s| (s.executions, s.replays, s.trace_events, s.trace_bytes_total))
-                };
-                assert_eq!(totals(&par), totals(&one), "{cell}");
-            }
+        let one = c.with_config(c.config().clone().workers(1)).run();
+        assert_eq!(one.workers, 1);
+        assert!(one.units_skipped > 0 && !one.batch.is_empty());
+        for workers in [2, 4, 8] {
+            let cell = format!("{workers} workers");
+            let par = c.with_config(c.config().clone().workers(workers)).run();
+            assert!(par.workers > 1, "{cell}");
+            assert_eq!(records(&par), records(&one), "{cell}");
+            assert_eq!(par.digest64(), one.digest64(), "{cell}");
+            assert_eq!(par.batch.raw_reports(), one.batch.raw_reports(), "{cell}");
+            assert_eq!(representatives(&par), representatives(&one), "{cell}");
+            assert_eq!(par.units_skipped, one.units_skipped, "{cell}");
+            assert_eq!(par.skip_reasons.len(), one.skip_reasons.len(), "{cell}");
+            assert_eq!(
+                par.obs.snapshot.counter("campaign.skipped_runs"),
+                one.obs.snapshot.counter("campaign.skipped_runs"),
+                "{cell}"
+            );
+            assert_eq!(par.obs.metrics_json(), one.obs.metrics_json(), "{cell}");
+            assert_eq!(
+                par.obs.deterministic_digest(),
+                one.obs.deterministic_digest(),
+                "{cell}"
+            );
         }
     }
 

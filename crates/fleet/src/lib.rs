@@ -6,9 +6,10 @@
 //!   (Observation 2): per-language thread/goroutine distributions and their
 //!   CDFs, sampled from bucket models calibrated to the paper's reading.
 //! * [`campaign`] — the §3.3 nightly deployment loop made executable: a
-//!   work-stealing, sharded campaign runner that fans the
-//!   `(program × seed × strategy × detector)` matrix over N OS worker
-//!   threads ([`shard::IndexQueues`]), funnels every race through a
+//!   work-stealing, sharded campaign runner that covers the
+//!   `(program × seed × strategy × detector)` matrix by executing each
+//!   `(program, seed, strategy)` once, watched by every detector, over N
+//!   OS worker threads ([`shard::IndexQueues`]), funnels every race through a
 //!   concurrent fingerprint-keyed dedup stage ([`dedup::DedupMap`]), and
 //!   hands the deduplicated batch to `grs_deploy::IntakeService` for
 //!   filing.
@@ -42,8 +43,7 @@ pub mod triage;
 
 pub use campaign::{
     corpus_suite, default_workers, pattern_suite, Campaign, CampaignConfig, CampaignResult,
-    CampaignUnit, ReplayStats, RunEnd, RunRecord, ShardStats, MAX_CONVERGENCE_POINTS,
-    MAX_SKIP_REASONS,
+    CampaignUnit, RunEnd, RunRecord, ShardStats, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS,
 };
 pub use census::{census, Cdf, Census, CensusConfig, Language, LanguageSample};
 pub use dedup::DedupMap;

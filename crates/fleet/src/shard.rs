@@ -1,10 +1,9 @@
 //! The sharded work-stealing run scheduler.
 //!
-//! A campaign's unit of work is either one [`RunSpec`] — execute one
-//! program under one `(seed, strategy, detector)` combination — or, in the
-//! execute-once replay campaign, one [`ExecSpec`] — execute one `(program,
-//! seed, strategy)` under a trace recorder and fan the trace through every
-//! configured detector. Work items are enumerated deterministically and
+//! A campaign's unit of work is one [`ExecSpec`]: execute one `(program,
+//! seed, strategy)` once, watched by every configured detector. Each
+//! detector's view of that execution is one record, named by a
+//! [`RunSpec`]. Work items are enumerated deterministically and
 //! never materialized: [`IndexQueues`] cuts the item *index space* into
 //! `S` contiguous lazy shard queues; each of `N` workers owns a home
 //! shard (worker `w` → shard `w % S`) and pops from its front until
@@ -24,8 +23,9 @@ use std::sync::Mutex;
 use grs_detector::DetectorChoice;
 use grs_runtime::Strategy;
 
-/// One schedulable run: `(program × seed × strategy × detector)`, tagged
-/// with its position in the campaign's deterministic enumeration.
+/// One cell of the run matrix, `(program × seed × strategy × detector)`,
+/// tagged with its position in the campaign's deterministic enumeration:
+/// what one record of a campaign is about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpec {
     /// Position in the campaign's spec enumeration — the deterministic
@@ -41,15 +41,14 @@ pub struct RunSpec {
     pub detector: DetectorChoice,
 }
 
-/// One schedulable *execution* of the replay campaign: `(program × seed ×
-/// strategy)`, executed once under a trace recorder; the recorded trace is
-/// then fanned through every configured detector offline.
+/// One schedulable *execution*: `(program × seed × strategy)`, executed
+/// once and watched by every configured detector at once.
 ///
-/// Because the full matrix enumerates detectors innermost, the detector
-/// runs this execution covers occupy the contiguous [`RunSpec::index`]
-/// block `base_index .. base_index + detectors.len()` — which is how the
-/// replay campaign produces records (and dedup representatives) on exactly
-/// the same index space as the execute-per-detector campaign.
+/// Because the full matrix enumerates detectors innermost, the records this
+/// execution yields occupy the contiguous [`RunSpec::index`] block
+/// `base_index .. base_index + detectors.len()` — which is how a campaign
+/// keeps its records (and dedup representatives) on the matrix's index
+/// space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecSpec {
     /// Position in the execution enumeration (units → seeds → strategies).
@@ -66,7 +65,8 @@ pub struct ExecSpec {
 }
 
 impl ExecSpec {
-    /// The matrix spec of this execution's `pos`-th detector run.
+    /// The matrix spec of this execution's record for its `pos`-th
+    /// detector.
     #[must_use]
     pub fn run_spec(&self, pos: usize, detector: DetectorChoice) -> RunSpec {
         RunSpec {

@@ -12,13 +12,12 @@ fn seeds_wrap_past_u64_max_the_same_in_every_build() {
     let campaign = Campaign::over_units(config, units);
     let exec_seeds: Vec<u64> = campaign.exec_specs().iter().map(|e| e.seed).collect();
     assert_eq!(exec_seeds, wrapped);
-    for result in [campaign.run(), campaign.run_replay()] {
-        let seeds: Vec<u64> = result.records.iter().map(|r| r.spec.seed).collect();
-        assert_eq!(seeds, wrapped);
-        assert!(!result.batch.is_empty(), "the first pattern races here");
-        for (_, report) in result.batch.iter() {
-            assert!(wrapped.contains(&report.repro_seed.expect("the campaign fills the seed")));
-        }
+    let result = campaign.run();
+    let seeds: Vec<u64> = result.records.iter().map(|r| r.spec.seed).collect();
+    assert_eq!(seeds, wrapped);
+    assert!(!result.batch.is_empty(), "the first pattern races here");
+    for (_, report) in result.batch.iter() {
+        assert!(wrapped.contains(&report.repro_seed.expect("the campaign fills the seed")));
     }
 
     let triage = TriageConfig {

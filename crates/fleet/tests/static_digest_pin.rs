@@ -8,10 +8,10 @@
 //! the campaign enumeration changed), which would invalidate every filed
 //! `ReproArtifact`.
 //!
-//! The one-driver rewrite of `fleet::campaign` extended the pin to replay
-//! mode and to what each mode files: the per-mode digests over the dedup
-//! batch's representatives were captured at the last commit that had
-//! hand-written drivers per mode (384afab).
+//! The one-driver rewrite of `fleet::campaign` extended the pin to what a
+//! campaign files: the digest over the dedup batch's representatives was
+//! captured at the last commit that had hand-written drivers per mode
+//! (384afab).
 
 use std::sync::Arc;
 
@@ -46,10 +46,9 @@ fn pinned_campaign() -> Campaign {
 /// `pct_steps_hint` — must reproduce it bit-for-bit.
 const PINNED_DIGEST64: u64 = 0x7e3c_5329_1993_70a5;
 
-/// [`representatives_digest`] of each mode's batch at 384afab. Live files
-/// seed-only representatives; replay's differ by carrying a trace digest.
+/// [`representatives_digest`] of the live batch at 384afab: seed-only
+/// representatives, no trace digest.
 const PINNED_LIVE_REPRESENTATIVES: u64 = 0x09bd_1ba4_3f46_0da6;
-const PINNED_REPLAY_REPRESENTATIVES: u64 = 0x00ab_112b_42f6_9a0e;
 
 /// FNV-1a over what each filed representative is reproduced from:
 /// `(fingerprint, repro.seed, has trace digest, 0)` in batch (fingerprint)
@@ -68,21 +67,15 @@ fn representatives_digest(r: &CampaignResult) -> u64 {
 }
 
 #[test]
-fn every_mode_digest_and_representative_set_is_pinned() {
-    let c = pinned_campaign();
-    for (mode, r, digest, representatives) in [
-        ("live", c.run(), PINNED_DIGEST64, PINNED_LIVE_REPRESENTATIVES),
-        // Replay covers the live matrix, so it shares the live constant.
-        ("replay", c.run_replay(), PINNED_DIGEST64, PINNED_REPLAY_REPRESENTATIVES),
-    ] {
-        assert_eq!(r.units_skipped, 0, "{mode}");
-        assert_eq!(r.digest64(), digest, "{mode} campaign drifted from its pinned digest");
-        assert_eq!(
-            representatives_digest(&r),
-            representatives,
-            "{mode} files different representatives"
-        );
-    }
+fn digest_and_representative_set_are_pinned() {
+    let r = pinned_campaign().run();
+    assert_eq!(r.units_skipped, 0);
+    assert_eq!(r.digest64(), PINNED_DIGEST64, "campaign drifted from its pinned digest");
+    assert_eq!(
+        representatives_digest(&r),
+        PINNED_LIVE_REPRESENTATIVES,
+        "campaign files different representatives"
+    );
 }
 
 /// The generated-corpus campaign (default template mix, 200‰ racy,

@@ -1,25 +1,18 @@
 //! The parallel campaign driver: run the (program × seed × strategy ×
-//! detector) matrix over the pattern + Go-source corpora in each of the
-//! engine's two modes and print what each found.
+//! detector) matrix over the pattern + Go-source corpora and print what it
+//! found.
 //!
 //! ```sh
 //! cargo run --release --example campaign -- [--workers N] [--seeds N] \
-//!     [--suite pattern|corpus|all] [--ablation-budget N] [--replay] \
+//!     [--suite pattern|corpus|all] [--ablation-budget N] \
 //!     [--obs-out PATH] [--dashboard]
 //! ```
 //!
-//! The default run is the **live** campaign (throughput, per-shard
-//! latency, detection-rate convergence, filing into the intake service)
-//! followed by the scheduler **ablation**: the random and PCT matrices at
-//! the same per-unit budget, printed as a convergence table.
-//! `--ablation-budget N` sets the per-unit execution budget (default 96;
-//! `0` skips the ablation).
-//!
-//! With `--replay` the campaign instead runs the execute-once engine: each
-//! `(program, seed, strategy)` executes a single time under a trace
-//! recorder and the trace fans offline through every configured detector —
-//! here the full three-detector differential set — and is checked
-//! bit-for-bit against the execute-per-detector run of the same matrix.
+//! The run is the **live** campaign (throughput, per-shard latency,
+//! detection-rate convergence, filing into the intake service) followed by
+//! the scheduler **ablation**: the random and PCT matrices at the same
+//! per-unit budget, printed as a convergence table. `--ablation-budget N`
+//! sets the per-unit execution budget (default 96; `0` skips the ablation).
 //!
 //! `--obs-out PATH` writes the observability report (stable metrics +
 //! volatile timing) as versioned JSON; `--dashboard` renders it as a
@@ -34,7 +27,6 @@ struct Args {
     workers: usize,
     seeds: usize,
     suite: String,
-    replay: bool,
     dashboard: bool,
     ablation_budget: usize,
     obs_out: Option<String>,
@@ -45,7 +37,6 @@ fn parse_args() -> Args {
         workers: default_workers(),
         seeds: 32,
         suite: "all".to_string(),
-        replay: false,
         dashboard: false,
         ablation_budget: 96,
         obs_out: None,
@@ -60,7 +51,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = value("--workers").parse().expect("workers: integer"),
             "--seeds" => args.seeds = value("--seeds").parse().expect("seeds: integer"),
             "--suite" => args.suite = value("--suite"),
-            "--replay" => args.replay = true,
             "--ablation-budget" => {
                 args.ablation_budget = value("--ablation-budget")
                     .parse()
@@ -174,74 +164,6 @@ fn run_ablation(args: &Args, units: &[CampaignUnit]) {
     }
 }
 
-/// The `--replay` demo: the same matrix driven twice — once
-/// executing every `(program, seed, strategy, detector)` cell live, once
-/// executing each `(program, seed, strategy)` a single time under a trace
-/// recorder and fanning the trace through all three detectors offline.
-/// Both paths must agree bit-for-bit on their deterministic output; the
-/// execute-once path wins on wall clock because scheduling dominates
-/// analysis.
-fn run_replay_demo(args: &Args, units: Vec<CampaignUnit>) {
-    let config = CampaignConfig::nightly()
-        .seeds_per_unit(args.seeds)
-        .workers(args.workers)
-        .shards(2 * args.workers)
-        .detectors(DetectorChoice::all().to_vec())
-        .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }]);
-    let campaign = Campaign::over_units(config.clone(), units);
-    let execs = campaign.exec_len();
-    println!(
-        "== replay campaign: {} units × {} seeds × {} strategies → {} executions fanned through {} detectors = {} analyses ==",
-        campaign.unit_count(),
-        config.seeds_per_unit,
-        config.strategies.len(),
-        execs,
-        config.detectors.len(),
-        campaign.matrix_len(),
-    );
-
-    let baseline = campaign.run();
-    println!(
-        "execute-per-detector: {} runs in {:.1} ms ({:.0} runs/s)",
-        baseline.total_runs(),
-        baseline.wall.as_secs_f64() * 1e3,
-        baseline.throughput_rps(),
-    );
-
-    let replayed = campaign.run_replay();
-    let stats = replayed.replay.expect("replay campaign carries stats");
-    println!(
-        "execute-once:         {} analyses in {:.1} ms ({:.0} runs/s) from {} executions",
-        replayed.total_runs(),
-        replayed.wall.as_secs_f64() * 1e3,
-        replayed.throughput_rps(),
-        stats.executions,
-    );
-    log_skips(&replayed);
-    println!(
-        "   traces: {} events, {:.1} KiB total ({} B avg, {} B max) · record {:.1} ms · replay {:.1} ms",
-        stats.trace_events,
-        stats.trace_bytes_total as f64 / 1024.0,
-        stats.avg_trace_bytes(),
-        stats.trace_bytes_max,
-        stats.record_wall.as_secs_f64() * 1e3,
-        stats.replay_wall.as_secs_f64() * 1e3,
-    );
-
-    assert_eq!(
-        replayed.deterministic_digest(),
-        baseline.deterministic_digest(),
-        "replay campaign must reproduce the live campaign bit-for-bit"
-    );
-    assert_eq!(replayed.batch.fingerprints(), baseline.batch.fingerprints());
-    export_obs(args, &replayed.obs);
-
-    let speedup = baseline.wall.as_secs_f64() / replayed.wall.as_secs_f64().max(1e-9);
-    println!(
-        "speedup: {speedup:.2}× runs/sec over the per-detector baseline (digests agree)"
-    );
-}
-
 fn main() {
     let args = parse_args();
     let units = match args.suite.as_str() {
@@ -254,10 +176,6 @@ fn main() {
         }
         other => panic!("--suite must be pattern|corpus|all, got {other}"),
     };
-    if args.replay {
-        run_replay_demo(&args, units);
-        return;
-    }
     let config = CampaignConfig::nightly()
         .seeds_per_unit(args.seeds)
         .workers(args.workers)

@@ -4,12 +4,12 @@
 //! could silently pay O(id-space) or O(events) memory while still
 //! producing correct reports. This pins the dense FastTrack campaign —
 //! thousands of access events per run — to an O(vars + readers) peak,
-//! identical between the live path and the batched replay path.
+//! identical between the live path and each run recorded and replayed.
 
 use grs::dense_unit;
-use grs::detector::DetectorChoice;
+use grs::detector::{DetectorArena, DetectorChoice};
 use grs::fleet::{Campaign, CampaignConfig};
-use grs::runtime::Strategy;
+use grs::runtime::{record, RunConfig, Strategy};
 
 fn config() -> CampaignConfig {
     CampaignConfig::smoke()
@@ -41,16 +41,15 @@ fn dense_campaign_peak_shadow_is_o_vars_not_o_events() {
         live.peak_shadow_words()
     );
 
-    let replay = Campaign::over_units(config(), vec![dense_unit()]).run_replay();
-    assert_eq!(
-        live.peak_shadow_words(),
-        replay.peak_shadow_words(),
-        "batched replay must reproduce the live campaign's peak exactly"
-    );
-    for (l, r) in live.records.iter().zip(replay.records.iter()) {
+    let program = dense_unit().program;
+    let mut arena = DetectorArena::new();
+    for l in &live.records {
+        let cfg = RunConfig::with_seed(l.spec.seed).strategy(l.spec.strategy);
+        let (_, trace) = record(&program, &cfg);
+        let replayed = arena.replay(l.spec.detector, &trace);
         assert_eq!(
-            l.peak_shadow_words, r.peak_shadow_words,
-            "seed {}: per-run peak shadow words",
+            l.peak_shadow_words, replayed.peak_shadow_words,
+            "seed {}: replay must reproduce the live run's peak shadow words exactly",
             l.spec.seed
         );
     }

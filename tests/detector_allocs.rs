@@ -3,33 +3,42 @@
 //! A timing cannot gate CI on a shared runner; a heap-allocation count
 //! repeats exactly, so it can. Live rows are mean allocations per run of
 //! `pattern_suite(true)` × seeds `0..8` × {Random, PCT(2)} through a warm
-//! [`DetectorArena`] (under `NullMonitor` with a reused depot, for the
-//! runtime's own share). Replay rows count the detector alone — run start,
-//! every event, run end, taking the reports; not decoding or the depot
-//! rebuild — per trace of three families: the short pattern traces above,
-//! the first 256 generated Go tests (corpus seed 1, run seed 1), and
-//! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
-//! pass, so it is the cost of a run in a warm process:
+//! [`DetectorArena::run_many`]: one detector watching each run, or all four
+//! watching it at once, as a campaign over all four runs it (under
+//! `NullMonitor` with a reused depot, for the runtime's own share). Replay
+//! rows count the detector alone — run start, every event, run end, taking
+//! the reports; not decoding or the depot rebuild — per trace of three
+//! families: the short pattern traces above, the first 256 generated Go
+//! tests (corpus seed 1, run seed 1), and `grs::dense_unit` at seeds
+//! `0..8`. Every row is measured on its second pass, so it is the cost of a
+//! run in a warm process:
 //!
-//! | row                               | `4487427` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |    28.0 |
-//! | live run, FastTrack               |      48.7 |      33.6 |    37.5 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |    38.0 |
-//! | live run, Eraser                  |      36.0 |      33.6 |    36.0 |
-//! | live run, hybrid                  |      50.7 |      33.8 |    38.0 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |    1.12 |
+//! | row                               | `4487427` | `50aa005` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |    28.0 |
+//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |    37.5 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |    38.0 |
+//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |    36.0 |
+//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |    38.0 |
+//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |    48.0 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |    1.12 |
+//!
+//! Before `run_many`, four detectors meant four executions, so the "all
+//! four" row of the older trees is the sum of their four solo rows. Now the
+//! execution, its event stacks and its depot are paid once and each
+//! detector adds only its own reports; a solo run pays one allocation more
+//! than before, for the `Vec` of outcomes.
 //!
 //! At `4487427` FastTrack built a whole report — name, two resolved stacks,
 //! two cloned locksets, a formatted site-key `String` — for every race it
@@ -166,17 +175,18 @@ fn live_runs_stay_under_their_allocation_ceilings() {
         allocations_in(|| Runtime::new(cfg.clone()).run_with_depot(p, NullMonitor, &depot)).0
     });
     let mut rows = vec![("live NullMonitor".to_string(), null, 28.0)];
+    let all = DetectorChoice::all_with_ablation();
     let ceilings = [37.5, 38.0, 36.0, 38.0];
     let mut arena = DetectorArena::new();
-    for (choice, ceiling) in DetectorChoice::all_with_ablation()
-        .into_iter()
-        .zip(ceilings)
-    {
-        let n = mean_warm(&runs, |(p, cfg)| {
-            allocations_in(|| arena.run(choice, p, cfg.clone())).0
-        });
-        rows.push((format!("live {choice}"), n, ceiling));
+    let mut watched_by = |choices: &[DetectorChoice]| {
+        mean_warm(&runs, |(p, cfg)| {
+            allocations_in(|| arena.run_many(choices, p, cfg.clone())).0
+        })
+    };
+    for (choice, ceiling) in all.into_iter().zip(ceilings) {
+        rows.push((format!("live {choice}"), watched_by(&[choice]), ceiling));
     }
+    rows.push(("live, all four at once".to_string(), watched_by(&all), 48.0));
     assert_ceilings(&rows);
 }
 

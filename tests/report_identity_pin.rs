@@ -15,6 +15,11 @@
 //!
 //! A change to how detectors deduplicate, materialize or order reports
 //! moves the digest; a change that only makes them cheaper does not.
+//!
+//! Each program is also run once more with all four detectors watching
+//! the one execution ([`DetectorArena::run_many`], what a campaign does).
+//! That pass is compared, not folded: each detector's reports, steps,
+//! events, depot stacks and peak shadow words must equal its solo run's.
 
 use grs::corpus::GoTestSpec;
 use grs::detector::{DetectorArena, DetectorChoice, RaceReport};
@@ -46,11 +51,23 @@ impl Fold {
     }
 
     /// `program` under `cfg`: live under each detector, then recorded and
-    /// replayed under all four from the decoded bytes.
+    /// replayed under all four from the decoded bytes. The solo live runs
+    /// are checked against one run all four watch together.
     fn run(&mut self, arena: &mut DetectorArena, program: &Program, cfg: &RunConfig) {
         let choices = DetectorChoice::all_with_ablation();
-        for choice in choices {
-            let (_, reports) = arena.run(choice, program, cfg.clone());
+        let (together, watched) = arena.run_many(&choices, program, cfg.clone());
+        for (choice, fanned) in choices.into_iter().zip(watched) {
+            let (solo, reports) = arena.run(choice, program, cfg.clone());
+            let cell = format!("{} seed {} {choice}", program.name(), cfg.seed);
+            assert_eq!(texts(&fanned.reports), texts(&reports), "{cell}: reports");
+            assert_eq!(together.steps, solo.steps, "{cell}: steps");
+            let events = solo.stats.events_dispatched;
+            assert_eq!(fanned.events, events, "{cell}: events");
+            assert_eq!(together.stats.depot, solo.stats.depot, "{cell}: depot");
+            assert_eq!(
+                fanned.peak_shadow_words, solo.stats.peak_shadow_words,
+                "{cell}: peak shadow words"
+            );
             self.add(&reports);
         }
         let (_, trace) = record(program, cfg);
@@ -59,6 +76,10 @@ impl Fold {
             self.add(&out.reports);
         }
     }
+}
+
+fn texts(reports: &[RaceReport]) -> Vec<String> {
+    reports.iter().map(ToString::to_string).collect()
 }
 
 #[test]
