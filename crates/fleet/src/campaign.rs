@@ -247,8 +247,9 @@ impl Default for CampaignConfig {
 pub struct RunRecord {
     /// The spec that produced this record.
     pub spec: RunSpec,
-    /// Name of the unit executed.
-    pub unit_name: String,
+    /// Name of the unit executed, shared by every record and report of
+    /// the unit the worker held.
+    pub unit_name: Arc<str>,
     /// True when the run reported at least one race.
     pub racy: bool,
     /// Sorted, deduplicated fingerprints of the run's reports.
@@ -741,7 +742,7 @@ impl Campaign {
     /// Executes `exec` once, watched by every configured detector through
     /// the worker's reusable arena, and folds one record per detector at
     /// its matrix spec.
-    fn execute(&self, exec: ExecSpec, unit: &CampaignUnit, wk: &mut Worker<'_>) {
+    fn execute(&self, exec: ExecSpec, unit: &HeldUnit, wk: &mut Worker<'_>) {
         let started = Instant::now();
         let detectors = &self.config.detectors;
         let (outcome, watched) = wk.arena.run_many(
@@ -796,13 +797,13 @@ impl Campaign {
         // Shards are contiguous index ranges and a unit's executions are
         // consecutive, so the unit of the previous item is the only one
         // worth holding.
-        let mut held: Option<(usize, CampaignUnit)> = None;
+        let mut held: Option<(usize, HeldUnit)> = None;
         while let Some((item, shard)) = next() {
             wk.shard = shard;
             let exec = self.exec_spec_at(item);
             if held.as_ref().map(|(index, _)| *index) != Some(exec.unit) {
                 held = match self.source.build(exec.unit) {
-                    Ok(unit) => Some((exec.unit, unit)),
+                    Ok(unit) => Some((exec.unit, HeldUnit::new(unit))),
                     // Which units fail depends only on the source, never on
                     // scheduling; a skipped item leaves no record.
                     Err(e) => {
@@ -946,6 +947,22 @@ struct Shared {
     skips: Mutex<SkipLog>,
 }
 
+/// The unit a worker holds: its program, and its name made once into the
+/// `Arc<str>` every record and report of the unit shares.
+struct HeldUnit {
+    program: Program,
+    name: Arc<str>,
+}
+
+impl HeldUnit {
+    fn new(unit: CampaignUnit) -> Self {
+        HeldUnit {
+            program: unit.program,
+            name: Arc::from(unit.name),
+        }
+    }
+}
+
 /// What one worker owns for the length of a campaign.
 struct Worker<'a> {
     shared: &'a Shared,
@@ -963,13 +980,13 @@ impl Worker<'_> {
     fn dedup(
         &self,
         spec: RunSpec,
-        unit: &CampaignUnit,
+        unit: &HeldUnit,
         reports: Vec<RaceReport>,
         repro: &ReproArtifact,
     ) -> Vec<Fingerprint> {
         let mut fingerprints = Vec::with_capacity(reports.len());
         for mut r in reports {
-            r.program = Some(Arc::from(unit.name.as_str()));
+            r.program = Some(unit.name.clone());
             r.repro_seed = Some(spec.seed);
             r.repro = Some(repro.clone());
             let fp = race_fingerprint(&r);
@@ -1020,7 +1037,7 @@ mod tests {
             let unit_racy = r
                 .records
                 .iter()
-                .filter(|rec| rec.unit_name == unit.name)
+                .filter(|rec| *rec.unit_name == unit.name)
                 .any(|rec| rec.racy);
             assert_eq!(
                 Some(unit_racy),
@@ -1049,7 +1066,7 @@ mod tests {
                 assert!(
                     r.records
                         .iter()
-                        .filter(|rec| rec.unit_name == unit.name)
+                        .filter(|rec| *rec.unit_name == unit.name)
                         .all(|rec| !rec.racy),
                     "false positive in {}",
                     unit.name
@@ -1348,7 +1365,7 @@ mod tests {
             let unit_racy = serial
                 .records
                 .iter()
-                .filter(|r| r.unit_name == unit.name)
+                .filter(|r| *r.unit_name == unit.name)
                 .any(|r| r.racy);
             assert_eq!(Some(unit_racy), unit.expected_racy, "unit {}", unit.name);
         }

@@ -69,7 +69,7 @@ fn future_cancel_leaks_on_racy_runs_only() {
     let leaking = |name: &str| {
         one.records
             .iter()
-            .filter(|r| r.unit_name == name && r.end.leaked > 0)
+            .filter(|r| &*r.unit_name == name && r.end.leaked > 0)
             .count()
     };
     assert!(leaking("future_cancel/racy") > 0, "cancellation never leaked the sender");

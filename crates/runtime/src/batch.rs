@@ -243,7 +243,12 @@ impl<'a> BatchDecoder<'a> {
     /// global lock.
     fn file(&mut self) -> Result<&'static str, TraceDecodeError> {
         let i = self.string_idx()?;
-        Ok(*self.files[i].get_or_insert_with(|| intern_static_file(&self.strings[i])))
+        if let Some(file) = self.files[i] {
+            return Ok(file);
+        }
+        let file = intern_static_file(&self.strings[i])?;
+        self.files[i] = Some(file);
+        Ok(file)
     }
 
     /// The next varint as a goroutine or object id, which a detector uses

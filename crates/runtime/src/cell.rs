@@ -38,10 +38,10 @@ pub struct Cell<T> {
 }
 
 impl<T: Clone + Send + 'static> Cell<T> {
-    pub(crate) fn new(id: u64, name: &str, value: T) -> Self {
+    pub(crate) fn new(id: u64, name: Arc<str>, value: T) -> Self {
         Cell {
             addr: Addr(id),
-            name: Arc::from(name),
+            name,
             storage: Arc::new(Mutex::new(value)),
         }
     }

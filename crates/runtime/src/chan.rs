@@ -108,7 +108,7 @@ impl Ctx {
         drop(k);
         Chan {
             id: ChanId(id),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
             buf: Arc::new(Mutex::new(VecDeque::new())),
         }
     }

@@ -66,8 +66,7 @@ impl Ctx {
     where
         F: FnOnce(&Ctx) + Send + 'static,
     {
-        self.kernel
-            .spawn_goroutine(self.gid, Arc::from(name), Box::new(body))
+        self.kernel.spawn_goroutine(self.gid, name, Box::new(body))
     }
 
     /// Creates a fresh shared variable with the given debug name.
@@ -76,7 +75,11 @@ impl Ctx {
     /// precisely how Go closures capture free variables by reference
     /// (Observation 3).
     pub fn cell<T: Clone + Send + 'static>(&self, name: &str, value: T) -> Cell<T> {
-        Cell::new(self.kernel.alloc_id(), name, value)
+        Cell::new(
+            self.kernel.alloc_id(),
+            self.kernel.depot().text(name),
+            value,
+        )
     }
 
     /// Reads a shared variable (instrumented, preemptible).

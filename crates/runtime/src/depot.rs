@@ -26,11 +26,21 @@
 //! by campaign workers to recycle the arena between runs) invalidates
 //! outstanding ids while keeping the allocations warm.
 //!
+//! The *texts* outlive a generation, as in TSan's depot: every function,
+//! object and goroutine name is interned once into an FNV table and shared
+//! as one `Arc<str>` — by the stack nodes, the name table, and the
+//! runtime's object handles — so a worker that reruns a program under
+//! many schedules hashes and allocates each name once, not once per run.
+//! A new generation starts in O(1) (the per-generation entries carry a
+//! generation stamp), and a table grown past a fixed bound is dropped at
+//! the start of the next generation.
+//!
 //! [`Event`]: crate::Event
 
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+use grs_obs::hash::FnvMap;
 
 use crate::event::{Frame, Stack};
 use crate::trace::StackNode;
@@ -79,6 +89,12 @@ impl NameId {
     }
 }
 
+/// Texts a depot keeps before it drops them all at the start of a
+/// generation. Ids are per generation, so the clear changes nothing a run
+/// can observe; the bound only caps the memory of a worker whose programs
+/// keep naming new things (generated tests, each with its own names).
+const MAX_KEPT_TEXTS: usize = 1 << 12;
+
 /// One node of the depot tree: the leaf frame of an interned stack plus the
 /// id of the stack below it.
 #[derive(Debug, Clone)]
@@ -89,41 +105,149 @@ struct Node {
     depth: u32,
 }
 
-#[derive(Debug, Default)]
+/// One interned text — a function, object or goroutine name — and the
+/// [`NameId`] it has in the current generation, if it has one.
+#[derive(Debug)]
+struct Text {
+    text: Arc<str>,
+    /// The generation `name` was issued in; any other means none yet.
+    name_gen: u32,
+    name: NameId,
+}
+
+#[derive(Debug)]
 struct DepotInner {
+    /// Bumped by every reset and restore; stamps the per-generation
+    /// entries of `texts` and `children`, so starting a generation clears
+    /// neither. Never 0, which no stamp of a live entry holds.
+    generation: u32,
+    /// Every text interned since the table was last cleared: kept across
+    /// generations, so a name costs one allocation per depot.
+    texts: Vec<Text>,
+    /// Text → index into `texts`; queried by `&str`, so a hit allocates
+    /// nothing.
+    text_ids: FnvMap<Arc<str>, u32>,
     /// `nodes[i]` is the node for `StackId(i + 1)`.
     nodes: Vec<Node>,
-    /// Function-name interner; queried by `&str` so an intern *hit* never
-    /// allocates.
-    funcs: HashMap<Arc<str>, u32>,
-    /// Child lookup: `(parent, func id, call_line)` → existing child id.
-    index: HashMap<(u32, u32, u32), StackId>,
-    /// Lifetime intern attempts (hits + misses), for the stats block.
-    interned_total: u64,
+    /// Child lookup: `(parent, func text, call_line)` → the generation that
+    /// interned the child, and its id. An entry of an older generation is a
+    /// miss, and the insert that follows overwrites it.
+    children: FnvMap<(u32, u32, u32), (u32, StackId)>,
     /// `names[i]` is the text of `NameId(i)`.
     names: Vec<Arc<str>>,
-    /// Name interner, queried by `&str` like `funcs`.
-    name_ids: HashMap<Arc<str>, NameId>,
+    /// Intern attempts (hits + misses) this generation, for the stats block.
+    interned_total: u64,
+    /// Deepest node this generation, kept at each push and restore.
+    max_depth: u32,
+    /// Reused buffer for texts built from format arguments.
+    scratch: String,
+}
+
+impl Default for DepotInner {
+    fn default() -> Self {
+        DepotInner {
+            generation: 1,
+            texts: Vec::new(),
+            text_ids: FnvMap::default(),
+            nodes: Vec::new(),
+            children: FnvMap::default(),
+            names: Vec::new(),
+            interned_total: 0,
+            max_depth: 0,
+            scratch: String::new(),
+        }
+    }
 }
 
 impl DepotInner {
-    fn clear(&mut self) {
+    /// Drops the generation's stacks and names. Texts stay unless the table
+    /// is past [`MAX_KEPT_TEXTS`] (or the stamp wrapped).
+    fn new_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 || self.texts.len() > MAX_KEPT_TEXTS {
+            self.texts.clear();
+            self.text_ids.clear();
+            self.children.clear();
+            self.generation = 1;
+        }
         self.nodes.clear();
-        self.funcs.clear();
-        self.index.clear();
-        self.interned_total = 0;
         self.names.clear();
-        self.name_ids.clear();
+        self.interned_total = 0;
+        self.max_depth = 0;
     }
 
-    fn func_id(&mut self, func: &str) -> (u32, Arc<str>) {
-        if let Some((name, &id)) = self.funcs.get_key_value(func) {
-            return (id, name.clone());
+    /// The index of `text` in the text table, interning it on a miss.
+    fn text_id(&mut self, text: &str) -> u32 {
+        if let Some(&i) = self.text_ids.get(text) {
+            return i;
         }
-        let name: Arc<str> = Arc::from(func);
-        let id = self.funcs.len() as u32;
-        self.funcs.insert(name.clone(), id);
-        (id, name)
+        let text: Arc<str> = Arc::from(text);
+        let i = self.texts.len() as u32;
+        self.texts.push(Text {
+            text: text.clone(),
+            name_gen: 0,
+            name: NameId(0),
+        });
+        self.text_ids.insert(text, i);
+        i
+    }
+
+    /// `text` through the reusable buffer: an intern hit allocates nothing.
+    fn text_id_fmt(&mut self, text: fmt::Arguments<'_>) -> u32 {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        buf.write_fmt(text)
+            .expect("formatting into a String cannot fail");
+        let i = self.text_id(&buf);
+        self.scratch = buf;
+        i
+    }
+
+    /// Interns `parent -> func@call_line`, `func` being a text index.
+    fn push(&mut self, parent: StackId, func: u32, call_line: u32) -> StackId {
+        self.interned_total += 1;
+        let key = (parent.0, func, call_line);
+        if let Some(&(generation, id)) = self.children.get(&key) {
+            if generation == self.generation {
+                return id;
+            }
+        }
+        let func = self.texts[func as usize].text.clone();
+        let id = self.push_node(parent, func, call_line);
+        self.children.insert(key, (self.generation, id));
+        id
+    }
+
+    fn push_node(&mut self, parent: StackId, func: Arc<str>, call_line: u32) -> StackId {
+        let depth = self.depth(parent) + 1;
+        self.max_depth = self.max_depth.max(depth);
+        self.nodes.push(Node {
+            parent,
+            func,
+            call_line,
+            depth,
+        });
+        StackId(self.nodes.len() as u32)
+    }
+
+    fn depth(&self, id: StackId) -> u32 {
+        if id.is_empty() {
+            0
+        } else {
+            self.nodes[id.0 as usize - 1].depth
+        }
+    }
+
+    /// The name id of text `i`, issuing the generation's next one at its
+    /// first use.
+    fn name_id(&mut self, i: u32) -> NameId {
+        let text = &mut self.texts[i as usize];
+        if text.name_gen != self.generation {
+            text.name_gen = self.generation;
+            text.name = NameId(self.names.len() as u32);
+            self.names.push(text.text.clone());
+        }
+        text.name
     }
 }
 
@@ -143,9 +267,10 @@ pub struct DepotStats {
 /// A shared, thread-safe stack interner.
 ///
 /// Cloning the handle aliases the same depot (campaign workers share one
-/// per arena). The runtime only locks the depot on frame push — memory
-/// accesses, the hot path, copy the goroutine's current `StackId` without
-/// touching it.
+/// per arena). The runtime locks the depot once per frame push or pop,
+/// spawn, object creation and first access to an object — memory accesses,
+/// the hot path, copy the goroutine's current `StackId` without touching
+/// it.
 ///
 /// # Example
 ///
@@ -180,21 +305,38 @@ impl StackDepot {
     #[must_use]
     pub fn push(&self, parent: StackId, func: &str, call_line: u32) -> StackId {
         let mut d = self.lock();
-        d.interned_total += 1;
-        let (func_id, func) = d.func_id(func);
-        if let Some(&id) = d.index.get(&(parent.0, func_id, call_line)) {
+        let func = d.text_id(func);
+        d.push(parent, func, call_line)
+    }
+
+    /// Interns the root stack `name@0` of a new goroutine and returns it
+    /// with the name's shared text and, when `named`, its [`NameId`] — one
+    /// lock for all a spawn needs.
+    pub(crate) fn push_goroutine(
+        &self,
+        name: &str,
+        named: bool,
+    ) -> (StackId, Arc<str>, Option<NameId>) {
+        let mut d = self.lock();
+        let text = d.text_id(name);
+        let stack = d.push(StackId::EMPTY, text, 0);
+        let id = named.then(|| d.name_id(text));
+        (stack, d.texts[text as usize].text.clone(), id)
+    }
+
+    /// The stack a frame pop leaves: `id`'s parent, or `id` itself when it
+    /// holds at most the goroutine's root frame.
+    pub(crate) fn pop(&self, id: StackId) -> StackId {
+        if id.is_empty() {
             return id;
         }
-        let depth = parent_depth(&d, parent) as u32 + 1;
-        d.nodes.push(Node {
-            parent,
-            func,
-            call_line,
-            depth,
-        });
-        let id = StackId(d.nodes.len() as u32);
-        d.index.insert((parent.0, func_id, call_line), id);
-        id
+        let d = self.lock();
+        let node = &d.nodes[id.0 as usize - 1];
+        if node.depth > 1 {
+            node.parent
+        } else {
+            id
+        }
     }
 
     /// The stack below `id` (`EMPTY` for root frames and for `EMPTY`).
@@ -209,10 +351,7 @@ impl StackDepot {
     /// Number of frames in the stack `id` names.
     #[must_use]
     pub fn depth(&self, id: StackId) -> usize {
-        if id.is_empty() {
-            return 0;
-        }
-        self.lock().nodes[id.0 as usize - 1].depth as usize
+        self.lock().depth(id) as usize
     }
 
     /// Materializes `id` into an owned root-first [`Stack`] (report paths
@@ -220,7 +359,7 @@ impl StackDepot {
     #[must_use]
     pub fn resolve(&self, id: StackId) -> Stack {
         let d = self.lock();
-        let mut frames = Vec::with_capacity(parent_depth(&d, id));
+        let mut frames = Vec::with_capacity(d.depth(id) as usize);
         let mut cur = id;
         while !cur.is_empty() {
             let node = &d.nodes[cur.0 as usize - 1];
@@ -252,7 +391,7 @@ impl StackDepot {
         let d = self.lock();
         DepotStats {
             stacks: d.nodes.len(),
-            max_depth: d.nodes.iter().map(|n| n.depth as usize).max().unwrap_or(0),
+            max_depth: d.max_depth as usize,
             intern_requests: d.interned_total,
         }
     }
@@ -274,19 +413,29 @@ impl StackDepot {
         (stacks.collect(), d.names.clone())
     }
 
+    /// The shared text of `text`: what a runtime object keeps as its name,
+    /// so naming one allocates only the first time the depot sees the text.
+    pub(crate) fn text(&self, text: &str) -> Arc<str> {
+        let mut d = self.lock();
+        let i = d.text_id(text);
+        d.texts[i as usize].text.clone()
+    }
+
+    /// [`StackDepot::text`] of a formatted text (`"{name}[header]"`),
+    /// built in a reused buffer.
+    pub(crate) fn text_fmt(&self, text: fmt::Arguments<'_>) -> Arc<str> {
+        let mut d = self.lock();
+        let i = d.text_id_fmt(text);
+        d.texts[i as usize].text.clone()
+    }
+
     /// Interns an object or goroutine name, returning the id it already had
-    /// or the next one.
+    /// this generation or the next one.
     #[must_use]
     pub(crate) fn intern_name(&self, name: &str) -> NameId {
         let mut d = self.lock();
-        if let Some(&id) = d.name_ids.get(name) {
-            return id;
-        }
-        let name: Arc<str> = Arc::from(name);
-        let id = NameId(d.names.len() as u32);
-        d.names.push(name.clone());
-        d.name_ids.insert(name, id);
-        id
+        let i = d.text_id(name);
+        d.name_id(i)
     }
 
     /// The text of name `id`.
@@ -299,10 +448,11 @@ impl StackDepot {
         self.lock().names[id.index()].clone()
     }
 
-    /// Replaces the contents with a [`StackDepot::snapshot`], ids as recorded:
-    /// entry `i` of `stacks` becomes `StackId(i + 1)`, entry `i` of `names`
-    /// `NameId(i)`. Replay restores one per trace and resolves ids only, so
-    /// nothing is hashed and the interners' indexes stay empty. That is
+    /// Starts a new generation holding a [`StackDepot::snapshot`], ids as
+    /// recorded: entry `i` of `stacks` becomes `StackId(i + 1)`, entry `i`
+    /// of `names` `NameId(i)`. Replay restores one per trace and resolves
+    /// ids only, so nothing is hashed, nothing enters the text table, and
+    /// no child or name lookup of the generation finds an entry. That is
     /// sound because a generation is interned by a live run or restored by
     /// a replay, never both: the kernel interns only into a depot its run
     /// reset.
@@ -313,34 +463,20 @@ impl StackDepot {
     /// rejects such a table).
     pub(crate) fn restore(&self, stacks: &[StackNode], names: &[Arc<str>]) {
         let mut d = self.lock();
-        d.clear();
+        d.new_generation();
         for node in stacks {
-            let depth = parent_depth(&d, node.parent) as u32 + 1;
-            d.nodes.push(Node {
-                parent: node.parent,
-                func: node.func.clone(),
-                call_line: node.call_line,
-                depth,
-            });
+            let _ = d.push_node(node.parent, node.func.clone(), node.call_line);
         }
         d.names.extend_from_slice(names);
     }
 
-    /// Starts a new generation: drops every interned stack while keeping
-    /// the node table and index allocations warm. All outstanding
-    /// [`StackId`]s and [`NameId`]s become invalid. Campaign workers call
-    /// this between runs so id assignment stays a deterministic function of
-    /// the single run.
+    /// Starts a new generation: every outstanding [`StackId`] and
+    /// [`NameId`] becomes invalid, and the next ones are issued from the
+    /// start again, so id assignment stays a deterministic function of the
+    /// single run. The interned texts stay (up to a fixed bound), and so do
+    /// the tables' allocations. Campaign workers call this between runs.
     pub fn reset(&self) {
-        self.lock().clear();
-    }
-}
-
-fn parent_depth(d: &DepotInner, id: StackId) -> usize {
-    if id.is_empty() {
-        0
-    } else {
-        d.nodes[id.0 as usize - 1].depth as usize
+        self.lock().new_generation();
     }
 }
 
@@ -413,6 +549,131 @@ mod tests {
         depot.reset();
         assert!(depot.snapshot().1.is_empty());
         assert_eq!(depot.intern_name("worker"), NameId(0));
+    }
+
+    /// What a run can observe of the depot: the stack and name ids it was
+    /// issued, and the snapshot.
+    type Observed = (Vec<StackId>, Vec<NameId>, (Vec<StackNode>, Vec<Arc<str>>));
+
+    /// One generation's worth of interning, as a kernel run does it.
+    fn a_run(depot: &StackDepot) -> Observed {
+        let (main, _, _) = depot.push_goroutine("main", false);
+        let (worker, _, w) = depot.push_goroutine("worker", true);
+        let f = depot.push(worker, "F", 12);
+        let g = depot.push(main, "G", 3);
+        let names = vec![
+            w.expect("named"),
+            depot.intern_name("x"),
+            depot.intern_name("m[header]"),
+            depot.intern_name("x"),
+        ];
+        let stacks = vec![main, worker, f, g, depot.push(worker, "F", 12)];
+        (stacks, names, depot.snapshot())
+    }
+
+    #[test]
+    fn texts_survive_reset_while_ids_restart_in_first_intern_order() {
+        let depot = StackDepot::new();
+        let first = a_run(&depot);
+        let texts = depot.lock().texts.len();
+        let x = depot.text("x");
+        depot.reset();
+        assert!(depot.snapshot().0.is_empty() && depot.snapshot().1.is_empty());
+        // A different order gets ids in its own first-intern order...
+        assert_eq!(depot.intern_name("m[header]"), NameId(0));
+        assert_eq!(depot.intern_name("x"), NameId(1));
+        assert_eq!(depot.push(StackId::EMPTY, "G", 3), StackId(1));
+        // ...from the texts already kept: nothing new, the same `Arc`.
+        assert_eq!(depot.lock().texts.len(), texts);
+        assert!(Arc::ptr_eq(&depot.name(NameId(1)), &x));
+        assert!(Arc::ptr_eq(
+            &depot.resolve(StackId(1)).frames()[0].func,
+            &depot.text("G")
+        ));
+        // And the same run again gets the same ids.
+        depot.reset();
+        assert_eq!(a_run(&depot), first);
+        assert_eq!(first.0, [1, 2, 3, 4, 3].map(StackId));
+        assert_eq!(first.1, [0, 1, 2, 1].map(NameId));
+    }
+
+    #[test]
+    fn a_clear_at_the_bound_changes_no_id_snapshot_or_name() {
+        let fresh = a_run(&StackDepot::new());
+        let depot = StackDepot::new();
+        let _ = a_run(&depot);
+        for i in 0..MAX_KEPT_TEXTS {
+            let _ = depot.text_fmt(format_args!("filler {i}"));
+        }
+        let kept = depot.lock().texts.len();
+        assert!(kept > MAX_KEPT_TEXTS);
+        // Ids of the generation in progress are untouched by a full table.
+        assert_eq!(depot.intern_name("x"), NameId(1));
+        assert_eq!(&*depot.name(NameId(2)), "m[header]");
+        depot.reset();
+        assert!(
+            depot.lock().texts.is_empty(),
+            "the table is cleared at the bound"
+        );
+        let after = a_run(&depot);
+        assert_eq!(after, fresh);
+        for (i, name) in after.2 .1.iter().enumerate() {
+            assert_eq!(depot.name(NameId(i as u32)), *name);
+        }
+        // Below the bound the next generation keeps its texts.
+        let texts = depot.lock().texts.len();
+        depot.reset();
+        assert_eq!(a_run(&depot), fresh);
+        assert_eq!(depot.lock().texts.len(), texts);
+    }
+
+    #[test]
+    fn restore_after_live_generations_resolves_the_traces_own_names() {
+        let fresh = a_run(&StackDepot::new());
+        let depot = StackDepot::new();
+        let _ = a_run(&depot);
+        depot.reset();
+        let _ = a_run(&depot);
+        let root = |func: &str, call_line| StackNode {
+            parent: StackId::EMPTY,
+            func: Arc::from(func),
+            call_line,
+        };
+        let stacks = vec![
+            root("worker", 0),
+            StackNode {
+                parent: StackId(1),
+                func: Arc::from("H"),
+                call_line: 9,
+            },
+        ];
+        let names: Vec<Arc<str>> = vec![Arc::from("m[header]"), Arc::from("y")];
+        depot.restore(&stacks, &names);
+        assert_eq!(depot.snapshot(), (stacks, names));
+        assert_eq!(&*depot.name(NameId(0)), "m[header]");
+        assert_eq!(&*depot.name(NameId(1)), "y");
+        assert_eq!(depot.resolve(StackId(2)).func_names(), vec!["worker", "H"]);
+        assert_eq!(
+            depot.stats(),
+            DepotStats {
+                stacks: 2,
+                max_depth: 2,
+                intern_requests: 0,
+            }
+        );
+        // A live generation after the replay starts from the kept texts.
+        depot.reset();
+        assert_eq!(a_run(&depot), fresh);
+    }
+
+    #[test]
+    fn pop_keeps_the_root_frame() {
+        let depot = StackDepot::new();
+        let (main, _, _) = depot.push_goroutine("main", false);
+        let f = depot.push(main, "F", 1);
+        assert_eq!(depot.pop(f), main);
+        assert_eq!(depot.pop(main), main);
+        assert_eq!(depot.pop(StackId::EMPTY), StackId::EMPTY);
     }
 
     #[test]

@@ -74,8 +74,11 @@ where
     #[must_use]
     pub fn make(ctx: &Ctx, name: &str) -> Self {
         GoMap {
-            name: Arc::from(name),
-            struct_object: Arc::from(format!("{name}[structure]")),
+            name: ctx.kernel().depot().text(name),
+            struct_object: ctx
+                .kernel()
+                .depot()
+                .text_fmt(format_args!("{name}[structure]")),
             addr_struct: Addr(ctx.kernel().alloc_id()),
             inner: Arc::new(Mutex::new(MapInner {
                 entries: HashMap::new(),

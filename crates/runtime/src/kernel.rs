@@ -352,10 +352,11 @@ impl Kernel {
         };
         // Register the main goroutine: it holds the token from the start
         // and gets its body and stack in `drive`.
+        let (stack, name, _) = depot.push_goroutine("main", false);
         state.goroutines.push(Goroutine {
-            name: Arc::from("main"),
+            name,
             state: GState::Running,
-            stack: depot.push(StackId::EMPTY, "main", 0),
+            stack,
             body: None,
             coro: None,
         });
@@ -403,6 +404,11 @@ impl Kernel {
     /// True when event construction can be skipped entirely.
     pub(crate) fn instrumentation_disabled(&self) -> bool {
         self.noop_monitor
+    }
+
+    /// The run's depot, where runtime objects take their names' text.
+    pub(crate) fn depot(&self) -> &StackDepot {
+        &self.depot
     }
 
     /// Allocates a fresh object id (shared by addresses, locks, channels...).
@@ -466,11 +472,9 @@ impl Kernel {
 
     pub(crate) fn pop_frame(&self, gid: Gid) {
         let mut k = self.lock();
-        let cur = k.goroutines[gid.index()].stack;
+        let g = &mut k.goroutines[gid.index()];
         // Keep the root (goroutine-body) frame, matching the old guard.
-        if self.depot.depth(cur) > 1 {
-            k.goroutines[gid.index()].stack = self.depot.parent(cur);
-        }
+        g.stack = self.depot.pop(g.stack);
     }
 
     /// Moves `gid` (running or blocked) to `Runnable`, keeping the
@@ -649,29 +653,23 @@ impl Kernel {
     }
 
     /// Registers a new goroutine on a stack of its own.
-    pub(crate) fn spawn_goroutine(
-        self: &Arc<Self>,
-        parent: Gid,
-        name: Arc<str>,
-        body: Body,
-    ) -> Gid {
+    pub(crate) fn spawn_goroutine(self: &Arc<Self>, parent: Gid, name: &str, body: Body) -> Gid {
         let child;
         {
             let mut k = self.lock();
             child = Gid(k.goroutines.len() as u32);
+            // A no-op monitor never reads the name id, so skip issuing one.
+            let (stack, text, name) = self
+                .depot
+                .push_goroutine(name, !self.instrumentation_disabled());
             k.goroutines.push(Goroutine {
-                name: name.clone(),
+                name: text,
                 state: GState::Runnable,
-                stack: self.depot.push(StackId::EMPTY, &name, 0),
+                stack,
                 body: Some(body),
                 coro: Some(self.new_coro()),
             });
-            // A no-op monitor never reads the id, so skip the interning.
-            let name = if self.instrumentation_disabled() {
-                NameId(u32::MAX)
-            } else {
-                self.depot.intern_name(&name)
-            };
+            let name = name.unwrap_or(NameId(u32::MAX));
             Self::make_runnable(&mut k, child);
             k.live += 1;
             k.spawned_total += 1;

@@ -111,9 +111,9 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     pub fn empty(ctx: &Ctx, name: &str) -> Self {
         let k = ctx.kernel();
         GoSlice {
-            name: Arc::from(name),
+            name: k.depot().text(name),
             header: Arc::new(Header {
-                object: Arc::from(format!("{name}[header]")),
+                object: k.depot().text_fmt(format_args!("{name}[header]")),
                 addr_ptr: Addr(k.alloc_id()),
                 addr_len: Addr(k.alloc_id()),
                 addr_cap: Addr(k.alloc_id()),

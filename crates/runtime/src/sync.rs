@@ -58,7 +58,7 @@ impl Ctx {
         self.kernel().lock().locks.insert(id, LockState::default());
         Mutex {
             uid: LockUid(id),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
         }
     }
 
@@ -68,7 +68,7 @@ impl Ctx {
         self.kernel().lock().locks.insert(id, LockState::default());
         RwMutex {
             uid: LockUid(id),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
         }
     }
 
@@ -78,7 +78,7 @@ impl Ctx {
         self.kernel().lock().wgs.insert(id, WgState::default());
         WaitGroup {
             id: WgId(id),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
         }
     }
 
@@ -91,7 +91,7 @@ impl Ctx {
             .insert(id, crate::kernel::OnceSlot::default());
         Once {
             id: OnceId(id),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
         }
     }
 
@@ -99,7 +99,7 @@ impl Ctx {
     pub fn atomic(&self, name: &str, value: i64) -> AtomicCell {
         AtomicCell {
             addr: Addr(self.kernel().alloc_id()),
-            name: Arc::from(name),
+            name: self.kernel().depot().text(name),
             value: Arc::new(AtomicI64::new(value)),
         }
     }
@@ -128,7 +128,10 @@ impl Mutex {
         ctx.kernel().lock().locks.insert(id, LockState::default());
         Mutex {
             uid: LockUid(id),
-            name: Arc::from(format!("{} (copy)", self.name).as_str()),
+            name: ctx
+                .kernel()
+                .depot()
+                .text_fmt(format_args!("{} (copy)", self.name)),
         }
     }
 

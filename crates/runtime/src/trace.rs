@@ -62,6 +62,15 @@ pub const TRACE_FORMAT_VERSION: u32 = 1;
 /// the tree comes within a factor of ten of the bound.
 pub const MAX_TRACE_ID: u64 = (1 << 12) - 1;
 
+/// Most distinct source-file names the decoder keeps for the life of the
+/// process; a trace naming a further one is
+/// [`TraceDecodeError::TooManySourceFiles`]. Decoded files are leaked
+/// `&'static str`s (see `intern_static_file`), so without a bound an intake
+/// server fed uploads that each name a fresh file grows without end. A
+/// recording names the files of its program's `#[track_caller]` sites, a
+/// few dozen for every program in the tree.
+pub const MAX_TRACE_FILES: usize = 1 << 12;
+
 /// The event-kind tag bytes of the `.grtrace` format, named once: the
 /// encoder writes them and the decoder matches on them. One constant per
 /// [`EventKind`] variant.
@@ -419,6 +428,12 @@ pub enum TraceDecodeError {
         /// The unknown tag byte.
         tag: u8,
     },
+    /// An access names a source file the process has not seen, and it
+    /// already keeps [`MAX_TRACE_FILES`] of them.
+    TooManySourceFiles {
+        /// The bound that was reached.
+        max: usize,
+    },
 }
 
 impl fmt::Display for TraceDecodeError {
@@ -454,6 +469,10 @@ impl fmt::Display for TraceDecodeError {
             TraceDecodeError::BadEnumTag { what, tag } => {
                 write!(f, "unknown {what} tag {tag}")
             }
+            TraceDecodeError::TooManySourceFiles { max } => write!(
+                f,
+                "names a new source file, past the {max} this process keeps"
+            ),
         }
     }
 }
@@ -610,22 +629,27 @@ pub(crate) fn lock_mode(tag: u8) -> Result<LockMode, TraceDecodeError> {
 }
 
 /// Decoded [`SourceLoc::file`] names must be `&'static str` (the live path
-/// borrows them from `#[track_caller]` data, which is static). A process
-/// sees a small bounded set of distinct source files, so leaking one copy
-/// of each through a global interner is the honest way to reconstruct
-/// them.
-pub(crate) fn intern_static_file(file: &str) -> &'static str {
+/// borrows them from `#[track_caller]` data, which is static), so the
+/// decoder leaks one copy of each distinct file through a global interner.
+/// A genuine recording names a few files, so the interner holds at most
+/// [`MAX_TRACE_FILES`]; past that a new file is refused, never leaked.
+pub(crate) fn intern_static_file(file: &str) -> Result<&'static str, TraceDecodeError> {
     static FILES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     let mut set = FILES
         .get_or_init(|| Mutex::new(HashSet::new()))
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     if let Some(&interned) = set.get(file) {
-        return interned;
+        return Ok(interned);
+    }
+    if set.len() >= MAX_TRACE_FILES {
+        return Err(TraceDecodeError::TooManySourceFiles {
+            max: MAX_TRACE_FILES,
+        });
     }
     let leaked: &'static str = Box::leak(file.to_owned().into_boxed_str());
     set.insert(leaked);
-    leaked
+    Ok(leaked)
 }
 
 /// A [`Monitor`] that records the run into a [`Trace`].
@@ -860,8 +884,8 @@ mod tests {
 
     #[test]
     fn file_interner_is_stable() {
-        let a = intern_static_file("foo.rs");
-        let b = intern_static_file("foo.rs");
+        let a = intern_static_file("foo.rs").unwrap();
+        let b = intern_static_file("foo.rs").unwrap();
         assert!(std::ptr::eq(a, b));
     }
 }

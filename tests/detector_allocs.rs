@@ -5,34 +5,37 @@
 //! `pattern_suite(true)` × seeds `0..8` × {Random, PCT(2)} through a warm
 //! [`DetectorArena::run_many`]: one detector watching each run, or all four
 //! watching it at once, as a campaign over all four runs it (under
-//! `NullMonitor` with a reused depot, for the runtime's own share). Replay
-//! rows count the detector alone — run start, every event, run end, taking
-//! the reports; not decoding or the depot rebuild — per trace of three
-//! families: the short pattern traces above, the first 256 generated Go
-//! tests (corpus seed 1, run seed 1), and `grs::dense_unit` at seeds
-//! `0..8`. Every row is measured on its second pass, so it is the cost of a
-//! run in a warm process:
+//! `NullMonitor` with a reused depot, for the runtime's own share). The
+//! campaign row is the same matrix through one `Campaign::run`, per
+//! execution: the arena and the per-unit build as a worker pays them, and
+//! the records and the dedup stage. Replay rows count the detector alone —
+//! run start, every event, run end, taking the reports; not decoding or the
+//! depot rebuild — per trace of three families: the short pattern traces
+//! above, the first 256 generated Go tests (corpus seed 1, run seed 1), and
+//! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
+//! pass, so it is the cost of a run in a warm process:
 //!
-//! | row                               | `4487427` | `50aa005` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |    28.0 |
-//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |    37.5 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |    38.0 |
-//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |    36.0 |
-//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |    38.0 |
-//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |    48.0 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |    1.12 |
+//! | row                               | `4487427` | `50aa005` | `df78cb2` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |    16.7 |
+//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |    24.4 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |    25.4 |
+//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |    24.4 |
+//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |    24.6 |
+//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |    33.5 |
+//! | campaign execution, all four      |           |           |      57.0 |      37.7 |    42.3 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |    1.12 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -47,6 +50,14 @@
 //! pure-VC freed a read history's `Vec` whenever a write emptied it, so
 //! the next read allocated one again. What is left is mostly the reports
 //! kept: their `Vec`, and two resolved stacks each.
+//!
+//! At `df78cb2` every run interned its function and object names into its
+//! depot afresh (`reset` dropped them), and every cell, channel, lock,
+//! slice, map and goroutine allocated its own name; each campaign record
+//! cloned its unit's name, and each report made it an `Arc<str>` again.
+//! This tree keeps the depot's texts across runs and hands objects and
+//! goroutines the depot's shared text, and a worker makes its unit's name
+//! once for all its records and reports.
 //!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
@@ -64,7 +75,7 @@ use grs::corpus::GoTestSpec;
 use grs::detector::{
     Detector, DetectorArena, DetectorChoice, Eraser, FastTrack, FastTrackConfig, Tsan,
 };
-use grs::fleet::{pattern_suite, GoCorpusSource, UnitSource};
+use grs::fleet::{pattern_suite, Campaign, CampaignConfig, GoCorpusSource, UnitSource};
 use grs::runtime::{record, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace};
 
 thread_local! {
@@ -174,9 +185,9 @@ fn live_runs_stay_under_their_allocation_ceilings() {
     let null = mean_warm(&runs, |(p, cfg)| {
         allocations_in(|| Runtime::new(cfg.clone()).run_with_depot(p, NullMonitor, &depot)).0
     });
-    let mut rows = vec![("live NullMonitor".to_string(), null, 28.0)];
+    let mut rows = vec![("live NullMonitor".to_string(), null, 16.7)];
     let all = DetectorChoice::all_with_ablation();
-    let ceilings = [37.5, 38.0, 36.0, 38.0];
+    let ceilings = [24.4, 25.4, 24.4, 24.6];
     let mut arena = DetectorArena::new();
     let mut watched_by = |choices: &[DetectorChoice]| {
         mean_warm(&runs, |(p, cfg)| {
@@ -186,8 +197,31 @@ fn live_runs_stay_under_their_allocation_ceilings() {
     for (choice, ceiling) in all.into_iter().zip(ceilings) {
         rows.push((format!("live {choice}"), watched_by(&[choice]), ceiling));
     }
-    rows.push(("live, all four at once".to_string(), watched_by(&all), 48.0));
+    rows.push(("live, all four at once".to_string(), watched_by(&all), 33.5));
     assert_ceilings(&rows);
+}
+
+/// The same executions driven by the campaign engine: one `Campaign::run`
+/// over the pattern suite × seeds `0..8` × {Random, PCT(2)}, all four
+/// detectors watching each execution, per execution — records, dedup and
+/// the per-unit build included. One worker runs inline, so the counter
+/// sees all of it.
+#[test]
+fn a_campaign_execution_stays_under_its_allocation_ceiling() {
+    let config = CampaignConfig::new()
+        .seeds_per_unit(8)
+        .base_seed(0)
+        .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }])
+        .detectors(DetectorChoice::all_with_ablation().to_vec())
+        .workers(1);
+    let campaign = Campaign::over_units(config, pattern_suite(true));
+    let per_run = mean_warm(&[&campaign], |c| allocations_in(|| c.run()).0);
+    let per_execution = per_run / campaign.exec_len() as f64;
+    assert_ceilings(&[(
+        "campaign execution, all four".to_string(),
+        per_execution,
+        42.3,
+    )]);
 }
 
 /// The detector alone over one recorded trace whose depot is already
