@@ -15,11 +15,12 @@
 //! fresh detector — [`DetectorChoice::run`] and [`DetectorArena::run`] are
 //! interchangeable, and the tests below pin that equivalence.
 //!
-//! A live run has one path, [`DetectorArena::run_many`]: the run executes
-//! once and every requested detector watches it. A run's interleaving is a
-//! function of its seed and strategy alone (the scheduler never consults
-//! the monitor), so each detector sees exactly the events it would have
-//! seen watching the run alone.
+//! An execution has one fan-out, live ([`DetectorArena::run_many`]) or
+//! replayed: it is taken once, and every requested detector watches each
+//! event, the happens-before ones reading one shared `HbClocks`. A run's
+//! interleaving is a function of its seed and strategy alone (the scheduler
+//! never consults the monitor), so each detector sees exactly the events it
+//! would have seen watching the run alone.
 
 use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{
@@ -27,10 +28,10 @@ use grs_runtime::{
 };
 
 use crate::eraser::Eraser;
-use crate::fasttrack::{FastTrack, FastTrackConfig};
-use crate::replay::{replay_prepared, replay_trace, Detector, ReplayOutcome};
+use crate::fasttrack::{Shadow, Variant};
+use crate::hb::HbClocks;
+use crate::replay::{Detector, ReplayOutcome};
 use crate::report::RaceReport;
-use crate::tsan::Tsan;
 
 /// Which detection algorithm a run is monitored with.
 ///
@@ -87,16 +88,14 @@ impl DetectorChoice {
         }
     }
 
-    /// A fresh instance of this algorithm: the one place a choice becomes
-    /// a detector.
-    fn detector(self) -> Box<dyn Detector> {
+    /// A fresh instance of this algorithm as the arena holds it: the one
+    /// place a choice becomes a detector.
+    fn watcher(self) -> Watcher {
         match self {
-            DetectorChoice::FastTrack => Box::new(FastTrack::new()),
-            DetectorChoice::PureVectorClock => {
-                Box::new(FastTrack::with_config(FastTrackConfig::pure_vc()))
-            }
-            DetectorChoice::Eraser => Box::new(Eraser::new()),
-            DetectorChoice::Hybrid => Box::new(Tsan::new()),
+            DetectorChoice::FastTrack => Watcher::Hb(Shadow::new(Variant::Epoch)),
+            DetectorChoice::PureVectorClock => Watcher::Hb(Shadow::new(Variant::PureVc)),
+            DetectorChoice::Eraser => Watcher::Eraser(Eraser::new()),
+            DetectorChoice::Hybrid => Watcher::Hb(Shadow::new(Variant::Hybrid)),
         }
     }
 
@@ -156,28 +155,39 @@ pub struct DetectorArena {
 /// What taking a detector out of the arena cannot fail for.
 const AT_HOME: &str = "the detectors leave the arena only for the length of a run";
 
+/// The closed set of algorithms an execution's watchers are drawn from: a
+/// happens-before shadow, which reads the watchers' shared clocks, or
+/// Eraser, which needs none.
+#[derive(Debug)]
+enum Watcher {
+    Hb(Shadow),
+    Eraser(Eraser),
+}
+
 /// One detector, and the peak of its shadow words over the current run.
 #[derive(Debug)]
 struct Member {
     choice: DetectorChoice,
-    detector: Box<dyn Detector>,
+    watcher: Watcher,
     peak_shadow_words: usize,
 }
 
 /// The arena's detectors, one per [`DetectorChoice`], and the monitor of
-/// every live run: the first `active` members watch it, each seeing every
-/// event in order.
-///
-/// The kernel samples a lone monitor's shadow words after every event and
-/// once after `on_run_end`; `Watchers` samples each active member at exactly
-/// those points and reports the largest member peak so far as its own. So a
-/// lone member costs what a lone detector did: one `on_event` and one
-/// `shadow_words` call per event.
+/// every execution, live or replayed: the first `active` members watch it,
+/// each seeing every event in order. The happens-before members share `hb`,
+/// which takes each event's first step before any member sees it and its
+/// second after all have — only when the selection holds such a member.
+/// The kernel samples a lone monitor's shadow words after every event (and
+/// once after `on_run_end`, where no member does anything); `Watchers`
+/// samples each active member after every event and reports the largest
+/// member peak as its own.
 #[derive(Debug, Default)]
 struct Watchers {
+    hb: HbClocks,
     members: Vec<Member>,
     active: usize,
-    peak_shadow_words: usize,
+    /// Whether an active member reads `hb`.
+    hb_active: bool,
 }
 
 impl Watchers {
@@ -185,7 +195,6 @@ impl Watchers {
     /// first appearance, as the next run's watchers.
     fn select(&mut self, choices: &[DetectorChoice]) {
         self.active = 0;
-        self.peak_shadow_words = 0;
         for &choice in choices {
             let idle = &self.members[self.active..];
             if let Some(i) = idle.iter().position(|m| m.choice == choice) {
@@ -194,43 +203,80 @@ impl Watchers {
                 self.active += 1;
             }
         }
+        self.hb_active = self.members[..self.active]
+            .iter()
+            .any(|m| matches!(m.watcher, Watcher::Hb(_)));
     }
 
-    fn member(&mut self, choice: DetectorChoice) -> &mut Member {
-        self.members
-            .iter_mut()
-            .find(|m| m.choice == choice)
-            .expect(AT_HOME)
-    }
-
-    /// Applies `f` to each active member, sampling its shadow words right
-    /// after.
-    fn each(&mut self, mut f: impl FnMut(&mut dyn Detector)) {
-        for m in &mut self.members[..self.active] {
-            f(m.detector.as_mut());
-            m.peak_shadow_words = m.peak_shadow_words.max(m.detector.shadow_words());
-            self.peak_shadow_words = self.peak_shadow_words.max(m.peak_shadow_words);
+    /// One outcome per position in `choices` (the last selection), over an
+    /// execution of `events` events; a choice named twice repeats its
+    /// first outcome.
+    fn outcomes(&mut self, choices: &[DetectorChoice], events: u64) -> Vec<ReplayOutcome> {
+        let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
+        for (pos, &choice) in choices.iter().enumerate() {
+            let member = self
+                .members
+                .iter_mut()
+                .find(|m| m.choice == choice)
+                .expect(AT_HOME);
+            let reports = match (
+                choices[..pos].iter().position(|&c| c == choice),
+                &mut member.watcher,
+            ) {
+                (Some(first), _) => watched[first].reports.clone(),
+                (None, Watcher::Hb(shadow)) => shadow.take_reports(),
+                (None, Watcher::Eraser(eraser)) => eraser.take_reports(),
+            };
+            watched.push(ReplayOutcome {
+                reports,
+                events,
+                peak_shadow_words: member.peak_shadow_words,
+            });
         }
+        watched
     }
 }
 
 impl Monitor for Watchers {
     fn on_run_start(&mut self, depot: &StackDepot) {
+        self.hb.reset();
         for m in &mut self.members[..self.active] {
-            m.detector.on_run_start(depot);
+            match &mut m.watcher {
+                Watcher::Hb(shadow) => shadow.on_run_start(depot),
+                Watcher::Eraser(eraser) => eraser.on_run_start(depot),
+            }
         }
     }
 
     fn on_event(&mut self, event: &Event) {
-        self.each(|d| d.on_event(event));
-    }
-
-    fn on_run_end(&mut self) {
-        self.each(|d| d.on_run_end());
+        if self.hb_active {
+            self.hb.before(event);
+        }
+        for m in &mut self.members[..self.active] {
+            let words = match &mut m.watcher {
+                Watcher::Hb(shadow) => {
+                    shadow.on_event(&self.hb, event);
+                    shadow.shadow_words()
+                }
+                Watcher::Eraser(eraser) => {
+                    eraser.on_event(event);
+                    eraser.shadow_words()
+                }
+            };
+            m.peak_shadow_words = m.peak_shadow_words.max(words);
+        }
+        if self.hb_active {
+            self.hb.after(event);
+        }
     }
 
     fn shadow_words(&self) -> usize {
-        self.peak_shadow_words
+        let active = &self.members[..self.active];
+        active
+            .iter()
+            .map(|m| m.peak_shadow_words)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -249,7 +295,7 @@ impl DetectorArena {
             .into_iter()
             .map(|choice| Member {
                 choice,
-                detector: choice.detector(),
+                watcher: choice.watcher(),
                 peak_shadow_words: 0,
             })
             .collect();
@@ -299,21 +345,21 @@ impl DetectorArena {
         watchers.select(choices);
         let (outcome, mut watchers) =
             Runtime::new(cfg).run_with_depot(program, watchers, &self.depot);
-        let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
-        for (pos, &choice) in choices.iter().enumerate() {
-            let member = watchers.member(choice);
-            let reports = match choices[..pos].iter().position(|&c| c == choice) {
-                Some(first) => watched[first].reports.clone(),
-                None => member.detector.take_reports(),
-            };
-            watched.push(ReplayOutcome {
-                reports,
-                events: outcome.stats.events_dispatched,
-                peak_shadow_words: member.peak_shadow_words,
-            });
-        }
+        let watched = watchers.outcomes(choices, outcome.stats.events_dispatched);
         self.watchers = watchers;
         (outcome, watched)
+    }
+
+    /// Drives the watchers of `choices` over a recorded execution, its
+    /// stacks and names already in the arena depot, as the kernel would.
+    fn watch(&mut self, choices: &[DetectorChoice], trace: &Trace) -> Vec<ReplayOutcome> {
+        let watchers = &mut self.watchers;
+        watchers.select(choices);
+        watchers.on_run_start(&self.depot);
+        for event in &trace.events {
+            watchers.on_event(event);
+        }
+        watchers.outcomes(choices, trace.events.len() as u64)
     }
 
     /// Analyzes a recorded trace offline under `choice`, reusing this
@@ -321,30 +367,34 @@ impl DetectorArena {
     /// into the arena depot. Reports are bit-identical to a live
     /// [`DetectorArena::run`] of the recorded `(seed, strategy)`.
     pub fn replay(&mut self, choice: DetectorChoice, trace: &Trace) -> ReplayOutcome {
-        let detector = self.watchers.member(choice).detector.as_mut();
-        replay_trace(detector, trace, &self.depot)
+        trace.rebuild_depot_into(&self.depot);
+        self.watch(&[choice], trace)
+            .pop()
+            .expect("one outcome per choice")
     }
 
-    /// Replays one recorded trace under **all four** detector algorithms.
-    /// Each algorithm's reports are pinned bit-identical to its live run by
-    /// the replay-fidelity tests.
+    /// Replays one recorded trace under **all four** detector algorithms,
+    /// in one pass. Each algorithm's reports are pinned bit-identical to
+    /// its live run by the replay-fidelity tests.
     pub fn replay_all(&mut self, trace: &Trace) -> Vec<(DetectorChoice, ReplayOutcome)> {
-        DetectorChoice::all_with_ablation()
+        let choices = DetectorChoice::all_with_ablation();
+        trace.rebuild_depot_into(&self.depot);
+        choices
             .into_iter()
-            .map(|choice| (choice, self.replay(choice, trace)))
+            .zip(self.watch(&choices, trace))
             .collect()
     }
 
-    /// Fans one [`DecodedTrace`] through the given algorithms — the
-    /// offline counterpart of [`DetectorArena::run_many`]. The depot
-    /// snapshot is rebuilt once
-    /// (spanned as `replay.decode`) and shared; each analysis is spanned as
-    /// `replay.analyze` and reports its counters (`detector.runs`,
-    /// `runtime.events`, `replay.batches`, `replay.batch_events`, depot and
-    /// shadow gauges) into `sink`. Every caller in the workspace passes
-    /// [`NULL_SINK`](grs_obs::NULL_SINK) — a campaign folds those figures
-    /// from its records; the parameter stays because `benchmark/` calls
-    /// this signature.
+    /// Fans one [`DecodedTrace`] through the given algorithms in one pass
+    /// over its events — the offline counterpart of
+    /// [`DetectorArena::run_many`], with the same outcomes. The depot
+    /// snapshot is rebuilt once (spanned as `replay.decode`), the pass is
+    /// spanned as `replay.analyze`, and each analysis reports its counters
+    /// (`detector.runs`, `runtime.events`, `replay.batches`,
+    /// `replay.batch_events`, depot and shadow gauges) into `sink`. Every
+    /// caller in the workspace passes [`NULL_SINK`](grs_obs::NULL_SINK) — a
+    /// campaign folds those figures from its records; the parameter stays
+    /// because `benchmark/` calls this signature.
     pub fn replay_many_decoded_observed(
         &mut self,
         decoded: &DecodedTrace,
@@ -355,24 +405,20 @@ impl DetectorArena {
             let _span = SpanGuard::enter(sink, "replay.decode");
             decoded.rebuild_depot_into(&self.depot);
         }
-        choices
-            .iter()
-            .map(|&choice| {
-                let out = {
-                    let _span = SpanGuard::enter(sink, "replay.analyze");
-                    let detector = self.watchers.member(choice).detector.as_mut();
-                    replay_prepared(detector, decoded, &self.depot)
-                };
-                sink.add("detector.runs", 1);
-                sink.add("replay.analyses", 1);
-                sink.add("runtime.events", out.events);
-                sink.add("replay.batches", decoded.chunks);
-                sink.add("replay.batch_events", out.events);
-                sink.gauge_max("runtime.depot_stacks", decoded.stacks.len() as u64);
-                sink.gauge_max("detector.peak_shadow_words", out.peak_shadow_words as u64);
-                (choice, out)
-            })
-            .collect()
+        let watched = {
+            let _span = SpanGuard::enter(sink, "replay.analyze");
+            self.watch(choices, decoded)
+        };
+        for out in &watched {
+            sink.add("detector.runs", 1);
+            sink.add("replay.analyses", 1);
+            sink.add("runtime.events", out.events);
+            sink.add("replay.batches", decoded.chunks);
+            sink.add("replay.batch_events", out.events);
+            sink.gauge_max("runtime.depot_stacks", decoded.stacks.len() as u64);
+            sink.gauge_max("detector.peak_shadow_words", out.peak_shadow_words as u64);
+        }
+        choices.iter().copied().zip(watched).collect()
     }
 }
 

@@ -1,81 +1,49 @@
-//! The FastTrack happens-before race detector.
+//! The FastTrack happens-before race detector, its pure-vector-clock
+//! ablation, and the TSan-style hybrid.
 //!
 //! FastTrack (Flanagan & Freund, PLDI 2009) is the happens-before component
-//! of ThreadSanitizer: per-goroutine vector clocks advance at release
-//! operations and join at acquire operations, and each shared variable
-//! keeps a shadow of its last write (an [`Epoch`]) and its read history (an
-//! epoch, inflated to a vector clock only while reads are concurrent).
+//! of ThreadSanitizer: each shared variable keeps a shadow of its last write
+//! (an [`Epoch`]) and its read history (an epoch, inflated to a vector clock
+//! only while reads are concurrent), checked against the accessing
+//! goroutine's vector clock, which is read from the execution's one
+//! `HbClocks` (`crate::hb`). A detector here is its variable shadow, its
+//! site keys and its reports.
 //!
-//! The [`FastTrackConfig`]'s `pure_vc` flag disables the epoch fast path and
-//! keeps full vector clocks for every shadow slot — same verdicts, more
-//! work — which the ablation benchmark uses to measure what the epoch
-//! optimization buys (the original paper reports most accesses hit the
-//! O(1) path).
+//! Three detectors share this shadow, built by [`FastTrack::new`],
+//! [`FastTrack::pure_vc`] and [`FastTrack::hybrid`]:
 //!
-//! Happens-before edges follow the Go memory model as emitted by the
-//! runtime: spawn, mutex/rwlock release→acquire, channel send→receive,
-//! receive→send-completion (rendezvous/backpressure), close→recv-closed,
-//! `WaitGroup` done→wait, `Once` execution→observation, and `sync/atomic`
-//! release/acquire on the accessed address.
+//! * FastTrack proper, on the O(1) epoch path;
+//! * pure vector clocks: the epoch fast path disabled and full clocks kept
+//!   for every shadow slot — same verdicts, more work — which the ablation
+//!   benchmark uses to measure what the epoch optimization buys (the
+//!   original paper reports most accesses hit the O(1) path);
+//! * the hybrid, Go's `-race` as the paper describes it, "integrating
+//!   lock-set and happens-before algorithms" (§1, §3.1): FastTrack decides
+//!   *whether* two accesses race, and each access also records the locks
+//!   its goroutine held, which is what makes a report actionable for
+//!   partial-locking bugs (Observation 10). Its reports are labelled
+//!   `tsan`.
 //!
 //! # Flat shadow memory
 //!
-//! The runtime's kernel allocates every object id — addresses, locks,
-//! channels, wait groups, once cells — from one dense per-run counter, so
-//! all shadow tables here are flat `Vec`s indexed by the id itself instead
-//! of `HashMap<u64, _>`s: a variable access costs one bounds-checked array
-//! index, not a hash probe. The concurrent-read history is a tid-sorted
-//! small vector, so iteration — and therefore report order — is ascending
-//! by goroutine. Verdicts are held to [`crate::reference`], which shares
-//! nothing with this module.
+//! The kernel allocates every object id from one dense per-run counter, so
+//! the variable table is a flat `Vec` indexed by the id itself: an access
+//! costs one bounds-checked array index, not a hash probe. The
+//! concurrent-read history is a tid-sorted small vector, so iteration — and
+//! therefore report order — is ascending by goroutine. Verdicts are held to
+//! [`crate::reference`], which shares nothing with this module.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
-use grs_obs::hash::{FnvHasher, FnvMap};
-use grs_runtime::event::{Event, EventKind, LockMode};
+use grs_obs::hash::FnvHasher;
+use grs_runtime::event::{Event, EventKind};
 use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
 
+use crate::hb::HbClocks;
 use crate::replay::Detector;
 use crate::report::{DetectorKind, RaceAccess, RaceReport};
-
-/// Configuration for [`FastTrack`].
-#[derive(Debug, Clone)]
-pub struct FastTrackConfig {
-    /// Disable the epoch fast path; keep full vector clocks everywhere.
-    pub pure_vc: bool,
-    /// Track per-goroutine locksets and attach them to reports.
-    pub track_locksets: bool,
-    /// Stop recording after this many reports (guards memory on extremely
-    /// racy programs; the paper's detector similarly caps per-run output).
-    pub max_reports: usize,
-    /// Label attached to the reports.
-    pub kind: DetectorKind,
-}
-
-impl Default for FastTrackConfig {
-    fn default() -> Self {
-        FastTrackConfig {
-            pure_vc: false,
-            track_locksets: false,
-            max_reports: 256,
-            kind: DetectorKind::FastTrack,
-        }
-    }
-}
-
-impl FastTrackConfig {
-    /// The pure-vector-clock ablation variant.
-    #[must_use]
-    pub fn pure_vc() -> Self {
-        FastTrackConfig {
-            pure_vc: true,
-            kind: DetectorKind::PureVectorClock,
-            ..FastTrackConfig::default()
-        }
-    }
-}
 
 /// One recorded access (for the "previous access" half of a report).
 ///
@@ -149,8 +117,6 @@ struct VarShadow {
     write_clock: Option<VectorClock>,
     write_info: Option<AccessInfo>,
     read: ReadState,
-    /// Release/acquire clock for `sync/atomic` operations on this address.
-    sync_clock: VectorClock,
 }
 
 impl Default for VarShadow {
@@ -161,32 +127,7 @@ impl Default for VarShadow {
             write_clock: None,
             write_info: None,
             read: ReadState::None,
-            sync_clock: VectorClock::new(),
         }
-    }
-}
-
-#[derive(Debug, Default)]
-struct LockShadow {
-    write_release: VectorClock,
-    read_release: VectorClock,
-}
-
-#[derive(Debug, Default)]
-struct ChanShadow {
-    /// In-flight send clocks by send sequence number. Entries are removed
-    /// when matched, so these maps stay as small as the channel's buffer.
-    send_clocks: FnvMap<u64, VectorClock>,
-    recv_clocks: FnvMap<u64, VectorClock>,
-    close_clock: Option<VectorClock>,
-}
-
-impl ChanShadow {
-    /// Forgets the run's clocks, keeping both maps' tables.
-    fn clear(&mut self) {
-        self.send_clocks.clear();
-        self.recv_clocks.clear();
-        self.close_clock = None;
     }
 }
 
@@ -229,17 +170,37 @@ impl Hash for SiteKey {
     }
 }
 
-/// Grows `v` with defaults so index `i` exists, then returns the slot.
-#[inline]
-fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
-    if v.len() <= i {
-        v.resize_with(i + 1, T::default);
-    }
-    &mut v[i]
+/// The most reports one detector keeps per run: a guard on memory for
+/// extremely racy programs (the paper's detector similarly caps per-run
+/// output).
+pub const MAX_REPORTS: usize = 256;
+
+/// Which happens-before detector a shadow belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Variant {
+    /// FastTrack proper: epochs, no lockset context.
+    #[default]
+    Epoch,
+    /// Full vector clocks everywhere (the ablation).
+    PureVc,
+    /// Epochs, and the locks each access's goroutine held.
+    Hybrid,
 }
 
-/// The FastTrack monitor. Create one per run and pass it to
-/// [`grs_runtime::Runtime::run`]; collect [`FastTrack::reports`] afterwards.
+impl Variant {
+    fn kind(self) -> DetectorKind {
+        match self {
+            Variant::Epoch => DetectorKind::FastTrack,
+            Variant::PureVc => DetectorKind::PureVectorClock,
+            Variant::Hybrid => DetectorKind::Tsan,
+        }
+    }
+}
+
+/// A happens-before detector used alone: a private `HbClocks` advanced
+/// around one variable shadow. Create one per run (or reuse it: every run
+/// starts by resetting it) and pass it to [`grs_runtime::Runtime::run`];
+/// collect [`FastTrack::reports`] afterwards.
 ///
 /// # Example
 ///
@@ -263,22 +224,110 @@ fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
 /// ```
 #[derive(Debug)]
 pub struct FastTrack {
-    cfg: FastTrackConfig,
-    /// Depot of the current run (attached by [`Monitor::on_run_start`]);
-    /// used only to materialize reports' stacks and object names.
+    hb: HbClocks,
+    shadow: Shadow,
+}
+
+impl Default for FastTrack {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FastTrack {
+    /// FastTrack on its epoch fast path.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::of(Variant::Epoch)
+    }
+
+    /// The pure-vector-clock ablation.
+    #[must_use]
+    pub fn pure_vc() -> Self {
+        Self::of(Variant::PureVc)
+    }
+
+    /// The TSan-style hybrid: FastTrack verdicts with each side's held
+    /// locks, reported as `tsan`.
+    #[must_use]
+    pub fn hybrid() -> Self {
+        Self::of(Variant::Hybrid)
+    }
+
+    fn of(variant: Variant) -> Self {
+        FastTrack {
+            hb: HbClocks::default(),
+            shadow: Shadow::new(variant),
+        }
+    }
+
+    /// The races detected so far.
+    #[must_use]
+    pub fn reports(&self) -> &[RaceReport] {
+        &self.shadow.reports
+    }
+
+    /// Consumes the detector, returning its reports.
+    #[must_use]
+    pub fn into_reports(self) -> Vec<RaceReport> {
+        self.shadow.reports
+    }
+
+    /// Number of memory accesses processed.
+    #[must_use]
+    pub fn accesses_processed(&self) -> u64 {
+        self.shadow.accesses_processed
+    }
+
+    /// How many accesses were resolved entirely on the O(1) epoch path —
+    /// the statistic the FastTrack paper's speedup rests on.
+    #[must_use]
+    pub fn epoch_fast_hits(&self) -> u64 {
+        self.shadow.epoch_fast_hits
+    }
+}
+
+impl Monitor for FastTrack {
+    fn on_run_start(&mut self, depot: &StackDepot) {
+        self.hb.reset();
+        self.shadow.on_run_start(depot);
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        self.hb.before(event);
+        self.shadow.on_event(&self.hb, event);
+        self.hb.after(event);
+    }
+
+    fn shadow_words(&self) -> usize {
+        self.shadow.shadow_words
+    }
+}
+
+impl Detector for FastTrack {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        self.shadow.take_reports()
+    }
+}
+
+/// One happens-before detector without its clocks: the variable shadow,
+/// the held locks (the hybrid's), the site keys and the reports. It reads
+/// the execution's `HbClocks` on every access.
+#[derive(Debug, Default)]
+pub(crate) struct Shadow {
+    variant: Variant,
+    /// Depot of the current run (attached by `on_run_start`); used only to
+    /// materialize reports' stacks and object names.
     depot: StackDepot,
     /// Interned locksets; shadow history stores [`LocksetId`]s.
     locksets: LocksetInterner,
-    clocks: Vec<VectorClock>,
+    /// Locks each goroutine holds, tracked by the hybrid only.
     held: Vec<Lockset>,
     /// Interned id of each goroutine's current `held` set, refreshed on
-    /// acquire/release so accesses copy a `u32`.
+    /// acquire/release so accesses copy a `u32`. Empty but for the hybrid,
+    /// so every other variant's accesses hold [`LocksetId::EMPTY`].
     held_ids: Vec<LocksetId>,
-    /// Flat shadow tables indexed by the kernel's dense object ids.
-    locks: Vec<LockShadow>,
-    chans: Vec<ChanShadow>,
-    wg_done: Vec<VectorClock>,
-    once_done: Vec<VectorClock>,
+    /// Flat variable table indexed by the kernel's dense address ids.
     vars: Vec<VarShadow>,
     reports: Vec<RaceReport>,
     /// The site of every report kept this run: a repeat is rejected on
@@ -291,74 +340,27 @@ pub struct FastTrack {
     accesses_processed: u64,
     epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
-    /// maintained incrementally so [`Monitor::shadow_words`] is O(1).
+    /// maintained incrementally so `shadow_words` is O(1).
     shadow_words: usize,
 }
 
-impl Default for FastTrack {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FastTrack {
-    /// A detector with the default (epoch-optimized) configuration.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(FastTrackConfig::default())
-    }
-
-    /// A detector with an explicit configuration.
-    #[must_use]
-    pub fn with_config(cfg: FastTrackConfig) -> Self {
-        FastTrack {
-            cfg,
-            depot: StackDepot::new(),
-            locksets: LocksetInterner::new(),
-            clocks: Vec::new(),
-            held: Vec::new(),
-            held_ids: Vec::new(),
-            locks: Vec::new(),
-            chans: Vec::new(),
-            wg_done: Vec::new(),
-            once_done: Vec::new(),
-            vars: Vec::new(),
-            reports: Vec::new(),
-            sites: HashSet::default(),
-            found: Vec::new(),
-            accesses_processed: 0,
-            epoch_fast_hits: 0,
-            shadow_words: 0,
+impl Shadow {
+    pub(crate) fn new(variant: Variant) -> Self {
+        Shadow {
+            variant,
+            ..Shadow::default()
         }
-    }
-
-    /// The races detected so far.
-    #[must_use]
-    pub fn reports(&self) -> &[RaceReport] {
-        &self.reports
-    }
-
-    /// Consumes the detector, returning its reports.
-    #[must_use]
-    pub fn into_reports(self) -> Vec<RaceReport> {
-        self.reports
     }
 
     /// Clears all per-run state while keeping container allocations warm,
     /// so one detector can monitor thousands of campaign runs without
-    /// reallocating: the flat tables keep their capacity, and the inner
-    /// containers a run filled — each channel's clock maps, each
-    /// goroutine's held-lock set, the site set and the interned locksets —
-    /// are emptied in place rather than dropped. Called automatically at
-    /// the start of every run (see [`Monitor::on_run_start`]).
-    pub fn reset(&mut self) {
-        self.clocks.clear();
+    /// reallocating: the variable table keeps its capacity, and the inner
+    /// containers a run filled — each goroutine's held-lock set, the site
+    /// set and the interned locksets — are emptied in place rather than
+    /// dropped.
+    fn reset(&mut self) {
         self.held.iter_mut().for_each(Lockset::clear);
         self.held_ids.clear();
-        self.locks.clear();
-        self.chans.iter_mut().for_each(ChanShadow::clear);
-        self.wg_done.clear();
-        self.once_done.clear();
         self.vars.clear();
         self.reports.clear();
         self.sites.clear();
@@ -368,46 +370,68 @@ impl FastTrack {
         self.locksets.reset();
     }
 
-    /// Number of memory accesses processed.
-    #[must_use]
-    pub fn accesses_processed(&self) -> u64 {
-        self.accesses_processed
+    /// A fresh run: drops any previous run's shadow state (allocations stay
+    /// warm) and attaches the run's depot for report materialization.
+    pub(crate) fn on_run_start(&mut self, depot: &StackDepot) {
+        self.reset();
+        self.depot = depot.clone();
     }
 
-    /// How many accesses were resolved entirely on the O(1) epoch path —
-    /// the statistic the FastTrack paper's speedup rests on.
-    #[must_use]
-    pub fn epoch_fast_hits(&self) -> u64 {
-        self.epoch_fast_hits
-    }
-
-    fn clock_mut(&mut self, gid: Gid) -> &mut VectorClock {
-        let i = gid.index();
-        while self.clocks.len() <= i {
-            let t = self.clocks.len() as u32;
-            let mut c = VectorClock::new();
-            c.set(Tid::new(t), 1);
-            self.clocks.push(c);
-            // `held` outlives a reset (its sets are emptied in place), so
-            // it may already cover this goroutine.
-            if self.held.len() < self.clocks.len() {
-                self.held.push(Lockset::new());
-            }
-            self.held_ids.push(LocksetId::EMPTY);
-        }
-        &mut self.clocks[i]
-    }
-
+    /// Checks and records an access against `hb`, which has taken the
+    /// event's first step; the hybrid also follows lock acquires and
+    /// releases. Other synchronisation is the clocks' alone.
     #[inline]
-    fn ensure_tid(&mut self, gid: Gid) {
-        if self.clocks.len() <= gid.index() {
-            let _ = self.clock_mut(gid);
+    pub(crate) fn on_event(&mut self, hb: &HbClocks, event: &Event) {
+        match event.kind {
+            EventKind::Access {
+                addr,
+                object,
+                kind,
+                stack,
+                loc,
+            } => {
+                let (gid, held) = (event.gid, self.held_ids.get(event.gid.index()));
+                let locks = held.copied().unwrap_or(LocksetId::EMPTY);
+                let info = AccessInfo {
+                    gid,
+                    kind,
+                    stack,
+                    loc,
+                    locks,
+                };
+                self.on_access(hb.clock(gid), addr, object, info);
+            }
+            EventKind::Acquire { lock, .. } if self.variant == Variant::Hybrid => {
+                self.hold(event.gid, |held| held.insert(LockId::new(lock.0)));
+            }
+            EventKind::Release { lock, .. } if self.variant == Variant::Hybrid => {
+                self.hold(event.gid, |held| held.remove(LockId::new(lock.0)));
+            }
+            _ => {}
         }
     }
 
-    fn tick(&mut self, gid: Gid) {
-        let t = Tid::new(gid.0);
-        self.clock_mut(gid).tick(t);
+    pub(crate) fn shadow_words(&self) -> usize {
+        self.shadow_words
+    }
+
+    pub(crate) fn take_reports(&mut self) -> Vec<RaceReport> {
+        std::mem::take(&mut self.reports)
+    }
+
+    /// Applies `change` to the locks `gid` holds and re-interns them.
+    fn hold(&mut self, gid: Gid, change: impl FnOnce(&mut Lockset) -> bool) {
+        let gi = gid.index();
+        if self.held_ids.len() <= gi {
+            self.held_ids.resize(gi + 1, LocksetId::EMPTY);
+        }
+        // `held` outlives a reset (its sets are emptied in place), so it
+        // may already cover this goroutine.
+        if self.held.len() <= gi {
+            self.held.resize_with(gi + 1, Lockset::new);
+        }
+        change(&mut self.held[gi]);
+        self.held_ids[gi] = self.locksets.intern(&self.held[gi]);
     }
 
     /// Keeps the first report of each race site: a repeat costs one probe
@@ -415,7 +439,7 @@ impl FastTrack {
     /// locksets.
     #[cold]
     fn record(&mut self, addr: Addr, object: NameId, prior: AccessInfo, current: AccessInfo) {
-        if self.reports.len() >= self.cfg.max_reports {
+        if self.reports.len() >= MAX_REPORTS {
             return;
         }
         let site = SiteKey::new(object, prior.loc, current.loc);
@@ -426,9 +450,9 @@ impl FastTrack {
         // Names are interned by text, so a new key is a new site — except
         // in a hand-built trace that names one text through two string
         // table entries; such a site is matched by text against the (at
-        // most `max_reports`) reports kept. Its key is not added, so
+        // most `MAX_REPORTS`) reports kept. Its key is not added, so
         // `sites` holds one key per report: even keys an uploaded trace
-        // crafts to collide under FNV cost at most `max_reports`
+        // crafts to collide under FNV cost at most `MAX_REPORTS`
         // comparisons a probe.
         if self
             .reports
@@ -443,63 +467,33 @@ impl FastTrack {
             object: name,
             prior: prior.to_race_access(&self.depot, &self.locksets),
             current: current.to_race_access(&self.depot, &self.locksets),
-            detector: self.cfg.kind,
+            detector: self.variant.kind(),
             program: None,
             repro_seed: None,
             repro: None,
         });
     }
 
+    /// Checks one access by a goroutine whose clock is `c` against the
+    /// variable's shadow, then updates the shadow.
     #[inline]
-    fn on_access(
-        &mut self,
-        gid: Gid,
-        addr: Addr,
-        object: NameId,
-        kind: AccessKind,
-        stack: StackId,
-        loc: SourceLoc,
-    ) {
-        self.ensure_tid(gid);
+    fn on_access(&mut self, c: &VectorClock, addr: Addr, object: NameId, info: AccessInfo) {
         self.accesses_processed += 1;
-        let tid = Tid::new(gid.0);
-        let gi = gid.index();
+        let (tid, kind) = (Tid::new(info.gid.0), info.kind);
         let vi = addr.0 as usize;
         if self.vars.len() <= vi {
             self.vars.resize_with(vi + 1, VarShadow::default);
         }
-        let locks = if self.cfg.track_locksets {
-            self.held_ids[gi]
-        } else {
-            LocksetId::EMPTY
-        };
-        let info = AccessInfo {
-            gid,
-            kind,
-            stack,
-            loc,
-            locks,
-        };
-        // Atomic acquire side: an atomic read (or RMW) joins the address's
-        // sync clock *before* race checks, so atomic-synchronized plain
-        // accesses are correctly ordered. (An untouched slot's sync clock
-        // is empty — joining it is a no-op.)
-        if kind.is_atomic() {
-            let (clocks, vars) = (&mut self.clocks, &self.vars);
-            clocks[gi].join(&vars[vi].sync_clock);
-        }
-        let pure_vc = self.cfg.pure_vc;
+        let pure_vc = self.variant == Variant::PureVc;
         let mut fast = true;
         let mut words_delta: isize = 0;
         {
-            // Split field borrows: the goroutine's clock is read-only for
-            // the whole check/update sequence, so it is never cloned, while
-            // the variable slot is mutated in place.
-            let (clocks, vars, found) = (&self.clocks, &mut self.vars, &mut self.found);
-            let c = &clocks[gi];
-            let var = &mut vars[vi];
-            // Shadow accounting: +2 fixed words (write + sync slot) per
-            // newly touched variable, plus the read-history delta below.
+            // Split field borrows: the variable slot is mutated in place
+            // while found pairs are pushed.
+            let (var, found) = (&mut self.vars[vi], &mut self.found);
+            // Shadow accounting: +2 fixed words per newly touched variable
+            // (its write slot, and the address's atomic sync slot, which
+            // the clocks hold), plus the read-history delta below.
             if !var.touched {
                 var.touched = true;
                 words_delta = 2;
@@ -535,7 +529,7 @@ impl FastTrack {
                         fast = false;
                         // The vector is tid-sorted, and the walk must stay
                         // ascending: report order feeds dedup
-                        // representatives and `max_reports` truncation.
+                        // representatives and `MAX_REPORTS` truncation.
                         for e in reads {
                             if e.clk > c.get(Tid::new(e.tid))
                                 && !(kind.is_atomic() && e.info.kind.is_atomic())
@@ -646,11 +640,6 @@ impl FastTrack {
                     }
                 }
             }
-            // Atomic release side: publish our clock to the address sync
-            // clock (the tick advances after the borrow region ends).
-            if kind == AccessKind::AtomicWrite {
-                var.sync_clock.join(c);
-            }
         }
         self.shadow_words = self
             .shadow_words
@@ -659,9 +648,6 @@ impl FastTrack {
         if fast {
             self.epoch_fast_hits += 1;
         }
-        if kind == AccessKind::AtomicWrite {
-            self.tick(gid);
-        }
         // Drain the scratch buffer by index (the pairs are `Copy`), leaving
         // it empty — and its allocation warm — for the next access.
         for i in 0..self.found.len() {
@@ -669,202 +655,5 @@ impl FastTrack {
             self.record(addr, object, prior, current);
         }
         self.found.clear();
-    }
-
-    /// Joins `self.clocks[src]` into `self.clocks[dst]` (distinct indices).
-    fn join_clocks(&mut self, dst: usize, src: usize) {
-        debug_assert_ne!(dst, src);
-        if dst < src {
-            let (lo, hi) = self.clocks.split_at_mut(src);
-            lo[dst].join(&hi[0]);
-        } else {
-            let (lo, hi) = self.clocks.split_at_mut(dst);
-            hi[0].join(&lo[src]);
-        }
-    }
-
-    // --- per-kind synchronization primitives, dispatched by `on_event` ---
-
-    fn sync_spawn(&mut self, gid: Gid, child: Gid) {
-        self.ensure_tid(gid);
-        self.ensure_tid(child);
-        self.join_clocks(child.index(), gid.index());
-        self.tick(child);
-        self.tick(gid);
-    }
-
-    fn sync_acquire(&mut self, gid: Gid, lock: u64, mode: LockMode) {
-        self.ensure_tid(gid);
-        let gi = gid.index();
-        let li = lock as usize;
-        let _ = slot(&mut self.locks, li);
-        {
-            let (clocks, locks) = (&mut self.clocks, &self.locks);
-            let shadow = &locks[li];
-            // join(a); join(b) ≡ join(a ⊔ b): pointwise max is associative,
-            // so two joins in place need no temporary clock.
-            clocks[gi].join(&shadow.write_release);
-            if mode == LockMode::Write {
-                clocks[gi].join(&shadow.read_release);
-            }
-        }
-        if self.cfg.track_locksets {
-            self.held[gi].insert(LockId::new(lock));
-            self.held_ids[gi] = self.locksets.intern(&self.held[gi]);
-        }
-    }
-
-    fn sync_release(&mut self, gid: Gid, lock: u64, mode: LockMode) {
-        self.ensure_tid(gid);
-        let gi = gid.index();
-        let li = lock as usize;
-        let _ = slot(&mut self.locks, li);
-        {
-            let (clocks, locks) = (&self.clocks, &mut self.locks);
-            let shadow = &mut locks[li];
-            match mode {
-                LockMode::Write => shadow.write_release.clone_from(&clocks[gi]),
-                LockMode::Read => shadow.read_release.join(&clocks[gi]),
-            }
-        }
-        self.tick(gid);
-        if self.cfg.track_locksets {
-            self.held[gi].remove(LockId::new(lock));
-            self.held_ids[gi] = self.locksets.intern(&self.held[gi]);
-        }
-    }
-
-    fn chan_send(&mut self, gid: Gid, chan: u64, seq: u64) {
-        self.ensure_tid(gid);
-        let c = self.clocks[gid.index()].clone();
-        slot(&mut self.chans, chan as usize)
-            .send_clocks
-            .insert(seq, c);
-        self.tick(gid);
-    }
-
-    fn chan_recv(&mut self, gid: Gid, chan: u64, seq: u64) {
-        self.ensure_tid(gid);
-        let sent = slot(&mut self.chans, chan as usize)
-            .send_clocks
-            .remove(&seq);
-        if let Some(sc) = sent {
-            self.clocks[gid.index()].join(&sc);
-        }
-        let c = self.clocks[gid.index()].clone();
-        self.chans[chan as usize].recv_clocks.insert(seq, c);
-        self.tick(gid);
-    }
-
-    fn chan_send_complete(&mut self, gid: Gid, chan: u64, seq: u64, cap: u64) {
-        self.ensure_tid(gid);
-        let target = if cap == 0 { Some(seq) } else { seq.checked_sub(cap) };
-        if let Some(t) = target {
-            let rc = slot(&mut self.chans, chan as usize).recv_clocks.remove(&t);
-            if let Some(rc) = rc {
-                self.clocks[gid.index()].join(&rc);
-            }
-        }
-    }
-
-    fn chan_close(&mut self, gid: Gid, chan: u64) {
-        self.ensure_tid(gid);
-        let c = self.clocks[gid.index()].clone();
-        slot(&mut self.chans, chan as usize).close_clock = Some(c);
-        self.tick(gid);
-    }
-
-    fn chan_recv_closed(&mut self, gid: Gid, chan: u64) {
-        self.ensure_tid(gid);
-        let ci = chan as usize;
-        if ci < self.chans.len() {
-            let (clocks, chans) = (&mut self.clocks, &self.chans);
-            if let Some(cc) = &chans[ci].close_clock {
-                clocks[gid.index()].join(cc);
-            }
-        }
-    }
-
-    fn wg_add(&mut self, gid: Gid, wg: u64, delta: i64) {
-        if delta < 0 {
-            self.ensure_tid(gid);
-            let _ = slot(&mut self.wg_done, wg as usize);
-            let (clocks, wg_done) = (&self.clocks, &mut self.wg_done);
-            wg_done[wg as usize].join(&clocks[gid.index()]);
-            self.tick(gid);
-        }
-    }
-
-    fn wg_wait(&mut self, gid: Gid, wg: u64) {
-        self.ensure_tid(gid);
-        let wi = wg as usize;
-        if wi < self.wg_done.len() {
-            let (clocks, wg_done) = (&mut self.clocks, &self.wg_done);
-            clocks[gid.index()].join(&wg_done[wi]);
-        }
-    }
-
-    fn once_executed(&mut self, gid: Gid, once: u64) {
-        self.ensure_tid(gid);
-        let _ = slot(&mut self.once_done, once as usize);
-        let (clocks, once_done) = (&self.clocks, &mut self.once_done);
-        once_done[once as usize].clone_from(&clocks[gid.index()]);
-        self.tick(gid);
-    }
-
-    fn once_observed(&mut self, gid: Gid, once: u64) {
-        self.ensure_tid(gid);
-        let oi = once as usize;
-        if oi < self.once_done.len() {
-            let (clocks, once_done) = (&mut self.clocks, &self.once_done);
-            clocks[gid.index()].join(&once_done[oi]);
-        }
-    }
-}
-
-impl Monitor for FastTrack {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        // A fresh run: drop any previous run's shadow state (allocations
-        // stay warm) and attach the run's depot for report materialization.
-        self.reset();
-        self.depot = depot.clone();
-    }
-
-    fn on_event(&mut self, event: &Event) {
-        let gid = event.gid;
-        match event.kind {
-            EventKind::Access {
-                addr,
-                object,
-                kind,
-                stack,
-                loc,
-            } => self.on_access(gid, addr, object, kind, stack, loc),
-            EventKind::Spawn { child, .. } => self.sync_spawn(gid, child),
-            EventKind::Acquire { lock, mode } => self.sync_acquire(gid, lock.0, mode),
-            EventKind::Release { lock, mode } => self.sync_release(gid, lock.0, mode),
-            EventKind::ChanSend { chan, seq } => self.chan_send(gid, chan.0, seq),
-            EventKind::ChanRecv { chan, seq } => self.chan_recv(gid, chan.0, seq),
-            EventKind::ChanSendComplete { chan, seq, cap } => {
-                self.chan_send_complete(gid, chan.0, seq, cap as u64);
-            }
-            EventKind::ChanClose { chan } => self.chan_close(gid, chan.0),
-            EventKind::ChanRecvClosed { chan } => self.chan_recv_closed(gid, chan.0),
-            EventKind::WgAdd { wg, delta, .. } => self.wg_add(gid, wg.0, delta),
-            EventKind::WgWait { wg } => self.wg_wait(gid, wg.0),
-            EventKind::OnceExecuted { once } => self.once_executed(gid, once.0),
-            EventKind::OnceObserved { once } => self.once_observed(gid, once.0),
-            EventKind::GoroutineEnd => self.ensure_tid(gid),
-        }
-    }
-
-    fn shadow_words(&self) -> usize {
-        self.shadow_words
-    }
-}
-
-impl Detector for FastTrack {
-    fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
     }
 }

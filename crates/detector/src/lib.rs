@@ -5,16 +5,21 @@
 //!
 //! * a **happens-before** detector using vector clocks — implemented here as
 //!   [`FastTrack`] (Flanagan & Freund's epoch optimization, reference \[44\]),
-//!   with a pure-vector-clock variant ([`fasttrack::FastTrackConfig`]'s
-//!   `pure_vc`) for the ablation benchmark;
+//!   with a pure-vector-clock variant ([`FastTrack::pure_vc`]) for the
+//!   ablation benchmark;
 //! * a **lockset** detector — implemented here as [`Eraser`] (Savage et
 //!   al., reference \[76\]), which over-approximates by ignoring
 //!   happens-before.
 //!
-//! [`Tsan`] composes FastTrack's precise verdicts with lockset bookkeeping so
-//! race reports also say which locks each side held — the shape of report
-//! the paper's deployment files as bugs (§3.3: two stacks, access types,
-//! conflicting address).
+//! The hybrid, [`FastTrack::hybrid`], composes FastTrack's precise verdicts
+//! with lockset bookkeeping so race reports also say which locks each side
+//! held — the shape of report the paper's deployment files as bugs (§3.3:
+//! two stacks, access types, conflicting address).
+//!
+//! The three happens-before detectors are one engine: an execution's
+//! vector clocks are kept once, however many of them watch it, and each
+//! keeps only its own variable shadow. [`DetectorArena`] fans an execution
+//! out to its detectors in one pass, live or replayed.
 //!
 //! [`DetectorChoice`] names one of the four algorithms and runs a
 //! [`Program`](grs_runtime::Program) under it. Detection is
@@ -50,14 +55,13 @@
 pub mod arena;
 pub mod eraser;
 pub mod fasttrack;
+mod hb;
 pub mod reference;
 pub mod replay;
 pub mod report;
-pub mod tsan;
 
 pub use arena::{DetectorArena, DetectorChoice};
 pub use eraser::Eraser;
-pub use fasttrack::{FastTrack, FastTrackConfig};
+pub use fasttrack::{FastTrack, MAX_REPORTS};
 pub use replay::{replay_decoded, replay_trace, Detector, ReplayOutcome};
 pub use report::{DetectorKind, RaceAccess, RaceReport};
-pub use tsan::Tsan;

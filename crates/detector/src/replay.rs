@@ -5,13 +5,13 @@
 //! analysis is a fold over the totally ordered event stream delivered to
 //! [`Monitor::on_event`], and the runtime's scheduler never consults the
 //! monitor. FastTrack is literally defined over a trace (Flanagan &
-//! Freund), and Eraser/TSan likewise only see events. The live path and
-//! the offline path are therefore two drivers of the same [`Monitor`]
-//! methods over the same `Copy` [`Event`] record: `on_run_start` resets
-//! per-run shadow state and attaches the depot, `on_event` consumes one
-//! event, `on_run_end` flushes. A [`Detector`] adds only what a monitor
-//! lacks — a way to take the reports out — and the one replay loop,
-//! [`Detector::replay_events`].
+//! Freund), and Eraser and the hybrid likewise only see events. The live
+//! path and the offline path are therefore two drivers of the same
+//! [`Monitor`] methods over the same `Copy` [`Event`] record:
+//! `on_run_start` resets per-run shadow state and attaches the depot,
+//! `on_event` consumes one event, `on_run_end` flushes. A [`Detector`] adds
+//! only what a monitor lacks — a way to take the reports out — and the one
+//! replay loop of a detector used alone, [`Detector::replay_events`].
 //!
 //! The replay drivers also mirror the runtime kernel's bookkeeping —
 //! events dispatched, peak shadow words sampled after every event *and*
@@ -26,11 +26,12 @@ use crate::report::RaceReport;
 
 /// A race detector: a [`Monitor`] whose findings can be taken out.
 ///
-/// Implemented by every algorithm in this crate (FastTrack and its
-/// pure-vector-clock ablation, Eraser, the TSan hybrid). The contract: for
-/// a trace recorded from a live run, `on_run_start` + one `on_event` per
-/// recorded event + `on_run_end` must leave reports bit-identical to what
-/// the same detector would have produced monitoring that run live.
+/// Implemented by both detector types in this crate:
+/// [`FastTrack`](crate::FastTrack) (with its pure-vector-clock ablation and
+/// the hybrid) and [`Eraser`](crate::Eraser). The contract: for a trace
+/// recorded from a live run, `on_run_start` + one `on_event` per recorded
+/// event + `on_run_end` must leave reports bit-identical to what the same
+/// detector would have produced monitoring that run live.
 pub trait Detector: Monitor + std::fmt::Debug {
     /// Takes the accumulated race reports, leaving the detector reusable
     /// for the next run or trace.
@@ -38,10 +39,10 @@ pub trait Detector: Monitor + std::fmt::Debug {
 
     /// Feeds `events` through [`Monitor::on_event`] in order, returning the
     /// peak shadow-word count sampled after each, as the kernel samples it
-    /// live. Every replay runs this one loop. It is a provided method, so
-    /// each detector's copy is compiled against its own `on_event`: the
-    /// per-event call is static and inlinable, and a whole trace costs one
-    /// virtual call through `dyn Detector`.
+    /// live. Every replay of a lone detector runs this one loop. It is a
+    /// provided method, so each detector's copy is compiled against its own
+    /// `on_event`: the per-event call is static and inlinable, and a whole
+    /// trace costs one virtual call through `dyn Detector`.
     fn replay_events(&mut self, events: &[Event]) -> usize {
         let mut peak = 0;
         for event in events {
@@ -70,14 +71,23 @@ pub struct ReplayOutcome {
 ///
 /// The rebuilt depot reproduces the recorded id assignment exactly
 /// (first-intern order), so the `StackId`s and `NameId`s carried by
-/// replayed events resolve to the stacks and names the live run saw.
+/// replayed events resolve to the stacks and names the live run saw. Several
+/// detectors over one trace are the arena's one-pass fan-out,
+/// [`DetectorArena::replay_many_decoded_observed`](crate::DetectorArena::replay_many_decoded_observed).
 pub fn replay_trace(
     detector: &mut (impl Detector + ?Sized),
     trace: &Trace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
     trace.rebuild_depot_into(depot);
-    replay_prepared(detector, trace, depot)
+    detector.on_run_start(depot);
+    let peak = detector.replay_events(&trace.events);
+    detector.on_run_end();
+    ReplayOutcome {
+        reports: detector.take_reports(),
+        events: trace.events.len() as u64,
+        peak_shadow_words: peak.max(detector.shadow_words()),
+    }
 }
 
 /// [`replay_trace`] of a freshly decoded trace.
@@ -87,24 +97,6 @@ pub fn replay_decoded(
     depot: &StackDepot,
 ) -> ReplayOutcome {
     replay_trace(detector, decoded, depot)
-}
-
-/// [`replay_trace`] against a depot that already holds the trace's stacks
-/// and names (rebuilt once and shared across several detectors by the
-/// arena's fan-out).
-pub(crate) fn replay_prepared(
-    detector: &mut (impl Detector + ?Sized),
-    trace: &Trace,
-    depot: &StackDepot,
-) -> ReplayOutcome {
-    detector.on_run_start(depot);
-    let peak = detector.replay_events(&trace.events);
-    detector.on_run_end();
-    ReplayOutcome {
-        reports: detector.take_reports(),
-        events: trace.events.len() as u64,
-        peak_shadow_words: peak.max(detector.shadow_words()),
-    }
 }
 
 #[cfg(test)]

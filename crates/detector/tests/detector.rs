@@ -3,27 +3,27 @@
 //! properly synchronized programs (the happens-before detector's precision
 //! guarantee under an observed schedule).
 
-use grs_detector::{Eraser, FastTrack, FastTrackConfig, RaceReport, Tsan};
+use grs_detector::{Eraser, FastTrack, RaceReport, MAX_REPORTS};
 use grs_runtime::{Program, RunConfig, Runtime};
 
-/// Runs `p` under many seeds with the TSan monitor; returns the first
+/// Runs `p` under many seeds with the hybrid detector; returns the first
 /// report of the first run that reports a race.
-fn tsan_first_race(p: &Program, seeds: u64) -> Option<RaceReport> {
+fn hybrid_first_race(p: &Program, seeds: u64) -> Option<RaceReport> {
     (0..seeds).find_map(|seed| {
-        let (_, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, Tsan::new());
+        let (_, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::hybrid());
         t.reports().first().cloned()
     })
 }
 
 /// True when any of `seeds` runs of `p` reports a race.
-fn tsan_finds_race(p: &Program, seeds: u64) -> bool {
-    tsan_first_race(p, seeds).is_some()
+fn hybrid_finds_race(p: &Program, seeds: u64) -> bool {
+    hybrid_first_race(p, seeds).is_some()
 }
 
 /// Asserts that no seed produces a race report (precision check).
 fn assert_race_free(p: &Program, seeds: u64) {
     for seed in 0..seeds {
-        let (outcome, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, Tsan::new());
+        let (outcome, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::hybrid());
         assert!(
             t.reports().is_empty(),
             "false positive at seed {seed}: {}\noutcome: {:?}",
@@ -41,7 +41,7 @@ fn detects_unsynchronized_write_write() {
         ctx.go("w1", move |ctx| ctx.write(&x2, 1));
         ctx.write(&x, 2);
     });
-    assert!(tsan_finds_race(&p, 30));
+    assert!(hybrid_finds_race(&p, 30));
 }
 
 #[test]
@@ -52,7 +52,7 @@ fn detects_unsynchronized_read_write() {
         ctx.go("w", move |ctx| ctx.write(&x2, 1));
         let _ = ctx.read(&x);
     });
-    assert!(tsan_finds_race(&p, 30));
+    assert!(hybrid_finds_race(&p, 30));
 }
 
 #[test]
@@ -248,7 +248,7 @@ fn detects_write_under_reader_lock() {
         }
         wg.wait(ctx);
     });
-    assert!(tsan_finds_race(&p, 60));
+    assert!(hybrid_finds_race(&p, 60));
 }
 
 #[test]
@@ -274,7 +274,7 @@ fn detects_plain_access_mixed_with_atomic() {
         ctx.go("w", move |ctx| a2.store(ctx, 1));
         let _ = a.load_plain(ctx); // plain read vs atomic write
     });
-    assert!(tsan_finds_race(&p, 40));
+    assert!(hybrid_finds_race(&p, 40));
 }
 
 #[test]
@@ -337,8 +337,7 @@ fn pure_vc_and_epochs_agree() {
     for p in &programs {
         for seed in 0..20 {
             let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::new());
-            let (_, vc) = Runtime::new(RunConfig::with_seed(seed))
-                .run(p, FastTrack::with_config(FastTrackConfig::pure_vc()));
+            let (_, vc) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::pure_vc());
             assert_eq!(
                 ft.reports().is_empty(),
                 vc.reports().is_empty(),
@@ -436,7 +435,7 @@ fn race_report_carries_both_stacks() {
             let _ = ctx.read(&x);
         });
     });
-    let race = tsan_first_race(&p, 60).expect("race must be detected");
+    let race = hybrid_first_race(&p, 60).expect("race must be detected");
     let (s1, s2) = race.stacks();
     let all: Vec<String> = s1
         .func_names()
@@ -450,30 +449,35 @@ fn race_report_carries_both_stacks() {
 
 #[test]
 fn report_cap_bounds_memory_on_extremely_racy_programs() {
-    // A program with many distinct racy sites must not accumulate reports
-    // past the configured cap.
-    let p = Program::new("racy_everywhere", |ctx| {
-        let cells: Vec<_> = (0..40).map(|i| ctx.cell(&format!("c{i}"), 0i64)).collect();
-        for c in &cells {
-            let c = c.clone();
-            ctx.go("w", move |ctx| ctx.write(&c, 1));
-        }
+    // More distinct racy sites than the cap — each cell names its own
+    // object — and a writer and a reader that never synchronise, so every
+    // cell races under every schedule: each happens-before detector must
+    // stop at `MAX_REPORTS`.
+    let sites = MAX_REPORTS + 64;
+    let p = Program::new("racy_everywhere", move |ctx| {
+        let cells: Vec<_> = (0..sites)
+            .map(|i| ctx.cell(&format!("c{i}"), 0i64))
+            .collect();
+        let writes = cells.clone();
+        ctx.go("w", move |ctx| {
+            for c in &writes {
+                ctx.write(c, 1);
+            }
+        });
         for c in &cells {
             let _ = ctx.read(c);
         }
     });
-    let cfg = FastTrackConfig {
-        max_reports: 5,
-        ..FastTrackConfig::default()
-    };
-    let mut max_seen = 0;
-    for seed in 0..10 {
-        let (_, ft) =
-            Runtime::new(RunConfig::with_seed(seed)).run(&p, FastTrack::with_config(cfg.clone()));
-        max_seen = max_seen.max(ft.reports().len());
-        assert!(ft.reports().len() <= 5, "cap exceeded: {}", ft.reports().len());
+    for seed in 0..4 {
+        for detector in [FastTrack::new(), FastTrack::pure_vc(), FastTrack::hybrid()] {
+            let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&p, detector);
+            assert_eq!(
+                ft.reports().len(),
+                MAX_REPORTS,
+                "seed {seed}: the cap must hold"
+            );
+        }
     }
-    assert!(max_seen > 0, "some race must still be reported");
 }
 
 /// A hand-built trace can name one text through two string-table entries,

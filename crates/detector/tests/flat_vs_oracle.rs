@@ -14,7 +14,7 @@
 
 mod corpus;
 
-use grs_detector::{reference, DetectorArena, DetectorChoice, FastTrackConfig, ReplayOutcome};
+use grs_detector::{reference, DetectorArena, DetectorChoice, ReplayOutcome, MAX_REPORTS};
 use grs_obs::Fnv1a;
 use grs_runtime::{record, DecodedTrace, Program, RunConfig, Trace};
 
@@ -107,7 +107,6 @@ fn batch_replay_reproduces_the_pinned_cells_at_every_chunk_size() {
 #[test]
 fn every_verdict_agrees_with_the_reference() {
     let mut arena = DetectorArena::new();
-    let cap = FastTrackConfig::default().max_reports;
     let first_idiom = corpus::corpus().len();
     let programs = corpus::corpus()
         .into_iter()
@@ -119,7 +118,7 @@ fn every_verdict_agrees_with_the_reference() {
             let verdict = reference::analyze(&trace);
             racy += u64::from(!verdict.pairs.is_empty());
             for (choice, out) in arena.replay_all(&trace) {
-                let complete = out.reports.len() < cap;
+                let complete = out.reports.len() < MAX_REPORTS;
                 let held = match choice {
                     DetectorChoice::Eraser => verdict.check_lockset(&out.reports),
                     _ => verdict.check_happens_before(&trace, &out.reports, complete),

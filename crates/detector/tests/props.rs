@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grs_detector::{reference, DetectorArena, DetectorChoice, FastTrackConfig};
+use grs_detector::{reference, DetectorArena, DetectorChoice, MAX_REPORTS};
 use grs_runtime::{record, Ctx, Program, RunConfig, Strategy};
 
 const CELLS: usize = 2;
@@ -160,7 +160,6 @@ fn program(name: &str, shape: Shape) -> Program {
 #[test]
 fn random_programs_agree_with_the_reference() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/disagreements");
-    let cap = FastTrackConfig::default().max_reports;
     let mut rng = StdRng::seed_from_u64(0x16_7e5);
     let mut arena = DetectorArena::new();
     let mut disagreements = Vec::new();
@@ -179,7 +178,7 @@ fn random_programs_agree_with_the_reference() {
             kinds_seen.extend(trace.events.iter().map(|e| std::mem::discriminant(&e.kind)));
             let mut split = Vec::new();
             for (choice, out) in arena.replay_all(&trace) {
-                let complete = out.reports.len() < cap;
+                let complete = out.reports.len() < MAX_REPORTS;
                 let held = match choice {
                     DetectorChoice::Eraser => verdict.check_lockset(&out.reports),
                     _ => verdict.check_happens_before(&trace, &out.reports, complete),

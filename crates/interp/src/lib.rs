@@ -48,7 +48,7 @@
 //! # Example
 //!
 //! ```
-//! use grs_detector::Tsan;
+//! use grs_detector::FastTrack;
 //! use grs_interp::Interp;
 //! use grs_runtime::{RunConfig, Runtime};
 //!
@@ -69,10 +69,10 @@
 //! }
 //! "#).expect("compiles");
 //! let program = interp.program("counter", "main");
-//! let (outcome, tsan) = Runtime::new(RunConfig::with_seed(3)).run(&program, Tsan::new());
+//! let (outcome, hybrid) = Runtime::new(RunConfig::with_seed(3)).run(&program, FastTrack::hybrid());
 //! assert!(outcome.is_clean());
 //! // `total = total + 1` is unsynchronized: some seeds catch it.
-//! let _maybe_race = tsan.reports();
+//! let _maybe_race = hybrid.reports();
 //! ```
 
 #![forbid(unsafe_code)]

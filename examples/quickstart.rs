@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use grs::detector::Tsan;
+use grs::detector::FastTrack;
 use grs::prelude::*;
 
 fn main() {
@@ -30,13 +30,14 @@ fn main() {
     // the nondeterminism that §3.2 of the paper wrestles with.
     println!("== single runs (detection is schedule-dependent) ==");
     for seed in 0..5 {
-        let (_, tsan) = Runtime::new(RunConfig::with_seed(seed)).run(&program, Tsan::new());
+        let (_, hybrid) =
+            Runtime::new(RunConfig::with_seed(seed)).run(&program, FastTrack::hybrid());
         println!(
             "  seed {seed}: {}",
-            if tsan.reports().is_empty() {
+            if hybrid.reports().is_empty() {
                 "no race observed".to_string()
             } else {
-                format!("{} race report(s)", tsan.reports().len())
+                format!("{} race report(s)", hybrid.reports().len())
             }
         );
     }

@@ -15,27 +15,27 @@
 //! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
 //! pass, so it is the cost of a run in a warm process:
 //!
-//! | row                               | `4487427` | `50aa005` | `df78cb2` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |    16.7 |
-//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |    24.4 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |    25.4 |
-//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |    24.4 |
-//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |    24.6 |
-//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |    33.5 |
-//! | campaign execution, all four      |           |           |      57.0 |      37.7 |    42.3 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |    16.7 |
+//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |    24.4 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |    25.4 |
+//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |    24.4 |
+//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |    24.6 |
+//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |    33.5 |
+//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |    42.3 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -59,6 +59,14 @@
 //! goroutines the depot's shared text, and a worker makes its unit's name
 //! once for all its records and reports.
 //!
+//! At `5cb78d2` FastTrack, pure-VC and the hybrid each kept their own
+//! goroutine, lock, channel, `WaitGroup`, `Once` and atomic clocks, and
+//! replay ran each detector over the trace in turn; this tree keeps one set
+//! of clocks per execution and replays in one pass. No row moved by as much
+//! as 0.05, in release or debug: a `VectorClock` holds eight components
+//! inline, so the channel clocks no longer cloned three times never
+//! allocated for these programs, and no ceiling changed.
+//!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
 //! `reset`, fails here.
@@ -72,9 +80,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use grs::corpus::GoTestSpec;
-use grs::detector::{
-    Detector, DetectorArena, DetectorChoice, Eraser, FastTrack, FastTrackConfig, Tsan,
-};
+use grs::detector::{Detector, DetectorArena, DetectorChoice, Eraser, FastTrack};
 use grs::fleet::{pattern_suite, Campaign, CampaignConfig, GoCorpusSource, UnitSource};
 use grs::runtime::{record, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace};
 
@@ -225,7 +231,7 @@ fn a_campaign_execution_stays_under_its_allocation_ceiling() {
 }
 
 /// The detector alone over one recorded trace whose depot is already
-/// rebuilt: what `replay_many_decoded_observed` spends past decoding.
+/// rebuilt: what a lone detector's `replay_trace` spends past the rebuild.
 fn replay(detector: &mut dyn Detector, trace: &Trace, depot: &StackDepot) -> u64 {
     allocations_in(|| {
         detector.on_run_start(depot);
@@ -250,9 +256,9 @@ fn replay_means(runs: &[(Program, RunConfig)]) -> [f64; 4] {
         .collect();
     let mut detectors: [Box<dyn Detector>; 4] = [
         Box::new(FastTrack::new()),
-        Box::new(FastTrack::with_config(FastTrackConfig::pure_vc())),
+        Box::new(FastTrack::pure_vc()),
         Box::new(Eraser::new()),
-        Box::new(Tsan::new()),
+        Box::new(FastTrack::hybrid()),
     ];
     let pairs: Vec<_> = traces.iter().zip(&depots).collect();
     detectors

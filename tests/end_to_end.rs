@@ -113,7 +113,7 @@ fn filed_tasks_carry_working_repro_instructions() {
     // developer reproduce the underlying race". Our analog is the scheduler
     // seed — and it must actually work: rerunning under the recorded seed
     // must deterministically re-expose the race.
-    use grs::detector::Tsan;
+    use grs::detector::FastTrack;
     use grs::runtime::{RunConfig, Runtime};
 
     let pattern = patterns::find("waitgroup_add_inside").expect("in corpus");
@@ -132,9 +132,10 @@ fn filed_tasks_carry_working_repro_instructions() {
     assert_eq!(recorded, seed);
 
     // And the instructions WORK: the recorded seed replays the race.
-    let (_, tsan) = Runtime::new(RunConfig::with_seed(recorded)).run(&program, Tsan::new());
+    let (_, hybrid) =
+        Runtime::new(RunConfig::with_seed(recorded)).run(&program, FastTrack::hybrid());
     assert!(
-        !tsan.reports().is_empty(),
+        !hybrid.reports().is_empty(),
         "repro seed {recorded} failed to replay the race"
     );
 }

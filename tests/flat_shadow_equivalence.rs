@@ -13,7 +13,7 @@
 //! That is the last test's job: every verdict is checked against
 //! `grs::detector::reference`, an independent statement of happens-before.
 
-use grs::detector::{reference, DetectorArena, DetectorChoice, FastTrackConfig};
+use grs::detector::{reference, DetectorArena, DetectorChoice, MAX_REPORTS};
 use grs::fleet::{pattern_suite, Campaign, CampaignConfig, CampaignResult, RunRecord};
 use grs::obs::Fnv1a;
 use grs::runtime::{record, RunConfig, Strategy};
@@ -91,7 +91,6 @@ fn live_campaign_reproduces_the_pinned_output() {
 /// below). Eraser must never report an address one lock always covers.
 #[test]
 fn every_pattern_verdict_agrees_with_the_reference() {
-    let cap = FastTrackConfig::default().max_reports;
     let mut arena = DetectorArena::new();
     let (mut racy_cells, mut disciplined) = (0, 0);
     for unit in pattern_suite(true) {
@@ -100,7 +99,7 @@ fn every_pattern_verdict_agrees_with_the_reference() {
             let verdict = reference::analyze(&trace);
             disciplined += verdict.lock_disciplined.len();
             for (choice, out) in arena.replay_all(&trace) {
-                let complete = out.reports.len() < cap;
+                let complete = out.reports.len() < MAX_REPORTS;
                 let held = if choice == DetectorChoice::Eraser {
                     verdict.check_lockset(&out.reports)
                 } else {

@@ -20,6 +20,9 @@
 //! the one execution ([`DetectorArena::run_many`], what a campaign does).
 //! That pass is compared, not folded: each detector's reports, steps,
 //! events, depot stacks and peak shadow words must equal its solo run's.
+//! The replay side is compared the same way: the one pass of all four
+//! detectors over the decoded trace must equal four single-detector
+//! replays in reports, events and peak shadow words.
 
 use grs::corpus::GoTestSpec;
 use grs::detector::{DetectorArena, DetectorChoice, RaceReport};
@@ -52,7 +55,8 @@ impl Fold {
 
     /// `program` under `cfg`: live under each detector, then recorded and
     /// replayed under all four from the decoded bytes. The solo live runs
-    /// are checked against one run all four watch together.
+    /// are checked against one run all four watch together, and the solo
+    /// replays against one pass all four watch together.
     fn run(&mut self, arena: &mut DetectorArena, program: &Program, cfg: &RunConfig) {
         let choices = DetectorChoice::all_with_ablation();
         let (together, watched) = arena.run_many(&choices, program, cfg.clone());
@@ -72,8 +76,21 @@ impl Fold {
         }
         let (_, trace) = record(program, cfg);
         let decoded = DecodedTrace::decode(&trace.encode()).expect("a just-encoded trace decodes");
-        for (_, out) in arena.replay_many_decoded_observed(&decoded, &choices, &NULL_SINK) {
-            self.add(&out.reports);
+        for (choice, fanned) in arena.replay_many_decoded_observed(&decoded, &choices, &NULL_SINK) {
+            let solo = arena.replay_many_decoded_observed(&decoded, &[choice], &NULL_SINK);
+            let solo = &solo[0].1;
+            let cell = format!("{} seed {} {choice} replayed", program.name(), cfg.seed);
+            assert_eq!(
+                texts(&fanned.reports),
+                texts(&solo.reports),
+                "{cell}: reports"
+            );
+            assert_eq!(fanned.events, solo.events, "{cell}: events");
+            assert_eq!(
+                fanned.peak_shadow_words, solo.peak_shadow_words,
+                "{cell}: peak shadow words"
+            );
+            self.add(&fanned.reports);
         }
     }
 }
