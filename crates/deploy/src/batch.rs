@@ -70,18 +70,20 @@ impl RaceBatch {
     pub fn add(&mut self, report: RaceReport, run_order: u64) -> bool {
         self.raw += 1;
         let tie_key = content_key(&report);
-        self.offer(race_fingerprint(&report), run_order, Some(tie_key), report)
+        self.offer(race_fingerprint(&report), run_order, Some(tie_key), || report)
     }
 
-    /// [`RaceBatch::add`] for a producer that already holds the report's
+    /// [`RaceBatch::add`] for a producer that already holds the race's
     /// [`race_fingerprint`] and whose `run_order`s are its own (a
-    /// campaign's spec indices): equal orders are then reports of one run
-    /// in detection order, and the first one offered stays.
+    /// campaign's spec indices): equal orders are then races of one run in
+    /// detection order, and the first one offered stays. `report` builds
+    /// the race's report; it runs only when the race takes the slot, so a
+    /// duplicate costs a map probe and builds nothing.
     pub fn add_fingerprinted(
         &mut self,
         fp: Fingerprint,
-        report: RaceReport,
         run_order: u64,
+        report: impl FnOnce() -> RaceReport,
     ) -> bool {
         self.raw += 1;
         self.offer(fp, run_order, None, report)
@@ -93,30 +95,30 @@ impl RaceBatch {
     pub fn merge(&mut self, other: RaceBatch) {
         self.raw += other.raw;
         for (fp, (rank, report)) in other.by_fp {
-            self.offer(fp, rank.run_order, Some(rank.tie_key), report);
+            self.offer(fp, rank.run_order, Some(rank.tie_key), || report);
         }
     }
 
-    /// The representative rule, written once: `report` takes `fp`'s slot
-    /// when it is vacant or held by a higher `run_order`. Between equal
-    /// orders the lower `tie_key` holds the slot; a candidate offered
-    /// without one leaves the incumbent in place, and its content key is
-    /// computed only if it takes the slot. Returns `true` when the slot
-    /// was vacant.
+    /// The representative rule, written once: the candidate takes `fp`'s
+    /// slot when it is vacant or held by a higher `run_order`. Between
+    /// equal orders the lower `tie_key` holds the slot; a candidate offered
+    /// without one leaves the incumbent in place. The candidate's report is
+    /// built, and its content key computed, only if it takes the slot.
+    /// Returns `true` when the slot was vacant.
     fn offer(
         &mut self,
         fp: Fingerprint,
         run_order: u64,
         tie_key: Option<u64>,
-        report: RaceReport,
+        report: impl FnOnce() -> RaceReport,
     ) -> bool {
-        let rank = |report: &RaceReport| RepRank {
-            run_order,
-            tie_key: tie_key.unwrap_or_else(|| content_key(report)),
+        let ranked = |report: RaceReport| {
+            let tie_key = tie_key.unwrap_or_else(|| content_key(&report));
+            (RepRank { run_order, tie_key }, report)
         };
         match self.by_fp.entry(fp) {
             Entry::Vacant(v) => {
-                v.insert((rank(&report), report));
+                v.insert(ranked(report()));
                 true
             }
             Entry::Occupied(mut o) => {
@@ -127,7 +129,7 @@ impl RaceBatch {
                     Ordering::Greater => false,
                 };
                 if takes {
-                    o.insert((rank(&report), report));
+                    o.insert(ranked(report()));
                 }
                 false
             }

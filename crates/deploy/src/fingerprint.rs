@@ -8,9 +8,13 @@
 //! 1. drops the line numbers from both call chains, and
 //! 2. orders the two chains lexicographically before hashing.
 //!
-//! [`race_fingerprint`] implements that; [`naive_fingerprint`] implements
-//! the strawman, kept for the dedup ablation benchmark which quantifies the
-//! duplicate inflation the paper's design avoids.
+//! [`race_fingerprint`] implements that for a report, and
+//! [`race_fingerprint_ids`] for a detector's id-only [`Race`], reading the
+//! names in place from the run's depot; both hash through one function
+//! over the parts, so they agree by construction.
+//! [`naive_fingerprint`] implements the strawman, kept for the dedup
+//! ablation benchmark which quantifies the duplicate inflation the paper's
+//! design avoids.
 //!
 //! The hash itself is FNV-1a, chosen because it is stable across processes
 //! and Rust versions (a fingerprint stored in a bug database must mean the
@@ -18,9 +22,9 @@
 
 use std::fmt;
 
-use grs_detector::RaceReport;
+use grs_detector::{Race, RaceReport};
 use grs_obs::Fnv1a;
-use grs_runtime::Stack;
+use grs_runtime::{Stack, StackDepot};
 
 /// A stable 64-bit race identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,15 +42,31 @@ fn hash_str(h: &mut Fnv1a, s: &str) {
     h.write(&[0]);
 }
 
-/// The line-number-free projection of a stack: its function names only.
-fn chain(stack: &Stack) -> Vec<&str> {
-    stack.func_names()
+/// The line-number-free projection of a stack: its function names, root
+/// first.
+fn chain(stack: &Stack) -> impl Iterator<Item = &str> + Clone {
+    stack.frames().iter().map(|f| &*f.func)
 }
 
-fn hash_chain(h: &mut Fnv1a, funcs: &[&str]) {
-    for f in funcs {
-        hash_str(h, f);
-    }
+/// The hash of §3.3.1 over its parts: the object's name and the two call
+/// chains' function names, root first. The chains are hashed in
+/// lexicographic order, so the pair is orientation-free; line numbers are
+/// not among the parts.
+fn fingerprint_parts<'a, I>(object: &str, chain_a: I, chain_b: I) -> Fingerprint
+where
+    I: Iterator<Item = &'a str> + Clone,
+{
+    let (first, second) = if chain_a.clone().le(chain_b.clone()) {
+        (chain_a, chain_b)
+    } else {
+        (chain_b, chain_a)
+    };
+    let mut h = Fnv1a::new();
+    hash_str(&mut h, object);
+    first.for_each(|f| hash_str(&mut h, f));
+    hash_str(&mut h, "||");
+    second.for_each(|f| hash_str(&mut h, f));
+    Fingerprint(h.finish())
 }
 
 /// The paper's fingerprint: line-insensitive, orientation-insensitive.
@@ -75,15 +95,17 @@ fn hash_chain(h: &mut Fnv1a, funcs: &[&str]) {
 #[must_use]
 pub fn race_fingerprint(report: &RaceReport) -> Fingerprint {
     let (a, b) = report.stacks();
-    let (ca, cb) = (chain(a), chain(b));
-    // Lexicographic ordering of the chains makes the pair orientation-free.
-    let (first, second) = if ca <= cb { (&ca, &cb) } else { (&cb, &ca) };
-    let mut h = Fnv1a::new();
-    hash_str(&mut h, &report.object);
-    hash_chain(&mut h, first);
-    hash_str(&mut h, "||");
-    hash_chain(&mut h, second);
-    Fingerprint(h.finish())
+    fingerprint_parts(&report.object, chain(a), chain(b))
+}
+
+/// [`race_fingerprint`] of the report `race` would build, read from the
+/// `depot` of the run that found it: the name and both chains are walked
+/// in place under one depot lock, and nothing is resolved or allocated.
+#[must_use]
+pub fn race_fingerprint_ids(depot: &StackDepot, race: &Race) -> Fingerprint {
+    depot.with_chains(race.object, race.prior.stack, race.current.stack, |object, a, b| {
+        fingerprint_parts(object, a, b)
+    })
 }
 
 /// The strawman fingerprint §3.3.1 argues against: includes line numbers

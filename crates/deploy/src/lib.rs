@@ -45,7 +45,7 @@ pub mod wire;
 pub use assignee::{determine_assignee, AssigneeDecision, OwnerDb};
 pub use batch::RaceBatch;
 pub use dedup::BoundedDedup;
-pub use fingerprint::{naive_fingerprint, race_fingerprint, Fingerprint};
+pub use fingerprint::{naive_fingerprint, race_fingerprint, race_fingerprint_ids, Fingerprint};
 pub use service::{
     FileOutcome, IntakeError, IntakeServer, IntakeService, IntakeStats, IntakeSummary,
     IntakeTicket,

@@ -15,12 +15,18 @@
 //! fresh detector — [`DetectorChoice::run`] and [`DetectorArena::run`] are
 //! interchangeable, and the tests below pin that equivalence.
 //!
-//! An execution has one fan-out, live ([`DetectorArena::run_many`]) or
+//! An execution has one fan-out, live ([`DetectorArena::execute`]) or
 //! replayed: it is taken once, and every requested detector watches each
 //! event, the happens-before ones reading one shared `HbClocks`. A run's
 //! interleaving is a function of its seed and strategy alone (the scheduler
 //! never consults the monitor), so each detector sees exactly the events it
 //! would have seen watching the run alone.
+//!
+//! What an execution leaves is each detector's [`Race`]s — ids into the
+//! arena depot and the detector's lockset interner, until the next run
+//! resets them. [`DetectorArena::report`] builds the report of one; the
+//! report-returning entry points ([`DetectorArena::run_many`], the
+//! replays) execute, then report every race.
 
 use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{
@@ -30,8 +36,8 @@ use grs_runtime::{
 use crate::eraser::Eraser;
 use crate::fasttrack::{Shadow, Variant};
 use crate::hb::HbClocks;
-use crate::replay::{Detector, ReplayOutcome};
-use crate::report::RaceReport;
+use crate::replay::ReplayOutcome;
+use crate::report::{Race, RaceReport};
 
 /// Which detection algorithm a run is monitored with.
 ///
@@ -152,9 +158,6 @@ pub struct DetectorArena {
     watchers: Watchers,
 }
 
-/// What taking a detector out of the arena cannot fail for.
-const AT_HOME: &str = "the detectors leave the arena only for the length of a run";
-
 /// The closed set of algorithms an execution's watchers are drawn from: a
 /// happens-before shadow, which reads the watchers' shared clocks, or
 /// Eraser, which needs none.
@@ -162,6 +165,22 @@ const AT_HOME: &str = "the detectors leave the arena only for the length of a ru
 enum Watcher {
     Hb(Shadow),
     Eraser(Eraser),
+}
+
+impl Watcher {
+    fn races(&self) -> &[Race] {
+        match self {
+            Watcher::Hb(shadow) => shadow.races(),
+            Watcher::Eraser(eraser) => eraser.races(),
+        }
+    }
+
+    fn report(&self, race: &Race) -> RaceReport {
+        match self {
+            Watcher::Hb(shadow) => shadow.report(race),
+            Watcher::Eraser(eraser) => eraser.report(race),
+        }
+    }
 }
 
 /// One detector, and the peak of its shadow words over the current run.
@@ -180,7 +199,7 @@ struct Member {
 /// The kernel samples a lone monitor's shadow words after every event (and
 /// once after `on_run_end`, where no member does anything); `Watchers`
 /// samples each active member after every event and reports the largest
-/// member peak as its own.
+/// member peak as its own, kept as the members' peaks rise.
 #[derive(Debug, Default)]
 struct Watchers {
     hb: HbClocks,
@@ -188,6 +207,8 @@ struct Watchers {
     active: usize,
     /// Whether an active member reads `hb`.
     hb_active: bool,
+    /// The largest peak of an active member this run.
+    peak_shadow_words: usize,
 }
 
 impl Watchers {
@@ -206,34 +227,12 @@ impl Watchers {
         self.hb_active = self.members[..self.active]
             .iter()
             .any(|m| matches!(m.watcher, Watcher::Hb(_)));
+        self.peak_shadow_words = 0;
     }
 
-    /// One outcome per position in `choices` (the last selection), over an
-    /// execution of `events` events; a choice named twice repeats its
-    /// first outcome.
-    fn outcomes(&mut self, choices: &[DetectorChoice], events: u64) -> Vec<ReplayOutcome> {
-        let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
-        for (pos, &choice) in choices.iter().enumerate() {
-            let member = self
-                .members
-                .iter_mut()
-                .find(|m| m.choice == choice)
-                .expect(AT_HOME);
-            let reports = match (
-                choices[..pos].iter().position(|&c| c == choice),
-                &mut member.watcher,
-            ) {
-                (Some(first), _) => watched[first].reports.clone(),
-                (None, Watcher::Hb(shadow)) => shadow.take_reports(),
-                (None, Watcher::Eraser(eraser)) => eraser.take_reports(),
-            };
-            watched.push(ReplayOutcome {
-                reports,
-                events,
-                peak_shadow_words: member.peak_shadow_words,
-            });
-        }
-        watched
+    /// The member of `choice`, if it watched the last execution.
+    fn watched(&self, choice: DetectorChoice) -> Option<&Member> {
+        self.members[..self.active].iter().find(|m| m.choice == choice)
     }
 }
 
@@ -252,6 +251,7 @@ impl Monitor for Watchers {
         if self.hb_active {
             self.hb.before(event);
         }
+        let mut top = self.peak_shadow_words;
         for m in &mut self.members[..self.active] {
             let words = match &mut m.watcher {
                 Watcher::Hb(shadow) => {
@@ -264,19 +264,16 @@ impl Monitor for Watchers {
                 }
             };
             m.peak_shadow_words = m.peak_shadow_words.max(words);
+            top = top.max(words);
         }
+        self.peak_shadow_words = top;
         if self.hb_active {
             self.hb.after(event);
         }
     }
 
     fn shadow_words(&self) -> usize {
-        let active = &self.members[..self.active];
-        active
-            .iter()
-            .map(|m| m.peak_shadow_words)
-            .max()
-            .unwrap_or(0)
+        self.peak_shadow_words
     }
 }
 
@@ -341,13 +338,85 @@ impl DetectorArena {
         program: &Program,
         cfg: RunConfig,
     ) -> (RunOutcome, Vec<ReplayOutcome>) {
+        let outcome = self.execute(choices, program, cfg);
+        let watched = self.outcomes(choices, outcome.stats.events_dispatched);
+        (outcome, watched)
+    }
+
+    /// Executes one run of `program`, watched by every detector in
+    /// `choices` at once, and keeps what each found, as ids, until the
+    /// next run: read it with [`DetectorArena::races`] and
+    /// [`DetectorArena::peak_shadow_words`], and build the reports worth
+    /// keeping with [`DetectorArena::report`]. Each detector's races are
+    /// those it would have found watching the run alone.
+    pub fn execute(
+        &mut self,
+        choices: &[DetectorChoice],
+        program: &Program,
+        cfg: RunConfig,
+    ) -> RunOutcome {
         let mut watchers = std::mem::take(&mut self.watchers);
         watchers.select(choices);
-        let (outcome, mut watchers) =
-            Runtime::new(cfg).run_with_depot(program, watchers, &self.depot);
-        let watched = watchers.outcomes(choices, outcome.stats.events_dispatched);
+        let (outcome, watchers) = Runtime::new(cfg).run_with_depot(program, watchers, &self.depot);
         self.watchers = watchers;
-        (outcome, watched)
+        outcome
+    }
+
+    /// The races `choice` found in the last execution, in detection order
+    /// (none when it did not watch it).
+    #[must_use]
+    pub fn races(&self, choice: DetectorChoice) -> &[Race] {
+        self.watchers
+            .watched(choice)
+            .map_or(&[], |m| m.watcher.races())
+    }
+
+    /// The peak shadow words of `choice` over the last execution (0 when
+    /// it did not watch it).
+    #[must_use]
+    pub fn peak_shadow_words(&self, choice: DetectorChoice) -> usize {
+        self.watchers
+            .watched(choice)
+            .map_or(0, |m| m.peak_shadow_words)
+    }
+
+    /// The report of `race`, one of [`DetectorArena::races`]`(choice)`:
+    /// its name, stacks and locksets resolved. Valid until the next run
+    /// resets the depot and the detector's interners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choice` did not watch the last execution.
+    #[must_use]
+    pub fn report(&self, choice: DetectorChoice, race: &Race) -> RaceReport {
+        let member = self
+            .watchers
+            .watched(choice)
+            .expect("only a detector that watched the last execution has races to report");
+        member.watcher.report(race)
+    }
+
+    /// One outcome per position in `choices`, the last execution's
+    /// detectors, over `events` events, every race reported; a choice
+    /// named twice repeats its first outcome.
+    fn outcomes(&self, choices: &[DetectorChoice], events: u64) -> Vec<ReplayOutcome> {
+        let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
+        for (pos, &choice) in choices.iter().enumerate() {
+            let reports = match choices[..pos].iter().position(|&c| c == choice) {
+                Some(first) => watched[first].reports.clone(),
+                None => self
+                    .races(choice)
+                    .iter()
+                    .map(|race| self.report(choice, race))
+                    .collect(),
+            };
+            watched.push(ReplayOutcome {
+                reports,
+                events,
+                peak_shadow_words: self.peak_shadow_words(choice),
+            });
+        }
+        watched
     }
 
     /// Drives the watchers of `choices` over a recorded execution, its
@@ -359,7 +428,7 @@ impl DetectorArena {
         for event in &trace.events {
             watchers.on_event(event);
         }
-        watchers.outcomes(choices, trace.events.len() as u64)
+        self.outcomes(choices, trace.events.len() as u64)
     }
 
     /// Analyzes a recorded trace offline under `choice`, reusing this

@@ -22,7 +22,7 @@ use grs_runtime::event::{Event, EventKind, LockMode};
 use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
 
 use crate::replay::Detector;
-use crate::report::{DetectorKind, RaceAccess, RaceReport};
+use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
 
 /// Eraser's per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,30 +35,6 @@ enum VarState {
     SharedModified,
 }
 
-/// `Copy`: stack and lockset are interner ids, so remembering the previous
-/// access per variable moves two `u32`s instead of cloning frame vectors
-/// and lock vectors on every event.
-#[derive(Debug, Clone, Copy)]
-struct LastAccess {
-    gid: Gid,
-    kind: AccessKind,
-    stack: StackId,
-    loc: SourceLoc,
-    locks: LocksetId,
-}
-
-impl LastAccess {
-    fn to_race_access(self, depot: &StackDepot, locksets: &LocksetInterner) -> RaceAccess {
-        RaceAccess {
-            gid: self.gid,
-            kind: self.kind,
-            stack: depot.resolve(self.stack),
-            loc: self.loc,
-            locks_held: locksets.get(self.locks).clone(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct EraserVar {
     object: NameId,
@@ -66,7 +42,9 @@ struct EraserVar {
     /// Candidate protecting set, refined through the interner's memoized
     /// intersection (a hash probe per access in steady state).
     candidate: LocksetId,
-    last: LastAccess,
+    /// The previous access: a `Copy` record of ids, so remembering it
+    /// moves a few words instead of cloning frames and lock vectors.
+    last: AccessRecord,
     reported: bool,
 }
 
@@ -97,7 +75,7 @@ struct EraserVar {
 #[derive(Debug, Default)]
 pub struct Eraser {
     /// Depot of the current run (attached by [`Monitor::on_run_start`]);
-    /// used only to materialize reports' stacks and object names.
+    /// used only to resolve reports' stacks and object names.
     depot: StackDepot,
     /// Interned locksets; candidates and last-access records are ids.
     locksets: LocksetInterner,
@@ -119,6 +97,9 @@ pub struct Eraser {
     /// [`Monitor::shadow_words`] stays O(1).
     vars: Vec<Option<EraserVar>>,
     live_vars: usize,
+    /// The races found this run, as ids, in detection order.
+    races: Vec<Race>,
+    /// The reports of the last finished run.
     reports: Vec<RaceReport>,
 }
 
@@ -129,7 +110,7 @@ impl Eraser {
         Self::default()
     }
 
-    /// The potential races reported so far.
+    /// The potential races the last finished run reported.
     #[must_use]
     pub fn reports(&self) -> &[RaceReport] {
         &self.reports
@@ -152,8 +133,19 @@ impl Eraser {
         self.write_held_ids.clear();
         self.vars.clear();
         self.live_vars = 0;
+        self.races.clear();
         self.reports.clear();
         self.locksets.reset();
+    }
+
+    /// The races found this run, in detection order.
+    pub(crate) fn races(&self) -> &[Race] {
+        &self.races
+    }
+
+    /// The report of `race`, one this detector found this run.
+    pub(crate) fn report(&self, race: &Race) -> RaceReport {
+        race.report(&self.depot, &self.locksets, DetectorKind::Eraser)
     }
 
     fn ensure_gid(&mut self, gid: Gid) {
@@ -188,7 +180,7 @@ impl Eraser {
         } else {
             held
         };
-        let current = LastAccess {
+        let current = AccessRecord {
             gid,
             kind,
             stack,
@@ -249,17 +241,12 @@ impl Eraser {
                     // Suppress pairs where both sides used sync/atomic.
                     if !(kind.is_atomic() && prior.kind.is_atomic()) {
                         var.reported = true;
-                        let report = RaceReport {
+                        self.races.push(Race {
                             addr,
-                            object: self.depot.name(var.object),
-                            prior: prior.to_race_access(&self.depot, &self.locksets),
-                            current: current.to_race_access(&self.depot, &self.locksets),
-                            detector: DetectorKind::Eraser,
-                            program: None,
-                            repro_seed: None,
-                            repro: None,
-                        };
-                        self.reports.push(report);
+                            object: var.object,
+                            prior,
+                            current,
+                        });
                     }
                 }
             }
@@ -309,6 +296,10 @@ impl Monitor for Eraser {
             EventKind::Release { lock, .. } => self.on_release(event.gid, lock.0),
             _ => {}
         }
+    }
+
+    fn on_run_end(&mut self) {
+        self.reports = self.races.iter().map(|race| self.report(race)).collect();
     }
 
     fn shadow_words(&self) -> usize {

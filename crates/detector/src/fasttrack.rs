@@ -7,7 +7,7 @@
 //! only while reads are concurrent), checked against the accessing
 //! goroutine's vector clock, which is read from the execution's one
 //! `HbClocks` (`crate::hb`). A detector here is its variable shadow, its
-//! site keys and its reports.
+//! site keys and the races it keeps, as ids ([`Race`]).
 //!
 //! Three detectors share this shadow, built by [`FastTrack::new`],
 //! [`FastTrack::pure_vc`] and [`FastTrack::hybrid`]:
@@ -39,38 +39,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_obs::hash::FnvHasher;
 use grs_runtime::event::{Event, EventKind};
-use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
+use grs_runtime::{Addr, Gid, Monitor, NameId, SourceLoc, StackDepot};
 
 use crate::hb::HbClocks;
 use crate::replay::Detector;
-use crate::report::{DetectorKind, RaceAccess, RaceReport};
-
-/// One recorded access (for the "previous access" half of a report).
-///
-/// `Copy`: the stack is a depot id and the lockset an interner id, so
-/// storing shadow history per variable moves two `u32`s instead of cloning
-/// frame vectors — the heart of this detector's hot-path refactor.
-#[derive(Debug, Clone, Copy)]
-struct AccessInfo {
-    gid: Gid,
-    kind: AccessKind,
-    stack: StackId,
-    loc: SourceLoc,
-    locks: LocksetId,
-}
-
-impl AccessInfo {
-    /// Materializes the compact ids into a report half (report paths only).
-    fn to_race_access(self, depot: &StackDepot, locksets: &LocksetInterner) -> RaceAccess {
-        RaceAccess {
-            gid: self.gid,
-            kind: self.kind,
-            stack: depot.resolve(self.stack),
-            loc: self.loc,
-            locks_held: locksets.get(self.locks).clone(),
-        }
-    }
-}
+use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
 
 /// One entry of the concurrent-read history: the reading goroutine, its
 /// clock at the read, and the access metadata for reports.
@@ -78,7 +51,7 @@ impl AccessInfo {
 struct SharedRead {
     tid: u32,
     clk: u32,
-    info: AccessInfo,
+    info: AccessRecord,
 }
 
 /// Read history of one variable.
@@ -87,7 +60,7 @@ enum ReadState {
     /// No read yet.
     None,
     /// Totally ordered reads: the maximal one as an epoch.
-    Exclusive(Epoch, AccessInfo),
+    Exclusive(Epoch, AccessRecord),
     /// Concurrent reads: per-goroutine last-read clock (FastTrack's
     /// "read-shared" inflation), kept sorted by tid so iteration — and
     /// therefore report order — is deterministic without a sort per write.
@@ -96,7 +69,7 @@ enum ReadState {
 }
 
 /// Inserts or replaces `tid`'s entry, keeping the vector sorted by tid.
-fn shared_insert(reads: &mut Vec<SharedRead>, tid: u32, clk: u32, info: AccessInfo) {
+fn shared_insert(reads: &mut Vec<SharedRead>, tid: u32, clk: u32, info: AccessRecord) {
     match reads.binary_search_by_key(&tid, |e| e.tid) {
         Ok(i) => reads[i] = SharedRead { tid, clk, info },
         Err(i) => reads.insert(i, SharedRead { tid, clk, info }),
@@ -115,7 +88,7 @@ struct VarShadow {
     /// Full clock of the writer at the last write (kept only in `pure_vc`
     /// mode, where it replaces the epoch comparison).
     write_clock: Option<VectorClock>,
-    write_info: Option<AccessInfo>,
+    write_info: Option<AccessRecord>,
     read: ReadState,
 }
 
@@ -152,10 +125,9 @@ impl SiteKey {
         SiteKey { object, lo, hi }
     }
 
-    /// Whether `report` is a race on this site's locations, either way
-    /// round.
-    fn same_locs(&self, report: &RaceReport) -> bool {
-        let (p, c) = (report.prior.loc, report.current.loc);
+    /// Whether `race` is on this site's locations, either way round.
+    fn same_locs(&self, race: &Race) -> bool {
+        let (p, c) = (race.prior.loc, race.current.loc);
         (p, c) == (self.lo, self.hi) || (c, p) == (self.lo, self.hi)
     }
 }
@@ -170,9 +142,9 @@ impl Hash for SiteKey {
     }
 }
 
-/// The most reports one detector keeps per run: a guard on memory for
-/// extremely racy programs (the paper's detector similarly caps per-run
-/// output).
+/// The most races one detector keeps (and so reports) per run: a guard on
+/// memory for extremely racy programs (the paper's detector similarly caps
+/// per-run output).
 pub const MAX_REPORTS: usize = 256;
 
 /// Which happens-before detector a shadow belongs to.
@@ -200,7 +172,7 @@ impl Variant {
 /// A happens-before detector used alone: a private `HbClocks` advanced
 /// around one variable shadow. Create one per run (or reuse it: every run
 /// starts by resetting it) and pass it to [`grs_runtime::Runtime::run`];
-/// collect [`FastTrack::reports`] afterwards.
+/// collect [`FastTrack::reports`] afterwards: the run's end builds them.
 ///
 /// # Example
 ///
@@ -226,6 +198,8 @@ impl Variant {
 pub struct FastTrack {
     hb: HbClocks,
     shadow: Shadow,
+    /// The reports of the last finished run.
+    reports: Vec<RaceReport>,
 }
 
 impl Default for FastTrack {
@@ -258,19 +232,20 @@ impl FastTrack {
         FastTrack {
             hb: HbClocks::default(),
             shadow: Shadow::new(variant),
+            reports: Vec::new(),
         }
     }
 
-    /// The races detected so far.
+    /// The races the last finished run reported.
     #[must_use]
     pub fn reports(&self) -> &[RaceReport] {
-        &self.shadow.reports
+        &self.reports
     }
 
     /// Consumes the detector, returning its reports.
     #[must_use]
     pub fn into_reports(self) -> Vec<RaceReport> {
-        self.shadow.reports
+        self.reports
     }
 
     /// Number of memory accesses processed.
@@ -291,12 +266,18 @@ impl Monitor for FastTrack {
     fn on_run_start(&mut self, depot: &StackDepot) {
         self.hb.reset();
         self.shadow.on_run_start(depot);
+        self.reports.clear();
     }
 
     fn on_event(&mut self, event: &Event) {
         self.hb.before(event);
         self.shadow.on_event(&self.hb, event);
         self.hb.after(event);
+    }
+
+    fn on_run_end(&mut self) {
+        let shadow = &self.shadow;
+        self.reports = shadow.races().iter().map(|race| shadow.report(race)).collect();
     }
 
     fn shadow_words(&self) -> usize {
@@ -306,18 +287,19 @@ impl Monitor for FastTrack {
 
 impl Detector for FastTrack {
     fn take_reports(&mut self) -> Vec<RaceReport> {
-        self.shadow.take_reports()
+        std::mem::take(&mut self.reports)
     }
 }
 
 /// One happens-before detector without its clocks: the variable shadow,
-/// the held locks (the hybrid's), the site keys and the reports. It reads
-/// the execution's `HbClocks` on every access.
+/// the held locks (the hybrid's), the site keys and the races kept. It
+/// reads the execution's `HbClocks` on every access.
 #[derive(Debug, Default)]
 pub(crate) struct Shadow {
     variant: Variant,
-    /// Depot of the current run (attached by `on_run_start`); used only to
-    /// materialize reports' stacks and object names.
+    /// Depot of the current run (attached by `on_run_start`): the texts of
+    /// object names, for the rare site only a name's text tells apart, and
+    /// of the stacks its reports resolve.
     depot: StackDepot,
     /// Interned locksets; shadow history stores [`LocksetId`]s.
     locksets: LocksetInterner,
@@ -329,14 +311,15 @@ pub(crate) struct Shadow {
     held_ids: Vec<LocksetId>,
     /// Flat variable table indexed by the kernel's dense address ids.
     vars: Vec<VarShadow>,
-    reports: Vec<RaceReport>,
-    /// The site of every report kept this run: a repeat is rejected on
-    /// this probe before any report is built.
+    /// The races kept this run, in detection order.
+    races: Vec<Race>,
+    /// The site of every race kept this run: a repeat is rejected on this
+    /// probe.
     sites: HashSet<SiteKey, BuildHasherDefault<FnvHasher>>,
     /// Scratch buffer for the race pairs one access uncovers; a field so
     /// the hot path never constructs (or drops) a fresh `Vec` per event.
     /// Always left empty between accesses.
-    found: Vec<(AccessInfo, AccessInfo)>,
+    found: Vec<(AccessRecord, AccessRecord)>,
     accesses_processed: u64,
     epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
@@ -362,7 +345,7 @@ impl Shadow {
         self.held.iter_mut().for_each(Lockset::clear);
         self.held_ids.clear();
         self.vars.clear();
-        self.reports.clear();
+        self.races.clear();
         self.sites.clear();
         self.accesses_processed = 0;
         self.epoch_fast_hits = 0;
@@ -371,7 +354,7 @@ impl Shadow {
     }
 
     /// A fresh run: drops any previous run's shadow state (allocations stay
-    /// warm) and attaches the run's depot for report materialization.
+    /// warm) and attaches the run's depot.
     pub(crate) fn on_run_start(&mut self, depot: &StackDepot) {
         self.reset();
         self.depot = depot.clone();
@@ -392,7 +375,7 @@ impl Shadow {
             } => {
                 let (gid, held) = (event.gid, self.held_ids.get(event.gid.index()));
                 let locks = held.copied().unwrap_or(LocksetId::EMPTY);
-                let info = AccessInfo {
+                let info = AccessRecord {
                     gid,
                     kind,
                     stack,
@@ -415,8 +398,14 @@ impl Shadow {
         self.shadow_words
     }
 
-    pub(crate) fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
+    /// The races kept this run, in detection order.
+    pub(crate) fn races(&self) -> &[Race] {
+        &self.races
+    }
+
+    /// The report of `race`, one this shadow kept this run.
+    pub(crate) fn report(&self, race: &Race) -> RaceReport {
+        race.report(&self.depot, &self.locksets, self.variant.kind())
     }
 
     /// Applies `change` to the locks `gid` holds and re-interns them.
@@ -434,50 +423,43 @@ impl Shadow {
         self.held_ids[gi] = self.locksets.intern(&self.held[gi]);
     }
 
-    /// Keeps the first report of each race site: a repeat costs one probe
-    /// of `sites`, and only a new site resolves a name, two stacks and two
-    /// locksets.
+    /// Keeps the first race of each site, as ids: a repeat costs one
+    /// probe of `sites`, and nothing is resolved.
     #[cold]
-    fn record(&mut self, addr: Addr, object: NameId, prior: AccessInfo, current: AccessInfo) {
-        if self.reports.len() >= MAX_REPORTS {
+    fn record(&mut self, addr: Addr, object: NameId, prior: AccessRecord, current: AccessRecord) {
+        if self.races.len() >= MAX_REPORTS {
             return;
         }
         let site = SiteKey::new(object, prior.loc, current.loc);
         if self.sites.contains(&site) {
             return;
         }
-        let name = self.depot.name(object);
         // Names are interned by text, so a new key is a new site — except
         // in a hand-built trace that names one text through two string
         // table entries; such a site is matched by text against the (at
-        // most `MAX_REPORTS`) reports kept. Its key is not added, so
-        // `sites` holds one key per report: even keys an uploaded trace
-        // crafts to collide under FNV cost at most `MAX_REPORTS`
+        // most `MAX_REPORTS`) races kept on the same lines. Its key is not
+        // added, so `sites` holds one key per race: even keys an uploaded
+        // trace crafts to collide under FNV cost at most `MAX_REPORTS`
         // comparisons a probe.
-        if self
-            .reports
-            .iter()
-            .any(|r| site.same_locs(r) && r.object == name)
-        {
+        let depot = &self.depot;
+        if self.races.iter().any(|r| {
+            r.object != object && site.same_locs(r) && depot.name(r.object) == depot.name(object)
+        }) {
             return;
         }
         self.sites.insert(site);
-        self.reports.push(RaceReport {
+        self.races.push(Race {
             addr,
-            object: name,
-            prior: prior.to_race_access(&self.depot, &self.locksets),
-            current: current.to_race_access(&self.depot, &self.locksets),
-            detector: self.variant.kind(),
-            program: None,
-            repro_seed: None,
-            repro: None,
+            object,
+            prior,
+            current,
         });
     }
 
     /// Checks one access by a goroutine whose clock is `c` against the
     /// variable's shadow, then updates the shadow.
     #[inline]
-    fn on_access(&mut self, c: &VectorClock, addr: Addr, object: NameId, info: AccessInfo) {
+    fn on_access(&mut self, c: &VectorClock, addr: Addr, object: NameId, info: AccessRecord) {
         self.accesses_processed += 1;
         let (tid, kind) = (Tid::new(info.gid.0), info.kind);
         let vi = addr.0 as usize;

@@ -21,6 +21,11 @@
 //! keeps only its own variable shadow. [`DetectorArena`] fans an execution
 //! out to its detectors in one pass, live or replayed.
 //!
+//! A detector keeps each race as a `Copy` [`Race`] of ids and resolves
+//! nothing while the run goes on; a [`RaceReport`] is built from one on
+//! request ([`DetectorArena::report`]), or for every race by the
+//! report-returning APIs.
+//!
 //! [`DetectorChoice`] names one of the four algorithms and runs a
 //! [`Program`](grs_runtime::Program) under it. Detection is
 //! schedule-dependent — the "flakiness" that drives the paper's entire
@@ -64,4 +69,4 @@ pub use arena::{DetectorArena, DetectorChoice};
 pub use eraser::Eraser;
 pub use fasttrack::{FastTrack, MAX_REPORTS};
 pub use replay::{replay_decoded, replay_trace, Detector, ReplayOutcome};
-pub use report::{DetectorKind, RaceAccess, RaceReport};
+pub use report::{AccessRecord, DetectorKind, Race, RaceAccess, RaceReport};

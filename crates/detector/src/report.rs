@@ -1,13 +1,22 @@
-//! Race reports: the detector output the deployment pipeline consumes.
+//! Races and race reports: what a detector keeps, and the detector output
+//! the deployment pipeline consumes.
 //!
-//! A report mirrors what the paper's workflow files as a bug (§3.3): the
-//! conflicting address, the two calling contexts, and the access types.
+//! A detector keeps each race it finds as a [`Race`] — `Copy` ids into the
+//! run's stack depot and the detector's lockset interner — and resolves
+//! nothing while the run goes on. A [`RaceReport`] mirrors what the
+//! paper's workflow files as a bug (§3.3): the conflicting address, the two
+//! calling contexts, and the access types. One builder turns the first
+//! into the second ([`DetectorArena::report`](crate::DetectorArena::report)
+//! and the lone detectors' run end both call it), so a campaign that keeps
+//! one race per fingerprint resolves the stacks of those races only.
 
 use std::fmt;
 use std::sync::Arc;
 
-use grs_clock::Lockset;
-use grs_runtime::{AccessKind, Addr, Gid, ReproArtifact, SourceLoc, Stack};
+use grs_clock::{Lockset, LocksetId, LocksetInterner};
+use grs_runtime::{
+    AccessKind, Addr, Gid, NameId, ReproArtifact, SourceLoc, Stack, StackDepot, StackId,
+};
 
 /// Which algorithm produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,15 +43,82 @@ impl fmt::Display for DetectorKind {
     }
 }
 
-/// One side of a race: who accessed, how, and from where.
+/// One access as a detector records it: who, how, and from where, with the
+/// stack a depot id and the held locks a lockset id. `Copy`, so a shadow
+/// slot keeps its last accesses by moving a few words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessRecord {
+    /// The accessing goroutine.
+    pub gid: Gid,
+    /// Read/write, atomic or plain.
+    pub kind: AccessKind,
+    /// The calling context, in the run's depot.
+    pub stack: StackId,
+    /// Source location of the access.
+    pub loc: SourceLoc,
+    /// Locks held at the access, in the recording detector's interner
+    /// ([`LocksetId::EMPTY`] for detectors that track none).
+    pub locks: LocksetId,
+}
+
+impl AccessRecord {
+    fn resolve(self, depot: &StackDepot, locksets: &LocksetInterner) -> RaceAccess {
+        RaceAccess {
+            gid: self.gid,
+            kind: self.kind,
+            stack: depot.resolve(self.stack),
+            loc: self.loc,
+            locks_held: locksets.get(self.locks).clone(),
+        }
+    }
+}
+
+/// A race as a detector keeps it: the conflicting address, the object's
+/// name id and both accesses, all ids. Valid with the depot and lockset
+/// interner of the run that found it — until the next run resets them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Race {
+    /// The conflicting address.
+    pub addr: Addr,
+    /// The object's name, in the run's depot.
+    pub object: NameId,
+    /// The earlier access (in the observed schedule).
+    pub prior: AccessRecord,
+    /// The access that exposed the race.
+    pub current: AccessRecord,
+}
+
+impl Race {
+    /// The one report builder: resolves the name, both stacks and both
+    /// locksets of this race, found by a `detector` whose run used `depot`
+    /// and `locksets`.
+    pub(crate) fn report(
+        &self,
+        depot: &StackDepot,
+        locksets: &LocksetInterner,
+        detector: DetectorKind,
+    ) -> RaceReport {
+        RaceReport {
+            addr: self.addr,
+            object: depot.name(self.object),
+            prior: self.prior.resolve(depot, locksets),
+            current: self.current.resolve(depot, locksets),
+            detector,
+            program: None,
+            repro_seed: None,
+            repro: None,
+        }
+    }
+}
+
+/// One side of a race report: who accessed, how, and from where.
 #[derive(Debug, Clone)]
 pub struct RaceAccess {
     /// The accessing goroutine.
     pub gid: Gid,
     /// Read/write, atomic or plain.
     pub kind: AccessKind,
-    /// Go-style calling context, materialized at record time (reports are
-    /// rare, so the clone cost is paid off the hot path).
+    /// Go-style calling context, materialized when the report is built.
     pub stack: Stack,
     /// Source location of the access.
     pub loc: SourceLoc,

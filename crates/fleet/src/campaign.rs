@@ -9,13 +9,16 @@
 //!   deterministically; a [`RunSpec`] names one cell and its record;
 //! * the **work item** is an [`ExecSpec`], one `(unit, seed, strategy)`:
 //!   it executes once, watched by every configured detector at once
-//!   ([`DetectorArena::run_many`]), and folds one record per detector onto
+//!   ([`DetectorArena::execute`]), and folds one record per detector onto
 //!   the matrix's spec indices;
 //! * the **fan-out** is [`IndexQueues`]: the item index space dealt over
 //!   lazy shard queues, popped by a pool of OS worker threads with work
 //!   stealing;
 //! * the **dedup stage** is [`DedupMap`]: fingerprint-sharded concurrent
-//!   aggregation with deterministic representatives;
+//!   aggregation with deterministic representatives. Races reach it as
+//!   ids: each is fingerprinted from the worker's depot, and a report is
+//!   built only for a race that takes a fingerprint's representative
+//!   slot;
 //! * the **filing** is [`grs_deploy::IntakeService`] via
 //!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake
 //!   ([`CampaignResult::file_into_service`]).
@@ -34,10 +37,11 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use grs_deploy::{race_fingerprint, FileOutcome, Fingerprint, RaceBatch};
-use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
+use grs_deploy::{race_fingerprint_ids, FileOutcome, Fingerprint, RaceBatch};
+use grs_detector::{DetectorArena, DetectorChoice, Race, RaceReport};
+use grs_obs::hash::FnvMap;
 use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport};
-use grs_runtime::{Program, ReproArtifact, RunConfig, RunOutcome, Strategy};
+use grs_runtime::{NameId, Program, ReproArtifact, RunConfig, RunOutcome, StackId, Strategy};
 
 use crate::dedup::DedupMap;
 use crate::shard::{ExecSpec, IndexQueues, RunSpec};
@@ -741,11 +745,15 @@ impl Campaign {
 
     /// Executes `exec` once, watched by every configured detector through
     /// the worker's reusable arena, and folds one record per detector at
-    /// its matrix spec.
+    /// its matrix spec. Each race is offered to the dedup stage as its
+    /// fingerprint, computed once per execution for each object and stack
+    /// pair the detectors share, and a report tagged with the unit and
+    /// repro artifact is built only for a race that becomes (for now) its
+    /// fingerprint's representative.
     fn execute(&self, exec: ExecSpec, unit: &HeldUnit, wk: &mut Worker<'_>) {
         let started = Instant::now();
         let detectors = &self.config.detectors;
-        let (outcome, watched) = wk.arena.run_many(
+        let outcome = wk.arena.execute(
             detectors,
             &unit.program,
             self.run_config(exec.seed, exec.strategy),
@@ -753,19 +761,37 @@ impl Campaign {
         let duration = started.elapsed() / detectors.len() as u32;
         let repro = ReproArtifact::seeded(exec.seed, exec.strategy);
         let end = RunEnd::of(&outcome);
-        for (pos, (&detector, out)) in detectors.iter().zip(watched).enumerate() {
+        let arena = &wk.arena;
+        wk.fingerprints.clear();
+        for (pos, &detector) in detectors.iter().enumerate() {
             let spec = exec.run_spec(pos, detector);
-            let racy = !out.reports.is_empty();
-            let fingerprints = wk.dedup(spec, unit, out.reports, &repro);
+            let races = arena.races(detector);
+            let mut fingerprints = Vec::with_capacity(races.len());
+            for race in races {
+                let fp = *wk
+                    .fingerprints
+                    .entry(fingerprint_key(race))
+                    .or_insert_with(|| race_fingerprint_ids(arena.depot(), race));
+                fingerprints.push(fp);
+                wk.shared.dedup.insert_with(fp, spec.index, || {
+                    let mut r = arena.report(detector, race);
+                    r.program = Some(unit.name.clone());
+                    r.repro_seed = Some(spec.seed);
+                    r.repro = Some(repro.clone());
+                    r
+                });
+            }
+            fingerprints.sort_unstable();
+            fingerprints.dedup();
             wk.records.push(RunRecord {
                 spec,
                 unit_name: unit.name.clone(),
-                racy,
+                racy: !races.is_empty(),
                 fingerprints,
                 steps: outcome.steps,
                 events: outcome.stats.events_dispatched,
                 depot_stacks: outcome.stats.depot.stacks,
-                peak_shadow_words: out.peak_shadow_words,
+                peak_shadow_words: arena.peak_shadow_words(detector),
                 end,
                 worker: wk.id,
                 shard: wk.shard,
@@ -792,6 +818,7 @@ impl Campaign {
             id,
             shard: 0,
             arena: DetectorArena::new(),
+            fingerprints: FnvMap::default(),
             records: Vec::new(),
         };
         // Shards are contiguous index ranges and a unit's executions are
@@ -970,33 +997,17 @@ struct Worker<'a> {
     /// The shard the item in hand was taken from.
     shard: usize,
     arena: DetectorArena,
+    /// The fingerprints of the execution in hand, by [`fingerprint_key`];
+    /// emptied per execution, its allocation kept.
+    fingerprints: FnvMap<(NameId, StackId, StackId), Fingerprint>,
     records: Vec<RunRecord>,
 }
 
-impl Worker<'_> {
-    /// Tags each report with its unit and repro artifact and fingerprints
-    /// it into the dedup stage; returns the run's sorted, distinct
-    /// fingerprints.
-    fn dedup(
-        &self,
-        spec: RunSpec,
-        unit: &HeldUnit,
-        reports: Vec<RaceReport>,
-        repro: &ReproArtifact,
-    ) -> Vec<Fingerprint> {
-        let mut fingerprints = Vec::with_capacity(reports.len());
-        for mut r in reports {
-            r.program = Some(unit.name.clone());
-            r.repro_seed = Some(spec.seed);
-            r.repro = Some(repro.clone());
-            let fp = race_fingerprint(&r);
-            fingerprints.push(fp);
-            self.shared.dedup.insert(fp, spec.index, r);
-        }
-        fingerprints.sort_unstable();
-        fingerprints.dedup();
-        fingerprints
-    }
+/// What a race's fingerprint is a function of, in the ids of its run: the
+/// object and the two stacks, either way round.
+fn fingerprint_key(race: &Race) -> (NameId, StackId, StackId) {
+    let (a, b) = (race.prior.stack, race.current.stack);
+    (race.object, a.min(b), a.max(b))
 }
 
 #[cfg(test)]

@@ -30,13 +30,25 @@ impl DedupMap {
         }
     }
 
-    /// Records `report` (found by spec `spec_index`) under `fp`. Returns
-    /// `true` when the fingerprint was new. On a collision the lower spec
-    /// index keeps (or takes) the representative slot; between two reports
-    /// of one spec the first inserted keeps it.
+    /// Records `report` (found by spec `spec_index`) under `fp`: the
+    /// [`DedupMap::insert_with`] of a report already built.
     pub fn insert(&self, fp: Fingerprint, spec_index: usize, report: RaceReport) -> bool {
+        self.insert_with(fp, spec_index, || report)
+    }
+
+    /// Records a race found by spec `spec_index` under `fp`. Returns `true`
+    /// when the fingerprint was new. On a collision the lower spec index
+    /// keeps (or takes) the representative slot; between two races of one
+    /// spec the first inserted keeps it. `report` builds the race's report,
+    /// and runs only when the race takes the slot.
+    pub fn insert_with(
+        &self,
+        fp: Fingerprint,
+        spec_index: usize,
+        report: impl FnOnce() -> RaceReport,
+    ) -> bool {
         let i = (fp.0 % self.shards.len() as u64) as usize;
-        lock(&self.shards[i]).add_fingerprinted(fp, report, spec_index as u64)
+        lock(&self.shards[i]).add_fingerprinted(fp, spec_index as u64, report)
     }
 
     /// Number of distinct fingerprints recorded.
@@ -132,6 +144,28 @@ mod tests {
             let kept = batch.into_reports();
             assert_eq!(kept[0].prior.stack.func_names(), [first]);
         }
+    }
+
+    #[test]
+    fn a_report_is_built_only_to_take_the_slot() {
+        let fp = Fingerprint(42);
+        let m = DedupMap::new(4);
+        let built = &std::cell::Cell::new(0);
+        let build = |seed| {
+            move || {
+                built.set(built.get() + 1);
+                report("F", seed)
+            }
+        };
+        assert!(m.insert_with(fp, 5, build(5)));
+        assert!(!m.insert_with(fp, 5, build(6)));
+        assert!(!m.insert_with(fp, 7, build(7)));
+        assert_eq!(built.get(), 1, "repeats at the same or a higher spec build nothing");
+        assert!(!m.insert_with(fp, 2, build(2)));
+        assert_eq!(built.get(), 2, "a lower spec builds the report it keeps");
+        let batch = m.into_batch();
+        assert_eq!(batch.raw_reports(), 4);
+        assert_eq!(batch.into_reports()[0].repro_seed, Some(2));
     }
 
     #[test]

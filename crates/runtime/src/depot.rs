@@ -141,6 +141,9 @@ struct DepotInner {
     max_depth: u32,
     /// Reused buffer for texts built from format arguments.
     scratch: String,
+    /// Reused buffer for the root-first node paths of
+    /// [`StackDepot::with_chains`].
+    path: Vec<StackId>,
 }
 
 impl Default for DepotInner {
@@ -155,6 +158,7 @@ impl Default for DepotInner {
             interned_total: 0,
             max_depth: 0,
             scratch: String::new(),
+            path: Vec::new(),
         }
     }
 }
@@ -238,6 +242,17 @@ impl DepotInner {
         }
     }
 
+    /// Appends the nodes of `id` to `path`, root first.
+    fn push_path(&self, path: &mut Vec<StackId>, id: StackId) {
+        let start = path.len();
+        let mut cur = id;
+        while !cur.is_empty() {
+            path.push(cur);
+            cur = self.nodes[cur.0 as usize - 1].parent;
+        }
+        path[start..].reverse();
+    }
+
     /// The name id of text `i`, issuing the generation's next one at its
     /// first use.
     fn name_id(&mut self, i: u32) -> NameId {
@@ -248,6 +263,22 @@ impl DepotInner {
             self.names.push(text.text.clone());
         }
         text.name
+    }
+}
+
+/// The function names of one interned stack, root first, read in place
+/// under the depot lock (see [`StackDepot::with_chains`]).
+#[derive(Debug, Clone)]
+pub struct Funcs<'a> {
+    nodes: &'a [Node],
+    path: std::slice::Iter<'a, StackId>,
+}
+
+impl<'a> Iterator for Funcs<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.path.next().map(|id| &*self.nodes[id.0 as usize - 1].func)
     }
 }
 
@@ -371,6 +402,39 @@ impl StackDepot {
         }
         frames.reverse();
         Stack::from_frames(frames)
+    }
+
+    /// Calls `f` with the text of name `object` and the function names of
+    /// stacks `a` and `b`, root first, under one lock: nothing is cloned,
+    /// and the paths are walked into a buffer the depot keeps, so a warm
+    /// depot allocates nothing. What a race fingerprint reads, without
+    /// resolving either stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id was not issued by this depot generation.
+    pub fn with_chains<R>(
+        &self,
+        object: NameId,
+        a: StackId,
+        b: StackId,
+        f: impl FnOnce(&str, Funcs<'_>, Funcs<'_>) -> R,
+    ) -> R {
+        let mut d = self.lock();
+        let mut path = std::mem::take(&mut d.path);
+        path.clear();
+        d.push_path(&mut path, a);
+        let split = path.len();
+        d.push_path(&mut path, b);
+        let (pa, pb) = path.split_at(split);
+        let nodes = &d.nodes;
+        let out = f(
+            &d.names[object.index()],
+            Funcs { nodes, path: pa.iter() },
+            Funcs { nodes, path: pb.iter() },
+        );
+        d.path = path;
+        out
     }
 
     /// Distinct stacks currently interned.

@@ -15,27 +15,27 @@
 //! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
 //! pass, so it is the cost of a run in a warm process:
 //!
-//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |    16.7 |
-//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |    24.4 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |    25.4 |
-//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |    24.4 |
-//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |    24.6 |
-//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |    33.5 |
-//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |    42.3 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |    16.7 |
+//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |    24.4 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |    25.4 |
+//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |    24.4 |
+//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |    24.6 |
+//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |    33.5 |
+//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |      23.8 |    26.6 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -66,6 +66,15 @@
 //! as 0.05, in release or debug: a `VectorClock` holds eight components
 //! inline, so the channel clocks no longer cloned three times never
 //! allocated for these programs, and no ceiling changed.
+//!
+//! At `a243cbb` a campaign received every race as a report: each detector
+//! resolved the name, both stacks and both locksets of every race it kept,
+//! and the campaign fingerprinted every report and dropped nearly all of
+//! them as duplicates. This tree's detectors keep races as ids, the
+//! campaign fingerprints them from the depot, and a report is built only
+//! for a race that takes a fingerprint's representative slot — so the
+//! campaign row fell, and no other row moved by as much as 0.01, about
+//! what a live row varies between two runs of this test.
 //!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
@@ -226,7 +235,7 @@ fn a_campaign_execution_stays_under_its_allocation_ceiling() {
     assert_ceilings(&[(
         "campaign execution, all four".to_string(),
         per_execution,
-        42.3,
+        26.6,
     )]);
 }
 

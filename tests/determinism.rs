@@ -8,10 +8,13 @@
 //! (which would expose any cross-thread nondeterminism in the shard
 //! scheduler or the dedup stage).
 
-use grs::detector::DetectorChoice;
+use std::sync::Arc;
+
+use grs::deploy::{Fingerprint, RaceBatch};
+use grs::detector::{DetectorArena, DetectorChoice, DetectorKind};
 use grs::fleet::{Campaign, CampaignConfig};
 use grs::patterns;
-use grs::runtime::{RunConfig, Runtime, Strategy, TraceHasher};
+use grs::runtime::{ReproArtifact, RunConfig, Runtime, Strategy, TraceHasher};
 
 /// Same seed ⇒ identical event-trace hash across 3 repeated runs, for a
 /// spread of patterns, seeds, and strategies.
@@ -87,8 +90,52 @@ fn detector_reports_are_deterministic_including_order() {
     }
 }
 
+/// A batch's representatives, as filed: fingerprint, full report text,
+/// detector and repro seed.
+fn representatives(batch: &RaceBatch) -> Vec<(Fingerprint, String, DetectorKind, Option<u64>)> {
+    batch
+        .iter()
+        .map(|(fp, r)| (fp, r.to_string(), r.detector, r.repro_seed))
+        .collect()
+}
+
+/// The batch a campaign should build, made the plain way: every report of
+/// every execution, from `run_many`, tagged as a campaign tags it and
+/// added through [`RaceBatch::add`] under the campaign's rule — the lowest
+/// spec's race, and of one spec's, the first detected.
+fn batch_of_every_report(campaign: &Campaign) -> RaceBatch {
+    let mut arena = DetectorArena::new();
+    let mut batch = RaceBatch::new();
+    let config = campaign.config();
+    for exec in campaign.exec_specs() {
+        let unit = campaign.unit(exec.unit).expect("pattern units build");
+        let cfg = RunConfig {
+            seed: exec.seed,
+            strategy: exec.strategy,
+            max_steps: config.max_steps,
+            ..RunConfig::default()
+        };
+        let (_, watched) = arena.run_many(&config.detectors, &unit.program, cfg);
+        for (pos, (&detector, out)) in config.detectors.iter().zip(watched).enumerate() {
+            let spec = exec.run_spec(pos, detector);
+            for (nth, mut r) in out.reports.into_iter().enumerate() {
+                r.program = Some(Arc::from(unit.name.as_str()));
+                r.repro_seed = Some(spec.seed);
+                r.repro = Some(ReproArtifact::seeded(spec.seed, spec.strategy));
+                // Spec index, then place in the run: no two orders tie.
+                batch.add(r, ((spec.index as u64) << 32) | nth as u64);
+            }
+        }
+    }
+    batch
+}
+
 /// Campaign output — records and deduped batch — is identical at worker
-/// counts {1, 4, 8}, across strategies and detectors.
+/// counts {1, 4, 8}, across strategies and detectors, and its
+/// representatives are the reports a plain batch of every report keeps.
+/// A campaign builds a report only for a race that takes a fingerprint's
+/// slot, and above one worker a higher spec can build one that a lower spec
+/// then replaces: the full text of what is kept must not depend on that.
 #[test]
 fn campaign_is_worker_count_invariant() {
     let units: Vec<_> = grs::fleet::pattern_suite(true).into_iter().take(6).collect();
@@ -97,7 +144,13 @@ fn campaign_is_worker_count_invariant() {
         .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }])
         .detectors(vec![DetectorChoice::Hybrid, DetectorChoice::Eraser])
         .shards(4);
-    let reference = Campaign::over_units(config.clone().workers(1), units.clone()).run();
+    let serial = Campaign::over_units(config.clone().workers(1), units.clone());
+    let reference = serial.run();
+    assert_eq!(
+        representatives(&reference.batch),
+        representatives(&batch_of_every_report(&serial)),
+        "the campaign kept other representatives than a batch of every report"
+    );
     for workers in [4, 8] {
         let r = Campaign::over_units(config.clone().workers(workers), units.clone()).run();
         assert_eq!(
@@ -110,13 +163,11 @@ fn campaign_is_worker_count_invariant() {
             reference.batch.fingerprints(),
             "workers={workers}"
         );
-        let rep: Vec<_> = r.batch.iter().map(|(fp, rr)| (fp, rr.repro_seed)).collect();
-        let refr: Vec<_> = reference
-            .batch
-            .iter()
-            .map(|(fp, rr)| (fp, rr.repro_seed))
-            .collect();
-        assert_eq!(rep, refr, "workers={workers}: representatives diverged");
+        assert_eq!(
+            representatives(&r.batch),
+            representatives(&reference.batch),
+            "workers={workers}: representatives diverged"
+        );
     }
 }
 

@@ -16,6 +16,10 @@
 //! A change to how detectors deduplicate, materialize or order reports
 //! moves the digest; a change that only makes them cheaper does not.
 //!
+//! Each folded report is also fingerprinted twice: from the report, and
+//! from the race it was built from, read by id from the arena's depot
+//! (what a campaign does). The two must agree.
+//!
 //! Each program is also run once more with all four detectors watching
 //! the one execution ([`DetectorArena::run_many`], what a campaign does).
 //! That pass is compared, not folded: each detector's reports, steps,
@@ -25,6 +29,7 @@
 //! replays in reports, events and peak shadow words.
 
 use grs::corpus::GoTestSpec;
+use grs::deploy::{race_fingerprint, race_fingerprint_ids};
 use grs::detector::{DetectorArena, DetectorChoice, RaceReport};
 use grs::fleet::{pattern_suite, GoCorpusSource, UnitSource};
 use grs::obs::{Fnv1a, NULL_SINK};
@@ -45,8 +50,18 @@ struct Fold {
 }
 
 impl Fold {
-    fn add(&mut self, reports: &[RaceReport]) {
-        for r in reports {
+    /// Folds `reports`, the reports of the races `choice` found in the
+    /// arena's last execution, after checking that each race's id-path
+    /// fingerprint is its report's.
+    fn add(&mut self, arena: &DetectorArena, choice: DetectorChoice, reports: &[RaceReport]) {
+        let races = arena.races(choice);
+        assert_eq!(races.len(), reports.len(), "{choice}: one report per race");
+        for (race, r) in races.iter().zip(reports) {
+            assert_eq!(
+                race_fingerprint_ids(arena.depot(), race),
+                race_fingerprint(r),
+                "{choice}: the id path must fingerprint as the report does\n{r}"
+            );
             self.digest.write(r.to_string().as_bytes());
             self.digest.write(&[0]);
             self.reports += 1;
@@ -72,7 +87,7 @@ impl Fold {
                 fanned.peak_shadow_words, solo.stats.peak_shadow_words,
                 "{cell}: peak shadow words"
             );
-            self.add(&reports);
+            self.add(arena, choice, &reports);
         }
         let (_, trace) = record(program, cfg);
         let decoded = DecodedTrace::decode(&trace.encode()).expect("a just-encoded trace decodes");
@@ -90,7 +105,7 @@ impl Fold {
                 fanned.peak_shadow_words, solo.peak_shadow_words,
                 "{cell}: peak shadow words"
             );
-            self.add(&fanned.reports);
+            self.add(arena, choice, &fanned.reports);
         }
     }
 }
