@@ -217,7 +217,7 @@ mod tests {
     use super::*;
     use grs_clock::Lockset;
     use grs_detector::{DetectorKind, RaceAccess};
-    use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
+    use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
     fn report(root1: &str, leaf1: &str, root2: &str, leaf2: &str) -> RaceReport {
@@ -234,10 +234,8 @@ mod tests {
                     call_line: 2,
                 },
             ]),
-            loc: SourceLoc {
-                file: "x.go",
-                line: 1,
-            },
+            file: Arc::from("x.go"),
+            line: 1,
             locks_held: Lockset::new(),
         };
         RaceReport {

@@ -178,7 +178,7 @@ pub(crate) mod tests {
     use crate::service::{FileOutcome, IntakeService};
     use grs_clock::Lockset;
     use grs_detector::{DetectorKind, RaceAccess};
-    use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
+    use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
     pub(crate) fn report(func: &str, line: u32, seed: u64) -> RaceReport {
@@ -189,7 +189,8 @@ pub(crate) mod tests {
                 func: Arc::from(func),
                 call_line: line,
             }]),
-            loc: SourceLoc { file: "f.go", line },
+            file: Arc::from("f.go"),
+            line,
             locks_held: Lockset::new(),
         };
         RaceReport {
@@ -276,7 +277,7 @@ pub(crate) mod tests {
             ab[0].repro_seed, ba[0].repro_seed,
             "representative must not depend on merge order"
         );
-        assert_eq!(ab[0].prior.loc.line, ba[0].prior.loc.line);
+        assert_eq!(ab[0].prior.line, ba[0].prior.line);
 
         // Same property through `add` alone (insertion order flipped).
         let mut fwd = RaceBatch::new();

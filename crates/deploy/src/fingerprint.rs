@@ -114,16 +114,13 @@ pub fn race_fingerprint_ids(depot: &StackDepot, race: &Race) -> Fingerprint {
 pub fn naive_fingerprint(report: &RaceReport) -> Fingerprint {
     let mut h = Fnv1a::new();
     hash_str(&mut h, &report.object);
-    for (stack, loc) in [
-        (&report.prior.stack, report.prior.loc),
-        (&report.current.stack, report.current.loc),
-    ] {
-        for f in stack.frames() {
+    for access in [&report.prior, &report.current] {
+        for f in access.stack.frames() {
             hash_str(&mut h, &f.func);
             h.write(&f.call_line.to_le_bytes());
         }
-        hash_str(&mut h, loc.file);
-        h.write(&loc.line.to_le_bytes());
+        hash_str(&mut h, &access.file);
+        h.write(&access.line.to_le_bytes());
         hash_str(&mut h, "||");
     }
     Fingerprint(h.finish())
@@ -134,7 +131,7 @@ mod tests {
     use super::*;
     use grs_clock::Lockset;
     use grs_detector::{DetectorKind, RaceAccess};
-    use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc};
+    use grs_runtime::{AccessKind, Addr, Frame, Gid};
     use std::sync::Arc;
 
     fn stack(funcs: &[(&str, u32)]) -> Stack {
@@ -157,20 +154,16 @@ mod tests {
                 gid: Gid(0),
                 kind: AccessKind::Write,
                 stack: s1,
-                loc: SourceLoc {
-                    file: "svc/handler.go",
-                    line: l1,
-                },
+                file: Arc::from("svc/handler.go"),
+                line: l1,
                 locks_held: Lockset::new(),
             },
             current: RaceAccess {
                 gid: Gid(1),
                 kind: AccessKind::Read,
                 stack: s2,
-                loc: SourceLoc {
-                    file: "svc/handler.go",
-                    line: l2,
-                },
+                file: Arc::from("svc/handler.go"),
+                line: l2,
                 locks_held: Lockset::new(),
             },
             detector: DetectorKind::Tsan,

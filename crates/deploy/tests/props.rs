@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use grs_clock::Lockset;
 use grs_deploy::{naive_fingerprint, race_fingerprint, BugTracker, Fingerprint};
 use grs_detector::{DetectorKind, RaceAccess, RaceReport};
-use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
+use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
 
 const CASES: usize = 400;
 
@@ -82,20 +82,16 @@ fn report(
             gid: Gid(0),
             kind: AccessKind::Write,
             stack: stack(chain_a, lines_a),
-            loc: SourceLoc {
-                file: "a.go",
-                line: line_a,
-            },
+            file: Arc::from("a.go"),
+            line: line_a,
             locks_held: Lockset::new(),
         },
         current: RaceAccess {
             gid: Gid(1),
             kind: AccessKind::Read,
             stack: stack(chain_b, lines_b),
-            loc: SourceLoc {
-                file: "a.go",
-                line: line_b,
-            },
+            file: Arc::from("a.go"),
+            line: line_b,
             locks_held: Lockset::new(),
         },
         detector: DetectorKind::Tsan,

@@ -34,7 +34,7 @@
 //! [`crate::reference`], which shares nothing with this module.
 
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::BuildHasherDefault;
 
 use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_obs::hash::FnvHasher;
@@ -105,10 +105,10 @@ impl Default for VarShadow {
 }
 
 /// A race site with no text in it: the object's name id and the two
-/// accesses' locations, lower first, so either orientation is one key —
-/// the key [`crate::report::site_key_of`] formats, for names interned by
-/// text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// accesses' locations (a file's name id and a line each), lower first, so
+/// either orientation is one key — the key [`crate::report::site_key_of`]
+/// formats, for names interned by text. Hashing it reads ids only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SiteKey {
     object: NameId,
     lo: SourceLoc,
@@ -125,20 +125,15 @@ impl SiteKey {
         SiteKey { object, lo, hi }
     }
 
-    /// Whether `race` is on this site's locations, either way round.
-    fn same_locs(&self, race: &Race) -> bool {
+    /// Whether `race` is on this site by text: at the same lines, in the
+    /// same files, on the same object by name, either way round.
+    fn same_text(&self, race: &Race, depot: &StackDepot) -> bool {
+        let same = |a: SourceLoc, b: SourceLoc| {
+            a.line == b.line && depot.name(a.file) == depot.name(b.file)
+        };
         let (p, c) = (race.prior.loc, race.current.loc);
-        (p, c) == (self.lo, self.hi) || (c, p) == (self.lo, self.hi)
-    }
-}
-
-/// Hashes the id and the two lines only: equal keys still hash equally,
-/// and a file's text would cost more to hash than it tells sites apart.
-impl Hash for SiteKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        h.write_u32(self.object.0);
-        h.write_u32(self.lo.line);
-        h.write_u32(self.hi.line);
+        ((same(p, self.lo) && same(c, self.hi)) || (same(c, self.lo) && same(p, self.hi)))
+            && depot.name(race.object) == depot.name(self.object)
     }
 }
 
@@ -435,16 +430,13 @@ impl Shadow {
             return;
         }
         // Names are interned by text, so a new key is a new site — except
-        // in a hand-built trace that names one text through two string
-        // table entries; such a site is matched by text against the (at
-        // most `MAX_REPORTS`) races kept on the same lines. Its key is not
-        // added, so `sites` holds one key per race: even keys an uploaded
-        // trace crafts to collide under FNV cost at most `MAX_REPORTS`
-        // comparisons a probe.
-        let depot = &self.depot;
-        if self.races.iter().any(|r| {
-            r.object != object && site.same_locs(r) && depot.name(r.object) == depot.name(object)
-        }) {
+        // in a hand-built trace that names one text (an object's or a
+        // file's) through two string-table entries; such a site is matched
+        // by text against the (at most `MAX_REPORTS`) races kept. Its key
+        // is not added, so `sites` holds one key per race: even keys an
+        // uploaded trace crafts to collide under FNV cost at most
+        // `MAX_REPORTS` comparisons a probe.
+        if self.races.iter().any(|r| site.same_text(r, &self.depot)) {
             return;
         }
         self.sites.insert(site);

@@ -46,7 +46,9 @@ impl UnorderedPair {
     #[must_use]
     pub fn site_key(&self, trace: &Trace) -> String {
         let access = |i: usize| match trace.events[i].kind {
-            EventKind::Access { object, loc, .. } => (trace.name(object), loc),
+            EventKind::Access { object, loc, .. } => {
+                (trace.name(object), (trace.name(loc.file), loc.line))
+            }
             other => panic!("event {i} of a pair is an access, found {other:?}"),
         };
         let ((_, earlier), (object, later)) = (access(self.earlier), access(self.later));

@@ -67,7 +67,8 @@ impl AccessRecord {
             gid: self.gid,
             kind: self.kind,
             stack: depot.resolve(self.stack),
-            loc: self.loc,
+            file: depot.name(self.loc.file),
+            line: self.loc.line,
             locks_held: locksets.get(self.locks).clone(),
         }
     }
@@ -89,7 +90,7 @@ pub struct Race {
 }
 
 impl Race {
-    /// The one report builder: resolves the name, both stacks and both
+    /// The one report builder: resolves the names, both stacks and both
     /// locksets of this race, found by a `detector` whose run used `depot`
     /// and `locksets`.
     pub(crate) fn report(
@@ -120,8 +121,10 @@ pub struct RaceAccess {
     pub kind: AccessKind,
     /// Go-style calling context, materialized when the report is built.
     pub stack: Stack,
-    /// Source location of the access.
-    pub loc: SourceLoc,
+    /// Source file of the access, its name's text in the run's depot.
+    pub file: Arc<str>,
+    /// 1-based line of the access in `file`.
+    pub line: u32,
     /// Locks held at the access (filled by lockset-aware detectors; empty
     /// otherwise).
     pub locks_held: Lockset,
@@ -131,8 +134,8 @@ impl fmt::Display for RaceAccess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} by {} at {}\n    {}",
-            self.kind, self.gid, self.loc, self.stack
+            "{} by {} at {}:{}\n    {}",
+            self.kind, self.gid, self.file, self.line, self.stack
         )
     }
 }
@@ -183,15 +186,17 @@ impl RaceReport {
     /// line-insensitive fingerprint of §3.3.1 lives in `grs-deploy`.)
     #[must_use]
     pub fn site_key(&self) -> String {
-        site_key_of(&self.object, self.prior.loc, self.current.loc)
+        let (a, b) = (&self.prior, &self.current);
+        site_key_of(&self.object, (&a.file, a.line), (&b.file, b.line))
     }
 }
 
 /// [`RaceReport::site_key`] of a race on `object` between accesses at `a`
-/// and `b`, for callers that hold the two accesses but no report.
+/// and `b` (each a file and a line), for callers that hold the two
+/// accesses but no report.
 #[must_use]
-pub fn site_key_of(object: &str, a: SourceLoc, b: SourceLoc) -> String {
-    let mut locs = [a.to_string(), b.to_string()];
+pub fn site_key_of(object: &str, a: (&str, u32), b: (&str, u32)) -> String {
+    let mut locs = [format!("{}:{}", a.0, a.1), format!("{}:{}", b.0, b.1)];
     locs.sort();
     format!("{object}|{}|{}", locs[0], locs[1])
 }
@@ -222,7 +227,8 @@ mod tests {
                 func: Arc::from(func),
                 call_line: 0,
             }]),
-            loc: SourceLoc { file: "x.rs", line },
+            file: Arc::from("x.rs"),
+            line,
             locks_held: Lockset::new(),
         }
     }

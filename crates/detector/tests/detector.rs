@@ -482,9 +482,9 @@ fn report_cap_bounds_memory_on_extremely_racy_programs() {
 
 /// A hand-built trace can name one text through two string-table entries,
 /// which no encoder writes. Two goroutines race on two addresses named
-/// `"x"` that way, at the same pair of source lines (the second race in
-/// the other orientation): one race site by text, so each happens-before
-/// detector keeps one report — the first race's.
+/// `"x"` that way, at the same pair of lines of a file also named twice
+/// (the second race in the other orientation): one race site by text, so
+/// each happens-before detector keeps one report — the first race's.
 #[test]
 fn one_text_under_two_names_is_one_race_site() {
     use grs_detector::{DetectorArena, DetectorChoice};
@@ -496,7 +496,7 @@ fn one_text_under_two_names_is_one_race_site() {
 
     let write = |g: u32, addr: u64, object: u32, line: u32| {
         let loc = SourceLoc {
-            file: "handbuilt.go",
+            file: NameId(object + 1),
             line,
         };
         let kind = EventKind::Access {
@@ -511,8 +511,8 @@ fn one_text_under_two_names_is_one_race_site() {
     let events = [
         write(0, 1, 0, 10),
         write(1, 1, 0, 11),
-        write(1, 2, 1, 11),
-        write(0, 2, 1, 10),
+        write(1, 2, 2, 11),
+        write(0, 2, 2, 10),
     ];
     let trace = Trace {
         meta: TraceMeta {
@@ -523,7 +523,9 @@ fn one_text_under_two_names_is_one_race_site() {
             goroutines_spawned: 2,
         },
         stacks: Vec::new(),
-        names: vec![Arc::from("x"), Arc::from("x")],
+        names: ["x", "handbuilt.go", "x", "handbuilt.go"]
+            .map(Arc::from)
+            .to_vec(),
         events: (0..)
             .zip(events)
             .map(|(step, (g, kind))| Event {

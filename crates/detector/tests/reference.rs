@@ -19,12 +19,14 @@ fn hb_reports(trace: &Trace) -> Vec<(DetectorChoice, Vec<RaceReport>)> {
     hb.map(|(choice, out)| (choice, out.reports)).collect()
 }
 
-/// The hand-built traces' objects: entry `i` of their name table.
+/// The hand-built traces' objects and their one source file: entry `i` of
+/// their name table.
 const X: NameId = NameId(0);
 const Y: NameId = NameId(1);
+const FILE: NameId = NameId(2);
 
 /// A trace from `(goroutine, event)` pairs in schedule order, over the
-/// objects `x` ([`X`]) and `y` ([`Y`]).
+/// objects `x` ([`X`]) and `y` ([`Y`]), accessed in one file ([`FILE`]).
 fn trace_of(program: &str, events: Vec<(u32, EventKind)>) -> Trace {
     let gids = events.iter().map(|(g, _)| *g as usize + 1);
     let meta = TraceMeta {
@@ -43,13 +45,13 @@ fn trace_of(program: &str, events: Vec<(u32, EventKind)>) -> Trace {
     Trace {
         meta,
         stacks: Vec::new(),
-        names: vec![Arc::from("x"), Arc::from("y")],
+        names: ["x", "y", "handbuilt.go"].map(Arc::from).to_vec(),
         events: events.collect(),
     }
 }
 
 fn write(addr: Addr, object: NameId, line: u32) -> EventKind {
-    let file = "handbuilt.go";
+    let file = FILE;
     let (kind, stack, loc) = (AccessKind::Write, StackId::EMPTY, SourceLoc { file, line });
     EventKind::Access {
         addr,

@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use grs_clock::Lockset;
     use grs_detector::{DetectorKind, RaceAccess};
-    use grs_runtime::{AccessKind, Addr, Frame, Gid, SourceLoc, Stack};
+    use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
     fn report(func: &str, seed: u64) -> RaceReport {
@@ -105,7 +105,8 @@ mod tests {
                 func: Arc::from(func),
                 call_line: 1,
             }]),
-            loc: SourceLoc { file: "f.go", line: 1 },
+            file: Arc::from("f.go"),
+            line: 1,
             locks_held: Lockset::new(),
         };
         RaceReport {

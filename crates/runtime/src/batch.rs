@@ -4,10 +4,10 @@
 //! ([`Trace::encode`] is the only code that writes it). It decodes in
 //! chunks into the same `Copy` [`Event`] record the kernel emits, so a
 //! decoded trace *is* a [`Trace`] and every detector replays it through the
-//! one `on_event` it runs live. Names arrive as string-table references and
-//! are renumbered into [`NameId`]s in first-appearance order — the order
-//! the kernel interned them in — and source-file references are resolved
-//! once per table entry, not once per event.
+//! one `on_event` it runs live. Names — of objects, goroutines and source
+//! files — arrive as string-table references and are renumbered into
+//! [`NameId`]s in first-appearance order, the order the kernel interned
+//! them in.
 //!
 //! Every header, table and event field is bounds- and range-checked as it
 //! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
@@ -25,8 +25,8 @@ use crate::event::{AccessKind, Event, EventKind, SourceLoc};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::sched::Strategy;
 use crate::trace::{
-    intern_static_file, lock_mode, tag, unzigzag, Reader, StackNode, Trace, TraceDecodeError,
-    TraceMeta, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    lock_mode, tag, unzigzag, Reader, StackNode, Trace, TraceDecodeError, TraceMeta, MAX_TRACE_ID,
+    TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// Fewest bytes one encoded depot entry takes (parent, function, call
@@ -63,10 +63,6 @@ pub struct BatchDecoder<'a> {
     /// Per string-table entry: the [`NameId`] it decodes to, once an event
     /// names it.
     name_ids: Vec<Option<NameId>>,
-    /// Per string-table entry: the resolved source-file name, filled on
-    /// first reference by an Access event (one interner probe per table
-    /// entry, not per event).
-    files: Vec<Option<&'static str>>,
     n_stacks: u64,
     remaining: u64,
     prev_step: u64,
@@ -175,7 +171,6 @@ impl<'a> BatchDecoder<'a> {
             stacks,
             names: Vec::new(),
             name_ids: vec![None; strings.len()],
-            files: vec![None; strings.len()],
             strings,
             n_stacks,
             remaining: n_events,
@@ -238,19 +233,6 @@ impl<'a> BatchDecoder<'a> {
         Ok(id)
     }
 
-    /// The next varint as a source file. The `&'static str` is resolved
-    /// once per table entry, not once per event: the interner is behind a
-    /// global lock.
-    fn file(&mut self) -> Result<&'static str, TraceDecodeError> {
-        let i = self.string_idx()?;
-        if let Some(file) = self.files[i] {
-            return Ok(file);
-        }
-        let file = intern_static_file(&self.strings[i])?;
-        self.files[i] = Some(file);
-        Ok(file)
-    }
-
     /// The next varint as a goroutine or object id, which a detector uses
     /// as a table index.
     fn id(&mut self) -> Result<u64, TraceDecodeError> {
@@ -298,7 +280,7 @@ impl<'a> BatchDecoder<'a> {
                         table_len: self.n_stacks as usize,
                     });
                 }
-                let file = self.file()?;
+                let file = self.name()?;
                 EventKind::Access {
                     addr,
                     object,

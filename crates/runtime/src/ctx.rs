@@ -1,5 +1,6 @@
 //! [`Ctx`] — the handle a goroutine uses for every instrumented operation.
 
+use std::panic::Location;
 use std::sync::Arc;
 
 use crate::cell::Cell;
@@ -85,7 +86,7 @@ impl Ctx {
     /// Reads a shared variable (instrumented, preemptible).
     #[track_caller]
     pub fn read<T: Clone + Send + 'static>(&self, cell: &Cell<T>) -> T {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.access(cell.addr(), || cell.name(), AccessKind::Read, loc);
         cell.load()
     }
@@ -93,7 +94,7 @@ impl Ctx {
     /// Writes a shared variable (instrumented, preemptible).
     #[track_caller]
     pub fn write<T: Clone + Send + 'static>(&self, cell: &Cell<T>, value: T) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.access(cell.addr(), || cell.name(), AccessKind::Write, loc);
         cell.store(value);
     }
@@ -103,7 +104,7 @@ impl Ctx {
     /// write, each individually preemptible).
     #[track_caller]
     pub fn update<T: Clone + Send + 'static>(&self, cell: &Cell<T>, f: impl FnOnce(T) -> T) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.access(cell.addr(), || cell.name(), AccessKind::Read, loc);
         let v = cell.load();
         let new = f(v);
@@ -114,19 +115,25 @@ impl Ctx {
     /// Emits one memory-access event at an explicit address (used by the
     /// compound objects: slices, maps, atomics). `object` names the
     /// accessed object; it is called only at the address's first access a
-    /// monitor sees (see `Kernel::object_name`).
+    /// monitor sees (see `Kernel::object_name`). `loc` is the access
+    /// site's `#[track_caller]` location; its file becomes a name of the
+    /// run, after the object's (see `Kernel::file_name`).
     pub(crate) fn access<S: AsRef<str>>(
         &self,
         addr: Addr,
         object: impl FnOnce() -> S,
         kind: AccessKind,
-        loc: SourceLoc,
+        loc: &'static Location<'static>,
     ) {
         let mut k = self.kernel.yield_locked(self.gid);
         if self.kernel.instrumentation_disabled() {
             return;
         }
         let object = self.kernel.object_name(&mut k, addr, object);
+        let loc = SourceLoc {
+            file: self.kernel.file_name(&mut k, loc.file()),
+            line: loc.line(),
+        };
         let stack = Kernel::current_stack(&k, self.gid);
         self.kernel.emit_locked(
             &mut k,
@@ -160,7 +167,7 @@ impl Ctx {
     #[track_caller]
     #[must_use = "the frame is popped when the guard drops"]
     pub fn frame(&self, func: &str) -> FrameGuard<'_> {
-        let line = SourceLoc::here().line;
+        let line = Location::caller().line();
         self.kernel.push_frame(self.gid, func, line);
         FrameGuard { ctx: self }
     }

@@ -15,10 +15,11 @@
 //! the same [`StackId`], which is also what makes shadow-state comparisons
 //! and dedup fingerprints cheap in `grs-detector`/`grs-deploy`.
 //!
-//! Beside the stacks the depot interns the run's *names* — the objects and
-//! goroutines events mention — as [`NameId`]s, so an [`Event`] carries a
-//! `u32` where it would otherwise clone an `Arc<str>`. The kernel interns a
-//! name when it first emits it, so name ids follow the event stream.
+//! Beside the stacks the depot interns the run's *names* — the objects,
+//! goroutines and source files events mention — as [`NameId`]s, so an
+//! [`Event`] carries a `u32` where it would otherwise clone an `Arc<str>`.
+//! The kernel interns a name when it first emits it, so name ids follow the
+//! event stream.
 //!
 //! Ids are assigned in first-intern order, so for a deterministic schedule
 //! the id assignment is itself deterministic. Ids are only meaningful for
@@ -27,7 +28,7 @@
 //! outstanding ids while keeping the allocations warm.
 //!
 //! The *texts* outlive a generation, as in TSan's depot: every function,
-//! object and goroutine name is interned once into an FNV table and shared
+//! object, goroutine and file name is interned once into an FNV table and shared
 //! as one `Arc<str>` — by the stack nodes, the name table, and the
 //! runtime's object handles — so a worker that reruns a program under
 //! many schedules hashes and allocates each name once, not once per run.
@@ -76,8 +77,8 @@ impl fmt::Display for StackId {
     }
 }
 
-/// A compact reference to an interned object or goroutine name: entry `i`
-/// of the run's name table (see [`StackDepot::name`]).
+/// A compact reference to an interned object, goroutine or source-file
+/// name: entry `i` of the run's name table (see [`StackDepot::name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(pub u32);
 
@@ -299,9 +300,9 @@ pub struct DepotStats {
 ///
 /// Cloning the handle aliases the same depot (campaign workers share one
 /// per arena). The runtime locks the depot once per frame push or pop,
-/// spawn, object creation and first access to an object — memory accesses,
-/// the hot path, copy the goroutine's current `StackId` without touching
-/// it.
+/// spawn, object creation, first access to an object and the first access
+/// from a source file in a run — memory accesses, the hot path, copy the
+/// goroutine's current `StackId` without touching it.
 ///
 /// # Example
 ///
@@ -493,8 +494,8 @@ impl StackDepot {
         d.texts[i as usize].text.clone()
     }
 
-    /// Interns an object or goroutine name, returning the id it already had
-    /// this generation or the next one.
+    /// Interns an object, goroutine or source-file name, returning the id
+    /// it already had this generation or the next one.
     #[must_use]
     pub(crate) fn intern_name(&self, name: &str) -> NameId {
         let mut d = self.lock();

@@ -9,8 +9,9 @@
 //! kernel emits it, the recorder copies it into a [`Trace`], the decoder
 //! rebuilds it, and every detector consumes it through one
 //! [`Monitor::on_event`]. Nothing in it is owned: calling contexts are
-//! [`StackId`]s and object and goroutine names are [`NameId`]s, both
-//! interned per run in the [`StackDepot`](crate::StackDepot).
+//! [`StackId`]s, and object, goroutine and source-file names are
+//! [`NameId`]s, both interned per run in the
+//! [`StackDepot`](crate::StackDepot).
 //!
 //! [`Monitor`]: crate::monitor::Monitor
 //! [`Monitor::on_event`]: crate::monitor::Monitor::on_event
@@ -62,33 +63,16 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// A source position captured via `#[track_caller]` at the access site.
+/// The source position of an access: the run's name of its file (the
+/// `#[track_caller]` file live, a string-table entry decoded), and its line.
+/// Resolve the file through the run's [`StackDepot`](crate::StackDepot) or
+/// [`Trace::names`](crate::Trace::names).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SourceLoc {
-    /// Source file of the call site.
-    pub file: &'static str,
+    /// Source file of the call site, a name in the run's depot.
+    pub file: NameId,
     /// 1-based line number.
     pub line: u32,
-}
-
-impl SourceLoc {
-    /// Captures the caller's location. Must itself be called from a
-    /// `#[track_caller]` chain to be useful.
-    #[must_use]
-    #[track_caller]
-    pub fn here() -> Self {
-        let loc = std::panic::Location::caller();
-        SourceLoc {
-            file: loc.file(),
-            line: loc.line(),
-        }
-    }
-}
-
-impl fmt::Display for SourceLoc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.file, self.line)
-    }
 }
 
 /// One frame of the Go-style logical call stack.
@@ -333,14 +317,16 @@ impl Event {
         }
     }
 
-    /// The name this event mentions: a spawned goroutine's, or an accessed
-    /// object's.
-    #[must_use]
-    pub fn name(&self) -> Option<NameId> {
-        match self.kind {
-            EventKind::Spawn { name, .. } | EventKind::Access { object: name, .. } => Some(name),
-            _ => None,
-        }
+    /// The names this event mentions, in the order the kernel interns
+    /// them: a spawned goroutine's; or an accessed object's, then its
+    /// source file's.
+    pub fn names(&self) -> impl Iterator<Item = NameId> {
+        let (first, file) = match self.kind {
+            EventKind::Spawn { name, .. } => (Some(name), None),
+            EventKind::Access { object, loc, .. } => (Some(object), Some(loc.file)),
+            _ => (None, None),
+        };
+        first.into_iter().chain(file)
     }
 
     /// Feeds the event to `state` with each name as its text from `names`
@@ -369,7 +355,8 @@ impl Event {
                 name(object).hash(state);
                 kind.hash(state);
                 stack.hash(state);
-                loc.hash(state);
+                name(loc.file).hash(state);
+                loc.line.hash(state);
             }
             kind => kind.hash(state),
         }
@@ -377,7 +364,7 @@ impl Event {
 }
 
 // Copied per event into every recording and replay buffer: keep it small.
-const _: () = assert!(std::mem::size_of::<Event>() <= 64);
+const _: () = assert!(std::mem::size_of::<Event>() <= 48);
 
 #[cfg(test)]
 mod tests {
@@ -413,13 +400,5 @@ mod tests {
         let s = Stack::from_frames(vec![frame("A", 0), frame("B", 7)]);
         assert_eq!(s.to_string(), "A() -> B() @7");
         assert_eq!(Stack::new().to_string(), "<empty stack>");
-    }
-
-    #[test]
-    fn source_loc_captures_this_file() {
-        let loc = SourceLoc::here();
-        assert!(loc.file.ends_with("event.rs"));
-        assert!(loc.line > 0);
-        assert!(loc.to_string().contains("event.rs:"));
     }
 }

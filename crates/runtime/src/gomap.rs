@@ -11,10 +11,11 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::panic::Location;
 use std::sync::{Arc, Mutex};
 
 use crate::ctx::Ctx;
-use crate::event::{AccessKind, SourceLoc};
+use crate::event::AccessKind;
 use crate::ids::Addr;
 
 /// A Go map from `K` to `V`.
@@ -98,7 +99,7 @@ where
         self.addr_struct
     }
 
-    fn touch_struct(&self, ctx: &Ctx, kind: AccessKind, loc: SourceLoc) {
+    fn touch_struct(&self, ctx: &Ctx, kind: AccessKind, loc: &'static Location<'static>) {
         ctx.access(self.addr_struct, || &*self.struct_object, kind, loc);
     }
 
@@ -108,14 +109,21 @@ where
     }
 
     /// Accesses `key`'s slot at `addr`.
-    fn touch_slot(&self, ctx: &Ctx, addr: Addr, key: &K, kind: AccessKind, loc: SourceLoc) {
+    fn touch_slot(
+        &self,
+        ctx: &Ctx,
+        addr: Addr,
+        key: &K,
+        kind: AccessKind,
+        loc: &'static Location<'static>,
+    ) {
         ctx.access(addr, || self.slot_object(key), kind, loc);
     }
 
     /// `m[k] = v` — writes the structure word and the key slot.
     #[track_caller]
     pub fn insert(&self, ctx: &Ctx, key: K, value: V) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_struct(ctx, AccessKind::Write, loc);
         let slot_addr = {
             let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -139,7 +147,7 @@ where
     #[track_caller]
     #[must_use]
     pub fn get(&self, ctx: &Ctx, key: &K) -> Option<V> {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_struct(ctx, AccessKind::Read, loc);
         let found = {
             let m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -157,7 +165,7 @@ where
     /// `delete(m, k)` — writes the structure word (and the slot if present).
     #[track_caller]
     pub fn delete(&self, ctx: &Ctx, key: &K) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_struct(ctx, AccessKind::Write, loc);
         let removed = {
             let mut m = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -172,7 +180,7 @@ where
     #[track_caller]
     #[must_use]
     pub fn len(&self, ctx: &Ctx) -> usize {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_struct(ctx, AccessKind::Read, loc);
         self.inner
             .lock()
@@ -195,7 +203,7 @@ where
     #[track_caller]
     #[must_use]
     pub fn iterate(&self, ctx: &Ctx) -> Vec<(K, V)> {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_struct(ctx, AccessKind::Read, loc);
         let mut items: Vec<(K, (Addr, V))> = {
             let m = self.inner.lock().unwrap_or_else(|e| e.into_inner());

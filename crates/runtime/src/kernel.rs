@@ -239,6 +239,11 @@ pub(crate) struct KState {
     /// address (object ids are dense), filled at the address's first
     /// emitted access.
     object_names: Vec<Option<NameId>>,
+    /// The run's source files as names, keyed by the address of their
+    /// `#[track_caller]` text, newest first: a program accesses from one to
+    /// three files, so a hit is a pointer compare in the first slot or two
+    /// (see [`Kernel::file_name`]).
+    file_names: [Option<(&'static str, NameId)>; FILE_SLOTS],
     /// Set when the run is over early (deadlock, leak, step budget): from
     /// then on every goroutine that gets control unwinds (`check_abort`) —
     /// the running one at once, the suspended ones when [`Kernel::drive`]
@@ -302,6 +307,10 @@ impl Drop for StateGuard<'_> {
     }
 }
 
+/// Source files a run keeps names for without asking the depot; a file
+/// past them costs a depot lock at each access that brings it back.
+const FILE_SLOTS: usize = 4;
+
 /// The shared kernel: one per run.
 pub struct Kernel {
     state: StateCell,
@@ -341,6 +350,7 @@ impl Kernel {
             wgs: FnvMap::default(),
             onces: FnvMap::default(),
             object_names: Vec::new(),
+            file_names: [None; FILE_SLOTS],
             aborting: false,
             live: 0,
             events_dispatched: 0,
@@ -456,6 +466,25 @@ impl Kernel {
         }
         let id = self.depot.intern_name(object().as_ref());
         k.object_names[i] = Some(id);
+        id
+    }
+
+    /// The name of the source file `file`, a `#[track_caller]` location's:
+    /// from the slot of `KState::file_names` that holds this very text
+    /// (compared by address), else interned into the depot. The caller names the
+    /// accessed object first, so name ids keep the order the names first
+    /// appear in the event stream, which is the order a decoder assigns.
+    #[inline]
+    pub(crate) fn file_name(&self, k: &mut KState, file: &'static str) -> NameId {
+        let slots = &mut k.file_names;
+        for slot in slots.iter().flatten() {
+            if std::ptr::eq(slot.0, file) {
+                return slot.1;
+            }
+        }
+        let id = self.depot.intern_name(file);
+        slots.rotate_right(1);
+        slots[0] = Some((file, id));
         id
     }
 
@@ -892,5 +921,28 @@ mod tests {
         );
         let _held = kernel.lock();
         let _again = kernel.lock();
+    }
+
+    #[test]
+    fn a_file_keeps_one_name_whatever_its_address_or_slot() {
+        let depot = StackDepot::new();
+        let kernel = Kernel::new(
+            &RunConfig::with_seed(0),
+            Box::new(NullMonitor),
+            depot.clone(),
+        );
+        let mut k = kernel.lock();
+        // Five files of one length: more than the slots hold.
+        let files = ["a.rs", "b.rs", "c.rs", "d.rs", "e.rs"];
+        let ids = files.map(|f| kernel.file_name(&mut k, f));
+        assert_eq!(ids, [0, 1, 2, 3, 4].map(NameId));
+        // An evicted file, and a file's text at another address, keep
+        // their names; every slot still answers for its own file.
+        assert_eq!(kernel.file_name(&mut k, "a.rs"), NameId(0));
+        assert_eq!(kernel.file_name(&mut k, &"xb.rs"[1..]), NameId(1));
+        for (f, id) in files.into_iter().zip(ids) {
+            assert_eq!(kernel.file_name(&mut k, f), id);
+            assert_eq!(&*depot.name(id), f);
+        }
     }
 }

@@ -108,6 +108,5 @@ pub use slice::GoSlice;
 pub use sync::{AtomicCell, Mutex, Once, RwMutex, WaitGroup};
 pub use trace::{
     put_uvarint, record, record_with_depot, Reader, ReproArtifact, StackNode, Trace,
-    TraceDecodeError, TraceMeta, TraceRecorder, MAX_TRACE_FILES, MAX_TRACE_ID,
-    TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    TraceDecodeError, TraceMeta, TraceRecorder, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };

@@ -168,7 +168,7 @@ impl Monitor for TraceHasher {
 
     fn on_event(&mut self, event: &Event) {
         use std::hash::Hasher;
-        if let Some(id) = event.name() {
+        for id in event.names() {
             while self.names.len() <= id.index() {
                 let next = NameId(self.names.len() as u32);
                 self.names.push(self.depot.name(next));

@@ -24,10 +24,11 @@
 //! (header reads vs. header writes, element reads vs. element writes) is
 //! identical — only the values a stale header would observe.
 
+use std::panic::Location;
 use std::sync::{Arc, Mutex};
 
 use crate::ctx::Ctx;
-use crate::event::{AccessKind, SourceLoc};
+use crate::event::AccessKind;
 use crate::ids::Addr;
 
 #[derive(Debug)]
@@ -142,7 +143,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
         )
     }
 
-    fn touch_header(&self, ctx: &Ctx, kind: AccessKind, loc: SourceLoc) {
+    fn touch_header(&self, ctx: &Ctx, kind: AccessKind, loc: &'static Location<'static>) {
         let header = &self.header;
         for addr in [header.addr_ptr, header.addr_len, header.addr_cap] {
             ctx.access(addr, || &*header.object, kind, loc);
@@ -150,14 +151,21 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     }
 
     /// Reads the length word (a bounds check or `len(s)`).
-    fn read_len(&self, ctx: &Ctx, loc: SourceLoc) -> usize {
+    fn read_len(&self, ctx: &Ctx, loc: &'static Location<'static>) -> usize {
         let header = &self.header;
         ctx.access(header.addr_len, || &*header.object, AccessKind::Read, loc);
         header.dims.lock().unwrap_or_else(|e| e.into_inner()).0
     }
 
     /// Accesses element `i` at `addr`.
-    fn touch_elem(&self, ctx: &Ctx, addr: Addr, i: usize, kind: AccessKind, loc: SourceLoc) {
+    fn touch_elem(
+        &self,
+        ctx: &Ctx,
+        addr: Addr,
+        i: usize,
+        kind: AccessKind,
+        loc: &'static Location<'static>,
+    ) {
         ctx.access(addr, || format!("{}[{i}]", self.name), kind, loc);
     }
 
@@ -169,7 +177,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     /// [`GoSlice::copy_value`] and [`GoSlice::len`]), race.
     #[track_caller]
     pub fn append(&self, ctx: &Ctx, value: T) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         // Read current len/cap.
         self.touch_header(ctx, AccessKind::Read, loc);
         let (len, cap) = *self.header.dims.lock().unwrap_or_else(|e| e.into_inner());
@@ -206,7 +214,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     /// `index out of range`) when `i >= len`.
     #[track_caller]
     pub fn get(&self, ctx: &Ctx, i: usize) -> T {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         let len = self.read_len(ctx, loc);
         assert!(i < len, "index out of range [{i}] with length {len}");
         let (v, addr) = {
@@ -224,7 +232,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     /// Panics when `i >= len`, like Go.
     #[track_caller]
     pub fn set(&self, ctx: &Ctx, i: usize, value: T) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         let len = self.read_len(ctx, loc);
         assert!(i < len, "index out of range [{i}] with length {len}");
         let addr = {
@@ -239,7 +247,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     #[track_caller]
     #[must_use]
     pub fn len(&self, ctx: &Ctx) -> usize {
-        self.read_len(ctx, SourceLoc::here())
+        self.read_len(ctx, Location::caller())
     }
 
     /// True when `len(s) == 0`.
@@ -255,7 +263,7 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
     #[track_caller]
     #[must_use]
     pub fn copy_value(&self, ctx: &Ctx) -> GoSlice<T> {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         self.touch_header(ctx, AccessKind::Read, loc);
         let dims = *self.header.dims.lock().unwrap_or_else(|e| e.into_inner());
         let k = ctx.kernel();

@@ -13,11 +13,12 @@
 //!   `Add` inside the goroutine body lets `Wait` return early (Listing 10) —
 //!   the runtime faithfully reproduces that premature unblocking.
 
+use std::panic::Location;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use crate::ctx::Ctx;
-use crate::event::{AccessKind, EventKind, LockMode, SourceLoc};
+use crate::event::{AccessKind, EventKind, LockMode};
 use crate::ids::{Addr, LockUid, OnceId, WgId};
 use crate::kernel::{Attempt, BlockReason, Kernel, LockState, OnceState, WgState};
 use crate::runtime::RuntimeError;
@@ -429,7 +430,7 @@ impl AtomicCell {
     /// Atomic load.
     #[track_caller]
     pub fn load(&self, ctx: &Ctx) -> i64 {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         ctx.access(self.addr, || &*self.name, AccessKind::AtomicRead, loc);
         self.value.load(Ordering::SeqCst)
     }
@@ -437,39 +438,24 @@ impl AtomicCell {
     /// Atomic store.
     #[track_caller]
     pub fn store(&self, ctx: &Ctx, v: i64) {
-        let loc = SourceLoc::here();
-        ctx.access(
-            self.addr,
-            || &*self.name,
-            AccessKind::AtomicWrite,
-            loc,
-        );
+        let loc = Location::caller();
+        ctx.access(self.addr, || &*self.name, AccessKind::AtomicWrite, loc);
         self.value.store(v, Ordering::SeqCst);
     }
 
     /// Atomic fetch-add; returns the new value (Go's `atomic.AddInt64`).
     #[track_caller]
     pub fn add(&self, ctx: &Ctx, delta: i64) -> i64 {
-        let loc = SourceLoc::here();
-        ctx.access(
-            self.addr,
-            || &*self.name,
-            AccessKind::AtomicWrite,
-            loc,
-        );
+        let loc = Location::caller();
+        ctx.access(self.addr, || &*self.name, AccessKind::AtomicWrite, loc);
         self.value.fetch_add(delta, Ordering::SeqCst) + delta
     }
 
     /// Atomic compare-and-swap; returns whether the swap happened.
     #[track_caller]
     pub fn compare_and_swap(&self, ctx: &Ctx, old: i64, new: i64) -> bool {
-        let loc = SourceLoc::here();
-        ctx.access(
-            self.addr,
-            || &*self.name,
-            AccessKind::AtomicWrite,
-            loc,
-        );
+        let loc = Location::caller();
+        ctx.access(self.addr, || &*self.name, AccessKind::AtomicWrite, loc);
         self.value
             .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
@@ -478,7 +464,7 @@ impl AtomicCell {
     /// Non-atomic load of the same variable — the §4.9.2 mistake.
     #[track_caller]
     pub fn load_plain(&self, ctx: &Ctx) -> i64 {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         ctx.access(self.addr, || &*self.name, AccessKind::Read, loc);
         self.value.load(Ordering::SeqCst)
     }
@@ -486,7 +472,7 @@ impl AtomicCell {
     /// Non-atomic store of the same variable — the §4.9.2 mistake.
     #[track_caller]
     pub fn store_plain(&self, ctx: &Ctx, v: i64) {
-        let loc = SourceLoc::here();
+        let loc = Location::caller();
         ctx.access(self.addr, || &*self.name, AccessKind::Write, loc);
         self.value.store(v, Ordering::SeqCst);
     }

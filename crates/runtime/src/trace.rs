@@ -25,11 +25,11 @@
 //! kernel interned them in, so a decoded trace equals its recording.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use grs_obs::Fnv1a;
 
@@ -61,15 +61,6 @@ pub const TRACE_FORMAT_VERSION: u32 = 1;
 /// goroutines and objects densely from 0 and 1 within a run; no program in
 /// the tree comes within a factor of ten of the bound.
 pub const MAX_TRACE_ID: u64 = (1 << 12) - 1;
-
-/// Most distinct source-file names the decoder keeps for the life of the
-/// process; a trace naming a further one is
-/// [`TraceDecodeError::TooManySourceFiles`]. Decoded files are leaked
-/// `&'static str`s (see `intern_static_file`), so without a bound an intake
-/// server fed uploads that each name a fresh file grows without end. A
-/// recording names the files of its program's `#[track_caller]` sites, a
-/// few dozen for every program in the tree.
-pub const MAX_TRACE_FILES: usize = 1 << 12;
 
 /// The event-kind tag bytes of the `.grtrace` format, named once: the
 /// encoder writes them and the decoder matches on them. One constant per
@@ -142,7 +133,7 @@ pub struct Trace {
     /// Depot snapshot in first-intern (id) order.
     pub stacks: Vec<StackNode>,
     /// The depot's name table in first-intern order: entry `i` is the text
-    /// of `NameId(i)`.
+    /// of `NameId(i)`, the name of an object, a goroutine or a source file.
     pub names: Vec<Arc<str>>,
     /// The totally ordered event stream.
     pub events: Vec<Event>,
@@ -205,11 +196,8 @@ impl Trace {
         // Pre-intern event strings in stream order so the table layout is a
         // deterministic function of the trace alone.
         for ev in &self.events {
-            if let Some(name) = ev.name() {
+            for name in ev.names() {
                 strings.intern(self.name(name));
-            }
-            if let EventKind::Access { loc, .. } = ev.kind {
-                strings.intern(loc.file);
             }
         }
 
@@ -273,7 +261,7 @@ impl Trace {
                         AccessKind::AtomicWrite => 3,
                     });
                     put_uvarint(&mut out, u64::from(stack.raw()));
-                    put_uvarint(&mut out, strings.intern(loc.file));
+                    put_uvarint(&mut out, strings.intern(self.name(loc.file)));
                     put_uvarint(&mut out, u64::from(loc.line));
                 }
                 EventKind::Acquire { lock, mode } => {
@@ -428,12 +416,6 @@ pub enum TraceDecodeError {
         /// The unknown tag byte.
         tag: u8,
     },
-    /// An access names a source file the process has not seen, and it
-    /// already keeps [`MAX_TRACE_FILES`] of them.
-    TooManySourceFiles {
-        /// The bound that was reached.
-        max: usize,
-    },
 }
 
 impl fmt::Display for TraceDecodeError {
@@ -469,10 +451,6 @@ impl fmt::Display for TraceDecodeError {
             TraceDecodeError::BadEnumTag { what, tag } => {
                 write!(f, "unknown {what} tag {tag}")
             }
-            TraceDecodeError::TooManySourceFiles { max } => write!(
-                f,
-                "names a new source file, past the {max} this process keeps"
-            ),
         }
     }
 }
@@ -626,30 +604,6 @@ pub(crate) fn lock_mode(tag: u8) -> Result<LockMode, TraceDecodeError> {
             tag,
         }),
     }
-}
-
-/// Decoded [`SourceLoc::file`] names must be `&'static str` (the live path
-/// borrows them from `#[track_caller]` data, which is static), so the
-/// decoder leaks one copy of each distinct file through a global interner.
-/// A genuine recording names a few files, so the interner holds at most
-/// [`MAX_TRACE_FILES`]; past that a new file is refused, never leaked.
-pub(crate) fn intern_static_file(file: &str) -> Result<&'static str, TraceDecodeError> {
-    static FILES: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut set = FILES
-        .get_or_init(|| Mutex::new(HashSet::new()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    if let Some(&interned) = set.get(file) {
-        return Ok(interned);
-    }
-    if set.len() >= MAX_TRACE_FILES {
-        return Err(TraceDecodeError::TooManySourceFiles {
-            max: MAX_TRACE_FILES,
-        });
-    }
-    let leaked: &'static str = Box::leak(file.to_owned().into_boxed_str());
-    set.insert(leaked);
-    Ok(leaked)
 }
 
 /// A [`Monitor`] that records the run into a [`Trace`].
@@ -880,12 +834,5 @@ mod tests {
         assert!(s.contains("0x000000000000abcd"));
         assert!(s.contains("x.grtrace"));
         assert_eq!(ReproArtifact::seed_only(4).to_string(), "seed 4 under Random");
-    }
-
-    #[test]
-    fn file_interner_is_stable() {
-        let a = intern_static_file("foo.rs").unwrap();
-        let b = intern_static_file("foo.rs").unwrap();
-        assert!(std::ptr::eq(a, b));
     }
 }

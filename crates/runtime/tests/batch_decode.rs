@@ -265,7 +265,9 @@ fn a_repeated_stack_node_is_a_typed_error() {
 
 /// Two string-table entries with one text (which no encoder writes) that
 /// events use as names decode to two names, and the name table still
-/// rebuilds into a depot: a replay looks names up by id only.
+/// rebuilds into a depot: a replay looks names up by id only. A file is a
+/// name too, numbered where it first appears: after the first write's
+/// object.
 #[test]
 fn one_text_twice_in_the_string_table_still_rebuilds() {
     let mut bytes = TRACE_MAGIC.to_vec();
@@ -283,7 +285,10 @@ fn one_text_twice_in_the_string_table_still_rebuilds() {
         bytes.extend_from_slice(&[1, 0, 2, addr, object, 1, 0, 3, line]);
     }
     let trace = assert_chunk_invariant("one text twice", &bytes).expect("decodes");
-    assert_eq!(trace.names, ["x", "x"].map(std::sync::Arc::<str>::from));
+    assert_eq!(
+        trace.names,
+        ["x", "f.go", "x"].map(std::sync::Arc::<str>::from)
+    );
     let depot = StackDepot::new();
     trace.rebuild_depot_into(&depot);
     assert_eq!(depot.snapshot().1, trace.names);

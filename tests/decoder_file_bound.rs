@@ -1,19 +1,20 @@
-//! The `.grtrace` decoder's source-file interner is bounded.
+//! An intake worker never runs out of source files.
 //!
-//! A decoded access's `SourceLoc::file` is a `&'static str`, so the decoder
-//! keeps one leaked copy of every distinct file name it has read, for the
-//! life of the process. Uploads that each name a fresh file would grow an
-//! intake server without end; past `MAX_TRACE_FILES` such a trace is a typed
-//! `TooManySourceFiles` error instead, and files already kept still decode.
-//!
-//! The interner is process-global, so this binary holds one test, and it
-//! fills the interner in order: known files first, then fresh ones until
-//! the bound, then the checks.
+//! A decoded access's file is a name of the trace, like its objects and
+//! goroutines: the decoder renumbers it out of the upload's string table,
+//! and replay resolves it through the worker's depot, which a new trace
+//! starts over. So nothing the decoder keeps outlives a trace, and a
+//! long-lived server takes uploads that each name a fresh file for as long
+//! as they come. Here one worker takes three times as many such uploads as
+//! the 4,096 files a process-wide interner once kept before it refused
+//! every new one.
 
-use grs::deploy::service::{IntakeError, IntakeService};
-use grs::runtime::{
-    record, DecodedTrace, Program, RunConfig, Trace, TraceDecodeError, MAX_TRACE_FILES,
-};
+use grs::deploy::service::IntakeService;
+use grs::runtime::{record, Program, RunConfig};
+
+/// The uploads a worker takes, each naming a file no earlier one named:
+/// three times the 4,096 files the interner once kept.
+const FRESH_FILES: usize = 3 * 4096;
 
 /// Two goroutines writing one variable: every schedule races, and both
 /// accesses are reported at this file's lines.
@@ -56,53 +57,26 @@ fn with_fresh_file(trace: &[u8], i: usize) -> Vec<u8> {
 }
 
 #[test]
-fn past_the_bound_new_files_are_refused_and_known_ones_still_decode() {
+fn fresh_files_never_stop_an_intake_worker() {
     let service = IntakeService::builder().workers(1).start().unwrap();
     let known = encoded(&racy("known"));
     let first = service.submit_trace(known.clone(), 0).unwrap();
     assert!(!first.filed.is_empty(), "a racy trace files");
 
-    // Fresh files decode until the interner holds `MAX_TRACE_FILES`
-    // (this file and the runtime's own among them), then are refused.
-    let mut fresh = 0;
-    let refused = loop {
-        match DecodedTrace::decode(&with_fresh_file(&known, fresh)) {
-            Ok(_) => fresh += 1,
-            Err(e) => break e,
-        }
-        assert!(fresh <= MAX_TRACE_FILES, "the interner passed its bound");
-    };
-    assert_eq!(
-        refused,
-        TraceDecodeError::TooManySourceFiles {
-            max: MAX_TRACE_FILES
-        }
-    );
-    assert!(fresh > MAX_TRACE_FILES - 16, "only {fresh} fresh files were kept");
-
-    // Full, it stays full, and it refuses with the same typed error on
-    // every decode path, without a panic.
-    for i in fresh..fresh + 64 {
-        let bytes = with_fresh_file(&known, i);
-        assert_eq!(Trace::decode(&bytes), Err(refused.clone()));
-        assert_eq!(DecodedTrace::decode(&bytes).map(|_| ()), Err(refused.clone()));
+    // Every upload naming a fresh file decodes and replays. Its race is
+    // the known one (a fingerprint names no file), so it dedups.
+    for i in 0..FRESH_FILES {
+        let sub = service
+            .submit_trace(with_fresh_file(&known, i), 1)
+            .unwrap_or_else(|e| panic!("fresh file {i}: {e}"));
+        assert!(
+            !sub.filed.is_empty() || sub.duplicates > 0,
+            "fresh file {i} neither filed nor deduplicated: {sub:?}"
+        );
     }
 
-    // Files it kept still decode: this file, and the fresh ones it took.
-    assert!(Trace::decode(&known).is_ok());
-    assert!(DecodedTrace::decode(&with_fresh_file(&known, 0)).is_ok());
-    assert!(DecodedTrace::decode(&with_fresh_file(&known, fresh - 1)).is_ok());
-
-    // The intake service answers a fresh file `Malformed` and goes on
-    // filing traces of known files: a repeat is suppressed, a new race
-    // is filed.
-    let err = service
-        .submit_trace(with_fresh_file(&known, fresh), 1)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        IntakeError::Malformed(TraceDecodeError::TooManySourceFiles { .. })
-    ));
+    // Afterwards the worker serves as before: a repeat is suppressed, and
+    // a new race on a known file files.
     let again = service.submit_trace(known, 1).unwrap();
     assert!(again.filed.is_empty() && again.duplicates > 0);
     let other = service
@@ -110,6 +84,6 @@ fn past_the_bound_new_files_are_refused_and_known_ones_still_decode() {
         .unwrap();
     assert!(!other.filed.is_empty(), "a new race on a known file files");
     let stats = service.shutdown().unwrap();
-    assert_eq!(stats.malformed, 1);
-    assert_eq!(stats.traces, 3);
+    assert_eq!(stats.malformed, 0);
+    assert_eq!(stats.traces, FRESH_FILES as u64 + 3);
 }

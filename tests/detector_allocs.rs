@@ -10,32 +10,36 @@
 //! execution: the arena and the per-unit build as a worker pays them, and
 //! the records and the dedup stage. Replay rows count the detector alone —
 //! run start, every event, run end, taking the reports; not decoding or the
-//! depot rebuild — per trace of three families: the short pattern traces
+//! depot rebuild — and decode rows count `DecodedTrace::decode` of the
+//! encoded trace, per trace of three families: the short pattern traces
 //! above, the first 256 generated Go tests (corpus seed 1, run seed 1), and
 //! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
 //! pass, so it is the cost of a run in a warm process:
 //!
-//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |    16.7 |
-//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |    24.4 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |    25.4 |
-//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |    24.4 |
-//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |    24.6 |
-//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |    33.5 |
-//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |      23.8 |    26.6 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |    16.7 |
+//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |    24.4 |
+//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |    25.4 |
+//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |    24.4 |
+//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |    24.6 |
+//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |    33.5 |
+//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |    26.6 |
+//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | decode, short trace               |           |           |           |           |           |      17.7 |      16.7 |    18.7 |
+//! | decode, corpus trace              |           |           |           |           |           |      26.1 |      25.2 |    28.2 |
+//! | decode, dense trace               |           |           |           |           |           |      26.0 |      25.0 |    28.0 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -76,6 +80,15 @@
 //! campaign row fell, and no other row moved by as much as 0.01, about
 //! what a live row varies between two runs of this test.
 //!
+//! At `0bd93a1` an access's file was a `&'static str`: the decoder kept a
+//! table of them per trace, one entry per string-table entry, and leaked
+//! each new file's text into a process-wide interner. This tree decodes a
+//! file as a name of the trace, like an object's, so each decode row fell
+//! by that table (the name table, which now holds the files too, grows a
+//! little more often); the live runs take a file's name from a few slots
+//! of the kernel's, and no live, replay or campaign row moved by as much
+//! as 0.01, in release or debug.
+//!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
 //! `reset`, fails here.
@@ -91,7 +104,9 @@ use std::cell::Cell;
 use grs::corpus::GoTestSpec;
 use grs::detector::{Detector, DetectorArena, DetectorChoice, Eraser, FastTrack};
 use grs::fleet::{pattern_suite, Campaign, CampaignConfig, GoCorpusSource, UnitSource};
-use grs::runtime::{record, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace};
+use grs::runtime::{
+    record, DecodedTrace, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace,
+};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -251,10 +266,9 @@ fn replay(detector: &mut dyn Detector, trace: &Trace, depot: &StackDepot) -> u64
     .0
 }
 
-/// Mean replay allocations per trace of `runs`, per detector, in
+/// Mean replay allocations per trace of `traces`, per detector, in
 /// [`DetectorChoice::all_with_ablation`] order.
-fn replay_means(runs: &[(Program, RunConfig)]) -> [f64; 4] {
-    let traces: Vec<Trace> = runs.iter().map(|(p, cfg)| record(p, cfg).1).collect();
+fn replay_means(traces: &[Trace]) -> [f64; 4] {
     let depots: Vec<StackDepot> = traces
         .iter()
         .map(|t| {
@@ -275,16 +289,31 @@ fn replay_means(runs: &[(Program, RunConfig)]) -> [f64; 4] {
         .map(|d| mean_warm(&pairs, |(t, depot)| replay(d.as_mut(), t, depot)))
 }
 
+/// Mean allocations per trace of [`DecodedTrace::decode`] over the
+/// encoded `traces`: the whole decode, tables and event buffer included.
+fn decode_mean(traces: &[Trace]) -> f64 {
+    let encoded: Vec<Vec<u8>> = traces.iter().map(Trace::encode).collect();
+    mean_warm(&encoded, |bytes| {
+        allocations_in(|| DecodedTrace::decode(bytes).expect("a recording decodes")).0
+    })
+}
+
 #[test]
 fn replays_stay_under_their_allocation_ceilings() {
     let families = [
-        ("short", pattern_runs(), [2.6, 3.7, 2.6, 2.8]),
-        ("corpus", corpus_runs(), [4.0, 15.5, 1.12, 4.0]),
-        ("dense", dense_runs(), [1.12, 10.0, 3.36, 1.12]),
+        ("short", pattern_runs(), 18.7, [2.6, 3.7, 2.6, 2.8]),
+        ("corpus", corpus_runs(), 28.2, [4.0, 15.5, 1.12, 4.0]),
+        ("dense", dense_runs(), 28.0, [1.12, 10.0, 3.36, 1.12]),
     ];
     let mut rows = Vec::new();
-    for (family, runs, ceilings) in &families {
-        let means = replay_means(runs);
+    for (family, runs, decode_ceiling, ceilings) in &families {
+        let traces: Vec<Trace> = runs.iter().map(|(p, cfg)| record(p, cfg).1).collect();
+        rows.push((
+            format!("decode {family}"),
+            decode_mean(&traces),
+            *decode_ceiling,
+        ));
+        let means = replay_means(&traces);
         let choices = DetectorChoice::all_with_ablation();
         for ((choice, n), ceiling) in choices.into_iter().zip(means).zip(ceilings) {
             rows.push((format!("replay {family} {choice}"), n, *ceiling));

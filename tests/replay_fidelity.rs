@@ -15,12 +15,14 @@
 //! including the pure-vector-clock ablation that the campaign default
 //! excludes — and additionally through a full encode→decode round trip of
 //! the `.grtrace` wire format, so on-disk traces carry the same guarantee
-//! as in-memory ones.
+//! as in-memory ones, including for a cell named after its source file
+//! (one text that is an object's and a file's name at once).
 
 use grs::deploy::race_fingerprint;
-use grs::detector::DetectorArena;
-use grs::fleet::pattern_suite;
-use grs::runtime::{record, RunConfig, Trace};
+use grs::detector::{DetectorArena, DetectorChoice};
+use grs::fleet::{pattern_suite, CampaignUnit};
+use grs::runtime::event::EventKind;
+use grs::runtime::{record, Program, RunConfig, Trace};
 
 const SEEDS: u64 = 16;
 
@@ -79,21 +81,40 @@ fn replay_is_bit_identical_to_live_for_every_pattern_seed_and_detector() {
     }
 }
 
+/// Two goroutines racing on a cell named after this file: one text that
+/// is both an object's name and a source file's, so a run names it once.
+fn cell_named_after_its_file() -> CampaignUnit {
+    let program = Program::new("file_named_cell", |ctx| {
+        let x = ctx.cell(file!(), 0i64);
+        let x2 = x.clone();
+        ctx.go("writer", move |ctx| ctx.write(&x2, 1));
+        ctx.update(&x, |v| v + 1);
+    });
+    CampaignUnit {
+        name: "file_named_cell/racy".to_string(),
+        program,
+        expected_racy: Some(true),
+    }
+}
+
 #[test]
 fn decoded_traces_replay_identically_to_recorded_traces() {
     // The wire format carries the whole fidelity guarantee: a trace that
     // went through encode→decode replays to the same reports as the
-    // original in-memory trace (and therefore as the live run).
-    let units: Vec<_> = pattern_suite(true).into_iter().take(8).collect();
+    // original in-memory trace and as the live run, and encodes back to
+    // the same bytes.
+    let mut units: Vec<_> = pattern_suite(true).into_iter().take(8).collect();
+    units.push(cell_named_after_its_file());
     let mut arena_mem = DetectorArena::new();
     let mut arena_disk = DetectorArena::new();
     for unit in &units {
         for seed in 0..8u64 {
             let cfg = RunConfig::with_seed(seed);
             let (_, trace) = record(&unit.program, &cfg);
-            let decoded =
-                Trace::decode(&trace.encode()).expect("round trip of a recorded trace");
+            let bytes = trace.encode();
+            let decoded = Trace::decode(&bytes).expect("round trip of a recorded trace");
             assert_eq!(decoded, trace, "{}/{seed}", unit.name);
+            assert_eq!(decoded.encode(), bytes, "{}/{seed}", unit.name);
             assert_eq!(decoded.digest(), trace.digest(), "{}/{seed}", unit.name);
             let from_mem = arena_mem.replay_all(&trace);
             let from_disk = arena_disk.replay_all(&decoded);
@@ -103,9 +124,26 @@ fn decoded_traces_replay_identically_to_recorded_traces() {
                 let t1: Vec<String> = r1.reports.iter().map(|r| format!("{r}")).collect();
                 let t2: Vec<String> = r2.reports.iter().map(|r| format!("{r}")).collect();
                 assert_eq!(t1, t2, "{}/{seed}/{c1}: decoded replay diverged", unit.name);
+                let (_, live) = c1.run(&unit.program, cfg.clone());
+                let live: Vec<String> = live.iter().map(|r| format!("{r}")).collect();
+                assert_eq!(live, t2, "{}/{seed}/{c1}: live diverged", unit.name);
             }
         }
     }
+
+    // The file-named cell's accesses carry one name as object and file,
+    // and its races are reported.
+    let unit = units.last().expect("the file-named cell");
+    let (_, trace) = record(&unit.program, &RunConfig::with_seed(0));
+    for event in &trace.events {
+        if let EventKind::Access { object, loc, .. } = event.kind {
+            assert_eq!((trace.name(object), loc.file), (file!(), object));
+        }
+    }
+    let (_, reports) = DetectorChoice::FastTrack.run(&unit.program, RunConfig::with_seed(0));
+    let report = reports.first().expect("the two writers race");
+    assert_eq!(&*report.object, file!());
+    assert_eq!(&*report.current.file, file!());
 }
 
 #[test]
