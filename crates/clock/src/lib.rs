@@ -59,11 +59,3 @@ pub enum ClockOrder {
     /// Neither ordering holds: the events are concurrent (a race window).
     Concurrent,
 }
-
-impl ClockOrder {
-    /// True when the two points are ordered (or equal), i.e. *not* racy.
-    #[must_use]
-    pub fn is_ordered(self) -> bool {
-        !matches!(self, ClockOrder::Concurrent)
-    }
-}

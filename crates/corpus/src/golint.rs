@@ -62,15 +62,6 @@ impl LintReport {
         }
         format!("[{}]", items.join(","))
     }
-
-    /// Compiler-style one-line renderings, in (path, position) order.
-    #[must_use]
-    pub fn render_lines(&self) -> Vec<String> {
-        self.findings
-            .iter()
-            .map(|(path, f)| diag::render_line(path, f))
-            .collect()
-    }
 }
 
 /// Lints an iterator of `(path, source)` pairs.

@@ -24,6 +24,7 @@
 //! [`gogen`](crate::gogen) emits, so the interpreter path hardened against
 //! this generator is hardened against the monorepo generator too.
 
+use grs_obs::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,15 +84,6 @@ pub struct GoTest {
     pub source: String,
     /// Emission-time ground truth: does the test contain a race?
     pub expected_racy: bool,
-}
-
-// The shared copy is `grs_obs::splitmix64`; this crate has no `grs-obs`
-// edge, and five lines do not justify adding one.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The deterministic per-test emitter.

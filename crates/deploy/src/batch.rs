@@ -4,10 +4,10 @@
 //! the overwhelming majority duplicates of each other — the same race
 //! re-detected under different seeds, strategies, and detectors. Filing
 //! them one by one through
-//! [`IntakeService::submit`](crate::service::IntakeService::submit) works
+//! [`IntakeHandle::submit`](crate::service::IntakeHandle::submit) works
 //! but touches the tracker once per raw report; a campaign instead
 //! accumulates into a [`RaceBatch`] keyed by [`race_fingerprint`] and hands
-//! [`IntakeService::submit_race_batch`](crate::service::IntakeService::submit_race_batch)
+//! [`IntakeHandle::submit_race_batch`](crate::service::IntakeHandle::submit_race_batch)
 //! one deduplicated, deterministically ordered batch per day.
 //!
 //! Determinism matters: the batch keeps, per fingerprint, the report from

@@ -7,12 +7,12 @@
 //! process. [`IntakeService`] is that shape:
 //!
 //! * **One API.** Per-report filing, batch filing and decode-replay-file
-//!   of an uploaded trace are [`IntakeService::submit`],
-//!   [`IntakeService::submit_batch`] /
-//!   [`IntakeService::submit_race_batch`], and
-//!   [`IntakeService::submit_trace`] (raw `.grtrace` bytes in, filed tasks
-//!   out). Every failure is a typed [`IntakeError`]; nothing panics on
-//!   client input.
+//!   of an uploaded trace are [`IntakeHandle::submit`],
+//!   [`IntakeHandle::submit_batch`] /
+//!   [`IntakeHandle::submit_race_batch`], and
+//!   [`IntakeHandle::submit_trace`] (raw `.grtrace` bytes in, filed tasks
+//!   out), on the service or any of its cloneable handles. Every failure
+//!   is a typed [`IntakeError`]; nothing panics on client input.
 //! * **Bounded intake.** Trace uploads land on a fixed worker pool behind
 //!   a bounded queue. A full queue rejects with
 //!   [`IntakeError::Busy`] and a retry hint — explicit backpressure,
@@ -31,6 +31,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -136,7 +137,7 @@ pub struct IntakeSummary {
     pub races: u32,
 }
 
-/// Point-in-time service statistics (see [`IntakeService::stats`]).
+/// Point-in-time service statistics (see [`IntakeHandle::stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IntakeStats {
     /// Tasks ever filed.
@@ -183,7 +184,7 @@ impl Ticket {
     }
 }
 
-/// A pending asynchronous upload (see [`IntakeService::enqueue_trace`]).
+/// A pending asynchronous upload (see [`IntakeHandle::enqueue_trace`]).
 #[must_use = "an unawaited ticket discards the upload's outcome"]
 pub struct IntakeTicket {
     ticket: Arc<Ticket>,
@@ -532,7 +533,10 @@ impl IntakeServiceBuilder {
                     .expect("spawn intake worker")
             })
             .collect();
-        Ok(IntakeService { inner, workers })
+        Ok(IntakeService {
+            handle: IntakeHandle { inner },
+            workers,
+        })
     }
 }
 
@@ -555,8 +559,12 @@ impl IntakeServiceBuilder {
 /// let stats = service.shutdown().unwrap();
 /// assert_eq!(stats.traces, 1);
 /// ```
+///
+/// The service derefs to its [`IntakeHandle`], so it offers every
+/// submission method a handle does; snapshotting to disk and shutdown are
+/// the owner's alone.
 pub struct IntakeService {
-    inner: Arc<ServiceInner>,
+    handle: IntakeHandle,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -583,156 +591,150 @@ impl fmt::Debug for IntakeHandle {
     }
 }
 
-macro_rules! shared_intake_api {
-    () => {
-        /// Submits one already-detected race report on `day` —
-        /// synchronous, bypassing the trace queue.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::ShutDown`] after shutdown.
-        pub fn submit(&self, report: &RaceReport, day: u32) -> Result<FileOutcome, IntakeError> {
-            if self.inner.shut_down.load(Ordering::Acquire) {
-                return Err(IntakeError::ShutDown);
-            }
-            Ok(self.inner.file_report(report, day))
-        }
-
-        /// Submits a batch of reports.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::ShutDown`] after shutdown.
-        pub fn submit_batch(
-            &self,
-            reports: &[RaceReport],
-            day: u32,
-        ) -> Result<Vec<FileOutcome>, IntakeError> {
-            reports.iter().map(|r| self.submit(r, day)).collect()
-        }
-
-        /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)
-        /// (a campaign day's output) and returns the per-fingerprint
-        /// outcomes in fingerprint order. Because the batch is already
-        /// deduplicated, every `Duplicate` here means an open task from a
-        /// previous day — cross-day dedup, not within-batch noise.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::ShutDown`] after shutdown.
-        pub fn submit_race_batch(
-            &self,
-            batch: &crate::batch::RaceBatch,
-            day: u32,
-        ) -> Result<Vec<(crate::fingerprint::Fingerprint, FileOutcome)>, IntakeError> {
-            batch
-                .iter()
-                .map(|(fp, report)| Ok((fp, self.submit(report, day)?)))
-                .collect()
-        }
-
-        /// Uploads an encoded `.grtrace` and blocks for the outcome:
-        /// enqueue, decode, replay through the detector, file every race.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::Busy`] when the queue is full (backpressure —
-        /// retry after the hint), [`IntakeError::Malformed`] when the
-        /// bytes don't decode, [`IntakeError::ShutDown`] after shutdown.
-        pub fn submit_trace(
-            &self,
-            trace: Vec<u8>,
-            day: u32,
-        ) -> Result<IntakeSummary, IntakeError> {
-            self.inner.enqueue(trace, day)?.wait()
-        }
-
-        /// Like [`Self::submit_trace`] but returns immediately with a
-        /// ticket to wait on, so one uploader can keep many traces in
-        /// flight.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::Busy`] or [`IntakeError::ShutDown`] at enqueue
-        /// time; processing errors surface from [`IntakeTicket::wait`].
-        pub fn enqueue_trace(
-            &self,
-            trace: Vec<u8>,
-            day: u32,
-        ) -> Result<IntakeTicket, IntakeError> {
-            self.inner.enqueue(trace, day)
-        }
-
-        /// Marks a task fixed and invalidates its dedup-cache entry, so
-        /// the next detection of the same race files a fresh task.
-        ///
-        /// # Errors
-        ///
-        /// [`IntakeError::UnknownTask`] / [`IntakeError::AlreadyFixed`]
-        /// for bad ids — client input, not a panic.
-        pub fn fix(
-            &self,
-            task: TaskId,
-            day: u32,
-            engineer: &str,
-            patch: u64,
-        ) -> Result<(), IntakeError> {
-            let mut core = self
-                .inner
-                .core
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let fp = core
-                .tracker
-                .task(task)
-                .ok_or(IntakeError::UnknownTask(task))?
-                .fingerprint;
-            core.tracker.try_fix(task, day, engineer, patch)?;
-            self.inner.dedup.invalidate(fp);
-            drop(core);
-            self.inner.obs(|s| s.add("intake.fixed", 1));
-            Ok(())
-        }
-
-        /// Runs `f` against the live tracker under the service lock.
-        pub fn with_tracker<R>(&self, f: impl FnOnce(&BugTracker) -> R) -> R {
-            let core = self
-                .inner
-                .core
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            f(&core.tracker)
-        }
-
-        /// Freezes the current bug database (cheap: clones the task list).
-        #[must_use]
-        pub fn snapshot(&self) -> Snapshot {
-            self.with_tracker(Snapshot::capture)
-        }
-
-        /// Current service statistics.
-        #[must_use]
-        pub fn stats(&self) -> IntakeStats {
-            let (total_filed, outstanding) =
-                self.with_tracker(|t| (t.total_filed(), t.outstanding()));
-            IntakeStats {
-                total_filed,
-                outstanding,
-                traces: self.inner.traces.load(Ordering::Relaxed),
-                busy_rejections: self.inner.busy_rejections.load(Ordering::Relaxed),
-                malformed: self.inner.malformed.load(Ordering::Relaxed),
-                queue_peak: self.inner.queue_peak.load(Ordering::Relaxed),
-                dedup_budget_words: self.inner.dedup.budget_words(),
-                dedup_words: self.inner.dedup.words(),
-                dedup_peak_words: self.inner.dedup.peak_words(),
-                dedup_evictions: self.inner.dedup.evictions(),
-            }
-        }
-    };
-}
-
 impl IntakeHandle {
-    shared_intake_api!();
+    /// Submits one already-detected race report on `day` —
+    /// synchronous, bypassing the trace queue.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::ShutDown`] after shutdown.
+    pub fn submit(&self, report: &RaceReport, day: u32) -> Result<FileOutcome, IntakeError> {
+        if self.inner.shut_down.load(Ordering::Acquire) {
+            return Err(IntakeError::ShutDown);
+        }
+        Ok(self.inner.file_report(report, day))
+    }
+
+    /// Submits a batch of reports.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::ShutDown`] after shutdown.
+    pub fn submit_batch(
+        &self,
+        reports: &[RaceReport],
+        day: u32,
+    ) -> Result<Vec<FileOutcome>, IntakeError> {
+        reports.iter().map(|r| self.submit(r, day)).collect()
+    }
+
+    /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)
+    /// (a campaign day's output) and returns the per-fingerprint
+    /// outcomes in fingerprint order. Because the batch is already
+    /// deduplicated, every `Duplicate` here means an open task from a
+    /// previous day — cross-day dedup, not within-batch noise.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::ShutDown`] after shutdown.
+    pub fn submit_race_batch(
+        &self,
+        batch: &crate::batch::RaceBatch,
+        day: u32,
+    ) -> Result<Vec<(crate::fingerprint::Fingerprint, FileOutcome)>, IntakeError> {
+        batch
+            .iter()
+            .map(|(fp, report)| Ok((fp, self.submit(report, day)?)))
+            .collect()
+    }
+
+    /// Uploads an encoded `.grtrace` and blocks for the outcome:
+    /// enqueue, decode, replay through the detector, file every race.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::Busy`] when the queue is full (backpressure —
+    /// retry after the hint), [`IntakeError::Malformed`] when the
+    /// bytes don't decode, [`IntakeError::ShutDown`] after shutdown.
+    pub fn submit_trace(
+        &self,
+        trace: Vec<u8>,
+        day: u32,
+    ) -> Result<IntakeSummary, IntakeError> {
+        self.inner.enqueue(trace, day)?.wait()
+    }
+
+    /// Like [`Self::submit_trace`] but returns immediately with a
+    /// ticket to wait on, so one uploader can keep many traces in
+    /// flight.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::Busy`] or [`IntakeError::ShutDown`] at enqueue
+    /// time; processing errors surface from [`IntakeTicket::wait`].
+    pub fn enqueue_trace(
+        &self,
+        trace: Vec<u8>,
+        day: u32,
+    ) -> Result<IntakeTicket, IntakeError> {
+        self.inner.enqueue(trace, day)
+    }
+
+    /// Marks a task fixed and invalidates its dedup-cache entry, so
+    /// the next detection of the same race files a fresh task.
+    ///
+    /// # Errors
+    ///
+    /// [`IntakeError::UnknownTask`] / [`IntakeError::AlreadyFixed`]
+    /// for bad ids — client input, not a panic.
+    pub fn fix(
+        &self,
+        task: TaskId,
+        day: u32,
+        engineer: &str,
+        patch: u64,
+    ) -> Result<(), IntakeError> {
+        let mut core = self
+            .inner
+            .core
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let fp = core
+            .tracker
+            .task(task)
+            .ok_or(IntakeError::UnknownTask(task))?
+            .fingerprint;
+        core.tracker.try_fix(task, day, engineer, patch)?;
+        self.inner.dedup.invalidate(fp);
+        drop(core);
+        self.inner.obs(|s| s.add("intake.fixed", 1));
+        Ok(())
+    }
+
+    /// Runs `f` against the live tracker under the service lock.
+    pub fn with_tracker<R>(&self, f: impl FnOnce(&BugTracker) -> R) -> R {
+        let core = self
+            .inner
+            .core
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        f(&core.tracker)
+    }
+
+    /// Freezes the current bug database (cheap: clones the task list).
+    #[must_use]
+    pub fn snapshot(&self) -> Snapshot {
+        self.with_tracker(Snapshot::capture)
+    }
+
+    /// Current service statistics.
+    #[must_use]
+    pub fn stats(&self) -> IntakeStats {
+        let (total_filed, outstanding) =
+            self.with_tracker(|t| (t.total_filed(), t.outstanding()));
+        IntakeStats {
+            total_filed,
+            outstanding,
+            traces: self.inner.traces.load(Ordering::Relaxed),
+            busy_rejections: self.inner.busy_rejections.load(Ordering::Relaxed),
+            malformed: self.inner.malformed.load(Ordering::Relaxed),
+            queue_peak: self.inner.queue_peak.load(Ordering::Relaxed),
+            dedup_budget_words: self.inner.dedup.budget_words(),
+            dedup_words: self.inner.dedup.words(),
+            dedup_peak_words: self.inner.dedup.peak_words(),
+            dedup_evictions: self.inner.dedup.evictions(),
+        }
+    }
 }
 
 impl IntakeService {
@@ -745,12 +747,8 @@ impl IntakeService {
     /// A cloneable submission handle for uploader threads.
     #[must_use]
     pub fn handle(&self) -> IntakeHandle {
-        IntakeHandle {
-            inner: self.inner.clone(),
-        }
+        self.handle.clone()
     }
-
-    shared_intake_api!();
 
     /// Writes the bug database to the configured snapshot path.
     ///
@@ -788,6 +786,14 @@ impl IntakeService {
             self.save_snapshot()?;
         }
         Ok(stats)
+    }
+}
+
+impl Deref for IntakeService {
+    type Target = IntakeHandle;
+
+    fn deref(&self) -> &IntakeHandle {
+        &self.handle
     }
 }
 
@@ -991,6 +997,39 @@ mod tests {
         // The one worker survived them all: the next upload is served.
         let served = service.submit_trace(racy_trace(3), 0).unwrap();
         assert!(!served.filed.is_empty());
+    }
+
+    /// One write at `f.go:line` on goroutine 0, no stack table.
+    fn one_write_at(line: u64) -> Vec<u8> {
+        let mut bytes = grs_runtime::TRACE_MAGIC.to_vec();
+        bytes.extend_from_slice(&grs_runtime::TRACE_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[3, 1, b'p', 1, b'x', 4, b'f', b'.', b'g', b'o', 0]);
+        bytes.extend_from_slice(&1u64.to_le_bytes()); // seed
+        bytes.extend_from_slice(&[0, 1, 1, 0]); // Random, 1 step, 1 goroutine, no stacks
+        // One event: goroutine 0 writes address 1, `x`, at no stack, `f.go`…
+        bytes.extend_from_slice(&[1, 1, 0, 2, 1, 1, 1, 0, 2]);
+        grs_runtime::put_uvarint(&mut bytes, line);
+        bytes
+    }
+
+    /// Line 2^32 + 7 once decoded as line 7, so a race there would have
+    /// been filed against the wrong line. It is malformed, and the worker
+    /// serves on.
+    #[test]
+    fn a_line_past_32_bits_is_malformed_not_wrapped() {
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        let wide = (1 << 32) + 7;
+        let err = service.submit_trace(one_write_at(wide), 0).unwrap_err();
+        assert_eq!(
+            err,
+            IntakeError::Malformed(TraceDecodeError::ValueOutOfRange {
+                what: "line",
+                value: wide
+            })
+        );
+        let served = service.submit_trace(one_write_at(7), 0).unwrap();
+        assert_eq!(served.races, 0);
+        assert_eq!(service.stats().malformed, 1);
     }
 
     #[test]

@@ -57,6 +57,13 @@ pub enum SnapshotError {
     MalformedVarint,
     /// A string field is not valid UTF-8.
     BadUtf8,
+    /// A 32-bit field (a day, a PCT depth) holds a larger value.
+    ValueOutOfRange {
+        /// Which field.
+        what: &'static str,
+        /// The value read.
+        value: u64,
+    },
     /// An enum field holds a tag this version does not define.
     BadEnumTag {
         /// Which field.
@@ -84,6 +91,9 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::MalformedVarint => write!(f, "malformed varint"),
             SnapshotError::BadUtf8 => write!(f, "snapshot string is not valid UTF-8"),
+            SnapshotError::ValueOutOfRange { what, value } => {
+                write!(f, "{what} {value} does not fit in 32 bits")
+            }
             SnapshotError::BadEnumTag { what, tag } => {
                 write!(f, "unknown {what} tag {tag}")
             }
@@ -101,13 +111,16 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// The shared byte [`Reader`] speaks [`TraceDecodeError`] and fails in two
-/// ways, both this format's too. It raises no other variant; one it grew
-/// would read as truncation here, never as a panic on a decode path.
+/// The shared byte [`Reader`] speaks [`TraceDecodeError`] and fails in
+/// three ways, all this format's too. It raises no other variant; one it
+/// grew would read as truncation here, never as a panic on a decode path.
 impl From<TraceDecodeError> for SnapshotError {
     fn from(e: TraceDecodeError) -> Self {
         match e {
             TraceDecodeError::MalformedVarint => SnapshotError::MalformedVarint,
+            TraceDecodeError::ValueOutOfRange { what, value } => {
+                SnapshotError::ValueOutOfRange { what, value }
+            }
             _ => SnapshotError::Truncated,
         }
     }
@@ -191,7 +204,7 @@ fn decode_strategy(r: &mut Reader<'_>) -> Result<Strategy, SnapshotError> {
     match r.byte()? {
         0 => Ok(Strategy::Random),
         1 => Ok(Strategy::Pct {
-            depth: r.uvarint()? as u32,
+            depth: r.u32("PCT depth")?,
         }),
         2 => Ok(Strategy::RoundRobin),
         tag => Err(SnapshotError::BadEnumTag {
@@ -252,7 +265,7 @@ fn encode_task(out: &mut Vec<u8>, task: &Task) {
 fn decode_task(r: &mut Reader<'_>) -> Result<Task, SnapshotError> {
     let id = TaskId(r.uvarint()?);
     let fingerprint = Fingerprint(u64_le(r)?);
-    let filed_day = r.uvarint()? as u32;
+    let filed_day = r.u32("filed day")?;
     let state = match r.byte()? {
         0 => TaskState::Open,
         1 => TaskState::Fixed,
@@ -263,7 +276,11 @@ fn decode_task(r: &mut Reader<'_>) -> Result<Task, SnapshotError> {
             })
         }
     };
-    let fixed_day = if opt_tag(r)? { Some(r.uvarint()? as u32) } else { None };
+    let fixed_day = if opt_tag(r)? {
+        Some(r.u32("fixed day")?)
+    } else {
+        None
+    };
     let fixed_by = opt_string(r)?;
     let patch = opt_u64(r)?;
     let assignee = opt_string(r)?;
@@ -505,6 +522,61 @@ mod tests {
         let n = huge.len();
         huge[n - 1] = 0x02;
         assert_eq!(Snapshot::decode(&huge), Err(SnapshotError::MalformedVarint));
+    }
+
+    /// A day or PCT depth past `u32::MAX` is refused with its field named,
+    /// never wrapped into a different day (which would re-encode to other
+    /// bytes).
+    #[test]
+    fn values_past_32_bits_are_refused_not_wrapped() {
+        const BIG: u64 = (1 << 32) + 7;
+        // One task: `filed` as its filed day, then `fixed` (None or a day)
+        // and `depth` (None or a PCT repro's depth).
+        let snapshot = |filed: u64, fixed: Option<u64>, depth: Option<u64>| {
+            let mut b = Vec::new();
+            b.extend_from_slice(&SNAPSHOT_MAGIC);
+            b.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+            b.push(1); // one task
+            b.push(0); // id 0
+            b.extend_from_slice(&[0; 8]); // fingerprint
+            put_uvarint(&mut b, filed);
+            b.push(u8::from(fixed.is_some())); // state
+            b.push(u8::from(fixed.is_some()));
+            if let Some(day) = fixed {
+                put_uvarint(&mut b, day);
+            }
+            b.extend_from_slice(&[0, 0, 0, 0]); // fixed_by, patch, assignee, repro seed
+            b.push(u8::from(depth.is_some()));
+            if let Some(depth) = depth {
+                b.extend_from_slice(&[0; 8]); // seed
+                b.push(1); // PCT
+                put_uvarint(&mut b, depth);
+                b.extend_from_slice(&[0, 0]); // no digest, no path
+            }
+            b
+        };
+        let good = snapshot(3, Some(4), Some(2));
+        assert_eq!(Snapshot::decode(&good).unwrap().encode(), good);
+        let refused = |what, bytes: Vec<u8>| {
+            assert_eq!(
+                Snapshot::decode(&bytes),
+                Err(SnapshotError::ValueOutOfRange { what, value: BIG }),
+                "{what}"
+            );
+        };
+        refused("filed day", snapshot(BIG, None, None));
+        refused("fixed day", snapshot(3, Some(BIG), None));
+        refused("PCT depth", snapshot(3, None, Some(BIG)));
+
+        let dir = std::env::temp_dir().join(format!("grs_store_wide_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tracker.grsnap");
+        fs::write(&path, snapshot(BIG, None, None)).unwrap();
+        assert!(matches!(
+            Snapshot::load(&path),
+            Err(SnapshotError::ValueOutOfRange { what: "filed day", .. })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! program × seed cell, everything the old suite compared — steps, events,
 //! peak shadow words, each report's text in detection order — captured
 //! while the copy still agreed; live runs, replay of the recorded trace and
-//! replay of its encoding decoded at chunk sizes 1/2/61/4096 must each
-//! reproduce it. *It is right*: every
-//! verdict is held to `grs_detector::reference`.
+//! replay of its encoding, decoded, must each reproduce it. *It is
+//! right*: every verdict is held to `grs_detector::reference`.
 
 mod corpus;
 
@@ -83,22 +82,19 @@ fn scalar_replay_reproduces_the_pinned_cells() {
     assert_pinned("scalar replay", &digests);
 }
 
-/// Encoded, decoded at chunk sizes 1, 2, a prime, and the default, and fanned
-/// out by the arena: the chunking must be invisible in every output.
+/// Encoded, decoded, and fanned out by the arena: the round trip must be
+/// invisible in every output.
 #[test]
-fn batch_replay_reproduces_the_pinned_cells_at_every_chunk_size() {
+fn batch_replay_reproduces_the_pinned_cells() {
     let mut arena = DetectorArena::new();
-    for chunk in [1usize, 2, 61, 4096] {
-        let digests = cell_digests(|choice, _, _, trace| {
-            let decoded = DecodedTrace::decode_with_chunk(&trace.encode(), chunk)
-                .expect("just-encoded trace decodes");
-            assert_eq!(decoded.len(), trace.events.len());
-            let mut outs =
-                arena.replay_many_decoded_observed(&decoded, &[choice], &grs_obs::NULL_SINK);
-            outs.pop().expect("one choice, one outcome").1
-        });
-        assert_pinned(&format!("batch replay, chunk {chunk}"), &digests);
-    }
+    let digests = cell_digests(|choice, _, _, trace| {
+        let decoded = DecodedTrace::decode(&trace.encode()).expect("just-encoded trace decodes");
+        assert_eq!(decoded.len(), trace.events.len());
+        let mut outs =
+            arena.replay_many_decoded_observed(&decoded, &[choice], &grs_obs::NULL_SINK);
+        outs.pop().expect("one choice, one outcome").1
+    });
+    assert_pinned("batch replay", &digests);
 }
 
 /// Every verdict on the pinned corpus and on the channel idioms agrees

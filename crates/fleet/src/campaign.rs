@@ -526,29 +526,6 @@ impl CampaignResult {
         points
     }
 
-    /// The unsampled convergence curve — one point per run. The scheduler
-    /// ablation compares executions-to-N-races across strategies, which
-    /// the [`MAX_CONVERGENCE_POINTS`] sampling would quantize; exports
-    /// that need exact crossover indices use this instead.
-    #[must_use]
-    pub fn convergence_full(&self) -> Vec<(usize, usize)> {
-        self.convergence_sampled(usize::MAX)
-    }
-
-    /// The first run count at which `n` distinct fingerprints were known
-    /// (from the unsampled curve), or `None` if the campaign never got
-    /// there — the executions-to-parity metric of the scheduler ablation.
-    #[must_use]
-    pub fn runs_to_unique(&self, n: usize) -> Option<usize> {
-        if n == 0 {
-            return Some(0);
-        }
-        self.convergence_full()
-            .into_iter()
-            .find(|&(_, u)| u >= n)
-            .map(|(runs, _)| runs)
-    }
-
     /// The deterministic projection of the whole campaign — byte-equal
     /// across worker counts for the same config matrix.
     #[must_use]

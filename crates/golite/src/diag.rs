@@ -63,21 +63,6 @@ pub fn report_json(path: &str, findings: &[Finding]) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// A report over many files as one JSON array.
-#[must_use]
-pub fn corpus_json<'a, I>(per_file: I) -> String
-where
-    I: IntoIterator<Item = (&'a str, &'a [Finding])>,
-{
-    let mut items = Vec::new();
-    for (path, findings) in per_file {
-        for f in findings {
-            items.push(finding_json(path, f));
-        }
-    }
-    format!("[{}]", items.join(","))
-}
-
 /// The compiler-style one-line rendering:
 /// `path:line:col: error[GR007]: message (in Func)`, with a `via` note
 /// listing the call chain when the finding crossed function boundaries.

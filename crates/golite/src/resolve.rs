@@ -72,12 +72,6 @@ impl SymbolKind {
                 | SymbolKind::Local
         )
     }
-
-    /// Is this a package-level variable (file-wide identity)?
-    #[must_use]
-    pub fn is_global_var(self) -> bool {
-        matches!(self, SymbolKind::GlobalVar)
-    }
 }
 
 /// One resolved binding.

@@ -1,8 +1,8 @@
-//! The `.grtrace` reader: chunked decoding straight into [`Event`]s.
+//! The `.grtrace` reader: one pass straight into [`Event`]s.
 //!
-//! [`BatchDecoder`] is the only code that parses the format
-//! ([`Trace::encode`] is the only code that writes it). It decodes in
-//! chunks into the same `Copy` [`Event`] record the kernel emits, so a
+//! [`DecodedTrace::decode`] is the only code that parses the format
+//! ([`Trace::encode`] is the only code that writes it). It decodes into one
+//! buffer of the same `Copy` [`Event`] record the kernel emits, so a
 //! decoded trace *is* a [`Trace`] and every detector replays it through the
 //! one `on_event` it runs live. Names — of objects, goroutines and source
 //! files — arrive as string-table references and are renumbered into
@@ -13,9 +13,9 @@
 //! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
 //! detectors index flat tables by them, and stack-table nodes against
 //! repeats, which no depot snapshot holds — so a corrupt trace yields a
-//! typed [`TraceDecodeError`] and never a panic, whatever the chunk size —
-//! pinned over truncations, bit flips, trailing bytes, oversized ids and a
-//! repeated stack node by `tests/batch_decode.rs`.
+//! typed [`TraceDecodeError`] and never a panic — pinned over truncations,
+//! bit flips, trailing bytes, oversized ids and lines and a repeated stack
+//! node by `tests/batch_decode.rs`.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -37,34 +37,27 @@ const STACK_MIN_BYTES: usize = 3;
 /// tag), for [`Reader::count`].
 const EVENT_MIN_BYTES: usize = 3;
 
-/// Default number of events decoded per chunk by
-/// [`DecodedTrace::decode`]. Large enough that the per-chunk bookkeeping
-/// vanishes, small enough that a chunk stays cache-resident while it
-/// fills.
-pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
-
-/// Streaming chunk decoder over a `.grtrace` byte stream.
-///
-/// [`BatchDecoder::new`] consumes and validates the header (magic,
-/// version, string table, run metadata, depot snapshot); successive
-/// [`BatchDecoder::next_chunk`] calls then decode up to `max` events each.
-/// When the final event has been decoded, bytes left over are an error.
+/// The decoder state over one `.grtrace` byte stream: [`BatchDecoder::new`]
+/// consumes and validates the header (magic, version, string table, run
+/// metadata, depot snapshot), then [`BatchDecoder::events`] decodes every
+/// event and rejects bytes left over.
 #[derive(Debug)]
-pub struct BatchDecoder<'a> {
+struct BatchDecoder<'a> {
     r: Reader<'a>,
     /// Run metadata decoded from the header.
-    pub meta: TraceMeta,
+    meta: TraceMeta,
     /// Depot snapshot in first-intern order (entry `i` = `StackId(i+1)`).
-    pub stacks: Vec<StackNode>,
+    stacks: Vec<StackNode>,
     /// The names events decoded so far mention, in first-appearance order
     /// (entry `i` = `NameId(i)`).
-    pub names: Vec<Arc<str>>,
+    names: Vec<Arc<str>>,
     strings: Vec<Arc<str>>,
     /// Per string-table entry: the [`NameId`] it decodes to, once an event
     /// names it.
     name_ids: Vec<Option<NameId>>,
     n_stacks: u64,
-    remaining: u64,
+    /// Events the header announces, bounded by the input's length.
+    n_events: usize,
     prev_step: u64,
 }
 
@@ -77,7 +70,7 @@ impl<'a> BatchDecoder<'a> {
     /// wrong magic, unsupported version, truncation, a malformed varint or
     /// string, an out-of-range table index, a repeated stack node, or a
     /// count the input is too short to hold.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, TraceDecodeError> {
+    fn new(bytes: &'a [u8]) -> Result<Self, TraceDecodeError> {
         let mut r = Reader { bytes, pos: 0 };
         if r.take(8)? != TRACE_MAGIC {
             return Err(TraceDecodeError::BadMagic);
@@ -112,7 +105,7 @@ impl<'a> BatchDecoder<'a> {
         let strategy = match r.byte()? {
             0 => Strategy::Random,
             1 => Strategy::Pct {
-                depth: r.uvarint()? as u32,
+                depth: r.u32("PCT depth")?,
             },
             2 => Strategy::RoundRobin,
             tag => {
@@ -140,7 +133,7 @@ impl<'a> BatchDecoder<'a> {
             }
             let func_idx = r.uvarint()?;
             let func = string(func_idx)?;
-            let call_line = r.uvarint()? as u32;
+            let call_line = r.u32("call line")?;
             keys.push(((parent, func_idx, call_line), i + 1));
             stacks.push(StackNode {
                 parent: StackId(parent as u32),
@@ -158,7 +151,7 @@ impl<'a> BatchDecoder<'a> {
             return Err(TraceDecodeError::RepeatedStack { id });
         }
 
-        let n_events = r.count(EVENT_MIN_BYTES)? as u64;
+        let n_events = r.count(EVENT_MIN_BYTES)?;
         Ok(BatchDecoder {
             r,
             meta: TraceMeta {
@@ -173,38 +166,30 @@ impl<'a> BatchDecoder<'a> {
             name_ids: vec![None; strings.len()],
             strings,
             n_stacks,
-            remaining: n_events,
+            n_events,
             prev_step: 0,
         })
     }
 
-    /// Decodes up to `max` events, appending them to `events`. Returns the
-    /// number decoded; `Ok(0)` means the stream is exhausted (and the
-    /// trailing-bytes check has passed).
+    /// Decodes every event the header announced.
     ///
     /// # Errors
     ///
     /// A typed [`TraceDecodeError`]: truncation mid-event, malformed
     /// varints, out-of-range string or stack indices, ids past
-    /// [`MAX_TRACE_ID`], unknown tags, and trailing bytes after the final
-    /// event.
-    pub fn next_chunk(
-        &mut self,
-        events: &mut Vec<Event>,
-        max: usize,
-    ) -> Result<usize, TraceDecodeError> {
-        let take = (self.remaining.min(max as u64)) as usize;
-        events.reserve(take);
-        for _ in 0..take {
+    /// [`MAX_TRACE_ID`], lines past `u32`, unknown tags, and trailing bytes
+    /// after the final event.
+    fn events(&mut self) -> Result<Vec<Event>, TraceDecodeError> {
+        let mut events = Vec::with_capacity(self.n_events);
+        for _ in 0..self.n_events {
             events.push(self.decode_event()?);
         }
-        self.remaining -= take as u64;
-        if self.remaining == 0 && self.r.pos != self.r.bytes.len() {
+        if self.r.pos != self.r.bytes.len() {
             return Err(TraceDecodeError::TrailingBytes {
                 extra: self.r.bytes.len() - self.r.pos,
             });
         }
-        Ok(take)
+        Ok(events)
     }
 
     /// The next varint as a string-table index.
@@ -288,7 +273,7 @@ impl<'a> BatchDecoder<'a> {
                     stack: StackId(stack as u32),
                     loc: SourceLoc {
                         file,
-                        line: self.r.uvarint()? as u32,
+                        line: self.r.u32("line")?,
                     },
                 }
             }
@@ -343,16 +328,23 @@ impl<'a> BatchDecoder<'a> {
     }
 }
 
-/// A decoded trace plus the decoder's chunk statistics for the
-/// observability layer. It derefs to the [`Trace`]: metadata, depot
-/// snapshot, names and events.
+/// The batch size `benchmark/`'s `runtime.batch_fill_rate` divides a
+/// decoded trace into.
+const BATCH_EVENTS: usize = 4096;
+
+/// A decoded trace plus the batch statistics the observability layer
+/// reads. It derefs to the [`Trace`]: metadata, depot snapshot, names and
+/// events.
 #[derive(Debug)]
 pub struct DecodedTrace {
     /// The trace itself.
     pub trace: Trace,
-    /// Chunks the decoder emitted.
+    /// The events in batches of [`DecodedTrace::chunk_capacity`], rounded
+    /// up (0 for an empty trace). The decoder fills one buffer; this and
+    /// `chunk_capacity` are kept for `benchmark/`'s
+    /// `runtime.batch_fill_rate` until ROADMAP item 13 retires it.
     pub chunks: u64,
-    /// Chunk capacity used (events per chunk).
+    /// Events per batch: 4,096.
     pub chunk_capacity: usize,
 }
 
@@ -365,37 +357,27 @@ impl Deref for DecodedTrace {
 }
 
 impl DecodedTrace {
-    /// Decodes `bytes` with the default chunk size.
+    /// Decodes `bytes` in one pass.
     ///
     /// # Errors
     ///
-    /// As [`BatchDecoder::new`] and [`BatchDecoder::next_chunk`].
+    /// A typed [`TraceDecodeError`] for the first structural problem:
+    /// wrong magic, unsupported version, truncation, a malformed varint or
+    /// string, an out-of-range table index, id or line, a repeated stack
+    /// node, an unknown tag, a count the input is too short to hold, or
+    /// trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, TraceDecodeError> {
-        Self::decode_with_chunk(bytes, DEFAULT_CHUNK_EVENTS)
-    }
-
-    /// Decodes `bytes` in chunks of `chunk` events (min 1).
-    ///
-    /// # Errors
-    ///
-    /// As [`DecodedTrace::decode`]; the verdict does not depend on `chunk`.
-    pub fn decode_with_chunk(bytes: &[u8], chunk: usize) -> Result<DecodedTrace, TraceDecodeError> {
-        let chunk = chunk.max(1);
         let mut d = BatchDecoder::new(bytes)?;
-        let mut events = Vec::new();
-        let mut chunks = 0u64;
-        while d.next_chunk(&mut events, chunk)? > 0 {
-            chunks += 1;
-        }
+        let events = d.events()?;
         Ok(DecodedTrace {
+            chunks: events.len().div_ceil(BATCH_EVENTS) as u64,
+            chunk_capacity: BATCH_EVENTS,
             trace: Trace {
                 meta: d.meta,
                 stacks: d.stacks,
                 names: d.names,
                 events,
             },
-            chunks,
-            chunk_capacity: chunk,
         })
     }
 

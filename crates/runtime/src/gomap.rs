@@ -93,12 +93,6 @@ where
         &self.name
     }
 
-    /// The structure-word shadow address.
-    #[must_use]
-    pub fn structure_addr(&self) -> Addr {
-        self.addr_struct
-    }
-
     fn touch_struct(&self, ctx: &Ctx, kind: AccessKind, loc: &'static Location<'static>) {
         ctx.access(self.addr_struct, || &*self.struct_object, kind, loc);
     }

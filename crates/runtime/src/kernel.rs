@@ -42,7 +42,7 @@ use crate::event::{Event, EventKind};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::monitor::{AnyMonitor, MonitorStats};
 use crate::runtime::{DeadlockInfo, RunConfig, RuntimeError};
-use crate::sched::{Scheduler, ScheduleTrace};
+use crate::sched::{Policy, ScheduleTrace};
 
 /// Why a goroutine is blocked (for deadlock/leak diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +214,9 @@ impl Default for OnceSlot {
 pub(crate) struct KState {
     pub monitor: Option<Box<dyn AnyMonitor>>,
     pub rng: StdRng,
-    sched: Scheduler,
+    policy: Policy,
+    /// Every pick so far, folded.
+    schedule: ScheduleTrace,
     goroutines: Vec<Goroutine>,
     /// The goroutines in state `Runnable`, in gid order — the candidate
     /// slice every pick sees, kept up to date at each state transition.
@@ -332,11 +334,12 @@ impl Kernel {
     ) -> Arc<Kernel> {
         install_quiet_poison_hook();
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let sched = Scheduler::with_policy(config.strategy.policy(&mut rng, config.pct_steps_hint));
+        let policy = Policy::new(config.strategy, &mut rng, config.pct_steps_hint);
         let mut state = KState {
             monitor: Some(monitor),
             rng,
-            sched,
+            policy,
+            schedule: ScheduleTrace::default(),
             goroutines: Vec::new(),
             runnable: Vec::new(),
             current: Gid::MAIN,
@@ -372,14 +375,7 @@ impl Kernel {
         });
         state.live = 1;
         state.spawned_total = 1;
-        {
-            let KState {
-                ref mut sched,
-                ref mut rng,
-                ..
-            } = state;
-            sched.register(Gid::MAIN, rng);
-        }
+        state.policy.register(Gid::MAIN, &mut state.rng);
         let noop_monitor = state
             .monitor
             .as_ref()
@@ -518,12 +514,15 @@ impl Kernel {
     /// and gives the pick the token.
     fn pick_next(k: &mut KState, current: Option<Gid>) -> Gid {
         let KState {
-            ref mut sched,
+            ref mut policy,
+            ref mut schedule,
             ref mut rng,
             ref mut runnable,
             ..
         } = *k;
-        let next = runnable.remove(sched.pick(runnable, current, rng));
+        let at = policy.pick(runnable, current, rng);
+        schedule.record(at, runnable.len());
+        let next = runnable.remove(at);
         k.goroutines[next.index()].state = GState::Running;
         k.current = next;
         next
@@ -568,12 +567,13 @@ impl Kernel {
             // it would, and `gid` keeps the token without the round trip
             // through `runnable`.
             let KState {
-                ref mut sched,
+                ref mut policy,
                 ref mut rng,
                 ..
             } = *k;
-            let at = sched.pick(&[gid], Some(gid), rng);
+            let at = policy.pick(&[gid], Some(gid), rng);
             debug_assert_eq!(at, 0);
+            k.schedule.record(at, 1);
             return k;
         }
         Self::make_runnable(&mut k, gid);
@@ -704,11 +704,11 @@ impl Kernel {
             k.spawned_total += 1;
             {
                 let KState {
-                    ref mut sched,
+                    ref mut policy,
                     ref mut rng,
                     ..
                 } = *k;
-                sched.register(child, rng);
+                policy.register(child, rng);
             }
             self.emit_locked(&mut k, parent, EventKind::Spawn { child, name });
         }
@@ -831,7 +831,7 @@ impl Kernel {
             errors: std::mem::take(&mut k.errors),
             deadlock: k.deadlock.take(),
             leaked: std::mem::take(&mut k.leaked),
-            schedule: k.sched.take_trace(),
+            schedule: k.schedule,
             stats: MonitorStats {
                 events_dispatched: k.events_dispatched,
                 depot: self.depot.stats(),

@@ -16,11 +16,11 @@
 //! * **A deterministic scheduler** — exactly one goroutine runs at a time;
 //!   every instrumented operation is a preemption point, and the schedule is
 //!   a pure function of the seed and [`Strategy`] (random walk, PCT,
-//!   round-robin). At each point the strategy's [`SchedulePolicy`] returns
-//!   an index into the gid-ordered runnable goroutines, which is also the
-//!   [`ScheduleDecision`] recorded for the run. Re-running with the same seed replays the same
-//!   interleaving, which makes the nondeterminism the paper wrestles with
-//!   (§3.2) *reproducible*.
+//!   round-robin). At each point the strategy picks an index into the
+//!   gid-ordered runnable goroutines, and the run folds every pick into its
+//!   [`ScheduleTrace`] digest. Re-running with the same seed replays the
+//!   same interleaving, which makes the nondeterminism the paper wrestles
+//!   with (§3.2) *reproducible*.
 //! * **Go-shaped shared memory** — [`Cell`] (a shared variable),
 //!   [`GoSlice`] (header of ptr/len/cap meta-words over a shared backing
 //!   array — Listing 5's race), [`GoMap`] (a thread-unsafe hash table whose
@@ -89,7 +89,7 @@ pub mod slice;
 pub mod sync;
 pub mod trace;
 
-pub use batch::{BatchDecoder, DecodedTrace, DEFAULT_CHUNK_EVENTS};
+pub use batch::DecodedTrace;
 pub use cell::Cell;
 pub use chan::{Chan, RecvResult, Selected2};
 pub use context::GoContext;
@@ -100,10 +100,7 @@ pub use gomap::GoMap;
 pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 pub use monitor::{Monitor, MonitorStats, NullMonitor, TraceHasher};
 pub use runtime::{calibrate_steps, Program, RunConfig, RunOutcome, Runtime, RuntimeError};
-pub use sched::{
-    PctPolicy, RandomPolicy, RoundRobinPolicy, ScheduleDecision, SchedulePolicy, ScheduleTrace,
-    Strategy,
-};
+pub use sched::{ScheduleTrace, Strategy};
 pub use slice::GoSlice;
 pub use sync::{AtomicCell, Mutex, Once, RwMutex, WaitGroup};
 pub use trace::{

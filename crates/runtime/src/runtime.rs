@@ -228,7 +228,8 @@ pub struct RunOutcome {
     /// Goroutines still blocked when main finished — Go would leak them
     /// silently (Listing 9's forever-blocked Future sender).
     pub leaked: Vec<(Gid, String)>,
-    /// Every scheduling decision the run took, in order.
+    /// The scheduling decisions the run took: their count and an
+    /// order-sensitive digest.
     pub schedule: ScheduleTrace,
     /// Instrumentation counters: events dispatched, depot contents, peak
     /// shadow words (the §3.5 overhead statistics).

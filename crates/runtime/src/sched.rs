@@ -1,11 +1,11 @@
-//! Scheduling policies and per-run schedule recording.
+//! Scheduling policies and the per-run schedule digest.
 //!
-//! The kernel asks the active [`SchedulePolicy`] which runnable goroutine
-//! runs next at every preemption point. Because only one goroutine runs at
-//! a time and all randomness flows through the seeded RNG held by the
-//! kernel, a `(seed, strategy)` pair fully determines the interleaving. The
-//! [`Scheduler`] records every decision it makes as an in-memory
-//! [`ScheduleTrace`], whose digest is what tests pin a schedule by.
+//! The kernel asks the run's [`Policy`] which runnable goroutine runs next
+//! at every preemption point. Because only one goroutine runs at a time and
+//! all randomness flows through the seeded RNG held by the kernel, a
+//! `(seed, strategy)` pair fully determines the interleaving. The kernel
+//! folds every decision into the run's [`ScheduleTrace`], whose digest is
+//! what tests pin a schedule by.
 //!
 //! Three strategies are provided:
 //!
@@ -48,20 +48,6 @@ pub enum Strategy {
     RoundRobin,
 }
 
-impl Strategy {
-    /// Builds the policy object implementing this strategy. `pct_horizon`
-    /// bounds where PCT priority-change points may be placed; the other
-    /// strategies ignore it.
-    #[must_use]
-    pub fn policy(self, rng: &mut StdRng, pct_horizon: u64) -> Box<dyn SchedulePolicy> {
-        match self {
-            Strategy::Random => Box::new(RandomPolicy),
-            Strategy::Pct { depth } => Box::new(PctPolicy::new(depth, rng, pct_horizon)),
-            Strategy::RoundRobin => Box::new(RoundRobinPolicy::new()),
-        }
-    }
-}
-
 /// Draws the per-goroutine priority every policy consumes on
 /// registration.
 ///
@@ -73,231 +59,73 @@ fn draw_priority(rng: &mut StdRng) -> i64 {
     rng.gen_range(0..1_000_000)
 }
 
-/// A scheduling policy: the strategy-specific state machine the
-/// [`Scheduler`] consults at every preemption point.
-///
-/// Implementations must route **all** randomness through the `rng`
-/// argument (never internal entropy), so the schedule stays a pure
-/// function of the seed, and must draw exactly one RNG value per
-/// [`SchedulePolicy::register`] call (see [`draw_priority`]).
-pub trait SchedulePolicy: std::fmt::Debug + Send {
-    /// Registers a goroutine (gids may be non-contiguous; policies must
-    /// tolerate gaps).
-    fn register(&mut self, gid: Gid, rng: &mut StdRng);
+/// The strategy-specific state the kernel consults at every preemption
+/// point. All randomness comes from the kernel's `rng` argument, so the
+/// schedule stays a pure function of the seed.
+#[derive(Debug)]
+pub(crate) enum Policy {
+    /// Uniform random walk: every pick draws one uniform index.
+    Random,
+    /// Cooperative round-robin: rotates relative to the running goroutine's
+    /// position, so control moves around the ring regardless of gid gaps.
+    /// Picks draw no randomness, which makes the schedule seed-invariant.
+    RoundRobin { cursor: usize },
+    /// PCT: strict random priorities with `depth - 1` change points at
+    /// which the running goroutine is demoted below everything seen so far.
+    Pct {
+        /// Priority per goroutine index (higher runs first).
+        priorities: Vec<i64>,
+        /// Steps at which the running goroutine's priority is demoted,
+        /// ascending; each is removed as it is consumed.
+        change_points: Vec<u64>,
+        /// Next fresh (lowest) priority to hand out on demotion.
+        next_low: i64,
+        steps_taken: u64,
+    },
+}
+
+impl Policy {
+    /// The policy for `strategy`. PCT samples its `depth - 1` change points
+    /// uniformly from `0..pct_horizon` here, before any goroutine
+    /// registers; pass the unit's observed step count (see
+    /// [`calibrate_steps`](crate::runtime::calibrate_steps)) as the
+    /// horizon so the points land inside the run.
+    pub(crate) fn new(strategy: Strategy, rng: &mut StdRng, pct_horizon: u64) -> Self {
+        match strategy {
+            Strategy::Random => Policy::Random,
+            Strategy::RoundRobin => Policy::RoundRobin { cursor: 0 },
+            Strategy::Pct { depth } => {
+                let mut change_points: Vec<u64> = (1..depth)
+                    .map(|_| rng.gen_range(0..pct_horizon.max(1)))
+                    .collect();
+                change_points.sort_unstable();
+                Policy::Pct {
+                    priorities: Vec::new(),
+                    change_points,
+                    next_low: -1,
+                    steps_taken: 0,
+                }
+            }
+        }
+    }
+
+    /// Registers a goroutine, drawing its priority (gids may be
+    /// non-contiguous).
+    pub(crate) fn register(&mut self, gid: Gid, rng: &mut StdRng) {
+        let priority = draw_priority(rng);
+        if let Policy::Pct { priorities, .. } = self {
+            let i = gid.index();
+            if i >= priorities.len() {
+                priorities.resize(i + 1, 0);
+            }
+            // Ties are broken by id in `pick`.
+            priorities[i] = priority;
+        }
+    }
 
     /// Picks the next goroutine among `runnable` (non-empty, in gid
     /// order), given the currently running goroutine `current` (which may
     /// itself be in the runnable set), and returns its index in `runnable`.
-    fn pick(&mut self, runnable: &[Gid], current: Option<Gid>, rng: &mut StdRng) -> usize;
-}
-
-/// Uniform random walk: every pick draws one uniform index.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPolicy;
-
-impl SchedulePolicy for RandomPolicy {
-    fn register(&mut self, _gid: Gid, rng: &mut StdRng) {
-        let _ = draw_priority(rng);
-    }
-
-    fn pick(&mut self, runnable: &[Gid], _current: Option<Gid>, rng: &mut StdRng) -> usize {
-        rng.gen_range(0..runnable.len())
-    }
-}
-
-/// Cooperative round-robin: rotates relative to the running goroutine's
-/// position, so control moves around the ring regardless of gid gaps.
-/// Picks draw no randomness, which makes the schedule seed-invariant.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobinPolicy {
-    cursor: usize,
-}
-
-impl RoundRobinPolicy {
-    /// A fresh round-robin policy.
-    #[must_use]
-    pub fn new() -> Self {
-        RoundRobinPolicy::default()
-    }
-}
-
-impl SchedulePolicy for RoundRobinPolicy {
-    fn register(&mut self, _gid: Gid, rng: &mut StdRng) {
-        let _ = draw_priority(rng);
-    }
-
-    fn pick(&mut self, runnable: &[Gid], current: Option<Gid>, _rng: &mut StdRng) -> usize {
-        self.cursor = (self.cursor + 1) % runnable.len();
-        if let Some(cur) = current {
-            if let Some(pos) = runnable.iter().position(|&g| g == cur) {
-                return (pos + 1) % runnable.len();
-            }
-        }
-        self.cursor
-    }
-}
-
-/// Probabilistic Concurrency Testing: strict random priorities with
-/// `depth - 1` priority change points at which the running goroutine is
-/// demoted below everything seen so far.
-#[derive(Debug, Clone)]
-pub struct PctPolicy {
-    /// Priority per goroutine index (higher runs first).
-    priorities: Vec<i64>,
-    /// Steps at which the running goroutine's priority is demoted.
-    change_points: Vec<u64>,
-    /// Next fresh (lowest) priority to hand out on demotion.
-    next_low: i64,
-    steps_taken: u64,
-    /// Demotions actually performed — the observable that pins the
-    /// change-point-placement fix: a horizon far beyond the run length
-    /// leaves this at zero and PCT silently degenerates to
-    /// strict-priority scheduling.
-    demotions: u32,
-}
-
-impl PctPolicy {
-    /// Samples `depth - 1` change points uniformly from `0..horizon`.
-    /// Pass the unit's observed step count (see
-    /// [`calibrate_steps`](crate::runtime::calibrate_steps)) as the
-    /// horizon so the points land inside the run.
-    #[must_use]
-    pub fn new(depth: u32, rng: &mut StdRng, horizon: u64) -> Self {
-        let mut change_points = Vec::new();
-        for _ in 1..depth {
-            change_points.push(rng.gen_range(0..horizon.max(1)));
-        }
-        change_points.sort_unstable();
-        PctPolicy {
-            priorities: Vec::new(),
-            change_points,
-            next_low: -1,
-            steps_taken: 0,
-            demotions: 0,
-        }
-    }
-
-    /// Priority-change demotions performed so far.
-    #[must_use]
-    pub fn demotions(&self) -> u32 {
-        self.demotions
-    }
-}
-
-impl SchedulePolicy for PctPolicy {
-    fn register(&mut self, gid: Gid, rng: &mut StdRng) {
-        let i = gid.index();
-        if i >= self.priorities.len() {
-            self.priorities.resize(i + 1, 0);
-        }
-        // Random initial priority; ties broken by id in `pick`.
-        self.priorities[i] = draw_priority(rng);
-    }
-
-    fn pick(&mut self, runnable: &[Gid], current: Option<Gid>, _rng: &mut StdRng) -> usize {
-        self.steps_taken += 1;
-        // Demote the running goroutine at change points.
-        if let Some(cur) = current {
-            if self
-                .change_points
-                .first()
-                .is_some_and(|&cp| self.steps_taken >= cp)
-            {
-                self.change_points.remove(0);
-                let i = cur.index();
-                if i < self.priorities.len() {
-                    self.priorities[i] = self.next_low;
-                    self.next_low -= 1;
-                    self.demotions += 1;
-                }
-            }
-        }
-        (0..runnable.len())
-            .max_by_key(|&i| {
-                let g = runnable[i];
-                (self.priorities.get(g.index()).copied().unwrap_or(0), g.0)
-            })
-            .expect("runnable is non-empty")
-    }
-}
-
-/// One scheduling decision: which candidate was chosen out of how many.
-///
-/// `chosen` indexes the sorted candidate slice the kernel passed to the
-/// pick, and `arity` records how many candidates there were.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScheduleDecision {
-    /// Index of the chosen goroutine within the candidate slice.
-    pub chosen: u32,
-    /// Number of candidates the decision chose among (`>= 1`).
-    pub arity: u32,
-}
-
-/// The per-run schedule record: every decision the scheduler made, in
-/// order. In memory only; [`ScheduleTrace::digest`] is what gets compared.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
-pub struct ScheduleTrace {
-    /// The decisions, in pick order.
-    pub decisions: Vec<ScheduleDecision>,
-}
-
-impl ScheduleTrace {
-    /// An empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        ScheduleTrace::default()
-    }
-
-    /// Number of recorded decisions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// True when no decisions were recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.decisions.is_empty()
-    }
-
-    /// FNV-1a digest of the decision stream.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(&(self.decisions.len() as u64).to_le_bytes());
-        for d in &self.decisions {
-            h.write(&u64::from(d.chosen).to_le_bytes());
-            h.write(&u64::from(d.arity).to_le_bytes());
-        }
-        h.finish()
-    }
-}
-
-/// Scheduler state evolved across one run: the active policy plus the
-/// decision recording.
-#[derive(Debug)]
-pub(crate) struct Scheduler {
-    policy: Box<dyn SchedulePolicy>,
-    trace: ScheduleTrace,
-}
-
-impl Scheduler {
-    /// A scheduler driving an explicit policy object; the kernel builds
-    /// the policy from [`Strategy::policy`].
-    pub(crate) fn with_policy(policy: Box<dyn SchedulePolicy>) -> Self {
-        Scheduler {
-            policy,
-            trace: ScheduleTrace::new(),
-        }
-    }
-
-    /// Registers a goroutine with the policy.
-    pub(crate) fn register(&mut self, gid: Gid, rng: &mut StdRng) {
-        self.policy.register(gid, rng);
-    }
-
-    /// Picks the next goroutine among `runnable` (non-empty), records the
-    /// decision, and returns the pick's index in `runnable`.
     pub(crate) fn pick(
         &mut self,
         runnable: &[Gid],
@@ -305,31 +133,105 @@ impl Scheduler {
         rng: &mut StdRng,
     ) -> usize {
         debug_assert!(!runnable.is_empty());
-        let chosen = self.policy.pick(runnable, current, rng);
-        assert!(
-            chosen < runnable.len(),
-            "policy picked an index outside the candidate set"
-        );
-        self.trace.decisions.push(ScheduleDecision {
-            chosen: chosen as u32,
-            arity: runnable.len() as u32,
-        });
-        chosen
+        match self {
+            Policy::Random => rng.gen_range(0..runnable.len()),
+            Policy::RoundRobin { cursor } => {
+                *cursor = (*cursor + 1) % runnable.len();
+                current
+                    .and_then(|cur| runnable.iter().position(|&g| g == cur))
+                    .map_or(*cursor, |pos| (pos + 1) % runnable.len())
+            }
+            Policy::Pct {
+                priorities,
+                change_points,
+                next_low,
+                steps_taken,
+            } => {
+                *steps_taken += 1;
+                // Demote the running goroutine at change points.
+                if let Some(cur) = current {
+                    if change_points.first().is_some_and(|&cp| *steps_taken >= cp) {
+                        change_points.remove(0);
+                        if let Some(p) = priorities.get_mut(cur.index()) {
+                            *p = *next_low;
+                            *next_low -= 1;
+                        }
+                    }
+                }
+                (0..runnable.len())
+                    .max_by_key(|&i| {
+                        let g = runnable[i];
+                        (priorities.get(g.index()).copied().unwrap_or(0), g.0)
+                    })
+                    .expect("runnable is non-empty")
+            }
+        }
+    }
+}
+
+/// The per-run schedule summary: how many decisions the run took and an
+/// order-sensitive fold of each one's `(chosen, arity)` — the index picked
+/// in the gid-ordered candidate slice and that slice's length. Runs with
+/// equal summaries took the same schedule (up to a 64-bit collision).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ScheduleTrace {
+    len: usize,
+    fold: Fnv1a,
+}
+
+impl ScheduleTrace {
+    /// Folds in one decision: one word-wide xor-multiply.
+    #[inline]
+    pub(crate) fn record(&mut self, chosen: usize, arity: usize) {
+        self.len += 1;
+        self.fold.write_word(chosen as u64 | (arity as u64) << 32);
     }
 
-    /// Hands out the recorded schedule at end of run.
-    pub(crate) fn take_trace(&mut self) -> ScheduleTrace {
-        std::mem::take(&mut self.trace)
+    /// Number of decisions taken.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the run took no decisions.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The fold of the decision stream: FNV-1a over one 64-bit word per
+    /// decision, `chosen` in the low half and `arity` in the high half.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        self.fold.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn g(i: u32) -> Gid {
         Gid(i)
+    }
+
+    const ALL: [Strategy; 3] = [
+        Strategy::Random,
+        Strategy::Pct { depth: 3 },
+        Strategy::RoundRobin,
+    ];
+
+    /// Draws a sorted set of distinct — and usually non-contiguous — gids.
+    fn gen_gids(rng: &mut StdRng) -> Vec<Gid> {
+        let n = rng.gen_range(2..8usize);
+        let mut raw: Vec<u32> = Vec::with_capacity(n);
+        let mut next = 0u32;
+        for _ in 0..n {
+            next += rng.gen_range(1..7u32); // gaps of 1..6 between ids
+            raw.push(next);
+        }
+        raw.into_iter().map(Gid).collect()
     }
 
     #[test]
@@ -337,9 +239,9 @@ mod tests {
         let runnable = vec![g(0), g(1), g(2)];
         let pick_seq = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut s = Scheduler::with_policy(Strategy::Random.policy(&mut rng, 100));
+            let mut p = Policy::new(Strategy::Random, &mut rng, 100);
             (0..20)
-                .map(|_| s.pick(&runnable, Some(g(0)), &mut rng))
+                .map(|_| p.pick(&runnable, Some(g(0)), &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(pick_seq(42), pick_seq(42));
@@ -349,24 +251,24 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut s = Scheduler::with_policy(Strategy::RoundRobin.policy(&mut rng, 100));
+        let mut p = Policy::new(Strategy::RoundRobin, &mut rng, 100);
         let runnable = vec![g(0), g(1), g(2)];
-        assert_eq!(s.pick(&runnable, Some(g(0)), &mut rng), 1);
-        assert_eq!(s.pick(&runnable, Some(g(1)), &mut rng), 2);
-        assert_eq!(s.pick(&runnable, Some(g(2)), &mut rng), 0);
+        assert_eq!(p.pick(&runnable, Some(g(0)), &mut rng), 1);
+        assert_eq!(p.pick(&runnable, Some(g(1)), &mut rng), 2);
+        assert_eq!(p.pick(&runnable, Some(g(2)), &mut rng), 0);
     }
 
     #[test]
     fn pct_prefers_highest_priority() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut s = Scheduler::with_policy(Strategy::Pct { depth: 1 }.policy(&mut rng, 1000));
-        s.register(g(0), &mut rng);
-        s.register(g(1), &mut rng);
+        let mut p = Policy::new(Strategy::Pct { depth: 1 }, &mut rng, 1000);
+        p.register(g(0), &mut rng);
+        p.register(g(1), &mut rng);
         let runnable = vec![g(0), g(1)];
-        let first = s.pick(&runnable, None, &mut rng);
+        let first = p.pick(&runnable, None, &mut rng);
         // With depth 1 there are no change points, so the choice is stable.
         for _ in 0..5 {
-            assert_eq!(s.pick(&runnable, Some(runnable[first]), &mut rng), first);
+            assert_eq!(p.pick(&runnable, Some(runnable[first]), &mut rng), first);
         }
     }
 
@@ -374,14 +276,14 @@ mod tests {
     fn pct_demotes_at_change_points() {
         let mut rng = StdRng::seed_from_u64(3);
         // horizon=1 forces the single change point to step 0.
-        let mut s = Scheduler::with_policy(Strategy::Pct { depth: 2 }.policy(&mut rng, 1));
-        s.register(g(0), &mut rng);
-        s.register(g(1), &mut rng);
+        let mut p = Policy::new(Strategy::Pct { depth: 2 }, &mut rng, 1);
+        p.register(g(0), &mut rng);
+        p.register(g(1), &mut rng);
         let runnable = vec![g(0), g(1)];
-        let first = s.pick(&runnable, None, &mut rng);
+        let first = p.pick(&runnable, None, &mut rng);
         // Demotion only applies when someone is running: run `first`, then
         // expect it to be demoted on the next pick.
-        let second = s.pick(&runnable, Some(runnable[first]), &mut rng);
+        let second = p.pick(&runnable, Some(runnable[first]), &mut rng);
         assert_ne!(first, second, "change point must demote the running goroutine");
     }
 
@@ -390,9 +292,9 @@ mod tests {
     /// beyond the run length leaves the schedule strict-priority.
     #[test]
     fn pct_depth3_demotes_on_short_horizon() {
-        let run = |horizon: u64| {
+        let unconsumed = |horizon: u64| {
             let mut rng = StdRng::seed_from_u64(17);
-            let mut p = PctPolicy::new(3, &mut rng, horizon);
+            let mut p = Policy::new(Strategy::Pct { depth: 3 }, &mut rng, horizon);
             p.register(g(0), &mut rng);
             p.register(g(1), &mut rng);
             p.register(g(2), &mut rng);
@@ -401,26 +303,158 @@ mod tests {
             for _ in 0..20 {
                 cur = runnable[p.pick(&runnable, Some(cur), &mut rng)];
             }
-            p.demotions()
+            let Policy::Pct { change_points, .. } = p else {
+                unreachable!("built from a PCT strategy")
+            };
+            change_points.len()
         };
         // A 21-step "program" with change points placed against its actual
         // length demotes; the old fixed 1000-step hint leaves the points
         // unreachable.
-        assert!(run(20) > 0, "calibrated horizon must demote");
-        assert_eq!(run(100_000), 0, "oversized horizon degenerates to strict priority");
+        assert!(unconsumed(20) < 2, "calibrated horizon must demote");
+        assert_eq!(unconsumed(100_000), 2, "oversized horizon degenerates to strict priority");
+    }
+
+    /// PCT (depth 1: no change points) maintains a strict total priority
+    /// order: the pick from any runnable subset is the subset's maximum
+    /// under the order observed by peeling the full set winner-by-winner.
+    #[test]
+    fn pct_picks_the_highest_priority_runnable() {
+        let mut shape_rng = StdRng::seed_from_u64(0x9c7);
+        for case in 0..24 {
+            let gids = gen_gids(&mut shape_rng);
+            let policy_seed = shape_rng.gen_range(0..1_000_000u64);
+            let pct = |rng: &mut StdRng| {
+                let mut p = Policy::new(Strategy::Pct { depth: 1 }, rng, 1000);
+                for &g in &gids {
+                    p.register(g, rng);
+                }
+                p
+            };
+
+            // Recover the policy's total order by peeling winners off the
+            // full set with one policy instance...
+            let mut rng = StdRng::seed_from_u64(policy_seed);
+            let mut peel = pct(&mut rng);
+            let mut remaining = gids.clone();
+            let mut order = Vec::with_capacity(gids.len());
+            while !remaining.is_empty() {
+                let at = peel.pick(&remaining, None, &mut rng);
+                assert!(at < remaining.len(), "case {case}: pick outside set");
+                order.push(remaining.remove(at));
+            }
+
+            // ...then check an identically-seeded twin agrees on arbitrary
+            // subsets: the pick is always the earliest-in-order member.
+            let mut rng2 = StdRng::seed_from_u64(policy_seed);
+            let mut policy = pct(&mut rng2);
+            for _ in 0..12 {
+                let subset: Vec<Gid> = gids
+                    .iter()
+                    .copied()
+                    .filter(|_| shape_rng.gen_bool(0.6))
+                    .collect();
+                if subset.is_empty() {
+                    continue;
+                }
+                let expected = *order.iter().find(|g| subset.contains(g)).unwrap();
+                let picked = subset[policy.pick(&subset, None, &mut rng2)];
+                assert_eq!(picked, expected, "case {case}: subset {subset:?}");
+            }
+        }
+    }
+
+    /// Equal priorities break ties toward the higher gid (`max_by_key` on
+    /// `(priority, gid)`). Priorities are equal across goroutines here only
+    /// by construction: a policy that never registered anyone assigns
+    /// everyone the default priority 0.
+    #[test]
+    fn pct_breaks_priority_ties_by_gid() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut p = Policy::new(Strategy::Pct { depth: 1 }, &mut rng, 1000);
+        // No registrations: every gid sits at the default priority.
+        let runnable = vec![g(3), g(11), g(7)];
+        assert_eq!(runnable[p.pick(&runnable, None, &mut rng)], g(11));
+    }
+
+    /// Every policy must tolerate non-contiguous gid registration (spawn
+    /// ids are dense in practice, but nothing in the contract says so) and
+    /// pick only from the runnable set.
+    #[test]
+    fn policies_handle_non_contiguous_gids() {
+        let mut shape_rng = StdRng::seed_from_u64(0xabcd);
+        for case in 0..24 {
+            let gids = gen_gids(&mut shape_rng);
+            let seed = shape_rng.gen_range(0..1_000_000u64);
+            for strategy in ALL {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut p = Policy::new(strategy, &mut rng, 1000);
+                for &g in &gids {
+                    p.register(g, &mut rng);
+                }
+                let mut current = None;
+                for _ in 0..20 {
+                    let at = p.pick(&gids, current, &mut rng);
+                    assert!(at < gids.len(), "case {case} {strategy:?}");
+                    current = Some(gids[at]);
+                }
+            }
+        }
+    }
+
+    /// Round-robin must rotate: with every goroutine runnable, it never
+    /// picks the currently running one twice in a row (when alternatives
+    /// exist).
+    #[test]
+    fn round_robin_never_starves_with_full_runnable_set() {
+        let mut shape_rng = StdRng::seed_from_u64(0x44);
+        for _ in 0..24 {
+            let gids = gen_gids(&mut shape_rng);
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut p = Policy::new(Strategy::RoundRobin, &mut rng, 1000);
+            for &g in &gids {
+                p.register(g, &mut rng);
+            }
+            let mut current = Some(gids[0]);
+            for _ in 0..3 * gids.len() {
+                let picked = gids[p.pick(&gids, current, &mut rng)];
+                assert_ne!(Some(picked), current);
+                current = Some(picked);
+            }
+        }
+    }
+
+    /// Registering advances the RNG by one draw under every policy, so the
+    /// picks that follow see the same RNG state whatever the strategy.
+    #[test]
+    fn every_policy_draws_once_per_registration() {
+        for strategy in ALL {
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut p = Policy::new(strategy, &mut rng, 1000);
+            let mut twin = rng.clone();
+            p.register(g(0), &mut rng);
+            p.register(g(4), &mut rng);
+            let _ = draw_priority(&mut twin);
+            let _ = draw_priority(&mut twin);
+            assert_eq!(rng.next_u64(), twin.next_u64(), "{strategy:?}");
+        }
     }
 
     #[test]
-    fn scheduler_records_every_decision() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut s = Scheduler::with_policy(Strategy::Random.policy(&mut rng, 100));
-        let runnable = vec![g(0), g(1), g(2)];
-        for _ in 0..10 {
-            let picked = s.pick(&runnable, Some(g(0)), &mut rng);
-            assert!(picked < runnable.len());
-        }
-        let trace = s.take_trace();
-        assert_eq!(trace.len(), 10);
-        assert!(trace.decisions.iter().all(|d| d.arity == 3 && d.chosen < 3));
+    fn the_digest_counts_and_orders_decisions() {
+        let fold = |decisions: &[(usize, usize)]| {
+            let mut t = ScheduleTrace::default();
+            for &(chosen, arity) in decisions {
+                t.record(chosen, arity);
+            }
+            t
+        };
+        let t = fold(&[(0, 1), (2, 3), (1, 3)]);
+        assert_eq!(t.len(), 3);
+        assert!(!t.is_empty() && ScheduleTrace::default().is_empty());
+        assert_eq!(t, fold(&[(0, 1), (2, 3), (1, 3)]));
+        assert_ne!(t.digest(), fold(&[(0, 1), (1, 3), (2, 3)]).digest());
+        assert_ne!(t.digest(), fold(&[(0, 1), (2, 3), (1, 4)]).digest());
+        assert_ne!(t.digest(), fold(&[(0, 1), (2, 3)]).digest());
     }
 }

@@ -133,16 +133,6 @@ impl<T: Clone + Send + 'static> GoSlice<T> {
         &self.name
     }
 
-    /// The header-word shadow addresses `(ptr, len, cap)`.
-    #[must_use]
-    pub fn header_addrs(&self) -> (Addr, Addr, Addr) {
-        (
-            self.header.addr_ptr,
-            self.header.addr_len,
-            self.header.addr_cap,
-        )
-    }
-
     fn touch_header(&self, ctx: &Ctx, kind: AccessKind, loc: &'static Location<'static>) {
         let header = &self.header;
         for addr in [header.addr_ptr, header.addr_len, header.addr_cap] {

@@ -407,6 +407,14 @@ pub enum TraceDecodeError {
         /// The largest id the decoder admits.
         max: u64,
     },
+    /// A field the format declares 32 bits wide (a line, a PCT depth, a
+    /// day) holds a larger value.
+    ValueOutOfRange {
+        /// Which field.
+        what: &'static str,
+        /// The value read.
+        value: u64,
+    },
     /// An unknown event tag byte.
     BadEventTag(u8),
     /// An unknown tag for a named enum field.
@@ -446,6 +454,9 @@ impl fmt::Display for TraceDecodeError {
             }
             TraceDecodeError::IdOutOfRange { id, max } => {
                 write!(f, "goroutine or object id {id} out of range (largest admitted is {max})")
+            }
+            TraceDecodeError::ValueOutOfRange { what, value } => {
+                write!(f, "{what} {value} does not fit in 32 bits")
             }
             TraceDecodeError::BadEventTag(tag) => write!(f, "unknown event tag {tag}"),
             TraceDecodeError::BadEnumTag { what, tag } => {
@@ -564,6 +575,17 @@ impl<'a> Reader<'a> {
             b @ 0..=1 => Ok(value | u64::from(b) << 63),
             _ => Err(TraceDecodeError::MalformedVarint),
         }
+    }
+
+    /// The next LEB128 varint as the 32-bit field `what`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::uvarint`], plus [`TraceDecodeError::ValueOutOfRange`]
+    /// when the value does not fit in a `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, TraceDecodeError> {
+        let value = self.uvarint()?;
+        u32::try_from(value).map_err(|_| TraceDecodeError::ValueOutOfRange { what, value })
     }
 }
 

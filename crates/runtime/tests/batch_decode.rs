@@ -1,20 +1,20 @@
 //! The `.grtrace` reader against the recorder, and against corruption.
 //!
-//! [`BatchDecoder`](grs_runtime::BatchDecoder) is the only parser of the
-//! format, and it decodes into the record the kernel emits, so its ground
-//! truth is the trace the recorder built in memory:
+//! [`DecodedTrace::decode`] is the only parser of the format, and it
+//! decodes into the record the kernel emits, so its ground truth is the
+//! trace the recorder built in memory:
 //!
 //! * **property test** (randlite-seeded): on randomly generated programs,
-//!   record → encode → decode at chunk sizes 1, 4 and the default yields
-//!   exactly the recorded metadata, stack table, name table and events;
+//!   record → encode → decode yields exactly the recorded metadata, stack
+//!   table, name table and events;
 //! * **corruption**: truncated, bit-flipped, and trailing-garbage inputs
 //!   yield a typed [`TraceDecodeError`] (or, for a flip that lands on a
-//!   free field, a still-valid trace), never a panic, and the same verdict
-//!   at every chunk size — including truncations that land mid-chunk;
+//!   free field, a still-valid trace), never a panic;
 //! * **hostile sizes and tables**: a count or an id off the wire never
 //!   sizes a table beyond what the input's length, or [`MAX_TRACE_ID`],
-//!   allows, and a stack table that could not rebuild into a depot is a
-//!   typed error, not a replay-time panic.
+//!   allows, a line never wraps into another line, and a stack table that
+//!   could not rebuild into a depot is a typed error, not a replay-time
+//!   panic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,42 +105,23 @@ fn check(seed: u64, cases: usize, mut body: impl FnMut(usize, Shape, u64)) {
     }
 }
 
-/// Chunk sizes: one event at a time, a stride that splits the trace, and
-/// the default.
-const CHUNKS: &[usize] = &[1, 4, 4096];
-
 #[test]
-fn decode_yields_exactly_the_recorded_trace_at_every_chunk_size() {
+fn decode_yields_exactly_the_recorded_trace() {
     check(0xBA7C, 24, |case, shape, run_seed| {
         let p = program(&shape);
         let (_, trace) = record(&p, &RunConfig::with_seed(run_seed));
-        let bytes = trace.encode();
-        for &chunk in CHUNKS {
-            let label = format!("case {case} shape {shape:?} chunk {chunk}");
-            let decoded =
-                DecodedTrace::decode_with_chunk(&bytes, chunk).expect("recorded trace decodes");
-            assert_eq!(decoded.meta, trace.meta, "{label}: meta");
-            assert_eq!(decoded.stacks, trace.stacks, "{label}: stack table");
-            assert_eq!(decoded.names, trace.names, "{label}: name table");
-            assert_eq!(decoded.events, trace.events, "{label}: events");
-            assert_eq!(
-                decoded.chunks,
-                (decoded.len() as u64).div_ceil(chunk as u64),
-                "{label}: chunk count"
-            );
-        }
+        let label = format!("case {case} shape {shape:?}");
+        let decoded = DecodedTrace::decode(&trace.encode()).expect("recorded trace decodes");
+        assert_eq!(decoded.meta, trace.meta, "{label}: meta");
+        assert_eq!(decoded.stacks, trace.stacks, "{label}: stack table");
+        assert_eq!(decoded.names, trace.names, "{label}: name table");
+        assert_eq!(decoded.events, trace.events, "{label}: events");
+        assert_eq!(
+            (decoded.chunks, decoded.chunk_capacity),
+            ((decoded.len() as u64).div_ceil(4096), 4096),
+            "{label}: batch count"
+        );
     });
-}
-
-/// Decodes the same (possibly corrupt) bytes at the default chunk size and
-/// at 4, which makes corruption surface mid-chunk: the verdict — the typed
-/// error, or the decoded trace — must not depend on the chunking. Returns
-/// it.
-fn assert_chunk_invariant(label: &str, bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-    let whole = Trace::decode(bytes);
-    let chunked = DecodedTrace::decode_with_chunk(bytes, 4).map(|d| d.trace);
-    assert_eq!(whole, chunked, "{label}: verdict depends on the chunk size");
-    whole
 }
 
 fn small_trace_bytes() -> Vec<u8> {
@@ -161,7 +142,7 @@ fn truncation_at_every_length_is_a_typed_error() {
     let bytes = small_trace_bytes();
     for len in 0..bytes.len() {
         // Every proper prefix must fail: the format has no trailing slack.
-        let verdict = assert_chunk_invariant(&format!("truncate to {len}"), &bytes[..len]);
+        let verdict = Trace::decode(&bytes[..len]);
         assert!(
             verdict.is_err(),
             "prefix of {len} bytes decoded successfully"
@@ -175,7 +156,7 @@ fn trailing_bytes_are_rejected() {
     for extra in [1usize, 7] {
         bytes.extend(vec![0xABu8; extra]);
         assert_eq!(
-            assert_chunk_invariant(&format!("{extra} trailing bytes"), &bytes),
+            Trace::decode(&bytes),
             Err(TraceDecodeError::TrailingBytes { extra })
         );
         bytes.truncate(bytes.len() - extra);
@@ -194,8 +175,7 @@ fn bit_flips_at_every_offset_never_panic() {
         for flip in [0x01u8, 0x80] {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= flip;
-            let verdict =
-                assert_chunk_invariant(&format!("flip {flip:#04x} at byte {i}"), &corrupt);
+            let verdict = Trace::decode(&corrupt);
             match i {
                 0..=7 => assert_eq!(verdict, Err(TraceDecodeError::BadMagic), "byte {i}"),
                 8..=11 => assert!(
@@ -243,11 +223,7 @@ fn lying_counts_and_ids_are_typed_errors_not_reservations() {
         ("address", addr, out_of_range(1 << 36)),
         ("goroutine", gid, out_of_range(u64::from(u32::MAX - 1))),
     ] {
-        assert_eq!(
-            assert_chunk_invariant(label, &bytes),
-            Err(expected),
-            "{label}"
-        );
+        assert_eq!(Trace::decode(&bytes), Err(expected), "{label}");
     }
 }
 
@@ -258,7 +234,7 @@ fn lying_counts_and_ids_are_typed_errors_not_reservations() {
 fn a_repeated_stack_node_is_a_typed_error() {
     let bytes = include_bytes!("../../../tests/data/duplicate_stack.grtrace");
     assert_eq!(
-        assert_chunk_invariant("repeated stack node", bytes),
+        Trace::decode(bytes),
         Err(TraceDecodeError::RepeatedStack { id: 5 })
     );
 }
@@ -284,7 +260,7 @@ fn one_text_twice_in_the_string_table_still_rebuilds() {
     for (addr, object, line) in [(1, 1, 10), (2, 2, 11)] {
         bytes.extend_from_slice(&[1, 0, 2, addr, object, 1, 0, 3, line]);
     }
-    let trace = assert_chunk_invariant("one text twice", &bytes).expect("decodes");
+    let trace = Trace::decode(&bytes).expect("decodes");
     assert_eq!(
         trace.names,
         ["x", "f.go", "x"].map(std::sync::Arc::<str>::from)
@@ -292,4 +268,53 @@ fn one_text_twice_in_the_string_table_still_rebuilds() {
     let depot = StackDepot::new();
     trace.rebuild_depot_into(&depot);
     assert_eq!(depot.snapshot().1, trace.names);
+}
+
+/// A one-event PCT trace whose depth, stack node call line and access line
+/// are the given varints: strings `p`, `x`, `f.go`, `main`; one stack node
+/// (`main`, called at `call_line`); one write of `x` at `f.go:line`.
+fn wide_fields_trace(depth: u64, call_line: u64, line: u64) -> Vec<u8> {
+    let mut bytes = TRACE_MAGIC.to_vec();
+    bytes.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
+    bytes.push(4);
+    for s in ["p", "x", "f.go", "main"] {
+        put_uvarint(&mut bytes, s.len() as u64);
+        bytes.extend_from_slice(s.as_bytes());
+    }
+    bytes.push(0); // program = string 0
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // seed
+    bytes.push(1); // PCT, of depth…
+    put_uvarint(&mut bytes, depth);
+    bytes.extend_from_slice(&[1, 1, 1, 0, 3]); // 1 step, 1 goroutine, 1 stack: root, `main`…
+    put_uvarint(&mut bytes, call_line);
+    // One event: goroutine 0 writes address 1, `x`, at stack 1, `f.go`…
+    bytes.extend_from_slice(&[1, 1, 0, 2, 1, 1, 1, 1, 2]);
+    put_uvarint(&mut bytes, line);
+    bytes
+}
+
+/// A line, call line or PCT depth past `u32::MAX` is refused with its
+/// field named: before the check, line 2^32 + 7 decoded as line 7 — a race
+/// reported at the wrong line, and a trace that re-encoded to other bytes.
+#[test]
+fn values_past_32_bits_are_typed_errors_not_wrapped() {
+    const BIG: u64 = (1 << 32) + 7;
+    let trace = Trace::decode(&wide_fields_trace(2, 5, 7)).expect("decodes");
+    assert_eq!(trace.meta.strategy, grs_runtime::Strategy::Pct { depth: 2 });
+    assert_eq!(trace.stacks[0].call_line, 5);
+    assert!(matches!(
+        trace.events[0].kind,
+        grs_runtime::event::EventKind::Access { loc, .. } if loc.line == 7
+    ));
+    for (what, bytes) in [
+        ("line", wide_fields_trace(2, 5, BIG)),
+        ("call line", wide_fields_trace(2, BIG, 7)),
+        ("PCT depth", wide_fields_trace(BIG, 5, 7)),
+    ] {
+        assert_eq!(
+            Trace::decode(&bytes),
+            Err(TraceDecodeError::ValueOutOfRange { what, value: BIG }),
+            "{what}"
+        );
+    }
 }

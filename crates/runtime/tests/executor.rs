@@ -502,10 +502,12 @@ fn goroutine_stacks_keep_the_abi_alignment() {
 /// `steps` and `schedule.digest()` of [`fan_out`] under seed 1, captured at
 /// d2b8921 (one OS thread per goroutine, the runnable set rebuilt by a scan
 /// at every step) before any kernel edit: the kept set hands the policy
-/// the same candidates in the same order.
+/// the same candidates in the same order. The digests were re-captured
+/// once, at 4f08ac0, by folding that tree's recorded decisions into the
+/// running word-wide digest; `steps` held.
 const FAN_OUT_PINS: [(usize, u64, u64); 2] = [
-    (1_000, 9_005, 0x06f2_110a_b17d_5989),
-    (10_000, 90_005, 0x53ee_469d_03bd_1edc),
+    (1_000, 9_005, 0x8103_01f5_001a_3137),
+    (10_000, 90_005, 0xc657_0a1c_e6dd_1371),
 ];
 
 #[test]

@@ -716,7 +716,10 @@ fn context_cancellation_closes_done() {
 
 /// One FNV-1a over `steps`, the schedule digest and the event-stream digest
 /// of every run of [`contention::program`]: 64 seeds under each strategy.
-const PINNED_DECISION_POINTS: u64 = 0x5a14_4e44_7ab5_fdfc;
+/// Re-pinned once when the schedule digest became a running word-wide
+/// fold: the value was captured at 4f08ac0 by folding that tree's recorded
+/// decisions the new way, so the runs themselves did not move.
+const PINNED_DECISION_POINTS: u64 = 0xde34_0151_fcca_b530;
 
 /// The kernel's decision points, pinned where they are made: a preemption
 /// point, waiter-queue push, wake-up, RNG draw or event that moves in
@@ -750,10 +753,12 @@ fn blocking_paths_keep_their_decision_points() {
 /// `steps` and `schedule.digest()` of [`sole_yielder`] under seed 11 per
 /// strategy, captured at b0d9be7 — where every yield inserted the caller
 /// into the runnable set and picked it back out — before any kernel edit.
+/// The digests were re-captured once, at 4f08ac0, by folding that tree's
+/// recorded decisions into the running word-wide digest; `steps` held.
 const SOLE_YIELDER_PINS: [(Strategy, u64, u64); 3] = [
-    (Strategy::Random, 1_044, 0xd2af_08f1_73b8_a96a),
-    (Strategy::Pct { depth: 3 }, 1_044, 0x2d43_df62_e5c4_9a09),
-    (Strategy::RoundRobin, 1_044, 0x88f2_ff07_7816_4f09),
+    (Strategy::Random, 1_044, 0xb48f_e1ca_f048_7968),
+    (Strategy::Pct { depth: 3 }, 1_044, 0x0a68_e953_598c_68c8),
+    (Strategy::RoundRobin, 1_044, 0x759d_9550_cf72_22f4),
 ];
 
 /// Main yields 1,000 times as the only goroutine, then spawns a child and

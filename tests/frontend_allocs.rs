@@ -6,13 +6,13 @@
 //! over those tests and a 0.001-scale generated monorepo of seed 1 (the
 //! `static_scan` inputs):
 //!
-//! | stage                             | `9278d5f` | `2fed7a2` | `6496418` | `0bd93a1` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | `tokenize`                        |     114.5 |       1.0 |       1.0 |       1.0 |       1.0 |  2 each |
-//! | `parse_file`                      |     306.5 |      74.6 |      74.6 |      74.6 |      74.6 |      90 |
-//! | one run under `NullMonitor`       |     209.4 |     129.6 |     113.1 |      80.4 |      80.4 |      90 |
-//! | `lint_file`, a line of tests      |           |           |      6.89 |      2.83 |      2.83 |    3.15 |
-//! | `lint_file`, a line of monorepo   |           |           |      6.98 |      0.51 |      0.51 |    0.57 |
+//! | stage                             | `9278d5f` | `2fed7a2` | `6496418` | `0bd93a1` | `4f08ac0` | this tree | ceiling |
+//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | `tokenize`                        |     114.5 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |  2 each |
+//! | `parse_file`                      |     306.5 |      74.6 |      74.6 |      74.6 |      74.6 |      74.6 |      90 |
+//! | one run under `NullMonitor`       |     209.4 |     129.6 |     113.1 |      80.4 |      80.4 |      74.9 |      84 |
+//! | `lint_file`, a line of tests      |           |           |      6.89 |      2.83 |      2.83 |      2.83 |    3.15 |
+//! | `lint_file`, a line of monorepo   |           |           |      6.98 |      0.51 |      0.51 |      0.51 |    0.57 |
 //!
 //! (The `9278d5f` column is over the first 2,000 tests, from a scratch
 //! probe with the same counter; the others are what the tests below measure
@@ -33,7 +33,10 @@
 //! access's source file a name of the run; the row holds, in release and
 //! debug alike, and its ceiling follows it down. (Under `NullMonitor` no
 //! access is named, so a file lookup that allocated would show in the live
-//! rows of `tests/detector_allocs.rs`, not here.) The ceilings sit about
+//! rows of `tests/detector_allocs.rs`, not here.) At `4f08ac0` the kernel
+//! kept every scheduling decision in a `Vec`; this tree folds each into a
+//! digest as it is made, so a run fell to 74.9, in release and debug, and
+//! its ceiling followed it down. The ceilings sit about
 //! 12 % above what was reached — tight enough that a `String` creeping back
 //! into a token or a flow-table record, or a per-evaluation copy or scope
 //! into the interpreter, fails here.
@@ -168,9 +171,9 @@ fn an_interpreted_run_stays_under_its_allocation_ceiling() {
     let total = run_all();
     println!("interpreted run: {:.1} allocations", mean(total));
     assert!(
-        mean(total) <= 90.0,
-        "interpreted run: {:.1} allocations (ceiling 90; 80.4 when this was written, \
-         113.1 two refactors earlier)",
+        mean(total) <= 84.0,
+        "interpreted run: {:.1} allocations (ceiling 84; 74.9 when this was written, \
+         80.4 before the schedule became a running digest)",
         mean(total)
     );
 }
