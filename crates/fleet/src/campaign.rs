@@ -11,9 +11,9 @@
 //!   it executes once, watched by every configured detector at once
 //!   ([`DetectorArena::execute`]), and folds one record per detector onto
 //!   the matrix's spec indices;
-//! * the **fan-out** is [`IndexQueues`]: the item index space dealt over
-//!   lazy shard queues, popped by a pool of OS worker threads with work
-//!   stealing;
+//! * the **fan-out** is a pool of OS worker threads, each claiming the
+//!   next whole *unit* from one shared counter: it builds the unit once,
+//!   runs its `seeds_per_unit × strategies` executions, and drops it;
 //! * the **dedup stage** is [`DedupMap`]: fingerprint-sharded concurrent
 //!   aggregation with deterministic representatives. Races reach it as
 //!   ids: each is fingerprinted from the worker's depot, and a report is
@@ -34,6 +34,7 @@
 //! (`fold_obs`). No worker touches a shared metrics sink.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -44,8 +45,8 @@ use grs_obs::{Fnv1a, Histogram, MetricsSnapshot, ObsReport};
 use grs_runtime::{NameId, Program, ReproArtifact, RunConfig, RunOutcome, StackId, Strategy};
 
 use crate::dedup::DedupMap;
-use crate::shard::{ExecSpec, IndexQueues, RunSpec};
 use crate::source::{GoSnippetSuite, UnitError, UnitList, UnitSource};
+use crate::spec::{ExecSpec, RunSpec};
 
 /// One campaignable program.
 #[derive(Debug, Clone)]
@@ -131,9 +132,10 @@ pub struct CampaignConfig {
     pub strategies: Vec<Strategy>,
     /// Detection algorithms to cross in.
     pub detectors: Vec<DetectorChoice>,
-    /// OS worker threads (1 = serial).
+    /// OS worker threads (1 = serial); a campaign starts at most one per
+    /// unit.
     pub workers: usize,
-    /// Shard queues for the scheduler and the dedup map.
+    /// Lock stripes of the dedup map.
     pub shards: usize,
     /// Per-run step budget.
     pub max_steps: u64,
@@ -197,7 +199,8 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the shard count, clamped to at least 1 (builder style).
+    /// Sets the dedup map's lock-stripe count, clamped to at least 1
+    /// (builder style).
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
@@ -245,14 +248,14 @@ impl Default for CampaignConfig {
     }
 }
 
-/// The deterministic outcome of one run, tagged with nondeterministic
-/// placement/timing metadata (worker, shard, duration).
+/// The deterministic outcome of one run, tagged with its nondeterministic
+/// duration.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The spec that produced this record.
     pub spec: RunSpec,
     /// Name of the unit executed, shared by every record and report of
-    /// the unit the worker held.
+    /// the unit.
     pub unit_name: Arc<str>,
     /// True when the run reported at least one race.
     pub racy: bool,
@@ -271,11 +274,6 @@ pub struct RunRecord {
     /// the pinned digests predate it, and it is a function of the fields
     /// they do cover.
     pub end: RunEnd,
-    /// Which worker executed the run (placement metadata; not
-    /// deterministic).
-    pub worker: usize,
-    /// Which shard queue the spec was popped from (not deterministic).
-    pub shard: usize,
     /// Wall time of the execution this record was watched in, divided
     /// evenly over the execution's detectors, so the records' durations sum
     /// to busy time (not deterministic).
@@ -284,7 +282,7 @@ pub struct RunRecord {
 
 impl RunRecord {
     /// The deterministic projection of the record — equal across campaigns
-    /// with any worker/shard configuration.
+    /// with any worker or shard count.
     #[must_use]
     pub fn key(&self) -> (usize, &str, u64, bool, &[Fingerprint], u64) {
         (
@@ -321,19 +319,6 @@ impl RunEnd {
     }
 }
 
-/// Per-shard aggregate latency (how balanced the stealing kept the load).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardStats {
-    /// Shard id.
-    pub shard: usize,
-    /// Records whose execution was popped from this shard.
-    pub runs: usize,
-    /// Total time spent executing them.
-    pub total: Duration,
-    /// The longest single record [`RunRecord::duration`].
-    pub max: Duration,
-}
-
 /// Upper bound on [`CampaignResult::convergence`] sample points.
 pub const MAX_CONVERGENCE_POINTS: usize = 128;
 
@@ -341,20 +326,23 @@ pub const MAX_CONVERGENCE_POINTS: usize = 128;
 /// counted but dropped.
 pub const MAX_SKIP_REASONS: usize = 16;
 
-/// Shared skip accounting: which units failed to lower, and why (first
-/// few). Workers may discover the same broken unit concurrently or
-/// repeatedly (once per spec); the set dedups, so `units_skipped` counts
-/// units, not specs.
+/// Shared skip accounting: how many units failed to lower, and why (the
+/// lowest-numbered few). Each unit is built once, so each failure arrives
+/// once, in whatever order the workers reach them; the kept reasons are a
+/// function of the source alone.
 #[derive(Debug, Default)]
 struct SkipLog {
-    units: BTreeSet<usize>,
+    units: usize,
     reasons: Vec<UnitError>,
 }
 
 impl SkipLog {
     fn record(&mut self, err: UnitError) {
-        if self.units.insert(err.unit) && self.reasons.len() < MAX_SKIP_REASONS {
-            self.reasons.push(err);
+        self.units += 1;
+        let at = self.reasons.partition_point(|r| r.unit < err.unit);
+        if at < MAX_SKIP_REASONS {
+            self.reasons.insert(at, err);
+            self.reasons.truncate(MAX_SKIP_REASONS);
         }
     }
 }
@@ -373,18 +361,16 @@ pub struct CampaignResult {
     /// campaign ran on. Deterministic — a function of the unit source
     /// alone, never of worker count.
     pub units_skipped: usize,
-    /// The first [`MAX_SKIP_REASONS`] skip reasons, as evidence for logs
-    /// and CI gates.
+    /// The skip reasons of the lowest-numbered [`MAX_SKIP_REASONS`]
+    /// skipped units, in unit order, as evidence for logs and CI gates.
     pub skip_reasons: Vec<UnitError>,
     /// Worker threads used.
     pub workers: usize,
-    /// Shard count used.
-    pub shards: usize,
     /// End-to-end wall-clock time.
     pub wall: Duration,
     /// The campaign's observability report, folded from the fields above
     /// once the workers had joined: stable counters and gauges, plus the
-    /// wall-clock and placement figures in the segregated timing section —
+    /// wall-clock figures in the segregated timing section —
     /// ready to export as JSON ([`ObsReport::to_json`]) or render as a text
     /// dashboard ([`ObsReport::dashboard`]).
     pub obs: ObsReport,
@@ -470,26 +456,6 @@ impl CampaignResult {
             .map(|r| r.peak_shadow_words)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Per-shard latency aggregates, by shard id.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut stats: Vec<ShardStats> = (0..self.shards)
-            .map(|shard| ShardStats {
-                shard,
-                runs: 0,
-                total: Duration::ZERO,
-                max: Duration::ZERO,
-            })
-            .collect();
-        for r in &self.records {
-            let s = &mut stats[r.shard];
-            s.runs += 1;
-            s.total += r.duration;
-            s.max = s.max.max(r.duration);
-        }
-        stats
     }
 
     /// Detection-rate convergence: the cumulative number of distinct
@@ -579,11 +545,10 @@ impl CampaignResult {
 /// A campaign is a configuration crossed with a [`UnitSource`]. The run
 /// matrix `(unit × seed × strategy × detector)` is never materialized:
 /// execution `i` and spec `i` are recovered arithmetically
-/// ([`Campaign::exec_spec_at`], [`Campaign::spec_at`]), executions are
-/// dealt over lazy [`IndexQueues`], and each worker lowers a unit when it
-/// reaches the unit's first execution — which is what lets a 100K-unit
-/// source-level campaign run in memory proportional to its *results*, not
-/// its corpus.
+/// ([`Campaign::exec_spec_at`], [`Campaign::spec_at`]), and each worker
+/// claims a whole unit, lowers it, runs its executions and drops it —
+/// which is what lets a 100K-unit source-level campaign run in memory
+/// proportional to its *results*, not its corpus.
 #[derive(Clone)]
 pub struct Campaign {
     config: CampaignConfig,
@@ -770,90 +735,81 @@ impl Campaign {
                 depot_stacks: outcome.stats.depot.stacks,
                 peak_shadow_words: arena.peak_shadow_words(detector),
                 end,
-                worker: wk.id,
-                shard: wk.shard,
                 duration,
             });
         }
     }
 
     /// One worker's share of a campaign, written once for every worker
-    /// count: take the next `(execution, shard)`, build the execution's unit
-    /// or log the skip, execute, and repeat until `next` runs dry. Returns
-    /// the worker's records.
-    fn work(
-        &self,
-        shared: &Shared,
-        id: usize,
-        mut next: impl FnMut() -> Option<(usize, usize)>,
-    ) -> Vec<RunRecord> {
-        // One depot + detector arena per worker, reused for every item the
-        // worker takes; per-run state resets on run start, so placement
+    /// count: claim the next unit from `next`, build it or log the skip,
+    /// run its executions, and repeat until every unit below `units` is
+    /// claimed. Returns the worker's records.
+    fn work(&self, shared: &Shared, next: &AtomicUsize, units: usize) -> Vec<RunRecord> {
+        // One depot + detector arena per worker, reused for every execution
+        // the worker runs; per-run state resets on run start, so placement
         // stays invisible in the deterministic outputs.
         let mut wk = Worker {
             shared,
-            id,
-            shard: 0,
             arena: DetectorArena::new(),
             fingerprints: FnvMap::default(),
             records: Vec::new(),
         };
-        // Shards are contiguous index ranges and a unit's executions are
-        // consecutive, so the unit of the previous item is the only one
-        // worth holding.
-        let mut held: Option<(usize, HeldUnit)> = None;
-        while let Some((item, shard)) = next() {
-            wk.shard = shard;
-            let exec = self.exec_spec_at(item);
-            if held.as_ref().map(|(index, _)| *index) != Some(exec.unit) {
-                held = match self.source.build(exec.unit) {
-                    Ok(unit) => Some((exec.unit, HeldUnit::new(unit))),
-                    // Which units fail depends only on the source, never on
-                    // scheduling; a skipped item leaves no record.
-                    Err(e) => {
-                        shared.skips.lock().unwrap_or_else(PoisonError::into_inner).record(e);
-                        None
-                    }
-                };
+        // The matrix enumerates a unit's executions consecutively.
+        let per_unit = self.config.seeds_per_unit * self.config.strategies.len();
+        loop {
+            // The counter publishes no data, only unique claims: records and
+            // skips travel through locks and the join.
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= units {
+                break wk.records;
             }
-            let Some((_, unit)) = &held else { continue };
-            self.execute(exec, unit, &mut wk);
+            match self.source.build(index) {
+                Ok(unit) => {
+                    let unit = HeldUnit::new(unit);
+                    for exec in index * per_unit..(index + 1) * per_unit {
+                        self.execute(self.exec_spec_at(exec), &unit, &mut wk);
+                    }
+                }
+                // Which units fail depends only on the source, never on
+                // scheduling; a skipped unit leaves no record.
+                Err(e) => {
+                    let mut skips = shared.skips.lock().unwrap_or_else(PoisonError::into_inner);
+                    skips.record(e);
+                }
+            }
         }
-        wk.records
     }
 
     /// Runs the campaign over the full `(unit × seed × strategy ×
-    /// detector)` matrix with `config.workers` threads (inline on the
-    /// calling thread when 1). Each `(unit, seed, strategy)` executes once,
-    /// watched by every configured detector, and yields one record per
-    /// detector; with no detector configured nothing executes.
+    /// detector)` matrix with `config.workers` threads, at most one per
+    /// unit (inline on the calling thread when 1). Each `(unit, seed,
+    /// strategy)` executes once, watched by every configured detector, and
+    /// yields one record per detector; with no detector configured nothing
+    /// is built or executed.
     #[must_use]
     pub fn run(&self) -> CampaignResult {
         let started = Instant::now();
-        let items = if self.config.detectors.is_empty() {
+        let units = if self.config.detectors.is_empty() || self.exec_len() == 0 {
             0
         } else {
-            self.exec_len()
+            self.source.len()
         };
-        let shards = self.config.shards.max(1);
-        let workers = self.config.workers.max(1).min(items.max(1));
+        let workers = self.config.workers.max(1).min(units.max(1));
         let shared = Shared {
-            dedup: DedupMap::new(shards),
+            dedup: DedupMap::new(self.config.shards),
             skips: Mutex::default(),
         };
-        let queues = IndexQueues::new(shards, items);
+        let next = AtomicUsize::new(0);
         let mut records = if workers == 1 {
-            // Inline on the calling thread, ascending: no thread, no
-            // stealing from the tails.
-            let mut ascending = (0..items).map(|i| (i, queues.shard_of(i)));
-            self.work(&shared, 0, || ascending.next())
+            // Inline on the calling thread: units in ascending order.
+            self.work(&shared, &next, units)
         } else {
             let all = Mutex::new(Vec::new());
             std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let (shared, queues, all) = (&shared, &queues, &all);
+                for _ in 0..workers {
+                    let (shared, next, all) = (&shared, &next, &all);
                     scope.spawn(move || {
-                        let records = self.work(shared, w, || queues.pop(w));
+                        let records = self.work(shared, next, units);
                         all.lock().unwrap_or_else(PoisonError::into_inner).extend(records);
                     });
                 }
@@ -866,10 +822,9 @@ impl Campaign {
             records,
             batch: shared.dedup.into_batch(),
             units: (0..self.source.len()).map(|i| self.source.name(i)).collect(),
-            units_skipped: skips.units.len(),
+            units_skipped: skips.units,
             skip_reasons: skips.reasons,
             workers,
-            shards,
             wall: started.elapsed(),
             obs: ObsReport::default(),
         };
@@ -911,26 +866,12 @@ impl Campaign {
             let skipped = self.matrix_len() - records.len();
             counters.push(("campaign.skipped_runs", skipped as u64));
         }
-        // Where each executed work item was popped: an execution folds one
-        // record per detector, consecutively. A lone worker is at home on
-        // every shard.
-        let per_item = self.config.detectors.len().max(1);
-        let (mut home, mut stolen) = (0u64, 0u64);
-        for r in records.iter().step_by(per_item) {
-            if result.workers == 1 || r.shard == r.worker % result.shards {
-                home += 1;
-            } else {
-                stolen += 1;
-            }
-        }
-        let volatile_counters = vec![("sched.home_pops", home), ("sched.steals", stolen)];
         let mut wall = Histogram::default();
         wall.observe_ns(nanos(result.wall));
         histograms.push(("campaign.wall", wall));
 
         let snapshot = MetricsSnapshot {
             counters: named(counters),
-            volatile_counters: named(volatile_counters),
             gauges: named(gauges),
             histograms: named(histograms),
             ..MetricsSnapshot::default()
@@ -951,8 +892,8 @@ struct Shared {
     skips: Mutex<SkipLog>,
 }
 
-/// The unit a worker holds: its program, and its name made once into the
-/// `Arc<str>` every record and report of the unit shares.
+/// The unit a worker has claimed: its program, and its name made once into
+/// the `Arc<str>` every record and report of the unit shares.
 struct HeldUnit {
     program: Program,
     name: Arc<str>,
@@ -970,9 +911,6 @@ impl HeldUnit {
 /// What one worker owns for the length of a campaign.
 struct Worker<'a> {
     shared: &'a Shared,
-    id: usize,
-    /// The shard the item in hand was taken from.
-    shard: usize,
     arena: DetectorArena,
     /// The fingerprints of the execution in hand, by [`fingerprint_key`];
     /// emptied per execution, its allocation kept.
@@ -1266,13 +1204,15 @@ mod tests {
 
     /// The determinism contract, every cell: the campaign's whole
     /// deterministic output — records, digest, dedup batch and its
-    /// representatives, skip accounting, the stable obs section — is the
-    /// one-worker output at every worker count. Half the units refuse to
-    /// lower, so skip accounting is exercised in every cell too.
+    /// representatives, skip accounting and reasons, the stable obs
+    /// section — is the one-worker output at every worker count. Half the
+    /// units refuse to lower, more of them than [`MAX_SKIP_REASONS`], so
+    /// which reasons the cap keeps is exercised in every cell too.
     #[test]
     fn campaign_is_worker_count_invariant() {
+        let units: Vec<CampaignUnit> = (0..10).flat_map(|_| tiny_units()).collect();
         let source = std::sync::Arc::new(HalfBroken {
-            inner: UnitList::new(tiny_units()),
+            inner: UnitList::new(units),
         });
         let config = CampaignConfig::smoke()
             .seeds_per_unit(4)
@@ -1302,7 +1242,10 @@ mod tests {
         };
         let one = c.with_config(c.config().clone().workers(1)).run();
         assert_eq!(one.workers, 1);
-        assert!(one.units_skipped > 0 && !one.batch.is_empty());
+        assert!(one.units_skipped > MAX_SKIP_REASONS && !one.batch.is_empty());
+        let first_broken: Vec<usize> = (0..MAX_SKIP_REASONS).map(|k| 2 * k + 1).collect();
+        let kept: Vec<usize> = one.skip_reasons.iter().map(|e| e.unit).collect();
+        assert_eq!(kept, first_broken, "the lowest-numbered failures, in unit order");
         for workers in [2, 4, 8] {
             let cell = format!("{workers} workers");
             let par = c.with_config(c.config().clone().workers(workers)).run();
@@ -1312,7 +1255,7 @@ mod tests {
             assert_eq!(par.batch.raw_reports(), one.batch.raw_reports(), "{cell}");
             assert_eq!(representatives(&par), representatives(&one), "{cell}");
             assert_eq!(par.units_skipped, one.units_skipped, "{cell}");
-            assert_eq!(par.skip_reasons.len(), one.skip_reasons.len(), "{cell}");
+            assert_eq!(par.skip_reasons, one.skip_reasons, "{cell}");
             assert_eq!(
                 par.obs.snapshot.counter("campaign.skipped_runs"),
                 one.obs.snapshot.counter("campaign.skipped_runs"),
@@ -1365,18 +1308,50 @@ mod tests {
         }
     }
 
+    /// A [`HalfBroken`] source that counts its builds.
+    #[derive(Debug)]
+    struct Counting {
+        inner: HalfBroken,
+        builds: AtomicUsize,
+    }
+
+    impl UnitSource for Counting {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn name(&self, unit: usize) -> String {
+            self.inner.name(unit)
+        }
+
+        fn build(&self, unit: usize) -> Result<CampaignUnit, UnitError> {
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            self.inner.build(unit)
+        }
+    }
+
+    /// A worker claims a whole unit: every unit is built exactly once,
+    /// broken ones included, however many seeds and strategies it runs
+    /// under and however many workers share the campaign — and no more
+    /// workers run than there are units.
     #[test]
-    fn shard_stats_cover_every_run() {
-        let c = Campaign::over_units(
-            CampaignConfig::smoke().seeds_per_unit(4).workers(2).shards(3),
-            tiny_units(),
-        );
-        let r = c.run();
-        let stats = r.shard_stats();
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            stats.iter().map(|s| s.runs).sum::<usize>(),
-            r.total_runs()
-        );
+    fn each_unit_is_built_exactly_once() {
+        let config = CampaignConfig::smoke()
+            .seeds_per_unit(3)
+            .strategies(vec![Strategy::Random, Strategy::RoundRobin]);
+        for workers in [1, 2, 4, 8] {
+            let source = Arc::new(Counting {
+                inner: HalfBroken {
+                    inner: UnitList::new(tiny_units()),
+                },
+                builds: AtomicUsize::new(0),
+            });
+            let units = source.len();
+            let c = Campaign::over_source(config.clone().workers(workers), source.clone());
+            let r = c.run();
+            assert_eq!(source.builds.load(Ordering::Relaxed), units, "{workers} workers");
+            assert_eq!(r.workers, workers.min(units), "{workers} workers");
+            assert_eq!(r.units_skipped, units / 2, "{workers} workers");
+        }
     }
 }

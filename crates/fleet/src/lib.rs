@@ -6,13 +6,13 @@
 //!   (Observation 2): per-language thread/goroutine distributions and their
 //!   CDFs, sampled from bucket models calibrated to the paper's reading.
 //! * [`campaign`] — the §3.3 nightly deployment loop made executable: a
-//!   work-stealing, sharded campaign runner that covers the
-//!   `(program × seed × strategy × detector)` matrix by executing each
-//!   `(program, seed, strategy)` once, watched by every detector, over N
-//!   OS worker threads ([`shard::IndexQueues`]), funnels every race through a
-//!   concurrent fingerprint-keyed dedup stage ([`dedup::DedupMap`]), and
-//!   hands the deduplicated batch to `grs_deploy::IntakeService` for
-//!   filing.
+//!   campaign runner that covers the `(program × seed × strategy ×
+//!   detector)` matrix by executing each `(program, seed, strategy)` once,
+//!   watched by every detector. N OS worker threads each claim a whole
+//!   unit at a time from one counter, build it once and run all its
+//!   executions ([`spec::ExecSpec`]); every race goes through a concurrent
+//!   fingerprint-keyed dedup stage ([`dedup::DedupMap`]), and the
+//!   deduplicated batch goes to `grs_deploy::IntakeService` for filing.
 //!
 //! Each campaign run is a self-contained deterministic
 //! [`Runtime`](grs_runtime::Runtime) instance, which is what makes the
@@ -37,18 +37,18 @@
 pub mod campaign;
 pub mod census;
 pub mod dedup;
-pub mod shard;
 pub mod source;
+pub mod spec;
 pub mod triage;
 
 pub use campaign::{
     corpus_suite, default_workers, pattern_suite, Campaign, CampaignConfig, CampaignResult,
-    CampaignUnit, RunEnd, RunRecord, ShardStats, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS,
+    CampaignUnit, RunEnd, RunRecord, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS,
 };
 pub use census::{census, Cdf, Census, CensusConfig, Language, LanguageSample};
 pub use dedup::DedupMap;
-pub use shard::{ExecSpec, IndexQueues, RunSpec};
 pub use source::{
     lower_source_unit, GoCorpusSource, GoSnippetSuite, UnitError, UnitList, UnitSource,
 };
+pub use spec::{ExecSpec, RunSpec};
 pub use triage::{run_triage, triage_suite, TriageConfig, TriageOutcome, TriageUnit};

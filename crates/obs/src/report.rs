@@ -234,7 +234,7 @@ mod tests {
         let r = MetricsRegistry::new();
         r.add("campaign.runs", 12);
         r.gauge_max("depot.stacks", 33);
-        r.add_volatile("sched.steals", 4);
+        r.add_volatile("intake.retries", 4);
         r.observe("run.wall", std::time::Duration::from_micros(250));
         r.span_end("shard.execute", std::time::Duration::from_micros(80));
         ObsReport::new("test", r.snapshot())
@@ -249,7 +249,7 @@ mod tests {
             "\"timing\":",
             "\"deterministic_digest\":",
             "\"campaign.runs\":12",
-            "\"sched.steals\":4",
+            "\"intake.retries\":4",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -15,7 +15,7 @@
 //!   order-independent, so the aggregate is byte-identical for any worker
 //!   count. Stable metrics feed the deterministic digest.
 //! * [`ObsSink::add_volatile`] is for **placement-dependent** counters
-//!   (work steals, per-worker tallies) that legitimately vary run to run.
+//!   (per-worker tallies, retries) that legitimately vary run to run.
 //! * [`ObsSink::observe`] and [`ObsSink::span_end`] carry **wall-clock**
 //!   durations. They land in log-scaled histograms and the span ring
 //!   buffer, both exported in a segregated `timing` section that is
@@ -33,8 +33,8 @@ pub trait ObsSink: Send + Sync {
     /// the deterministic digest.
     fn add(&self, name: &str, delta: u64);
 
-    /// Adds `delta` to the placement-dependent counter `name` (steal
-    /// counts, per-worker tallies). Excluded from the deterministic digest.
+    /// Adds `delta` to the placement-dependent counter `name` (per-worker
+    /// tallies, retries). Excluded from the deterministic digest.
     fn add_volatile(&self, name: &str, delta: u64);
 
     /// Raises the stable max-gauge `name` to at least `value`. Maxima are

@@ -8,8 +8,8 @@
 //!     [--obs-out PATH] [--dashboard]
 //! ```
 //!
-//! The run is the **live** campaign (throughput, per-shard latency,
-//! detection-rate convergence, filing into the intake service) followed by
+//! The run is the **live** campaign (throughput, detection-rate
+//! convergence, filing into the intake service) followed by
 //! the scheduler **ablation**: the random and PCT matrices at the same
 //! per-unit budget, printed as a convergence table. `--ablation-budget N`
 //! sets the per-unit execution budget (default 96; `0` skips the ablation).
@@ -191,7 +191,7 @@ fn main() {
         config.detectors.len(),
         campaign.matrix_len(),
     );
-    println!("   workers {} · shards {}", config.workers, config.shards);
+    println!("   workers {} · dedup stripes {}", config.workers, config.shards);
 
     let result = campaign.run();
     println!(
@@ -210,15 +210,6 @@ fn main() {
         result.max_depot_stacks(),
         result.peak_shadow_words(),
     );
-    for st in result.shard_stats() {
-        println!(
-            "   shard {:>2}: {:>4} runs, {:>8.1} ms total, {:>6.2} ms max",
-            st.shard,
-            st.runs,
-            st.total.as_secs_f64() * 1e3,
-            st.max.as_secs_f64() * 1e3,
-        );
-    }
     let conv = result.convergence();
     if let Some(&(_, total)) = conv.last() {
         // Where the campaign reached 50% / 90% / 100% of its final yield —

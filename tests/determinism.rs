@@ -5,7 +5,7 @@
 //! three directions — repeated runs in one process, event-trace digests
 //! (which would expose any `HashMap`-iteration-order leak in the runtime's
 //! scheduling path), and parallel campaigns at worker counts {1, 4, 8}
-//! (which would expose any cross-thread nondeterminism in the shard
+//! (which would expose any cross-thread nondeterminism in the unit
 //! scheduler or the dedup stage).
 
 use std::sync::Arc;

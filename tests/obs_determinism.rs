@@ -57,15 +57,10 @@ fn obs_json_schema_has_version_and_segregated_timing() {
         &json[..80.min(json.len())]
     );
 
-    // Placement-dependent counters live in timing, not in the digest-bearing
-    // metrics section.
+    // The per-run wall-clock histogram is populated but segregated into
+    // timing, outside the digest-bearing metrics section.
     let metrics = result.obs.metrics_json();
-    assert!(!metrics.contains("sched.steals"));
-    assert!(!metrics.contains("sched.home_pops"));
     let timing = result.obs.timing_json();
-    assert!(timing.contains("sched.home_pops") || timing.contains("sched.steals"));
-
-    // The per-run wall-clock histogram is populated but also segregated.
     assert!(timing.contains("campaign.run_wall"));
     assert!(!metrics.contains("campaign.run_wall"));
 }
