@@ -266,9 +266,13 @@ pub(crate) mod tests {
         let service = IntakeService::builder().workers(1).start().unwrap();
         let outcomes = service.submit_race_batch(&b, 0).unwrap();
         assert_eq!(outcomes.len(), 2);
-        assert!(outcomes
-            .iter()
-            .all(|(_, o)| matches!(o, FileOutcome::Filed { .. })));
+        for (fp, outcome) in &outcomes {
+            let FileOutcome::Filed { task, .. } = outcome else {
+                panic!("{fp}: expected a filed task, got {outcome:?}");
+            };
+            let filed_under = service.with_tracker(|t| t.task(*task).map(|t| t.fingerprint));
+            assert_eq!(filed_under, Some(*fp), "filed under its batch key");
+        }
         assert_eq!(service.stats().total_filed, 2);
         // Next day, same batch: everything is a cross-day duplicate.
         let again = service.submit_race_batch(&b, 1).unwrap();

@@ -44,7 +44,7 @@ use grs_runtime::{DecodedTrace, ReproArtifact, StackDepot, TraceDecodeError};
 
 use crate::assignee::{determine_assignee, OwnerDb};
 use crate::dedup::{BoundedDedup, DedupVerdict};
-use crate::fingerprint::race_fingerprint;
+use crate::fingerprint::{race_fingerprint, Fingerprint};
 use crate::store::{Snapshot, SnapshotError};
 use crate::tracker::{BugTracker, FixError, TaskId};
 use crate::wire::{RequestFrame, ResponseFrame, Transport};
@@ -262,10 +262,10 @@ impl ServiceInner {
         }
     }
 
-    /// Files one report on `day`: dedup-cache front line, then the
-    /// authoritative tracker check-and-file under the core mutex.
-    fn file_report(&self, report: &RaceReport, day: u32) -> FileOutcome {
-        let fp = race_fingerprint(report);
+    /// Files `report`, whose fingerprint is `fp`, on `day`: dedup-cache
+    /// front line, then the authoritative tracker check-and-file under the
+    /// core mutex.
+    fn file_report(&self, fp: Fingerprint, report: &RaceReport, day: u32) -> FileOutcome {
         if self.dedup.check(fp) == DedupVerdict::CachedOpen {
             self.obs(|s| s.add("intake.duplicate", 1));
             return FileOutcome::Duplicate;
@@ -329,7 +329,7 @@ impl ServiceInner {
                 ));
             }
             report.repro_seed.get_or_insert(decoded.meta.seed);
-            match self.file_report(&report, day) {
+            match self.file_report(race_fingerprint(&report), &report, day) {
                 FileOutcome::Filed { task, .. } => summary.filed.push(task),
                 FileOutcome::Duplicate => summary.duplicates += 1,
             }
@@ -599,10 +599,21 @@ impl IntakeHandle {
     ///
     /// [`IntakeError::ShutDown`] after shutdown.
     pub fn submit(&self, report: &RaceReport, day: u32) -> Result<FileOutcome, IntakeError> {
+        self.file(race_fingerprint(report), report, day)
+    }
+
+    /// Files `report`, whose fingerprint is `fp`, unless the service is
+    /// shut down.
+    fn file(
+        &self,
+        fp: Fingerprint,
+        report: &RaceReport,
+        day: u32,
+    ) -> Result<FileOutcome, IntakeError> {
         if self.inner.shut_down.load(Ordering::Acquire) {
             return Err(IntakeError::ShutDown);
         }
-        Ok(self.inner.file_report(report, day))
+        Ok(self.inner.file_report(fp, report, day))
     }
 
     /// Submits a batch of reports.
@@ -620,9 +631,11 @@ impl IntakeHandle {
 
     /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)
     /// (a campaign day's output) and returns the per-fingerprint
-    /// outcomes in fingerprint order. Because the batch is already
-    /// deduplicated, every `Duplicate` here means an open task from a
-    /// previous day — cross-day dedup, not within-batch noise.
+    /// outcomes in fingerprint order. Each report is filed under its batch
+    /// key, the fingerprint the campaign computed, without hashing it
+    /// again. Because the batch is already deduplicated, every `Duplicate`
+    /// here means an open task from a previous day — cross-day dedup, not
+    /// within-batch noise.
     ///
     /// # Errors
     ///
@@ -631,10 +644,10 @@ impl IntakeHandle {
         &self,
         batch: &crate::batch::RaceBatch,
         day: u32,
-    ) -> Result<Vec<(crate::fingerprint::Fingerprint, FileOutcome)>, IntakeError> {
+    ) -> Result<Vec<(Fingerprint, FileOutcome)>, IntakeError> {
         batch
             .iter()
-            .map(|(fp, report)| Ok((fp, self.submit(report, day)?)))
+            .map(|(fp, report)| Ok((fp, self.file(fp, report, day)?)))
             .collect()
     }
 

@@ -23,10 +23,12 @@
 //! would have seen watching the run alone.
 //!
 //! What an execution leaves is each detector's [`Race`]s — ids into the
-//! arena depot and the detector's lockset interner, until the next run
-//! resets them. [`DetectorArena::report`] builds the report of one; the
-//! report-returning entry points ([`DetectorArena::run_many`], the
-//! replays) execute, then report every race.
+//! arena depot and the detector's lockset interner — and its peak shadow
+//! words, which the detector keeps itself as its count rises; both last
+//! until the next run resets them. [`DetectorArena::report`] builds the
+//! report of one; the report-returning entry points
+//! ([`DetectorArena::run_many`], the replays) execute, then report every
+//! race.
 
 use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{
@@ -181,14 +183,20 @@ impl Watcher {
             Watcher::Eraser(eraser) => eraser.report(race),
         }
     }
+
+    fn peak_shadow_words(&self) -> usize {
+        match self {
+            Watcher::Hb(shadow) => shadow.peak_words(),
+            Watcher::Eraser(eraser) => eraser.peak_shadow_words(),
+        }
+    }
 }
 
-/// One detector, and the peak of its shadow words over the current run.
+/// One detector and the choice it answers to.
 #[derive(Debug)]
 struct Member {
     choice: DetectorChoice,
     watcher: Watcher,
-    peak_shadow_words: usize,
 }
 
 /// The arena's detectors, one per [`DetectorChoice`], and the monitor of
@@ -196,10 +204,8 @@ struct Member {
 /// each seeing every event in order. The happens-before members share `hb`,
 /// which takes each event's first step before any member sees it and its
 /// second after all have — only when the selection holds such a member.
-/// The kernel samples a lone monitor's shadow words after every event (and
-/// once after `on_run_end`, where no member does anything); `Watchers`
-/// samples each active member after every event and reports the largest
-/// member peak as its own, kept as the members' peaks rise.
+/// Each member keeps its own shadow-word peak; the watchers' peak is the
+/// largest active member's, read when asked for.
 #[derive(Debug, Default)]
 struct Watchers {
     hb: HbClocks,
@@ -207,8 +213,6 @@ struct Watchers {
     active: usize,
     /// Whether an active member reads `hb`.
     hb_active: bool,
-    /// The largest peak of an active member this run.
-    peak_shadow_words: usize,
 }
 
 impl Watchers {
@@ -220,14 +224,12 @@ impl Watchers {
             let idle = &self.members[self.active..];
             if let Some(i) = idle.iter().position(|m| m.choice == choice) {
                 self.members.swap(self.active, self.active + i);
-                self.members[self.active].peak_shadow_words = 0;
                 self.active += 1;
             }
         }
         self.hb_active = self.members[..self.active]
             .iter()
             .any(|m| matches!(m.watcher, Watcher::Hb(_)));
-        self.peak_shadow_words = 0;
     }
 
     /// The member of `choice`, if it watched the last execution.
@@ -251,29 +253,23 @@ impl Monitor for Watchers {
         if self.hb_active {
             self.hb.before(event);
         }
-        let mut top = self.peak_shadow_words;
         for m in &mut self.members[..self.active] {
-            let words = match &mut m.watcher {
-                Watcher::Hb(shadow) => {
-                    shadow.on_event(&self.hb, event);
-                    shadow.shadow_words()
-                }
-                Watcher::Eraser(eraser) => {
-                    eraser.on_event(event);
-                    eraser.shadow_words()
-                }
-            };
-            m.peak_shadow_words = m.peak_shadow_words.max(words);
-            top = top.max(words);
+            match &mut m.watcher {
+                Watcher::Hb(shadow) => shadow.on_event(&self.hb, event),
+                Watcher::Eraser(eraser) => eraser.on_event(event),
+            }
         }
-        self.peak_shadow_words = top;
         if self.hb_active {
             self.hb.after(event);
         }
     }
 
-    fn shadow_words(&self) -> usize {
-        self.peak_shadow_words
+    fn peak_shadow_words(&self) -> usize {
+        self.members[..self.active]
+            .iter()
+            .map(|m| m.watcher.peak_shadow_words())
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -293,7 +289,6 @@ impl DetectorArena {
             .map(|choice| Member {
                 choice,
                 watcher: choice.watcher(),
-                peak_shadow_words: 0,
             })
             .collect();
         DetectorArena {
@@ -377,7 +372,7 @@ impl DetectorArena {
     pub fn peak_shadow_words(&self, choice: DetectorChoice) -> usize {
         self.watchers
             .watched(choice)
-            .map_or(0, |m| m.peak_shadow_words)
+            .map_or(0, |m| m.watcher.peak_shadow_words())
     }
 
     /// The report of `race`, one of [`DetectorArena::races`]`(choice)`:
@@ -457,13 +452,12 @@ impl DetectorArena {
     /// Fans one [`DecodedTrace`] through the given algorithms in one pass
     /// over its events — the offline counterpart of
     /// [`DetectorArena::run_many`], with the same outcomes. The depot
-    /// snapshot is rebuilt once (spanned as `replay.decode`), the pass is
-    /// spanned as `replay.analyze`, and each analysis reports its counters
-    /// (`detector.runs`, `runtime.events`, `replay.batches`,
-    /// `replay.batch_events`, depot and shadow gauges) into `sink`. Every
-    /// caller in the workspace passes [`NULL_SINK`](grs_obs::NULL_SINK) — a
-    /// campaign folds those figures from its records; the parameter stays
-    /// because `benchmark/` calls this signature.
+    /// snapshot is rebuilt once, spanned into `sink` as `replay.decode`,
+    /// and the pass is spanned as `replay.analyze`; nothing else is
+    /// reported. Every caller in the workspace passes
+    /// [`NULL_SINK`](grs_obs::NULL_SINK) — a campaign folds its figures
+    /// from its records; the parameter stays because `benchmark/` calls
+    /// this signature.
     pub fn replay_many_decoded_observed(
         &mut self,
         decoded: &DecodedTrace,
@@ -478,15 +472,6 @@ impl DetectorArena {
             let _span = SpanGuard::enter(sink, "replay.analyze");
             self.watch(choices, decoded)
         };
-        for out in &watched {
-            sink.add("detector.runs", 1);
-            sink.add("replay.analyses", 1);
-            sink.add("runtime.events", out.events);
-            sink.add("replay.batches", decoded.chunks);
-            sink.add("replay.batch_events", out.events);
-            sink.gauge_max("runtime.depot_stacks", decoded.stacks.len() as u64);
-            sink.gauge_max("detector.peak_shadow_words", out.peak_shadow_words as u64);
-        }
         choices.iter().copied().zip(watched).collect()
     }
 }
@@ -540,8 +525,33 @@ mod tests {
         let mut arena = DetectorArena::new();
         let (o, _) = arena.run(DetectorChoice::Hybrid, &p, RunConfig::with_seed(3));
         assert!(o.stats.events_dispatched > 0);
-        assert!(o.stats.depot.stacks > 0);
+        assert!(o.stats.depot_stacks > 0);
         assert!(!arena.depot().is_empty());
+    }
+
+    /// A member's peak belongs to its run: it reads 0 once a run it did
+    /// not watch has replaced it, and a later, smaller run starts it over.
+    #[test]
+    fn a_members_peak_ends_with_its_run() {
+        let cfg = RunConfig::with_seed(3);
+        let mut arena = DetectorArena::new();
+        let _ = arena.execute(&[DetectorChoice::Hybrid], &racy_program(), cfg.clone());
+        let racy_peak = arena.peak_shadow_words(DetectorChoice::Hybrid);
+        assert!(racy_peak > 0);
+        let _ = arena.execute(&[DetectorChoice::Eraser], &racy_program(), cfg.clone());
+        assert_eq!(arena.peak_shadow_words(DetectorChoice::Hybrid), 0);
+        assert!(arena.peak_shadow_words(DetectorChoice::Eraser) > 0);
+
+        let small = Program::new("one_write", |ctx| {
+            let x = ctx.cell("x", 0i64);
+            ctx.write(&x, 1);
+        });
+        let _ = arena.execute(&[DetectorChoice::Hybrid], &small, cfg.clone());
+        let mut fresh = DetectorArena::new();
+        let _ = fresh.execute(&[DetectorChoice::Hybrid], &small, cfg);
+        let small_peak = fresh.peak_shadow_words(DetectorChoice::Hybrid);
+        assert!(small_peak < racy_peak);
+        assert_eq!(arena.peak_shadow_words(DetectorChoice::Hybrid), small_peak);
     }
 
     #[test]

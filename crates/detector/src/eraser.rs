@@ -94,7 +94,7 @@ pub struct Eraser {
     /// Flat variable table indexed by the kernel's dense address ids.
     /// `None` slots are ids that name other object kinds (locks, channels)
     /// or simply haven't been accessed; `live_vars` counts the `Some`s so
-    /// [`Monitor::shadow_words`] stays O(1).
+    /// [`Monitor::peak_shadow_words`] stays O(1).
     vars: Vec<Option<EraserVar>>,
     live_vars: usize,
     /// The races found this run, as ids, in detection order.
@@ -302,9 +302,11 @@ impl Monitor for Eraser {
         self.reports = self.races.iter().map(|race| self.report(race)).collect();
     }
 
-    fn shadow_words(&self) -> usize {
+    fn peak_shadow_words(&self) -> usize {
         // One candidate-set slot plus one last-access slot per tracked
         // variable — Eraser's shadow footprint is constant per variable.
+        // A variable is never untracked within a run, so the count is its
+        // own peak.
         2 * self.live_vars
     }
 }

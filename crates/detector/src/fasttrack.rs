@@ -275,8 +275,8 @@ impl Monitor for FastTrack {
         self.reports = shadow.races().iter().map(|race| shadow.report(race)).collect();
     }
 
-    fn shadow_words(&self) -> usize {
-        self.shadow.shadow_words
+    fn peak_shadow_words(&self) -> usize {
+        self.shadow.peak_words()
     }
 }
 
@@ -318,8 +318,11 @@ pub(crate) struct Shadow {
     accesses_processed: u64,
     epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
-    /// maintained incrementally so `shadow_words` is O(1).
+    /// maintained incrementally at each access.
     shadow_words: usize,
+    /// The most `shadow_words` held at once this run, raised where
+    /// `shadow_words` changes.
+    peak_words: usize,
 }
 
 impl Shadow {
@@ -345,6 +348,7 @@ impl Shadow {
         self.accesses_processed = 0;
         self.epoch_fast_hits = 0;
         self.shadow_words = 0;
+        self.peak_words = 0;
         self.locksets.reset();
     }
 
@@ -389,8 +393,9 @@ impl Shadow {
         }
     }
 
-    pub(crate) fn shadow_words(&self) -> usize {
-        self.shadow_words
+    /// The most shadow words this run has held at once.
+    pub(crate) fn peak_words(&self) -> usize {
+        self.peak_words
     }
 
     /// The races kept this run, in detection order.
@@ -619,6 +624,7 @@ impl Shadow {
             .shadow_words
             .checked_add_signed(words_delta)
             .expect("shadow-word count underflow");
+        self.peak_words = self.peak_words.max(self.shadow_words);
         if fast {
             self.epoch_fast_hits += 1;
         }

@@ -14,8 +14,8 @@
 //! replay loop of a detector used alone, [`Detector::replay_events`].
 //!
 //! The replay drivers also mirror the runtime kernel's bookkeeping —
-//! events dispatched, peak shadow words sampled after every event *and*
-//! once after the end-of-run flush — so a replayed run's statistics are
+//! events dispatched, and the detector's own peak shadow words read once
+//! after the end-of-run flush — so a replayed run's statistics are
 //! bit-identical to the live run's [`MonitorStats`], not just its reports.
 //!
 //! [`MonitorStats`]: grs_runtime::MonitorStats
@@ -37,19 +37,15 @@ pub trait Detector: Monitor + std::fmt::Debug {
     /// for the next run or trace.
     fn take_reports(&mut self) -> Vec<RaceReport>;
 
-    /// Feeds `events` through [`Monitor::on_event`] in order, returning the
-    /// peak shadow-word count sampled after each, as the kernel samples it
-    /// live. Every replay of a lone detector runs this one loop. It is a
-    /// provided method, so each detector's copy is compiled against its own
-    /// `on_event`: the per-event call is static and inlinable, and a whole
-    /// trace costs one virtual call through `dyn Detector`.
-    fn replay_events(&mut self, events: &[Event]) -> usize {
-        let mut peak = 0;
+    /// Feeds `events` through [`Monitor::on_event`] in order. Every replay
+    /// of a lone detector runs this one loop. It is a provided method, so
+    /// each detector's copy is compiled against its own `on_event`: the
+    /// per-event call is static and inlinable, and a whole trace costs one
+    /// virtual call through `dyn Detector`.
+    fn replay_events(&mut self, events: &[Event]) {
         for event in events {
             self.on_event(event);
-            peak = peak.max(self.shadow_words());
         }
-        peak
     }
 }
 
@@ -61,8 +57,8 @@ pub struct ReplayOutcome {
     /// Events fed to the detector — equals the live run's
     /// `events_dispatched` (the recorder saw every dispatched event).
     pub events: u64,
-    /// Peak shadow words, sampled exactly like the live kernel does (after
-    /// every event, and once more after the end-of-run flush).
+    /// The detector's [`Monitor::peak_shadow_words`] after the end-of-run
+    /// flush, read as the live kernel reads it.
     pub peak_shadow_words: usize,
 }
 
@@ -81,12 +77,12 @@ pub fn replay_trace(
 ) -> ReplayOutcome {
     trace.rebuild_depot_into(depot);
     detector.on_run_start(depot);
-    let peak = detector.replay_events(&trace.events);
+    detector.replay_events(&trace.events);
     detector.on_run_end();
     ReplayOutcome {
         reports: detector.take_reports(),
         events: trace.events.len() as u64,
-        peak_shadow_words: peak.max(detector.shadow_words()),
+        peak_shadow_words: detector.peak_shadow_words(),
     }
 }
 

@@ -732,7 +732,7 @@ impl Campaign {
                 fingerprints,
                 steps: outcome.steps,
                 events: outcome.stats.events_dispatched,
-                depot_stacks: outcome.stats.depot.stacks,
+                depot_stacks: outcome.stats.depot_stacks,
                 peak_shadow_words: arena.peak_shadow_words(detector),
                 end,
                 duration,

@@ -3,28 +3,12 @@
 //! Editors and CI pipelines want structure, not prose: every finding
 //! serializes to a JSON object with a stable rule identifier (`GR001`…),
 //! a severity, and a source location. The JSON is hand-rolled — the
-//! offline build sanctions no serialization dependency — but the escape
-//! rules follow RFC 8259 for the characters that can actually appear in
-//! rule messages and file paths.
+//! offline build sanctions no serialization dependency — and strings go
+//! through [`grs_obs::json_escape`], which escapes as RFC 8259 requires.
+
+use grs_obs::json_escape;
 
 use crate::lint::Finding;
-
-/// Escapes `s` as a JSON string body (quotes not included).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One finding as a JSON object. The `chain` array carries the call hops
 /// of interprocedural findings (empty for the intraprocedural rules).
@@ -36,7 +20,7 @@ pub fn finding_json(path: &str, f: &Finding) -> String {
         .map(|(callee, pos)| {
             format!(
                 r#"{{"callee":"{}","line":{},"col":{}}}"#,
-                escape(callee),
+                json_escape(callee),
                 pos.line,
                 pos.col,
             )
@@ -45,13 +29,13 @@ pub fn finding_json(path: &str, f: &Finding) -> String {
     format!(
         r#"{{"rule_id":"{}","rule":"{}","severity":"{}","file":"{}","line":{},"col":{},"func":"{}","message":"{}","chain":[{}]}}"#,
         f.rule.id(),
-        escape(&f.rule.to_string()),
+        json_escape(&f.rule.to_string()),
         f.rule.severity(),
-        escape(path),
+        json_escape(path),
         f.pos.line,
         f.pos.col,
-        escape(&f.func),
-        escape(&f.message),
+        json_escape(&f.func),
+        json_escape(&f.message),
         chain.join(","),
     )
 }
@@ -116,7 +100,7 @@ where
             format!(
                 r#"{{"id":"{}","shortDescription":{{"text":"{}"}},"defaultConfiguration":{{"level":"{}"}}}}"#,
                 r.id(),
-                escape(&r.to_string()),
+                json_escape(&r.to_string()),
                 sarif_level(r.severity()),
             )
         })
@@ -131,8 +115,8 @@ where
                 .map(|(callee, pos)| {
                     format!(
                         r#"{{"message":{{"text":"call to {}"}},"physicalLocation":{{"artifactLocation":{{"uri":"{}"}},"region":{{"startLine":{},"startColumn":{}}}}}}}"#,
-                        escape(callee),
-                        escape(path),
+                        json_escape(callee),
+                        json_escape(path),
                         pos.line,
                         pos.col,
                     )
@@ -147,8 +131,8 @@ where
                 r#"{{"ruleId":"{}","level":"{}","message":{{"text":"{}"}},"locations":[{{"physicalLocation":{{"artifactLocation":{{"uri":"{}"}},"region":{{"startLine":{},"startColumn":{}}}}}}}]{}}}"#,
                 f.rule.id(),
                 sarif_level(f.rule.severity()),
-                escape(&f.message),
-                escape(path),
+                json_escape(&f.message),
+                json_escape(path),
                 f.pos.line,
                 f.pos.col,
                 related_part,

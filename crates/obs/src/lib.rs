@@ -12,12 +12,14 @@
 //! Either way the result is a [`MetricsSnapshot`] wrapped in an
 //! [`ObsReport`]: a versioned JSON export with a hard split between the
 //! stable section (counters and max-gauges, byte-identical across worker
-//! counts, covered by the digest) and the wall-clock / placement-dependent
-//! `timing` section, plus a text dashboard.
+//! counts, covered by the digest) and the wall-clock `timing` section,
+//! plus a text dashboard. [`json_escape`] is the workspace's one JSON
+//! string escaper.
 //!
 //! * [`ObsSink`] — the live reporting trait; [`SpanGuard`] is its RAII span.
 //! * [`MetricsRegistry`] — the standard sink: name-sharded counters,
-//!   max-gauges and log-scaled latency histograms, with a span ring buffer.
+//!   max-gauges, log-scaled latency histograms and per-name span
+//!   aggregates.
 //! * [`hash`] — the FNV-1a and splitmix64 mixers every digest in the
 //!   workspace is built from, and the FNV hasher its integer-keyed maps use.
 //!
@@ -34,7 +36,7 @@
 //! registry.add("intake.filed", 37);
 //!
 //! let report = ObsReport::new("demo", registry.snapshot());
-//! assert!(report.to_json().contains("\"schema_version\":2"));
+//! assert!(report.to_json().contains("\"schema_version\":3"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,9 +47,6 @@ pub mod report;
 pub mod sink;
 
 pub use hash::{splitmix64, Fnv1a};
-pub use registry::{
-    Histogram, MetricsRegistry, MetricsSnapshot, SpanRecord, SpanSnapshot, SpanStats,
-    HISTOGRAM_BUCKETS, SPAN_RING_CAPACITY,
-};
-pub use report::{ObsReport, SCHEMA_VERSION};
+pub use registry::{Histogram, MetricsRegistry, MetricsSnapshot, SpanStats, HISTOGRAM_BUCKETS};
+pub use report::{json_escape, ObsReport, SCHEMA_VERSION};
 pub use sink::{NullSink, ObsSink, SpanGuard, NULL_SINK};

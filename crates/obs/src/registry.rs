@@ -3,8 +3,8 @@
 //! Metric cells are distributed over eight mutex-guarded shards by an FNV
 //! hash of the metric *name*. That buys one thing: two different names
 //! rarely share a lock. It does not spread one name — two
-//! threads adding to the same counter serialize on that counter's shard —
-//! and every span goes through one dedicated ring lock. So the registry
+//! threads adding to the same counter, or ending the same span, serialize
+//! on that name's shard. So the registry
 //! suits a producer whose threads mostly report different things at a
 //! modest rate (the intake service's stages); a job whose workers would all
 //! bump the same few names per item should count locally and report once.
@@ -28,10 +28,6 @@ pub const HISTOGRAM_BUCKETS: usize = 34;
 
 /// Lock shards of a [`MetricsRegistry`].
 const REGISTRY_SHARDS: usize = 8;
-
-/// Span ring-buffer capacity: the exporter keeps the most recent completed
-/// spans for the timing section and drops older ones.
-pub const SPAN_RING_CAPACITY: usize = 256;
 
 /// A log-scaled latency histogram (power-of-two nanosecond buckets).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,17 +109,6 @@ impl Histogram {
     }
 }
 
-/// One completed span in the ring buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Completion sequence number (monotone within one registry).
-    pub seq: u64,
-    /// Span name.
-    pub name: String,
-    /// Span duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
 /// Aggregate statistics for one span name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanStats {
@@ -135,32 +120,21 @@ pub struct SpanStats {
     pub max_ns: u64,
 }
 
-/// The span section of a snapshot: per-name aggregates plus the most
-/// recent completed spans from the ring buffer.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanSnapshot {
-    /// `(name, stats)` sorted by name.
-    pub aggregates: Vec<(String, SpanStats)>,
-    /// Ring-buffer contents, oldest retained span first.
-    pub recent: Vec<SpanRecord>,
-    /// Spans dropped from the ring (completed − retained).
-    pub dropped: u64,
+impl SpanStats {
+    /// Folds `other` into `self`.
+    pub fn merge(&mut self, other: &SpanStats) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
 }
 
 #[derive(Debug, Default)]
 struct Shard {
     counters: BTreeMap<String, u64>,
-    volatile_counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-}
-
-#[derive(Debug, Default)]
-struct SpanRing {
-    ring: std::collections::VecDeque<SpanRecord>,
-    aggregates: BTreeMap<String, SpanStats>,
-    next_seq: u64,
-    dropped: u64,
+    spans: BTreeMap<String, SpanStats>,
 }
 
 /// The metrics registry — the standard live [`ObsSink`]. Sharded by metric
@@ -183,7 +157,6 @@ struct SpanRing {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     shards: Vec<Mutex<Shard>>,
-    spans: Mutex<SpanRing>,
 }
 
 impl Default for MetricsRegistry {
@@ -198,7 +171,6 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             shards: (0..REGISTRY_SHARDS).map(|_| Mutex::default()).collect(),
-            spans: Mutex::default(),
         }
     }
 
@@ -216,41 +188,20 @@ impl MetricsRegistry {
     /// a quiescent snapshot is deterministic.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = BTreeMap::new();
-        let mut volatile_counters = BTreeMap::new();
-        let mut gauges = BTreeMap::new();
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        let mut snap = MetricsSnapshot::default();
         for shard in &self.shards {
             let s = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (k, v) in &s.counters {
-                *counters.entry(k.clone()).or_insert(0) += v;
-            }
-            for (k, v) in &s.volatile_counters {
-                *volatile_counters.entry(k.clone()).or_insert(0) += v;
-            }
-            for (k, v) in &s.gauges {
-                let e = gauges.entry(k.clone()).or_insert(0);
-                *e = (*e).max(*v);
-            }
-            for (k, v) in &s.histograms {
-                histograms.entry(k.clone()).or_default().merge(v);
-            }
+            snap.counters.extend(s.counters.iter().map(|(k, v)| (k.clone(), *v)));
+            snap.gauges.extend(s.gauges.iter().map(|(k, v)| (k.clone(), *v)));
+            snap.histograms.extend(s.histograms.iter().map(|(k, h)| (k.clone(), h.clone())));
+            snap.spans.extend(s.spans.iter().map(|(k, st)| (k.clone(), *st)));
         }
-        let spans = {
-            let s = self.spans.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            SpanSnapshot {
-                aggregates: s.aggregates.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-                recent: s.ring.iter().cloned().collect(),
-                dropped: s.dropped,
-            }
-        };
-        MetricsSnapshot {
-            counters: counters.into_iter().collect(),
-            volatile_counters: volatile_counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
-            histograms: histograms.into_iter().collect(),
-            spans,
-        }
+        // A name lives in one shard, so each section holds it once.
+        sort_by_name(&mut snap.counters);
+        sort_by_name(&mut snap.gauges);
+        sort_by_name(&mut snap.histograms);
+        sort_by_name(&mut snap.spans);
+        snap
     }
 }
 
@@ -261,16 +212,6 @@ impl ObsSink for MetricsRegistry {
             Some(v) => *v += delta,
             None => {
                 s.counters.insert(name.to_string(), delta);
-            }
-        }
-    }
-
-    fn add_volatile(&self, name: &str, delta: u64) {
-        let mut s = self.shard(name);
-        match s.volatile_counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                s.volatile_counters.insert(name.to_string(), delta);
             }
         }
     }
@@ -300,27 +241,12 @@ impl ObsSink for MetricsRegistry {
 
     fn span_end(&self, name: &str, duration: Duration) {
         let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-        let mut s = self.spans.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        if s.ring.len() == SPAN_RING_CAPACITY {
-            s.ring.pop_front();
-            s.dropped += 1;
-        }
-        s.ring.push_back(SpanRecord {
-            seq,
-            name: name.to_string(),
-            dur_ns: ns,
-        });
-        match s.aggregates.get_mut(name) {
-            Some(agg) => {
-                agg.count += 1;
-                agg.total_ns = agg.total_ns.saturating_add(ns);
-                agg.max_ns = agg.max_ns.max(ns);
-            }
+        let one = SpanStats { count: 1, total_ns: ns, max_ns: ns };
+        let mut s = self.shard(name);
+        match s.spans.get_mut(name) {
+            Some(agg) => agg.merge(&one),
             None => {
-                let first = SpanStats { count: 1, total_ns: ns, max_ns: ns };
-                s.aggregates.insert(name.to_string(), first);
+                s.spans.insert(name.to_string(), one);
             }
         }
     }
@@ -333,14 +259,12 @@ impl ObsSink for MetricsRegistry {
 pub struct MetricsSnapshot {
     /// Stable counters, sorted by name (deterministic; in the digest).
     pub counters: Vec<(String, u64)>,
-    /// Placement-dependent counters, sorted by name (not in the digest).
-    pub volatile_counters: Vec<(String, u64)>,
     /// Stable max-gauges, sorted by name (deterministic; in the digest).
     pub gauges: Vec<(String, u64)>,
     /// Wall-clock latency histograms, sorted by name (not in the digest).
     pub histograms: Vec<(String, Histogram)>,
-    /// Span aggregates + ring buffer (not in the digest).
-    pub spans: SpanSnapshot,
+    /// Wall-clock span aggregates, sorted by name (not in the digest).
+    pub spans: Vec<(String, SpanStats)>,
 }
 
 impl MetricsSnapshot {
@@ -350,12 +274,6 @@ impl MetricsSnapshot {
         lookup(&self.counters, name).unwrap_or(0)
     }
 
-    /// The value of volatile counter `name` (0 when absent).
-    #[must_use]
-    pub fn volatile_counter(&self, name: &str) -> u64 {
-        lookup(&self.volatile_counters, name).unwrap_or(0)
-    }
-
     /// The value of gauge `name` (0 when absent).
     #[must_use]
     pub fn gauge(&self, name: &str) -> u64 {
@@ -363,34 +281,12 @@ impl MetricsSnapshot {
     }
 
     /// Folds `other` into `self`: counters sum, gauges max, histograms
-    /// merge, span aggregates sum, ring buffers concatenate (re-capped to
-    /// the ring capacity, keeping the newest).
+    /// and span aggregates merge.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        merge_sum(&mut self.counters, &other.counters);
-        merge_sum(&mut self.volatile_counters, &other.volatile_counters);
-        merge_max(&mut self.gauges, &other.gauges);
-        let mut hist: BTreeMap<String, Histogram> =
-            self.histograms.drain(..).collect();
-        for (k, v) in &other.histograms {
-            hist.entry(k.clone()).or_default().merge(v);
-        }
-        self.histograms = hist.into_iter().collect();
-        let mut aggs: BTreeMap<String, SpanStats> =
-            self.spans.aggregates.drain(..).collect();
-        for (k, v) in &other.spans.aggregates {
-            let a = aggs.entry(k.clone()).or_default();
-            a.count += v.count;
-            a.total_ns = a.total_ns.saturating_add(v.total_ns);
-            a.max_ns = a.max_ns.max(v.max_ns);
-        }
-        self.spans.aggregates = aggs.into_iter().collect();
-        self.spans.dropped += other.spans.dropped;
-        self.spans.recent.extend(other.spans.recent.iter().cloned());
-        if self.spans.recent.len() > SPAN_RING_CAPACITY {
-            let excess = self.spans.recent.len() - SPAN_RING_CAPACITY;
-            self.spans.recent.drain(..excess);
-            self.spans.dropped += excess as u64;
-        }
+        merge_by(&mut self.counters, &other.counters, |a, b| *a += b);
+        merge_by(&mut self.gauges, &other.gauges, |a, b| *a = (*a).max(*b));
+        merge_by(&mut self.histograms, &other.histograms, Histogram::merge);
+        merge_by(&mut self.spans, &other.spans, SpanStats::merge);
     }
 
     /// The deterministic sections (stable counters + gauges) folded into
@@ -418,19 +314,20 @@ fn lookup(v: &[(String, u64)], name: &str) -> Option<u64> {
         .map(|i| v[i].1)
 }
 
-fn merge_sum(dst: &mut Vec<(String, u64)>, src: &[(String, u64)]) {
-    let mut map: BTreeMap<String, u64> = dst.drain(..).collect();
-    for (k, v) in src {
-        *map.entry(k.clone()).or_insert(0) += v;
-    }
-    *dst = map.into_iter().collect();
+fn sort_by_name<T>(section: &mut [(String, T)]) {
+    section.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
 }
 
-fn merge_max(dst: &mut Vec<(String, u64)>, src: &[(String, u64)]) {
-    let mut map: BTreeMap<String, u64> = dst.drain(..).collect();
+/// Folds each of `src`'s entries into `dst`'s entry of the same name
+/// (a default one when absent), keeping `dst` sorted by name.
+fn merge_by<T: Clone + Default>(
+    dst: &mut Vec<(String, T)>,
+    src: &[(String, T)],
+    fold: impl Fn(&mut T, &T),
+) {
+    let mut map: BTreeMap<String, T> = dst.drain(..).collect();
     for (k, v) in src {
-        let e = map.entry(k.clone()).or_insert(0);
-        *e = (*e).max(*v);
+        fold(map.entry(k.clone()).or_default(), v);
     }
     *dst = map.into_iter().collect();
 }
@@ -445,12 +342,10 @@ mod tests {
         for i in 0..10 {
             r.add("runs", 1);
             r.gauge_max("peak", i);
-            r.add_volatile("steals", 2);
         }
         let s = r.snapshot();
         assert_eq!(s.counter("runs"), 10);
         assert_eq!(s.gauge("peak"), 9);
-        assert_eq!(s.volatile_counter("steals"), 20);
         assert_eq!(s.counter("missing"), 0);
     }
 
@@ -503,17 +398,21 @@ mod tests {
     }
 
     #[test]
-    fn span_ring_caps_and_counts_drops() {
+    fn spans_aggregate_per_name_and_merge() {
         let r = MetricsRegistry::new();
-        for _ in 0..SPAN_RING_CAPACITY + 10 {
-            r.span_end("s", Duration::from_nanos(5));
+        for ns in [5, 40, 15] {
+            r.span_end("s", Duration::from_nanos(ns));
         }
-        let s = r.snapshot();
-        assert_eq!(s.spans.recent.len(), SPAN_RING_CAPACITY);
-        assert_eq!(s.spans.dropped, 10);
-        assert_eq!(s.spans.aggregates[0].1.count, (SPAN_RING_CAPACITY + 10) as u64);
-        // Oldest retained span is #10 (0-indexed seq).
-        assert_eq!(s.spans.recent[0].seq, 10);
+        r.span_end("a", Duration::from_nanos(7));
+        let mut s = r.snapshot();
+        let names: Vec<&str> = s.spans.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, vec!["a", "s"]);
+        assert_eq!(s.spans[1].1, SpanStats { count: 3, total_ns: 60, max_ns: 40 });
+        let other = MetricsRegistry::new();
+        other.span_end("s", Duration::from_nanos(100));
+        s.merge(&other.snapshot());
+        assert_eq!(s.spans[1].1, SpanStats { count: 4, total_ns: 160, max_ns: 100 });
+        assert_eq!(s.spans[0].1.count, 1);
     }
 
     #[test]
@@ -550,14 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_ignores_volatile_and_timing() {
+    fn digest_ignores_timing() {
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
         for r in [&a, &b] {
             r.add("n", 4);
             r.gauge_max("g", 2);
         }
-        a.add_volatile("steals", 9);
         a.observe("lat", Duration::from_millis(3));
         a.span_end("s", Duration::from_millis(1));
         assert_eq!(

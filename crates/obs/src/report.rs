@@ -5,23 +5,22 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "label": "...",
 //!   "deterministic_digest": "0x...",       // over metrics
 //!   "metrics":  { "counters": {..}, "gauges": {..} },        // stable
-//!   "timing":   { "volatile_counters": {..}, "histograms": {..},
-//!                 "spans": {..} }          // wall-clock / placement
+//!   "timing":   { "histograms": {..}, "spans": {..} }       // wall-clock
 //! }
 //! ```
 //!
 //! Everything under `metrics` is byte-identical across worker counts;
-//! everything wall-clock- or placement-derived is segregated under
-//! `timing` and excluded from `deterministic_digest`. CI consumes the
-//! stable section; humans get the same data through
-//! [`ObsReport::dashboard`].
+//! everything wall-clock-derived is segregated under `timing` and excluded
+//! from `deterministic_digest`. CI consumes the stable section; humans get
+//! the same data through [`ObsReport::dashboard`].
 //!
-//! Version 1 also carried a `timeline` section; DESIGN §4e records why it
-//! was deleted.
+//! Version 1 also carried a `timeline` section, and version 2 volatile
+//! counters and a ring of recent spans under `timing`; DESIGN §4e records
+//! why each was deleted.
 
 use std::fmt::Write as _;
 
@@ -30,7 +29,7 @@ use crate::registry::{Histogram, MetricsSnapshot};
 /// Version of the obs export's schema. Bump on any breaking change to
 /// the stable section; `tests/obs_determinism.rs` fails when the field is
 /// missing.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// One observed campaign, ready for export.
 #[derive(Debug, Clone, Default)]
@@ -41,8 +40,25 @@ pub struct ObsReport {
     pub snapshot: MetricsSnapshot,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes `s` as the body of a JSON string (quotes not included): `"`,
+/// `\` and every control character, as RFC 8259 requires.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn kv_object(out: &mut String, pairs: &[(String, u64)]) {
@@ -109,14 +125,11 @@ impl ObsReport {
         s
     }
 
-    /// The `timing` section (volatile counters, latency histograms, spans)
-    /// as JSON. Wall-clock- and placement-derived; excluded from the
-    /// digest.
+    /// The `timing` section (latency histograms, span aggregates) as
+    /// JSON. Wall-clock-derived; excluded from the digest.
     #[must_use]
     pub fn timing_json(&self) -> String {
-        let mut s = String::from(r#"{"volatile_counters":"#);
-        kv_object(&mut s, &self.snapshot.volatile_counters);
-        s.push_str(r#","histograms":{"#);
+        let mut s = String::from(r#"{"histograms":{"#);
         for (i, (k, h)) in self.snapshot.histograms.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -124,8 +137,8 @@ impl ObsReport {
             let _ = write!(s, r#""{}":"#, json_escape(k));
             histogram_json(&mut s, h);
         }
-        s.push_str(r#"},"spans":{"aggregates":{"#);
-        for (i, (k, st)) in self.snapshot.spans.aggregates.iter().enumerate() {
+        s.push_str(r#"},"spans":{"#);
+        for (i, (k, st)) in self.snapshot.spans.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -138,24 +151,7 @@ impl ObsReport {
                 st.max_ns
             );
         }
-        let _ = write!(
-            s,
-            r#"}},"dropped":{},"recent":["#,
-            self.snapshot.spans.dropped
-        );
-        for (i, r) in self.snapshot.spans.recent.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                r#"{{"seq":{},"name":"{}","dur_ns":{}}}"#,
-                r.seq,
-                json_escape(&r.name),
-                r.dur_ns
-            );
-        }
-        s.push_str("]}}");
+        s.push_str("}}");
         s
     }
 
@@ -187,16 +183,10 @@ impl ObsReport {
         for (k, v) in &self.snapshot.gauges {
             let _ = writeln!(s, "│   {k:<32} {v:>12}  (max)");
         }
-        if !self.snapshot.volatile_counters.is_empty() {
-            let _ = writeln!(s, "│ scheduling (placement-dependent)");
-            for (k, v) in &self.snapshot.volatile_counters {
-                let _ = writeln!(s, "│   {k:<32} {v:>12}");
-            }
-        }
-        if !self.snapshot.spans.aggregates.is_empty() {
+        if !self.snapshot.spans.is_empty() {
             let _ = writeln!(s, "│");
             let _ = writeln!(s, "│ spans (wall-clock)");
-            for (k, st) in &self.snapshot.spans.aggregates {
+            for (k, st) in &self.snapshot.spans {
                 let mean = st.total_ns.checked_div(st.count).unwrap_or(0);
                 let _ = writeln!(
                     s,
@@ -230,34 +220,35 @@ mod tests {
     use crate::registry::MetricsRegistry;
     use crate::sink::ObsSink;
 
-    fn sample() -> ObsReport {
+    fn sample(label: &str) -> ObsReport {
         let r = MetricsRegistry::new();
         r.add("campaign.runs", 12);
         r.gauge_max("depot.stacks", 33);
-        r.add_volatile("intake.retries", 4);
         r.observe("run.wall", std::time::Duration::from_micros(250));
         r.span_end("shard.execute", std::time::Duration::from_micros(80));
-        ObsReport::new("test", r.snapshot())
+        ObsReport::new(label, r.snapshot())
     }
 
     #[test]
     fn json_has_schema_version_and_sections() {
-        let json = sample().to_json();
+        let json = sample("a\tb\n\"c\"").to_json();
         assert!(json.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
         for key in [
+            "\"label\":\"a\\tb\\n\\\"c\\\"\"",
             "\"metrics\":",
             "\"timing\":",
             "\"deterministic_digest\":",
             "\"campaign.runs\":12",
-            "\"intake.retries\":4",
+            "\"shard.execute\":{\"count\":1,",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.chars().any(char::is_control), "raw control in {json}");
     }
 
     #[test]
     fn dashboard_renders_all_sections() {
-        let d = sample().dashboard();
+        let d = sample("test").dashboard();
         for needle in [
             "obs dashboard",
             "metrics (deterministic)",

@@ -14,11 +14,9 @@
 //!   race tallies, shadow-state maxima). Sums and maxima are
 //!   order-independent, so the aggregate is byte-identical for any worker
 //!   count. Stable metrics feed the deterministic digest.
-//! * [`ObsSink::add_volatile`] is for **placement-dependent** counters
-//!   (per-worker tallies, retries) that legitimately vary run to run.
 //! * [`ObsSink::observe`] and [`ObsSink::span_end`] carry **wall-clock**
-//!   durations. They land in log-scaled histograms and the span ring
-//!   buffer, both exported in a segregated `timing` section that is
+//!   durations. They land in log-scaled histograms and per-name span
+//!   aggregates, both exported in a segregated `timing` section that is
 //!   excluded from the digest.
 
 use std::time::{Duration, Instant};
@@ -33,10 +31,6 @@ pub trait ObsSink: Send + Sync {
     /// the deterministic digest.
     fn add(&self, name: &str, delta: u64);
 
-    /// Adds `delta` to the placement-dependent counter `name` (per-worker
-    /// tallies, retries). Excluded from the deterministic digest.
-    fn add_volatile(&self, name: &str, delta: u64);
-
     /// Raises the stable max-gauge `name` to at least `value`. Maxima are
     /// order-independent, so gauges stay deterministic across worker
     /// counts.
@@ -46,9 +40,9 @@ pub trait ObsSink: Send + Sync {
     /// histogram `name`. Excluded from the deterministic digest.
     fn observe(&self, name: &str, duration: Duration);
 
-    /// Records the completion of span `name` (ring buffer + per-span-name
-    /// aggregate). Excluded from the deterministic digest. Usually called
-    /// via [`SpanGuard`] rather than directly.
+    /// Records the completion of span `name` into its per-name aggregate.
+    /// Excluded from the deterministic digest. Usually called via
+    /// [`SpanGuard`] rather than directly.
     fn span_end(&self, name: &str, duration: Duration);
 }
 
@@ -59,7 +53,6 @@ pub struct NullSink;
 
 impl ObsSink for NullSink {
     fn add(&self, _name: &str, _delta: u64) {}
-    fn add_volatile(&self, _name: &str, _delta: u64) {}
     fn gauge_max(&self, _name: &str, _value: u64) {}
     fn observe(&self, _name: &str, _duration: Duration) {}
     fn span_end(&self, _name: &str, _duration: Duration) {}
@@ -81,7 +74,7 @@ pub static NULL_SINK: NullSink = NullSink;
 ///     let _span = SpanGuard::enter(&registry, "detector.analyze");
 ///     // ... work ...
 /// }
-/// assert_eq!(registry.snapshot().spans.aggregates[0].0, "detector.analyze");
+/// assert_eq!(registry.snapshot().spans[0].0, "detector.analyze");
 /// ```
 pub struct SpanGuard<'a> {
     sink: &'a dyn ObsSink,
@@ -124,7 +117,6 @@ mod tests {
     fn null_sink_accepts_everything() {
         let s = NullSink;
         s.add("a", 1);
-        s.add_volatile("b", 2);
         s.gauge_max("c", 3);
         s.observe("d", Duration::from_millis(1));
         {

@@ -136,10 +136,6 @@ struct DepotInner {
     children: FnvMap<(u32, u32, u32), (u32, StackId)>,
     /// `names[i]` is the text of `NameId(i)`.
     names: Vec<Arc<str>>,
-    /// Intern attempts (hits + misses) this generation, for the stats block.
-    interned_total: u64,
-    /// Deepest node this generation, kept at each push and restore.
-    max_depth: u32,
     /// Reused buffer for texts built from format arguments.
     scratch: String,
     /// Reused buffer for the root-first node paths of
@@ -156,8 +152,6 @@ impl Default for DepotInner {
             nodes: Vec::new(),
             children: FnvMap::default(),
             names: Vec::new(),
-            interned_total: 0,
-            max_depth: 0,
             scratch: String::new(),
             path: Vec::new(),
         }
@@ -177,8 +171,6 @@ impl DepotInner {
         }
         self.nodes.clear();
         self.names.clear();
-        self.interned_total = 0;
-        self.max_depth = 0;
     }
 
     /// The index of `text` in the text table, interning it on a miss.
@@ -210,7 +202,6 @@ impl DepotInner {
 
     /// Interns `parent -> func@call_line`, `func` being a text index.
     fn push(&mut self, parent: StackId, func: u32, call_line: u32) -> StackId {
-        self.interned_total += 1;
         let key = (parent.0, func, call_line);
         if let Some(&(generation, id)) = self.children.get(&key) {
             if generation == self.generation {
@@ -225,7 +216,6 @@ impl DepotInner {
 
     fn push_node(&mut self, parent: StackId, func: Arc<str>, call_line: u32) -> StackId {
         let depth = self.depth(parent) + 1;
-        self.max_depth = self.max_depth.max(depth);
         self.nodes.push(Node {
             parent,
             func,
@@ -281,19 +271,6 @@ impl<'a> Iterator for Funcs<'a> {
     fn next(&mut self) -> Option<&'a str> {
         self.path.next().map(|id| &*self.nodes[id.0 as usize - 1].func)
     }
-}
-
-/// Counters describing a depot's contents — the §3.5 memory story in
-/// numbers (reported per run in [`crate::MonitorStats`] and aggregated by
-/// the campaign engine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DepotStats {
-    /// Distinct interned stacks (depot tree nodes).
-    pub stacks: usize,
-    /// Deepest interned stack, in frames.
-    pub max_depth: usize,
-    /// Lifetime intern requests; `requests - stacks` were deduplicated.
-    pub intern_requests: u64,
 }
 
 /// A shared, thread-safe stack interner.
@@ -450,17 +427,6 @@ impl StackDepot {
         self.lock().nodes.is_empty()
     }
 
-    /// The stats block.
-    #[must_use]
-    pub fn stats(&self) -> DepotStats {
-        let d = self.lock();
-        DepotStats {
-            stacks: d.nodes.len(),
-            max_depth: d.max_depth as usize,
-            intern_requests: d.interned_total,
-        }
-    }
-
     /// Snapshots the contents in id order: the stack nodes, where entry `i`
     /// describes `StackId(i + 1)`, and the names, where entry `i` is the
     /// text of `NameId(i)`. A recording keeps this beside its events, and a
@@ -560,7 +526,6 @@ mod tests {
         let c = depot.push(a, "F", 11); // different call line: new node
         assert_ne!(b, c);
         assert_eq!(depot.len(), 3);
-        assert_eq!(depot.stats().intern_requests, 4);
     }
 
     #[test]
@@ -583,7 +548,6 @@ mod tests {
         assert_eq!(depot.parent(a), StackId::EMPTY);
         assert_eq!(depot.depth(b), 2);
         assert_eq!(depot.depth(StackId::EMPTY), 0);
-        assert_eq!(depot.stats().max_depth, 2);
     }
 
     #[test]
@@ -593,7 +557,6 @@ mod tests {
         let _ = depot.push(a, "F", 0);
         depot.reset();
         assert!(depot.is_empty());
-        assert_eq!(depot.stats(), DepotStats::default());
         // Same pushes produce the same ids again — per-run determinism.
         let a2 = depot.push(StackId::EMPTY, "main", 0);
         assert_eq!(a, a2);
@@ -718,14 +681,7 @@ mod tests {
         assert_eq!(&*depot.name(NameId(0)), "m[header]");
         assert_eq!(&*depot.name(NameId(1)), "y");
         assert_eq!(depot.resolve(StackId(2)).func_names(), vec!["worker", "H"]);
-        assert_eq!(
-            depot.stats(),
-            DepotStats {
-                stacks: 2,
-                max_depth: 2,
-                intern_requests: 0,
-            }
-        );
+        assert_eq!(depot.len(), 2);
         // A live generation after the replay starts from the kept texts.
         depot.reset();
         assert_eq!(a_run(&depot), fresh);

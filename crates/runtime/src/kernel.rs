@@ -254,8 +254,6 @@ pub(crate) struct KState {
     live: usize,
     /// Events actually handed to the monitor (excludes scheduler-only steps).
     events_dispatched: u64,
-    /// High-water mark of `monitor.shadow_words()` across the run.
-    peak_shadow_words: usize,
     pub errors: Vec<RuntimeError>,
     pub deadlock: Option<DeadlockInfo>,
     pub leaked: Vec<(Gid, String)>,
@@ -357,7 +355,6 @@ impl Kernel {
             aborting: false,
             live: 0,
             events_dispatched: 0,
-            peak_shadow_words: 0,
             errors: Vec::new(),
             deadlock: None,
             leaked: Vec::new(),
@@ -436,10 +433,6 @@ impl Kernel {
         if let Some(mon) = k.monitor.as_mut() {
             mon.on_event(&ev);
             k.events_dispatched += 1;
-            let words = mon.shadow_words();
-            if words > k.peak_shadow_words {
-                k.peak_shadow_words = words;
-            }
         }
     }
 
@@ -821,10 +814,6 @@ impl Kernel {
         let mut k = self.lock();
         let mut monitor = k.monitor.take().expect("outcome taken twice");
         monitor.on_run_end();
-        let words = monitor.shadow_words();
-        if words > k.peak_shadow_words {
-            k.peak_shadow_words = words;
-        }
         let outcome = KernelOutcome {
             steps: k.step,
             goroutines_spawned: k.spawned_total,
@@ -834,8 +823,8 @@ impl Kernel {
             schedule: k.schedule,
             stats: MonitorStats {
                 events_dispatched: k.events_dispatched,
-                depot: self.depot.stats(),
-                peak_shadow_words: k.peak_shadow_words,
+                depot_stacks: self.depot.len(),
+                peak_shadow_words: monitor.peak_shadow_words(),
             },
         };
         (outcome, monitor)

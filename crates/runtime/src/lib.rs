@@ -94,7 +94,7 @@ pub use cell::Cell;
 pub use chan::{Chan, RecvResult, Selected2};
 pub use context::GoContext;
 pub use ctx::Ctx;
-pub use depot::{DepotStats, Funcs, NameId, StackDepot, StackId};
+pub use depot::{Funcs, NameId, StackDepot, StackId};
 pub use event::{AccessKind, Event, Frame, SourceLoc, Stack};
 pub use gomap::GoMap;
 pub use ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};

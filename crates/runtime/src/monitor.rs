@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use grs_obs::Fnv1a;
 
-use crate::depot::{DepotStats, NameId, StackDepot};
+use crate::depot::{NameId, StackDepot};
 use crate::event::Event;
 
 /// Consumes the instrumentation event stream of one program run.
@@ -45,11 +45,12 @@ pub trait Monitor: Send {
         false
     }
 
-    /// Number of shadow words (per-variable detector metadata slots) the
-    /// monitor currently holds — the §3.5 memory-overhead statistic,
-    /// surfaced through [`MonitorStats::peak_shadow_words`]. Non-detector
-    /// monitors report 0.
-    fn shadow_words(&self) -> usize {
+    /// The most shadow words (per-variable detector metadata slots) the
+    /// monitor has held at once since its last `on_run_start` — the §3.5
+    /// memory-overhead statistic. A detector keeps it where its count
+    /// changes; the runtime reads it once, after `on_run_end`, into
+    /// [`MonitorStats::peak_shadow_words`]. Non-detector monitors report 0.
+    fn peak_shadow_words(&self) -> usize {
         0
     }
 }
@@ -58,17 +59,16 @@ pub trait Monitor: Send {
 /// returned on [`crate::RunOutcome::stats`].
 ///
 /// This is the §3.5 overhead experiment made observable: how many events
-/// the monitor had to consume, how much distinct calling context the stack
+/// the monitor had to consume, how many distinct calling contexts the stack
 /// depot interned for them, and how much shadow state the detector kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorStats {
     /// Events dispatched to the monitor (0 under a no-op monitor, which
     /// models the `-race`-off baseline).
     pub events_dispatched: u64,
-    /// Stack-depot contents at the end of the run.
-    pub depot: DepotStats,
-    /// Peak shadow-word count reported by the monitor (see
-    /// [`Monitor::shadow_words`]).
+    /// Distinct stacks in the depot at the end of the run.
+    pub depot_stacks: usize,
+    /// The monitor's [`Monitor::peak_shadow_words`] at the end of the run.
     pub peak_shadow_words: usize,
 }
 
@@ -212,7 +212,7 @@ impl<M: Monitor + ?Sized> Monitor for Box<M> {
         (**self).is_noop()
     }
 
-    fn shadow_words(&self) -> usize {
-        (**self).shadow_words()
+    fn peak_shadow_words(&self) -> usize {
+        (**self).peak_shadow_words()
     }
 }

@@ -267,9 +267,9 @@ fn a_campaign_execution_stays_under_its_allocation_ceiling() {
 fn replay(detector: &mut dyn Detector, trace: &Trace, depot: &StackDepot) -> u64 {
     allocations_in(|| {
         detector.on_run_start(depot);
-        let peak = detector.replay_events(&trace.events);
+        detector.replay_events(&trace.events);
         detector.on_run_end();
-        (peak, detector.take_reports())
+        (detector.peak_shadow_words(), detector.take_reports())
     })
     .0
 }

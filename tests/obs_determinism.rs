@@ -4,8 +4,8 @@
 //! directions:
 //!
 //! * the stable metrics section is the pinned string, byte for byte, at
-//!   worker counts {1, 2, 4} (placement-dependent counters are segregated
-//!   into the volatile `timing` section);
+//!   worker counts {1, 2, 4} (wall-clock figures are segregated into the
+//!   `timing` section);
 //! * the schema carries its version field, which is what CI greps for in
 //!   the uploaded artifact.
 

@@ -82,7 +82,8 @@ impl Fold {
             assert_eq!(together.steps, solo.steps, "{cell}: steps");
             let events = solo.stats.events_dispatched;
             assert_eq!(fanned.events, events, "{cell}: events");
-            assert_eq!(together.stats.depot, solo.stats.depot, "{cell}: depot");
+            let stacks = solo.stats.depot_stacks;
+            assert_eq!(together.stats.depot_stacks, stacks, "{cell}: depot stacks");
             assert_eq!(
                 fanned.peak_shadow_words, solo.stats.peak_shadow_words,
                 "{cell}: peak shadow words"
