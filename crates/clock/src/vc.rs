@@ -161,7 +161,7 @@ impl Default for Slots {
 /// clocks at synchronization events (channel send→receive, mutex
 /// unlock→lock, `WaitGroup` done→wait, goroutine spawn and join).
 ///
-/// Storage is a small-vector: up to [`INLINE_SLOTS`] components live inline
+/// Storage is a small-vector: up to eight components live inline
 /// (no heap allocation), and [`VectorClock::clear`] / `clone_from` recycle
 /// existing allocations so detectors can reuse clocks across runs.
 /// Equality and hashing are over the stored component slice, exactly as if
@@ -202,7 +202,7 @@ impl VectorClock {
         VectorClock::default()
     }
 
-    /// Creates a clock with room for `n` components. Up to [`INLINE_SLOTS`]
+    /// Creates a clock with room for `n` components. Up to eight
     /// components need no heap storage regardless of `n`.
     #[must_use]
     pub fn with_capacity(n: usize) -> Self {

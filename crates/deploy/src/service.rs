@@ -38,9 +38,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
-use grs_detector::{replay_decoded, FastTrack, RaceReport};
+use grs_detector::{replay_trace, FastTrack, RaceReport};
 use grs_obs::ObsSink;
-use grs_runtime::{DecodedTrace, ReproArtifact, StackDepot, TraceDecodeError};
+use grs_runtime::{ReproArtifact, StackDepot, Trace, TraceDecodeError};
 
 use crate::assignee::{determine_assignee, OwnerDb};
 use crate::dedup::{BoundedDedup, DedupVerdict};
@@ -163,24 +163,35 @@ pub struct IntakeStats {
 }
 
 struct Ticket {
-    state: Mutex<Option<Result<IntakeSummary, IntakeError>>>,
+    state: Mutex<TicketState>,
     done: Condvar,
+}
+
+#[derive(Default)]
+struct TicketState {
+    result: Option<Result<IntakeSummary, IntakeError>>,
+    /// The uploader sleeps on `done`: a notify with nobody asleep is
+    /// still a system call, paid per frame.
+    waiting: bool,
 }
 
 impl Ticket {
     fn new() -> Arc<Ticket> {
         Arc::new(Ticket {
-            state: Mutex::new(None),
+            state: Mutex::new(TicketState::default()),
             done: Condvar::new(),
         })
     }
 
     fn complete(&self, result: Result<IntakeSummary, IntakeError>) {
-        *self
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(result);
-        self.done.notify_all();
+        let waiting = {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.result = Some(result);
+            state.waiting
+        };
+        if waiting {
+            self.done.notify_all();
+        }
     }
 }
 
@@ -211,9 +222,10 @@ impl IntakeTicket {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(result) = state.take() {
+            if let Some(result) = state.result.take() {
                 return result;
             }
+            state.waiting = true;
             state = self
                 .ticket
                 .done
@@ -233,11 +245,21 @@ struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     open: bool,
+    /// Workers asleep on `queue_nonempty`; an enqueue notifies only when
+    /// one is.
+    sleeping: usize,
 }
 
 struct Core {
     owners: OwnerDb,
     tracker: BugTracker,
+}
+
+/// What one intake worker keeps from upload to upload.
+struct Worker {
+    trace: Trace,
+    detector: FastTrack,
+    depot: StackDepot,
 }
 
 struct ServiceInner {
@@ -299,21 +321,22 @@ impl ServiceInner {
     }
 
     /// Decode + replay + file — the whole per-trace pipeline a worker runs,
-    /// on the worker's own detector and depot (a replay resets both).
+    /// on the worker's own trace, detector and depot (a decode refills the
+    /// first, a replay resets the other two).
     fn process_trace(
         &self,
         bytes: &[u8],
         day: u32,
-        detector: &mut FastTrack,
-        depot: &StackDepot,
+        worker: &mut Worker,
     ) -> Result<IntakeSummary, IntakeError> {
-        let decoded = DecodedTrace::decode(bytes).map_err(|e| {
+        let trace = &mut worker.trace;
+        trace.decode_into(bytes).map_err(|e| {
             self.malformed.fetch_add(1, Ordering::Relaxed);
             self.obs(|s| s.add("intake.malformed", 1));
             IntakeError::Malformed(e)
         })?;
-        let outcome = replay_decoded(detector, &decoded, depot);
-        let program: Arc<str> = Arc::from(decoded.meta.program.as_str());
+        let outcome = replay_trace(&mut worker.detector, trace, &worker.depot);
+        let program: Arc<str> = Arc::from(trace.meta.program.as_str());
         let mut summary = IntakeSummary {
             races: outcome.reports.len() as u32,
             ..IntakeSummary::default()
@@ -323,12 +346,9 @@ impl ServiceInner {
             // filed task is reproducible without the original uploader.
             report.program.get_or_insert_with(|| program.clone());
             if report.repro.is_none() {
-                report.repro = Some(ReproArtifact::seeded(
-                    decoded.meta.seed,
-                    decoded.meta.strategy,
-                ));
+                report.repro = Some(ReproArtifact::seeded(trace.meta.seed, trace.meta.strategy));
             }
-            report.repro_seed.get_or_insert(decoded.meta.seed);
+            report.repro_seed.get_or_insert(trace.meta.seed);
             match self.file_report(race_fingerprint(&report), &report, day) {
                 FileOutcome::Filed { task, .. } => summary.filed.push(task),
                 FileOutcome::Duplicate => summary.duplicates += 1,
@@ -341,7 +361,7 @@ impl ServiceInner {
 
     fn enqueue(&self, trace: Vec<u8>, day: u32) -> Result<IntakeTicket, IntakeError> {
         let ticket = Ticket::new();
-        {
+        let wake = {
             let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             if !queue.open {
                 return Err(IntakeError::ShutDown);
@@ -362,14 +382,20 @@ impl ServiceInner {
             let depth = queue.jobs.len();
             self.queue_peak.fetch_max(depth, Ordering::Relaxed);
             self.obs(|s| s.gauge_max("intake.queue.peak", depth as u64));
+            queue.sleeping > 0
+        };
+        if wake {
+            self.queue_nonempty.notify_one();
         }
-        self.queue_nonempty.notify_one();
         Ok(IntakeTicket { ticket })
     }
 
     fn worker_loop(&self) {
-        let depot = StackDepot::new();
-        let mut detector = FastTrack::new();
+        let mut worker = Worker {
+            trace: Trace::default(),
+            detector: FastTrack::new(),
+            depot: StackDepot::new(),
+        };
         loop {
             let job = {
                 let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -380,15 +406,19 @@ impl ServiceInner {
                     if !queue.open {
                         return;
                     }
+                    queue.sleeping += 1;
                     queue = self
                         .queue_nonempty
                         .wait(queue)
                         .unwrap_or_else(PoisonError::into_inner);
+                    queue.sleeping -= 1;
                 }
             };
-            let result = self.process_trace(&job.trace, job.day, &mut detector, &depot);
+            let result = self.process_trace(&job.trace, job.day, &mut worker);
             self.obs(|s| s.observe("intake.latency", job.enqueued_at.elapsed()));
             job.ticket.complete(result);
+            // What a large upload decoded to is not kept past it.
+            worker.trace.release_excess();
         }
     }
 
@@ -513,6 +543,7 @@ impl IntakeServiceBuilder {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 open: true,
+                sleeping: 0,
             }),
             queue_nonempty: Condvar::new(),
             queue_depth: self.queue_depth,
@@ -1150,6 +1181,85 @@ mod tests {
             handle.submit_trace(vec![], 0).unwrap_err(),
             IntakeError::ShutDown
         );
+    }
+
+    /// Polls `done` until it holds, for at most ten seconds.
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    type Uploader = (
+        std::sync::mpsc::Receiver<Result<IntakeSummary, IntakeError>>,
+        thread::JoinHandle<()>,
+    );
+
+    /// An uploader waiting on `ticket` on a thread of its own.
+    fn uploader(ticket: IntakeTicket) -> Uploader {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = thread::spawn(move || tx.send(ticket.wait()).expect("the test listens"));
+        (rx, waiter)
+    }
+
+    /// What the uploader's wait returned, failing the test after ten seconds
+    /// rather than hanging it when no wake-up comes.
+    fn woken((rx, waiter): Uploader) -> Result<IntakeSummary, IntakeError> {
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the ticket completes and wakes its uploader");
+        waiter.join().expect("the uploader returns");
+        result
+    }
+
+    /// An enqueue notifies only when a worker sleeps, so the workers' count
+    /// of sleepers is what wakes them: an upload after every worker fell
+    /// asleep, twice over, is still served.
+    #[test]
+    fn workers_that_went_idle_still_take_an_enqueued_upload() {
+        let service = IntakeService::builder().workers(2).start().unwrap();
+        let sleeping = || {
+            service
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .sleeping
+        };
+        for seed in [3, 5] {
+            wait_until("both workers sleep", || sleeping() == 2);
+            let ticket = service.enqueue_trace(racy_trace(seed), 0).unwrap();
+            assert_eq!(woken(uploader(ticket)).unwrap().races, 1, "seed {seed}");
+        }
+        assert_eq!(service.stats().traces, 2);
+    }
+
+    /// A completion notifies only when the uploader sleeps on its ticket:
+    /// one that went to sleep before the worker finished is still woken.
+    #[test]
+    fn an_uploader_asleep_on_its_ticket_is_woken() {
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        // Holding the core lock stops the worker at filing the upload's
+        // race until the uploader is asleep.
+        let core = service
+            .inner
+            .core
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let ticket = service.enqueue_trace(racy_trace(3), 0).unwrap();
+        let state = ticket.ticket.clone();
+        let asleep = uploader(ticket);
+        wait_until("the uploader sleeps", || {
+            state
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .waiting
+        });
+        drop(core);
+        assert_eq!(woken(asleep).unwrap().filed.len(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   built only for a race that takes a fingerprint's representative
 //!   slot;
 //! * the **filing** is [`grs_deploy::IntakeService`] via
-//!   [`RaceBatch`](grs_deploy::RaceBatch) batched intake
+//!   [`RaceBatch`] batched intake
 //!   ([`CampaignResult::file_into_service`]).
 //!
 //! Every run is a self-contained deterministic `Runtime` instance, so the

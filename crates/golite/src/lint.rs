@@ -8,7 +8,7 @@
 //! free-variable approximation — a closure parameter or an earlier `:=`
 //! shadow genuinely unbinds a name — and the locking rules come from an
 //! Eraser-style lockset dataflow over the control-flow graph
-//! ([`lockset`](crate::lockset)). Each rule fires on its paper listing and
+//! ([`lockset`]). Each rule fires on its paper listing and
 //! stays quiet on the fixed variant (see the crate's listing tests).
 
 use std::collections::HashSet;

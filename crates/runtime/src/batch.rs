@@ -1,13 +1,22 @@
 //! The `.grtrace` reader: one pass straight into [`Event`]s.
 //!
-//! [`DecodedTrace::decode`] is the only code that parses the format
-//! ([`Trace::encode`] is the only code that writes it). It decodes into one
-//! buffer of the same `Copy` [`Event`] record the kernel emits, so a
-//! decoded trace *is* a [`Trace`] and every detector replays it through the
-//! one `on_event` it runs live. Names — of objects, goroutines and source
-//! files — arrive as string-table references and are renumbered into
-//! [`NameId`]s in first-appearance order, the order the kernel interned
-//! them in.
+//! [`Trace::decode_into`] is the only code that parses the format
+//! ([`Trace::encode`] is the only code that writes it); [`Trace::decode`]
+//! and [`DecodedTrace::decode`] call it on a fresh [`Trace`]. It decodes
+//! into one buffer of the same `Copy` [`Event`] record the kernel emits, so
+//! a decoded trace *is* a [`Trace`] and every detector replays it through
+//! the one `on_event` it runs live. Names — of objects, goroutines and
+//! source files — arrive as string-table references and are renumbered
+//! into [`NameId`]s in first-appearance order, the order the kernel
+//! interned them in.
+//!
+//! A caller that decodes many traces (an intake worker) keeps one
+//! [`Trace`] and decodes each into it: the event, stack and name buffers
+//! are refilled rather than allocated again, and a text the last trace had
+//! at the same place in its stack or name table is shared rather than
+//! copied. Their capacity is held to [`TRACE_RETAINED_ENTRIES`] entries
+//! each: [`Trace::release_excess`] frees the buffers of a larger trace, so
+//! one large upload does not pin its memory in a worker.
 //!
 //! Every header, table and event field is bounds- and range-checked as it
 //! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
@@ -25,9 +34,17 @@ use crate::event::{AccessKind, Event, EventKind, SourceLoc};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
 use crate::sched::Strategy;
 use crate::trace::{
-    lock_mode, tag, unzigzag, Reader, StackNode, Trace, TraceDecodeError, TraceMeta, MAX_TRACE_ID,
+    lock_mode, tag, unzigzag, Reader, StackNode, Trace, TraceDecodeError, MAX_TRACE_ID,
     TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
+
+/// Most entries a reused [`Trace`] keeps room for between decodes, in each
+/// of its event, stack and name buffers (and bytes, in its program name):
+/// about 3 MiB of events. [`Trace::release_excess`] frees the buffers of a
+/// trace past it. A 16 MiB upload can decode to some 5.6 million events; a
+/// worker that kept their buffer would hold a quarter of a gigabyte for as
+/// long as it runs.
+pub const TRACE_RETAINED_ENTRIES: usize = 1 << 16;
 
 /// Fewest bytes one encoded depot entry takes (parent, function, call
 /// line: three varints), for [`Reader::count`].
@@ -37,41 +54,117 @@ const STACK_MIN_BYTES: usize = 3;
 /// tag), for [`Reader::count`].
 const EVENT_MIN_BYTES: usize = 3;
 
-/// The decoder state over one `.grtrace` byte stream: [`BatchDecoder::new`]
-/// consumes and validates the header (magic, version, string table, run
-/// metadata, depot snapshot), then [`BatchDecoder::events`] decodes every
-/// event and rejects bytes left over.
-#[derive(Debug)]
-struct BatchDecoder<'a> {
-    r: Reader<'a>,
-    /// Run metadata decoded from the header.
-    meta: TraceMeta,
-    /// Depot snapshot in first-intern order (entry `i` = `StackId(i+1)`).
-    stacks: Vec<StackNode>,
-    /// The names events decoded so far mention, in first-appearance order
-    /// (entry `i` = `NameId(i)`).
-    names: Vec<Arc<str>>,
-    strings: Vec<Arc<str>>,
-    /// Per string-table entry: the [`NameId`] it decodes to, once an event
-    /// names it.
-    name_ids: Vec<Option<NameId>>,
-    n_stacks: u64,
-    /// Events the header announces, bounded by the input's length.
-    n_events: usize,
-    prev_step: u64,
-}
-
-impl<'a> BatchDecoder<'a> {
-    /// Parses the trace header, tables, and metadata.
+impl Trace {
+    /// Decodes a `.grtrace` byte stream into `self`, replacing what it
+    /// held and reusing its buffers: the one reader of the format.
+    ///
+    /// Where the new trace has the text of the old one's stack node or
+    /// name at the same place, it shares that text rather than copying it
+    /// again. On error `self` holds a partly decoded trace; decode into it
+    /// again before reading it.
     ///
     /// # Errors
     ///
     /// A typed [`TraceDecodeError`] for the first structural problem:
     /// wrong magic, unsupported version, truncation, a malformed varint or
-    /// string, an out-of-range table index, a repeated stack node, or a
-    /// count the input is too short to hold.
-    fn new(bytes: &'a [u8]) -> Result<Self, TraceDecodeError> {
-        let mut r = Reader { bytes, pos: 0 };
+    /// string, an out-of-range table index, id or line, a repeated stack
+    /// node, an unknown tag, a count the input is too short to hold, or
+    /// trailing bytes.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), TraceDecodeError> {
+        self.release_excess();
+        self.events.clear();
+        self.meta.program.clear();
+        let mut d = Decoder {
+            r: Reader::new(bytes),
+            strings: Vec::new(),
+            n_stacks: 0,
+            n_names: 0,
+            prev_step: 0,
+        };
+        let n_events = d.header(self)?;
+        self.events.reserve(n_events);
+        for _ in 0..n_events {
+            let event = d.event(&mut self.names)?;
+            self.events.push(event);
+        }
+        self.names.truncate(d.n_names);
+        if d.r.pos != bytes.len() {
+            return Err(TraceDecodeError::TrailingBytes {
+                extra: bytes.len() - d.r.pos,
+            });
+        }
+        Ok(())
+    }
+
+    /// Frees what a large trace took: when any buffer has room for more
+    /// than [`TRACE_RETAINED_ENTRIES`] entries (or the program name for
+    /// more bytes), the trace becomes an empty one. A trace within the
+    /// bound is left as it is, for the next [`Trace::decode_into`] to
+    /// reuse.
+    pub fn release_excess(&mut self) {
+        let room = [
+            self.events.capacity(),
+            self.stacks.capacity(),
+            self.names.capacity(),
+            self.meta.program.capacity(),
+        ];
+        if room.iter().any(|&n| n > TRACE_RETAINED_ENTRIES) {
+            *self = Trace::default();
+        }
+    }
+}
+
+/// Sets entry `i` of `table`, whose first `i` entries the decode has
+/// written: over what an earlier trace left there, or at the end.
+fn put<T>(table: &mut Vec<T>, i: usize, value: T) {
+    match table.get_mut(i) {
+        Some(slot) => *slot = value,
+        None => table.push(value),
+    }
+}
+
+/// One string-table entry of the trace being decoded.
+struct Entry<'a> {
+    text: &'a str,
+    /// The text as the trace shares it, from its first use by a stack node
+    /// or an event on.
+    shared: Option<Arc<str>>,
+    /// The [`NameId`] the entry decodes to, once an event names it.
+    name: Option<NameId>,
+}
+
+impl Entry<'_> {
+    /// The shared text, made at the first call: `old` when that holds
+    /// the same text, else a new copy.
+    fn shared(&mut self, old: Option<&Arc<str>>) -> Arc<str> {
+        self.shared
+            .get_or_insert_with(|| match old {
+                Some(old) if **old == *self.text => old.clone(),
+                _ => Arc::from(self.text),
+            })
+            .clone()
+    }
+}
+
+/// The decoder state over one `.grtrace` byte stream, beside the [`Trace`]
+/// it fills: [`Decoder::header`] consumes and validates the header (magic,
+/// version, string table, run metadata, depot snapshot), then
+/// [`Decoder::event`] decodes one event at a time.
+struct Decoder<'a> {
+    r: Reader<'a>,
+    strings: Vec<Entry<'a>>,
+    n_stacks: u64,
+    /// Names the events decoded so far mention.
+    n_names: usize,
+    prev_step: u64,
+}
+
+impl<'a> Decoder<'a> {
+    /// Parses the trace header, tables, and metadata into `trace`, and
+    /// returns the number of events the header announces, bounded by the
+    /// input's length.
+    fn header(&mut self, trace: &mut Trace) -> Result<usize, TraceDecodeError> {
+        let r = &mut self.r;
         if r.take(8)? != TRACE_MAGIC {
             return Err(TraceDecodeError::BadMagic);
         }
@@ -84,25 +177,26 @@ impl<'a> BatchDecoder<'a> {
         }
 
         let n_strings = r.uvarint()?;
-        let mut strings: Vec<Arc<str>> = Vec::new();
+        // Each entry takes at least its length byte: a hostile count
+        // reserves no more than the input could hold.
+        let room = r.bytes.len() - r.pos;
+        self.strings.reserve((n_strings as usize).min(room));
         for _ in 0..n_strings {
             let len = r.uvarint()? as usize;
             let raw = r.take(len)?;
-            let s = std::str::from_utf8(raw).map_err(|_| TraceDecodeError::BadUtf8)?;
-            strings.push(Arc::from(s));
+            let text = std::str::from_utf8(raw).map_err(|_| TraceDecodeError::BadUtf8)?;
+            self.strings.push(Entry {
+                text,
+                shared: None,
+                name: None,
+            });
         }
-        let string = |idx: u64| -> Result<&Arc<str>, TraceDecodeError> {
-            strings
-                .get(idx as usize)
-                .ok_or(TraceDecodeError::BadStringIndex {
-                    index: idx,
-                    table_len: strings.len(),
-                })
-        };
 
-        let program = string(r.uvarint()?)?.to_string();
-        let seed = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-        let strategy = match r.byte()? {
+        let program = self.string_idx()?;
+        trace.meta.program.push_str(self.strings[program].text);
+        let r = &mut self.r;
+        trace.meta.seed = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
+        trace.meta.strategy = match r.byte()? {
             0 => Strategy::Random,
             1 => Strategy::Pct {
                 depth: r.u32("PCT depth")?,
@@ -115,32 +209,37 @@ impl<'a> BatchDecoder<'a> {
                 })
             }
         };
-        let steps = r.uvarint()?;
-        let goroutines_spawned = r.uvarint()? as usize;
+        trace.meta.steps = r.uvarint()?;
+        trace.meta.goroutines_spawned = r.uvarint()? as usize;
 
         let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
-        let mut stacks = Vec::with_capacity(n_stacks as usize);
+        self.n_stacks = n_stacks;
+        trace
+            .stacks
+            .reserve((n_stacks as usize).saturating_sub(trace.stacks.len()));
         // (parent, string-table index, call line, id) per node, sorted below
         // to find repeats without hashing any function name's text.
         let mut keys = Vec::with_capacity(n_stacks as usize);
         for i in 0..n_stacks {
-            let parent = r.uvarint()?;
+            let parent = self.r.uvarint()?;
             if parent > i {
                 return Err(TraceDecodeError::BadStackId {
                     id: parent,
                     table_len: n_stacks as usize,
                 });
             }
-            let func_idx = r.uvarint()?;
-            let func = string(func_idx)?;
-            let call_line = r.u32("call line")?;
+            let func_idx = self.string_idx()?;
+            let call_line = self.r.u32("call line")?;
             keys.push(((parent, func_idx, call_line), i + 1));
-            stacks.push(StackNode {
+            let old = trace.stacks.get(i as usize).map(|node| &node.func);
+            let node = StackNode {
                 parent: StackId(parent as u32),
-                func: func.clone(),
+                func: self.strings[func_idx].shared(old),
                 call_line,
-            });
+            };
+            put(&mut trace.stacks, i as usize, node);
         }
+        trace.stacks.truncate(n_stacks as usize);
         keys.sort_unstable();
         let repeat = keys
             .windows(2)
@@ -151,45 +250,7 @@ impl<'a> BatchDecoder<'a> {
             return Err(TraceDecodeError::RepeatedStack { id });
         }
 
-        let n_events = r.count(EVENT_MIN_BYTES)?;
-        Ok(BatchDecoder {
-            r,
-            meta: TraceMeta {
-                program,
-                seed,
-                strategy,
-                steps,
-                goroutines_spawned,
-            },
-            stacks,
-            names: Vec::new(),
-            name_ids: vec![None; strings.len()],
-            strings,
-            n_stacks,
-            n_events,
-            prev_step: 0,
-        })
-    }
-
-    /// Decodes every event the header announced.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`TraceDecodeError`]: truncation mid-event, malformed
-    /// varints, out-of-range string or stack indices, ids past
-    /// [`MAX_TRACE_ID`], lines past `u32`, unknown tags, and trailing bytes
-    /// after the final event.
-    fn events(&mut self) -> Result<Vec<Event>, TraceDecodeError> {
-        let mut events = Vec::with_capacity(self.n_events);
-        for _ in 0..self.n_events {
-            events.push(self.decode_event()?);
-        }
-        if self.r.pos != self.r.bytes.len() {
-            return Err(TraceDecodeError::TrailingBytes {
-                extra: self.r.bytes.len() - self.r.pos,
-            });
-        }
-        Ok(events)
+        self.r.count(EVENT_MIN_BYTES)
     }
 
     /// The next varint as a string-table index.
@@ -206,16 +267,26 @@ impl<'a> BatchDecoder<'a> {
     }
 
     /// The next varint as a name: the string-table entry's [`NameId`],
-    /// assigned at the entry's first use.
-    fn name(&mut self) -> Result<NameId, TraceDecodeError> {
+    /// assigned at the entry's first use, when its text joins `names`.
+    #[inline]
+    fn name(&mut self, names: &mut Vec<Arc<str>>) -> Result<NameId, TraceDecodeError> {
         let i = self.string_idx()?;
-        if let Some(id) = self.name_ids[i] {
-            return Ok(id);
-        }
-        let id = NameId(self.names.len() as u32);
-        self.names.push(self.strings[i].clone());
-        self.name_ids[i] = Some(id);
-        Ok(id)
+        Ok(match self.strings[i].name {
+            Some(id) => id,
+            None => self.first_name(i, names),
+        })
+    }
+
+    /// Numbers string-table entry `i` as the next name.
+    #[inline(never)]
+    fn first_name(&mut self, i: usize, names: &mut Vec<Arc<str>>) -> NameId {
+        let id = self.n_names;
+        let text = self.strings[i].shared(names.get(id));
+        put(names, id, text);
+        self.n_names += 1;
+        let name = NameId(id as u32);
+        self.strings[i].name = Some(name);
+        name
     }
 
     /// The next varint as a goroutine or object id, which a detector uses
@@ -230,8 +301,10 @@ impl<'a> BatchDecoder<'a> {
         }
     }
 
-    /// Decodes one event, fields in [`Trace::encode`]'s order.
-    fn decode_event(&mut self) -> Result<Event, TraceDecodeError> {
+    /// Decodes one event, fields in [`Trace::encode`]'s order, adding the
+    /// names it mentions first to `names`.
+    #[inline]
+    fn event(&mut self, names: &mut Vec<Arc<str>>) -> Result<Event, TraceDecodeError> {
         self.prev_step = self.prev_step.wrapping_add(self.r.uvarint()?);
         let gid = Gid(self.id()? as u32);
         let kind = match self.r.byte()? {
@@ -239,13 +312,13 @@ impl<'a> BatchDecoder<'a> {
                 let child = Gid(self.id()? as u32);
                 EventKind::Spawn {
                     child,
-                    name: self.name()?,
+                    name: self.name(names)?,
                 }
             }
             tag::GOROUTINE_END => EventKind::GoroutineEnd,
             tag::ACCESS => {
                 let addr = Addr(self.id()?);
-                let object = self.name()?;
+                let object = self.name(names)?;
                 let kind = match self.r.byte()? {
                     0 => AccessKind::Read,
                     1 => AccessKind::Write,
@@ -265,7 +338,7 @@ impl<'a> BatchDecoder<'a> {
                         table_len: self.n_stacks as usize,
                     });
                 }
-                let file = self.name()?;
+                let file = self.name(names)?;
                 EventKind::Access {
                     addr,
                     object,
@@ -342,7 +415,7 @@ pub struct DecodedTrace {
     /// The events in batches of [`DecodedTrace::chunk_capacity`], rounded
     /// up (0 for an empty trace). The decoder fills one buffer; this and
     /// `chunk_capacity` are kept for `benchmark/`'s
-    /// `runtime.batch_fill_rate` until ROADMAP item 13 retires it.
+    /// `runtime.batch_fill_rate` until ROADMAP item 1 retires it.
     pub chunks: u64,
     /// Events per batch: 4,096.
     pub chunk_capacity: usize,
@@ -357,27 +430,17 @@ impl Deref for DecodedTrace {
 }
 
 impl DecodedTrace {
-    /// Decodes `bytes` in one pass.
+    /// Decodes `bytes` in one pass: [`Trace::decode`].
     ///
     /// # Errors
     ///
-    /// A typed [`TraceDecodeError`] for the first structural problem:
-    /// wrong magic, unsupported version, truncation, a malformed varint or
-    /// string, an out-of-range table index, id or line, a repeated stack
-    /// node, an unknown tag, a count the input is too short to hold, or
-    /// trailing bytes.
+    /// As [`Trace::decode_into`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, TraceDecodeError> {
-        let mut d = BatchDecoder::new(bytes)?;
-        let events = d.events()?;
+        let trace = Trace::decode(bytes)?;
         Ok(DecodedTrace {
-            chunks: events.len().div_ceil(BATCH_EVENTS) as u64,
+            chunks: trace.events.len().div_ceil(BATCH_EVENTS) as u64,
             chunk_capacity: BATCH_EVENTS,
-            trace: Trace {
-                meta: d.meta,
-                stacks: d.stacks,
-                names: d.names,
-                events,
-            },
+            trace,
         })
     }
 

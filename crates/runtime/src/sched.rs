@@ -1,6 +1,6 @@
 //! Scheduling policies and the per-run schedule digest.
 //!
-//! The kernel asks the run's [`Policy`] which runnable goroutine runs next
+//! The kernel asks the run's `Policy` which runnable goroutine runs next
 //! at every preemption point. Because only one goroutine runs at a time and
 //! all randomness flows through the seeded RNG held by the kernel, a
 //! `(seed, strategy)` pair fully determines the interleaving. The kernel

@@ -33,7 +33,6 @@ use std::sync::Arc;
 
 use grs_obs::Fnv1a;
 
-use crate::batch::DecodedTrace;
 use crate::depot::{NameId, StackDepot, StackId};
 use crate::event::{AccessKind, Event, EventKind, LockMode};
 use crate::monitor::Monitor;
@@ -83,7 +82,7 @@ pub(crate) mod tag {
 }
 
 /// Metadata identifying the run a [`Trace`] was recorded from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Name of the executed program.
     pub program: String,
@@ -126,7 +125,7 @@ pub struct StackNode {
 /// let back = Trace::decode(&bytes).unwrap();
 /// assert_eq!(back, trace);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Which run this is a recording of.
     pub meta: TraceMeta,
@@ -321,17 +320,17 @@ impl Trace {
         out
     }
 
-    /// Decodes a `.grtrace` byte stream: [`DecodedTrace::decode`], the one
-    /// reader of the format, with every event materialized.
+    /// Decodes a `.grtrace` byte stream into a fresh trace:
+    /// [`Trace::decode_into`], the one reader of the format.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceDecodeError`] describing the first structural
-    /// problem found: wrong magic, unsupported format version, truncation,
-    /// malformed varints/UTF-8, out-of-range table indices, unknown tags,
-    /// or trailing bytes.
+    /// As [`Trace::decode_into`]: a [`TraceDecodeError`] describing the
+    /// first structural problem found.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        Ok(DecodedTrace::decode(bytes)?.trace)
+        let mut trace = Trace::default();
+        trace.decode_into(bytes)?;
+        Ok(trace)
     }
 
     /// Encodes and writes the trace to a `.grtrace` file.
@@ -516,6 +515,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`TraceDecodeError::Truncated`] when fewer than `n` remain — for any
     /// `n`, including lengths decoded from hostile input.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], TraceDecodeError> {
         let end = self.pos.checked_add(n).ok_or(TraceDecodeError::Truncated)?;
         if end > self.bytes.len() {
@@ -531,8 +531,14 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`TraceDecodeError::Truncated`] at end of input.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, TraceDecodeError> {
-        Ok(self.take(1)?[0])
+        let b = *self
+            .bytes
+            .get(self.pos)
+            .ok_or(TraceDecodeError::Truncated)?;
+        self.pos += 1;
+        Ok(b)
     }
 
     /// A count prefix: the next LEB128 `u64`, announcing that many
@@ -545,6 +551,7 @@ impl<'a> Reader<'a> {
     ///
     /// As [`Reader::uvarint`], plus [`TraceDecodeError::Truncated`] when
     /// the remaining input is too short for that many entries.
+    #[inline]
     pub fn count(&mut self, min_entry_bytes: usize) -> Result<usize, TraceDecodeError> {
         let n = self.uvarint()?;
         let room = (self.bytes.len() - self.pos) / min_entry_bytes.max(1);
@@ -561,7 +568,22 @@ impl<'a> Reader<'a> {
     /// [`TraceDecodeError::Truncated`] when input ends mid-varint;
     /// [`TraceDecodeError::MalformedVarint`] when a tenth byte continues
     /// or carries bits past the 64th.
+    #[inline]
     pub fn uvarint(&mut self) -> Result<u64, TraceDecodeError> {
+        // Most varints of a trace — ids, step deltas, string indices — are
+        // one byte; only longer ones pay for the loop's call.
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.uvarint_multibyte()
+    }
+
+    /// [`Reader::uvarint`] past its one-byte case.
+    #[inline(never)]
+    fn uvarint_multibyte(&mut self) -> Result<u64, TraceDecodeError> {
         let mut value = 0u64;
         for shift in (0..63).step_by(7) {
             let b = self.byte()?;
@@ -583,6 +605,7 @@ impl<'a> Reader<'a> {
     ///
     /// As [`Reader::uvarint`], plus [`TraceDecodeError::ValueOutOfRange`]
     /// when the value does not fit in a `u32`.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, TraceDecodeError> {
         let value = self.uvarint()?;
         u32::try_from(value).map_err(|_| TraceDecodeError::ValueOutOfRange { what, value })

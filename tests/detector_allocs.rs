@@ -11,35 +11,40 @@
 //! the records and the dedup stage. Replay rows count the detector alone —
 //! run start, every event, run end, taking the reports; not decoding or the
 //! depot rebuild — and decode rows count `DecodedTrace::decode` of the
-//! encoded trace, per trace of three families: the short pattern traces
-//! above, the first 256 generated Go tests (corpus seed 1, run seed 1), and
-//! `grs::dense_unit` at seeds `0..8`. Every row is measured on its second
-//! pass, so it is the cost of a run in a warm process:
+//! encoded trace, or `Trace::decode_into` of it into one `Trace` kept across
+//! the family, as an intake worker keeps one, per trace of three families:
+//! the short pattern traces above, the first 256 generated Go tests (corpus
+//! seed 1, run seed 1), and `grs::dense_unit` at seeds `0..8`. Every row is
+//! measured on its second pass, so it is the cost of a run in a warm
+//! process:
 //!
-//! | row                               | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | this tree | ceiling |
-//! |-----------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`           |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |    12.7 |
-//! | live run, FastTrack               |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |    20.3 |
-//! | live run, pure-VC                 |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |    21.4 |
-//! | live run, Eraser                  |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |    20.3 |
-//! | live run, hybrid                  |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |    20.5 |
-//! | live run, all four at once        |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |    29.4 |
-//! | campaign execution, all four      |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |    22.5 |
-//! | replay, short trace, FastTrack    |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, pure-VC      |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
-//! | replay, short trace, Eraser       |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid       |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
-//! | replay, corpus trace, FastTrack   |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, corpus trace, pure-VC     |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
-//! | replay, corpus trace, Eraser      |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid      |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
-//! | replay, dense trace, FastTrack    |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, dense trace, pure-VC      |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
-//! | replay, dense trace, Eraser       |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid       |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | decode, short trace               |           |           |           |           |           |      17.7 |      16.7 |      16.7 |    18.7 |
-//! | decode, corpus trace              |           |           |           |           |           |      26.1 |      25.2 |      25.2 |    28.2 |
-//! | decode, dense trace               |           |           |           |           |           |      26.0 |      25.0 |      25.0 |    28.0 |
+//! | row                                    | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | this tree | ceiling |
+//! |----------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`                |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |    12.7 |
+//! | live run, FastTrack                    |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |    20.3 |
+//! | live run, pure-VC                      |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |    21.4 |
+//! | live run, Eraser                       |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |    20.3 |
+//! | live run, hybrid                       |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |    20.5 |
+//! | live run, all four at once             |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |    29.4 |
+//! | campaign execution, all four           |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |    22.5 |
+//! | replay, short trace, FastTrack         |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, pure-VC           |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |     3.7 |
+//! | replay, short trace, Eraser            |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid            |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |     2.8 |
+//! | replay, corpus trace, FastTrack        |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, corpus trace, pure-VC          |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |    15.5 |
+//! | replay, corpus trace, Eraser           |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid           |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |     4.0 |
+//! | replay, dense trace, FastTrack         |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, dense trace, pure-VC           |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |    10.0 |
+//! | replay, dense trace, Eraser            |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid            |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | decode, short trace                    |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |    15.0 |
+//! | decode, corpus trace                   |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |    23.4 |
+//! | decode, dense trace                    |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |    23.5 |
+//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       2.7 |     3.1 |
+//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      11.4 |    12.8 |
+//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |       2.0 |    2.24 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -96,6 +101,18 @@
 //! fell by 3.6, in release and debug alike (14.95 → 11.34 under
 //! `NullMonitor` in release); no replay or decode row moved by as much as
 //! 0.01, and the moved ceilings followed them down.
+//!
+//! At `affcdc4` the one reader decoded into a new `Trace` every time, and
+//! grew its string table and kept a table of name ids beside it. This tree
+//! refills a kept `Trace`: a reused decode allocates the string table's
+//! scratch (one `Vec`), the stack-repeat check's keys (one `Vec`, when the
+//! trace has stacks), and one shared text for each string whose text the
+//! last trace did not have at the same place in its stack or name table —
+//! none for the dense unit's seeds, which share their tables, and some nine
+//! for the corpus tests, which differ. A fresh decode fell too, by the
+//! table of name ids and the string table's growth: it sizes that table
+//! from its count, held to the input's length. No other row moved by as
+//! much as 0.01, in release or debug.
 //!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
@@ -306,20 +323,46 @@ fn decode_mean(traces: &[Trace]) -> f64 {
     })
 }
 
+/// Mean allocations per trace of [`Trace::decode_into`] over the encoded
+/// `traces`, all decoded in turn into one kept `Trace`, as an intake worker
+/// decodes its uploads.
+fn decode_into_mean(traces: &[Trace]) -> f64 {
+    let encoded: Vec<Vec<u8>> = traces.iter().map(Trace::encode).collect();
+    let mut kept = Trace::default();
+    mean_warm(&encoded, |bytes| {
+        allocations_in(|| kept.decode_into(bytes).expect("a recording decodes")).0
+    })
+}
+
 #[test]
 fn replays_stay_under_their_allocation_ceilings() {
     let families = [
-        ("short", pattern_runs(), 18.7, [2.6, 3.7, 2.6, 2.8]),
-        ("corpus", corpus_runs(), 28.2, [4.0, 15.5, 1.12, 4.0]),
-        ("dense", dense_runs(), 28.0, [1.12, 10.0, 3.36, 1.12]),
+        ("short", pattern_runs(), [15.0, 3.1], [2.6, 3.7, 2.6, 2.8]),
+        (
+            "corpus",
+            corpus_runs(),
+            [23.4, 12.8],
+            [4.0, 15.5, 1.12, 4.0],
+        ),
+        (
+            "dense",
+            dense_runs(),
+            [23.5, 2.24],
+            [1.12, 10.0, 3.36, 1.12],
+        ),
     ];
     let mut rows = Vec::new();
-    for (family, runs, decode_ceiling, ceilings) in &families {
+    for (family, runs, [decode_ceiling, decode_into_ceiling], ceilings) in &families {
         let traces: Vec<Trace> = runs.iter().map(|(p, cfg)| record(p, cfg).1).collect();
         rows.push((
             format!("decode {family}"),
             decode_mean(&traces),
             *decode_ceiling,
+        ));
+        rows.push((
+            format!("decode into a reused Trace, {family}"),
+            decode_into_mean(&traces),
+            *decode_into_ceiling,
         ));
         let means = replay_means(&traces);
         let choices = DetectorChoice::all_with_ablation();
