@@ -163,35 +163,24 @@ pub struct IntakeStats {
 }
 
 struct Ticket {
-    state: Mutex<TicketState>,
+    state: Mutex<Option<Result<IntakeSummary, IntakeError>>>,
     done: Condvar,
-}
-
-#[derive(Default)]
-struct TicketState {
-    result: Option<Result<IntakeSummary, IntakeError>>,
-    /// The uploader sleeps on `done`: a notify with nobody asleep is
-    /// still a system call, paid per frame.
-    waiting: bool,
 }
 
 impl Ticket {
     fn new() -> Arc<Ticket> {
         Arc::new(Ticket {
-            state: Mutex::new(TicketState::default()),
+            state: Mutex::new(None),
             done: Condvar::new(),
         })
     }
 
     fn complete(&self, result: Result<IntakeSummary, IntakeError>) {
-        let waiting = {
-            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.result = Some(result);
-            state.waiting
-        };
-        if waiting {
-            self.done.notify_all();
-        }
+        *self
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(result);
+        self.done.notify_all();
     }
 }
 
@@ -222,10 +211,9 @@ impl IntakeTicket {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(result) = state.result.take() {
+            if let Some(result) = state.take() {
                 return result;
             }
-            state.waiting = true;
             state = self
                 .ticket
                 .done
@@ -245,9 +233,6 @@ struct Job {
 struct QueueState {
     jobs: VecDeque<Job>,
     open: bool,
-    /// Workers asleep on `queue_nonempty`; an enqueue notifies only when
-    /// one is.
-    sleeping: usize,
 }
 
 struct Core {
@@ -361,7 +346,7 @@ impl ServiceInner {
 
     fn enqueue(&self, trace: Vec<u8>, day: u32) -> Result<IntakeTicket, IntakeError> {
         let ticket = Ticket::new();
-        let wake = {
+        {
             let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             if !queue.open {
                 return Err(IntakeError::ShutDown);
@@ -382,11 +367,8 @@ impl ServiceInner {
             let depth = queue.jobs.len();
             self.queue_peak.fetch_max(depth, Ordering::Relaxed);
             self.obs(|s| s.gauge_max("intake.queue.peak", depth as u64));
-            queue.sleeping > 0
-        };
-        if wake {
-            self.queue_nonempty.notify_one();
         }
+        self.queue_nonempty.notify_one();
         Ok(IntakeTicket { ticket })
     }
 
@@ -406,12 +388,10 @@ impl ServiceInner {
                     if !queue.open {
                         return;
                     }
-                    queue.sleeping += 1;
                     queue = self
                         .queue_nonempty
                         .wait(queue)
                         .unwrap_or_else(PoisonError::into_inner);
-                    queue.sleeping -= 1;
                 }
             };
             let result = self.process_trace(&job.trace, job.day, &mut worker);
@@ -543,7 +523,6 @@ impl IntakeServiceBuilder {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 open: true,
-                sleeping: 0,
             }),
             queue_nonempty: Condvar::new(),
             queue_depth: self.queue_depth,
@@ -1181,85 +1160,6 @@ mod tests {
             handle.submit_trace(vec![], 0).unwrap_err(),
             IntakeError::ShutDown
         );
-    }
-
-    /// Polls `done` until it holds, for at most ten seconds.
-    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while !done() {
-            assert!(Instant::now() < deadline, "timed out waiting until {what}");
-            thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    type Uploader = (
-        std::sync::mpsc::Receiver<Result<IntakeSummary, IntakeError>>,
-        thread::JoinHandle<()>,
-    );
-
-    /// An uploader waiting on `ticket` on a thread of its own.
-    fn uploader(ticket: IntakeTicket) -> Uploader {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = thread::spawn(move || tx.send(ticket.wait()).expect("the test listens"));
-        (rx, waiter)
-    }
-
-    /// What the uploader's wait returned, failing the test after ten seconds
-    /// rather than hanging it when no wake-up comes.
-    fn woken((rx, waiter): Uploader) -> Result<IntakeSummary, IntakeError> {
-        let result = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("the ticket completes and wakes its uploader");
-        waiter.join().expect("the uploader returns");
-        result
-    }
-
-    /// An enqueue notifies only when a worker sleeps, so the workers' count
-    /// of sleepers is what wakes them: an upload after every worker fell
-    /// asleep, twice over, is still served.
-    #[test]
-    fn workers_that_went_idle_still_take_an_enqueued_upload() {
-        let service = IntakeService::builder().workers(2).start().unwrap();
-        let sleeping = || {
-            service
-                .inner
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .sleeping
-        };
-        for seed in [3, 5] {
-            wait_until("both workers sleep", || sleeping() == 2);
-            let ticket = service.enqueue_trace(racy_trace(seed), 0).unwrap();
-            assert_eq!(woken(uploader(ticket)).unwrap().races, 1, "seed {seed}");
-        }
-        assert_eq!(service.stats().traces, 2);
-    }
-
-    /// A completion notifies only when the uploader sleeps on its ticket:
-    /// one that went to sleep before the worker finished is still woken.
-    #[test]
-    fn an_uploader_asleep_on_its_ticket_is_woken() {
-        let service = IntakeService::builder().workers(1).start().unwrap();
-        // Holding the core lock stops the worker at filing the upload's
-        // race until the uploader is asleep.
-        let core = service
-            .inner
-            .core
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let ticket = service.enqueue_trace(racy_trace(3), 0).unwrap();
-        let state = ticket.ticket.clone();
-        let asleep = uploader(ticket);
-        wait_until("the uploader sleeps", || {
-            state
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .waiting
-        });
-        drop(core);
-        assert_eq!(woken(asleep).unwrap().filed.len(), 1);
     }
 
     #[test]

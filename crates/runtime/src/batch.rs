@@ -12,11 +12,10 @@
 //!
 //! A caller that decodes many traces (an intake worker) keeps one
 //! [`Trace`] and decodes each into it: the event, stack and name buffers
-//! are refilled rather than allocated again, and a text the last trace had
-//! at the same place in its stack or name table is shared rather than
-//! copied. Their capacity is held to [`TRACE_RETAINED_ENTRIES`] entries
-//! each: [`Trace::release_excess`] frees the buffers of a larger trace, so
-//! one large upload does not pin its memory in a worker.
+//! are cleared and refilled rather than allocated again. Their capacity is
+//! held to [`TRACE_RETAINED_ENTRIES`] entries each by calling
+//! [`Trace::release_excess`] between traces, which frees the buffers of a
+//! larger trace, so one large upload does not pin its memory in a worker.
 //!
 //! Every header, table and event field is bounds- and range-checked as it
 //! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
@@ -58,10 +57,8 @@ impl Trace {
     /// Decodes a `.grtrace` byte stream into `self`, replacing what it
     /// held and reusing its buffers: the one reader of the format.
     ///
-    /// Where the new trace has the text of the old one's stack node or
-    /// name at the same place, it shares that text rather than copying it
-    /// again. On error `self` holds a partly decoded trace; decode into it
-    /// again before reading it.
+    /// On error `self` holds a partly decoded trace; decode into it again
+    /// before reading it.
     ///
     /// # Errors
     ///
@@ -71,14 +68,14 @@ impl Trace {
     /// node, an unknown tag, a count the input is too short to hold, or
     /// trailing bytes.
     pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), TraceDecodeError> {
-        self.release_excess();
         self.events.clear();
+        self.stacks.clear();
+        self.names.clear();
         self.meta.program.clear();
         let mut d = Decoder {
             r: Reader::new(bytes),
             strings: Vec::new(),
             n_stacks: 0,
-            n_names: 0,
             prev_step: 0,
         };
         let n_events = d.header(self)?;
@@ -87,7 +84,6 @@ impl Trace {
             let event = d.event(&mut self.names)?;
             self.events.push(event);
         }
-        self.names.truncate(d.n_names);
         if d.r.pos != bytes.len() {
             return Err(TraceDecodeError::TrailingBytes {
                 extra: bytes.len() - d.r.pos,
@@ -114,35 +110,20 @@ impl Trace {
     }
 }
 
-/// Sets entry `i` of `table`, whose first `i` entries the decode has
-/// written: over what an earlier trace left there, or at the end.
-fn put<T>(table: &mut Vec<T>, i: usize, value: T) {
-    match table.get_mut(i) {
-        Some(slot) => *slot = value,
-        None => table.push(value),
-    }
-}
-
 /// One string-table entry of the trace being decoded.
 struct Entry<'a> {
     text: &'a str,
-    /// The text as the trace shares it, from its first use by a stack node
-    /// or an event on.
-    shared: Option<Arc<str>>,
+    /// The text as the trace holds it, copied at its first use by a stack
+    /// node or an event.
+    arc: Option<Arc<str>>,
     /// The [`NameId`] the entry decodes to, once an event names it.
     name: Option<NameId>,
 }
 
 impl Entry<'_> {
-    /// The shared text, made at the first call: `old` when that holds
-    /// the same text, else a new copy.
-    fn shared(&mut self, old: Option<&Arc<str>>) -> Arc<str> {
-        self.shared
-            .get_or_insert_with(|| match old {
-                Some(old) if **old == *self.text => old.clone(),
-                _ => Arc::from(self.text),
-            })
-            .clone()
+    /// The text as the trace holds it, copied at the first call.
+    fn arc(&mut self) -> Arc<str> {
+        self.arc.get_or_insert_with(|| Arc::from(self.text)).clone()
     }
 }
 
@@ -154,8 +135,6 @@ struct Decoder<'a> {
     r: Reader<'a>,
     strings: Vec<Entry<'a>>,
     n_stacks: u64,
-    /// Names the events decoded so far mention.
-    n_names: usize,
     prev_step: u64,
 }
 
@@ -187,7 +166,7 @@ impl<'a> Decoder<'a> {
             let text = std::str::from_utf8(raw).map_err(|_| TraceDecodeError::BadUtf8)?;
             self.strings.push(Entry {
                 text,
-                shared: None,
+                arc: None,
                 name: None,
             });
         }
@@ -214,9 +193,7 @@ impl<'a> Decoder<'a> {
 
         let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
         self.n_stacks = n_stacks;
-        trace
-            .stacks
-            .reserve((n_stacks as usize).saturating_sub(trace.stacks.len()));
+        trace.stacks.reserve(n_stacks as usize);
         // (parent, string-table index, call line, id) per node, sorted below
         // to find repeats without hashing any function name's text.
         let mut keys = Vec::with_capacity(n_stacks as usize);
@@ -231,15 +208,12 @@ impl<'a> Decoder<'a> {
             let func_idx = self.string_idx()?;
             let call_line = self.r.u32("call line")?;
             keys.push(((parent, func_idx, call_line), i + 1));
-            let old = trace.stacks.get(i as usize).map(|node| &node.func);
-            let node = StackNode {
+            trace.stacks.push(StackNode {
                 parent: StackId(parent as u32),
-                func: self.strings[func_idx].shared(old),
+                func: self.strings[func_idx].arc(),
                 call_line,
-            };
-            put(&mut trace.stacks, i as usize, node);
+            });
         }
-        trace.stacks.truncate(n_stacks as usize);
         keys.sort_unstable();
         let repeat = keys
             .windows(2)
@@ -280,11 +254,8 @@ impl<'a> Decoder<'a> {
     /// Numbers string-table entry `i` as the next name.
     #[inline(never)]
     fn first_name(&mut self, i: usize, names: &mut Vec<Arc<str>>) -> NameId {
-        let id = self.n_names;
-        let text = self.strings[i].shared(names.get(id));
-        put(names, id, text);
-        self.n_names += 1;
-        let name = NameId(id as u32);
+        let name = NameId(names.len() as u32);
+        names.push(self.strings[i].arc());
         self.strings[i].name = Some(name);
         name
     }

@@ -15,23 +15,18 @@
 //!   allows, a line never wraps into another line, and a stack table that
 //!   could not rebuild into a depot is a typed error, not a replay-time
 //!   panic;
-//! * **reuse**: one [`Trace`] decoded into over and over — the golden,
-//!   corpus and dense traces, and every truncation and bit flip above —
-//!   holds exactly what a fresh decode yields, fails exactly as one does,
-//!   and keeps no more buffer than [`TRACE_RETAINED_ENTRIES`] allows.
+//! * **reuse**: a [`Trace`] that holds the golden trace, decoded into
+//!   from every truncation and bit flip above, fails exactly as a fresh
+//!   decode does and then decodes the golden trace correctly (the corpus
+//!   and dense traces, and the retention bound, are
+//!   `tests/trace_reuse.rs` at the workspace root).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::sync::Arc;
-
-use grs::corpus::GoTestSpec;
-use grs::fleet::{GoCorpusSource, UnitSource};
-use grs_runtime::event::EventKind;
 use grs_runtime::{
-    put_uvarint, record, AccessKind, Addr, DecodedTrace, Event, Gid, NameId, Program, RunConfig,
-    SourceLoc, StackDepot, StackId, StackNode, Trace, TraceDecodeError, MAX_TRACE_ID,
-    TRACE_FORMAT_VERSION, TRACE_MAGIC, TRACE_RETAINED_ENTRIES,
+    put_uvarint, record, DecodedTrace, Program, RunConfig, StackDepot, Trace, TraceDecodeError,
+    MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// A random program shape exercising every event tag: goroutines, plain
@@ -331,39 +326,11 @@ fn values_past_32_bits_are_typed_errors_not_wrapped() {
 
 const GOLDEN: &[u8] = include_bytes!("../../../tests/data/listing1_seed3.grtrace");
 
-/// The dense unit recorded at `seed`: some 4,000 events.
-fn dense_trace(seed: u64) -> Trace {
-    record(&grs::dense_unit().program, &RunConfig::with_seed(seed)).1
-}
-
 /// Decodes `bytes` into `kept` and checks it against a fresh decode: the
 /// same `Result`, and on success the same trace.
 fn decode_into_matches_fresh(kept: &mut Trace, bytes: &[u8], label: &str) {
     let reused = kept.decode_into(bytes).map(|()| kept.clone());
     assert_eq!(reused, Trace::decode(bytes), "{label}");
-}
-
-/// One `Trace` decoded into in turn from the golden Listing-1 trace, the
-/// first 256 generated Go tests (corpus seed 1, run seed 1) and the dense
-/// unit — larger, smaller, then larger again — holds after each decode
-/// exactly what a fresh decode of the same bytes yields: nothing of the
-/// trace before leaks through the reused buffers.
-#[test]
-fn a_reused_trace_decodes_like_a_fresh_one() {
-    let corpus = GoCorpusSource::new(GoTestSpec::default_mix(), 1, 256);
-    let mut inputs = vec![("golden".to_string(), GOLDEN.to_vec())];
-    inputs.push(("dense 0".to_string(), dense_trace(0).encode()));
-    for i in 0..corpus.len() {
-        let unit = corpus.build(i).expect("generated tests lower");
-        let (_, trace) = record(&unit.program, &RunConfig::with_seed(1));
-        inputs.push((format!("corpus {i}"), trace.encode()));
-    }
-    inputs.push(("dense 1".to_string(), dense_trace(1).encode()));
-    inputs.push(("golden again".to_string(), GOLDEN.to_vec()));
-    let mut kept = Trace::default();
-    for (label, bytes) in &inputs {
-        decode_into_matches_fresh(&mut kept, bytes, label);
-    }
 }
 
 /// Every truncation and bit flip of `truncation_at_every_length_is_a_typed_error`
@@ -392,91 +359,4 @@ fn a_reused_trace_fails_and_recovers_like_a_fresh_one() {
         kept.decode_into(GOLDEN).expect("the golden trace decodes");
         assert_eq!(kept, golden, "{label}: after");
     }
-}
-
-/// A trace past [`TRACE_RETAINED_ENTRIES`] in every table: that many plus
-/// one stack nodes, names and events, and a program name as many bytes
-/// long. Event `i` writes name `i`, so names number as they were built.
-fn oversized_trace() -> Trace {
-    let n = TRACE_RETAINED_ENTRIES + 1;
-    let mut trace = Trace {
-        stacks: (0..n)
-            .map(|i| StackNode {
-                parent: StackId::EMPTY,
-                func: Arc::from("f"),
-                call_line: i as u32,
-            })
-            .collect(),
-        names: (0..n).map(|i| Arc::from(format!("v{i}"))).collect(),
-        events: (0..n)
-            .map(|i| Event {
-                step: i as u64,
-                gid: Gid(0),
-                kind: EventKind::Access {
-                    addr: Addr(1),
-                    object: NameId(i as u32),
-                    kind: AccessKind::Write,
-                    stack: StackId(1),
-                    loc: SourceLoc {
-                        file: NameId(0),
-                        line: 1,
-                    },
-                },
-            })
-            .collect(),
-        ..Trace::default()
-    };
-    trace.meta.program = "p".repeat(n);
-    trace
-}
-
-/// The capacity a `Trace` keeps, per buffer: events, stacks, names and the
-/// program name's bytes.
-fn capacities(trace: &Trace) -> [usize; 4] {
-    [
-        trace.events.capacity(),
-        trace.stacks.capacity(),
-        trace.names.capacity(),
-        trace.meta.program.capacity(),
-    ]
-}
-
-/// After a dense trace, then one past [`TRACE_RETAINED_ENTRIES`] in every
-/// table, then a short one, the reused `Trace` keeps at most that many
-/// entries of room in each buffer — and [`Trace::release_excess`], which an
-/// intake worker calls after each upload, gives back the room of the
-/// oversized trace at once and keeps the short one as it is.
-#[test]
-fn a_reused_trace_keeps_bounded_buffers_after_an_oversized_one() {
-    let oversized = oversized_trace().encode();
-    let mut kept = Trace::default();
-    for (label, bytes) in [
-        ("dense", dense_trace(0).encode()),
-        ("oversized", oversized.clone()),
-        ("short", small_trace_bytes()),
-    ] {
-        decode_into_matches_fresh(&mut kept, &bytes, label);
-    }
-    let within_bound = |trace: &Trace| {
-        capacities(trace)
-            .iter()
-            .all(|&c| c <= TRACE_RETAINED_ENTRIES)
-    };
-    assert!(within_bound(&kept), "{:?}", capacities(&kept));
-    let short = kept.clone();
-    kept.release_excess();
-    assert_eq!(kept, short, "a trace within the bound is kept");
-
-    kept.decode_into(&oversized)
-        .expect("the oversized trace decodes");
-    assert!(
-        capacities(&kept)
-            .iter()
-            .all(|&c| c > TRACE_RETAINED_ENTRIES),
-        "{:?}",
-        capacities(&kept)
-    );
-    kept.release_excess();
-    assert_eq!(kept, Trace::default());
-    assert!(within_bound(&kept), "{:?}", capacities(&kept));
 }

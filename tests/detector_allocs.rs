@@ -42,9 +42,9 @@
 //! | decode, short trace                    |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |    15.0 |
 //! | decode, corpus trace                   |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |    23.4 |
 //! | decode, dense trace                    |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |    23.5 |
-//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       2.7 |     3.1 |
-//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      11.4 |    12.8 |
-//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |       2.0 |    2.24 |
+//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       9.1 |    10.2 |
+//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      15.1 |    16.9 |
+//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |      15.0 |    16.8 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -106,13 +106,12 @@
 //! grew its string table and kept a table of name ids beside it. This tree
 //! refills a kept `Trace`: a reused decode allocates the string table's
 //! scratch (one `Vec`), the stack-repeat check's keys (one `Vec`, when the
-//! trace has stacks), and one shared text for each string whose text the
-//! last trace did not have at the same place in its stack or name table —
-//! none for the dense unit's seeds, which share their tables, and some nine
-//! for the corpus tests, which differ. A fresh decode fell too, by the
-//! table of name ids and the string table's growth: it sizes that table
-//! from its count, held to the input's length. No other row moved by as
-//! much as 0.01, in release or debug.
+//! trace has stacks), and one text (an `Arc<str>`) for each string a stack
+//! node or an event uses; it no longer allocates the event, stack and name
+//! buffers or the program name, nor grows them. A fresh decode fell too,
+//! by the table of name ids and the string table's growth: it sizes that
+//! table from its count, held to the input's length. No other row moved by
+//! as much as 0.01, in release or debug.
 //!
 //! The ceilings sit about 12 % above what was reached — tight enough that a
 //! report built for a repeated race, or a per-run container dropped by
@@ -337,17 +336,17 @@ fn decode_into_mean(traces: &[Trace]) -> f64 {
 #[test]
 fn replays_stay_under_their_allocation_ceilings() {
     let families = [
-        ("short", pattern_runs(), [15.0, 3.1], [2.6, 3.7, 2.6, 2.8]),
+        ("short", pattern_runs(), [15.0, 10.2], [2.6, 3.7, 2.6, 2.8]),
         (
             "corpus",
             corpus_runs(),
-            [23.4, 12.8],
+            [23.4, 16.9],
             [4.0, 15.5, 1.12, 4.0],
         ),
         (
             "dense",
             dense_runs(),
-            [23.5, 2.24],
+            [23.5, 16.8],
             [1.12, 10.0, 3.36, 1.12],
         ),
     ];
