@@ -146,8 +146,9 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The smoke defaults — the entry point of the builder API, which is
-    /// the **stable** way to construct a config:
+    /// A small campaign — 8 seeds, random walks, hybrid detector — and the
+    /// entry point of the builder API, which is the **stable** way to
+    /// construct a config:
     ///
     /// ```
     /// use grs_fleet::CampaignConfig;
@@ -161,12 +162,6 @@ impl CampaignConfig {
     /// construction may break when fields are added.
     #[must_use]
     pub fn new() -> Self {
-        Self::smoke()
-    }
-
-    /// A small smoke campaign: 8 seeds, random walks, hybrid detector.
-    #[must_use]
-    pub fn smoke() -> Self {
         CampaignConfig {
             seeds_per_unit: 8,
             base_seed: 1,
@@ -185,7 +180,7 @@ impl CampaignConfig {
         CampaignConfig {
             seeds_per_unit: 32,
             strategies: vec![Strategy::Random, Strategy::Pct { depth: 2 }],
-            ..CampaignConfig::smoke()
+            ..CampaignConfig::new()
         }
     }
 
@@ -248,7 +243,7 @@ impl CampaignConfig {
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        Self::smoke()
+        Self::new()
     }
 }
 

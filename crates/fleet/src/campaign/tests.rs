@@ -14,7 +14,7 @@ fn tiny_units() -> Vec<CampaignUnit> {
 #[test]
 fn matrix_enumeration_is_dense_and_ordered() {
     let c = Campaign::over_units(
-        CampaignConfig::smoke().seeds_per_unit(3),
+        CampaignConfig::new().seeds_per_unit(3),
         tiny_units(),
     );
     let specs = c.specs();
@@ -29,7 +29,7 @@ fn matrix_enumeration_is_dense_and_ordered() {
 #[test]
 fn racy_units_detected_fixed_units_clean() {
     let c = Campaign::over_units(
-        CampaignConfig::smoke().seeds_per_unit(12),
+        CampaignConfig::new().seeds_per_unit(12),
         tiny_units(),
     );
     let r = c.run();
@@ -54,7 +54,7 @@ fn racy_units_detected_fixed_units_clean() {
 #[test]
 fn corpus_suite_compiles_and_campaigns() {
     let c = Campaign::over_units(
-        CampaignConfig::smoke().seeds_per_unit(6),
+        CampaignConfig::new().seeds_per_unit(6),
         corpus_suite(),
     );
     let r = c.run();
@@ -80,7 +80,7 @@ fn corpus_suite_compiles_and_campaigns() {
 #[test]
 fn filing_the_batch_into_the_service_dedups_across_days() {
     let c = Campaign::over_units(
-        CampaignConfig::smoke().seeds_per_unit(6),
+        CampaignConfig::new().seeds_per_unit(6),
         tiny_units(),
     );
     let r = c.run();
@@ -103,7 +103,7 @@ const PINNED_REPEATED_BATCH: [u64; 2] = [0x209f_fa74_4cf9_754b, 0xa7e3_3c98_7318
 
 #[test]
 fn a_repeated_detector_reproduces_its_separate_runs() {
-    let config = CampaignConfig::smoke().seeds_per_unit(4).workers(1).detectors(vec![
+    let config = CampaignConfig::new().seeds_per_unit(4).workers(1).detectors(vec![
         DetectorChoice::Hybrid,
         DetectorChoice::FastTrack,
         DetectorChoice::Hybrid,
@@ -141,7 +141,7 @@ impl UnitSource for Unbuildable {
 #[test]
 fn no_detector_means_no_execution() {
     for workers in [1, 2] {
-        let config = CampaignConfig::smoke()
+        let config = CampaignConfig::new()
             .workers(workers)
             .detectors(Vec::new());
         let r = Campaign::over_source(config, Arc::new(Unbuildable)).run();
@@ -153,7 +153,7 @@ fn no_detector_means_no_execution() {
 
 #[test]
 fn exec_specs_tile_the_run_matrix() {
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(3)
         .detectors(DetectorChoice::all().to_vec())
         .strategies(vec![Strategy::Random, Strategy::RoundRobin]);
@@ -174,7 +174,7 @@ fn exec_specs_tile_the_run_matrix() {
 
 #[test]
 fn convergence_is_monotone_and_bounded() {
-    let c = Campaign::over_units(CampaignConfig::smoke(), tiny_units());
+    let c = Campaign::over_units(CampaignConfig::new(), tiny_units());
     let r = c.run();
     let conv = r.convergence();
     assert!(!conv.is_empty());
@@ -193,7 +193,7 @@ fn convergence_is_monotone_and_bounded() {
 #[test]
 fn batch_artifacts_reproduce() {
     let c = Campaign::over_units(
-        CampaignConfig::smoke().seeds_per_unit(16),
+        CampaignConfig::new().seeds_per_unit(16),
         tiny_units(),
     );
     let unit_by_name = |name: &str| {
@@ -253,7 +253,7 @@ fn broken_units_are_skipped_not_fatal() {
     });
     let units = source.len();
     let c = Campaign::over_source(
-        CampaignConfig::smoke().seeds_per_unit(3).shards(3),
+        CampaignConfig::new().seeds_per_unit(3).shards(3),
         source,
     );
     let serial = c.with_config(c.config().clone().workers(1)).run();
@@ -289,7 +289,7 @@ fn campaign_is_worker_count_invariant() {
     let source = std::sync::Arc::new(HalfBroken {
         inner: UnitList::new(units),
     });
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(4)
         .shards(4)
         .detectors(DetectorChoice::all().to_vec());
@@ -358,7 +358,7 @@ fn generated_go_corpus_campaigns_lazily_and_deterministically() {
         24,
     ));
     let c = Campaign::over_source(
-        CampaignConfig::smoke().seeds_per_unit(2).shards(4),
+        CampaignConfig::new().seeds_per_unit(2).shards(4),
         source.clone(),
     );
     let serial = c.with_config(c.config().clone().workers(1)).run();
@@ -411,7 +411,7 @@ impl UnitSource for Counting {
 /// workers run than there are units.
 #[test]
 fn each_unit_is_built_exactly_once() {
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(3)
         .strategies(vec![Strategy::Random, Strategy::RoundRobin]);
     for workers in [1, 2, 4, 8] {

@@ -26,7 +26,7 @@
 //! ```
 //! use grs_fleet::{Campaign, CampaignConfig};
 //!
-//! let campaign = Campaign::over_patterns(CampaignConfig::smoke().seeds_per_unit(2));
+//! let campaign = Campaign::over_patterns(CampaignConfig::new().seeds_per_unit(2));
 //! let result = campaign.run();
 //! assert_eq!(result.total_runs(), campaign.matrix_len());
 //! assert!(result.detection_rate() > 0.0, "the racy patterns must fire");

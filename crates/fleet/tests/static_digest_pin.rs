@@ -27,7 +27,7 @@ fn pinned_campaign() -> Campaign {
             u.name.starts_with("loop_index_capture") || u.name.starts_with("missing_lock")
         })
         .collect();
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(4)
         .base_seed(1)
         .strategies(vec![

@@ -12,7 +12,7 @@ use grs::fleet::{Campaign, CampaignConfig};
 use grs::runtime::{record, RunConfig, Strategy};
 
 fn config() -> CampaignConfig {
-    CampaignConfig::smoke()
+    CampaignConfig::new()
         .seeds_per_unit(8)
         .workers(1)
         .detectors(vec![DetectorChoice::FastTrack])

@@ -170,7 +170,7 @@ fn campaign_differential_serial_vs_parallel() {
         .into_iter()
         .take(8)
         .collect();
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(4)
         .detectors(vec![DetectorChoice::FastTrack, DetectorChoice::Hybrid])
         .shards(4);

@@ -139,7 +139,7 @@ fn batch_of_every_report(campaign: &Campaign) -> RaceBatch {
 #[test]
 fn campaign_is_worker_count_invariant() {
     let units: Vec<_> = grs::fleet::pattern_suite(true).into_iter().take(6).collect();
-    let config = CampaignConfig::smoke()
+    let config = CampaignConfig::new()
         .seeds_per_unit(3)
         .strategies(vec![Strategy::Random, Strategy::Pct { depth: 2 }])
         .detectors(vec![DetectorChoice::Hybrid, DetectorChoice::Eraser])
@@ -177,7 +177,7 @@ fn campaign_is_worker_count_invariant() {
 #[test]
 fn convergence_curve_is_worker_count_invariant() {
     let units: Vec<_> = grs::fleet::pattern_suite(false).into_iter().take(5).collect();
-    let config = CampaignConfig::smoke().seeds_per_unit(4).shards(3);
+    let config = CampaignConfig::new().seeds_per_unit(4).shards(3);
     let serial = Campaign::over_units(config.clone().workers(1), units.clone()).run();
     let parallel = Campaign::over_units(config.workers(4), units).run();
     assert_eq!(serial.convergence(), parallel.convergence());
