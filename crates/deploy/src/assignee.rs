@@ -69,17 +69,61 @@ impl OwnerDb {
     }
 }
 
-/// The heuristic's decision, including its reasoning log.
+/// The heuristic's decision. Its reasons are kept as data — the functions
+/// considered, the departed authors passed over, the rule that chose — and
+/// turned into text only by [`AssigneeDecision::rationale`], so filing a
+/// report formats nothing.
 #[derive(Debug, Clone)]
-pub struct AssigneeDecision {
+pub struct AssigneeDecision<'a> {
     /// Chosen assignee (a developer login or a team name), if any.
     pub assignee: Option<String>,
-    /// Every candidate considered, in preference order.
-    pub candidates: Vec<String>,
-    /// Human-readable log of how the decision was reached (§3.3.2: "we
-    /// found... attaching a log of how our algorithm arrived at the choice
-    /// ... was useful to the developers").
-    pub rationale: Vec<String>,
+    roots: Vec<&'a str>,
+    leaves: Vec<&'a str>,
+    /// `(author, root function)` for each departed author passed over.
+    skipped: Vec<(&'a str, &'a str)>,
+    basis: Basis<'a>,
+}
+
+/// Which rule of the preference order chose, and on what evidence.
+#[derive(Debug, Clone, Copy)]
+enum Basis<'a> {
+    Root { author: &'a str, commits: u32, func: &'a str },
+    Team { team: &'a str, func: &'a str },
+    Leaf { author: &'a str, commits: u32, func: &'a str },
+    Unassigned,
+}
+
+impl AssigneeDecision<'_> {
+    /// Human-readable log of how the decision was reached, one line per
+    /// step (§3.3.2: "we found... attaching a log of how our algorithm
+    /// arrived at the choice ... was useful to the developers").
+    #[must_use]
+    pub fn rationale(&self) -> Vec<String> {
+        let (roots, leaves) = (&self.roots, &self.leaves);
+        let mut rationale = vec![format!(
+            "candidate functions: roots {roots:?} (preferred: stake in end-to-end \
+             correctness), leaves {leaves:?}"
+        )];
+        rationale.extend(self.skipped.iter().map(|(author, func)| {
+            format!("skipped {author} (author of {func}): no longer in the organization")
+        }));
+        rationale.push(match self.basis {
+            Basis::Root { author, commits, func } => format!(
+                "chose {author}: most frequent present modifier of root function {func} \
+                 ({commits} commits)"
+            ),
+            Basis::Team { team, func } => format!(
+                "no present root author; assigned owning team {team} of {func} \
+                 from ownership metadata"
+            ),
+            Basis::Leaf { author, commits, func } => format!(
+                "fell back to leaf function {func}: {author} ({commits} commits) owns the racing \
+                 access"
+            ),
+            Basis::Unassigned => "no ownership signal found; routing to the triage queue".to_string(),
+        });
+        rationale
+    }
 }
 
 /// Chooses an assignee for a race report.
@@ -109,14 +153,11 @@ pub struct AssigneeDecision {
 /// #     .expect("missing_lock races");
 /// let decision = determine_assignee(report, &db);
 /// assert_eq!(decision.assignee.as_deref(), Some("alice"));
-/// assert!(!decision.rationale.is_empty());
+/// assert!(!decision.rationale().is_empty());
 /// ```
 #[must_use]
-pub fn determine_assignee(report: &RaceReport, db: &OwnerDb) -> AssigneeDecision {
+pub fn determine_assignee<'a>(report: &'a RaceReport, db: &'a OwnerDb) -> AssigneeDecision<'a> {
     let (s1, s2) = report.stacks();
-    let mut rationale = Vec::new();
-    let mut candidates = Vec::new();
-
     let roots: Vec<&str> = [s1.root(), s2.root()]
         .into_iter()
         .flatten()
@@ -127,89 +168,78 @@ pub fn determine_assignee(report: &RaceReport, db: &OwnerDb) -> AssigneeDecision
         .flatten()
         .map(|f| f.func.as_ref())
         .collect();
+    let mut skipped = Vec::new();
+    let basis = choose(&roots, &leaves, db, &mut skipped);
+    let assignee = match basis {
+        Basis::Root { author, .. } | Basis::Leaf { author, .. } => Some(author.to_string()),
+        Basis::Team { team, .. } => Some(team.to_string()),
+        Basis::Unassigned => None,
+    };
+    AssigneeDecision {
+        assignee,
+        roots,
+        leaves,
+        skipped,
+        basis,
+    }
+}
 
-    rationale.push(format!(
-        "candidate functions: roots {roots:?} (preferred: stake in end-to-end \
-         correctness), leaves {leaves:?}"
-    ));
-
+/// The preference order of [`determine_assignee`], noting in `skipped`
+/// each departed author of a root function that has no present one.
+fn choose<'a>(
+    roots: &[&'a str],
+    leaves: &[&'a str],
+    db: &'a OwnerDb,
+    skipped: &mut Vec<(&'a str, &'a str)>,
+) -> Basis<'a> {
     // 1. Root authors.
     let mut best: Option<(&AuthorStat, &str)> = None;
-    for func in &roots {
+    for &func in roots {
         if let Some(stat) = db.best_present_author(func) {
-            candidates.push(stat.author.clone());
             if best.is_none_or(|(b, _)| stat.commits > b.commits) {
                 best = Some((stat, func));
             }
-        } else if let Some(all) = db.authors.get(*func) {
+        } else if let Some(all) = db.authors.get(func) {
             for a in all {
                 if !a.present {
-                    rationale.push(format!(
-                        "skipped {} (author of {func}): no longer in the organization",
-                        a.author
-                    ));
+                    skipped.push((a.author.as_str(), func));
                 }
             }
         }
     }
     if let Some((stat, func)) = best {
-        rationale.push(format!(
-            "chose {}: most frequent present modifier of root function {func} \
-             ({} commits)",
-            stat.author, stat.commits
-        ));
-        return AssigneeDecision {
-            assignee: Some(stat.author.clone()),
-            candidates,
-            rationale,
+        return Basis::Root {
+            author: &stat.author,
+            commits: stat.commits,
+            func,
         };
     }
 
     // 2. Team metadata on a root.
-    for func in &roots {
+    for &func in roots {
         if let Some(team) = db.team(func) {
-            rationale.push(format!(
-                "no present root author; assigned owning team {team} of {func} \
-                 from ownership metadata"
-            ));
-            candidates.push(team.to_string());
-            return AssigneeDecision {
-                assignee: Some(team.to_string()),
-                candidates,
-                rationale,
-            };
+            return Basis::Team { team, func };
         }
     }
 
     // 3. Leaf authors.
     let mut best: Option<(&AuthorStat, &str)> = None;
-    for func in &leaves {
+    for &func in leaves {
         if let Some(stat) = db.best_present_author(func) {
-            candidates.push(stat.author.clone());
             if best.is_none_or(|(b, _)| stat.commits > b.commits) {
                 best = Some((stat, func));
             }
         }
     }
     if let Some((stat, func)) = best {
-        rationale.push(format!(
-            "fell back to leaf function {func}: {} ({} commits) owns the racing \
-             access",
-            stat.author, stat.commits
-        ));
-        return AssigneeDecision {
-            assignee: Some(stat.author.clone()),
-            candidates,
-            rationale,
+        return Basis::Leaf {
+            author: &stat.author,
+            commits: stat.commits,
+            func,
         };
     }
 
-    rationale.push("no ownership signal found; routing to the triage queue".to_string());
-    AssigneeDecision {
-        assignee: None,
-        candidates,
-        rationale,
-    }
+    Basis::Unassigned
 }
 
 #[cfg(test)]
@@ -255,9 +285,10 @@ mod tests {
         let mut db = OwnerDb::new();
         db.add_author("HandleRequest", "alice", 10, true);
         db.add_author("processJob", "carol", 99, true); // leaf — ignored
-        let d = determine_assignee(&report("HandleRequest", "processJob", "Worker", "write"), &db);
+        let r = report("HandleRequest", "processJob", "Worker", "write");
+        let d = determine_assignee(&r, &db);
         assert_eq!(d.assignee.as_deref(), Some("alice"));
-        assert!(d.rationale.iter().any(|r| r.contains("root function")));
+        assert!(d.rationale().iter().any(|r| r.contains("root function")));
     }
 
     #[test]
@@ -265,7 +296,8 @@ mod tests {
         let mut db = OwnerDb::new();
         db.add_author("Main", "ghost", 100, false);
         db.add_author("Main", "alice", 3, true);
-        let d = determine_assignee(&report("Main", "l1", "Main", "l2"), &db);
+        let r = report("Main", "l1", "Main", "l2");
+        let d = determine_assignee(&r, &db);
         assert_eq!(d.assignee.as_deref(), Some("alice"));
     }
 
@@ -273,25 +305,29 @@ mod tests {
     fn falls_back_to_team_metadata() {
         let mut db = OwnerDb::new();
         db.set_team("Main", "payments-platform");
-        let d = determine_assignee(&report("Main", "l1", "Main", "l2"), &db);
+        let r = report("Main", "l1", "Main", "l2");
+        let d = determine_assignee(&r, &db);
         assert_eq!(d.assignee.as_deref(), Some("payments-platform"));
-        assert!(d.rationale.iter().any(|r| r.contains("team")));
+        assert!(d.rationale().iter().any(|r| r.contains("team")));
     }
 
     #[test]
     fn falls_back_to_leaf_author() {
         let mut db = OwnerDb::new();
         db.add_author("leafFn", "dave", 5, true);
-        let d = determine_assignee(&report("Main", "leafFn", "Main", "other"), &db);
+        let r = report("Main", "leafFn", "Main", "other");
+        let d = determine_assignee(&r, &db);
         assert_eq!(d.assignee.as_deref(), Some("dave"));
-        assert!(d.rationale.iter().any(|r| r.contains("leaf")));
+        assert!(d.rationale().iter().any(|r| r.contains("leaf")));
     }
 
     #[test]
     fn unassigned_when_no_signal() {
-        let d = determine_assignee(&report("A", "b", "C", "d"), &OwnerDb::new());
+        let r = report("A", "b", "C", "d");
+        let db = OwnerDb::new();
+        let d = determine_assignee(&r, &db);
         assert!(d.assignee.is_none());
-        assert!(d.rationale.iter().any(|r| r.contains("triage")));
+        assert!(d.rationale().iter().any(|r| r.contains("triage")));
     }
 
     #[test]
@@ -299,8 +335,63 @@ mod tests {
         let mut db = OwnerDb::new();
         db.add_author("RootOne", "alice", 3, true);
         db.add_author("RootTwo", "bob", 30, true);
-        let d = determine_assignee(&report("RootOne", "l", "RootTwo", "l"), &db);
+        let r = report("RootOne", "l", "RootTwo", "l");
+        let d = determine_assignee(&r, &db);
         assert_eq!(d.assignee.as_deref(), Some("bob"));
-        assert!(d.candidates.contains(&"alice".to_string()));
+    }
+
+    /// The rendered log of each branch, byte for byte what the heuristic
+    /// wrote when it built the text while deciding.
+    #[test]
+    fn rationale_text_of_every_branch_is_pinned() {
+        let mut db = OwnerDb::new();
+        db.add_author("Main", "ghost", 100, false);
+        db.add_author("Handler", "alice", 3, true);
+        db.add_author("Handler", "bob", 1, true);
+        let r = report("Main", "l1", "Handler", "l2");
+        let d = determine_assignee(&r, &db);
+        assert_eq!(
+            d.rationale(),
+            [
+                r#"candidate functions: roots ["Main", "Handler"] (preferred: stake in end-to-end correctness), leaves ["l1", "l2"]"#,
+                r#"skipped ghost (author of Main): no longer in the organization"#,
+                r#"chose alice: most frequent present modifier of root function Handler (3 commits)"#,
+            ]
+        );
+
+        let mut db = OwnerDb::new();
+        db.set_team("Main", "payments-platform");
+        let r = report("Main", "l1", "Main", "l2");
+        let d = determine_assignee(&r, &db);
+        assert_eq!(
+            d.rationale(),
+            [
+                r#"candidate functions: roots ["Main", "Main"] (preferred: stake in end-to-end correctness), leaves ["l1", "l2"]"#,
+                r#"no present root author; assigned owning team payments-platform of Main from ownership metadata"#,
+            ]
+        );
+
+        let mut db = OwnerDb::new();
+        db.add_author("leafFn", "dave", 5, true);
+        let r = report("Main", "leafFn", "Main", "other");
+        let d = determine_assignee(&r, &db);
+        assert_eq!(
+            d.rationale(),
+            [
+                r#"candidate functions: roots ["Main", "Main"] (preferred: stake in end-to-end correctness), leaves ["leafFn", "other"]"#,
+                r#"fell back to leaf function leafFn: dave (5 commits) owns the racing access"#,
+            ]
+        );
+
+        let r = report("A", "b", "C", "d");
+        let db = OwnerDb::new();
+        let d = determine_assignee(&r, &db);
+        assert_eq!(
+            d.rationale(),
+            [
+                r#"candidate functions: roots ["A", "C"] (preferred: stake in end-to-end correctness), leaves ["b", "d"]"#,
+                r#"no ownership signal found; routing to the triage queue"#,
+            ]
+        );
     }
 }

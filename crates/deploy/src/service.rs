@@ -278,19 +278,16 @@ impl ServiceInner {
             return FileOutcome::Duplicate;
         }
         let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
-        let decision = determine_assignee(report, &core.owners);
+        let assignee = determine_assignee(report, &core.owners).assignee;
         let repro = report
             .repro
             .clone()
             .or_else(|| report.repro_seed.map(ReproArtifact::seed_only));
         let outcome = match core
             .tracker
-            .file_with_repro(fp, day, decision.assignee.clone(), repro)
+            .file_with_repro(fp, day, assignee.clone(), repro)
         {
-            Some(task) => FileOutcome::Filed {
-                task,
-                assignee: decision.assignee,
-            },
+            Some(task) => FileOutcome::Filed { task, assignee },
             None => FileOutcome::Duplicate,
         };
         // Cache while still holding the core lock: a concurrent fix's

@@ -40,7 +40,11 @@
 //! returns the whole slice (header sharing preserved), zero-value maps are
 //! empty rather than nil, floats are unsupported, `select` polls arms in
 //! source order, and select-less-forever programs exhaust the step budget
-//! instead of reporting a deadlock.
+//! instead of reporting a deadlock. An interpreted access names the
+//! evaluator's Rust file and line (`crates/interp/src/interp.rs`), not its
+//! Go line; built outside the workspace, as `benchmark/` builds it, that
+//! file name is the checkout's absolute path, so a corpus trace's bytes
+//! differ between two checkouts (ROADMAP item 4 is the fix).
 //!
 //! [`GoMap`]: grs_runtime::GoMap
 //! [`GoSlice`]: grs_runtime::GoSlice

@@ -102,7 +102,7 @@ fn assignee_rationale_reaches_the_task() {
     let decision = grs::deploy::determine_assignee(race, &owners);
     assert_eq!(decision.assignee.as_deref(), Some("carol"));
     assert!(decision
-        .rationale
+        .rationale()
         .iter()
         .any(|r| r.contains("root function")));
 }
