@@ -87,9 +87,12 @@ pub struct AssigneeDecision<'a> {
 /// Which rule of the preference order chose, and on what evidence.
 #[derive(Debug, Clone, Copy)]
 enum Basis<'a> {
-    Root { author: &'a str, commits: u32, func: &'a str },
-    Team { team: &'a str, func: &'a str },
-    Leaf { author: &'a str, commits: u32, func: &'a str },
+    /// The most frequent present modifier of this root function.
+    Root(&'a AuthorStat, &'a str),
+    /// The owning team of this root function.
+    Team(&'a str, &'a str),
+    /// The most frequent present modifier of this leaf function.
+    Leaf(&'a AuthorStat, &'a str),
     Unassigned,
 }
 
@@ -108,19 +111,21 @@ impl AssigneeDecision<'_> {
             format!("skipped {author} (author of {func}): no longer in the organization")
         }));
         rationale.push(match self.basis {
-            Basis::Root { author, commits, func } => format!(
-                "chose {author}: most frequent present modifier of root function {func} \
-                 ({commits} commits)"
+            Basis::Root(stat, func) => format!(
+                "chose {}: most frequent present modifier of root function {func} \
+                 ({} commits)",
+                stat.author, stat.commits
             ),
-            Basis::Team { team, func } => format!(
+            Basis::Team(team, func) => format!(
                 "no present root author; assigned owning team {team} of {func} \
                  from ownership metadata"
             ),
-            Basis::Leaf { author, commits, func } => format!(
-                "fell back to leaf function {func}: {author} ({commits} commits) owns the racing \
-                 access"
+            Basis::Leaf(stat, func) => format!(
+                "fell back to leaf function {func}: {} ({} commits) owns the racing \
+                 access",
+                stat.author, stat.commits
             ),
-            Basis::Unassigned => "no ownership signal found; routing to the triage queue".to_string(),
+            Basis::Unassigned => "no ownership signal found; routing to the triage queue".into(),
         });
         rationale
     }
@@ -171,8 +176,8 @@ pub fn determine_assignee<'a>(report: &'a RaceReport, db: &'a OwnerDb) -> Assign
     let mut skipped = Vec::new();
     let basis = choose(&roots, &leaves, db, &mut skipped);
     let assignee = match basis {
-        Basis::Root { author, .. } | Basis::Leaf { author, .. } => Some(author.to_string()),
-        Basis::Team { team, .. } => Some(team.to_string()),
+        Basis::Root(stat, _) | Basis::Leaf(stat, _) => Some(stat.author.clone()),
+        Basis::Team(team, _) => Some(team.to_string()),
         Basis::Unassigned => None,
     };
     AssigneeDecision {
@@ -208,17 +213,13 @@ fn choose<'a>(
         }
     }
     if let Some((stat, func)) = best {
-        return Basis::Root {
-            author: &stat.author,
-            commits: stat.commits,
-            func,
-        };
+        return Basis::Root(stat, func);
     }
 
     // 2. Team metadata on a root.
     for &func in roots {
         if let Some(team) = db.team(func) {
-            return Basis::Team { team, func };
+            return Basis::Team(team, func);
         }
     }
 
@@ -232,11 +233,7 @@ fn choose<'a>(
         }
     }
     if let Some((stat, func)) = best {
-        return Basis::Leaf {
-            author: &stat.author,
-            commits: stat.commits,
-            func,
-        };
+        return Basis::Leaf(stat, func);
     }
 
     Basis::Unassigned

@@ -49,8 +49,8 @@ use crate::spec::{ExecSpec, RunSpec};
 
 mod result;
 
-pub use result::{CampaignResult, RunEnd, RunRecord, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS};
 use result::SkipLog;
+pub use result::{CampaignResult, RunEnd, RunRecord, MAX_CONVERGENCE_POINTS, MAX_SKIP_REASONS};
 
 /// One campaignable program.
 #[derive(Debug, Clone)]
