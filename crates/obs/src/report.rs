@@ -19,8 +19,8 @@
 //! the same data through [`ObsReport::dashboard`].
 //!
 //! Version 1 also carried a `timeline` section, and version 2 volatile
-//! counters and a ring of recent spans under `timing`; DESIGN §4e records
-//! why each was deleted.
+//! counters and a ring of recent spans under `timing`; DESIGN §4e says why
+//! the export has none of them.
 
 use std::fmt::Write as _;
 
