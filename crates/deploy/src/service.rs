@@ -8,7 +8,6 @@
 //!
 //! * **One API.** Per-report filing, batch filing and decode-replay-file
 //!   of an uploaded trace are [`IntakeHandle::submit`],
-//!   [`IntakeHandle::submit_batch`] /
 //!   [`IntakeHandle::submit_race_batch`], and
 //!   [`IntakeHandle::submit_trace`] (raw `.grtrace` bytes in, filed tasks
 //!   out), on the service or any of its cloneable handles. Every failure
@@ -621,19 +620,6 @@ impl IntakeHandle {
             return Err(IntakeError::ShutDown);
         }
         Ok(self.inner.file_report(fp, report, day))
-    }
-
-    /// Submits a batch of reports.
-    ///
-    /// # Errors
-    ///
-    /// [`IntakeError::ShutDown`] after shutdown.
-    pub fn submit_batch(
-        &self,
-        reports: &[RaceReport],
-        day: u32,
-    ) -> Result<Vec<FileOutcome>, IntakeError> {
-        reports.iter().map(|r| self.submit(r, day)).collect()
     }
 
     /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)

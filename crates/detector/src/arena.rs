@@ -16,17 +16,18 @@
 //! interchangeable, and the tests below pin that equivalence.
 //!
 //! An execution has one fan-out, live ([`DetectorArena::execute`]) or
-//! replayed: it is taken once, and every requested detector watches each
-//! event, the happens-before ones reading one shared `HbClocks`. A run's
+//! replayed: it is taken once, and every requested detector's shadow
+//! watches each event, reading the execution's one shared state (clocks,
+//! held locks, lockset interner, depot: `crate::hb`). A run's
 //! interleaving is a function of its seed and strategy alone (the scheduler
 //! never consults the monitor), so each detector sees exactly the events it
 //! would have seen watching the run alone.
 //!
 //! What an execution leaves is each detector's [`Race`]s — ids into the
-//! arena depot and the detector's lockset interner — and its peak shadow
+//! arena depot and the execution's lockset interner — and its peak shadow
 //! words, which the detector keeps itself as its count rises; both last
 //! until the next run resets them. [`DetectorArena::report`] builds the
-//! report of one; the report-returning entry points
+//! report of one, for every detector; the report-returning entry points
 //! ([`DetectorArena::run_many`], the replays) execute, then report every
 //! race.
 
@@ -35,11 +36,11 @@ use grs_runtime::{
     DecodedTrace, Event, Monitor, Program, RunConfig, RunOutcome, Runtime, StackDepot, Trace,
 };
 
-use crate::eraser::Eraser;
-use crate::fasttrack::{Shadow, Variant};
-use crate::hb::HbClocks;
+use crate::eraser::LocksetShadow;
+use crate::fasttrack::Shadow;
+use crate::hb::Execution;
 use crate::replay::ReplayOutcome;
-use crate::report::{Race, RaceReport};
+use crate::report::{DetectorKind, Race, RaceReport};
 
 /// Which detection algorithm a run is monitored with.
 ///
@@ -96,14 +97,22 @@ impl DetectorChoice {
         }
     }
 
-    /// A fresh instance of this algorithm as the arena holds it: the one
+    /// The label this algorithm's reports carry.
+    fn kind(self) -> DetectorKind {
+        match self {
+            DetectorChoice::FastTrack => DetectorKind::FastTrack,
+            DetectorChoice::PureVectorClock => DetectorKind::PureVectorClock,
+            DetectorChoice::Eraser => DetectorKind::Eraser,
+            DetectorChoice::Hybrid => DetectorKind::Tsan,
+        }
+    }
+
+    /// A fresh shadow of this algorithm as the arena holds it: the one
     /// place a choice becomes a detector.
     fn watcher(self) -> Watcher {
         match self {
-            DetectorChoice::FastTrack => Watcher::Hb(Shadow::new(Variant::Epoch)),
-            DetectorChoice::PureVectorClock => Watcher::Hb(Shadow::new(Variant::PureVc)),
-            DetectorChoice::Eraser => Watcher::Eraser(Eraser::new()),
-            DetectorChoice::Hybrid => Watcher::Hb(Shadow::new(Variant::Hybrid)),
+            DetectorChoice::Eraser => Watcher::Eraser(LocksetShadow::default()),
+            _ => Watcher::Hb(Shadow::new(self.kind())),
         }
     }
 
@@ -156,17 +165,24 @@ impl std::fmt::Display for DetectorChoice {
 #[derive(Debug)]
 pub struct DetectorArena {
     depot: StackDepot,
-    /// Every detector: the monitor during a live run, at home between runs.
-    watchers: Watchers,
+    /// Every detector and the execution's shared state: the monitor during
+    /// a live run, which takes them by value, and at home between runs. A
+    /// placeholder left in their stead would cost an interner and a depot
+    /// of its own per run.
+    watchers: Option<Watchers>,
 }
 
-/// The closed set of algorithms an execution's watchers are drawn from: a
-/// happens-before shadow, which reads the watchers' shared clocks, or
-/// Eraser, which needs none.
+/// The arena's watchers are away only while a live run has them, when no
+/// method of the arena can run.
+const HOME: &str = "the watchers are home between runs";
+
+/// The closed set of variable shadows an execution's watchers are drawn
+/// from: a happens-before shadow, which reads the shared clocks (and, the
+/// hybrid's, the held locks), or Eraser's, which reads the held locks.
 #[derive(Debug)]
 enum Watcher {
     Hb(Shadow),
-    Eraser(Eraser),
+    Eraser(LocksetShadow),
 }
 
 impl Watcher {
@@ -177,17 +193,10 @@ impl Watcher {
         }
     }
 
-    fn report(&self, race: &Race) -> RaceReport {
-        match self {
-            Watcher::Hb(shadow) => shadow.report(race),
-            Watcher::Eraser(eraser) => eraser.report(race),
-        }
-    }
-
     fn peak_shadow_words(&self) -> usize {
         match self {
             Watcher::Hb(shadow) => shadow.peak_words(),
-            Watcher::Eraser(eraser) => eraser.peak_shadow_words(),
+            Watcher::Eraser(eraser) => eraser.peak_words(),
         }
     }
 }
@@ -201,18 +210,17 @@ struct Member {
 
 /// The arena's detectors, one per [`DetectorChoice`], and the monitor of
 /// every execution, live or replayed: the first `active` members watch it,
-/// each seeing every event in order. The happens-before members share `hb`,
-/// which takes each event's first step before any member sees it and its
-/// second after all have — only when the selection holds such a member.
-/// Each member keeps its own shadow-word peak; the watchers' peak is the
-/// largest active member's, read when asked for.
-#[derive(Debug, Default)]
+/// each seeing every event in order. The members share `exec`, which takes
+/// each event's first step before any member sees it and its second after
+/// all have; it advances its clocks only when the selection holds a
+/// happens-before member, and its held locks only when it holds Eraser or
+/// the hybrid. Each member keeps its own shadow-word peak; the watchers'
+/// peak is the largest active member's, read when asked for.
+#[derive(Debug)]
 struct Watchers {
-    hb: HbClocks,
+    exec: Execution,
     members: Vec<Member>,
     active: usize,
-    /// Whether an active member reads `hb`.
-    hb_active: bool,
 }
 
 impl Watchers {
@@ -227,9 +235,8 @@ impl Watchers {
                 self.active += 1;
             }
         }
-        self.hb_active = self.members[..self.active]
-            .iter()
-            .any(|m| matches!(m.watcher, Watcher::Hb(_)));
+        let kinds = self.members[..self.active].iter().map(|m| m.choice.kind());
+        self.exec.watched_by(kinds);
     }
 
     /// The member of `choice`, if it watched the last execution.
@@ -240,28 +247,24 @@ impl Watchers {
 
 impl Monitor for Watchers {
     fn on_run_start(&mut self, depot: &StackDepot) {
-        self.hb.reset();
+        self.exec.on_run_start(depot);
         for m in &mut self.members[..self.active] {
             match &mut m.watcher {
-                Watcher::Hb(shadow) => shadow.on_run_start(depot),
-                Watcher::Eraser(eraser) => eraser.on_run_start(depot),
+                Watcher::Hb(shadow) => shadow.reset(),
+                Watcher::Eraser(eraser) => eraser.reset(),
             }
         }
     }
 
     fn on_event(&mut self, event: &Event) {
-        if self.hb_active {
-            self.hb.before(event);
-        }
+        self.exec.before(event);
         for m in &mut self.members[..self.active] {
             match &mut m.watcher {
-                Watcher::Hb(shadow) => shadow.on_event(&self.hb, event),
-                Watcher::Eraser(eraser) => eraser.on_event(event),
+                Watcher::Hb(shadow) => shadow.on_event(&self.exec, event),
+                Watcher::Eraser(eraser) => eraser.on_event(&mut self.exec, event),
             }
         }
-        if self.hb_active {
-            self.hb.after(event);
-        }
+        self.exec.after(event);
     }
 
     fn peak_shadow_words(&self) -> usize {
@@ -293,10 +296,11 @@ impl DetectorArena {
             .collect();
         DetectorArena {
             depot: StackDepot::new(),
-            watchers: Watchers {
+            watchers: Some(Watchers {
+                exec: Execution::default(),
                 members,
-                ..Watchers::default()
-            },
+                active: 0,
+            }),
         }
     }
 
@@ -350,10 +354,10 @@ impl DetectorArena {
         program: &Program,
         cfg: RunConfig,
     ) -> RunOutcome {
-        let mut watchers = std::mem::take(&mut self.watchers);
+        let mut watchers = self.watchers.take().expect(HOME);
         watchers.select(choices);
         let (outcome, watchers) = Runtime::new(cfg).run_with_depot(program, watchers, &self.depot);
-        self.watchers = watchers;
+        self.watchers = Some(watchers);
         outcome
     }
 
@@ -361,7 +365,7 @@ impl DetectorArena {
     /// (none when it did not watch it).
     #[must_use]
     pub fn races(&self, choice: DetectorChoice) -> &[Race] {
-        self.watchers
+        self.watchers()
             .watched(choice)
             .map_or(&[], |m| m.watcher.races())
     }
@@ -370,25 +374,31 @@ impl DetectorArena {
     /// it did not watch it).
     #[must_use]
     pub fn peak_shadow_words(&self, choice: DetectorChoice) -> usize {
-        self.watchers
+        self.watchers()
             .watched(choice)
             .map_or(0, |m| m.watcher.peak_shadow_words())
     }
 
     /// The report of `race`, one of [`DetectorArena::races`]`(choice)`:
     /// its name, stacks and locksets resolved. Valid until the next run
-    /// resets the depot and the detector's interners.
+    /// resets the depot and the execution's interner.
     ///
     /// # Panics
     ///
     /// Panics if `choice` did not watch the last execution.
     #[must_use]
     pub fn report(&self, choice: DetectorChoice, race: &Race) -> RaceReport {
-        let member = self
-            .watchers
-            .watched(choice)
-            .expect("only a detector that watched the last execution has races to report");
-        member.watcher.report(race)
+        let watchers = self.watchers();
+        assert!(
+            watchers.watched(choice).is_some(),
+            "only a detector that watched the last execution has races to report"
+        );
+        let exec = &watchers.exec;
+        race.report(&exec.depot, &exec.locksets, choice.kind())
+    }
+
+    fn watchers(&self) -> &Watchers {
+        self.watchers.as_ref().expect(HOME)
     }
 
     /// One outcome per position in `choices`, the last execution's
@@ -417,7 +427,7 @@ impl DetectorArena {
     /// Drives the watchers of `choices` over a recorded execution, its
     /// stacks and names already in the arena depot, as the kernel would.
     fn watch(&mut self, choices: &[DetectorChoice], trace: &Trace) -> Vec<ReplayOutcome> {
-        let watchers = &mut self.watchers;
+        let watchers = self.watchers.as_mut().expect(HOME);
         watchers.select(choices);
         watchers.on_run_start(&self.depot);
         for event in &trace.events {

@@ -11,16 +11,20 @@
 //! Go: the detector-comparison benchmark quantifies exactly that, which is
 //! why ThreadSanitizer anchors its verdicts on vector clocks (§3.1).
 //!
-//! Shadow state is a flat `Vec<Option<EraserVar>>` indexed by the kernel's
-//! dense address ids (see the module docs of [`crate::fasttrack`]). A
-//! lockset verdict is not a happens-before verdict, so the one fact
-//! [`crate::reference`] holds this detector to is lock discipline: an
-//! address some lock covers at every access is never reported.
+//! Eraser is only its variable shadow, a flat `Vec<Option<EraserVar>>`
+//! indexed by the kernel's dense address ids (see the module docs of
+//! [`crate::fasttrack`]). The locks each goroutine holds, and the interner
+//! its candidates are intersected in, are the execution's shared state
+//! (`crate::hb`), which the hybrid reads too. A lockset verdict is not a
+//! happens-before verdict, so the one fact [`crate::reference`] holds this
+//! detector to is lock discipline: an address some lock covers at every
+//! access is never reported.
 
-use grs_clock::{LockId, Lockset, LocksetId, LocksetInterner};
-use grs_runtime::event::{Event, EventKind, LockMode};
-use grs_runtime::{AccessKind, Addr, Gid, Monitor, NameId, SourceLoc, StackDepot, StackId};
+use grs_clock::LocksetId;
+use grs_runtime::event::Event;
+use grs_runtime::{Gid, Monitor, NameId, StackDepot};
 
+use crate::hb::Execution;
 use crate::replay::Detector;
 use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
 
@@ -48,7 +52,8 @@ struct EraserVar {
     reported: bool,
 }
 
-/// The Eraser monitor.
+/// The Eraser monitor: a private copy of the execution's shared state
+/// (its held locks) and one lockset shadow.
 ///
 /// # Example
 ///
@@ -72,25 +77,79 @@ struct EraserVar {
 /// let (_, er) = Runtime::new(RunConfig::with_seed(0)).run(&p, Eraser::new());
 /// assert_eq!(er.reports().len(), 1);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Eraser {
-    /// Depot of the current run (attached by [`Monitor::on_run_start`]);
-    /// used only to resolve reports' stacks and object names.
-    depot: StackDepot,
-    /// Interned locksets; candidates and last-access records are ids.
-    locksets: LocksetInterner,
-    /// Locks held per goroutine, in any mode.
-    held: Vec<Lockset>,
-    /// Locks held per goroutine in *write* (exclusive) mode. Eraser's
-    /// read-write-lock refinement: a read-mode `RLock` admits concurrent
-    /// readers, so it protects reads but not writes — a write access is
-    /// refined against this set only (the Listing 11 `RLock`-write bug
-    /// class would otherwise be invisible to locksets).
-    write_held: Vec<Lockset>,
-    /// Interned ids of the current `held` / `write_held` sets, refreshed on
-    /// acquire/release so accesses copy `u32`s instead of cloning sets.
-    held_ids: Vec<LocksetId>,
-    write_held_ids: Vec<LocksetId>,
+    exec: Execution,
+    shadow: LocksetShadow,
+    /// The reports of the last finished run.
+    reports: Vec<RaceReport>,
+}
+
+impl Default for Eraser {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Eraser {
+    /// A fresh Eraser monitor.
+    #[must_use]
+    pub fn new() -> Self {
+        let mut exec = Execution::default();
+        exec.watched_by([DetectorKind::Eraser]);
+        Eraser {
+            exec,
+            shadow: LocksetShadow::default(),
+            reports: Vec::new(),
+        }
+    }
+
+    /// The potential races the last finished run reported.
+    #[must_use]
+    pub fn reports(&self) -> &[RaceReport] {
+        &self.reports
+    }
+}
+
+impl Monitor for Eraser {
+    fn on_run_start(&mut self, depot: &StackDepot) {
+        self.exec.on_run_start(depot);
+        self.shadow.reset();
+        self.reports.clear();
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        self.exec.before(event);
+        self.shadow.on_event(&mut self.exec, event);
+        self.exec.after(event);
+    }
+
+    fn on_run_end(&mut self) {
+        let exec = &self.exec;
+        self.reports = self
+            .shadow
+            .races()
+            .iter()
+            .map(|race| race.report(&exec.depot, &exec.locksets, DetectorKind::Eraser))
+            .collect();
+    }
+
+    fn peak_shadow_words(&self) -> usize {
+        self.shadow.peak_words()
+    }
+}
+
+impl Detector for Eraser {
+    fn take_reports(&mut self) -> Vec<RaceReport> {
+        std::mem::take(&mut self.reports)
+    }
+}
+
+/// Eraser without the execution's state: its variable shadow and the
+/// races kept. It reads the execution's held locks on every access, and
+/// interns its candidate sets in the execution's interner.
+#[derive(Debug, Default)]
+pub(crate) struct LocksetShadow {
     /// Flat variable table indexed by the kernel's dense address ids.
     /// `None` slots are ids that name other object kinds (locks, channels)
     /// or simply haven't been accessed; `live_vars` counts the `Some`s so
@@ -99,43 +158,14 @@ pub struct Eraser {
     live_vars: usize,
     /// The races found this run, as ids, in detection order.
     races: Vec<Race>,
-    /// The reports of the last finished run.
-    reports: Vec<RaceReport>,
 }
 
-impl Eraser {
-    /// A fresh Eraser monitor.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The potential races the last finished run reported.
-    #[must_use]
-    pub fn reports(&self) -> &[RaceReport] {
-        &self.reports
-    }
-
-    /// Consumes the detector, returning its reports.
-    #[must_use]
-    pub fn into_reports(self) -> Vec<RaceReport> {
-        self.reports
-    }
-
-    /// Clears all per-run state, keeping container allocations warm: the
-    /// flat tables keep their capacity, and each goroutine's held-lock sets
-    /// and the interned locksets are emptied in place rather than dropped.
-    /// Called automatically at the start of every run.
-    pub fn reset(&mut self) {
-        self.held.iter_mut().for_each(Lockset::clear);
-        self.write_held.iter_mut().for_each(Lockset::clear);
-        self.held_ids.clear();
-        self.write_held_ids.clear();
+impl LocksetShadow {
+    /// Clears all per-run state, keeping the flat table's capacity.
+    pub(crate) fn reset(&mut self) {
         self.vars.clear();
         self.live_vars = 0;
         self.races.clear();
-        self.reports.clear();
-        self.locksets.reset();
     }
 
     /// The races found this run, in detection order.
@@ -143,49 +173,32 @@ impl Eraser {
         &self.races
     }
 
-    /// The report of `race`, one this detector found this run.
-    pub(crate) fn report(&self, race: &Race) -> RaceReport {
-        race.report(&self.depot, &self.locksets, DetectorKind::Eraser)
+    /// One candidate-set slot plus one last-access slot per tracked
+    /// variable — Eraser's shadow footprint is constant per variable. A
+    /// variable is never untracked within a run, so the count is its own
+    /// peak.
+    pub(crate) fn peak_words(&self) -> usize {
+        2 * self.live_vars
     }
 
-    fn ensure_gid(&mut self, gid: Gid) {
-        let i = gid.index();
-        while self.held_ids.len() <= i {
-            // The sets outlive a reset (emptied in place), so they may
-            // already cover this goroutine.
-            if self.held.len() <= self.held_ids.len() {
-                self.held.push(Lockset::new());
-                self.write_held.push(Lockset::new());
-            }
-            self.held_ids.push(LocksetId::EMPTY);
-            self.write_held_ids.push(LocksetId::EMPTY);
-        }
-    }
-
-    fn on_access(
-        &mut self,
-        gid: Gid,
-        addr: Addr,
-        object: NameId,
-        kind: AccessKind,
-        stack: StackId,
-        loc: SourceLoc,
-    ) {
-        self.ensure_gid(gid);
-        let held = self.held_ids[gid.index()];
-        // The locks that actually protect an access of `kind`: writes are
-        // only protected by exclusive-mode locks, reads by any mode.
-        let effective = if kind.is_write() {
-            self.write_held_ids[gid.index()]
-        } else {
-            held
+    /// Checks and records an access against the locks its goroutine holds
+    /// in `exec`. Only accesses reach Eraser's state machine: the held
+    /// locks are the shared state's.
+    pub(crate) fn on_event(&mut self, exec: &mut Execution, event: &Event) {
+        let Some((addr, object, mut current)) = AccessRecord::of(event) else {
+            return;
         };
-        let current = AccessRecord {
-            gid,
-            kind,
-            stack,
-            loc,
-            locks: held,
+        let (gid, kind) = (current.gid, current.kind);
+        let held = exec.held(gid);
+        current.locks = held.any;
+        // The locks that actually protect an access of `kind`: writes are
+        // only protected by write-mode locks (Eraser's read-write-lock
+        // refinement, without which the Listing 11 `RLock`-write bug class
+        // would be invisible to locksets), reads by any mode.
+        let effective = if kind.is_write() {
+            held.write
+        } else {
+            held.any
         };
         let vi = addr.0 as usize;
         if self.vars.len() <= vi {
@@ -203,116 +216,37 @@ impl Eraser {
                 self.live_vars += 1;
             }
             Some(var) => {
-                let mut check = false;
                 let prior = var.last;
-                match var.state {
-                    VarState::Exclusive(owner) if owner == gid => {
-                        // Still exclusive; remember the most recent lockset
-                        // but do not refine yet (classic Eraser).
-                        var.candidate = effective;
-                    }
-                    VarState::Exclusive(_) => {
-                        var.state = if kind.is_write() || var.last.kind.is_write() {
-                            VarState::SharedModified
-                        } else {
-                            VarState::Shared
-                        };
-                        check = var.state == VarState::SharedModified;
-                    }
-                    VarState::Shared => {
-                        if kind.is_write() {
-                            var.state = VarState::SharedModified;
-                            check = true;
-                        }
-                    }
-                    VarState::SharedModified => {
-                        check = true;
-                    }
-                }
-                let refine = !matches!(var.state, VarState::Exclusive(_));
                 var.last = current;
-                let new_candidate = if refine {
-                    self.locksets.intersect(var.candidate, effective)
-                } else {
-                    var.candidate
-                };
-                var.candidate = new_candidate;
-                if check && new_candidate == LocksetId::EMPTY && !var.reported {
-                    // Suppress pairs where both sides used sync/atomic.
-                    if !(kind.is_atomic() && prior.kind.is_atomic()) {
-                        var.reported = true;
-                        self.races.push(Race {
-                            addr,
-                            object: var.object,
-                            prior,
-                            current,
-                        });
+                var.state = match var.state {
+                    VarState::Exclusive(owner) if owner == gid => var.state,
+                    VarState::Exclusive(_) if !kind.is_write() && !prior.kind.is_write() => {
+                        VarState::Shared
                     }
+                    VarState::Shared if !kind.is_write() => VarState::Shared,
+                    _ => VarState::SharedModified,
+                };
+                // While exclusive, remember the most recent lockset but do
+                // not refine yet (classic Eraser).
+                var.candidate = match var.state {
+                    VarState::Exclusive(_) => effective,
+                    _ => exec.locksets.intersect(var.candidate, effective),
+                };
+                // Pairs where both sides used sync/atomic are not reported.
+                if var.state == VarState::SharedModified
+                    && var.candidate == LocksetId::EMPTY
+                    && !var.reported
+                    && !(kind.is_atomic() && prior.kind.is_atomic())
+                {
+                    var.reported = true;
+                    self.races.push(Race {
+                        addr,
+                        object: var.object,
+                        prior,
+                        current,
+                    });
                 }
             }
         }
-    }
-
-    fn on_acquire(&mut self, gid: Gid, lock: u64, mode: LockMode) {
-        self.ensure_gid(gid);
-        let i = gid.index();
-        self.held[i].insert(LockId::new(lock));
-        self.held_ids[i] = self.locksets.intern(&self.held[i]);
-        if mode == LockMode::Write {
-            self.write_held[i].insert(LockId::new(lock));
-            self.write_held_ids[i] = self.locksets.intern(&self.write_held[i]);
-        }
-    }
-
-    fn on_release(&mut self, gid: Gid, lock: u64) {
-        self.ensure_gid(gid);
-        let i = gid.index();
-        self.held[i].remove(LockId::new(lock));
-        self.held_ids[i] = self.locksets.intern(&self.held[i]);
-        if self.write_held[i].remove(LockId::new(lock)) {
-            self.write_held_ids[i] = self.locksets.intern(&self.write_held[i]);
-        }
-    }
-}
-
-impl Monitor for Eraser {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        self.reset();
-        self.depot = depot.clone();
-    }
-
-    /// Only access, acquire and release events reach Eraser's state
-    /// machine.
-    fn on_event(&mut self, event: &Event) {
-        match event.kind {
-            EventKind::Access {
-                addr,
-                object,
-                kind,
-                stack,
-                loc,
-            } => self.on_access(event.gid, addr, object, kind, stack, loc),
-            EventKind::Acquire { lock, mode } => self.on_acquire(event.gid, lock.0, mode),
-            EventKind::Release { lock, .. } => self.on_release(event.gid, lock.0),
-            _ => {}
-        }
-    }
-
-    fn on_run_end(&mut self) {
-        self.reports = self.races.iter().map(|race| self.report(race)).collect();
-    }
-
-    fn peak_shadow_words(&self) -> usize {
-        // One candidate-set slot plus one last-access slot per tracked
-        // variable — Eraser's shadow footprint is constant per variable.
-        // A variable is never untracked within a run, so the count is its
-        // own peak.
-        2 * self.live_vars
-    }
-}
-
-impl Detector for Eraser {
-    fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
     }
 }

@@ -5,9 +5,9 @@
 //! of ThreadSanitizer: each shared variable keeps a shadow of its last write
 //! (an [`Epoch`]) and its read history (an epoch, inflated to a vector clock
 //! only while reads are concurrent), checked against the accessing
-//! goroutine's vector clock, which is read from the execution's one
-//! `HbClocks` (`crate::hb`). A detector here is its variable shadow, its
-//! site keys and the races it keeps, as ids ([`Race`]).
+//! goroutine's vector clock, which is read from the execution's shared
+//! state (`crate::hb`). A detector here is its variable shadow, its site
+//! keys and the races it keeps, as ids ([`Race`]).
 //!
 //! Three detectors share this shadow, built by [`FastTrack::new`],
 //! [`FastTrack::pure_vc`] and [`FastTrack::hybrid`]:
@@ -20,7 +20,8 @@
 //! * the hybrid, Go's `-race` as the paper describes it, "integrating
 //!   lock-set and happens-before algorithms" (§1, §3.1): FastTrack decides
 //!   *whether* two accesses race, and each access also records the locks
-//!   its goroutine held, which is what makes a report actionable for
+//!   its goroutine held (read from the shared state, where Eraser reads
+//!   them too), which is what makes a report actionable for
 //!   partial-locking bugs (Observation 10). Its reports are labelled
 //!   `tsan`.
 //!
@@ -36,12 +37,12 @@
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
-use grs_clock::{Epoch, LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
+use grs_clock::{Epoch, Tid, VectorClock};
 use grs_obs::hash::FnvHasher;
-use grs_runtime::event::{Event, EventKind};
-use grs_runtime::{Addr, Gid, Monitor, NameId, SourceLoc, StackDepot};
+use grs_runtime::event::Event;
+use grs_runtime::{Addr, Monitor, NameId, SourceLoc, StackDepot};
 
-use crate::hb::HbClocks;
+use crate::hb::Execution;
 use crate::replay::Detector;
 use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
 
@@ -142,32 +143,11 @@ impl SiteKey {
 /// per-run output).
 pub const MAX_REPORTS: usize = 256;
 
-/// Which happens-before detector a shadow belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum Variant {
-    /// FastTrack proper: epochs, no lockset context.
-    #[default]
-    Epoch,
-    /// Full vector clocks everywhere (the ablation).
-    PureVc,
-    /// Epochs, and the locks each access's goroutine held.
-    Hybrid,
-}
-
-impl Variant {
-    fn kind(self) -> DetectorKind {
-        match self {
-            Variant::Epoch => DetectorKind::FastTrack,
-            Variant::PureVc => DetectorKind::PureVectorClock,
-            Variant::Hybrid => DetectorKind::Tsan,
-        }
-    }
-}
-
-/// A happens-before detector used alone: a private `HbClocks` advanced
-/// around one variable shadow. Create one per run (or reuse it: every run
-/// starts by resetting it) and pass it to [`grs_runtime::Runtime::run`];
-/// collect [`FastTrack::reports`] afterwards: the run's end builds them.
+/// A happens-before detector used alone: a private copy of the
+/// execution's shared state, advanced around one variable shadow. Create
+/// one per run (or reuse it: every run starts by resetting it) and pass it
+/// to [`grs_runtime::Runtime::run`]; collect [`FastTrack::reports`]
+/// afterwards: the run's end builds them.
 ///
 /// # Example
 ///
@@ -191,7 +171,7 @@ impl Variant {
 /// ```
 #[derive(Debug)]
 pub struct FastTrack {
-    hb: HbClocks,
+    exec: Execution,
     shadow: Shadow,
     /// The reports of the last finished run.
     reports: Vec<RaceReport>,
@@ -207,26 +187,28 @@ impl FastTrack {
     /// FastTrack on its epoch fast path.
     #[must_use]
     pub fn new() -> Self {
-        Self::of(Variant::Epoch)
+        Self::of(DetectorKind::FastTrack)
     }
 
     /// The pure-vector-clock ablation.
     #[must_use]
     pub fn pure_vc() -> Self {
-        Self::of(Variant::PureVc)
+        Self::of(DetectorKind::PureVectorClock)
     }
 
     /// The TSan-style hybrid: FastTrack verdicts with each side's held
     /// locks, reported as `tsan`.
     #[must_use]
     pub fn hybrid() -> Self {
-        Self::of(Variant::Hybrid)
+        Self::of(DetectorKind::Tsan)
     }
 
-    fn of(variant: Variant) -> Self {
+    fn of(kind: DetectorKind) -> Self {
+        let mut exec = Execution::default();
+        exec.watched_by([kind]);
         FastTrack {
-            hb: HbClocks::default(),
-            shadow: Shadow::new(variant),
+            exec,
+            shadow: Shadow::new(kind),
             reports: Vec::new(),
         }
     }
@@ -235,12 +217,6 @@ impl FastTrack {
     #[must_use]
     pub fn reports(&self) -> &[RaceReport] {
         &self.reports
-    }
-
-    /// Consumes the detector, returning its reports.
-    #[must_use]
-    pub fn into_reports(self) -> Vec<RaceReport> {
-        self.reports
     }
 
     /// Number of memory accesses processed.
@@ -259,20 +235,25 @@ impl FastTrack {
 
 impl Monitor for FastTrack {
     fn on_run_start(&mut self, depot: &StackDepot) {
-        self.hb.reset();
-        self.shadow.on_run_start(depot);
+        self.exec.on_run_start(depot);
+        self.shadow.reset();
         self.reports.clear();
     }
 
     fn on_event(&mut self, event: &Event) {
-        self.hb.before(event);
-        self.shadow.on_event(&self.hb, event);
-        self.hb.after(event);
+        self.exec.before(event);
+        self.shadow.on_event(&self.exec, event);
+        self.exec.after(event);
     }
 
     fn on_run_end(&mut self) {
-        let shadow = &self.shadow;
-        self.reports = shadow.races().iter().map(|race| shadow.report(race)).collect();
+        let (exec, kind) = (&self.exec, self.shadow.kind);
+        self.reports = self
+            .shadow
+            .races()
+            .iter()
+            .map(|race| race.report(&exec.depot, &exec.locksets, kind))
+            .collect();
     }
 
     fn peak_shadow_words(&self) -> usize {
@@ -286,24 +267,14 @@ impl Detector for FastTrack {
     }
 }
 
-/// One happens-before detector without its clocks: the variable shadow,
-/// the held locks (the hybrid's), the site keys and the races kept. It
-/// reads the execution's `HbClocks` on every access.
-#[derive(Debug, Default)]
+/// One happens-before detector without the execution's state: the
+/// variable shadow, the site keys and the races kept. It reads the
+/// execution's clocks on every access, and the hybrid its held locks.
+#[derive(Debug)]
 pub(crate) struct Shadow {
-    variant: Variant,
-    /// Depot of the current run (attached by `on_run_start`): the texts of
-    /// object names, for the rare site only a name's text tells apart, and
-    /// of the stacks its reports resolve.
-    depot: StackDepot,
-    /// Interned locksets; shadow history stores [`LocksetId`]s.
-    locksets: LocksetInterner,
-    /// Locks each goroutine holds, tracked by the hybrid only.
-    held: Vec<Lockset>,
-    /// Interned id of each goroutine's current `held` set, refreshed on
-    /// acquire/release so accesses copy a `u32`. Empty but for the hybrid,
-    /// so every other variant's accesses hold [`LocksetId::EMPTY`].
-    held_ids: Vec<LocksetId>,
+    /// Which of the three detectors this is: `FastTrack`,
+    /// `PureVectorClock` or `Tsan` (the hybrid).
+    pub(crate) kind: DetectorKind,
     /// Flat variable table indexed by the kernel's dense address ids.
     vars: Vec<VarShadow>,
     /// The races kept this run, in detection order.
@@ -326,22 +297,26 @@ pub(crate) struct Shadow {
 }
 
 impl Shadow {
-    pub(crate) fn new(variant: Variant) -> Self {
+    pub(crate) fn new(kind: DetectorKind) -> Self {
+        debug_assert_ne!(kind, DetectorKind::Eraser);
         Shadow {
-            variant,
-            ..Shadow::default()
+            kind,
+            vars: Vec::new(),
+            races: Vec::new(),
+            sites: HashSet::default(),
+            found: Vec::new(),
+            accesses_processed: 0,
+            epoch_fast_hits: 0,
+            shadow_words: 0,
+            peak_words: 0,
         }
     }
 
     /// Clears all per-run state while keeping container allocations warm,
     /// so one detector can monitor thousands of campaign runs without
-    /// reallocating: the variable table keeps its capacity, and the inner
-    /// containers a run filled — each goroutine's held-lock set, the site
-    /// set and the interned locksets — are emptied in place rather than
-    /// dropped.
-    fn reset(&mut self) {
-        self.held.iter_mut().for_each(Lockset::clear);
-        self.held_ids.clear();
+    /// reallocating: the variable table keeps its capacity, and the site
+    /// set is emptied in place rather than dropped.
+    pub(crate) fn reset(&mut self) {
         self.vars.clear();
         self.races.clear();
         self.sites.clear();
@@ -349,48 +324,21 @@ impl Shadow {
         self.epoch_fast_hits = 0;
         self.shadow_words = 0;
         self.peak_words = 0;
-        self.locksets.reset();
     }
 
-    /// A fresh run: drops any previous run's shadow state (allocations stay
-    /// warm) and attaches the run's depot.
-    pub(crate) fn on_run_start(&mut self, depot: &StackDepot) {
-        self.reset();
-        self.depot = depot.clone();
-    }
-
-    /// Checks and records an access against `hb`, which has taken the
-    /// event's first step; the hybrid also follows lock acquires and
-    /// releases. Other synchronisation is the clocks' alone.
+    /// Checks and records an access against `exec`, which has taken the
+    /// event's first step. Synchronisation is the shared state's alone.
     #[inline]
-    pub(crate) fn on_event(&mut self, hb: &HbClocks, event: &Event) {
-        match event.kind {
-            EventKind::Access {
-                addr,
-                object,
-                kind,
-                stack,
-                loc,
-            } => {
-                let (gid, held) = (event.gid, self.held_ids.get(event.gid.index()));
-                let locks = held.copied().unwrap_or(LocksetId::EMPTY);
-                let info = AccessRecord {
-                    gid,
-                    kind,
-                    stack,
-                    loc,
-                    locks,
-                };
-                self.on_access(hb.clock(gid), addr, object, info);
-            }
-            EventKind::Acquire { lock, .. } if self.variant == Variant::Hybrid => {
-                self.hold(event.gid, |held| held.insert(LockId::new(lock.0)));
-            }
-            EventKind::Release { lock, .. } if self.variant == Variant::Hybrid => {
-                self.hold(event.gid, |held| held.remove(LockId::new(lock.0)));
-            }
-            _ => {}
+    pub(crate) fn on_event(&mut self, exec: &Execution, event: &Event) {
+        let Some((addr, object, mut info)) = AccessRecord::of(event) else {
+            return;
+        };
+        // The hybrid records the locks each access's goroutine held; the
+        // others record none.
+        if self.kind == DetectorKind::Tsan {
+            info.locks = exec.held(info.gid).any;
         }
+        self.on_access(exec, addr, object, info);
     }
 
     /// The most shadow words this run has held at once.
@@ -403,30 +351,17 @@ impl Shadow {
         &self.races
     }
 
-    /// The report of `race`, one this shadow kept this run.
-    pub(crate) fn report(&self, race: &Race) -> RaceReport {
-        race.report(&self.depot, &self.locksets, self.variant.kind())
-    }
-
-    /// Applies `change` to the locks `gid` holds and re-interns them.
-    fn hold(&mut self, gid: Gid, change: impl FnOnce(&mut Lockset) -> bool) {
-        let gi = gid.index();
-        if self.held_ids.len() <= gi {
-            self.held_ids.resize(gi + 1, LocksetId::EMPTY);
-        }
-        // `held` outlives a reset (its sets are emptied in place), so it
-        // may already cover this goroutine.
-        if self.held.len() <= gi {
-            self.held.resize_with(gi + 1, Lockset::new);
-        }
-        change(&mut self.held[gi]);
-        self.held_ids[gi] = self.locksets.intern(&self.held[gi]);
-    }
-
     /// Keeps the first race of each site, as ids: a repeat costs one
     /// probe of `sites`, and nothing is resolved.
     #[cold]
-    fn record(&mut self, addr: Addr, object: NameId, prior: AccessRecord, current: AccessRecord) {
+    fn record(
+        &mut self,
+        depot: &StackDepot,
+        addr: Addr,
+        object: NameId,
+        prior: AccessRecord,
+        current: AccessRecord,
+    ) {
         if self.races.len() >= MAX_REPORTS {
             return;
         }
@@ -441,7 +376,7 @@ impl Shadow {
         // is not added, so `sites` holds one key per race: even keys an
         // uploaded trace crafts to collide under FNV cost at most
         // `MAX_REPORTS` comparisons a probe.
-        if self.races.iter().any(|r| site.same_text(r, &self.depot)) {
+        if self.races.iter().any(|r| site.same_text(r, depot)) {
             return;
         }
         self.sites.insert(site);
@@ -453,17 +388,18 @@ impl Shadow {
         });
     }
 
-    /// Checks one access by a goroutine whose clock is `c` against the
-    /// variable's shadow, then updates the shadow.
+    /// Checks one access against the variable's shadow and the accessing
+    /// goroutine's clock in `exec`, then updates the shadow.
     #[inline]
-    fn on_access(&mut self, c: &VectorClock, addr: Addr, object: NameId, info: AccessRecord) {
+    fn on_access(&mut self, exec: &Execution, addr: Addr, object: NameId, info: AccessRecord) {
         self.accesses_processed += 1;
+        let c = exec.clocks.clock(info.gid);
         let (tid, kind) = (Tid::new(info.gid.0), info.kind);
         let vi = addr.0 as usize;
         if self.vars.len() <= vi {
             self.vars.resize_with(vi + 1, VarShadow::default);
         }
-        let pure_vc = self.variant == Variant::PureVc;
+        let pure_vc = self.kind == DetectorKind::PureVectorClock;
         let mut fast = true;
         let mut words_delta: isize = 0;
         {
@@ -495,12 +431,7 @@ impl Shadow {
                 match &var.read {
                     ReadState::None => {}
                     ReadState::Exclusive(e, ri) => {
-                        let read_hb = if pure_vc {
-                            e.to_clock().le(c)
-                        } else {
-                            e.le_clock(c)
-                        };
-                        if !(read_hb || (kind.is_atomic() && ri.kind.is_atomic())) {
+                        if !(e.le_clock(c) || (kind.is_atomic() && ri.kind.is_atomic())) {
                             found.push((*ri, info));
                         }
                     }
@@ -559,63 +490,41 @@ impl Shadow {
                 // Read: update the read history. Each arm tracks its exact
                 // shadow-word delta in place — recounting the whole read
                 // state before and after costs two extra matches per access
-                // on the hot path.
+                // on the hot path. Pure-VC never keeps an epoch: its reads
+                // all take the `Shared` arm.
                 let my_clk = c.get(tid);
-                if pure_vc {
-                    let (before, reads) = match &mut var.read {
-                        ReadState::Shared(reads) => (reads.len(), reads),
-                        other => {
-                            let was_exclusive = matches!(other, ReadState::Exclusive(..));
-                            let mut reads = Vec::new();
-                            if let ReadState::Exclusive(e, ri) = other {
+                if pure_vc && matches!(var.read, ReadState::None) {
+                    var.read = ReadState::Shared(Vec::new());
+                }
+                match &mut var.read {
+                    ReadState::None => {
+                        var.read = ReadState::Exclusive(Epoch::new(tid, my_clk), info);
+                        words_delta += 1;
+                    }
+                    ReadState::Exclusive(e, ri) => {
+                        if e.tid() == tid || e.le_clock(c) {
+                            *e = Epoch::new(tid, my_clk);
+                            *ri = info;
+                        } else {
+                            fast = false;
+                            let mut reads = Vec::with_capacity(2);
+                            if let ReadState::Exclusive(e, ri) = &var.read {
                                 reads.push(SharedRead {
                                     tid: e.tid().raw(),
                                     clk: e.clock(),
                                     info: *ri,
                                 });
                             }
+                            shared_insert(&mut reads, tid.raw(), my_clk, info);
+                            words_delta += reads.len() as isize - 1;
                             var.read = ReadState::Shared(reads);
-                            match &mut var.read {
-                                ReadState::Shared(reads) => {
-                                    (usize::from(was_exclusive), reads)
-                                }
-                                _ => unreachable!("just assigned"),
-                            }
                         }
-                    };
-                    shared_insert(reads, tid.raw(), my_clk, info);
-                    words_delta += reads.len() as isize - before as isize;
-                } else {
-                    match &mut var.read {
-                        ReadState::None => {
-                            var.read = ReadState::Exclusive(Epoch::new(tid, my_clk), info);
-                            words_delta += 1;
-                        }
-                        ReadState::Exclusive(e, ri) => {
-                            if e.tid() == tid || e.le_clock(c) {
-                                *e = Epoch::new(tid, my_clk);
-                                *ri = info;
-                            } else {
-                                fast = false;
-                                let mut reads = Vec::with_capacity(2);
-                                if let ReadState::Exclusive(e, ri) = &var.read {
-                                    reads.push(SharedRead {
-                                        tid: e.tid().raw(),
-                                        clk: e.clock(),
-                                        info: *ri,
-                                    });
-                                }
-                                shared_insert(&mut reads, tid.raw(), my_clk, info);
-                                words_delta += reads.len() as isize - 1;
-                                var.read = ReadState::Shared(reads);
-                            }
-                        }
-                        ReadState::Shared(reads) => {
-                            fast = false;
-                            let before = reads.len();
-                            shared_insert(reads, tid.raw(), my_clk, info);
-                            words_delta += reads.len() as isize - before as isize;
-                        }
+                    }
+                    ReadState::Shared(reads) => {
+                        fast = false;
+                        let before = reads.len();
+                        shared_insert(reads, tid.raw(), my_clk, info);
+                        words_delta += reads.len() as isize - before as isize;
                     }
                 }
             }
@@ -632,7 +541,7 @@ impl Shadow {
         // it empty — and its allocation warm — for the next access.
         for i in 0..self.found.len() {
             let (prior, current) = self.found[i];
-            self.record(addr, object, prior, current);
+            self.record(&exec.depot, addr, object, prior, current);
         }
         self.found.clear();
     }

@@ -1,27 +1,143 @@
-//! The happens-before engine the vector-clock detectors share.
+//! The execution's shared state: what its detectors read about it, kept
+//! once however many of them watch it.
 //!
 //! Go's memory model orders a program's accesses by one relation over its
-//! synchronisation events (Fava & Steffen, "Ready, set, Go!"), whatever a
-//! detector then does with a variable's shadow. [`HbClocks`] is that
+//! synchronisation events (Fava & Steffen, "Ready, set, Go!"), and the
+//! same events say which locks each goroutine holds. [`HbClocks`] is that
 //! relation as vector clocks, following the edges the runtime emits:
 //! spawn, mutex/rwlock release→acquire, channel send→receive,
 //! receive→send-completion (rendezvous/backpressure), close→recv-closed,
 //! `WaitGroup` done→wait, `Once` execution→observation, and `sync/atomic`
 //! release/acquire on the accessed address.
 //!
-//! One execution advances one `HbClocks`, however many of FastTrack,
-//! pure-VC and the hybrid read it (each keeps only its variable shadow,
-//! [`crate::fasttrack`]). An event is applied in two steps around their
-//! shadow checks, so an atomic access acquires before it is checked and
-//! releases after: [`HbClocks::before`] applies a synchronisation event
-//! whole, or an atomic access's acquire join; [`HbClocks::after`] applies
-//! an `AtomicWrite`'s release join and tick. Like the shadows, every table
-//! is a flat `Vec` indexed by the kernel's dense object ids.
+//! One execution advances one [`Execution`]: the clocks, the locks each
+//! goroutine holds, one lockset interner for those and for every lockset
+//! a shadow keeps (access records' locks, Eraser's candidates), and the
+//! depot. A detector is only its variable shadow ([`crate::fasttrack`],
+//! [`crate::eraser`]), reading this state. An event is applied in two
+//! steps around the shadows' checks, so an atomic access acquires before
+//! it is checked and releases after: [`Execution::before`] applies a
+//! synchronisation event whole, or an atomic access's acquire join;
+//! [`Execution::after`] applies an `AtomicWrite`'s release join and tick.
+//! Like the shadows, every table is a flat `Vec` indexed by the kernel's
+//! dense object ids.
 
-use grs_clock::{Tid, VectorClock};
+use grs_clock::{LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_obs::hash::FnvMap;
 use grs_runtime::event::{Event, EventKind, LockMode};
-use grs_runtime::{AccessKind, Addr, Gid};
+use grs_runtime::{AccessKind, Addr, Gid, StackDepot};
+
+use crate::report::DetectorKind;
+
+/// What an execution's detectors read about it, advanced once per event
+/// for all of them.
+#[derive(Debug, Default)]
+pub(crate) struct Execution {
+    /// Whether a watcher reads the clocks, and the held locks: each is
+    /// advanced only then ([`Execution::watched_by`]).
+    tracks_clocks: bool,
+    tracks_locks: bool,
+    pub(crate) clocks: HbClocks,
+    /// The locks each goroutine holds, by goroutine index; a goroutine
+    /// past the end holds none.
+    held: Vec<HeldLocks>,
+    /// The set an acquire or release edits before it is interned.
+    scratch: Lockset,
+    /// The interner of every lockset of the run.
+    pub(crate) locksets: LocksetInterner,
+    /// The run's depot: the texts of object names, for the rare race site
+    /// only a name's text tells apart, and of the stacks reports resolve.
+    pub(crate) depot: StackDepot,
+}
+
+/// The locks one goroutine holds, as interned ids.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct HeldLocks {
+    /// In any mode: the locks that protect a read.
+    pub(crate) any: LocksetId,
+    /// In write mode: the locks that protect a write, since a read-mode
+    /// `RLock` admits concurrent readers.
+    pub(crate) write: LocksetId,
+}
+
+impl Execution {
+    /// Advances, from the next run on, what detectors of `kinds` read:
+    /// the clocks, which every happens-before detector reads, and the held
+    /// locks, which Eraser and the hybrid read.
+    pub(crate) fn watched_by(&mut self, kinds: impl IntoIterator<Item = DetectorKind>) {
+        (self.tracks_clocks, self.tracks_locks) = (false, false);
+        for kind in kinds {
+            self.tracks_clocks |= kind != DetectorKind::Eraser;
+            self.tracks_locks |= matches!(kind, DetectorKind::Eraser | DetectorKind::Tsan);
+        }
+    }
+
+    /// Forgets the last run, keeping every table's allocations, and
+    /// attaches the new run's depot.
+    pub(crate) fn on_run_start(&mut self, depot: &StackDepot) {
+        self.clocks.reset();
+        self.held.clear();
+        self.locksets.reset();
+        self.depot.clone_from(depot);
+    }
+
+    /// The first step of `event`, before any shadow checks it: the clocks'
+    /// ([`HbClocks::before`]), and a lock acquire or release.
+    #[inline]
+    pub(crate) fn before(&mut self, event: &Event) {
+        if self.tracks_clocks {
+            self.clocks.before(event);
+        }
+        if self.tracks_locks {
+            match event.kind {
+                EventKind::Acquire { lock, mode } => self.acquire(event.gid, lock.0, mode),
+                EventKind::Release { lock, .. } => self.release(event.gid, lock.0),
+                _ => {}
+            }
+        }
+    }
+
+    /// The second step of `event`, after every shadow checked it.
+    #[inline]
+    pub(crate) fn after(&mut self, event: &Event) {
+        if self.tracks_clocks {
+            self.clocks.after(event);
+        }
+    }
+
+    /// The locks `gid` holds.
+    #[inline]
+    pub(crate) fn held(&self, gid: Gid) -> HeldLocks {
+        self.held.get(gid.index()).copied().unwrap_or_default()
+    }
+
+    fn acquire(&mut self, gid: Gid, lock: u64, mode: LockMode) {
+        let mut held = self.held(gid);
+        held.any = self.edit(held.any, |set| set.insert(LockId::new(lock)));
+        if mode == LockMode::Write {
+            held.write = self.edit(held.write, |set| set.insert(LockId::new(lock)));
+        }
+        *slot(&mut self.held, gid.index()) = held;
+    }
+
+    fn release(&mut self, gid: Gid, lock: u64) {
+        let mut held = self.held(gid);
+        held.any = self.edit(held.any, |set| set.remove(LockId::new(lock)));
+        held.write = self.edit(held.write, |set| set.remove(LockId::new(lock)));
+        *slot(&mut self.held, gid.index()) = held;
+    }
+
+    /// The id of the set `id` names after `change`, which says whether it
+    /// changed it.
+    fn edit(&mut self, id: LocksetId, change: impl FnOnce(&mut Lockset) -> bool) -> LocksetId {
+        self.scratch.clone_from(self.locksets.get(id));
+        if change(&mut self.scratch) {
+            self.locksets.intern(&self.scratch)
+        } else {
+            id
+        }
+    }
+}
 
 #[derive(Debug, Default)]
 struct LockShadow {
@@ -72,7 +188,7 @@ pub(crate) struct HbClocks {
 impl HbClocks {
     /// Forgets the run, keeping the flat tables' capacity and each
     /// channel's clock maps.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.clocks.clear();
         self.locks.clear();
         self.chans.iter_mut().for_each(ChanShadow::clear);
@@ -92,7 +208,7 @@ impl HbClocks {
     /// atomic access's acquire join, which must order the access before
     /// it is checked.
     #[inline]
-    pub(crate) fn before(&mut self, event: &Event) {
+    fn before(&mut self, event: &Event) {
         let gid = event.gid;
         self.ensure_tid(gid);
         match event.kind {
@@ -122,7 +238,7 @@ impl HbClocks {
     /// The second step of `event`: an `AtomicWrite` publishes the writer's
     /// clock to its address, after the access was checked, and ticks.
     #[inline]
-    pub(crate) fn after(&mut self, event: &Event) {
+    fn after(&mut self, event: &Event) {
         if let EventKind::Access {
             addr,
             kind: AccessKind::AtomicWrite,

@@ -16,10 +16,12 @@
 //! held — the shape of report the paper's deployment files as bugs (§3.3:
 //! two stacks, access types, conflicting address).
 //!
-//! The three happens-before detectors are one engine: an execution's
-//! vector clocks are kept once, however many of them watch it, and each
-//! keeps only its own variable shadow. [`DetectorArena`] fans an execution
-//! out to its detectors in one pass, live or replayed.
+//! A detector is only its variable shadow. What the detectors read about
+//! an execution — its vector clocks, the locks each goroutine holds, one
+//! lockset interner and the depot — is kept once, however many watch it.
+//! [`DetectorArena`] fans an execution out to its detectors in one pass,
+//! live or replayed; [`FastTrack`] and [`Eraser`] are each a private copy
+//! of that state and one shadow.
 //!
 //! A detector keeps each race as a `Copy` [`Race`] of ids and resolves
 //! nothing while the run goes on; a [`RaceReport`] is built from one on

@@ -2,7 +2,7 @@
 //! the deployment pipeline consumes.
 //!
 //! A detector keeps each race it finds as a [`Race`] — `Copy` ids into the
-//! run's stack depot and the detector's lockset interner — and resolves
+//! run's stack depot and the execution's lockset interner — and resolves
 //! nothing while the run goes on. A [`RaceReport`] mirrors what the
 //! paper's workflow files as a bug (§3.3): the conflicting address, the two
 //! calling contexts, and the access types. One builder turns the first
@@ -14,6 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use grs_clock::{Lockset, LocksetId, LocksetInterner};
+use grs_runtime::event::{Event, EventKind};
 use grs_runtime::{
     AccessKind, Addr, Gid, NameId, ReproArtifact, SourceLoc, Stack, StackDepot, StackId,
 };
@@ -56,12 +57,36 @@ pub struct AccessRecord {
     pub stack: StackId,
     /// Source location of the access.
     pub loc: SourceLoc,
-    /// Locks held at the access, in the recording detector's interner
+    /// Locks held at the access, in the execution's interner
     /// ([`LocksetId::EMPTY`] for detectors that track none).
     pub locks: LocksetId,
 }
 
 impl AccessRecord {
+    /// The access `event` makes, if it is one: the address, the object's
+    /// name and the record, with no locks held until a shadow that records
+    /// them says which.
+    pub(crate) fn of(event: &Event) -> Option<(Addr, NameId, AccessRecord)> {
+        let EventKind::Access {
+            addr,
+            object,
+            kind,
+            stack,
+            loc,
+        } = event.kind
+        else {
+            return None;
+        };
+        let record = AccessRecord {
+            gid: event.gid,
+            kind,
+            stack,
+            loc,
+            locks: LocksetId::EMPTY,
+        };
+        Some((addr, object, record))
+    }
+
     fn resolve(self, depot: &StackDepot, locksets: &LocksetInterner) -> RaceAccess {
         RaceAccess {
             gid: self.gid,

@@ -32,7 +32,13 @@ fn daily_run_files_unique_tasks_for_the_whole_corpus() {
     let all_races = campaign(pattern_suite(false), 50, 1).batch.into_reports();
     assert!(all_races.len() >= 20, "corpus produces many races");
 
-    let outcomes = service.submit_batch(&all_races, 0).unwrap();
+    let submit_all = |day| -> Vec<FileOutcome> {
+        all_races
+            .iter()
+            .map(|r| service.submit(r, day).unwrap())
+            .collect()
+    };
+    let outcomes = submit_all(0);
     let filed_day1 = outcomes
         .iter()
         .filter(|o| matches!(o, FileOutcome::Filed { .. }))
@@ -41,7 +47,7 @@ fn daily_run_files_unique_tasks_for_the_whole_corpus() {
 
     // "Day 2": the same races detected again (the daily rerun) must all be
     // suppressed as duplicates while their tasks are open.
-    let outcomes2 = service.submit_batch(&all_races, 1).unwrap();
+    let outcomes2 = submit_all(1);
     assert!(
         outcomes2.iter().all(|o| *o == FileOutcome::Duplicate),
         "open tasks must suppress re-detections"
@@ -51,7 +57,7 @@ fn daily_run_files_unique_tasks_for_the_whole_corpus() {
     // Fix one task; day 3's rerun re-files exactly that race.
     let first_task = service.with_tracker(|t| t.tasks()[0].id);
     service.fix(first_task, 2, "alice", 1).unwrap();
-    let outcomes3 = service.submit_batch(&all_races, 3).unwrap();
+    let outcomes3 = submit_all(3);
     let refiled = outcomes3
         .iter()
         .filter(|o| matches!(o, FileOutcome::Filed { .. }))
@@ -64,7 +70,9 @@ fn fixed_corpus_files_nothing() {
     let fixed = pattern_suite(true).into_iter().filter(|u| u.expected_racy == Some(false));
     let races = campaign(fixed.collect(), 30, 1).batch.into_reports();
     let service = IntakeService::builder().workers(1).start().unwrap();
-    service.submit_batch(&races, 0).unwrap();
+    for race in &races {
+        service.submit(race, 0).unwrap();
+    }
     assert_eq!(service.with_tracker(|t| t.total_filed()), 0);
 }
 
@@ -79,8 +87,8 @@ fn report_orientation_does_not_duplicate_tasks() {
     for base in [1_u64, 1000, 2000, 3000] {
         let unit = CampaignUnit::pattern(&pattern, true);
         let races = campaign(vec![unit], 40, base).batch.into_reports();
-        for o in service.submit_batch(&races, 0).unwrap() {
-            if matches!(o, FileOutcome::Filed { .. }) {
+        for race in &races {
+            if matches!(service.submit(race, 0).unwrap(), FileOutcome::Filed { .. }) {
                 filed += 1;
             }
         }

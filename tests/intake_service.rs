@@ -257,8 +257,9 @@ fn tcp_transport_serves_real_trace_uploads() {
 #[test]
 fn snapshot_restore_snapshot_is_byte_identical_across_cycles() {
     let service = IntakeService::builder().workers(1).start().unwrap();
-    let reports = corpus_reports();
-    service.submit_batch(&reports, 0).unwrap();
+    for report in &corpus_reports() {
+        service.submit(report, 0).unwrap();
+    }
     // Mix task states: fix a couple so the snapshot covers Fixed tasks
     // with engineer/patch/day fields, not just Open ones.
     let (first, second) = service.with_tracker(|t| (t.tasks()[0].id, t.tasks()[1].id));
@@ -296,7 +297,9 @@ fn kill_and_restore_from_disk_loses_no_task_and_refiles_nothing() {
     let reports = corpus_reports();
 
     let service = start();
-    service.submit_batch(&reports, 0).unwrap();
+    for report in &reports {
+        service.submit(report, 0).unwrap();
+    }
     let first = service.with_tracker(|t| t.tasks()[0].id);
     service.fix(first, 2, "alice", 41).unwrap();
     let before = service.snapshot().encode();

@@ -13,22 +13,73 @@
 //! These tests pin the contract over the whole executable pattern corpus
 //! (racy and fixed variants), 16 seeds each, for all four algorithms —
 //! including the pure-vector-clock ablation that the campaign default
-//! excludes — and additionally through a full encode→decode round trip of
+//! excludes. The same loop runs each algorithm live as a standalone
+//! detector (`FastTrack::new`, `pure_vc`, `hybrid`, `Eraser::new`), a
+//! private copy of the execution's shared state around one shadow, and
+//! holds it to the arena member, the locks each side held included. And
+//! the contract is checked through a full encode→decode round trip of
 //! the `.grtrace` wire format, so on-disk traces carry the same guarantee
 //! as in-memory ones, including for a cell named after its source file
 //! (one text that is an object's and a file's name at once).
 
 use grs::deploy::race_fingerprint;
-use grs::detector::{DetectorArena, DetectorChoice};
+use grs::detector::{
+    Detector, DetectorArena, DetectorChoice, Eraser, FastTrack, RaceReport, ReplayOutcome,
+};
 use grs::fleet::{pattern_suite, CampaignUnit};
 use grs::runtime::event::EventKind;
-use grs::runtime::{record, Program, RunConfig, Trace};
+use grs::runtime::{record, Program, RunConfig, Runtime, Trace};
 
 const SEEDS: u64 = 16;
 
+/// `choice` as a standalone detector, outside any arena.
+fn standalone(choice: DetectorChoice) -> Box<dyn Detector> {
+    match choice {
+        DetectorChoice::FastTrack => Box::new(FastTrack::new()),
+        DetectorChoice::PureVectorClock => Box::new(FastTrack::pure_vc()),
+        DetectorChoice::Eraser => Box::new(Eraser::new()),
+        DetectorChoice::Hybrid => Box::new(FastTrack::hybrid()),
+    }
+}
+
+/// A report's text, and the locks each side held, which the text omits.
+fn rendered(r: &RaceReport) -> String {
+    let (prior, current) = (&r.prior.locks_held, &r.current.locks_held);
+    format!("{r}  locks held: previous {prior}, current {current}")
+}
+
+/// `program` under `cfg`, watched live by `choice` as a standalone
+/// detector, must equal the arena member's replay of the same run: events,
+/// peak shadow words, and every report as rendered.
+fn assert_standalone_equals_member(
+    choice: DetectorChoice,
+    program: &Program,
+    cfg: &RunConfig,
+    member: &ReplayOutcome,
+    cell: &str,
+) {
+    let (outcome, mut detector) = Runtime::new(cfg.clone()).run(program, standalone(choice));
+    let reports = detector.take_reports();
+    assert_eq!(
+        outcome.stats.events_dispatched, member.events,
+        "{cell}: events"
+    );
+    assert_eq!(
+        outcome.stats.peak_shadow_words, member.peak_shadow_words,
+        "{cell}: peak shadow words"
+    );
+    let solo: Vec<String> = reports.iter().map(rendered).collect();
+    let arena: Vec<String> = member.reports.iter().map(rendered).collect();
+    assert_eq!(solo, arena, "{cell}: the standalone detector's reports");
+}
+
 #[test]
 fn replay_is_bit_identical_to_live_for_every_pattern_seed_and_detector() {
-    for unit in pattern_suite(true) {
+    let units = pattern_suite(true);
+    // Listing 11: writes under a read-mode lock, so the write-mode held
+    // locks decide Eraser's verdict.
+    assert!(units.iter().any(|u| u.name == "rlock_write/racy"));
+    for unit in units {
         let mut arena = DetectorArena::new();
         for seed in 0..SEEDS {
             let cfg = RunConfig::with_seed(seed);
@@ -40,6 +91,8 @@ fn replay_is_bit_identical_to_live_for_every_pattern_seed_and_detector() {
                 unit.name
             );
             for (choice, replayed) in arena.replay_all(&trace) {
+                let cell = format!("{}/{seed}/{choice}", unit.name);
+                assert_standalone_equals_member(choice, &unit.program, &cfg, &replayed, &cell);
                 let (live_o, live_r) = choice.run(&unit.program, cfg.clone());
                 assert_eq!(
                     live_o.steps, outcome.steps,
