@@ -39,24 +39,28 @@ impl Epoch {
 
     /// Creates an epoch for logical time `clock` of goroutine `tid`.
     #[must_use]
+    #[inline]
     pub const fn new(tid: Tid, clock: u32) -> Self {
         Epoch { tid, clock }
     }
 
     /// The epoch summarizing `tid`'s current position in `clock`.
     #[must_use]
+    #[inline]
     pub fn of(tid: Tid, clock: &VectorClock) -> Self {
         Epoch::new(tid, clock.get(tid))
     }
 
     /// The goroutine component of the epoch.
     #[must_use]
+    #[inline]
     pub fn tid(self) -> Tid {
         self.tid
     }
 
     /// The logical-time component of the epoch.
     #[must_use]
+    #[inline]
     pub fn clock(self) -> u32 {
         self.clock
     }
@@ -73,6 +77,7 @@ impl Epoch {
     /// This is the O(1) fast path replacing a full vector-clock comparison:
     /// `c@t ⊑ C  ⇔  c <= C[t]`.
     #[must_use]
+    #[inline]
     pub fn le_clock(self, clock: &VectorClock) -> bool {
         self.clock <= clock.get(self.tid)
     }

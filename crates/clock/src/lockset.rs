@@ -347,12 +347,14 @@ impl LocksetInterner {
     /// Panics when `id` was not issued by this interner (or predates a
     /// [`LocksetInterner::reset`]).
     #[must_use]
+    #[inline]
     pub fn get(&self, id: LocksetId) -> &Lockset {
         &self.sets[..self.live][id.0 as usize]
     }
 
     /// The id of `a ∩ b`, memoized: the first intersection of a given pair
     /// materializes the set, every later one is a hash probe.
+    #[inline]
     pub fn intersect(&mut self, a: LocksetId, b: LocksetId) -> LocksetId {
         if a == b {
             return a;

@@ -23,18 +23,21 @@ pub struct Tid(u32);
 impl Tid {
     /// Creates a `Tid` from a dense index.
     #[must_use]
+    #[inline]
     pub const fn new(index: u32) -> Self {
         Tid(index)
     }
 
     /// The dense index of this goroutine.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// The raw `u32` value.
     #[must_use]
+    #[inline]
     pub fn raw(self) -> u32 {
         self.0
     }
@@ -69,6 +72,7 @@ enum Slots {
 }
 
 impl Clone for Slots {
+    #[inline]
     fn clone(&self) -> Self {
         match self {
             Slots::Inline { len, buf } => Slots::Inline {
@@ -79,6 +83,7 @@ impl Clone for Slots {
         }
     }
 
+    #[inline]
     fn clone_from(&mut self, source: &Self) {
         // Keep an existing heap allocation instead of reallocating — this is
         // what makes `VectorClock::clone_from` free for recycled clocks.
@@ -92,6 +97,7 @@ impl Clone for Slots {
 }
 
 impl Slots {
+    #[inline]
     fn as_slice(&self) -> &[u32] {
         match self {
             Slots::Inline { len, buf } => &buf[..*len as usize],
@@ -99,6 +105,7 @@ impl Slots {
         }
     }
 
+    #[inline]
     fn as_mut_slice(&mut self) -> &mut [u32] {
         match self {
             Slots::Inline { len, buf } => &mut buf[..*len as usize],
@@ -107,6 +114,7 @@ impl Slots {
     }
 
     /// Grows to at least `n` zero-filled components.
+    #[inline]
     fn grow_to(&mut self, n: usize) {
         match self {
             Slots::Inline { len, buf } => {
@@ -176,9 +184,25 @@ impl Default for Slots {
 /// assert_eq!(c.get(Tid::new(2)), 1);
 /// assert_eq!(c.get(Tid::new(7)), 0); // implicit zero
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct VectorClock {
     slots: Slots,
+}
+
+impl Clone for VectorClock {
+    #[inline]
+    fn clone(&self) -> Self {
+        VectorClock {
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Keeps `self`'s heap allocation, if it has one: the derived
+    /// `clone_from` would replace it with a fresh clone.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl PartialEq for VectorClock {
@@ -217,11 +241,13 @@ impl VectorClock {
 
     /// The component for `tid` (zero if never observed).
     #[must_use]
+    #[inline]
     pub fn get(&self, tid: Tid) -> u32 {
         self.slots.as_slice().get(tid.index()).copied().unwrap_or(0)
     }
 
     /// Sets the component for `tid`, growing the clock as needed.
+    #[inline]
     pub fn set(&mut self, tid: Tid, value: u32) {
         let i = tid.index();
         self.slots.grow_to(i + 1);
@@ -239,6 +265,7 @@ impl VectorClock {
     ///
     /// This is the local-step rule: a goroutine ticks its own component at
     /// each release operation.
+    #[inline]
     pub fn tick(&mut self, tid: Tid) -> u32 {
         let v = self.get(tid) + 1;
         self.set(tid, v);
@@ -249,6 +276,7 @@ impl VectorClock {
     ///
     /// This is the acquire rule: after `a.join(&b)`, everything ordered
     /// before `b` is ordered before subsequent events of `a`'s owner.
+    #[inline]
     pub fn join(&mut self, other: &VectorClock) {
         let olen = other.slots.as_slice().len();
         self.slots.grow_to(olen);
@@ -276,6 +304,7 @@ impl VectorClock {
     /// True when every component of `self` is `<=` the corresponding
     /// component of `other` (reflexive happens-before: `self ⊑ other`).
     #[must_use]
+    #[inline]
     pub fn le(&self, other: &VectorClock) -> bool {
         let o = other.slots.as_slice();
         for (i, &s) in self.slots.as_slice().iter().enumerate() {
@@ -510,7 +539,13 @@ mod tests {
         // clone_from reuses the destination's heap buffer.
         let mut dst = VectorClock::new();
         dst.set(t(20), 1);
+        let buffer = |c: &VectorClock| match &c.slots {
+            Slots::Heap(v) => v.as_ptr(),
+            Slots::Inline { .. } => panic!("a spilled clock is on the heap"),
+        };
+        let before = buffer(&dst);
         dst.clone_from(&a);
         assert_eq!(dst, a);
+        assert_eq!(buffer(&dst), before, "clone_from reallocated");
     }
 }

@@ -13,10 +13,11 @@
 //! [`FastTrack::pure_vc`] and [`FastTrack::hybrid`]:
 //!
 //! * FastTrack proper, on the O(1) epoch path;
-//! * pure vector clocks: the epoch fast path disabled and full clocks kept
-//!   for every shadow slot — same verdicts, more work — which the ablation
-//!   benchmark uses to measure what the epoch optimization buys (the
-//!   original paper reports most accesses hit the O(1) path);
+//! * pure vector clocks: the epoch fast path and its same-epoch exit
+//!   disabled and full clocks kept for every shadow slot — same verdicts,
+//!   more work — which the ablation benchmark uses to measure what the
+//!   epoch optimization buys (the original paper reports most accesses hit
+//!   the O(1) path);
 //! * the hybrid, Go's `-race` as the paper describes it, "integrating
 //!   lock-set and happens-before algorithms" (§1, §3.1): FastTrack decides
 //!   *whether* two accesses race, and each access also records the locks
@@ -24,6 +25,31 @@
 //!   them too), which is what makes a report actionable for
 //!   partial-locking bugs (Observation 10). Its reports are labelled
 //!   `tsan`.
+//!
+//! # The same-epoch exit
+//!
+//! An access by goroutine *t* at epoch *E* (*t*'s own clock component),
+//! recorded as *r* (goroutine, kind, stack, location and, for the hybrid,
+//! held locks), on object *o*, returns before any check — counted as one
+//! access and one epoch fast hit, as the full path would count it — when
+//!
+//! * it is a read, the read history is exclusively *E* with record *r*,
+//!   and *o* is the object the slot's last full-path access named; or
+//! * it is a write, the last write is *E* with record *r*, and the read
+//!   history is empty or exclusively an epoch of *t*'s.
+//!
+//! The full path would then keep no new race and leave the slot as it is.
+//! In Go's happens-before (Fava & Steffen, "Ready, set, Go!") a goroutine
+//! publishes its clock only at an edge, and ticks right after (`crate::hb`),
+//! so no access another goroutine made since the slot was set can be
+//! ordered after it: any race the repeat would find was already found, at
+//! the same site, by the access that set the slot or by the intervening
+//! write. The object is compared because a crafted upload can name one
+//! address by two objects, and a site's key includes the object's name.
+//! A shared read history takes no write exit: an acquire between two writes
+//! of one epoch grows *t*'s clock without a tick, and the second write
+//! would prune more readers. Pure vector clocks take no exit: they are the
+//! exit-free oracle `tests/detector_differential.rs` holds FastTrack to.
 //!
 //! # Flat shadow memory
 //!
@@ -91,6 +117,9 @@ struct VarShadow {
     write_clock: Option<VectorClock>,
     write_info: Option<AccessRecord>,
     read: ReadState,
+    /// The object named by the last access that took the full path: a
+    /// race site's key includes the name, and one address can go by two.
+    object: NameId,
 }
 
 impl Default for VarShadow {
@@ -101,6 +130,29 @@ impl Default for VarShadow {
             write_clock: None,
             write_info: None,
             read: ReadState::None,
+            object: NameId(0),
+        }
+    }
+}
+
+impl VarShadow {
+    /// Whether an access at `epoch`, recorded as `info`, on `object`
+    /// repeats what the slot holds, so that the full path would find no
+    /// race it has not kept and leave the slot as it is: FastTrack's
+    /// same-epoch exit (the module doc says why each condition is needed).
+    #[inline]
+    fn repeats(&self, epoch: Epoch, object: NameId, info: &AccessRecord) -> bool {
+        if info.kind.is_write() {
+            self.write_epoch == epoch
+                && self.write_info.as_ref() == Some(info)
+                && match &self.read {
+                    ReadState::None => true,
+                    ReadState::Exclusive(e, _) => e.tid() == epoch.tid(),
+                    ReadState::Shared(_) => false,
+                }
+        } else {
+            matches!(&self.read, ReadState::Exclusive(e, r) if *e == epoch && r == info)
+                && self.object == object
         }
     }
 }
@@ -400,6 +452,12 @@ impl Shadow {
             self.vars.resize_with(vi + 1, VarShadow::default);
         }
         let pure_vc = self.kind == DetectorKind::PureVectorClock;
+        let epoch = Epoch::of(tid, c);
+        // The same-epoch exit (module doc): a repeat finds nothing new.
+        if !pure_vc && self.vars[vi].repeats(epoch, object, &info) {
+            self.epoch_fast_hits += 1;
+            return;
+        }
         let mut fast = true;
         let mut words_delta: isize = 0;
         {
@@ -413,6 +471,7 @@ impl Shadow {
                 var.touched = true;
                 words_delta = 2;
             }
+            var.object = object;
             // --- race checks ---
             let write_hb = if pure_vc {
                 fast = false;
@@ -452,7 +511,7 @@ impl Shadow {
             }
             // --- shadow updates ---
             if kind.is_write() {
-                var.write_epoch = Epoch::new(tid, c.get(tid));
+                var.write_epoch = epoch;
                 if pure_vc {
                     match &mut var.write_clock {
                         Some(wc) => wc.clone_from(c),
@@ -492,18 +551,18 @@ impl Shadow {
                 // state before and after costs two extra matches per access
                 // on the hot path. Pure-VC never keeps an epoch: its reads
                 // all take the `Shared` arm.
-                let my_clk = c.get(tid);
+                let my_clk = epoch.clock();
                 if pure_vc && matches!(var.read, ReadState::None) {
                     var.read = ReadState::Shared(Vec::new());
                 }
                 match &mut var.read {
                     ReadState::None => {
-                        var.read = ReadState::Exclusive(Epoch::new(tid, my_clk), info);
+                        var.read = ReadState::Exclusive(epoch, info);
                         words_delta += 1;
                     }
                     ReadState::Exclusive(e, ri) => {
                         if e.tid() == tid || e.le_clock(c) {
-                            *e = Epoch::new(tid, my_clk);
+                            *e = epoch;
                             *ri = info;
                         } else {
                             fast = false;

@@ -33,10 +33,12 @@ use crate::report::DetectorKind;
 /// for all of them.
 #[derive(Debug, Default)]
 pub(crate) struct Execution {
-    /// Whether a watcher reads the clocks, and the held locks: each is
-    /// advanced only then ([`Execution::watched_by`]).
+    /// Whether a watcher reads the clocks, the held locks, and the locks
+    /// held in write mode: each is advanced only then
+    /// ([`Execution::watched_by`]).
     tracks_clocks: bool,
     tracks_locks: bool,
+    tracks_write_locks: bool,
     pub(crate) clocks: HbClocks,
     /// The locks each goroutine holds, by goroutine index; a goroutine
     /// past the end holds none.
@@ -56,19 +58,23 @@ pub(crate) struct HeldLocks {
     /// In any mode: the locks that protect a read.
     pub(crate) any: LocksetId,
     /// In write mode: the locks that protect a write, since a read-mode
-    /// `RLock` admits concurrent readers.
+    /// `RLock` admits concurrent readers. Kept only while Eraser watches;
+    /// empty otherwise.
     pub(crate) write: LocksetId,
 }
 
 impl Execution {
     /// Advances, from the next run on, what detectors of `kinds` read:
-    /// the clocks, which every happens-before detector reads, and the held
-    /// locks, which Eraser and the hybrid read.
+    /// the clocks, which every happens-before detector reads, the held
+    /// locks, which Eraser and the hybrid read, and those held in write
+    /// mode, which only Eraser reads.
     pub(crate) fn watched_by(&mut self, kinds: impl IntoIterator<Item = DetectorKind>) {
         (self.tracks_clocks, self.tracks_locks) = (false, false);
+        self.tracks_write_locks = false;
         for kind in kinds {
             self.tracks_clocks |= kind != DetectorKind::Eraser;
             self.tracks_locks |= matches!(kind, DetectorKind::Eraser | DetectorKind::Tsan);
+            self.tracks_write_locks |= kind == DetectorKind::Eraser;
         }
     }
 
@@ -114,7 +120,7 @@ impl Execution {
     fn acquire(&mut self, gid: Gid, lock: u64, mode: LockMode) {
         let mut held = self.held(gid);
         held.any = self.edit(held.any, |set| set.insert(LockId::new(lock)));
-        if mode == LockMode::Write {
+        if mode == LockMode::Write && self.tracks_write_locks {
             held.write = self.edit(held.write, |set| set.insert(LockId::new(lock)));
         }
         *slot(&mut self.held, gid.index()) = held;
@@ -123,7 +129,9 @@ impl Execution {
     fn release(&mut self, gid: Gid, lock: u64) {
         let mut held = self.held(gid);
         held.any = self.edit(held.any, |set| set.remove(LockId::new(lock)));
-        held.write = self.edit(held.write, |set| set.remove(LockId::new(lock)));
+        if self.tracks_write_locks {
+            held.write = self.edit(held.write, |set| set.remove(LockId::new(lock)));
+        }
         *slot(&mut self.held, gid.index()) = held;
     }
 
@@ -388,6 +396,76 @@ impl HbClocks {
     fn once_observed(&mut self, gid: Gid, once: u64) {
         if let Some(done) = self.once_done.get(once as usize) {
             self.clocks[gid.index()].join(done);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grs_runtime::LockUid;
+
+    /// Two goroutines each take a mutex in write mode and an rwlock in
+    /// read mode, nested, and release both; `observe` sees every
+    /// goroutine's held sets after each event.
+    fn lock_pairs(kinds: &[DetectorKind], mut observe: impl FnMut(Gid, HeldLocks)) {
+        let mut exec = Execution::default();
+        exec.watched_by(kinds.iter().copied());
+        exec.on_run_start(&StackDepot::new());
+        let (mu, rw) = (LockUid(1), LockUid(2));
+        let mut step = 0;
+        for g in [Gid(0), Gid(1)] {
+            for kind in [
+                EventKind::Acquire {
+                    lock: mu,
+                    mode: LockMode::Write,
+                },
+                EventKind::Acquire {
+                    lock: rw,
+                    mode: LockMode::Read,
+                },
+                EventKind::Release {
+                    lock: rw,
+                    mode: LockMode::Read,
+                },
+                EventKind::Release {
+                    lock: mu,
+                    mode: LockMode::Write,
+                },
+            ] {
+                let event = Event { step, gid: g, kind };
+                step += 1;
+                exec.before(&event);
+                exec.after(&event);
+                for other in [Gid(0), Gid(1)] {
+                    observe(other, exec.held(other));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_write_mode_set_is_kept_only_while_eraser_watches() {
+        for kinds in [
+            &[DetectorKind::Tsan][..],
+            &[DetectorKind::Tsan, DetectorKind::FastTrack],
+        ] {
+            let mut held_any = false;
+            lock_pairs(kinds, |gid, held| {
+                assert_eq!(held.write, LocksetId::EMPTY, "{kinds:?}: {gid:?}");
+                held_any |= held.any != LocksetId::EMPTY;
+            });
+            assert!(held_any, "{kinds:?}: the hybrid's held set is kept");
+        }
+        for kinds in [
+            &[DetectorKind::Eraser][..],
+            &[DetectorKind::Tsan, DetectorKind::Eraser],
+        ] {
+            let mut held_write = false;
+            lock_pairs(kinds, |_, held| {
+                held_write |= held.write != LocksetId::EMPTY
+            });
+            assert!(held_write, "{kinds:?}: Eraser's write-mode set is kept");
         }
     }
 }

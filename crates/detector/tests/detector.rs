@@ -546,3 +546,165 @@ fn one_text_under_two_names_is_one_race_site() {
         assert_eq!(reports[0].addr, Addr(1), "{choice}: the first race is kept");
     }
 }
+
+/// FastTrack's same-epoch exits, held to pure vector clocks (which take
+/// none) on hand-built streams fed through `Monitor::on_event`, where a
+/// record and an epoch repeat but the full path's outcome would differ.
+mod same_epoch {
+    use std::sync::Arc;
+
+    use grs_detector::FastTrack;
+    use grs_runtime::event::{Event, EventKind, LockMode};
+    use grs_runtime::AccessKind::{Read, Write};
+    use grs_runtime::{
+        Addr, Gid, LockUid, Monitor, NameId, SourceLoc, StackDepot, StackId, Strategy, Trace,
+        TraceMeta, WgId,
+    };
+
+    /// A stream of `(goroutine, event)` steps over the name table `names`,
+    /// whose last entry is the one source file.
+    fn trace(names: &[&str], steps: &[(u32, EventKind)]) -> Trace {
+        Trace {
+            meta: TraceMeta {
+                program: "hand_built".to_string(),
+                seed: 0,
+                strategy: Strategy::Random,
+                steps: steps.len() as u64,
+                goroutines_spawned: 3,
+            },
+            stacks: Vec::new(),
+            names: names.iter().map(|&n| Arc::from(n)).collect(),
+            events: (0..)
+                .zip(steps)
+                .map(|(step, &(g, kind))| Event {
+                    step,
+                    gid: Gid(g),
+                    kind,
+                })
+                .collect(),
+        }
+    }
+
+    /// An access of address 1 as the object `names[object]`, at `line` of
+    /// the stream's file.
+    fn access(names: &[&str], kind: grs_runtime::AccessKind, object: u32, line: u32) -> EventKind {
+        let file = NameId(names.len() as u32 - 1);
+        EventKind::Access {
+            addr: Addr(1),
+            object: NameId(object),
+            kind,
+            stack: StackId::EMPTY,
+            loc: SourceLoc { file, line },
+        }
+    }
+
+    fn lock(id: u64) -> EventKind {
+        let (lock, mode) = (LockUid(id), LockMode::Write);
+        EventKind::Acquire { lock, mode }
+    }
+
+    fn unlock(id: u64) -> EventKind {
+        let (lock, mode) = (LockUid(id), LockMode::Write);
+        EventKind::Release { lock, mode }
+    }
+
+    /// What a detector keeps from a stream: its report texts with its
+    /// label taken out, each side's held locks in report order, and its
+    /// peak shadow words.
+    #[derive(Debug, PartialEq)]
+    struct Kept {
+        texts: Vec<String>,
+        locks: Vec<Vec<u64>>,
+        peak: usize,
+    }
+
+    /// Feeds `trace` through `detector`'s `Monitor::on_event`, as a live
+    /// run does.
+    fn fed(mut detector: FastTrack, trace: &Trace) -> Kept {
+        let depot = StackDepot::new();
+        trace.rebuild_depot_into(&depot);
+        detector.on_run_start(&depot);
+        for event in &trace.events {
+            detector.on_event(event);
+        }
+        detector.on_run_end();
+        let reports = detector.reports();
+        Kept {
+            texts: reports
+                .iter()
+                .map(|r| r.to_string().replace(&r.detector.to_string(), "<hb>"))
+                .collect(),
+            locks: reports
+                .iter()
+                .flat_map(|r| [&r.prior, &r.current])
+                .map(|side| side.locks_held.iter().map(|l| l.raw()).collect())
+                .collect(),
+            peak: detector.peak_shadow_words(),
+        }
+    }
+
+    /// Asserts that FastTrack keeps what pure vector clocks keep from
+    /// `trace`, and the hybrid too, with `locks` as each side's held locks.
+    fn assert_exits_are_exact(trace: &Trace, locks: &[Vec<u64>]) {
+        let vc = fed(FastTrack::pure_vc(), trace);
+        assert_eq!(vc.locks.len(), locks.len(), "{:#?}", vc.texts);
+        assert_eq!(fed(FastTrack::new(), trace), vc, "FastTrack");
+        let hybrid = Kept {
+            locks: locks.to_vec(),
+            ..vc
+        };
+        assert_eq!(fed(FastTrack::hybrid(), trace), hybrid, "hybrid");
+    }
+
+    /// *t* reads address 1 as `x` holding lock 2, *u* writes it as `y`
+    /// unordered, and *t* reads it again as `z` at the same site, in the
+    /// same epoch. The second read races with the write on a site of its
+    /// own (a site's key includes the object's name), so it must not take
+    /// the read exit, though its record and read history repeat.
+    #[test]
+    fn a_repeated_read_under_another_name_takes_no_exit() {
+        let names = ["x", "y", "z", "hand.go"];
+        let steps = [
+            (0, lock(2)),
+            (0, access(&names, Read, 0, 10)),
+            (1, access(&names, Write, 1, 20)),
+            (0, access(&names, Read, 2, 10)),
+            (0, unlock(2)),
+        ];
+        assert_exits_are_exact(&trace(&names, &steps), &[vec![2], vec![], vec![], vec![2]]);
+    }
+
+    /// *u* and *v* read address 1 unordered, so its read history goes
+    /// shared; *t* writes it; *t* takes an `edge` from *u*, made after
+    /// *u*'s read, which grows *t*'s clock without a tick; and *t* writes
+    /// again in the same epoch, a write that must prune *u*'s read. *v*'s
+    /// later write then races with *t*'s write only: a kept *u* entry
+    /// would add a race on a site of its own.
+    fn shared_reads_then_a_repeated_write(edge: &[(u32, EventKind)]) -> Trace {
+        let names = ["x", "hand.go"];
+        let mut steps = vec![
+            (1, access(&names, Read, 0, 10)),
+            (2, access(&names, Read, 0, 11)),
+            (0, access(&names, Write, 0, 12)),
+        ];
+        steps.extend_from_slice(edge);
+        steps.push((0, access(&names, Write, 0, 12)));
+        steps.push((2, access(&names, Write, 0, 13)));
+        trace(&names, &steps)
+    }
+
+    #[test]
+    fn a_repeated_write_over_shared_reads_takes_no_exit() {
+        // *t* locks what *u* unlocked, and holds it at its second write.
+        let edge = [(1, lock(2)), (1, unlock(2)), (0, lock(2))];
+        let trace = shared_reads_then_a_repeated_write(&edge);
+        assert_exits_are_exact(&trace, &[vec![], vec![], vec![], vec![], vec![2], vec![]]);
+        // *t* waits for *u*'s `Done`: it holds no lock, so its two writes
+        // have one record under the hybrid too.
+        let wg = WgId(3);
+        let add = |delta, counter| (1, EventKind::WgAdd { wg, delta, counter });
+        let edge = [add(1, 1), add(-1, 0), (0, EventKind::WgWait { wg })];
+        let trace = shared_reads_then_a_repeated_write(&edge);
+        assert_exits_are_exact(&trace, &vec![vec![]; 6]);
+    }
+}

@@ -28,6 +28,9 @@ const CHANS: usize = 2;
 enum Op {
     Read(usize),
     Write(usize),
+    /// A read and a write of the cell from one source line: repeated, a
+    /// site repeats within an epoch, where the same-epoch exits fire.
+    Update(usize),
     MutexWrite(usize),
     RLockRead(usize),
     /// The Listing 11 bug: a write under the read lock.
@@ -62,7 +65,7 @@ struct Shape {
 fn gen_local_op(rng: &mut StdRng) -> Op {
     let cell = rng.gen_range(0..CELLS);
     let chan = rng.gen_range(0..CHANS);
-    match rng.gen_range(0..22u32) {
+    match rng.gen_range(0..24u32) {
         0..=1 => Op::Read(cell),
         2..=3 => Op::Write(cell),
         4..=7 => Op::MutexWrite(cell),
@@ -75,7 +78,8 @@ fn gen_local_op(rng: &mut StdRng) -> Op {
         16..=17 => Op::TrySend(chan),
         18..=19 => Op::TryRecv(chan),
         20 => Op::Close(chan),
-        _ => Op::OnceWrite(cell),
+        21 => Op::OnceWrite(cell),
+        _ => Op::Update(cell),
     }
 }
 
@@ -126,6 +130,7 @@ fn program(name: &str, shape: Shape) -> Program {
                 match *op {
                     Op::Read(c) => _ = ctx.read(&cells[c]),
                     Op::Write(c) => ctx.write(&cells[c], 1),
+                    Op::Update(c) => ctx.update(&cells[c], |v| v + 1),
                     Op::MutexWrite(c) => mu.with(ctx, |ctx| ctx.write(&cells[c], 2)),
                     Op::RLockRead(c) => rw.with_read(ctx, |ctx| _ = ctx.read(&cells[c])),
                     Op::RLockWrite(c) => rw.with_read(ctx, |ctx| ctx.write(&cells[c], 3)),

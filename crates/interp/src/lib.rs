@@ -44,7 +44,8 @@
 //! evaluator's Rust file and line (`crates/interp/src/interp.rs`), not its
 //! Go line; built outside the workspace, as `benchmark/` builds it, that
 //! file name is the checkout's absolute path, so a corpus trace's bytes
-//! differ between two checkouts (ROADMAP item 4 is the fix).
+//! differ between two checkouts (a fault recorded in CHANGES.md; emitting
+//! Go positions is the fix).
 //!
 //! [`GoMap`]: grs_runtime::GoMap
 //! [`GoSlice`]: grs_runtime::GoSlice

@@ -386,7 +386,8 @@ pub struct DecodedTrace {
     /// The events in batches of [`DecodedTrace::chunk_capacity`], rounded
     /// up (0 for an empty trace). The decoder fills one buffer; this and
     /// `chunk_capacity` are kept for `benchmark/`'s
-    /// `runtime.batch_fill_rate` until ROADMAP item 1 retires it.
+    /// `runtime.batch_fill_rate` until a repair of the benchmark's
+    /// measurements retires that metric.
     pub chunks: u64,
     /// Events per batch: 4,096.
     pub chunk_capacity: usize,

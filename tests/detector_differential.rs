@@ -19,8 +19,10 @@
 //! The harness also proves the parallel campaign is a pure optimization:
 //! serial and parallel runs produce identical records and deduped batches.
 
+use grs::corpus::GoTestSpec;
 use grs::deploy::race_fingerprint;
 use grs::detector::DetectorChoice;
+use grs::fleet::{GoCorpusSource, UnitSource};
 use grs::patterns;
 use grs::runtime::RunConfig;
 
@@ -67,6 +69,41 @@ fn all_three_detectors_agree_racy_patterns_are_racy() {
     }
 }
 
+/// Asserts that FastTrack's epoch path — its same-epoch exit included —
+/// and the pure-vector-clock ablation, which takes no exit, report the same
+/// races, verbatim modulo the detector label, on one run of `program`.
+fn assert_epochs_equal_pure_vc(program: &grs::runtime::Program, cfg: RunConfig, what: &str) {
+    let (o_ft, r_ft) = DetectorChoice::FastTrack.run(program, cfg.clone());
+    let (o_vc, r_vc) = DetectorChoice::PureVectorClock.run(program, cfg);
+    assert_eq!(
+        o_ft.steps, o_vc.steps,
+        "{what}: detectors must not perturb the schedule"
+    );
+    // The two variants tag reports with their own kind; modulo that label,
+    // the reports must be verbatim-identical — same accesses, stacks,
+    // locations, and fingerprints.
+    let strip = |s: String, kind: &str| s.replace(kind, "<hb>");
+    let ft_text: Vec<String> = r_ft
+        .iter()
+        .map(|r| strip(format!("{r}"), "fasttrack"))
+        .collect();
+    let vc_text: Vec<String> = r_vc
+        .iter()
+        .map(|r| strip(format!("{r}"), "pure-vc"))
+        .collect();
+    assert_eq!(
+        ft_text, vc_text,
+        "{what}: epoch fast path diverged from pure vector clocks"
+    );
+    for (a, b) in r_ft.iter().zip(r_vc.iter()) {
+        assert_eq!(
+            race_fingerprint(a),
+            race_fingerprint(b),
+            "{what}: fingerprints must agree across variants"
+        );
+    }
+}
+
 #[test]
 fn epoch_fast_path_equals_pure_vector_clocks_report_for_report() {
     // FastTrack's epoch representation is an *optimization* of full vector
@@ -78,46 +115,24 @@ fn epoch_fast_path_equals_pure_vector_clocks_report_for_report() {
     for p in patterns::registry() {
         for program in [p.racy_program(), p.fixed_program()] {
             for seed in 0..SEEDS {
-                let cfg = RunConfig::with_seed(seed);
-                let (o_ft, r_ft) = DetectorChoice::FastTrack.run(&program, cfg.clone());
-                let (o_vc, r_vc) = DetectorChoice::PureVectorClock.run(&program, cfg);
-                assert_eq!(
-                    o_ft.steps,
-                    o_vc.steps,
-                    "{}/{} seed {seed}: detectors must not perturb the schedule",
-                    p.id,
-                    program.name()
-                );
-                // The two variants tag reports with their own kind; modulo
-                // that label, the reports must be verbatim-identical —
-                // same accesses, stacks, locations, and fingerprints.
-                let strip = |s: String, kind: &str| s.replace(kind, "<hb>");
-                let ft_text: Vec<String> = r_ft
-                    .iter()
-                    .map(|r| strip(format!("{r}"), "fasttrack"))
-                    .collect();
-                let vc_text: Vec<String> = r_vc
-                    .iter()
-                    .map(|r| strip(format!("{r}"), "pure-vc"))
-                    .collect();
-                assert_eq!(
-                    ft_text,
-                    vc_text,
-                    "{}/{} seed {seed}: epoch fast path diverged from pure vector clocks",
-                    p.id,
-                    program.name()
-                );
-                for (a, b) in r_ft.iter().zip(r_vc.iter()) {
-                    assert_eq!(
-                        race_fingerprint(a),
-                        race_fingerprint(b),
-                        "{}/{} seed {seed}: fingerprints must agree across variants",
-                        p.id,
-                        program.name()
-                    );
-                }
+                let what = format!("{}/{} seed {seed}", p.id, program.name());
+                assert_epochs_equal_pure_vc(&program, RunConfig::with_seed(seed), &what);
             }
         }
+    }
+    // The patterns repeat an epoch on few of their accesses; the dense unit
+    // on nearly all of them, and generated Go tests on about a third: the
+    // families where the same-epoch exit does its work.
+    let dense = grs::dense_unit().program;
+    for seed in 0..8 {
+        let what = format!("dense_unit seed {seed}");
+        assert_epochs_equal_pure_vc(&dense, RunConfig::with_seed(seed), &what);
+    }
+    let corpus = GoCorpusSource::new(GoTestSpec::default_mix(), 1, 200);
+    for i in 0..corpus.len() {
+        let unit = corpus.build(i).expect("generated tests lower");
+        let what = format!("generated test {i}");
+        assert_epochs_equal_pure_vc(&unit.program, RunConfig::with_seed(1), &what);
     }
 }
 

@@ -10,7 +10,8 @@
 //! repository path in DESIGN, README and EXPERIMENTS names a file that
 //! exists, and every citation of a DESIGN section — in those documents or in
 //! a comment in the code — names a heading DESIGN still has, and, for
-//! "decision N" or "item N", a numbered entry under it.
+//! "decision N" or "item N", a numbered entry under it. Code cites no
+//! ROADMAP item by its number, which changes when ROADMAP is re-anchored.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -257,6 +258,16 @@ fn citations(text: &str, in_design: bool) -> Vec<Citation> {
     out
 }
 
+/// Every Rust source under [`CODE_DIRS`].
+fn rust_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for dir in CODE_DIRS {
+        files_under(Path::new(dir), &mut files);
+    }
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
+    files
+}
+
 /// A file's text as one line, with comment markers dropped, so a citation
 /// that wraps is read whole.
 fn as_one_line(text: &str) -> String {
@@ -278,15 +289,7 @@ fn design_citations_name_headings_that_exist() {
     let sections = design_sections();
     assert!(sections.len() >= 10, "DESIGN's sections were not found");
     let mut sources: Vec<PathBuf> = DOCS.iter().map(PathBuf::from).collect();
-    for dir in CODE_DIRS {
-        let mut files = Vec::new();
-        files_under(Path::new(dir), &mut files);
-        sources.extend(
-            files
-                .into_iter()
-                .filter(|f| f.extension().is_some_and(|e| e == "rs")),
-        );
-    }
+    sources.extend(rust_sources());
     let mut broken = Vec::new();
     let mut citing = BTreeSet::new();
     // This file's own examples of citations are not citations.
@@ -330,6 +333,25 @@ fn design_citations_name_headings_that_exist() {
         broken.is_empty(),
         "DESIGN citations that name nothing:\n{}",
         broken.join("\n")
+    );
+}
+
+/// ROADMAP's items are renumbered whenever it is re-anchored, so code that
+/// cites one by number comes to name another; it says what it means.
+#[test]
+fn code_cites_no_roadmap_item_by_number() {
+    let sources = rust_sources();
+    assert!(sources.len() >= 100, "only {} Rust sources found", sources.len());
+    let citing: Vec<String> = sources
+        .iter()
+        .filter(|s| *s != Path::new(file!()))
+        .filter(|s| as_one_line(&read(s)).contains("ROADMAP item"))
+        .map(|s| s.display().to_string())
+        .collect();
+    assert!(
+        citing.is_empty(),
+        "Rust sources that cite a ROADMAP item by number:\n{}",
+        citing.join("\n")
     );
 }
 
