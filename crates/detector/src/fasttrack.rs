@@ -95,6 +95,20 @@ enum ReadState {
     Shared(Vec<SharedRead>),
 }
 
+/// The most entries a spare read history keeps room for. A larger one is
+/// freed, so what a detector keeps between runs stays within a constant
+/// factor of its variable table, whatever one trace read.
+const SPARE_READS_CAPACITY: usize = 8;
+
+/// Keeps `reads`, emptied, for the next history that goes shared, unless
+/// it holds room past [`SPARE_READS_CAPACITY`].
+fn keep_spare(spares: &mut Vec<Vec<SharedRead>>, mut reads: Vec<SharedRead>) {
+    if reads.capacity() <= SPARE_READS_CAPACITY {
+        reads.clear();
+        spares.push(reads);
+    }
+}
+
 /// Inserts or replaces `tid`'s entry, keeping the vector sorted by tid.
 fn shared_insert(reads: &mut Vec<SharedRead>, tid: u32, clk: u32, info: AccessRecord) {
     match reads.binary_search_by_key(&tid, |e| e.tid) {
@@ -338,6 +352,9 @@ pub(crate) struct Shadow {
     /// the hot path never constructs (or drops) a fresh `Vec` per event.
     /// Always left empty between accesses.
     found: Vec<(AccessRecord, AccessRecord)>,
+    /// Emptied read histories, kept for their allocations (see
+    /// [`keep_spare`]): a history that goes shared takes one from here.
+    spare_reads: Vec<Vec<SharedRead>>,
     accesses_processed: u64,
     epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
@@ -357,6 +374,7 @@ impl Shadow {
             races: Vec::new(),
             sites: HashSet::default(),
             found: Vec::new(),
+            spare_reads: Vec::new(),
             accesses_processed: 0,
             epoch_fast_hits: 0,
             shadow_words: 0,
@@ -366,10 +384,15 @@ impl Shadow {
 
     /// Clears all per-run state while keeping container allocations warm,
     /// so one detector can monitor thousands of campaign runs without
-    /// reallocating: the variable table keeps its capacity, and the site
-    /// set is emptied in place rather than dropped.
+    /// reallocating: the variable table keeps its capacity, its read
+    /// histories are kept as spares, and the site set is emptied in place
+    /// rather than dropped.
     pub(crate) fn reset(&mut self) {
-        self.vars.clear();
+        for var in self.vars.drain(..) {
+            if let ReadState::Shared(reads) = var.read {
+                keep_spare(&mut self.spare_reads, reads);
+            }
+        }
         self.races.clear();
         self.sites.clear();
         self.accesses_processed = 0;
@@ -464,6 +487,7 @@ impl Shadow {
             // Split field borrows: the variable slot is mutated in place
             // while found pairs are pushed.
             let (var, found) = (&mut self.vars[vi], &mut self.found);
+            let spare_reads = &mut self.spare_reads;
             // Shadow accounting: +2 fixed words per newly touched variable
             // (its write slot, and the address's atomic sync slot, which
             // the clocks hold), plus the read-history delta below.
@@ -536,12 +560,14 @@ impl Shadow {
                 //
                 // Pure-VC keeps an emptied history's `Vec` (its reads all
                 // take the `Shared` arm, empty or not); the epoch path
-                // returns to `None`, so its next read is exclusive again.
+                // returns to `None`, so its next read is exclusive again,
+                // and keeps the `Vec` as a spare.
                 if let ReadState::Shared(reads) = &mut var.read {
                     let before = reads.len();
                     reads.retain(|e| e.clk > c.get(Tid::new(e.tid)));
                     words_delta += reads.len() as isize - before as isize;
                     if reads.is_empty() && !pure_vc {
+                        keep_spare(spare_reads, std::mem::take(reads));
                         var.read = ReadState::None;
                     }
                 }
@@ -553,7 +579,7 @@ impl Shadow {
                 // all take the `Shared` arm.
                 let my_clk = epoch.clock();
                 if pure_vc && matches!(var.read, ReadState::None) {
-                    var.read = ReadState::Shared(Vec::new());
+                    var.read = ReadState::Shared(spare_reads.pop().unwrap_or_default());
                 }
                 match &mut var.read {
                     ReadState::None => {
@@ -566,7 +592,7 @@ impl Shadow {
                             *ri = info;
                         } else {
                             fast = false;
-                            let mut reads = Vec::with_capacity(2);
+                            let mut reads = spare_reads.pop().unwrap_or_default();
                             if let ReadState::Exclusive(e, ri) = &var.read {
                                 reads.push(SharedRead {
                                     tid: e.tid().raw(),
@@ -603,5 +629,56 @@ impl Shadow {
             self.record(&exec.depot, addr, object, prior, current);
         }
         self.found.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grs_runtime::event::EventKind;
+    use grs_runtime::{AccessKind, Gid, StackId};
+
+    /// Pure-VC over one run where `readers` goroutines read each of two
+    /// addresses: what its reset keeps as spares.
+    fn spares_after(readers: u32) -> Vec<usize> {
+        let mut exec = Execution::default();
+        exec.watched_by([DetectorKind::PureVectorClock]);
+        exec.on_run_start(&StackDepot::new());
+        let mut shadow = Shadow::new(DetectorKind::PureVectorClock);
+        for (step, (g, addr)) in (0..).zip((0..readers).flat_map(|g| [(g, 1), (g, 2)])) {
+            let loc = SourceLoc {
+                file: NameId(0),
+                line: 1,
+            };
+            let kind = EventKind::Access {
+                addr: Addr(addr),
+                object: NameId(0),
+                kind: AccessKind::Read,
+                stack: StackId::EMPTY,
+                loc,
+            };
+            let event = Event {
+                step,
+                gid: Gid(g),
+                kind,
+            };
+            exec.before(&event);
+            shadow.on_event(&exec, &event);
+            exec.after(&event);
+        }
+        shadow.reset();
+        shadow.spare_reads.iter().map(Vec::capacity).collect()
+    }
+
+    /// A reset keeps each emptied read history for the next run, unless
+    /// it holds room for more readers than a spare may.
+    #[test]
+    fn a_reset_keeps_only_small_read_histories() {
+        let small = spares_after(3);
+        assert_eq!(small.len(), 2, "{small:?}");
+        assert!(small
+            .iter()
+            .all(|&c| (3..=SPARE_READS_CAPACITY).contains(&c)));
+        assert_eq!(spares_after(3 * SPARE_READS_CAPACITY as u32), []);
     }
 }
