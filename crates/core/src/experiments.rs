@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use grs_corpus::table1::{self as t1, Table1, Table1Config};
 use grs_deploy::sim::{SimConfig, SimResult, TrackerSim};
-use grs_detector::FastTrack;
+use grs_detector::DetectorChoice;
 use grs_fleet::{census, Campaign, CampaignConfig, CampaignResult, CampaignUnit, Census, CensusConfig};
 use grs_golite::{lint_file, parse_file, Rule};
 use grs_patterns::{gosrc, registry, Category, Table};
@@ -398,7 +398,7 @@ pub fn overhead_probe(program: &Program, runs: u32, seed: u64) -> OverheadProbe 
     let start = Instant::now();
     for i in 0..runs {
         let cfg = RunConfig::with_seed(seed + u64::from(i));
-        let _ = Runtime::new(cfg).run(program, FastTrack::hybrid());
+        let _ = DetectorChoice::Hybrid.run(program, cfg);
     }
     let detector_ns = start.elapsed().as_nanos() / u128::from(runs.max(1));
     OverheadProbe {

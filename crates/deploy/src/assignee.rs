@@ -243,7 +243,7 @@ fn choose<'a>(
 mod tests {
     use super::*;
     use grs_clock::Lockset;
-    use grs_detector::{DetectorKind, RaceAccess};
+    use grs_detector::{DetectorChoice, RaceAccess};
     use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
@@ -270,7 +270,7 @@ mod tests {
             object: Arc::from("v"),
             prior: mk(root1, leaf1, 0, AccessKind::Write),
             current: mk(root2, leaf2, 1, AccessKind::Read),
-            detector: DetectorKind::Tsan,
+            detector: DetectorChoice::Hybrid,
             program: None,
             repro_seed: None,
             repro: None,

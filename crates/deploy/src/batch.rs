@@ -137,7 +137,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::service::{FileOutcome, IntakeService};
     use grs_clock::Lockset;
-    use grs_detector::{DetectorKind, RaceAccess};
+    use grs_detector::{DetectorChoice, RaceAccess};
     use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
@@ -158,7 +158,7 @@ pub(crate) mod tests {
             object: Arc::from("x"),
             prior: mk(0, AccessKind::Write, line),
             current: mk(1, AccessKind::Read, line + 1),
-            detector: DetectorKind::Tsan,
+            detector: DetectorChoice::Hybrid,
             program: None,
             repro_seed: Some(seed),
             repro: None,

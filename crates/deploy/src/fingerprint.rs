@@ -130,7 +130,7 @@ pub fn naive_fingerprint(report: &RaceReport) -> Fingerprint {
 mod tests {
     use super::*;
     use grs_clock::Lockset;
-    use grs_detector::{DetectorKind, RaceAccess};
+    use grs_detector::{DetectorChoice, RaceAccess};
     use grs_runtime::{AccessKind, Addr, Frame, Gid};
     use std::sync::Arc;
 
@@ -166,7 +166,7 @@ mod tests {
                 line: l2,
                 locks_held: Lockset::new(),
             },
-            detector: DetectorKind::Tsan,
+            detector: DetectorChoice::Hybrid,
             program: None,
             repro_seed: None,
             repro: None,

@@ -28,6 +28,7 @@
 //! ([`crate::wire`]) on any [`Transport`] — a real TCP listener in
 //! deployment, in-process pipes in tests.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Deref;
@@ -37,13 +38,13 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Instant;
 
-use grs_detector::{replay_trace, FastTrack, RaceReport};
+use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
 use grs_obs::ObsSink;
-use grs_runtime::{ReproArtifact, StackDepot, Trace, TraceDecodeError};
+use grs_runtime::{ReproArtifact, Trace, TraceDecodeError};
 
 use crate::assignee::{determine_assignee, OwnerDb};
 use crate::dedup::{BoundedDedup, DedupVerdict};
-use crate::fingerprint::{race_fingerprint, Fingerprint};
+use crate::fingerprint::{race_fingerprint, race_fingerprint_ids, Fingerprint};
 use crate::store::{Snapshot, SnapshotError};
 use crate::tracker::{BugTracker, FixError, TaskId};
 use crate::wire::{RequestFrame, ResponseFrame, Transport};
@@ -239,11 +240,11 @@ struct Core {
     tracker: BugTracker,
 }
 
-/// What one intake worker keeps from upload to upload.
+/// What one intake worker keeps from upload to upload: the trace it
+/// decodes into, and a detector arena that analyzes it.
 struct Worker {
     trace: Trace,
-    detector: FastTrack,
-    depot: StackDepot,
+    arena: DetectorArena,
 }
 
 struct ServiceInner {
@@ -268,14 +269,22 @@ impl ServiceInner {
         }
     }
 
-    /// Files `report`, whose fingerprint is `fp`, on `day`: dedup-cache
+    /// Files the race whose fingerprint is `fp` on `day`: dedup-cache
     /// front line, then the authoritative tracker check-and-file under the
-    /// core mutex.
-    fn file_report(&self, fp: Fingerprint, report: &RaceReport, day: u32) -> FileOutcome {
+    /// core mutex. Its report is taken from `report` only when the cache
+    /// misses.
+    fn file_report<R: Borrow<RaceReport>>(
+        &self,
+        fp: Fingerprint,
+        day: u32,
+        report: impl FnOnce() -> R,
+    ) -> FileOutcome {
         if self.dedup.check(fp) == DedupVerdict::CachedOpen {
             self.obs(|s| s.add("intake.duplicate", 1));
             return FileOutcome::Duplicate;
         }
+        let report = report();
+        let report = report.borrow();
         let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
         let assignee = determine_assignee(report, &core.owners).assignee;
         let repro = report
@@ -302,35 +311,44 @@ impl ServiceInner {
     }
 
     /// Decode + replay + file — the whole per-trace pipeline a worker runs,
-    /// on the worker's own trace, detector and depot (a decode refills the
-    /// first, a replay resets the other two).
+    /// on the worker's own trace and arena (a decode refills the first, an
+    /// analysis resets the second). Each race is fingerprinted from its
+    /// ids, and its report built only for the tracker, past the dedup
+    /// cache.
     fn process_trace(
         &self,
         bytes: &[u8],
         day: u32,
         worker: &mut Worker,
     ) -> Result<IntakeSummary, IntakeError> {
-        let trace = &mut worker.trace;
+        let Worker { trace, arena } = worker;
         trace.decode_into(bytes).map_err(|e| {
             self.malformed.fetch_add(1, Ordering::Relaxed);
             self.obs(|s| s.add("intake.malformed", 1));
             IntakeError::Malformed(e)
         })?;
-        let outcome = replay_trace(&mut worker.detector, trace, &worker.depot);
-        let program: Arc<str> = Arc::from(trace.meta.program.as_str());
+        let choice = DetectorChoice::FastTrack;
+        arena.analyze(&[choice], trace);
+        let (trace, arena) = (&*trace, &*arena);
+        let races = arena.races(choice);
         let mut summary = IntakeSummary {
-            races: outcome.reports.len() as u32,
+            races: races.len() as u32,
             ..IntakeSummary::default()
         };
-        for mut report in outcome.reports {
-            // The recording run's identity travels with the report so a
-            // filed task is reproducible without the original uploader.
-            report.program.get_or_insert_with(|| program.clone());
-            if report.repro.is_none() {
-                report.repro = Some(ReproArtifact::seeded(trace.meta.seed, trace.meta.strategy));
-            }
-            report.repro_seed.get_or_insert(trace.meta.seed);
-            match self.file_report(race_fingerprint(&report), &report, day) {
+        for race in races {
+            let fp = race_fingerprint_ids(arena.depot(), race);
+            let outcome = self.file_report(fp, day, || {
+                // The recording run's identity travels with the report so
+                // a filed task is reproducible without the original
+                // uploader.
+                let meta = &trace.meta;
+                let mut report = arena.report(choice, race);
+                report.program = Some(Arc::from(meta.program.as_str()));
+                report.repro = Some(ReproArtifact::seeded(meta.seed, meta.strategy));
+                report.repro_seed = Some(meta.seed);
+                report
+            });
+            match outcome {
                 FileOutcome::Filed { task, .. } => summary.filed.push(task),
                 FileOutcome::Duplicate => summary.duplicates += 1,
             }
@@ -371,8 +389,7 @@ impl ServiceInner {
     fn worker_loop(&self) {
         let mut worker = Worker {
             trace: Trace::default(),
-            detector: FastTrack::new(),
-            depot: StackDepot::new(),
+            arena: DetectorArena::new(),
         };
         loop {
             let job = {
@@ -619,7 +636,7 @@ impl IntakeHandle {
         if self.inner.shut_down.load(Ordering::Acquire) {
             return Err(IntakeError::ShutDown);
         }
-        Ok(self.inner.file_report(fp, report, day))
+        Ok(self.inner.file_report(fp, day, || report))
     }
 
     /// Files one already-deduplicated [`RaceBatch`](crate::batch::RaceBatch)

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use grs_clock::Lockset;
 use grs_deploy::{naive_fingerprint, race_fingerprint, BugTracker, Fingerprint};
-use grs_detector::{DetectorKind, RaceAccess, RaceReport};
+use grs_detector::{DetectorChoice, RaceAccess, RaceReport};
 use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
 
 const CASES: usize = 400;
@@ -94,7 +94,7 @@ fn report(
             line: line_b,
             locks_held: Lockset::new(),
         },
-        detector: DetectorKind::Tsan,
+        detector: DetectorChoice::Hybrid,
         program: None,
         repro_seed: None,
         repro: None,

@@ -9,16 +9,19 @@
 //! of each run but keeps the container allocations, so steady-state
 //! campaign runs allocate close to nothing.
 //!
-//! Determinism is unaffected: `reset()` restores every detector (and the
-//! depot, via [`Runtime::run_with_depot`]) to its initial logical state, so
-//! a run through an arena produces byte-identical reports to a run through a
-//! fresh detector — [`DetectorChoice::run`] and [`DetectorArena::run`] are
-//! interchangeable, and the tests below pin that equivalence.
+//! Determinism is unaffected: a run's start returns each watching detector
+//! (and the depot, via [`Runtime::run_with_depot`]) to its initial logical
+//! state, so a run through an arena produces byte-identical reports to a
+//! run through a fresh one — [`DetectorChoice::run`] and
+//! [`DetectorArena::run`] are interchangeable, and the tests below pin that
+//! equivalence.
 //!
-//! An execution has one fan-out, live ([`DetectorArena::execute`]) or
-//! replayed: it is taken once, and every requested detector's shadow
-//! watches each event, reading the execution's one shared state (clocks,
-//! held locks, lockset interner, depot: `crate::hb`). A run's
+//! The arena's watchers are the crate's one detector assembly: one
+//! execution's shared state (clocks, held locks, lockset interner, depot:
+//! `crate::hb`) and the shadows that read it. An execution has one
+//! fan-out, live ([`DetectorArena::execute`]) or replayed
+//! ([`DetectorArena::analyze`]): it is taken once, and every requested
+//! detector's shadow watches each event. A run's
 //! interleaving is a function of its seed and strategy alone (the scheduler
 //! never consults the monitor), so each detector sees exactly the events it
 //! would have seen watching the run alone.
@@ -28,8 +31,8 @@
 //! words, which the detector keeps itself as its count rises; both last
 //! until the next run resets them. [`DetectorArena::report`] builds the
 //! report of one, for every detector; the report-returning entry points
-//! ([`DetectorArena::run_many`], the replays) execute, then report every
-//! race.
+//! ([`DetectorArena::run`], [`DetectorArena::replay`] and their fan-outs)
+//! execute or analyze, then report every race.
 
 use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{
@@ -40,7 +43,7 @@ use crate::eraser::LocksetShadow;
 use crate::fasttrack::Shadow;
 use crate::hb::Execution;
 use crate::replay::ReplayOutcome;
-use crate::report::{DetectorKind, Race, RaceReport};
+use crate::report::{Race, RaceReport};
 
 /// Which detection algorithm a run is monitored with.
 ///
@@ -97,22 +100,12 @@ impl DetectorChoice {
         }
     }
 
-    /// The label this algorithm's reports carry.
-    fn kind(self) -> DetectorKind {
-        match self {
-            DetectorChoice::FastTrack => DetectorKind::FastTrack,
-            DetectorChoice::PureVectorClock => DetectorKind::PureVectorClock,
-            DetectorChoice::Eraser => DetectorKind::Eraser,
-            DetectorChoice::Hybrid => DetectorKind::Tsan,
-        }
-    }
-
     /// A fresh shadow of this algorithm as the arena holds it: the one
     /// place a choice becomes a detector.
     fn watcher(self) -> Watcher {
         match self {
             DetectorChoice::Eraser => Watcher::Eraser(LocksetShadow::default()),
-            _ => Watcher::Hb(Shadow::new(self.kind())),
+            _ => Watcher::Hb(Shadow::new(self)),
         }
     }
 
@@ -208,8 +201,9 @@ struct Member {
     watcher: Watcher,
 }
 
-/// The arena's detectors, one per [`DetectorChoice`], and the monitor of
-/// every execution, live or replayed: the first `active` members watch it,
+/// The crate's one detector assembly, and the monitor of every execution,
+/// live or replayed: its members, one per [`DetectorChoice`] it holds, of
+/// which the first `active` watch the execution,
 /// each seeing every event in order. The members share `exec`, which takes
 /// each event's first step before any member sees it and its second after
 /// all have; it advances its clocks only when the selection holds a
@@ -217,13 +211,29 @@ struct Member {
 /// the hybrid. Each member keeps its own shadow-word peak; the watchers'
 /// peak is the largest active member's, read when asked for.
 #[derive(Debug)]
-struct Watchers {
+pub(crate) struct Watchers {
     exec: Execution,
     members: Vec<Member>,
     active: usize,
 }
 
 impl Watchers {
+    /// One member of each of `choices`, none selected.
+    pub(crate) fn of(choices: &[DetectorChoice]) -> Self {
+        let members = choices
+            .iter()
+            .map(|&choice| Member {
+                choice,
+                watcher: choice.watcher(),
+            })
+            .collect();
+        Watchers {
+            exec: Execution::default(),
+            members,
+            active: 0,
+        }
+    }
+
     /// Moves the member of each distinct choice to the front, in order of
     /// first appearance, as the next run's watchers.
     fn select(&mut self, choices: &[DetectorChoice]) {
@@ -235,15 +245,58 @@ impl Watchers {
                 self.active += 1;
             }
         }
-        let kinds = self.members[..self.active].iter().map(|m| m.choice.kind());
-        self.exec.watched_by(kinds);
+        let choices = self.members[..self.active].iter().map(|m| m.choice);
+        self.exec.watched_by(choices);
     }
 
     /// The member of `choice`, if it watched the last execution.
     fn watched(&self, choice: DetectorChoice) -> Option<&Member> {
         self.members[..self.active].iter().find(|m| m.choice == choice)
     }
+
+    /// Watches a recorded execution, its stacks and names already in
+    /// `depot`, with the members of `choices`, as the kernel would.
+    pub(crate) fn watch(
+        &mut self,
+        choices: &[DetectorChoice],
+        depot: &StackDepot,
+        events: &[Event],
+    ) {
+        self.select(choices);
+        self.on_run_start(depot);
+        for event in events {
+            self.on_event(event);
+        }
+    }
+
+    /// The report of `race`, which `choice` found in the last execution.
+    fn report(&self, choice: DetectorChoice, race: &Race) -> RaceReport {
+        race.report(&self.exec.depot, &self.exec.locksets, choice)
+    }
+
+    /// What `choice` found in the last execution, of `events` events,
+    /// every race reported.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choice` did not watch the last execution.
+    pub(crate) fn outcome(&self, choice: DetectorChoice, events: u64) -> ReplayOutcome {
+        let member = self.watched(choice).expect(UNWATCHED);
+        ReplayOutcome {
+            reports: member
+                .watcher
+                .races()
+                .iter()
+                .map(|race| self.report(choice, race))
+                .collect(),
+            events,
+            peak_shadow_words: member.watcher.peak_shadow_words(),
+        }
+    }
 }
+
+/// The message of a report asked of a detector that did not watch.
+const UNWATCHED: &str = "only a detector that watched the last execution has races to report";
 
 impl Monitor for Watchers {
     fn on_run_start(&mut self, depot: &StackDepot) {
@@ -287,20 +340,9 @@ impl DetectorArena {
     /// they warm up over the first few runs.
     #[must_use]
     pub fn new() -> Self {
-        let members = DetectorChoice::all_with_ablation()
-            .into_iter()
-            .map(|choice| Member {
-                choice,
-                watcher: choice.watcher(),
-            })
-            .collect();
         DetectorArena {
             depot: StackDepot::new(),
-            watchers: Some(Watchers {
-                exec: Execution::default(),
-                members,
-                active: 0,
-            }),
+            watchers: Some(Watchers::of(&DetectorChoice::all_with_ablation())),
         }
     }
 
@@ -320,9 +362,9 @@ impl DetectorArena {
         program: &Program,
         cfg: RunConfig,
     ) -> (RunOutcome, Vec<RaceReport>) {
-        let (outcome, mut watched) = self.run_many(&[choice], program, cfg);
-        let reports = watched.pop().expect("one outcome per choice").reports;
-        (outcome, reports)
+        let outcome = self.execute(&[choice], program, cfg);
+        let events = outcome.stats.events_dispatched;
+        (outcome, self.watchers().outcome(choice, events).reports)
     }
 
     /// Executes one run of `program`, watched by every detector in
@@ -389,12 +431,8 @@ impl DetectorArena {
     #[must_use]
     pub fn report(&self, choice: DetectorChoice, race: &Race) -> RaceReport {
         let watchers = self.watchers();
-        assert!(
-            watchers.watched(choice).is_some(),
-            "only a detector that watched the last execution has races to report"
-        );
-        let exec = &watchers.exec;
-        race.report(&exec.depot, &exec.locksets, choice.kind())
+        assert!(watchers.watched(choice).is_some(), "{UNWATCHED}");
+        watchers.report(choice, race)
     }
 
     fn watchers(&self) -> &Watchers {
@@ -405,46 +443,36 @@ impl DetectorArena {
     /// detectors, over `events` events, every race reported; a choice
     /// named twice repeats its first outcome.
     fn outcomes(&self, choices: &[DetectorChoice], events: u64) -> Vec<ReplayOutcome> {
+        let watchers = self.watchers();
         let mut watched: Vec<ReplayOutcome> = Vec::with_capacity(choices.len());
         for (pos, &choice) in choices.iter().enumerate() {
-            let reports = match choices[..pos].iter().position(|&c| c == choice) {
-                Some(first) => watched[first].reports.clone(),
-                None => self
-                    .races(choice)
-                    .iter()
-                    .map(|race| self.report(choice, race))
-                    .collect(),
-            };
-            watched.push(ReplayOutcome {
-                reports,
-                events,
-                peak_shadow_words: self.peak_shadow_words(choice),
+            watched.push(match choices[..pos].iter().position(|&c| c == choice) {
+                Some(first) => ReplayOutcome {
+                    reports: watched[first].reports.clone(),
+                    ..watched[first]
+                },
+                None => watchers.outcome(choice, events),
             });
         }
         watched
     }
 
-    /// Drives the watchers of `choices` over a recorded execution, its
-    /// stacks and names already in the arena depot, as the kernel would.
-    fn watch(&mut self, choices: &[DetectorChoice], trace: &Trace) -> Vec<ReplayOutcome> {
+    /// Analyzes a recorded trace offline, watched by every detector in
+    /// `choices` at once — the replayed twin of [`DetectorArena::execute`]:
+    /// the trace's depot snapshot is rebuilt into the arena depot, and what
+    /// each detector found is kept, as ids, until the next run.
+    pub fn analyze(&mut self, choices: &[DetectorChoice], trace: &Trace) {
+        trace.rebuild_depot_into(&self.depot);
         let watchers = self.watchers.as_mut().expect(HOME);
-        watchers.select(choices);
-        watchers.on_run_start(&self.depot);
-        for event in &trace.events {
-            watchers.on_event(event);
-        }
-        self.outcomes(choices, trace.events.len() as u64)
+        watchers.watch(choices, &self.depot, &trace.events);
     }
 
-    /// Analyzes a recorded trace offline under `choice`, reusing this
-    /// arena's detector instance and rebuilding the trace's depot snapshot
-    /// into the arena depot. Reports are bit-identical to a live
-    /// [`DetectorArena::run`] of the recorded `(seed, strategy)`.
+    /// Analyzes a recorded trace offline under `choice`, every race
+    /// reported. Reports are bit-identical to a live [`DetectorArena::run`]
+    /// of the recorded `(seed, strategy)`.
     pub fn replay(&mut self, choice: DetectorChoice, trace: &Trace) -> ReplayOutcome {
-        trace.rebuild_depot_into(&self.depot);
-        self.watch(&[choice], trace)
-            .pop()
-            .expect("one outcome per choice")
+        self.analyze(&[choice], trace);
+        self.watchers().outcome(choice, trace.events.len() as u64)
     }
 
     /// Replays one recorded trace under **all four** detector algorithms,
@@ -452,19 +480,16 @@ impl DetectorArena {
     /// its live run by the replay-fidelity tests.
     pub fn replay_all(&mut self, trace: &Trace) -> Vec<(DetectorChoice, ReplayOutcome)> {
         let choices = DetectorChoice::all_with_ablation();
-        trace.rebuild_depot_into(&self.depot);
-        choices
-            .into_iter()
-            .zip(self.watch(&choices, trace))
-            .collect()
+        self.analyze(&choices, trace);
+        let watched = self.outcomes(&choices, trace.events.len() as u64);
+        choices.into_iter().zip(watched).collect()
     }
 
     /// Fans one [`DecodedTrace`] through the given algorithms in one pass
     /// over its events — the offline counterpart of
-    /// [`DetectorArena::run_many`], with the same outcomes. The depot
-    /// snapshot is rebuilt once, spanned into `sink` as `replay.decode`,
-    /// and the pass is spanned as `replay.analyze`; nothing else is
-    /// reported. Every caller in the workspace passes
+    /// [`DetectorArena::run_many`], with the same outcomes. The analysis is
+    /// spanned into `sink` as `replay.analyze`; nothing else is reported.
+    /// Every caller in the workspace passes
     /// [`NULL_SINK`](grs_obs::NULL_SINK) — a campaign folds its figures
     /// from its records; the parameter stays because `benchmark/` calls
     /// this signature.
@@ -474,14 +499,9 @@ impl DetectorArena {
         choices: &[DetectorChoice],
         sink: &dyn ObsSink,
     ) -> Vec<(DetectorChoice, ReplayOutcome)> {
-        {
-            let _span = SpanGuard::enter(sink, "replay.decode");
-            decoded.rebuild_depot_into(&self.depot);
-        }
-        let watched = {
-            let _span = SpanGuard::enter(sink, "replay.analyze");
-            self.watch(choices, decoded)
-        };
+        let _span = SpanGuard::enter(sink, "replay.analyze");
+        self.analyze(choices, decoded);
+        let watched = self.outcomes(choices, decoded.events.len() as u64);
         choices.iter().copied().zip(watched).collect()
     }
 }

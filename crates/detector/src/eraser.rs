@@ -22,11 +22,10 @@
 
 use grs_clock::LocksetId;
 use grs_runtime::event::Event;
-use grs_runtime::{Gid, Monitor, NameId, StackDepot};
+use grs_runtime::{Gid, NameId};
 
 use crate::hb::Execution;
-use crate::replay::Detector;
-use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
+use crate::report::{AccessRecord, Race};
 
 /// Eraser's per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,108 +51,15 @@ struct EraserVar {
     reported: bool,
 }
 
-/// The Eraser monitor: a private copy of the execution's shared state
-/// (its held locks) and one lockset shadow.
-///
-/// # Example
-///
-/// ```
-/// use grs_detector::Eraser;
-/// use grs_runtime::{Program, RunConfig, Runtime};
-///
-/// // Channel-synchronized program: race-free, but Eraser still flags it
-/// // because no LOCK protects the variable (a false positive by design).
-/// let p = Program::new("chan_synced", |ctx| {
-///     let x = ctx.cell("x", 0i64);
-///     let ch = ctx.chan::<()>("done", 0);
-///     let (x2, tx) = (x.clone(), ch.clone());
-///     ctx.go("writer", move |ctx| {
-///         ctx.write(&x2, 1);
-///         tx.send(ctx, ());
-///     });
-///     let _ = ch.recv(ctx);
-///     let _ = ctx.read(&x);
-/// });
-/// let (_, er) = Runtime::new(RunConfig::with_seed(0)).run(&p, Eraser::new());
-/// assert_eq!(er.reports().len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Eraser {
-    exec: Execution,
-    shadow: LocksetShadow,
-    /// The reports of the last finished run.
-    reports: Vec<RaceReport>,
-}
-
-impl Default for Eraser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Eraser {
-    /// A fresh Eraser monitor.
-    #[must_use]
-    pub fn new() -> Self {
-        let mut exec = Execution::default();
-        exec.watched_by([DetectorKind::Eraser]);
-        Eraser {
-            exec,
-            shadow: LocksetShadow::default(),
-            reports: Vec::new(),
-        }
-    }
-
-    /// The potential races the last finished run reported.
-    #[must_use]
-    pub fn reports(&self) -> &[RaceReport] {
-        &self.reports
-    }
-}
-
-impl Monitor for Eraser {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        self.exec.on_run_start(depot);
-        self.shadow.reset();
-        self.reports.clear();
-    }
-
-    fn on_event(&mut self, event: &Event) {
-        self.exec.before(event);
-        self.shadow.on_event(&mut self.exec, event);
-        self.exec.after(event);
-    }
-
-    fn on_run_end(&mut self) {
-        let exec = &self.exec;
-        self.reports = self
-            .shadow
-            .races()
-            .iter()
-            .map(|race| race.report(&exec.depot, &exec.locksets, DetectorKind::Eraser))
-            .collect();
-    }
-
-    fn peak_shadow_words(&self) -> usize {
-        self.shadow.peak_words()
-    }
-}
-
-impl Detector for Eraser {
-    fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
-    }
-}
-
-/// Eraser without the execution's state: its variable shadow and the
-/// races kept. It reads the execution's held locks on every access, and
-/// interns its candidate sets in the execution's interner.
+/// Eraser: its variable shadow and the races kept. It reads the
+/// execution's held locks on every access, and interns its candidate sets
+/// in the execution's interner.
 #[derive(Debug, Default)]
 pub(crate) struct LocksetShadow {
     /// Flat variable table indexed by the kernel's dense address ids.
     /// `None` slots are ids that name other object kinds (locks, channels)
     /// or simply haven't been accessed; `live_vars` counts the `Some`s so
-    /// [`Monitor::peak_shadow_words`] stays O(1).
+    /// the peak shadow words stay O(1).
     vars: Vec<Option<EraserVar>>,
     live_vars: usize,
     /// The races found this run, as ids, in detection order.

@@ -9,8 +9,8 @@
 //! state (`crate::hb`). A detector here is its variable shadow, its site
 //! keys and the races it keeps, as ids ([`Race`]).
 //!
-//! Three detectors share this shadow, built by [`FastTrack::new`],
-//! [`FastTrack::pure_vc`] and [`FastTrack::hybrid`]:
+//! Three detectors share this shadow, [`DetectorChoice::FastTrack`],
+//! [`DetectorChoice::PureVectorClock`] and [`DetectorChoice::Hybrid`]:
 //!
 //! * FastTrack proper, on the O(1) epoch path;
 //! * pure vector clocks: the epoch fast path and its same-epoch exit
@@ -23,7 +23,7 @@
 //!   *whether* two accesses race, and each access also records the locks
 //!   its goroutine held (read from the shared state, where Eraser reads
 //!   them too), which is what makes a report actionable for
-//!   partial-locking bugs (Observation 10). Its reports are labelled
+//!   partial-locking bugs (Observation 10). Its reports are headed
 //!   `tsan`.
 //!
 //! # The same-epoch exit
@@ -66,11 +66,11 @@ use std::hash::BuildHasherDefault;
 use grs_clock::{Epoch, Tid, VectorClock};
 use grs_obs::hash::FnvHasher;
 use grs_runtime::event::Event;
-use grs_runtime::{Addr, Monitor, NameId, SourceLoc, StackDepot};
+use grs_runtime::{Addr, NameId, SourceLoc, StackDepot};
 
+use crate::arena::DetectorChoice;
 use crate::hb::Execution;
-use crate::replay::Detector;
-use crate::report::{AccessRecord, DetectorKind, Race, RaceReport};
+use crate::report::{AccessRecord, Race};
 
 /// One entry of the concurrent-read history: the reading goroutine, its
 /// clock at the read, and the access metadata for reports.
@@ -209,138 +209,14 @@ impl SiteKey {
 /// per-run output).
 pub const MAX_REPORTS: usize = 256;
 
-/// A happens-before detector used alone: a private copy of the
-/// execution's shared state, advanced around one variable shadow. Create
-/// one per run (or reuse it: every run starts by resetting it) and pass it
-/// to [`grs_runtime::Runtime::run`]; collect [`FastTrack::reports`]
-/// afterwards: the run's end builds them.
-///
-/// # Example
-///
-/// ```
-/// use grs_detector::FastTrack;
-/// use grs_runtime::{Program, RunConfig, Runtime};
-///
-/// let racy = Program::new("unlocked", |ctx| {
-///     let x = ctx.cell("x", 0i64);
-///     let x2 = x.clone();
-///     ctx.go("writer", move |ctx| ctx.write(&x2, 1));
-///     ctx.sleep(2);
-///     let _ = ctx.read(&x);
-/// });
-/// let mut any = false;
-/// for seed in 0..20 {
-///     let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&racy, FastTrack::new());
-///     any |= !ft.reports().is_empty();
-/// }
-/// assert!(any, "some schedule must expose the race");
-/// ```
-#[derive(Debug)]
-pub struct FastTrack {
-    exec: Execution,
-    shadow: Shadow,
-    /// The reports of the last finished run.
-    reports: Vec<RaceReport>,
-}
-
-impl Default for FastTrack {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FastTrack {
-    /// FastTrack on its epoch fast path.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::of(DetectorKind::FastTrack)
-    }
-
-    /// The pure-vector-clock ablation.
-    #[must_use]
-    pub fn pure_vc() -> Self {
-        Self::of(DetectorKind::PureVectorClock)
-    }
-
-    /// The TSan-style hybrid: FastTrack verdicts with each side's held
-    /// locks, reported as `tsan`.
-    #[must_use]
-    pub fn hybrid() -> Self {
-        Self::of(DetectorKind::Tsan)
-    }
-
-    fn of(kind: DetectorKind) -> Self {
-        let mut exec = Execution::default();
-        exec.watched_by([kind]);
-        FastTrack {
-            exec,
-            shadow: Shadow::new(kind),
-            reports: Vec::new(),
-        }
-    }
-
-    /// The races the last finished run reported.
-    #[must_use]
-    pub fn reports(&self) -> &[RaceReport] {
-        &self.reports
-    }
-
-    /// Number of memory accesses processed.
-    #[must_use]
-    pub fn accesses_processed(&self) -> u64 {
-        self.shadow.accesses_processed
-    }
-
-    /// How many accesses were resolved entirely on the O(1) epoch path —
-    /// the statistic the FastTrack paper's speedup rests on.
-    #[must_use]
-    pub fn epoch_fast_hits(&self) -> u64 {
-        self.shadow.epoch_fast_hits
-    }
-}
-
-impl Monitor for FastTrack {
-    fn on_run_start(&mut self, depot: &StackDepot) {
-        self.exec.on_run_start(depot);
-        self.shadow.reset();
-        self.reports.clear();
-    }
-
-    fn on_event(&mut self, event: &Event) {
-        self.exec.before(event);
-        self.shadow.on_event(&self.exec, event);
-        self.exec.after(event);
-    }
-
-    fn on_run_end(&mut self) {
-        let (exec, kind) = (&self.exec, self.shadow.kind);
-        self.reports = self
-            .shadow
-            .races()
-            .iter()
-            .map(|race| race.report(&exec.depot, &exec.locksets, kind))
-            .collect();
-    }
-
-    fn peak_shadow_words(&self) -> usize {
-        self.shadow.peak_words()
-    }
-}
-
-impl Detector for FastTrack {
-    fn take_reports(&mut self) -> Vec<RaceReport> {
-        std::mem::take(&mut self.reports)
-    }
-}
-
-/// One happens-before detector without the execution's state: the
-/// variable shadow, the site keys and the races kept. It reads the
-/// execution's clocks on every access, and the hybrid its held locks.
+/// One happens-before detector: the variable shadow, the site keys and
+/// the races kept. It reads the execution's clocks on every access, and
+/// the hybrid its held locks.
 #[derive(Debug)]
 pub(crate) struct Shadow {
-    /// Which of the three detectors this is: `FastTrack`,
-    /// `PureVectorClock` or `Tsan` (the hybrid).
-    pub(crate) kind: DetectorKind,
+    /// Which of the three detectors this is: FastTrack, pure vector clocks
+    /// or the hybrid.
+    choice: DetectorChoice,
     /// Flat variable table indexed by the kernel's dense address ids.
     vars: Vec<VarShadow>,
     /// The races kept this run, in detection order.
@@ -355,7 +231,13 @@ pub(crate) struct Shadow {
     /// Emptied read histories, kept for their allocations (see
     /// [`keep_spare`]): a history that goes shared takes one from here.
     spare_reads: Vec<Vec<SharedRead>>,
+    /// Accesses checked this run. It and `epoch_fast_hits` are read only
+    /// by the unit tests.
+    #[cfg_attr(not(test), allow(dead_code))]
     accesses_processed: u64,
+    /// Accesses the epoch path resolved in O(1): the statistic the
+    /// FastTrack paper's speedup rests on.
+    #[cfg_attr(not(test), allow(dead_code))]
     epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
     /// maintained incrementally at each access.
@@ -366,10 +248,10 @@ pub(crate) struct Shadow {
 }
 
 impl Shadow {
-    pub(crate) fn new(kind: DetectorKind) -> Self {
-        debug_assert_ne!(kind, DetectorKind::Eraser);
+    pub(crate) fn new(choice: DetectorChoice) -> Self {
+        debug_assert_ne!(choice, DetectorChoice::Eraser);
         Shadow {
-            kind,
+            choice,
             vars: Vec::new(),
             races: Vec::new(),
             sites: HashSet::default(),
@@ -410,7 +292,7 @@ impl Shadow {
         };
         // The hybrid records the locks each access's goroutine held; the
         // others record none.
-        if self.kind == DetectorKind::Tsan {
+        if self.choice == DetectorChoice::Hybrid {
             info.locks = exec.held(info.gid).any;
         }
         self.on_access(exec, addr, object, info);
@@ -474,7 +356,7 @@ impl Shadow {
         if self.vars.len() <= vi {
             self.vars.resize_with(vi + 1, VarShadow::default);
         }
-        let pure_vc = self.kind == DetectorKind::PureVectorClock;
+        let pure_vc = self.choice == DetectorChoice::PureVectorClock;
         let epoch = Epoch::of(tid, c);
         // The same-epoch exit (module doc): a repeat finds nothing new.
         if !pure_vc && self.vars[vi].repeats(epoch, object, &info) {
@@ -636,36 +518,46 @@ impl Shadow {
 mod tests {
     use super::*;
     use grs_runtime::event::EventKind;
-    use grs_runtime::{AccessKind, Gid, StackId};
+    use grs_runtime::{record, AccessKind, Gid, Program, RunConfig, StackId};
+
+    /// A `choice` shadow that has watched `events`, whose stacks and names
+    /// are in `depot`.
+    fn watched(choice: DetectorChoice, depot: &StackDepot, events: &[Event]) -> Shadow {
+        let mut exec = Execution::default();
+        exec.watched_by([choice]);
+        exec.on_run_start(depot);
+        let mut shadow = Shadow::new(choice);
+        for event in events {
+            exec.before(event);
+            shadow.on_event(&exec, event);
+            exec.after(event);
+        }
+        shadow
+    }
 
     /// Pure-VC over one run where `readers` goroutines read each of two
     /// addresses: what its reset keeps as spares.
     fn spares_after(readers: u32) -> Vec<usize> {
-        let mut exec = Execution::default();
-        exec.watched_by([DetectorKind::PureVectorClock]);
-        exec.on_run_start(&StackDepot::new());
-        let mut shadow = Shadow::new(DetectorKind::PureVectorClock);
-        for (step, (g, addr)) in (0..).zip((0..readers).flat_map(|g| [(g, 1), (g, 2)])) {
-            let loc = SourceLoc {
-                file: NameId(0),
-                line: 1,
-            };
-            let kind = EventKind::Access {
-                addr: Addr(addr),
-                object: NameId(0),
-                kind: AccessKind::Read,
-                stack: StackId::EMPTY,
-                loc,
-            };
-            let event = Event {
+        let loc = SourceLoc {
+            file: NameId(0),
+            line: 1,
+        };
+        let events: Vec<Event> = (0..)
+            .zip((0..readers).flat_map(|g| [(g, 1), (g, 2)]))
+            .map(|(step, (g, addr))| Event {
                 step,
                 gid: Gid(g),
-                kind,
-            };
-            exec.before(&event);
-            shadow.on_event(&exec, &event);
-            exec.after(&event);
-        }
+                kind: EventKind::Access {
+                    addr: Addr(addr),
+                    object: NameId(0),
+                    kind: AccessKind::Read,
+                    stack: StackId::EMPTY,
+                    loc,
+                },
+            })
+            .collect();
+        let depot = StackDepot::new();
+        let mut shadow = watched(DetectorChoice::PureVectorClock, &depot, &events);
         shadow.reset();
         shadow.spare_reads.iter().map(Vec::capacity).collect()
     }
@@ -680,5 +572,25 @@ mod tests {
             .iter()
             .all(|&c| (3..=SPARE_READS_CAPACITY).contains(&c)));
         assert_eq!(spares_after(3 * SPARE_READS_CAPACITY as u32), []);
+    }
+
+    #[test]
+    fn epoch_fast_path_dominates_on_thread_local_data() {
+        let p = Program::new("local_heavy", |ctx| {
+            let x = ctx.cell("x", 0i64);
+            for _ in 0..100 {
+                ctx.update(&x, |v| v + 1);
+            }
+        });
+        let (_, trace) = record(&p, &RunConfig::with_seed(0));
+        let depot = StackDepot::new();
+        trace.rebuild_depot_into(&depot);
+        let ft = watched(DetectorChoice::FastTrack, &depot, &trace.events);
+        assert!(ft.accesses_processed >= 200);
+        let hit_rate = ft.epoch_fast_hits as f64 / ft.accesses_processed as f64;
+        assert!(
+            hit_rate > 0.95,
+            "thread-local accesses must hit the epoch fast path (got {hit_rate})"
+        );
     }
 }

@@ -27,7 +27,7 @@ use grs_obs::hash::FnvMap;
 use grs_runtime::event::{Event, EventKind, LockMode};
 use grs_runtime::{AccessKind, Addr, Gid, StackDepot};
 
-use crate::report::DetectorKind;
+use crate::arena::DetectorChoice;
 
 /// What an execution's detectors read about it, advanced once per event
 /// for all of them.
@@ -64,17 +64,18 @@ pub(crate) struct HeldLocks {
 }
 
 impl Execution {
-    /// Advances, from the next run on, what detectors of `kinds` read:
+    /// Advances, from the next run on, what the detectors `choices` read:
     /// the clocks, which every happens-before detector reads, the held
     /// locks, which Eraser and the hybrid read, and those held in write
     /// mode, which only Eraser reads.
-    pub(crate) fn watched_by(&mut self, kinds: impl IntoIterator<Item = DetectorKind>) {
+    pub(crate) fn watched_by(&mut self, choices: impl IntoIterator<Item = DetectorChoice>) {
         (self.tracks_clocks, self.tracks_locks) = (false, false);
         self.tracks_write_locks = false;
-        for kind in kinds {
-            self.tracks_clocks |= kind != DetectorKind::Eraser;
-            self.tracks_locks |= matches!(kind, DetectorKind::Eraser | DetectorKind::Tsan);
-            self.tracks_write_locks |= kind == DetectorKind::Eraser;
+        for choice in choices {
+            let eraser = choice == DetectorChoice::Eraser;
+            self.tracks_clocks |= !eraser;
+            self.tracks_locks |= eraser || choice == DetectorChoice::Hybrid;
+            self.tracks_write_locks |= eraser;
         }
     }
 
@@ -408,9 +409,9 @@ mod tests {
     /// Two goroutines each take a mutex in write mode and an rwlock in
     /// read mode, nested, and release both; `observe` sees every
     /// goroutine's held sets after each event.
-    fn lock_pairs(kinds: &[DetectorKind], mut observe: impl FnMut(Gid, HeldLocks)) {
+    fn lock_pairs(choices: &[DetectorChoice], mut observe: impl FnMut(Gid, HeldLocks)) {
         let mut exec = Execution::default();
-        exec.watched_by(kinds.iter().copied());
+        exec.watched_by(choices.iter().copied());
         exec.on_run_start(&StackDepot::new());
         let (mu, rw) = (LockUid(1), LockUid(2));
         let mut step = 0;
@@ -446,26 +447,26 @@ mod tests {
 
     #[test]
     fn the_write_mode_set_is_kept_only_while_eraser_watches() {
-        for kinds in [
-            &[DetectorKind::Tsan][..],
-            &[DetectorKind::Tsan, DetectorKind::FastTrack],
+        for choices in [
+            &[DetectorChoice::Hybrid][..],
+            &[DetectorChoice::Hybrid, DetectorChoice::FastTrack],
         ] {
             let mut held_any = false;
-            lock_pairs(kinds, |gid, held| {
-                assert_eq!(held.write, LocksetId::EMPTY, "{kinds:?}: {gid:?}");
+            lock_pairs(choices, |gid, held| {
+                assert_eq!(held.write, LocksetId::EMPTY, "{choices:?}: {gid:?}");
                 held_any |= held.any != LocksetId::EMPTY;
             });
-            assert!(held_any, "{kinds:?}: the hybrid's held set is kept");
+            assert!(held_any, "{choices:?}: the hybrid's held set is kept");
         }
-        for kinds in [
-            &[DetectorKind::Eraser][..],
-            &[DetectorKind::Tsan, DetectorKind::Eraser],
+        for choices in [
+            &[DetectorChoice::Eraser][..],
+            &[DetectorChoice::Hybrid, DetectorChoice::Eraser],
         ] {
             let mut held_write = false;
-            lock_pairs(kinds, |_, held| {
+            lock_pairs(choices, |_, held| {
                 held_write |= held.write != LocksetId::EMPTY
             });
-            assert!(held_write, "{kinds:?}: Eraser's write-mode set is kept");
+            assert!(held_write, "{choices:?}: Eraser's write-mode set is kept");
         }
     }
 }

@@ -1,40 +1,40 @@
 //! Dynamic data-race detectors for the `grs-runtime` substrate.
 //!
 //! Go's built-in race detector is ThreadSanitizer, which the paper describes
-//! as combining two published algorithms (§3.1):
+//! as combining two published algorithms (§3.1). [`DetectorChoice`] names
+//! each algorithm here, and is the only name of one:
 //!
-//! * a **happens-before** detector using vector clocks — implemented here as
-//!   [`FastTrack`] (Flanagan & Freund's epoch optimization, reference \[44\]),
-//!   with a pure-vector-clock variant ([`FastTrack::pure_vc`]) for the
-//!   ablation benchmark;
-//! * a **lockset** detector — implemented here as [`Eraser`] (Savage et
-//!   al., reference \[76\]), which over-approximates by ignoring
-//!   happens-before.
-//!
-//! The hybrid, [`FastTrack::hybrid`], composes FastTrack's precise verdicts
-//! with lockset bookkeeping so race reports also say which locks each side
-//! held — the shape of report the paper's deployment files as bugs (§3.3:
-//! two stacks, access types, conflicting address).
+//! * a **happens-before** detector using vector clocks —
+//!   [`DetectorChoice::FastTrack`] (Flanagan & Freund's epoch optimization,
+//!   reference \[44\]), with a pure-vector-clock variant
+//!   ([`DetectorChoice::PureVectorClock`]) for the ablation benchmark;
+//! * a **lockset** detector — [`DetectorChoice::Eraser`] (Savage et al.,
+//!   reference \[76\]), which over-approximates by ignoring happens-before;
+//! * the hybrid, [`DetectorChoice::Hybrid`], which composes FastTrack's
+//!   precise verdicts with lockset bookkeeping so race reports also say
+//!   which locks each side held — the shape of report the paper's
+//!   deployment files as bugs (§3.3: two stacks, access types, conflicting
+//!   address).
 //!
 //! A detector is only its variable shadow. What the detectors read about
 //! an execution — its vector clocks, the locks each goroutine holds, one
 //! lockset interner and the depot — is kept once, however many watch it.
-//! [`DetectorArena`] fans an execution out to its detectors in one pass,
-//! live or replayed; [`FastTrack`] and [`Eraser`] are each a private copy
-//! of that state and one shadow.
+//! [`DetectorArena`] holds that state and the shadows, and fans an
+//! execution out to the detectors asked for in one pass, live
+//! ([`DetectorArena::execute`]) or replayed ([`DetectorArena::analyze`]).
 //!
 //! A detector keeps each race as a `Copy` [`Race`] of ids and resolves
 //! nothing while the run goes on; a [`RaceReport`] is built from one on
 //! request ([`DetectorArena::report`]), or for every race by the
 //! report-returning APIs.
 //!
-//! [`DetectorChoice`] names one of the four algorithms and runs a
-//! [`Program`](grs_runtime::Program) under it. Detection is
-//! schedule-dependent — the "flakiness" that drives the paper's entire
-//! deployment design (§3.2: a dynamic detector cannot gate a pull request)
-//! — so a race is looked for across seeds; the driver that reruns whole
-//! corpora across seeds and strategies and deduplicates what they find is
-//! the campaign engine in `grs-fleet`.
+//! [`DetectorChoice::run`] runs a [`Program`](grs_runtime::Program) under
+//! one algorithm in a fresh arena. Detection is schedule-dependent — the
+//! "flakiness" that drives the paper's entire deployment design (§3.2: a
+//! dynamic detector cannot gate a pull request) — so a race is looked for
+//! across seeds; the driver that reruns whole corpora across seeds and
+//! strategies and deduplicates what they find is the campaign engine in
+//! `grs-fleet`.
 //!
 //! # Example
 //!
@@ -68,7 +68,6 @@ pub mod replay;
 pub mod report;
 
 pub use arena::{DetectorArena, DetectorChoice};
-pub use eraser::Eraser;
-pub use fasttrack::{FastTrack, MAX_REPORTS};
-pub use replay::{replay_decoded, replay_trace, Detector, ReplayOutcome};
-pub use report::{AccessRecord, DetectorKind, Race, RaceAccess, RaceReport};
+pub use fasttrack::MAX_REPORTS;
+pub use replay::{replay_decoded, FastTrack, ReplayOutcome};
+pub use report::{AccessRecord, Race, RaceAccess, RaceReport};

@@ -1,53 +1,23 @@
-//! The detector seam: the [`Detector`] trait, and offline replay of a
-//! recorded trace through any implementation of it.
+//! What an offline analysis of a recorded trace produces, and the one
+//! lone detector left outside the arena.
 //!
 //! Every detector in this crate is *schedule-independent*: its entire
 //! analysis is a fold over the totally ordered event stream delivered to
-//! [`Monitor::on_event`], and the runtime's scheduler never consults the
-//! monitor. FastTrack is literally defined over a trace (Flanagan &
-//! Freund), and Eraser and the hybrid likewise only see events. The live
-//! path and the offline path are therefore two drivers of the same
-//! [`Monitor`] methods over the same `Copy` [`Event`] record:
-//! `on_run_start` resets per-run shadow state and attaches the depot,
-//! `on_event` consumes one event, `on_run_end` flushes. A [`Detector`] adds
-//! only what a monitor lacks — a way to take the reports out — and the one
-//! replay loop of a detector used alone, [`Detector::replay_events`].
-//!
-//! The replay drivers also mirror the runtime kernel's bookkeeping —
-//! events dispatched, and the detector's own peak shadow words read once
-//! after the end-of-run flush — so a replayed run's statistics are
-//! bit-identical to the live run's [`MonitorStats`], not just its reports.
-//!
-//! [`MonitorStats`]: grs_runtime::MonitorStats
+//! [`Monitor::on_event`](grs_runtime::Monitor::on_event), and the runtime's
+//! scheduler never consults the monitor. FastTrack is literally defined
+//! over a trace (Flanagan & Freund), and Eraser and the hybrid likewise
+//! only see events. So a recorded trace replays through the arena's
+//! watchers ([`DetectorArena::analyze`](crate::DetectorArena::analyze)) to
+//! the races the live run found, and a [`ReplayOutcome`] mirrors the
+//! kernel's bookkeeping too — events dispatched, and each detector's peak
+//! shadow words — so a replayed run's statistics are bit-identical to the
+//! live run's [`MonitorStats`](grs_runtime::MonitorStats), not just its
+//! reports.
 
-use grs_runtime::{DecodedTrace, Event, Monitor, StackDepot, Trace};
+use grs_runtime::{DecodedTrace, StackDepot};
 
+use crate::arena::{DetectorChoice, Watchers};
 use crate::report::RaceReport;
-
-/// A race detector: a [`Monitor`] whose findings can be taken out.
-///
-/// Implemented by both detector types in this crate:
-/// [`FastTrack`](crate::FastTrack) (with its pure-vector-clock ablation and
-/// the hybrid) and [`Eraser`](crate::Eraser). The contract: for a trace
-/// recorded from a live run, `on_run_start` + one `on_event` per recorded
-/// event + `on_run_end` must leave reports bit-identical to what the same
-/// detector would have produced monitoring that run live.
-pub trait Detector: Monitor + std::fmt::Debug {
-    /// Takes the accumulated race reports, leaving the detector reusable
-    /// for the next run or trace.
-    fn take_reports(&mut self) -> Vec<RaceReport>;
-
-    /// Feeds `events` through [`Monitor::on_event`] in order. Every replay
-    /// of a lone detector runs this one loop. It is a provided method, so
-    /// each detector's copy is compiled against its own `on_event`: the
-    /// per-event call is static and inlinable, and a whole trace costs one
-    /// virtual call through `dyn Detector`.
-    fn replay_events(&mut self, events: &[Event]) {
-        for event in events {
-            self.on_event(event);
-        }
-    }
-}
 
 /// What one offline analysis of a trace produced.
 #[derive(Debug)]
@@ -57,49 +27,45 @@ pub struct ReplayOutcome {
     /// Events fed to the detector — equals the live run's
     /// `events_dispatched` (the recorder saw every dispatched event).
     pub events: u64,
-    /// The detector's [`Monitor::peak_shadow_words`] after the end-of-run
-    /// flush, read as the live kernel reads it.
+    /// The detector's peak shadow words over the trace, as the live
+    /// kernel reads them.
     pub peak_shadow_words: usize,
 }
 
-/// Replays `trace` through `detector`, rebuilding the trace's depot
-/// snapshot into `depot` first.
-///
-/// The rebuilt depot reproduces the recorded id assignment exactly
-/// (first-intern order), so the `StackId`s and `NameId`s carried by
-/// replayed events resolve to the stacks and names the live run saw. Several
-/// detectors over one trace are the arena's one-pass fan-out,
-/// [`DetectorArena::replay_many_decoded_observed`](crate::DetectorArena::replay_many_decoded_observed).
-pub fn replay_trace(
-    detector: &mut (impl Detector + ?Sized),
-    trace: &Trace,
-    depot: &StackDepot,
-) -> ReplayOutcome {
-    trace.rebuild_depot_into(depot);
-    detector.on_run_start(depot);
-    detector.replay_events(&trace.events);
-    detector.on_run_end();
-    ReplayOutcome {
-        reports: detector.take_reports(),
-        events: trace.events.len() as u64,
-        peak_shadow_words: detector.peak_shadow_words(),
+/// FastTrack as a lone detector, for [`replay_decoded`]: a one-member
+/// arena assembly without the arena's depot. `benchmark/` is its only
+/// caller; the change that next edits the benchmark deletes it.
+#[derive(Debug)]
+pub struct FastTrack(Watchers);
+
+impl FastTrack {
+    /// FastTrack on its epoch fast path.
+    #[must_use]
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
+        FastTrack(Watchers::of(&[DetectorChoice::FastTrack]))
     }
 }
 
-/// [`replay_trace`] of a freshly decoded trace.
+/// Replays `decoded` through `detector`, rebuilding the trace's depot
+/// snapshot into `depot` first: the reports, events and peak shadow words
+/// of [`DetectorArena::replay`](crate::DetectorArena::replay) under
+/// [`DetectorChoice::FastTrack`]. `benchmark/` is its only caller; the
+/// change that next edits the benchmark deletes it.
 pub fn replay_decoded(
-    detector: &mut (impl Detector + ?Sized),
+    detector: &mut FastTrack,
     decoded: &DecodedTrace,
     depot: &StackDepot,
 ) -> ReplayOutcome {
-    replay_trace(detector, decoded, depot)
+    let choice = DetectorChoice::FastTrack;
+    decoded.rebuild_depot_into(depot);
+    detector.0.watch(&[choice], depot, &decoded.events);
+    detector.0.outcome(choice, decoded.events.len() as u64)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::arena::DetectorChoice;
-    use crate::fasttrack::FastTrack;
     use grs_runtime::{record, Program, RunConfig};
 
     /// One locked and one unlocked increment of a shared counter.
@@ -147,19 +113,6 @@ pub(crate) mod tests {
                     assert_eq!(format!("{a}"), format!("{b}"), "{choice} seed {seed}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn detector_is_reusable_across_traces() {
-        let p = racy_program();
-        let depot = StackDepot::new();
-        let mut ft = FastTrack::new();
-        for seed in [3u64, 9, 3] {
-            let (_, trace) = record(&p, &RunConfig::with_seed(seed));
-            let (_, live) = DetectorChoice::FastTrack.run(&p, RunConfig::with_seed(seed));
-            let out = replay_trace(&mut ft, &trace, &depot);
-            assert_eq!(out.reports.len(), live.len(), "seed {seed}");
         }
     }
 }

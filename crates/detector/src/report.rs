@@ -7,8 +7,8 @@
 //! paper's workflow files as a bug (§3.3): the conflicting address, the two
 //! calling contexts, and the access types. One builder turns the first
 //! into the second ([`DetectorArena::report`](crate::DetectorArena::report)
-//! and the lone detectors' run end both call it), so a campaign that keeps
-//! one race per fingerprint resolves the stacks of those races only.
+//! and every report-returning API call it), so a campaign that keeps one
+//! race per fingerprint resolves the stacks of those races only.
 
 use std::fmt;
 use std::sync::Arc;
@@ -19,30 +19,7 @@ use grs_runtime::{
     AccessKind, Addr, Gid, NameId, ReproArtifact, SourceLoc, Stack, StackDepot, StackId,
 };
 
-/// Which algorithm produced a report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DetectorKind {
-    /// Happens-before via FastTrack epochs.
-    FastTrack,
-    /// Happens-before via full vector clocks (ablation variant).
-    PureVectorClock,
-    /// Eraser-style locksets (may report false positives).
-    Eraser,
-    /// The combined TSan-style detector.
-    Tsan,
-}
-
-impl fmt::Display for DetectorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DetectorKind::FastTrack => "fasttrack",
-            DetectorKind::PureVectorClock => "pure-vc",
-            DetectorKind::Eraser => "eraser",
-            DetectorKind::Tsan => "tsan",
-        };
-        f.write_str(s)
-    }
-}
+use crate::arena::DetectorChoice;
 
 /// One access as a detector records it: who, how, and from where, with the
 /// stack a depot id and the held locks a lockset id. `Copy`, so a shadow
@@ -122,7 +99,7 @@ impl Race {
         &self,
         depot: &StackDepot,
         locksets: &LocksetInterner,
-        detector: DetectorKind,
+        detector: DetectorChoice,
     ) -> RaceReport {
         RaceReport {
             addr: self.addr,
@@ -177,7 +154,7 @@ pub struct RaceReport {
     /// The access that triggered the report.
     pub current: RaceAccess,
     /// Which detector produced the report.
-    pub detector: DetectorKind,
+    pub detector: DetectorChoice,
     /// Name of the program under test (filled by the campaign driver).
     pub program: Option<Arc<str>>,
     /// The seed of the first run that exposed this race — the §3.4 "necessary
@@ -228,7 +205,12 @@ pub fn site_key_of(object: &str, a: (&str, u32), b: (&str, u32)) -> String {
 
 impl fmt::Display for RaceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "WARNING: DATA RACE ({})", self.detector)?;
+        // The hybrid is Go's `-race`, and its reports carry that tool's name.
+        let tool = match self.detector {
+            DetectorChoice::Hybrid => "tsan",
+            other => other.label(),
+        };
+        writeln!(f, "WARNING: DATA RACE ({tool})")?;
         if let Some(p) = &self.program {
             writeln!(f, "  program: {p}")?;
         }
@@ -264,7 +246,7 @@ mod tests {
             object: Arc::from("x"),
             prior: access(0, k1, "main", l1),
             current: access(1, k2, "worker", l2),
-            detector: DetectorKind::FastTrack,
+            detector: DetectorChoice::FastTrack,
             program: None,
             repro_seed: None,
             repro: None,

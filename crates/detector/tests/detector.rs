@@ -3,15 +3,15 @@
 //! properly synchronized programs (the happens-before detector's precision
 //! guarantee under an observed schedule).
 
-use grs_detector::{Eraser, FastTrack, RaceReport, MAX_REPORTS};
-use grs_runtime::{Program, RunConfig, Runtime};
+use grs_detector::{DetectorChoice, RaceReport, MAX_REPORTS};
+use grs_runtime::{Program, RunConfig};
 
 /// Runs `p` under many seeds with the hybrid detector; returns the first
 /// report of the first run that reports a race.
 fn hybrid_first_race(p: &Program, seeds: u64) -> Option<RaceReport> {
     (0..seeds).find_map(|seed| {
-        let (_, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::hybrid());
-        t.reports().first().cloned()
+        let (_, reports) = DetectorChoice::Hybrid.run(p, RunConfig::with_seed(seed));
+        reports.into_iter().next()
     })
 }
 
@@ -23,11 +23,11 @@ fn hybrid_finds_race(p: &Program, seeds: u64) -> bool {
 /// Asserts that no seed produces a race report (precision check).
 fn assert_race_free(p: &Program, seeds: u64) {
     for seed in 0..seeds {
-        let (outcome, t) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::hybrid());
+        let (outcome, reports) = DetectorChoice::Hybrid.run(p, RunConfig::with_seed(seed));
         assert!(
-            t.reports().is_empty(),
+            reports.is_empty(),
             "false positive at seed {seed}: {}\noutcome: {:?}",
-            t.reports()[0],
+            reports[0],
             outcome.errors
         );
     }
@@ -336,33 +336,16 @@ fn pure_vc_and_epochs_agree() {
     ];
     for p in &programs {
         for seed in 0..20 {
-            let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::new());
-            let (_, vc) = Runtime::new(RunConfig::with_seed(seed)).run(p, FastTrack::pure_vc());
+            let (_, ft) = DetectorChoice::FastTrack.run(p, RunConfig::with_seed(seed));
+            let (_, vc) = DetectorChoice::PureVectorClock.run(p, RunConfig::with_seed(seed));
             assert_eq!(
-                ft.reports().is_empty(),
-                vc.reports().is_empty(),
+                ft.is_empty(),
+                vc.is_empty(),
                 "verdict mismatch on {} seed {seed}",
                 p.name()
             );
         }
     }
-}
-
-#[test]
-fn epoch_fast_path_dominates_on_thread_local_data() {
-    let p = Program::new("local_heavy", |ctx| {
-        let x = ctx.cell("x", 0i64);
-        for _ in 0..100 {
-            ctx.update(&x, |v| v + 1);
-        }
-    });
-    let (_, ft) = Runtime::new(RunConfig::with_seed(0)).run(&p, FastTrack::new());
-    assert!(ft.accesses_processed() >= 200);
-    let hit_rate = ft.epoch_fast_hits() as f64 / ft.accesses_processed() as f64;
-    assert!(
-        hit_rate > 0.95,
-        "thread-local accesses must hit the epoch fast path (got {hit_rate})"
-    );
 }
 
 #[test]
@@ -376,8 +359,8 @@ fn eraser_flags_unlocked_shared_writes() {
     });
     let mut any = false;
     for seed in 0..30 {
-        let (_, er) = Runtime::new(RunConfig::with_seed(seed)).run(&p, Eraser::new());
-        any |= !er.reports().is_empty();
+        let (_, er) = DetectorChoice::Eraser.run(&p, RunConfig::with_seed(seed));
+        any |= !er.is_empty();
     }
     assert!(any);
 }
@@ -396,10 +379,10 @@ fn eraser_false_positive_on_channel_sync_fasttrack_clean() {
         let _ = ch.recv(ctx);
         let _ = ctx.read(&x);
     });
-    let (_, er) = Runtime::new(RunConfig::with_seed(3)).run(&p, Eraser::new());
-    assert!(!er.reports().is_empty(), "Eraser should over-report here");
-    let (_, ft) = Runtime::new(RunConfig::with_seed(3)).run(&p, FastTrack::new());
-    assert!(ft.reports().is_empty(), "FastTrack must not");
+    let (_, er) = DetectorChoice::Eraser.run(&p, RunConfig::with_seed(3));
+    assert!(!er.is_empty(), "Eraser should over-report here");
+    let (_, ft) = DetectorChoice::FastTrack.run(&p, RunConfig::with_seed(3));
+    assert!(ft.is_empty(), "FastTrack must not");
 }
 
 #[test]
@@ -418,8 +401,8 @@ fn eraser_accepts_consistent_locking() {
         mu.unlock(ctx);
     });
     for seed in 0..20 {
-        let (_, er) = Runtime::new(RunConfig::with_seed(seed)).run(&p, Eraser::new());
-        assert!(er.reports().is_empty(), "seed {seed}");
+        let (_, er) = DetectorChoice::Eraser.run(&p, RunConfig::with_seed(seed));
+        assert!(er.is_empty(), "seed {seed}");
     }
 }
 
@@ -469,12 +452,16 @@ fn report_cap_bounds_memory_on_extremely_racy_programs() {
         }
     });
     for seed in 0..4 {
-        for detector in [FastTrack::new(), FastTrack::pure_vc(), FastTrack::hybrid()] {
-            let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&p, detector);
+        for choice in [
+            DetectorChoice::FastTrack,
+            DetectorChoice::PureVectorClock,
+            DetectorChoice::Hybrid,
+        ] {
+            let (_, reports) = choice.run(&p, RunConfig::with_seed(seed));
             assert_eq!(
-                ft.reports().len(),
+                reports.len(),
                 MAX_REPORTS,
-                "seed {seed}: the cap must hold"
+                "seed {seed} {choice}: the cap must hold"
             );
         }
     }
@@ -548,17 +535,16 @@ fn one_text_under_two_names_is_one_race_site() {
 }
 
 /// FastTrack's same-epoch exits, held to pure vector clocks (which take
-/// none) on hand-built streams fed through `Monitor::on_event`, where a
-/// record and an epoch repeat but the full path's outcome would differ.
+/// none) on hand-built streams replayed through an arena, where a record
+/// and an epoch repeat but the full path's outcome would differ.
 mod same_epoch {
     use std::sync::Arc;
 
-    use grs_detector::FastTrack;
+    use grs_detector::{DetectorArena, DetectorChoice};
     use grs_runtime::event::{Event, EventKind, LockMode};
     use grs_runtime::AccessKind::{Read, Write};
     use grs_runtime::{
-        Addr, Gid, LockUid, Monitor, NameId, SourceLoc, StackDepot, StackId, Strategy, Trace,
-        TraceMeta, WgId,
+        Addr, Gid, LockUid, NameId, SourceLoc, StackId, Strategy, Trace, TraceMeta, WgId,
     };
 
     /// A stream of `(goroutine, event)` steps over the name table `names`,
@@ -608,9 +594,9 @@ mod same_epoch {
         EventKind::Release { lock, mode }
     }
 
-    /// What a detector keeps from a stream: its report texts with its
-    /// label taken out, each side's held locks in report order, and its
-    /// peak shadow words.
+    /// What a detector keeps from a stream: its report texts without their
+    /// header, which names the detector, each side's held locks in report
+    /// order, and its peak shadow words.
     #[derive(Debug, PartialEq)]
     struct Kept {
         texts: Vec<String>,
@@ -618,42 +604,37 @@ mod same_epoch {
         peak: usize,
     }
 
-    /// Feeds `trace` through `detector`'s `Monitor::on_event`, as a live
-    /// run does.
-    fn fed(mut detector: FastTrack, trace: &Trace) -> Kept {
-        let depot = StackDepot::new();
-        trace.rebuild_depot_into(&depot);
-        detector.on_run_start(&depot);
-        for event in &trace.events {
-            detector.on_event(event);
-        }
-        detector.on_run_end();
-        let reports = detector.reports();
+    /// Replays `trace` under `choice` in a fresh arena, whose watchers see
+    /// each event as a live run's do.
+    fn fed(choice: DetectorChoice, trace: &Trace) -> Kept {
+        let out = DetectorArena::new().replay(choice, trace);
         Kept {
-            texts: reports
+            texts: out
+                .reports
                 .iter()
-                .map(|r| r.to_string().replace(&r.detector.to_string(), "<hb>"))
+                .map(|r| r.to_string().split_once('\n').expect("a header").1.to_string())
                 .collect(),
-            locks: reports
+            locks: out
+                .reports
                 .iter()
                 .flat_map(|r| [&r.prior, &r.current])
                 .map(|side| side.locks_held.iter().map(|l| l.raw()).collect())
                 .collect(),
-            peak: detector.peak_shadow_words(),
+            peak: out.peak_shadow_words,
         }
     }
 
     /// Asserts that FastTrack keeps what pure vector clocks keep from
     /// `trace`, and the hybrid too, with `locks` as each side's held locks.
     fn assert_exits_are_exact(trace: &Trace, locks: &[Vec<u64>]) {
-        let vc = fed(FastTrack::pure_vc(), trace);
+        let vc = fed(DetectorChoice::PureVectorClock, trace);
         assert_eq!(vc.locks.len(), locks.len(), "{:#?}", vc.texts);
-        assert_eq!(fed(FastTrack::new(), trace), vc, "FastTrack");
+        assert_eq!(fed(DetectorChoice::FastTrack, trace), vc, "FastTrack");
         let hybrid = Kept {
             locks: locks.to_vec(),
             ..vc
         };
-        assert_eq!(fed(FastTrack::hybrid(), trace), hybrid, "hybrid");
+        assert_eq!(fed(DetectorChoice::Hybrid, trace), hybrid, "hybrid");
     }
 
     /// *t* reads address 1 as `x` holding lock 2, *u* writes it as `y`

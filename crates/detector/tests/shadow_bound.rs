@@ -10,8 +10,8 @@
 //! state. The prune drops write-dominated entries on each write, so the
 //! footprint is bounded by the per-round reader count.
 
-use grs_detector::{replay_decoded, FastTrack};
-use grs_runtime::{record, DecodedTrace, Program, RunConfig, Runtime, StackDepot};
+use grs_detector::DetectorChoice;
+use grs_runtime::{record, DecodedTrace, Program, RunConfig};
 
 const ROUNDS: i64 = 24;
 const READERS: i64 = 4;
@@ -41,10 +41,10 @@ fn cyclic_readers() -> Program {
 
 #[test]
 fn shared_read_maps_stay_bounded_across_rounds() {
-    let (outcome, ft) =
-        Runtime::new(RunConfig::with_seed(7)).run(&cyclic_readers(), FastTrack::new());
+    let (outcome, reports) =
+        DetectorChoice::FastTrack.run(&cyclic_readers(), RunConfig::with_seed(7));
     // The program is race-free: every read is joined before the write.
-    assert!(ft.reports().is_empty(), "barriered program must be clean");
+    assert!(reports.is_empty(), "barriered program must be clean");
 
     // Shadow accounting: `x` costs 2 fixed words plus its live read
     // history; the channel has no var shadow. With the prune, the history
@@ -75,12 +75,11 @@ fn shared_read_maps_stay_bounded_across_rounds() {
 fn batch_replay_keeps_shared_read_history_bounded() {
     let p = cyclic_readers();
     let cfg = RunConfig::with_seed(7);
-    let (live, _) = Runtime::new(cfg.clone()).run(&p, FastTrack::new());
+    let (live, _) = DetectorChoice::FastTrack.run(&p, cfg.clone());
     let (_, trace) = record(&p, &cfg);
     let bytes = trace.encode();
     let decoded = DecodedTrace::decode(&bytes).expect("just-encoded trace decodes");
-    let mut ft = FastTrack::new();
-    let out = replay_decoded(&mut ft, &decoded, &StackDepot::new());
+    let out = DetectorChoice::FastTrack.replay(&decoded);
     assert!(out.reports.is_empty(), "barriered program must be clean");
     assert_eq!(
         out.peak_shadow_words, live.stats.peak_shadow_words,
@@ -120,8 +119,8 @@ fn pruning_does_not_suppress_real_races() {
     });
     let mut detected = false;
     for seed in 0..20 {
-        let (_, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&p, FastTrack::new());
-        if !ft.reports().is_empty() {
+        let (_, reports) = DetectorChoice::FastTrack.run(&p, RunConfig::with_seed(seed));
+        if !reports.is_empty() {
             detected = true;
             break;
         }

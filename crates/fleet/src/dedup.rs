@@ -93,7 +93,7 @@ fn lock(shard: &Mutex<RaceBatch>) -> MutexGuard<'_, RaceBatch> {
 mod tests {
     use super::*;
     use grs_clock::Lockset;
-    use grs_detector::{DetectorKind, RaceAccess};
+    use grs_detector::{DetectorChoice, RaceAccess};
     use grs_runtime::{AccessKind, Addr, Frame, Gid, Stack};
     use std::sync::Arc;
 
@@ -114,7 +114,7 @@ mod tests {
             object: Arc::from("x"),
             prior: mk(0, AccessKind::Write),
             current: mk(1, AccessKind::Read),
-            detector: DetectorKind::Tsan,
+            detector: DetectorChoice::Hybrid,
             program: None,
             repro_seed: Some(seed),
             repro: None,

@@ -53,9 +53,9 @@
 //! # Example
 //!
 //! ```
-//! use grs_detector::FastTrack;
+//! use grs_detector::DetectorChoice;
 //! use grs_interp::Interp;
-//! use grs_runtime::{RunConfig, Runtime};
+//! use grs_runtime::RunConfig;
 //!
 //! let interp = Interp::from_source(r#"
 //! package main
@@ -74,10 +74,10 @@
 //! }
 //! "#).expect("compiles");
 //! let program = interp.program("counter", "main");
-//! let (outcome, hybrid) = Runtime::new(RunConfig::with_seed(3)).run(&program, FastTrack::hybrid());
+//! let (outcome, maybe_races) = DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(3));
 //! assert!(outcome.is_clean());
 //! // `total = total + 1` is unsynchronized: some seeds catch it.
-//! let _maybe_race = hybrid.reports();
+//! let _ = maybe_races;
 //! ```
 
 #![forbid(unsafe_code)]

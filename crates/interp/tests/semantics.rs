@@ -3,7 +3,7 @@
 //! channel read by `main`, and a final `panic` marks failures (which the
 //! runtime surfaces as goroutine panics).
 
-use grs_detector::FastTrack;
+use grs_detector::DetectorChoice;
 use grs_interp::Interp;
 use grs_runtime::{NullMonitor, RunConfig, Runtime};
 
@@ -500,9 +500,9 @@ fn range_over_int_go_1_22() {
 fn fasttrack_reports(src: &str, seed: u64) -> usize {
     let interp = Interp::from_source(src).unwrap_or_else(|e| panic!("parse error: {e}"));
     let program = interp.program("semantics", "main");
-    let (outcome, ft) = Runtime::new(RunConfig::with_seed(seed)).run(&program, FastTrack::new());
+    let (outcome, reports) = DetectorChoice::FastTrack.run(&program, RunConfig::with_seed(seed));
     assert!(outcome.is_clean(), "seed {seed}: {:?}", outcome.errors);
-    ft.reports().len()
+    reports.len()
 }
 
 #[test]

@@ -5,7 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use grs::detector::FastTrack;
 use grs::prelude::*;
 
 fn main() {
@@ -30,14 +29,13 @@ fn main() {
     // the nondeterminism that §3.2 of the paper wrestles with.
     println!("== single runs (detection is schedule-dependent) ==");
     for seed in 0..5 {
-        let (_, hybrid) =
-            Runtime::new(RunConfig::with_seed(seed)).run(&program, FastTrack::hybrid());
+        let (_, reports) = DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(seed));
         println!(
             "  seed {seed}: {}",
-            if hybrid.reports().is_empty() {
+            if reports.is_empty() {
                 "no race observed".to_string()
             } else {
-                format!("{} race report(s)", hybrid.reports().len())
+                format!("{} race report(s)", reports.len())
             }
         );
     }

@@ -8,9 +8,9 @@
 //! `NullMonitor` with a reused depot, for the runtime's own share). The
 //! campaign row is the same matrix through one `Campaign::run`, per
 //! execution: the arena and the per-unit build as a worker pays them, and
-//! the records and the dedup stage. Replay rows count the detector alone —
-//! run start, every event, run end, taking the reports; not decoding or the
-//! depot rebuild — and decode rows count `DecodedTrace::decode` of the
+//! the records and the dedup stage. Replay rows count one
+//! `DetectorArena::replay` under one detector — run start, every event,
+//! building the reports — less its depot rebuild, and decode rows count `DecodedTrace::decode` of the
 //! encoded trace, or `Trace::decode_into` of it into one `Trace` kept across
 //! the family, as an intake worker keeps one, per trace of three families:
 //! the short pattern traces above, the first 256 generated Go tests (corpus
@@ -18,33 +18,33 @@
 //! measured on its second pass, so it is the cost of a run in a warm
 //! process:
 //!
-//! | row                                    | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | this tree | ceiling |
-//! |----------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`                |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |    12.7 |
-//! | live run, FastTrack                    |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |    19.7 |
-//! | live run, pure-VC                      |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |    19.7 |
-//! | live run, Eraser                       |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |    20.3 |
-//! | live run, hybrid                       |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |    19.9 |
-//! | live run, all four at once             |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |    26.5 |
-//! | campaign execution, all four           |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |    19.6 |
-//! | replay, short trace, FastTrack         |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |     2.0 |
-//! | replay, short trace, pure-VC           |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |     2.0 |
-//! | replay, short trace, Eraser            |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid            |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |     2.2 |
-//! | replay, corpus trace, FastTrack        |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |    1.01 |
-//! | replay, corpus trace, pure-VC          |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |    1.03 |
-//! | replay, corpus trace, Eraser           |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid           |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |    1.01 |
-//! | replay, dense trace, FastTrack         |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |     0.5 |
-//! | replay, dense trace, pure-VC           |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |     0.5 |
-//! | replay, dense trace, Eraser            |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid            |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |     0.5 |
-//! | decode, short trace                    |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |    15.0 |
-//! | decode, corpus trace                   |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |    23.4 |
-//! | decode, dense trace                    |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |    23.5 |
-//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       9.1 |       9.1 |    10.2 |
-//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      15.1 |      15.1 |    16.9 |
-//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |      15.0 |      15.0 |    16.8 |
+//! | row                                    | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | `892ce86` | this tree | ceiling |
+//! |----------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`                |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |      11.3 |    12.7 |
+//! | live run, FastTrack                    |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |      17.6 |    19.7 |
+//! | live run, pure-VC                      |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |      17.6 |    19.7 |
+//! | live run, Eraser                       |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |      18.2 |    20.3 |
+//! | live run, hybrid                       |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |      17.8 |    19.9 |
+//! | live run, all four at once             |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |      23.6 |    26.5 |
+//! | campaign execution, all four           |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |      17.4 |    19.6 |
+//! | replay, short trace, FastTrack         |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, pure-VC           |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, Eraser            |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid            |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |       1.9 |     2.2 |
+//! | replay, corpus trace, FastTrack        |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |    1.01 |
+//! | replay, corpus trace, pure-VC          |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |       0.9 |    1.03 |
+//! | replay, corpus trace, Eraser           |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid           |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |    1.01 |
+//! | replay, dense trace, FastTrack         |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, pure-VC           |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, Eraser            |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid            |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |     0.5 |
+//! | decode, short trace                    |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |      13.4 |    15.0 |
+//! | decode, corpus trace                   |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |      20.9 |    23.4 |
+//! | decode, dense trace                    |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |      21.0 |    23.5 |
+//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       9.1 |       9.1 |       9.1 |    10.2 |
+//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      15.1 |      15.1 |      15.1 |    16.9 |
+//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |      15.0 |      15.0 |      15.0 |    16.8 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -124,6 +124,14 @@
 //! move by as much as 0.01, in release or debug, and the moved ceilings
 //! followed the rest down.
 //!
+//! At `892ce86` a replay row was a standalone detector (`FastTrack::new`,
+//! `pure_vc`, `hybrid` or `Eraser::new`) fed a trace whose depot was
+//! already rebuilt; this tree has no standalone detector, and a row is the
+//! arena's `replay`, which rebuilds the depot. That rebuild is counted on a
+//! twin depot taking the same rebuilds in the same order and subtracted; a
+//! warm depot's rebuild allocates nothing on the measured pass, so no row
+//! moved by as much as 0.01.
+//!
 //! The ceilings sit about 12 % above what was reached, and at 0.5 for a
 //! row at zero — tight enough that a report built for a repeated race, or
 //! a per-run container dropped by `reset`, fails here.
@@ -137,7 +145,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use grs::corpus::GoTestSpec;
-use grs::detector::{Detector, DetectorArena, DetectorChoice, Eraser, FastTrack};
+use grs::detector::{DetectorArena, DetectorChoice};
 use grs::fleet::{pattern_suite, Campaign, CampaignConfig, GoCorpusSource, UnitSource};
 use grs::runtime::{
     record, DecodedTrace, NullMonitor, Program, RunConfig, Runtime, StackDepot, Strategy, Trace,
@@ -289,39 +297,21 @@ fn a_campaign_execution_stays_under_its_allocation_ceiling() {
     )]);
 }
 
-/// The detector alone over one recorded trace whose depot is already
-/// rebuilt: what a lone detector's `replay_trace` spends past the rebuild.
-fn replay(detector: &mut dyn Detector, trace: &Trace, depot: &StackDepot) -> u64 {
-    allocations_in(|| {
-        detector.on_run_start(depot);
-        detector.replay_events(&trace.events);
-        detector.on_run_end();
-        (detector.peak_shadow_words(), detector.take_reports())
-    })
-    .0
-}
-
 /// Mean replay allocations per trace of `traces`, per detector, in
-/// [`DetectorChoice::all_with_ablation`] order.
+/// [`DetectorChoice::all_with_ablation`] order: each trace through one
+/// arena's `replay` under that detector alone, less what its depot rebuild
+/// allocates — counted on a second depot that takes the same rebuilds in
+/// the same order, so it is in the arena depot's state at each one.
 fn replay_means(traces: &[Trace]) -> [f64; 4] {
-    let depots: Vec<StackDepot> = traces
-        .iter()
-        .map(|t| {
-            let depot = StackDepot::new();
-            t.rebuild_depot_into(&depot);
-            depot
+    DetectorChoice::all_with_ablation().map(|choice| {
+        let mut arena = DetectorArena::new();
+        let twin = StackDepot::new();
+        mean_warm(traces, |trace| {
+            let (rebuild, ()) = allocations_in(|| trace.rebuild_depot_into(&twin));
+            let (replay, _) = allocations_in(|| arena.replay(choice, trace));
+            replay - rebuild
         })
-        .collect();
-    let mut detectors: [Box<dyn Detector>; 4] = [
-        Box::new(FastTrack::new()),
-        Box::new(FastTrack::pure_vc()),
-        Box::new(Eraser::new()),
-        Box::new(FastTrack::hybrid()),
-    ];
-    let pairs: Vec<_> = traces.iter().zip(&depots).collect();
-    detectors
-        .each_mut()
-        .map(|d| mean_warm(&pairs, |(t, depot)| replay(d.as_mut(), t, depot)))
+    })
 }
 
 /// Mean allocations per trace of [`DecodedTrace::decode`] over the

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use grs::deploy::{Fingerprint, RaceBatch};
-use grs::detector::{DetectorArena, DetectorChoice, DetectorKind};
+use grs::detector::{DetectorArena, DetectorChoice};
 use grs::fleet::{Campaign, CampaignConfig};
 use grs::patterns;
 use grs::runtime::{ReproArtifact, RunConfig, Runtime, Strategy, TraceHasher};
@@ -92,7 +92,7 @@ fn detector_reports_are_deterministic_including_order() {
 
 /// A batch's representatives, as filed: fingerprint, full report text,
 /// detector and repro seed.
-fn representatives(batch: &RaceBatch) -> Vec<(Fingerprint, String, DetectorKind, Option<u64>)> {
+fn representatives(batch: &RaceBatch) -> Vec<(Fingerprint, String, DetectorChoice, Option<u64>)> {
     batch
         .iter()
         .map(|(fp, r)| (fp, r.to_string(), r.detector, r.repro_seed))

@@ -121,8 +121,8 @@ fn filed_tasks_carry_working_repro_instructions() {
     // developer reproduce the underlying race". Our analog is the scheduler
     // seed — and it must actually work: rerunning under the recorded seed
     // must deterministically re-expose the race.
-    use grs::detector::FastTrack;
-    use grs::runtime::{RunConfig, Runtime};
+    use grs::detector::DetectorChoice;
+    use grs::runtime::RunConfig;
 
     let pattern = patterns::find("waitgroup_add_inside").expect("in corpus");
     let program = pattern.racy_program();
@@ -140,10 +140,9 @@ fn filed_tasks_carry_working_repro_instructions() {
     assert_eq!(recorded, seed);
 
     // And the instructions WORK: the recorded seed replays the race.
-    let (_, hybrid) =
-        Runtime::new(RunConfig::with_seed(recorded)).run(&program, FastTrack::hybrid());
+    let (_, reports) = DetectorChoice::Hybrid.run(&program, RunConfig::with_seed(recorded));
     assert!(
-        !hybrid.reports().is_empty(),
+        !reports.is_empty(),
         "repro seed {recorded} failed to replay the race"
     );
 }

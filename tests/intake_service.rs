@@ -425,7 +425,7 @@ fn concurrent_duplicate_submissions_file_each_race_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker reuse: each worker replays every upload on one detector and depot.
+// Worker reuse: each worker replays every upload on one detector arena.
 // ---------------------------------------------------------------------------
 
 /// A racy trace reports the same races whether its worker's detector is

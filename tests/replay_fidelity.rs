@@ -13,34 +13,23 @@
 //! These tests pin the contract over the whole executable pattern corpus
 //! (racy and fixed variants), 16 seeds each, for all four algorithms —
 //! including the pure-vector-clock ablation that the campaign default
-//! excludes. The same loop runs each algorithm live as a standalone
-//! detector (`FastTrack::new`, `pure_vc`, `hybrid`, `Eraser::new`), a
-//! private copy of the execution's shared state around one shadow, and
-//! holds it to the arena member, the locks each side held included. And
-//! the contract is checked through a full encode→decode round trip of
-//! the `.grtrace` wire format, so on-disk traces carry the same guarantee
-//! as in-memory ones, including for a cell named after its source file
-//! (one text that is an object's and a file's name at once).
+//! excludes. And the contract is checked through a full encode→decode
+//! round trip of the `.grtrace` wire format, so on-disk traces carry the
+//! same guarantee as in-memory ones, including for a cell named after its
+//! source file (one text that is an object's and a file's name at once).
+//! The same loop holds `replay_decoded` of a `FastTrack`, the lone
+//! detector the pipeline benchmark replays with, to the arena's FastTrack
+//! member, the locks each side held included.
 
 use grs::deploy::race_fingerprint;
 use grs::detector::{
-    Detector, DetectorArena, DetectorChoice, Eraser, FastTrack, RaceReport, ReplayOutcome,
+    replay_decoded, DetectorArena, DetectorChoice, FastTrack, RaceReport, ReplayOutcome,
 };
 use grs::fleet::{pattern_suite, CampaignUnit};
 use grs::runtime::event::EventKind;
-use grs::runtime::{record, Program, RunConfig, Runtime, Trace};
+use grs::runtime::{record, DecodedTrace, Program, RunConfig, StackDepot, Trace};
 
 const SEEDS: u64 = 16;
-
-/// `choice` as a standalone detector, outside any arena.
-fn standalone(choice: DetectorChoice) -> Box<dyn Detector> {
-    match choice {
-        DetectorChoice::FastTrack => Box::new(FastTrack::new()),
-        DetectorChoice::PureVectorClock => Box::new(FastTrack::pure_vc()),
-        DetectorChoice::Eraser => Box::new(Eraser::new()),
-        DetectorChoice::Hybrid => Box::new(FastTrack::hybrid()),
-    }
-}
 
 /// A report's text, and the locks each side held, which the text omits.
 fn rendered(r: &RaceReport) -> String {
@@ -48,29 +37,20 @@ fn rendered(r: &RaceReport) -> String {
     format!("{r}  locks held: previous {prior}, current {current}")
 }
 
-/// `program` under `cfg`, watched live by `choice` as a standalone
-/// detector, must equal the arena member's replay of the same run: events,
-/// peak shadow words, and every report as rendered.
-fn assert_standalone_equals_member(
-    choice: DetectorChoice,
-    program: &Program,
-    cfg: &RunConfig,
-    member: &ReplayOutcome,
-    cell: &str,
-) {
-    let (outcome, mut detector) = Runtime::new(cfg.clone()).run(program, standalone(choice));
-    let reports = detector.take_reports();
+/// `replay_decoded` of `trace`, after an encode → decode round trip, must
+/// equal the arena's FastTrack `member` over the same trace: events, peak
+/// shadow words, and every report as rendered.
+fn assert_shim_equals_member(trace: &Trace, member: &ReplayOutcome, cell: &str) {
+    let decoded = DecodedTrace::decode(&trace.encode()).expect("a recording decodes");
+    let shim = replay_decoded(&mut FastTrack::new(), &decoded, &StackDepot::new());
+    assert_eq!(shim.events, member.events, "{cell}: events");
     assert_eq!(
-        outcome.stats.events_dispatched, member.events,
-        "{cell}: events"
-    );
-    assert_eq!(
-        outcome.stats.peak_shadow_words, member.peak_shadow_words,
+        shim.peak_shadow_words, member.peak_shadow_words,
         "{cell}: peak shadow words"
     );
-    let solo: Vec<String> = reports.iter().map(rendered).collect();
+    let shim: Vec<String> = shim.reports.iter().map(rendered).collect();
     let arena: Vec<String> = member.reports.iter().map(rendered).collect();
-    assert_eq!(solo, arena, "{cell}: the standalone detector's reports");
+    assert_eq!(shim, arena, "{cell}: replay_decoded's reports");
 }
 
 #[test]
@@ -91,8 +71,10 @@ fn replay_is_bit_identical_to_live_for_every_pattern_seed_and_detector() {
                 unit.name
             );
             for (choice, replayed) in arena.replay_all(&trace) {
-                let cell = format!("{}/{seed}/{choice}", unit.name);
-                assert_standalone_equals_member(choice, &unit.program, &cfg, &replayed, &cell);
+                if choice == DetectorChoice::FastTrack {
+                    let cell = format!("{}/{seed}/{choice}", unit.name);
+                    assert_shim_equals_member(&trace, &replayed, &cell);
+                }
                 let (live_o, live_r) = choice.run(&unit.program, cfg.clone());
                 assert_eq!(
                     live_o.steps, outcome.steps,
