@@ -57,6 +57,8 @@ use grs::runtime::{NullMonitor, RunConfig, Runtime};
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -67,27 +69,35 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_bytes(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds `GlobalAlloc`'s contract; the only addition is a thread-local
-// counter bump that neither allocates (the cell is const-initialized and
-// has no destructor) nor unwinds.
+// upholds `GlobalAlloc`'s contract; the only additions are thread-local
+// counter bumps that neither allocate (the cells are const-initialized and
+// have no destructor) nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 }
@@ -102,7 +112,20 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
+/// Bytes this thread allocated while `f` ran and still holds after it:
+/// what the value `f` returns keeps on the heap.
+fn retained_by<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let out = f();
+    (LIVE_BYTES.with(Cell::get) - before, out)
+}
+
 const TESTS: u64 = 256;
+
+/// Mean heap bytes a parsed file holds.
+const PARSED_FILE_BYTES: f64 = 11_000.0;
+/// Mean heap bytes a compiled test (its `Program`) holds.
+const COMPILED_TEST_BYTES: f64 = 14_000.0;
 
 fn corpus() -> Vec<GoTest> {
     GoTestGen::new(GoTestSpec::default_mix(), 1)
@@ -174,6 +197,47 @@ fn an_interpreted_run_stays_under_its_allocation_ceiling() {
         mean(total) <= 84.0,
         "interpreted run: {:.1} allocations (ceiling 84; 74.9 when this was written, \
          80.4 before the schedule became a running digest)",
+        mean(total)
+    );
+}
+
+#[test]
+fn a_parsed_file_stays_under_its_byte_ceiling() {
+    let tests = corpus();
+    // Process-wide tables built on first use are not any one file's.
+    drop(parse_file(&tests[0].source));
+    let mut total = 0;
+    for t in tests {
+        let (bytes, file) = retained_by(|| parse_file(&t.source).expect("parses"));
+        total += bytes as u64;
+        drop(file);
+    }
+    println!("parsed file: {:.0} bytes held", mean(total));
+    assert!(
+        mean(total) <= PARSED_FILE_BYTES,
+        "parsed file: {:.0} bytes held (ceiling {PARSED_FILE_BYTES}; 9,508 at the parent)",
+        mean(total)
+    );
+}
+
+#[test]
+fn a_compiled_test_stays_under_its_byte_ceiling() {
+    let tests = corpus();
+    drop(Interp::compile(&tests[0].source));
+    let mut total = 0;
+    for t in tests {
+        let (bytes, program) = retained_by(|| {
+            Interp::compile(&t.source)
+                .and_then(|i| i.program_checked(&t.name, "main"))
+                .expect("generated tests lower")
+        });
+        total += bytes as u64;
+        drop(program);
+    }
+    println!("compiled test: {:.0} bytes held", mean(total));
+    assert!(
+        mean(total) <= COMPILED_TEST_BYTES,
+        "compiled test: {:.0} bytes held (ceiling {COMPILED_TEST_BYTES}; 12,680 at the parent)",
         mean(total)
     );
 }
