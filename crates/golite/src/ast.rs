@@ -256,18 +256,20 @@ pub enum Stmt {
     },
     /// Bare block `{ ... }` (also used for else-blocks).
     Block(Block),
-    /// Any of Go's `for` forms.
+    /// Any of Go's `for` forms. The condition and the range clause sit
+    /// behind boxes: a `for` is rare among statements, and held inline
+    /// they would size every statement to it.
     For {
         /// Position.
         pos: Pos,
         /// `for init; cond; post { }` pieces (all optional).
         init: Option<Box<Stmt>>,
         /// Loop condition (absent = infinite or range).
-        cond: Option<Expr>,
+        cond: Option<Box<Expr>>,
         /// Post statement.
         post: Option<Box<Stmt>>,
         /// `for k, v := range x` clause, when present.
-        range: Option<RangeClause>,
+        range: Option<Box<RangeClause>>,
         /// The body.
         body: Block,
     },
@@ -300,6 +302,10 @@ pub enum Stmt {
     /// An empty statement (stray semicolon).
     Empty,
 }
+
+// Every statement list holds each statement at this size, so a variant
+// that grows past it boxes its rare part, as `For` does.
+const _: () = assert!(std::mem::size_of::<Stmt>() <= 96);
 
 /// The `k, v := range x` clause of a range-for.
 #[derive(Debug, Clone, PartialEq)]
@@ -712,7 +718,7 @@ pub fn walk<'a, F: FnMut(Node<'a>) -> Walk>(root: Node<'a>, visit: &mut F) {
                 ..
             } => {
                 walk_stmts(init.as_deref(), visit);
-                walk_exprs(cond, visit);
+                walk_exprs(cond.as_deref(), visit);
                 walk_stmts(post.as_deref(), visit);
                 walk_exprs(range.as_ref().map(|r| &r.expr), visit);
                 walk(Node::List(&body.stmts), visit);

@@ -15,6 +15,13 @@
 //! is an integer compare in every file. A `Sym` from one file means nothing
 //! in another, and a `Sym` orders by first occurrence, not alphabet: code
 //! whose output order depends on names sorts by [`Names::text`].
+//!
+//! A compiled program keeps its table as long as it runs, so the table
+//! holds nothing it does not read: the prelude's spellings and index are
+//! shared by every table, and a file's own spellings, their ends and an
+//! index over them are held at their length. The interner that builds a
+//! table while the parser runs is kept per thread and reused, so a parse
+//! allocates the finished table and nothing else for its names.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -128,8 +135,8 @@ prelude! {
     SYNC_ONCE = "sync.Once",
 }
 
-/// Slots in a fresh table: a power of two, at most half full once the
-/// prelude and a small file's own names are in.
+/// Slots in a fresh parse-time index: a power of two, at most half full
+/// once the prelude and a small file's own names are in.
 const INITIAL_SLOTS: usize = 256;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -138,61 +145,88 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The spellings of one file: every text once, in one buffer.
+/// The spelling of `sym` in a table whose own spellings are `text`, each
+/// ending at its entry of `ends`.
+fn spelling<'a>(text: &'a str, ends: &[u32], sym: u32) -> &'a str {
+    let Some(own) = (sym as usize).checked_sub(PRELUDE.len()) else {
+        return PRELUDE[sym as usize];
+    };
+    let start = if own == 0 { 0 } else { ends[own - 1] as usize };
+    &text[start..ends[own] as usize]
+}
+
+/// Where `text` sits in the open-addressed index `slots` (`Sym + 1` per
+/// occupied slot, `0` for empty; the length a power of two): `Ok(sym)` when
+/// `spelled(sym)` is `text`, else `Err(the empty slot it belongs in)`.
+fn probe<'a>(
+    slots: &[u32],
+    hash: u64,
+    text: &str,
+    spelled: impl Fn(u32) -> &'a str,
+) -> Result<u32, usize> {
+    let mask = slots.len() - 1;
+    let mut slot = hash as usize & mask;
+    loop {
+        match slots[slot] {
+            0 => return Err(slot),
+            s if spelled(s - 1) == text => return Ok(s - 1),
+            _ => slot = (slot + 1) & mask,
+        }
+    }
+}
+
+/// Enters `sym`, whose spelling hashes to `hash` and is not in `slots`
+/// yet, at the first empty slot of its probe sequence.
+fn insert(slots: &mut [u32], hash: u64, sym: usize) {
+    let mask = slots.len() - 1;
+    let mut slot = hash as usize & mask;
+    while slots[slot] != 0 {
+        slot = (slot + 1) & mask;
+    }
+    slots[slot] = sym as u32 + 1;
+}
+
+/// The prelude's index, [`INITIAL_SLOTS`] wide: [`Names::get`] asks it
+/// first, and every parse-time index starts as a copy of it.
+fn prelude_slots() -> &'static [u32] {
+    static SLOTS: OnceLock<Box<[u32]>> = OnceLock::new();
+    SLOTS.get_or_init(|| {
+        let mut slots = vec![0; INITIAL_SLOTS];
+        for (sym, text) in PRELUDE.iter().enumerate() {
+            insert(&mut slots, fnv1a(text.as_bytes()), sym);
+        }
+        slots.into()
+    })
+}
+
+/// The spellings of one file: the [`sym`] prelude, shared by every table,
+/// then the file's own texts once each, in one buffer. Everything is held
+/// at its length; the index that found names while parsing stays with the
+/// parser, and the table keeps one sized to the file's own names.
 #[derive(Clone)]
 pub struct Names {
-    /// All spellings, back to back.
-    text: String,
-    /// Where each [`Sym`]'s spelling ends in `text` (it starts where the
+    /// The file's own spellings, back to back.
+    text: Box<str>,
+    /// Where each own spelling ends in `text` (it starts where the
     /// previous one ends).
-    ends: Vec<u32>,
-    /// Open-addressed index: `Sym + 1` per occupied slot, `0` for empty.
-    /// The length is a power of two and at least twice `ends.len()`.
-    slots: Vec<u32>,
-    /// Reused by [`Names::intern_dotted`].
-    scratch: String,
+    ends: Box<[u32]>,
+    /// Open-addressed index over the own spellings: `Sym + 1` per occupied
+    /// slot, `0` for empty. Empty when the file spells nothing beyond the
+    /// prelude; otherwise a power of two at least twice the own count.
+    slots: Box<[u32]>,
 }
 
 impl Names {
-    /// A table holding the prelude, with room for the names of a source
-    /// text of `src_len` bytes.
-    #[must_use]
-    pub fn for_source(src_len: usize) -> Names {
-        static PRELUDE_TABLE: OnceLock<Names> = OnceLock::new();
-        let base = PRELUDE_TABLE.get_or_init(|| {
-            let mut n = Names {
-                text: String::new(),
-                ends: Vec::new(),
-                slots: vec![0; INITIAL_SLOTS],
-                scratch: String::new(),
-            };
-            for t in PRELUDE {
-                n.intern(t);
-            }
-            n
-        });
-        let mut text = String::with_capacity(base.text.len() + src_len / 4);
-        text.push_str(&base.text);
-        let mut ends = Vec::with_capacity(base.ends.len() + src_len / 8);
-        ends.extend_from_slice(&base.ends);
-        Names {
-            text,
-            ends,
-            slots: base.slots.clone(),
-            scratch: String::new(),
-        }
-    }
-
     /// How many spellings the table holds, prelude included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        PRELUDE.len() + self.ends.len()
     }
 
     /// Never true: every table holds the prelude.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        false
     }
 
     /// The spelling of `sym`.
@@ -202,81 +236,111 @@ impl Names {
     /// When `sym` was not handed out by this table (or a clone of it).
     #[must_use]
     pub fn text(&self, sym: Sym) -> &str {
-        let i = sym.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[start..self.ends[i] as usize]
+        spelling(&self.text, &self.ends, sym.0)
     }
 
     /// The [`Sym`] of `text`, when the file spells it anywhere.
     #[must_use]
     pub fn get(&self, text: &str) -> Option<Sym> {
-        self.probe(text).ok()
+        let hash = fnv1a(text.as_bytes());
+        let spelled = |sym| spelling(&self.text, &self.ends, sym);
+        let found = match probe(prelude_slots(), hash, text, spelled) {
+            Err(_) if !self.slots.is_empty() => probe(&self.slots, hash, text, spelled),
+            prelude => prelude,
+        };
+        found.ok().map(Sym)
+    }
+}
+
+/// Builds one file's [`Names`] while it is parsed. It is kept from file to
+/// file, emptied, so a parse reuses the room the last one grew: the
+/// spellings and the index are copied out at their length once, by
+/// [`Interner::finish`].
+#[derive(Default)]
+pub(crate) struct Interner {
+    /// Own spellings so far, back to back.
+    text: String,
+    /// Where each own spelling ends in `text`.
+    ends: Vec<u32>,
+    /// Each own spelling's hash, so `finish` indexes them without hashing
+    /// again.
+    hashes: Vec<u64>,
+    /// Open-addressed index over prelude and own spellings alike: `Sym + 1`
+    /// per occupied slot, `0` for empty. The length is a power of two and
+    /// at least twice the spellings' count.
+    slots: Vec<u32>,
+    /// Reused by [`Interner::intern_dotted`].
+    dotted: String,
+}
+
+impl Interner {
+    /// Starts a file: nothing but the prelude is spelled.
+    pub(crate) fn start(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+        self.hashes.clear();
+        self.slots.clear();
+        self.slots.extend_from_slice(prelude_slots());
     }
 
     /// The [`Sym`] of `text`, adding it on first sight.
-    pub fn intern(&mut self, text: &str) -> Sym {
-        match self.probe(text) {
-            Ok(sym) => sym,
+    pub(crate) fn intern(&mut self, text: &str) -> Sym {
+        let hash = fnv1a(text.as_bytes());
+        let spelled = |sym| spelling(&self.text, &self.ends, sym);
+        match probe(&self.slots, hash, text, spelled) {
+            Ok(sym) => Sym(sym),
             Err(slot) => {
-                let sym = Sym(self.ends.len() as u32);
-                self.slots[slot] = sym.0 + 1;
-                self.push_text(text);
-                if self.ends.len() * 2 > self.slots.len() {
+                let sym = (PRELUDE.len() + self.ends.len()) as u32;
+                self.slots[slot] = sym + 1;
+                self.text.push_str(text);
+                self.ends.push(self.text.len() as u32);
+                self.hashes.push(hash);
+                if (sym as usize + 1) * 2 > self.slots.len() {
                     self.grow();
                 }
-                sym
+                Sym(sym)
             }
         }
     }
 
     /// The [`Sym`] of `a.b` — a qualified type name such as `sync.Mutex`.
-    pub fn intern_dotted(&mut self, a: Sym, b: Sym) -> Sym {
-        let mut dotted = std::mem::take(&mut self.scratch);
+    pub(crate) fn intern_dotted(&mut self, a: Sym, b: Sym) -> Sym {
+        let mut dotted = std::mem::take(&mut self.dotted);
         dotted.clear();
-        dotted.push_str(self.text(a));
+        dotted.push_str(spelling(&self.text, &self.ends, a.0));
         dotted.push('.');
-        dotted.push_str(self.text(b));
+        dotted.push_str(spelling(&self.text, &self.ends, b.0));
         let sym = self.intern(&dotted);
-        self.scratch = dotted;
+        self.dotted = dotted;
         sym
     }
 
-    /// `Ok(sym)` when `text` is present, else `Err(the empty slot it
-    /// belongs in)`.
-    fn probe(&self, text: &str) -> Result<Sym, usize> {
-        let mask = self.slots.len() - 1;
-        let mut slot = fnv1a(text.as_bytes()) as usize & mask;
-        loop {
-            match self.slots[slot] {
-                0 => return Err(slot),
-                s => {
-                    let sym = Sym(s - 1);
-                    if self.text(sym) == text {
-                        return Ok(sym);
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    fn push_text(&mut self, text: &str) {
-        self.text.push_str(text);
-        self.ends.push(self.text.len() as u32);
-    }
-
     fn grow(&mut self) {
-        let mut slots = vec![0u32; self.slots.len() * 2];
-        let mask = slots.len() - 1;
-        for i in 0..self.ends.len() {
-            let sym = Sym(i as u32);
-            let mut slot = fnv1a(self.text(sym).as_bytes()) as usize & mask;
-            while slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            slots[slot] = sym.0 + 1;
+        let len = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        let prelude = PRELUDE.iter().map(|t| fnv1a(t.as_bytes()));
+        for (sym, hash) in prelude.chain(self.hashes.iter().copied()).enumerate() {
+            insert(&mut self.slots, hash, sym);
         }
-        self.slots = slots;
+    }
+
+    /// The file's table, every part at its length; the interner keeps its
+    /// room for the next file.
+    pub(crate) fn finish(&self) -> Names {
+        let width = match self.ends.len() {
+            0 => 0,
+            own => (own * 2).next_power_of_two(),
+        };
+        let mut slots = vec![0; width];
+        for (own, &hash) in self.hashes.iter().enumerate() {
+            insert(&mut slots, hash, PRELUDE.len() + own);
+        }
+        Names {
+            text: self.text.as_str().into(),
+            ends: self.ends.as_slice().into(),
+            slots: slots.into(),
+        }
     }
 }
 
@@ -304,9 +368,15 @@ impl fmt::Debug for Names {
 mod tests {
     use super::*;
 
+    fn interner() -> Interner {
+        let mut n = Interner::default();
+        n.start();
+        n
+    }
+
     #[test]
     fn prelude_ids_are_fixed_and_texts_match() {
-        let n = Names::for_source(0);
+        let n = interner().finish();
         assert_eq!(n.len(), PRELUDE.len());
         assert_eq!(n.text(sym::EMPTY), "");
         assert_eq!(n.text(sym::BLANK), "_");
@@ -322,35 +392,51 @@ mod tests {
 
     #[test]
     fn interning_is_first_occurrence_ordered_and_idempotent() {
-        let mut n = Names::for_source(64);
-        let a = n.intern("alpha");
-        let b = n.intern("beta");
+        let mut i = interner();
+        let a = i.intern("alpha");
+        let b = i.intern("beta");
         assert_eq!(a.index() + 1, b.index());
-        assert_eq!(n.intern("alpha"), a);
-        assert_eq!(n.intern("Lock"), sym::LOCK);
+        assert_eq!(i.intern("alpha"), a);
+        assert_eq!(i.intern("Lock"), sym::LOCK);
+        let n = i.finish();
         assert_eq!(n.text(b), "beta");
+        assert_eq!(n.get("alpha"), Some(a));
         assert_eq!(n.get("gamma"), None);
         assert_eq!(format!("{n:?}"), r#"["alpha", "beta"]"#);
     }
 
     #[test]
     fn dotted_names_meet_the_prelude() {
-        let mut n = Names::for_source(0);
-        let (sync, mutex) = (n.intern("sync"), n.intern("Mutex"));
-        assert_eq!(n.intern_dotted(sync, mutex), sym::SYNC_MUTEX);
-        let pkg = n.intern("pkg");
-        let remote = n.intern_dotted(pkg, mutex);
-        assert_eq!(n.text(remote), "pkg.Mutex");
+        let mut i = interner();
+        let (sync, mutex) = (i.intern("sync"), i.intern("Mutex"));
+        assert_eq!(i.intern_dotted(sync, mutex), sym::SYNC_MUTEX);
+        let pkg = i.intern("pkg");
+        let remote = i.intern_dotted(pkg, mutex);
+        assert_eq!(i.finish().text(remote), "pkg.Mutex");
     }
 
     #[test]
     fn the_index_grows_past_its_first_size() {
-        let mut n = Names::for_source(0);
-        let syms: Vec<Sym> = (0..1000).map(|i| n.intern(&format!("name{i}"))).collect();
-        for (i, s) in syms.iter().enumerate() {
-            assert_eq!(n.text(*s), format!("name{i}"));
-            assert_eq!(n.get(&format!("name{i}")), Some(*s));
+        let mut i = interner();
+        let syms: Vec<Sym> = (0..1000).map(|k| i.intern(&format!("name{k}"))).collect();
+        assert!(i.slots.len() >= 2 * (PRELUDE.len() + syms.len()));
+        let n = i.finish();
+        for (k, s) in syms.iter().enumerate() {
+            assert_eq!(n.text(*s), format!("name{k}"));
+            assert_eq!(n.get(&format!("name{k}")), Some(*s));
         }
-        assert!(n.slots.len() >= 2 * n.len());
+        assert_eq!(n.slots.len(), 2048);
+        assert_eq!(n.ends.len(), 1000);
+    }
+
+    #[test]
+    fn a_restarted_interner_forgets_the_last_file() {
+        let mut i = interner();
+        let first = i.intern("first");
+        i.start();
+        assert_eq!(i.intern("second"), first);
+        let n = i.finish();
+        assert_eq!(n.get("first"), None);
+        assert_eq!(format!("{n:?}"), r#"["second"]"#);
     }
 }

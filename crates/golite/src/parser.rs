@@ -14,17 +14,24 @@
 //!
 //! The parser is a cursor over the lexer's `Copy` tokens: it dispatches on
 //! the current token, interns each spelling into the file's [`Names`] as it
-//! consumes it, and allocates only the tree. Everything that looks past the
-//! current token — every `peek_at`, the one cursor restore, the two forward
-//! scans — carries a `// LOOKAHEAD: <why>` line, and
-//! `tests/lookahead_lint.rs` fails on one without: the accepted subset can
-//! grow without growing accidental backtracking.
+//! consumes it, and allocates only the tree. Each list — a block, a case
+//! body, call arguments, either side of `:=` and `=`, parameters, composite
+//! elements, declarations — is collected on a scratch stack the thread
+//! keeps from file to file and moved into a `Vec` of exactly its length
+//! when it closes, so a tree holds no spare room.
+//!
+//! Everything that looks past the current token — every `peek_at`, the one
+//! cursor restore, the two forward scans — carries a `// LOOKAHEAD: <why>`
+//! line, and `tests/lookahead_lint.rs` fails on one without: the accepted
+//! subset can grow without growing accidental backtracking.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::ast::*;
 use crate::error::ParseError;
 use crate::lexer::tokenize;
+use crate::names::Interner;
 use crate::token::{Keyword as K, Pos, Tok, Token};
 
 /// Parses a complete source file.
@@ -33,7 +40,7 @@ use crate::token::{Keyword as K, Pos, Tok, Token};
 ///
 /// Returns the first lexical or syntax error with its position.
 pub fn parse_file(src: &str) -> Result<File, ParseError> {
-    Parser::new(tokenize(src)?, src.len()).file()
+    Parser::new(tokenize(src)?).file()
 }
 
 /// Parses a single expression (used by tests and tools); its [`Sym`]s are
@@ -43,9 +50,9 @@ pub fn parse_file(src: &str) -> Result<File, ParseError> {
 ///
 /// Returns the first error.
 pub fn parse_expr(src: &str) -> Result<(Expr, Names), ParseError> {
-    let mut p = Parser::new(tokenize(src)?, src.len());
+    let mut p = Parser::new(tokenize(src)?);
     let e = p.expr()?;
-    Ok((e, p.names))
+    Ok((e, p.s.names.finish()))
 }
 
 /// Deepest nesting of statements, expressions, types and composite
@@ -56,10 +63,6 @@ pub fn parse_expr(src: &str) -> Result<(Expr, Names), ParseError> {
 /// 2 MiB thread overflows near 180 levels, and everything this workspace
 /// generates or embeds stays under 10.
 pub const MAX_NESTING: usize = 128;
-
-/// One `name [, name...] [Type] [= exprs]` specification of a var/const
-/// declaration: `(names, type, initializers)`.
-type VarSpec = (Vec<Sym>, Option<Type>, Vec<Expr>);
 
 /// The value of an integer literal, when it has one the interpreter
 /// accepts: decimal (with `_` separators), else the digits after `0x` as
@@ -91,13 +94,55 @@ fn starts_type(t: Tok<'_>) -> bool {
     )
 }
 
+/// The parser's working room. Each list under construction sits on the
+/// stack for its element type, above the entries of the lists still open
+/// around it; closing it ([`close`]) moves its entries out at their length.
+/// A thread keeps one, emptied, from one parse to the next.
+#[derive(Default)]
+struct Scratch {
+    /// Every spelling consumed so far; becomes [`File::names`].
+    names: Interner,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
+    syms: Vec<Sym>,
+    params: Vec<Param>,
+    elems: Vec<(Option<Expr>, Expr)>,
+    cases: Vec<CaseClause>,
+    comms: Vec<CommClause>,
+    decls: Vec<Decl>,
+}
+
+impl Scratch {
+    fn clear(&mut self) {
+        self.stmts.clear();
+        self.exprs.clear();
+        self.syms.clear();
+        self.params.clear();
+        self.elems.clear();
+        self.cases.clear();
+        self.comms.clear();
+        self.decls.clear();
+    }
+}
+
+thread_local! {
+    /// The last parse's [`Scratch`] on this thread, empty.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// The entries of `stack` from `mark` on — one list — moved into a `Vec`
+/// of exactly their number.
+fn close<T>(stack: &mut Vec<T>, mark: usize) -> Vec<T> {
+    stack.drain(mark..).collect()
+}
+
 struct Parser<'src> {
     /// The whole token stream; the last token is `Eof`.
     tokens: Vec<Token<'src>>,
     /// The cursor: index of the current token.
     pos: usize,
-    /// Every spelling consumed so far; becomes [`File::names`].
-    names: Names,
+    /// Lists under construction and the names spelled so far.
+    s: Scratch,
     /// Composite literals with bare type names are disallowed while > 0
     /// (inside if/for/switch headers).
     no_composite: u32,
@@ -106,11 +151,13 @@ struct Parser<'src> {
 }
 
 impl<'src> Parser<'src> {
-    fn new(tokens: Vec<Token<'src>>, src_len: usize) -> Self {
+    fn new(tokens: Vec<Token<'src>>) -> Self {
+        let mut s = SCRATCH.take();
+        s.names.start();
         Parser {
             tokens,
             pos: 0,
-            names: Names::for_source(src_len),
+            s,
             no_composite: 0,
             depth: 0,
         }
@@ -193,12 +240,23 @@ impl<'src> Parser<'src> {
         match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(self.names.intern(s))
+                Ok(self.s.names.intern(s))
             }
             other => Err(ParseError::new(
                 self.here(),
                 format!("expected identifier, found `{other}`"),
             )),
+        }
+    }
+
+    /// `ident {, ident}`, pushed onto the name stack.
+    fn push_idents(&mut self) -> Result<(), ParseError> {
+        loop {
+            let name = self.expect_ident()?;
+            self.s.syms.push(name);
+            if !self.eat(Tok::Comma) {
+                return Ok(());
+            }
         }
     }
 
@@ -213,7 +271,7 @@ impl<'src> Parser<'src> {
         self.expect(Tok::Kw(K::Package))?;
         let package = self.expect_ident()?;
         self.skip_semis();
-        let mut imports = Vec::new();
+        let imports = self.s.syms.len();
         while self.peek() == Tok::Kw(K::Import) {
             self.bump();
             if self.eat(Tok::LParen) {
@@ -223,7 +281,8 @@ impl<'src> Parser<'src> {
                     if matches!(self.peek(), Tok::Ident(_)) {
                         self.bump();
                     }
-                    imports.push(self.import_path()?);
+                    let path = self.import_path()?;
+                    self.s.syms.push(path);
                     self.skip_semis();
                 }
                 self.expect(Tok::RParen)?;
@@ -235,38 +294,41 @@ impl<'src> Parser<'src> {
                 {
                     self.bump(); // alias
                 }
-                imports.push(self.import_path()?);
+                let path = self.import_path()?;
+                self.s.syms.push(path);
             }
             self.skip_semis();
         }
-        let mut decls = Vec::new();
+        let imports = close(&mut self.s.syms, imports);
+        let decls = self.s.decls.len();
         loop {
             self.skip_semis();
-            match self.peek() {
+            let decl = match self.peek() {
                 Tok::Eof => break,
-                Tok::Kw(K::Func) => decls.push(Decl::Func(self.func_decl()?)),
-                Tok::Kw(K::Var) => decls.push(Decl::Var(self.var_decl(false)?)),
-                Tok::Kw(K::Const) => decls.push(Decl::Const(self.var_decl(true)?)),
-                Tok::Kw(K::Type) => decls.push(Decl::Type(self.type_decl()?)),
+                Tok::Kw(K::Func) => Decl::Func(self.func_decl()?),
+                Tok::Kw(K::Var) => Decl::Var(self.var_decl(false)?),
+                Tok::Kw(K::Const) => Decl::Const(self.var_decl(true)?),
+                Tok::Kw(K::Type) => Decl::Type(self.type_decl()?),
                 other => {
                     return Err(ParseError::new(
                         self.here(),
                         format!("expected declaration, found `{other}`"),
                     ))
                 }
-            }
+            };
+            self.s.decls.push(decl);
         }
         Ok(File {
             package,
             imports,
-            decls,
-            names: self.names,
+            decls: close(&mut self.s.decls, decls),
+            names: self.s.names.finish(),
         })
     }
 
     fn import_path(&mut self) -> Result<Sym, ParseError> {
         match self.bump() {
-            Tok::Str(s) => Ok(self.names.intern(s)),
+            Tok::Str(s) => Ok(self.s.names.intern(s)),
             other => Err(ParseError::new(
                 self.here(),
                 format!("expected import path string, found `{other}`"),
@@ -326,26 +388,29 @@ impl<'src> Parser<'src> {
         self.expect(Tok::LParen)?;
         let params = self.param_list()?;
         self.expect(Tok::RParen)?;
-        let mut results = Vec::new();
-        if self.peek() == Tok::LParen {
+        let results = if self.peek() == Tok::LParen {
             self.bump();
-            results = self.param_list()?;
+            let results = self.param_list()?;
             self.expect(Tok::RParen)?;
+            results
         } else if starts_type(self.peek()) {
             let ty = self.parse_type()?;
-            results.push(Param {
+            vec![Param {
                 name: sym::EMPTY,
                 ty,
-            });
-        }
+            }]
+        } else {
+            Vec::new()
+        };
         Ok(Signature { params, results })
     }
 
     /// Parses a comma-separated parameter list, resolving Go's shared-type
     /// grouping (`a, b int`) and unnamed lists (`int, error`).
     fn param_list(&mut self) -> Result<Vec<Param>, ParseError> {
-        let mut out: Vec<Param> = Vec::new();
-        let mut pending: Vec<Sym> = Vec::new();
+        let out = self.s.params.len();
+        // Names whose role waits on what follows them.
+        let pending = self.s.syms.len();
         loop {
             if self.peek() == Tok::RParen {
                 break;
@@ -353,18 +418,20 @@ impl<'src> Parser<'src> {
             // Variadic `...T`.
             if self.eat(Tok::Ellipsis) {
                 let ty = self.parse_type()?;
-                let name = pending.pop().unwrap_or(sym::EMPTY);
-                if !pending.is_empty() {
-                    let grouped = Type::Name(self.names.intern("<grouped>"));
-                    for n in pending.drain(..) {
-                        out.push(Param {
-                            name: n,
-                            ty: grouped.clone(),
-                        });
-                    }
+                let name = if self.s.syms.len() > pending {
+                    self.s.syms.pop()
+                } else {
+                    None
+                };
+                if self.s.syms.len() > pending {
+                    let grouped = Type::Name(self.s.names.intern("<grouped>"));
+                    self.settle(pending, |n| Param {
+                        name: n,
+                        ty: grouped.clone(),
+                    });
                 }
-                out.push(Param {
-                    name,
+                self.s.params.push(Param {
+                    name: name.unwrap_or(sym::EMPTY),
                     ty: Type::Slice(Box::new(ty)),
                 });
             } else if matches!(self.peek(), Tok::Ident(_))
@@ -376,13 +443,11 @@ impl<'src> Parser<'src> {
                 let name = self.expect_ident()?;
                 self.expect(Tok::Ellipsis)?;
                 let ty = self.parse_type()?;
-                for n in pending.drain(..) {
-                    out.push(Param {
-                        name: n,
-                        ty: Type::Slice(Box::new(ty.clone())),
-                    });
-                }
-                out.push(Param {
+                self.settle(pending, |n| Param {
+                    name: n,
+                    ty: Type::Slice(Box::new(ty.clone())),
+                });
+                self.s.params.push(Param {
                     name,
                     ty: Type::Slice(Box::new(ty)),
                 });
@@ -394,7 +459,8 @@ impl<'src> Parser<'src> {
             {
                 // Ambiguous: either an unnamed type or a name sharing a
                 // later type.
-                pending.push(self.expect_ident()?);
+                let name = self.expect_ident()?;
+                self.s.syms.push(name);
             } else if matches!(self.peek(), Tok::Ident(_))
                 // LOOKAHEAD: `name Type` vs a bare type name — a second
                 // type-starting token makes the first a parameter name.
@@ -403,23 +469,19 @@ impl<'src> Parser<'src> {
                 // `name Type`.
                 let name = self.expect_ident()?;
                 let ty = self.parse_type()?;
-                for n in pending.drain(..) {
-                    out.push(Param {
-                        name: n,
-                        ty: ty.clone(),
-                    });
-                }
-                out.push(Param { name, ty });
+                self.settle(pending, |n| Param {
+                    name: n,
+                    ty: ty.clone(),
+                });
+                self.s.params.push(Param { name, ty });
             } else {
                 // Unnamed non-ident type (`*T`, `[]T`, `map[..]..`, ...).
                 let ty = self.parse_type()?;
-                for n in pending.drain(..) {
-                    out.push(Param {
-                        name: sym::EMPTY,
-                        ty: Type::Name(n),
-                    });
-                }
-                out.push(Param {
+                self.settle(pending, |n| Param {
+                    name: sym::EMPTY,
+                    ty: Type::Name(n),
+                });
+                self.s.params.push(Param {
                     name: sym::EMPTY,
                     ty,
                 });
@@ -429,69 +491,63 @@ impl<'src> Parser<'src> {
             }
         }
         // Leftover pending names are unnamed type parameters.
-        for n in pending {
-            out.push(Param {
-                name: sym::EMPTY,
-                ty: Type::Name(n),
-            });
-        }
-        Ok(out)
+        self.settle(pending, |n| Param {
+            name: sym::EMPTY,
+            ty: Type::Name(n),
+        });
+        Ok(close(&mut self.s.params, out))
+    }
+
+    /// Moves the names pending on the name stack since `mark` onto the
+    /// parameter stack, each made a parameter by `param`.
+    fn settle(&mut self, mark: usize, param: impl FnMut(Sym) -> Param) {
+        let Scratch { syms, params, .. } = &mut self.s;
+        params.extend(syms.drain(mark..).map(param));
     }
 
     fn var_decl(&mut self, constant: bool) -> Result<VarDecl, ParseError> {
         let pos = self.here();
         self.bump(); // var / const
         let _ = constant;
+        let (names, values) = (self.s.syms.len(), self.s.exprs.len());
         // Parenthesized groups: keep only the first spec's shape by
         // flattening all specs into one decl (fine for scanning/linting).
-        if self.eat(Tok::LParen) {
-            let mut names = Vec::new();
-            let mut values = Vec::new();
+        let ty = if self.eat(Tok::LParen) {
             let mut ty = None;
             self.skip_semis();
             while self.peek() != Tok::RParen {
-                let (mut n, t, mut v) = self.var_spec()?;
-                names.append(&mut n);
-                values.append(&mut v);
+                let t = self.var_spec()?;
                 if ty.is_none() {
                     ty = t;
                 }
                 self.skip_semis();
             }
             self.expect(Tok::RParen)?;
-            return Ok(VarDecl {
-                pos,
-                names,
-                ty,
-                values,
-            });
-        }
-        let (names, ty, values) = self.var_spec()?;
+            ty
+        } else {
+            self.var_spec()?
+        };
         Ok(VarDecl {
             pos,
-            names,
+            names: close(&mut self.s.syms, names),
             ty,
-            values,
+            values: close(&mut self.s.exprs, values),
         })
     }
 
-    fn var_spec(&mut self) -> Result<VarSpec, ParseError> {
-        let mut names = vec![self.expect_ident()?];
-        while self.eat(Tok::Comma) {
-            names.push(self.expect_ident()?);
-        }
+    /// One `name [, name...] [Type] [= exprs]` specification of a
+    /// var/const declaration: its names go on the name stack and its
+    /// initializers on the expression stack; returns its type.
+    fn var_spec(&mut self) -> Result<Option<Type>, ParseError> {
+        self.push_idents()?;
         let mut ty = None;
         if self.peek() != Tok::Assign && self.peek() != Tok::Semi && starts_type(self.peek()) {
             ty = Some(self.parse_type()?);
         }
-        let mut values = Vec::new();
         if self.eat(Tok::Assign) {
-            values.push(self.expr()?);
-            while self.eat(Tok::Comma) {
-                values.push(self.expr()?);
-            }
+            self.push_exprs()?;
         }
-        Ok((names, ty, values))
+        Ok(ty)
     }
 
     fn type_decl(&mut self) -> Result<TypeDecl, ParseError> {
@@ -534,7 +590,7 @@ impl<'src> Parser<'src> {
                 {
                     self.bump();
                     let sel = self.expect_ident()?;
-                    Ok(Type::Name(self.names.intern_dotted(name, sel)))
+                    Ok(Type::Name(self.s.names.intern_dotted(name, sel)))
                 } else {
                     Ok(Type::Name(name))
                 }
@@ -550,7 +606,7 @@ impl<'src> Parser<'src> {
                 } else {
                     let size = match self.bump() {
                         // A literal, or a named constant.
-                        Tok::Int(s) | Tok::Ident(s) => self.names.intern(s),
+                        Tok::Int(s) | Tok::Ident(s) => self.s.names.intern(s),
                         other => {
                             return Err(ParseError::new(
                                 self.here(),
@@ -592,7 +648,7 @@ impl<'src> Parser<'src> {
             Tok::Kw(K::Struct) => {
                 self.bump();
                 self.expect(Tok::LBrace)?;
-                let mut fields = Vec::new();
+                let fields = self.s.params.len();
                 self.skip_semis();
                 while self.peek() != Tok::RBrace {
                     // `a, b T` field groups; embedded fields are a bare type.
@@ -601,20 +657,16 @@ impl<'src> Parser<'src> {
                         // embedded type name standing alone on its line.
                         && (starts_type(self.peek_at(1)) || self.peek_at(1) == Tok::Comma)
                     {
-                        let mut names = vec![self.expect_ident()?];
-                        while self.eat(Tok::Comma) {
-                            names.push(self.expect_ident()?);
-                        }
+                        let names = self.s.syms.len();
+                        self.push_idents()?;
                         let ty = self.parse_type()?;
-                        for name in names {
-                            fields.push(Param {
-                                name,
-                                ty: ty.clone(),
-                            });
-                        }
+                        self.settle(names, |name| Param {
+                            name,
+                            ty: ty.clone(),
+                        });
                     } else {
                         let ty = self.parse_type()?;
-                        fields.push(Param {
+                        self.s.params.push(Param {
                             name: sym::EMPTY,
                             ty,
                         });
@@ -626,7 +678,7 @@ impl<'src> Parser<'src> {
                     self.skip_semis();
                 }
                 self.expect(Tok::RBrace)?;
-                Ok(Type::Struct(fields))
+                Ok(Type::Struct(close(&mut self.s.params, fields)))
             }
             Tok::Kw(K::Interface) => {
                 self.bump();
@@ -662,15 +714,28 @@ impl<'src> Parser<'src> {
         // Composite literals are legal again inside the braces.
         let saved = self.no_composite;
         self.no_composite = 0;
-        let mut stmts = Vec::new();
-        self.skip_semis();
-        while self.peek() != Tok::RBrace && self.peek() != Tok::Eof {
-            stmts.push(self.stmt()?);
-            self.skip_semis();
-        }
+        let stmts = self.stmts_until(|t| matches!(t, Tok::RBrace | Tok::Eof))?;
         self.expect(Tok::RBrace)?;
         self.no_composite = saved;
         Ok(Block { stmts })
+    }
+
+    /// Statements up to the first token `end` accepts, as one list.
+    fn stmts_until(&mut self, end: fn(Tok<'_>) -> bool) -> Result<Vec<Stmt>, ParseError> {
+        let stmts = self.s.stmts.len();
+        self.skip_semis();
+        while !end(self.peek()) {
+            let s = self.stmt()?;
+            self.s.stmts.push(s);
+            self.skip_semis();
+        }
+        Ok(close(&mut self.s.stmts, stmts))
+    }
+
+    /// A `case`/`default` clause's body: statements up to the next clause
+    /// or the closing brace.
+    fn clause_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        self.stmts_until(|t| matches!(t, Tok::Kw(K::Case) | Tok::Kw(K::Default) | Tok::RBrace))
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -694,13 +759,11 @@ impl<'src> Parser<'src> {
             }
             Tok::Kw(K::Return) => {
                 self.bump();
-                let mut values = Vec::new();
-                if !matches!(self.peek(), Tok::Semi | Tok::RBrace | Tok::Eof) {
-                    values.push(self.expr()?);
-                    while self.eat(Tok::Comma) {
-                        values.push(self.expr()?);
-                    }
-                }
+                let values = if matches!(self.peek(), Tok::Semi | Tok::RBrace | Tok::Eof) {
+                    Vec::new()
+                } else {
+                    self.expr_list()?
+                };
                 Ok(Stmt::Return { pos, values })
             }
             Tok::Kw(K::If) => self.if_stmt(),
@@ -764,48 +827,44 @@ impl<'src> Parser<'src> {
         let first = self.expr()?;
         match self.peek() {
             Tok::Define | Tok::Comma if self.defines_ahead() => {
-                let mut exprs = vec![first];
-                while self.eat(Tok::Comma) {
-                    exprs.push(self.expr()?);
+                let targets = self.s.exprs.len();
+                self.s.exprs.push(first);
+                if self.eat(Tok::Comma) {
+                    self.push_exprs()?;
                 }
                 if self.eat(Tok::Define) {
-                    let names = exprs
+                    if self.s.exprs[targets..]
                         .iter()
-                        .map(|e| {
-                            e.as_ident()
-                                .ok_or_else(|| ParseError::new(pos, "non-identifier on left of :="))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let mut values = vec![self.expr()?];
-                    while self.eat(Tok::Comma) {
-                        values.push(self.expr()?);
+                        .any(|e| e.as_ident().is_none())
+                    {
+                        return Err(ParseError::new(pos, "non-identifier on left of :="));
                     }
+                    let names = self
+                        .s
+                        .exprs
+                        .drain(targets..)
+                        .map(|e| e.as_ident().expect("every target is an identifier"))
+                        .collect();
+                    let values = self.expr_list()?;
                     Ok(Stmt::Define { pos, names, values })
                 } else {
                     self.expect(Tok::Assign)?;
-                    let mut values = vec![self.expr()?];
-                    while self.eat(Tok::Comma) {
-                        values.push(self.expr()?);
-                    }
+                    let lhs = close(&mut self.s.exprs, targets);
                     Ok(Stmt::Assign {
                         pos,
-                        lhs: exprs,
+                        lhs,
                         op: AssignOp::Set,
-                        rhs: values,
+                        rhs: self.expr_list()?,
                     })
                 }
             }
             Tok::Assign => {
                 self.bump();
-                let mut values = vec![self.expr()?];
-                while self.eat(Tok::Comma) {
-                    values.push(self.expr()?);
-                }
                 Ok(Stmt::Assign {
                     pos,
                     lhs: vec![first],
                     op: AssignOp::Set,
-                    rhs: values,
+                    rhs: self.expr_list()?,
                 })
             }
             Tok::OpAssign(op) => {
@@ -950,7 +1009,7 @@ impl<'src> Parser<'src> {
                 init: None,
                 cond: None,
                 post: None,
-                range: Some(range),
+                range: Some(Box::new(range)),
                 body,
             });
         }
@@ -960,7 +1019,7 @@ impl<'src> Parser<'src> {
             let cond = if self.peek() == Tok::Semi {
                 None
             } else {
-                Some(self.expr()?)
+                Some(Box::new(self.expr()?))
             };
             self.expect(Tok::Semi)?;
             let post = if self.peek() == Tok::LBrace {
@@ -994,7 +1053,7 @@ impl<'src> Parser<'src> {
             Ok(Stmt::For {
                 pos,
                 init: None,
-                cond: Some(cond),
+                cond: Some(Box::new(cond)),
                 post: None,
                 range: None,
                 body,
@@ -1067,32 +1126,21 @@ impl<'src> Parser<'src> {
         };
         self.no_composite -= 1;
         self.expect(Tok::LBrace)?;
-        let mut cases = Vec::new();
+        let cases = self.s.cases.len();
         self.skip_semis();
         while self.peek() != Tok::RBrace {
             let exprs = if self.eat(Tok::Kw(K::Case)) {
-                let mut es = vec![self.expr()?];
-                while self.eat(Tok::Comma) {
-                    es.push(self.expr()?);
-                }
-                es
+                self.expr_list()?
             } else {
                 self.expect(Tok::Kw(K::Default))?;
                 Vec::new()
             };
             self.expect(Tok::Colon)?;
-            let mut body = Vec::new();
-            self.skip_semis();
-            while !matches!(
-                self.peek(),
-                Tok::Kw(K::Case) | Tok::Kw(K::Default) | Tok::RBrace
-            ) {
-                body.push(self.stmt()?);
-                self.skip_semis();
-            }
-            cases.push(CaseClause { exprs, body });
+            let body = self.clause_body()?;
+            self.s.cases.push(CaseClause { exprs, body });
         }
         self.expect(Tok::RBrace)?;
+        let cases = close(&mut self.s.cases, cases);
         Ok(Stmt::Switch { pos, tag, cases })
     }
 
@@ -1100,7 +1148,7 @@ impl<'src> Parser<'src> {
         let pos = self.here();
         self.expect(Tok::Kw(K::Select))?;
         self.expect(Tok::LBrace)?;
-        let mut cases = Vec::new();
+        let cases = self.s.comms.len();
         self.skip_semis();
         while self.peek() != Tok::RBrace {
             let comm = if self.eat(Tok::Kw(K::Case)) {
@@ -1110,18 +1158,11 @@ impl<'src> Parser<'src> {
                 None
             };
             self.expect(Tok::Colon)?;
-            let mut body = Vec::new();
-            self.skip_semis();
-            while !matches!(
-                self.peek(),
-                Tok::Kw(K::Case) | Tok::Kw(K::Default) | Tok::RBrace
-            ) {
-                body.push(self.stmt()?);
-                self.skip_semis();
-            }
-            cases.push(CommClause { comm, body });
+            let body = self.clause_body()?;
+            self.s.comms.push(CommClause { comm, body });
         }
         self.expect(Tok::RBrace)?;
+        let cases = close(&mut self.s.comms, cases);
         Ok(Stmt::Select { pos, cases })
     }
 
@@ -1129,6 +1170,24 @@ impl<'src> Parser<'src> {
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
         self.binary_expr(1)
+    }
+
+    /// `expr {, expr}`, pushed onto the expression stack.
+    fn push_exprs(&mut self) -> Result<(), ParseError> {
+        loop {
+            let e = self.expr()?;
+            self.s.exprs.push(e);
+            if !self.eat(Tok::Comma) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// `expr {, expr}` as one list.
+    fn expr_list(&mut self) -> Result<Vec<Expr>, ParseError> {
+        let list = self.s.exprs.len();
+        self.push_exprs()?;
+        Ok(close(&mut self.s.exprs, list))
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
@@ -1223,19 +1282,19 @@ impl<'src> Parser<'src> {
                 Tok::LParen => {
                     self.bump();
                     self.deepen()?;
-                    let mut args = Vec::new();
+                    let args = self.s.exprs.len();
                     let mut spread = false;
                     // Composite literals are allowed inside call arguments
                     // even within control headers.
                     let saved = self.no_composite;
                     self.no_composite = 0;
                     while self.peek() != Tok::RParen {
-                        if self.arg_is_type() {
-                            let ty = self.parse_type()?;
-                            args.push(Expr::TypeExpr(Box::new(ty)));
+                        let arg = if self.arg_is_type() {
+                            Expr::TypeExpr(Box::new(self.parse_type()?))
                         } else {
-                            args.push(self.expr()?);
-                        }
+                            self.expr()?
+                        };
+                        self.s.exprs.push(arg);
                         if self.eat(Tok::Ellipsis) {
                             spread = true;
                         }
@@ -1247,7 +1306,7 @@ impl<'src> Parser<'src> {
                     self.expect(Tok::RParen)?;
                     e = Expr::Call {
                         func: Box::new(e),
-                        args,
+                        args: close(&mut self.s.exprs, args),
                         spread,
                     };
                 }
@@ -1327,23 +1386,23 @@ impl<'src> Parser<'src> {
         match self.peek() {
             Tok::Ident(name) => {
                 self.bump();
-                Ok(Expr::Ident(pos, self.names.intern(name)))
+                Ok(Expr::Ident(pos, self.s.names.intern(name)))
             }
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(pos, self.names.intern(v), int_value(v)))
+                Ok(Expr::Int(pos, self.s.names.intern(v), int_value(v)))
             }
             Tok::Float(v) => {
                 self.bump();
-                Ok(Expr::Float(pos, self.names.intern(v)))
+                Ok(Expr::Float(pos, self.s.names.intern(v)))
             }
             Tok::Str(v) => {
                 self.bump();
-                Ok(Expr::Str(pos, self.names.intern(v)))
+                Ok(Expr::Str(pos, self.s.names.intern(v)))
             }
             Tok::Rune(v) => {
                 self.bump();
-                Ok(Expr::Rune(pos, self.names.intern(v)))
+                Ok(Expr::Rune(pos, self.s.names.intern(v)))
             }
             Tok::LParen => {
                 self.bump();
@@ -1407,7 +1466,7 @@ impl<'src> Parser<'src> {
         self.expect(Tok::LBrace)?;
         let saved = self.no_composite;
         self.no_composite = 0;
-        let mut elems = Vec::new();
+        let elems = self.s.elems.len();
         self.skip_semis();
         while self.peek() != Tok::RBrace {
             // Nested bare `{...}` elements (inner composite with elided type).
@@ -1430,9 +1489,9 @@ impl<'src> Parser<'src> {
                 } else {
                     self.expr()?
                 };
-                elems.push((Some(first), value));
+                self.s.elems.push((Some(first), value));
             } else {
-                elems.push((None, first));
+                self.s.elems.push((None, first));
             }
             if !self.eat(Tok::Comma) {
                 self.skip_semis();
@@ -1442,7 +1501,7 @@ impl<'src> Parser<'src> {
         }
         self.expect(Tok::RBrace)?;
         self.no_composite = saved;
-        Ok(elems)
+        Ok(close(&mut self.s.elems, elems))
     }
 
     /// The type a composite literal's head (`T`, `pkg.T`) names.
@@ -1453,10 +1512,21 @@ impl<'src> Parser<'src> {
                 let Type::Name(base) = self.expr_to_type(base)? else {
                     return None;
                 };
-                Some(Type::Name(self.names.intern_dotted(base, *sel)))
+                Some(Type::Name(self.s.names.intern_dotted(base, *sel)))
             }
             _ => None,
         }
+    }
+}
+
+/// Hands the scratch back to the thread, emptied (a parse that failed
+/// leaves lists open), for the next parse.
+impl Drop for Parser<'_> {
+    fn drop(&mut self) {
+        let mut s = std::mem::take(&mut self.s);
+        s.clear();
+        // Fails only while the thread's locals are torn down.
+        let _ = SCRATCH.try_with(|cell| cell.set(s));
     }
 }
 

@@ -24,6 +24,13 @@
 //! hash maps: one array indexed by `Sym` holds each name's innermost
 //! visible binding, and closing a scope restores what it shadowed from an
 //! undo log. A lookup is an index, whatever the nesting depth.
+//!
+//! The resolver works in tables a thread keeps from one file to the next,
+//! and the [`Resolution`] it returns is copied out of them once, each table
+//! at the size of what it holds: a compiled program keeps its resolution
+//! for as long as it runs.
+
+use std::cell::Cell;
 
 use grs_obs::hash::FnvMap;
 
@@ -98,13 +105,16 @@ pub enum Binding {
 /// The result of resolving one file.
 #[derive(Debug, Default)]
 pub struct Resolution {
-    symbols: Vec<Symbol>,
+    symbols: Box<[Symbol]>,
     /// Identifier use site → symbol.
     uses: FnvMap<Pos, SymbolId>,
     /// `(declaration site, name)` → what the name binds there.
     bindings: FnvMap<(Pos, Sym), Binding>,
-    /// `func` literal position → symbols captured from enclosing functions.
-    captures: FnvMap<Pos, Vec<SymbolId>>,
+    /// Every `func` literal's position and the range of `captured` that
+    /// holds its captures, in position order.
+    closures: Box<[(Pos, u32, u32)]>,
+    /// Symbols captured from enclosing functions, closure after closure.
+    captured: Box<[SymbolId]>,
 }
 
 impl Resolution {
@@ -145,9 +155,13 @@ impl Resolution {
     /// enclosing function(s). Empty for closures that capture nothing.
     #[must_use]
     pub fn captures_at(&self, funclit_pos: Pos) -> &[SymbolId] {
-        self.captures
-            .get(&funclit_pos)
-            .map_or(&[], Vec::as_slice)
+        match self.closures.binary_search_by_key(&funclit_pos, |c| c.0) {
+            Ok(i) => {
+                let (_, start, end) = self.closures[i];
+                &self.captured[start as usize..end as usize]
+            }
+            Err(_) => &[],
+        }
     }
 
     /// Does the closure at `funclit_pos` capture `sym`?
@@ -160,7 +174,8 @@ impl Resolution {
 /// Resolves every identifier in `file`.
 #[must_use]
 pub fn resolve_file(file: &File) -> Resolution {
-    let mut r = Resolver::new(&file.names);
+    let mut r = SCRATCH.take();
+    r.visible.resize(file.names.len(), None);
     // Package scope is order-independent: pre-declare all top-level names.
     for decl in &file.decls {
         match decl {
@@ -197,15 +212,23 @@ pub fn resolve_file(file: &File) -> Resolution {
             r.resolve_func(f.pos, f.receiver.as_ref(), &f.sig, body, false);
         }
     }
-    r.out
+    r.finish()
 }
 
 /// A name's visible binding: the symbol, and the depth of the scope that
 /// declared it (0 = package scope).
 type Visible = (SymbolId, u32);
 
+/// Resolves one file at a time into working tables. A thread keeps one,
+/// emptied, from one file to the next, so resolving reuses the room the
+/// last file grew.
+#[derive(Default)]
 struct Resolver {
-    out: Resolution,
+    symbols: Vec<Symbol>,
+    uses: Vec<(Pos, SymbolId)>,
+    /// In declaration order: where a site binds a name twice, the later
+    /// entry wins.
+    bindings: Vec<((Pos, Sym), Binding)>,
     /// The innermost visible binding of each name, indexed by [`Sym`].
     visible: Vec<Option<Visible>>,
     /// What each declaration in a still-open scope hid, oldest first:
@@ -218,21 +241,43 @@ struct Resolver {
     /// each pushed, and its position. Resolving a name declared below that
     /// depth crosses the closure and records a capture.
     boundaries: Vec<(u32, Pos)>,
+    /// The captures of each open `func` literal so far, parallel to
+    /// `boundaries`; sets past its length are spare room.
+    open_captures: Vec<Vec<SymbolId>>,
+    /// Each closed `func` literal's position and its captures' range in
+    /// `captured`.
+    closures: Vec<(Pos, u32, u32)>,
+    captured: Vec<SymbolId>,
+}
+
+thread_local! {
+    /// The last file's [`Resolver`] on this thread, empty.
+    static SCRATCH: Cell<Resolver> = Cell::default();
 }
 
 impl Resolver {
-    fn new(names: &Names) -> Self {
-        let mut out = Resolution::default();
-        // About one use per spelling and a half: spares the use table its
-        // first few doublings.
-        out.uses.reserve(names.len());
-        Resolver {
-            out,
-            visible: vec![None; names.len()],
-            shadowed: Vec::new(),
-            scope_starts: Vec::new(),
-            boundaries: Vec::new(),
-        }
+    /// The resolution, each table at the size of what it holds; the
+    /// resolver goes back to the thread, emptied.
+    fn finish(mut self) -> Resolution {
+        let mut uses = FnvMap::with_capacity_and_hasher(self.uses.len(), Default::default());
+        uses.extend(self.uses.drain(..));
+        let mut bindings =
+            FnvMap::with_capacity_and_hasher(self.bindings.len(), Default::default());
+        bindings.extend(self.bindings.drain(..));
+        self.closures.sort_unstable_by_key(|c| c.0);
+        let out = Resolution {
+            symbols: self.symbols.as_slice().into(),
+            uses,
+            bindings,
+            closures: self.closures.as_slice().into(),
+            captured: self.captured.as_slice().into(),
+        };
+        self.symbols.clear();
+        self.visible.clear();
+        self.closures.clear();
+        self.captured.clear();
+        SCRATCH.set(self);
+        out
     }
 
     fn depth(&self) -> u32 {
@@ -242,13 +287,25 @@ impl Resolver {
     fn push(&mut self, boundary: Option<Pos>) {
         self.scope_starts.push(self.shadowed.len());
         if let Some(pos) = boundary {
+            let open = self.boundaries.len();
+            if self.open_captures.len() == open {
+                self.open_captures.push(Vec::new());
+            }
+            self.open_captures[open].clear();
             self.boundaries.push((self.depth(), pos));
         }
     }
 
     fn pop(&mut self) {
-        if self.boundaries.last().is_some_and(|&(d, _)| d == self.depth()) {
-            self.boundaries.pop();
+        let depth = self.depth();
+        if self.boundaries.last().is_some_and(|&(d, _)| d == depth) {
+            // The closure's captures are complete: nothing resolved after
+            // its body can cross it.
+            let (_, pos) = self.boundaries.pop().expect("an open closure");
+            let start = self.captured.len() as u32;
+            self.captured
+                .extend_from_slice(&self.open_captures[self.boundaries.len()]);
+            self.closures.push((pos, start, self.captured.len() as u32));
         }
         let start = self.scope_starts.pop().expect("a scope to close");
         for (name, hidden) in self.shadowed.drain(start..).rev() {
@@ -257,8 +314,8 @@ impl Resolver {
     }
 
     fn new_symbol(&mut self, name: Sym, kind: SymbolKind) -> SymbolId {
-        let id = SymbolId(self.out.symbols.len() as u32);
-        self.out.symbols.push(Symbol { id, name, kind });
+        let id = SymbolId(self.symbols.len() as u32);
+        self.symbols.push(Symbol { id, name, kind });
         id
     }
 
@@ -269,7 +326,7 @@ impl Resolver {
         // The last declaration at a site wins: a function shares its
         // position with its parameters, and `func f(f int)` binds the
         // parameter.
-        self.out.bindings.insert((pos, name), Binding::New(id));
+        self.bindings.push(((pos, name), Binding::New(id)));
         if !name.is_blank() {
             let depth = self.depth();
             let hidden = self.visible[name.index()].replace((id, depth));
@@ -293,7 +350,7 @@ impl Resolver {
     fn resolve_name(&mut self, name: Sym, pos: Pos) {
         if !name.is_blank() {
             let id = self.lookup(name);
-            self.out.uses.insert(pos, id);
+            self.uses.push((pos, id));
         }
     }
 
@@ -310,12 +367,12 @@ impl Resolver {
                 (id, 0)
             }
         };
-        if self.out.symbols[id.0 as usize].kind.capturable() {
-            for &(depth, lit) in self.boundaries.iter().rev() {
+        if self.symbols[id.0 as usize].kind.capturable() {
+            for (open, &(depth, _)) in self.boundaries.iter().enumerate().rev() {
                 if depth <= declared_at {
                     break;
                 }
-                let set = self.out.captures.entry(lit).or_default();
+                let set = &mut self.open_captures[open];
                 if !set.contains(&id) {
                     set.push(id);
                 }
@@ -336,11 +393,6 @@ impl Resolver {
         literal: bool,
     ) {
         self.push(literal.then_some(pos));
-        if literal {
-            // The closure is in the capture table even when it captures
-            // nothing.
-            self.out.captures.entry(pos).or_default();
-        }
         if let Some(recv) = receiver {
             self.declare(recv.name, SymbolKind::Receiver, pos);
         }
@@ -388,7 +440,7 @@ impl Resolver {
                     // CURRENT scope; shadow anything further out.
                     match self.declared_here(n) {
                         Some(existing) => {
-                            self.out.bindings.insert((*pos, n), Binding::Existing(existing));
+                            self.bindings.push(((*pos, n), Binding::Existing(existing)));
                         }
                         None => {
                             self.declare(n, SymbolKind::Local, *pos);
@@ -466,7 +518,7 @@ impl Resolver {
                             self.declare(v, SymbolKind::LoopVar, *pos);
                         } else {
                             let id = self.lookup(v);
-                            self.out.bindings.insert((*pos, v), Binding::Existing(id));
+                            self.bindings.push(((*pos, v), Binding::Existing(id)));
                         }
                     }
                 }
