@@ -30,8 +30,7 @@
 //!
 //! An access by goroutine *t* at epoch *E* (*t*'s own clock component),
 //! recorded as *r* (goroutine, kind, stack, location and, for the hybrid,
-//! held locks), on object *o*, returns before any check — counted as one
-//! access and one epoch fast hit, as the full path would count it — when
+//! held locks), on object *o*, returns before any check when
 //!
 //! * it is a read, the read history is exclusively *E* with record *r*,
 //!   and *o* is the object the slot's last full-path access named; or
@@ -231,14 +230,6 @@ pub(crate) struct Shadow {
     /// Emptied read histories, kept for their allocations (see
     /// [`keep_spare`]): a history that goes shared takes one from here.
     spare_reads: Vec<Vec<SharedRead>>,
-    /// Accesses checked this run. It and `epoch_fast_hits` are read only
-    /// by the unit tests.
-    #[cfg_attr(not(test), allow(dead_code))]
-    accesses_processed: u64,
-    /// Accesses the epoch path resolved in O(1): the statistic the
-    /// FastTrack paper's speedup rests on.
-    #[cfg_attr(not(test), allow(dead_code))]
-    epoch_fast_hits: u64,
     /// Live shadow-word count (per-variable fixed slots + read history),
     /// maintained incrementally at each access.
     shadow_words: usize,
@@ -257,8 +248,6 @@ impl Shadow {
             sites: HashSet::default(),
             found: Vec::new(),
             spare_reads: Vec::new(),
-            accesses_processed: 0,
-            epoch_fast_hits: 0,
             shadow_words: 0,
             peak_words: 0,
         }
@@ -277,8 +266,6 @@ impl Shadow {
         }
         self.races.clear();
         self.sites.clear();
-        self.accesses_processed = 0;
-        self.epoch_fast_hits = 0;
         self.shadow_words = 0;
         self.peak_words = 0;
     }
@@ -349,7 +336,6 @@ impl Shadow {
     /// goroutine's clock in `exec`, then updates the shadow.
     #[inline]
     fn on_access(&mut self, exec: &Execution, addr: Addr, object: NameId, info: AccessRecord) {
-        self.accesses_processed += 1;
         let c = exec.clocks.clock(info.gid);
         let (tid, kind) = (Tid::new(info.gid.0), info.kind);
         let vi = addr.0 as usize;
@@ -359,11 +345,12 @@ impl Shadow {
         let pure_vc = self.choice == DetectorChoice::PureVectorClock;
         let epoch = Epoch::of(tid, c);
         // The same-epoch exit (module doc): a repeat finds nothing new.
-        if !pure_vc && self.vars[vi].repeats(epoch, object, &info) {
-            self.epoch_fast_hits += 1;
+        let repeat = !pure_vc && self.vars[vi].repeats(epoch, object, &info);
+        #[cfg(test)]
+        tests::count_access(repeat);
+        if repeat {
             return;
         }
-        let mut fast = true;
         let mut words_delta: isize = 0;
         {
             // Split field borrows: the variable slot is mutated in place
@@ -380,7 +367,6 @@ impl Shadow {
             var.object = object;
             // --- race checks ---
             let write_hb = if pure_vc {
-                fast = false;
                 var.write_clock.as_ref().is_none_or(|wc| wc.le(c))
             } else {
                 var.write_epoch.le_clock(c)
@@ -401,7 +387,6 @@ impl Shadow {
                         }
                     }
                     ReadState::Shared(reads) => {
-                        fast = false;
                         // The vector is tid-sorted, and the walk must stay
                         // ascending: report order feeds dedup
                         // representatives and `MAX_REPORTS` truncation.
@@ -473,7 +458,6 @@ impl Shadow {
                             *e = epoch;
                             *ri = info;
                         } else {
-                            fast = false;
                             let mut reads = spare_reads.pop().unwrap_or_default();
                             if let ReadState::Exclusive(e, ri) = &var.read {
                                 reads.push(SharedRead {
@@ -488,7 +472,6 @@ impl Shadow {
                         }
                     }
                     ReadState::Shared(reads) => {
-                        fast = false;
                         let before = reads.len();
                         shared_insert(reads, tid.raw(), my_clk, info);
                         words_delta += reads.len() as isize - before as isize;
@@ -501,9 +484,6 @@ impl Shadow {
             .checked_add_signed(words_delta)
             .expect("shadow-word count underflow");
         self.peak_words = self.peak_words.max(self.shadow_words);
-        if fast {
-            self.epoch_fast_hits += 1;
-        }
         // Drain the scratch buffer by index (the pairs are `Copy`), leaving
         // it empty — and its allocation warm — for the next access.
         for i in 0..self.found.len() {
@@ -516,9 +496,25 @@ impl Shadow {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use grs_runtime::event::EventKind;
     use grs_runtime::{record, AccessKind, Gid, Program, RunConfig, StackId};
+
+    thread_local! {
+        /// `(accesses, same-epoch exits)` this thread's shadows have seen.
+        static ACCESSES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Counts one access into [`Shadow::on_access`], and whether it took
+    /// the same-epoch exit.
+    pub(super) fn count_access(exited: bool) {
+        ACCESSES.with(|n| {
+            let (accesses, exits) = n.get();
+            n.set((accesses + 1, exits + u64::from(exited)));
+        });
+    }
 
     /// A `choice` shadow that has watched `events`, whose stacks and names
     /// are in `depot`.
@@ -585,12 +581,14 @@ mod tests {
         let (_, trace) = record(&p, &RunConfig::with_seed(0));
         let depot = StackDepot::new();
         trace.rebuild_depot_into(&depot);
-        let ft = watched(DetectorChoice::FastTrack, &depot, &trace.events);
-        assert!(ft.accesses_processed >= 200);
-        let hit_rate = ft.epoch_fast_hits as f64 / ft.accesses_processed as f64;
+        ACCESSES.set((0, 0));
+        let _ = watched(DetectorChoice::FastTrack, &depot, &trace.events);
+        let (accesses, exits) = ACCESSES.get();
+        assert!(accesses >= 200);
+        let hit_rate = exits as f64 / accesses as f64;
         assert!(
             hit_rate > 0.95,
-            "thread-local accesses must hit the epoch fast path (got {hit_rate})"
+            "thread-local accesses must take the same-epoch exit (got {hit_rate})"
         );
     }
 }
