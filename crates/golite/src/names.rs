@@ -17,10 +17,10 @@
 //! whose output order depends on names sorts by [`Names::text`].
 //!
 //! A compiled program keeps its table as long as it runs, so the table
-//! holds nothing it does not read: the prelude's spellings and index are
-//! shared by every table, and a file's own spellings, their ends and an
-//! index over them are held at their length. The interner that builds a
-//! table while the parser runs is kept per thread and reused, so a parse
+//! holds nothing it does not read: the prelude's spellings and its index
+//! are shared by every table, and a file's own spellings and their ends
+//! are held at their length. The interner that builds a table while the
+//! parser runs, index included, is kept per thread and reused, so a parse
 //! allocates the finished table and nothing else for its names.
 
 use std::fmt;
@@ -200,9 +200,8 @@ fn prelude_slots() -> &'static [u32] {
 }
 
 /// The spellings of one file: the [`sym`] prelude, shared by every table,
-/// then the file's own texts once each, in one buffer. Everything is held
-/// at its length; the index that found names while parsing stays with the
-/// parser, and the table keeps one sized to the file's own names.
+/// then the file's own texts once each, in one buffer, held at its length.
+/// The index that found names while parsing stays with the parser.
 #[derive(Clone)]
 pub struct Names {
     /// The file's own spellings, back to back.
@@ -210,10 +209,6 @@ pub struct Names {
     /// Where each own spelling ends in `text` (it starts where the
     /// previous one ends).
     ends: Box<[u32]>,
-    /// Open-addressed index over the own spellings: `Sym + 1` per occupied
-    /// slot, `0` for empty. Empty when the file spells nothing beyond the
-    /// prelude; otherwise a power of two at least twice the own count.
-    slots: Box<[u32]>,
 }
 
 impl Names {
@@ -240,31 +235,34 @@ impl Names {
     }
 
     /// The [`Sym`] of `text`, when the file spells it anywhere.
+    ///
+    /// The prelude is looked up in its index, the file's own spellings by
+    /// a scan in first-occurrence order: a table is small, and the name a
+    /// program is asked for — its entry function, `main` — is the first
+    /// spelling of a `package main` file.
     #[must_use]
     pub fn get(&self, text: &str) -> Option<Sym> {
-        let hash = fnv1a(text.as_bytes());
-        let spelled = |sym| spelling(&self.text, &self.ends, sym);
-        let found = match probe(prelude_slots(), hash, text, spelled) {
-            Err(_) if !self.slots.is_empty() => probe(&self.slots, hash, text, spelled),
-            prelude => prelude,
-        };
-        found.ok().map(Sym)
+        let prelude = probe(prelude_slots(), fnv1a(text.as_bytes()), text, |sym| {
+            PRELUDE[sym as usize]
+        });
+        match prelude {
+            Ok(sym) => Some(Sym(sym)),
+            Err(_) => (PRELUDE.len()..self.len())
+                .map(|i| Sym(i as u32))
+                .find(|&sym| self.text(sym) == text),
+        }
     }
 }
 
 /// Builds one file's [`Names`] while it is parsed. It is kept from file to
 /// file, emptied, so a parse reuses the room the last one grew: the
-/// spellings and the index are copied out at their length once, by
-/// [`Interner::finish`].
+/// spellings are copied out at their length once, by [`Interner::finish`].
 #[derive(Default)]
 pub(crate) struct Interner {
     /// Own spellings so far, back to back.
     text: String,
     /// Where each own spelling ends in `text`.
     ends: Vec<u32>,
-    /// Each own spelling's hash, so `finish` indexes them without hashing
-    /// again.
-    hashes: Vec<u64>,
     /// Open-addressed index over prelude and own spellings alike: `Sym + 1`
     /// per occupied slot, `0` for empty. The length is a power of two and
     /// at least twice the spellings' count.
@@ -278,7 +276,6 @@ impl Interner {
     pub(crate) fn start(&mut self) {
         self.text.clear();
         self.ends.clear();
-        self.hashes.clear();
         self.slots.clear();
         self.slots.extend_from_slice(prelude_slots());
     }
@@ -294,7 +291,6 @@ impl Interner {
                 self.slots[slot] = sym + 1;
                 self.text.push_str(text);
                 self.ends.push(self.text.len() as u32);
-                self.hashes.push(hash);
                 if (sym as usize + 1) * 2 > self.slots.len() {
                     self.grow();
                 }
@@ -319,27 +315,18 @@ impl Interner {
         let len = self.slots.len() * 2;
         self.slots.clear();
         self.slots.resize(len, 0);
-        let prelude = PRELUDE.iter().map(|t| fnv1a(t.as_bytes()));
-        for (sym, hash) in prelude.chain(self.hashes.iter().copied()).enumerate() {
+        for sym in 0..PRELUDE.len() + self.ends.len() {
+            let hash = fnv1a(spelling(&self.text, &self.ends, sym as u32).as_bytes());
             insert(&mut self.slots, hash, sym);
         }
     }
 
-    /// The file's table, every part at its length; the interner keeps its
-    /// room for the next file.
+    /// The file's table, at its length; the interner keeps its room for
+    /// the next file.
     pub(crate) fn finish(&self) -> Names {
-        let width = match self.ends.len() {
-            0 => 0,
-            own => (own * 2).next_power_of_two(),
-        };
-        let mut slots = vec![0; width];
-        for (own, &hash) in self.hashes.iter().enumerate() {
-            insert(&mut slots, hash, PRELUDE.len() + own);
-        }
         Names {
             text: self.text.as_str().into(),
             ends: self.ends.as_slice().into(),
-            slots: slots.into(),
         }
     }
 }
@@ -425,7 +412,6 @@ mod tests {
             assert_eq!(n.text(*s), format!("name{k}"));
             assert_eq!(n.get(&format!("name{k}")), Some(*s));
         }
-        assert_eq!(n.slots.len(), 2048);
         assert_eq!(n.ends.len(), 1000);
     }
 

@@ -25,7 +25,7 @@
 //! line, and `tests/lookahead_lint.rs` fails on one without: the accepted
 //! subset can grow without growing accidental backtracking.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::ast::*;
@@ -40,7 +40,8 @@ use crate::token::{Keyword as K, Pos, Tok, Token};
 ///
 /// Returns the first lexical or syntax error with its position.
 pub fn parse_file(src: &str) -> Result<File, ParseError> {
-    Parser::new(tokenize(src)?).file()
+    let tokens = tokenize(src)?;
+    SCRATCH.with_borrow_mut(|s| Parser::new(tokens, s).file())
 }
 
 /// Parses a single expression (used by tests and tools); its [`Sym`]s are
@@ -50,9 +51,12 @@ pub fn parse_file(src: &str) -> Result<File, ParseError> {
 ///
 /// Returns the first error.
 pub fn parse_expr(src: &str) -> Result<(Expr, Names), ParseError> {
-    let mut p = Parser::new(tokenize(src)?);
-    let e = p.expr()?;
-    Ok((e, p.s.names.finish()))
+    let tokens = tokenize(src)?;
+    SCRATCH.with_borrow_mut(|s| {
+        let mut p = Parser::new(tokens, s);
+        let e = p.expr()?;
+        Ok((e, p.s.names.finish()))
+    })
 }
 
 /// Deepest nesting of statements, expressions, types and composite
@@ -97,7 +101,7 @@ fn starts_type(t: Tok<'_>) -> bool {
 /// The parser's working room. Each list under construction sits on the
 /// stack for its element type, above the entries of the lists still open
 /// around it; closing it ([`close`]) moves its entries out at their length.
-/// A thread keeps one, emptied, from one parse to the next.
+/// A thread keeps one from one parse to the next.
 #[derive(Default)]
 struct Scratch {
     /// Every spelling consumed so far; becomes [`File::names`].
@@ -126,8 +130,8 @@ impl Scratch {
 }
 
 thread_local! {
-    /// The last parse's [`Scratch`] on this thread, empty.
-    static SCRATCH: Cell<Scratch> = Cell::default();
+    /// This thread's [`Scratch`].
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// The entries of `stack` from `mark` on — one list — moved into a `Vec`
@@ -136,13 +140,13 @@ fn close<T>(stack: &mut Vec<T>, mark: usize) -> Vec<T> {
     stack.drain(mark..).collect()
 }
 
-struct Parser<'src> {
+struct Parser<'src, 's> {
     /// The whole token stream; the last token is `Eof`.
     tokens: Vec<Token<'src>>,
     /// The cursor: index of the current token.
     pos: usize,
     /// Lists under construction and the names spelled so far.
-    s: Scratch,
+    s: &'s mut Scratch,
     /// Composite literals with bare type names are disallowed while > 0
     /// (inside if/for/switch headers).
     no_composite: u32,
@@ -150,9 +154,10 @@ struct Parser<'src> {
     depth: usize,
 }
 
-impl<'src> Parser<'src> {
-    fn new(tokens: Vec<Token<'src>>) -> Self {
-        let mut s = SCRATCH.take();
+impl<'src, 's> Parser<'src, 's> {
+    fn new(tokens: Vec<Token<'src>>, s: &'s mut Scratch) -> Self {
+        // A parse that failed left its lists open.
+        s.clear();
         s.names.start();
         Parser {
             tokens,
@@ -501,7 +506,7 @@ impl<'src> Parser<'src> {
     /// Moves the names pending on the name stack since `mark` onto the
     /// parameter stack, each made a parameter by `param`.
     fn settle(&mut self, mark: usize, param: impl FnMut(Sym) -> Param) {
-        let Scratch { syms, params, .. } = &mut self.s;
+        let Scratch { syms, params, .. } = &mut *self.s;
         params.extend(syms.drain(mark..).map(param));
     }
 
@@ -1516,17 +1521,6 @@ impl<'src> Parser<'src> {
             }
             _ => None,
         }
-    }
-}
-
-/// Hands the scratch back to the thread, emptied (a parse that failed
-/// leaves lists open), for the next parse.
-impl Drop for Parser<'_> {
-    fn drop(&mut self) {
-        let mut s = std::mem::take(&mut self.s);
-        s.clear();
-        // Fails only while the thread's locals are torn down.
-        let _ = SCRATCH.try_with(|cell| cell.set(s));
     }
 }
 
