@@ -30,7 +30,7 @@
 //! at the size of what it holds: a compiled program keeps its resolution
 //! for as long as it runs.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 
 use grs_obs::hash::FnvMap;
 
@@ -174,8 +174,12 @@ impl Resolution {
 /// Resolves every identifier in `file`.
 #[must_use]
 pub fn resolve_file(file: &File) -> Resolution {
-    let mut r = SCRATCH.take();
-    r.visible.resize(file.names.len(), None);
+    SCRATCH.with_borrow_mut(|r| resolve_in(r, file))
+}
+
+/// [`resolve_file`] in the tables of `r`.
+fn resolve_in(r: &mut Resolver, file: &File) -> Resolution {
+    r.start(file.names.len());
     // Package scope is order-independent: pre-declare all top-level names.
     for decl in &file.decls {
         match decl {
@@ -219,9 +223,9 @@ pub fn resolve_file(file: &File) -> Resolution {
 /// declared it (0 = package scope).
 type Visible = (SymbolId, u32);
 
-/// Resolves one file at a time into working tables. A thread keeps one,
-/// emptied, from one file to the next, so resolving reuses the room the
-/// last file grew.
+/// Resolves one file at a time into working tables. A thread keeps one
+/// from one file to the next, so resolving reuses the room the last file
+/// grew.
 #[derive(Default)]
 struct Resolver {
     symbols: Vec<Symbol>,
@@ -251,33 +255,41 @@ struct Resolver {
 }
 
 thread_local! {
-    /// The last file's [`Resolver`] on this thread, empty.
-    static SCRATCH: Cell<Resolver> = Cell::default();
+    /// This thread's [`Resolver`].
+    static SCRATCH: RefCell<Resolver> = RefCell::default();
 }
 
 impl Resolver {
-    /// The resolution, each table at the size of what it holds; the
-    /// resolver goes back to the thread, emptied.
-    fn finish(mut self) -> Resolution {
+    /// Empties the tables for a file of `names` spellings (one that
+    /// panicked may have left anything in them).
+    fn start(&mut self, names: usize) {
+        self.symbols.clear();
+        self.uses.clear();
+        self.bindings.clear();
+        self.visible.clear();
+        self.visible.resize(names, None);
+        self.shadowed.clear();
+        self.scope_starts.clear();
+        self.boundaries.clear();
+        self.closures.clear();
+        self.captured.clear();
+    }
+
+    /// The resolution, each table at the size of what it holds.
+    fn finish(&mut self) -> Resolution {
         let mut uses = FnvMap::with_capacity_and_hasher(self.uses.len(), Default::default());
         uses.extend(self.uses.drain(..));
         let mut bindings =
             FnvMap::with_capacity_and_hasher(self.bindings.len(), Default::default());
         bindings.extend(self.bindings.drain(..));
         self.closures.sort_unstable_by_key(|c| c.0);
-        let out = Resolution {
+        Resolution {
             symbols: self.symbols.as_slice().into(),
             uses,
             bindings,
             closures: self.closures.as_slice().into(),
             captured: self.captured.as_slice().into(),
-        };
-        self.symbols.clear();
-        self.visible.clear();
-        self.closures.clear();
-        self.captured.clear();
-        SCRATCH.set(self);
-        out
+        }
     }
 
     fn depth(&self) -> u32 {
