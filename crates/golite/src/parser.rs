@@ -135,9 +135,14 @@ thread_local! {
 }
 
 /// The entries of `stack` from `mark` on — one list — moved into a `Vec`
-/// of exactly their number.
+/// of exactly their number. Most lists hold one entry or none, and those
+/// skip the drain.
 fn close<T>(stack: &mut Vec<T>, mark: usize) -> Vec<T> {
-    stack.drain(mark..).collect()
+    match stack.len() - mark {
+        0 => Vec::new(),
+        1 => vec![stack.pop().expect("the list's one entry")],
+        _ => stack.drain(mark..).collect(),
+    }
 }
 
 struct Parser<'src, 's> {
@@ -1024,7 +1029,7 @@ impl<'src, 's> Parser<'src, 's> {
             let cond = if self.peek() == Tok::Semi {
                 None
             } else {
-                Some(Box::new(self.expr()?))
+                Some(self.expr()?)
             };
             self.expect(Tok::Semi)?;
             let post = if self.peek() == Tok::LBrace {
@@ -1058,7 +1063,7 @@ impl<'src, 's> Parser<'src, 's> {
             Ok(Stmt::For {
                 pos,
                 init: None,
-                cond: Some(Box::new(cond)),
+                cond: Some(cond),
                 post: None,
                 range: None,
                 body,
