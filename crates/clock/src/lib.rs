@@ -8,7 +8,14 @@
 //!   happens-before partial order between goroutines,
 //! * [`Epoch`] — FastTrack's `tid@clock` compressed representation of a
 //!   vector clock that is known to be maximal in one component, and
-//! * [`Lockset`] — Eraser-style sets of locks held at an access.
+//! * [`Lockset`] — Eraser-style sets of locks held at an access, and
+//!   [`LocksetInterner`], which hash-conses a run's sets into a
+//!   [`SliceTable`] with memoized intersection.
+//!
+//! [`SliceTable`] is the workspace's one hash-consing table of sorted
+//! slices: the dynamic detectors keep their locksets in it, and
+//! `grs-golite`'s static lockset analysis its locksets, released-lock sets
+//! and call chains.
 //!
 //! The types are deliberately independent of any particular runtime: thread
 //! identity is a plain [`Tid`] index, lock identity a [`LockId`]. The
@@ -38,10 +45,12 @@
 
 pub mod epoch;
 pub mod lockset;
+pub mod table;
 pub mod vc;
 
 pub use epoch::Epoch;
 pub use lockset::{LockId, Lockset, LocksetId, LocksetInterner};
+pub use table::{SliceId, SliceTable};
 pub use vc::{Tid, VectorClock};
 
 /// Ordering between two points in logical time.

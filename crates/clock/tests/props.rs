@@ -1,14 +1,19 @@
-//! Seeded property tests for the logical-clock lattice and lockset algebra.
+//! Seeded property tests for the logical-clock lattice, the lockset
+//! algebra and the slice table locksets are interned in.
 //!
 //! These ran under `proptest` when the registry was reachable; they now run
 //! in tier-1 on the vendored `rand` stub: each property is checked over a
 //! few hundred cases drawn from a fixed-seed `StdRng`, so failures are
 //! perfectly reproducible (the case index pins the inputs).
 
+use std::collections::BTreeSet;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grs_clock::{ClockOrder, Epoch, LockId, Lockset, Tid, VectorClock};
+use grs_clock::{
+    ClockOrder, Epoch, LockId, Lockset, LocksetInterner, SliceId, SliceTable, Tid, VectorClock,
+};
 
 const CASES: usize = 400;
 
@@ -159,14 +164,15 @@ fn lockset_intersection_commutative() {
 }
 
 #[test]
-fn lockset_intersection_is_subset() {
+fn lockset_intersection_is_set_intersection() {
     check(0x15, |case, rng| {
         let (a, b) = (gen_lockset(rng), gen_lockset(rng));
+        let model: BTreeSet<LockId> = a.iter().filter(|&l| b.iter().any(|m| m == l)).collect();
         let i = a.intersection(&b);
-        for l in i.iter() {
-            assert!(a.contains(l) && b.contains(l), "case {case}");
-        }
-        assert!(i.len() <= a.len().min(b.len()), "case {case}");
+        assert!(i.iter().eq(model.iter().copied()), "case {case}");
+        // Both sides contain it: intersecting again changes nothing.
+        assert_eq!(a.intersection(&i), i, "case {case}");
+        assert_eq!(b.intersection(&i), i, "case {case}");
     });
 }
 
@@ -177,11 +183,10 @@ fn repeated_intersection_monotonically_shrinks() {
         let k = rng.gen_range(1..6usize);
         let sets: Vec<Lockset> = (0..k).map(|_| gen_lockset(rng)).collect();
         let mut candidate = sets[0].clone();
-        let mut prev_len = candidate.len();
         for s in &sets[1..] {
-            candidate.intersect_with(s);
-            assert!(candidate.len() <= prev_len, "case {case}");
-            prev_len = candidate.len();
+            let next = candidate.intersection(s);
+            assert_eq!(candidate.intersection(&next), next, "case {case}");
+            candidate = next;
         }
     });
 }
@@ -195,5 +200,122 @@ fn shares_lock_agrees_with_intersection() {
             !a.intersection(&b).is_empty(),
             "case {case}"
         );
+    });
+}
+
+/// One step of a [`SliceTable`] sequence. A `Make` builds on the slice at
+/// a position of the model, so a replay rebuilds on the same slice.
+#[derive(Debug, Clone)]
+enum Op {
+    Intern(Vec<u8>),
+    Make { base: usize, add: u8 },
+    Reset,
+}
+
+/// A small sorted set over a small alphabet, so contents repeat often.
+fn gen_sorted(rng: &mut StdRng) -> Vec<u8> {
+    let mut v: Vec<u8> = (0..rng.gen_range(0..4usize))
+        .map(|_| rng.gen_range(0..6u8))
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Runs `ops` on `table` against a model of its contents (one `Vec` per
+/// id, in id order), checking every step, and returns the ids issued.
+fn run_ops(table: &mut SliceTable<u8>, ops: &[Op], case: usize) -> Vec<SliceId<u8>> {
+    let mut model: Vec<Vec<u8>> = vec![Vec::new()];
+    let mut ids = vec![SliceId::EMPTY];
+    let mut issued = Vec::new();
+    for op in ops {
+        let (id, want) = match op {
+            Op::Intern(s) => (table.intern(s), s.clone()),
+            Op::Make { base, add } => {
+                let base = ids[base % ids.len()];
+                let mut want = table.get(base).to_vec();
+                if let Err(i) = want.binary_search(add) {
+                    want.insert(i, *add);
+                }
+                let id = table.make(|t, buf| {
+                    buf.extend_from_slice(t.get(base));
+                    if let Err(i) = buf.binary_search(add) {
+                        buf.insert(i, *add);
+                    }
+                });
+                (id, want)
+            }
+            Op::Reset => {
+                table.reset();
+                model.truncate(1);
+                ids.truncate(1);
+                continue;
+            }
+        };
+        match model.iter().position(|m| *m == want) {
+            // Equal contents, equal ids.
+            Some(k) => assert_eq!(id, ids[k], "case {case}: {want:?}"),
+            // New contents, a new id after every earlier one.
+            None => {
+                assert!(ids.iter().all(|&old| old < id), "case {case}: {want:?}");
+                model.push(want.clone());
+                ids.push(id);
+            }
+        }
+        assert_eq!(table.get(id), want.as_slice(), "case {case}");
+        issued.push(id);
+    }
+    // Every id names its model slice, and the ids are the table's, in
+    // first-intern order.
+    assert_eq!(table.iter().collect::<Vec<_>>(), ids, "case {case}");
+    for (k, &id) in ids.iter().enumerate() {
+        assert_eq!(table.get(id), model[k].as_slice(), "case {case}");
+    }
+    issued
+}
+
+#[test]
+fn slice_table_matches_its_model_and_reissues_ids_after_reset() {
+    check(0x7AB1E, |case, rng| {
+        let ops: Vec<Op> = (0..rng.gen_range(0..40usize))
+            .map(|_| match rng.gen_range(0..10u32) {
+                0 => Op::Reset,
+                1..=4 => Op::Make {
+                    base: rng.gen_range(0..8usize),
+                    add: rng.gen_range(0..6u8),
+                },
+                _ => Op::Intern(gen_sorted(rng)),
+            })
+            .collect();
+        let mut table = SliceTable::default();
+        let first = run_ops(&mut table, &ops, case);
+        table.reset();
+        assert_eq!(run_ops(&mut table, &ops, case), first, "case {case}");
+    });
+}
+
+/// The memoized intersection names the set `Lockset::intersection` builds
+/// from the two materialized sets, in either order and on a memo hit.
+#[test]
+fn interned_intersection_equals_lockset_intersection() {
+    check(0x1E75, |case, rng| {
+        let mut sets = LocksetInterner::default();
+        let ids: Vec<_> = (0..rng.gen_range(1..6usize))
+            .map(|_| {
+                let set = gen_lockset(rng);
+                sets.make(|_, buf| buf.extend(set.iter()))
+            })
+            .collect();
+        let lockset =
+            |sets: &LocksetInterner, id| sets.get(id).iter().copied().collect::<Lockset>();
+        for _ in 0..8 {
+            let a = ids[rng.gen_range(0..ids.len())];
+            let b = ids[rng.gen_range(0..ids.len())];
+            let want = lockset(&sets, a).intersection(&lockset(&sets, b));
+            for (x, y) in [(a, b), (b, a), (a, b)] {
+                let met = sets.intersect(x, y);
+                assert_eq!(lockset(&sets, met), want, "case {case}");
+            }
+        }
     });
 }

@@ -22,7 +22,7 @@
 //! Like the shadows, every table is a flat `Vec` indexed by the kernel's
 //! dense object ids.
 
-use grs_clock::{LockId, Lockset, LocksetId, LocksetInterner, Tid, VectorClock};
+use grs_clock::{LockId, LocksetId, LocksetInterner, Tid, VectorClock};
 use grs_obs::hash::FnvMap;
 use grs_runtime::event::{Event, EventKind, LockMode};
 use grs_runtime::{AccessKind, Addr, Gid, StackDepot};
@@ -43,8 +43,6 @@ pub(crate) struct Execution {
     /// The locks each goroutine holds, by goroutine index; a goroutine
     /// past the end holds none.
     held: Vec<HeldLocks>,
-    /// The set an acquire or release edits before it is interned.
-    scratch: Lockset,
     /// The interner of every lockset of the run.
     pub(crate) locksets: LocksetInterner,
     /// The run's depot: the texts of object names, for the rare race site
@@ -119,32 +117,38 @@ impl Execution {
     }
 
     fn acquire(&mut self, gid: Gid, lock: u64, mode: LockMode) {
-        let mut held = self.held(gid);
-        held.any = self.edit(held.any, |set| set.insert(LockId::new(lock)));
+        let (mut held, lock) = (self.held(gid), LockId::new(lock));
+        held.any = self.edit(held.any, lock, true);
         if mode == LockMode::Write && self.tracks_write_locks {
-            held.write = self.edit(held.write, |set| set.insert(LockId::new(lock)));
+            held.write = self.edit(held.write, lock, true);
         }
         *slot(&mut self.held, gid.index()) = held;
     }
 
     fn release(&mut self, gid: Gid, lock: u64) {
-        let mut held = self.held(gid);
-        held.any = self.edit(held.any, |set| set.remove(LockId::new(lock)));
+        let (mut held, lock) = (self.held(gid), LockId::new(lock));
+        held.any = self.edit(held.any, lock, false);
         if self.tracks_write_locks {
-            held.write = self.edit(held.write, |set| set.remove(LockId::new(lock)));
+            held.write = self.edit(held.write, lock, false);
         }
         *slot(&mut self.held, gid.index()) = held;
     }
 
-    /// The id of the set `id` names after `change`, which says whether it
-    /// changed it.
-    fn edit(&mut self, id: LocksetId, change: impl FnOnce(&mut Lockset) -> bool) -> LocksetId {
-        self.scratch.clone_from(self.locksets.get(id));
-        if change(&mut self.scratch) {
-            self.locksets.intern(&self.scratch)
-        } else {
-            id
+    /// The id of the set `id` names with `lock` held, or released.
+    fn edit(&mut self, id: LocksetId, lock: LockId, hold: bool) -> LocksetId {
+        let at = self.locksets.get(id).binary_search(&lock);
+        if at.is_ok() == hold {
+            return id;
         }
+        self.locksets.make(|t, buf| {
+            buf.extend_from_slice(t.get(id));
+            match at {
+                Ok(i) => {
+                    buf.remove(i);
+                }
+                Err(i) => buf.insert(i, lock),
+            }
+        })
     }
 }
 

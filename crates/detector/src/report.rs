@@ -71,7 +71,7 @@ impl AccessRecord {
             stack: depot.resolve(self.stack),
             file: depot.name(self.loc.file),
             line: self.loc.line,
-            locks_held: locksets.get(self.locks).clone(),
+            locks_held: locksets.get(self.locks).iter().copied().collect(),
         }
     }
 }

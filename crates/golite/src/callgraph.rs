@@ -76,23 +76,23 @@ pub struct ParamCall {
     pub pos: Pos,
 }
 
-/// The call graph of one file, over the sites of its
-/// [`Flow`](crate::lockset::Flow) table.
+/// The call graph of one file, over the call sites
+/// [`flow`](crate::lockset::flow) finds beside its flow table.
 #[derive(Debug)]
-pub struct CallGraph<'a> {
+pub struct CallGraph {
     /// All resolved call sites, grouped by caller.
-    pub sites: &'a [CallSite],
+    pub sites: Vec<CallSite>,
     /// Where each caller's sites sit in `sites`.
     from: Vec<Range<usize>>,
     callees: Vec<BTreeSet<usize>>,
 }
 
-impl<'a> CallGraph<'a> {
+impl CallGraph {
     /// Builds the graph of a file with `funcs` bodied functions from its
     /// call sites, which arrive grouped by caller (as
     /// [`flow`](crate::lockset::flow) emits them).
     #[must_use]
-    pub fn build(funcs: usize, sites: &'a [CallSite]) -> CallGraph<'a> {
+    pub fn build(funcs: usize, sites: Vec<CallSite>) -> CallGraph {
         let mut from = vec![0..0; funcs];
         let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); funcs];
         for (i, site) in sites.iter().enumerate() {
@@ -118,7 +118,7 @@ impl<'a> CallGraph<'a> {
 
     /// Call sites originating in `caller`.
     #[must_use]
-    pub fn sites_from(&self, caller: usize) -> &'a [CallSite] {
+    pub fn sites_from(&self, caller: usize) -> &[CallSite] {
         &self.sites[self.from[caller].clone()]
     }
 
@@ -241,18 +241,18 @@ mod tests {
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
-    /// The CFGs and flow table of `src`; the graph borrows the table.
-    fn flow_of(src: &str) -> (FileCfg, Flow) {
+    /// The CFGs, flow table and call graph of `src`.
+    fn flow_of(src: &str) -> (FileCfg, Flow, CallGraph) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfg = build_file(&file, &res);
-        let flow = flow(&cfg);
-        (cfg, flow)
+        let (flow, cg) = flow(&cfg);
+        (cfg, flow, cg)
     }
 
     #[test]
     fn resolves_named_and_method_calls() {
-        let (cfg, flow) = flow_of(
+        let (cfg, _, cg) = flow_of(
             r"
 package p
 func a() { b() }
@@ -261,7 +261,6 @@ func (s *S) m() { s.n() }
 func (s *S) n() {}
 ",
         );
-        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
         assert_eq!(cfg.funcs.len(), 4);
         assert_eq!(cg.sites.len(), 2);
         assert!(cg.callees_of(0).contains(&1));
@@ -272,7 +271,7 @@ func (s *S) n() {}
 
     #[test]
     fn call_sites_carry_locks_and_dropped_locks() {
-        let (_, flow) = flow_of(
+        let (_, flow, cg) = flow_of(
             r"
 package p
 func f() {
@@ -285,10 +284,10 @@ func inside() {}
 func outside() {}
 ",
         );
-        let inside = flow.sites.iter().find(|s| s.callee == 1).expect("inside");
+        let inside = cg.sites.iter().find(|s| s.callee == 1).expect("inside");
         assert_eq!(flow.locksets.get(inside.locks).len(), 1);
         assert_eq!(inside.dropped, KeySet::EMPTY);
-        let outside = flow.sites.iter().find(|s| s.callee == 2).expect("outside");
+        let outside = cg.sites.iter().find(|s| s.callee == 2).expect("outside");
         assert_eq!(outside.locks, Lockset::EMPTY);
         assert_eq!(
             flow.dropped.get(outside.dropped).len(),
@@ -299,7 +298,7 @@ func outside() {}
 
     #[test]
     fn spawned_calls_and_param_calls() {
-        let (_, flow) = flow_of(
+        let (_, flow, cg) = flow_of(
             r"
 package p
 func spawn(fn func()) { go fn() }
@@ -314,7 +313,7 @@ func work(k int) {}
         assert_eq!(flow.param_calls.len(), 1);
         assert!(flow.param_calls[0].spawned);
         assert_eq!(flow.param_calls[0].param, 0);
-        let work = flow.sites.iter().find(|s| s.callee == 2).expect("work");
+        let work = cg.sites.iter().find(|s| s.callee == 2).expect("work");
         assert!(work.spawned);
         assert!(work.in_loop);
         assert!(work.spawn_pos.is_some());
@@ -322,7 +321,7 @@ func work(k int) {}
 
     #[test]
     fn sccs_are_callee_first_and_group_cycles() {
-        let (cfg, flow) = flow_of(
+        let (_, _, cg) = flow_of(
             r"
 package p
 func top() { even(4) }
@@ -331,7 +330,6 @@ func odd(n int) { even(n) }
 func leaf() {}
 ",
         );
-        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
         let sccs = cg.sccs();
         let cycle = sccs
             .iter()
@@ -340,10 +338,7 @@ func leaf() {}
         let top = sccs.iter().position(|c| c == &vec![0]).expect("top");
         assert!(cycle < top, "callees come before callers: {sccs:?}");
         // Self-recursion alone does not count as being called.
-        let (cfg, flow) = flow_of("package p\nfunc r(n int) { r(n) }\n");
-        assert_eq!(
-            CallGraph::build(cfg.funcs.len(), &flow.sites).roots(),
-            vec![0]
-        );
+        let (_, _, cg) = flow_of("package p\nfunc r(n int) { r(n) }\n");
+        assert_eq!(cg.roots(), vec![0]);
     }
 }

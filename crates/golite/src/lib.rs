@@ -29,11 +29,11 @@
 //!   and lock/access events, naming places by ids into one per-file key
 //!   table ([`cfg::Keys`]) ranked in text order,
 //! * [`lockset`] — an Eraser-style static lockset dataflow over the CFG,
-//!   run once per file into the [`lockset::Flow`] table (every access and
-//!   in-file call with the locks held there) that all the locking rules
+//!   run once per file into the [`lockset::Flow`] table (every access with
+//!   the locks held there) and the call graph that all the locking rules
 //!   read, plus the single-function rules GR007–GR011,
-//! * [`callgraph`] — the file-level call graph over the table's call
-//!   sites: callers, roots, and Tarjan SCCs,
+//! * [`callgraph`] — the file-level call graph over the in-file call sites
+//!   the dataflow finds: callers, roots, and Tarjan SCCs,
 //! * [`summary`] — bottom-up per-function summaries (the table's accesses
 //!   propagated along call chains, escaping-parameter effects) feeding the
 //!   interprocedural rules GR013–GR018,

@@ -16,7 +16,6 @@ use std::collections::HashSet;
 use crate::ast::{
     sym, walk, Block, Decl, Expr, File, FuncDecl, Names, Node, Stmt, Sym, UnaryOp, Walk,
 };
-use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::lockset;
 use crate::mhp::Mhp;
@@ -235,13 +234,12 @@ pub fn lint_file(file: &File) -> Vec<Finding> {
     // their call chains by the interprocedural rules instead of being
     // double-counted intraprocedurally.
     let cfg = cfg::build_file(file, &res);
-    let flow = lockset::flow(&cfg);
-    let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+    let (flow, cg) = lockset::flow(&cfg);
     let (lock_findings, seen_vars) =
         lockset::intraproc_findings(&cfg, &flow, &cg.called(), &file.names);
     findings.extend(lock_findings);
 
-    let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+    let sums = Summaries::compute(&cfg, flow, &cg, &file.names);
     let mhp = Mhp::build(file);
     findings.extend(summary::interproc_findings(
         &res,

@@ -11,9 +11,9 @@
 //!    weaker mode at a join; `defer Unlock` was already folded in by CFG
 //!    construction, so a deferred release simply never leaves the set).
 //! 2. One walk of each block's events against the running lockset fills
-//!    the [`Flow`] table: every variable access and every in-file call with
-//!    the locks held there. The call graph and the summaries read the same
-//!    table, so "which locks are held here" is derived once per file. A
+//!    the [`Flow`] table and the [`CallGraph`]: every variable access and
+//!    every in-file call with the locks held there. The summaries read
+//!    both, so "which locks are held here" is derived once per file. A
 //!    `Read`-mode lock (`RLock`) protects reads but not writes, so a write
 //!    under `RLock` has an empty *effective* set even though a lock is held.
 //! 3. Accesses are grouped by variable identity — file-wide for globals
@@ -21,10 +21,13 @@
 //!    tested against the locking rules (GR007–GR011) of [`Rule`].
 //!
 //! A lockset is a sorted `(lock, mode)` slice interned in the file's
-//! [`Locksets`]: the few distinct sets a file holds are stored once, every
-//! access between two lock events shares one id, and equal ids are equal
-//! sets. Keys are ranked in text order ([`cfg`](crate::cfg)), so a sorted
-//! slice compares exactly as the text-keyed map it stands for would.
+//! [`Locksets`], a [`SliceTable`] — the table the run-time detectors keep
+//! their locksets in too: the few distinct sets a file holds are stored
+//! once, every access between two lock events shares one id, and equal ids
+//! are equal sets. The algebra over them — hold, release, meet, join —
+//! builds each result with [`SliceTable::make`]. Keys are ranked in text
+//! order ([`cfg`](crate::cfg)), so a sorted slice compares exactly as the
+//! text-keyed map it stands for would.
 //!
 //! Sharedness is approximated the way Eraser does at warm-up: a variable
 //! counts as shared once it is touched from two execution contexts, from a
@@ -35,114 +38,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::marker::PhantomData;
 
-use grs_obs::hash::{FnvHasher, FnvMap};
+use grs_clock::{SliceId, SliceTable};
+use grs_obs::hash::FnvMap;
 
 use crate::ast::{Names, Sym};
-use crate::callgraph::{CallSite, ParamCall};
+use crate::callgraph::{CallGraph, CallSite, ParamCall};
 use crate::cfg::{BlockId, CallTarget, Event, FileCfg, FuncCfg, Keys, LockMode, VarKey};
 use crate::lint::{Finding, Rule};
 use crate::summary::Chain;
 use crate::token::Pos;
-
-/// An interned slice: an id into its file's [`SliceTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceId<T>(u32, PhantomData<fn() -> T>);
-
-impl<T> SliceId<T> {
-    /// The empty slice, id 0 in every table.
-    pub const EMPTY: SliceId<T> = SliceId(0, PhantomData);
-}
-
-/// The slices of one file — locksets, released-lock sets, call chains —
-/// each stored once: equal slices share an id, so comparing ids compares
-/// contents.
-#[derive(Debug, Clone)]
-pub struct SliceTable<T> {
-    /// Every slice's elements, back to back.
-    items: Vec<T>,
-    /// Where each slice ends in `items` (it starts where the previous ends).
-    ends: Vec<u32>,
-    /// Content hash → the first slice with that hash.
-    by_hash: FnvMap<u64, u32>,
-    /// Reused by [`SliceTable::make`].
-    scratch: Vec<T>,
-}
-
-impl<T: Copy + Eq + Hash> Default for SliceTable<T> {
-    fn default() -> Self {
-        let mut table = SliceTable {
-            items: Vec::new(),
-            ends: Vec::new(),
-            by_hash: FnvMap::default(),
-            scratch: Vec::new(),
-        };
-        table.intern(&[]);
-        table
-    }
-}
-
-impl<T: Copy + Eq + Hash> SliceTable<T> {
-    /// How many distinct slices the table holds, the empty one included.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Never true: every table holds the empty slice.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Every slice, in the order first interned.
-    pub fn iter(&self) -> impl Iterator<Item = SliceId<T>> {
-        (0..self.ends.len() as u32).map(|i| SliceId(i, PhantomData))
-    }
-
-    /// The elements of `id`.
-    #[must_use]
-    pub fn get(&self, id: SliceId<T>) -> &[T] {
-        let i = id.0 as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.items[start..self.ends[i] as usize]
-    }
-
-    /// The id of `slice`, adding it on first sight.
-    pub fn intern(&mut self, slice: &[T]) -> SliceId<T> {
-        let mut h = FnvHasher::default();
-        slice.hash(&mut h);
-        let hash = h.finish();
-        if let Some(&first) = self.by_hash.get(&hash) {
-            // Another slice with this hash is all but impossible; when
-            // there is one, the table is searched whole.
-            let found = std::iter::once(first)
-                .chain(0..self.ends.len() as u32)
-                .map(|i| SliceId(i, PhantomData))
-                .find(|&id| self.get(id) == slice);
-            if let Some(id) = found {
-                return id;
-            }
-        }
-        let id = self.ends.len() as u32;
-        self.items.extend_from_slice(slice);
-        self.ends.push(self.items.len() as u32);
-        self.by_hash.entry(hash).or_insert(id);
-        SliceId(id, PhantomData)
-    }
-
-    /// Interns the slice `fill` writes into an empty buffer.
-    pub(crate) fn make(&mut self, fill: impl FnOnce(&Self, &mut Vec<T>)) -> SliceId<T> {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        fill(self, &mut buf);
-        let id = self.intern(&buf);
-        self.scratch = buf;
-        id
-    }
-}
 
 /// Locks held at a program point, with the strongest mode held per lock,
 /// sorted by lock: an id into the file's [`Locksets`].
@@ -155,83 +60,79 @@ pub type KeySet = SliceId<VarKey>;
 /// The lock sets of one file.
 pub type KeySets = SliceTable<VarKey>;
 
-impl Locksets {
-    /// `set` with `lock` held, keeping the stronger mode when already held.
-    fn hold(&mut self, set: Lockset, lock: VarKey, mode: LockMode) -> Lockset {
-        let held = self.get(set);
-        match held.binary_search_by_key(&lock, |&(k, _)| k) {
-            Ok(i) if held[i].1 >= mode => set,
-            found => self.make(|t, buf| {
-                buf.extend_from_slice(t.get(set));
-                match found {
-                    Ok(i) => buf[i].1 = mode,
-                    Err(i) => buf.insert(i, (lock, mode)),
-                }
-            }),
-        }
-    }
-
-    /// `set` without `lock`.
-    fn release(&mut self, set: Lockset, lock: VarKey) -> Lockset {
-        match self.get(set).binary_search_by_key(&lock, |&(k, _)| k) {
-            Ok(i) => self.make(|t, buf| {
-                buf.extend_from_slice(t.get(set));
-                buf.remove(i);
-            }),
-            Err(_) => set,
-        }
-    }
-
-    /// Join operator: a lock survives a merge only if held on both paths,
-    /// at the weaker of the two modes.
-    fn meet(&mut self, a: Lockset, b: Lockset) -> Lockset {
-        if a == b {
-            return a;
-        }
-        self.make(|t, buf| {
-            let other = t.get(b);
-            buf.extend(t.get(a).iter().filter_map(|&(k, ma)| {
-                let i = other.binary_search_by_key(&k, |&(k, _)| k).ok()?;
-                Some((k, ma.min(other[i].1)))
-            }));
-        })
-    }
-
-    /// `a` with every lock of `b` held too (the stronger mode where both
-    /// hold one).
-    pub(crate) fn join(&mut self, a: Lockset, b: Lockset) -> Lockset {
-        if a == b || b == Lockset::EMPTY {
-            return a;
-        }
-        if a == Lockset::EMPTY {
-            return b;
-        }
-        self.make(|t, buf| {
-            buf.extend_from_slice(t.get(a));
-            buf.extend_from_slice(t.get(b));
-            // Each lock's strongest mode first; the dedup keeps it.
-            buf.sort_unstable_by_key(|&(k, m)| (k, Reverse(m)));
-            buf.dedup_by_key(|(k, _)| *k);
-        })
+/// `set` with `lock` held, keeping the stronger mode when already held.
+fn hold(sets: &mut Locksets, set: Lockset, lock: VarKey, mode: LockMode) -> Lockset {
+    let held = sets.get(set);
+    match held.binary_search_by_key(&lock, |&(k, _)| k) {
+        Ok(i) if held[i].1 >= mode => set,
+        found => sets.make(|t, buf| {
+            buf.extend_from_slice(t.get(set));
+            match found {
+                Ok(i) => buf[i].1 = mode,
+                Err(i) => buf.insert(i, (lock, mode)),
+            }
+        }),
     }
 }
 
-impl KeySets {
-    /// The union of two sets.
-    pub(crate) fn union(&mut self, a: KeySet, b: KeySet) -> KeySet {
-        if a == b || b == KeySet::EMPTY {
-            return a;
-        }
-        if a == KeySet::EMPTY {
-            return b;
-        }
-        self.make(|t, buf| {
-            buf.extend_from_slice(t.get(a));
-            buf.extend_from_slice(t.get(b));
-            buf.sort_unstable();
-            buf.dedup();
-        })
+/// `set` without `lock`.
+fn release(sets: &mut Locksets, set: Lockset, lock: VarKey) -> Lockset {
+    match sets.get(set).binary_search_by_key(&lock, |&(k, _)| k) {
+        Ok(i) => sets.make(|t, buf| {
+            buf.extend_from_slice(t.get(set));
+            buf.remove(i);
+        }),
+        Err(_) => set,
     }
+}
+
+/// Join operator: a lock survives a merge only if held on both paths, at
+/// the weaker of the two modes.
+fn meet(sets: &mut Locksets, a: Lockset, b: Lockset) -> Lockset {
+    if a == b {
+        return a;
+    }
+    sets.make(|t, buf| {
+        let other = t.get(b);
+        buf.extend(t.get(a).iter().filter_map(|&(k, ma)| {
+            let i = other.binary_search_by_key(&k, |&(k, _)| k).ok()?;
+            Some((k, ma.min(other[i].1)))
+        }));
+    })
+}
+
+/// `a` with every lock of `b` held too (the stronger mode where both hold
+/// one).
+pub(crate) fn join(sets: &mut Locksets, a: Lockset, b: Lockset) -> Lockset {
+    if a == b || b == Lockset::EMPTY {
+        return a;
+    }
+    if a == Lockset::EMPTY {
+        return b;
+    }
+    sets.make(|t, buf| {
+        buf.extend_from_slice(t.get(a));
+        buf.extend_from_slice(t.get(b));
+        // Each lock's strongest mode first; the dedup keeps it.
+        buf.sort_unstable_by_key(|&(k, m)| (k, Reverse(m)));
+        buf.dedup_by_key(|(k, _)| *k);
+    })
+}
+
+/// The union of two sets.
+pub(crate) fn union(sets: &mut KeySets, a: KeySet, b: KeySet) -> KeySet {
+    if a == b || b == KeySet::EMPTY {
+        return a;
+    }
+    if a == KeySet::EMPTY {
+        return b;
+    }
+    sets.make(|t, buf| {
+        buf.extend_from_slice(t.get(a));
+        buf.extend_from_slice(t.get(b));
+        buf.sort_unstable();
+        buf.dedup();
+    })
 }
 
 /// One variable access with every fact the locking rules read. [`flow`]
@@ -337,7 +238,7 @@ fn block_entry_locksets(
         for &s in cfg.succs_of(b) {
             let merged = match insets[s.0] {
                 None => out,
-                Some(prev) => locksets.meet(prev, out),
+                Some(prev) => meet(locksets, prev, out),
             };
             if insets[s.0] != Some(merged) {
                 insets[s.0] = Some(merged);
@@ -350,39 +251,40 @@ fn block_entry_locksets(
 /// The transfer function: what one event does to the set of locks held.
 fn apply(locksets: &mut Locksets, set: Lockset, e: &Event) -> Lockset {
     match *e {
-        Event::Acquire { lock, mode, .. } => locksets.hold(set, lock, mode),
-        Event::Release { lock, .. } => locksets.release(set, lock),
+        Event::Acquire { lock, mode, .. } => hold(locksets, set, lock, mode),
+        Event::Release { lock, .. } => release(locksets, set, lock),
         Event::Access { .. } | Event::Call { .. } => set,
     }
 }
 
-/// The flow table of one file: every access and every in-file call with
-/// the locks held there. All the locking rules, intra- and
-/// interprocedural, read this one table.
+/// The flow table of one file: every access with the locks held there.
+/// All the locking rules, intra- and interprocedural, read this one table,
+/// and the [`CallGraph`] [`flow`] builds beside it.
 #[derive(Debug, Default)]
 pub struct Flow {
     /// Every access of every reachable block, in function → block → event
     /// order.
     pub accesses: Vec<Access>,
-    /// Every call that resolves to a bodied function of the file, in
-    /// caller → context → block → event order.
-    pub sites: Vec<CallSite>,
     /// Calls through function-typed parameters.
     pub param_calls: Vec<ParamCall>,
-    /// The locksets `accesses` and `sites` hold.
+    /// The locksets `accesses` and the call graph's sites hold.
     pub locksets: Locksets,
-    /// The released-lock sets `sites` hold.
+    /// The released-lock sets the call graph's sites hold.
     pub dropped: KeySets,
 }
 
-/// Builds the [`Flow`] table: one lockset fixpoint per function, then one
-/// walk of each block's events against the running lockset.
+/// Builds the [`Flow`] table and the call graph over every call that
+/// resolves to a bodied function of the file: one lockset fixpoint per
+/// function, then one walk of each block's events against the running
+/// lockset.
 ///
-/// The two orders are load-bearing: the interprocedural layer dedups
-/// accesses and findings keeping the first seen, and caps a summary's size,
-/// so a different order would report a different (equally valid) witness.
+/// The two orders — accesses in function → block → event order, sites in
+/// caller → context → block → event order — are load-bearing: the
+/// interprocedural layer dedups accesses and findings keeping the first
+/// seen, and caps a summary's size, so a different order would report a
+/// different (equally valid) witness.
 #[must_use]
-pub fn flow(cfg: &FileCfg) -> Flow {
+pub fn flow(cfg: &FileCfg) -> (Flow, CallGraph) {
     // `(receiver type, name)` → function; the first declaration wins.
     let mut by_name: FnvMap<(Option<Sym>, Sym), usize> =
         FnvMap::with_capacity_and_hasher(cfg.funcs.len(), Default::default());
@@ -400,6 +302,7 @@ pub fn flow(cfg: &FileCfg) -> Flow {
         accesses: Vec::with_capacity(accesses),
         ..Flow::default()
     };
+    let mut sites: Vec<CallSite> = Vec::new();
     let (mut insets, mut work) = (Vec::new(), VecDeque::new());
     // Locks acquired so far in each context, in block-creation order
     // (which tracks execution order for straight-line code — the shape
@@ -407,7 +310,7 @@ pub fn flow(cfg: &FileCfg) -> Flow {
     let mut ever: Vec<Vec<VarKey>> = Vec::new();
     for (func_idx, f) in cfg.funcs.iter().enumerate() {
         block_entry_locksets(f, &mut out.locksets, &mut insets, &mut work);
-        let first_site = out.sites.len();
+        let first_site = sites.len();
         ever.iter_mut().for_each(Vec::clear);
         ever.resize_with(f.contexts.len(), Vec::new);
         for (bid, block) in f.blocks.iter().enumerate() {
@@ -484,7 +387,7 @@ pub fn flow(cfg: &FileCfg) -> Flow {
                                     held.binary_search_by_key(&l, |&(k, _)| k).is_err()
                                 }));
                             });
-                        out.sites.push(CallSite {
+                        sites.push(CallSite {
                             caller: func_idx,
                             callee,
                             pos: *pos,
@@ -501,9 +404,9 @@ pub fn flow(cfg: &FileCfg) -> Flow {
             }
         }
         // A goroutine body's blocks are created between its spawner's.
-        out.sites[first_site..].sort_by_key(|s| s.ctx);
+        sites[first_site..].sort_by_key(|s| s.ctx);
     }
-    out
+    (out, CallGraph::build(cfg.funcs.len(), sites))
 }
 
 /// Runs the intraprocedural rules (GR007–GR011) over the flow table's
@@ -767,12 +670,98 @@ mod tests {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfg = build_file(&file, &res);
-        let flow = flow(&cfg);
+        let (flow, _) = flow(&cfg);
         intraproc_findings(&cfg, &flow, &BTreeSet::new(), &file.names).0
     }
 
     fn rules(src: &str) -> Vec<Rule> {
         analyze(src).into_iter().map(|f| f.rule).collect()
+    }
+
+    /// `hold`, `release`, `meet`, `join` and `union` over interned sets
+    /// agree with the same operations on ordered maps and sets.
+    #[test]
+    fn lock_algebra_matches_a_map_model() {
+        use std::collections::BTreeMap;
+
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let file = parse_file("package p\nfunc f() { a.Lock(); b.Lock(); c.Lock(); d.Lock() }\n")
+            .expect("parses");
+        let cfg = build_file(&file, &resolve_file(&file));
+        let keys: Vec<VarKey> = cfg.funcs[0]
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::Acquire { lock, .. } => Some(lock),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(keys.len(), 4);
+
+        type Model = BTreeMap<VarKey, LockMode>;
+        let flat = |m: &Model| m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(0x10C5);
+        let mut sets = Locksets::default();
+        let mut pool: Vec<(Lockset, Model)> = vec![(Lockset::EMPTY, Model::new())];
+        for step in 0..400 {
+            let (set, mut model) = pool[rng.gen_range(0..pool.len())].clone();
+            let lock = keys[rng.gen_range(0..keys.len())];
+            let next = if rng.gen_bool(0.7) {
+                let mode = if rng.gen_bool(0.5) {
+                    LockMode::Read
+                } else {
+                    LockMode::Write
+                };
+                // The stronger mode stays.
+                let held = model.entry(lock).or_insert(mode);
+                *held = (*held).max(mode);
+                hold(&mut sets, set, lock, mode)
+            } else {
+                model.remove(&lock);
+                release(&mut sets, set, lock)
+            };
+            assert_eq!(sets.get(next), flat(&model), "step {step}");
+            pool.push((next, model));
+        }
+
+        for step in 0..400 {
+            let (a, ma) = &pool[rng.gen_range(0..pool.len())];
+            let (b, mb) = &pool[rng.gen_range(0..pool.len())];
+            let (a, b) = (*a, *b);
+            // Meet: the common locks, at the weaker mode.
+            let met: Model = ma
+                .iter()
+                .filter_map(|(k, &m)| Some((*k, m.min(*mb.get(k)?))))
+                .collect();
+            let ab = meet(&mut sets, a, b);
+            assert_eq!(sets.get(ab), flat(&met), "step {step}");
+            assert_eq!(meet(&mut sets, b, a), ab, "step {step}: commutative");
+            assert_eq!(meet(&mut sets, a, a), a, "step {step}: idempotent");
+            // Join: every lock of either, at the stronger mode.
+            let mut joined = ma.clone();
+            for (&k, &m) in mb {
+                let held = joined.entry(k).or_insert(m);
+                *held = (*held).max(m);
+            }
+            let joined_id = join(&mut sets, a, b);
+            assert_eq!(sets.get(joined_id), flat(&joined), "step {step}");
+        }
+
+        let mut key_sets = KeySets::default();
+        for step in 0..200 {
+            let mut pick = |rng: &mut StdRng| {
+                let set: BTreeSet<VarKey> =
+                    keys.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+                let v: Vec<VarKey> = set.iter().copied().collect();
+                (key_sets.intern(&v), set)
+            };
+            let ((a, sa), (b, sb)) = (pick(&mut rng), pick(&mut rng));
+            let want: Vec<VarKey> = sa.union(&sb).copied().collect();
+            let both = union(&mut key_sets, a, b);
+            assert_eq!(key_sets.get(both), want, "step {step}");
+        }
     }
 
     #[test]

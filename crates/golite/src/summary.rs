@@ -30,13 +30,13 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
+use grs_clock::{SliceId, SliceTable};
+
 use crate::ast::{sym, Names, Sym};
 use crate::callgraph::{CallGraph, CallSite};
 use crate::cfg::{FileCfg, VarKey, VarRoot};
 use crate::lint::{Finding, Rule};
-use crate::lockset::{
-    effective, lock_names, Access, Flow, KeySets, Lockset, Locksets, SliceId, SliceTable,
-};
+use crate::lockset::{self, effective, lock_names, Access, Flow, KeySets, Lockset, Locksets};
 use crate::mhp::Mhp;
 use crate::resolve::{Resolution, SymbolKind};
 use crate::token::Pos;
@@ -53,34 +53,33 @@ pub type Chain = SliceId<(Sym, Pos)>;
 /// The call chains of one file.
 pub type Chains = SliceTable<(Sym, Pos)>;
 
-impl Chains {
-    /// `rest` entered through a call of `callee` at `pos`.
-    fn push_front(&mut self, callee: Sym, pos: Pos, rest: Chain) -> Chain {
-        self.make(|t, buf| {
-            buf.push((callee, pos));
-            buf.extend_from_slice(t.get(rest));
-        })
-    }
+/// `rest` entered through a call of `callee` at `pos`.
+fn push_front(chains: &mut Chains, callee: Sym, pos: Pos, rest: Chain) -> Chain {
+    chains.make(|t, buf| {
+        buf.push((callee, pos));
+        buf.extend_from_slice(t.get(rest));
+    })
+}
 
-    /// Two chains as they sort: callee names compare as text (a [`Sym`]
-    /// orders by first occurrence, and this order picks the reported
-    /// witness).
-    fn cmp(&self, a: Chain, b: Chain, names: &Names) -> Ordering {
-        let key = |c| {
-            self.get(c)
-                .iter()
-                .map(|&(callee, pos)| (names.text(callee), pos))
-        };
-        key(a).cmp(key(b))
-    }
-
-    /// `chain` as a finding carries it.
-    fn render(&self, chain: Chain, names: &Names) -> Vec<(String, Pos)> {
-        self.get(chain)
+/// Two chains as they sort: callee names compare as text (a [`Sym`] orders
+/// by first occurrence, and this order picks the reported witness).
+fn cmp_chains(chains: &Chains, a: Chain, b: Chain, names: &Names) -> Ordering {
+    let key = |c| {
+        chains
+            .get(c)
             .iter()
-            .map(|&(callee, pos)| (names.text(callee).to_string(), pos))
-            .collect()
-    }
+            .map(|&(callee, pos)| (names.text(callee), pos))
+    };
+    key(a).cmp(key(b))
+}
+
+/// `chain` as a finding carries it.
+fn render_chain(chains: &Chains, chain: Chain, names: &Names) -> Vec<(String, Pos)> {
+    chains
+        .get(chain)
+        .iter()
+        .map(|&(callee, pos)| (names.text(callee).to_string(), pos))
+        .collect()
 }
 
 /// The bottom-up summary of one function.
@@ -122,13 +121,13 @@ pub struct Summaries {
 impl Summaries {
     /// Computes all summaries bottom-up over `cg`'s SCCs.
     #[must_use]
-    pub fn compute(cfg: &FileCfg, flow: &Flow, cg: &CallGraph, names: &Names) -> Summaries {
-        let own = own_summaries(cfg, flow);
+    pub fn compute(cfg: &FileCfg, flow: Flow, cg: &CallGraph, names: &Names) -> Summaries {
+        let own = own_summaries(cfg, &flow);
         let mut sums = Summaries {
             funcs: own.clone(),
             tables: SummaryTables {
-                locksets: flow.locksets.clone(),
-                dropped: flow.dropped.clone(),
+                locksets: flow.locksets,
+                dropped: flow.dropped,
                 chains: Chains::default(),
             },
         };
@@ -205,7 +204,7 @@ fn incorporate(
             // caller's locks extend into it.
             a.spawn_pos = site.spawn_pos;
         } else {
-            a.locks = t.locksets.join(a.locks, site.locks);
+            a.locks = lockset::join(&mut t.locksets, a.locks, site.locks);
             if a.spawned {
                 // The callee spawns internally; from here, the spawn
                 // happens at the call site.
@@ -214,8 +213,8 @@ fn incorporate(
         }
         a.spawned |= site.spawned;
         a.in_loop_spawn |= site.spawned && site.in_loop;
-        a.dropped = t.dropped.union(a.dropped, site.dropped);
-        a.chain = t.chains.push_front(callee_name, site.pos, a.chain);
+        a.dropped = lockset::union(&mut t.dropped, a.dropped, site.dropped);
+        a.chain = push_front(&mut t.chains, callee_name, site.pos, a.chain);
         next.accesses.push(a);
     }
 
@@ -255,7 +254,7 @@ fn dedup_accesses(accesses: &mut Vec<Access>, t: &SummaryTables, names: &Names) 
                 (x.spawned, t.chains.get(x.chain).len())
                     .cmp(&(y.spawned, t.chains.get(y.chain).len()))
             })
-            .then_with(|| t.chains.cmp(x.chain, y.chain, names))
+            .then_with(|| cmp_chains(&t.chains, x.chain, y.chain, names))
     });
     accesses.dedup_by(|b, a| {
         a.var == b.var
@@ -286,7 +285,7 @@ pub fn interproc_findings(
 ) -> Vec<Finding> {
     let t = &sums.tables;
     let text = |name: Sym| names.text(name).to_string();
-    let render = |chain: Chain| t.chains.render(chain, names);
+    let render = |chain: Chain| render_chain(&t.chains, chain, names);
     let skipped = |var: &VarKey| skip_vars.binary_search(var).is_ok();
     // Each finding rides with the variable it is about (when it is about
     // one) until `dedup_findings` has keyed on it.
@@ -295,7 +294,7 @@ pub fn interproc_findings(
     // GR015: a closure capturing a loop variable (or `err`) passed to a
     // helper that launches it on a goroutine — the capture escapes the
     // iteration exactly like a direct `go func(){...}()` would.
-    for site in cg.sites {
+    for site in &cg.sites {
         for (idx, lit_pos) in &site.args(cfg).closures {
             if !sums.funcs[site.callee].spawns_params.contains(idx) {
                 continue;
@@ -330,7 +329,7 @@ pub fn interproc_findings(
     // GR017: handing a map we own to a callee that fills it from spawned
     // goroutines. Reported at the owner only — a callee passing its own
     // parameter along propagates the effect instead.
-    for site in cg.sites {
+    for site in &cg.sites {
         for &(idx, key, spelled) in &site.args(cfg).vars {
             if !sums.funcs[site.callee]
                 .spawned_map_write_params
@@ -489,7 +488,7 @@ pub fn interproc_findings(
                     .min_by(|(_, x), (_, y)| {
                         (x.pos, t.chains.get(x.chain).len())
                             .cmp(&(y.pos, t.chains.get(y.chain).len()))
-                            .then_with(|| t.chains.cmp(x.chain, y.chain, names))
+                            .then_with(|| cmp_chains(&t.chains, x.chain, y.chain, names))
                     })
                     .expect("nonempty guarded");
                 findings.push((
@@ -567,7 +566,6 @@ fn dedup_findings(findings: Vec<(Option<VarKey>, Finding)>) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::cfg::build_file;
-    use crate::lockset;
     use crate::parser::parse_file;
     use crate::resolve::resolve_file;
 
@@ -575,9 +573,8 @@ mod tests {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfg = build_file(&file, &res);
-        let flow = lockset::flow(&cfg);
-        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+        let (flow, cg) = lockset::flow(&cfg);
+        let sums = Summaries::compute(&cfg, flow, &cg, &file.names);
         let mhp = Mhp::build(&file);
         interproc_findings(&res, &cfg, &cg, &sums, &mhp, &[], &file.names)
             .into_iter()
@@ -649,9 +646,8 @@ func Run() {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfg = build_file(&file, &res);
-        let flow = lockset::flow(&cfg);
-        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+        let (flow, cg) = lockset::flow(&cfg);
+        let sums = Summaries::compute(&cfg, flow, &cg, &file.names);
         // sum's summary holds its own write plus the one-hop recursive
         // copy, never an unbounded chain.
         assert!(sums.funcs[0]
@@ -713,9 +709,8 @@ func put(m map[string]int, k string) {
         let file = parse_file(src).expect("parses");
         let res = resolve_file(&file);
         let cfg = build_file(&file, &res);
-        let flow = lockset::flow(&cfg);
-        let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
-        let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+        let (flow, cg) = lockset::flow(&cfg);
+        let sums = Summaries::compute(&cfg, flow, &cg, &file.names);
         assert!(sums.funcs[0].spawns_params.contains(&0), "direct spawn");
         assert!(sums.funcs[1].spawns_params.contains(&0), "transitive spawn");
         assert!(sums.funcs[3].map_write_params.contains(&0), "put writes m");

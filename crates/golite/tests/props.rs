@@ -12,7 +12,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grs_corpus::{GoCorpus, GoCorpusSpec, GoTestGen, GoTestSpec};
-use grs_golite::callgraph::CallGraph;
 use grs_golite::cfg::{build_file, Keys, LockMode, VarKey, VarRoot};
 use grs_golite::lexer::tokenize;
 use grs_golite::lockset::flow;
@@ -247,9 +246,8 @@ fn flow_table_ids_order_as_their_text() {
             }
             keys_seen += keys.len();
 
-            let flow = flow(&cfg);
-            let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
-            let sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+            let (flow, cg) = flow(&cfg);
+            let sums = Summaries::compute(&cfg, flow, &cg, &file.names);
             let locksets = &sums.tables.locksets;
             let maps: Vec<BTreeMap<_, LockMode>> = locksets
                 .iter()

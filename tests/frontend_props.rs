@@ -15,7 +15,6 @@ use rand::{Rng, SeedableRng};
 
 use grs::corpus::{go_snippets, lint_corpus, GoCorpus, GoCorpusSpec, GoTestGen, GoTestSpec};
 use grs::golite::ast::{walk, Decl, Node, Stmt, Walk};
-use grs::golite::callgraph::CallGraph;
 use grs::golite::lexer::tokenize;
 use grs::golite::token::{Keyword, Tok};
 use grs::golite::{
@@ -50,8 +49,7 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
                 .unwrap_or_else(|e| panic!("seed {seed} {path}: parse error {e}"));
             let res = resolve_file(&file);
             let cfg = cfg::build_file(&file, &res);
-            let flow = lockset::flow(&cfg);
-            let cg = CallGraph::build(cfg.funcs.len(), &flow.sites);
+            let (flow, cg) = lockset::flow(&cfg);
             let sccs = cg.sccs();
             let reachable: usize = sccs.iter().map(Vec::len).sum();
             assert_eq!(
@@ -59,7 +57,7 @@ fn frontend_pipeline_never_panics_on_generated_sources() {
                 cfg.funcs.len(),
                 "seed {seed} {path}: SCCs must partition the functions"
             );
-            let _sums = Summaries::compute(&cfg, &flow, &cg, &file.names);
+            let _sums = Summaries::compute(&cfg, flow, &cg, &file.names);
             let _mhp = Mhp::build(&file);
             let _findings = lint_file(&file);
         }
