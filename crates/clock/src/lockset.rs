@@ -219,13 +219,19 @@ impl LocksetInterner {
             return LocksetId::EMPTY;
         }
         let key = (a.min(b), a.max(b));
-        if let Some(&id) = self.intersect_memo.get(&key) {
-            return id;
+        match self.intersect_memo.get(&key) {
+            Some(&id) => id,
+            None => self.meet(key),
         }
+    }
+
+    /// Interns and memoizes the intersection of a pair not met before:
+    /// kept out of line, so the probe above stays small where it inlines.
+    fn meet(&mut self, (a, b): (LocksetId, LocksetId)) -> LocksetId {
         let id = self
             .sets
             .make(|t, buf| intersect_into(t.get(a), t.get(b), buf));
-        self.intersect_memo.insert(key, id);
+        self.intersect_memo.insert((a, b), id);
         id
     }
 

@@ -114,8 +114,9 @@ impl<T: Copy + Eq + Hash> SliceTable<T> {
     }
 
     /// Forgets every slice but the empty one, keeping every allocation.
-    /// The ids issued so far are void: [`SliceTable::get`] panics on a
-    /// non-empty one, and interning again reissues them in the same order.
+    /// The non-empty ids issued so far are void — [`SliceTable::get`]
+    /// panics on one until the table grows past it again — and interning
+    /// the same slices again reissues the same ids.
     pub fn reset(&mut self) {
         self.items.clear();
         self.ends.truncate(1);
