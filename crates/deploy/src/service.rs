@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use grs_detector::{DetectorArena, DetectorChoice, RaceReport};
 use grs_obs::ObsSink;
-use grs_runtime::{ReproArtifact, Trace, TraceDecodeError};
+use grs_runtime::{ReproArtifact, TraceDecodeError};
 
 use crate::assignee::{determine_assignee, OwnerDb};
 use crate::dedup::{BoundedDedup, DedupVerdict};
@@ -240,13 +240,6 @@ struct Core {
     tracker: BugTracker,
 }
 
-/// What one intake worker keeps from upload to upload: the trace it
-/// decodes into, and a detector arena that analyzes it.
-struct Worker {
-    trace: Trace,
-    arena: DetectorArena,
-}
-
 struct ServiceInner {
     core: Mutex<Core>,
     dedup: BoundedDedup,
@@ -311,25 +304,23 @@ impl ServiceInner {
     }
 
     /// Decode + replay + file — the whole per-trace pipeline a worker runs,
-    /// on the worker's own trace and arena (a decode refills the first, an
-    /// analysis resets the second). Each race is fingerprinted from its
-    /// ids, and its report built only for the tracker, past the dedup
-    /// cache.
+    /// on the worker's own arena, the one store it keeps: the upload is
+    /// analyzed as it decodes, and its races are filed only once it has
+    /// decoded whole. Each race is fingerprinted from its ids, and its
+    /// report built only for the tracker, past the dedup cache.
     fn process_trace(
         &self,
         bytes: &[u8],
         day: u32,
-        worker: &mut Worker,
+        arena: &mut DetectorArena,
     ) -> Result<IntakeSummary, IntakeError> {
-        let Worker { trace, arena } = worker;
-        trace.decode_into(bytes).map_err(|e| {
+        let choice = DetectorChoice::FastTrack;
+        let (program, repro) = arena.analyze_encoded(&[choice], bytes).map_err(|e| {
             self.malformed.fetch_add(1, Ordering::Relaxed);
             self.obs(|s| s.add("intake.malformed", 1));
             IntakeError::Malformed(e)
         })?;
-        let choice = DetectorChoice::FastTrack;
-        arena.analyze(&[choice], trace);
-        let (trace, arena) = (&*trace, &*arena);
+        let arena = &*arena;
         let races = arena.races(choice);
         let mut summary = IntakeSummary {
             races: races.len() as u32,
@@ -341,11 +332,10 @@ impl ServiceInner {
                 // The recording run's identity travels with the report so
                 // a filed task is reproducible without the original
                 // uploader.
-                let meta = &trace.meta;
                 let mut report = arena.report(choice, race);
-                report.program = Some(Arc::from(meta.program.as_str()));
-                report.repro = Some(ReproArtifact::seeded(meta.seed, meta.strategy));
-                report.repro_seed = Some(meta.seed);
+                report.program = Some(Arc::from(program));
+                report.repro_seed = Some(repro.seed);
+                report.repro = Some(repro.clone());
                 report
             });
             match outcome {
@@ -387,10 +377,7 @@ impl ServiceInner {
     }
 
     fn worker_loop(&self) {
-        let mut worker = Worker {
-            trace: Trace::default(),
-            arena: DetectorArena::new(),
-        };
+        let mut arena = DetectorArena::new();
         loop {
             let job = {
                 let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -407,11 +394,9 @@ impl ServiceInner {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let result = self.process_trace(&job.trace, job.day, &mut worker);
+            let result = self.process_trace(&job.trace, job.day, &mut arena);
             self.obs(|s| s.observe("intake.latency", job.enqueued_at.elapsed()));
             job.ticket.complete(result);
-            // What a large upload decoded to is not kept past it.
-            worker.trace.release_excess();
         }
     }
 
@@ -1020,6 +1005,40 @@ mod tests {
         // The one worker survived them all: the next upload is served.
         let served = service.submit_trace(racy_trace(3), 0).unwrap();
         assert!(!served.filed.is_empty());
+    }
+
+    /// A racy upload cut inside its event section, after the racing pair:
+    /// the detectors watch the pair and find the race before the decode
+    /// fails, and still the cut upload is malformed and files nothing. The
+    /// whole upload, sent next to the same service, files what a fresh
+    /// service files.
+    #[test]
+    fn an_upload_cut_after_its_race_files_nothing() {
+        let whole = racy_trace(3);
+        let cut = &whole[..whole.len() - 1];
+        let choice = DetectorChoice::FastTrack;
+        let mut arena = DetectorArena::new();
+        assert!(arena.analyze_encoded(&[choice], cut).is_err());
+        assert!(
+            !arena.races(choice).is_empty(),
+            "the cut keeps the racing pair"
+        );
+
+        let service = IntakeService::builder().workers(1).start().unwrap();
+        let err = service.submit_trace(cut.to_vec(), 0).unwrap_err();
+        assert_eq!(err, IntakeError::Malformed(TraceDecodeError::Truncated));
+        let stats = service.stats();
+        assert_eq!(
+            (stats.malformed, stats.total_filed, stats.traces),
+            (1, 0, 0)
+        );
+
+        let fresh = IntakeService::builder().workers(1).start().unwrap();
+        let expected = fresh.submit_trace(whole.clone(), 0).unwrap();
+        assert!(!expected.filed.is_empty());
+        assert_eq!(service.submit_trace(whole, 0).unwrap(), expected);
+        assert_eq!(service.snapshot(), fresh.snapshot());
+        assert_eq!(service.stats().malformed, 1);
     }
 
     /// One write at `f.go:line` on goroutine 0, no stack table.

@@ -20,7 +20,8 @@
 //! execution's shared state (clocks, held locks, lockset interner, depot:
 //! `crate::hb`) and the shadows that read it. An execution has one
 //! fan-out, live ([`DetectorArena::execute`]) or replayed
-//! ([`DetectorArena::analyze`]): it is taken once, and every requested
+//! ([`DetectorArena::analyze`], or [`DetectorArena::analyze_encoded`]
+//! straight from the bytes): it is taken once, and every requested
 //! detector's shadow watches each event. A run's
 //! interleaving is a function of its seed and strategy alone (the scheduler
 //! never consults the monitor), so each detector sees exactly the events it
@@ -36,7 +37,8 @@
 
 use grs_obs::{ObsSink, SpanGuard};
 use grs_runtime::{
-    DecodedTrace, Event, Monitor, Program, RunConfig, RunOutcome, Runtime, StackDepot, Trace,
+    replay_encoded, DecodedTrace, Event, Monitor, Program, ReproArtifact, RunConfig, RunOutcome,
+    Runtime, StackDepot, Trace, TraceDecodeError,
 };
 
 use crate::eraser::LocksetShadow;
@@ -465,6 +467,29 @@ impl DetectorArena {
         trace.rebuild_depot_into(&self.depot);
         let watchers = self.watchers.as_mut().expect(HOME);
         watchers.watch(choices, &self.depot, &trace.events);
+    }
+
+    /// Decodes an encoded trace and analyzes it in the same pass, watched
+    /// by every detector in `choices` at once: [`DetectorArena::analyze`]
+    /// of [`Trace::decode`]`(bytes)`, with no [`Trace`] between. The stack
+    /// table becomes the arena depot's new generation, and the detectors
+    /// see each event as it is decoded ([`replay_encoded`]). Returns the
+    /// recorded program's name and the seed and strategy that reproduce
+    /// its run.
+    ///
+    /// # Errors
+    ///
+    /// As [`Trace::decode`]. The detectors have then watched the events
+    /// before the error, and what they found belongs to no trace: report
+    /// none of it.
+    pub fn analyze_encoded<'a>(
+        &mut self,
+        choices: &[DetectorChoice],
+        bytes: &'a [u8],
+    ) -> Result<(&'a str, ReproArtifact), TraceDecodeError> {
+        let watchers = self.watchers.as_mut().expect(HOME);
+        watchers.select(choices);
+        replay_encoded(bytes, &self.depot, watchers)
     }
 
     /// Analyzes a recorded trace offline under `choice`, every race

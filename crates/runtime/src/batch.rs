@@ -1,21 +1,15 @@
-//! The `.grtrace` reader: one pass straight into [`Event`]s.
+//! The `.grtrace` reader: one parser, two drivers.
 //!
-//! [`Trace::decode_into`] is the only code that parses the format
-//! ([`Trace::encode`] is the only code that writes it); [`Trace::decode`]
-//! and [`DecodedTrace::decode`] call it on a fresh [`Trace`]. It decodes
-//! into one buffer of the same `Copy` [`Event`] record the kernel emits, so
-//! a decoded trace *is* a [`Trace`] and every detector replays it through
-//! the one `on_event` it runs live. Names — of objects, goroutines and
-//! source files — arrive as string-table references and are renumbered
-//! into [`NameId`]s in first-appearance order, the order the kernel
-//! interned them in.
-//!
-//! A caller that decodes many traces (an intake worker) keeps one
-//! [`Trace`] and decodes each into it: the event, stack and name buffers
-//! are cleared and refilled rather than allocated again. Their capacity is
-//! held to [`TRACE_RETAINED_ENTRIES`] entries each by calling
-//! [`Trace::release_excess`] between traces, which frees the buffers of a
-//! larger trace, so one large upload does not pin its memory in a worker.
+//! A private `Decoder`'s `header` and `event` are the only code that parses
+//! the format ([`Trace::encode`] is the only code that writes it).
+//! [`Trace::decode`] drives them into a fresh [`Trace`], one buffer of the
+//! same `Copy` [`Event`] record the kernel emits, so every detector replays
+//! it through the one `on_event` it runs live. [`replay_encoded`] drives
+//! them into a new generation of a caller's [`StackDepot`] and a
+//! [`Monitor`] that sees each event as it is read, so an intake worker
+//! keeps no trace. Names — of objects, goroutines and source files — arrive
+//! as string-table references and are renumbered into [`NameId`]s in
+//! first-appearance order, the order the kernel interned them in.
 //!
 //! Every header, table and event field is bounds- and range-checked as it
 //! is read — goroutine and object ids against [`MAX_TRACE_ID`], because
@@ -28,22 +22,15 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::depot::{NameId, StackId};
+use crate::depot::{NameId, StackDepot, StackId};
 use crate::event::{AccessKind, Event, EventKind, SourceLoc};
 use crate::ids::{Addr, ChanId, Gid, LockUid, OnceId, WgId};
+use crate::monitor::Monitor;
 use crate::sched::Strategy;
 use crate::trace::{
-    lock_mode, tag, unzigzag, Reader, StackNode, Trace, TraceDecodeError, MAX_TRACE_ID,
-    TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    lock_mode, tag, unzigzag, Reader, ReproArtifact, StackNode, Trace, TraceDecodeError, TraceMeta,
+    MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
-
-/// Most entries a reused [`Trace`] keeps room for between decodes, in each
-/// of its event, stack and name buffers (and bytes, in its program name):
-/// about 3 MiB of events. [`Trace::release_excess`] frees the buffers of a
-/// trace past it. A 16 MiB upload can decode to some 5.6 million events; a
-/// worker that kept their buffer would hold a quarter of a gigabyte for as
-/// long as it runs.
-pub const TRACE_RETAINED_ENTRIES: usize = 1 << 16;
 
 /// Fewest bytes one encoded depot entry takes (parent, function, call
 /// line: three varints), for [`Reader::count`].
@@ -54,11 +41,7 @@ const STACK_MIN_BYTES: usize = 3;
 const EVENT_MIN_BYTES: usize = 3;
 
 impl Trace {
-    /// Decodes a `.grtrace` byte stream into `self`, replacing what it
-    /// held and reusing its buffers: the one reader of the format.
-    ///
-    /// On error `self` holds a partly decoded trace; decode into it again
-    /// before reading it.
+    /// Decodes a `.grtrace` byte stream into a fresh trace.
     ///
     /// # Errors
     ///
@@ -67,47 +50,53 @@ impl Trace {
     /// string, an out-of-range table index, id or line, a repeated stack
     /// node, an unknown tag, a count the input is too short to hold, or
     /// trailing bytes.
-    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), TraceDecodeError> {
-        self.events.clear();
-        self.stacks.clear();
-        self.names.clear();
-        self.meta.program.clear();
-        let mut d = Decoder {
-            r: Reader::new(bytes),
-            strings: Vec::new(),
-            n_stacks: 0,
-            prev_step: 0,
+    pub fn decode(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
+        let mut d = Decoder::new(bytes);
+        let mut trace = Trace::default();
+        let (program, meta, n_events) = d.header(&mut trace.stacks)?;
+        trace.meta = TraceMeta {
+            program: program.to_string(),
+            ..meta
         };
-        let n_events = d.header(self)?;
-        self.events.reserve(n_events);
+        trace.events.reserve(n_events);
         for _ in 0..n_events {
-            let event = d.event(&mut self.names)?;
-            self.events.push(event);
+            let event = d.event(&mut |text| trace.names.push(text))?;
+            trace.events.push(event);
         }
-        if d.r.pos != bytes.len() {
-            return Err(TraceDecodeError::TrailingBytes {
-                extra: bytes.len() - d.r.pos,
-            });
-        }
-        Ok(())
+        d.end()?;
+        Ok(trace)
     }
+}
 
-    /// Frees what a large trace took: when any buffer has room for more
-    /// than [`TRACE_RETAINED_ENTRIES`] entries (or the program name for
-    /// more bytes), the trace becomes an empty one. A trace within the
-    /// bound is left as it is, for the next [`Trace::decode_into`] to
-    /// reuse.
-    pub fn release_excess(&mut self) {
-        let room = [
-            self.events.capacity(),
-            self.stacks.capacity(),
-            self.names.capacity(),
-            self.meta.program.capacity(),
-        ];
-        if room.iter().any(|&n| n > TRACE_RETAINED_ENTRIES) {
-            *self = Trace::default();
-        }
+/// Decodes a `.grtrace` byte stream straight into `depot` and `monitor`,
+/// the replayed twin of [`Runtime::run_with_depot`]: the stack table
+/// becomes a new generation of `depot`, `monitor` starts a run on it, and
+/// then sees each event as it is decoded, the names the event mentions
+/// first already added to `depot`. Ids and names are those
+/// [`Trace::decode`] gives. Returns the program's name, borrowed from
+/// `bytes`, and the seed and strategy that reproduce the run.
+///
+/// # Errors
+///
+/// As [`Trace::decode`]. `monitor` has then seen the events before the
+/// error, and not `on_run_end`: what it found belongs to no trace.
+///
+/// [`Runtime::run_with_depot`]: crate::Runtime::run_with_depot
+pub fn replay_encoded<'a, M: Monitor + ?Sized>(
+    bytes: &'a [u8],
+    depot: &StackDepot,
+    monitor: &mut M,
+) -> Result<(&'a str, ReproArtifact), TraceDecodeError> {
+    let mut d = Decoder::new(bytes);
+    let (program, meta, n_events) = depot.restore(|stacks, _| d.header(stacks))?;
+    monitor.on_run_start(depot);
+    for _ in 0..n_events {
+        let event = d.event(&mut |text| depot.push_name(text))?;
+        monitor.on_event(&event);
     }
+    d.end()?;
+    monitor.on_run_end();
+    Ok((program, ReproArtifact::seeded(meta.seed, meta.strategy)))
 }
 
 /// One string-table entry of the trace being decoded.
@@ -127,22 +116,38 @@ impl Entry<'_> {
     }
 }
 
-/// The decoder state over one `.grtrace` byte stream, beside the [`Trace`]
-/// it fills: [`Decoder::header`] consumes and validates the header (magic,
-/// version, string table, run metadata, depot snapshot), then
-/// [`Decoder::event`] decodes one event at a time.
+/// The decoder state over one `.grtrace` byte stream: [`Decoder::header`]
+/// consumes and validates the header (magic, version, string table, run
+/// metadata, depot snapshot), then [`Decoder::event`] decodes one event at
+/// a time, and [`Decoder::end`] checks that nothing follows the last.
 struct Decoder<'a> {
     r: Reader<'a>,
     strings: Vec<Entry<'a>>,
     n_stacks: u64,
+    /// Names given so far: the next one's [`NameId`].
+    n_names: u32,
     prev_step: u64,
 }
 
 impl<'a> Decoder<'a> {
-    /// Parses the trace header, tables, and metadata into `trace`, and
-    /// returns the number of events the header announces, bounded by the
+    fn new(bytes: &'a [u8]) -> Self {
+        Decoder {
+            r: Reader::new(bytes),
+            strings: Vec::new(),
+            n_stacks: 0,
+            n_names: 0,
+            prev_step: 0,
+        }
+    }
+
+    /// Parses the trace header, tables, and metadata, the stack table onto
+    /// `stacks`, and returns the program's name, the rest of the metadata
+    /// and the number of events the header announces, bounded by the
     /// input's length.
-    fn header(&mut self, trace: &mut Trace) -> Result<usize, TraceDecodeError> {
+    fn header(
+        &mut self,
+        stacks: &mut Vec<StackNode>,
+    ) -> Result<(&'a str, TraceMeta, usize), TraceDecodeError> {
         let r = &mut self.r;
         if r.take(8)? != TRACE_MAGIC {
             return Err(TraceDecodeError::BadMagic);
@@ -172,10 +177,11 @@ impl<'a> Decoder<'a> {
         }
 
         let program = self.string_idx()?;
-        trace.meta.program.push_str(self.strings[program].text);
+        let program = self.strings[program].text;
+        let mut meta = TraceMeta::default();
         let r = &mut self.r;
-        trace.meta.seed = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
-        trace.meta.strategy = match r.byte()? {
+        meta.seed = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
+        meta.strategy = match r.byte()? {
             0 => Strategy::Random,
             1 => Strategy::Pct {
                 depth: r.u32("PCT depth")?,
@@ -188,12 +194,12 @@ impl<'a> Decoder<'a> {
                 })
             }
         };
-        trace.meta.steps = r.uvarint()?;
-        trace.meta.goroutines_spawned = r.uvarint()? as usize;
+        meta.steps = r.uvarint()?;
+        meta.goroutines_spawned = r.uvarint()? as usize;
 
         let n_stacks = r.count(STACK_MIN_BYTES)? as u64;
         self.n_stacks = n_stacks;
-        trace.stacks.reserve(n_stacks as usize);
+        stacks.reserve(n_stacks as usize);
         // (parent, string-table index, call line, id) per node, sorted below
         // to find repeats without hashing any function name's text.
         let mut keys = Vec::with_capacity(n_stacks as usize);
@@ -208,7 +214,7 @@ impl<'a> Decoder<'a> {
             let func_idx = self.string_idx()?;
             let call_line = self.r.u32("call line")?;
             keys.push(((parent, func_idx, call_line), i + 1));
-            trace.stacks.push(StackNode {
+            stacks.push(StackNode {
                 parent: StackId(parent as u32),
                 func: self.strings[func_idx].arc(),
                 call_line,
@@ -224,10 +230,11 @@ impl<'a> Decoder<'a> {
             return Err(TraceDecodeError::RepeatedStack { id });
         }
 
-        self.r.count(EVENT_MIN_BYTES)
+        Ok((program, meta, self.r.count(EVENT_MIN_BYTES)?))
     }
 
     /// The next varint as a string-table index.
+    #[inline]
     fn string_idx(&mut self) -> Result<usize, TraceDecodeError> {
         let idx = self.r.uvarint()?;
         if (idx as usize) < self.strings.len() {
@@ -241,27 +248,29 @@ impl<'a> Decoder<'a> {
     }
 
     /// The next varint as a name: the string-table entry's [`NameId`],
-    /// assigned at the entry's first use, when its text joins `names`.
+    /// assigned at the entry's first use, when its text goes to `new_name`.
     #[inline]
-    fn name(&mut self, names: &mut Vec<Arc<str>>) -> Result<NameId, TraceDecodeError> {
+    fn name(&mut self, new_name: &mut impl FnMut(Arc<str>)) -> Result<NameId, TraceDecodeError> {
         let i = self.string_idx()?;
         Ok(match self.strings[i].name {
             Some(id) => id,
-            None => self.first_name(i, names),
+            None => self.first_name(i, new_name),
         })
     }
 
     /// Numbers string-table entry `i` as the next name.
     #[inline(never)]
-    fn first_name(&mut self, i: usize, names: &mut Vec<Arc<str>>) -> NameId {
-        let name = NameId(names.len() as u32);
-        names.push(self.strings[i].arc());
+    fn first_name(&mut self, i: usize, new_name: &mut impl FnMut(Arc<str>)) -> NameId {
+        let name = NameId(self.n_names);
+        self.n_names += 1;
+        new_name(self.strings[i].arc());
         self.strings[i].name = Some(name);
         name
     }
 
     /// The next varint as a goroutine or object id, which a detector uses
     /// as a table index.
+    #[inline]
     fn id(&mut self) -> Result<u64, TraceDecodeError> {
         match self.r.uvarint()? {
             id if id <= MAX_TRACE_ID => Ok(id),
@@ -272,10 +281,10 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Decodes one event, fields in [`Trace::encode`]'s order, adding the
-    /// names it mentions first to `names`.
+    /// Decodes one event, fields in [`Trace::encode`]'s order, giving the
+    /// names it mentions first to `new_name`.
     #[inline]
-    fn event(&mut self, names: &mut Vec<Arc<str>>) -> Result<Event, TraceDecodeError> {
+    fn event(&mut self, new_name: &mut impl FnMut(Arc<str>)) -> Result<Event, TraceDecodeError> {
         self.prev_step = self.prev_step.wrapping_add(self.r.uvarint()?);
         let gid = Gid(self.id()? as u32);
         let kind = match self.r.byte()? {
@@ -283,13 +292,13 @@ impl<'a> Decoder<'a> {
                 let child = Gid(self.id()? as u32);
                 EventKind::Spawn {
                     child,
-                    name: self.name(names)?,
+                    name: self.name(new_name)?,
                 }
             }
             tag::GOROUTINE_END => EventKind::GoroutineEnd,
             tag::ACCESS => {
                 let addr = Addr(self.id()?);
-                let object = self.name(names)?;
+                let object = self.name(new_name)?;
                 let kind = match self.r.byte()? {
                     0 => AccessKind::Read,
                     1 => AccessKind::Write,
@@ -309,7 +318,7 @@ impl<'a> Decoder<'a> {
                         table_len: self.n_stacks as usize,
                     });
                 }
-                let file = self.name(names)?;
+                let file = self.name(new_name)?;
                 EventKind::Access {
                     addr,
                     object,
@@ -370,6 +379,14 @@ impl<'a> Decoder<'a> {
             kind,
         })
     }
+
+    /// Checks that nothing follows the last event.
+    fn end(&self) -> Result<(), TraceDecodeError> {
+        match self.r.bytes.len() - self.r.pos {
+            0 => Ok(()),
+            extra => Err(TraceDecodeError::TrailingBytes { extra }),
+        }
+    }
 }
 
 /// The batch size `benchmark/`'s `runtime.batch_fill_rate` divides a
@@ -406,7 +423,7 @@ impl DecodedTrace {
     ///
     /// # Errors
     ///
-    /// As [`Trace::decode_into`].
+    /// As [`Trace::decode`].
     pub fn decode(bytes: &[u8]) -> Result<DecodedTrace, TraceDecodeError> {
         let trace = Trace::decode(bytes)?;
         Ok(DecodedTrace {

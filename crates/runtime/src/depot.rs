@@ -90,21 +90,13 @@ impl NameId {
     }
 }
 
-/// Texts a depot keeps before it drops them all at the start of a
-/// generation. Ids are per generation, so the clear changes nothing a run
+/// Most entries any table of a depot keeps room for across generations:
+/// a generation that starts with some table past it starts with the whole
+/// depot freed. Ids are per generation, so the clear changes nothing a run
 /// can observe; the bound only caps the memory of a worker whose programs
-/// keep naming new things (generated tests, each with its own names).
-const MAX_KEPT_TEXTS: usize = 1 << 12;
-
-/// One node of the depot tree: the leaf frame of an interned stack plus the
-/// id of the stack below it.
-#[derive(Debug, Clone)]
-struct Node {
-    parent: StackId,
-    func: Arc<str>,
-    call_line: u32,
-    depth: u32,
-}
+/// keep naming new things (generated tests, each with its own names) or
+/// who replays one large upload among small ones.
+const MAX_KEPT_ENTRIES: usize = 1 << 12;
 
 /// One interned text — a function, object or goroutine name — and the
 /// [`NameId`] it has in the current generation, if it has one.
@@ -128,8 +120,9 @@ struct DepotInner {
     /// Text → index into `texts`; queried by `&str`, so a hit allocates
     /// nothing.
     text_ids: FnvMap<Arc<str>, u32>,
-    /// `nodes[i]` is the node for `StackId(i + 1)`.
-    nodes: Vec<Node>,
+    /// `nodes[i]` is the node for `StackId(i + 1)`: the leaf frame of an
+    /// interned stack and the id of the stack below it.
+    nodes: Vec<StackNode>,
     /// Child lookup: `(parent, func text, call_line)` → the generation that
     /// interned the child, and its id. An entry of an older generation is a
     /// miss, and the insert that follows overwrites it.
@@ -159,15 +152,21 @@ impl Default for DepotInner {
 }
 
 impl DepotInner {
-    /// Drops the generation's stacks and names. Texts stay unless the table
-    /// is past [`MAX_KEPT_TEXTS`] (or the stamp wrapped).
+    /// Drops the generation's stacks and names. Texts stay, and every
+    /// table's room, unless some table has room past [`MAX_KEPT_ENTRIES`]
+    /// (or the stamp wrapped): then the depot starts over empty.
     fn new_generation(&mut self) {
+        let room = [
+            self.texts.capacity(),
+            self.text_ids.capacity(),
+            self.children.capacity(),
+            self.nodes.capacity(),
+            self.names.capacity(),
+            self.path.capacity(),
+        ];
         self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 || self.texts.len() > MAX_KEPT_TEXTS {
-            self.texts.clear();
-            self.text_ids.clear();
-            self.children.clear();
-            self.generation = 1;
+        if self.generation == 0 || room.into_iter().any(|n| n > MAX_KEPT_ENTRIES) {
+            *self = DepotInner::default();
         }
         self.nodes.clear();
         self.names.clear();
@@ -209,28 +208,14 @@ impl DepotInner {
             }
         }
         let func = self.texts[func as usize].text.clone();
-        let id = self.push_node(parent, func, call_line);
-        self.children.insert(key, (self.generation, id));
-        id
-    }
-
-    fn push_node(&mut self, parent: StackId, func: Arc<str>, call_line: u32) -> StackId {
-        let depth = self.depth(parent) + 1;
-        self.nodes.push(Node {
+        self.nodes.push(StackNode {
             parent,
             func,
             call_line,
-            depth,
         });
-        StackId(self.nodes.len() as u32)
-    }
-
-    fn depth(&self, id: StackId) -> u32 {
-        if id.is_empty() {
-            0
-        } else {
-            self.nodes[id.0 as usize - 1].depth
-        }
+        let id = StackId(self.nodes.len() as u32);
+        self.children.insert(key, (self.generation, id));
+        id
     }
 
     /// Appends the nodes of `id` to `path`, root first.
@@ -261,7 +246,7 @@ impl DepotInner {
 /// under the depot lock (see [`StackDepot::with_chains`]).
 #[derive(Debug, Clone)]
 pub struct Funcs<'a> {
-    nodes: &'a [Node],
+    nodes: &'a [StackNode],
     path: std::slice::Iter<'a, StackId>,
 }
 
@@ -336,15 +321,9 @@ impl StackDepot {
     /// The stack a frame pop leaves: `id`'s parent, or `id` itself when it
     /// holds at most the goroutine's root frame.
     pub(crate) fn pop(&self, id: StackId) -> StackId {
-        if id.is_empty() {
-            return id;
-        }
-        let d = self.lock();
-        let node = &d.nodes[id.0 as usize - 1];
-        if node.depth > 1 {
-            node.parent
-        } else {
-            id
+        match self.parent(id) {
+            StackId::EMPTY => id,
+            parent => parent,
         }
     }
 
@@ -357,29 +336,24 @@ impl StackDepot {
         self.lock().nodes[id.0 as usize - 1].parent
     }
 
-    /// Number of frames in the stack `id` names.
-    #[must_use]
-    pub fn depth(&self, id: StackId) -> usize {
-        self.lock().depth(id) as usize
-    }
-
     /// Materializes `id` into an owned root-first [`Stack`] (report paths
     /// only — never per access).
     #[must_use]
     pub fn resolve(&self, id: StackId) -> Stack {
-        let d = self.lock();
-        let mut frames = Vec::with_capacity(d.depth(id) as usize);
-        let mut cur = id;
-        while !cur.is_empty() {
-            let node = &d.nodes[cur.0 as usize - 1];
-            frames.push(Frame {
+        let mut d = self.lock();
+        let mut path = std::mem::take(&mut d.path);
+        path.clear();
+        d.push_path(&mut path, id);
+        let frames = path.iter().map(|id| {
+            let node = &d.nodes[id.0 as usize - 1];
+            Frame {
                 func: node.func.clone(),
                 call_line: node.call_line,
-            });
-            cur = node.parent;
-        }
-        frames.reverse();
-        Stack::from_frames(frames)
+            }
+        });
+        let stack = Stack::from_frames(frames.collect());
+        d.path = path;
+        stack
     }
 
     /// Calls `f` with the text of name `object` and the function names of
@@ -436,12 +410,7 @@ impl StackDepot {
     #[must_use]
     pub fn snapshot(&self) -> (Vec<StackNode>, Vec<Arc<str>>) {
         let d = self.lock();
-        let stacks = d.nodes.iter().map(|n| StackNode {
-            parent: n.parent,
-            func: n.func.clone(),
-            call_line: n.call_line,
-        });
-        (stacks.collect(), d.names.clone())
+        (d.nodes.clone(), d.names.clone())
     }
 
     /// The shared text of `text`: what a runtime object keeps as its name,
@@ -479,26 +448,28 @@ impl StackDepot {
         self.lock().names[id.index()].clone()
     }
 
-    /// Starts a new generation holding a [`StackDepot::snapshot`], ids as
-    /// recorded: entry `i` of `stacks` becomes `StackId(i + 1)`, entry `i`
-    /// of `names` `NameId(i)`. Replay restores one per trace and resolves
-    /// ids only, so nothing is hashed, nothing enters the text table, and
-    /// no child or name lookup of the generation finds an entry. That is
-    /// sound because a generation is interned by a live run or restored by
-    /// a replay, never both: the kernel interns only into a depot its run
-    /// reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node's parent is not an earlier node (the decoder
-    /// rejects such a table).
-    pub(crate) fn restore(&self, stacks: &[StackNode], names: &[Arc<str>]) {
+    /// Starts a new generation and has `fill` add a recording's stack
+    /// nodes and names to it, ids as recorded: entry `i` of the stacks
+    /// becomes `StackId(i + 1)`, entry `i` of the names `NameId(i)`, and a
+    /// replay adds its later names with [`StackDepot::push_name`]. Replay
+    /// resolves ids only, so nothing is hashed, nothing enters the text
+    /// table, and no child or name lookup of the generation finds an
+    /// entry. That is sound because a generation is interned by a live run
+    /// or restored by a replay, never both: the kernel interns only into a
+    /// depot its run reset.
+    pub(crate) fn restore<R>(
+        &self,
+        fill: impl FnOnce(&mut Vec<StackNode>, &mut Vec<Arc<str>>) -> R,
+    ) -> R {
         let mut d = self.lock();
         d.new_generation();
-        for node in stacks {
-            let _ = d.push_node(node.parent, node.func.clone(), node.call_line);
-        }
-        d.names.extend_from_slice(names);
+        let DepotInner { nodes, names, .. } = &mut *d;
+        fill(nodes, names)
+    }
+
+    /// Adds `text` to a restored generation as its next [`NameId`].
+    pub(crate) fn push_name(&self, text: Arc<str>) {
+        self.lock().names.push(text);
     }
 
     /// Starts a new generation: every outstanding [`StackId`] and
@@ -540,14 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn parent_and_depth_walk_the_tree() {
+    fn parent_walks_the_tree() {
         let depot = StackDepot::new();
         let a = depot.push(StackId::EMPTY, "main", 0);
         let b = depot.push(a, "F", 0);
         assert_eq!(depot.parent(b), a);
         assert_eq!(depot.parent(a), StackId::EMPTY);
-        assert_eq!(depot.depth(b), 2);
-        assert_eq!(depot.depth(StackId::EMPTY), 0);
+        assert_eq!(depot.parent(StackId::EMPTY), StackId::EMPTY);
     }
 
     #[test]
@@ -630,11 +600,11 @@ mod tests {
         let fresh = a_run(&StackDepot::new());
         let depot = StackDepot::new();
         let _ = a_run(&depot);
-        for i in 0..MAX_KEPT_TEXTS {
+        for i in 0..MAX_KEPT_ENTRIES {
             let _ = depot.text_fmt(format_args!("filler {i}"));
         }
         let kept = depot.lock().texts.len();
-        assert!(kept > MAX_KEPT_TEXTS);
+        assert!(kept > MAX_KEPT_ENTRIES);
         // Ids of the generation in progress are untouched by a full table.
         assert_eq!(depot.intern_name("x"), NameId(1));
         assert_eq!(&*depot.name(NameId(2)), "m[header]");
@@ -653,6 +623,29 @@ mod tests {
         depot.reset();
         assert_eq!(a_run(&depot), fresh);
         assert_eq!(depot.lock().texts.len(), texts);
+    }
+
+    #[test]
+    fn a_table_past_the_bound_is_freed_as_the_next_generation_starts() {
+        let depot = StackDepot::new();
+        let node = StackNode {
+            parent: StackId::EMPTY,
+            func: Arc::from("f"),
+            call_line: 0,
+        };
+        let room = |depot: &StackDepot| {
+            let d = depot.lock();
+            (d.nodes.capacity(), d.names.capacity())
+        };
+        depot.restore(|stacks, _| stacks.resize(16, node.clone()));
+        depot.reset();
+        assert!(room(&depot).0 >= 16, "room within the bound is kept");
+        depot.restore(|stacks, names| {
+            stacks.resize(MAX_KEPT_ENTRIES + 1, node.clone());
+            names.resize(MAX_KEPT_ENTRIES + 1, Arc::from("x"));
+        });
+        depot.reset();
+        assert_eq!(room(&depot), (0, 0));
     }
 
     #[test]
@@ -676,7 +669,11 @@ mod tests {
             },
         ];
         let names: Vec<Arc<str>> = vec![Arc::from("m[header]"), Arc::from("y")];
-        depot.restore(&stacks, &names);
+        depot.restore(|s, n| {
+            s.extend_from_slice(&stacks);
+            n.extend_from_slice(&names[..1]);
+        });
+        depot.push_name(names[1].clone());
         assert_eq!(depot.snapshot(), (stacks, names));
         assert_eq!(&*depot.name(NameId(0)), "m[header]");
         assert_eq!(&*depot.name(NameId(1)), "y");

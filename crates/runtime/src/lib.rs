@@ -89,7 +89,7 @@ pub mod slice;
 pub mod sync;
 pub mod trace;
 
-pub use batch::{DecodedTrace, TRACE_RETAINED_ENTRIES};
+pub use batch::{replay_encoded, DecodedTrace};
 pub use cell::Cell;
 pub use chan::{Chan, RecvResult, Selected2};
 pub use context::GoContext;

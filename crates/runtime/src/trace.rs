@@ -148,13 +148,11 @@ impl Trace {
     /// Replaces `depot`'s contents with the recorded stack and name tables,
     /// so every [`StackId`] and [`NameId`] the recorded events carry
     /// resolves to what the live run interned under it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stack node's parent is not an earlier node (a corrupt
-    /// trace constructed by hand; the decoder rejects such a table).
     pub fn rebuild_depot_into(&self, depot: &StackDepot) {
-        depot.restore(&self.stacks, &self.names);
+        depot.restore(|stacks, names| {
+            stacks.extend_from_slice(&self.stacks);
+            names.extend_from_slice(&self.names);
+        });
     }
 
     /// The FNV-1a fold of the event stream — bit-identical to the digest a
@@ -318,19 +316,6 @@ impl Trace {
             }
         }
         out
-    }
-
-    /// Decodes a `.grtrace` byte stream into a fresh trace:
-    /// [`Trace::decode_into`], the one reader of the format.
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::decode_into`]: a [`TraceDecodeError`] describing the
-    /// first structural problem found.
-    pub fn decode(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        let mut trace = Trace::default();
-        trace.decode_into(bytes)?;
-        Ok(trace)
     }
 
     /// Encodes and writes the trace to a `.grtrace` file.
@@ -629,6 +614,7 @@ fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
+#[inline]
 pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
@@ -640,6 +626,7 @@ fn lock_mode_tag(mode: LockMode) -> u8 {
     }
 }
 
+#[inline]
 pub(crate) fn lock_mode(tag: u8) -> Result<LockMode, TraceDecodeError> {
     match tag {
         0 => Ok(LockMode::Write),

@@ -1,8 +1,7 @@
 //! The `.grtrace` reader against the recorder, and against corruption.
 //!
-//! [`Trace::decode_into`] is the only parser of the format, and it
-//! decodes into the record the kernel emits, so its ground truth is the
-//! trace the recorder built in memory:
+//! One parser reads the format, and it decodes into the record the kernel
+//! emits, so its ground truth is the trace the recorder built in memory:
 //!
 //! * **property test** (randlite-seeded): on randomly generated programs,
 //!   record → encode → decode yields exactly the recorded metadata, stack
@@ -15,18 +14,19 @@
 //!   allows, a line never wraps into another line, and a stack table that
 //!   could not rebuild into a depot is a typed error, not a replay-time
 //!   panic;
-//! * **reuse**: a [`Trace`] that holds the golden trace, decoded into
-//!   from every truncation and bit flip above, fails exactly as a fresh
-//!   decode does and then decodes the golden trace correctly (the corpus
-//!   and dense traces, and the retention bound, are
+//! * **streaming**: a [`StackDepot`] and a monitor kept across
+//!   [`replay_encoded`] calls, fed every truncation and bit flip above
+//!   between golden traces, fail exactly as a fresh decode does and then
+//!   see the golden trace as a fresh decode gives it (the corpus and
+//!   dense traces, through the detectors, and the retention bound, are
 //!   `tests/trace_reuse.rs` at the workspace root).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use grs_runtime::{
-    put_uvarint, record, DecodedTrace, Program, RunConfig, StackDepot, Trace, TraceDecodeError,
-    MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
+    put_uvarint, record, replay_encoded, DecodedTrace, Event, Monitor, Program, RunConfig,
+    StackDepot, Trace, TraceDecodeError, MAX_TRACE_ID, TRACE_FORMAT_VERSION, TRACE_MAGIC,
 };
 
 /// A random program shape exercising every event tag: goroutines, plain
@@ -326,19 +326,45 @@ fn values_past_32_bits_are_typed_errors_not_wrapped() {
 
 const GOLDEN: &[u8] = include_bytes!("../../../tests/data/listing1_seed3.grtrace");
 
-/// Decodes `bytes` into `kept` and checks it against a fresh decode: the
-/// same `Result`, and on success the same trace.
-fn decode_into_matches_fresh(kept: &mut Trace, bytes: &[u8], label: &str) {
-    let reused = kept.decode_into(bytes).map(|()| kept.clone());
-    assert_eq!(reused, Trace::decode(bytes), "{label}");
+/// A monitor that keeps every event of its run, as a trace's event
+/// buffer does.
+#[derive(Default)]
+struct Kept(Vec<Event>);
+
+impl Monitor for Kept {
+    fn on_run_start(&mut self, _: &StackDepot) {
+        self.0.clear();
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        self.0.push(*event);
+    }
+}
+
+/// Streams `bytes` into `depot` and `monitor` and checks it against a
+/// fresh decode: the same `Result`, and on success the decoded trace's
+/// program, seed and strategy returned, its events seen and its stack and
+/// name tables in the depot.
+fn streamed_matches_fresh(depot: &StackDepot, monitor: &mut Kept, bytes: &[u8], label: &str) {
+    let streamed = replay_encoded(bytes, depot, monitor).map(|(program, repro)| {
+        let (stacks, names) = depot.snapshot();
+        let run = (program.to_string(), repro.seed, repro.strategy);
+        (run, stacks, names, monitor.0.clone())
+    });
+    let fresh = Trace::decode(bytes).map(|t| {
+        let run = (t.meta.program, t.meta.seed, t.meta.strategy);
+        (run, t.stacks, t.names, t.events)
+    });
+    assert_eq!(streamed, fresh, "{label}");
 }
 
 /// Every truncation and bit flip of `truncation_at_every_length_is_a_typed_error`
-/// and `bit_flips_at_every_offset_never_panic`, decoded into a `Trace` that
-/// holds the golden trace, returns what a fresh decode returns; and the
-/// golden trace decoded into it next is the golden trace.
+/// and `bit_flips_at_every_offset_never_panic`, streamed into a depot and a
+/// monitor that have just replayed the golden trace, returns what a fresh
+/// decode returns, and the golden trace streamed next replays as a fresh
+/// decode of it.
 #[test]
-fn a_reused_trace_fails_and_recovers_like_a_fresh_one() {
+fn a_kept_depot_streams_failures_and_recovers_like_a_fresh_decode() {
     let bytes = small_trace_bytes();
     let mut cases: Vec<(String, Vec<u8>)> = (0..bytes.len())
         .map(|len| (format!("prefix of {len} bytes"), bytes[..len].to_vec()))
@@ -350,13 +376,10 @@ fn a_reused_trace_fails_and_recovers_like_a_fresh_one() {
             cases.push((format!("byte {i} ^ {flip:#04x}"), corrupt));
         }
     }
-    let golden = Trace::decode(GOLDEN).expect("the golden trace decodes");
-    let mut kept = Trace::default();
+    let (depot, mut monitor) = (StackDepot::new(), Kept::default());
     for (label, corrupt) in &cases {
-        kept.decode_into(GOLDEN).expect("the golden trace decodes");
-        assert_eq!(kept, golden, "{label}: before");
-        decode_into_matches_fresh(&mut kept, corrupt, label);
-        kept.decode_into(GOLDEN).expect("the golden trace decodes");
-        assert_eq!(kept, golden, "{label}: after");
+        streamed_matches_fresh(&depot, &mut monitor, GOLDEN, &format!("{label}: before"));
+        streamed_matches_fresh(&depot, &mut monitor, corrupt, label);
+        streamed_matches_fresh(&depot, &mut monitor, GOLDEN, &format!("{label}: after"));
     }
 }

@@ -10,41 +10,43 @@
 //! execution: the arena and the per-unit build as a worker pays them, and
 //! the records and the dedup stage. Replay rows count one
 //! `DetectorArena::replay` under one detector — run start, every event,
-//! building the reports — less its depot rebuild, and decode rows count `DecodedTrace::decode` of the
-//! encoded trace, or `Trace::decode_into` of it into one `Trace` kept across
-//! the family, as an intake worker keeps one, per trace of three families:
+//! building the reports — less its depot rebuild; decode rows count
+//! `DecodedTrace::decode` of the encoded trace, and streamed rows
+//! `DetectorArena::analyze_encoded` of it under FastTrack into one arena
+//! kept across the family, as an intake worker keeps one (no report
+//! built), per trace of three families:
 //! the short pattern traces above, the first 256 generated Go tests (corpus
 //! seed 1, run seed 1), and `grs::dense_unit` at seeds `0..8`. Every row is
 //! measured on its second pass, so it is the cost of a run in a warm
 //! process:
 //!
-//! | row                                    | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | `892ce86` | this tree | ceiling |
-//! |----------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`                |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |      11.3 |    12.7 |
-//! | live run, FastTrack                    |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |      17.6 |    19.7 |
-//! | live run, pure-VC                      |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |      17.6 |    19.7 |
-//! | live run, Eraser                       |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |      18.2 |    20.3 |
-//! | live run, hybrid                       |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |      17.8 |    19.9 |
-//! | live run, all four at once             |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |      23.6 |    26.5 |
-//! | campaign execution, all four           |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |      17.4 |    19.6 |
-//! | replay, short trace, FastTrack         |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |       1.8 |     2.0 |
-//! | replay, short trace, pure-VC           |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |       1.8 |     2.0 |
-//! | replay, short trace, Eraser            |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid            |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |       1.9 |     2.2 |
-//! | replay, corpus trace, FastTrack        |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |    1.01 |
-//! | replay, corpus trace, pure-VC          |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |       0.9 |    1.03 |
-//! | replay, corpus trace, Eraser           |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid           |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |    1.01 |
-//! | replay, dense trace, FastTrack         |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |     0.5 |
-//! | replay, dense trace, pure-VC           |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |       0.0 |     0.5 |
-//! | replay, dense trace, Eraser            |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid            |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |     0.5 |
-//! | decode, short trace                    |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |      13.4 |    15.0 |
-//! | decode, corpus trace                   |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |      20.9 |    23.4 |
-//! | decode, dense trace                    |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |      21.0 |    23.5 |
-//! | decode into a reused `Trace`, short    |           |           |           |           |           |           |           |           |       9.1 |       9.1 |       9.1 |    10.2 |
-//! | decode into a reused `Trace`, corpus   |           |           |           |           |           |           |           |           |      15.1 |      15.1 |      15.1 |    16.9 |
-//! | decode into a reused `Trace`, dense    |           |           |           |           |           |           |           |           |      15.0 |      15.0 |      15.0 |    16.8 |
+//! | row                                                   | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | `892ce86` | `0af32d1` | this tree | ceiling |
+//! |-------------------------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`                               |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |      11.3 |      11.3 |    12.7 |
+//! | live run, FastTrack                                   |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |      17.6 |      17.6 |    19.7 |
+//! | live run, pure-VC                                     |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |      17.6 |      17.6 |    19.7 |
+//! | live run, Eraser                                      |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |      18.2 |      18.2 |    20.3 |
+//! | live run, hybrid                                      |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |      17.8 |      17.8 |    19.9 |
+//! | live run, all four at once                            |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |      23.6 |      23.6 |    26.5 |
+//! | campaign execution, all four                          |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |      17.4 |      17.4 |    19.6 |
+//! | replay, short trace, FastTrack                        |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, pure-VC                          |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, Eraser                           |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid                           |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |       1.9 |       1.9 |     2.2 |
+//! | replay, corpus trace, FastTrack                       |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |    1.01 |
+//! | replay, corpus trace, pure-VC                         |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |       0.9 |       0.9 |    1.03 |
+//! | replay, corpus trace, Eraser                          |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid                          |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |    1.01 |
+//! | replay, dense trace, FastTrack                        |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, pure-VC                          |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, Eraser                           |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid                           |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | decode, short trace                                   |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |      13.4 |      13.4 |    15.0 |
+//! | decode, corpus trace                                  |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |      20.9 |      20.9 |    23.4 |
+//! | decode, dense trace                                   |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |      21.0 |      21.0 |    23.5 |
+//! | streamed FastTrack analysis into a kept arena, short  |           |           |           |           |           |           |           |           |           |           |           |       9.1 |    10.2 |
+//! | streamed FastTrack analysis into a kept arena, corpus |           |           |           |           |           |           |           |           |           |           |           |      15.1 |    16.9 |
+//! | streamed FastTrack analysis into a kept arena, dense  |           |           |           |           |           |           |           |           |           |           |           |      15.0 |    16.8 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -131,6 +133,17 @@
 //! twin depot taking the same rebuilds in the same order and subtracted; a
 //! warm depot's rebuild allocates nothing on the measured pass, so no row
 //! moved by as much as 0.01.
+//!
+//! At `0af32d1` an intake worker decoded each upload into a kept `Trace`
+//! (its "decode into a reused `Trace`" rows: 9.1, 15.1 and 15.0
+//! allocations a trace in the three families) and then replayed it (the
+//! FastTrack replay rows, reports included). This tree decodes each upload straight into the arena's
+//! depot and detectors: the stream allocates what that decode did — the
+//! string table's scratch, the stack-repeat check's keys and one text per
+//! string a stack node or an event uses — and the analysis adds nothing
+//! warm, so each streamed row is its family's old decode-into row. No
+//! other row moved by as much as 0.01 but the live rows, which move by
+//! 0.01 between runs of either tree.
 //!
 //! The ceilings sit about 12 % above what was reached, and at 0.5 for a
 //! row at zero — tight enough that a report built for a repeated race, or
@@ -323,14 +336,17 @@ fn decode_mean(traces: &[Trace]) -> f64 {
     })
 }
 
-/// Mean allocations per trace of [`Trace::decode_into`] over the encoded
-/// `traces`, all decoded in turn into one kept `Trace`, as an intake worker
-/// decodes its uploads.
-fn decode_into_mean(traces: &[Trace]) -> f64 {
+/// Mean allocations per trace of [`DetectorArena::analyze_encoded`] under
+/// FastTrack over the encoded `traces`, all streamed in turn into one kept
+/// arena, as an intake worker analyzes its uploads.
+fn streamed_mean(traces: &[Trace]) -> f64 {
     let encoded: Vec<Vec<u8>> = traces.iter().map(Trace::encode).collect();
-    let mut kept = Trace::default();
+    let mut arena = DetectorArena::new();
+    let choices = [DetectorChoice::FastTrack];
     mean_warm(&encoded, |bytes| {
-        allocations_in(|| kept.decode_into(bytes).expect("a recording decodes")).0
+        let (n, meta) = allocations_in(|| arena.analyze_encoded(&choices, bytes));
+        meta.expect("a recording decodes");
+        n
     })
 }
 
@@ -347,7 +363,7 @@ fn replays_stay_under_their_allocation_ceilings() {
         ("dense", dense_runs(), [23.5, 16.8], [0.5, 0.5, 3.36, 0.5]),
     ];
     let mut rows = Vec::new();
-    for (family, runs, [decode_ceiling, decode_into_ceiling], ceilings) in &families {
+    for (family, runs, [decode_ceiling, streamed_ceiling], ceilings) in &families {
         let traces: Vec<Trace> = runs.iter().map(|(p, cfg)| record(p, cfg).1).collect();
         rows.push((
             format!("decode {family}"),
@@ -355,9 +371,9 @@ fn replays_stay_under_their_allocation_ceilings() {
             *decode_ceiling,
         ));
         rows.push((
-            format!("decode into a reused Trace, {family}"),
-            decode_into_mean(&traces),
-            *decode_into_ceiling,
+            format!("streamed FastTrack analysis into a kept arena, {family}"),
+            streamed_mean(&traces),
+            *streamed_ceiling,
         ));
         let means = replay_means(&traces);
         let choices = DetectorChoice::all_with_ablation();
