@@ -33,12 +33,12 @@ pub mod gogen;
 pub mod golint;
 pub mod javagen;
 pub mod javascan;
-pub mod snippets;
+pub mod listings;
 pub mod table1;
 pub mod testgen;
 
 pub use gogen::{GoCorpus, GoCorpusSpec};
-pub use snippets::{go_snippets, GoSnippet};
+pub use listings::{go_snippets, is_program, listing, listings, GoSnippet, Listing, Truth};
 pub use testgen::{GoTest, GoTestGen, GoTestSpec};
 pub use golint::{lint_corpus, LintReport};
 pub use javagen::{JavaCorpus, JavaCorpusSpec};

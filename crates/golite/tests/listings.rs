@@ -1,8 +1,10 @@
-//! The paper's listings, written as Go source, parsed by Go-lite, and
-//! checked against the static lints: each lint fires on its listing and
-//! stays quiet on the fixed variant.
+//! The rendition set's listings, parsed by Go-lite and checked against the
+//! static lints: each entry's rule fires on its racy text and stays quiet
+//! on every fix. Below them, the shapes the lints must read the same way
+//! wherever they sit.
 
-use grs_golite::{lint_file, parse_file, scan_file, Rule};
+use grs_corpus::{listing, listings};
+use grs_golite::{lint_file, parse_file, scan_file, ConstructCounts, Rule};
 
 fn rules(src: &str) -> Vec<Rule> {
     let file = parse_file(src).unwrap_or_else(|e| panic!("parse error: {e}\n{src}"));
@@ -10,128 +12,25 @@ fn rules(src: &str) -> Vec<Rule> {
 }
 
 #[test]
-fn listing1_loop_index_capture() {
-    let src = r#"
-package p
-
-func ProcessJobs(jobs []Job) {
-    for _, job := range jobs {
-        go func() {
-            ProcessJob(job)
-        }()
-    }
-}
-"#;
-    assert!(rules(src).contains(&Rule::LoopVarCapture));
-
-    // The privatizing idiom `}(job)`:
-    let fixed = r#"
-package p
-
-func ProcessJobs(jobs []Job) {
-    for _, job := range jobs {
-        go func(job Job) {
-            ProcessJob(job)
-        }(job)
-    }
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::LoopVarCapture));
-}
-
-#[test]
-fn listing2_err_capture() {
-    let src = r#"
-package p
-
-func Handle() {
-    x, err := Foo()
-    if err != nil {
-        return
-    }
-    go func() {
-        _, err = Bar(x)
-        if err != nil {
-            log(err)
+fn every_listing_rule_fires_on_the_racy_text_and_on_no_fix() {
+    let mut wrong = Vec::new();
+    for l in listings() {
+        let Some(id) = l.rule else { continue };
+        let rule = Rule::from_id(id).unwrap_or_else(|| panic!("{}: unknown rule {id}", l.name));
+        if !rules(l.racy).contains(&rule) {
+            wrong.push(format!("{}: {id} missing on the racy text", l.name));
         }
-    }()
-    y, err := Baz()
-    use(y, err)
-}
-"#;
-    assert!(rules(src).contains(&Rule::ErrCapture));
-
-    let fixed = r#"
-package p
-
-func Handle() {
-    x, err := Foo()
-    if err != nil {
-        return
-    }
-    go func() {
-        _, err2 := Bar(x)
-        if err2 != nil {
-            log(err2)
+        for (i, fixed) in l.fixed.iter().enumerate() {
+            if rules(fixed).contains(&rule) {
+                wrong.push(format!("{}: {id} fired on fix {i}", l.name));
+            }
         }
-    }()
-    y, err := Baz()
-    use(y, err)
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::ErrCapture));
-}
-
-#[test]
-fn listing3_named_return_capture() {
-    let src = r#"
-package p
-
-func NamedReturnCallee() (result int) {
-    result = 10
-    if something() {
-        return
     }
-    go func() {
-        use(result)
-    }()
-    return 20
-}
-"#;
-    assert!(rules(src).contains(&Rule::NamedReturnCapture));
-
-    let fixed = r#"
-package p
-
-func Callee() int {
-    result := 10
-    snapshot := result
-    go func(r int) {
-        use(r)
-    }(snapshot)
-    return 20
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::NamedReturnCapture));
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }
 
-#[test]
-fn listing4_named_return_with_defer() {
-    let src = r#"
-package p
-
-func Redeem(request Entity) (resp Response, err error) {
-    defer func() {
-        resp, err = Foo(request, err)
-    }()
-    err = CheckRequest(request)
-    go func() {
-        ProcessRequest(request, err != nil)
-    }()
-    return
-}
-"#;
-    assert!(rules(src).contains(&Rule::NamedReturnCapture));
+fn racy_counts(name: &str) -> ConstructCounts {
+    scan_file(&parse_file(listing(name).racy).expect("parses"))
 }
 
 #[test]
@@ -139,27 +38,7 @@ fn listing5_parses_safe_append() {
     // Listing 5's bug is a dynamic aliasing subtlety outside a syntactic
     // lint's reach; what matters here is that the idiomatic code parses and
     // scans correctly.
-    let src = r#"
-package p
-
-func ProcessAll(uuids []string) {
-    var myResults []string
-    var mutex sync.Mutex
-    safeAppend := func(res string) {
-        mutex.Lock()
-        myResults = append(myResults, res)
-        mutex.Unlock()
-    }
-    for _, uuid := range uuids {
-        go func(id string, results []string) {
-            res := Foo(id)
-            safeAppend(res)
-        }(uuid, myResults)
-    }
-}
-"#;
-    let file = parse_file(src).expect("parses");
-    let counts = scan_file(&file);
+    let counts = racy_counts("listing5");
     assert_eq!(counts.go_statements, 1);
     assert_eq!(counts.lock_calls, 1);
     assert_eq!(counts.unlock_calls, 1);
@@ -168,197 +47,14 @@ func ProcessAll(uuids []string) {
 }
 
 #[test]
-fn listing6_concurrent_map_write() {
-    let src = r#"
-package p
-
-func processOrders(uuids []string) error {
-    errMap := make(map[string]error)
-    for _, uuid := range uuids {
-        go func(uuid string) {
-            err := GetOrder(uuid)
-            if err != nil {
-                errMap[uuid] = err
-            }
-        }(uuid)
-    }
-    return combineErrors(errMap)
-}
-"#;
-    assert!(rules(src).contains(&Rule::MapWriteInGoroutine));
-
-    let fixed = r#"
-package p
-
-func processOrders(uuids []string) error {
-    errMap := make(map[string]error)
-    var mu sync.Mutex
-    for _, uuid := range uuids {
-        go func(uuid string) {
-            err := GetOrder(uuid)
-            if err != nil {
-                mu.Lock()
-                local := err
-                record(local)
-                mu.Unlock()
-            }
-        }(uuid)
-    }
-    return combineErrors(errMap)
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::MapWriteInGoroutine));
-}
-
-#[test]
-fn listing7_mutex_by_value() {
-    let src = r#"
-package p
-
-func CriticalSection(m sync.Mutex) {
-    m.Lock()
-    a = a + 1
-    m.Unlock()
-}
-
-func main() {
-    var mutex sync.Mutex
-    go CriticalSection(mutex)
-    go CriticalSection(mutex)
-}
-"#;
-    assert!(rules(src).contains(&Rule::MutexByValue));
-
-    let fixed = r#"
-package p
-
-func CriticalSection(m *sync.Mutex) {
-    m.Lock()
-    a = a + 1
-    m.Unlock()
-}
-
-func main() {
-    var mutex sync.Mutex
-    go CriticalSection(&mutex)
-    go CriticalSection(&mutex)
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::MutexByValue));
-}
-
-#[test]
 fn listing9_future_parses() {
     // Listing 9's select/channel structure; the race is dynamic, but the
     // parser must handle the full shape (methods, select, context).
-    let src = r#"
-package p
-
-func (f *Future) Start() {
-    go func() {
-        resp, err := f.f()
-        f.response = resp
-        f.err = err
-        f.ch <- 1
-    }()
-}
-
-func (f *Future) Wait(ctx context.Context) error {
-    select {
-    case <-f.ch:
-        return nil
-    case <-ctx.Done():
-        f.err = ErrCancelled
-        return ErrCancelled
-    }
-}
-"#;
-    let file = parse_file(src).expect("parses");
-    let counts = scan_file(&file);
+    let counts = racy_counts("listing9_methods");
     assert_eq!(counts.go_statements, 1);
     assert_eq!(counts.select_stmts, 1);
     assert_eq!(counts.chan_sends, 1);
     assert_eq!(counts.chan_recvs, 2);
-}
-
-#[test]
-fn listing10_waitgroup_add_inside() {
-    let src = r#"
-package p
-
-func WaitGrpExample(itemIds []int) int {
-    var wg sync.WaitGroup
-    results := make([]int, len(itemIds))
-    for i, id := range itemIds {
-        go func(i int, id int) {
-            wg.Add(1)
-            defer wg.Done()
-            results[i] = process(id)
-        }(i, id)
-    }
-    wg.Wait()
-    sum := 0
-    for _, r := range results {
-        sum = sum + r
-    }
-    return sum
-}
-"#;
-    assert!(rules(src).contains(&Rule::WaitGroupAddInGoroutine));
-
-    let fixed = r#"
-package p
-
-func WaitGrpExample(itemIds []int) int {
-    var wg sync.WaitGroup
-    results := make([]int, len(itemIds))
-    for i, id := range itemIds {
-        wg.Add(1)
-        go func(i int, id int) {
-            defer wg.Done()
-            results[i] = process(id)
-        }(i, id)
-    }
-    wg.Wait()
-    sum := 0
-    for _, r := range results {
-        sum = sum + r
-    }
-    return sum
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::WaitGroupAddInGoroutine));
-}
-
-#[test]
-fn listing11_write_under_rlock() {
-    let src = r#"
-package p
-
-func (g *HealthGate) updateGate() {
-    g.mutex.RLock()
-    defer g.mutex.RUnlock()
-    if ready() {
-        g.ready = true
-        g.gate.Accept()
-    }
-}
-"#;
-    assert!(rules(src).contains(&Rule::WriteUnderRLock));
-
-    let fixed = r#"
-package p
-
-func (g *HealthGate) updateGate() {
-    g.mutex.Lock()
-    defer g.mutex.Unlock()
-    if ready() {
-        g.ready = true
-        g.gate.Accept()
-    }
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::WriteUnderRLock));
 }
 
 #[test]
@@ -443,194 +139,6 @@ func Handle() {
 }
 "#;
     assert!(!rules(fixed_err).contains(&Rule::ErrCapture));
-}
-
-#[test]
-fn missing_lock_partial_locking() {
-    // Table 3's biggest class: guarded at the writer, bare at the reader.
-    let src = r#"
-package p
-
-var config int
-var mu sync.Mutex
-
-func SetConfig(v int) {
-    mu.Lock()
-    config = v
-    mu.Unlock()
-}
-
-func GetConfig() int {
-    return config
-}
-"#;
-    assert!(rules(src).contains(&Rule::MissingLock));
-
-    let fixed = r#"
-package p
-
-var config int
-var mu sync.Mutex
-
-func SetConfig(v int) {
-    mu.Lock()
-    config = v
-    mu.Unlock()
-}
-
-func GetConfig() int {
-    mu.Lock()
-    v := config
-    mu.Unlock()
-    return v
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::MissingLock));
-}
-
-#[test]
-fn inconsistent_lock_disjoint_mutexes() {
-    let src = r#"
-package p
-
-var hits int
-
-func (s *Server) CountA() {
-    s.muA.Lock()
-    hits = hits + 1
-    s.muA.Unlock()
-}
-
-func (s *Server) CountB() {
-    s.muB.Lock()
-    hits = hits + 1
-    s.muB.Unlock()
-}
-"#;
-    assert!(rules(src).contains(&Rule::InconsistentLock));
-
-    let fixed = r#"
-package p
-
-var hits int
-
-func (s *Server) CountA() {
-    s.muA.Lock()
-    hits = hits + 1
-    s.muA.Unlock()
-}
-
-func (s *Server) CountB() {
-    s.muA.Lock()
-    hits = hits + 1
-    s.muA.Unlock()
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::InconsistentLock));
-}
-
-#[test]
-fn atomic_mixed_with_plain_access() {
-    let src = r#"
-package p
-
-var ops int64
-
-func Work() {
-    go func() {
-        atomic.AddInt64(&ops, 1)
-    }()
-    if ops > 100 {
-        report(ops)
-    }
-}
-"#;
-    assert!(rules(src).contains(&Rule::AtomicMixedWithPlain));
-
-    let fixed = r#"
-package p
-
-var ops int64
-
-func Work() {
-    go func() {
-        atomic.AddInt64(&ops, 1)
-    }()
-    if atomic.LoadInt64(&ops) > 100 {
-        report()
-    }
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::AtomicMixedWithPlain));
-}
-
-#[test]
-fn double_checked_locking_idiom() {
-    let src = r#"
-package p
-
-var instance *Config
-var mu sync.Mutex
-
-func GetInstance() *Config {
-    if instance == nil {
-        mu.Lock()
-        if instance == nil {
-            instance = New()
-        }
-        mu.Unlock()
-    }
-    return instance
-}
-"#;
-    let rs = rules(src);
-    assert!(rs.contains(&Rule::DoubleCheckedLocking), "{rs:?}");
-
-    let fixed = r#"
-package p
-
-var instance *Config
-var mu sync.Mutex
-
-func GetInstance() *Config {
-    mu.Lock()
-    defer mu.Unlock()
-    if instance == nil {
-        instance = New()
-    }
-    return instance
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::DoubleCheckedLocking));
-}
-
-#[test]
-fn statement_order_goroutine_before_init() {
-    let src = r#"
-package p
-
-func NewPoller() {
-    p := Poller{}
-    go func() {
-        poll(p.interval)
-    }()
-    p.interval = 30
-}
-"#;
-    assert!(rules(src).contains(&Rule::GoroutineBeforeInit));
-
-    let fixed = r#"
-package p
-
-func NewPoller() {
-    p := Poller{}
-    p.interval = 30
-    go func() {
-        poll(p.interval)
-    }()
-}
-"#;
-    assert!(!rules(fixed).contains(&Rule::GoroutineBeforeInit));
 }
 
 /// `rule@line` for every finding, in report order.

@@ -6,39 +6,12 @@
 //! cargo run --example go_source_race
 //! ```
 
+use grs::corpus::listing;
 use grs::golite::{lint_file, parse_file};
 use grs::prelude::*;
 use grs_interp::Interp;
 
-const LISTING_6: &str = r#"
-package main
-
-func getOrder(uuid int) string {
-    if uuid > 1 {
-        return "failed"
-    }
-    return ""
-}
-
-func main() {
-    uuids := []int{1, 2, 3}
-    errMap := make(map[int]string)
-    done := make(chan bool, 3)
-    for _, uuid := range uuids {
-        go func(uuid int) {
-            err := getOrder(uuid)
-            if err != "" {
-                errMap[uuid] = err
-            }
-            done <- true
-        }(uuid)
-    }
-    <-done
-    <-done
-    <-done
-    _ = len(errMap)
-}
-"#;
+const LISTING_6: &str = listing("listing6").racy;
 
 fn main() {
     println!("== the Go source under test (Listing 6's shape) ==");

@@ -13,14 +13,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grs::corpus::{go_snippets, lint_corpus, GoCorpus, GoCorpusSpec, GoTestGen, GoTestSpec};
+use grs::corpus::{lint_corpus, listings, GoCorpus, GoCorpusSpec, GoTestGen, GoTestSpec};
 use grs::golite::ast::{walk, Decl, Node, Stmt, Walk};
 use grs::golite::lexer::tokenize;
 use grs::golite::token::{Keyword, Tok};
 use grs::golite::{
     cfg, lint_file, lockset, mhp::Mhp, parse_file, resolve_file, scan_file, summary::Summaries,
 };
-use grs::patterns::gosrc::renditions;
 
 /// Draws a handful of (spec, seed) corpus configurations from a meta-seed.
 fn drawn_corpora(meta_seed: u64, n: usize) -> Vec<(GoCorpusSpec, u64)> {
@@ -146,20 +145,18 @@ func f(ch chan int, a bool, b bool, k int) {
 "#;
 
 /// The traversal is complete, judged by something that is not a traversal:
-/// on every embedded listing, every pattern rendition, 500 generated tests
-/// and [`EVERY_NESTING`], `ast::walk` (with a visitor that never skips)
-/// meets exactly as many `go`/`defer`/`select` statements as the lexer
+/// on every text of the rendition set, 500 generated tests and
+/// [`EVERY_NESTING`], `ast::walk` (with a visitor that never skips) meets
+/// exactly as many `go`/`defer`/`select` statements as the lexer
 /// produced keyword tokens, and the construct scanner built on it reports
 /// the same counts.
 #[test]
 fn walk_visits_every_go_defer_and_select_the_lexer_sees() {
     let mut sources: Vec<(String, String)> = Vec::new();
-    for s in go_snippets() {
-        sources.push((s.name.to_string(), s.source.to_string()));
-    }
-    for r in renditions() {
-        sources.push((format!("{}/racy", r.rule), r.racy.to_string()));
-        sources.push((format!("{}/fixed", r.rule), r.fixed.to_string()));
+    for l in listings() {
+        for (i, text) in l.texts().enumerate() {
+            sources.push((format!("{}/{i}", l.name), text.to_string()));
+        }
     }
     for seed in [1, 2] {
         for t in GoTestGen::new(GoTestSpec::default_mix(), seed).iter(250) {

@@ -18,12 +18,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use grs::corpus::{go_snippets, GoTestGen, GoTestSpec};
+use grs::corpus::{is_program, listings, GoTestGen, GoTestSpec, Truth};
 use grs::golite::ast::{walk, Decl, Expr, File, Node, UnaryOp, Walk};
 use grs::golite::resolve::SymbolKind;
 use grs::golite::{parse_file, resolve_file};
 use grs::interp::Interp;
-use grs::patterns::gosrc::renditions;
 use grs::runtime::event::EventKind;
 use grs::runtime::trace::record;
 use grs::runtime::RunConfig;
@@ -195,23 +194,25 @@ fn every_shared_variable_cell_is_captured_or_package_level() {
     let generated = sweep.ran;
     assert!(generated >= 500);
 
-    // The embedded listings all run from `main`.
-    for s in go_snippets() {
-        assert!(
-            sweep.check(s.source, s.name, "main", 7),
-            "{}: snippets always run",
-            s.name
-        );
-    }
-    let snippets = sweep.ran - generated;
-
-    // The lint renditions are written for the static route: most call
-    // helpers no file defines or start from a function with parameters.
-    // Whatever does run from a zero-argument function is held to the same
-    // property.
-    for r in renditions() {
-        for (variant, src) in [("racy", r.racy), ("fixed", r.fixed)] {
-            let file = parse_file(src).expect("renditions parse");
+    // The rendition set's programs all run from `main`, but for the one
+    // whose truth is a leaked goroutine. The other texts are written for
+    // the static route: most call helpers no file defines or start from a
+    // function with parameters. Whatever does run from a zero-argument
+    // function is held to the same property.
+    let mut programs = 0;
+    for l in listings() {
+        for (i, src) in l.texts().enumerate() {
+            let name = format!("{}/{i}", l.name);
+            if is_program(src) {
+                let ran = sweep.check(src, &name, "main", 7);
+                assert!(
+                    ran || l.truth == Truth::RacesAndLeaks,
+                    "{name}: programs always run"
+                );
+                programs += usize::from(ran);
+                continue;
+            }
+            let file = parse_file(src).expect("the set parses");
             let entries: Vec<String> = file
                 .decls
                 .iter()
@@ -223,15 +224,15 @@ fn every_shared_variable_cell_is_captured_or_package_level() {
                 })
                 .collect();
             for entry in entries {
-                sweep.check(src, &format!("{}/{variant}", r.rule), &entry, 7);
+                sweep.check(src, &name, &entry, 7);
             }
         }
     }
 
     println!(
-        "{generated} generated tests, {snippets} snippets, {} rendition entry points ran; \
-         {} shared variable cells checked",
-        sweep.ran - generated - snippets,
+        "{generated} generated tests, {programs} set programs, {} other set entry points \
+         ran; {} shared variable cells checked",
+        sweep.ran - generated - programs,
         sweep.shared_cells
     );
     assert!(
