@@ -4,7 +4,7 @@
 //! program is rerun across many seeds). Constructing a fresh detector per run
 //! throws away warmed-up shadow maps, vector-clock buffers, and the stack
 //! depot's trie on every iteration. [`DetectorArena`] keeps one long-lived
-//! instance of each detector plus one [`StackDepot`], and reuses them for
+//! shadow of each detector plus one [`StackDepot`], and reuses them for
 //! every run: [`Monitor::on_run_start`] clears the *contents* at the start
 //! of each run but keeps the container allocations, so steady-state
 //! campaign runs allocate close to nothing.
@@ -18,7 +18,10 @@
 //!
 //! The arena's watchers are the crate's one detector assembly: one
 //! execution's shared state (clocks, held locks, lockset interner, depot:
-//! `crate::hb`) and the shadows that read it. An execution has one
+//! `crate::hb`) and the three shadows that read it: FastTrack's, pure
+//! vector clocks' and Eraser's. The hybrid has none of its own: it is
+//! FastTrack's shadow reported with the locks each access held, so the two
+//! watching one execution cost one shadow. An execution has one
 //! fan-out, live ([`DetectorArena::execute`]) or replayed
 //! ([`DetectorArena::analyze`], or [`DetectorArena::analyze_encoded`]
 //! straight from the bytes): it is taken once, and every requested
@@ -102,15 +105,6 @@ impl DetectorChoice {
         }
     }
 
-    /// A fresh shadow of this algorithm as the arena holds it: the one
-    /// place a choice becomes a detector.
-    fn watcher(self) -> Watcher {
-        match self {
-            DetectorChoice::Eraser => Watcher::Eraser(LocksetShadow::default()),
-            _ => Watcher::Hb(Shadow::new(self)),
-        }
-    }
-
     /// Executes one run of `program` under a fresh instance of this
     /// detector.
     #[must_use]
@@ -134,8 +128,8 @@ impl std::fmt::Display for DetectorChoice {
     }
 }
 
-/// One long-lived instance of each detection algorithm plus a shared stack
-/// depot, reused across runs.
+/// One long-lived shadow of each detection algorithm (the hybrid reads
+/// FastTrack's) plus a shared stack depot, reused across runs.
 ///
 /// # Example
 ///
@@ -171,93 +165,76 @@ pub struct DetectorArena {
 /// method of the arena can run.
 const HOME: &str = "the watchers are home between runs";
 
-/// The closed set of variable shadows an execution's watchers are drawn
-/// from: a happens-before shadow, which reads the shared clocks (and, the
-/// hybrid's, the held locks), or Eraser's, which reads the held locks.
-#[derive(Debug)]
-enum Watcher {
-    Hb(Shadow),
-    Eraser(LocksetShadow),
-}
-
-impl Watcher {
-    fn races(&self) -> &[Race] {
-        match self {
-            Watcher::Hb(shadow) => shadow.races(),
-            Watcher::Eraser(eraser) => eraser.races(),
-        }
-    }
-
-    fn peak_shadow_words(&self) -> usize {
-        match self {
-            Watcher::Hb(shadow) => shadow.peak_words(),
-            Watcher::Eraser(eraser) => eraser.peak_words(),
-        }
-    }
-}
-
-/// One detector and the choice it answers to.
-#[derive(Debug)]
-struct Member {
-    choice: DetectorChoice,
-    watcher: Watcher,
-}
-
 /// The crate's one detector assembly, and the monitor of every execution,
-/// live or replayed: its members, one per [`DetectorChoice`] it holds, of
-/// which the first `active` watch the execution,
-/// each seeing every event in order. The members share `exec`, which takes
-/// each event's first step before any member sees it and its second after
-/// all have; it advances its clocks only when the selection holds a
-/// happens-before member, and its held locks only when it holds Eraser or
-/// the hybrid. Each member keeps its own shadow-word peak; the watchers'
-/// peak is the largest active member's, read when asked for.
+/// live or replayed: the three variable shadows and the detectors selected
+/// to watch. FastTrack's shadow watches when FastTrack or the hybrid is
+/// selected, and is the hybrid's too: the hybrid is FastTrack's verdicts
+/// reported with the locks each access held. Each watching shadow sees
+/// every event in order. The shadows share `exec`, which takes each
+/// event's first step before any shadow sees it and its second after all
+/// have; it advances its clocks only when a happens-before detector is
+/// selected, and its held locks only when Eraser or the hybrid is. Each
+/// shadow keeps its own shadow-word peak; the watchers' peak is the
+/// largest watching shadow's, read when asked for.
 #[derive(Debug)]
 pub(crate) struct Watchers {
     exec: Execution,
-    members: Vec<Member>,
-    active: usize,
+    fasttrack: Shadow,
+    pure_vc: Shadow,
+    eraser: LocksetShadow,
+    /// Whether each detector watches, indexed by [`DetectorChoice`]
+    /// discriminant.
+    selected: [bool; 4],
+}
+
+impl Default for Watchers {
+    /// The three shadows, no detector selected.
+    fn default() -> Self {
+        Watchers {
+            exec: Execution::default(),
+            fasttrack: Shadow::new(false),
+            pure_vc: Shadow::new(true),
+            eraser: LocksetShadow::default(),
+            selected: [false; 4],
+        }
+    }
 }
 
 impl Watchers {
-    /// One member of each of `choices`, none selected.
-    pub(crate) fn of(choices: &[DetectorChoice]) -> Self {
-        let members = choices
-            .iter()
-            .map(|&choice| Member {
-                choice,
-                watcher: choice.watcher(),
-            })
-            .collect();
-        Watchers {
-            exec: Execution::default(),
-            members,
-            active: 0,
-        }
-    }
-
-    /// Moves the member of each distinct choice to the front, in order of
-    /// first appearance, as the next run's watchers.
+    /// Selects `choices` as the next run's watchers.
     fn select(&mut self, choices: &[DetectorChoice]) {
-        self.active = 0;
+        self.selected = [false; 4];
         for &choice in choices {
-            let idle = &self.members[self.active..];
-            if let Some(i) = idle.iter().position(|m| m.choice == choice) {
-                self.members.swap(self.active, self.active + i);
-                self.active += 1;
-            }
+            self.selected[choice as usize] = true;
         }
-        let choices = self.members[..self.active].iter().map(|m| m.choice);
-        self.exec.watched_by(choices);
+        self.exec.watched_by(choices.iter().copied());
     }
 
-    /// The member of `choice`, if it watched the last execution.
-    fn watched(&self, choice: DetectorChoice) -> Option<&Member> {
-        self.members[..self.active].iter().find(|m| m.choice == choice)
+    #[inline]
+    fn selects(&self, choice: DetectorChoice) -> bool {
+        self.selected[choice as usize]
+    }
+
+    /// Whether FastTrack's shadow watches: for FastTrack, or the hybrid.
+    #[inline]
+    fn fasttrack_watches(&self) -> bool {
+        self.selects(DetectorChoice::FastTrack) || self.selects(DetectorChoice::Hybrid)
+    }
+
+    /// The races and peak shadow words of `choice`'s shadow, if `choice`
+    /// watched the last execution.
+    fn watched(&self, choice: DetectorChoice) -> Option<(&[Race], usize)> {
+        self.selects(choice).then(|| match choice {
+            DetectorChoice::FastTrack | DetectorChoice::Hybrid => {
+                (self.fasttrack.races(), self.fasttrack.peak_words())
+            }
+            DetectorChoice::PureVectorClock => (self.pure_vc.races(), self.pure_vc.peak_words()),
+            DetectorChoice::Eraser => (self.eraser.races(), self.eraser.peak_words()),
+        })
     }
 
     /// Watches a recorded execution, its stacks and names already in
-    /// `depot`, with the members of `choices`, as the kernel would.
+    /// `depot`, with the detectors `choices`, as the kernel would.
     pub(crate) fn watch(
         &mut self,
         choices: &[DetectorChoice],
@@ -283,16 +260,11 @@ impl Watchers {
     ///
     /// Panics if `choice` did not watch the last execution.
     pub(crate) fn outcome(&self, choice: DetectorChoice, events: u64) -> ReplayOutcome {
-        let member = self.watched(choice).expect(UNWATCHED);
+        let (races, peak_shadow_words) = self.watched(choice).expect(UNWATCHED);
         ReplayOutcome {
-            reports: member
-                .watcher
-                .races()
-                .iter()
-                .map(|race| self.report(choice, race))
-                .collect(),
+            reports: races.iter().map(|race| self.report(choice, race)).collect(),
             events,
-            peak_shadow_words: member.watcher.peak_shadow_words(),
+            peak_shadow_words,
         }
     }
 }
@@ -303,29 +275,36 @@ const UNWATCHED: &str = "only a detector that watched the last execution has rac
 impl Monitor for Watchers {
     fn on_run_start(&mut self, depot: &StackDepot) {
         self.exec.on_run_start(depot);
-        for m in &mut self.members[..self.active] {
-            match &mut m.watcher {
-                Watcher::Hb(shadow) => shadow.reset(),
-                Watcher::Eraser(eraser) => eraser.reset(),
-            }
+        if self.fasttrack_watches() {
+            self.fasttrack.reset();
+        }
+        if self.selects(DetectorChoice::PureVectorClock) {
+            self.pure_vc.reset();
+        }
+        if self.selects(DetectorChoice::Eraser) {
+            self.eraser.reset();
         }
     }
 
     fn on_event(&mut self, event: &Event) {
         self.exec.before(event);
-        for m in &mut self.members[..self.active] {
-            match &mut m.watcher {
-                Watcher::Hb(shadow) => shadow.on_event(&self.exec, event),
-                Watcher::Eraser(eraser) => eraser.on_event(&mut self.exec, event),
-            }
+        if self.fasttrack_watches() {
+            self.fasttrack.on_event(&self.exec, event);
+        }
+        if self.selects(DetectorChoice::PureVectorClock) {
+            self.pure_vc.on_event(&self.exec, event);
+        }
+        if self.selects(DetectorChoice::Eraser) {
+            self.eraser.on_event(&mut self.exec, event);
         }
         self.exec.after(event);
     }
 
     fn peak_shadow_words(&self) -> usize {
-        self.members[..self.active]
-            .iter()
-            .map(|m| m.watcher.peak_shadow_words())
+        DetectorChoice::all_with_ablation()
+            .into_iter()
+            .filter_map(|choice| self.watched(choice))
+            .map(|(_, peak)| peak)
             .max()
             .unwrap_or(0)
     }
@@ -344,7 +323,7 @@ impl DetectorArena {
     pub fn new() -> Self {
         DetectorArena {
             depot: StackDepot::new(),
-            watchers: Some(Watchers::of(&DetectorChoice::all_with_ablation())),
+            watchers: Some(Watchers::default()),
         }
     }
 
@@ -411,16 +390,14 @@ impl DetectorArena {
     pub fn races(&self, choice: DetectorChoice) -> &[Race] {
         self.watchers()
             .watched(choice)
-            .map_or(&[], |m| m.watcher.races())
+            .map_or(&[], |(races, _)| races)
     }
 
     /// The peak shadow words of `choice` over the last execution (0 when
     /// it did not watch it).
     #[must_use]
     pub fn peak_shadow_words(&self, choice: DetectorChoice) -> usize {
-        self.watchers()
-            .watched(choice)
-            .map_or(0, |m| m.watcher.peak_shadow_words())
+        self.watchers().watched(choice).map_or(0, |(_, peak)| peak)
     }
 
     /// The report of `race`, one of [`DetectorArena::races`]`(choice)`:
@@ -584,10 +561,10 @@ mod tests {
         assert!(!arena.depot().is_empty());
     }
 
-    /// A member's peak belongs to its run: it reads 0 once a run it did
+    /// A detector's peak belongs to its run: it reads 0 once a run it did
     /// not watch has replaced it, and a later, smaller run starts it over.
     #[test]
-    fn a_members_peak_ends_with_its_run() {
+    fn a_detectors_peak_ends_with_its_run() {
         let cfg = RunConfig::with_seed(3);
         let mut arena = DetectorArena::new();
         let _ = arena.execute(&[DetectorChoice::Hybrid], &racy_program(), cfg.clone());

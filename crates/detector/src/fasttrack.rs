@@ -19,18 +19,23 @@
 //!   epoch optimization buys (the original paper reports most accesses hit
 //!   the O(1) path);
 //! * the hybrid, Go's `-race` as the paper describes it, "integrating
-//!   lock-set and happens-before algorithms" (§1, §3.1): FastTrack decides
-//!   *whether* two accesses race, and each access also records the locks
-//!   its goroutine held (read from the shared state, where Eraser reads
-//!   them too), which is what makes a report actionable for
-//!   partial-locking bugs (Observation 10). Its reports are headed
-//!   `tsan`.
+//!   lock-set and happens-before algorithms" (§1, §3.1): FastTrack's own
+//!   shadow, so FastTrack decides *whether* two accesses race, reported
+//!   with the locks each access's goroutine held, which is what makes a
+//!   report actionable for partial-locking bugs (Observation 10). Its
+//!   reports are headed `tsan`.
+//!
+//! Every access records the locks its goroutine held, read from the
+//! shared state, where Eraser reads them too. The execution tracks them
+//! only while Eraser or the hybrid watches, so the set is empty otherwise,
+//! and only those two detectors' reports resolve it
+//! ([`DetectorArena::report`](crate::DetectorArena::report)).
 //!
 //! # The same-epoch exit
 //!
 //! An access by goroutine *t* at epoch *E* (*t*'s own clock component),
-//! recorded as *r* (goroutine, kind, stack, location and, for the hybrid,
-//! held locks), on object *o*, returns before any check when
+//! recorded as *r* (goroutine, kind, stack, location and held locks), on
+//! object *o*, returns before any check when
 //!
 //! * it is a read, the read history is exclusively *E* with record *r*,
 //!   and *o* is the object the slot's last full-path access named; or
@@ -58,6 +63,10 @@
 //! concurrent-read history is a tid-sorted small vector, so iteration — and
 //! therefore report order — is ascending by goroutine. Verdicts are held to
 //! [`crate::reference`], which shares nothing with this module.
+//!
+//! [`DetectorChoice::FastTrack`]: crate::DetectorChoice::FastTrack
+//! [`DetectorChoice::PureVectorClock`]: crate::DetectorChoice::PureVectorClock
+//! [`DetectorChoice::Hybrid`]: crate::DetectorChoice::Hybrid
 
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -67,7 +76,6 @@ use grs_obs::hash::FnvHasher;
 use grs_runtime::event::Event;
 use grs_runtime::{Addr, NameId, SourceLoc, StackDepot};
 
-use crate::arena::DetectorChoice;
 use crate::hb::Execution;
 use crate::report::{AccessRecord, Race};
 
@@ -208,14 +216,13 @@ impl SiteKey {
 /// per-run output).
 pub const MAX_REPORTS: usize = 256;
 
-/// One happens-before detector: the variable shadow, the site keys and
-/// the races kept. It reads the execution's clocks on every access, and
-/// the hybrid its held locks.
+/// One happens-before shadow: the variables, the site keys and the races
+/// kept. It reads the execution's clocks and held locks on every access.
 #[derive(Debug)]
 pub(crate) struct Shadow {
-    /// Which of the three detectors this is: FastTrack, pure vector clocks
-    /// or the hybrid.
-    choice: DetectorChoice,
+    /// Whether this is the pure-vector-clock ablation, which takes no
+    /// epoch path, rather than FastTrack's shadow.
+    pure_vc: bool,
     /// Flat variable table indexed by the kernel's dense address ids.
     vars: Vec<VarShadow>,
     /// The races kept this run, in detection order.
@@ -239,10 +246,9 @@ pub(crate) struct Shadow {
 }
 
 impl Shadow {
-    pub(crate) fn new(choice: DetectorChoice) -> Self {
-        debug_assert_ne!(choice, DetectorChoice::Eraser);
+    pub(crate) fn new(pure_vc: bool) -> Self {
         Shadow {
-            choice,
+            pure_vc,
             vars: Vec::new(),
             races: Vec::new(),
             sites: HashSet::default(),
@@ -277,11 +283,7 @@ impl Shadow {
         let Some((addr, object, mut info)) = AccessRecord::of(event) else {
             return;
         };
-        // The hybrid records the locks each access's goroutine held; the
-        // others record none.
-        if self.choice == DetectorChoice::Hybrid {
-            info.locks = exec.held(info.gid).any;
-        }
+        info.locks = exec.held(info.gid).any;
         self.on_access(exec, addr, object, info);
     }
 
@@ -342,7 +344,7 @@ impl Shadow {
         if self.vars.len() <= vi {
             self.vars.resize_with(vi + 1, VarShadow::default);
         }
-        let pure_vc = self.choice == DetectorChoice::PureVectorClock;
+        let pure_vc = self.pure_vc;
         let epoch = Epoch::of(tid, c);
         // The same-epoch exit (module doc): a repeat finds nothing new.
         let repeat = !pure_vc && self.vars[vi].repeats(epoch, object, &info);
@@ -499,6 +501,7 @@ mod tests {
     use std::cell::Cell;
 
     use super::*;
+    use crate::arena::DetectorChoice;
     use grs_runtime::event::EventKind;
     use grs_runtime::{record, AccessKind, Gid, Program, RunConfig, StackId};
 
@@ -522,7 +525,7 @@ mod tests {
         let mut exec = Execution::default();
         exec.watched_by([choice]);
         exec.on_run_start(depot);
-        let mut shadow = Shadow::new(choice);
+        let mut shadow = Shadow::new(choice == DetectorChoice::PureVectorClock);
         for event in events {
             exec.before(event);
             shadow.on_event(&exec, event);

@@ -64,8 +64,9 @@ pub(crate) struct HeldLocks {
 impl Execution {
     /// Advances, from the next run on, what the detectors `choices` read:
     /// the clocks, which every happens-before detector reads, the held
-    /// locks, which Eraser and the hybrid read, and those held in write
-    /// mode, which only Eraser reads.
+    /// locks, which Eraser and the hybrid report (a happens-before shadow
+    /// records whatever is tracked), and those held in write mode, which
+    /// only Eraser reads.
     pub(crate) fn watched_by(&mut self, choices: impl IntoIterator<Item = DetectorChoice>) {
         (self.tracks_clocks, self.tracks_locks) = (false, false);
         self.tracks_write_locks = false;

@@ -10,13 +10,13 @@
 //!   ([`DetectorChoice::PureVectorClock`]) for the ablation benchmark;
 //! * a **lockset** detector — [`DetectorChoice::Eraser`] (Savage et al.,
 //!   reference \[76\]), which over-approximates by ignoring happens-before;
-//! * the hybrid, [`DetectorChoice::Hybrid`], which composes FastTrack's
-//!   precise verdicts with lockset bookkeeping so race reports also say
-//!   which locks each side held — the shape of report the paper's
-//!   deployment files as bugs (§3.3: two stacks, access types, conflicting
-//!   address).
+//! * the hybrid, [`DetectorChoice::Hybrid`]: FastTrack's verdicts, its
+//!   race reports also saying which locks each side held — the shape of
+//!   report the paper's deployment files as bugs (§3.3: two stacks, access
+//!   types, conflicting address).
 //!
-//! A detector is only its variable shadow. What the detectors read about
+//! A detector is only its variable shadow, and the hybrid is FastTrack's:
+//! three shadows serve the four detectors. What the detectors read about
 //! an execution — its vector clocks, the locks each goroutine holds, one
 //! lockset interner and the depot — is kept once, however many watch it.
 //! [`DetectorArena`] holds that state and the shadows, and fans an

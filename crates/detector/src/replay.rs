@@ -32,8 +32,8 @@ pub struct ReplayOutcome {
     pub peak_shadow_words: usize,
 }
 
-/// FastTrack as a lone detector, for [`replay_decoded`]: a one-member
-/// arena assembly without the arena's depot. `benchmark/` is its only
+/// FastTrack as a lone detector, for [`replay_decoded`]: the arena's
+/// detector assembly without the arena's depot. `benchmark/` is its only
 /// caller; the change that next edits the benchmark deletes it.
 #[derive(Debug)]
 pub struct FastTrack(Watchers);
@@ -43,7 +43,7 @@ impl FastTrack {
     #[must_use]
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
-        FastTrack(Watchers::of(&[DetectorChoice::FastTrack]))
+        FastTrack(Watchers::default())
     }
 }
 

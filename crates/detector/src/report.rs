@@ -35,7 +35,8 @@ pub struct AccessRecord {
     /// Source location of the access.
     pub loc: SourceLoc,
     /// Locks held at the access, in the execution's interner
-    /// ([`LocksetId::EMPTY`] for detectors that track none).
+    /// ([`LocksetId::EMPTY`] unless Eraser or the hybrid watched the
+    /// execution; only their reports resolve it).
     pub locks: LocksetId,
 }
 
@@ -64,14 +65,18 @@ impl AccessRecord {
         Some((addr, object, record))
     }
 
-    fn resolve(self, depot: &StackDepot, locksets: &LocksetInterner) -> RaceAccess {
+    /// The access with its names and stack resolved, and its held locks
+    /// when `locksets` is given.
+    fn resolve(self, depot: &StackDepot, locksets: Option<&LocksetInterner>) -> RaceAccess {
         RaceAccess {
             gid: self.gid,
             kind: self.kind,
             stack: depot.resolve(self.stack),
             file: depot.name(self.loc.file),
             line: self.loc.line,
-            locks_held: locksets.get(self.locks).iter().copied().collect(),
+            locks_held: locksets.map_or_else(Lockset::new, |l| {
+                l.get(self.locks).iter().copied().collect()
+            }),
         }
     }
 }
@@ -92,15 +97,18 @@ pub struct Race {
 }
 
 impl Race {
-    /// The one report builder: resolves the names, both stacks and both
-    /// locksets of this race, found by a `detector` whose run used `depot`
-    /// and `locksets`.
+    /// The one report builder: resolves the names and both stacks of this
+    /// race, found by a `detector` whose run used `depot` and `locksets`,
+    /// and both locksets if the detector is lockset-aware: Eraser or the
+    /// hybrid.
     pub(crate) fn report(
         &self,
         depot: &StackDepot,
         locksets: &LocksetInterner,
         detector: DetectorChoice,
     ) -> RaceReport {
+        let locksets =
+            matches!(detector, DetectorChoice::Eraser | DetectorChoice::Hybrid).then_some(locksets);
         RaceReport {
             addr: self.addr,
             object: depot.name(self.object),

@@ -14,6 +14,8 @@ use std::hash::Hash;
 use std::panic::Location;
 use std::sync::{Arc, Mutex};
 
+use grs_obs::hash::FnvMap;
+
 use crate::ctx::Ctx;
 use crate::event::AccessKind;
 use crate::ids::Addr;
@@ -46,7 +48,10 @@ pub struct GoMap<K, V> {
 }
 
 struct MapInner<K, V> {
-    entries: HashMap<K, (Addr, V)>,
+    /// Keyed by a fixed hasher, as the kernel's tables are, so the order
+    /// [`GoMap::iterate`] sorts from — and so what its sort costs — is the
+    /// same in every process.
+    entries: FnvMap<K, (Addr, V)>,
 }
 
 impl<K, V> Clone for GoMap<K, V> {
@@ -82,7 +87,7 @@ where
                 .text_fmt(format_args!("{name}[structure]")),
             addr_struct: Addr(ctx.kernel().alloc_id()),
             inner: Arc::new(Mutex::new(MapInner {
-                entries: HashMap::new(),
+                entries: FnvMap::default(),
             })),
         }
     }
@@ -206,7 +211,7 @@ where
                 .map(|(k, (a, v))| (k.clone(), (*a, v.clone())))
                 .collect()
         };
-        items.sort_by(|a, b| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
+        items.sort_by_cached_key(|(k, _)| format!("{k:?}"));
         items
             .into_iter()
             .map(|(k, (addr, v))| {

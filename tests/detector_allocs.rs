@@ -20,33 +20,33 @@
 //! measured on its second pass, so it is the cost of a run in a warm
 //! process:
 //!
-//! | row                                                   | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | `892ce86` | `0af32d1` | this tree | ceiling |
-//! |-------------------------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
-//! | live run, `NullMonitor`                               |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |      11.3 |      11.3 |    12.7 |
-//! | live run, FastTrack                                   |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |      17.6 |      17.6 |    19.7 |
-//! | live run, pure-VC                                     |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |      17.6 |      17.6 |    19.7 |
-//! | live run, Eraser                                      |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |      18.2 |      18.2 |    20.3 |
-//! | live run, hybrid                                      |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |      17.8 |      17.8 |    19.9 |
-//! | live run, all four at once                            |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |      23.6 |      23.6 |    26.5 |
-//! | campaign execution, all four                          |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |      17.4 |      17.4 |    19.6 |
-//! | replay, short trace, FastTrack                        |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |       1.8 |       1.8 |     2.0 |
-//! | replay, short trace, pure-VC                          |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |       1.8 |       1.8 |     2.0 |
-//! | replay, short trace, Eraser                           |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
-//! | replay, short trace, hybrid                           |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |       1.9 |       1.9 |     2.2 |
-//! | replay, corpus trace, FastTrack                       |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |    1.01 |
-//! | replay, corpus trace, pure-VC                         |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |       0.9 |       0.9 |    1.03 |
-//! | replay, corpus trace, Eraser                          |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
-//! | replay, corpus trace, hybrid                          |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |    1.01 |
-//! | replay, dense trace, FastTrack                        |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |     0.5 |
-//! | replay, dense trace, pure-VC                          |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |       0.0 |       0.0 |     0.5 |
-//! | replay, dense trace, Eraser                           |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
-//! | replay, dense trace, hybrid                           |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |     0.5 |
-//! | decode, short trace                                   |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |      13.4 |      13.4 |    15.0 |
-//! | decode, corpus trace                                  |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |      20.9 |      20.9 |    23.4 |
-//! | decode, dense trace                                   |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |      21.0 |      21.0 |    23.5 |
-//! | streamed FastTrack analysis into a kept arena, short  |           |           |           |           |           |           |           |           |           |           |           |       9.1 |    10.2 |
-//! | streamed FastTrack analysis into a kept arena, corpus |           |           |           |           |           |           |           |           |           |           |           |      15.1 |    16.9 |
-//! | streamed FastTrack analysis into a kept arena, dense  |           |           |           |           |           |           |           |           |           |           |           |      15.0 |    16.8 |
+//! | row                                                   | `4487427` | `50aa005` | `df78cb2` | `5cb78d2` | `a243cbb` | `0bd93a1` | `4f08ac0` | `affcdc4` | `32fc29a` | `892ce86` | `0af32d1` | `be73039` | this tree | ceiling |
+//! |-------------------------------------------------------|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|----------:|--------:|
+//! | live run, `NullMonitor`                               |      25.0 |      25.0 |      25.0 |      14.9 |      14.9 |      14.9 |      14.9 |      11.3 |      11.3 |      11.3 |      11.3 |      11.3 |      11.3 |    12.7 |
+//! | live run, FastTrack                                   |      48.7 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      17.6 |      17.6 |      17.6 |      17.6 |    19.7 |
+//! | live run, pure-VC                                     |      48.4 |      34.6 |      35.6 |      22.7 |      22.7 |      22.7 |      22.7 |      19.1 |      19.1 |      17.6 |      17.6 |      17.6 |      17.6 |    19.7 |
+//! | live run, Eraser                                      |      36.0 |      33.6 |      34.6 |      21.8 |      21.8 |      21.8 |      21.8 |      18.2 |      18.2 |      18.2 |      18.2 |      18.2 |      18.1 |    20.3 |
+//! | live run, hybrid                                      |      50.7 |      33.8 |      34.8 |      21.9 |      21.9 |      21.9 |      21.9 |      18.3 |      18.3 |      17.8 |      17.8 |      17.8 |      17.7 |    19.9 |
+//! | live run, all four at once                            |     183.8 |     135.6 |      42.8 |      29.9 |      29.9 |      29.9 |      29.9 |      26.3 |      26.3 |      23.6 |      23.6 |      23.6 |      23.6 |    26.5 |
+//! | campaign execution, all four                          |           |           |      57.0 |      37.7 |      37.7 |      23.7 |      23.7 |      20.1 |      20.1 |      17.4 |      17.4 |      17.4 |      17.4 |    19.6 |
+//! | replay, short trace, FastTrack                        |      17.4 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       1.8 |       1.8 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, pure-VC                          |      17.1 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       3.3 |       1.8 |       1.8 |       1.8 |       1.8 |     2.0 |
+//! | replay, short trace, Eraser                           |       4.7 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |       2.3 |     2.6 |
+//! | replay, short trace, hybrid                           |      19.4 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       2.5 |       1.9 |       1.9 |       1.9 |       1.9 |     2.2 |
+//! | replay, corpus trace, FastTrack                       |      11.8 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |       0.9 |    1.01 |
+//! | replay, corpus trace, pure-VC                         |      30.9 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |      13.8 |       0.9 |       0.9 |       0.9 |       0.9 |    1.03 |
+//! | replay, corpus trace, Eraser                          |       3.9 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |    1.12 |
+//! | replay, corpus trace, hybrid                          |      14.1 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       3.6 |       0.9 |       0.9 |       0.9 |       0.9 |    1.01 |
+//! | replay, dense trace, FastTrack                        |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, pure-VC                          |   2,003.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       9.0 |       0.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | replay, dense trace, Eraser                           |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |       3.0 |    3.36 |
+//! | replay, dense trace, hybrid                           |       3.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       1.0 |       0.0 |       0.0 |       0.0 |       0.0 |     0.5 |
+//! | decode, short trace                                   |           |           |           |           |           |      17.7 |      16.7 |      16.7 |      13.4 |      13.4 |      13.4 |      13.4 |      13.4 |    15.0 |
+//! | decode, corpus trace                                  |           |           |           |           |           |      26.1 |      25.2 |      25.2 |      20.9 |      20.9 |      20.9 |      20.9 |      20.9 |    23.4 |
+//! | decode, dense trace                                   |           |           |           |           |           |      26.0 |      25.0 |      25.0 |      21.0 |      21.0 |      21.0 |      21.0 |      21.0 |    23.5 |
+//! | streamed FastTrack analysis into a kept arena, short  |           |           |           |           |           |           |           |           |           |           |           |       9.1 |       9.1 |    10.2 |
+//! | streamed FastTrack analysis into a kept arena, corpus |           |           |           |           |           |           |           |           |           |           |           |      15.1 |      15.1 |    16.9 |
+//! | streamed FastTrack analysis into a kept arena, dense  |           |           |           |           |           |           |           |           |           |           |           |      15.0 |      15.0 |    16.8 |
 //!
 //! Before `run_many`, four detectors meant four executions, so the "all
 //! four" row of the older trees is the sum of their four solo rows. Now the
@@ -144,6 +144,16 @@
 //! warm, so each streamed row is its family's old decode-into row. No
 //! other row moved by as much as 0.01 but the live rows, which move by
 //! 0.01 between runs of either tree.
+//!
+//! At `be73039` a Go map kept its entries in a std `HashMap`, whose hasher
+//! is seeded per process, and `GoMap::iterate` formatted both keys at
+//! every comparison of its sort. How many comparisons, and so allocations,
+//! a sort took followed the process's hash order, so the live and campaign
+//! rows moved by 0.01 or 0.02 between processes. This tree keys the
+//! entries by FNV and formats each key once, so every row repeats across
+//! processes; the Eraser and hybrid live rows now round down. The hybrid
+//! also reads FastTrack's shadow instead of keeping a fourth: that alone
+//! moved the campaign row by 0.009 and no other row by as much as 0.001.
 //!
 //! The ceilings sit about 12 % above what was reached, and at 0.5 for a
 //! row at zero — tight enough that a report built for a repeated race, or

@@ -19,7 +19,7 @@
 //! source file (one text that is an object's and a file's name at once).
 //! The same loop holds `replay_decoded` of a `FastTrack`, the lone
 //! detector the pipeline benchmark replays with, to the arena's FastTrack
-//! member, the locks each side held included.
+//! outcome, the locks each side held included.
 
 use grs::deploy::race_fingerprint;
 use grs::detector::{
@@ -38,18 +38,18 @@ fn rendered(r: &RaceReport) -> String {
 }
 
 /// `replay_decoded` of `trace`, after an encode → decode round trip, must
-/// equal the arena's FastTrack `member` over the same trace: events, peak
+/// equal the arena's FastTrack `outcome` over the same trace: events, peak
 /// shadow words, and every report as rendered.
-fn assert_shim_equals_member(trace: &Trace, member: &ReplayOutcome, cell: &str) {
+fn assert_shim_equals_arena(trace: &Trace, outcome: &ReplayOutcome, cell: &str) {
     let decoded = DecodedTrace::decode(&trace.encode()).expect("a recording decodes");
     let shim = replay_decoded(&mut FastTrack::new(), &decoded, &StackDepot::new());
-    assert_eq!(shim.events, member.events, "{cell}: events");
+    assert_eq!(shim.events, outcome.events, "{cell}: events");
     assert_eq!(
-        shim.peak_shadow_words, member.peak_shadow_words,
+        shim.peak_shadow_words, outcome.peak_shadow_words,
         "{cell}: peak shadow words"
     );
     let shim: Vec<String> = shim.reports.iter().map(rendered).collect();
-    let arena: Vec<String> = member.reports.iter().map(rendered).collect();
+    let arena: Vec<String> = outcome.reports.iter().map(rendered).collect();
     assert_eq!(shim, arena, "{cell}: replay_decoded's reports");
 }
 
@@ -73,7 +73,7 @@ fn replay_is_bit_identical_to_live_for_every_pattern_seed_and_detector() {
             for (choice, replayed) in arena.replay_all(&trace) {
                 if choice == DetectorChoice::FastTrack {
                     let cell = format!("{}/{seed}/{choice}", unit.name);
-                    assert_shim_equals_member(&trace, &replayed, &cell);
+                    assert_shim_equals_arena(&trace, &replayed, &cell);
                 }
                 let (live_o, live_r) = choice.run(&unit.program, cfg.clone());
                 assert_eq!(
